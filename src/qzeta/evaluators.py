@@ -4,9 +4,11 @@ Exact evaluators (over Fraction, via a shared :class:`~qzeta.qarith.QContext`):
 
 * :func:`mhs` / :func:`mhs_many`: finite nested harmonic sums over strictly
   decreasing (default) or weakly decreasing (``star=True``) index tuples.
-* :func:`mollified_mhs` / :func:`mollified_mhs_many`: finite mollified sums
-  over a :class:`~qzeta.expansion.Triple`, with the binomial-ratio prefactor
-  tied to the outermost index.
+* :func:`pattern_mhs_many`: finite mollified sums summed over every
+  resolution of a pattern, by one dynamic programme over its contiguous
+  runs, with the binomial-ratio prefactor tied to the outermost index.
+* :func:`mollified_mhs` / :func:`mollified_mhs_many`: the same engine on a
+  single :class:`~qzeta.expansion.Triple` (no runs merged).
 * :func:`q_zeta`: infinite harmonic series, evaluated to a proven tail bound.
 * :func:`frakz`: infinite mollified series (no prefactor), admissible
   triples only, evaluated to a proven tail bound.
@@ -23,14 +25,13 @@ family of values costs the same as the deepest single one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .expansion import Triple, is_admissible
-from .indices import SignedIndex, signed_string
+from .indices import boxplus, oplus, signed_string
 from .qarith import QContext
 
 
@@ -48,20 +49,6 @@ class ClassicalValue(NamedTuple):
     value: float
     tail_est: float
     terms: int
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Evaluation budget for the infinite-series evaluators."""
-
-    eps: Fraction = Fraction(1, 10**20)
-    max_terms: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
 
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
@@ -95,34 +82,72 @@ def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     return mhs_many(ctx, s, n, star=star)[n]
 
 
-def _mollified_inner(ctx: QContext, triple: Triple, k_max: int) -> list[Fraction]:
-    """inner[k] = outermost term at k times the strict nested sum of the
-    remaining levels below k; 1-based, inner[0] unused."""
-    m = triple.depth
-    cums = [Fraction(0)] * m
-    inner = [Fraction(0)] * (k_max + 1)
-    for k in range(1, k_max + 1):
-        below = cums[1] if m > 1 else Fraction(1)
-        inner[k] = ctx.mollified_term(triple.s[0], triple.t[0], triple.r[0], k) * below
-        for j in range(1, m):
-            deeper = cums[j + 1] if j + 1 < m else Fraction(1)
-            cums[j] += ctx.mollified_term(triple.s[j], triple.t[j], triple.r[j], k) * deeper
-    return inner
+def _runs(pattern: Triple, merge: bool) -> list[list[tuple]]:
+    """For each start slot i, the runs [i, j) as (j, s, t, r) folded slots.
+
+    A run grows one slot at a time, left to right, because boxplus is not
+    associative.  Without ``merge`` only the single-slot runs [i, i+1) are
+    kept, which makes the pattern's separators all commas.
+    """
+    m = pattern.depth
+    out = []
+    for i in range(m):
+        s, t, r = pattern.s[i], pattern.t[i], pattern.r[i]
+        row = [(i + 1, s, t, r)]
+        for j in range(i + 1, m if merge else i + 1):
+            s = oplus(s, pattern.s[j])
+            t += pattern.t[j]
+            r = boxplus(r, pattern.r[j])
+            row.append((j + 1, s, t, r))
+        out.append(row)
+    return out
 
 
-def mollified_mhs_many(ctx: QContext, triple: Triple, n_max: int) -> list[Fraction]:
-    """Finite mollified sums for every upper limit 0..n_max.
+def pattern_mhs_many(
+    ctx: QContext, pattern: Triple, n_max: int, merge: bool = True
+) -> list[Fraction]:
+    """Sum of the finite mollified sums of every resolution of a pattern,
+    for every upper limit 0..n_max, without building any resolution.
 
-    The prefactor couples the upper limit n to the outermost index, so the
-    inner nested sums are computed once and reweighted per n.
+    A resolution cuts the m slots into contiguous runs, each folded into one
+    slot, so the 2**(m-1) resolutions share the m(m+1)/2 runs [i, j).  With
+    T_[i,j)(k) the mollified term of the folded run at index k, C_m = 1 and
+
+        C_i[k]   = C_i[k-1] + sum_{j>i} T_[i,j)(k) * C_j[k-1],
+        inner[k] = sum_j T_[0,j)(k) * C_j[k-1],
+
+    C_i[k] sums the strict nested sums below k of every resolution of slots
+    i..m-1 and inner[k] those of the whole pattern with outermost index k.
+    The prefactor couples n to that outermost index, so it is applied once:
+    out[n] = sum_k binom_ratio(n, k) * inner[k].  With ``merge=False`` the
+    pattern is read as a single triple.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    inner = _mollified_inner(ctx, triple, n_max)
+    m = pattern.depth
+    runs = _runs(pattern, merge)
+    term = ctx.mollified_term
+    # below[j] = C_j[k-1]; updating i upwards reads the deeper C_j before
+    # they move to k
+    below = [Fraction(0)] * m + [Fraction(1)]
+    inner = [Fraction(0)] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        inner[k] = sum(
+            (term(s, t, r, k) * below[j] for j, s, t, r in runs[0] if below[j]), Fraction(0)
+        )
+        for i in range(1, m):
+            below[i] += sum(
+                (term(s, t, r, k) * below[j] for j, s, t, r in runs[i] if below[j]), Fraction(0)
+            )
     out = [Fraction(0)]
     for n in range(1, n_max + 1):
         out.append(sum((ctx.binom_ratio(n, k) * inner[k] for k in range(1, n + 1)), Fraction(0)))
     return out
+
+
+def mollified_mhs_many(ctx: QContext, triple: Triple, n_max: int) -> list[Fraction]:
+    """Finite mollified sums of one triple for every upper limit 0..n_max."""
+    return pattern_mhs_many(ctx, triple, n_max, merge=False)
 
 
 def mollified_mhs(ctx: QContext, triple: Triple, n: int) -> Fraction:

@@ -65,9 +65,6 @@ def bar(magnitude: int) -> SignedIndex:
     return SignedIndex(magnitude, -1)
 
 
-SignedString = tuple
-
-
 def signed_string(entries: Iterable) -> tuple:
     """Coerce plain ints (sign carried by the Python sign) to SignedIndex."""
     out = []

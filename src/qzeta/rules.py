@@ -233,13 +233,6 @@ def classical_expand(composition: Sequence[int]) -> list[ClassicalTerm]:
     return [ClassicalTerm(d, 2 ** triple.depth, triple.s) for triple in expand(pattern)]
 
 
-def _run(entry_fn, counts_or_items):
-    out = []
-    for x in counts_or_items:
-        out.extend(entry_fn(x))
-    return out
-
-
 def _check_lengths(name: str, ell: int, *seqs: Sequence[int]) -> None:
     for seq in seqs:
         if len(seq) != ell:

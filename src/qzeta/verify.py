@@ -16,16 +16,21 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .evaluators import classical_zeta, frakz, mhs_many, mollified_mhs_many, q_zeta
+from .evaluators import (
+    classical_zeta,
+    frakz,
+    mhs_many,
+    mollified_mhs_many,
+    pattern_mhs_many,
+    q_zeta,
+)
 from .expansion import Triple, expand
 from .indices import THETA, SignedIndex, bar, boxplus, idx, oplus
 from .indices import delta as sign_of
@@ -43,25 +48,6 @@ DEFAULT_SEED = 101
 _RESIDUAL_CAP = 16
 
 Number = Union[str, float, None]
-
-
-def thread_count() -> int:
-    """Worker cap from QZETA_THREADS (defaults to sequential)."""
-    raw = os.environ.get("QZETA_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_ordered(fn, items: Iterable) -> list:
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -146,7 +132,6 @@ def verify_mhs(
     comp = tuple(composition)
     qs = [as_q(q) for q in q_values]
     d, pattern = compose(comp)
-    triples = expand(pattern)
     residuals: list[str] = []
     failed = False
     worst = Fraction(0)
@@ -154,10 +139,9 @@ def verify_mhs(
     for q in qs:
         ctx = QContext(q)
         lhs = mhs_many(ctx, comp, n_max, star=True)
-        parts = _map_ordered(lambda T: mollified_mhs_many(ctx, T, n_max), triples)
+        rhs = pattern_mhs_many(ctx, pattern, n_max)
         for n in range(n_max + 1):
-            rhs = d * sum(part[n] for part in parts)
-            res = lhs[n] - rhs
+            res = lhs[n] - d * rhs[n]
             checks += 1
             if res:
                 failed = True
@@ -170,7 +154,7 @@ def verify_mhs(
         params={
             "composition": list(comp),
             "delta": d,
-            "terms": len(triples),
+            "terms": 2 ** (pattern.depth - 1),
             "checks": checks,
         },
         q=_q_label(qs),
@@ -208,7 +192,7 @@ def verify_qmzsv(
     triples = expand(pattern)
     budget = epsv / (2 * (1 + len(triples)))
     lhs = q_zeta(ctx, comp, eps=budget, star=True)
-    parts = _map_ordered(lambda T: frakz(ctx, T, eps=budget), triples)
+    parts = [frakz(ctx, T, eps=budget) for T in triples]
     rhs = d * sum(part.value for part in parts)
     tail_total = lhs.tail_bound + sum(part.tail_bound for part in parts)
     disc = abs(lhs.value - rhs)
@@ -250,7 +234,7 @@ def verify_classical(
     comp = tuple(composition)
     terms = classical_expand(comp)
     lhs = classical_zeta(comp, K=K, star=True)
-    parts = _map_ordered(lambda term: classical_zeta(term.index, K=K), terms)
+    parts = [classical_zeta(term.index, K=K) for term in terms]
     rhs = 0.0
     rhs_tail = 0.0
     for term, part in zip(terms, parts):
@@ -388,11 +372,9 @@ def _inverse_power(c_max: int, n_max: int, q: Fraction) -> VerificationReport:
     failed = False
     checks = 0
     for c in range(c_max + 1):
-        parts = [
-            mollified_mhs_many(ctx, T, n_max) for T in expand(inverse_power_pattern(c))
-        ]
+        rhs = pattern_mhs_many(ctx, inverse_power_pattern(c), n_max)
         for n in range(1, n_max + 1):
-            res = Fraction(1) / ctx.q_int(n) ** c + sum(part[n] for part in parts)
+            res = Fraction(1) / ctx.q_int(n) ** c + rhs[n]
             checks += 1
             if res:
                 failed = True

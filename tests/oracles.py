@@ -7,13 +7,20 @@ dynamic-programming evaluators are judged against.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
+# The q-arithmetic below is memoized on its arguments (q, n[, m]): the
+# brute-force sums ask for the same binomials over and over, and recomputing
+# the q-factorials from scratch each time dominated the oracle's cost.
 
+
+@lru_cache(maxsize=None)
 def q_integer(q: Fraction, n: int) -> Fraction:
     return sum((q**i for i in range(n)), Fraction(0))
 
 
+@lru_cache(maxsize=None)
 def q_factorial(q: Fraction, n: int) -> Fraction:
     out = Fraction(1)
     for i in range(1, n + 1):
@@ -21,6 +28,7 @@ def q_factorial(q: Fraction, n: int) -> Fraction:
     return out
 
 
+@lru_cache(maxsize=None)
 def q_binomial(q: Fraction, n: int, m: int) -> Fraction:
     if m < 0 or m > n:
         return Fraction(0)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ import oracles
 from qzeta import (
     THETA,
     QContext,
+    SignedIndex,
     Triple,
     bar,
     classical_zeta,
+    expand,
     frakz,
     idx,
     is_admissible,
@@ -19,6 +22,7 @@ from qzeta import (
     mhs_many,
     mollified_mhs,
     mollified_mhs_many,
+    pattern_mhs_many,
     q_zeta,
 )
 
@@ -85,6 +89,47 @@ def test_mollified_matches_bruteforce(ctx_half, slots):
         8,
     )
     assert mollified_mhs_many(ctx_half, tri, 8) == expect
+
+
+def _oracle_slots(triple):
+    return [
+        ((e.magnitude, e.sign), t, None if r is THETA else r)
+        for e, t, r in zip(triple.s, triple.t, triple.r)
+    ]
+
+
+def test_pattern_engine_matches_bruteforce_over_expansion():
+    # shifts include theta and both orders of +-1, where boxplus is not
+    # associative, so a run folded in the wrong order would show here
+    rng = random.Random(20130730)
+    shift_pool = [THETA, 1, -1, 0, 2, -2, 3]
+    n_max = 8
+    for trial in range(60):
+        m = rng.randint(1, 5)
+        pattern = Triple(
+            tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m)),
+            tuple(rng.randint(0, 3) for _ in range(m)),
+            tuple(rng.choice(shift_pool) for _ in range(m)),
+        )
+        q = Fraction(1, 2) if trial % 2 else Fraction(2, 3)
+        expect = [Fraction(0)] * (n_max + 1)
+        for triple in expand(pattern):
+            for n, value in enumerate(oracles.mollified_all_n(q, _oracle_slots(triple), n_max)):
+                expect[n] += value
+        ctx = QContext(q)
+        assert pattern_mhs_many(ctx, pattern, n_max) == expect, pattern
+        single = oracles.mollified_all_n(q, _oracle_slots(pattern), n_max)
+        assert pattern_mhs_many(ctx, pattern, n_max, merge=False) == single, pattern
+
+
+def test_pattern_engine_edges(ctx_half):
+    tri = Triple((idx(2), bar(1)), (1, 0), (1, -1))
+    assert pattern_mhs_many(ctx_half, tri, 0) == [0]
+    # a one-slot pattern has a single resolution: itself
+    one = Triple((bar(3),), (2,), (THETA,))
+    assert pattern_mhs_many(ctx_half, one, 6) == mollified_mhs_many(ctx_half, one, 6)
+    with pytest.raises(ValueError):
+        pattern_mhs_many(ctx_half, tri, -1)
 
 
 def test_quasi_stuffle_spot(ctx_half, ctx_third):

@@ -17,7 +17,6 @@ from qzeta import (
     run_family,
     sample_compositions,
     symmetric_pair_check,
-    thread_count,
     verify_classical,
     verify_mhs,
     verify_qmzsv,
@@ -80,6 +79,39 @@ def test_verify_mhs_detects_corruption(monkeypatch):
     assert rep.status == "fail"
     assert rep.residuals
     assert Fraction(rep.discrepancy) > 0
+
+
+def test_verify_mhs_never_expands(monkeypatch):
+    import qzeta.verify as v
+
+    def refuse(pattern):
+        raise AssertionError("verify_mhs must not build the expansion")
+
+    monkeypatch.setattr(v, "expand", refuse)
+    # 9,9,9 compiles to a 22-slot pattern: 2**21 resolutions
+    rep = v.verify_mhs((9, 9, 9), n_max=6)
+    assert rep.passed
+    assert rep.params["terms"] == 2**21
+    assert rep.params["checks"] == 7
+
+
+def test_verify_mhs_detects_perturbed_delta(monkeypatch):
+    import qzeta.verify as v
+    from qzeta import Compiled
+
+    real = v.compose
+
+    def nudged(comp):
+        d, pat = real(comp)
+        return Compiled(d * (1 + Fraction(1, 10**40)), pat)
+
+    monkeypatch.setattr(v, "compose", nudged)
+    for comp in ((9, 9, 9), (2, 1, 1, 3, 1)):
+        rep = v.verify_mhs(comp, n_max=6)
+        assert rep.status == "fail"
+        # every n >= 1 carries a nonzero right-hand side, so every one fails
+        assert len(rep.residuals) == 6
+        assert Fraction(rep.discrepancy) > 0
 
 
 def test_verify_qmzsv_small():
@@ -163,26 +195,6 @@ def test_family_instances_and_equivalence():
 def test_run_family():
     reps = run_family("twos-ones", max_weight=6, n_max=6)
     assert reps and all_passed(reps)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("QZETA_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("QZETA_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("QZETA_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("QZETA_THREADS", "junk")
-    assert thread_count() == 1
-
-
-def test_threaded_results_match_sequential(monkeypatch):
-    seq = lemma_suite(n_max=8, parts=("alternating-kernel-sum", "weighted-kernel-sum"))
-    monkeypatch.setenv("QZETA_THREADS", "3")
-    par = lemma_suite(n_max=8, parts=("alternating-kernel-sum", "weighted-kernel-sum"))
-    for a, b in zip(seq, par):
-        assert a.status == b.status
-        assert a.discrepancy == b.discrepancy
 
 
 def test_classical_battery_shapes():
