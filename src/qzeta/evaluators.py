@@ -1,6 +1,6 @@
 """Finite and infinite sum evaluators.
 
-Exact evaluators (over Fraction, via a shared :class:`~qzeta.qarith.QContext`):
+Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
 
 * :func:`mhs` / :func:`mhs_many`: finite nested harmonic sums over strictly
   decreasing (default) or weakly decreasing (``star=True``) index tuples.
@@ -19,7 +19,13 @@ first-omitted-term style tail estimate.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
-family of values costs the same as the deepest single one.
+family of values costs the same as the deepest single one.  The harmonic
+sums (and so :func:`q_zeta`) keep each cumulative as an integer numerator
+over a known denominator, a power of lcm(b^k - a^k, k <= index) times a
+power of b for q = a/b, so their loop adds and multiplies integers without
+a gcd and each returned value is reduced once.  The mollified sums and
+:func:`frakz` keep ``Fraction`` cumulatives: their terms carry q^quadratic
+and (1 + q^k) factors that this denominator does not clear.
 """
 
 from __future__ import annotations
@@ -51,35 +57,73 @@ class ClassicalValue(NamedTuple):
     terms: int
 
 
+def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[int]:
+    """Numerators of the nested harmonic sum for every upper limit 0..n_max;
+    value n is ``nums[n] / _mhs_scale(ctx, entries, n)``.
+
+    With q = a/b in lowest terms, P_k = b^k - a^k and L_k = ctx.p_lcm(k),
+    w_k = L_k/[k] = (b-a) b^(k-1) L_k/P_k is an integer and the term of
+    magnitude s at index k is sgn^k a^k w_k^s / (b^k L_k^s).  At step k,
+    level j is scaled by D_j(k) = L_k^s_j * b^beta, with beta = k when
+    s_j = 0 and 1 otherwise, which makes its term the integer
+    c_j(k) = sgn^k a^k v_k w_k^(s_j-1) (sgn^k a^k when s_j = 0), where
+    v_k = w_k / b^(k-1).  X_j, the cumulative of level j times
+    D_j(k)...D_{m-1}(k), is carried from k-1 to k by the growth of those
+    scales, then X_j += c_j(k) X_{j+1} with X_m = 1.  Only integers are
+    added and multiplied; each value is reduced once, by the caller.
+    Letting the scales grow with k, rather than fixing them at L_n_max from
+    the start, keeps the products of the early steps small.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    a, b = ctx.q.numerator, ctx.q.denominator
+    m = len(entries)
+    mags = [e.magnitude for e in entries]
+    # X_j carries the scales of levels j..m-1: from k-1 to k they grow by
+    # (L_k/L_{k-1})^(s_j+...+s_{m-1}) * b^(number of zero magnitudes there)
+    grow_l = [sum(mags[j:]) for j in range(m)]
+    grow_b = [mags[j:].count(0) for j in range(m)]
+    x = [0] * m + [1]
+    nums = [x[0]]
+    # weak descent: level j sees level j+1 already updated at k; strict
+    # descent: level j sees level j+1 as of k-1, so update top-down
+    order = range(m - 1, -1, -1) if star else range(m)
+    for k in range(1, n_max + 1):
+        lcm = ctx.p_lcm(k)
+        ratio = lcm // ctx.p_lcm(k - 1)
+        for j in range(m):
+            if x[j]:
+                x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
+        ak = a**k
+        v = (b - a) * (lcm // (b**k - a**k))
+        w = v * b ** (k - 1)
+        for j in order:
+            c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
+            if entries[j].sign < 0 and k % 2:
+                c = -c
+            x[j] += c * x[j + 1]
+        nums.append(x[0])
+    return nums
+
+
+def _mhs_scale(ctx: QContext, entries: tuple, n: int) -> int:
+    """Denominator D_0(n)...D_{m-1}(n) of the numerators of _mhs_numerators."""
+    mags = [e.magnitude for e in entries]
+    b_exponent = sum(1 if s else n for s in mags)
+    return ctx.p_lcm(n) ** sum(mags) * ctx.q.denominator**b_exponent
+
+
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
     """Values of the nested harmonic sum for every upper limit 0..n_max."""
     entries = signed_string(s)
-    m = len(entries)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if m == 0:
-        return [Fraction(1)] * (n_max + 1)
-    cums = [Fraction(0)] * m
-    out = [Fraction(0)]
-    for k in range(1, n_max + 1):
-        if star:
-            # weak descent: level j sees level j+1 already updated at k
-            for j in range(m - 1, -1, -1):
-                inner = cums[j + 1] if j + 1 < m else Fraction(1)
-                cums[j] += ctx.harmonic_term(entries[j], k) * inner
-        else:
-            # strict descent: level j sees level j+1 as of k-1, so update
-            # top-down before touching deeper cumulatives
-            for j in range(m):
-                inner = cums[j + 1] if j + 1 < m else Fraction(1)
-                cums[j] += ctx.harmonic_term(entries[j], k) * inner
-        out.append(cums[0])
-    return out
+    nums = _mhs_numerators(ctx, entries, n_max, star)
+    return [Fraction(x, _mhs_scale(ctx, entries, n)) for n, x in enumerate(nums)]
 
 
 def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     """Nested harmonic sum with upper limit n (zero when too short)."""
-    return mhs_many(ctx, s, n, star=star)[n]
+    entries = signed_string(s)
+    return Fraction(_mhs_numerators(ctx, entries, n, star)[n], _mhs_scale(ctx, entries, n))
 
 
 def _runs(pattern: Triple, merge: bool) -> list[list[tuple]]:

@@ -95,8 +95,22 @@ def _resolve(pattern: Triple, commas: tuple[int, ...]) -> Triple:
     return Triple(tuple(s), tuple(t), tuple(r))
 
 
+# Deepest pattern :func:`expand` will list: 2**19 triples.  A deeper one
+# would take minutes to hours and gigabytes of memory.
+MAX_EXPAND_DEPTH = 20
+
+
 def expand(pattern: Triple) -> list[Triple]:
-    """All 2**(m-1) resolutions of a pattern, in canonical order."""
+    """All 2**(m-1) resolutions of a pattern, in canonical order.
+
+    Raises ValueError, before building anything, when the pattern has more
+    than MAX_EXPAND_DEPTH slots.
+    """
+    if pattern.depth > MAX_EXPAND_DEPTH:
+        raise ValueError(
+            f"pattern depth {pattern.depth} exceeds {MAX_EXPAND_DEPTH}: its expansion "
+            f"would have 2**{pattern.depth - 1} terms"
+        )
     return list(iter_expansion(pattern))
 
 

@@ -1,14 +1,16 @@
 """Exact rational arithmetic for a fixed base q in (0, 1).
 
-Everything is computed over :class:`fractions.Fraction`, so all identities
-checked downstream are exact.  A :class:`QContext` memoizes powers of q,
-q-integers, q-Pochhammer symbols and Gaussian binomials, plus the per-index
-term factors used by the sum evaluators; sharing one context across a large
-batch of evaluations is what makes the exhaustive checks affordable.
+Everything is computed exactly, over :class:`fractions.Fraction` or over
+integers with a known denominator, so all identities checked downstream are
+exact.  A :class:`QContext` memoizes powers of q, q-integers, q-Pochhammer
+symbols, Gaussian binomials and binomial ratios, plus the per-index term
+factors used by the sum evaluators; sharing one context across a large batch
+of evaluations is what makes the exhaustive checks affordable.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -25,7 +27,12 @@ def as_q(value: QLike) -> Fraction:
 
 
 class QContext:
-    """Memoized exact arithmetic at a fixed rational q in (0, 1)."""
+    """Memoized exact arithmetic at a fixed rational q = a/b in (0, 1).
+
+    Binomial ratios are built a whole row n at a time.  :meth:`p_lcm` gives
+    the common denominators over which the harmonic-sum DP works in
+    integers, so it never reduces a fraction inside its loop.
+    """
 
     def __init__(self, q: QLike):
         self.q = as_q(q)
@@ -34,9 +41,9 @@ class QContext:
         self._qint: dict[int, Fraction] = {}
         self._poch: list[Fraction] = [Fraction(1)]
         self._gauss: dict[tuple[int, int], Fraction] = {}
-        self._br: dict[tuple[int, int], Fraction] = {}
+        self._br: dict[int, list[Fraction]] = {}
         self._ak: dict[tuple[int, int], Fraction] = {}
-        self._hterm: dict[tuple[int, int, int], Fraction] = {}
+        self._plcm: list[int] = [1]
         self._mterm: dict[tuple[int, int, int, Shift, int], Fraction] = {}
 
     def __repr__(self) -> str:
@@ -79,19 +86,24 @@ class QContext:
         return cached
 
     def binom_ratio(self, n: int, k: int) -> Fraction:
-        """Ratio gauss(n, k) / gauss(n + k, k); zero when k > n."""
+        """Ratio gauss(n, k) / gauss(n + k, k); zero when k > n.
+
+        The first request from row n fills the whole row with
+        br(n, k) = br(n, k-1) * [n-k+1] / [n+k], starting from br(n, 0) = 1.
+        """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if k > n:
             return Fraction(0)
-        key = (n, k)
-        cached = self._br.get(key)
-        if cached is None:
-            cached = self.gauss_binomial(n, k) / self.gauss_binomial(n + k, k)
-            self._br[key] = cached
-        return cached
+        row = self._br.get(n)
+        if row is None:
+            row = [Fraction(1)]
+            for i in range(1, n + 1):
+                row.append(row[-1] * self.q_int(n - i + 1) / self.q_int(n + i))
+            self._br[n] = row
+        return row[k]
 
     def a_kernel(self, n: int, k: int) -> Fraction:
         """Kernel A(n, k) = (-1)^k (1 + q^k) q^{k(k-1)/2} gauss(n,k)/gauss(n+k,k)."""
@@ -103,16 +115,17 @@ class QContext:
             self._ak[key] = cached
         return cached
 
-    def harmonic_term(self, entry: SignedIndex, k: int) -> Fraction:
-        """Term sgn^k q^k / [k]^mag of a plain harmonic sum at index k."""
-        key = (entry.magnitude, entry.sign, k)
-        cached = self._hterm.get(key)
-        if cached is None:
-            cached = self.qpow(k) / self.q_int(k) ** entry.magnitude
-            if entry.sign < 0 and k % 2:
-                cached = -cached
-            self._hterm[key] = cached
-        return cached
+    def p_lcm(self, n: int) -> int:
+        """L_n = lcm of P_k = b**k - a**k over 1 <= k <= n, where q = a/b.
+
+        Since [k] = P_k / (b**(k-1) (b - a)), L_n / [k] is an integer for
+        every k <= n.  L_0 = 1.
+        """
+        a, b = self.q.numerator, self.q.denominator
+        while len(self._plcm) <= n:
+            k = len(self._plcm)
+            self._plcm.append(math.lcm(self._plcm[-1], b**k - a**k))
+        return self._plcm[n]
 
     def mollified_term(self, entry: SignedIndex, t: int, r: Shift, k: int) -> Fraction:
         """Term q^{t k + Q(r, k)} (1 + q^k) sgn^k / [k]^mag at index k."""

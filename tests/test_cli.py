@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qzeta.expansion
 from qzeta.cli import main, parse_signed_string, parse_triple
 from qzeta import THETA, Triple, bar, idx
 
@@ -143,6 +144,23 @@ def test_verify_parse_error_exit_code(capsys):
     rc, out, err = run(capsys, "verify", "2,x")
     assert rc == 2
     assert "cannot parse" in err
+
+
+def test_huge_expansion_fails_fast(capsys, monkeypatch):
+    # 9,9,9 compiles to 22 slots (2**21 resolutions): listing them must be
+    # refused before any resolution is built, while the finite check, which
+    # never expands, still passes
+    def never(pattern):
+        raise AssertionError("expansion was started")
+
+    monkeypatch.setattr(qzeta.expansion, "iter_expansion", never)
+    for argv in (("expand", "9,9,9"), ("verify", "9,9,9", "--qmzsv")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert "pattern depth 22 exceeds 20" in err
+    rc, out, err = run(capsys, "verify", "9,9,9", "--n-max", "6")
+    assert rc == 0
+    assert "exact-pass" in out
 
 
 def test_lemmas_subcommand(capsys):

@@ -91,6 +91,25 @@ def test_mollified_matches_bruteforce(ctx_half, slots):
     assert mollified_mhs_many(ctx_half, tri, 8) == expect
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 3), Fraction(1, 9), Fraction(7, 8)])
+def test_mhs_matches_bruteforce_at_several_q(q):
+    # integer DP over a common denominator against tuple enumeration:
+    # magnitudes 0..3, both signs, depth <= 4, both descents
+    rng = random.Random(str(q))
+    ctx = QContext(q)
+    strings = [(SignedIndex(mag, sign),) for mag in range(4) for sign in (1, -1)]
+    strings += [
+        tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m))
+        for m in (2, 2, 3, 3, 4, 4, 4)
+    ]
+    for s in strings:
+        pairs = [(e.magnitude, e.sign) for e in s]
+        for star in (False, True):
+            expect = oracles.harmonic_all_n(q, pairs, 8, star)
+            assert mhs_many(ctx, s, 8, star=star) == expect, (s, star)
+            assert mhs(ctx, s, 8, star=star) == expect[8]
+
+
 def _oracle_slots(triple):
     return [
         ((e.magnitude, e.sign), t, None if r is THETA else r)
@@ -154,13 +173,18 @@ def test_quasi_stuffle_spot(ctx_half, ctx_third):
                 assert star == strict
 
 
-def test_q_zeta_converges_to_partial_sums(ctx_half):
+def test_q_zeta_converges_to_partial_sums(ctx_half, ctx_third):
     val = q_zeta(ctx_half, (2, 1), eps=Fraction(1, 10**12))
     assert val.tail_bound <= Fraction(1, 10**12)
     refined = q_zeta(ctx_half, (2, 1), eps=Fraction(1, 10**24))
     assert abs(val.value - refined.value) <= val.tail_bound
     # the reported value is the exact partial sum through the stated bound
     assert mhs(ctx_half, (2, 1), val.terms) == val.value
+    for ctx in (ctx_half, ctx_third):
+        for star in (False, True):
+            val = q_zeta(ctx, (2, 1), eps=Fraction(1, 10**6), star=star)
+            expect = oracles.harmonic_all_n(ctx.q, [(2, 1), (1, 1)], val.terms, star)
+            assert val.value == expect[val.terms]
 
 
 def test_q_zeta_empty_and_errors(ctx_half):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from qzeta import QContext, as_q, bar, idx, THETA
+from qzeta import QContext, as_q, bar, idx, mhs_many, THETA
 
 
 def test_as_q_accepts_rationals_in_unit_interval():
@@ -59,14 +59,18 @@ def test_gauss_binomial_out_of_range(ctx_half):
         ctx_half.poch(-1)
 
 
-def test_binom_ratio_edges(ctx_half):
+def test_binom_ratio_edges(ctx_half, ctx_third, ctx_nine_tenths):
     assert ctx_half.binom_ratio(5, 0) == 1
     assert ctx_half.binom_ratio(3, 4) == 0
-    for n in range(0, 9):
-        for k in range(0, n + 1):
-            assert ctx_half.binom_ratio(n, k) == oracles.binom_ratio(ctx_half.q, n, k)
+    # rows are built by a recurrence on first use; compare every entry
+    for ctx in (ctx_half, ctx_third, ctx_nine_tenths, QContext(Fraction(5, 7))):
+        for n in range(0, 13):
+            for k in range(0, n + 2):
+                assert ctx.binom_ratio(n, k) == oracles.binom_ratio(ctx.q, n, k)
     with pytest.raises(ValueError):
         ctx_half.binom_ratio(3, -1)
+    with pytest.raises(ValueError):
+        ctx_half.binom_ratio(-1, 0)
 
 
 def test_kernel_row_sums(ctx_half, ctx_nine_tenths):
@@ -83,11 +87,22 @@ def test_kernel_row_sums(ctx_half, ctx_nine_tenths):
 
 
 def test_harmonic_term(ctx_half):
+    # the k-th increment of a depth-one sum is its term at index k
     q = ctx_half.q
-    assert ctx_half.harmonic_term(idx(2), 3) == q**3 / ctx_half.q_int(3) ** 2
-    assert ctx_half.harmonic_term(bar(2), 3) == -(q**3) / ctx_half.q_int(3) ** 2
-    assert ctx_half.harmonic_term(bar(1), 2) == q**2 / ctx_half.q_int(2)
-    assert ctx_half.harmonic_term(idx(0), 4) == q**4
+
+    def term(entry, k):
+        values = mhs_many(ctx_half, (entry,), k)
+        return values[k] - values[k - 1]
+
+    assert term(idx(2), 3) == q**3 / ctx_half.q_int(3) ** 2
+    assert term(bar(2), 3) == -(q**3) / ctx_half.q_int(3) ** 2
+    assert term(bar(1), 2) == q**2 / ctx_half.q_int(2)
+    assert term(idx(0), 4) == q**4
+
+
+def test_p_lcm(ctx_third):
+    # q = 1/3: P_k = 3^k - 1 = 2, 8, 26, 80
+    assert [ctx_third.p_lcm(n) for n in range(5)] == [1, 2, 8, 104, 1040]
 
 
 def test_mollified_term(ctx_half):
