@@ -35,7 +35,9 @@ def main() -> int:
     ap.add_argument("--quick", action="store_true", help="small ranges, a few seconds")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument(
-        "--skip-classical", action="store_true", help="skip the slow float battery"
+        "--skip-classical",
+        action="store_true",
+        help="skip the float q -> 1 battery (a few seconds; one shared sweep per check)",
     )
     args = ap.parse_args()
 

@@ -13,9 +13,12 @@ Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
 * :func:`frakz`: infinite mollified series (no prefactor), admissible
   triples only, evaluated to a proven tail bound.
 
-The one floating-point evaluator, :func:`classical_zeta`, computes partial
-sums of classical (signed) multiple zeta values with numpy and reports a
-first-omitted-term style tail estimate.
+The one floating-point engine, :func:`classical_zeta_many`, computes
+partial sums of classical (signed) multiple zeta values with numpy and
+reports a first-omitted-term style tail estimate for each.  It takes every
+series of a check at once and sums each distinct suffix (with its descent)
+once, in one sweep over chunks of the index range in reused buffers;
+:func:`classical_zeta` is its one-series case.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
@@ -272,6 +275,12 @@ def frakz(
         advance(K)
 
 
+# classical_zeta_many refuses a longer truncation before summing anything:
+# past 1e8 terms a k**-2 term is below the rounding of its float64 sum, so
+# a longer run costs minutes and sharpens nothing
+MAX_CLASSICAL_TERMS = 10**8
+
+
 def _classical_check(entries: tuple, star: bool) -> None:
     lead = entries[0]
     if star:
@@ -281,69 +290,129 @@ def _classical_check(entries: tuple, star: bool) -> None:
         raise ValueError("series needs leading magnitude >= 2 or a signed leading 1")
 
 
-def classical_zeta(
-    s: Sequence, K: int = 1_000_000, star: bool = False, chunk: int = 65536
-) -> ClassicalValue:
-    """Partial sum of a classical signed multiple zeta value to K terms.
+class _Suffix:
+    """One node of the suffix trie: the level that sums entries[j:]."""
+
+    __slots__ = (
+        "power", "barred", "star", "depth", "parent", "children", "carry", "comp", "prev", "last"
+    )
+
+    def __init__(self, entry, star: bool, parent: "_Suffix | None"):
+        self.power = float(-entry.magnitude)
+        self.barred = entry.sign < 0
+        self.star = star
+        self.depth = 0 if parent is None else parent.depth + 1  # its buffer
+        self.parent = parent
+        self.children: dict = {}
+        self.carry = 0.0  # Kahan-compensated running total
+        self.comp = 0.0
+        self.prev = 0.0  # carry before the current chunk
+        self.last = 0.0  # cumulative at the last index summed
+
+
+def classical_zeta_many(
+    items: Sequence[tuple], K: int = 1_000_000, chunk: int = 65536
+) -> list[ClassicalValue]:
+    """Partial sums of classical signed multiple zeta values to K terms,
+    one per ``(signed string, star)`` pair.
 
     Entries are signed indices: magnitude p and sign w contribute
-    w**k / k**p at index k.  Levels are streamed innermost-first over chunks
-    of the index range with running (Kahan-compensated) carries, so memory
-    stays at O(chunk) regardless of K.
+    w**k / k**p at index k.  The cumulative of level j depends only on
+    ``(star, entries[j:])``, so the distinct suffixes of all strings form a
+    trie and each is summed once.  The index range is streamed in chunks:
+    per chunk the trie is walked depth first, each level built in one
+    reused buffer per depth from the deeper level's cumulative, with
+    running (Kahan-compensated) carries, so memory stays at O(chunk) per
+    depth regardless of K.
 
     The tail estimate is |inner cumulative at K| times the tail of the
     outermost level: K**(1-p1)/(p1-1) for leading magnitude p1 >= 2, else
     1/K for a signed leading 1 (alternating-series first-term bound).
     """
-    entries = signed_string(s)
-    m = len(entries)
-    if m == 0:
-        return ClassicalValue(1.0, 0.0, 0)
-    _classical_check(entries, star)
+    strings = [(signed_string(s), star) for s, star in items]
+    for entries, star in strings:
+        if entries:
+            _classical_check(entries, star)
+    if not any(entries for entries, _ in strings):
+        return [ClassicalValue(1.0, 0.0, 0) for _ in strings]
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    if K > MAX_CLASSICAL_TERMS:
+        raise ValueError(f"K = {K} exceeds {MAX_CLASSICAL_TERMS} terms")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
 
-    carries = [0.0] * m
-    comps = [0.0] * m
-    inner_at_K = 1.0
+    tops: dict = {}
+    ends = []  # per string: its outermost level and the level just inside
+    for entries, star in strings:
+        level, inner, below = None, None, tops
+        for e in reversed(entries):
+            key = (star, e) if level is None else e
+            if key not in below:
+                below[key] = _Suffix(e, star, level)
+            inner, level = level, below[key]
+            below = level.children
+        ends.append((level, inner))
+
+    width = min(chunk, K)
+    depth = max(len(entries) for entries, _ in strings)
+    bufs = [np.empty(width) for _ in range(depth)]
+    ks = np.arange(1, width + 1, dtype=np.float64)
     start = 1
     while start <= K:
-        stop = min(start + chunk - 1, K)
-        ks = np.arange(start, stop + 1, dtype=np.float64)
-        # strict descent reads the deeper level's cumulative one index back,
-        # which at the chunk boundary is its carry from before this chunk
-        prev_carries = list(carries)
-        signs = None
-        cumulative: np.ndarray | None = None
-        for j in range(m - 1, -1, -1):
-            e = entries[j]
-            terms = ks ** float(-e.magnitude)
-            if e.sign < 0:
-                if signs is None:
-                    signs = np.where(ks % 2 == 1, -1.0, 1.0)
-                terms = terms * signs
-            if cumulative is not None:
-                if star:
-                    terms = terms * cumulative
+        n = min(width, K - start + 1)
+        k = ks[:n]
+        stack = list(tops.values())
+        while stack:
+            node = stack.pop()
+            out = bufs[node.depth][:n]
+            if node.power == -1.0:
+                np.reciprocal(k, out=out)  # numpy computes k ** -1.0 this way
+            else:
+                np.power(k, node.power, out=out)
+            if node.barred:
+                out[(start + 1) % 2 :: 2] *= -1.0
+            parent = node.parent
+            if parent is not None:
+                deeper = bufs[parent.depth][:n]
+                if node.star:
+                    out *= deeper
                 else:
-                    shifted = np.empty_like(cumulative)
-                    shifted[0] = prev_carries[j + 1]
-                    shifted[1:] = cumulative[:-1]
-                    terms = terms * shifted
-            cumulative = carries[j] + np.cumsum(terms)
+                    # strict descent reads the deeper cumulative one index
+                    # back, which at the chunk start is its carry from before
+                    out[0] *= parent.prev
+                    out[1:] *= deeper[:-1]
+            np.cumsum(out, out=out)
+            out += node.carry
+            node.last = float(out[-1])
             # Kahan update of the carry with this chunk's total
-            y = float(cumulative[-1]) - carries[j] - comps[j]
-            t = carries[j] + y
-            comps[j] = (t - carries[j]) - y
-            carries[j] = t
-            if j == 1:
-                inner_at_K = float(cumulative[-1])
-        start = stop + 1
+            node.prev = node.carry
+            y = node.last - node.carry - node.comp
+            t = node.carry + y
+            node.comp = (t - node.carry) - y
+            node.carry = t
+            stack.extend(node.children.values())
+        start += n
+        ks += width
 
-    value = carries[0]
-    p1 = entries[0].magnitude
-    if p1 >= 2:
-        tail = abs(inner_at_K) * K ** (1 - p1) / (p1 - 1)
-    else:
-        tail = abs(inner_at_K) / K
-    return ClassicalValue(value, tail, K)
+    out_values = []
+    for (entries, _), (outer, inner) in zip(strings, ends):
+        if outer is None:
+            out_values.append(ClassicalValue(1.0, 0.0, 0))
+            continue
+        inner_at_K = inner.last if inner is not None else 1.0
+        p1 = entries[0].magnitude
+        if p1 >= 2:
+            tail = abs(inner_at_K) * K ** (1 - p1) / (p1 - 1)
+        else:
+            tail = abs(inner_at_K) / K
+        out_values.append(ClassicalValue(outer.carry, tail, K))
+    return out_values
+
+
+def classical_zeta(
+    s: Sequence, K: int = 1_000_000, star: bool = False, chunk: int = 65536
+) -> ClassicalValue:
+    """Partial sum of one classical signed multiple zeta value to K terms
+    (see :func:`classical_zeta_many`)."""
+    return classical_zeta_many([(s, star)], K, chunk)[0]

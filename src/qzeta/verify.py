@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .evaluators import (
-    classical_zeta,
+    classical_zeta_many,
     frakz,
     mhs_many,
     mollified_mhs_many,
@@ -101,11 +101,36 @@ def rational_repr(x: Fraction) -> str:
     controls how report fields are written out, where a residual from a
     high-precision series check can have thousands of digits."""
     x = Fraction(x)
-    if abs(x.numerator) < _EXACT_DIGITS and x.denominator < _EXACT_DIGITS:
+    num, den = x.numerator, x.denominator
+    if abs(num) < _EXACT_DIGITS and den < _EXACT_DIGITS:
         return str(x)
+    # The 12 digits come from one integer division of |num| * 10**s by den,
+    # rounded half to even as the Decimal division below would: turning a
+    # numerator of tens of thousands of bits into a Decimal costs
+    # milliseconds.  An exact quotient takes the Decimal path, whose result
+    # follows the ideal-exponent rule rather than showing 12 digits.
+    a = abs(num)
+    # first guess from the bit lengths (log10(2) ~ 0.30103), off by at most one
+    s = 11 - (a.bit_length() - den.bit_length()) * 30103 // 100000
+    while True:
+        scaled, divisor = (a * 10**s, den) if s >= 0 else (a, den * 10**-s)
+        digits, rest = divmod(scaled, divisor)
+        if digits >= 10**12:
+            s -= 1
+        elif digits < 10**11:
+            s += 1
+        else:
+            break
+    if rest:
+        if 2 * rest > divisor or (2 * rest == divisor and digits % 2):
+            digits += 1
+            if digits == 10**12:
+                digits //= 10
+                s -= 1
+        return str(Decimal((num < 0, tuple(map(int, str(digits))), -s)))
     with localcontext() as ctx:
         ctx.prec = 12
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
+        return str(Decimal(num) / Decimal(den))
 
 
 def _q_label(q_values: Sequence[Fraction]) -> str:
@@ -233,8 +258,9 @@ def verify_classical(
     t0 = time.perf_counter()
     comp = tuple(composition)
     terms = classical_expand(comp)
-    lhs = classical_zeta(comp, K=K, star=True)
-    parts = [classical_zeta(term.index, K=K) for term in terms]
+    lhs, *parts = classical_zeta_many(
+        [(comp, True)] + [(term.index, False) for term in terms], K=K
+    )
     rhs = 0.0
     rhs_tail = 0.0
     for term, part in zip(terms, parts):

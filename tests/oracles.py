@@ -140,3 +140,56 @@ def signed_strings(max_depth, max_weight):
 
     rec([], max_weight)
     return out
+
+
+def classical_partial_sum(entries, K, star=False, chunk=65536):
+    """Float partial sum of one classical signed multiple zeta value, summed
+    string by string in chunks exactly as the library once did, so its
+    value and tail estimate are the bit-exact reference for the library's
+    shared-suffix engine.
+
+    entries: sequence of (magnitude, sign) pairs, outermost first, nonempty
+    and convergent.  Returns (value, tail_est).
+    """
+    import numpy as np
+
+    m = len(entries)
+    carries = [0.0] * m
+    comps = [0.0] * m
+    inner_at_K = 1.0
+    start = 1
+    while start <= K:
+        stop = min(start + chunk - 1, K)
+        ks = np.arange(start, stop + 1, dtype=np.float64)
+        prev_carries = list(carries)
+        signs = None
+        cumulative = None
+        for j in range(m - 1, -1, -1):
+            mag, sign = entries[j]
+            terms = ks ** float(-mag)
+            if sign < 0:
+                if signs is None:
+                    signs = np.where(ks % 2 == 1, -1.0, 1.0)
+                terms = terms * signs
+            if cumulative is not None:
+                if star:
+                    terms = terms * cumulative
+                else:
+                    shifted = np.empty_like(cumulative)
+                    shifted[0] = prev_carries[j + 1]
+                    shifted[1:] = cumulative[:-1]
+                    terms = terms * shifted
+            cumulative = carries[j] + np.cumsum(terms)
+            y = float(cumulative[-1]) - carries[j] - comps[j]
+            t = carries[j] + y
+            comps[j] = (t - carries[j]) - y
+            carries[j] = t
+            if j == 1:
+                inner_at_K = float(cumulative[-1])
+        start = stop + 1
+    p1 = entries[0][0]
+    if p1 >= 2:
+        tail = abs(inner_at_K) * K ** (1 - p1) / (p1 - 1)
+    else:
+        tail = abs(inner_at_K) / K
+    return carries[0], tail

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qzeta.evaluators
 import qzeta.expansion
 from qzeta.cli import main, parse_signed_string, parse_triple
 from qzeta import THETA, Triple, bar, idx
@@ -167,3 +168,21 @@ def test_lemmas_subcommand(capsys):
     rc, out, err = run(capsys, "lemmas", "--n-max", "8", "--samples", "3", "--q", "1/2")
     assert rc == 0
     assert out.count("exact-pass") == 5
+
+
+def test_huge_classical_truncation_fails_fast(capsys, monkeypatch):
+    # a truncation above MAX_CLASSICAL_TERMS is refused before the suffix
+    # trie is built, so no chunk of the series is ever summed
+    def never(*args):
+        raise AssertionError("classical sweep was started")
+
+    monkeypatch.setattr(qzeta.evaluators, "_Suffix", never)
+    huge = str(10**12)
+    for argv in (
+        ("verify", "2,1", "--classical", "--terms", huge),
+        ("eval", "zeta", "--s", "2", "--terms", huge),
+        ("eval", "zeta-star", "--s", "2,1", "--terms", huge),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert f"K = {huge} exceeds {qzeta.evaluators.MAX_CLASSICAL_TERMS} terms" in err

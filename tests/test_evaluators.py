@@ -14,6 +14,7 @@ from qzeta import (
     Triple,
     bar,
     classical_zeta,
+    classical_zeta_many,
     expand,
     frakz,
     idx,
@@ -25,6 +26,7 @@ from qzeta import (
     pattern_mhs_many,
     q_zeta,
 )
+from qzeta.evaluators import MAX_CLASSICAL_TERMS
 
 entries = st.builds(
     lambda m, s: idx(m) if s else bar(m),
@@ -243,3 +245,64 @@ def test_classical_zeta_tail_shrinks():
     hi = classical_zeta((2, 1), K=100_000, star=True)
     assert hi.tail_est < lo.tail_est
     assert abs(hi.value - 2 * 1.2020569031595942) < abs(lo.value - 2 * 1.2020569031595942)
+
+
+def _random_classical_string(rng, star, tail):
+    head = [SignedIndex(rng.randint(0, 4), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))]
+    entries = head + tail
+    if not entries:
+        entries = [SignedIndex(rng.randint(2, 4), rng.choice((1, -1)))]
+    lead = entries[0]
+    if lead.magnitude < 2 and (star or lead != bar(1)):
+        entries[0] = SignedIndex(rng.randint(2, 4), lead.sign)
+    return tuple(entries)
+
+
+def test_classical_engine_matches_per_string_oracle_bit_for_bit():
+    # several strings per call share suffixes and mix star and strict, so a
+    # trie node reused across descents or a misplaced odd-k sign shows here;
+    # K runs below, at and above the chunk, ending in a short last chunk
+    rng = random.Random(19990910)
+    for trial in range(120):
+        tails = [
+            [SignedIndex(rng.randint(0, 4), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))]
+            for _ in range(2)
+        ]
+        items = []
+        for _ in range(rng.randint(1, 6)):
+            star = rng.random() < 0.5
+            items.append((_random_classical_string(rng, star, rng.choice(tails)), star))
+        chunk = rng.choice((1, 2, 3, 7, 64))
+        K = rng.choice((1, chunk, chunk + 1, 3 * chunk - 1, 5 * chunk + 2, 200))
+        got = classical_zeta_many(items, K=K, chunk=chunk)
+        for (entries, star), value in zip(items, got):
+            expect = oracles.classical_partial_sum(
+                [(e.magnitude, e.sign) for e in entries], K, star=star, chunk=chunk
+            )
+            assert (value.value, value.tail_est, value.terms) == (*expect, K), (entries, star, K, chunk)
+            single = classical_zeta(entries, K=K, star=star, chunk=chunk)
+            assert (single.value, single.tail_est) == expect, (entries, star, K, chunk)
+    # the default chunk, with a short second chunk
+    items = [
+        ((idx(2), bar(1), idx(1)), True),
+        ((idx(3), bar(1), idx(1)), False),
+        ((bar(1), idx(1)), False),
+        ((idx(2),), False),
+    ]
+    K = 65536 + 1001
+    for (entries, star), value in zip(items, classical_zeta_many(items, K=K)):
+        expect = oracles.classical_partial_sum([(e.magnitude, e.sign) for e in entries], K, star=star)
+        assert (value.value, value.tail_est) == expect, (entries, star)
+
+
+def test_classical_engine_edges():
+    assert classical_zeta_many([]) == []
+    assert classical_zeta_many([((), True), ((), False)], K=0) == [(1.0, 0.0, 0)] * 2
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        classical_zeta_many([((), False), ((2,), False)], K=0)
+    with pytest.raises(ValueError, match="exceeds"):
+        classical_zeta_many([((2,), False)], K=MAX_CLASSICAL_TERMS + 1)
+    with pytest.raises(ValueError, match="leading"):
+        classical_zeta_many([((2,), False), ((1, 2), True)], K=10)
+    with pytest.raises(ValueError, match="chunk"):
+        classical_zeta_many([((2,), False)], K=10, chunk=0)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qzeta import (
     DEFAULT_SEED,
     LEMMA_PARTS,
+    QContext,
     all_passed,
     classical_battery,
     family_equivalence,
@@ -13,6 +15,7 @@ from qzeta import (
     head_reduction_pattern,
     inverse_power_pattern,
     lemma_suite,
+    q_zeta,
     rational_repr,
     run_family,
     sample_compositions,
@@ -32,6 +35,42 @@ def test_rational_repr():
     assert "E-" in text and len(text) < 40
     assert float(Fraction(text.partition("E")[0]) * 10 ** -400) != 0 or True
     assert abs(Fraction(text.replace("E", "e")) / huge - 1) < Fraction(1, 10**10)
+
+
+def _decimal_division_repr(x: Fraction) -> str:
+    # rational_repr as it was before it divided integers itself
+    from decimal import Decimal, localcontext
+
+    if abs(x.numerator) < 10**30 and x.denominator < 10**30:
+        return str(x)
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
+
+
+def test_rational_repr_matches_decimal_division():
+    values = []
+    # ties at the 13th digit (both parities), carries to 13 digits, values
+    # next to powers of ten, exact quotients, over a range of exponents
+    mantissas = (
+        1234567890125, 1234567890135, 9999999999995, 9999999999985,
+        9999999999994, 10**12 - 1, 10**12, 10**12 + 1, 10**11, 10**13 - 1, 5, 1,
+    )
+    for e in range(-60, 60, 7):
+        for m in mantissas:
+            for x in (Fraction(m) * Fraction(10) ** e, Fraction(m, 3**70) * Fraction(10) ** e):
+                values += [x, -x]
+    rng = random.Random(5)
+    for _ in range(2000):
+        num = rng.getrandbits(rng.randint(1, 300)) * rng.choice((1, -1))
+        values.append(Fraction(num, rng.getrandbits(rng.randint(1, 300)) + 1))
+    # report values of the size a certified series check produces
+    ctx = QContext(Fraction(1, 2))
+    lhs = q_zeta(ctx, (2, 1, 1, 3, 1), eps=Fraction(1, 10**25), star=True)
+    rhs = q_zeta(ctx, (2, 1, 1, 3, 1), eps=Fraction(1, 10**24), star=True)
+    values += [lhs.value, -lhs.value, lhs.value - rhs.value, lhs.tail_bound, 1 / lhs.value]
+    for x in values:
+        assert rational_repr(x) == _decimal_division_repr(x), x
 
 
 def test_report_json_round_trip():
