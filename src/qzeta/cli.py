@@ -167,28 +167,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         payload.update({"n": args.n, "q": str(ctx.q), "value": str(value)})
         lines = [str(value)]
         latex_value = _rational_latex(value)
-    elif kind in ("qzeta", "qzeta-star"):
+    elif kind in ("qzeta", "qzeta-star", "frakz"):
         ctx = QContext(as_q(args.q))
-        sv = q_zeta(
-            ctx,
-            parse_signed_string(args.s),
-            eps=Fraction(args.eps),
-            star=kind.endswith("star"),
-        )
-        payload.update(
-            {
-                "q": str(ctx.q),
-                "eps": str(Fraction(args.eps)),
-                "value": str(sv.value),
-                "tail_bound": str(sv.tail_bound),
-                "terms": sv.terms,
-            }
-        )
-        lines = [str(sv.value), f"tail_bound: {sv.tail_bound}", f"terms: {sv.terms}"]
-        latex_value = _rational_latex(sv.value)
-    elif kind == "frakz":
-        ctx = QContext(as_q(args.q))
-        sv = frakz(ctx, parse_triple(args.s), eps=Fraction(args.eps))
+        if kind == "frakz":
+            sv = frakz(ctx, parse_triple(args.s), eps=Fraction(args.eps))
+        else:
+            s = parse_signed_string(args.s)
+            sv = q_zeta(ctx, s, eps=Fraction(args.eps), star=kind.endswith("star"))
         payload.update(
             {
                 "q": str(ctx.q),

@@ -10,8 +10,9 @@ Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
 * :func:`mollified_mhs` / :func:`mollified_mhs_many`: the same engine on a
   single :class:`~qzeta.expansion.Triple` (no runs merged).
 * :func:`q_zeta`: infinite harmonic series, evaluated to a proven tail bound.
-* :func:`frakz`: infinite mollified series (no prefactor), admissible
-  triples only, evaluated to a proven tail bound.
+* :func:`frakz`: infinite mollified series of an admissible triple, the
+  same engine's partial sum over the outermost index without the
+  prefactor, taken to a proven tail bound.
 
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
@@ -27,15 +28,16 @@ sums (and so :func:`q_zeta`) keep each cumulative as an integer numerator
 over a known denominator, a power of lcm(b^k - a^k, k <= index) times a
 power of b for q = a/b, so their loop adds and multiplies integers without
 a gcd and each returned value is reduced once.  The mollified sums and
-:func:`frakz` keep ``Fraction`` cumulatives: their terms carry q^quadratic
-and (1 + q^k) factors that this denominator does not clear.
+:func:`frakz` share one ``Fraction`` recurrence, the run engine: their
+terms carry q^quadratic and (1 + q^k) factors that this denominator does
+not clear.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import count, islice
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,6 +131,10 @@ def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     return Fraction(_mhs_numerators(ctx, entries, n, star)[n], _mhs_scale(ctx, entries, n))
 
 
+# the engine's sums start from this one zero rather than a new Fraction each
+_ZERO = Fraction(0)
+
+
 def _runs(pattern: Triple, merge: bool) -> list[list[tuple]]:
     """For each start slot i, the runs [i, j) as (j, s, t, r) folded slots.
 
@@ -150,11 +156,9 @@ def _runs(pattern: Triple, merge: bool) -> list[list[tuple]]:
     return out
 
 
-def pattern_mhs_many(
-    ctx: QContext, pattern: Triple, n_max: int, merge: bool = True
-) -> list[Fraction]:
-    """Sum of the finite mollified sums of every resolution of a pattern,
-    for every upper limit 0..n_max, without building any resolution.
+def _inner_terms(ctx: QContext, pattern: Triple, merge: bool) -> Iterator[Fraction]:
+    """Yield inner[k], the mollified sums of every resolution of a pattern
+    with outermost index k, for k = 1, 2, ... (no prefactor).
 
     A resolution cuts the m slots into contiguous runs, each folded into one
     slot, so the 2**(m-1) resolutions share the m(m+1)/2 runs [i, j).  With
@@ -164,28 +168,35 @@ def pattern_mhs_many(
         inner[k] = sum_j T_[0,j)(k) * C_j[k-1],
 
     C_i[k] sums the strict nested sums below k of every resolution of slots
-    i..m-1 and inner[k] those of the whole pattern with outermost index k.
-    The prefactor couples n to that outermost index, so it is applied once:
-    out[n] = sum_k binom_ratio(n, k) * inner[k].  With ``merge=False`` the
-    pattern is read as a single triple.
+    i..m-1.  With ``merge=False`` the pattern is read as a single triple.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
     m = pattern.depth
     runs = _runs(pattern, merge)
     term = ctx.mollified_term
     # below[j] = C_j[k-1]; updating i upwards reads the deeper C_j before
     # they move to k
-    below = [Fraction(0)] * m + [Fraction(1)]
-    inner = [Fraction(0)] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        inner[k] = sum(
-            (term(s, t, r, k) * below[j] for j, s, t, r in runs[0] if below[j]), Fraction(0)
-        )
+    below = [_ZERO] * m + [Fraction(1)]
+    for k in count(1):
+        yield sum((term(s, t, r, k) * below[j] for j, s, t, r in runs[0] if below[j]), _ZERO)
         for i in range(1, m):
-            below[i] += sum(
-                (term(s, t, r, k) * below[j] for j, s, t, r in runs[i] if below[j]), Fraction(0)
+            below[i] = sum(
+                (term(s, t, r, k) * below[j] for j, s, t, r in runs[i] if below[j]), below[i]
             )
+
+
+def pattern_mhs_many(
+    ctx: QContext, pattern: Triple, n_max: int, merge: bool = True
+) -> list[Fraction]:
+    """Sum of the finite mollified sums of every resolution of a pattern,
+    for every upper limit 0..n_max, without building any resolution.
+
+    The prefactor couples n to the outermost index, so it is applied once to
+    the engine's inner[k] (see :func:`_inner_terms`):
+    out[n] = sum_k binom_ratio(n, k) * inner[k].
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    inner = [Fraction(0)] + list(islice(_inner_terms(ctx, pattern, merge), n_max))
     out = [Fraction(0)]
     for n in range(1, n_max + 1):
         out.append(sum((ctx.binom_ratio(n, k) * inner[k] for k in range(1, n + 1)), Fraction(0)))
@@ -239,12 +250,14 @@ def frakz(
 ) -> SeriesValue:
     """Infinite mollified series, summed until the proven tail bound is <= eps.
 
-    Only admissible triples converge: every left-to-right partial fold of the
-    shift string must project into {1, 2}.  Under that condition the folded
-    quadratic exponents telescope to at least k1*(k1-1)/2 - (m-1)*k1, which
-    yields a superexponentially decaying per-level bound and, once the level
-    ratio rho = 2**(m-1) * q**(K+2-m) drops below 1, a geometric tail bound
-    B(K+1) / (1 - rho).
+    The value is the engine's prefactor-free partial sum: inner[k] of the
+    triple read with ``merge=False`` (see :func:`_inner_terms`), summed over
+    the outermost index k <= K.  Only admissible triples converge: every
+    left-to-right partial fold of the shift string must project into {1, 2}.
+    Under that condition the folded quadratic exponents telescope to at
+    least k1*(k1-1)/2 - (m-1)*k1, which yields a superexponentially decaying
+    per-level bound and, once the level ratio rho = 2**(m-1) * q**(K+2-m)
+    drops below 1, a geometric tail bound B(K+1) / (1 - rho).
     """
     if not is_admissible(triple):
         raise ValueError(f"divergent mollified series: inadmissible shifts in {triple}")
@@ -252,13 +265,8 @@ def frakz(
     if eps <= 0:
         raise ValueError("eps must be positive")
     m = triple.depth
-    cums = [Fraction(0)] * m
-
-    def advance(k: int) -> None:
-        for j in range(m):
-            deeper = cums[j + 1] if j + 1 < m else Fraction(1)
-            cums[j] += ctx.mollified_term(triple.s[j], triple.t[j], triple.r[j], k) * deeper
-
+    inner = _inner_terms(ctx, triple, merge=False)
+    value = Fraction(0)
     K = 0
 
     def tail_bound(K: int) -> Fraction | None:
@@ -270,9 +278,9 @@ def frakz(
     while True:
         bound = tail_bound(K)
         if bound is not None and bound <= eps:
-            return SeriesValue(cums[0], bound, K)
+            return SeriesValue(value, bound, K)
         K += 1
-        advance(K)
+        value += next(inner)
 
 
 # classical_zeta_many refuses a longer truncation before summing anything:

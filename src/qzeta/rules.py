@@ -343,6 +343,16 @@ def closed_212c21(
     return comp, Compiled(1, Triple(tuple(s), tuple(t), tuple(r)))
 
 
+def _trailing_twos(
+    comp: Composition, compiled: Compiled, a_last: int
+) -> tuple[Composition, Compiled]:
+    """Append a trailing ({2}^{a_last}) block: one more barred slot with
+    shift -1, and the sign becomes -1."""
+    pat = compiled.pattern
+    pattern = Triple(pat.s + (bar(2 * a_last),), pat.t + (a_last,), pat.r + (-1,))
+    return comp + (2,) * a_last, Compiled(-1, pattern)
+
+
 def closed_2c212(
     b_values: Sequence[int],
     c_values: Sequence[int],
@@ -352,13 +362,7 @@ def closed_2c212(
     """2c21 groups followed by a trailing ({2}^{a_last}), a_last >= 1."""
     if a_last < 1:
         raise ValueError("2c212: need a trailing run with a_last >= 1")
-    comp, compiled = closed_2c21(b_values, c_values, a_values)
-    pat = compiled.pattern
-    comp += (2,) * a_last
-    s = pat.s + (bar(2 * a_last),)
-    t = pat.t + (a_last,)
-    r = pat.r + (-1,)
-    return comp, Compiled(-1, Triple(s, t, r))
+    return _trailing_twos(*closed_2c21(b_values, c_values, a_values), a_last)
 
 
 def closed_212c212(
@@ -371,13 +375,7 @@ def closed_212c212(
     """Leading ({2}^{a_0}, 1), any number of 2c21 groups, trailing ({2}^{a_last})."""
     if a_last < 1:
         raise ValueError("212c212: need a trailing run with a_last >= 1")
-    comp, compiled = closed_212c21(a0, b_values, c_values, a_values)
-    pat = compiled.pattern
-    comp += (2,) * a_last
-    s = pat.s + (bar(2 * a_last),)
-    t = pat.t + (a_last,)
-    r = pat.r + (-1,)
-    return comp, Compiled(-1, Triple(s, t, r))
+    return _trailing_twos(*closed_212c21(a0, b_values, c_values, a_values), a_last)
 
 
 CLOSED_FAMILIES = {

@@ -145,6 +145,67 @@ def all_passed(reports: Iterable[VerificationReport]) -> bool:
     return all(report.passed for report in reports)
 
 
+class _Residuals:
+    """Collects the exact checks of one report: counts them, flags a failure,
+    tracks the worst residual and keeps the first _RESIDUAL_CAP as text."""
+
+    def __init__(self) -> None:
+        self.t0 = time.perf_counter()
+        self.checks = 0
+        self.failed = False
+        self.worst = Fraction(0)
+        self.lines: list[str] = []
+
+    def add(self, label: str, res: Fraction) -> None:
+        self.checks += 1
+        if res:
+            self.failed = True
+            self.worst = max(self.worst, abs(res))
+            if len(self.lines) < _RESIDUAL_CAP:
+                self.lines.append(f"{label}: {rational_repr(res)}")
+
+    def report(
+        self, case: str, family: str, params: dict, q: str, n_range: list,
+        seed: Optional[int] = None, show_worst: bool = False,
+    ) -> VerificationReport:
+        """The report of these checks; its discrepancy is the worst residual
+        with ``show_worst``, else "0" on a pass and None on a failure."""
+        discrepancy = rational_repr(self.worst) if show_worst else (None if self.failed else "0")
+        return VerificationReport(
+            case=case,
+            family=family,
+            params={**params, "checks": self.checks},
+            q=q,
+            n_range=n_range,
+            status="fail" if self.failed else "exact-pass",
+            residuals=self.lines,
+            discrepancy=discrepancy,
+            tail_bound=None,
+            seed=seed,
+            elapsed_ms=_ms(self.t0),
+        )
+
+
+def _numeric_report(
+    t0: float, case: str, family: str, params: dict, q: Fraction,
+    eps: Fraction, disc: Fraction, tail: Fraction,
+) -> VerificationReport:
+    """Report of a certified series check: it passes when |lhs - rhs| <= eps."""
+    return VerificationReport(
+        case=case,
+        family=family,
+        params=params,
+        q=str(q),
+        n_range=None,
+        status="numeric-pass" if disc <= eps else "fail",
+        residuals=[],
+        discrepancy=rational_repr(disc),
+        tail_bound=rational_repr(tail),
+        seed=None,
+        elapsed_ms=_ms(t0),
+    )
+
+
 def verify_mhs(
     composition: Sequence[int],
     n_max: int = 10,
@@ -153,43 +214,20 @@ def verify_mhs(
     family: str = "composition",
 ) -> VerificationReport:
     """Exact check of the finite weak-sum identity at every n <= n_max."""
-    t0 = time.perf_counter()
+    col = _Residuals()
     comp = tuple(composition)
     qs = [as_q(q) for q in q_values]
     d, pattern = compose(comp)
-    residuals: list[str] = []
-    failed = False
-    worst = Fraction(0)
-    checks = 0
     for q in qs:
         ctx = QContext(q)
         lhs = mhs_many(ctx, comp, n_max, star=True)
         rhs = pattern_mhs_many(ctx, pattern, n_max)
         for n in range(n_max + 1):
-            res = lhs[n] - d * rhs[n]
-            checks += 1
-            if res:
-                failed = True
-                worst = max(worst, abs(res))
-                if len(residuals) < _RESIDUAL_CAP:
-                    residuals.append(f"q={q} n={n}: {rational_repr(res)}")
-    return VerificationReport(
-        case=case or f"weak-sum {_comp_label(comp)}",
-        family=family,
-        params={
-            "composition": list(comp),
-            "delta": d,
-            "terms": 2 ** (pattern.depth - 1),
-            "checks": checks,
-        },
-        q=_q_label(qs),
-        n_range=[0, n_max],
-        status="fail" if failed else "exact-pass",
-        residuals=residuals,
-        discrepancy=rational_repr(worst),
-        tail_bound=None,
-        seed=None,
-        elapsed_ms=_ms(t0),
+            col.add(f"q={q} n={n}", lhs[n] - d * rhs[n])
+    params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}
+    return col.report(
+        case or f"weak-sum {_comp_label(comp)}", family, params, _q_label(qs), [0, n_max],
+        show_worst=True,
     )
 
 
@@ -220,24 +258,10 @@ def verify_qmzsv(
     parts = [frakz(ctx, T, eps=budget) for T in triples]
     rhs = d * sum(part.value for part in parts)
     tail_total = lhs.tail_bound + sum(part.tail_bound for part in parts)
-    disc = abs(lhs.value - rhs)
-    return VerificationReport(
-        case=case or f"weak-zeta {_comp_label(comp)}",
-        family=family,
-        params={
-            "composition": list(comp),
-            "delta": d,
-            "series": 1 + len(triples),
-            "eps": str(epsv),
-        },
-        q=str(qv),
-        n_range=None,
-        status="numeric-pass" if disc <= epsv else "fail",
-        residuals=[],
-        discrepancy=rational_repr(disc),
-        tail_bound=rational_repr(tail_total),
-        seed=None,
-        elapsed_ms=_ms(t0),
+    params = {"composition": list(comp), "delta": d, "series": 1 + len(triples), "eps": str(epsv)}
+    return _numeric_report(
+        t0, case or f"weak-zeta {_comp_label(comp)}", family, params, qv, epsv,
+        abs(lhs.value - rhs), tail_total,
     )
 
 
@@ -293,10 +317,7 @@ def verify_classical(
 
 def _kernel_alternating(n_max: int, q_values: Sequence[Fraction]) -> VerificationReport:
     """Telescoping alternating kernel sum against its closed form."""
-    t0 = time.perf_counter()
-    residuals: list[str] = []
-    failed = False
-    checks = 0
+    col = _Residuals()
     for q in q_values:
         ctx = QContext(q)
         for n in range(2, n_max + 1):
@@ -313,33 +334,13 @@ def _kernel_alternating(n_max: int, q_values: Sequence[Fraction]) -> Verificatio
                     * (-1) ** l
                     * ctx.qpow(l * (l - 1) // 2)
                 )
-                res = rows[l] - rhs
-                checks += 1
-                if res:
-                    failed = True
-                    if len(residuals) < _RESIDUAL_CAP:
-                        residuals.append(f"q={q} n={n} l={l}: {rational_repr(res)}")
-    return VerificationReport(
-        case="alternating-kernel-sum",
-        family="kernel",
-        params={"checks": checks},
-        q=_q_label(q_values),
-        n_range=[1, n_max],
-        status="fail" if failed else "exact-pass",
-        residuals=residuals,
-        discrepancy="0" if not failed else None,
-        tail_bound=None,
-        seed=None,
-        elapsed_ms=_ms(t0),
-    )
+                col.add(f"q={q} n={n} l={l}", rows[l] - rhs)
+    return col.report("alternating-kernel-sum", "kernel", {}, _q_label(q_values), [1, n_max])
 
 
 def _kernel_weighted(n_max: int, q_values: Sequence[Fraction]) -> VerificationReport:
     """Weighted kernel sum (extra [k] q^{k(k-1)/2} factor) closed form."""
-    t0 = time.perf_counter()
-    residuals: list[str] = []
-    failed = False
-    checks = 0
+    col = _Residuals()
     for q in q_values:
         ctx = QContext(q)
         for n in range(2, n_max + 1):
@@ -359,25 +360,8 @@ def _kernel_weighted(n_max: int, q_values: Sequence[Fraction]) -> VerificationRe
                     * ctx.binom_ratio(n, l)
                     * ctx.qpow(l * l)
                 )
-                res = rows[l] - rhs
-                checks += 1
-                if res:
-                    failed = True
-                    if len(residuals) < _RESIDUAL_CAP:
-                        residuals.append(f"q={q} n={n} l={l}: {rational_repr(res)}")
-    return VerificationReport(
-        case="weighted-kernel-sum",
-        family="kernel",
-        params={"checks": checks},
-        q=_q_label(q_values),
-        n_range=[1, n_max],
-        status="fail" if failed else "exact-pass",
-        residuals=residuals,
-        discrepancy="0" if not failed else None,
-        tail_bound=None,
-        seed=None,
-        elapsed_ms=_ms(t0),
-    )
+                col.add(f"q={q} n={n} l={l}", rows[l] - rhs)
+    return col.report("weighted-kernel-sum", "kernel", {}, _q_label(q_values), [1, n_max])
 
 
 def inverse_power_pattern(c: int) -> Triple:
@@ -392,33 +376,13 @@ def inverse_power_pattern(c: int) -> Triple:
 
 
 def _inverse_power(c_max: int, n_max: int, q: Fraction) -> VerificationReport:
-    t0 = time.perf_counter()
+    col = _Residuals()
     ctx = QContext(q)
-    residuals: list[str] = []
-    failed = False
-    checks = 0
     for c in range(c_max + 1):
         rhs = pattern_mhs_many(ctx, inverse_power_pattern(c), n_max)
         for n in range(1, n_max + 1):
-            res = Fraction(1) / ctx.q_int(n) ** c + rhs[n]
-            checks += 1
-            if res:
-                failed = True
-                if len(residuals) < _RESIDUAL_CAP:
-                    residuals.append(f"c={c} n={n}: {rational_repr(res)}")
-    return VerificationReport(
-        case="inverse-power-expansion",
-        family="kernel",
-        params={"c_max": c_max, "checks": checks},
-        q=str(q),
-        n_range=[1, n_max],
-        status="fail" if failed else "exact-pass",
-        residuals=residuals,
-        discrepancy="0" if not failed else None,
-        tail_bound=None,
-        seed=None,
-        elapsed_ms=_ms(t0),
-    )
+            col.add(f"c={c} n={n}", Fraction(1) / ctx.q_int(n) ** c + rhs[n])
+    return col.report("inverse-power-expansion", "kernel", {"c_max": c_max}, str(q), [1, n_max])
 
 
 def head_reduction_pattern(a: SignedIndex, b: int, c: int, r) -> Triple:
@@ -441,14 +405,11 @@ def _head_reduction(
     pattern would fold 1 with r into the empty shift while the underlying
     identity produces the integer 0, and the two exponents differ.
     """
-    t0 = time.perf_counter()
+    col = _Residuals()
     rng = random.Random(seed)
     ctx = QContext(q)
     shift_pool = [THETA] + [r for r in range(-5, 7) if r not in (0, -1)]
     tail_shift_pool = [THETA] + list(range(-2, 3))
-    residuals: list[str] = []
-    failed = False
-    checks = 0
     cases = []
     for _ in range(samples):
         a = SignedIndex(rng.randint(0, 3), rng.choice([1, -1]))
@@ -467,33 +428,14 @@ def _head_reduction(
             parts.append(mollified_mhs_many(ctx, with_tail, n_max))
         for n in range(1, n_max + 1):
             lhs = lhs_vals[n] / ctx.q_int(n) ** c
-            res = lhs - sum(part[n] for part in parts)
-            checks += 1
-            if res:
-                failed = True
-                if len(residuals) < _RESIDUAL_CAP:
-                    residuals.append(f"{cases[-1]} n={n}: {rational_repr(res)}")
-    return VerificationReport(
-        case="head-reduction",
-        family="kernel",
-        params={"samples": samples, "cases": cases, "checks": checks},
-        q=str(q),
-        n_range=[1, n_max],
-        status="fail" if failed else "exact-pass",
-        residuals=residuals,
-        discrepancy="0" if not failed else None,
-        tail_bound=None,
-        seed=seed,
-        elapsed_ms=_ms(t0),
-    )
+            col.add(f"{cases[-1]} n={n}", lhs - sum(part[n] for part in parts))
+    params = {"samples": samples, "cases": cases}
+    return col.report("head-reduction", "kernel", params, str(q), [1, n_max], seed=seed)
 
 
 def _kernel_step(n_max: int, a_max: int, q_values: Sequence[Fraction]) -> VerificationReport:
     """Geometric bridge between kernels at consecutive upper limits."""
-    t0 = time.perf_counter()
-    residuals: list[str] = []
-    failed = False
-    checks = 0
+    col = _Residuals()
     for q in q_values:
         ctx = QContext(q)
         for n in range(1, n_max + 1):
@@ -505,26 +447,9 @@ def _kernel_step(n_max: int, a_max: int, q_values: Sequence[Fraction]) -> Verifi
                     geom += power
                     lhs = ctx.a_kernel(n - 1, k) * geom
                     rhs = ctx.a_kernel(n, k) * (power - 1 / ratio)
-                    res = lhs - rhs
-                    checks += 1
-                    if res:
-                        failed = True
-                        if len(residuals) < _RESIDUAL_CAP:
-                            residuals.append(f"q={q} n={n} k={k} a={a}: {rational_repr(res)}")
+                    col.add(f"q={q} n={n} k={k} a={a}", lhs - rhs)
                     power *= ratio
-    return VerificationReport(
-        case="kernel-step",
-        family="kernel",
-        params={"a_max": a_max, "checks": checks},
-        q=_q_label(q_values),
-        n_range=[1, n_max],
-        status="fail" if failed else "exact-pass",
-        residuals=residuals,
-        discrepancy="0" if not failed else None,
-        tail_bound=None,
-        seed=None,
-        elapsed_ms=_ms(t0),
-    )
+    return col.report("kernel-step", "kernel", {"a_max": a_max}, _q_label(q_values), [1, n_max])
 
 
 LEMMA_PARTS = (
@@ -600,19 +525,9 @@ def symmetric_pair_check(
     tail_total = (
         z_ab.tail_bound + z_ba.tail_bound + product_tail + (1 - qv) * w.tail_bound
     )
-    disc = abs(lhs - rhs)
-    return VerificationReport(
-        case=f"symmetric-pair a={a} b={b}",
-        family="symmetric-pair",
-        params={"a": a, "b": b, "eps": str(epsv)},
-        q=str(qv),
-        n_range=None,
-        status="numeric-pass" if disc <= epsv else "fail",
-        residuals=[],
-        discrepancy=rational_repr(disc),
-        tail_bound=rational_repr(tail_total),
-        seed=None,
-        elapsed_ms=_ms(t0),
+    return _numeric_report(
+        t0, f"symmetric-pair a={a} b={b}", "symmetric-pair", {"a": a, "b": b, "eps": str(epsv)},
+        qv, epsv, abs(lhs - rhs), tail_total,
     )
 
 
@@ -628,28 +543,13 @@ def qmzsv_battery(
     span = range(2) if small else range(3)
     for a, b in itertools.product(span, span):
         comp = (2,) * b + (3,) + (2,) * a + (1,)
-        reports.append(
-            verify_qmzsv(
-                comp, q=qv, eps=epsv, case=f"two-term a={a} b={b}", family="2c21"
-            )
-        )
-    display = [(1, 0, 0), (1, 1, 0), (1, 0, 1)] if small else [
-        (1, 0, 0),
-        (1, 1, 0),
-        (1, 0, 1),
-        (1, 1, 1),
-    ]
+        case = f"two-term a={a} b={b}"
+        reports.append(verify_qmzsv(comp, q=qv, eps=epsv, case=case, family="2c21"))
+    display = [(1, 0, 0), (1, 1, 0), (1, 0, 1)] + ([] if small else [(1, 1, 1)])
     for a0, b, a1 in display:
         comp = (2,) * a0 + (1,) + (2,) * b + (3,) + (2,) * a1 + (1,)
-        reports.append(
-            verify_qmzsv(
-                comp,
-                q=qv,
-                eps=epsv,
-                case=f"leading-ones display a0={a0} b={b} a1={a1}",
-                family="212c21",
-            )
-        )
+        case = f"leading-ones display a0={a0} b={b} a1={a1}"
+        reports.append(verify_qmzsv(comp, q=qv, eps=epsv, case=case, family="212c21"))
     for a, b in itertools.product(span, span):
         reports.append(symmetric_pair_check(a, b, q=qv, eps=epsv))
     key_span = [(1, b, c, d) for b in range(2) for c in range(2) for d in range(2)]
@@ -657,15 +557,8 @@ def qmzsv_battery(
         key_span = key_span[:4]
     for a, b, c, d in key_span:
         comp = (2,) * a + (1,) + (2,) * b + (1,) + (2,) * c + (3,) + (2,) * d + (1,)
-        reports.append(
-            verify_qmzsv(
-                comp,
-                q=qv,
-                eps=epsv,
-                case=f"key-expansion a={a} b={b} c={c} d={d}",
-                family="key",
-            )
-        )
+        case = f"key-expansion a={a} b={b} c={c} d={d}"
+        reports.append(verify_qmzsv(comp, q=qv, eps=epsv, case=case, family="key"))
     return reports
 
 

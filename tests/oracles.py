@@ -85,19 +85,14 @@ def harmonic_all_n(q, entries, n_max, star=False):
     return out
 
 
-def mollified_all_n(q, slots, n_max):
-    """Brute-force binomially weighted sums for all n <= n_max.
+def _mollified_buckets(q, slots, n_max):
+    """Mollified summands without prefactor, bucketed by outermost index:
+    b[k] is the sum over k = k_1 > ... > k_m >= 1 of
+    prod q^{t_j k_j + Q(r_j, k_j)} (1 + q^{k_j}) / (sign_j^{k_j} [k_j]^{mag_j}).
 
-    slots: sequence of ((magnitude, sign), t, r) with r an int or None.
-    Returns v with v[n] the sum over n >= k_1 > ... > k_m >= 1 of
-    binom_ratio(n, k_1) * prod q^{t_j k_j + Q(r_j, k_j)} (1 + q^{k_j})
-    / (sign_j^{k_j} [k_j]^{mag_j}).
+    slots: sequence of ((magnitude, sign), t, r) with r an int or None, nonempty.
     """
-    q = Fraction(q)
     m = len(slots)
-    out = [Fraction(0)] * (n_max + 1)
-    if m == 0:
-        return [Fraction(1)] * (n_max + 1)
     qi = [None] + [q_integer(q, k) for k in range(1, n_max + 1)]
     factor = []
     for (mag, sign), t, r in slots:
@@ -115,12 +110,35 @@ def mollified_all_n(q, slots, n_max):
         for j in range(1, m):
             term *= factor[j][asc[-1 - j]]
         buckets[asc[-1]] += term
+    return buckets
+
+
+def mollified_all_n(q, slots, n_max):
+    """Brute-force binomially weighted sums for all n <= n_max.
+
+    slots: sequence of ((magnitude, sign), t, r) with r an int or None.
+    Returns v with v[n] the sum over n >= k_1 > ... > k_m >= 1 of
+    binom_ratio(n, k_1) * prod q^{t_j k_j + Q(r_j, k_j)} (1 + q^{k_j})
+    / (sign_j^{k_j} [k_j]^{mag_j}).
+    """
+    q = Fraction(q)
+    out = [Fraction(0)] * (n_max + 1)
+    if not slots:
+        return [Fraction(1)] * (n_max + 1)
+    buckets = _mollified_buckets(q, slots, n_max)
     for n in range(1, n_max + 1):
         out[n] = sum(
             (binom_ratio(q, n, k) * buckets[k] for k in range(1, n + 1)),
             Fraction(0),
         )
     return out
+
+
+def mollified_series_partial(q, slots, K):
+    """Partial sum to K of the infinite mollified series (no prefactor):
+    the sum over K >= k_1 > ... > k_m >= 1 of the summands of
+    :func:`mollified_all_n`.  slots as there, nonempty."""
+    return sum(_mollified_buckets(Fraction(q), slots, K), Fraction(0))
 
 
 def signed_strings(max_depth, max_weight):

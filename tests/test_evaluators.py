@@ -208,6 +208,30 @@ def test_frakz_rejects_divergent_shifts(ctx_half):
         frakz(ctx_half, Triple((idx(1),), (0,), (0,)))
 
 
+def test_frakz_is_the_prefactor_free_partial_sum():
+    # the value is exactly the sum of the summands with outermost index <= K
+    rng = random.Random(29)
+    triples = []
+    while len(triples) < 20:
+        m = len(triples) % 3 + 1
+        tri = Triple(
+            tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m)),
+            tuple(rng.randint(0, 2) for _ in range(m)),
+            tuple(rng.choice((THETA, -2, -1, 0, 1, 2, 3)) for _ in range(m)),
+        )
+        if is_admissible(tri):
+            triples.append(tri)
+    for q in (Fraction(1, 2), Fraction(2, 3)):
+        ctx = QContext(q)
+        for tri in triples:
+            val = frakz(ctx, tri, eps=Fraction(1, 10**12))
+            slots = [
+                ((e.magnitude, e.sign), t, None if r is THETA else r)
+                for e, t, r in zip(tri.s, tri.t, tri.r)
+            ]
+            assert val.value == oracles.mollified_series_partial(q, slots, val.terms), tri
+
+
 def test_mollified_stabilizes_toward_frakz(ctx_half):
     tri = Triple((idx(2), bar(1)), (1, 0), (2, -1))
     assert is_admissible(tri)

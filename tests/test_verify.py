@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,40 @@ def test_lemma_suite_small():
     )
     assert [r.case for r in reps] == list(LEMMA_PARTS)
     assert all_passed(reps)
+
+
+def test_lemma_reports_fail_under_perturbed_kernels(monkeypatch):
+    config = dict(
+        n_max=8, samples=3, inverse_c_max=2, inverse_n_max=6, head_n_max=6, step_a_max=2
+    )
+    clean = lemma_suite(**config)
+    real_ratio, real_kernel = QContext.binom_ratio, QContext.a_kernel
+    tiny = Fraction(1, 10**30)
+
+    def ratio(self, n, k):
+        return real_ratio(self, n, k) + (tiny if 1 <= k <= n else 0)
+
+    monkeypatch.setattr(QContext, "binom_ratio", ratio)
+    monkeypatch.setattr(QContext, "a_kernel", lambda self, n, k: real_kernel(self, n, k) + tiny)
+    labels = {
+        "alternating-kernel-sum": r"q=\S+ n=\d+ l=\d+",
+        "weighted-kernel-sum": r"q=\S+ n=\d+ l=\d+",
+        "inverse-power-expansion": r"c=\d+ n=\d+",
+        "head-reduction": r"a=-?\d+ b=\d+ c=\d+ r=\S+ tail=\[[^\]]+\] n=\d+",
+        "kernel-step": r"q=\S+ n=\d+ k=\d+ a=\d+",
+    }
+    reports = []
+    for part, before in zip(LEMMA_PARTS, clean):
+        (rep,) = lemma_suite(parts=(part,), **config)
+        assert rep.status == "fail" and not rep.passed
+        assert rep.discrepancy is None
+        assert 1 <= len(rep.residuals) <= 16
+        for line in rep.residuals:
+            assert re.fullmatch(labels[part] + r": \S+", line), line
+        assert rep.params["checks"] == before.params["checks"]
+        reports.append(rep)
+    # the cap is reached, not just respected
+    assert max(len(rep.residuals) for rep in reports) == 16
 
 
 def test_lemma_suite_part_selection():
