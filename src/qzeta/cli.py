@@ -340,17 +340,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Longest integer main will print: exact series values have far more digits
+# than Python's default cap.  A longer one exits 2 through the ValueError
+# that str() raises.
+MAX_STR_DIGITS = 2_000_000
+
+
 def main(argv: Sequence[str] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact series values can have far more digits than the default cap
-        sys.set_int_max_str_digits(2_000_000)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the process-wide digit limit is raised only while main runs
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(MAX_STR_DIGITS)
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -5,14 +5,16 @@ Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
 * :func:`mhs` / :func:`mhs_many`: finite nested harmonic sums over strictly
   decreasing (default) or weakly decreasing (``star=True``) index tuples.
 * :func:`pattern_mhs_many`: finite mollified sums summed over every
-  resolution of a pattern, by one dynamic programme over its contiguous
-  runs, with the binomial-ratio prefactor tied to the outermost index.
+  resolution of a pattern (or those a per-separator merge mask allows), by
+  one dynamic programme over its contiguous runs, the run engine, with the
+  binomial-ratio prefactor tied to the outermost index.
 * :func:`mollified_mhs` / :func:`mollified_mhs_many`: the same engine on a
   single :class:`~qzeta.expansion.Triple` (no runs merged).
 * :func:`q_zeta`: infinite harmonic series, evaluated to a proven tail bound.
-* :func:`frakz`: infinite mollified series of an admissible triple, the
+* :func:`frakz`: infinite mollified series of an admissible pattern, the
   same engine's partial sum over the outermost index without the
-  prefactor, taken to a proven tail bound.
+  prefactor, taken to a proven tail bound; read as one triple, or summed
+  over every resolution as one series with one aggregate tail bound.
 
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -135,19 +138,28 @@ def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def _runs(pattern: Triple, merge: bool) -> list[list[tuple]]:
+def _runs(pattern: Triple, merge) -> list[list[tuple]]:
     """For each start slot i, the runs [i, j) as (j, s, t, r) folded slots.
 
-    A run grows one slot at a time, left to right, because boxplus is not
-    associative.  Without ``merge`` only the single-slot runs [i, i+1) are
-    kept, which makes the pattern's separators all commas.
+    ``merge`` has one flag per separator (separator p sits between slots p
+    and p+1); ``True`` and ``False`` stand for all and none.  A run [i, j)
+    is kept only if every separator inside it merges, so with ``False``
+    only the single-slot runs [i, i+1) remain and the pattern is read as a
+    single triple.  A run grows one slot at a time, left to right, because
+    boxplus is not associative.
     """
     m = pattern.depth
+    if isinstance(merge, bool):
+        merge = (merge,) * (m - 1)
+    elif len(merge) != m - 1:
+        raise ValueError(f"merge mask needs {m - 1} entries, got {len(merge)}")
     out = []
     for i in range(m):
         s, t, r = pattern.s[i], pattern.t[i], pattern.r[i]
         row = [(i + 1, s, t, r)]
-        for j in range(i + 1, m if merge else i + 1):
+        for j in range(i + 1, m):
+            if not merge[j - 1]:
+                break
             s = oplus(s, pattern.s[j])
             t += pattern.t[j]
             r = boxplus(r, pattern.r[j])
@@ -156,19 +168,21 @@ def _runs(pattern: Triple, merge: bool) -> list[list[tuple]]:
     return out
 
 
-def _inner_terms(ctx: QContext, pattern: Triple, merge: bool) -> Iterator[Fraction]:
+def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[Fraction]:
     """Yield inner[k], the mollified sums of every resolution of a pattern
     with outermost index k, for k = 1, 2, ... (no prefactor).
 
     A resolution cuts the m slots into contiguous runs, each folded into one
-    slot, so the 2**(m-1) resolutions share the m(m+1)/2 runs [i, j).  With
+    slot, so the 2**(m-1) resolutions share the m(m+1)/2 runs [i, j).  The
+    merge mask of :func:`_runs` restricts the sum to the resolutions whose
+    commas include every separator it leaves unmerged.  With
     T_[i,j)(k) the mollified term of the folded run at index k, C_m = 1 and
 
         C_i[k]   = C_i[k-1] + sum_{j>i} T_[i,j)(k) * C_j[k-1],
         inner[k] = sum_j T_[0,j)(k) * C_j[k-1],
 
     C_i[k] sums the strict nested sums below k of every resolution of slots
-    i..m-1.  With ``merge=False`` the pattern is read as a single triple.
+    i..m-1.
     """
     m = pattern.depth
     runs = _runs(pattern, merge)
@@ -185,10 +199,11 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge: bool) -> Iterator[Fracti
 
 
 def pattern_mhs_many(
-    ctx: QContext, pattern: Triple, n_max: int, merge: bool = True
+    ctx: QContext, pattern: Triple, n_max: int, merge=True
 ) -> list[Fraction]:
-    """Sum of the finite mollified sums of every resolution of a pattern,
-    for every upper limit 0..n_max, without building any resolution.
+    """Sum of the finite mollified sums of every resolution of a pattern
+    (every one that ``merge`` allows, see :func:`_runs`), for every upper
+    limit 0..n_max, without building any resolution.
 
     The prefactor couples n to the outermost index, so it is applied once to
     the engine's inner[k] (see :func:`_inner_terms`):
@@ -240,40 +255,72 @@ def q_zeta(
 
 
 def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:
-    """Bound on the total contribution of all terms with outermost index k."""
+    """Bound on the total contribution of all terms with outermost index k
+    of an admissible depth-m triple."""
     expo = k * (k - 1) // 2 - (m - 1) * k
     return Fraction(2**m * k ** (m - 1)) * ctx.qpow(expo)
 
 
+# Deepest pattern :func:`frakz` will sum.  The run engine does about m**2/2
+# term updates per index and needs about 2m indices, on rationals that grow
+# with both: at q = 1/2 and eps = 1e-25 depth 22 takes about 2 s and depth
+# 32 about 22 s on a 2-vCPU x86-64 host.
+MAX_FRAKZ_DEPTH = 32
+
+
 def frakz(
-    ctx: QContext, triple: Triple, eps: Fraction = Fraction(1, 10**20)
+    ctx: QContext, pattern: Triple, eps: Fraction = Fraction(1, 10**20), merge: bool = False
 ) -> SeriesValue:
     """Infinite mollified series, summed until the proven tail bound is <= eps.
 
-    The value is the engine's prefactor-free partial sum: inner[k] of the
-    triple read with ``merge=False`` (see :func:`_inner_terms`), summed over
-    the outermost index k <= K.  Only admissible triples converge: every
-    left-to-right partial fold of the shift string must project into {1, 2}.
-    Under that condition the folded quadratic exponents telescope to at
-    least k1*(k1-1)/2 - (m-1)*k1, which yields a superexponentially decaying
-    per-level bound and, once the level ratio rho = 2**(m-1) * q**(K+2-m)
-    drops below 1, a geometric tail bound B(K+1) / (1 - rho).
+    The value is the engine's prefactor-free partial sum: inner[k] (see
+    :func:`_inner_terms`) summed over the outermost index k <= K.  With
+    ``merge=False`` that is the series of the pattern read as one triple;
+    with ``merge=True`` it is the sum of the series of all 2**(m-1)
+    resolutions, as one series.
+
+    Only admissible triples converge: every left-to-right partial fold of
+    the shift string must project into {1, 2}.  Then the folded quadratic
+    exponents of a depth-d triple telescope to at least
+    k1*(k1-1)/2 - (d-1)*k1, so the terms with outermost index k total at
+    most B_d(k) = 2**d k**(d-1) q**(k(k-1)/2 - (d-1)k), and once
+    rho_d = 2**(d-1) * q**(K+2-d) < 1 the tail past K is at most
+    B_d(K+1) / (1 - rho_d).
+
+    Checking the pattern covers every resolution: proj is additive over
+    boxplus (theta projects to 0, and 1 boxplus -1 = theta), so each partial
+    fold of a resolution, a fold of the pattern's first j shifts in some
+    bracketing, projects to the same value as the pattern's j-th partial
+    fold.  With ``merge=True`` the tail bound is the sum of the
+    per-resolution bounds at the common K: C(m-1, d-1) resolutions have
+    depth d, which gives sum_d C(m-1, d-1) * B_d(K+1) / (1 - rho_d).
+    rho_d grows with d, so rho_m < 1 makes every term finite.
+
+    Raises ValueError, before summing any term, for a pattern deeper than
+    MAX_FRAKZ_DEPTH or an inadmissible one.
     """
-    if not is_admissible(triple):
-        raise ValueError(f"divergent mollified series: inadmissible shifts in {triple}")
+    m = pattern.depth
+    if m > MAX_FRAKZ_DEPTH:
+        raise ValueError(f"pattern depth {m} exceeds {MAX_FRAKZ_DEPTH} for a q-series")
+    if not is_admissible(pattern):
+        raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    m = triple.depth
-    inner = _inner_terms(ctx, triple, merge=False)
+    # (count, depth) of the resolutions summed, deepest (largest rho) first
+    classes = [(comb(m - 1, d - 1), d) for d in range(m, 0, -1)] if merge else [(1, m)]
+    inner = _inner_terms(ctx, pattern, merge)
     value = Fraction(0)
     K = 0
 
     def tail_bound(K: int) -> Fraction | None:
-        rho = Fraction(2 ** (m - 1)) * ctx.qpow(K + 2 - m)
-        if rho >= 1:
-            return None
-        return _frakz_level_bound(ctx, m, K + 1) / (1 - rho)
+        total = _ZERO
+        for many, d in classes:
+            rho = Fraction(2 ** (d - 1)) * ctx.qpow(K + 2 - d)
+            if rho >= 1:
+                return None
+            total += many * _frakz_level_bound(ctx, d, K + 1) / (1 - rho)
+        return total
 
     while True:
         bound = tail_bound(K)

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+import qzeta.cli
 import qzeta.evaluators
 import qzeta.expansion
 from qzeta.cli import main, parse_signed_string, parse_triple
@@ -149,19 +151,48 @@ def test_verify_parse_error_exit_code(capsys):
 
 def test_huge_expansion_fails_fast(capsys, monkeypatch):
     # 9,9,9 compiles to 22 slots (2**21 resolutions): listing them must be
-    # refused before any resolution is built, while the finite check, which
-    # never expands, still passes
-    def never(pattern):
+    # refused before any resolution is built, while the finite and q-series
+    # checks, which never expand, still pass
+    def never(*args):
         raise AssertionError("expansion was started")
 
     monkeypatch.setattr(qzeta.expansion, "iter_expansion", never)
-    for argv in (("expand", "9,9,9"), ("verify", "9,9,9", "--qmzsv")):
-        rc, out, err = run(capsys, *argv)
-        assert rc == 2
-        assert "pattern depth 22 exceeds 20" in err
+    rc, out, err = run(capsys, "expand", "9,9,9")
+    assert rc == 2
+    assert "pattern depth 22 exceeds 20" in err
     rc, out, err = run(capsys, "verify", "9,9,9", "--n-max", "6")
     assert rc == 0
     assert "exact-pass" in out
+    rc, out, err = run(capsys, "verify", "9,9,9", "--qmzsv")
+    assert rc == 0
+    assert "numeric-pass" in out
+    # 2,1^33 compiles to 33 slots, one more than a q-series check sums: it
+    # is refused before either side sums a term
+    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
+    rc, out, err = run(capsys, "verify", "2,1^33", "--qmzsv")
+    assert rc == 2
+    assert f"pattern depth 33 exceeds {qzeta.evaluators.MAX_FRAKZ_DEPTH}" in err
+
+
+def test_digit_limit_is_scoped_to_main(capsys, monkeypatch):
+    # start from a limit no call of main sets, so a leaked one shows
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        argv = ("eval", "qzeta-star", "--s", "2,1", "--eps", "1e-25")
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0
+        assert len(out.partition("/")[0]) > 640
+        assert sys.get_int_max_str_digits() == 4321
+        # an exact value longer than the cap exits 2 instead of printing
+        monkeypatch.setattr(qzeta.cli, "MAX_STR_DIGITS", 640)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == "" and "640" in err
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(outer)
 
 
 def test_lemmas_subcommand(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -330,3 +331,103 @@ def test_classical_engine_edges():
         classical_zeta_many([((2,), False), ((1, 2), True)], K=10)
     with pytest.raises(ValueError, match="chunk"):
         classical_zeta_many([((2,), False)], K=10, chunk=0)
+
+
+def _shift_proj(r):
+    return 0 if r is THETA else r
+
+
+def _admissible_pattern(rng, m):
+    # each partial sum of the projected shifts stays in {1, 2}, so the
+    # shifts include theta and 1, -1 next to each other in both orders
+    shifts, level = [], 0
+    for _ in range(m):
+        r = rng.choice([x for x in (THETA, 0, 1, -1, 2) if level + _shift_proj(x) in (1, 2)])
+        shifts.append(r)
+        level += _shift_proj(r)
+    return Triple(
+        tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m)),
+        tuple(rng.randint(0, 2) for _ in range(m)),
+        tuple(shifts),
+    )
+
+
+def _resolution_tail(q, d, K):
+    # the per-triple bound of a depth-d resolution past K, from its formula
+    def level(k):
+        return 2**d * k ** (d - 1) * q ** (k * (k - 1) // 2 - (d - 1) * k)
+
+    rho = 2 ** (d - 1) * q ** (K + 2 - d)
+    return level(K + 1) / (1 - rho) if rho < 1 else None
+
+
+def test_frakz_merged_is_the_sum_over_every_resolution():
+    rng = random.Random(20130731)
+    patterns = [_admissible_pattern(rng, m) for m in (1, 2, 3, 3, 4, 4, 5)]
+    # 1 then -1 merges to theta, -1 then 1 to 0: a run folded in the wrong
+    # order would show here
+    patterns += [
+        Triple((idx(3), bar(1), idx(0), bar(2), idx(1)), (1, 0, 2, 0, 1), (1, 1, -1, 1, THETA)),
+        Triple((bar(2), idx(1), idx(2), bar(0)), (0, 1, 0, 2), (2, -1, 1, -1)),
+    ]
+    adjacent = {pair for p in patterns for pair in zip(p.r, p.r[1:])}
+    assert (1, -1) in adjacent and (-1, 1) in adjacent
+    eps = Fraction(1, 10**12)
+    for q in (Fraction(1, 2), Fraction(2, 3)):
+        ctx = QContext(q)
+        for pattern in patterns:
+            assert is_admissible(pattern)
+            val = frakz(ctx, pattern, eps=eps, merge=True)
+            K = val.terms
+            resolutions = expand(pattern)
+            expect = sum(
+                (oracles.mollified_series_partial(q, _oracle_slots(T), K) for T in resolutions),
+                Fraction(0),
+            )
+            assert val.value == expect, pattern
+            # the aggregate tail is the sum of every resolution's own bound at
+            # K, and K is the first length at which that sum fits eps
+            tails = [_resolution_tail(q, T.depth, K) for T in resolutions]
+            assert val.tail_bound == sum(tails) <= eps, pattern
+            shorter = [_resolution_tail(q, T.depth, K - 1) for T in resolutions]
+            assert None in shorter or sum(shorter) > eps, pattern
+            refined = frakz(ctx, pattern, eps=Fraction(1, 10**25), merge=True)
+            assert abs(val.value - refined.value) <= val.tail_bound, pattern
+
+
+def test_frakz_merged_refusals(ctx_half):
+    with pytest.raises(ValueError, match="divergent"):
+        frakz(ctx_half, Triple((idx(2), idx(1)), (0, 0), (1, 2)), merge=True)
+    deep = Triple((idx(1),) * 33, (0,) * 33, (1,) + (THETA,) * 32)
+    with pytest.raises(ValueError, match="depth 33 exceeds"):
+        frakz(ctx_half, deep, merge=True)
+
+
+def test_merge_mask_sums_the_resolutions_it_allows():
+    # a comma forced at a separator splits the pattern into blocks; the
+    # resolutions the mask allows are the products of the blocks' expansions
+    rng = random.Random(7)
+    shift_pool = [THETA, 1, -1, 0, 2, -2, 3]
+    n_max = 7
+    for trial in range(30):
+        m = rng.randint(1, 5)
+        pattern = Triple(
+            tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m)),
+            tuple(rng.randint(0, 3) for _ in range(m)),
+            tuple(rng.choice(shift_pool) for _ in range(m)),
+        )
+        mask = tuple(rng.random() < 0.6 for _ in range(m - 1))
+        cuts = [0] + [p + 1 for p, merged in enumerate(mask) if not merged] + [m]
+        blocks = [
+            expand(Triple(pattern.s[lo:hi], pattern.t[lo:hi], pattern.r[lo:hi]))
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        q = Fraction(1, 2) if trial % 2 else Fraction(2, 3)
+        expect = [Fraction(0)] * (n_max + 1)
+        for parts in itertools.product(*blocks):
+            slots = [slot for T in parts for slot in _oracle_slots(T)]
+            for n, value in enumerate(oracles.mollified_all_n(q, slots, n_max)):
+                expect[n] += value
+        assert pattern_mhs_many(QContext(q), pattern, n_max, merge=mask) == expect, (pattern, mask)
+    with pytest.raises(ValueError, match="merge mask"):
+        pattern_mhs_many(QContext(Fraction(1, 2)), pattern, 3, merge=mask + (True,))

@@ -34,7 +34,7 @@ def test_rational_repr():
     huge = Fraction(17, 10 ** 400)
     text = rational_repr(huge)
     assert "E-" in text and len(text) < 40
-    assert float(Fraction(text.partition("E")[0]) * 10 ** -400) != 0 or True
+    assert text.partition("E")[2] == "-399"
     assert abs(Fraction(text.replace("E", "e")) / huge - 1) < Fraction(1, 10**10)
 
 
@@ -122,17 +122,27 @@ def test_verify_mhs_detects_corruption(monkeypatch):
 
 
 def test_verify_mhs_never_expands(monkeypatch):
+    import qzeta.expansion
     import qzeta.verify as v
 
     def refuse(pattern):
-        raise AssertionError("verify_mhs must not build the expansion")
+        raise AssertionError("the verify path must not build the expansion")
 
-    monkeypatch.setattr(v, "expand", refuse)
+    monkeypatch.setattr(qzeta.expansion, "iter_expansion", refuse)
     # 9,9,9 compiles to a 22-slot pattern: 2**21 resolutions
     rep = v.verify_mhs((9, 9, 9), n_max=6)
     assert rep.passed
     assert rep.params["terms"] == 2**21
     assert rep.params["checks"] == 7
+    rep = v.verify_qmzsv((9, 9, 9))
+    assert rep.status == "numeric-pass"
+    assert rep.params["series"] == 1 + 2**21
+    assert all_passed(v.qmzsv_battery(small=True))
+    reps = v.lemma_suite(
+        n_max=8, samples=4, inverse_c_max=2, inverse_n_max=6, head_n_max=6, step_a_max=2
+    )
+    assert [r.case for r in reps] == list(LEMMA_PARTS)
+    assert all_passed(reps)
 
 
 def test_verify_mhs_detects_perturbed_delta(monkeypatch):
@@ -161,6 +171,24 @@ def test_verify_qmzsv_small():
     assert Fraction(rep.tail_bound) <= Fraction(1, 10**20)
     with pytest.raises(ValueError):
         verify_qmzsv((1, 2))
+
+
+def test_verify_qmzsv_detects_perturbed_delta(monkeypatch):
+    import qzeta.verify as v
+    from qzeta import Compiled
+
+    real = v.compose
+
+    def nudged(comp):
+        d, pat = real(comp)
+        return Compiled(d * (1 + Fraction(1, 10**20)), pat)
+
+    clean = v.verify_qmzsv((2, 1, 1, 3, 1))
+    monkeypatch.setattr(v, "compose", nudged)
+    rep = v.verify_qmzsv((2, 1, 1, 3, 1))
+    assert clean.status == "numeric-pass" and rep.status == "fail"
+    assert Fraction(rep.discrepancy) > Fraction(rep.params["eps"])
+    assert rep.params == {**clean.params, "delta": rep.params["delta"]}
 
 
 def test_verify_classical_small_then_better():
