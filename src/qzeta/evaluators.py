@@ -7,7 +7,8 @@ Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
 * :func:`pattern_mhs_many`: finite mollified sums summed over every
   resolution of a pattern (or those a per-separator merge mask allows), by
   one dynamic programme over its contiguous runs, the run engine, with the
-  binomial-ratio prefactor tied to the outermost index.
+  binomial-ratio prefactor tied to the outermost index and applied in
+  integers.
 * :func:`mollified_mhs` / :func:`mollified_mhs_many`: the same engine on a
   single :class:`~qzeta.expansion.Triple` (no runs merged).
 * :func:`q_zeta`: infinite harmonic series, evaluated to a proven tail bound.
@@ -32,14 +33,23 @@ power of b for q = a/b, so their loop adds and multiplies integers without
 a gcd and each returned value is reduced once.  The mollified sums and
 :func:`frakz` share one ``Fraction`` recurrence, the run engine: their
 terms carry q^quadratic and (1 + q^k) factors that this denominator does
-not clear.
+not clear.  The finite mollified sums then apply their prefactor in
+integers: with P_j = prod_(i <= j) (b^i - a^i) and the Gaussian-binomial
+integer G(N, j) = P_N / (P_j P_(N-j)),
+
+    br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n^2 / P_2n * G(2n, n-k) * b^(k^2),
+
+so over one common denominator of the engine's values each upper limit n
+costs one integer dot product, and :func:`~qzeta.verify.verify_mhs`
+compares the unreduced sides by cross-multiplication.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -65,6 +75,14 @@ class ClassicalValue(NamedTuple):
     terms: int
 
 
+# Largest upper limit of a harmonic sum (and so the longest q_zeta
+# truncation), checked before any term is summed.  The numerators grow like
+# n**2 bits, so the cost grows about as n**4: (2,1) at q = 1/2 and n = 1000
+# takes about 10 s, (2,1,1,3,1) at q = 5/8 and n = 500 about 27 s on a
+# 2-vCPU x86-64 host.
+MAX_MHS_LIMIT = 1000
+
+
 def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[int]:
     """Numerators of the nested harmonic sum for every upper limit 0..n_max;
     value n is ``nums[n] / _mhs_scale(ctx, entries, n)``.
@@ -78,12 +96,17 @@ def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> li
     v_k = w_k / b^(k-1).  X_j, the cumulative of level j times
     D_j(k)...D_{m-1}(k), is carried from k-1 to k by the growth of those
     scales, then X_j += c_j(k) X_{j+1} with X_m = 1.  Only integers are
-    added and multiplied; each value is reduced once, by the caller.
-    Letting the scales grow with k, rather than fixing them at L_n_max from
-    the start, keeps the products of the early steps small.
+    added and multiplied; the caller reduces each value once, or compares
+    it unreduced.  Letting the scales grow with k, rather than fixing them
+    at L_n_max from the start, keeps the products of the early steps small.
+
+    Raises ValueError, before summing any term, for n_max above
+    MAX_MHS_LIMIT.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max > MAX_MHS_LIMIT:
+        raise ValueError(f"upper limit {n_max} exceeds {MAX_MHS_LIMIT} for a harmonic sum")
     a, b = ctx.q.numerator, ctx.q.denominator
     m = len(entries)
     mags = [e.magnitude for e in entries]
@@ -198,6 +221,46 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[Fraction]:
             )
 
 
+# Largest upper limit of the finite mollified sums, checked before any term
+# is summed.  The engine's values grow like n**2 bits and each n costs a dot
+# product of n of them, so the cost grows about as n**5: verify_mhs of
+# (2,1,1,3,1) at q = 5/8 takes 1.3 s at n_max = 80, 9 s at 120 and 41 s at
+# 160, and of (2,1) at q = 1/2 1.7 s at 160, on a 2-vCPU x86-64 host.
+# Deeper patterns cost more per n.
+MAX_PATTERN_LIMIT = 160
+
+
+def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> list[tuple]:
+    """Unreduced (numerator, denominator) of :func:`pattern_mhs_many` for
+    every upper limit 0..n_max, in integers.
+
+    Over the common denominator D of inner[1..n_max], N_k = inner[k] * D,
+    so out[n] = P_n**2 * S_n / (P_2n * D) with the integer dot product
+    S_n = sum_k G(2n, n-k) * b**(k*k) * N_k (P_j from ctx.p_prod, G from
+    ctx.gauss_row).  Nothing is reduced here.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max > MAX_PATTERN_LIMIT:
+        raise ValueError(
+            f"upper limit {n_max} exceeds {MAX_PATTERN_LIMIT} for a finite mollified sum"
+        )
+    b = ctx.q.denominator
+    inner = list(islice(_inner_terms(ctx, pattern, merge), n_max))
+    den = lcm(*(x.denominator for x in inner))
+    # weighted[k] = b**(k*k) * N_k
+    weighted = [0] + [
+        b ** (k * k) * x.numerator * (den // x.denominator) for k, x in enumerate(inner, 1)
+    ]
+    out = [(0, 1)]
+    for n in range(1, n_max + 1):
+        # G(2n, j) pairs with k = n - j
+        total = sum(map(mul, ctx.gauss_row(2 * n, n), weighted[n:0:-1]))
+        p = ctx.p_prod(n)
+        out.append((p * p * total, ctx.p_prod(2 * n) * den))
+    return out
+
+
 def pattern_mhs_many(
     ctx: QContext, pattern: Triple, n_max: int, merge=True
 ) -> list[Fraction]:
@@ -207,15 +270,16 @@ def pattern_mhs_many(
 
     The prefactor couples n to the outermost index, so it is applied once to
     the engine's inner[k] (see :func:`_inner_terms`):
-    out[n] = sum_k binom_ratio(n, k) * inner[k].
+    out[n] = sum_k br(n, k) * inner[k], where with q = a/b
+    br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n**2 / P_2n * G(2n, n-k) * b**(k*k),
+    P_j = prod_(i <= j) (b**i - a**i) and G(N, j) = P_N / (P_j P_(N-j)) an
+    integer.  Each row is one integer dot product (see :func:`_pattern_pairs`)
+    and each value is reduced once.
+
+    Raises ValueError, before summing any term, for n_max above
+    MAX_PATTERN_LIMIT.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    inner = [Fraction(0)] + list(islice(_inner_terms(ctx, pattern, merge), n_max))
-    out = [Fraction(0)]
-    for n in range(1, n_max + 1):
-        out.append(sum((ctx.binom_ratio(n, k) * inner[k] for k in range(1, n + 1)), Fraction(0)))
-    return out
+    return [Fraction(num, den) for num, den in _pattern_pairs(ctx, pattern, n_max, merge)]
 
 
 def mollified_mhs_many(ctx: QContext, triple: Triple, n_max: int) -> list[Fraction]:

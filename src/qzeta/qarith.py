@@ -2,10 +2,11 @@
 
 Everything is computed exactly, over :class:`fractions.Fraction` or over
 integers with a known denominator, so all identities checked downstream are
-exact.  A :class:`QContext` memoizes powers of q, q-integers, q-Pochhammer
-symbols, Gaussian binomials and binomial ratios, plus the per-index term
-factors used by the sum evaluators; sharing one context across a large batch
-of evaluations is what makes the exhaustive checks affordable.
+exact.  A :class:`QContext` memoizes powers of q, q-integers, integer
+q-Pochhammer products, Gaussian binomials and binomial ratios, plus the
+per-index term factors used by the sum evaluators; sharing one context
+across a large batch of evaluations is what makes the exhaustive checks
+affordable.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ class QContext:
 
     Binomial ratios are built a whole row n at a time.  :meth:`p_lcm` gives
     the common denominators over which the harmonic-sum DP works in
-    integers, so it never reduces a fraction inside its loop.
+    integers, so it never reduces a fraction inside its loop, and
+    :meth:`p_prod` the integer Pochhammer products from which the finite
+    prefactor is built.  Both come from the factors b**k - a**k.
     """
 
     def __init__(self, q: QLike):
@@ -39,11 +42,11 @@ class QContext:
         self.one_minus_q = 1 - self.q
         self._qpow: dict[int, Fraction] = {0: Fraction(1), 1: self.q}
         self._qint: dict[int, Fraction] = {}
-        self._poch: list[Fraction] = [Fraction(1)]
         self._gauss: dict[tuple[int, int], Fraction] = {}
         self._br: dict[int, list[Fraction]] = {}
         self._ak: dict[tuple[int, int], Fraction] = {}
         self._plcm: list[int] = [1]
+        self._pprod: list[int] = [1]
         self._mterm: dict[tuple[int, int, int, Shift, int], Fraction] = {}
 
     def __repr__(self) -> str:
@@ -66,13 +69,10 @@ class QContext:
         return cached
 
     def poch(self, n: int) -> Fraction:
-        """q-Pochhammer (q; q)_n = prod_{i=1..n} (1 - q**i)."""
+        """q-Pochhammer (q; q)_n = prod_{i=1..n} (1 - q**i) = P_n / b**(n(n+1)/2)."""
         if n < 0:
             raise ValueError(f"Pochhammer order must be >= 0, got {n}")
-        while len(self._poch) <= n:
-            i = len(self._poch)
-            self._poch.append(self._poch[-1] * (1 - self.qpow(i)))
-        return self._poch[n]
+        return Fraction(self.p_prod(n), self.q.denominator ** (n * (n + 1) // 2))
 
     def gauss_binomial(self, n: int, m: int) -> Fraction:
         """Gaussian binomial; zero outside 0 <= m <= n."""
@@ -84,6 +84,21 @@ class QContext:
             cached = self.poch(n) / (self.poch(m) * self.poch(n - m))
             self._gauss[key] = cached
         return cached
+
+    def gauss_row(self, n: int, stop: int) -> list[int]:
+        """Integers G(n, j) = P_n / (P_j P_(n-j)) for 0 <= j < stop <= n + 1
+        (see :meth:`p_prod`), so gauss_binomial(n, j) = G(n, j) / b**(j(n-j)).
+
+        Built by G(n, j) = G(n, j-1) * (b**(n-j+1) - a**(n-j+1)) // (b**j - a**j),
+        where every division is exact.  Rows are not kept: one costs O(stop)
+        steps on small factors, while keeping every row up to n would hold
+        O(n**4) bits.
+        """
+        a, b = self.q.numerator, self.q.denominator
+        row = [1]
+        for j in range(1, stop):
+            row.append(row[-1] * (b ** (n - j + 1) - a ** (n - j + 1)) // (b**j - a**j))
+        return row[:stop]
 
     def binom_ratio(self, n: int, k: int) -> Fraction:
         """Ratio gauss(n, k) / gauss(n + k, k); zero when k > n.
@@ -116,16 +131,27 @@ class QContext:
         return cached
 
     def p_lcm(self, n: int) -> int:
-        """L_n = lcm of P_k = b**k - a**k over 1 <= k <= n, where q = a/b.
+        """L_n = lcm of b**k - a**k over 1 <= k <= n, where q = a/b.
 
-        Since [k] = P_k / (b**(k-1) (b - a)), L_n / [k] is an integer for
-        every k <= n.  L_0 = 1.
+        Since [k] = (b**k - a**k) / (b**(k-1) (b - a)), L_n / [k] is an
+        integer for every k <= n.  L_0 = 1.
         """
         a, b = self.q.numerator, self.q.denominator
         while len(self._plcm) <= n:
             k = len(self._plcm)
             self._plcm.append(math.lcm(self._plcm[-1], b**k - a**k))
         return self._plcm[n]
+
+    def p_prod(self, n: int) -> int:
+        """P_n = prod of b**k - a**k over 1 <= k <= n, where q = a/b.
+
+        (q; q)_n = P_n / b**(n(n+1)/2), and P_n is prime to b.  P_0 = 1.
+        """
+        a, b = self.q.numerator, self.q.denominator
+        while len(self._pprod) <= n:
+            k = len(self._pprod)
+            self._pprod.append(self._pprod[-1] * (b**k - a**k))
+        return self._pprod[n]
 
     def mollified_term(self, entry: SignedIndex, t: int, r: Shift, k: int) -> Fraction:
         """Term q^{t k + Q(r, k)} (1 + q^k) sgn^k / [k]^mag at index k."""

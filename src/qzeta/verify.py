@@ -24,15 +24,17 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .evaluators import (
+    _mhs_numerators,
+    _mhs_scale,
+    _pattern_pairs,
     classical_zeta_many,
     frakz,
-    mhs_many,
     mollified_mhs_many,
     pattern_mhs_many,
     q_zeta,
 )
 from .expansion import Triple
-from .indices import THETA, SignedIndex, bar, boxplus, idx, oplus
+from .indices import THETA, SignedIndex, bar, boxplus, idx, oplus, signed_string
 from .indices import delta as sign_of
 from .qarith import QContext, QLike, as_q
 from .rules import (
@@ -216,14 +218,21 @@ def verify_mhs(
     """Exact check of the finite weak-sum identity at every n <= n_max."""
     col = _Residuals()
     comp = tuple(composition)
+    entries = signed_string(comp)
     qs = [as_q(q) for q in q_values]
     d, pattern = compose(comp)
     for q in qs:
         ctx = QContext(q)
-        lhs = mhs_many(ctx, comp, n_max, star=True)
-        rhs = pattern_mhs_many(ctx, pattern, n_max)
-        for n in range(n_max + 1):
-            col.add(f"q={q} n={n}", lhs[n] - d * rhs[n])
+        # right side first: an upper limit over the cap fails before any sum
+        rhs = _pattern_pairs(ctx, pattern, n_max)
+        lhs = _mhs_numerators(ctx, entries, n_max, star=True)
+        for n, (l_num, (r_num, r_den)) in enumerate(zip(lhs, rhs)):
+            l_den = _mhs_scale(ctx, entries, n)
+            # lhs - d * rhs vanishes iff the cross products agree; only a
+            # failing n pays for reducing its residual
+            same = l_num * r_den * d.denominator == d.numerator * r_num * l_den
+            res = 0 if same else Fraction(l_num, l_den) - d * Fraction(r_num, r_den)
+            col.add(f"q={q} n={n}", res)
     params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}
     return col.report(
         case or f"weak-sum {_comp_label(comp)}", family, params, _q_label(qs), [0, n_max],

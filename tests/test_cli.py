@@ -175,6 +175,29 @@ def test_huge_expansion_fails_fast(capsys, monkeypatch):
     assert f"pattern depth 33 exceeds {qzeta.evaluators.MAX_FRAKZ_DEPTH}" in err
 
 
+def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
+    # an upper limit over a cap is refused before any term is summed: the
+    # run engine and the harmonic-sum denominators are patched to raise
+    def never(*args):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    monkeypatch.setattr(qzeta.QContext, "p_lcm", never)
+    pattern_cap = qzeta.evaluators.MAX_PATTERN_LIMIT
+    mhs_cap = qzeta.evaluators.MAX_MHS_LIMIT
+    for argv, message in (
+        (("verify", "2,1", "--n-max", "100000"), f"100000 exceeds {pattern_cap}"),
+        # over the finite check's cap but not the left side's: the check
+        # still stops before the left side sums
+        (("verify", "2,1", "--n-max", str(pattern_cap + 1)), f"exceeds {pattern_cap}"),
+        (("eval", "mhs", "--s", "2,1", "--n", "100000"), f"100000 exceeds {mhs_cap}"),
+        (("eval", "mhs-star", "--s", "2,1", "--n", str(mhs_cap + 1)), f"exceeds {mhs_cap}"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and message in err, argv
+
+
 def test_digit_limit_is_scoped_to_main(capsys, monkeypatch):
     # start from a limit no call of main sets, so a leaked one shows
     outer = sys.get_int_max_str_digits()

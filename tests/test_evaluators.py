@@ -133,7 +133,9 @@ def test_pattern_engine_matches_bruteforce_over_expansion():
             tuple(rng.randint(0, 3) for _ in range(m)),
             tuple(rng.choice(shift_pool) for _ in range(m)),
         )
-        q = Fraction(1, 2) if trial % 2 else Fraction(2, 3)
+        # a > 1 and denominators that are not powers of 2 would expose an
+        # inexact division in the integer prefactor
+        q = (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9))[trial % 4]
         expect = [Fraction(0)] * (n_max + 1)
         for triple in expand(pattern):
             for n, value in enumerate(oracles.mollified_all_n(q, _oracle_slots(triple), n_max)):
@@ -152,6 +154,26 @@ def test_pattern_engine_edges(ctx_half):
     assert pattern_mhs_many(ctx_half, one, 6) == mollified_mhs_many(ctx_half, one, 6)
     with pytest.raises(ValueError):
         pattern_mhs_many(ctx_half, tri, -1)
+
+
+def test_upper_limit_caps(ctx_half, monkeypatch):
+    import qzeta.evaluators as ev
+    from qzeta.evaluators import MAX_MHS_LIMIT, MAX_PATTERN_LIMIT
+
+    def never(*args):
+        raise AssertionError("a sum was started")
+
+    tri = Triple((idx(2), bar(1)), (1, 0), (1, -1))
+    # the caps are checked before the engine starts
+    monkeypatch.setattr(ev, "_inner_terms", never)
+    monkeypatch.setattr(QContext, "p_lcm", never)
+    with pytest.raises(ValueError, match=f"exceeds {MAX_PATTERN_LIMIT}"):
+        pattern_mhs_many(ctx_half, tri, MAX_PATTERN_LIMIT + 1)
+    with pytest.raises(ValueError, match=f"exceeds {MAX_MHS_LIMIT}"):
+        mhs_many(ctx_half, (2, 1), MAX_MHS_LIMIT + 1)
+    # a q-series whose truncation would pass the cap is refused too
+    with pytest.raises(ValueError, match=f"exceeds {MAX_MHS_LIMIT}"):
+        q_zeta(QContext(Fraction(99, 100)), (2, 1), eps=Fraction(1, 10**25))
 
 
 def test_quasi_stuffle_spot(ctx_half, ctx_third):
@@ -422,7 +444,9 @@ def test_merge_mask_sums_the_resolutions_it_allows():
             expand(Triple(pattern.s[lo:hi], pattern.t[lo:hi], pattern.r[lo:hi]))
             for lo, hi in zip(cuts, cuts[1:])
         ]
-        q = Fraction(1, 2) if trial % 2 else Fraction(2, 3)
+        # a > 1 and denominators that are not powers of 2 would expose an
+        # inexact division in the integer prefactor
+        q = (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9))[trial % 4]
         expect = [Fraction(0)] * (n_max + 1)
         for parts in itertools.product(*blocks):
             slots = [slot for T in parts for slot in _oracle_slots(T)]

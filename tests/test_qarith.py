@@ -105,6 +105,24 @@ def test_p_lcm(ctx_third):
     assert [ctx_third.p_lcm(n) for n in range(5)] == [1, 2, 8, 104, 1040]
 
 
+def test_integer_pochhammer_and_gauss_rows(ctx_half, ctx_third):
+    # q = 1/3: P_n = prod (3^k - 1) = 2, 2*8, 2*8*26, 2*8*26*80
+    assert [ctx_third.p_prod(n) for n in range(5)] == [1, 2, 16, 416, 33280]
+    for ctx in (ctx_half, ctx_third, QContext(Fraction(7, 8)), QContext(Fraction(2, 9))):
+        q, b = ctx.q, ctx.q.denominator
+        for n in range(0, 13):
+            poch = Fraction(1)
+            for i in range(1, n + 1):
+                poch *= 1 - q**i
+            assert ctx.poch(n) == poch
+            assert ctx.p_prod(n) == poch * b ** (n * (n + 1) // 2)
+            row = ctx.gauss_row(n, n + 1)
+            assert row == [oracles.q_binomial(q, n, j) * b ** (j * (n - j)) for j in range(n + 1)]
+            assert all(type(g) is int for g in row)
+            assert ctx.gauss_row(n, n // 2) == row[: n // 2]
+        assert ctx.gauss_row(4, 0) == []
+
+
 def test_mollified_term(ctx_half):
     q = ctx_half.q
     got = ctx_half.mollified_term(bar(2), 3, 1, 4)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from qzeta import (
     DEFAULT_SEED,
     LEMMA_PARTS,
+    THETA,
     QContext,
     all_passed,
     classical_battery,
@@ -164,6 +166,46 @@ def test_verify_mhs_detects_perturbed_delta(monkeypatch):
         assert Fraction(rep.discrepancy) > 0
 
 
+def test_verify_mhs_failure_reports_exact_residuals(monkeypatch):
+    # with the sign flipped, or halved, every n >= 1 fails; the residual
+    # lines and the discrepancy must show lhs - delta * rhs itself, built
+    # here by brute force
+    import qzeta.verify as v
+    from qzeta import Compiled, compose, expand
+
+    n_max = 6
+    qs = (Fraction(2, 9), Fraction(7, 8))
+    for comp in ((2, 1, 1, 3, 1), (3, 2)):
+        d, pattern = compose(comp)
+        sides = []
+        for q in qs:
+            lhs = oracles.harmonic_all_n(q, [(e, 1) for e in comp], n_max, star=True)
+            rhs = [Fraction(0)] * (n_max + 1)
+            for triple in expand(pattern):
+                slots = [
+                    ((e.magnitude, e.sign), t, None if r is THETA else r)
+                    for e, t, r in zip(triple.s, triple.t, triple.r)
+                ]
+                for n, value in enumerate(oracles.mollified_all_n(q, slots, n_max)):
+                    rhs[n] += value
+            sides.append((q, lhs, rhs))
+        for scale in (-1, Fraction(1, 2)):
+            monkeypatch.setattr(v, "compose", lambda c, fixed=Compiled(scale * d, pattern): fixed)
+            lines, worst = [], Fraction(0)
+            for q, lhs, rhs in sides:
+                for n in range(n_max + 1):
+                    res = lhs[n] - scale * d * rhs[n]
+                    if res:
+                        lines.append(f"q={q} n={n}: {rational_repr(res)}")
+                        worst = max(worst, abs(res))
+            rep = v.verify_mhs(comp, n_max=n_max, q_values=qs)
+            assert rep.status == "fail"
+            assert len(lines) == 2 * n_max
+            assert rep.residuals == lines
+            assert rep.discrepancy == rational_repr(worst)
+            assert rep.params["checks"] == 2 * (n_max + 1)
+
+
 def test_verify_qmzsv_small():
     rep = verify_qmzsv((2, 3, 2, 1), q=Fraction(1, 2), eps=Fraction(1, 10**20))
     assert rep.passed
@@ -217,13 +259,19 @@ def test_lemma_reports_fail_under_perturbed_kernels(monkeypatch):
     )
     clean = lemma_suite(**config)
     real_ratio, real_kernel = QContext.binom_ratio, QContext.a_kernel
+    real_row = QContext.gauss_row
     tiny = Fraction(1, 10**30)
 
     def ratio(self, n, k):
         return real_ratio(self, n, k) + (tiny if 1 <= k <= n else 0)
 
+    def row(self, n, stop):
+        # the finite sums read the prefactor from these integer rows
+        return [g + (1 if j else 0) for j, g in enumerate(real_row(self, n, stop))]
+
     monkeypatch.setattr(QContext, "binom_ratio", ratio)
     monkeypatch.setattr(QContext, "a_kernel", lambda self, n, k: real_kernel(self, n, k) + tiny)
+    monkeypatch.setattr(QContext, "gauss_row", row)
     labels = {
         "alternating-kernel-sum": r"q=\S+ n=\d+ l=\d+",
         "weighted-kernel-sum": r"q=\S+ n=\d+ l=\d+",
