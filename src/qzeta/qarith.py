@@ -3,10 +3,10 @@
 Everything is computed exactly, over :class:`fractions.Fraction` or over
 integers with a known denominator, so all identities checked downstream are
 exact.  A :class:`QContext` memoizes powers of q, q-integers, integer
-q-Pochhammer products, Gaussian binomials and binomial ratios, plus the
-per-index term factors used by the sum evaluators; sharing one context
-across a large batch of evaluations is what makes the exhaustive checks
-affordable.
+q-Pochhammer products, binomial-ratio rows and the per-index term factors
+used by the sum evaluators, and builds Gaussian-binomial integer rows on
+request; sharing one context across a large batch of evaluations is what
+makes the exhaustive checks affordable.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ def as_q(value: QLike) -> Fraction:
 class QContext:
     """Memoized exact arithmetic at a fixed rational q = a/b in (0, 1).
 
-    Binomial ratios are built a whole row n at a time.  :meth:`p_lcm` gives
-    the common denominators over which the harmonic-sum DP works in
-    integers, so it never reduces a fraction inside its loop, and
-    :meth:`p_prod` the integer Pochhammer products from which the finite
-    prefactor is built.  Both come from the factors b**k - a**k.
+    Binomial ratios, which the kernel lemmas read, are built a whole row n
+    at a time.  :meth:`p_lcm` gives the common denominators over which the
+    harmonic-sum DP works in integers, so it never reduces a fraction inside
+    its loop; :meth:`p_prod` and :meth:`gauss_row` give the integer
+    Pochhammer products and Gaussian-binomial rows from which the finite
+    prefactor is built.  All three come from the factors b**k - a**k.
     """
 
     def __init__(self, q: QLike):
@@ -42,9 +43,7 @@ class QContext:
         self.one_minus_q = 1 - self.q
         self._qpow: dict[int, Fraction] = {0: Fraction(1), 1: self.q}
         self._qint: dict[int, Fraction] = {}
-        self._gauss: dict[tuple[int, int], Fraction] = {}
         self._br: dict[int, list[Fraction]] = {}
-        self._ak: dict[tuple[int, int], Fraction] = {}
         self._plcm: list[int] = [1]
         self._pprod: list[int] = [1]
         self._mterm: dict[tuple[int, int, int, Shift, int], Fraction] = {}
@@ -68,32 +67,17 @@ class QContext:
             self._qint[n] = cached
         return cached
 
-    def poch(self, n: int) -> Fraction:
-        """q-Pochhammer (q; q)_n = prod_{i=1..n} (1 - q**i) = P_n / b**(n(n+1)/2)."""
-        if n < 0:
-            raise ValueError(f"Pochhammer order must be >= 0, got {n}")
-        return Fraction(self.p_prod(n), self.q.denominator ** (n * (n + 1) // 2))
-
-    def gauss_binomial(self, n: int, m: int) -> Fraction:
-        """Gaussian binomial; zero outside 0 <= m <= n."""
-        if m < 0 or m > n:
-            return Fraction(0)
-        key = (n, m)
-        cached = self._gauss.get(key)
-        if cached is None:
-            cached = self.poch(n) / (self.poch(m) * self.poch(n - m))
-            self._gauss[key] = cached
-        return cached
-
     def gauss_row(self, n: int, stop: int) -> list[int]:
         """Integers G(n, j) = P_n / (P_j P_(n-j)) for 0 <= j < stop <= n + 1
-        (see :meth:`p_prod`), so gauss_binomial(n, j) = G(n, j) / b**(j(n-j)).
+        (see :meth:`p_prod`); the Gaussian binomial is G(n, j) / b**(j(n-j)).
 
         Built by G(n, j) = G(n, j-1) * (b**(n-j+1) - a**(n-j+1)) // (b**j - a**j),
         where every division is exact.  Rows are not kept: one costs O(stop)
         steps on small factors, while keeping every row up to n would hold
         O(n**4) bits.
         """
+        if n < 0 or not 0 <= stop <= n + 1:
+            raise ValueError(f"need n >= 0 and 0 <= stop <= n + 1, got n={n}, stop={stop}")
         a, b = self.q.numerator, self.q.denominator
         row = [1]
         for j in range(1, stop):
@@ -122,13 +106,8 @@ class QContext:
 
     def a_kernel(self, n: int, k: int) -> Fraction:
         """Kernel A(n, k) = (-1)^k (1 + q^k) q^{k(k-1)/2} gauss(n,k)/gauss(n+k,k)."""
-        key = (n, k)
-        cached = self._ak.get(key)
-        if cached is None:
-            sign = -1 if k % 2 else 1
-            cached = sign * (1 + self.qpow(k)) * self.qpow(k * (k - 1) // 2) * self.binom_ratio(n, k)
-            self._ak[key] = cached
-        return cached
+        sign = -1 if k % 2 else 1
+        return sign * (1 + self.qpow(k)) * self.qpow(k * (k - 1) // 2) * self.binom_ratio(n, k)
 
     def p_lcm(self, n: int) -> int:
         """L_n = lcm of b**k - a**k over 1 <= k <= n, where q = a/b.
@@ -136,6 +115,8 @@ class QContext:
         Since [k] = (b**k - a**k) / (b**(k-1) (b - a)), L_n / [k] is an
         integer for every k <= n.  L_0 = 1.
         """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         a, b = self.q.numerator, self.q.denominator
         while len(self._plcm) <= n:
             k = len(self._plcm)
@@ -147,6 +128,8 @@ class QContext:
 
         (q; q)_n = P_n / b**(n(n+1)/2), and P_n is prime to b.  P_0 = 1.
         """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         a, b = self.q.numerator, self.q.denominator
         while len(self._pprod) <= n:
             k = len(self._pprod)

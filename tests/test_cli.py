@@ -6,6 +6,7 @@ import pytest
 import qzeta.cli
 import qzeta.evaluators
 import qzeta.expansion
+import qzeta.verify
 from qzeta.cli import main, parse_signed_string, parse_triple
 from qzeta import THETA, Triple, bar, idx
 
@@ -177,14 +178,17 @@ def test_huge_expansion_fails_fast(capsys, monkeypatch):
 
 def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
     # an upper limit over a cap is refused before any term is summed: the
-    # run engine and the harmonic-sum denominators are patched to raise
+    # run engine, the harmonic-sum denominators and the kernel rows are
+    # patched to raise
     def never(*args):
         raise AssertionError("a sum was started")
 
     monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
     monkeypatch.setattr(qzeta.QContext, "p_lcm", never)
+    monkeypatch.setattr(qzeta.QContext, "binom_ratio", never)
     pattern_cap = qzeta.evaluators.MAX_PATTERN_LIMIT
     mhs_cap = qzeta.evaluators.MAX_MHS_LIMIT
+    kernel_cap = qzeta.verify._MAX_KERNEL_LIMIT
     for argv, message in (
         (("verify", "2,1", "--n-max", "100000"), f"100000 exceeds {pattern_cap}"),
         # over the finite check's cap but not the left side's: the check
@@ -192,6 +196,7 @@ def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
         (("verify", "2,1", "--n-max", str(pattern_cap + 1)), f"exceeds {pattern_cap}"),
         (("eval", "mhs", "--s", "2,1", "--n", "100000"), f"100000 exceeds {mhs_cap}"),
         (("eval", "mhs-star", "--s", "2,1", "--n", str(mhs_cap + 1)), f"exceeds {mhs_cap}"),
+        (("lemmas", "--n-max", "100000"), f"100000 exceeds {kernel_cap}"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv

@@ -17,7 +17,7 @@ def test_as_q_accepts_rationals_in_unit_interval():
 def test_frozen_values(ctx_half):
     assert ctx_half.q_int(1) == 1
     assert ctx_half.q_int(3) == Fraction(7, 4)
-    assert ctx_half.gauss_binomial(4, 2) == Fraction(35, 16)
+    assert ctx_half.gauss_row(4, 3)[2] == 35
     assert ctx_half.binom_ratio(1, 1) == Fraction(2, 3)
     assert ctx_half.a_kernel(1, 1) == Fraction(-1)
     assert ctx_half.a_kernel(2, 1) == Fraction(-9, 7)
@@ -29,34 +29,52 @@ def test_q_int_matches_oracle(ctx_half, ctx_nine_tenths):
             assert ctx.q_int(n) == oracles.q_integer(ctx.q, n)
 
 
-def test_gauss_binomial_matches_oracle(ctx_third):
-    for n in range(0, 13):
-        for m in range(0, n + 1):
-            assert ctx_third.gauss_binomial(n, m) == oracles.q_binomial(ctx_third.q, n, m)
+def test_gauss_binomial_matches_oracle(ctx_half, ctx_third):
+    # gauss_row holds the integers G(n, j) = gauss(n, j) * b**(j(n-j))
+    for ctx in (ctx_half, ctx_third, QContext(Fraction(7, 8)), QContext(Fraction(2, 9))):
+        q, b = ctx.q, ctx.q.denominator
+        for n in range(0, 13):
+            row = ctx.gauss_row(n, n + 1)
+            assert row == [oracles.q_binomial(q, n, j) * b ** (j * (n - j)) for j in range(n + 1)]
+            assert all(type(g) is int for g in row)
+            assert ctx.gauss_row(n, n // 2) == row[: n // 2]
+        assert ctx.gauss_row(4, 0) == []
 
 
 def test_gauss_binomial_symmetry(ctx_half, ctx_third, ctx_nine_tenths):
     for ctx in (ctx_half, ctx_third, ctx_nine_tenths):
         for n in range(0, 41):
-            for m in range(0, n + 1):
-                assert ctx.gauss_binomial(n, m) == ctx.gauss_binomial(n, n - m)
+            row = ctx.gauss_row(n, n + 1)
+            assert row == row[::-1]
 
 
 def test_gauss_binomial_pascal_recurrence(ctx_half, ctx_third, ctx_nine_tenths):
+    # q-Pascal on the integers: G(n, m) = b**(n-m) G(n-1, m-1) + a**m G(n-1, m)
     for ctx in (ctx_half, ctx_third, ctx_nine_tenths):
-        q = ctx.q
+        a, b = ctx.q.numerator, ctx.q.denominator
+        above = ctx.gauss_row(0, 1)
         for n in range(1, 41):
+            row = ctx.gauss_row(n, n + 1)
             for m in range(1, n):
-                lhs = ctx.gauss_binomial(n, m)
-                rhs = ctx.gauss_binomial(n - 1, m - 1) + q**m * ctx.gauss_binomial(n - 1, m)
-                assert lhs == rhs
+                assert row[m] == b ** (n - m) * above[m - 1] + a**m * above[m]
+            above = row
 
 
 def test_gauss_binomial_out_of_range(ctx_half):
-    assert ctx_half.gauss_binomial(3, 5) == 0
-    assert ctx_half.gauss_binomial(3, -1) == 0
-    with pytest.raises(ValueError):
-        ctx_half.poch(-1)
+    # the integer tables refuse an index they cannot serve, also once
+    # longer rows are cached
+    ctx_half.p_prod(5)
+    ctx_half.p_lcm(5)
+    for bad in (
+        lambda: ctx_half.p_prod(-1),
+        lambda: ctx_half.p_lcm(-1),
+        lambda: ctx_half.gauss_row(-1, 0),
+        lambda: ctx_half.gauss_row(3, 5),
+        lambda: ctx_half.gauss_row(3, -1),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    assert ctx_half.gauss_row(3, 4) == [1, 7, 7, 1]
 
 
 def test_binom_ratio_edges(ctx_half, ctx_third, ctx_nine_tenths):
@@ -114,13 +132,11 @@ def test_integer_pochhammer_and_gauss_rows(ctx_half, ctx_third):
             poch = Fraction(1)
             for i in range(1, n + 1):
                 poch *= 1 - q**i
-            assert ctx.poch(n) == poch
             assert ctx.p_prod(n) == poch * b ** (n * (n + 1) // 2)
+            assert type(ctx.p_prod(n)) is int
             row = ctx.gauss_row(n, n + 1)
-            assert row == [oracles.q_binomial(q, n, j) * b ** (j * (n - j)) for j in range(n + 1)]
-            assert all(type(g) is int for g in row)
-            assert ctx.gauss_row(n, n // 2) == row[: n // 2]
-        assert ctx.gauss_row(4, 0) == []
+            for j in range(n + 1):
+                assert row[j] * ctx.p_prod(j) * ctx.p_prod(n - j) == ctx.p_prod(n)
 
 
 def test_mollified_term(ctx_half):
@@ -133,7 +149,10 @@ def test_mollified_term(ctx_half):
 
 def test_context_caches_are_consistent(ctx_half):
     # interleaved calls must keep returning identical values
-    before = ctx_half.gauss_binomial(10, 4)
-    ctx_half.poch(20)
+    row, p, ratio = ctx_half.gauss_row(10, 11), ctx_half.p_prod(10), ctx_half.binom_ratio(10, 4)
+    ctx_half.p_prod(20)
+    ctx_half.binom_ratio(12, 5)
     ctx_half.q_int(25)
-    assert ctx_half.gauss_binomial(10, 4) == before
+    assert ctx_half.gauss_row(10, 11) == row
+    assert ctx_half.p_prod(10) == p
+    assert ctx_half.binom_ratio(10, 4) == ratio

@@ -293,6 +293,20 @@ def test_lemma_reports_fail_under_perturbed_kernels(monkeypatch):
     assert max(len(rep.residuals) for rep in reports) == 16
 
 
+def test_lemma_suite_kernel_limit_cap(monkeypatch):
+    # an n_max over the cap is refused before any part builds a kernel row
+    def never(*args):
+        raise AssertionError("a kernel row was built")
+
+    import qzeta.verify as v
+
+    monkeypatch.setattr(QContext, "binom_ratio", never)
+    cap = v._MAX_KERNEL_LIMIT
+    for parts in (None, ("kernel-step",), ("weighted-kernel-sum", "alternating-kernel-sum")):
+        with pytest.raises(ValueError, match=f"{cap + 1} exceeds {cap}"):
+            lemma_suite(n_max=cap + 1, parts=parts)
+
+
 def test_lemma_suite_part_selection():
     reps = lemma_suite(n_max=6, parts=("alternating-kernel-sum",))
     assert len(reps) == 1 and reps[0].passed
