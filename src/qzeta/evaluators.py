@@ -26,16 +26,18 @@ once, in one sweep over chunks of the index range in reused buffers;
 
 All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
-family of values costs the same as the deepest single one.  The harmonic
-sums (and so :func:`q_zeta`) keep each cumulative as an integer numerator
-over a known denominator, a power of lcm(b^k - a^k, k <= index) times a
-power of b for q = a/b, so their loop adds and multiplies integers without
-a gcd and each returned value is reduced once.  The mollified sums and
-:func:`frakz` share one ``Fraction`` recurrence, the run engine: their
-terms carry q^quadratic and (1 + q^k) factors that this denominator does
-not clear.  The finite mollified sums then apply their prefactor in
-integers: with P_j = prod_(i <= j) (b^i - a^i) and the Gaussian-binomial
-integer G(N, j) = P_N / (P_j P_(N-j)),
+family of values costs the same as the deepest single one.  In the exact
+ones every cumulative is an integer numerator over a known denominator, so
+no loop takes a gcd and each returned value is reduced once.  For q = a/b and
+L_k = lcm(b^i - a^i, i <= k), the harmonic sums (and so :func:`q_zeta`)
+scale a cumulative at index k by a power of L_k times a power of b.  The
+mollified sums and :func:`frakz` share one recurrence, the run engine,
+whose terms also carry q^quadratic and (1 + q^k) factors: it scales the
+cumulative of slots i..m-1 by L_k^W_i a^A_i b^B_i, with W_i their total
+magnitude and A_i, B_i the largest exponents its terms need (see
+:func:`_inner_terms`).  The finite mollified sums then apply their
+prefactor in integers: with P_j = prod_(i <= j) (b^i - a^i) and the
+Gaussian-binomial integer G(N, j) = P_N / (P_j P_(N-j)),
 
     br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n^2 / P_2n * G(2n, n-k) * b^(k^2),
 
@@ -48,14 +50,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .expansion import Triple, is_admissible
-from .indices import boxplus, oplus, signed_string
+from .indices import boxplus, oplus, quad_exponent, signed_string
 from .qarith import QContext
 
 
@@ -157,10 +159,6 @@ def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     return Fraction(_mhs_numerators(ctx, entries, n, star)[n], _mhs_scale(ctx, entries, n))
 
 
-# the engine's sums start from this one zero rather than a new Fraction each
-_ZERO = Fraction(0)
-
-
 def _runs(pattern: Triple, merge) -> list[list[tuple]]:
     """For each start slot i, the runs [i, j) as (j, s, t, r) folded slots.
 
@@ -191,9 +189,11 @@ def _runs(pattern: Triple, merge) -> list[list[tuple]]:
     return out
 
 
-def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[Fraction]:
+def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, int, int]]:
     """Yield inner[k], the mollified sums of every resolution of a pattern
-    with outermost index k, for k = 1, 2, ... (no prefactor).
+    with outermost index k, for k = 1, 2, ... (no prefactor), as integers
+    (y, A, B) with inner[k] = y / (L_k**W_0 * a**A * b**B); see the scale
+    below.
 
     A resolution cuts the m slots into contiguous runs, each folded into one
     slot, so the 2**(m-1) resolutions share the m(m+1)/2 runs [i, j).  The
@@ -206,26 +206,105 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[Fraction]:
 
     C_i[k] sums the strict nested sums below k of every resolution of slots
     i..m-1.
+
+    Scale: with q = a/b, P_k = b**k - a**k and L_k = ctx.p_lcm(k), the term
+    of a run of magnitude s, sign w, offset t and shift r at index k is
+
+        w**k (b-a)**s (L_k/P_k)**s (b**k + a**k) a**e b**((k-1)s - k - e) / L_k**s
+
+    with e = t*k + Q(r, k); e and the b exponent may be negative.  Every
+    resolution of slots i..m-1 has total magnitude W_i = s_i + ... + s_(m-1),
+    since oplus adds magnitudes, so level i keeps C_i[k] as an integer X_i
+    over L_k**W_i * a**A_i * b**B_i, where A_i and B_i are the largest a- and
+    b-powers any of its terms has needed so far (either may be negative).
+    From k-1 to k a level moves to its new scale by (L_k/L_(k-1))**W_i and a
+    monomial in a and b, so only integers are added and multiplied and no
+    gcd is taken.  L_k is prime to a and b, so the values yielded up to n
+    share the denominator L_n**W_0 * a**A' * b**B', with A' and B' the
+    largest of their exponents and 0, known without an lcm.
     """
+    a, b = ctx.q.numerator, ctx.q.denominator
     m = pattern.depth
-    runs = _runs(pattern, merge)
-    term = ctx.mollified_term
-    # below[j] = C_j[k-1]; updating i upwards reads the deeper C_j before
-    # they move to k
-    below = [_ZERO] * m + [Fraction(1)]
+    runs = [
+        [(j, s.magnitude, s.sign < 0, t, r) for j, s, t, r in row] for row in _runs(pattern, merge)
+    ]
+    shifts = {r for row in runs for *_, r in row}
+    weight = [sum(e.magnitude for e in pattern.s[i:]) for i in range(m + 1)]
+    x = [0] * m + [1]
+    # exponents of a and b in each level's scale; None while the level is empty
+    ea: list = [None] * m + [0]
+    eb = [0] * (m + 1)
     for k in count(1):
-        yield sum((term(s, t, r, k) * below[j] for j, s, t, r in runs[0] if below[j]), _ZERO)
-        for i in range(1, m):
-            below[i] = sum(
-                (term(s, t, r, k) * below[j] for j, s, t, r in runs[i] if below[j]), below[i]
-            )
+        lk = ctx.p_lcm(k)
+        ratio = lk // ctx.p_lcm(k - 1)
+        if ratio > 1:
+            for j in range(1, m):
+                if x[j]:
+                    x[j] *= ratio ** weight[j]
+        u = (b - a) * (lk // (b**k - a**k))
+        upow: dict[int, int] = {}
+        bk_ak = b**k + a**k
+        quad = {r: quad_exponent(r, k) for r in shifts}
+        odd = k % 2
+        # level 0 gives inner[k]; updating i upwards reads the deeper C_j
+        # before they move to k
+        for i in range(m):
+            # per live run: the least a- and b-exponents of level i's scale
+            # that make its term an integer
+            parts = []
+            for j, mag, barred, t, r in runs[i]:
+                if ea[j] is not None:
+                    e = t * k + quad[r]
+                    f = (k - 1) * mag - k - e
+                    parts.append((j, mag, barred and odd, ea[j] - e, eb[j] - f))
+            if not parts:
+                if i == 0:
+                    yield 0, 0, 0
+                continue
+            A = max(p[3] for p in parts)
+            B = max(p[4] for p in parts)
+            total = 0
+            if i and ea[i] is not None:
+                A, B = max(A, ea[i]), max(B, eb[i])
+                if x[i]:
+                    total = x[i] * a ** (A - ea[i]) * b ** (B - eb[i])
+            for j, mag, negate, need_a, need_b in parts:
+                if x[j]:
+                    if mag not in upow:
+                        upow[mag] = u**mag
+                    c = upow[mag] * bk_ak * a ** (A - need_a) * b ** (B - need_b)
+                    total += -c * x[j] if negate else c * x[j]
+            if i == 0:
+                yield total, A, B
+            else:
+                x[i], ea[i], eb[i] = total, A, B
+
+
+def _over_one_denominator(ctx: QContext, w: int, inner: list) -> tuple[list[int], int]:
+    """Numerators N_k = inner[k] * D for k = 0..n (N_0 = 0) and their common
+    denominator D = L_n**w * a**A * b**B, where inner holds the first n
+    values :func:`_inner_terms` yields for a pattern of total magnitude w,
+    and A and B are the largest of their exponents, at least 0.
+    """
+    a, b = ctx.q.numerator, ctx.q.denominator
+    n = len(inner)
+    top_a = max([0] + [ea for _, ea, _ in inner])
+    top_b = max([0] + [eb for _, _, eb in inner])
+    nums = [0] * (n + 1)
+    grow = 1  # (L_n / L_k)**w
+    for k in range(n, 0, -1):
+        y, ea, eb = inner[k - 1]
+        if y:
+            nums[k] = y * (a ** (top_a - ea) * b ** (top_b - eb)) * grow
+        grow *= (ctx.p_lcm(k) // ctx.p_lcm(k - 1)) ** w
+    return nums, ctx.p_lcm(n) ** w * a**top_a * b**top_b
 
 
 # Largest upper limit of the finite mollified sums, checked before any term
 # is summed.  The engine's values grow like n**2 bits and each n costs a dot
 # product of n of them, so the cost grows about as n**5: verify_mhs of
-# (2,1,1,3,1) at q = 5/8 takes 1.3 s at n_max = 80, 9 s at 120 and 41 s at
-# 160, and of (2,1) at q = 1/2 1.7 s at 160, on a 2-vCPU x86-64 host.
+# (2,1,1,3,1) at q = 5/8 takes 1.9 s at n_max = 80, 13 s at 120 and 52 s at
+# 160, and of (2,1) at q = 1/2 3.3 s at 160, on a 2-vCPU x86-64 host.
 # Deeper patterns cost more per n.
 MAX_PATTERN_LIMIT = 160
 
@@ -234,10 +313,11 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     """Unreduced (numerator, denominator) of :func:`pattern_mhs_many` for
     every upper limit 0..n_max, in integers.
 
-    Over the common denominator D of inner[1..n_max], N_k = inner[k] * D,
-    so out[n] = P_n**2 * S_n / (P_2n * D) with the integer dot product
-    S_n = sum_k G(2n, n-k) * b**(k*k) * N_k (P_j from ctx.p_prod, G from
-    ctx.gauss_row).  Nothing is reduced here.
+    Over the common denominator D of inner[1..n_max], known from the
+    engine's scale without an lcm (see :func:`_over_one_denominator`),
+    N_k = inner[k] * D, so out[n] = P_n**2 * S_n / (P_2n * D) with the
+    integer dot product S_n = sum_k G(2n, n-k) * b**(k*k) * N_k (P_j from
+    ctx.p_prod, G from ctx.gauss_row).  Nothing is reduced here.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -247,11 +327,8 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
         )
     b = ctx.q.denominator
     inner = list(islice(_inner_terms(ctx, pattern, merge), n_max))
-    den = lcm(*(x.denominator for x in inner))
-    # weighted[k] = b**(k*k) * N_k
-    weighted = [0] + [
-        b ** (k * k) * x.numerator * (den // x.denominator) for k, x in enumerate(inner, 1)
-    ]
+    nums, den = _over_one_denominator(ctx, sum(e.magnitude for e in pattern.s), inner)
+    weighted = [b ** (k * k) * x for k, x in enumerate(nums)]
     out = [(0, 1)]
     for n in range(1, n_max + 1):
         # G(2n, j) pairs with k = n - j
@@ -302,6 +379,9 @@ def q_zeta(
         |tail(K)| <= (q/(1-q))**(m-1) * q**(K+1) / (1-q),
 
     the unconstrained product of geometric tails.
+
+    Raises ValueError, as soon as the search for K passes it, when the
+    truncation would exceed MAX_MHS_LIMIT.
     """
     entries = signed_string(s)
     m = len(entries)
@@ -314,6 +394,8 @@ def q_zeta(
     K = m
     while prefactor * ctx.qpow(K + 1) > eps:
         K += 1
+        if K > MAX_MHS_LIMIT:
+            raise ValueError(f"series length exceeds {MAX_MHS_LIMIT} for a harmonic sum")
     value = mhs(ctx, entries, K, star=star)
     return SeriesValue(value, prefactor * ctx.qpow(K + 1), K)
 
@@ -326,10 +408,19 @@ def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:
 
 
 # Deepest pattern :func:`frakz` will sum.  The run engine does about m**2/2
-# term updates per index and needs about 2m indices, on rationals that grow
-# with both: at q = 1/2 and eps = 1e-25 depth 22 takes about 2 s and depth
-# 32 about 22 s on a 2-vCPU x86-64 host.
+# term updates per index and needs about 2m indices, on integers that grow
+# with both: at q = 1/2 and eps = 1e-25 depth 22 takes about 0.3 s and depth
+# 32 about 2.3 s on a 2-vCPU x86-64 host.
 MAX_FRAKZ_DEPTH = 32
+
+# Longest truncation K that :func:`frakz` will sum, checked before any term
+# is summed.  The engine's integers grow like K**2 bits, so at depth 32 the
+# cost grows about as K**4: 9 s at K = 100 and 60 s at K = 160 at q = 1/2,
+# 19 s at K = 100 at q = 2/3, on a 2-vCPU x86-64 host.  Depth 32 has a tail
+# bound only for K > 30 + 31 / log2(1/q), so this cap admits it up to
+# q ~ 0.73.  The test suite and the benchmark reach K = 51 at most (9,9,9
+# at q = 1/2, eps = 1e-25).
+MAX_FRAKZ_TERMS = 100
 
 
 def frakz(
@@ -360,8 +451,11 @@ def frakz(
     depth d, which gives sum_d C(m-1, d-1) * B_d(K+1) / (1 - rho_d).
     rho_d grows with d, so rho_m < 1 makes every term finite.
 
+    K is found by this search before any term is summed; the value is then
+    summed in integers over the engine's known denominator and reduced once.
+
     Raises ValueError, before summing any term, for a pattern deeper than
-    MAX_FRAKZ_DEPTH or an inadmissible one.
+    MAX_FRAKZ_DEPTH, an inadmissible one, or a K above MAX_FRAKZ_TERMS.
     """
     m = pattern.depth
     if m > MAX_FRAKZ_DEPTH:
@@ -373,12 +467,9 @@ def frakz(
         raise ValueError("eps must be positive")
     # (count, depth) of the resolutions summed, deepest (largest rho) first
     classes = [(comb(m - 1, d - 1), d) for d in range(m, 0, -1)] if merge else [(1, m)]
-    inner = _inner_terms(ctx, pattern, merge)
-    value = Fraction(0)
-    K = 0
 
     def tail_bound(K: int) -> Fraction | None:
-        total = _ZERO
+        total = Fraction(0)
         for many, d in classes:
             rho = Fraction(2 ** (d - 1)) * ctx.qpow(K + 2 - d)
             if rho >= 1:
@@ -386,12 +477,14 @@ def frakz(
             total += many * _frakz_level_bound(ctx, d, K + 1) / (1 - rho)
         return total
 
-    while True:
-        bound = tail_bound(K)
-        if bound is not None and bound <= eps:
-            return SeriesValue(value, bound, K)
+    K = 0
+    while (bound := tail_bound(K)) is None or bound > eps:
         K += 1
-        value += next(inner)
+        if K > MAX_FRAKZ_TERMS:
+            raise ValueError(f"series length exceeds {MAX_FRAKZ_TERMS} for a mollified series")
+    inner = list(islice(_inner_terms(ctx, pattern, merge), K))
+    nums, den = _over_one_denominator(ctx, sum(e.magnitude for e in pattern.s), inner)
+    return SeriesValue(Fraction(sum(nums), den), bound, K)
 
 
 # classical_zeta_many refuses a longer truncation before summing anything:

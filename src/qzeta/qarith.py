@@ -3,10 +3,10 @@
 Everything is computed exactly, over :class:`fractions.Fraction` or over
 integers with a known denominator, so all identities checked downstream are
 exact.  A :class:`QContext` memoizes powers of q, q-integers, integer
-q-Pochhammer products, binomial-ratio rows and the per-index term factors
-used by the sum evaluators, and builds Gaussian-binomial integer rows on
-request; sharing one context across a large batch of evaluations is what
-makes the exhaustive checks affordable.
+q-Pochhammer products, the common denominators of the sum evaluators and
+binomial-ratio rows, and builds Gaussian-binomial integer rows on request;
+sharing one context across a large batch of evaluations is what makes the
+exhaustive checks affordable.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
-
-from .indices import Shift, SignedIndex, quad_exponent
 
 QLike = Union[Fraction, int, str]
 
@@ -32,8 +30,8 @@ class QContext:
 
     Binomial ratios, which the kernel lemmas read, are built a whole row n
     at a time.  :meth:`p_lcm` gives the common denominators over which the
-    harmonic-sum DP works in integers, so it never reduces a fraction inside
-    its loop; :meth:`p_prod` and :meth:`gauss_row` give the integer
+    harmonic-sum DP and the run engine work in integers, so neither reduces
+    a fraction inside its loop; :meth:`p_prod` and :meth:`gauss_row` give the integer
     Pochhammer products and Gaussian-binomial rows from which the finite
     prefactor is built.  All three come from the factors b**k - a**k.
     """
@@ -46,7 +44,6 @@ class QContext:
         self._br: dict[int, list[Fraction]] = {}
         self._plcm: list[int] = [1]
         self._pprod: list[int] = [1]
-        self._mterm: dict[tuple[int, int, int, Shift, int], Fraction] = {}
 
     def __repr__(self) -> str:
         return f"QContext(q={self.q})"
@@ -135,15 +132,3 @@ class QContext:
             k = len(self._pprod)
             self._pprod.append(self._pprod[-1] * (b**k - a**k))
         return self._pprod[n]
-
-    def mollified_term(self, entry: SignedIndex, t: int, r: Shift, k: int) -> Fraction:
-        """Term q^{t k + Q(r, k)} (1 + q^k) sgn^k / [k]^mag at index k."""
-        key = (entry.magnitude, entry.sign, t, r, k)
-        cached = self._mterm.get(key)
-        if cached is None:
-            exponent = t * k + quad_exponent(r, k)
-            cached = self.qpow(exponent) * (1 + self.qpow(k)) / self.q_int(k) ** entry.magnitude
-            if entry.sign < 0 and k % 2:
-                cached = -cached
-            self._mterm[key] = cached
-        return cached

@@ -203,6 +203,61 @@ def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
         assert out == "" and message in err, argv
 
 
+def test_series_length_caps_fail_fast(capsys, monkeypatch):
+    # the search for a series length K stops at its cap, before any term is
+    # summed: a q-series search caches one power of q per step, so a search
+    # run on to K ~ 70,000 (eps 1e-30 at q = 999/1000) would take minutes
+    calls = []
+    qpow = qzeta.QContext.qpow
+
+    def counted(self, n):
+        calls.append(n)
+        return qpow(self, n)
+
+    def never(*args):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(qzeta.QContext, "qpow", counted)
+    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
+    mhs_cap = qzeta.evaluators.MAX_MHS_LIMIT
+    frakz_cap = qzeta.evaluators.MAX_FRAKZ_TERMS
+    # each step of a q_zeta search asks for one power of q, each step of a
+    # frakz search two per depth class (these patterns have depth 1)
+    for argv, cap, per_step in (
+        (("eval", "qzeta", "--s", "2,1", "--q", "999/1000", "--eps", "1e-30"), mhs_cap, 1),
+        (("eval", "frakz", "--s", "2;0;2", "--q", "999/1000", "--eps", "1e-30"), frakz_cap, 2),
+        # the right side runs first, so its cap fires before the left side's
+        (("verify", "2,1", "--qmzsv", "--eps", "1e-100000"), frakz_cap, 2),
+    ):
+        calls.clear()
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and f"series length exceeds {cap}" in err, argv
+        assert len(calls) <= per_step * (cap + 2), argv
+    # at q = 1/2 and eps 1e-400 the right side sums (K ~ 50) and the left
+    # side's search would need K ~ 1330: it stops at its cap, having asked
+    # for about as many powers of q as the cap
+    monkeypatch.undo()
+    monkeypatch.setattr(qzeta.QContext, "qpow", counted)
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
+    in_q_zeta = []
+    q_zeta = qzeta.verify.q_zeta
+
+    def q_zeta_counted(*args, **kwargs):
+        start = len(calls)
+        try:
+            return q_zeta(*args, **kwargs)
+        finally:
+            in_q_zeta.append(len(calls) - start)
+
+    monkeypatch.setattr(qzeta.verify, "q_zeta", q_zeta_counted)
+    rc, out, err = run(capsys, "verify", "2,1", "--qmzsv", "--eps", "1e-400")
+    assert rc == 2
+    assert out == "" and f"series length exceeds {mhs_cap} for a harmonic sum" in err
+    assert in_q_zeta and in_q_zeta[0] <= mhs_cap + 2
+
+
 def test_digit_limit_is_scoped_to_main(capsys, monkeypatch):
     # start from a limit no call of main sets, so a leaked one shows
     outer = sys.get_int_max_str_digits()

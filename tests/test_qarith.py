@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 import oracles
-from qzeta import QContext, as_q, bar, idx, mhs_many, THETA
+from qzeta import QContext, Triple, as_q, bar, idx, mhs_many, THETA
+from qzeta.evaluators import _inner_terms
 
 
 def test_as_q_accepts_rationals_in_unit_interval():
@@ -139,12 +141,22 @@ def test_integer_pochhammer_and_gauss_rows(ctx_half, ctx_third):
                 assert row[j] * ctx.p_prod(j) * ctx.p_prod(n - j) == ctx.p_prod(n)
 
 
-def test_mollified_term(ctx_half):
-    q = ctx_half.q
-    got = ctx_half.mollified_term(bar(2), 3, 1, 4)
-    expect = q ** (3 * 4 + 6) * (1 + q**4) / ctx_half.q_int(4) ** 2
-    assert got == expect
-    assert ctx_half.mollified_term(idx(1), 0, THETA, 3) == (1 + q**3) / ctx_half.q_int(3)
+def test_mollified_term():
+    # the term of a one-slot triple at index k is the run engine's inner[k],
+    # an integer over L_k**mag * a**A * b**B; at q = 7/8 and 2/9 a > 1 enters
+    # that scale and b is not a power of 2
+    def inner(ctx, triple, k):
+        a, b = ctx.q.numerator, ctx.q.denominator
+        y, ea, eb = list(islice(_inner_terms(ctx, triple, False), k))[-1]
+        mag = triple.s[0].magnitude
+        return y / (ctx.p_lcm(k) ** mag * Fraction(a) ** ea * Fraction(b) ** eb)
+
+    for q in (Fraction(1, 2), Fraction(7, 8), Fraction(2, 9)):
+        ctx = QContext(q)
+        got = inner(ctx, Triple((bar(2),), (3,), (1,)), 4)
+        assert got == q ** (3 * 4 + 6) * (1 + q**4) / oracles.q_integer(q, 4) ** 2
+        got = inner(ctx, Triple((idx(1),), (0,), (THETA,)), 3)
+        assert got == (1 + q**3) / oracles.q_integer(q, 3)
 
 
 def test_context_caches_are_consistent(ctx_half):

@@ -1,0 +1,78 @@
+"""Report bytes pinned by sha256 digests.
+
+Each digest covers the JSON of a list of exact reports, every key but
+``elapsed_ms``, so a change to the arithmetic that moves one digit, one
+residual line or one status shows here.  Only exact reports are pinned:
+their fields are rationals and labels, which do not vary across platforms.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+import qzeta.verify
+from qzeta import lemma_suite, verify_mhs, verify_qmzsv
+
+
+def _digest(reports) -> str:
+    h = hashlib.sha256()
+    for rep in reports:
+        fields = rep.to_dict()
+        del fields["elapsed_ms"]
+        # a perturbed delta is a Fraction, which JSON cannot write natively
+        h.update(json.dumps(fields, sort_keys=True, default=str).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _finite(monkeypatch):
+    return [verify_mhs((2, 1, 1, 3, 1), 12, (Fraction(5, 8), Fraction(2, 9)))]
+
+
+def _finite_halved_delta(monkeypatch):
+    compose = qzeta.verify.compose
+
+    def halved(comp):
+        d, pattern = compose(comp)
+        return Fraction(d, 2), pattern
+
+    monkeypatch.setattr(qzeta.verify, "compose", halved)
+    reports = [verify_mhs((2, 1, 1, 3, 1), 12, (Fraction(5, 8), Fraction(2, 9)))]
+    assert reports[0].status == "fail"
+    return reports
+
+
+def _qseries(monkeypatch):
+    return [verify_qmzsv(comp, Fraction(1, 2)) for comp in ((2, 1, 2, 1, 3, 1), (5, 5, 1))]
+
+
+def _lemmas(monkeypatch):
+    return lemma_suite(n_max=12, q_values=(Fraction(5, 7),))
+
+
+DIGESTS = {
+    "finite": (
+        _finite,
+        "bac9ed69e1213a4fb712f4aac0a0847c24706f994873fe0b6c5ce9d671034f2d",
+    ),
+    "finite-halved-delta": (
+        _finite_halved_delta,
+        "d639a075e6470e264d9ba483dbe198d9316becef13634170603e8fd14a9015d2",
+    ),
+    "qseries": (
+        _qseries,
+        "474aa6fdef635d96ac86e3b7cc9ce99084ec82827ae31d36463a1391949dcc7d",
+    ),
+    "lemmas": (
+        _lemmas,
+        "40f41f1dca5a4c5af7a192160830bee5b17ff4e9e159c0edf7df57d24a4b5586",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_report_digest(name, monkeypatch):
+    build, expect = DIGESTS[name]
+    assert _digest(build(monkeypatch)) == expect
