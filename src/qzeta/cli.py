@@ -231,6 +231,9 @@ def _emit_reports(reports, fmt: str) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     qs = _parse_q_list(args.q)
     target = args.target
+    series = "--qmzsv" if args.qmzsv else "--classical" if args.classical else None
+    if series and (target in CLOSED_FAMILIES or target == "random"):
+        raise ValueError(f"{series} checks one composition, not the target {target!r}")
     if target in CLOSED_FAMILIES:
         reports = run_family(
             target, max_weight=args.max_weight, n_max=args.n_max, q_values=qs
@@ -243,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         comp = parse_composition(target)
         if args.qmzsv:
-            reports = [verify_qmzsv(comp, q=qs[0], eps=Fraction(args.eps))]
+            reports = [verify_qmzsv(comp, q=q, eps=Fraction(args.eps)) for q in qs]
         elif args.classical:
             reports = [verify_classical(comp, K=args.terms, tol=args.tol)]
         else:
@@ -314,10 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n-max", type=int, default=10, dest="n_max")
     p_verify.add_argument("--q", default="1/2", help="comma-separated rational q list")
-    p_verify.add_argument(
-        "--qmzsv", action="store_true", help="check the infinite q-series identity"
+    series = p_verify.add_mutually_exclusive_group()
+    series.add_argument(
+        "--qmzsv", action="store_true", help="check the infinite q-series identity at each q"
     )
-    p_verify.add_argument(
+    series.add_argument(
         "--classical", action="store_true", help="check the q -> 1 limit identity"
     )
     p_verify.add_argument("--eps", default="1e-25")

@@ -3,10 +3,10 @@
 Everything is computed exactly, over :class:`fractions.Fraction` or over
 integers with a known denominator, so all identities checked downstream are
 exact.  A :class:`QContext` memoizes powers of q, q-integers, integer
-q-Pochhammer products, the common denominators of the sum evaluators and
-binomial-ratio rows, and builds Gaussian-binomial integer rows on request;
-sharing one context across a large batch of evaluations is what makes the
-exhaustive checks affordable.
+q-Pochhammer products and the common denominators of the sum evaluators, and
+builds Gaussian-binomial integer rows on request; every q-binomial the
+package reads comes from those integers.  Sharing one context across a large
+batch of evaluations is what makes the exhaustive checks affordable.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ def as_q(value: QLike) -> Fraction:
 class QContext:
     """Memoized exact arithmetic at a fixed rational q = a/b in (0, 1).
 
-    Binomial ratios, which the kernel lemmas read, are built a whole row n
-    at a time.  :meth:`p_lcm` gives the common denominators over which the
-    harmonic-sum DP and the run engine work in integers, so neither reduces
-    a fraction inside its loop; :meth:`p_prod` and :meth:`gauss_row` give the integer
-    Pochhammer products and Gaussian-binomial rows from which the finite
-    prefactor is built.  All three come from the factors b**k - a**k.
+    :meth:`p_lcm` gives the common denominators over which the harmonic-sum
+    DP and the run engine work in integers, so neither reduces a fraction
+    inside its loop; :meth:`p_prod` and :meth:`gauss_row` give the integer
+    Pochhammer products and Gaussian-binomial rows from which the binomial
+    ratios gauss(n, k) / gauss(n + k, k) of the finite prefactor and the
+    kernel lemmas are built.  All three come from the factors b**k - a**k.
     """
 
     def __init__(self, q: QLike):
@@ -41,7 +41,6 @@ class QContext:
         self.one_minus_q = 1 - self.q
         self._qpow: dict[int, Fraction] = {0: Fraction(1), 1: self.q}
         self._qint: dict[int, Fraction] = {}
-        self._br: dict[int, list[Fraction]] = {}
         self._plcm: list[int] = [1]
         self._pprod: list[int] = [1]
 
@@ -80,31 +79,6 @@ class QContext:
         for j in range(1, stop):
             row.append(row[-1] * (b ** (n - j + 1) - a ** (n - j + 1)) // (b**j - a**j))
         return row[:stop]
-
-    def binom_ratio(self, n: int, k: int) -> Fraction:
-        """Ratio gauss(n, k) / gauss(n + k, k); zero when k > n.
-
-        The first request from row n fills the whole row with
-        br(n, k) = br(n, k-1) * [n-k+1] / [n+k], starting from br(n, 0) = 1.
-        """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k > n:
-            return Fraction(0)
-        row = self._br.get(n)
-        if row is None:
-            row = [Fraction(1)]
-            for i in range(1, n + 1):
-                row.append(row[-1] * self.q_int(n - i + 1) / self.q_int(n + i))
-            self._br[n] = row
-        return row[k]
-
-    def a_kernel(self, n: int, k: int) -> Fraction:
-        """Kernel A(n, k) = (-1)^k (1 + q^k) q^{k(k-1)/2} gauss(n,k)/gauss(n+k,k)."""
-        sign = -1 if k % 2 else 1
-        return sign * (1 + self.qpow(k)) * self.qpow(k * (k - 1) // 2) * self.binom_ratio(n, k)
 
     def p_lcm(self, n: int) -> int:
         """L_n = lcm of b**k - a**k over 1 <= k <= n, where q = a/b.

@@ -323,34 +323,62 @@ def verify_classical(
     )
 
 
+def _ratio_row(ctx: QContext, n: int) -> list[int]:
+    """br(n, k) / c_n = G(2n, n-k) * b**(k*k) for 0 <= k <= n, the integer
+    row of the binomial ratios br(n, k) = gauss(n, k) / gauss(n + k, k),
+    with q = a/b and G the Gaussian-binomial integers of ctx.gauss_row."""
+    b = ctx.q.denominator
+    row = ctx.gauss_row(2 * n, n + 1)
+    return [row[n - k] * b ** (k * k) for k in range(n + 1)]
+
+
+def _ratio_scale(ctx: QContext, n: int) -> Fraction:
+    """c_n = P_n**2 / P_2n (P_j from ctx.p_prod), the factor every br(n, k)
+    of row n shares."""
+    p = ctx.p_prod(n)
+    return Fraction(p * p, ctx.p_prod(2 * n))
+
+
+def _a_kernel(ctx: QContext, k: int, g: int) -> Fraction:
+    """Kernel A(n, k) / c_n = (-1)^k (1 + q^k) q^{k(k-1)/2} g, for
+    g = br(n, k) / c_n from :func:`_ratio_row`."""
+    sign = -1 if k % 2 else 1
+    return sign * (1 + ctx.qpow(k)) * ctx.qpow(k * (k - 1) // 2) * g
+
+
 def _kernel_sum(
     case: str, n_max: int, q_values: Sequence[Fraction], term, closed
 ) -> VerificationReport:
-    """Exact check of sum_{l < k <= n} term(ctx, n, k) == closed(ctx, n, l)
-    for 1 <= l < n <= n_max at every q."""
+    """Exact check of sum_{l < k <= n} term(ctx, k, g_k) == closed(ctx, n, l, g_l)
+    for 1 <= l < n <= n_max at every q, with g_k = br(n, k) / c_n.
+
+    Both sides are linear in row n of br, so c_n cancels: they are compared
+    on the integer row, and only a nonzero residual is scaled back by c_n.
+    """
     col = _Residuals()
     for q in q_values:
         ctx = QContext(q)
         for n in range(2, n_max + 1):
+            row = _ratio_row(ctx, n)
             # tails[l - 1] is the sum over l < k <= n
-            tails = list(itertools.accumulate(term(ctx, n, k) for k in range(n, 1, -1)))[::-1]
+            tails = list(itertools.accumulate(term(ctx, k, row[k]) for k in range(n, 1, -1)))[::-1]
             for l in range(1, n):
-                col.add(f"q={q} n={n} l={l}", tails[l - 1] - closed(ctx, n, l))
+                res = tails[l - 1] - closed(ctx, n, l, row[l])
+                col.add(f"q={q} n={n} l={l}", res * _ratio_scale(ctx, n) if res else res)
     return col.report(case, "kernel", {}, _q_label(q_values), [1, n_max])
 
 
-# Kernel-sum parts: the term and the closed form of its suffix sums.  The
-# weighted term carries an extra [k] q^{k(k-1)/2} factor.
+# Kernel-sum parts: the term and the closed form of its suffix sums, each
+# divided by c_n.  The weighted term carries an extra [k] q^{k(k-1)/2} factor.
 _KERNEL_SUMS = {
     "alternating-kernel-sum": (
-        lambda ctx, n, k: ctx.a_kernel(n, k),
-        lambda ctx, n, l: (ctx.q_int(l) - ctx.q_int(n)) / ctx.q_int(n)
-        * ctx.binom_ratio(n, l) * (-1) ** l * ctx.qpow(l * (l - 1) // 2),
+        _a_kernel,
+        lambda ctx, n, l, g: (ctx.q_int(l) - ctx.q_int(n)) / ctx.q_int(n)
+        * g * (-1) ** l * ctx.qpow(l * (l - 1) // 2),
     ),
     "weighted-kernel-sum": (
-        lambda ctx, n, k: (1 + ctx.qpow(k)) * ctx.q_int(k) * ctx.binom_ratio(n, k)
-        * ctx.qpow(k * (k - 1)),
-        lambda ctx, n, l: (ctx.q_int(n) - ctx.q_int(l)) * ctx.binom_ratio(n, l) * ctx.qpow(l * l),
+        lambda ctx, k, g: (1 + ctx.qpow(k)) * ctx.q_int(k) * g * ctx.qpow(k * (k - 1)),
+        lambda ctx, n, l, g: (ctx.q_int(n) - ctx.q_int(l)) * g * ctx.qpow(l * l),
     ),
 }
 
@@ -426,15 +454,23 @@ def _head_reduction(
 
 
 def _kernel_step(n_max: int, a_max: int, q_values: Sequence[Fraction]) -> VerificationReport:
-    """Geometric bridge between kernels at consecutive upper limits."""
+    """Geometric bridge between kernels at consecutive upper limits.
+
+    Each check is linear in A(n - 1, k) and A(n, k), so it runs on both
+    divided by c_n: A(n, k) / c_n comes from the integer row, and
+    A(n - 1, k) / c_n from the row before by the one ratio c_(n-1) / c_n.
+    Only a nonzero residual is scaled back by c_n.
+    """
     col = _Residuals()
     for q in q_values:
         ctx = QContext(q)
         row: list[Fraction] = []
         for n in range(1, n_max + 1):
-            # A(n - 1, k) and A(n, k) for 1 <= k <= n, each built once
-            lower_row = row + [ctx.a_kernel(n - 1, n)]
-            row = [ctx.a_kernel(n, k) for k in range(1, n + 1)]
+            scale = _ratio_scale(ctx, n)
+            down = _ratio_scale(ctx, n - 1) / scale
+            # A(n - 1, k) and A(n, k) over c_n for 1 <= k <= n; A(n - 1, n) = 0
+            lower_row = [x * down for x in row] + [0]
+            row = [_a_kernel(ctx, k, g) for k, g in enumerate(_ratio_row(ctx, n)) if k]
             for k, lower, upper in zip(range(1, n + 1), lower_row, row):
                 ratio = (ctx.q_int(n) / ctx.q_int(k)) ** 2 * ctx.qpow(k - n)
                 inverse = 1 / ratio
@@ -442,14 +478,20 @@ def _kernel_step(n_max: int, a_max: int, q_values: Sequence[Fraction]) -> Verifi
                 power = Fraction(1)
                 for a in range(a_max + 1):
                     geom += power
-                    col.add(f"q={q} n={n} k={k} a={a}", lower * geom - upper * (power - inverse))
+                    step = power - inverse
+                    # lower * geom == upper * step, cross-multiplied
+                    same = lower.numerator * (
+                        geom.numerator * step.denominator * upper.denominator
+                    ) == upper.numerator * (step.numerator * geom.denominator * lower.denominator)
+                    res = 0 if same else (lower * geom - upper * step) * scale
+                    col.add(f"q={q} n={n} k={k} a={a}", res)
                     power *= ratio
     return col.report("kernel-step", "kernel", {"a_max": a_max}, _q_label(q_values), [1, n_max])
 
 
 # Largest n_max of the kernel parts of lemma_suite, checked before any part
 # runs.  They sum O(n_max**2) Fractions per q whose size grows with n: at the
-# three default q they take about 9 s at n_max = 80, 21 s at 100 and 52 s at
+# three default q they take about 7 s at n_max = 80, 19 s at 100 and 46 s at
 # 120 on a 2-vCPU x86-64 host.
 _MAX_KERNEL_LIMIT = 120
 
@@ -475,15 +517,33 @@ def lemma_suite(
 ) -> list[VerificationReport]:
     """Run the supporting-identity checks and return one report per part.
 
-    An n_max above _MAX_KERNEL_LIMIT raises ValueError before any part runs.
+    ValueError is raised before any part runs for an n_max above
+    _MAX_KERNEL_LIMIT, and for sizes that would leave a requested part with
+    no check, which would then pass without checking anything.
     """
     qs = [as_q(q) for q in q_values]
+    if not qs:
+        raise ValueError("the lemma suite needs at least one q")
     wanted = tuple(parts) if parts is not None else LEMMA_PARTS
     unknown = [p for p in wanted if p not in LEMMA_PARTS]
     if unknown:
         raise ValueError(f"unknown lemma parts {unknown}; known: {list(LEMMA_PARTS)}")
     if n_max > _MAX_KERNEL_LIMIT:
         raise ValueError(f"upper limit {n_max} exceeds {_MAX_KERNEL_LIMIT} for the kernel lemmas")
+    # the least value of each size parameter at which a part checks anything
+    least = {
+        "alternating-kernel-sum": (("n_max", n_max, 2),),
+        "weighted-kernel-sum": (("n_max", n_max, 2),),
+        "inverse-power-expansion": (
+            ("inverse_c_max", inverse_c_max, 0), ("inverse_n_max", inverse_n_max, 1),
+        ),
+        "head-reduction": (("samples", samples, 1), ("head_n_max", head_n_max, 1)),
+        "kernel-step": (("n_max", n_max, 1), ("step_a_max", step_a_max, 0)),
+    }
+    for part in wanted:
+        for name, value, low in least[part]:
+            if value < low:
+                raise ValueError(f"{name} = {value} leaves {part} with no checks (needs >= {low})")
     reports = []
     for part, (term, closed) in _KERNEL_SUMS.items():
         if part in wanted:

@@ -85,14 +85,9 @@ def harmonic_all_n(q, entries, n_max, star=False):
     return out
 
 
-def _mollified_buckets(q, slots, n_max):
-    """Mollified summands without prefactor, bucketed by outermost index:
-    b[k] is the sum over k = k_1 > ... > k_m >= 1 of
-    prod q^{t_j k_j + Q(r_j, k_j)} (1 + q^{k_j}) / (sign_j^{k_j} [k_j]^{mag_j}).
-
-    slots: sequence of ((magnitude, sign), t, r) with r an int or None, nonempty.
-    """
-    m = len(slots)
+def _mollified_factors(q, slots, n_max):
+    """factor[j][k]: the summand factor of slot j at index k,
+    q^{t_j k + Q(r_j, k)} (1 + q^k) / (sign_j^k [k]^{mag_j}), for 1 <= k <= n_max."""
     qi = [None] + [q_integer(q, k) for k in range(1, n_max + 1)]
     factor = []
     for (mag, sign), t, r in slots:
@@ -104,6 +99,18 @@ def _mollified_buckets(q, slots, n_max):
                 / (Fraction(sign) ** k * qi[k] ** mag)
             )
         factor.append(row)
+    return factor
+
+
+def _mollified_buckets(q, slots, n_max):
+    """Mollified summands without prefactor, bucketed by outermost index:
+    b[k] is the sum over k = k_1 > ... > k_m >= 1 of
+    prod q^{t_j k_j + Q(r_j, k_j)} (1 + q^{k_j}) / (sign_j^{k_j} [k_j]^{mag_j}).
+
+    slots: sequence of ((magnitude, sign), t, r) with r an int or None, nonempty.
+    """
+    m = len(slots)
+    factor = _mollified_factors(q, slots, n_max)
     buckets = [Fraction(0)] * (n_max + 1)
     for asc in combinations(range(1, n_max + 1), m):
         term = factor[0][asc[-1]]
@@ -139,6 +146,25 @@ def mollified_series_partial(q, slots, K):
     the sum over K >= k_1 > ... > k_m >= 1 of the summands of
     :func:`mollified_all_n`.  slots as there, nonempty."""
     return sum(_mollified_buckets(Fraction(q), slots, K), Fraction(0))
+
+
+def mollified_series_nested(q, slots, K):
+    """The same partial sum as :func:`mollified_series_partial`, by nested
+    cumulative sums instead of enumerating every index tuple, so its cost
+    grows like K * m rather than K**m.  It serves where the brute force is
+    too slow, and is checked against it on small K."""
+    q = Fraction(q)
+    # below[k]: the sum over the slots deeper than the current one of every
+    # index tuple whose top index is under k; under the innermost slot it is
+    # the empty product
+    below = [Fraction(1)] * (K + 1)
+    for row in reversed(_mollified_factors(q, slots, K)):
+        # at[k]: the sum over this slot and the deeper ones, top index k
+        at = [Fraction(0)] + [row[k] * below[k] for k in range(1, K + 1)]
+        below = [Fraction(0)] * (K + 1)
+        for k in range(1, K + 1):
+            below[k] = below[k - 1] + at[k - 1]
+    return sum(at, Fraction(0))
 
 
 def signed_strings(max_depth, max_weight):

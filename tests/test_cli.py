@@ -130,6 +130,40 @@ def test_verify_qmzsv(capsys):
     assert "numeric-pass" in out
 
 
+def test_verify_qmzsv_checks_every_q(capsys):
+    rc, out, err = run(
+        capsys, "verify", "2,1", "--qmzsv", "--q", "1/2,1/3", "--eps", "1e-20", "--format", "json"
+    )
+    assert rc == 0
+    data = json.loads(out)
+    assert [rep["q"] for rep in data] == ["1/2", "1/3"]
+    assert all(rep["status"] == "numeric-pass" for rep in data)
+
+
+def test_verify_series_flags_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "2,1", "--qmzsv", "--classical"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_verify_series_flags_need_one_composition(capsys, monkeypatch):
+    # a family or fuzz target takes neither flag: it is refused before any
+    # check runs, not checked by the finite identity instead
+    def never(*args, **kwargs):
+        raise AssertionError("a check was started")
+
+    for name in (
+        "run_family", "sample_compositions", "verify_mhs", "verify_qmzsv", "verify_classical"
+    ):
+        monkeypatch.setattr(qzeta.cli, name, never)
+    for target in ("2c21", "twos-ones", "random"):
+        for flag in ("--qmzsv", "--classical"):
+            rc, out, err = run(capsys, "verify", target, flag)
+            assert rc == 2, (target, flag)
+            assert out == "" and f"{flag} checks one composition" in err, (target, flag)
+
+
 def test_verify_family(capsys):
     rc, out, err = run(capsys, "verify", "twos-ones", "--max-weight", "6", "--n-max", "6")
     assert rc == 0
@@ -185,7 +219,7 @@ def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
 
     monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
     monkeypatch.setattr(qzeta.QContext, "p_lcm", never)
-    monkeypatch.setattr(qzeta.QContext, "binom_ratio", never)
+    monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
     pattern_cap = qzeta.evaluators.MAX_PATTERN_LIMIT
     mhs_cap = qzeta.evaluators.MAX_MHS_LIMIT
     kernel_cap = qzeta.verify._MAX_KERNEL_LIMIT
@@ -201,6 +235,30 @@ def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv
         assert out == "" and message in err, argv
+
+
+def test_deep_finite_pattern_fails_fast(capsys, monkeypatch):
+    # the finite check builds all m(m+1)/2 folded runs of a depth-m pattern
+    # before it sums a term: a pattern deeper than its cap is refused first
+    def never(*args):
+        raise AssertionError("the run engine was started")
+
+    monkeypatch.setattr(qzeta.evaluators, "_runs", never)
+    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    cap = qzeta.evaluators.MAX_PATTERN_DEPTH
+    for argv, depth in (
+        (("verify", str(cap + 2), "--n-max", "4"), cap + 1),
+        (("verify", "960", "--n-max", "4"), 959),
+        (("verify", "20000"), 19999),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and f"pattern depth {depth} exceeds {cap}" in err, argv
+    rc, out, err = run(capsys, "verify", "random", "--max-weight", "100000")
+    assert rc == 2 and f"exceeds {cap} for a finite mollified sum" in err
+    # the patches are live: a shallow pattern does reach the engine
+    with pytest.raises(AssertionError, match="run engine"):
+        run(capsys, "verify", "2,1", "--n-max", "3")
 
 
 def test_series_length_caps_fail_fast(capsys, monkeypatch):
@@ -282,6 +340,25 @@ def test_lemmas_subcommand(capsys):
     rc, out, err = run(capsys, "lemmas", "--n-max", "8", "--samples", "3", "--q", "1/2")
     assert rc == 0
     assert out.count("exact-pass") == 5
+
+
+def test_lemmas_without_checks_exit_2(capsys, monkeypatch):
+    # sizes that leave a part with nothing to check would pass it with
+    # checks=0; they are refused before any part runs
+    def never(*args):
+        raise AssertionError("a lemma part was started")
+
+    monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
+    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    for argv, message in (
+        (("lemmas", "--n-max", "0", "--q", "1/2"), "n_max = 0 leaves alternating-kernel-sum"),
+        (("lemmas", "--n-max", "1"), "n_max = 1 leaves alternating-kernel-sum"),
+        (("lemmas", "--samples", "-3"), "samples = -3 leaves head-reduction"),
+        (("lemmas", "--samples", "0"), "samples = 0 leaves head-reduction"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and message in err, argv
 
 
 def test_huge_classical_truncation_fails_fast(capsys, monkeypatch):

@@ -158,7 +158,12 @@ def test_pattern_engine_edges(ctx_half):
 
 def test_upper_limit_caps(ctx_half, monkeypatch):
     import qzeta.evaluators as ev
-    from qzeta.evaluators import MAX_FRAKZ_TERMS, MAX_MHS_LIMIT, MAX_PATTERN_LIMIT
+    from qzeta.evaluators import (
+        MAX_FRAKZ_TERMS,
+        MAX_MHS_LIMIT,
+        MAX_PATTERN_DEPTH,
+        MAX_PATTERN_LIMIT,
+    )
 
     def never(*args):
         raise AssertionError("a sum was started")
@@ -166,9 +171,16 @@ def test_upper_limit_caps(ctx_half, monkeypatch):
     tri = Triple((idx(2), bar(1)), (1, 0), (1, -1))
     # the caps are checked before the engine starts
     monkeypatch.setattr(ev, "_inner_terms", never)
+    monkeypatch.setattr(ev, "_runs", never)
     monkeypatch.setattr(QContext, "p_lcm", never)
     with pytest.raises(ValueError, match=f"exceeds {MAX_PATTERN_LIMIT}"):
         pattern_mhs_many(ctx_half, tri, MAX_PATTERN_LIMIT + 1)
+    # a finite sum deeper than its cap is refused before its runs are built
+    deep = MAX_PATTERN_DEPTH + 1
+    deep_tri = Triple((idx(1),) * deep, (0,) * deep, (1,) + (THETA,) * (deep - 1))
+    for merge in (True, False):
+        with pytest.raises(ValueError, match=f"depth {deep} exceeds {MAX_PATTERN_DEPTH}"):
+            pattern_mhs_many(ctx_half, deep_tri, 2, merge=merge)
     with pytest.raises(ValueError, match=f"exceeds {MAX_MHS_LIMIT}"):
         mhs_many(ctx_half, (2, 1), MAX_MHS_LIMIT + 1)
     # a q-series whose truncation would pass the cap is refused too
@@ -391,6 +403,23 @@ def _resolution_tail(q, d, K):
     return level(K + 1) / (1 - rho) if rho < 1 else None
 
 
+def test_nested_series_oracle_matches_the_brute_force():
+    # the nested-sum oracle against the tuple enumeration, on small K, on
+    # random slots of every sign, offset and shift kind
+    rng = random.Random(31)
+    for trial in range(120):
+        m = rng.randint(1, 4)
+        slots = [
+            ((rng.randint(0, 3), rng.choice((1, -1))), rng.randint(0, 3),
+             rng.choice((None, 0, 1, 2, 3, -1, -2)))
+            for _ in range(m)
+        ]
+        q = (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9))[trial % 4]
+        for K in range(0, 8):
+            expect = oracles.mollified_series_partial(q, slots, K)
+            assert oracles.mollified_series_nested(q, slots, K) == expect, (slots, q, K)
+
+
 def test_frakz_merged_is_the_sum_over_every_resolution():
     rng = random.Random(20130731)
     patterns = [_admissible_pattern(rng, m) for m in (1, 2, 3, 3, 4, 4, 5)]
@@ -405,19 +434,18 @@ def test_frakz_merged_is_the_sum_over_every_resolution():
     eps = Fraction(1, 10**12)
     # at 7/8 and 2/9 a > 1 enters the engine's scale through negative
     # exponents, and b is not a power of 2.  At 7/8 the series need K ~ 30,
-    # where the brute-force oracle takes seconds per resolution at depth 4
-    # and tens of seconds at depth 5, so only depth <= 3 is checked there.
+    # where the brute-force oracle takes tens of seconds per depth-5
+    # resolution, so every resolution is summed by the nested-sum oracle,
+    # which test_nested_series_oracle_matches_the_brute_force checks.
     for q in (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9)):
         ctx = QContext(q)
         for pattern in patterns:
-            if q == Fraction(7, 8) and pattern.depth > 3:
-                continue
             assert is_admissible(pattern)
             val = frakz(ctx, pattern, eps=eps, merge=True)
             K = val.terms
             resolutions = expand(pattern)
             expect = sum(
-                (oracles.mollified_series_partial(q, _oracle_slots(T), K) for T in resolutions),
+                (oracles.mollified_series_nested(q, _oracle_slots(T), K) for T in resolutions),
                 Fraction(0),
             )
             assert val.value == expect, pattern

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from qzeta import QContext, Triple, as_q, bar, idx, mhs_many, THETA
 from qzeta.evaluators import _inner_terms
+from qzeta.verify import _a_kernel, _ratio_row, _ratio_scale
 
 
 def test_as_q_accepts_rationals_in_unit_interval():
@@ -20,9 +21,14 @@ def test_frozen_values(ctx_half):
     assert ctx_half.q_int(1) == 1
     assert ctx_half.q_int(3) == Fraction(7, 4)
     assert ctx_half.gauss_row(4, 3)[2] == 35
-    assert ctx_half.binom_ratio(1, 1) == Fraction(2, 3)
-    assert ctx_half.a_kernel(1, 1) == Fraction(-1)
-    assert ctx_half.a_kernel(2, 1) == Fraction(-9, 7)
+    # br(n, k) = c_n * G(2n, n-k) * b**(k*k); at q = 1/2, c_1 = P_1**2 / P_2 = 1/3
+    assert _ratio_row(ctx_half, 1) == [3, 2]
+    assert _ratio_scale(ctx_half, 1) == Fraction(1, 3)
+    assert _ratio_scale(ctx_half, 1) * _ratio_row(ctx_half, 1)[1] == Fraction(2, 3)
+    # the kernel A(n, k) is c_n times _a_kernel of the row entry
+    for n, k, kernel in ((1, 1, Fraction(-1)), (2, 1, Fraction(-9, 7))):
+        g = _ratio_row(ctx_half, n)[k]
+        assert _ratio_scale(ctx_half, n) * _a_kernel(ctx_half, k, g) == kernel
 
 
 def test_q_int_matches_oracle(ctx_half, ctx_nine_tenths):
@@ -80,30 +86,40 @@ def test_gauss_binomial_out_of_range(ctx_half):
 
 
 def test_binom_ratio_edges(ctx_half, ctx_third, ctx_nine_tenths):
-    assert ctx_half.binom_ratio(5, 0) == 1
-    assert ctx_half.binom_ratio(3, 4) == 0
-    # rows are built by a recurrence on first use; compare every entry
+    # br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n**2 / P_2n * G(2n, n-k) * b**(k*k):
+    # the finite prefactor and the kernel lemmas both rest on this identity
     for ctx in (ctx_half, ctx_third, ctx_nine_tenths, QContext(Fraction(5, 7))):
+        q, b = ctx.q, ctx.q.denominator
         for n in range(0, 13):
-            for k in range(0, n + 2):
-                assert ctx.binom_ratio(n, k) == oracles.binom_ratio(ctx.q, n, k)
-    with pytest.raises(ValueError):
-        ctx_half.binom_ratio(3, -1)
-    with pytest.raises(ValueError):
-        ctx_half.binom_ratio(-1, 0)
+            scale = Fraction(ctx.p_prod(n) ** 2, ctx.p_prod(2 * n))
+            gauss = ctx.gauss_row(2 * n, n + 1)
+            row = _ratio_row(ctx, n)
+            assert _ratio_scale(ctx, n) == scale
+            # the row stops at k = n: br(n, k) vanishes for k > n
+            assert len(row) == n + 1
+            assert all(type(g) is int for g in row)
+            for k in range(0, n + 1):
+                expect = oracles.binom_ratio(q, n, k)
+                assert scale * gauss[n - k] * b ** (k * k) == expect
+                assert scale * row[k] == expect
+            assert scale * row[0] == 1
 
 
 def test_kernel_row_sums(ctx_half, ctx_nine_tenths):
-    # full rows of the alternating kernel sum to -1, the weighted rows to [n]
+    # full rows of the alternating kernel sum to -1, the weighted rows to [n];
+    # the kernel lemmas check only suffixes past l >= 1, so these stay
     for ctx in (ctx_half, ctx_nine_tenths):
-        q = ctx.q
+        q, b = ctx.q, ctx.q.denominator
         for n in range(1, 31):
-            assert sum(ctx.a_kernel(n, k) for k in range(1, n + 1)) == -1
+            scale = Fraction(ctx.p_prod(n) ** 2, ctx.p_prod(2 * n))
+            gauss = ctx.gauss_row(2 * n, n + 1)
+            ratios = [gauss[n - k] * b ** (k * k) for k in range(n + 1)]
+            assert scale * sum(_a_kernel(ctx, k, ratios[k]) for k in range(1, n + 1)) == -1
             weighted = sum(
-                (1 + q**k) * ctx.q_int(k) * ctx.binom_ratio(n, k) * q ** (k * (k - 1))
+                (1 + q**k) * oracles.q_integer(q, k) * ratios[k] * q ** (k * (k - 1))
                 for k in range(1, n + 1)
             )
-            assert weighted == ctx.q_int(n)
+            assert scale * weighted == ctx.q_int(n)
 
 
 def test_harmonic_term(ctx_half):
@@ -161,10 +177,13 @@ def test_mollified_term():
 
 def test_context_caches_are_consistent(ctx_half):
     # interleaved calls must keep returning identical values
-    row, p, ratio = ctx_half.gauss_row(10, 11), ctx_half.p_prod(10), ctx_half.binom_ratio(10, 4)
+    row, p, lcm = ctx_half.gauss_row(10, 11), ctx_half.p_prod(10), ctx_half.p_lcm(10)
+    ratios = _ratio_row(ctx_half, 5)
     ctx_half.p_prod(20)
-    ctx_half.binom_ratio(12, 5)
+    ctx_half.p_lcm(24)
+    ctx_half.gauss_row(24, 13)
     ctx_half.q_int(25)
     assert ctx_half.gauss_row(10, 11) == row
     assert ctx_half.p_prod(10) == p
-    assert ctx_half.binom_ratio(10, 4) == ratio
+    assert ctx_half.p_lcm(10) == lcm
+    assert _ratio_row(ctx_half, 5) == ratios

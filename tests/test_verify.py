@@ -253,25 +253,32 @@ def test_lemma_suite_small():
     assert all_passed(reps)
 
 
+def _perturbed_rows(monkeypatch):
+    # every Gaussian-binomial integer past the first of a row gains 1: the
+    # finite sums read their prefactor, and the kernel parts br(n, k), from
+    # these rows, so br(n, k) gains c_n * b**(k*k) for k < n
+    real_row = QContext.gauss_row
+
+    def row(self, n, stop):
+        return [g + (1 if j else 0) for j, g in enumerate(real_row(self, n, stop))]
+
+    monkeypatch.setattr(QContext, "gauss_row", row)
+
+
+def _perturbed_ratio(q, n, k):
+    # br(n, k) under _perturbed_rows, from the oracle: G(2n, 0) = 1, so
+    # c_n = br(n, n) / b**(n*n)
+    b = q.denominator
+    scale = oracles.binom_ratio(q, n, n) / b ** (n * n)
+    return oracles.binom_ratio(q, n, k) + (scale * b ** (k * k) if 1 <= n - k else 0)
+
+
 def test_lemma_reports_fail_under_perturbed_kernels(monkeypatch):
     config = dict(
         n_max=8, samples=3, inverse_c_max=2, inverse_n_max=6, head_n_max=6, step_a_max=2
     )
     clean = lemma_suite(**config)
-    real_ratio, real_kernel = QContext.binom_ratio, QContext.a_kernel
-    real_row = QContext.gauss_row
-    tiny = Fraction(1, 10**30)
-
-    def ratio(self, n, k):
-        return real_ratio(self, n, k) + (tiny if 1 <= k <= n else 0)
-
-    def row(self, n, stop):
-        # the finite sums read the prefactor from these integer rows
-        return [g + (1 if j else 0) for j, g in enumerate(real_row(self, n, stop))]
-
-    monkeypatch.setattr(QContext, "binom_ratio", ratio)
-    monkeypatch.setattr(QContext, "a_kernel", lambda self, n, k: real_kernel(self, n, k) + tiny)
-    monkeypatch.setattr(QContext, "gauss_row", row)
+    _perturbed_rows(monkeypatch)
     labels = {
         "alternating-kernel-sum": r"q=\S+ n=\d+ l=\d+",
         "weighted-kernel-sum": r"q=\S+ n=\d+ l=\d+",
@@ -279,7 +286,6 @@ def test_lemma_reports_fail_under_perturbed_kernels(monkeypatch):
         "head-reduction": r"a=-?\d+ b=\d+ c=\d+ r=\S+ tail=\[[^\]]+\] n=\d+",
         "kernel-step": r"q=\S+ n=\d+ k=\d+ a=\d+",
     }
-    reports = []
     for part, before in zip(LEMMA_PARTS, clean):
         (rep,) = lemma_suite(parts=(part,), **config)
         assert rep.status == "fail" and not rep.passed
@@ -288,9 +294,69 @@ def test_lemma_reports_fail_under_perturbed_kernels(monkeypatch):
         for line in rep.residuals:
             assert re.fullmatch(labels[part] + r": \S+", line), line
         assert rep.params["checks"] == before.params["checks"]
-        reports.append(rep)
-    # the cap is reached, not just respected
-    assert max(len(rep.residuals) for rep in reports) == 16
+        # each kernel part fails at more checks than the cap: the cap is
+        # reached, not just respected
+        if "kernel" in part:
+            assert len(rep.residuals) == 16, part
+
+
+_q_int = oracles.q_integer
+
+
+def _kernel(q, n, k):
+    # A(n, k) = (-1)^k (1 + q^k) q^{k(k-1)/2} br(n, k) on the perturbed rows
+    if k > n:
+        return Fraction(0)
+    return (-1) ** k * (1 + q**k) * q ** (k * (k - 1) // 2) * _perturbed_ratio(q, n, k)
+
+
+def test_failing_kernel_sum_residuals_match_the_oracle(monkeypatch):
+    # a residual is reported at full scale: dropping the factor c_n that the
+    # check leaves out of the rows would change every line
+    _perturbed_rows(monkeypatch)
+    qs = (Fraction(1, 2), Fraction(7, 8))
+    parts = {
+        "alternating-kernel-sum": (
+            _kernel,
+            lambda q, n, l: (_q_int(q, l) - _q_int(q, n)) / _q_int(q, n)
+            * _perturbed_ratio(q, n, l) * (-1) ** l * q ** (l * (l - 1) // 2),
+        ),
+        "weighted-kernel-sum": (
+            lambda q, n, k: (1 + q**k) * _q_int(q, k) * _perturbed_ratio(q, n, k)
+            * q ** (k * (k - 1)),
+            lambda q, n, l: (_q_int(q, n) - _q_int(q, l)) * _perturbed_ratio(q, n, l) * q ** (l * l),
+        ),
+    }
+    for part, (term, closed) in parts.items():
+        (rep,) = lemma_suite(n_max=5, q_values=qs, parts=(part,))
+        lines = []
+        for q in qs:
+            for n in range(2, 6):
+                for l in range(1, n):
+                    res = sum(term(q, n, k) for k in range(l + 1, n + 1)) - closed(q, n, l)
+                    if res:
+                        lines.append(f"q={q} n={n} l={l}: {rational_repr(res)}")
+        assert rep.status == "fail" and rep.params["checks"] == 2 * 10
+        assert len(lines) > 16 and rep.residuals == lines[:16], part
+
+
+def test_failing_kernel_step_residuals_match_the_oracle(monkeypatch):
+    _perturbed_rows(monkeypatch)
+    qs = (Fraction(1, 2), Fraction(2, 9))
+    (rep,) = lemma_suite(n_max=4, q_values=qs, parts=("kernel-step",), step_a_max=1)
+    lines = []
+    for q in qs:
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                ratio = (_q_int(q, n) / _q_int(q, k)) ** 2 * q ** (k - n)
+                for a in range(2):
+                    geom = sum(ratio**i for i in range(a + 1))
+                    res = _kernel(q, n - 1, k) * geom - _kernel(q, n, k) * (ratio**a - 1 / ratio)
+                    if res:
+                        lines.append(f"q={q} n={n} k={k} a={a}: {rational_repr(res)}")
+    assert rep.status == "fail" and rep.params["checks"] == 2 * 10 * 2
+    # the cap takes lines from both q
+    assert len(lines) > 16 and rep.residuals == lines[:16]
 
 
 def test_lemma_suite_kernel_limit_cap(monkeypatch):
@@ -300,11 +366,40 @@ def test_lemma_suite_kernel_limit_cap(monkeypatch):
 
     import qzeta.verify as v
 
-    monkeypatch.setattr(QContext, "binom_ratio", never)
+    monkeypatch.setattr(QContext, "gauss_row", never)
     cap = v._MAX_KERNEL_LIMIT
     for parts in (None, ("kernel-step",), ("weighted-kernel-sum", "alternating-kernel-sum")):
         with pytest.raises(ValueError, match=f"{cap + 1} exceeds {cap}"):
             lemma_suite(n_max=cap + 1, parts=parts)
+
+
+def test_lemma_suite_refuses_sizes_without_checks(monkeypatch):
+    # a requested part that would run no check raises before any part runs;
+    # a part not requested may have any size
+    def never(*args):
+        raise AssertionError("a lemma part was started")
+
+    monkeypatch.setattr(QContext, "gauss_row", never)
+    monkeypatch.setattr(QContext, "p_lcm", never)
+    for kwargs, message in (
+        (dict(n_max=1), "n_max = 1 leaves alternating-kernel-sum"),
+        (dict(n_max=1, parts=("weighted-kernel-sum",)), "n_max = 1 leaves weighted"),
+        (dict(n_max=0, parts=("kernel-step",)), "n_max = 0 leaves kernel-step"),
+        (dict(step_a_max=-1, parts=("kernel-step",)), "step_a_max = -1 leaves kernel-step"),
+        (dict(inverse_c_max=-1), "inverse_c_max = -1 leaves inverse-power"),
+        (dict(inverse_n_max=0), "inverse_n_max = 0 leaves inverse-power"),
+        (dict(samples=-3), "samples = -3 leaves head-reduction"),
+        (dict(samples=0, parts=("head-reduction",)), "samples = 0 leaves head-reduction"),
+        (dict(head_n_max=0), "head_n_max = 0 leaves head-reduction"),
+        (dict(q_values=()), "at least one q"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            lemma_suite(**kwargs)
+    monkeypatch.undo()
+    (rep,) = lemma_suite(n_max=1, parts=("kernel-step",), step_a_max=0, q_values=("1/2",))
+    assert rep.passed and rep.params["checks"] == 1
+    (rep,) = lemma_suite(n_max=0, samples=1, head_n_max=1, parts=("head-reduction",))
+    assert rep.passed and rep.params["checks"] == 1
 
 
 def test_lemma_suite_part_selection():
