@@ -17,6 +17,18 @@ Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
   prefactor, taken to a proven tail bound; read as one triple, or summed
   over every resolution as one series with one aggregate tail bound.
 
+Certified enclosure: :func:`q_zeta_enclosure` returns, at the same
+truncation K and tail bound as :func:`q_zeta`, a :class:`Ball` (midpoint and
+radius over integers at a binary point 2**-P) around the same exact partial
+sum, by the harmonic-sum DP with each term floored and each floor counted
+into the radius; midpoint-radius arithmetic as in van der Hoeven, "Ball
+arithmetic" (2009).  The exact partial sum's denominators grow like K**2
+bits (hundreds of thousands of bits toward q -> 1), while the ball's
+integers stay near P bits, so :func:`~qzeta.verify.verify_qmzsv` reads its
+left side from the ball and sums exactly only when the ball cannot decide
+the report; :func:`q_zeta` stays exact for ``eval qzeta*`` and as the
+oracle.
+
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
 reports a first-omitted-term style tail estimate for each.  It takes every
@@ -48,6 +60,7 @@ compares the unreduced sides by cross-multiplication.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import comb
@@ -62,9 +75,10 @@ from .qarith import QContext
 
 
 class SeriesValue(NamedTuple):
-    """Partial sum with a rigorous bound on the omitted tail."""
+    """Partial sum, exact or a :class:`Ball` around it, with a rigorous
+    bound on the omitted tail."""
 
-    value: Fraction
+    value: Fraction | Ball
     tail_bound: Fraction
     terms: int
 
@@ -75,6 +89,56 @@ class ClassicalValue(NamedTuple):
     value: float
     tail_est: float
     terms: int
+
+
+@dataclass(frozen=True)
+class Ball:
+    """The closed interval [(mid - rad) / 2**prec, (mid + rad) / 2**prec]:
+    midpoint-radius ("ball") arithmetic over integers at a fixed binary
+    point.
+
+    Each operation returns a ball that contains the exact result of the same
+    operation on any values inside its operands: the midpoint is floored and
+    the radius rounded outward.  An operand that is an int or a Fraction is
+    exact and is first floored onto the grid, with radius 1 if that dropped
+    a remainder.
+    """
+
+    mid: int
+    rad: int
+    prec: int
+
+    def _lift(self, other) -> "Ball":
+        if isinstance(other, Ball):
+            if other.prec != self.prec:
+                raise ValueError(f"balls at 2**-{self.prec} and 2**-{other.prec} do not mix")
+            return other
+        x = Fraction(other)
+        mid, rest = divmod(x.numerator << self.prec, x.denominator)
+        return Ball(mid, 1 if rest else 0, self.prec)
+
+    def __add__(self, other) -> "Ball":
+        o = self._lift(other)
+        return Ball(self.mid + o.mid, self.rad + o.rad, self.prec)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Ball":
+        o = self._lift(other)
+        return Ball(self.mid - o.mid, self.rad + o.rad, self.prec)
+
+    def __mul__(self, other) -> "Ball":
+        o = self._lift(other)
+        err = abs(self.mid) * o.rad + abs(o.mid) * self.rad + self.rad * o.rad
+        # the floor of the product is less than one unit low; err rounds up
+        return Ball((self.mid * o.mid) >> self.prec, 1 - (-err >> self.prec), self.prec)
+
+    def __abs__(self) -> "Ball":
+        return Ball(abs(self.mid), self.rad, self.prec)
+
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        one = 1 << self.prec
+        return Fraction(self.mid - self.rad, one), Fraction(self.mid + self.rad, one)
 
 
 # Largest upper limit of a harmonic sum (and so the longest q_zeta
@@ -144,6 +208,46 @@ def _mhs_scale(ctx: QContext, entries: tuple, n: int) -> int:
     mags = [e.magnitude for e in entries]
     b_exponent = sum(1 if s else n for s in mags)
     return ctx.p_lcm(n) ** sum(mags) * ctx.q.denominator**b_exponent
+
+
+def _mhs_enclosure(ctx: QContext, entries: tuple, n: int, star: bool, prec: int) -> Ball:
+    """A Ball at 2**-prec around the nested harmonic sum with upper limit n,
+    by the dynamic programme of _mhs_numerators.
+
+    With q = a/b, the term of magnitude s at index k is
+    q**k / [k]**s = a**k ((b-a) b**(k-1))**s / (b**k (b**k - a**k)**s).  It is
+    floored to t / 2**prec, and flag is 1 when the floor dropped a nonzero
+    remainder, so the exact term lies within flag units of t.  Level j keeps
+    X_j as a ball (x_j, r_j), X_m = 1 exactly.  The floored product
+    t * x_(j+1) / 2**prec is then within (|t| r + flag (|x| + r)) / 2**prec,
+    rounded up, plus 1 unit of the exact T_j(k) X_(j+1), which is what
+    X_j += T_j(k) X_(j+1) adds to r_j.
+    """
+    a, b = ctx.q.numerator, ctx.q.denominator
+    m = len(entries)
+    mids = [0] * m + [1 << prec]
+    rads = [0] * (m + 1)
+    mags = {e.magnitude for e in entries}
+    order = range(m - 1, -1, -1) if star else range(m)
+    ak, bk = 1, 1
+    for k in range(1, n + 1):
+        top = (b - a) * bk  # (b-a) b**(k-1)
+        ak *= a
+        bk *= b
+        bottom = bk - ak
+        terms = {}
+        for s in mags:
+            t, rest = divmod(ak * top**s << prec, bk * bottom**s)
+            terms[s] = t, 1 if rest else 0
+        for j in order:
+            x, r = mids[j + 1], rads[j + 1]
+            if x or r:
+                t, flag = terms[entries[j].magnitude]
+                if entries[j].sign < 0 and k % 2:
+                    t = -t
+                mids[j] += t * x >> prec
+                rads[j] += 1 - (-(abs(t) * r + flag * (abs(x) + r)) >> prec)
+    return Ball(mids[0], rads[0], prec)
 
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
@@ -395,10 +499,9 @@ def _truncation(
     return K, bound
 
 
-def q_zeta(
-    ctx: QContext, s: Sequence, eps: Fraction = Fraction(1, 10**20), star: bool = False
-) -> SeriesValue:
-    """Infinite harmonic series, summed until the proven tail bound is <= eps.
+def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fraction]:
+    """The truncation K of a depth-m harmonic series and its tail bound,
+    the least K >= m whose bound is <= eps (K = 0 and bound 0 for m = 0).
 
     Tail bound: the entries satisfy 1/[k]^mag <= 1, so the series is
 
@@ -409,18 +512,57 @@ def q_zeta(
     Raises ValueError, as soon as the search for K passes it, when the
     truncation would exceed MAX_MHS_LIMIT.
     """
-    entries = signed_string(s)
-    m = len(entries)
-    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if m == 0:
-        return SeriesValue(Fraction(1), Fraction(0), 0)
+        return 0, Fraction(0)
     prefactor = (ctx.q / ctx.one_minus_q) ** (m - 1) / ctx.one_minus_q
-    K, bound = _truncation(
+    return _truncation(
         lambda K: prefactor * ctx.qpow(K + 1), m, eps, MAX_MHS_LIMIT, "a harmonic sum"
     )
+
+
+def q_zeta(
+    ctx: QContext, s: Sequence, eps: Fraction = Fraction(1, 10**20), star: bool = False
+) -> SeriesValue:
+    """Infinite harmonic series, summed in exact rationals until the proven
+    tail bound is <= eps (see :func:`_harmonic_truncation`).
+
+    Raises ValueError, as soon as the search for K passes it, when the
+    truncation would exceed MAX_MHS_LIMIT.
+    """
+    entries = signed_string(s)
+    K, bound = _harmonic_truncation(ctx, len(entries), Fraction(eps))
     return SeriesValue(mhs(ctx, entries, K, star=star), bound, K)
+
+
+# The binary point of the enclosure is 2**-P with P = max(bits of 1/eps,
+# _COMPACT_BITS) + _GUARD_BITS.  A report must tell a value from every
+# rational whose numerator and denominator are below 10**30 (see
+# verify.rational_repr); near a value below 1 those lie about 10**-60 ~
+# 2**-200 apart, whatever eps is.  The radius grows by a few units per term
+# and level and by the factor sum_k q**k per level, so it uses up 8-12 of
+# the guard bits at weight 12 for 1/2 <= q <= 9/10; the rest keep a
+# discrepancy far below eps printable to 12 digits.
+_COMPACT_BITS = 200
+_GUARD_BITS = 100
+
+
+def q_zeta_enclosure(
+    ctx: QContext, s: Sequence, eps: Fraction = Fraction(1, 10**20), star: bool = False
+) -> SeriesValue:
+    """:func:`q_zeta` with its value as a :class:`Ball` around the same exact
+    partial sum, at the same K and with the same tail bound, summed in
+    integers at the binary point 2**-P (see :func:`_mhs_enclosure`), where
+    P is the bit size of 1/eps, at least _COMPACT_BITS, plus _GUARD_BITS.
+
+    Raises ValueError as :func:`q_zeta` does.
+    """
+    entries = signed_string(s)
+    eps = Fraction(eps)
+    K, bound = _harmonic_truncation(ctx, len(entries), eps)
+    prec = max((eps.denominator // eps.numerator).bit_length(), _COMPACT_BITS) + _GUARD_BITS
+    return SeriesValue(_mhs_enclosure(ctx, entries, K, star, prec), bound, K)
 
 
 def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:

@@ -278,6 +278,7 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
     monkeypatch.setattr(qzeta.QContext, "qpow", counted)
     monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
     monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
     mhs_cap = qzeta.evaluators.MAX_MHS_LIMIT
     frakz_cap = qzeta.evaluators.MAX_FRAKZ_TERMS
     # each step of a q_zeta search asks for one power of q, each step of a
@@ -298,22 +299,22 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
     # for about as many powers of q as the cap
     monkeypatch.undo()
     monkeypatch.setattr(qzeta.QContext, "qpow", counted)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
-    in_q_zeta = []
-    q_zeta = qzeta.verify.q_zeta
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
+    in_left_side = []
+    enclosure = qzeta.verify.q_zeta_enclosure
 
-    def q_zeta_counted(*args, **kwargs):
+    def enclosure_counted(*args, **kwargs):
         start = len(calls)
         try:
-            return q_zeta(*args, **kwargs)
+            return enclosure(*args, **kwargs)
         finally:
-            in_q_zeta.append(len(calls) - start)
+            in_left_side.append(len(calls) - start)
 
-    monkeypatch.setattr(qzeta.verify, "q_zeta", q_zeta_counted)
+    monkeypatch.setattr(qzeta.verify, "q_zeta_enclosure", enclosure_counted)
     rc, out, err = run(capsys, "verify", "2,1", "--qmzsv", "--eps", "1e-400")
     assert rc == 2
     assert out == "" and f"series length exceeds {mhs_cap} for a harmonic sum" in err
-    assert in_q_zeta and in_q_zeta[0] <= mhs_cap + 2
+    assert in_left_side and in_left_side[0] <= mhs_cap + 2
 
 
 def test_digit_limit_is_scoped_to_main(capsys, monkeypatch):

@@ -27,7 +27,8 @@ from qzeta import (
     pattern_mhs_many,
     q_zeta,
 )
-from qzeta.evaluators import MAX_CLASSICAL_TERMS
+from qzeta.evaluators import MAX_CLASSICAL_TERMS, Ball, _mhs_enclosure, q_zeta_enclosure
+from qzeta.indices import signed_string
 
 entries = st.builds(
     lambda m, s: idx(m) if s else bar(m),
@@ -234,6 +235,86 @@ def test_q_zeta_empty_and_errors(ctx_half):
     assert q_zeta(ctx_half, ()).value == 1
     with pytest.raises(ValueError):
         q_zeta(ctx_half, (2,), eps=Fraction(0))
+
+
+ENCLOSURE_QS = (Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(9, 10))
+
+
+def _signed_strings(seed, count, max_depth):
+    rng = random.Random(seed)
+    return [
+        tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(1, max_depth)))
+        for _ in range(count)
+    ]
+
+
+def test_q_zeta_enclosure_contains_the_exact_partial_sum():
+    # the ball holds q_zeta's exact value, at the same K and tail bound, weak
+    # and strict and toward q -> 1, and it is narrow
+    eps = Fraction(1, 10**6)
+    for q in ENCLOSURE_QS:
+        ctx = QContext(q)
+        for s in _signed_strings(q.denominator, 3, 2):
+            for star in (False, True):
+                exact = q_zeta(ctx, s, eps=eps, star=star)
+                ball = q_zeta_enclosure(ctx, s, eps=eps, star=star)
+                assert (ball.terms, ball.tail_bound) == (exact.terms, exact.tail_bound)
+                lo, hi = ball.value.bounds()
+                assert lo <= exact.value <= hi, (q, s, star)
+                assert ball.value.rad < 2**16
+                # negative control: the exact value moved away from the centre
+                # by one radius plus one unit falls outside
+                unit = Fraction(1, 2**ball.value.prec)
+                away = 1 if exact.value >= ball.value.mid * unit else -1
+                moved = exact.value + away * (ball.value.rad + 1) * unit
+                assert not lo <= moved <= hi
+    with pytest.raises(ValueError, match="eps must be positive"):
+        q_zeta_enclosure(QContext(Fraction(1, 2)), (2,), eps=Fraction(0))
+
+
+def test_ball_arithmetic_contains_the_exact_results():
+    # values anywhere inside the operands (centre and both ends) give results
+    # inside the result ball, also at a coarse binary point and with a
+    # Fraction or int operand floored onto it
+    rng = random.Random(11)
+    for _ in range(300):
+        prec = rng.choice((1, 3, 8, 40))
+        x, y = (Ball(rng.randint(-(2**50), 2**50), rng.randint(0, 2**20), prec) for _ in "xy")
+        c = Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9))
+        unit = Fraction(1, 2**prec)
+
+        def points(ball):
+            return [(ball.mid + d * ball.rad) * unit for d in (-1, 0, 1)]
+
+        def inside(value, ball):
+            lo, hi = ball.bounds()
+            return lo <= value <= hi
+
+        for u in points(x):
+            assert inside(abs(u), abs(x))
+            assert inside(u + c, x + c) and inside(c + u, c + x) and inside(u - c, x - c)
+            assert inside(u * c, x * c) and inside(u * 3, x * 3)
+            for v in points(y):
+                assert inside(u + v, x + y) and inside(u - v, x - y) and inside(u * v, x * y)
+    with pytest.raises(ValueError, match="do not mix"):
+        Ball(1, 0, 3) + Ball(1, 0, 4)
+
+
+def test_mhs_enclosure_holds_at_coarse_binary_points():
+    # with a few bits every floor drops a large share of a unit, so a radius
+    # that left out the unit of each floored product, or the remainder flag
+    # of each floored term, misses the exact sum on some of these cases
+    strings = _signed_strings(5, 12, 4)
+    for q in ENCLOSURE_QS:
+        ctx = QContext(q)
+        for s in strings:
+            entries = signed_string(s)
+            for star in (False, True):
+                exact = mhs_many(ctx, s, 30, star=star)
+                for n in (3, 10, 30):
+                    for prec in (2, 4, 8, 16, 64):
+                        lo, hi = _mhs_enclosure(ctx, entries, n, star, prec).bounds()
+                        assert lo <= exact[n] <= hi, (q, s, star, n, prec)
 
 
 def test_frakz_certified_truncation(ctx_half):

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+import qzeta.evaluators
 import qzeta.verify
-from qzeta import lemma_suite, verify_mhs, verify_qmzsv
+from qzeta import lemma_suite, symmetric_pair_check, verify_mhs, verify_qmzsv
 
 
 def _digest(reports) -> str:
@@ -76,3 +77,43 @@ DIGESTS = {
 def test_report_digest(name, monkeypatch):
     build, expect = DIGESTS[name]
     assert _digest(build(monkeypatch)) == expect
+
+
+def _body(report) -> dict:
+    fields = report.to_dict()
+    del fields["elapsed_ms"]
+    return fields
+
+
+def _count_exact_sums(monkeypatch) -> list:
+    calls = []
+    q_zeta = qzeta.verify.q_zeta
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return q_zeta(*args, **kwargs)
+
+    monkeypatch.setattr(qzeta.verify, "q_zeta", counted)
+    return calls
+
+
+def test_qseries_left_side_is_decided_by_the_enclosure(monkeypatch):
+    calls = _count_exact_sums(monkeypatch)
+    assert _digest(_qseries(monkeypatch)) == DIGESTS["qseries"][1]
+    assert calls == []
+
+
+def test_qseries_reports_are_the_same_when_every_ball_falls_back(monkeypatch):
+    # without guard bits the balls at q = 1/2 are wider than the
+    # discrepancies, so each straddles 0 and every left side is summed
+    # exactly: the reports must not change
+    pairs = [(0, 0), (1, 2), (2, 1)]
+    normal = [_body(symmetric_pair_check(a, b)) for a, b in pairs]
+    calls = _count_exact_sums(monkeypatch)
+    monkeypatch.setattr(qzeta.evaluators, "_COMPACT_BITS", 0)
+    monkeypatch.setattr(qzeta.evaluators, "_GUARD_BITS", 0)
+    assert _digest(_qseries(monkeypatch)) == DIGESTS["qseries"][1]
+    assert calls == [(2, 1, 2, 1, 3, 1), (5, 5, 1)]
+    calls.clear()
+    assert [_body(symmetric_pair_check(a, b)) for a, b in pairs] == normal
+    assert len(calls) == 4 * len(pairs)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -74,6 +75,59 @@ def test_rational_repr_matches_decimal_division():
     values += [lhs.value, -lhs.value, lhs.value - rhs.value, lhs.tail_bound, 1 / lhs.value]
     for x in values:
         assert rational_repr(x) == _decimal_division_repr(x), x
+
+
+def _ball(v: Fraction, rad: int, prec: int = 300):
+    from qzeta.evaluators import Ball
+
+    return Ball(math.floor(v * 2**prec), rad, prec)
+
+
+def test_ball_repr_is_the_text_of_every_value_inside():
+    from qzeta.verify import _ball_repr
+
+    # a compact rational, a point of the 12th-digit grid and a tie half way
+    # between two of its points: a ball around one of them cannot tell
+    grid = Fraction(123456789012, 10**40)
+    for v in (Fraction(3, 7), Fraction(1, 10**29), grid, grid + Fraction(1, 2 * 10**40)):
+        assert _ball_repr(_ball(v, 4)) is None, v
+    assert _ball_repr(_ball(Fraction(0), 5)) is None
+    rng = random.Random(3)
+    told = 0
+    for _ in range(400):
+        num, den = rng.getrandbits(rng.randint(60, 200)), rng.getrandbits(rng.randint(100, 280))
+        v = Fraction(num, den + 1)
+        ball = _ball(v, rng.choice((1, 2**40, 2**150, 2**200)))
+        text = _ball_repr(ball)
+        if text is not None:
+            told += 1
+            lo, hi = ball.bounds()
+            assert [rational_repr(w) for w in (v, lo, hi)] == [text] * 3, v
+    assert 100 < told < 400
+
+
+def test_numeric_report_from_balls_only_when_they_decide():
+    from qzeta.verify import _numeric_report
+
+    eps = Fraction(1, 10**25)
+
+    def report(disc, tail):
+        rep = _numeric_report(0.0, "c", "f", {}, Fraction(1, 2), eps, disc, tail)
+        return None if rep is None else {**rep.to_dict(), "elapsed_ms": None}
+
+    tail = Fraction(10**5 + 1, 3 * 10**31)
+    for disc in (Fraction(7, 3 * 10**33), Fraction(7 * 10**7 + 1, 3 * 10**31)):
+        exact = report(disc, tail)
+        assert report(_ball(disc, 2**40), tail) == exact
+        assert report(disc, _ball(tail, 2**40)) == exact
+    assert exact["status"] == "fail"
+    # a ball across eps cannot tell pass from fail (eps is not compact here,
+    # so the text of the discrepancy alone would be told), nor one around a
+    # compact tail its text
+    eps = Fraction(1, 3 * 10**40)
+    assert report(_ball(eps, 2**40), tail) is None
+    assert report(_ball(eps * 2, 2**40), tail)["status"] == "fail"
+    assert report(Fraction(7, 3 * 10**33), _ball(Fraction(1, 10**26), 2**40)) is None
 
 
 def test_report_json_round_trip():
@@ -231,6 +285,44 @@ def test_verify_qmzsv_detects_perturbed_delta(monkeypatch):
     assert clean.status == "numeric-pass" and rep.status == "fail"
     assert Fraction(rep.discrepancy) > Fraction(rep.params["eps"])
     assert rep.params == {**clean.params, "delta": rep.params["delta"]}
+
+
+def test_verify_qmzsv_reaches_toward_q_to_one(monkeypatch):
+    import qzeta.verify as v
+    from qzeta import QContext, compose, frakz
+
+    comp, eps = (2, 1, 1, 3, 1), Fraction(1, 10**25)
+    # at q = 2/3 the report is the one exact sums of both sides give
+    q = Fraction(2, 3)
+    ctx = QContext(q)
+    d, pattern = compose(comp)
+    lhs = q_zeta(ctx, comp, eps=eps / 4, star=True)
+    rhs = frakz(ctx, pattern, eps=eps / 4, merge=True)
+    disc = abs(lhs.value - d * rhs.value)
+    expect = {
+        "case": "weak-zeta 2,1,1,3,1",
+        "family": "composition",
+        "params": {"composition": list(comp), "delta": d, "series": 9, "eps": str(eps)},
+        "q": "2/3",
+        "n_range": None,
+        "status": "numeric-pass" if disc <= eps else "fail",
+        "residuals": [],
+        "discrepancy": rational_repr(disc),
+        "tail_bound": rational_repr(lhs.tail_bound + rhs.tail_bound),
+        "seed": None,
+    }
+    got = verify_qmzsv(comp, q=q).to_dict()
+    del got["elapsed_ms"]
+    assert got == expect and expect["status"] == "numeric-pass"
+
+    # at 4/5 and 9/10 (K = 296 and 664) the balls decide: an exact left side
+    # would take seconds and minutes
+    def never(*args, **kwargs):
+        raise AssertionError("the left side was summed exactly")
+
+    monkeypatch.setattr(v, "q_zeta", never)
+    for q in (Fraction(4, 5), Fraction(9, 10)):
+        assert verify_qmzsv(comp, q=q).status == "numeric-pass"
 
 
 def test_verify_classical_small_then_better():
