@@ -239,6 +239,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             target, max_weight=args.max_weight, n_max=args.n_max, q_values=qs
         )
     elif target == "random":
+        if args.count < 1:
+            raise ValueError(
+                f"--count {args.count} leaves random with no compositions (needs >= 1)"
+            )
         comps = sample_compositions(
             args.count, max_weight=args.max_weight, seed=args.seed
         )

@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb
+from math import comb, floor, log
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -509,17 +509,31 @@ def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fra
 
     the unconstrained product of geometric tails.
 
-    Raises ValueError, as soon as the search for K passes it, when the
-    truncation would exceed MAX_MHS_LIMIT.
+    The bound is geometric in K, so the search starts just below the float
+    estimate log(eps / prefactor) / log(q), steps down while the bound one
+    below still fits and then walks up: K and the bound are those of the
+    walk up from m, in O(1) exact steps.  A start at most MAX_MHS_LIMIT
+    leaves the walk to refuse a K above it.
+
+    Raises ValueError, before any term is summed, when the truncation would
+    exceed MAX_MHS_LIMIT.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if m == 0:
         return 0, Fraction(0)
     prefactor = (ctx.q / ctx.one_minus_q) ** (m - 1) / ctx.one_minus_q
-    return _truncation(
-        lambda K: prefactor * ctx.qpow(K + 1), m, eps, MAX_MHS_LIMIT, "a harmonic sum"
-    )
+
+    def bound(K: int) -> Fraction:
+        return prefactor * ctx.qpow(K + 1)
+
+    def ln(x: Fraction) -> float:
+        return log(x.numerator) - log(x.denominator)
+
+    K = max(m, min(floor(ln(eps / prefactor) / ln(ctx.q)) - 2, MAX_MHS_LIMIT))
+    while K > m and bound(K - 1) <= eps:
+        K -= 1
+    return _truncation(bound, K, eps, MAX_MHS_LIMIT, "a harmonic sum")
 
 
 def q_zeta(

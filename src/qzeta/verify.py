@@ -16,6 +16,7 @@ shape, suitable both for the command line and for the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -391,15 +392,6 @@ def verify_classical(
     )
 
 
-def _ratio_row(ctx: QContext, n: int) -> list[int]:
-    """br(n, k) / c_n = G(2n, n-k) * b**(k*k) for 0 <= k <= n, the integer
-    row of the binomial ratios br(n, k) = gauss(n, k) / gauss(n + k, k),
-    with q = a/b and G the Gaussian-binomial integers of ctx.gauss_row."""
-    b = ctx.q.denominator
-    row = ctx.gauss_row(2 * n, n + 1)
-    return [row[n - k] * b ** (k * k) for k in range(n + 1)]
-
-
 def _ratio_scale(ctx: QContext, n: int) -> Fraction:
     """c_n = P_n**2 / P_2n (P_j from ctx.p_prod), the factor every br(n, k)
     of row n shares."""
@@ -407,64 +399,108 @@ def _ratio_scale(ctx: QContext, n: int) -> Fraction:
     return Fraction(p * p, ctx.p_prod(2 * n))
 
 
-def _a_kernel(ctx: QContext, k: int, g: int) -> Fraction:
-    """Kernel A(n, k) / c_n = (-1)^k (1 + q^k) q^{k(k-1)/2} g, for
-    g = br(n, k) / c_n from :func:`_ratio_row`."""
-    sign = -1 if k % 2 else 1
-    return sign * (1 + ctx.qpow(k)) * ctx.qpow(k * (k - 1) // 2) * g
+def _kernel_unit(a: int, b: int, k: int) -> int:
+    """w_k = (-1)^k (b^k + a^k) (ab)^{k(k-1)/2}, with q = a/b."""
+    return (-1) ** k * (b**k + a**k) * (a * b) ** (k * (k - 1) // 2)
+
+
+def _kernel_row(a: int, b: int, n: int, row: Sequence[int]) -> list[int]:
+    """The integers U(n, k) = w_k G(2n, n-k) = A(n, k) / c_n, 0 <= k <= n, of
+    the kernel A(n, k) = (-1)^k (1 + q^k) q^{k(k-1)/2} br(n, k), for
+    row = ctx.gauss_row(2n, n + 1); br(n, k) = c_n G(2n, n-k) b^(k^2)."""
+    return [_kernel_unit(a, b, k) * row[n - k] for k in range(n + 1)]
 
 
 def _kernel_sum(
-    case: str, n_max: int, q_values: Sequence[Fraction], term, closed, den
+    case: str, n_max: int, q_values: Sequence[Fraction], pairs, params: dict
 ) -> VerificationReport:
-    """Exact check of sum_{l < k <= n} T(n, k) == C(n, l) for
-    1 <= l < n <= n_max at every q, for a kernel term T and the closed form
-    C of its suffix sums.
+    """Exact check of one kernel part for 1 <= n <= n_max at every q.
 
-    Both sides are linear in row n of br, so c_n cancels, and with q = a/b
-    each is an integer over den(a, b, n): term(a, b, n, k, G(2n, n-k)) and
-    closed(a, b, n, l, G(2n, n-l)) are those integers, with G the
-    Gaussian-binomial integers of ctx.gauss_row.  The sides are compared as
-    integers; only a nonzero residual is reduced and scaled back by c_n.
+    Each check is linear in the kernel rows, so c_n cancels and, with
+    q = a/b, its sides are integers.  pairs(a, b, rows, **params) reads the
+    rows (n, ctx.gauss_row(2n, n + 1)) in turn and yields, per check,
+    (n, label, left, right, unit, den): the check holds iff left == right,
+    and only a failing one is reduced, to the residual
+    (left - right) * unit / prod(den) * c_n.
     """
     col = _Residuals()
     for q in q_values:
-        ctx = QContext(q)
-        a, b = q.numerator, q.denominator
-        for n in range(2, n_max + 1):
-            row = ctx.gauss_row(2 * n, n + 1)
-            # tails[l - 1] is the sum over l < k <= n
-            tails = list(
-                itertools.accumulate(term(a, b, n, k, row[n - k]) for k in range(n, 1, -1))
-            )[::-1]
-            for l in range(1, n):
-                res = tails[l - 1] - closed(a, b, n, l, row[n - l])
-                if res:
-                    res = Fraction(res, den(a, b, n)) * _ratio_scale(ctx, n)
-                col.add(f"q={q} n={n} l={l}", res)
-    return col.report(case, "kernel", {}, _q_label(q_values), [1, n_max])
+        ctx, text = QContext(q), str(q)
+        rows = ((n, ctx.gauss_row(2 * n, n + 1)) for n in range(1, n_max + 1))
+        for n, label, left, right, unit, den in pairs(q.numerator, q.denominator, rows, **params):
+            res = 0
+            if left != right:
+                res = Fraction((left - right) * unit, math.prod(den)) * _ratio_scale(ctx, n)
+            col.add(f"q={text} n={n} {label}", res)
+    return col.report(case, "kernel", params, _q_label(q_values), [1, n_max])
 
 
-# Kernel-sum parts as (term, closed, den), each side divided by c_n and
-# written over den with q = a/b.  The alternating term is
-# (-1)^k (1 + q^k) q^{k(k-1)/2} br(n, k) / c_n, over b^n - a^n for the
-# closed form ([l] - [n]) / [n] * (-1)^l q^{l(l-1)/2} br(n, l) / c_n.  The
-# weighted term (1 + q^k) [k] q^{k(k-1)} br(n, k) / c_n and its closed form
-# ([n] - [l]) q^{l^2} br(n, l) / c_n are over b^(n-1) (b - a).  Here
-# br(n, k) / c_n = G(2n, n-k) b^(k^2), passed in as g = G(2n, n-k).
+def _suffix_sum(a: int, b: int, rows, terms, closed, den):
+    """Pairs of sum_{l < k <= n} T(n, k) == C(n, l), 1 <= l < n, where with
+    q = a/b the sides over c_n den(a, b, n) are the integers
+    terms(a, b, n, row)[k] and closed(a, b, n, l, G(2n, n-l))."""
+    for n, row in rows:
+        d = (den(a, b, n),)
+        # tails[l - 1] is the sum over l < k <= n
+        tails = list(itertools.accumulate(terms(a, b, n, row)[:1:-1]))[::-1]
+        for l in range(1, n):
+            yield n, f"l={l}", tails[l - 1], closed(a, b, n, l, row[n - l]), 1, d
+
+
+def _kernel_step(a: int, b: int, rows, a_max: int):
+    """Pairs of A(n - 1, k) sum_{i <= j} r^i == A(n, k) (r^j - 1/r) for
+    1 <= k <= n and 0 <= j <= a_max, with r = ([n] / [k])^2 q^(k - n).
+
+    With q = a/b, r = F / D and c_(n-1) / c_n = E / F for F = (b^n - a^n)^2,
+    D = (b^k - a^k)^2 (ab)^(n-k) and E = (b^(2n) - a^(2n)) (b^(2n-1) - a^(2n-1)),
+    so times F^2 D^j / c_n the check reads U(n - 1, k) E F S_j ==
+    U(n, k) F (F^(j+1) - D^(j+1)) with S_j = sum_{i <= j} F^i D^(j-i).  The
+    sides compared leave out the common factor w_k F of U(n, k) = w_k G(2n, n-k)
+    (:func:`_kernel_row`); only a failing pair multiplies it back.
+    """
+    units = [1]  # w_k for k < n
+    lower_row: list[int] = []  # G(2n - 2, .); at k = n the lower side is 0
+    for n, row in rows:
+        units.append(_kernel_unit(a, b, n))
+        f = (b**n - a**n) ** 2
+        e = (b ** (2 * n) - a ** (2 * n)) * (b ** (2 * n - 1) - a ** (2 * n - 1))
+        f_pow = [f**i for i in range(a_max + 2)]
+        for k in range(1, n + 1):
+            d = (b**k - a**k) ** 2 * (a * b) ** (n - k)
+            lower = e * lower_row[n - 1 - k] if k < n else 0
+            s, d_pow = 0, 1
+            for j in range(a_max + 1):
+                s = s * d + f_pow[j]
+                right = row[n - k] * (f_pow[j + 1] - d_pow * d)
+                yield n, f"k={k} a={j}", lower * s, right, units[k], (f, d_pow)
+                d_pow *= d
+        lower_row = row
+
+
+# The kernel parts as pair generators for :func:`_kernel_sum`.  With q = a/b
+# and each side divided by c_n, the alternating term A(n, k) / c_n and its
+# closed form ([l] - [n]) / [n] (-1)^l q^{l(l-1)/2} br(n, l) / c_n are over
+# b^n - a^n, and the weighted term (1 + q^k) [k] q^{k(k-1)} br(n, k) / c_n
+# and its closed form ([n] - [l]) q^{l^2} br(n, l) / c_n over
+# b^(n-1) (b - a); br(n, l) / c_n = G(2n, n-l) b^(l^2) with g = G(2n, n-l).
 _KERNEL_SUMS = {
-    "alternating-kernel-sum": (
-        lambda a, b, n, k, g: (-1) ** k * (b**k + a**k) * (a * b) ** (k * (k - 1) // 2)
-        * (b**n - a**n) * g,
-        lambda a, b, n, l, g: (-1) ** l * a ** (l * (l - 1) // 2) * b ** (l * (l + 1) // 2)
-        * (a**n - a**l * b ** (n - l)) * g,
-        lambda a, b, n: b**n - a**n,
+    "alternating-kernel-sum": functools.partial(
+        _suffix_sum,
+        terms=lambda a, b, n, row: [(b**n - a**n) * u for u in _kernel_row(a, b, n, row)],
+        closed=lambda a, b, n, l, g: (-1) ** l * a ** (l * (l - 1) // 2)
+        * b ** (l * (l + 1) // 2) * (a**n - a**l * b ** (n - l)) * g,
+        den=lambda a, b, n: b**n - a**n,
     ),
-    "weighted-kernel-sum": (
-        lambda a, b, n, k, g: (b ** (2 * k) - a ** (2 * k)) * a ** (k * (k - 1)) * b ** (n - k) * g,
-        lambda a, b, n, l, g: (a**l * b ** (n - l) - a**n) * a ** (l * l) * g,
-        lambda a, b, n: b ** (n - 1) * (b - a),
+    "weighted-kernel-sum": functools.partial(
+        _suffix_sum,
+        terms=lambda a, b, n, row: [
+            (b ** (2 * k) - a ** (2 * k)) * a ** (k * (k - 1)) * b ** (n - k) * row[n - k]
+            for k in range(n + 1)
+        ],
+        closed=lambda a, b, n, l, g: (a**l * b ** (n - l) - a**n) * a ** (l * l) * g,
+        den=lambda a, b, n: b ** (n - 1) * (b - a),
     ),
+    "kernel-step": _kernel_step,
 }
 
 
@@ -538,47 +574,10 @@ def _head_reduction(
     return col.report("head-reduction", "kernel", params, str(q), [1, n_max], seed=seed)
 
 
-def _kernel_step(n_max: int, a_max: int, q_values: Sequence[Fraction]) -> VerificationReport:
-    """Geometric bridge between kernels at consecutive upper limits.
-
-    Each check is linear in A(n - 1, k) and A(n, k), so it runs on both
-    divided by c_n: A(n, k) / c_n comes from the integer row, and
-    A(n - 1, k) / c_n from the row before by the one ratio c_(n-1) / c_n.
-    Only a nonzero residual is scaled back by c_n.
-    """
-    col = _Residuals()
-    for q in q_values:
-        ctx = QContext(q)
-        row: list[Fraction] = []
-        for n in range(1, n_max + 1):
-            scale = _ratio_scale(ctx, n)
-            down = _ratio_scale(ctx, n - 1) / scale
-            # A(n - 1, k) and A(n, k) over c_n for 1 <= k <= n; A(n - 1, n) = 0
-            lower_row = [x * down for x in row] + [0]
-            row = [_a_kernel(ctx, k, g) for k, g in enumerate(_ratio_row(ctx, n)) if k]
-            for k, lower, upper in zip(range(1, n + 1), lower_row, row):
-                ratio = (ctx.q_int(n) / ctx.q_int(k)) ** 2 * ctx.qpow(k - n)
-                inverse = 1 / ratio
-                geom = Fraction(0)
-                power = Fraction(1)
-                for a in range(a_max + 1):
-                    geom += power
-                    step = power - inverse
-                    # lower * geom == upper * step, cross-multiplied
-                    same = lower.numerator * (
-                        geom.numerator * step.denominator * upper.denominator
-                    ) == upper.numerator * (step.numerator * geom.denominator * lower.denominator)
-                    res = 0 if same else (lower * geom - upper * step) * scale
-                    col.add(f"q={q} n={n} k={k} a={a}", res)
-                    power *= ratio
-    return col.report("kernel-step", "kernel", {"a_max": a_max}, _q_label(q_values), [1, n_max])
-
-
 # Largest n_max of the kernel parts of lemma_suite, checked before any part
-# runs.  They sum O(n_max**2) numbers per q whose size grows with n (integers
-# in the two kernel sums, Fractions in the kernel step, which takes three
-# quarters of the time): at the three default q they take about 4 s at
-# n_max = 80, 11 s at 100 and 27 s at 120 on a 2-vCPU x86-64 host.
+# runs.  They compare O(n_max**2) integer pairs per q whose size grows with
+# n: at the three default q they take about 1.4 s at n_max = 80, 4 s at
+# 100 and 9 s at 120 on a 2-vCPU x86-64 host.
 _MAX_KERNEL_LIMIT = 120
 
 LEMMA_PARTS = (
@@ -630,17 +629,16 @@ def lemma_suite(
         for name, value, low in least[part]:
             if value < low:
                 raise ValueError(f"{name} = {value} leaves {part} with no checks (needs >= {low})")
-    reports = []
-    for part, sides in _KERNEL_SUMS.items():
-        if part in wanted:
-            reports.append(_kernel_sum(part, n_max, qs, *sides))
-    if "inverse-power-expansion" in wanted:
-        reports.append(_inverse_power(inverse_c_max, inverse_n_max, qs[0]))
-    if "head-reduction" in wanted:
-        reports.append(_head_reduction(samples, seed, head_n_max, qs[0]))
-    if "kernel-step" in wanted:
-        reports.append(_kernel_step(n_max, step_a_max, qs))
-    return reports
+
+    def run(part: str) -> VerificationReport:
+        if part in _KERNEL_SUMS:
+            params = {"a_max": step_a_max} if part == "kernel-step" else {}
+            return _kernel_sum(part, n_max, qs, _KERNEL_SUMS[part], params)
+        if part == "inverse-power-expansion":
+            return _inverse_power(inverse_c_max, inverse_n_max, qs[0])
+        return _head_reduction(samples, seed, head_n_max, qs[0])
+
+    return [run(part) for part in LEMMA_PARTS if part in wanted]
 
 
 def symmetric_pair_check(
@@ -825,30 +823,30 @@ def family_instances(family: str, max_weight: int = 12):
 
 
 def family_equivalence(family: str, max_weight: int = 12) -> VerificationReport:
-    """Closed-form patterns must match the general composer exactly."""
+    """Closed-form patterns must match the general composer exactly.  A family
+    with no instance of weight <= max_weight raises ValueError, as its report
+    would pass without a check."""
     t0 = time.perf_counter()
     mismatches: list[str] = []
-    failed = False
     checks = 0
     for args in family_instances(family, max_weight):
         comp, closed = closed_pattern(family, *args)
         direct = compose(comp)
         checks += 1
-        ok = closed == direct and closed.delta == sign_of(comp)
-        if not ok:
-            failed = True
-            if len(mismatches) < _RESIDUAL_CAP:
-                mismatches.append(
-                    f"{family}{args}: closed=({closed.delta}, {closed.pattern})"
-                    f" direct=({direct.delta}, {direct.pattern})"
-                )
+        if (closed != direct or closed.delta != sign_of(comp)) and len(mismatches) < _RESIDUAL_CAP:
+            mismatches.append(
+                f"{family}{args}: closed=({closed.delta}, {closed.pattern})"
+                f" direct=({direct.delta}, {direct.pattern})"
+            )
+    if not checks:
+        raise ValueError(f"family {family} has no instance of weight <= {max_weight}")
     return VerificationReport(
         case=f"closed-form match {family}",
         family=family,
         params={"max_weight": max_weight, "checks": checks},
         q=None,
         n_range=None,
-        status="fail" if failed else "exact-pass",
+        status="fail" if mismatches else "exact-pass",
         residuals=mismatches,
         discrepancy=None,
         tail_bound=None,

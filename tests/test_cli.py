@@ -362,6 +362,36 @@ def test_lemmas_without_checks_exit_2(capsys, monkeypatch):
         assert out == "" and message in err, argv
 
 
+def test_vacuous_verify_targets_exit_2(capsys, monkeypatch):
+    # a random corpus of no compositions, or a family with no instance at
+    # the weight, would pass with checks=0; it is refused before any check
+    def never(*args, **kwargs):
+        raise AssertionError("a check was started")
+
+    monkeypatch.setattr(qzeta.cli, "verify_mhs", never)
+    monkeypatch.setattr(qzeta.cli, "sample_compositions", never)
+    monkeypatch.setattr(qzeta.verify, "compose", never)
+    monkeypatch.setattr(qzeta.verify, "closed_pattern", never)
+    for argv, message in (
+        (("verify", "random", "--count", "0"), "--count 0 leaves random with no compositions"),
+        (("verify", "random", "--count", "-3"), "--count -3 leaves random with no compositions"),
+        (("verify", "twos", "--max-weight", "1"), "family twos has no instance of weight <= 1"),
+        (("verify", "2c212", "--max-weight", "5"), "family 2c212 has no instance of weight <= 5"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and message in err, argv
+    # the least sizes that check something still run
+    monkeypatch.undo()
+    for argv in (
+        ("verify", "random", "--count", "1", "--n-max", "3"),
+        ("verify", "twos", "--max-weight", "2", "--n-max", "3"),
+        ("verify", "2c212", "--max-weight", "6", "--n-max", "3"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and "checks=0" not in out, argv
+
+
 def test_huge_classical_truncation_fails_fast(capsys, monkeypatch):
     # a truncation above MAX_CLASSICAL_TERMS is refused before the suffix
     # trie is built, so no chunk of the series is ever summed

@@ -195,6 +195,60 @@ def test_upper_limit_caps(ctx_half, monkeypatch):
         frakz(QContext(Fraction(999, 1000)), pair, eps=Fraction(1, 10**30), merge=True)
 
 
+def test_harmonic_truncation_matches_the_plain_walk(monkeypatch):
+    # the search for K starts near log(eps) / log(q); K, the tail bound and
+    # the error text are those of the walk up from m, one power at a time
+    import qzeta.evaluators as ev
+    from qzeta.evaluators import MAX_MHS_LIMIT, _harmonic_truncation
+
+    def bound(q, m, K):
+        return (q / (1 - q)) ** (m - 1) / (1 - q) * q ** (K + 1)
+
+    def walk(q, m, eps):
+        K = m
+        while bound(q, m, K) > eps:
+            K += 1
+            if K > MAX_MHS_LIMIT:
+                raise ValueError(f"series length exceeds {MAX_MHS_LIMIT} for a harmonic sum")
+        return K, bound(q, m, K)
+
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except ValueError as err:
+            return str(err)
+
+    near = Fraction(99, 100)
+    cases = [
+        (q, m, eps)
+        for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(4, 5), Fraction(9, 10), near)
+        for m in (1, 3, 6)
+        for eps in (Fraction(1, 10**3), Fraction(1, 10**25), Fraction(1, 10**60))
+    ]
+    # K = MAX_MHS_LIMIT is the last length served, one more is refused
+    cases += [(near, 1, bound(near, 1, MAX_MHS_LIMIT + i)) for i in (0, 1)]
+    expected = [outcome(walk, *case) for case in cases]
+    # the cases reach the cap, stop at K = m and walk past m
+    seen = {"raised" if isinstance(x, str) else x[0] - m for x, (_, m, _) in zip(expected, cases)}
+    assert "raised" in seen and 0 in seen and MAX_MHS_LIMIT - 1 in seen
+    # a float start off by a few steps either way must not change the result
+    for shift in (0, 7, -7):
+        monkeypatch.setattr(ev, "floor", lambda x: math.floor(x) + shift)
+        for (q, m, eps), expect in zip(cases, expected):
+            assert outcome(_harmonic_truncation, QContext(q), m, eps) == expect, (q, m, eps, shift)
+    # however far off the float start, the search reads no power of q past
+    # the cap: q**K for K ~ 7 * 10**10 would not fit in memory
+    qpow = QContext.qpow
+
+    def bounded(self, n):
+        assert n <= MAX_MHS_LIMIT + 2, f"the search asked for q**{n}"
+        return qpow(self, n)
+
+    monkeypatch.setattr(QContext, "qpow", bounded)
+    with pytest.raises(ValueError, match=f"exceeds {MAX_MHS_LIMIT}"):
+        _harmonic_truncation(QContext(Fraction(10**9 - 1, 10**9)), 2, Fraction(1, 10**30))
+
+
 def test_quasi_stuffle_spot(ctx_half, ctx_third):
     for ctx in (ctx_half, ctx_third):
         one_minus_q = 1 - ctx.q

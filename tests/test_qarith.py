@@ -6,7 +6,7 @@ import pytest
 import oracles
 from qzeta import QContext, Triple, as_q, bar, idx, mhs_many, THETA
 from qzeta.evaluators import _inner_terms
-from qzeta.verify import _a_kernel, _ratio_row, _ratio_scale
+from qzeta.verify import _kernel_row, _ratio_scale
 
 
 def test_as_q_accepts_rationals_in_unit_interval():
@@ -21,14 +21,15 @@ def test_frozen_values(ctx_half):
     assert ctx_half.q_int(1) == 1
     assert ctx_half.q_int(3) == Fraction(7, 4)
     assert ctx_half.gauss_row(4, 3)[2] == 35
-    # br(n, k) = c_n * G(2n, n-k) * b**(k*k); at q = 1/2, c_1 = P_1**2 / P_2 = 1/3
-    assert _ratio_row(ctx_half, 1) == [3, 2]
+    # A(n, k) = c_n * U(n, k) with U(n, k) = (-1)^k (b^k + a^k) (ab)^{k(k-1)/2}
+    # G(2n, n-k); at q = 1/2, c_1 = P_1**2 / P_2 = 1/3 and G(2, 0..1) = 1, 3
+    assert _kernel_row(1, 2, 1, ctx_half.gauss_row(2, 2)) == [6, -3]
     assert _ratio_scale(ctx_half, 1) == Fraction(1, 3)
-    assert _ratio_scale(ctx_half, 1) * _ratio_row(ctx_half, 1)[1] == Fraction(2, 3)
-    # the kernel A(n, k) is c_n times _a_kernel of the row entry
+    # br(1, 1) = c_1 * G(2, 0) * b = 1 / (1 + q) = 2/3
+    assert _ratio_scale(ctx_half, 1) * ctx_half.gauss_row(2, 2)[0] * 2 == Fraction(2, 3)
     for n, k, kernel in ((1, 1, Fraction(-1)), (2, 1, Fraction(-9, 7))):
-        g = _ratio_row(ctx_half, n)[k]
-        assert _ratio_scale(ctx_half, n) * _a_kernel(ctx_half, k, g) == kernel
+        units = _kernel_row(1, 2, n, ctx_half.gauss_row(2 * n, n + 1))
+        assert _ratio_scale(ctx_half, n) * units[k] == kernel
 
 
 def test_q_int_matches_oracle(ctx_half, ctx_nine_tenths):
@@ -85,36 +86,44 @@ def test_gauss_binomial_out_of_range(ctx_half):
     assert ctx_half.gauss_row(3, 4) == [1, 7, 7, 1]
 
 
+def _kernel(q, n, k):
+    # A(n, k) = (-1)^k (1 + q^k) q^{k(k-1)/2} br(n, k), from the oracle
+    return (-1) ** k * (1 + q**k) * q ** (k * (k - 1) // 2) * oracles.binom_ratio(q, n, k)
+
+
 def test_binom_ratio_edges(ctx_half, ctx_third, ctx_nine_tenths):
     # br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n**2 / P_2n * G(2n, n-k) * b**(k*k):
-    # the finite prefactor and the kernel lemmas both rest on this identity
-    for ctx in (ctx_half, ctx_third, ctx_nine_tenths, QContext(Fraction(5, 7))):
-        q, b = ctx.q, ctx.q.denominator
+    # the finite prefactor and the kernel lemmas both rest on this identity,
+    # and the kernel lemmas read A(n, k) as c_n times the integers U(n, k)
+    contexts = (ctx_half, ctx_third, ctx_nine_tenths) + tuple(
+        QContext(Fraction(x)) for x in ("5/7", "2/9", "7/8")
+    )
+    for ctx in contexts:
+        q, a, b = ctx.q, ctx.q.numerator, ctx.q.denominator
         for n in range(0, 13):
             scale = Fraction(ctx.p_prod(n) ** 2, ctx.p_prod(2 * n))
             gauss = ctx.gauss_row(2 * n, n + 1)
-            row = _ratio_row(ctx, n)
+            units = _kernel_row(a, b, n, gauss)
             assert _ratio_scale(ctx, n) == scale
             # the row stops at k = n: br(n, k) vanishes for k > n
-            assert len(row) == n + 1
-            assert all(type(g) is int for g in row)
+            assert len(units) == n + 1
+            assert all(type(u) is int for u in units)
             for k in range(0, n + 1):
-                expect = oracles.binom_ratio(q, n, k)
-                assert scale * gauss[n - k] * b ** (k * k) == expect
-                assert scale * row[k] == expect
-            assert scale * row[0] == 1
+                assert scale * gauss[n - k] * b ** (k * k) == oracles.binom_ratio(q, n, k)
+                assert scale * units[k] == _kernel(q, n, k)
+            assert scale * units[0] == 2
 
 
 def test_kernel_row_sums(ctx_half, ctx_nine_tenths):
     # full rows of the alternating kernel sum to -1, the weighted rows to [n];
     # the kernel lemmas check only suffixes past l >= 1, so these stay
     for ctx in (ctx_half, ctx_nine_tenths):
-        q, b = ctx.q, ctx.q.denominator
+        q, a, b = ctx.q, ctx.q.numerator, ctx.q.denominator
         for n in range(1, 31):
             scale = Fraction(ctx.p_prod(n) ** 2, ctx.p_prod(2 * n))
             gauss = ctx.gauss_row(2 * n, n + 1)
+            assert scale * sum(_kernel_row(a, b, n, gauss)[1:]) == -1
             ratios = [gauss[n - k] * b ** (k * k) for k in range(n + 1)]
-            assert scale * sum(_a_kernel(ctx, k, ratios[k]) for k in range(1, n + 1)) == -1
             weighted = sum(
                 (1 + q**k) * oracles.q_integer(q, k) * ratios[k] * q ** (k * (k - 1))
                 for k in range(1, n + 1)
@@ -178,7 +187,7 @@ def test_mollified_term():
 def test_context_caches_are_consistent(ctx_half):
     # interleaved calls must keep returning identical values
     row, p, lcm = ctx_half.gauss_row(10, 11), ctx_half.p_prod(10), ctx_half.p_lcm(10)
-    ratios = _ratio_row(ctx_half, 5)
+    units = _kernel_row(1, 2, 5, ctx_half.gauss_row(10, 6))
     ctx_half.p_prod(20)
     ctx_half.p_lcm(24)
     ctx_half.gauss_row(24, 13)
@@ -186,4 +195,5 @@ def test_context_caches_are_consistent(ctx_half):
     assert ctx_half.gauss_row(10, 11) == row
     assert ctx_half.p_prod(10) == p
     assert ctx_half.p_lcm(10) == lcm
-    assert _ratio_row(ctx_half, 5) == ratios
+    assert _kernel_row(1, 2, 5, ctx_half.gauss_row(10, 6)) == units
+    assert _ratio_scale(ctx_half, 5) * units[2] == _kernel(ctx_half.q, 5, 2)

@@ -543,6 +543,21 @@ def test_family_instances_and_equivalence():
         list(family_instances("nope"))
 
 
+def test_family_equivalence_reports_mismatches(monkeypatch):
+    # a composer that disagrees with every closed form fails the report at
+    # every instance, which keeps the first 16 mismatches as text
+    import qzeta.verify as v
+
+    real = v.compose
+    monkeypatch.setattr(v, "compose", lambda comp: real(tuple(comp) + (1,)))
+    rep = family_equivalence("2c21", max_weight=9)
+    assert rep.status == "fail" and not rep.passed
+    assert rep.params["checks"] == len(list(family_instances("2c21", max_weight=9))) > 16
+    assert len(rep.residuals) == 16
+    for line in rep.residuals:
+        assert re.fullmatch(r"2c21\(.+\): closed=\(.+\) direct=\(.+\)", line), line
+
+
 def test_run_family():
     reps = run_family("twos-ones", max_weight=6, n_max=6)
     assert reps and all_passed(reps)
