@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, floor, log
+from math import comb
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -488,35 +488,55 @@ def mollified_mhs(ctx: QContext, triple: Triple, n: int) -> Fraction:
 def _truncation(
     tail_bound, start: int, eps: Fraction, cap: int, what: str
 ) -> tuple[int, Fraction]:
-    """The least K >= start with tail_bound(K) <= eps (tail_bound gives None
-    while it has no bound), and that bound.  Raises ValueError as soon as
-    the search passes cap, before any term is summed."""
-    K = start
-    while (bound := tail_bound(K)) is None or bound > eps:
-        K += 1
-        if K > cap:
+    """The least K >= start with tail_bound(K) <= eps, and that bound.
+
+    tail_bound gives None while it has no bound.  "Fits", a bound that is
+    not None and is <= eps, must be monotone in K: once some K fits, every
+    larger K fits.  The search gallops over K = start, start+1, start+3,
+    start+7, ... clipped at cap until one fits, then bisects the gap after
+    the last K that did not, as in Bentley and Yao, "An almost optimal
+    algorithm for unbounded searching" (IPL 1976).  It evaluates tail_bound
+    at most 2 ceil(log2(K - start + 1)) + 2 times, never above cap, and
+    never at a K whose outcome the earlier ones imply.
+
+    Raises ValueError, before any term is summed, when start > cap or the
+    bound at cap does not fit.
+    """
+    if start > cap:
+        raise ValueError(f"series length exceeds {cap} for {what}")
+
+    def fits(bound) -> bool:
+        return bound is not None and bound <= eps
+
+    # every K below lo misses; hi is the next probe
+    lo, hi = start, start
+    while not fits(bound := tail_bound(hi)):
+        if hi >= cap:
             raise ValueError(f"series length exceeds {cap} for {what}")
-    return K, bound
+        lo, hi = hi + 1, min(2 * hi - start + 1, cap)
+    # every K below lo misses and hi fits, with that bound
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(at_mid := tail_bound(mid)):
+            hi, bound = mid, at_mid
+        else:
+            lo = mid + 1
+    return hi, bound
 
 
 def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fraction]:
     """The truncation K of a depth-m harmonic series and its tail bound,
-    the least K >= m whose bound is <= eps (K = 0 and bound 0 for m = 0).
+    the least K >= m whose bound is <= eps (K = 0 and bound 0 for m = 0),
+    found by :func:`_truncation` from m.
 
     Tail bound: the entries satisfy 1/[k]^mag <= 1, so the series is
 
         |tail(K)| <= (q/(1-q))**(m-1) * q**(K+1) / (1-q),
 
-    the unconstrained product of geometric tails.
-
-    The bound is geometric in K, so the search starts just below the float
-    estimate log(eps / prefactor) / log(q), steps down while the bound one
-    below still fits and then walks up: K and the bound are those of the
-    walk up from m, in O(1) exact steps.  A start at most MAX_MHS_LIMIT
-    leaves the walk to refuse a K above it.
+    the unconstrained product of geometric tails, which falls as K grows.
 
     Raises ValueError, before any term is summed, when the truncation would
-    exceed MAX_MHS_LIMIT.
+    exceed MAX_MHS_LIMIT, as it does for every string longer than that.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -527,13 +547,7 @@ def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fra
     def bound(K: int) -> Fraction:
         return prefactor * ctx.qpow(K + 1)
 
-    def ln(x: Fraction) -> float:
-        return log(x.numerator) - log(x.denominator)
-
-    K = max(m, min(floor(ln(eps / prefactor) / ln(ctx.q)) - 2, MAX_MHS_LIMIT))
-    while K > m and bound(K - 1) <= eps:
-        K -= 1
-    return _truncation(bound, K, eps, MAX_MHS_LIMIT, "a harmonic sum")
+    return _truncation(bound, m, eps, MAX_MHS_LIMIT, "a harmonic sum")
 
 
 def q_zeta(
@@ -542,8 +556,8 @@ def q_zeta(
     """Infinite harmonic series, summed in exact rationals until the proven
     tail bound is <= eps (see :func:`_harmonic_truncation`).
 
-    Raises ValueError, as soon as the search for K passes it, when the
-    truncation would exceed MAX_MHS_LIMIT.
+    Raises ValueError, before any term is summed, when the truncation would
+    exceed MAX_MHS_LIMIT.
     """
     entries = signed_string(s)
     K, bound = _harmonic_truncation(ctx, len(entries), Fraction(eps))
@@ -630,8 +644,14 @@ def frakz(
     depth d, which gives sum_d C(m-1, d-1) * B_d(K+1) / (1 - rho_d).
     rho_d grows with d, so rho_m < 1 makes every term finite.
 
-    K is found by this search before any term is summed; the value is then
-    summed in integers over the engine's known denominator and reduced once.
+    K is the least one whose bound is <= eps, found by :func:`_truncation`
+    from 0 before any term is summed; the value is then summed in integers
+    over the engine's known denominator and reduced once.  The search needs
+    "fits" monotone in K, and it is: rho_d falls as K grows, so once every
+    class has a bound it keeps one, and each class's bound then falls
+    strictly.  With k = K + 1, B_d(k+1)/B_d(k) = (1 + 1/k)**(d-1) q**(k-d+1),
+    which is q**(K+1) < 1 for d = 1 and, wherever rho_d < 1, below
+    ((K+2)/(2K+2))**(d-1) <= 1; the factor 1/(1 - rho_d) falls with rho_d.
 
     Raises ValueError, before summing any term, for a pattern deeper than
     MAX_FRAKZ_DEPTH, an inadmissible one, or a K above MAX_FRAKZ_TERMS.

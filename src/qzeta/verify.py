@@ -355,8 +355,14 @@ def verify_classical(
     tolerance plus the truncation estimates reported for every series; the
     estimates are heuristic (leading-term integral comparisons), not the
     certified bounds of the q-side checks.
+
+    Raises ValueError, before summing, unless tol is finite and >= 0: an
+    infinite tolerance passes any identity, and a negative or NaN one
+    fails every identity.
     """
     t0 = time.perf_counter()
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     comp = tuple(composition)
     terms = classical_expand(comp)
     lhs, *parts = classical_zeta_many(

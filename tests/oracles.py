@@ -6,9 +6,9 @@ internals.  Keep these slow and obvious; they are the ground truth the
 dynamic-programming evaluators are judged against.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
 
 # The q-arithmetic below is memoized on its arguments (q, n[, m]): the
 # brute-force sums ask for the same binomials over and over, and recomputing
@@ -50,6 +50,44 @@ def quad_exp(r, k: int) -> int:
     return r * half if r > 0 else r * half - k
 
 
+def _outermost_buckets(factor, n_max, weak=False):
+    """b[k]: the sum of prod_j factor[j][k_j] over every index tuple
+    k = k_1 > k_2 > ... > k_m >= 1 (>= between neighbours when weak).
+
+    Every tuple is visited, by nested loops from the outermost slot in;
+    each loop carries the product of the factors of the slots outside it,
+    so a tuple costs one multiplication rather than m - 1, and one addition
+    into its bucket.  Each slot's row is first put over one denominator,
+    the lcm of its entries' denominators, so the loops multiply and add
+    integers, and each bucket is divided by the product of those
+    denominators once.
+    """
+    m = len(factor)
+    dens = [math.lcm(*(f.denominator for f in row[1:])) for row in factor]
+    rows = [
+        [0] + [f.numerator * (den // f.denominator) for f in row[1:]]
+        for row, den in zip(factor, dens)
+    ]
+    sums = [0] * (n_max + 1)
+
+    def inward(j, outer, outside, top):
+        # slot j runs below the index of slot j - 1 (up to it when weak)
+        row = rows[j]
+        for k in range(1, outer + 1 if weak else outer):
+            if j == m - 1:
+                sums[top] += outside * row[k]
+            else:
+                inward(j + 1, k, outside * row[k], top)
+
+    for k in range(1, n_max + 1):
+        if m == 1:
+            sums[k] = rows[0][k]
+        else:
+            inward(1, k, rows[0][k], k)
+    scale = math.prod(dens)
+    return [Fraction(x, scale) for x in sums]
+
+
 def harmonic_all_n(q, entries, n_max, star=False):
     """Partial sums of a (possibly signed) nested harmonic string.
 
@@ -70,14 +108,7 @@ def harmonic_all_n(q, entries, n_max, star=False):
         for k in range(1, n_max + 1):
             row[k] = q**k / (Fraction(sign) ** k * qi[k] ** mag)
         factor.append(row)
-    buckets = [Fraction(0)] * (n_max + 1)
-    chooser = combinations_with_replacement if star else combinations
-    for asc in chooser(range(1, n_max + 1), m):
-        # asc is ascending; entry j takes the j-th largest index
-        term = factor[0][asc[-1]]
-        for j in range(1, m):
-            term *= factor[j][asc[-1 - j]]
-        buckets[asc[-1]] += term
+    buckets = _outermost_buckets(factor, n_max, weak=star)
     acc = Fraction(0)
     for n in range(1, n_max + 1):
         acc += buckets[n]
@@ -109,15 +140,7 @@ def _mollified_buckets(q, slots, n_max):
 
     slots: sequence of ((magnitude, sign), t, r) with r an int or None, nonempty.
     """
-    m = len(slots)
-    factor = _mollified_factors(q, slots, n_max)
-    buckets = [Fraction(0)] * (n_max + 1)
-    for asc in combinations(range(1, n_max + 1), m):
-        term = factor[0][asc[-1]]
-        for j in range(1, m):
-            term *= factor[j][asc[-1 - j]]
-        buckets[asc[-1]] += term
-    return buckets
+    return _outermost_buckets(_mollified_factors(q, slots, n_max), n_max)
 
 
 def mollified_all_n(q, slots, n_max):

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -315,6 +316,43 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
     assert rc == 2
     assert out == "" and f"series length exceeds {mhs_cap} for a harmonic sum" in err
     assert in_left_side and in_left_side[0] <= mhs_cap + 2
+
+
+def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):
+    # a harmonic string longer than MAX_MHS_LIMIT needs K >= its length, past
+    # the cap: the search refuses it before the ball or the exact left side
+    # sums a term
+    def never(*args):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
+    cap = qzeta.evaluators.MAX_MHS_LIMIT
+    rc, out, err = run(capsys, "verify", "2^1100", "--qmzsv")
+    assert rc == 2
+    assert out == "" and f"series length exceeds {cap} for a harmonic sum" in err
+    ctx = qzeta.QContext(Fraction(1, 2))
+    with pytest.raises(ValueError, match=f"exceeds {cap}"):
+        qzeta.evaluators.q_zeta_enclosure(ctx, (2,) * (cap + 1), eps=1)
+    with pytest.raises(ValueError, match=f"exceeds {cap}"):
+        qzeta.verify.symmetric_pair_check(600, 600, eps=Fraction(1, 10))
+
+
+def test_classical_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch):
+    # an infinite tolerance passes any identity, a negative or NaN one fails
+    # every identity: each is refused before a series is summed
+    def never(*args, **kwargs):
+        raise AssertionError("classical sweep was started")
+
+    monkeypatch.setattr(qzeta.verify, "classical_zeta_many", never)
+    for tol in ("inf", "-1", "nan"):
+        rc, out, err = run(capsys, "verify", "2,1", "--classical", "--tol", tol)
+        assert rc == 2, tol
+        assert out == "" and "tol must be finite and >= 0" in err, tol
+    # a zero tolerance is a real check and still runs
+    monkeypatch.undo()
+    rc, out, err = run(capsys, "verify", "2,1", "--classical", "--tol", "0", "--terms", "1000")
+    assert rc in (0, 1) and "classical 2,1" in out
 
 
 def test_digit_limit_is_scoped_to_main(capsys, monkeypatch):

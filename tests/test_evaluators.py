@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -196,9 +197,8 @@ def test_upper_limit_caps(ctx_half, monkeypatch):
 
 
 def test_harmonic_truncation_matches_the_plain_walk(monkeypatch):
-    # the search for K starts near log(eps) / log(q); K, the tail bound and
+    # the search for K gallops up from m and bisects; K, the tail bound and
     # the error text are those of the walk up from m, one power at a time
-    import qzeta.evaluators as ev
     from qzeta.evaluators import MAX_MHS_LIMIT, _harmonic_truncation
 
     def bound(q, m, K):
@@ -231,13 +231,10 @@ def test_harmonic_truncation_matches_the_plain_walk(monkeypatch):
     # the cases reach the cap, stop at K = m and walk past m
     seen = {"raised" if isinstance(x, str) else x[0] - m for x, (_, m, _) in zip(expected, cases)}
     assert "raised" in seen and 0 in seen and MAX_MHS_LIMIT - 1 in seen
-    # a float start off by a few steps either way must not change the result
-    for shift in (0, 7, -7):
-        monkeypatch.setattr(ev, "floor", lambda x: math.floor(x) + shift)
-        for (q, m, eps), expect in zip(cases, expected):
-            assert outcome(_harmonic_truncation, QContext(q), m, eps) == expect, (q, m, eps, shift)
-    # however far off the float start, the search reads no power of q past
-    # the cap: q**K for K ~ 7 * 10**10 would not fit in memory
+    for (q, m, eps), expect in zip(cases, expected):
+        assert outcome(_harmonic_truncation, QContext(q), m, eps) == expect, (q, m, eps)
+    # however long the series, the search reads no power of q past the cap:
+    # q**K for K ~ 7 * 10**10 would not fit in memory
     qpow = QContext.qpow
 
     def bounded(self, n):
@@ -247,6 +244,54 @@ def test_harmonic_truncation_matches_the_plain_walk(monkeypatch):
     monkeypatch.setattr(QContext, "qpow", bounded)
     with pytest.raises(ValueError, match=f"exceeds {MAX_MHS_LIMIT}"):
         _harmonic_truncation(QContext(Fraction(10**9 - 1, 10**9)), 2, Fraction(1, 10**30))
+
+
+def _ceil_log2(n):
+    return (n - 1).bit_length()
+
+
+def test_truncation_search_evaluates_few_bounds():
+    # the search gallops and bisects on a bound whose "fits" is monotone in
+    # K: it returns the least K that fits, evaluating the bound at most
+    # 2 ceil(log2(K - start + 1)) + 2 times, never past the cap and never
+    # at a K whose outcome the earlier evaluations imply
+    from qzeta.evaluators import _truncation
+
+    def search(start, cap, least, defined):
+        # no bound below `defined`; from there 1/(K+1), which fits from `least`
+        eps = Fraction(1, least + 1)
+        budget = 2 * _ceil_log2(min(least, cap) - start + 1) + 2
+        seen = []
+
+        def tail_bound(K):
+            assert start <= K <= cap, (start, cap, K)
+            assert all(K < k for k, fit in seen if fit), (K, seen)
+            assert all(K > k for k, fit in seen if not fit), (K, seen)
+            bound = None if K < defined else Fraction(1, K + 1)
+            seen.append((K, bound is not None and bound <= eps))
+            assert len(seen) <= budget, (start, cap, least, seen)
+            return bound
+
+        try:
+            return _truncation(tail_bound, start, eps, cap, "a test series")
+        except ValueError as err:
+            return str(err)
+
+    refusals = 0
+    for start in (0, 1, 5):
+        for cap in (start + gap for gap in (0, 1, 2, 7, 40, 100)):
+            for least in range(start, cap + 3):
+                for defined in {start, (start + least) // 2, least}:
+                    got = search(start, cap, least, defined)
+                    if least <= cap:
+                        assert got == (least, Fraction(1, least + 1)), (start, cap, least)
+                    else:
+                        assert got == f"series length exceeds {cap} for a test series"
+                        refusals += 1
+    assert refusals
+    # a start past the cap is refused before the bound is evaluated
+    for start in (1, 8):
+        assert search(start, start - 1, start, start).startswith("series length exceeds")
 
 
 def test_quasi_stuffle_spot(ctx_half, ctx_third):
@@ -600,6 +645,78 @@ def test_frakz_merged_refusals(ctx_half):
     deep = Triple((idx(1),) * 33, (0,) * 33, (1,) + (THETA,) * 32)
     with pytest.raises(ValueError, match="depth 33 exceeds"):
         frakz(ctx_half, deep, merge=True)
+
+
+def test_frakz_truncation_matches_the_plain_walk(monkeypatch):
+    # frakz finds K by the galloping search from 0; K, the aggregate tail
+    # bound and the error text are those of the walk up from 0 over the
+    # bound sum_d C(m-1, d-1) B_d(K+1) / (1 - rho_d), built here from its
+    # formula, and each search evaluates the bound at most
+    # 2 ceil(log2(K + 1)) + 2 times
+    import qzeta.evaluators as ev
+    from qzeta.evaluators import MAX_FRAKZ_TERMS
+
+    refusal = f"series length exceeds {MAX_FRAKZ_TERMS} for a mollified series"
+
+    @functools.lru_cache(maxsize=None)
+    def bound(q, m, merge, K):
+        classes = [(math.comb(m - 1, d - 1), d) for d in range(1, m + 1)] if merge else [(1, m)]
+        tails = [(many, _resolution_tail(q, d, K)) for many, d in classes]
+        return None if any(t is None for _, t in tails) else sum(n * t for n, t in tails)
+
+    def walk(q, m, merge, eps):
+        for K in range(MAX_FRAKZ_TERMS + 1):
+            at_K = bound(q, m, merge, K)
+            if at_K is not None and at_K <= eps:
+                return K, at_K
+        return refusal
+
+    search = ev._truncation
+    evaluations = []
+
+    def counted(tail_bound, start, eps, cap, what):
+        def once(K):
+            evaluations[-1] += 1
+            return tail_bound(K)
+
+        evaluations.append(0)
+        K, found = search(once, start, eps, cap, what)
+        assert evaluations[-1] <= 2 * _ceil_log2(K - start + 1) + 2, (K, evaluations[-1])
+        return K, found
+
+    # nothing is summed: the engine yields zeros
+    monkeypatch.setattr(ev, "_inner_terms", lambda *args: itertools.repeat((0, 0, 0)))
+    monkeypatch.setattr(ev, "_truncation", counted)
+
+    def outcome(ctx, pattern, eps, merge):
+        try:
+            val = frakz(ctx, pattern, eps=eps, merge=merge)
+        except ValueError as err:
+            return str(err)
+        assert val.value == 0
+        return val.terms, val.tail_bound
+
+    qs = [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)]
+    qs.append(Fraction(9, 10))
+    epss = [Fraction(1, 10**e) for e in (3, 25, 60, 300)]
+    results = set()
+    for q in qs:
+        ctx = QContext(q)
+        for m in (1, 2, 3, 5, 8, 12):
+            pattern = Triple((idx(2),) + (bar(1),) * (m - 1), (0,) * m, (1,) + (THETA,) * (m - 1))
+            assert is_admissible(pattern)
+            for merge in (False, True):
+                cases = list(epss)
+                if (q, m) == (Fraction(9, 10), 1):
+                    # K = MAX_FRAKZ_TERMS is the last length served, one more
+                    # is refused
+                    cases += [bound(q, m, merge, MAX_FRAKZ_TERMS + i) for i in (0, 1)]
+                for eps in cases:
+                    expect = walk(q, m, merge, eps)
+                    assert outcome(ctx, pattern, eps, merge) == expect, (q, m, merge, eps)
+                    results.add(expect if isinstance(expect, str) else expect[0])
+    assert refusal in results and MAX_FRAKZ_TERMS in results and 2 in results
+    assert len(evaluations) == len(qs) * 6 * 2 * 4 + 4
 
 
 def test_merge_mask_sums_the_resolutions_it_allows():
