@@ -62,12 +62,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 from math import comb
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .expansion import Triple, is_admissible
 from .indices import boxplus, oplus, quad_exponent, signed_string
@@ -210,43 +209,74 @@ def _mhs_scale(ctx: QContext, entries: tuple, n: int) -> int:
     return ctx.p_lcm(n) ** sum(mags) * ctx.q.denominator**b_exponent
 
 
+# Bounded memos of the q-level work of the certified series.  At one q and
+# eps every q-series check repeats the same truncation searches and floors the
+# same left-side terms, whatever its composition, so these are keyed by q-level
+# data only (q, depth or magnitude, eps or binary point, length, cap) and hold
+# immutable ints, Fractions and tuples; functools.lru_cache is thread-safe and
+# reports its hits and misses through cache_info().  A battery at one q and
+# eps needs one search per depth (at most 32 frakz depths, merged or not) and
+# one column per magnitude and length.  A search entry is a few hundred
+# bytes.  A column holds n + 1 <= MAX_MHS_LIMIT + 1 pairs whose
+# t_k < q**k 2**prec, so it takes at most (n + 1)(prec/8 + 100) bytes: about
+# 10 KB at q = 1/2 and eps = 1e-25 (n = 86, prec = 300); 32 columns at
+# n = 1000 take at most 4.5 MB at prec = 300 and 43 MB at prec = 10**4
+# (q = 1/1000, eps = 1e-3000).
+_SEARCH_CACHE_SIZE = 64
+_COLUMN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
+def _floored_column(q: Fraction, s: int, prec: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The floored terms of magnitude s at the binary point 2**-prec for
+    k = 0..n, as (t, flag) pairs; entry 0 is (0, 0) and is never read.
+
+    With q = a/b the term is
+    q**k / [k]**s = a**k ((b-a) b**(k-1))**s / (b**k (b**k - a**k)**s), so
+    t = floor(a**k ((b-a) b**(k-1))**s 2**prec / (b**k (b**k - a**k)**s)) >= 0
+    and flag is 1 when the floor dropped a nonzero remainder: the exact term
+    lies within flag units of t.
+    """
+    a, b = q.numerator, q.denominator
+    column = [(0, 0)]
+    ak, bk = 1, 1
+    for _ in range(n):
+        top = (b - a) * bk  # (b-a) b**(k-1)
+        ak *= a
+        bk *= b
+        t, rest = divmod(ak * top**s << prec, bk * (bk - ak) ** s)
+        column.append((t, 1 if rest else 0))
+    return tuple(column)
+
+
 def _mhs_enclosure(ctx: QContext, entries: tuple, n: int, star: bool, prec: int) -> Ball:
     """A Ball at 2**-prec around the nested harmonic sum with upper limit n,
     by the dynamic programme of _mhs_numerators.
 
-    With q = a/b, the term of magnitude s at index k is
-    q**k / [k]**s = a**k ((b-a) b**(k-1))**s / (b**k (b**k - a**k)**s).  It is
-    floored to t / 2**prec, and flag is 1 when the floor dropped a nonzero
-    remainder, so the exact term lies within flag units of t.  Level j keeps
-    X_j as a ball (x_j, r_j), X_m = 1 exactly.  The floored product
-    t * x_(j+1) / 2**prec is then within (|t| r + flag (|x| + r)) / 2**prec,
-    rounded up, plus 1 unit of the exact T_j(k) X_(j+1), which is what
-    X_j += T_j(k) X_(j+1) adds to r_j.
+    Each level reads its floored terms (t, flag) from the memoized column of
+    its magnitude (see :func:`_floored_column`), with t >= 0 and the exact
+    term within flag units of t, and negates t at odd k when it is barred.
+    Level j keeps X_j as a ball (x_j, r_j), X_m = 1 exactly.  The floored
+    product t * x_(j+1) / 2**prec is then within (t r + flag (|x| + r)) /
+    2**prec, rounded up, plus 1 unit of the exact T_j(k) X_(j+1), which is
+    what X_j += T_j(k) X_(j+1) adds to r_j.  Only this DP runs per call: at
+    one q, eps and truncation the columns are shared by every string.
     """
-    a, b = ctx.q.numerator, ctx.q.denominator
+    q = ctx.q
     m = len(entries)
     mids = [0] * m + [1 << prec]
     rads = [0] * (m + 1)
-    mags = {e.magnitude for e in entries}
+    levels = [(_floored_column(q, e.magnitude, prec, n), e.sign < 0) for e in entries]
     order = range(m - 1, -1, -1) if star else range(m)
-    ak, bk = 1, 1
     for k in range(1, n + 1):
-        top = (b - a) * bk  # (b-a) b**(k-1)
-        ak *= a
-        bk *= b
-        bottom = bk - ak
-        terms = {}
-        for s in mags:
-            t, rest = divmod(ak * top**s << prec, bk * bottom**s)
-            terms[s] = t, 1 if rest else 0
+        odd = k % 2
         for j in order:
             x, r = mids[j + 1], rads[j + 1]
             if x or r:
-                t, flag = terms[entries[j].magnitude]
-                if entries[j].sign < 0 and k % 2:
-                    t = -t
-                mids[j] += t * x >> prec
-                rads[j] += 1 - (-(abs(t) * r + flag * (abs(x) + r)) >> prec)
+                column, barred = levels[j]
+                t, flag = column[k]
+                mids[j] += (-t if barred and odd else t) * x >> prec
+                rads[j] += 1 - (-(t * r + flag * (abs(x) + r)) >> prec)
     return Ball(mids[0], rads[0], prec)
 
 
@@ -527,7 +557,8 @@ def _truncation(
 def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fraction]:
     """The truncation K of a depth-m harmonic series and its tail bound,
     the least K >= m whose bound is <= eps (K = 0 and bound 0 for m = 0),
-    found by :func:`_truncation` from m.
+    found by :func:`_truncation` from m and memoized per (q, m, eps) (see
+    :func:`_harmonic_search`).
 
     Tail bound: the entries satisfy 1/[k]^mag <= 1, so the series is
 
@@ -542,12 +573,20 @@ def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fra
         raise ValueError("eps must be positive")
     if m == 0:
         return 0, Fraction(0)
-    prefactor = (ctx.q / ctx.one_minus_q) ** (m - 1) / ctx.one_minus_q
+    return _harmonic_search(ctx.q, m, Fraction(eps), MAX_MHS_LIMIT)
+
+
+@lru_cache(maxsize=_SEARCH_CACHE_SIZE)
+def _harmonic_search(q: Fraction, m: int, eps: Fraction, cap: int) -> tuple[int, Fraction]:
+    """The search of :func:`_harmonic_truncation` below cap; the cap is part
+    of the key, so no entry outlives it, and a refusal is not kept."""
+    ctx = QContext(q)
+    prefactor = (q / ctx.one_minus_q) ** (m - 1) / ctx.one_minus_q
 
     def bound(K: int) -> Fraction:
         return prefactor * ctx.qpow(K + 1)
 
-    return _truncation(bound, m, eps, MAX_MHS_LIMIT, "a harmonic sum")
+    return _truncation(bound, m, eps, cap, "a harmonic sum")
 
 
 def q_zeta(
@@ -645,7 +684,8 @@ def frakz(
     rho_d grows with d, so rho_m < 1 makes every term finite.
 
     K is the least one whose bound is <= eps, found by :func:`_truncation`
-    from 0 before any term is summed; the value is then summed in integers
+    from 0 before any term is summed and memoized per (q, m, merge, eps)
+    (see :func:`_frakz_search`); the value is then summed in integers
     over the engine's known denominator and reduced once.  The search needs
     "fits" monotone in K, and it is: rho_d falls as K grows, so once every
     class has a bound it keeps one, and each class's bound then falls
@@ -664,6 +704,19 @@ def frakz(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    K, bound = _frakz_search(ctx.q, m, bool(merge), eps, MAX_FRAKZ_TERMS)
+    inner = list(islice(_inner_terms(ctx, pattern, merge), K))
+    nums, den = _over_one_denominator(ctx, sum(e.magnitude for e in pattern.s), inner)
+    return SeriesValue(Fraction(sum(nums), den), bound, K)
+
+
+@lru_cache(maxsize=_SEARCH_CACHE_SIZE)
+def _frakz_search(q: Fraction, m: int, merge: bool, eps: Fraction, cap: int) -> tuple[int, Fraction]:
+    """The truncation K of :func:`frakz` for a depth-m pattern and its tail
+    bound, the least K <= cap whose bound is <= eps, found by
+    :func:`_truncation` from 0.  The cap is part of the key, so no entry
+    outlives it, and a refusal is not kept."""
+    ctx = QContext(q)
     # (count, depth) of the resolutions summed, deepest (largest rho) first
     classes = [(comb(m - 1, d - 1), d) for d in range(m, 0, -1)] if merge else [(1, m)]
 
@@ -676,10 +729,7 @@ def frakz(
             total += many * _frakz_level_bound(ctx, d, K + 1) / (1 - rho)
         return total
 
-    K, bound = _truncation(tail_bound, 0, eps, MAX_FRAKZ_TERMS, "a mollified series")
-    inner = list(islice(_inner_terms(ctx, pattern, merge), K))
-    nums, den = _over_one_denominator(ctx, sum(e.magnitude for e in pattern.s), inner)
-    return SeriesValue(Fraction(sum(nums), den), bound, K)
+    return _truncation(tail_bound, 0, eps, cap, "a mollified series")
 
 
 # classical_zeta_many refuses a longer truncation before summing anything:
@@ -736,6 +786,8 @@ def classical_zeta_many(
     outermost level: K**(1-p1)/(p1-1) for leading magnitude p1 >= 2, else
     1/K for a signed leading 1 (alternating-series first-term bound).
     """
+    import numpy as np  # only this engine needs it; the exact paths start without it
+
     strings = [(signed_string(s), star) for s, star in items]
     for entries, star in strings:
         if entries:

@@ -719,6 +719,97 @@ def test_frakz_truncation_matches_the_plain_walk(monkeypatch):
     assert len(evaluations) == len(qs) * 6 * 2 * 4 + 4
 
 
+def test_memoized_searches_equal_cold_and_direct_ones(monkeypatch):
+    # a warm search returns what a cold one does, and both what _truncation
+    # returns on the tail bound built here from its formula; a refusal is
+    # not kept, so it is raised again
+    import qzeta.evaluators as ev
+
+    def outcome(fn, *args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except ValueError as err:
+            return str(err)
+        return (out.terms, out.tail_bound) if hasattr(out, "terms") else out
+
+    def merged_tail(q, m, merge, K):
+        classes = [(math.comb(m - 1, d - 1), d) for d in range(1, m + 1)] if merge else [(1, m)]
+        tails = [(many, _resolution_tail(q, d, K)) for many, d in classes]
+        return None if any(t is None for _, t in tails) else sum(n * t for n, t in tails)
+
+    # nothing is summed: the engine yields zeros over the denominator 1
+    monkeypatch.setattr(ev, "_inner_terms", lambda *args: itertools.repeat((0, 0, 0)))
+    monkeypatch.setattr(ev, "_over_one_denominator", lambda ctx, w, inner: ([0], 1))
+    qs = [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)]
+    qs.append(Fraction(9, 10))
+    epss = [Fraction(1, 10**e) for e in (3, 25, 300)]
+    refused = set()
+    for q in qs:
+        for m in range(1, 13):
+            prefactor = (q / (1 - q)) ** (m - 1) / (1 - q)
+            pattern = Triple((idx(2),) + (bar(1),) * (m - 1), (0,) * m, (1,) + (THETA,) * (m - 1))
+            for eps in epss:
+                direct = outcome(
+                    ev._truncation, lambda K: prefactor * q ** (K + 1), m, eps,
+                    ev.MAX_MHS_LIMIT, "a harmonic sum",
+                )
+                cold = outcome(ev._harmonic_truncation, QContext(q), m, eps)
+                assert outcome(ev._harmonic_truncation, QContext(q), m, eps) == cold == direct
+                if isinstance(direct, str):
+                    refused.add("harmonic")
+                for merge in (False, True):
+                    direct = outcome(
+                        ev._truncation, functools.partial(merged_tail, q, m, merge), 0, eps,
+                        ev.MAX_FRAKZ_TERMS, "a mollified series",
+                    )
+                    cold = outcome(frakz, QContext(q), pattern, eps=eps, merge=merge)
+                    warm = outcome(frakz, QContext(q), pattern, eps=eps, merge=merge)
+                    assert warm == cold == direct, (q, m, merge, eps)
+                    if isinstance(direct, str):
+                        refused.add("frakz")
+    assert refused == {"harmonic", "frakz"}
+    assert ev._harmonic_search.cache_info().hits and ev._frakz_search.cache_info().hits
+
+
+def test_memoized_searches_keep_no_refusal_and_no_stale_cap(monkeypatch):
+    # a lower cap refuses what a warm entry under the old cap served, and a
+    # refusal is searched again each time, never kept
+    import qzeta.evaluators as ev
+
+    ctx = QContext(Fraction(1, 2))
+    eps = Fraction(1, 10**25)
+    K, _ = ev._harmonic_truncation(ctx, 3, eps)
+    pattern = Triple((idx(2), bar(1)), (0, 0), (1, THETA))
+    terms = frakz(ctx, pattern, eps=eps, merge=True).terms
+    monkeypatch.setattr(ev, "MAX_MHS_LIMIT", K - 1)
+    monkeypatch.setattr(ev, "MAX_FRAKZ_TERMS", terms - 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"exceeds {K - 1} for a harmonic sum"):
+            ev._harmonic_truncation(ctx, 3, eps)
+        with pytest.raises(ValueError, match=f"exceeds {terms - 1} for a mollified series"):
+            frakz(ctx, pattern, eps=eps, merge=True)
+    for memo in (ev._harmonic_search, ev._frakz_search):
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 1), info
+
+
+def test_floored_columns_equal_a_direct_floor():
+    # each (t, flag) is the floor of q**k / [k]**s at 2**-prec and whether
+    # it dropped a remainder, with [k] from the oracle's q-integers
+    from qzeta.evaluators import _floored_column
+
+    for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+        for s in (0, 1, 2, 5):
+            for prec in (0, 7, 300):
+                column = _floored_column(q, s, prec, 40)
+                assert len(column) == 41 and column[0] == (0, 0)
+                for k in range(1, 41):
+                    scaled = q**k / oracles.q_integer(q, k) ** s * 2**prec
+                    t, rest = divmod(scaled.numerator, scaled.denominator)
+                    assert column[k] == (t, 1 if rest else 0), (q, s, prec, k)
+                assert _floored_column(q, s, prec, 40) is column
+
+
 def test_merge_mask_sums_the_resolutions_it_allows():
     # a comma forced at a separator splits the pattern into blocks; the
     # resolutions the mask allows are the products of the blocks' expansions

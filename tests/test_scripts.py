@@ -33,12 +33,13 @@ def test_script_exits_zero(script, args, expect):
 
 def test_import_loads_neither_sympy_nor_mpmath():
     # both are installed for use as test oracles only; the library and its
-    # command line must run without them
+    # command line must run without them.  numpy is loaded only by the float
+    # engine of the classical check, so the exact paths start without it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     code = (
         "import sys, qzeta, qzeta.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'mpmath')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'mpmath', 'numpy')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120

@@ -515,6 +515,110 @@ def test_symmetric_pair_check():
     assert rep.params["a"] == 1 and rep.params["b"] == 2
 
 
+def test_symmetric_pair_check_refuses_bad_sizes_before_any_sum(monkeypatch):
+    import qzeta.evaluators
+    import qzeta.verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
+    monkeypatch.setattr(qzeta.verify, "frakz", never)
+    for a, b in ((-1, 0), (0, -2), (-3, -3), (1.0, 0), (0, "2"), (Fraction(1), 1)):
+        with pytest.raises(ValueError, match="must be an int >= 0"):
+            symmetric_pair_check(a, b)
+    # the patches are live: a valid pair reaches a sum
+    with pytest.raises(AssertionError, match="a sum was started"):
+        symmetric_pair_check(0, 0)
+
+
+def _body(report) -> dict:
+    body = report.to_dict()
+    del body["elapsed_ms"]
+    return body
+
+
+def _depth_three_weight_twelve() -> list:
+    from qzeta import compose
+
+    comps = []
+    for cuts in range(2**11):
+        comp, run = [], 1
+        for p in range(11):
+            if cuts >> p & 1:
+                comp.append(run)
+                run = 1
+            else:
+                run += 1
+        comp.append(run)
+        if comp[0] >= 2 and compose(comp)[1].depth == 3:
+            comps.append(tuple(comp))
+    assert len(comps) == 45
+    return comps
+
+
+def test_qseries_reports_do_not_depend_on_warm_memos(qzeta_memos):
+    # the q-level memos are shared by every check at one q and eps: reports
+    # run in either order, or each from cold memos, are the same
+    comps = _depth_three_weight_twelve()
+
+    def cold():
+        for memo in qzeta_memos:
+            memo.cache_clear()
+
+    cold()
+    forward = [_body(verify_qmzsv(c)) for c in comps]
+    cold()
+    backward = [_body(verify_qmzsv(c)) for c in reversed(comps)][::-1]
+    each_cold = []
+    for c in comps:
+        cold()
+        each_cold.append(_body(verify_qmzsv(c)))
+    assert forward == backward == each_cold
+    assert all(r["status"] == "numeric-pass" for r in forward)
+
+
+def test_qseries_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
+    # both threads fill the same cold memos, switching as often as the
+    # interpreter allows
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    comps = _depth_three_weight_twelve()
+    serial = [_body(verify_qmzsv(c)) for c in comps]
+    for memo in qzeta_memos:
+        memo.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = [_body(r) for r in pool.map(verify_qmzsv, comps, timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
+    # every memo has a finite maxsize; keyed by q-level data only, none
+    # grows with the compositions of the benchmark's q-series batch
+    import sys
+    from pathlib import Path
+
+    assert qzeta_memos
+    assert all(memo.cache_info().maxsize is not None for memo in qzeta_memos)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "qzbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    cases = WORKLOADS["qseries"].cases(seed=1, seconds=16)
+    for comp in sorted({case.composition for case in cases}):
+        assert verify_qmzsv(comp, **cases[0].kwargs).passed
+    assert all(memo.cache_info().currsize <= 10 for memo in qzeta_memos), [
+        memo.cache_info() for memo in qzeta_memos
+    ]
+
+
 def test_sample_compositions_deterministic():
     xs = sample_compositions(25, max_depth=5, max_weight=9, seed=7)
     ys = sample_compositions(25, max_depth=5, max_weight=9, seed=7)
