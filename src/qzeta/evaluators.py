@@ -53,9 +53,12 @@ Gaussian-binomial integer G(N, j) = P_N / (P_j P_(N-j)),
 
     br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n^2 / P_2n * G(2n, n-k) * b^(k^2),
 
-so over one common denominator of the engine's values each upper limit n
-costs one integer dot product, and :func:`~qzeta.verify.verify_mhs`
-compares the unreduced sides by cross-multiplication.
+so each upper limit n costs one integer dot product over a denominator of
+its own, G(2n, n) times the least scale that the engine's values up to n
+need once b^(k^2) is folded into their b-exponents (see
+:func:`_pattern_pairs`), and :func:`~qzeta.verify.verify_mhs` compares the
+unreduced sides by cross-multiplication.  :func:`frakz` sums the same
+engine's values over the same running scale.
 """
 
 from __future__ import annotations
@@ -414,31 +417,35 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, i
                 x[i], ea[i], eb[i] = total, A, B
 
 
-def _over_one_denominator(ctx: QContext, w: int, inner: list) -> tuple[list[int], int]:
-    """Numerators N_k = inner[k] * D for k = 0..n (N_0 = 0) and their common
-    denominator D = L_n**w * a**A * b**B, where inner holds the first n
-    values :func:`_inner_terms` yields for a pattern of total magnitude w,
-    and A and B are the largest of their exponents, at least 0.
+def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int]]:
+    """Walk terms t_k = y / (L_k**w * a**A * b**B), given as (y, A, B) for
+    k = 1, 2, ... (A and B may be negative), over the running denominator
+    D_k = L_k**w * a**A_k * b**B_k, with A_k and B_k the largest of the
+    exponents up to k and 0.  Yield (g_k, t_k * D_k, D_k) per k, where
+    g_k = D_k / D_(k-1) = (L_k/L_(k-1))**w * a**i * b**j is the small
+    integer that moves a value over D_(k-1) to D_k.
+
+    Each denominator is as small as the values up to k need, known without
+    an lcm, so the early values are not scaled to the last one's size; a
+    caller folds a factor b**f into t_k by passing B - f.
     """
     a, b = ctx.q.numerator, ctx.q.denominator
-    n = len(inner)
-    top_a = max([0] + [ea for _, ea, _ in inner])
-    top_b = max([0] + [eb for _, _, eb in inner])
-    nums = [0] * (n + 1)
-    grow = 1  # (L_n / L_k)**w
-    for k in range(n, 0, -1):
-        y, ea, eb = inner[k - 1]
-        if y:
-            nums[k] = y * (a ** (top_a - ea) * b ** (top_b - eb)) * grow
-        grow *= (ctx.p_lcm(k) // ctx.p_lcm(k - 1)) ** w
-    return nums, ctx.p_lcm(n) ** w * a**top_a * b**top_b
+    top_a = top_b = 0
+    den = 1
+    for k, (y, ea, eb) in enumerate(terms, 1):
+        new_a, new_b = max(top_a, ea), max(top_b, eb)
+        grow = (ctx.p_lcm(k) // ctx.p_lcm(k - 1)) ** w
+        grow *= a ** (new_a - top_a) * b ** (new_b - top_b)
+        top_a, top_b = new_a, new_b
+        den *= grow
+        yield grow, y * a ** (top_a - ea) * b ** (top_b - eb) if y else 0, den
 
 
 # Largest upper limit of the finite mollified sums, checked before any term
 # is summed.  The engine's values grow like n**2 bits and each n costs a dot
 # product of n of them, so the cost grows about as n**5: verify_mhs of
-# (2,1,1,3,1) at q = 5/8 takes 1.9 s at n_max = 80, 13 s at 120 and 52 s at
-# 160, and of (2,1) at q = 1/2 3.3 s at 160, on a 2-vCPU x86-64 host.
+# (2,1,1,3,1) at q = 5/8 takes 0.9 s at n_max = 80, 8.5 s at 120 and 38 s at
+# 160, and of (2,1) at q = 1/2 2.0 s at 160, on a 2-vCPU x86-64 host.
 # Deeper patterns cost more per n.
 MAX_PATTERN_LIMIT = 160
 
@@ -455,11 +462,20 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     """Unreduced (numerator, denominator) of :func:`pattern_mhs_many` for
     every upper limit 0..n_max, in integers.
 
-    Over the common denominator D of inner[1..n_max], known from the
-    engine's scale without an lcm (see :func:`_over_one_denominator`),
-    N_k = inner[k] * D, so out[n] = P_n**2 * S_n / (P_2n * D) with the
-    integer dot product S_n = sum_k G(2n, n-k) * b**(k*k) * N_k (P_j from
-    ctx.p_prod, G from ctx.gauss_row).  Nothing is reduced here.
+    Row n has its own denominator D_n = L_n**w * a**A_n * b**B_n, with w
+    the pattern's total magnitude, A_n the largest of 0 and the engine's
+    a-exponents ea_k, and B_n the largest of 0 and eb_k - k*k, over k <= n
+    (see :func:`_inner_terms` and :func:`_rescaled`): the b**(k*k) of the
+    prefactor is folded into the engine's exponent before the value is
+    scaled, so it cancels the b-powers the engine's terms carry instead of
+    multiplying them.  The list weighted[k] = b**(k*k) * inner[k] * D_n,
+    k <= n, moves from row n-1 to row n by the small factor D_n / D_(n-1)
+    and gains one entry.  With P_n**2 / P_2n = 1 / G(2n, n) and the integer
+    row G(2n, j), j <= n, of ctx.gauss_row,
+
+        out[n] = sum_k G(2n, n-k) * weighted[k] / (G(2n, n) * D_n),
+
+    one integer dot product per row.  Nothing is reduced here.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -471,16 +487,18 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
         raise ValueError(
             f"pattern depth {pattern.depth} exceeds {MAX_PATTERN_DEPTH} for a finite mollified sum"
         )
-    b = ctx.q.denominator
-    inner = list(islice(_inner_terms(ctx, pattern, merge), n_max))
-    nums, den = _over_one_denominator(ctx, sum(e.magnitude for e in pattern.s), inner)
-    weighted = [b ** (k * k) * x for k, x in enumerate(nums)]
+    inner = islice(_inner_terms(ctx, pattern, merge), n_max)
+    folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
+    weighted: list[int] = []  # k = 1..n
     out = [(0, 1)]
-    for n in range(1, n_max + 1):
+    w = sum(e.magnitude for e in pattern.s)
+    for n, (grow, x, den) in enumerate(_rescaled(ctx, w, folded), 1):
+        if grow > 1:
+            weighted = [y * grow for y in weighted]
+        weighted.append(x)
+        row = ctx.gauss_row(2 * n, n + 1)
         # G(2n, j) pairs with k = n - j
-        total = sum(map(mul, ctx.gauss_row(2 * n, n), weighted[n:0:-1]))
-        p = ctx.p_prod(n)
-        out.append((p * p * total, ctx.p_prod(2 * n) * den))
+        out.append((sum(map(mul, row, reversed(weighted))), row[n] * den))
     return out
 
 
@@ -616,19 +634,25 @@ _GUARD_BITS = 100
 
 
 def q_zeta_enclosure(
-    ctx: QContext, s: Sequence, eps: Fraction = Fraction(1, 10**20), star: bool = False
+    ctx: QContext,
+    s: Sequence,
+    eps: Fraction = Fraction(1, 10**20),
+    star: bool = False,
+    prec: int | None = None,
 ) -> SeriesValue:
     """:func:`q_zeta` with its value as a :class:`Ball` around the same exact
     partial sum, at the same K and with the same tail bound, summed in
-    integers at the binary point 2**-P (see :func:`_mhs_enclosure`), where
-    P is the bit size of 1/eps, at least _COMPACT_BITS, plus _GUARD_BITS.
+    integers at the binary point 2**-prec (see :func:`_mhs_enclosure`).  By
+    default prec is P, the bit size of 1/eps, at least _COMPACT_BITS, plus
+    _GUARD_BITS.
 
     Raises ValueError as :func:`q_zeta` does.
     """
     entries = signed_string(s)
     eps = Fraction(eps)
     K, bound = _harmonic_truncation(ctx, len(entries), eps)
-    prec = max((eps.denominator // eps.numerator).bit_length(), _COMPACT_BITS) + _GUARD_BITS
+    if prec is None:
+        prec = max((eps.denominator // eps.numerator).bit_length(), _COMPACT_BITS) + _GUARD_BITS
     return SeriesValue(_mhs_enclosure(ctx, entries, K, star, prec), bound, K)
 
 
@@ -705,9 +729,11 @@ def frakz(
     if eps <= 0:
         raise ValueError("eps must be positive")
     K, bound = _frakz_search(ctx.q, m, bool(merge), eps, MAX_FRAKZ_TERMS)
-    inner = list(islice(_inner_terms(ctx, pattern, merge), K))
-    nums, den = _over_one_denominator(ctx, sum(e.magnitude for e in pattern.s), inner)
-    return SeriesValue(Fraction(sum(nums), den), bound, K)
+    inner = islice(_inner_terms(ctx, pattern, merge), K)
+    total, den = 0, 1
+    for grow, x, den in _rescaled(ctx, sum(e.magnitude for e in pattern.s), inner):
+        total = total * grow + x
+    return SeriesValue(Fraction(total, den), bound, K)
 
 
 @lru_cache(maxsize=_SEARCH_CACHE_SIZE)

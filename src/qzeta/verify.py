@@ -25,10 +25,11 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .evaluators import (
     Ball,
+    SeriesValue,
     _mhs_numerators,
     _mhs_scale,
     _pattern_pairs,
@@ -262,6 +263,25 @@ def _numeric_report(
     )
 
 
+def _weak_zetas(
+    ctx: QContext, strings: Sequence[tuple], eps: Fraction
+) -> Iterator[list[SeriesValue]]:
+    """The weak zeta values of strings, each summed until its tail bound is
+    at most eps: first as balls at the binary point 2**-P of
+    :func:`~qzeta.evaluators.q_zeta_enclosure`, then as balls at 2**-2P,
+    and last exactly.  A report reads them in turn until one decides it,
+    which the exact values always do; a ball at 2P costs a small multiple
+    of one at P and decides deep strings whose discrepancy P cannot
+    resolve, where the exact sum's denominators grow like K**2 times the
+    depth in bits.
+    """
+    balls = [q_zeta_enclosure(ctx, s, eps=eps, star=True) for s in strings]
+    yield balls
+    prec = 2 * balls[0].value.prec
+    yield [q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=prec) for s in strings]
+    yield [q_zeta(ctx, s, eps=eps, star=True) for s in strings]
+
+
 def verify_mhs(
     composition: Sequence[int],
     n_max: int = 10,
@@ -269,11 +289,17 @@ def verify_mhs(
     case: Optional[str] = None,
     family: str = "composition",
 ) -> VerificationReport:
-    """Exact check of the finite weak-sum identity at every n <= n_max."""
+    """Exact check of the finite weak-sum identity at every n <= n_max.
+
+    Raises ValueError, before any sum, when q_values is empty: the report
+    would pass without a check.
+    """
     col = _Residuals()
     comp = tuple(composition)
     entries = signed_string(comp)
     qs = [as_q(q) for q in q_values]
+    if not qs:
+        raise ValueError("the finite check needs at least one q")
     d, pattern = compose(comp)
     for q in qs:
         ctx = QContext(q)
@@ -309,9 +335,10 @@ def verify_qmzsv(
     most eps/2 < eps.  ``params["series"]`` still counts 1 + 2**(m-1).
 
     The right side is exact.  The left side is first a ball around its
-    exact partial sum (:func:`~qzeta.evaluators.q_zeta_enclosure`); it is
-    summed exactly only when the ball cannot decide the status or the
-    printed discrepancy, so the report is always the exact one.  At
+    exact partial sum (:func:`~qzeta.evaluators.q_zeta_enclosure`), then a
+    ball at twice the binary point; it is summed exactly only when neither
+    ball can decide the status or the printed discrepancy, so the report is
+    always the exact one (see :func:`_weak_zetas`).  At
     eps = 1e-25 the ball decides all 174 weight-12 compositions of pattern
     depth 2-4 at q = 1/2, 2/3, 4/5 and 9/10, and (2,1,1,3,1) takes about
     4 ms at q = 1/2, 16 ms at 4/5 and 80 ms at 9/10 on a 2-vCPU x86-64
@@ -347,9 +374,7 @@ def verify_qmzsv(
             abs(lhs.value - d * rhs.value), lhs.tail_bound + rhs.tail_bound,
         )
 
-    return report(q_zeta_enclosure(ctx, comp, eps=epsv / 4, star=True)) or report(
-        q_zeta(ctx, comp, eps=epsv / 4, star=True)
-    )
+    return next(filter(None, (report(*lhs) for lhs in _weak_zetas(ctx, (comp,), epsv / 4))))
 
 
 def verify_classical(
@@ -668,8 +693,8 @@ def symmetric_pair_check(
     The sum of the two mirror-image weak zeta values equals the product of
     two plain weak zeta values plus a (1-q)-weighted mollified series; the
     product's error is propagated explicitly.  The four weak zeta values are
-    balls first and exact only when those cannot decide the report, as in
-    :func:`verify_qmzsv`.
+    balls first, at P and then at 2P bits, and exact only when those cannot
+    decide the report, as in :func:`verify_qmzsv`.
 
     Raises ValueError, before any sum, unless a and b are ints >= 0.
     """
@@ -685,7 +710,6 @@ def symmetric_pair_check(
         (2,) * a + (3,) + (2,) * b + (1,), (2,) * b + (3,) + (2,) * a + (1,),
         (2,) * (a + 1), (2,) * (b + 1),
     )
-    balls = [q_zeta_enclosure(ctx, s, eps=budget, star=True) for s in strings]
     w = frakz(ctx, Triple((idx(2 * a + 2 * b + 3),), (a + b + 2,), (2,)), eps=budget)
 
     def report(z_ab, z_ba, u, v):
@@ -701,7 +725,7 @@ def symmetric_pair_check(
             {"a": a, "b": b, "eps": str(epsv)}, qv, epsv, abs(lhs - rhs), tail_total,
         )
 
-    return report(*balls) or report(*(q_zeta(ctx, s, eps=budget, star=True) for s in strings))
+    return next(filter(None, (report(*z) for z in _weak_zetas(ctx, strings, budget))))
 
 
 def qmzsv_battery(

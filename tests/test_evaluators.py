@@ -737,9 +737,9 @@ def test_memoized_searches_equal_cold_and_direct_ones(monkeypatch):
         tails = [(many, _resolution_tail(q, d, K)) for many, d in classes]
         return None if any(t is None for _, t in tails) else sum(n * t for n, t in tails)
 
-    # nothing is summed: the engine yields zeros over the denominator 1
+    # nothing is summed: the engine yields zeros and the walk reads none
     monkeypatch.setattr(ev, "_inner_terms", lambda *args: itertools.repeat((0, 0, 0)))
-    monkeypatch.setattr(ev, "_over_one_denominator", lambda ctx, w, inner: ([0], 1))
+    monkeypatch.setattr(ev, "_rescaled", lambda ctx, w, terms: iter(()))
     qs = [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)]
     qs.append(Fraction(9, 10))
     epss = [Fraction(1, 10**e) for e in (3, 25, 300)]
@@ -840,3 +840,68 @@ def test_merge_mask_sums_the_resolutions_it_allows():
         assert pattern_mhs_many(QContext(q), pattern, n_max, merge=mask) == expect, (pattern, mask)
     with pytest.raises(ValueError, match="merge mask"):
         pattern_mhs_many(QContext(Fraction(1, 2)), pattern, 3, merge=mask + (True,))
+
+
+def _one_denominator_values(ctx, pattern, n_max, merge):
+    # the prefactor over the one common denominator D of inner[1..n_max]:
+    # N_k = inner[k] D and out[n] = P_n**2 S_n / (P_2n D) with
+    # S_n = sum_k G(2n, n-k) b**(k*k) N_k
+    from qzeta.evaluators import _inner_terms
+
+    a, b = ctx.q.numerator, ctx.q.denominator
+    w = sum(e.magnitude for e in pattern.s)
+    inner = list(itertools.islice(_inner_terms(ctx, pattern, merge), n_max))
+    top_a = max([0] + [ea for _, ea, _ in inner])
+    top_b = max([0] + [eb for _, _, eb in inner])
+    den = ctx.p_lcm(n_max) ** w * a**top_a * b**top_b
+    # inner[k] = y / (L_k**w a**ea b**eb), where ea and eb may be negative
+    nums = [0] + [
+        Fraction(y * den, ctx.p_lcm(k) ** w) / (Fraction(a) ** ea * Fraction(b) ** eb)
+        for k, (y, ea, eb) in enumerate(inner, 1)
+    ]
+    assert all(x.denominator == 1 for x in nums)
+    out = [Fraction(0)]
+    for n in range(1, n_max + 1):
+        row = ctx.gauss_row(2 * n, n)
+        total = sum(row[n - k] * b ** (k * k) * nums[k] for k in range(1, n + 1))
+        out.append(Fraction(ctx.p_prod(n) ** 2 * total, ctx.p_prod(2 * n) * den))
+    return out, inner
+
+
+def test_pattern_pairs_equal_the_one_denominator_prefactor():
+    # each row over its own denominator, with b**(k*k) folded into the
+    # engine's b-exponent, gives the value of the prefactor over the last
+    # row's denominator; its denominator is G(2n, n) L_n**w a**A_n b**B_n,
+    # with A_n = max(0, ea_k) and B_n = max(0, eb_k - k*k) over k <= n
+    from qzeta import compose
+    from qzeta.evaluators import _pattern_pairs
+
+    rng = random.Random(15)
+    shift_pool = [THETA, 1, -1, 0, 2, -2, 3]
+    patterns = [compose(c)[1] for c in ((2, 1, 1, 3, 1), (3, 1, 2), (5,), (2, 2, 1, 1))]
+    while len(patterns) < 12:
+        m = rng.randint(1, 4)
+        pattern = Triple(
+            tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m)),
+            tuple(rng.randint(0, 3) for _ in range(m)),
+            tuple(rng.choice(shift_pool) for _ in range(m)),
+        )
+        patterns.append(pattern)
+    qs = (Fraction(1, 2), Fraction(2, 7), Fraction(5, 8), Fraction(9, 10))
+    for i, pattern in enumerate(patterns):
+        q = qs[i % 4]
+        n_max = 40 if i < 4 else rng.randint(1, 24)
+        for merge in (True, False):
+            ctx = QContext(q)
+            a, b = q.numerator, q.denominator
+            w = sum(e.magnitude for e in pattern.s)
+            expect, inner = _one_denominator_values(ctx, pattern, n_max, merge)
+            pairs = _pattern_pairs(ctx, pattern, n_max, merge)
+            assert len(pairs) == n_max + 1 and pairs[0] == (0, 1)
+            assert [Fraction(num, den) for num, den in pairs] == expect, (pattern, q, merge)
+            top_a = top_b = 0
+            for n in range(1, n_max + 1):
+                _, ea, eb = inner[n - 1]
+                top_a, top_b = max(top_a, ea), max(top_b, eb - n * n)
+                den = ctx.gauss_row(2 * n, n + 1)[n] * ctx.p_lcm(n) ** w * a**top_a * b**top_b
+                assert pairs[n][1] == den, (pattern, q, merge, n)

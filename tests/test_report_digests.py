@@ -104,16 +104,27 @@ def test_qseries_left_side_is_decided_by_the_enclosure(monkeypatch):
 
 
 def test_qseries_reports_are_the_same_when_every_ball_falls_back(monkeypatch):
-    # without guard bits the balls at q = 1/2 are wider than the
-    # discrepancies, so each straddles 0 and every left side is summed
+    # every ball is widened to +-1 around its centre, so neither the one at
+    # P nor the one at 2P can decide a report and every left side is summed
     # exactly: the reports must not change
     pairs = [(0, 0), (1, 2), (2, 1)]
     normal = [_body(symmetric_pair_check(a, b)) for a, b in pairs]
     calls = _count_exact_sums(monkeypatch)
-    monkeypatch.setattr(qzeta.evaluators, "_COMPACT_BITS", 0)
-    monkeypatch.setattr(qzeta.evaluators, "_GUARD_BITS", 0)
+    precs = []
+    enclosure = qzeta.verify.q_zeta_enclosure
+
+    def widened(*args, **kwargs):
+        lhs = enclosure(*args, **kwargs)
+        ball = lhs.value
+        precs.append(ball.prec)
+        return lhs._replace(value=qzeta.evaluators.Ball(ball.mid, 1 << ball.prec, ball.prec))
+
+    monkeypatch.setattr(qzeta.verify, "q_zeta_enclosure", widened)
     assert _digest(_qseries(monkeypatch)) == DIGESTS["qseries"][1]
     assert calls == [(2, 1, 2, 1, 3, 1), (5, 5, 1)]
+    assert precs == [300, 600] * 2
     calls.clear()
+    precs.clear()
     assert [_body(symmetric_pair_check(a, b)) for a, b in pairs] == normal
     assert len(calls) == 4 * len(pairs)
+    assert precs == ([300] * 4 + [600] * 4) * len(pairs)

@@ -159,6 +159,24 @@ def test_verify_mhs_multi_q():
     assert rep.status == "exact-pass"
 
 
+def test_verify_mhs_refuses_an_empty_q_list_before_any_sum(monkeypatch):
+    # with no q the report would pass with no check
+    import qzeta.evaluators
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    monkeypatch.setattr(v, "_mhs_numerators", never)
+    for q_values in ((), []):
+        with pytest.raises(ValueError, match="at least one q"):
+            v.verify_mhs((2, 1), n_max=3, q_values=q_values)
+    # the patches are live: a q reaches a sum
+    with pytest.raises(AssertionError, match="a sum was started"):
+        v.verify_mhs((2, 1), n_max=3)
+
+
 def test_verify_mhs_detects_corruption(monkeypatch):
     import qzeta.verify as v
     from qzeta import Compiled
@@ -323,6 +341,30 @@ def test_verify_qmzsv_reaches_toward_q_to_one(monkeypatch):
     monkeypatch.setattr(v, "q_zeta", never)
     for q in (Fraction(4, 5), Fraction(9, 10)):
         assert verify_qmzsv(comp, q=q).status == "numeric-pass"
+
+
+def test_deep_weak_zeta_is_decided_by_the_ball_at_twice_the_binary_point(monkeypatch):
+    # the discrepancy of (2,)*200 is about 1e-121: the ball at P = 300 bits
+    # cannot print it, the one at 600 can, and the exact sum never runs
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("the exact left side was summed")
+
+    precs = []
+    enclosure = v.q_zeta_enclosure
+
+    def recorded(*args, **kwargs):
+        ball = enclosure(*args, **kwargs)
+        precs.append(ball.value.prec)
+        return ball
+
+    monkeypatch.setattr(v, "q_zeta", never)
+    monkeypatch.setattr(v, "q_zeta_enclosure", recorded)
+    rep = v.verify_qmzsv((2,) * 200, Fraction(1, 2))
+    assert rep.status == "numeric-pass"
+    assert precs == [300, 600]
+    assert 0 < float(rep.discrepancy) < 1e-100
 
 
 def test_verify_classical_small_then_better():
