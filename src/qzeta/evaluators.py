@@ -32,8 +32,10 @@ oracle.
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
 reports a first-omitted-term style tail estimate for each.  It takes every
-series of a check at once and sums each distinct suffix (with its descent)
-once, in one sweep over chunks of the index range in reused buffers;
+series of a check at once, reads the ones already summed in this process
+from a bounded, locked memo keyed by (signed string, star, K, chunk), and
+sums the distinct rest in one sweep over chunks of the index range in
+reused buffers, each distinct suffix (with its descent) once;
 :func:`classical_zeta` is its one-series case.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
@@ -63,12 +65,14 @@ engine's values over the same running scale.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb
-from operator import mul
+from operator import index, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
@@ -793,6 +797,84 @@ class _Suffix:
         self.last = 0.0  # cumulative at the last index summed
 
 
+# A bounded, thread-safe memo of classical series values.  Each check of
+# the q -> 1 limit sums one series per resolution of its pattern, and the
+# checks of one weight share most of them (the benchmark's seed-1 classical
+# batch makes 323 lookups of 78 distinct series), so a value is summed once
+# per process and then read back.  A key is (signed string, star, K, chunk):
+# chunk is part of it because the chunk boundaries fix the float rounding.
+# An entry is a few hundred bytes, so the bound keeps it under 0.5 MB.
+_CLASSICAL_MEMO_SIZE = 1024
+
+
+class _CacheInfo(NamedTuple):
+    """The fields of functools' cache_info()."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def _bounded_memo(maxsize: int):
+    """A least-recently-used memo of at most maxsize values, every access
+    under one lock, with functools' cache_info() and cache_clear().
+
+    ``memo(keys, compute)`` returns a dict from each key to its value.  A
+    key the memo holds is a hit, and so is a key repeated within one call;
+    the distinct others are misses, passed in first-seen order to
+    ``compute``, which returns their values in that order, and stored.
+    ``compute`` runs outside the lock, so two threads that miss the same
+    key both compute it and store equal values.
+    """
+    values: OrderedDict = OrderedDict()
+    lock = threading.Lock()
+    hits = misses = 0
+
+    def memo(keys, compute) -> dict:
+        nonlocal hits, misses
+        found: dict = {}
+        missing: dict = {}
+        with lock:
+            for key in keys:
+                if key in found or key in missing:
+                    hits += 1
+                elif key in values:
+                    values.move_to_end(key)
+                    found[key] = values[key]
+                    hits += 1
+                else:
+                    missing[key] = None
+                    misses += 1
+        if missing:
+            fresh = dict(zip(missing, compute(list(missing))))
+            with lock:
+                for key, value in fresh.items():
+                    values[key] = value
+                    values.move_to_end(key)
+                while len(values) > maxsize:
+                    values.popitem(last=False)
+            found.update(fresh)
+        return found
+
+    def cache_info() -> _CacheInfo:
+        with lock:
+            return _CacheInfo(hits, misses, maxsize, len(values))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        with lock:
+            values.clear()
+            hits = misses = 0
+
+    memo.cache_info = cache_info
+    memo.cache_clear = cache_clear
+    return memo
+
+
+_classical_memo = _bounded_memo(_CLASSICAL_MEMO_SIZE)
+
+
 def classical_zeta_many(
     items: Sequence[tuple], K: int = 1_000_000, chunk: int = 65536
 ) -> list[ClassicalValue]:
@@ -800,32 +882,56 @@ def classical_zeta_many(
     one per ``(signed string, star)`` pair.
 
     Entries are signed indices: magnitude p and sign w contribute
-    w**k / k**p at index k.  The cumulative of level j depends only on
-    ``(star, entries[j:])``, so the distinct suffixes of all strings form a
-    trie and each is summed once.  The index range is streamed in chunks:
-    per chunk the trie is walked depth first, each level built in one
-    reused buffer per depth from the deeper level's cumulative, with
-    running (Kahan-compensated) carries, so memory stays at O(chunk) per
-    depth regardless of K.
+    w**k / k**p at index k.  Every string is validated first; then each
+    value is read from a bounded process-wide memo keyed by
+    ``(signed string, star, K, chunk)``, and only the distinct strings it
+    lacks are summed, together in one sweep (:func:`_classical_sweep`), and
+    stored.  A string's value does not depend on which strings share its
+    sweep, so a memoized value is the one a fresh sweep would return, bit
+    for bit.
 
     The tail estimate is |inner cumulative at K| times the tail of the
     outermost level: K**(1-p1)/(p1-1) for leading magnitude p1 >= 2, else
     1/K for a signed leading 1 (alternating-series first-term bound).
     """
-    import numpy as np  # only this engine needs it; the exact paths start without it
-
     strings = [(signed_string(s), star) for s, star in items]
     for entries, star in strings:
         if entries:
             _classical_check(entries, star)
     if not any(entries for entries, _ in strings):
         return [ClassicalValue(1.0, 0.0, 0) for _ in strings]
+    # the sweep slices by K and chunk, so a float is refused here, where a
+    # memoized 10**6 would otherwise answer for 1e6
+    K, chunk = index(K), index(chunk)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K > MAX_CLASSICAL_TERMS:
         raise ValueError(f"K = {K} exceeds {MAX_CLASSICAL_TERMS} terms")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+
+    keys = [(entries, star, K, chunk) for entries, star in strings if entries]
+    values = _classical_memo(
+        keys, lambda missing: _classical_sweep([key[:2] for key in missing], K, chunk)
+    )
+    return [
+        values[(entries, star, K, chunk)] if entries else ClassicalValue(1.0, 0.0, 0)
+        for entries, star in strings
+    ]
+
+
+def _classical_sweep(strings: list, K: int, chunk: int) -> list[ClassicalValue]:
+    """The values of nonempty, validated (entries, star) pairs, summed in
+    one sweep.
+
+    The cumulative of level j depends only on ``(star, entries[j:])``, so
+    the distinct suffixes of all strings form a trie and each is summed
+    once.  The index range is streamed in chunks: per chunk the trie is
+    walked depth first, each level built in one reused buffer per depth
+    from the deeper level's cumulative, with running (Kahan-compensated)
+    carries, so memory stays at O(chunk) per depth regardless of K.
+    """
+    import numpy as np  # only this engine needs it; the exact paths start without it
 
     tops: dict = {}
     ends = []  # per string: its outermost level and the level just inside
@@ -882,9 +988,6 @@ def classical_zeta_many(
 
     out_values = []
     for (entries, _), (outer, inner) in zip(strings, ends):
-        if outer is None:
-            out_values.append(ClassicalValue(1.0, 0.0, 0))
-            continue
         inner_at_K = inner.last if inner is not None else 1.0
         p1 = entries[0].magnitude
         if p1 >= 2:

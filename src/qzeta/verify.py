@@ -389,7 +389,10 @@ def verify_classical(
     Both sides are partial sums, so the pass condition allows the stated
     tolerance plus the truncation estimates reported for every series; the
     estimates are heuristic (leading-term integral comparisons), not the
-    certified bounds of the q-side checks.
+    certified bounds of the q-side checks.  The series come from
+    :func:`classical_zeta_many`, whose bounded memo keeps the values it
+    summed last, so checks that share a series sum it once; the report is
+    the same warm or cold.
 
     Raises ValueError, before summing, unless tol is finite and >= 0: an
     infinite tolerance passes any identity, and a negative or NaN one

@@ -555,6 +555,128 @@ def test_classical_engine_edges():
         classical_zeta_many([((2,), False)], K=10, chunk=0)
 
 
+
+def _classical_oracle(entries, K, star, chunk=65536):
+    entries = signed_string(entries)
+    return (*oracles.classical_partial_sum([(e.magnitude, e.sign) for e in entries], K, star=star, chunk=chunk), K)
+
+
+def test_classical_memo_serves_hits_misses_and_duplicates_in_item_order():
+    # one call mixing memoized strings, new ones and repeats of both returns
+    # the oracle's values in item order, cold and warm, and sums each
+    # distinct new string once
+    import qzeta.evaluators as ev
+
+    K, chunk = 300, 64
+    first = [((2, 1), False), ((3, -1, 1), True), ((-1, 2), False)]
+    second = [
+        ((3, -1, 1), True),  # memoized
+        ((2, 2), True),  # new
+        ((2, 1), False),  # memoized
+        ((2, 2), True),  # new, repeated within the call
+        ((2, 1), True),  # new: star is part of the key
+        ((-1, 2), False),  # memoized
+    ]
+    for items in (first, second, second + first):
+        got = classical_zeta_many(items, K=K, chunk=chunk)
+        assert [tuple(v) for v in got] == [_classical_oracle(s, K, star, chunk) for s, star in items]
+    info = ev._classical_memo.cache_info()
+    # 3 + 2 + 0 distinct new strings; the rest of the 3 + 6 + 9 lookups hit
+    assert (info.hits, info.misses, info.currsize) == (13, 5, 5), info
+
+
+def test_classical_memo_keys_the_int_and_signed_index_spellings_alike():
+    import qzeta.evaluators as ev
+
+    ints = classical_zeta((2, -1, 1), K=500, star=True)
+    signed = classical_zeta((idx(2), bar(1), idx(1)), K=500, star=True)
+    assert ints == signed == _classical_oracle((2, -1, 1), 500, True)
+    info = ev._classical_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1), info
+
+
+def test_classical_memo_keys_include_K_and_chunk():
+    # the same string at another K or chunk is a different value; a memo
+    # keyed without either would serve the first one for both
+    for entries, star in (((2, 1), False), ((3, 1), True), ((2, -1, 1), False)):
+        by_chunk = {chunk: _classical_oracle(entries, 200, star, chunk) for chunk in (7, 64)}
+        by_K = {K: _classical_oracle(entries, K, star, 7) for K in (200, 201)}
+        assert by_chunk[7] != by_chunk[64] and by_K[200] != by_K[201]
+        for _ in range(2):
+            for chunk, expect in by_chunk.items():
+                assert tuple(classical_zeta(entries, K=200, star=star, chunk=chunk)) == expect
+            for K, expect in by_K.items():
+                assert tuple(classical_zeta(entries, K=K, star=star, chunk=7)) == expect
+    # a float K or chunk is refused, as the sweep refuses it, even when the
+    # int it equals is memoized
+    for K, chunk in ((200.0, 7), (200, 7.0)):
+        with pytest.raises(TypeError):
+            classical_zeta((2, 1), K=K, chunk=chunk)
+
+
+def test_classical_memo_is_bounded_and_evicts_the_least_recent():
+    import qzeta.evaluators as ev
+
+    size = ev._classical_memo.cache_info().maxsize
+    assert size == ev._CLASSICAL_MEMO_SIZE
+    signs = (1, -1)
+    strings = [
+        ((p, a * u, b * v), False)
+        for p in range(2, 12)
+        for a in range(1, 11)
+        for b in range(1, 11)
+        for u in signs
+        for v in signs
+    ][: size + 100]
+    K = 3
+    # more distinct strings than the bound in one call, then in small calls
+    got = classical_zeta_many(strings, K=K)
+    assert ev._classical_memo.cache_info().currsize == size
+    for items in (strings[:40], strings[40:90]):
+        assert classical_zeta_many(items, K=K) == [got[strings.index(s)] for s in items]
+        assert ev._classical_memo.cache_info().currsize == size
+    # the first 100 were evicted by the first call and summed again by the
+    # next two, so each string is a miss once plus 90 misses
+    info = ev._classical_memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (size + 190, 0, size), info
+    # the 90 strings summed last are kept; the 90 least recent before them,
+    # strings[100:190], made room for them
+    before = ev._classical_memo.cache_info()
+    classical_zeta_many(strings[:90] + strings[100:101] + strings[189:191], K=K)
+    after = ev._classical_memo.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (91, 2)
+    # a hit refreshes its entry: strings[190], read by that call, outlived
+    # strings[191], which had been stored after it
+    for i, (hits, misses) in ((190, (1, 0)), (191, (0, 1))):
+        before = ev._classical_memo.cache_info()
+        classical_zeta_many([strings[i]], K=K)
+        after = ev._classical_memo.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (hits, misses), i
+    for i in (0, 89, 100, len(strings) - 1):
+        assert tuple(got[i]) == _classical_oracle(strings[i][0], K, False)
+
+
+def test_classical_memo_refuses_a_bad_batch_before_any_sweep(monkeypatch):
+    # validation comes first: a batch with one invalid string raises before
+    # the sweep runs, stores nothing and counts no lookup, even when its
+    # other strings are memoized
+    import qzeta.evaluators as ev
+
+    valid = [((2, 1), False), ((3,), True)]
+    classical_zeta_many(valid, K=100)
+    before = ev._classical_memo.cache_info()
+    sweeps = []
+    sweep = ev._classical_sweep
+    monkeypatch.setattr(ev, "_classical_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    for bad in ([*valid, ((1, 2), True)], [((2, 2), False), ((1, 2), True)], [((1,), False), *valid]):
+        with pytest.raises(ValueError, match="leading"):
+            classical_zeta_many(bad, K=100)
+    assert sweeps == []
+    assert ev._classical_memo.cache_info() == before
+    # the patch is live: a new string reaches the sweep
+    classical_zeta_many([((2, 2), False)], K=100)
+    assert len(sweeps) == 1
+
 def _shift_proj(r):
     return 0 if r is THETA else r
 

@@ -661,6 +661,77 @@ def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
     ]
 
 
+
+def _leading_two_weight_seven() -> list:
+    # every composition of 7 that opens with an entry >= 2: their patterns
+    # share most of their series, so most classical sums repeat
+    comps = [(7,)]
+    for cuts in range(1, 2**6):
+        comp, run = [], 1
+        for p in range(6):
+            if cuts >> p & 1:
+                comp.append(run)
+                run = 1
+            else:
+                run += 1
+        comp.append(run)
+        if comp[0] >= 2:
+            comps.append(tuple(comp))
+    assert len(comps) == 32
+    return comps
+
+
+def test_classical_reports_do_not_depend_on_a_warm_memo(qzeta_memos):
+    # the classical value memo is shared by every check at one K: reports
+    # run in either order, or each from a cold memo, are the same
+    from qzeta.evaluators import _classical_memo
+
+    comps = _leading_two_weight_seven()
+
+    def run(comp):
+        return _body(verify_classical(comp, K=10**4, tol=1e-2))
+
+    def cold():
+        for memo in qzeta_memos:
+            memo.cache_clear()
+
+    cold()
+    forward = [run(c) for c in comps]
+    info = _classical_memo.cache_info()
+    assert info.hits > info.misses > 0, info
+    cold()
+    backward = [run(c) for c in reversed(comps)][::-1]
+    each_cold = []
+    for c in comps:
+        cold()
+        each_cold.append(run(c))
+    assert forward == backward == each_cold
+    assert sum(r["status"] == "numeric-pass" for r in forward) >= 24
+
+
+def test_classical_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
+    # both threads fill the same cold memo with overlapping series,
+    # switching as often as the interpreter allows
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    comps = _leading_two_weight_seven()
+
+    def run(comp):
+        return _body(verify_classical(comp, K=10**4, tol=1e-2))
+
+    serial = [run(c) for c in comps]
+    for memo in qzeta_memos:
+        memo.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(run, comps + comps[::-1], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial + serial[::-1]
+
 def test_sample_compositions_deterministic():
     xs = sample_compositions(25, max_depth=5, max_weight=9, seed=7)
     ys = sample_compositions(25, max_depth=5, max_weight=9, seed=7)
