@@ -22,7 +22,7 @@ from .evaluators import classical_zeta, frakz, mhs, q_zeta
 from .expansion import Triple, expand
 from .indices import SignedIndex, Theta, parse_shift
 from .qarith import QContext, as_q
-from .rules import CLOSED_FAMILIES, classical_expand, compose, parse_composition
+from .rules import CLOSED_FAMILIES, check_entry_count, classical_expand, compose, parse_composition
 from .verify import (
     DEFAULT_SEED,
     all_passed,
@@ -36,7 +36,10 @@ from .verify import (
 
 
 def parse_signed_string(text: str) -> tuple[SignedIndex, ...]:
-    """Comma list of signed entries; "-k" is barred, "3^2" repeats."""
+    """Comma list of signed entries; "-k" is barred, "3^2" repeats.
+
+    Raises ValueError for more than MAX_PARSED_ENTRIES entries in all.
+    """
     entries: list[SignedIndex] = []
     for token in text.split(","):
         token = token.strip()
@@ -49,6 +52,7 @@ def parse_signed_string(text: str) -> tuple[SignedIndex, ...]:
             raise ValueError(f"cannot parse repetition in {token!r}") from None
         if rep < 0:
             raise ValueError(f"repetition count must be nonnegative in {token!r}")
+        check_entry_count(len(entries) + rep, text)
         entries.extend([SignedIndex.parse(base)] * rep)
     if not entries:
         raise ValueError(f"string {text!r} has no entries")

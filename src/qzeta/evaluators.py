@@ -55,11 +55,13 @@ Gaussian-binomial integer G(N, j) = P_N / (P_j P_(N-j)),
 
     br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n^2 / P_2n * G(2n, n-k) * b^(k^2),
 
-so each upper limit n costs one integer dot product over a denominator of
-its own, G(2n, n) times the least scale that the engine's values up to n
-need once b^(k^2) is folded into their b-exponents (see
-:func:`_pattern_pairs`), and :func:`~qzeta.verify.verify_mhs` compares the
-unreduced sides by cross-multiplication.  :func:`frakz` sums the same
+so each upper limit n is one integer sum over a denominator of its own,
+G(2n, n) times the least scale that the engine's values up to n need once
+b^(k^2) is folded into their b-exponents.  Its terms, G(2n, n-k) times a
+scaled value, are carried from row n-1 to row n by one multiply and one
+exact division by small integers each (see :func:`_pattern_pairs`), and
+:func:`~qzeta.verify.verify_mhs` compares the unreduced sides by
+cross-multiplication.  :func:`frakz` sums the same
 engine's values over the same running scale.
 """
 
@@ -72,7 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb
-from operator import index, mul
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
@@ -446,11 +448,11 @@ def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int]]:
 
 
 # Largest upper limit of the finite mollified sums, checked before any term
-# is summed.  The engine's values grow like n**2 bits and each n costs a dot
-# product of n of them, so the cost grows about as n**5: verify_mhs of
-# (2,1,1,3,1) at q = 5/8 takes 0.9 s at n_max = 80, 8.5 s at 120 and 38 s at
-# 160, and of (2,1) at q = 1/2 2.0 s at 160, on a 2-vCPU x86-64 host.
-# Deeper patterns cost more per n.
+# is summed.  The engine's values grow like n**2 bits and each n moves n of
+# them by factors of about n bits, so the cost grows a little faster than
+# n**4: verify_mhs of (2,1,1,3,1) at q = 5/8 takes 0.4 s at n_max = 80,
+# 2.3 s at 120 and 8.1 s at 160, and of (2,1) at q = 1/2 0.5 s at 160, on a
+# 2-vCPU x86-64 host.  Deeper patterns cost more per n.
 MAX_PATTERN_LIMIT = 160
 
 # Deepest pattern of a finite mollified sum, checked before the run engine
@@ -460,6 +462,14 @@ MAX_PATTERN_LIMIT = 160
 # of (23,), depth 22, 31 s at 160; depth 239 took 1.3 s at n_max = 10, on a
 # 2-vCPU x86-64 host.  The tests reach depth 22 (9,9,9), the benchmark 12.
 MAX_PATTERN_DEPTH = 32
+
+
+def _q_factors(ctx: QContext, top: int) -> list[int]:
+    """h_i = b**i - a**i for i = 0..top, where q = a/b: the factors of the
+    integer Pochhammer products P_n = h_1 * ... * h_n (see
+    :meth:`~qzeta.qarith.QContext.p_prod`)."""
+    a, b = ctx.q.numerator, ctx.q.denominator
+    return [b**i - a**i for i in range(top + 1)]
 
 
 def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> list[tuple]:
@@ -472,14 +482,25 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     (see :func:`_inner_terms` and :func:`_rescaled`): the b**(k*k) of the
     prefactor is folded into the engine's exponent before the value is
     scaled, so it cancels the b-powers the engine's terms carry instead of
-    multiplying them.  The list weighted[k] = b**(k*k) * inner[k] * D_n,
-    k <= n, moves from row n-1 to row n by the small factor D_n / D_(n-1)
-    and gains one entry.  With P_n**2 / P_2n = 1 / G(2n, n) and the integer
-    row G(2n, j), j <= n, of ctx.gauss_row,
+    multiplying them.  The value weighted[k] = b**(k*k) * inner[k] * D_n,
+    k <= n, moves from row n-1 to row n by the small factor
+    g_n = D_n / D_(n-1) of :func:`_rescaled`.  With P_n**2 / P_2n =
+    1 / G(2n, n) and the Gaussian-binomial integers
+    G(N, j) = P_N / (P_j P_(N-j)),
 
-        out[n] = sum_k G(2n, n-k) * weighted[k] / (G(2n, n) * D_n),
+        out[n] = sum_k T_n[k] / (G(2n, n) * D_n),  T_n[k] = G(2n, n-k) * weighted[k].
 
-    one integer dot product per row.  Nothing is reduced here.
+    With h_i = b**i - a**i, G(2n, n-k) / G(2n-2, n-1-k) = h_2n h_(2n-1) /
+    (h_(n-k) h_(n+k)), so each product is carried from row n-1 to row n by
+
+        T_n[k] = T_(n-1)[k] * g_n * h_2n * h_(2n-1) // (h_(n-k) * h_(n+k)),
+
+    one multiply and one exact division by integers of about n bits; row n
+    gains T_n[n] = weighted[n], as G(2n, 0) = 1, and the centre G(2n, n)
+    moves by the k = 0 case of the same ratio.  No Gaussian row is built,
+    and each big integer meets only integers of about n bits, where a fresh
+    dot product per row would multiply integers of about n**2 bits each: the
+    cost grows about as n**4 rather than n**5.  Nothing is reduced here.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -493,16 +514,18 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
         )
     inner = islice(_inner_terms(ctx, pattern, merge), n_max)
     folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
-    weighted: list[int] = []  # k = 1..n
+    h = _q_factors(ctx, 2 * n_max)
+    terms: list[int] = []  # G(2n, n-k) * weighted[k], k = 1..n
+    centre = 1  # G(2n, n)
     out = [(0, 1)]
     w = sum(e.magnitude for e in pattern.s)
     for n, (grow, x, den) in enumerate(_rescaled(ctx, w, folded), 1):
-        if grow > 1:
-            weighted = [y * grow for y in weighted]
-        weighted.append(x)
-        row = ctx.gauss_row(2 * n, n + 1)
-        # G(2n, j) pairs with k = n - j
-        out.append((sum(map(mul, row, reversed(weighted))), row[n] * den))
+        up = h[2 * n] * h[2 * n - 1]
+        step = grow * up
+        terms = [t * step // (h[n - k] * h[n + k]) for k, t in enumerate(terms, 1)]
+        terms.append(x)  # G(2n, 0) = 1
+        centre = centre * up // (h[n] * h[n])
+        out.append((sum(terms), centre * den))
     return out
 
 
@@ -518,8 +541,8 @@ def pattern_mhs_many(
     out[n] = sum_k br(n, k) * inner[k], where with q = a/b
     br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n**2 / P_2n * G(2n, n-k) * b**(k*k),
     P_j = prod_(i <= j) (b**i - a**i) and G(N, j) = P_N / (P_j P_(N-j)) an
-    integer.  Each row is one integer dot product (see :func:`_pattern_pairs`)
-    and each value is reduced once.
+    integer.  Each row is one integer sum of products carried from the row
+    before (see :func:`_pattern_pairs`) and each value is reduced once.
 
     Raises ValueError, before summing any term, for n_max above
     MAX_PATTERN_LIMIT or a pattern deeper than MAX_PATTERN_DEPTH.

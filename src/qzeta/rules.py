@@ -35,8 +35,25 @@ from .indices import THETA, SignedIndex, bar, boxplus, idx, oplus
 Composition = tuple[int, ...]
 
 
+# Most entries a parsed composition or signed string may have, counted
+# before the list is built: a repetition count like 2^(10**20) would
+# otherwise die in the list allocation.  Far above the inputs the checks
+# finish on: the finite check of 2^1100 takes about 2 s.
+MAX_PARSED_ENTRIES = 10**6
+
+
+def check_entry_count(total: int, text: str) -> None:
+    """Refuse a parsed string whose repetition counts add up past
+    MAX_PARSED_ENTRIES, with ValueError."""
+    if total > MAX_PARSED_ENTRIES:
+        raise ValueError(f"{text[:40]!r} has more than {MAX_PARSED_ENTRIES} entries")
+
+
 def parse_composition(text: str) -> Composition:
-    """Parse "2,1,3" style strings; "2^3" repeats an entry three times."""
+    """Parse "2,1,3" style strings; "2^3" repeats an entry three times.
+
+    Raises ValueError for more than MAX_PARSED_ENTRIES entries in all.
+    """
     entries: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -52,6 +69,7 @@ def parse_composition(text: str) -> Composition:
             raise ValueError(f"composition entries must be positive, got {base}")
         if rep < 0:
             raise ValueError(f"repetition count must be nonnegative, got {rep}")
+        check_entry_count(len(entries) + rep, text)
         entries.extend([base] * rep)
     if not entries:
         raise ValueError(f"composition {text!r} has no entries")

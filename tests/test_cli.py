@@ -338,6 +338,34 @@ def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):
         qzeta.verify.symmetric_pair_check(600, 600, eps=Fraction(1, 10))
 
 
+def test_huge_repetition_counts_are_refused_before_the_list_is_built(capsys, monkeypatch):
+    # 2^(10**20) has no list to build: both parsers count the entries first,
+    # so verify, eval and expand exit 2 with a message instead of an
+    # OverflowError or a MemoryError, before any pattern is composed
+    def never(*args):
+        raise AssertionError("a pattern was composed")
+
+    monkeypatch.setattr(qzeta.cli, "compose", never)
+    cap = qzeta.rules.MAX_PARSED_ENTRIES
+    huge = "2^" + str(10**20)
+    for argv in (
+        ("verify", huge),
+        ("verify", huge, "--qmzsv"),
+        ("eval", "qzeta-star", "--s", huge),
+        ("eval", "mhs", "--s", f"1,-3^2,-2^{10**20}", "--n", "2"),
+        ("verify", f"2^{cap},1"),
+        ("expand", f"1,2^{cap}"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and f"has more than {cap} entries" in err, argv
+    # the bound itself is still taken
+    for parse in (qzeta.parse_composition, parse_signed_string):
+        assert len(parse(f"3^{cap // 2},1^{cap - cap // 2}")) == cap
+        with pytest.raises(ValueError, match=f"more than {cap} entries"):
+            parse(f"3^{cap // 2},1^{cap - cap // 2 + 1}")
+
+
 def test_classical_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch):
     # an infinite tolerance passes any identity, a negative or NaN one fails
     # every identity: each is refused before a series is summed

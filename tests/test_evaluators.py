@@ -1027,3 +1027,40 @@ def test_pattern_pairs_equal_the_one_denominator_prefactor():
                 top_a, top_b = max(top_a, ea), max(top_b, eb - n * n)
                 den = ctx.gauss_row(2 * n, n + 1)[n] * ctx.p_lcm(n) ** w * a**top_a * b**top_b
                 assert pairs[n][1] == den, (pattern, q, merge, n)
+
+
+def test_pattern_pairs_carry_the_prefactor_without_gaussian_rows(monkeypatch):
+    # the pairs carry G(2n, n-k) from row to row by the factors b**i - a**i:
+    # with every Gaussian row refused they still give the oracle's values,
+    # at q near 0 and near 1, where those factors are large, and at the
+    # smallest upper limits; each denominator is G(2n, n) L_n**w a**A_n b**B_n
+    from qzeta import compose
+    from qzeta.evaluators import _pattern_pairs
+
+    cases = []
+    for q in (Fraction(1, 1000), Fraction(999, 1000)):
+        for comp in ((2, 1, 1, 3, 1), (3, 1, 2), (1,)):
+            pattern = compose(comp)[1]
+            for n_max in (0, 1, 2, 12):
+                for merge in (True, False):
+                    expect, inner = _one_denominator_values(QContext(q), pattern, n_max, merge)
+                    cases.append((q, pattern, n_max, merge, expect, inner))
+
+    def never(*args):
+        raise AssertionError("a Gaussian row was built")
+
+    monkeypatch.setattr(QContext, "gauss_row", never)
+    for q, pattern, n_max, merge, expect, inner in cases:
+        ctx = QContext(q)
+        a, b = q.numerator, q.denominator
+        w = sum(e.magnitude for e in pattern.s)
+        pairs = _pattern_pairs(ctx, pattern, n_max, merge)
+        assert len(pairs) == n_max + 1 and pairs[0] == (0, 1)
+        assert [Fraction(num, den) for num, den in pairs] == expect, (pattern, q, n_max, merge)
+        top_a = top_b = 0
+        for n in range(1, n_max + 1):
+            _, ea, eb = inner[n - 1]
+            top_a, top_b = max(top_a, ea), max(top_b, eb - n * n)
+            centre = ctx.p_prod(2 * n) // ctx.p_prod(n) ** 2
+            den = centre * ctx.p_lcm(n) ** w * a**top_a * b**top_b
+            assert pairs[n][1] == den, (pattern, q, merge, n)

@@ -28,6 +28,7 @@ from qzeta import (
     verify_mhs,
     verify_qmzsv,
 )
+from qzeta import evaluators
 from qzeta.verify import VerificationReport
 
 
@@ -389,14 +390,21 @@ def test_lemma_suite_small():
 
 def _perturbed_rows(monkeypatch):
     # every Gaussian-binomial integer past the first of a row gains 1: the
-    # finite sums read their prefactor, and the kernel parts br(n, k), from
-    # these rows, so br(n, k) gains c_n * b**(k*k) for k < n
+    # kernel parts read br(n, k) from these rows, so br(n, k) gains
+    # c_n * b**(k*k) for k < n.  The finite sums carry their prefactor from
+    # row to row by the factors b**i - a**i instead, and every one of those
+    # past the first gains 1 too
     real_row = QContext.gauss_row
+    real_factors = evaluators._q_factors
 
     def row(self, n, stop):
         return [g + (1 if j else 0) for j, g in enumerate(real_row(self, n, stop))]
 
+    def factors(ctx, top):
+        return [h + (1 if i > 1 else 0) for i, h in enumerate(real_factors(ctx, top))]
+
     monkeypatch.setattr(QContext, "gauss_row", row)
+    monkeypatch.setattr(evaluators, "_q_factors", factors)
 
 
 def _perturbed_ratio(q, n, k):
