@@ -37,7 +37,7 @@ def main() -> int:
     ap.add_argument(
         "--skip-classical",
         action="store_true",
-        help="skip the float q -> 1 battery (a few seconds; one shared sweep per check)",
+        help="skip the float q -> 1 battery (a few seconds; each distinct series summed once)",
     )
     args = ap.parse_args()
 

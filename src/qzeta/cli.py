@@ -22,7 +22,7 @@ from .evaluators import classical_zeta, frakz, mhs, q_zeta
 from .expansion import Triple, expand
 from .indices import SignedIndex, Theta, parse_shift
 from .qarith import QContext, as_q
-from .rules import CLOSED_FAMILIES, check_entry_count, classical_expand, compose, parse_composition
+from .rules import CLOSED_FAMILIES, classical_expand, compose, parse_composition, parse_repeated
 from .verify import (
     DEFAULT_SEED,
     all_passed,
@@ -40,23 +40,7 @@ def parse_signed_string(text: str) -> tuple[SignedIndex, ...]:
 
     Raises ValueError for more than MAX_PARSED_ENTRIES entries in all.
     """
-    entries: list[SignedIndex] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise ValueError(f"empty entry in string {text!r}")
-        base, sep, rep_text = token.partition("^")
-        try:
-            rep = int(rep_text) if sep else 1
-        except ValueError:
-            raise ValueError(f"cannot parse repetition in {token!r}") from None
-        if rep < 0:
-            raise ValueError(f"repetition count must be nonnegative in {token!r}")
-        check_entry_count(len(entries) + rep, text)
-        entries.extend([SignedIndex.parse(base)] * rep)
-    if not entries:
-        raise ValueError(f"string {text!r} has no entries")
-    return tuple(entries)
+    return parse_repeated(text, SignedIndex.parse, "string")
 
 
 def parse_triple(text: str) -> Triple:

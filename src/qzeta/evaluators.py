@@ -32,10 +32,9 @@ oracle.
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
 reports a first-omitted-term style tail estimate for each.  It takes every
-series of a check at once, reads the ones already summed in this process
-from a bounded, locked memo keyed by (signed string, star, K, chunk), and
-sums the distinct rest in one sweep over chunks of the index range in
-reused buffers, each distinct suffix (with its descent) once;
+series of a check at once and reads each from a bounded ``lru_cache`` keyed
+by (signed string, star, K, chunk), which sums a series it lacks on its own
+over chunks of the index range in reused buffers, one per level;
 :func:`classical_zeta` is its one-series case.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
@@ -67,8 +66,6 @@ engine's values over the same running scale.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -800,102 +797,14 @@ def _classical_check(entries: tuple, star: bool) -> None:
         raise ValueError("series needs leading magnitude >= 2 or a signed leading 1")
 
 
-class _Suffix:
-    """One node of the suffix trie: the level that sums entries[j:]."""
-
-    __slots__ = (
-        "power", "barred", "star", "depth", "parent", "children", "carry", "comp", "prev", "last"
-    )
-
-    def __init__(self, entry, star: bool, parent: "_Suffix | None"):
-        self.power = float(-entry.magnitude)
-        self.barred = entry.sign < 0
-        self.star = star
-        self.depth = 0 if parent is None else parent.depth + 1  # its buffer
-        self.parent = parent
-        self.children: dict = {}
-        self.carry = 0.0  # Kahan-compensated running total
-        self.comp = 0.0
-        self.prev = 0.0  # carry before the current chunk
-        self.last = 0.0  # cumulative at the last index summed
-
-
-# A bounded, thread-safe memo of classical series values.  Each check of
-# the q -> 1 limit sums one series per resolution of its pattern, and the
-# checks of one weight share most of them (the benchmark's seed-1 classical
-# batch makes 323 lookups of 78 distinct series), so a value is summed once
-# per process and then read back.  A key is (signed string, star, K, chunk):
-# chunk is part of it because the chunk boundaries fix the float rounding.
-# An entry is a few hundred bytes, so the bound keeps it under 0.5 MB.
+# A bounded memo of classical series values.  Each check of the q -> 1
+# limit sums one series per resolution of its pattern, and the checks of one
+# weight share most of them (the benchmark's seed-1 classical batch makes 323
+# lookups of 78 distinct series), so a value is summed once per process and
+# then read back.  A key is (signed string, star, K, chunk): chunk is part of
+# it because the chunk boundaries fix the float rounding.  An entry is a few
+# hundred bytes, so the bound keeps it under 0.5 MB.
 _CLASSICAL_MEMO_SIZE = 1024
-
-
-class _CacheInfo(NamedTuple):
-    """The fields of functools' cache_info()."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-def _bounded_memo(maxsize: int):
-    """A least-recently-used memo of at most maxsize values, every access
-    under one lock, with functools' cache_info() and cache_clear().
-
-    ``memo(keys, compute)`` returns a dict from each key to its value.  A
-    key the memo holds is a hit, and so is a key repeated within one call;
-    the distinct others are misses, passed in first-seen order to
-    ``compute``, which returns their values in that order, and stored.
-    ``compute`` runs outside the lock, so two threads that miss the same
-    key both compute it and store equal values.
-    """
-    values: OrderedDict = OrderedDict()
-    lock = threading.Lock()
-    hits = misses = 0
-
-    def memo(keys, compute) -> dict:
-        nonlocal hits, misses
-        found: dict = {}
-        missing: dict = {}
-        with lock:
-            for key in keys:
-                if key in found or key in missing:
-                    hits += 1
-                elif key in values:
-                    values.move_to_end(key)
-                    found[key] = values[key]
-                    hits += 1
-                else:
-                    missing[key] = None
-                    misses += 1
-        if missing:
-            fresh = dict(zip(missing, compute(list(missing))))
-            with lock:
-                for key, value in fresh.items():
-                    values[key] = value
-                    values.move_to_end(key)
-                while len(values) > maxsize:
-                    values.popitem(last=False)
-            found.update(fresh)
-        return found
-
-    def cache_info() -> _CacheInfo:
-        with lock:
-            return _CacheInfo(hits, misses, maxsize, len(values))
-
-    def cache_clear() -> None:
-        nonlocal hits, misses
-        with lock:
-            values.clear()
-            hits = misses = 0
-
-    memo.cache_info = cache_info
-    memo.cache_clear = cache_clear
-    return memo
-
-
-_classical_memo = _bounded_memo(_CLASSICAL_MEMO_SIZE)
 
 
 def classical_zeta_many(
@@ -906,12 +815,9 @@ def classical_zeta_many(
 
     Entries are signed indices: magnitude p and sign w contribute
     w**k / k**p at index k.  Every string is validated first; then each
-    value is read from a bounded process-wide memo keyed by
-    ``(signed string, star, K, chunk)``, and only the distinct strings it
-    lacks are summed, together in one sweep (:func:`_classical_sweep`), and
-    stored.  A string's value does not depend on which strings share its
-    sweep, so a memoized value is the one a fresh sweep would return, bit
-    for bit.
+    nonempty one is read from a bounded process-wide memo keyed by
+    ``(signed string, star, K, chunk)`` (:func:`_classical_sum`), which sums
+    the strings it lacks one at a time.
 
     The tail estimate is |inner cumulative at K| times the tail of the
     outermost level: K**(1-p1)/(p1-1) for leading magnitude p1 >= 2, else
@@ -923,7 +829,7 @@ def classical_zeta_many(
             _classical_check(entries, star)
     if not any(entries for entries, _ in strings):
         return [ClassicalValue(1.0, 0.0, 0) for _ in strings]
-    # the sweep slices by K and chunk, so a float is refused here, where a
+    # the sum slices by K and chunk, so a float is refused here, where a
     # memoized 10**6 would otherwise answer for 1e6
     K, chunk = index(K), index(chunk)
     if K < 1:
@@ -932,93 +838,70 @@ def classical_zeta_many(
         raise ValueError(f"K = {K} exceeds {MAX_CLASSICAL_TERMS} terms")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-
-    keys = [(entries, star, K, chunk) for entries, star in strings if entries]
-    values = _classical_memo(
-        keys, lambda missing: _classical_sweep([key[:2] for key in missing], K, chunk)
-    )
     return [
-        values[(entries, star, K, chunk)] if entries else ClassicalValue(1.0, 0.0, 0)
+        _classical_sum(entries, star, K, chunk) if entries else ClassicalValue(1.0, 0.0, 0)
         for entries, star in strings
     ]
 
 
-def _classical_sweep(strings: list, K: int, chunk: int) -> list[ClassicalValue]:
-    """The values of nonempty, validated (entries, star) pairs, summed in
-    one sweep.
+@lru_cache(maxsize=_CLASSICAL_MEMO_SIZE)
+def _classical_sum(entries: tuple, star: bool, K: int, chunk: int) -> ClassicalValue:
+    """The value of one nonempty, validated string.
 
-    The cumulative of level j depends only on ``(star, entries[j:])``, so
-    the distinct suffixes of all strings form a trie and each is summed
-    once.  The index range is streamed in chunks: per chunk the trie is
-    walked depth first, each level built in one reused buffer per depth
-    from the deeper level's cumulative, with running (Kahan-compensated)
-    carries, so memory stays at O(chunk) per depth regardless of K.
+    The index range is streamed in chunks.  Per chunk each level, innermost
+    first, is built in a reused buffer of its own from the deeper level's
+    cumulative, with a running (Kahan-compensated) carry, so memory stays at
+    O(chunk) per level regardless of K.
     """
     import numpy as np  # only this engine needs it; the exact paths start without it
 
-    tops: dict = {}
-    ends = []  # per string: its outermost level and the level just inside
-    for entries, star in strings:
-        level, inner, below = None, None, tops
-        for e in reversed(entries):
-            key = (star, e) if level is None else e
-            if key not in below:
-                below[key] = _Suffix(e, star, level)
-            inner, level = level, below[key]
-            below = level.children
-        ends.append((level, inner))
-
+    m = len(entries)
     width = min(chunk, K)
-    depth = max(len(entries) for entries, _ in strings)
-    bufs = [np.empty(width) for _ in range(depth)]
+    bufs = [np.empty(width) for _ in range(m)]
+    carries = [0.0] * m
+    comps = [0.0] * m
     ks = np.arange(1, width + 1, dtype=np.float64)
     start = 1
     while start <= K:
         n = min(width, K - start + 1)
         k = ks[:n]
-        stack = list(tops.values())
-        while stack:
-            node = stack.pop()
-            out = bufs[node.depth][:n]
-            if node.power == -1.0:
+        deeper = prev = None
+        for j in reversed(range(m)):
+            e, out = entries[j], bufs[j][:n]
+            if e.magnitude == 1:
                 np.reciprocal(k, out=out)  # numpy computes k ** -1.0 this way
             else:
-                np.power(k, node.power, out=out)
-            if node.barred:
+                np.power(k, float(-e.magnitude), out=out)
+            if e.sign < 0:
                 out[(start + 1) % 2 :: 2] *= -1.0
-            parent = node.parent
-            if parent is not None:
-                deeper = bufs[parent.depth][:n]
-                if node.star:
+            if deeper is not None:
+                if star:
                     out *= deeper
                 else:
                     # strict descent reads the deeper cumulative one index
                     # back, which at the chunk start is its carry from before
-                    out[0] *= parent.prev
+                    out[0] *= prev
                     out[1:] *= deeper[:-1]
             np.cumsum(out, out=out)
-            out += node.carry
-            node.last = float(out[-1])
+            out += carries[j]
+            # the next level out reads this cumulative and the carry before it
+            deeper, prev = out, carries[j]
             # Kahan update of the carry with this chunk's total
-            node.prev = node.carry
-            y = node.last - node.carry - node.comp
-            t = node.carry + y
-            node.comp = (t - node.carry) - y
-            node.carry = t
-            stack.extend(node.children.values())
+            y = float(out[-1]) - carries[j] - comps[j]
+            t = carries[j] + y
+            comps[j] = (t - carries[j]) - y
+            carries[j] = t
         start += n
         ks += width
 
-    out_values = []
-    for (entries, _), (outer, inner) in zip(strings, ends):
-        inner_at_K = inner.last if inner is not None else 1.0
-        p1 = entries[0].magnitude
-        if p1 >= 2:
-            tail = abs(inner_at_K) * K ** (1 - p1) / (p1 - 1)
-        else:
-            tail = abs(inner_at_K) / K
-        out_values.append(ClassicalValue(outer.carry, tail, K))
-    return out_values
+    # the inner level's buffer still holds its cumulative up to K
+    inner_at_K = float(bufs[1][n - 1]) if m > 1 else 1.0
+    p1 = entries[0].magnitude
+    if p1 >= 2:
+        tail = abs(inner_at_K) * K ** (1 - p1) / (p1 - 1)
+    else:
+        tail = abs(inner_at_K) / K
+    return ClassicalValue(carries[0], tail, K)
 
 
 def classical_zeta(

@@ -27,7 +27,7 @@ resolution of the index string alone becomes a term with coefficient
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .expansion import Triple, expand
 from .indices import THETA, SignedIndex, bar, boxplus, idx, oplus
@@ -42,11 +42,43 @@ Composition = tuple[int, ...]
 MAX_PARSED_ENTRIES = 10**6
 
 
-def check_entry_count(total: int, text: str) -> None:
-    """Refuse a parsed string whose repetition counts add up past
-    MAX_PARSED_ENTRIES, with ValueError."""
-    if total > MAX_PARSED_ENTRIES:
-        raise ValueError(f"{text[:40]!r} has more than {MAX_PARSED_ENTRIES} entries")
+def parse_repeated(text: str, parse_entry: Callable[[str], object], noun: str) -> tuple:
+    """Parse a comma list of entries, each read by parse_entry, where
+    "e^n" repeats an entry n times.
+
+    Raises ValueError for an empty entry, a repetition count that is not a
+    nonnegative integer, more than MAX_PARSED_ENTRIES entries in all
+    (counted before the list is built) or no entries at all.
+    """
+    entries: list = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            raise ValueError(f"empty entry in {noun} {text!r}")
+        base, sep, rep_text = token.partition("^")
+        entry = parse_entry(base)
+        try:
+            rep = int(rep_text) if sep else 1
+        except ValueError:
+            raise ValueError(f"cannot parse repetition in {token!r}") from None
+        if rep < 0:
+            raise ValueError(f"repetition count must be nonnegative in {token!r}")
+        if len(entries) + rep > MAX_PARSED_ENTRIES:
+            raise ValueError(f"{text[:40]!r} has more than {MAX_PARSED_ENTRIES} entries")
+        entries.extend([entry] * rep)
+    if not entries:
+        raise ValueError(f"{noun} {text!r} has no entries")
+    return tuple(entries)
+
+
+def _composition_entry(text: str) -> int:
+    try:
+        e = int(text)
+    except ValueError:
+        raise ValueError(f"cannot parse composition entry {text.strip()!r}") from None
+    if e < 1:
+        raise ValueError(f"composition entries must be positive, got {e}")
+    return e
 
 
 def parse_composition(text: str) -> Composition:
@@ -54,26 +86,7 @@ def parse_composition(text: str) -> Composition:
 
     Raises ValueError for more than MAX_PARSED_ENTRIES entries in all.
     """
-    entries: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise ValueError(f"empty entry in composition {text!r}")
-        base_text, sep, rep_text = token.partition("^")
-        try:
-            base = int(base_text)
-            rep = int(rep_text) if sep else 1
-        except ValueError:
-            raise ValueError(f"cannot parse composition entry {token!r}") from None
-        if base < 1:
-            raise ValueError(f"composition entries must be positive, got {base}")
-        if rep < 0:
-            raise ValueError(f"repetition count must be nonnegative, got {rep}")
-        check_entry_count(len(entries) + rep, text)
-        entries.extend([base] * rep)
-    if not entries:
-        raise ValueError(f"composition {text!r} has no entries")
-    return tuple(entries)
+    return parse_repeated(text, _composition_entry, "composition")
 
 
 def zeta_admissible(composition: Sequence[int]) -> bool:

@@ -390,9 +390,9 @@ def verify_classical(
     tolerance plus the truncation estimates reported for every series; the
     estimates are heuristic (leading-term integral comparisons), not the
     certified bounds of the q-side checks.  The series come from
-    :func:`classical_zeta_many`, whose bounded memo keeps the values it
-    summed last, so checks that share a series sum it once; the report is
-    the same warm or cold.
+    :func:`classical_zeta_many`, whose bounded ``lru_cache`` keeps the
+    values it summed last, so checks that share a series sum it once; the
+    report is the same warm or cold.
 
     Raises ValueError, before summing, unless tol is finite and >= 0: an
     infinite tolerance passes any identity, and a negative or NaN one
@@ -780,18 +780,23 @@ def sample_compositions(
     max_weight: int = 12,
     seed: int = DEFAULT_SEED,
 ) -> list[Composition]:
-    """Deterministic fuzz corpus of compositions."""
+    """Deterministic fuzz corpus of nonempty compositions of weight at most
+    max_weight.
+
+    Raises ValueError unless max_depth and max_weight are >= 1.
+    """
+    if max_depth < 1 or max_weight < 1:
+        raise ValueError(f"max_depth and max_weight must be >= 1, got {max_depth} and {max_weight}")
     rng = random.Random(seed)
     out: list[Composition] = []
     for _ in range(count):
-        depth = rng.randint(1, max_depth)
+        # a depth past the weight would leave no room for its entries
+        depth = rng.randint(1, min(max_depth, max_weight))
         remaining = max_weight
         entries: list[int] = []
         for i in range(depth):
-            hi = remaining - (depth - i - 1)
-            if hi < 1:
-                break
-            e = rng.randint(1, hi)
+            # leave at least 1 for each later entry
+            e = rng.randint(1, remaining - (depth - i - 1))
             entries.append(e)
             remaining -= e
         out.append(tuple(entries))

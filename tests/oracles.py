@@ -211,9 +211,9 @@ def signed_strings(max_depth, max_weight):
 
 def classical_partial_sum(entries, K, star=False, chunk=65536):
     """Float partial sum of one classical signed multiple zeta value, summed
-    string by string in chunks exactly as the library once did, so its
-    value and tail estimate are the bit-exact reference for the library's
-    shared-suffix engine.
+    level by level in chunks with fresh arrays, so its value and tail
+    estimate are the bit-exact reference for the library's float engine,
+    which sums in reused buffers.
 
     entries: sequence of (magnitude, sign) pairs, outermost first, nonempty
     and convergent.  Returns (value, tail_est).

@@ -22,8 +22,10 @@ def test_parse_signed_string():
     assert parse_signed_string("2,1") == (idx(2), idx(1))
     assert parse_signed_string("-4,3^2") == (bar(4), idx(3), idx(3))
     assert parse_signed_string("-0") == (bar(0),)
-    with pytest.raises(ValueError):
-        parse_signed_string("2,,1")
+    assert parse_signed_string("2^0,-1") == (bar(1),)
+    for bad in ("", "2,,1", "2^x", "3,2^-1", "2^0", "x^0", "2^1^2"):
+        with pytest.raises(ValueError):
+            parse_signed_string(bad)
 
 
 def test_parse_triple():
@@ -177,6 +179,17 @@ def test_verify_random(capsys):
         "--n-max", "6", "--seed", "3",
     )
     assert rc == 0
+
+
+def test_verify_random_at_a_weight_below_the_depth_cap(capsys):
+    # the corpus draws depths up to 6; at weight 5 and below each one is
+    # still a nonempty composition, so every check runs and passes
+    for weight in ("5", "1"):
+        rc, out, err = run(capsys, "verify", "random", "--max-weight", weight, "--count", "20")
+        assert rc == 0 and err == "", (weight, err)
+        assert len(out.splitlines()) == 20
+    rc, out, err = run(capsys, "verify", "random", "--max-weight", "0")
+    assert rc == 2 and out == "" and "must be >= 1" in err
 
 
 def test_verify_parse_error_exit_code(capsys):
@@ -459,12 +472,12 @@ def test_vacuous_verify_targets_exit_2(capsys, monkeypatch):
 
 
 def test_huge_classical_truncation_fails_fast(capsys, monkeypatch):
-    # a truncation above MAX_CLASSICAL_TERMS is refused before the suffix
-    # trie is built, so no chunk of the series is ever summed
+    # a truncation above MAX_CLASSICAL_TERMS is refused before the memo is
+    # read, so no chunk of the series is ever summed
     def never(*args):
         raise AssertionError("classical sweep was started")
 
-    monkeypatch.setattr(qzeta.evaluators, "_Suffix", never)
+    monkeypatch.setattr(qzeta.evaluators, "_classical_sum", never)
     huge = str(10**12)
     for argv in (
         ("verify", "2,1", "--classical", "--terms", huge),

@@ -507,7 +507,7 @@ def _random_classical_string(rng, star, tail):
 
 def test_classical_engine_matches_per_string_oracle_bit_for_bit():
     # several strings per call share suffixes and mix star and strict, so a
-    # trie node reused across descents or a misplaced odd-k sign shows here;
+    # value reused across descents or a misplaced odd-k sign shows here;
     # K runs below, at and above the chunk, ending in a short last chunk
     rng = random.Random(19990910)
     for trial in range(120):
@@ -580,7 +580,7 @@ def test_classical_memo_serves_hits_misses_and_duplicates_in_item_order():
     for items in (first, second, second + first):
         got = classical_zeta_many(items, K=K, chunk=chunk)
         assert [tuple(v) for v in got] == [_classical_oracle(s, K, star, chunk) for s, star in items]
-    info = ev._classical_memo.cache_info()
+    info = ev._classical_sum.cache_info()
     # 3 + 2 + 0 distinct new strings; the rest of the 3 + 6 + 9 lookups hit
     assert (info.hits, info.misses, info.currsize) == (13, 5, 5), info
 
@@ -591,7 +591,7 @@ def test_classical_memo_keys_the_int_and_signed_index_spellings_alike():
     ints = classical_zeta((2, -1, 1), K=500, star=True)
     signed = classical_zeta((idx(2), bar(1), idx(1)), K=500, star=True)
     assert ints == signed == _classical_oracle((2, -1, 1), 500, True)
-    info = ev._classical_memo.cache_info()
+    info = ev._classical_sum.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1), info
 
 
@@ -607,7 +607,7 @@ def test_classical_memo_keys_include_K_and_chunk():
                 assert tuple(classical_zeta(entries, K=200, star=star, chunk=chunk)) == expect
             for K, expect in by_K.items():
                 assert tuple(classical_zeta(entries, K=K, star=star, chunk=7)) == expect
-    # a float K or chunk is refused, as the sweep refuses it, even when the
+    # a float K or chunk is refused, as the sum refuses it, even when the
     # int it equals is memoized
     for K, chunk in ((200.0, 7), (200, 7.0)):
         with pytest.raises(TypeError):
@@ -617,7 +617,7 @@ def test_classical_memo_keys_include_K_and_chunk():
 def test_classical_memo_is_bounded_and_evicts_the_least_recent():
     import qzeta.evaluators as ev
 
-    size = ev._classical_memo.cache_info().maxsize
+    size = ev._classical_sum.cache_info().maxsize
     assert size == ev._CLASSICAL_MEMO_SIZE
     signs = (1, -1)
     strings = [
@@ -631,26 +631,29 @@ def test_classical_memo_is_bounded_and_evicts_the_least_recent():
     K = 3
     # more distinct strings than the bound in one call, then in small calls
     got = classical_zeta_many(strings, K=K)
-    assert ev._classical_memo.cache_info().currsize == size
+    assert ev._classical_sum.cache_info().currsize == size
     for items in (strings[:40], strings[40:90]):
         assert classical_zeta_many(items, K=K) == [got[strings.index(s)] for s in items]
-        assert ev._classical_memo.cache_info().currsize == size
+        assert ev._classical_sum.cache_info().currsize == size
     # the first 100 were evicted by the first call and summed again by the
     # next two, so each string is a miss once plus 90 misses
-    info = ev._classical_memo.cache_info()
+    info = ev._classical_sum.cache_info()
     assert (info.misses, info.hits, info.currsize) == (size + 190, 0, size), info
-    # the 90 strings summed last are kept; the 90 least recent before them,
-    # strings[100:190], made room for them
-    before = ev._classical_memo.cache_info()
+    # the 90 strings summed last are kept, and so are strings[190:]; each
+    # lookup stands on its own, so the 90 kept ones hit and refresh, and
+    # each of the 3 misses evicts the least recent entry: strings[100]
+    # evicts strings[190], strings[189] evicts strings[191], and
+    # strings[190], summed again, evicts strings[192]
+    before = ev._classical_sum.cache_info()
     classical_zeta_many(strings[:90] + strings[100:101] + strings[189:191], K=K)
-    after = ev._classical_memo.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (91, 2)
-    # a hit refreshes its entry: strings[190], read by that call, outlived
-    # strings[191], which had been stored after it
-    for i, (hits, misses) in ((190, (1, 0)), (191, (0, 1))):
-        before = ev._classical_memo.cache_info()
+    after = ev._classical_sum.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (90, 3)
+    # a hit refreshes its entry: strings[193], now the least recent, is read,
+    # so the next miss evicts strings[194] in its place
+    for i, (hits, misses) in ((193, (1, 0)), (101, (0, 1)), (193, (1, 0)), (194, (0, 1))):
+        before = ev._classical_sum.cache_info()
         classical_zeta_many([strings[i]], K=K)
-        after = ev._classical_memo.cache_info()
+        after = ev._classical_sum.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (hits, misses), i
     for i in (0, 89, 100, len(strings) - 1):
         assert tuple(got[i]) == _classical_oracle(strings[i][0], K, False)
@@ -658,22 +661,22 @@ def test_classical_memo_is_bounded_and_evicts_the_least_recent():
 
 def test_classical_memo_refuses_a_bad_batch_before_any_sweep(monkeypatch):
     # validation comes first: a batch with one invalid string raises before
-    # the sweep runs, stores nothing and counts no lookup, even when its
-    # other strings are memoized
+    # any series is summed, stores nothing and counts no lookup, even when
+    # its other strings are memoized
     import qzeta.evaluators as ev
 
     valid = [((2, 1), False), ((3,), True)]
     classical_zeta_many(valid, K=100)
-    before = ev._classical_memo.cache_info()
+    memo = ev._classical_sum
+    before = memo.cache_info()
     sweeps = []
-    sweep = ev._classical_sweep
-    monkeypatch.setattr(ev, "_classical_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    monkeypatch.setattr(ev, "_classical_sum", lambda *args: sweeps.append(args) or memo(*args))
     for bad in ([*valid, ((1, 2), True)], [((2, 2), False), ((1, 2), True)], [((1,), False), *valid]):
         with pytest.raises(ValueError, match="leading"):
             classical_zeta_many(bad, K=100)
     assert sweeps == []
-    assert ev._classical_memo.cache_info() == before
-    # the patch is live: a new string reaches the sweep
+    assert memo.cache_info() == before
+    # the patch is live: a new string reaches the sum
     classical_zeta_many([((2, 2), False)], K=100)
     assert len(sweeps) == 1
 

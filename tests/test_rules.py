@@ -49,7 +49,7 @@ def test_parse_composition():
     assert parse_composition("2^3,1,4") == (2, 2, 2, 1, 4)
     assert parse_composition("2^0,3") == (3,)
     assert parse_composition(" 5 ") == (5,)
-    for bad in ("", "2,,3", "2,x", "0,1", "2^-1", "-3"):
+    for bad in ("", "2,,3", "2,x", "0,1", "2^-1", "-3", "3,2^-1", "2^0", "x^0", "2^x"):
         with pytest.raises(ValueError):
             parse_composition(bad)
 

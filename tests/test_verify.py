@@ -692,7 +692,7 @@ def _leading_two_weight_seven() -> list:
 def test_classical_reports_do_not_depend_on_a_warm_memo(qzeta_memos):
     # the classical value memo is shared by every check at one K: reports
     # run in either order, or each from a cold memo, are the same
-    from qzeta.evaluators import _classical_memo
+    from qzeta.evaluators import _classical_sum
 
     comps = _leading_two_weight_seven()
 
@@ -705,7 +705,7 @@ def test_classical_reports_do_not_depend_on_a_warm_memo(qzeta_memos):
 
     cold()
     forward = [run(c) for c in comps]
-    info = _classical_memo.cache_info()
+    info = _classical_sum.cache_info()
     assert info.hits > info.misses > 0, info
     cold()
     backward = [run(c) for c in reversed(comps)][::-1]
@@ -751,6 +751,21 @@ def test_sample_compositions_deterministic():
         assert 1 <= len(comp) <= 5
         assert sum(comp) <= 9
         assert all(e >= 1 for e in comp)
+
+
+def test_sample_compositions_are_nonempty_below_the_depth_cap():
+    # a depth above max_weight would leave no room for its entries, so the
+    # depth is drawn below both caps: the corpus is nonempty at every
+    # weight from 1 up
+    for max_weight in range(1, 6):
+        comps = sample_compositions(200, max_depth=6, max_weight=max_weight, seed=DEFAULT_SEED)
+        assert len(comps) == 200
+        for comp in comps:
+            assert 1 <= len(comp) and sum(comp) <= max_weight and min(comp) >= 1, (max_weight, comp)
+    assert set(sample_compositions(50, max_depth=6, max_weight=1)) == {(1,)}
+    for max_depth, max_weight in ((0, 5), (6, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            sample_compositions(5, max_depth=max_depth, max_weight=max_weight)
 
 
 def test_family_instances_and_equivalence():
