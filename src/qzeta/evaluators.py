@@ -32,10 +32,14 @@ oracle.
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
 reports a first-omitted-term style tail estimate for each.  It takes every
-series of a check at once and reads each from a bounded ``lru_cache`` keyed
-by (signed string, star, K, chunk), which sums a series it lacks on its own
-over chunks of the index range in reused buffers, one per level;
-:func:`classical_zeta` is its one-series case.
+series of a check at once and looks each up in a bounded ``lru_cache`` keyed
+by (signed string, star, K, chunk).  The series it lacks are summed together
+by one sweep over chunks of the index range (:func:`_classical_sweep`),
+which computes each magnitude's column k**-p once per chunk for every level
+that reads it and builds each series' levels in two alternating buffers, bit
+for bit as if each series were summed on its own.  Its carries keep a Kahan
+compensation only to reproduce the recorded values; the compensation stays
+0 in practice.  :func:`classical_zeta` is its one-series case.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
@@ -66,6 +70,8 @@ engine's values over the same running scale.
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -806,6 +812,10 @@ def _classical_check(entries: tuple, star: bool) -> None:
 # hundred bytes, so the bound keeps it under 0.5 MB.
 _CLASSICAL_MEMO_SIZE = 1024
 
+# Held while a sweep fills memo cells, so that each cell is written by one
+# thread only
+_CLASSICAL_LOCK = threading.Lock()
+
 
 def classical_zeta_many(
     items: Sequence[tuple], K: int = 1_000_000, chunk: int = 65536
@@ -815,9 +825,10 @@ def classical_zeta_many(
 
     Entries are signed indices: magnitude p and sign w contribute
     w**k / k**p at index k.  Every string is validated first; then each
-    nonempty one is read from a bounded process-wide memo keyed by
-    ``(signed string, star, K, chunk)`` (:func:`_classical_sum`), which sums
-    the strings it lacks one at a time.
+    nonempty one is looked up in a bounded process-wide memo keyed by
+    ``(signed string, star, K, chunk)`` (:func:`_classical_sum`), and the
+    strings it lacks are summed together by one sweep over the chunks
+    (:func:`_classical_sweep`).
 
     The tail estimate is |inner cumulative at K| times the tail of the
     outermost level: K**(1-p1)/(p1-1) for leading magnitude p1 >= 2, else
@@ -838,70 +849,117 @@ def classical_zeta_many(
         raise ValueError(f"K = {K} exceeds {MAX_CLASSICAL_TERMS} terms")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    return [
-        _classical_sum(entries, star, K, chunk) if entries else ClassicalValue(1.0, 0.0, 0)
-        for entries, star in strings
-    ]
+    cells = [_classical_sum(entries, star, K, chunk) if entries else None for entries, star in strings]
+    # a repeated string shares its cell, so it is summed once
+    pending = {
+        id(cell): (cell, entries, star)
+        for cell, (entries, star) in zip(cells, strings)
+        if cell is not None and not cell
+    }
+    if pending:
+        with _CLASSICAL_LOCK:
+            # another thread may have filled a cell while this one waited
+            todo = [item for item in pending.values() if not item[0]]
+            if todo:
+                _classical_sweep(todo, K, chunk)
+    return [cell[0] if cell else ClassicalValue(1.0, 0.0, 0) for cell in cells]
 
 
 @lru_cache(maxsize=_CLASSICAL_MEMO_SIZE)
-def _classical_sum(entries: tuple, star: bool, K: int, chunk: int) -> ClassicalValue:
-    """The value of one nonempty, validated string.
+def _classical_sum(entries: tuple, star: bool, K: int, chunk: int) -> list:
+    """The memo cell of one nonempty, validated string: a list that holds
+    its :class:`ClassicalValue` once :func:`_classical_sweep` has summed it,
+    and is empty until then."""
+    return []
 
-    The index range is streamed in chunks.  Per chunk each level, innermost
-    first, is built in a reused buffer of its own from the deeper level's
-    cumulative, with a running (Kahan-compensated) carry, so memory stays at
-    O(chunk) per level regardless of K.
+
+def _classical_sweep(pending: list[tuple], K: int, chunk: int) -> None:
+    """Sum every ``(cell, entries, star)`` of pending in one pass over the
+    chunks of 1..K and append each value to its cell.
+
+    Per chunk, the column k**-p of each magnitude p that two or more levels
+    read is computed once, into a buffer of its own; a magnitude read once
+    is computed into the level's buffer.  Each string then builds its
+    levels, innermost first, from the deeper level's cumulative, in two
+    buffers that alternate by level, with a running carry per level, so
+    memory stays at O(chunk) per column however long K is.  The outermost
+    cumulative is read only at the chunk's end, so its carry is added to
+    that one element.
+
+    The values are bit for bit those of summing each string on its own:
+    the odd-k negation of a signed level is exact and commutes with the
+    multiplication by the deeper level, and cumsum adds in index order.
+    The carries are Kahan-compensated only to reproduce the recorded
+    values: each one is updated from a chunk's last cumulative, which
+    already includes the carry, so the compensation stays 0 in practice.
     """
     import numpy as np  # only this engine needs it; the exact paths start without it
 
-    m = len(entries)
     width = min(chunk, K)
-    bufs = [np.empty(width) for _ in range(m)]
-    carries = [0.0] * m
-    comps = [0.0] * m
+    uses = Counter(e.magnitude for _, entries, _ in pending for e in entries)
+    columns = {p: np.empty(width) for p, used in uses.items() if used > 1}
+    bufs = (np.empty(width), np.empty(width))
+    carries = [[0.0] * len(entries) for _, entries, _ in pending]
+    comps = [[0.0] * len(entries) for _, entries, _ in pending]
+    inner_at_K = [1.0] * len(pending)
     ks = np.arange(1, width + 1, dtype=np.float64)
+
+    def inverse_power(k, p, out):
+        if p == 1:
+            return np.reciprocal(k, out=out)  # numpy computes k ** -1.0 this way
+        return np.power(k, float(-p), out=out)
+
     start = 1
     while start <= K:
         n = min(width, K - start + 1)
         k = ks[:n]
-        deeper = prev = None
-        for j in reversed(range(m)):
-            e, out = entries[j], bufs[j][:n]
-            if e.magnitude == 1:
-                np.reciprocal(k, out=out)  # numpy computes k ** -1.0 this way
-            else:
-                np.power(k, float(-e.magnitude), out=out)
-            if e.sign < 0:
-                out[(start + 1) % 2 :: 2] *= -1.0
-            if deeper is not None:
-                if star:
-                    out *= deeper
+        for p, column in columns.items():
+            inverse_power(k, p, column[:n])
+        odd = (start + 1) % 2  # the first slot of an odd k
+        for i, (_, entries, star) in enumerate(pending):
+            carry, comp = carries[i], comps[i]
+            deeper = prev = None
+            for j in reversed(range(len(entries))):
+                e, out = entries[j], bufs[j % 2][:n]
+                column = columns.get(e.magnitude)
+                column = inverse_power(k, e.magnitude, out) if column is None else column[:n]
+                if deeper is None:
+                    if column is not out:
+                        np.copyto(out, column)
+                elif star:
+                    np.multiply(column, deeper, out=out)
                 else:
                     # strict descent reads the deeper cumulative one index
                     # back, which at the chunk start is its carry from before
-                    out[0] *= prev
-                    out[1:] *= deeper[:-1]
-            np.cumsum(out, out=out)
-            out += carries[j]
-            # the next level out reads this cumulative and the carry before it
-            deeper, prev = out, carries[j]
-            # Kahan update of the carry with this chunk's total
-            y = float(out[-1]) - carries[j] - comps[j]
-            t = carries[j] + y
-            comps[j] = (t - carries[j]) - y
-            carries[j] = t
+                    out[0] = column[0] * prev
+                    np.multiply(column[1:], deeper[:-1], out=out[1:])
+                if e.sign < 0:
+                    out[odd::2] *= -1.0
+                np.cumsum(out, out=out)
+                if j:
+                    out += carry[j]
+                    last = float(out[-1])
+                else:
+                    last = float(out[-1]) + carry[0]
+                if j == 1:
+                    inner_at_K[i] = last
+                # the next level out reads this cumulative and the carry before it
+                deeper, prev = out, carry[j]
+                # Kahan update of the carry with this chunk's total
+                y = last - carry[j] - comp[j]
+                t = carry[j] + y
+                comp[j] = (t - carry[j]) - y
+                carry[j] = t
         start += n
         ks += width
 
-    # the inner level's buffer still holds its cumulative up to K
-    inner_at_K = float(bufs[1][n - 1]) if m > 1 else 1.0
-    p1 = entries[0].magnitude
-    if p1 >= 2:
-        tail = abs(inner_at_K) * K ** (1 - p1) / (p1 - 1)
-    else:
-        tail = abs(inner_at_K) / K
-    return ClassicalValue(carries[0], tail, K)
+    for (cell, entries, _), carry, inner in zip(pending, carries, inner_at_K):
+        p1 = entries[0].magnitude
+        if p1 >= 2:
+            tail = abs(inner) * K ** (1 - p1) / (p1 - 1)
+        else:
+            tail = abs(inner) / K
+        cell.append(ClassicalValue(carry[0], tail, K))
 
 
 def classical_zeta(

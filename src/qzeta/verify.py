@@ -391,8 +391,12 @@ def verify_classical(
     estimates are heuristic (leading-term integral comparisons), not the
     certified bounds of the q-side checks.  The series come from
     :func:`classical_zeta_many`, whose bounded ``lru_cache`` keeps the
-    values it summed last, so checks that share a series sum it once; the
-    report is the same warm or cold.
+    values it summed last, so checks that share a series sum it once.  The
+    series a check lacks are summed in one sweep that computes each
+    magnitude's power column once per chunk; every value is bit for bit
+    that of summing its series on its own, Kahan-compensated carries
+    included (their compensation stays 0 in practice), so the report is the
+    same warm or cold.
 
     Raises ValueError, before summing, unless tol is finite and >= 0: an
     infinite tolerance passes any identity, and a negative or NaN one

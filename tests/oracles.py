@@ -213,7 +213,8 @@ def classical_partial_sum(entries, K, star=False, chunk=65536):
     """Float partial sum of one classical signed multiple zeta value, summed
     level by level in chunks with fresh arrays, so its value and tail
     estimate are the bit-exact reference for the library's float engine,
-    which sums in reused buffers.
+    which sums many strings at once from shared power columns in reused
+    buffers.
 
     entries: sequence of (magnitude, sign) pairs, outermost first, nonempty
     and convergent.  Returns (value, tail_est).

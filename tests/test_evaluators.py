@@ -659,6 +659,85 @@ def test_classical_memo_is_bounded_and_evicts_the_least_recent():
         assert tuple(got[i]) == _classical_oracle(strings[i][0], K, False)
 
 
+def test_classical_sweep_makes_one_power_column_per_magnitude_per_chunk(monkeypatch):
+    # a cold call computes k**-p once per chunk for each distinct magnitude,
+    # however many levels of however many strings read it: here 2 is read
+    # barred and unbarred, 1 at two levels of one string and by a star and a
+    # strict string, 4 by two levels only and 5 by one; a repeated string is
+    # summed once, into the one memo cell it shares, and a warm call
+    # computes none
+    import numpy as np
+
+    import qzeta.evaluators as ev
+
+    calls = []
+
+    def counted(name):
+        ufunc = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return ufunc(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np, "power", counted("power"))
+    monkeypatch.setattr(np, "reciprocal", counted("reciprocal"))
+    chunk = 5
+    K = 3 * chunk + 1
+    items = [
+        ((3, 1, 1), True),
+        ((2, -1, 3), False),
+        ((-2, 2), False),
+        ((4, -2, 4), True),
+        ((3, 1, 1), False),
+        ((5, 1), False),
+        ((2, -1, 3), False),
+    ]
+    magnitudes = {abs(p) for entries, _ in items for p in entries}
+    assert magnitudes == {1, 2, 3, 4, 5}
+    got = classical_zeta_many(items, K=K, chunk=chunk)
+    assert len(calls) == len(magnitudes) * 4, calls
+    assert calls.count("reciprocal") == 4, calls
+    assert [tuple(v) for v in got] == [_classical_oracle(s, K, star, chunk) for s, star in items]
+    for entries, star in items:
+        assert len(ev._classical_sum(signed_string(entries), star, K, chunk)) == 1, entries
+    calls.clear()
+    assert classical_zeta_many(items, K=K, chunk=chunk) == got
+    assert calls == []
+
+
+def test_classical_sweep_skips_cells_another_thread_filled(monkeypatch):
+    # a call that finds its strings missing waits for the sweep lock; when
+    # the thread holding it has summed those strings meanwhile, the call
+    # reads their values and sums nothing
+    import threading
+    import time
+
+    import qzeta.evaluators as ev
+
+    K, chunk = 40, 7
+    items = [((2, 1), False), ((3, -1, 1), True), ((2, 1), False)]
+    sweep = ev._classical_sweep
+    sweeps = []
+    monkeypatch.setattr(ev, "_classical_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    result = []
+    with ev._CLASSICAL_LOCK:
+        worker = threading.Thread(target=lambda: result.append(classical_zeta_many(items, K=K, chunk=chunk)))
+        worker.start()
+        deadline = time.monotonic() + 60
+        while ev._classical_sum.cache_info().currsize < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        cells = [ev._classical_sum(signed_string(s), star, K, chunk) for s, star in items[:2]]
+        assert cells == [[], []]
+        sweep([(cell, signed_string(s), star) for cell, (s, star) in zip(cells, items)], K, chunk)
+    worker.join(60)
+    assert not worker.is_alive()
+    assert sweeps == []
+    assert [tuple(v) for v in result[0]] == [_classical_oracle(s, K, star, chunk) for s, star in items]
+
+
 def test_classical_memo_refuses_a_bad_batch_before_any_sweep(monkeypatch):
     # validation comes first: a batch with one invalid string raises before
     # any series is summed, stores nothing and counts no lookup, even when

@@ -717,10 +717,35 @@ def test_classical_reports_do_not_depend_on_a_warm_memo(qzeta_memos):
     assert sum(r["status"] == "numeric-pass" for r in forward) >= 24
 
 
+def test_classical_reports_equal_the_ones_built_from_the_oracle(qzeta_memos):
+    # every float of a report, rebuilt from the per-string oracle in
+    # verify_classical's order of summation, from a cold memo and a warm one
+    from qzeta.rules import classical_expand
+
+    K, tol = 10**4, 1e-4
+    expected = []
+    for comp in _leading_two_weight_seven():
+        lhs, lhs_tail = oracles.classical_partial_sum([(p, 1) for p in comp], K, star=True)
+        rhs = rhs_tail = 0.0
+        for term in classical_expand(comp):
+            value, tail = oracles.classical_partial_sum([(e.magnitude, e.sign) for e in term.index], K)
+            rhs += term.sign * term.coefficient * value
+            rhs_tail += term.coefficient * tail
+        expected.append((comp, lhs, rhs, tol + lhs_tail + rhs_tail, abs(lhs - rhs), lhs_tail + rhs_tail))
+    for memo in qzeta_memos:
+        memo.cache_clear()
+    for _ in ("cold", "warm"):
+        for comp, *floats in expected:
+            report = verify_classical(comp, K=K, tol=tol)
+            p = report.params
+            assert [p["lhs"], p["rhs"], p["allowance"], report.discrepancy, report.tail_bound] == floats, comp
+
+
 def test_classical_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
     # both threads fill the same cold memo with overlapping series,
     # switching as often as the interpreter allows
     import sys
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     comps = _leading_two_weight_seven()
@@ -736,9 +761,22 @@ def test_classical_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(run, comps + comps[::-1], timeout=120))
+        # both threads run every check in the same order from a cold memo,
+        # so each misses the strings the other is about to sum
+        for memo in qzeta_memos:
+            memo.cache_clear()
+        start = threading.Barrier(2)
+
+        def run_all():
+            start.wait(timeout=60)
+            return [run(c) for c in comps]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            both = [future.result(timeout=120) for future in [pool.submit(run_all) for _ in range(2)]]
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial + serial[::-1]
+    assert both == [serial, serial]
 
 def test_sample_compositions_deterministic():
     xs = sample_compositions(25, max_depth=5, max_weight=9, seed=7)
