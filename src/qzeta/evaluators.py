@@ -31,15 +31,15 @@ oracle.
 
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
-reports a first-omitted-term style tail estimate for each.  It takes every
-series of a check at once and looks each up in a bounded ``lru_cache`` keyed
-by (signed string, star, K, chunk).  The series it lacks are summed together
-by one sweep over chunks of the index range (:func:`_classical_sweep`),
-which computes each magnitude's column k**-p once per chunk for every level
-that reads it and builds each series' levels in two alternating buffers, bit
-for bit as if each series were summed on its own.  Its carries keep a Kahan
-compensation only to reproduce the recorded values; the compensation stays
-0 in practice.  :func:`classical_zeta` is its one-series case.
+reports a first-omitted-term style tail estimate for each.  A series descends
+strictly, weakly, or resolved: a resolved level reads the deeper cumulative
+at k - 1 plus the one at k, so one series sums 2**depth * zeta over every
+resolution of its string, the whole right side of a q -> 1 check (Yamamoto's
+interpolated value at t = 1/2, scaled by 2**m).  Each series is summed on
+its own over chunks of the index range, in two alternating buffers and one
+scratch buffer, behind a bounded ``lru_cache`` keyed by (signed string,
+descent, K, chunk) (:func:`_classical_sum`).  :func:`classical_zeta` is its
+one-series case.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
@@ -70,8 +70,6 @@ engine's values over the same running scale.
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -794,27 +792,30 @@ def _frakz_search(q: Fraction, m: int, merge: bool, eps: Fraction, cap: int) -> 
 MAX_CLASSICAL_TERMS = 10**8
 
 
-def _classical_check(entries: tuple, star: bool) -> None:
+# The descent of a resolved classical series: a strict step between levels
+# weighs 2, an equal one 1, and the innermost level 2, so the series is the
+# sum over every resolution r of its string of 2**depth(r) * zeta(r)
+_RESOLVED = "resolved"
+
+
+def _classical_check(entries: tuple, descent: bool | str) -> None:
+    if len(entries) > MAX_PATTERN_DEPTH:
+        raise ValueError(f"series depth {len(entries)} exceeds {MAX_PATTERN_DEPTH}")
     lead = entries[0]
-    if star:
+    if descent != _RESOLVED and descent:
         if lead.magnitude < 2:
             raise ValueError("weak-descent series needs a leading magnitude >= 2")
     elif lead.magnitude < 2 and not (lead.magnitude == 1 and lead.sign < 0):
         raise ValueError("series needs leading magnitude >= 2 or a signed leading 1")
 
 
-# A bounded memo of classical series values.  Each check of the q -> 1
-# limit sums one series per resolution of its pattern, and the checks of one
-# weight share most of them (the benchmark's seed-1 classical batch makes 323
-# lookups of 78 distinct series), so a value is summed once per process and
-# then read back.  A key is (signed string, star, K, chunk): chunk is part of
-# it because the chunk boundaries fix the float rounding.  An entry is a few
+# A bounded memo of classical series values.  The checks of one weight share
+# series (the benchmark's seed-1 classical batch makes 114 lookups of 48
+# distinct series), so a value is summed once per process and then read
+# back.  A key is (signed string, descent, K, chunk): chunk is part of it
+# because the chunk boundaries fix the float rounding.  An entry is a few
 # hundred bytes, so the bound keeps it under 0.5 MB.
 _CLASSICAL_MEMO_SIZE = 1024
-
-# Held while a sweep fills memo cells, so that each cell is written by one
-# thread only
-_CLASSICAL_LOCK = threading.Lock()
 
 
 def classical_zeta_many(
@@ -824,15 +825,22 @@ def classical_zeta_many(
     one per ``(signed string, star)`` pair.
 
     Entries are signed indices: magnitude p and sign w contribute
-    w**k / k**p at index k.  Every string is validated first; then each
-    nonempty one is looked up in a bounded process-wide memo keyed by
-    ``(signed string, star, K, chunk)`` (:func:`_classical_sum`), and the
-    strings it lacks are summed together by one sweep over the chunks
-    (:func:`_classical_sweep`).
+    w**k / k**p at index k.  star is the descent between levels: False for
+    strict (k_1 > k_2 > ...), True for weak (k_1 >= k_2 >= ...), or
+    ``"resolved"``, where level j sums x_j(k) * (D[k-1] + D[k]) over the
+    deeper level's cumulative D, and D = 1 below the innermost level.  A
+    resolved partial sum equals, at every K in exact arithmetic, the sum
+    over the 2**(m-1) resolutions r of the string (adjacent entries merged
+    or not) of 2**depth(r) * zeta_K(r), without listing them.  Every string
+    is validated first, and one deeper than MAX_PATTERN_DEPTH is refused;
+    then each nonempty one is looked up in a bounded process-wide memo
+    keyed by ``(signed string, star, K, chunk)`` (:func:`_classical_sum`).
 
-    The tail estimate is |inner cumulative at K| times the tail of the
-    outermost level: K**(1-p1)/(p1-1) for leading magnitude p1 >= 2, else
-    1/K for a signed leading 1 (alternating-series first-term bound).
+    The tail estimate is |inner cumulative at K| (twice it for a resolved
+    series, whose outermost level reads two inner cumulatives) times the
+    tail of the outermost level: K**(1-p1)/(p1-1) for leading magnitude
+    p1 >= 2, else 1/K for a signed leading 1 (alternating-series first-term
+    bound).  Both are heuristic, not bounds.
     """
     strings = [(signed_string(s), star) for s, star in items]
     for entries, star in strings:
@@ -849,121 +857,88 @@ def classical_zeta_many(
         raise ValueError(f"K = {K} exceeds {MAX_CLASSICAL_TERMS} terms")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    cells = [_classical_sum(entries, star, K, chunk) if entries else None for entries, star in strings]
-    # a repeated string shares its cell, so it is summed once
-    pending = {
-        id(cell): (cell, entries, star)
-        for cell, (entries, star) in zip(cells, strings)
-        if cell is not None and not cell
-    }
-    if pending:
-        with _CLASSICAL_LOCK:
-            # another thread may have filled a cell while this one waited
-            todo = [item for item in pending.values() if not item[0]]
-            if todo:
-                _classical_sweep(todo, K, chunk)
-    return [cell[0] if cell else ClassicalValue(1.0, 0.0, 0) for cell in cells]
+    return [
+        _classical_sum(entries, star, K, chunk) if entries else ClassicalValue(1.0, 0.0, 0)
+        for entries, star in strings
+    ]
 
 
 @lru_cache(maxsize=_CLASSICAL_MEMO_SIZE)
-def _classical_sum(entries: tuple, star: bool, K: int, chunk: int) -> list:
-    """The memo cell of one nonempty, validated string: a list that holds
-    its :class:`ClassicalValue` once :func:`_classical_sweep` has summed it,
-    and is empty until then."""
-    return []
+def _classical_sum(entries: tuple, descent: bool | str, K: int, chunk: int) -> ClassicalValue:
+    """One nonempty, validated string summed over the chunks of 1..K.
 
-
-def _classical_sweep(pending: list[tuple], K: int, chunk: int) -> None:
-    """Sum every ``(cell, entries, star)`` of pending in one pass over the
-    chunks of 1..K and append each value to its cell.
-
-    Per chunk, the column k**-p of each magnitude p that two or more levels
-    read is computed once, into a buffer of its own; a magnitude read once
-    is computed into the level's buffer.  Each string then builds its
-    levels, innermost first, from the deeper level's cumulative, in two
+    Per chunk, the levels are built innermost first, each from the column
+    k**-p of its magnitude and the deeper level's cumulative D, in two
     buffers that alternate by level, with a running carry per level, so
-    memory stays at O(chunk) per column however long K is.  The outermost
+    memory stays at O(chunk) however long K is.  A weak level reads D[k],
+    a strict one D[k-1], and a resolved one D[k-1] + D[k], formed in one
+    scratch buffer, with D = 1 below the innermost level; at the chunk
+    start D[k-1] is the deeper level's carry from before.  The outermost
     cumulative is read only at the chunk's end, so its carry is added to
-    that one element.
-
-    The values are bit for bit those of summing each string on its own:
-    the odd-k negation of a signed level is exact and commutes with the
-    multiplication by the deeper level, and cumsum adds in index order.
-    The carries are Kahan-compensated only to reproduce the recorded
-    values: each one is updated from a chunk's last cumulative, which
-    already includes the carry, so the compensation stays 0 in practice.
+    that one element.  Each carry is the chunk's last cumulative.
     """
     import numpy as np  # only this engine needs it; the exact paths start without it
 
     width = min(chunk, K)
-    uses = Counter(e.magnitude for _, entries, _ in pending for e in entries)
-    columns = {p: np.empty(width) for p, used in uses.items() if used > 1}
     bufs = (np.empty(width), np.empty(width))
-    carries = [[0.0] * len(entries) for _, entries, _ in pending]
-    comps = [[0.0] * len(entries) for _, entries, _ in pending]
-    inner_at_K = [1.0] * len(pending)
+    scratch = np.empty(width)
+    carries = [0.0] * len(entries)
+    inner = 1.0
     ks = np.arange(1, width + 1, dtype=np.float64)
-
-    def inverse_power(k, p, out):
-        if p == 1:
-            return np.reciprocal(k, out=out)  # numpy computes k ** -1.0 this way
-        return np.power(k, float(-p), out=out)
-
     start = 1
     while start <= K:
         n = min(width, K - start + 1)
         k = ks[:n]
-        for p, column in columns.items():
-            inverse_power(k, p, column[:n])
         odd = (start + 1) % 2  # the first slot of an odd k
-        for i, (_, entries, star) in enumerate(pending):
-            carry, comp = carries[i], comps[i]
-            deeper = prev = None
-            for j in reversed(range(len(entries))):
-                e, out = entries[j], bufs[j % 2][:n]
-                column = columns.get(e.magnitude)
-                column = inverse_power(k, e.magnitude, out) if column is None else column[:n]
-                if deeper is None:
-                    if column is not out:
-                        np.copyto(out, column)
-                elif star:
-                    np.multiply(column, deeper, out=out)
-                else:
-                    # strict descent reads the deeper cumulative one index
-                    # back, which at the chunk start is its carry from before
-                    out[0] = column[0] * prev
-                    np.multiply(column[1:], deeper[:-1], out=out[1:])
-                if e.sign < 0:
-                    out[odd::2] *= -1.0
-                np.cumsum(out, out=out)
-                if j:
-                    out += carry[j]
-                    last = float(out[-1])
-                else:
-                    last = float(out[-1]) + carry[0]
-                if j == 1:
-                    inner_at_K[i] = last
-                # the next level out reads this cumulative and the carry before it
-                deeper, prev = out, carry[j]
-                # Kahan update of the carry with this chunk's total
-                y = last - carry[j] - comp[j]
-                t = carry[j] + y
-                comp[j] = (t - carry[j]) - y
-                carry[j] = t
+        deeper = prev = None
+        for j in reversed(range(len(entries))):
+            e, out = entries[j], bufs[j % 2][:n]
+            if e.magnitude == 1:
+                np.reciprocal(k, out=out)  # numpy computes k ** -1.0 this way
+            else:
+                np.power(k, float(-e.magnitude), out=out)
+            # the negation is exact, so it commutes with the products below
+            if e.sign < 0:
+                out[odd::2] *= -1.0
+            if deeper is None:
+                if descent == _RESOLVED:
+                    out *= 2.0  # the level below the innermost is 1, read twice
+            elif descent == _RESOLVED:
+                both = scratch[:n]
+                both[0] = prev + deeper[0]
+                np.add(deeper[:-1], deeper[1:], out=both[1:])
+                out *= both
+            elif descent:
+                out *= deeper
+            else:
+                out[0] *= prev
+                out[1:] *= deeper[:-1]
+            np.cumsum(out, out=out)
+            if j:
+                out += carries[j]
+                last = float(out[-1])
+            else:
+                last = float(out[-1]) + carries[0]
+            if j == 1:
+                inner = last
+            # the next level out reads this cumulative and the carry before it
+            deeper, prev = out, carries[j]
+            carries[j] = last
         start += n
         ks += width
 
-    for (cell, entries, _), carry, inner in zip(pending, carries, inner_at_K):
-        p1 = entries[0].magnitude
-        if p1 >= 2:
-            tail = abs(inner) * K ** (1 - p1) / (p1 - 1)
-        else:
-            tail = abs(inner) / K
-        cell.append(ClassicalValue(carry[0], tail, K))
+    if descent == _RESOLVED:
+        inner *= 2
+    p1 = entries[0].magnitude
+    if p1 >= 2:
+        tail = abs(inner) * K ** (1 - p1) / (p1 - 1)
+    else:
+        tail = abs(inner) / K
+    return ClassicalValue(carries[0], tail, K)
 
 
 def classical_zeta(
-    s: Sequence, K: int = 1_000_000, star: bool = False, chunk: int = 65536
+    s: Sequence, K: int = 1_000_000, star: bool | str = False, chunk: int = 65536
 ) -> ClassicalValue:
     """Partial sum of one classical signed multiple zeta value to K terms
     (see :func:`classical_zeta_many`)."""

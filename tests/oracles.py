@@ -213,17 +213,19 @@ def classical_partial_sum(entries, K, star=False, chunk=65536):
     """Float partial sum of one classical signed multiple zeta value, summed
     level by level in chunks with fresh arrays, so its value and tail
     estimate are the bit-exact reference for the library's float engine,
-    which sums many strings at once from shared power columns in reused
-    buffers.
+    which sums in reused buffers.
 
     entries: sequence of (magnitude, sign) pairs, outermost first, nonempty
-    and convergent.  Returns (value, tail_est).
+    and convergent.  star: False for strict descent, True for weak, or
+    "resolved", where level j reads the deeper cumulative at k - 1 plus the
+    one at k (and 2 below the innermost level), which sums 2**depth * zeta
+    over every resolution of the string.  Returns (value, tail_est).
     """
     import numpy as np
 
+    resolved = star == "resolved"
     m = len(entries)
     carries = [0.0] * m
-    comps = [0.0] * m
     inner_at_K = 1.0
     start = 1
     while start <= K:
@@ -239,22 +241,23 @@ def classical_partial_sum(entries, K, star=False, chunk=65536):
                 if signs is None:
                     signs = np.where(ks % 2 == 1, -1.0, 1.0)
                 terms = terms * signs
-            if cumulative is not None:
-                if star:
-                    terms = terms * cumulative
-                else:
-                    shifted = np.empty_like(cumulative)
-                    shifted[0] = prev_carries[j + 1]
-                    shifted[1:] = cumulative[:-1]
-                    terms = terms * shifted
+            if cumulative is None:
+                if resolved:
+                    terms = terms * 2.0
+            elif star and not resolved:
+                terms = terms * cumulative
+            else:
+                shifted = np.empty_like(cumulative)
+                shifted[0] = prev_carries[j + 1]
+                shifted[1:] = cumulative[:-1]
+                terms = terms * (shifted + cumulative if resolved else shifted)
             cumulative = carries[j] + np.cumsum(terms)
-            y = float(cumulative[-1]) - carries[j] - comps[j]
-            t = carries[j] + y
-            comps[j] = (t - carries[j]) - y
-            carries[j] = t
+            carries[j] = float(cumulative[-1])
             if j == 1:
                 inner_at_K = float(cumulative[-1])
         start = stop + 1
+    if resolved:
+        inner_at_K *= 2
     p1 = entries[0][0]
     if p1 >= 2:
         tail = abs(inner_at_K) * K ** (1 - p1) / (p1 - 1)

@@ -215,6 +215,9 @@ def test_huge_expansion_fails_fast(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "9,9,9", "--qmzsv")
     assert rc == 0
     assert "numeric-pass" in out
+    rc, out, err = run(capsys, "verify", "9,9,9", "--classical", "--terms", "10000")
+    assert rc == 0
+    assert "numeric-pass" in out
     # 2,1^33 compiles to 33 slots, one more than a q-series check sums: it
     # is refused before either side sums a term
     monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
@@ -383,7 +386,7 @@ def test_classical_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch)
     # an infinite tolerance passes any identity, a negative or NaN one fails
     # every identity: each is refused before a series is summed
     def never(*args, **kwargs):
-        raise AssertionError("classical sweep was started")
+        raise AssertionError("a classical sum was started")
 
     monkeypatch.setattr(qzeta.verify, "classical_zeta_many", never)
     for tol in ("inf", "-1", "nan"):
@@ -472,10 +475,11 @@ def test_vacuous_verify_targets_exit_2(capsys, monkeypatch):
 
 
 def test_huge_classical_truncation_fails_fast(capsys, monkeypatch):
-    # a truncation above MAX_CLASSICAL_TERMS is refused before the memo is
-    # read, so no chunk of the series is ever summed
+    # a truncation above MAX_CLASSICAL_TERMS, or a series deeper than
+    # MAX_PATTERN_DEPTH levels, is refused before the memo is read, so no
+    # chunk of the series is ever summed
     def never(*args):
-        raise AssertionError("classical sweep was started")
+        raise AssertionError("a classical sum was started")
 
     monkeypatch.setattr(qzeta.evaluators, "_classical_sum", never)
     huge = str(10**12)
@@ -487,3 +491,13 @@ def test_huge_classical_truncation_fails_fast(capsys, monkeypatch):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert f"K = {huge} exceeds {qzeta.evaluators.MAX_CLASSICAL_TERMS} terms" in err
+    cap = qzeta.evaluators.MAX_PATTERN_DEPTH
+    for argv, depth in (
+        (("verify", "2^3000", "--classical"), 3000),
+        (("verify", "2,1^33", "--classical"), 34),
+        (("eval", "zeta-star", "--s", "2^20000"), 20000),
+        (("eval", "zeta", "--s", f"2,1^{cap}"), cap + 1),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert f"series depth {depth} exceeds {cap}" in err

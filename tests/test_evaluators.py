@@ -28,7 +28,13 @@ from qzeta import (
     pattern_mhs_many,
     q_zeta,
 )
-from qzeta.evaluators import MAX_CLASSICAL_TERMS, Ball, _mhs_enclosure, q_zeta_enclosure
+from qzeta.evaluators import (
+    MAX_CLASSICAL_TERMS,
+    MAX_PATTERN_DEPTH,
+    Ball,
+    _mhs_enclosure,
+    q_zeta_enclosure,
+)
 from qzeta.indices import signed_string
 
 entries = st.builds(
@@ -506,9 +512,10 @@ def _random_classical_string(rng, star, tail):
 
 
 def test_classical_engine_matches_per_string_oracle_bit_for_bit():
-    # several strings per call share suffixes and mix star and strict, so a
-    # value reused across descents or a misplaced odd-k sign shows here;
-    # K runs below, at and above the chunk, ending in a short last chunk
+    # several strings per call share suffixes and mix the strict, weak and
+    # resolved descents, so a value reused across descents or a misplaced
+    # odd-k sign shows here; K runs below, at and above the chunk, ending
+    # in a short last chunk
     rng = random.Random(19990910)
     for trial in range(120):
         tails = [
@@ -517,8 +524,8 @@ def test_classical_engine_matches_per_string_oracle_bit_for_bit():
         ]
         items = []
         for _ in range(rng.randint(1, 6)):
-            star = rng.random() < 0.5
-            items.append((_random_classical_string(rng, star, rng.choice(tails)), star))
+            star = rng.choice((False, True, "resolved"))
+            items.append((_random_classical_string(rng, star is True, rng.choice(tails)), star))
         chunk = rng.choice((1, 2, 3, 7, 64))
         K = rng.choice((1, chunk, chunk + 1, 3 * chunk - 1, 5 * chunk + 2, 200))
         got = classical_zeta_many(items, K=K, chunk=chunk)
@@ -535,6 +542,7 @@ def test_classical_engine_matches_per_string_oracle_bit_for_bit():
         ((idx(3), bar(1), idx(1)), False),
         ((bar(1), idx(1)), False),
         ((idx(2),), False),
+        ((idx(3), bar(1), idx(1)), "resolved"),
     ]
     K = 65536 + 1001
     for (entries, star), value in zip(items, classical_zeta_many(items, K=K)):
@@ -553,6 +561,42 @@ def test_classical_engine_edges():
         classical_zeta_many([((2,), False), ((1, 2), True)], K=10)
     with pytest.raises(ValueError, match="chunk"):
         classical_zeta_many([((2,), False)], K=10, chunk=0)
+    # a series deeper than MAX_PATTERN_DEPTH levels is refused in any descent
+    deepest = (2,) + (1,) * (MAX_PATTERN_DEPTH - 1)
+    for star in (False, True, "resolved"):
+        assert classical_zeta(deepest, K=3, star=star).terms == 3
+        with pytest.raises(ValueError, match=f"series depth 33 exceeds {MAX_PATTERN_DEPTH}"):
+            classical_zeta_many([((2,), False), (deepest + (1,), star)], K=3)
+
+
+def test_classical_resolved_series_is_the_sum_over_the_expansion():
+    # the resolved descent of a pattern's string sums 2**depth * zeta over
+    # its resolutions: the same value as the expansion's strict terms, each
+    # summed by the oracle, at every K, below, at and past the chunk
+    from qzeta import compose, zeta_admissible
+    from qzeta.rules import classical_expand
+
+    rng = random.Random(20130101)
+    comps = set()
+    while len(comps) < 40:
+        comp = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5)))
+        if zeta_admissible(comp) and compose(comp)[1].depth <= 6:
+            comps.add(comp)
+    depths = set()
+    for comp in sorted(comps):
+        d, pattern = compose(comp)
+        depths.add(pattern.depth)
+        chunk = rng.choice((7, 64))
+        for K in (1, chunk - 1, chunk, chunk + 1, 200):
+            got = classical_zeta(pattern.s, K=K, star="resolved", chunk=chunk).value
+            expect = sum(
+                term.sign * term.coefficient * oracles.classical_partial_sum(
+                    [(e.magnitude, e.sign) for e in term.index], K, chunk=chunk
+                )[0]
+                for term in classical_expand(comp)
+            )
+            assert abs(d * got - expect) <= 1e-12 * abs(expect), (comp, K, chunk)
+    assert depths == set(range(1, 7))
 
 
 
@@ -657,85 +701,6 @@ def test_classical_memo_is_bounded_and_evicts_the_least_recent():
         assert (after.hits - before.hits, after.misses - before.misses) == (hits, misses), i
     for i in (0, 89, 100, len(strings) - 1):
         assert tuple(got[i]) == _classical_oracle(strings[i][0], K, False)
-
-
-def test_classical_sweep_makes_one_power_column_per_magnitude_per_chunk(monkeypatch):
-    # a cold call computes k**-p once per chunk for each distinct magnitude,
-    # however many levels of however many strings read it: here 2 is read
-    # barred and unbarred, 1 at two levels of one string and by a star and a
-    # strict string, 4 by two levels only and 5 by one; a repeated string is
-    # summed once, into the one memo cell it shares, and a warm call
-    # computes none
-    import numpy as np
-
-    import qzeta.evaluators as ev
-
-    calls = []
-
-    def counted(name):
-        ufunc = getattr(np, name)
-
-        def call(*args, **kwargs):
-            calls.append(name)
-            return ufunc(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(np, "power", counted("power"))
-    monkeypatch.setattr(np, "reciprocal", counted("reciprocal"))
-    chunk = 5
-    K = 3 * chunk + 1
-    items = [
-        ((3, 1, 1), True),
-        ((2, -1, 3), False),
-        ((-2, 2), False),
-        ((4, -2, 4), True),
-        ((3, 1, 1), False),
-        ((5, 1), False),
-        ((2, -1, 3), False),
-    ]
-    magnitudes = {abs(p) for entries, _ in items for p in entries}
-    assert magnitudes == {1, 2, 3, 4, 5}
-    got = classical_zeta_many(items, K=K, chunk=chunk)
-    assert len(calls) == len(magnitudes) * 4, calls
-    assert calls.count("reciprocal") == 4, calls
-    assert [tuple(v) for v in got] == [_classical_oracle(s, K, star, chunk) for s, star in items]
-    for entries, star in items:
-        assert len(ev._classical_sum(signed_string(entries), star, K, chunk)) == 1, entries
-    calls.clear()
-    assert classical_zeta_many(items, K=K, chunk=chunk) == got
-    assert calls == []
-
-
-def test_classical_sweep_skips_cells_another_thread_filled(monkeypatch):
-    # a call that finds its strings missing waits for the sweep lock; when
-    # the thread holding it has summed those strings meanwhile, the call
-    # reads their values and sums nothing
-    import threading
-    import time
-
-    import qzeta.evaluators as ev
-
-    K, chunk = 40, 7
-    items = [((2, 1), False), ((3, -1, 1), True), ((2, 1), False)]
-    sweep = ev._classical_sweep
-    sweeps = []
-    monkeypatch.setattr(ev, "_classical_sweep", lambda *args: sweeps.append(args) or sweep(*args))
-    result = []
-    with ev._CLASSICAL_LOCK:
-        worker = threading.Thread(target=lambda: result.append(classical_zeta_many(items, K=K, chunk=chunk)))
-        worker.start()
-        deadline = time.monotonic() + 60
-        while ev._classical_sum.cache_info().currsize < 2:
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        cells = [ev._classical_sum(signed_string(s), star, K, chunk) for s, star in items[:2]]
-        assert cells == [[], []]
-        sweep([(cell, signed_string(s), star) for cell, (s, star) in zip(cells, items)], K, chunk)
-    worker.join(60)
-    assert not worker.is_alive()
-    assert sweeps == []
-    assert [tuple(v) for v in result[0]] == [_classical_oracle(s, K, star, chunk) for s, star in items]
 
 
 def test_classical_memo_refuses_a_bad_batch_before_any_sweep(monkeypatch):

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("run_verification.py", ("--quick", "--skip-classical"), "all passed"),
         ("key_identity_demo.py", ("-a", "1", "--terms", "100000"), "numeric-pass"),
+        ("run_verification.py", ("--quick",), "all passed"),
     ],
 )
 def test_script_exits_zero(script, args, expect):

@@ -213,6 +213,11 @@ def test_verify_mhs_never_expands(monkeypatch):
     assert rep.status == "numeric-pass"
     assert rep.params["series"] == 1 + 2**21
     assert all_passed(v.qmzsv_battery(small=True))
+    # the classical right side is one resolved series, however deep
+    rep = v.verify_classical((9, 9, 9), K=10**4)
+    assert rep.status == "numeric-pass"
+    assert rep.params["terms"] == 2**21
+    assert all_passed(v.classical_battery())
     reps = v.lemma_suite(
         n_max=8, samples=4, inverse_c_max=2, inverse_n_max=6, head_n_max=6, step_a_max=2
     )
@@ -706,7 +711,11 @@ def test_classical_reports_do_not_depend_on_a_warm_memo(qzeta_memos):
     cold()
     forward = [run(c) for c in comps]
     info = _classical_sum.cache_info()
-    assert info.hits > info.misses > 0, info
+    # two lookups a check, one weak and one resolved series
+    assert info.hits + info.misses == 2 * len(comps) == 64, info
+    assert [run(c) for c in comps] == forward
+    again = _classical_sum.cache_info()
+    assert (again.hits - info.hits, again.misses - info.misses) == (64, 0), again
     cold()
     backward = [run(c) for c in reversed(comps)][::-1]
     each_cold = []
@@ -718,19 +727,20 @@ def test_classical_reports_do_not_depend_on_a_warm_memo(qzeta_memos):
 
 
 def test_classical_reports_equal_the_ones_built_from_the_oracle(qzeta_memos):
-    # every float of a report, rebuilt from the per-string oracle in
-    # verify_classical's order of summation, from a cold memo and a warm one
-    from qzeta.rules import classical_expand
+    # every float of a report, rebuilt from the per-string oracle, the
+    # right side as the pattern's resolved series, from a cold memo and a
+    # warm one
+    from qzeta.rules import compose
 
     K, tol = 10**4, 1e-4
     expected = []
     for comp in _leading_two_weight_seven():
         lhs, lhs_tail = oracles.classical_partial_sum([(p, 1) for p in comp], K, star=True)
-        rhs = rhs_tail = 0.0
-        for term in classical_expand(comp):
-            value, tail = oracles.classical_partial_sum([(e.magnitude, e.sign) for e in term.index], K)
-            rhs += term.sign * term.coefficient * value
-            rhs_tail += term.coefficient * tail
+        d, pattern = compose(comp)
+        value, rhs_tail = oracles.classical_partial_sum(
+            [(e.magnitude, e.sign) for e in pattern.s], K, star="resolved"
+        )
+        rhs = d * value
         expected.append((comp, lhs, rhs, tol + lhs_tail + rhs_tail, abs(lhs - rhs), lhs_tail + rhs_tail))
     for memo in qzeta_memos:
         memo.cache_clear()
