@@ -38,8 +38,8 @@ resolution of its string, the whole right side of a q -> 1 check (Yamamoto's
 interpolated value at t = 1/2, scaled by 2**m).  Each series is summed on
 its own over chunks of the index range, in two alternating buffers and one
 scratch buffer, behind a bounded ``lru_cache`` keyed by (signed string,
-descent, K, chunk) (:func:`_classical_sum`).  :func:`classical_zeta` is its
-one-series case.
+descent, K, chunk) (:func:`_classical_sum`), where the chunk is the module
+constant ``_CHUNK``.  :func:`classical_zeta` is its one-series case.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
@@ -456,12 +456,15 @@ def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int]]:
 # 2-vCPU x86-64 host.  Deeper patterns cost more per n.
 MAX_PATTERN_LIMIT = 160
 
-# Deepest pattern of a finite mollified sum, checked before the run engine
-# builds its m(m+1)/2 folded runs.  The same as MAX_FRAKZ_DEPTH, so any
-# pattern the finite check takes the q-series check takes too.  verify_mhs of
-# (33,), depth 32, takes 0.2 s at n_max = 40, 4 s at 80 and 93 s at 160, and
-# of (23,), depth 22, 31 s at 160; depth 239 took 1.3 s at n_max = 10, on a
-# 2-vCPU x86-64 host.  The tests reach depth 22 (9,9,9), the benchmark 12.
+# Deepest pattern of a finite mollified sum or a q-series, checked before the
+# run engine builds its m(m+1)/2 folded runs; one cap, so any pattern the
+# finite check takes the q-series check takes too.  verify_mhs of (33,), depth
+# 32, takes 0.2 s at n_max = 40, 4 s at 80 and 93 s at 160, and of (23,),
+# depth 22, 31 s at 160; depth 239 took 1.3 s at n_max = 10.  A q-series does
+# about m**2/2 term updates per index and needs about 2m indices, on integers
+# that grow with both: at q = 1/2 and eps = 1e-25 depth 22 takes about 0.3 s
+# and depth 32 about 2.3 s.  All on a 2-vCPU x86-64 host.  The tests reach
+# depth 22 (9,9,9), the benchmark 12.
 MAX_PATTERN_DEPTH = 32
 
 
@@ -691,12 +694,6 @@ def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:
     return Fraction(2**m * k ** (m - 1)) * ctx.qpow(expo)
 
 
-# Deepest pattern :func:`frakz` will sum.  The run engine does about m**2/2
-# term updates per index and needs about 2m indices, on integers that grow
-# with both: at q = 1/2 and eps = 1e-25 depth 22 takes about 0.3 s and depth
-# 32 about 2.3 s on a 2-vCPU x86-64 host.
-MAX_FRAKZ_DEPTH = 32
-
 # Longest truncation K that :func:`frakz` will sum, checked before any term
 # is summed.  The engine's integers grow like K**2 bits, so at depth 32 the
 # cost grows about as K**4: 9 s at K = 100 and 60 s at K = 160 at q = 1/2,
@@ -746,11 +743,11 @@ def frakz(
     ((K+2)/(2K+2))**(d-1) <= 1; the factor 1/(1 - rho_d) falls with rho_d.
 
     Raises ValueError, before summing any term, for a pattern deeper than
-    MAX_FRAKZ_DEPTH, an inadmissible one, or a K above MAX_FRAKZ_TERMS.
+    MAX_PATTERN_DEPTH, an inadmissible one, or a K above MAX_FRAKZ_TERMS.
     """
     m = pattern.depth
-    if m > MAX_FRAKZ_DEPTH:
-        raise ValueError(f"pattern depth {m} exceeds {MAX_FRAKZ_DEPTH} for a q-series")
+    if m > MAX_PATTERN_DEPTH:
+        raise ValueError(f"pattern depth {m} exceeds {MAX_PATTERN_DEPTH} for a q-series")
     if not is_admissible(pattern):
         raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
     eps = Fraction(eps)
@@ -817,10 +814,12 @@ def _classical_check(entries: tuple, descent: bool | str) -> None:
 # hundred bytes, so the bound keeps it under 0.5 MB.
 _CLASSICAL_MEMO_SIZE = 1024
 
+# Terms per chunk of a classical series, so each buffer holds at most this
+# many floats.  It is read at each call and goes into the memo key above.
+_CHUNK = 65536
 
-def classical_zeta_many(
-    items: Sequence[tuple], K: int = 1_000_000, chunk: int = 65536
-) -> list[ClassicalValue]:
+
+def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[ClassicalValue]:
     """Partial sums of classical signed multiple zeta values to K terms,
     one per ``(signed string, star)`` pair.
 
@@ -834,7 +833,7 @@ def classical_zeta_many(
     or not) of 2**depth(r) * zeta_K(r), without listing them.  Every string
     is validated first, and one deeper than MAX_PATTERN_DEPTH is refused;
     then each nonempty one is looked up in a bounded process-wide memo
-    keyed by ``(signed string, star, K, chunk)`` (:func:`_classical_sum`).
+    keyed by ``(signed string, star, K, _CHUNK)`` (:func:`_classical_sum`).
 
     The tail estimate is |inner cumulative at K| (twice it for a resolved
     series, whose outermost level reads two inner cumulatives) times the
@@ -848,17 +847,15 @@ def classical_zeta_many(
             _classical_check(entries, star)
     if not any(entries for entries, _ in strings):
         return [ClassicalValue(1.0, 0.0, 0) for _ in strings]
-    # the sum slices by K and chunk, so a float is refused here, where a
-    # memoized 10**6 would otherwise answer for 1e6
-    K, chunk = index(K), index(chunk)
+    # the sum slices by K, so a float is refused here, where a memoized
+    # 10**6 would otherwise answer for 1e6
+    K = index(K)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K > MAX_CLASSICAL_TERMS:
         raise ValueError(f"K = {K} exceeds {MAX_CLASSICAL_TERMS} terms")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     return [
-        _classical_sum(entries, star, K, chunk) if entries else ClassicalValue(1.0, 0.0, 0)
+        _classical_sum(entries, star, K, _CHUNK) if entries else ClassicalValue(1.0, 0.0, 0)
         for entries, star in strings
     ]
 
@@ -937,9 +934,7 @@ def _classical_sum(entries: tuple, descent: bool | str, K: int, chunk: int) -> C
     return ClassicalValue(carries[0], tail, K)
 
 
-def classical_zeta(
-    s: Sequence, K: int = 1_000_000, star: bool | str = False, chunk: int = 65536
-) -> ClassicalValue:
+def classical_zeta(s: Sequence, K: int = 1_000_000, star: bool | str = False) -> ClassicalValue:
     """Partial sum of one classical signed multiple zeta value to K terms
     (see :func:`classical_zeta_many`)."""
-    return classical_zeta_many([(s, star)], K, chunk)[0]
+    return classical_zeta_many([(s, star)], K)[0]

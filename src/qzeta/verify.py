@@ -22,7 +22,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -31,6 +31,7 @@ from .evaluators import (
     Ball,
     SeriesValue,
     _RESOLVED,
+    _harmonic_truncation,
     _mhs_numerators,
     _mhs_scale,
     _pattern_pairs,
@@ -64,33 +65,21 @@ class VerificationReport:
     case: str
     family: str
     params: dict
-    q: Optional[str]
-    n_range: Optional[list]
     status: str
-    residuals: list
-    discrepancy: Number
-    tail_bound: Number
-    seed: Optional[int]
-    elapsed_ms: float
+    q: Optional[str] = None
+    n_range: Optional[list] = None
+    residuals: list = field(default_factory=list)
+    discrepancy: Number = None
+    tail_bound: Number = None
+    seed: Optional[int] = None
+    elapsed_ms: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.status in ("exact-pass", "numeric-pass")
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "family": self.family,
-            "params": self.params,
-            "q": self.q,
-            "n_range": list(self.n_range) if self.n_range is not None else None,
-            "status": self.status,
-            "residuals": list(self.residuals),
-            "discrepancy": self.discrepancy,
-            "tail_bound": self.tail_bound,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -216,12 +205,11 @@ class _Residuals:
             case=case,
             family=family,
             params={**params, "checks": self.checks},
+            status="fail" if self.failed else "exact-pass",
             q=q,
             n_range=n_range,
-            status="fail" if self.failed else "exact-pass",
             residuals=self.lines,
             discrepancy=discrepancy,
-            tail_bound=None,
             seed=seed,
             elapsed_ms=_ms(self.t0),
         )
@@ -252,13 +240,10 @@ def _numeric_report(
         case=case,
         family=family,
         params=params,
-        q=str(q),
-        n_range=None,
         status="numeric-pass" if passed else "fail",
-        residuals=[],
+        q=str(q),
         discrepancy=discrepancy,
         tail_bound=tail_bound,
-        seed=None,
         elapsed_ms=_ms(t0),
     )
 
@@ -354,6 +339,10 @@ def verify_qmzsv(
     column about 10 KB at q = 1/2 and eps = 1e-25), so a check reads the
     same values warm or cold and from any thread.  Over the 105 checks of
     the benchmark's q-series batch at q = 1/2 they miss 4, 3 and 4 times.
+
+    Raises ValueError, before either side sums, for a composition that is
+    not zeta-admissible, a pattern over MAX_PATTERN_DEPTH, or a truncation
+    over either side's cap; the left side's cap is checked first.
     """
     t0 = time.perf_counter()
     comp = tuple(composition)
@@ -363,7 +352,9 @@ def verify_qmzsv(
     epsv = Fraction(eps)
     ctx = QContext(qv)
     d, pattern = compose(comp)
-    # right side first: a pattern too deep for frakz fails before any sum
+    # both truncation searches run before either side sums: the left side's
+    # here, memoized for the ball, and the right side's in frakz
+    _harmonic_truncation(ctx, len(comp), epsv / 4)
     rhs = frakz(ctx, pattern, eps=epsv / 4, merge=True)
     series = 1 + 2 ** (pattern.depth - 1)
     params = {"composition": list(comp), "delta": d, "series": series, "eps": str(epsv)}
@@ -382,7 +373,6 @@ def verify_classical(
     K: int = 10**6,
     tol: float = 1e-4,
     case: Optional[str] = None,
-    family: str = "composition",
 ) -> VerificationReport:
     """Floating-point check of the q -> 1 shadow at truncation K.
 
@@ -418,7 +408,7 @@ def verify_classical(
     disc = abs(lhs.value - rhs)
     return VerificationReport(
         case=case or f"classical {_comp_label(comp)}",
-        family=family,
+        family="composition",
         params={
             "composition": list(comp),
             "terms": 2 ** (pattern.depth - 1),
@@ -428,13 +418,9 @@ def verify_classical(
             "rhs": rhs,
             "allowance": allowance,
         },
-        q=None,
-        n_range=None,
         status="numeric-pass" if disc <= allowance else "fail",
-        residuals=[],
         discrepancy=disc,
         tail_bound=lhs.tail_est + resolved.tail_est,
-        seed=None,
         elapsed_ms=_ms(t0),
     )
 
@@ -702,7 +688,8 @@ def symmetric_pair_check(
     balls first, at P and then at 2P bits, and exact only when those cannot
     decide the report, as in :func:`verify_qmzsv`.
 
-    Raises ValueError, before any sum, unless a and b are ints >= 0.
+    Raises ValueError, before any sum, unless a and b are ints >= 0, or
+    when a truncation is over its cap.
     """
     t0 = time.perf_counter()
     for name, value in (("a", a), ("b", b)):
@@ -716,6 +703,9 @@ def symmetric_pair_check(
         (2,) * a + (3,) + (2,) * b + (1,), (2,) * b + (3,) + (2,) * a + (1,),
         (2,) * (a + 1), (2,) * (b + 1),
     )
+    # every truncation search runs before any series sums, as in verify_qmzsv
+    for m in {a + b + 2, a + 1, b + 1}:
+        _harmonic_truncation(ctx, m, budget)
     w = frakz(ctx, Triple((idx(2 * a + 2 * b + 3),), (a + b + 2,), (2,)), eps=budget)
 
     def report(z_ab, z_ba, u, v):
@@ -765,15 +755,12 @@ def qmzsv_battery(
     return reports
 
 
-def classical_battery(
-    K_pair: int = 10**6,
-    K_key: int = 10**7,
-) -> list[VerificationReport]:
+def classical_battery() -> list[VerificationReport]:
     """Floating-point checks of the limit identities at fixed truncations."""
     return [
-        verify_classical((2, 1), K=K_pair, tol=1e-5, case="depth-two limit"),
-        verify_classical((2, 1, 1, 3, 1), K=K_key, tol=1e-4, case="key limit"),
-        verify_classical((2, 2), K=K_pair, tol=1e-6, case="double-two limit"),
+        verify_classical((2, 1), K=10**6, tol=1e-5, case="depth-two limit"),
+        verify_classical((2, 1, 1, 3, 1), K=10**7, tol=1e-4, case="key limit"),
+        verify_classical((2, 2), K=10**6, tol=1e-6, case="double-two limit"),
     ]
 
 
@@ -900,13 +887,8 @@ def family_equivalence(family: str, max_weight: int = 12) -> VerificationReport:
         case=f"closed-form match {family}",
         family=family,
         params={"max_weight": max_weight, "checks": checks},
-        q=None,
-        n_range=None,
         status="fail" if mismatches else "exact-pass",
         residuals=mismatches,
-        discrepancy=None,
-        tail_bound=None,
-        seed=None,
         elapsed_ms=_ms(t0),
     )
 
@@ -916,11 +898,11 @@ def run_family(
     max_weight: int = 10,
     n_max: int = 8,
     q_values: Sequence[QLike] = (Fraction(1, 2),),
-    spot_checks: int = 5,
 ) -> list[VerificationReport]:
-    """Structural equivalence plus a few exact evaluations for a family."""
+    """Structural equivalence plus exact evaluations of the first five
+    instances of a family."""
     reports = [family_equivalence(family, max_weight)]
-    for args in itertools.islice(family_instances(family, max_weight), spot_checks):
+    for args in itertools.islice(family_instances(family, max_weight), 5):
         comp, _ = closed_pattern(family, *args)
         reports.append(
             verify_mhs(

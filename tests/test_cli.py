@@ -224,7 +224,7 @@ def test_huge_expansion_fails_fast(capsys, monkeypatch):
     monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
     rc, out, err = run(capsys, "verify", "2,1^33", "--qmzsv")
     assert rc == 2
-    assert f"pattern depth 33 exceeds {qzeta.evaluators.MAX_FRAKZ_DEPTH}" in err
+    assert f"pattern depth 33 exceeds {qzeta.evaluators.MAX_PATTERN_DEPTH} for a q-series" in err
 
 
 def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
@@ -296,42 +296,27 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
     monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
     monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
     monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
-    mhs_cap = qzeta.evaluators.MAX_MHS_LIMIT
-    frakz_cap = qzeta.evaluators.MAX_FRAKZ_TERMS
+    mhs = (qzeta.evaluators.MAX_MHS_LIMIT, "a harmonic sum")
+    frakz = (qzeta.evaluators.MAX_FRAKZ_TERMS, "a mollified series")
     # each step of a q_zeta search asks for one power of q, each step of a
     # frakz search two per depth class (these patterns have depth 1)
-    for argv, cap, per_step in (
-        (("eval", "qzeta", "--s", "2,1", "--q", "999/1000", "--eps", "1e-30"), mhs_cap, 1),
-        (("eval", "frakz", "--s", "2;0;2", "--q", "999/1000", "--eps", "1e-30"), frakz_cap, 2),
-        # the right side runs first, so its cap fires before the left side's
-        (("verify", "2,1", "--qmzsv", "--eps", "1e-100000"), frakz_cap, 2),
+    for argv, (cap, what), per_step in (
+        (("eval", "qzeta", "--s", "2,1", "--q", "999/1000", "--eps", "1e-30"), mhs, 1),
+        (("eval", "frakz", "--s", "2;0;2", "--q", "999/1000", "--eps", "1e-30"), frakz, 2),
+        # a q-series check runs the left side's search before either side
+        # sums, so its cap fires first, even where the right side's would
+        # fire too (eps 1e-100000), or where the right side would sum
+        # (K ~ 50 at eps 1e-400, and about a second of summing for 5,5,1 at
+        # q = 19/20) while the left side needs K ~ 1330
+        (("verify", "2,1", "--qmzsv", "--eps", "1e-100000"), mhs, 1),
+        (("verify", "2,1", "--qmzsv", "--eps", "1e-400"), mhs, 1),
+        (("verify", "5,5,1", "--qmzsv", "--q", "19/20"), mhs, 1),
     ):
         calls.clear()
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv
-        assert out == "" and f"series length exceeds {cap}" in err, argv
+        assert out == "" and err.strip().endswith(f"series length exceeds {cap} for {what}"), argv
         assert len(calls) <= per_step * (cap + 2), argv
-    # at q = 1/2 and eps 1e-400 the right side sums (K ~ 50) and the left
-    # side's search would need K ~ 1330: it stops at its cap, having asked
-    # for about as many powers of q as the cap
-    monkeypatch.undo()
-    monkeypatch.setattr(qzeta.QContext, "qpow", counted)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
-    in_left_side = []
-    enclosure = qzeta.verify.q_zeta_enclosure
-
-    def enclosure_counted(*args, **kwargs):
-        start = len(calls)
-        try:
-            return enclosure(*args, **kwargs)
-        finally:
-            in_left_side.append(len(calls) - start)
-
-    monkeypatch.setattr(qzeta.verify, "q_zeta_enclosure", enclosure_counted)
-    rc, out, err = run(capsys, "verify", "2,1", "--qmzsv", "--eps", "1e-400")
-    assert rc == 2
-    assert out == "" and f"series length exceeds {mhs_cap} for a harmonic sum" in err
-    assert in_left_side and in_left_side[0] <= mhs_cap + 2
 
 
 def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):

@@ -511,11 +511,13 @@ def _random_classical_string(rng, star, tail):
     return tuple(entries)
 
 
-def test_classical_engine_matches_per_string_oracle_bit_for_bit():
+def test_classical_engine_matches_per_string_oracle_bit_for_bit(monkeypatch):
     # several strings per call share suffixes and mix the strict, weak and
     # resolved descents, so a value reused across descents or a misplaced
     # odd-k sign shows here; K runs below, at and above the chunk, ending
     # in a short last chunk
+    import qzeta.evaluators as ev
+
     rng = random.Random(19990910)
     for trial in range(120):
         tails = [
@@ -527,16 +529,18 @@ def test_classical_engine_matches_per_string_oracle_bit_for_bit():
             star = rng.choice((False, True, "resolved"))
             items.append((_random_classical_string(rng, star is True, rng.choice(tails)), star))
         chunk = rng.choice((1, 2, 3, 7, 64))
+        monkeypatch.setattr(ev, "_CHUNK", chunk)
         K = rng.choice((1, chunk, chunk + 1, 3 * chunk - 1, 5 * chunk + 2, 200))
-        got = classical_zeta_many(items, K=K, chunk=chunk)
+        got = classical_zeta_many(items, K=K)
         for (entries, star), value in zip(items, got):
             expect = oracles.classical_partial_sum(
                 [(e.magnitude, e.sign) for e in entries], K, star=star, chunk=chunk
             )
             assert (value.value, value.tail_est, value.terms) == (*expect, K), (entries, star, K, chunk)
-            single = classical_zeta(entries, K=K, star=star, chunk=chunk)
+            single = classical_zeta(entries, K=K, star=star)
             assert (single.value, single.tail_est) == expect, (entries, star, K, chunk)
     # the default chunk, with a short second chunk
+    monkeypatch.undo()
     items = [
         ((idx(2), bar(1), idx(1)), True),
         ((idx(3), bar(1), idx(1)), False),
@@ -559,8 +563,9 @@ def test_classical_engine_edges():
         classical_zeta_many([((2,), False)], K=MAX_CLASSICAL_TERMS + 1)
     with pytest.raises(ValueError, match="leading"):
         classical_zeta_many([((2,), False), ((1, 2), True)], K=10)
-    with pytest.raises(ValueError, match="chunk"):
-        classical_zeta_many([((2,), False)], K=10, chunk=0)
+    # the chunk is a constant, not an option
+    with pytest.raises(TypeError):
+        classical_zeta_many([((2,), False)], K=10, chunk=7)
     # a series deeper than MAX_PATTERN_DEPTH levels is refused in any descent
     deepest = (2,) + (1,) * (MAX_PATTERN_DEPTH - 1)
     for star in (False, True, "resolved"):
@@ -569,10 +574,11 @@ def test_classical_engine_edges():
             classical_zeta_many([((2,), False), (deepest + (1,), star)], K=3)
 
 
-def test_classical_resolved_series_is_the_sum_over_the_expansion():
+def test_classical_resolved_series_is_the_sum_over_the_expansion(monkeypatch):
     # the resolved descent of a pattern's string sums 2**depth * zeta over
     # its resolutions: the same value as the expansion's strict terms, each
     # summed by the oracle, at every K, below, at and past the chunk
+    import qzeta.evaluators as ev
     from qzeta import compose, zeta_admissible
     from qzeta.rules import classical_expand
 
@@ -587,8 +593,9 @@ def test_classical_resolved_series_is_the_sum_over_the_expansion():
         d, pattern = compose(comp)
         depths.add(pattern.depth)
         chunk = rng.choice((7, 64))
+        monkeypatch.setattr(ev, "_CHUNK", chunk)
         for K in (1, chunk - 1, chunk, chunk + 1, 200):
-            got = classical_zeta(pattern.s, K=K, star="resolved", chunk=chunk).value
+            got = classical_zeta(pattern.s, K=K, star="resolved").value
             expect = sum(
                 term.sign * term.coefficient * oracles.classical_partial_sum(
                     [(e.magnitude, e.sign) for e in term.index], K, chunk=chunk
@@ -605,13 +612,14 @@ def _classical_oracle(entries, K, star, chunk=65536):
     return (*oracles.classical_partial_sum([(e.magnitude, e.sign) for e in entries], K, star=star, chunk=chunk), K)
 
 
-def test_classical_memo_serves_hits_misses_and_duplicates_in_item_order():
+def test_classical_memo_serves_hits_misses_and_duplicates_in_item_order(monkeypatch):
     # one call mixing memoized strings, new ones and repeats of both returns
     # the oracle's values in item order, cold and warm, and sums each
     # distinct new string once
     import qzeta.evaluators as ev
 
     K, chunk = 300, 64
+    monkeypatch.setattr(ev, "_CHUNK", chunk)
     first = [((2, 1), False), ((3, -1, 1), True), ((-1, 2), False)]
     second = [
         ((3, -1, 1), True),  # memoized
@@ -622,7 +630,7 @@ def test_classical_memo_serves_hits_misses_and_duplicates_in_item_order():
         ((-1, 2), False),  # memoized
     ]
     for items in (first, second, second + first):
-        got = classical_zeta_many(items, K=K, chunk=chunk)
+        got = classical_zeta_many(items, K=K)
         assert [tuple(v) for v in got] == [_classical_oracle(s, K, star, chunk) for s, star in items]
     info = ev._classical_sum.cache_info()
     # 3 + 2 + 0 distinct new strings; the rest of the 3 + 6 + 9 lookups hit
@@ -639,23 +647,26 @@ def test_classical_memo_keys_the_int_and_signed_index_spellings_alike():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1), info
 
 
-def test_classical_memo_keys_include_K_and_chunk():
+def test_classical_memo_keys_include_K_and_chunk(monkeypatch):
     # the same string at another K or chunk is a different value; a memo
     # keyed without either would serve the first one for both
+    import qzeta.evaluators as ev
+
     for entries, star in (((2, 1), False), ((3, 1), True), ((2, -1, 1), False)):
         by_chunk = {chunk: _classical_oracle(entries, 200, star, chunk) for chunk in (7, 64)}
         by_K = {K: _classical_oracle(entries, K, star, 7) for K in (200, 201)}
         assert by_chunk[7] != by_chunk[64] and by_K[200] != by_K[201]
         for _ in range(2):
             for chunk, expect in by_chunk.items():
-                assert tuple(classical_zeta(entries, K=200, star=star, chunk=chunk)) == expect
+                monkeypatch.setattr(ev, "_CHUNK", chunk)
+                assert tuple(classical_zeta(entries, K=200, star=star)) == expect
+            monkeypatch.setattr(ev, "_CHUNK", 7)
             for K, expect in by_K.items():
-                assert tuple(classical_zeta(entries, K=K, star=star, chunk=7)) == expect
-    # a float K or chunk is refused, as the sum refuses it, even when the
-    # int it equals is memoized
-    for K, chunk in ((200.0, 7), (200, 7.0)):
-        with pytest.raises(TypeError):
-            classical_zeta((2, 1), K=K, chunk=chunk)
+                assert tuple(classical_zeta(entries, K=K, star=star)) == expect
+    # a float K is refused, as the sum refuses it, even when the int it
+    # equals is memoized
+    with pytest.raises(TypeError):
+        classical_zeta((2, 1), K=200.0)
 
 
 def test_classical_memo_is_bounded_and_evicts_the_least_recent():

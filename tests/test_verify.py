@@ -132,26 +132,35 @@ def test_numeric_report_from_balls_only_when_they_decide():
 
 
 def test_report_json_round_trip():
-    rep = verify_mhs((2, 1), n_max=6)
-    assert rep.passed
-    text = rep.to_json()
-    data = json.loads(text)
-    assert json.dumps(data, indent=2, sort_keys=True) == text
-    assert set(data) == {
-        "case",
-        "family",
-        "params",
-        "q",
-        "n_range",
-        "status",
-        "residuals",
-        "discrepancy",
-        "tail_bound",
-        "seed",
-        "elapsed_ms",
+    # one report from each builder: every one writes the same 11 keys
+    reports = {
+        "finite": verify_mhs((2, 1), n_max=6),
+        "q-series": verify_qmzsv((2, 1)),
+        "classical": verify_classical((2, 1), K=10**4),
+        "symmetric-pair": symmetric_pair_check(0, 0),
+        "lemma": lemma_suite(parts=("head-reduction",), samples=2, head_n_max=4)[0],
+        "family": family_equivalence("twos", 6),
     }
-    assert data["status"] == "exact-pass"
-    assert data["discrepancy"] == "0"
+    for name, rep in reports.items():
+        assert rep.passed, name
+        text = rep.to_json()
+        data = json.loads(text)
+        assert json.dumps(data, indent=2, sort_keys=True) == text, name
+        assert set(data) == {
+            "case",
+            "family",
+            "params",
+            "q",
+            "n_range",
+            "status",
+            "residuals",
+            "discrepancy",
+            "tail_bound",
+            "seed",
+            "elapsed_ms",
+        }, name
+    assert reports["finite"].status == "exact-pass"
+    assert reports["finite"].discrepancy == "0"
 
 
 def test_verify_mhs_multi_q():
