@@ -36,10 +36,12 @@ strictly, weakly, or resolved: a resolved level reads the deeper cumulative
 at k - 1 plus the one at k, so one series sums 2**depth * zeta over every
 resolution of its string, the whole right side of a q -> 1 check (Yamamoto's
 interpolated value at t = 1/2, scaled by 2**m).  Each series is summed on
-its own over chunks of the index range, in two alternating buffers and one
-scratch buffer, behind a bounded ``lru_cache`` keyed by (signed string,
-descent, K, chunk) (:func:`_classical_sum`), where the chunk is the module
-constant ``_CHUNK``.  :func:`classical_zeta` is its one-series case.
+its own over chunks of the index range, behind a bounded ``lru_cache``
+keyed by (signed string, descent, K, chunk) (:func:`_classical_sum`), where
+the chunk is the module constant ``_CHUNK``.  Per chunk it computes one
+reciprocal column 1/k, builds every k**-p from it by products, and runs
+one cumulative sum per inner level and one plain sum for the outermost,
+in four chunk-wide buffers.  :func:`classical_zeta` is its one-series case.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
@@ -814,9 +816,13 @@ def _classical_check(entries: tuple, descent: bool | str) -> None:
 # hundred bytes, so the bound keeps it under 0.5 MB.
 _CLASSICAL_MEMO_SIZE = 1024
 
-# Terms per chunk of a classical series, so each buffer holds at most this
-# many floats.  It is read at each call and goes into the memo key above.
-_CHUNK = 65536
+# Terms per chunk of a classical series, so each of its four float buffers
+# holds at most this many: 1 MB in all, 1.25 MB with the indices, inside
+# the 2 MB L2 cache per core of the 2-vCPU x86-64 host it was timed on.
+# There the benchmark's seed-1 classical batch (57 checks, K = 10**6, cold
+# memo) took 0.79-0.87 s at this chunk and 0.86-0.99 s at twice it.  It is
+# read at each call and goes into the memo key above.
+_CHUNK = 32768
 
 
 def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[ClassicalValue]:
@@ -864,67 +870,78 @@ def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[Clas
 def _classical_sum(entries: tuple, descent: bool | str, K: int, chunk: int) -> ClassicalValue:
     """One nonempty, validated string summed over the chunks of 1..K.
 
-    Per chunk, the levels are built innermost first, each from the column
-    k**-p of its magnitude and the deeper level's cumulative D, in two
-    buffers that alternate by level, with a running carry per level, so
-    memory stays at O(chunk) however long K is.  A weak level reads D[k],
-    a strict one D[k-1], and a resolved one D[k-1] + D[k], formed in one
-    scratch buffer, with D = 1 below the innermost level; at the chunk
-    start D[k-1] is the deeper level's carry from before.  The outermost
-    cumulative is read only at the chunk's end, so its carry is added to
-    that one element.  Each carry is the chunk's last cumulative.
+    Per chunk, in this order:
+
+    1. the reciprocal column 1/k, once;
+    2. for each level, innermost first, its column k**-p built from 1/k
+       by products (:func:`_power_column`), its terms at odd k negated for
+       a barred entry, and the column multiplied by its factor: D[k] for a
+       weak level, D[k-1] for a strict one and D[k-1] + D[k] for a resolved
+       one, with D the deeper level's cumulative (at the chunk start, D[k-1]
+       is that level's carry from before), 1 below the innermost level and
+       2 for a resolved series;
+    3. for an inner level, its carry added to the first term, then one
+       cumulative sum in place, whose last element is the next carry;
+    4. for the outermost level, whose cumulative nobody reads, one sum of
+       the products, added to its carry.
+
+    The levels alternate between two buffers, and the strict and resolved
+    factors are formed in a third, so with the reciprocal column the engine
+    holds four chunk-wide float buffers (1 MB at the default chunk) besides
+    the indices, however long K is.  np.power is not used: it costs about
+    as much per term as the cumulative sum, and 1/k to the p by squaring
+    costs one or two multiplies per bit of p.  The outermost sum is
+    ndarray.sum (pairwise) rather than np.dot, whose BLAS may split a long
+    column between threads and so round differently on hosts with another
+    thread count; every operation here rounds the same on any host.
     """
     import numpy as np  # only this engine needs it; the exact paths start without it
 
+    resolved = descent == _RESOLVED
     width = min(chunk, K)
     bufs = (np.empty(width), np.empty(width))
     scratch = np.empty(width)
+    recs = np.empty(width)
     carries = [0.0] * len(entries)
-    inner = 1.0
     ks = np.arange(1, width + 1, dtype=np.float64)
     start = 1
     while start <= K:
         n = min(width, K - start + 1)
-        k = ks[:n]
+        rec = np.reciprocal(ks[:n], out=recs[:n])
         odd = (start + 1) % 2  # the first slot of an odd k
         deeper = prev = None
         for j in reversed(range(len(entries))):
             e, out = entries[j], bufs[j % 2][:n]
-            if e.magnitude == 1:
-                np.reciprocal(k, out=out)  # numpy computes k ** -1.0 this way
-            else:
-                np.power(k, float(-e.magnitude), out=out)
+            _power_column(rec, e.magnitude, out)
             # the negation is exact, so it commutes with the products below
             if e.sign < 0:
                 out[odd::2] *= -1.0
             if deeper is None:
-                if descent == _RESOLVED:
+                if resolved:
                     out *= 2.0  # the level below the innermost is 1, read twice
-            elif descent == _RESOLVED:
-                both = scratch[:n]
-                both[0] = prev + deeper[0]
-                np.add(deeper[:-1], deeper[1:], out=both[1:])
-                out *= both
-            elif descent:
+            elif descent and not resolved:
                 out *= deeper
             else:
-                out[0] *= prev
-                out[1:] *= deeper[:-1]
+                factor = scratch[:n]
+                factor[0] = prev
+                factor[1:] = deeper[:-1]
+                if resolved:
+                    factor += deeper
+                out *= factor
+            if not j:
+                carries[0] += float(out.sum())
+                break
+            out[0] += carries[j]
             np.cumsum(out, out=out)
-            if j:
-                out += carries[j]
-                last = float(out[-1])
-            else:
-                last = float(out[-1]) + carries[0]
-            if j == 1:
-                inner = last
             # the next level out reads this cumulative and the carry before it
             deeper, prev = out, carries[j]
-            carries[j] = last
+            carries[j] = float(out[-1])
         start += n
         ks += width
 
-    if descent == _RESOLVED:
+    # the tail estimate reads level 1's cumulative at K
+    inner = carries[1] if len(entries) > 1 else 1.0
+    if resolved:
         inner *= 2
     p1 = entries[0].magnitude
     if p1 >= 2:
@@ -932,6 +949,20 @@ def _classical_sum(entries: tuple, descent: bool | str, K: int, chunk: int) -> C
     else:
         tail = abs(inner) / K
     return ClassicalValue(carries[0], tail, K)
+
+
+def _power_column(rec, p: int, out) -> None:
+    """Write rec**p into out, for rec the column 1/k: ones for p = 0, a copy
+    for p = 1, and otherwise by squaring over the bits of p from the top,
+    at most 2*log2(p) products."""
+    if p == 0:
+        out.fill(1.0)
+        return
+    out[:] = rec
+    for bit in bin(p)[3:]:
+        out *= out
+        if bit == "1":
+            out *= rec
 
 
 def classical_zeta(s: Sequence, K: int = 1_000_000, star: bool | str = False) -> ClassicalValue:

@@ -248,22 +248,34 @@ def _numeric_report(
     )
 
 
+# The balls a check tries before the exact left side: at P, 2P, 4P and
+# 8P bits.  A ball's integers stay near its binary point while the exact
+# sum's denominators grow like K**2 times the depth in bits, so each
+# doubling costs a small multiple of the last and stays far below the
+# exact sum.  At q = 1/2 and eps = 1e-25 on a 2-vCPU x86-64 host,
+# verify_qmzsv((2,)*300) is decided at 4P = 1,200 bits in about 0.4 s and
+# symmetric_pair_check(200, 200) in about 1.7 s, where the exact left side
+# ran past 110 s and 130 s; the ball at 8P for (2,)*300 takes 0.7-0.8 s.
+_BALL_DOUBLINGS = 3
+
+
 def _weak_zetas(
     ctx: QContext, strings: Sequence[tuple], eps: Fraction
 ) -> Iterator[list[SeriesValue]]:
     """The weak zeta values of strings, each summed until its tail bound is
     at most eps: first as balls at the binary point 2**-P of
     :func:`~qzeta.evaluators.q_zeta_enclosure`, then as balls at 2**-2P,
-    and last exactly.  A report reads them in turn until one decides it,
-    which the exact values always do; a ball at 2P costs a small multiple
-    of one at P and decides deep strings whose discrepancy P cannot
-    resolve, where the exact sum's denominators grow like K**2 times the
-    depth in bits.
+    2**-4P and 2**-8P, and last exactly.  A report reads them in turn until
+    one decides it, which the exact values always do; a deep string whose
+    discrepancy P cannot resolve is decided by a ball at a few times P long
+    before the exact sum would finish (see _BALL_DOUBLINGS).
     """
     balls = [q_zeta_enclosure(ctx, s, eps=eps, star=True) for s in strings]
     yield balls
-    prec = 2 * balls[0].value.prec
-    yield [q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=prec) for s in strings]
+    prec = balls[0].value.prec
+    for _ in range(_BALL_DOUBLINGS):
+        prec *= 2
+        yield [q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=prec) for s in strings]
     yield [q_zeta(ctx, s, eps=eps, star=True) for s in strings]
 
 
@@ -320,10 +332,10 @@ def verify_qmzsv(
     most eps/2 < eps.  ``params["series"]`` still counts 1 + 2**(m-1).
 
     The right side is exact.  The left side is first a ball around its
-    exact partial sum (:func:`~qzeta.evaluators.q_zeta_enclosure`), then a
-    ball at twice the binary point; it is summed exactly only when neither
-    ball can decide the status or the printed discrepancy, so the report is
-    always the exact one (see :func:`_weak_zetas`).  At
+    exact partial sum (:func:`~qzeta.evaluators.q_zeta_enclosure`), then
+    balls at 2, 4 and 8 times the binary point; it is summed exactly only
+    when no ball can decide the status or the printed discrepancy, so the
+    report is always the exact one (see :func:`_weak_zetas`).  At
     eps = 1e-25 the ball decides all 174 weight-12 compositions of pattern
     depth 2-4 at q = 1/2, 2/3, 4/5 and 9/10, and (2,1,1,3,1) takes about
     4 ms at q = 1/2, 16 ms at 4/5 and 80 ms at 9/10 on a 2-vCPU x86-64
@@ -685,7 +697,7 @@ def symmetric_pair_check(
     The sum of the two mirror-image weak zeta values equals the product of
     two plain weak zeta values plus a (1-q)-weighted mollified series; the
     product's error is propagated explicitly.  The four weak zeta values are
-    balls first, at P and then at 2P bits, and exact only when those cannot
+    balls first, at P, 2P, 4P and 8P bits, and exact only when those cannot
     decide the report, as in :func:`verify_qmzsv`.
 
     Raises ValueError, before any sum, unless a and b are ints >= 0, or

@@ -209,53 +209,60 @@ def signed_strings(max_depth, max_weight):
     return out
 
 
-def classical_partial_sum(entries, K, star=False, chunk=65536):
+def classical_partial_sum(entries, K, star, chunk):
     """Float partial sum of one classical signed multiple zeta value, summed
     level by level in chunks with fresh arrays, so its value and tail
     estimate are the bit-exact reference for the library's float engine,
-    which sums in reused buffers.
+    which sums in reused buffers.  The order of operations is the engine's:
+    per chunk one column 1/k, each k**-p a product of it by squaring over
+    the bits of p, each inner level's carry added to its first term before
+    the cumulative sum, and the outermost level's products with the deeper
+    cumulative it reads added up by one (pairwise) sum.
 
     entries: sequence of (magnitude, sign) pairs, outermost first, nonempty
     and convergent.  star: False for strict descent, True for weak, or
     "resolved", where level j reads the deeper cumulative at k - 1 plus the
     one at k (and 2 below the innermost level), which sums 2**depth * zeta
-    over every resolution of the string.  Returns (value, tail_est).
+    over every resolution of the string.  chunk: the engine's chunk, which
+    fixes where the carries round.  Returns (value, tail_est).
     """
     import numpy as np
 
     resolved = star == "resolved"
     m = len(entries)
     carries = [0.0] * m
-    inner_at_K = 1.0
     start = 1
     while start <= K:
         stop = min(start + chunk - 1, K)
         ks = np.arange(start, stop + 1, dtype=np.float64)
+        rec = 1.0 / ks
         prev_carries = list(carries)
-        signs = None
         cumulative = None
         for j in range(m - 1, -1, -1):
             mag, sign = entries[j]
-            terms = ks ** float(-mag)
+            terms = np.ones_like(rec) if mag == 0 else rec
+            for bit in bin(mag)[3:]:
+                terms = terms * terms
+                if bit == "1":
+                    terms = terms * rec
             if sign < 0:
-                if signs is None:
-                    signs = np.where(ks % 2 == 1, -1.0, 1.0)
-                terms = terms * signs
+                terms = terms * np.where(ks % 2 == 1, -1.0, 1.0)
             if cumulative is None:
-                if resolved:
-                    terms = terms * 2.0
+                factor = 2.0 if resolved else 1.0
             elif star and not resolved:
-                terms = terms * cumulative
+                factor = cumulative
             else:
-                shifted = np.empty_like(cumulative)
-                shifted[0] = prev_carries[j + 1]
-                shifted[1:] = cumulative[:-1]
-                terms = terms * (shifted + cumulative if resolved else shifted)
-            cumulative = carries[j] + np.cumsum(terms)
+                shifted = np.concatenate(([prev_carries[j + 1]], cumulative[:-1]))
+                factor = shifted + cumulative if resolved else shifted
+            terms = terms * factor
+            if j == 0:
+                carries[0] += float(np.sum(terms))
+                break
+            terms = np.concatenate(([terms[0] + carries[j]], terms[1:]))
+            cumulative = np.cumsum(terms)
             carries[j] = float(cumulative[-1])
-            if j == 1:
-                inner_at_K = float(cumulative[-1])
         start = stop + 1
+    inner_at_K = carries[1] if m > 1 else 1.0
     if resolved:
         inner_at_K *= 2
     p1 = entries[0][0]
@@ -264,3 +271,27 @@ def classical_partial_sum(entries, K, star=False, chunk=65536):
     else:
         tail = abs(inner_at_K) / K
     return carries[0], tail
+
+
+def classical_partial_sum_exact(entries, K, star):
+    """The partial sum that :func:`classical_partial_sum` rounds, in exact
+    rationals, level by level from the innermost: level j's cumulative at
+    k adds sign_j**k / k**mag_j times D[k] (weak), D[k - 1] (strict) or
+    D[k - 1] + D[k] ("resolved"), with D the deeper level's cumulative and
+    D = 1 at every index below the innermost level.  It shares nothing with
+    the float order of operations, so it measures the float error.
+    entries and star as there; returns the value as a Fraction.
+    """
+    below = [Fraction(1)] * (K + 1)
+    for mag, sign in reversed(entries):
+        cumulative = [Fraction(0)] * (K + 1)
+        for k in range(1, K + 1):
+            if star == "resolved":
+                factor = below[k - 1] + below[k]
+            elif star:
+                factor = below[k]
+            else:
+                factor = below[k - 1]
+            cumulative[k] = cumulative[k - 1] + Fraction(sign**k, k**mag) * factor
+        below = cumulative
+    return below[K]

@@ -548,10 +548,103 @@ def test_classical_engine_matches_per_string_oracle_bit_for_bit(monkeypatch):
         ((idx(2),), False),
         ((idx(3), bar(1), idx(1)), "resolved"),
     ]
-    K = 65536 + 1001
+    K = ev._CHUNK + 1001
     for (entries, star), value in zip(items, classical_zeta_many(items, K=K)):
-        expect = oracles.classical_partial_sum([(e.magnitude, e.sign) for e in entries], K, star=star)
+        expect = oracles.classical_partial_sum(
+            [(e.magnitude, e.sign) for e in entries], K, star=star, chunk=ev._CHUNK
+        )
         assert (value.value, value.tail_est) == expect, (entries, star)
+
+
+def test_classical_engine_is_accurate_against_exact_sums(monkeypatch):
+    # the float engine against the same partial sums in Fractions, which
+    # share none of its order of operations: strict, weak and resolved
+    # descents, barred entries and magnitudes 0-4, at K below, at and past
+    # small chunks.  The error is bounded relative to the same series with
+    # every sign positive, which bounds every cumulative the floats carry.
+    import qzeta.evaluators as ev
+
+    rng = random.Random(20010403)
+    seen = set()
+    for trial in range(30):
+        star = (False, True, "resolved")[trial % 3]
+        tail = [SignedIndex(rng.randint(0, 4), rng.choice((1, -1))) for _ in range(rng.randint(0, 2))]
+        entries = _random_classical_string(rng, star is True, tail)
+        pairs = [(e.magnitude, e.sign) for e in entries]
+        seen.update(pairs)
+        chunk = rng.choice((7, 64))
+        monkeypatch.setattr(ev, "_CHUNK", chunk)
+        for K in (1, chunk - 1, chunk, chunk + 1, 5 * chunk + 2):
+            exact = oracles.classical_partial_sum_exact(pairs, K, star)
+            scale = oracles.classical_partial_sum_exact([(mag, 1) for mag, _ in pairs], K, star)
+            got = classical_zeta(entries, K=K, star=star).value
+            assert abs(Fraction(got) - exact) <= Fraction(1e-13) * scale, (entries, star, K, chunk)
+    assert {mag for mag, _ in seen} == set(range(5))
+    assert {sign for _, sign in seen} == {1, -1}
+
+
+def test_classical_engine_takes_one_reciprocal_column_per_chunk(monkeypatch):
+    # a cold series of depth d over c chunks computes one column 1/k per
+    # chunk, builds every k**-p from it with no np.power, and runs one
+    # cumulative sum per inner level per chunk and none for the outermost,
+    # whose cumulative is never read
+    import numpy as np
+
+    import qzeta.evaluators as ev
+
+    calls = {name: 0 for name in ("power", "reciprocal", "cumsum")}
+
+    def counted(name):
+        ufunc = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return ufunc(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    chunk = 16
+    monkeypatch.setattr(ev, "_CHUNK", chunk)
+    for entries in ((3,), (bar(1), 2), (4, 0, 3), (2, 1, bar(2), 5)):
+        for star in (False, True, "resolved"):
+            if star is True and entries[0] == bar(1):
+                continue
+            for K, c in ((chunk - 1, 1), (chunk, 1), (3 * chunk + 1, 4)):
+                for name in calls:
+                    calls[name] = 0
+                classical_zeta(entries, K=K, star=star)
+                expect = {"power": 0, "reciprocal": c, "cumsum": (len(entries) - 1) * c}
+                assert calls == expect, (entries, star, K)
+
+
+def test_classical_values_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than 10,000 terms between its
+    # threads and rounds each part on its own, so an engine that summed with
+    # np.dot would print other floats on a host with another thread count
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "from qzeta import classical_zeta\n"
+        "for s, star in (((2, 1, 1, 1), True), ((2, -1, 2, 1), 'resolved'), ((3, 1, 2), False)):\n"
+        "    print(classical_zeta(s, K=100_000, star=star).value.hex())"
+    )
+    outs = set()
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1, outs
 
 
 def test_classical_engine_edges():
@@ -598,7 +691,7 @@ def test_classical_resolved_series_is_the_sum_over_the_expansion(monkeypatch):
             got = classical_zeta(pattern.s, K=K, star="resolved").value
             expect = sum(
                 term.sign * term.coefficient * oracles.classical_partial_sum(
-                    [(e.magnitude, e.sign) for e in term.index], K, chunk=chunk
+                    [(e.magnitude, e.sign) for e in term.index], K, star=False, chunk=chunk
                 )[0]
                 for term in classical_expand(comp)
             )
@@ -607,8 +700,11 @@ def test_classical_resolved_series_is_the_sum_over_the_expansion(monkeypatch):
 
 
 
-def _classical_oracle(entries, K, star, chunk=65536):
+def _classical_oracle(entries, K, star, chunk=None):
+    import qzeta.evaluators as ev
+
     entries = signed_string(entries)
+    chunk = ev._CHUNK if chunk is None else chunk
     return (*oracles.classical_partial_sum([(e.magnitude, e.sign) for e in entries], K, star=star, chunk=chunk), K)
 
 
@@ -652,7 +748,7 @@ def test_classical_memo_keys_include_K_and_chunk(monkeypatch):
     # keyed without either would serve the first one for both
     import qzeta.evaluators as ev
 
-    for entries, star in (((2, 1), False), ((3, 1), True), ((2, -1, 1), False)):
+    for entries, star in (((2, 1), False), ((3, 1), True), ((2, -1, 2), False)):
         by_chunk = {chunk: _classical_oracle(entries, 200, star, chunk) for chunk in (7, 64)}
         by_K = {K: _classical_oracle(entries, K, star, 7) for K in (200, 201)}
         assert by_chunk[7] != by_chunk[64] and by_K[200] != by_K[201]

@@ -104,8 +104,8 @@ def test_qseries_left_side_is_decided_by_the_enclosure(monkeypatch):
 
 
 def test_qseries_reports_are_the_same_when_every_ball_falls_back(monkeypatch):
-    # every ball is widened to +-1 around its centre, so neither the one at
-    # P nor the one at 2P can decide a report and every left side is summed
+    # every ball is widened to +-1 around its centre, so none of those at
+    # P, 2P, 4P and 8P can decide a report and every left side is summed
     # exactly: the reports must not change
     pairs = [(0, 0), (1, 2), (2, 1)]
     normal = [_body(symmetric_pair_check(a, b)) for a, b in pairs]
@@ -122,9 +122,9 @@ def test_qseries_reports_are_the_same_when_every_ball_falls_back(monkeypatch):
     monkeypatch.setattr(qzeta.verify, "q_zeta_enclosure", widened)
     assert _digest(_qseries(monkeypatch)) == DIGESTS["qseries"][1]
     assert calls == [(2, 1, 2, 1, 3, 1), (5, 5, 1)]
-    assert precs == [300, 600] * 2
+    assert precs == [300, 600, 1200, 2400] * 2
     calls.clear()
     precs.clear()
     assert [_body(symmetric_pair_check(a, b)) for a, b in pairs] == normal
     assert len(calls) == 4 * len(pairs)
-    assert precs == ([300] * 4 + [600] * 4) * len(pairs)
+    assert precs == ([300] * 4 + [600] * 4 + [1200] * 4 + [2400] * 4) * len(pairs)

@@ -358,9 +358,9 @@ def test_verify_qmzsv_reaches_toward_q_to_one(monkeypatch):
         assert verify_qmzsv(comp, q=q).status == "numeric-pass"
 
 
-def test_deep_weak_zeta_is_decided_by_the_ball_at_twice_the_binary_point(monkeypatch):
-    # the discrepancy of (2,)*200 is about 1e-121: the ball at P = 300 bits
-    # cannot print it, the one at 600 can, and the exact sum never runs
+def _ball_precs_without_exact_sum(monkeypatch, comp):
+    """verify_qmzsv(comp) at q = 1/2 with the exact left side patched to
+    raise, and the binary points of the balls it summed."""
     import qzeta.verify as v
 
     def never(*args, **kwargs):
@@ -376,10 +376,26 @@ def test_deep_weak_zeta_is_decided_by_the_ball_at_twice_the_binary_point(monkeyp
 
     monkeypatch.setattr(v, "q_zeta", never)
     monkeypatch.setattr(v, "q_zeta_enclosure", recorded)
-    rep = v.verify_qmzsv((2,) * 200, Fraction(1, 2))
+    return v.verify_qmzsv(comp, Fraction(1, 2)), precs
+
+
+def test_deep_weak_zeta_is_decided_by_the_ball_at_twice_the_binary_point(monkeypatch):
+    # the discrepancy of (2,)*200 is about 1e-121: the ball at P = 300 bits
+    # cannot print it, the one at 600 can, and the exact sum never runs
+    rep, precs = _ball_precs_without_exact_sum(monkeypatch, (2,) * 200)
     assert rep.status == "numeric-pass"
     assert precs == [300, 600]
     assert 0 < float(rep.discrepancy) < 1e-100
+
+
+def test_deeper_weak_zeta_is_decided_by_the_ball_at_four_times_the_binary_point(monkeypatch):
+    # the discrepancy of (2,)*300 is about 2e-181: neither the ball at 300
+    # bits nor the one at 600 can print it, the one at 1,200 can, and the
+    # exact sum, which runs for minutes here, never starts
+    rep, precs = _ball_precs_without_exact_sum(monkeypatch, (2,) * 300)
+    assert rep.status == "numeric-pass"
+    assert precs == [300, 600, 1200]
+    assert 0 < float(rep.discrepancy) < 1e-170
 
 
 def test_verify_classical_small_then_better():
@@ -744,10 +760,12 @@ def test_classical_reports_equal_the_ones_built_from_the_oracle(qzeta_memos):
     K, tol = 10**4, 1e-4
     expected = []
     for comp in _leading_two_weight_seven():
-        lhs, lhs_tail = oracles.classical_partial_sum([(p, 1) for p in comp], K, star=True)
+        lhs, lhs_tail = oracles.classical_partial_sum(
+            [(p, 1) for p in comp], K, star=True, chunk=evaluators._CHUNK
+        )
         d, pattern = compose(comp)
         value, rhs_tail = oracles.classical_partial_sum(
-            [(e.magnitude, e.sign) for e in pattern.s], K, star="resolved"
+            [(e.magnitude, e.sign) for e in pattern.s], K, star="resolved", chunk=evaluators._CHUNK
         )
         rhs = d * value
         expected.append((comp, lhs, rhs, tol + lhs_tail + rhs_tail, abs(lhs - rhs), lhs_tail + rhs_tail))
