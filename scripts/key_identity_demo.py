@@ -3,7 +3,7 @@
 
 Prints the compiled pattern, its eight-term expansion, the classical limit
 expansion, and a numeric confirmation of both the q-series identity and the
-q -> 1 limit.
+q -> 1 limit.  Exit status is 0 only if both checks pass.
 """
 
 import argparse
@@ -53,13 +53,19 @@ def main() -> int:
     print(" " + line.strip())
 
     print("\nq-series check:")
-    rep = verify_qmzsv(comp, q=Fraction(args.q), eps=Fraction(args.eps))
-    print(f"  {rep.status}: |lhs - rhs| = {rep.discrepancy} <= {rep.tail_bound}")
+    series = verify_qmzsv(comp, q=Fraction(args.q), eps=Fraction(args.eps))
+    print(
+        f"  {series.status}: |lhs - rhs| = {series.discrepancy}, eps = {series.params['eps']}"
+        f" (tail bound {series.tail_bound})"
+    )
 
     print("classical check:")
-    rep = verify_classical(comp, K=args.terms, tol=1e-3)
-    print(f"  {rep.status}: |lhs - rhs| = {rep.discrepancy} (allowance {rep.params['allowance']})")
-    return 0 if rep.passed else 1
+    limit = verify_classical(comp, K=args.terms, tol=1e-3)
+    print(
+        f"  {limit.status}: |lhs - rhs| = {limit.discrepancy}"
+        f" (allowance {limit.params['allowance']})"
+    )
+    return 0 if series.passed and limit.passed else 1
 
 
 if __name__ == "__main__":

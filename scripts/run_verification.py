@@ -57,13 +57,15 @@ def main() -> int:
     count = 20 if args.quick else 200
     fuzz_n = 10 if args.quick else 20
     fuzz_weight = 9 if args.quick else 12
+    sweep = []
     for comp in sample_compositions(count, max_depth=6, max_weight=fuzz_weight, seed=args.seed):
         r = verify_mhs(comp, n_max=fuzz_n)
-        reports.append(r)
+        sweep.append(r)
         if not r.passed:
             emit(r)
+    reports.extend(sweep)
     print(f"[ok ] exact-pass    fuzz sweep: {count} seeded compositions at n <= {fuzz_n}"
-          if all_passed(reports) else "[FAIL] fuzz sweep")
+          if all_passed(sweep) else "[FAIL] fuzz sweep")
 
     eps = Fraction(1, 10**15) if args.quick else Fraction(1, 10**25)
     for r in qmzsv_battery(q=Fraction(1, 2), eps=eps, small=args.quick):

@@ -81,7 +81,7 @@ from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
-from .indices import boxplus, oplus, quad_exponent, signed_string
+from .indices import THETA, Theta, boxplus, signed_string
 from .qarith import QContext
 
 
@@ -198,7 +198,7 @@ def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> li
     order = range(m - 1, -1, -1) if star else range(m)
     for k in range(1, n_max + 1):
         lcm = ctx.p_lcm(k)
-        ratio = lcm // ctx.p_lcm(k - 1)
+        ratio = ctx.p_lcm_step(k)
         for j in range(m):
             if x[j]:
                 x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
@@ -305,8 +305,16 @@ def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     return Fraction(_mhs_numerators(ctx, entries, n, star)[n], _mhs_scale(ctx, entries, n))
 
 
-def _runs(pattern: Triple, merge) -> list[list[tuple]]:
-    """For each start slot i, the runs [i, j) as (j, s, t, r) folded slots.
+def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]:
+    """For each start slot i, the runs [i, j) folded into plain integers
+    (j, s, barred, alpha, beta).
+
+    A folded run has magnitude s (oplus adds magnitudes), is barred when an
+    odd number of its entries are, and has offset t (the sum of its
+    offsets) and shift r.  Its a-exponent at index k, t*k + Q(r, k) with Q
+    the quadratic exponent of :func:`~qzeta.indices.quad_exponent`, is
+    alpha * k(k-1)/2 + beta * k: alpha = r and beta = t - [r <= 0] for an
+    integer r, alpha = 0 and beta = t for theta.
 
     ``merge`` has one flag per separator (separator p sits between slots p
     and p+1); ``True`` and ``False`` stand for all and none.  A run [i, j)
@@ -322,15 +330,19 @@ def _runs(pattern: Triple, merge) -> list[list[tuple]]:
         raise ValueError(f"merge mask needs {m - 1} entries, got {len(merge)}")
     out = []
     for i in range(m):
-        s, t, r = pattern.s[i], pattern.t[i], pattern.r[i]
-        row = [(i + 1, s, t, r)]
-        for j in range(i + 1, m):
-            if not merge[j - 1]:
+        row = []
+        s, barred, t, r = 0, False, 0, THETA  # theta is a two-sided identity
+        for j in range(i, m):
+            if j > i and not merge[j - 1]:
                 break
-            s = oplus(s, pattern.s[j])
+            s += pattern.s[j].magnitude
+            barred ^= pattern.s[j].sign < 0
             t += pattern.t[j]
             r = boxplus(r, pattern.r[j])
-            row.append((j + 1, s, t, r))
+            if isinstance(r, Theta):
+                row.append((j + 1, s, barred, 0, t))
+            else:
+                row.append((j + 1, s, barred, r, t - 1 if r <= 0 else t))
         out.append(row)
     return out
 
@@ -354,75 +366,87 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, i
     i..m-1.
 
     Scale: with q = a/b, P_k = b**k - a**k and L_k = ctx.p_lcm(k), the term
-    of a run of magnitude s, sign w, offset t and shift r at index k is
+    of a run of magnitude s, sign w and exponents alpha, beta (see
+    :func:`_runs`) at index k is
 
         w**k (b-a)**s (L_k/P_k)**s (b**k + a**k) a**e b**((k-1)s - k - e) / L_k**s
 
-    with e = t*k + Q(r, k); e and the b exponent may be negative.  Every
-    resolution of slots i..m-1 has total magnitude W_i = s_i + ... + s_(m-1),
-    since oplus adds magnitudes, so level i keeps C_i[k] as an integer X_i
-    over L_k**W_i * a**A_i * b**B_i, where A_i and B_i are the largest a- and
-    b-powers any of its terms has needed so far (either may be negative).
-    From k-1 to k a level moves to its new scale by (L_k/L_(k-1))**W_i and a
-    monomial in a and b, so only integers are added and multiplied and no
-    gcd is taken.  L_k is prime to a and b, so the values yielded up to n
-    share the denominator L_n**W_0 * a**A' * b**B', with A' and B' the
-    largest of their exponents and 0, known without an lcm.
+    with e = alpha * k(k-1)/2 + beta * k; e and the b exponent may be
+    negative.  Every resolution of slots i..m-1 has total magnitude
+    W_i = s_i + ... + s_(m-1), so level i keeps C_i[k] as an integer X_i
+    over L_k**W_i * a**A_i * b**B_i, where A_i and B_i are the largest a-
+    and b-powers any of its terms has needed so far (either may be
+    negative).  From k-1 to k a level first moves to L_k by
+    (L_k/L_(k-1))**W_i (:meth:`~qzeta.qarith.QContext.p_lcm_step`, shared
+    with :func:`_rescaled`).  Then each level takes one pass over its live
+    runs: it starts from its own X_i, A_i and B_i, and when a run needs a
+    larger a- or b-power it multiplies the partial total by the difference
+    before adding that run's product.  Only integers are added and
+    multiplied, no gcd is taken, and (b-a)**s (L_k/P_k)**s (b**k + a**k) is
+    computed once per index for each magnitude s of a run.  L_k is prime to
+    a and b, so the values yielded up to n share the denominator
+    L_n**W_0 * a**A' * b**B', with A' and B' the largest of their exponents
+    and 0, known without an lcm.
     """
     a, b = ctx.q.numerator, ctx.q.denominator
     m = pattern.depth
-    runs = [
-        [(j, s.magnitude, s.sign < 0, t, r) for j, s, t, r in row] for row in _runs(pattern, merge)
-    ]
-    shifts = {r for row in runs for *_, r in row}
+    runs = _runs(pattern, merge)
+    mags = {s for row in runs for _, s, *_ in row}
     weight = [sum(e.magnitude for e in pattern.s[i:]) for i in range(m + 1)]
     x = [0] * m + [1]
     # exponents of a and b in each level's scale; None while the level is empty
     ea: list = [None] * m + [0]
     eb = [0] * (m + 1)
     for k in count(1):
-        lk = ctx.p_lcm(k)
-        ratio = lk // ctx.p_lcm(k - 1)
-        if ratio > 1:
+        step = ctx.p_lcm_step(k)
+        if step > 1:
             for j in range(1, m):
                 if x[j]:
-                    x[j] *= ratio ** weight[j]
-        u = (b - a) * (lk // (b**k - a**k))
-        upow: dict[int, int] = {}
+                    x[j] *= step ** weight[j]
+        u = (b - a) * (ctx.p_lcm(k) // (b**k - a**k))
         bk_ak = b**k + a**k
-        quad = {r: quad_exponent(r, k) for r in shifts}
+        factor = {s: u**s * bk_ak for s in mags}
+        half = k * (k - 1) // 2
         odd = k % 2
         # level 0 gives inner[k]; updating i upwards reads the deeper C_j
         # before they move to k
         for i in range(m):
-            # per live run: the least a- and b-exponents of level i's scale
-            # that make its term an integer
-            parts = []
-            for j, mag, barred, t, r in runs[i]:
-                if ea[j] is not None:
-                    e = t * k + quad[r]
-                    f = (k - 1) * mag - k - e
-                    parts.append((j, mag, barred and odd, ea[j] - e, eb[j] - f))
-            if not parts:
-                if i == 0:
-                    yield 0, 0, 0
-                continue
-            A = max(p[3] for p in parts)
-            B = max(p[4] for p in parts)
-            total = 0
             if i and ea[i] is not None:
-                A, B = max(A, ea[i]), max(B, eb[i])
-                if x[i]:
-                    total = x[i] * a ** (A - ea[i]) * b ** (B - eb[i])
-            for j, mag, negate, need_a, need_b in parts:
-                if x[j]:
-                    if mag not in upow:
-                        upow[mag] = u**mag
-                    c = upow[mag] * bk_ak * a ** (A - need_a) * b ** (B - need_b)
-                    total += -c * x[j] if negate else c * x[j]
-            if i == 0:
-                yield total, A, B
+                A, B, total = ea[i], eb[i], x[i]
             else:
+                A = B = None
+                total = 0
+            for j, s, barred, alpha, beta in runs[i]:
+                below = ea[j]
+                if below is None:
+                    continue
+                # the least a- and b-exponents of level i's scale that make
+                # this run's term an integer
+                e = alpha * half + beta * k
+                need_a = below - e
+                need_b = eb[j] + k + e - (k - 1) * s
+                if A is None:
+                    A, B = need_a, need_b
+                else:
+                    if need_a > A:
+                        if total:
+                            total *= a ** (need_a - A)
+                        A = need_a
+                    if need_b > B:
+                        if total:
+                            total *= b ** (need_b - B)
+                        B = need_b
+                if x[j]:
+                    c = factor[s]
+                    if A > need_a:
+                        c *= a ** (A - need_a)
+                    if B > need_b:
+                        c *= b ** (B - need_b)
+                    c *= x[j]
+                    total += -c if barred and odd else c
+            if i == 0:
+                yield (total, A, B) if A is not None else (0, 0, 0)
+            elif A is not None:
                 x[i], ea[i], eb[i] = total, A, B
 
 
@@ -443,7 +467,7 @@ def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int]]:
     den = 1
     for k, (y, ea, eb) in enumerate(terms, 1):
         new_a, new_b = max(top_a, ea), max(top_b, eb)
-        grow = (ctx.p_lcm(k) // ctx.p_lcm(k - 1)) ** w
+        grow = ctx.p_lcm_step(k) ** w
         grow *= a ** (new_a - top_a) * b ** (new_b - top_b)
         top_a, top_b = new_a, new_b
         den *= grow
@@ -453,20 +477,20 @@ def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int]]:
 # Largest upper limit of the finite mollified sums, checked before any term
 # is summed.  The engine's values grow like n**2 bits and each n moves n of
 # them by factors of about n bits, so the cost grows a little faster than
-# n**4: verify_mhs of (2,1,1,3,1) at q = 5/8 takes 0.4 s at n_max = 80,
-# 2.3 s at 120 and 8.1 s at 160, and of (2,1) at q = 1/2 0.5 s at 160, on a
+# n**4: verify_mhs of (2,1,1,3,1) at q = 5/8 takes 0.6 s at n_max = 80,
+# 4.0 s at 120 and 15 s at 160, and of (2,1) at q = 1/2 0.7 s at 160, on a
 # 2-vCPU x86-64 host.  Deeper patterns cost more per n.
 MAX_PATTERN_LIMIT = 160
 
 # Deepest pattern of a finite mollified sum or a q-series, checked before the
 # run engine builds its m(m+1)/2 folded runs; one cap, so any pattern the
 # finite check takes the q-series check takes too.  verify_mhs of (33,), depth
-# 32, takes 0.2 s at n_max = 40, 4 s at 80 and 93 s at 160, and of (23,),
-# depth 22, 31 s at 160; depth 239 took 1.3 s at n_max = 10.  A q-series does
-# about m**2/2 term updates per index and needs about 2m indices, on integers
-# that grow with both: at q = 1/2 and eps = 1e-25 depth 22 takes about 0.3 s
-# and depth 32 about 2.3 s.  All on a 2-vCPU x86-64 host.  The tests reach
-# depth 22 (9,9,9), the benchmark 12.
+# 32, takes 0.2 s at n_max = 40, 4.5 s at 80 and 68 s at 160, and of (23,),
+# depth 22, 28 s at 160; depth 239, past this cap, takes 1.2 s at
+# n_max = 10.  A q-series does about m**2/2 term updates per index and needs
+# about 2m indices, on integers that grow with both: at q = 1/2 and
+# eps = 1e-25 depth 22 takes about 0.26 s and depth 32 about 2.1 s.  All on a
+# 2-vCPU x86-64 host.  The tests reach depth 22 (9,9,9), the benchmark 12.
 MAX_PATTERN_DEPTH = 32
 
 
@@ -698,8 +722,8 @@ def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:
 
 # Longest truncation K that :func:`frakz` will sum, checked before any term
 # is summed.  The engine's integers grow like K**2 bits, so at depth 32 the
-# cost grows about as K**4: 9 s at K = 100 and 60 s at K = 160 at q = 1/2,
-# 19 s at K = 100 at q = 2/3, on a 2-vCPU x86-64 host.  Depth 32 has a tail
+# cost grows about as K**4: 9 s at K = 100 and 72 s at K = 160 at q = 1/2,
+# 20 s at K = 100 at q = 2/3, on a 2-vCPU x86-64 host.  Depth 32 has a tail
 # bound only for K > 30 + 31 / log2(1/q), so this cap admits it up to
 # q ~ 0.73.  The test suite and the benchmark reach K = 51 at most (9,9,9
 # at q = 1/2, eps = 1e-25).

@@ -30,7 +30,8 @@ class QContext:
 
     :meth:`p_lcm` gives the common denominators over which the harmonic-sum
     DP and the run engine work in integers, so neither reduces a fraction
-    inside its loop; :meth:`p_prod` and :meth:`gauss_row` give the integer
+    inside its loop, and :meth:`p_lcm_step` the small factor by which each
+    of them grows; :meth:`p_prod` and :meth:`gauss_row` give the integer
     Pochhammer products and Gaussian-binomial rows from which the binomial
     ratios gauss(n, k) / gauss(n + k, k) of the finite prefactor and the
     kernel lemmas are built.  All three come from the factors b**k - a**k.
@@ -42,6 +43,7 @@ class QContext:
         self._qpow: dict[int, Fraction] = {0: Fraction(1), 1: self.q}
         self._qint: dict[int, Fraction] = {}
         self._plcm: list[int] = [1]
+        self._plcm_step: list[int] = [1]
         self._pprod: list[int] = [1]
 
     def __repr__(self) -> str:
@@ -91,8 +93,20 @@ class QContext:
         a, b = self.q.numerator, self.q.denominator
         while len(self._plcm) <= n:
             k = len(self._plcm)
-            self._plcm.append(math.lcm(self._plcm[-1], b**k - a**k))
+            h = b**k - a**k
+            step = h // math.gcd(self._plcm[-1], h)
+            self._plcm.append(self._plcm[-1] * step)
+            self._plcm_step.append(step)
         return self._plcm[n]
+
+    def p_lcm_step(self, n: int) -> int:
+        """L_n / L_(n-1) for n >= 1 (see :meth:`p_lcm`), kept as L_n is
+        built, so the callers that move a value from L_(n-1) to L_n share it
+        without dividing."""
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        self.p_lcm(n)
+        return self._plcm_step[n]
 
     def p_prod(self, n: int) -> int:
         """P_n = prod of b**k - a**k over 1 <= k <= n, where q = a/b.

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -15,6 +16,7 @@ from qzeta import (
     SignedIndex,
     Triple,
     bar,
+    boxplus,
     classical_zeta,
     classical_zeta_many,
     expand,
@@ -1218,3 +1220,133 @@ def test_pattern_pairs_carry_the_prefactor_without_gaussian_rows(monkeypatch):
             centre = ctx.p_prod(2 * n) // ctx.p_prod(n) ** 2
             den = centre * ctx.p_lcm(n) ** w * a**top_a * b**top_b
             assert pairs[n][1] == den, (pattern, q, merge, n)
+
+
+def _engine_exponents(pattern, merge, n):
+    # the (A, B) of inner[1..n] by the definition of the engine's scale:
+    # level i takes the largest of its own exponents so far and the ones
+    # each live run [i, j) needs, ea_j - e and eb_j - ((k-1)s - k - e), with
+    # s, t and r folded over the run and e = t*k + Q(r, k); no sum is taken
+    m = pattern.depth
+    mask = (merge,) * (m - 1) if isinstance(merge, bool) else merge
+    runs = []
+    for i in range(m):
+        row = []
+        for j in range(i + 1, m + 1):
+            if j > i + 1 and not mask[j - 2]:
+                break
+            shift = THETA
+            for r in pattern.r[i:j]:
+                shift = boxplus(shift, r)
+            s = sum(e.magnitude for e in pattern.s[i:j])
+            row.append((j, s, sum(pattern.t[i:j]), None if shift is THETA else shift))
+        runs.append(row)
+    ea = [None] * m + [0]
+    eb = [0] * (m + 1)
+    out = []
+    for k in range(1, n + 1):
+        for i in range(m):
+            need = [
+                (ea[j] - e, eb[j] - ((k - 1) * s - k - e))
+                for j, s, t, r in runs[i]
+                if ea[j] is not None
+                for e in [t * k + oracles.quad_exp(r, k)]
+            ]
+            if i and ea[i] is not None:
+                need.append((ea[i], eb[i]))
+            top = (max(p[0] for p in need), max(p[1] for p in need)) if need else None
+            if i == 0:
+                out.append(top or (0, 0))
+            elif top:
+                ea[i], eb[i] = top
+    return out
+
+
+def test_run_engine_scale_is_the_largest_exponent_its_terms_need():
+    # the one-pass scale raises a level's partial total whenever a run needs
+    # a larger power, so it must end where the largest needed power is; the
+    # values are checked against the oracles elsewhere, so equal exponents
+    # give the same integers y.  Shifts theta, +-1 in both orders, 0, +-2
+    # and 3, barred entries, magnitude 0, every kind of merge and q with
+    # a > 1 as well as a = 1
+    from qzeta.evaluators import _inner_terms
+
+    rng = random.Random(23)
+    shift_pool = [THETA, 1, -1, 0, 2, -2, 3]
+    qs = (Fraction(1, 2), Fraction(2, 3), Fraction(5, 8), Fraction(1, 7), Fraction(9, 10))
+    for trial in range(200):
+        m = rng.randint(1, 7)
+        pattern = Triple(
+            tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m)),
+            tuple(rng.randint(0, 3) for _ in range(m)),
+            tuple(rng.choice(shift_pool) for _ in range(m)),
+        )
+        merge = (True, False, tuple(rng.random() < 0.6 for _ in range(m - 1)))[trial % 3]
+        ctx = QContext(qs[trial % 5])
+        got = [(A, B) for _, A, B in itertools.islice(_inner_terms(ctx, pattern, merge), 25)]
+        assert got == _engine_exponents(pattern, merge, 25), (pattern, merge)
+
+
+def test_run_engine_scale_is_pinned():
+    # the scale fixes how large the integers of every row grow, so a scale
+    # that grows silently would slow the long checks without failing any
+    # value test; both inputs have a > 1, where a wrong a-exponent shows
+    from qzeta import compose
+    from qzeta.evaluators import _inner_terms, _pattern_pairs
+
+    pairs = _pattern_pairs(QContext(Fraction(5, 8)), compose((2, 1, 1, 3, 1))[1], 40)
+    assert [den.bit_length() for _, den in pairs] == [
+        1, 32, 71, 143, 216, 350, 428, 622, 764, 962, 1111, 1425, 1587, 1961,
+        2181, 2453, 2738, 3233, 3479, 4034, 4339, 4742, 5106, 5780, 6112, 6740,
+        7175, 7766, 8216, 9070, 9441, 10355, 10928, 11595, 12175, 12948, 13448,
+        14543, 15194, 15993, 16612,
+    ]  # fmt: skip
+    inner = _inner_terms(QContext(Fraction(4, 5)), compose((9, 9, 9))[1], True)
+    assert [(A, B) for _, A, B in itertools.islice(inner, 20)] == [
+        (-3, 4), (-5, 6), (-8, 9), (-12, 13), (-17, 18), (-23, 24), (-30, 31),
+        (-38, 39), (-47, 47), (-57, 56), (-68, 66), (-80, 77), (-93, 89),
+        (-107, 102), (-122, 116), (-138, 131), (-155, 147), (-173, 164),
+        (-192, 182), (-212, 201),
+    ]  # fmt: skip
+
+
+def test_run_engine_folds_each_run_once(monkeypatch):
+    # every run is folded into plain integers once per call, so no quadratic
+    # exponent, oplus or SignedIndex is evaluated per index: the counts are
+    # the same at n_max 10 and 40, and boxplus runs once per run at most
+    import qzeta.evaluators as ev
+    import qzeta.indices as indices
+    from qzeta.evaluators import _pattern_pairs
+
+    pattern = Triple(
+        (idx(2), bar(1), idx(0), bar(3), idx(1), idx(1), bar(2), idx(1)),
+        (1, 0, 2, 0, 1, 0, 0, 3),
+        (1, -1, THETA, 0, 2, -2, 1, 3),
+    )
+    m = pattern.depth
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("quad_exponent", "oplus", "boxplus"):
+        monkeypatch.setattr(ev, name, counted(name, getattr(indices, name)), raising=False)
+    post_init = SignedIndex.__post_init__
+
+    def counted_post_init(self):
+        calls["SignedIndex"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(SignedIndex, "__post_init__", counted_post_init)
+    seen = []
+    for n_max in (10, 40):
+        calls.clear()
+        _pattern_pairs(QContext(Fraction(5, 8)), pattern, n_max)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert calls["quad_exponent"] == calls["oplus"] == 0
+    assert 0 < calls["boxplus"] <= m * (m + 1) // 2

@@ -77,6 +77,7 @@ def test_gauss_binomial_out_of_range(ctx_half):
     for bad in (
         lambda: ctx_half.p_prod(-1),
         lambda: ctx_half.p_lcm(-1),
+        lambda: ctx_half.p_lcm_step(0),
         lambda: ctx_half.gauss_row(-1, 0),
         lambda: ctx_half.gauss_row(3, 5),
         lambda: ctx_half.gauss_row(3, -1),
@@ -148,6 +149,12 @@ def test_harmonic_term(ctx_half):
 def test_p_lcm(ctx_third):
     # q = 1/3: P_k = 3^k - 1 = 2, 8, 26, 80
     assert [ctx_third.p_lcm(n) for n in range(5)] == [1, 2, 8, 104, 1040]
+    # the steps L_n / L_(n-1), asked for past the cached length as well
+    ctx = QContext(Fraction(7, 8))
+    assert [ctx.p_lcm_step(n) for n in range(1, 25)] == [
+        ctx.p_lcm(n) // ctx.p_lcm(n - 1) for n in range(1, 25)
+    ]
+    assert [ctx_third.p_lcm_step(n) for n in range(1, 5)] == [2, 4, 13, 10]
 
 
 def test_integer_pochhammer_and_gauss_rows(ctx_half, ctx_third):

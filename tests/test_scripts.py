@@ -1,11 +1,15 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import qzeta
+from qzeta import VerificationReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +51,48 @@ def test_import_loads_neither_sympy_nor_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _failing(case: str) -> VerificationReport:
+    return VerificationReport(
+        case=case,
+        family="stub",
+        params={"eps": "1/1000"},
+        status="fail",
+        discrepancy="0.5",
+        tail_bound="1/2000",
+    )
+
+
+def _run_script(monkeypatch, capsys, script: str, *args: str) -> tuple:
+    """Run a script in this process as __main__; its exit code and stdout."""
+    path = str(ROOT / "scripts" / script)
+    monkeypatch.setattr(sys, "argv", [path, *args])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(path, run_name="__main__")
+    return stop.value.code, capsys.readouterr().out
+
+
+def test_demo_exits_one_when_the_q_series_check_fails(monkeypatch, capsys):
+    # the classical check passes, so only the q-series verdict can set the
+    # exit code; the line names eps, the bound the check passes under
+    monkeypatch.setattr(qzeta, "verify_qmzsv", lambda *args, **kwargs: _failing("stub"))
+    code, out = _run_script(
+        monkeypatch, capsys, "key_identity_demo.py", "-a", "1", "--terms", "100000"
+    )
+    assert code == 1
+    assert "  fail: |lhs - rhs| = 0.5, eps = 1/1000 (tail bound 1/2000)" in out
+    assert "numeric-pass: |lhs - rhs| =" in out.split("classical check:")[1]
+
+
+def test_fuzz_sweep_verdict_reads_its_own_reports(monkeypatch, capsys):
+    # a failing lemma is reported as the lemma's failure, not the sweep's
+    monkeypatch.setattr(qzeta, "lemma_suite", lambda **kwargs: [_failing("stub lemma")])
+    code, out = _run_script(
+        monkeypatch, capsys, "run_verification.py", "--quick", "--skip-classical"
+    )
+    assert code == 1
+    assert "[FAIL] fail         stub lemma" in out
+    assert "[ok ] exact-pass    fuzz sweep: 20 seeded compositions" in out
+    assert "[FAIL] fuzz sweep" not in out
+    assert "FAILURES PRESENT" in out
