@@ -58,6 +58,14 @@ def _parse_q_list(text: str) -> list[Fraction]:
     return [as_q(token) for token in text.split(",")]
 
 
+def _parse_eps(text: str) -> Fraction:
+    """The --eps option, read once by argparse, so a bad value exits 2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"eps must be a rational number, got {text!r}") from None
+
+
 def _sindex_json(e: SignedIndex):
     if e.magnitude == 0 and e.sign < 0:
         return "-0"
@@ -158,14 +166,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     elif kind in ("qzeta", "qzeta-star", "frakz"):
         ctx = QContext(as_q(args.q))
         if kind == "frakz":
-            sv = frakz(ctx, parse_triple(args.s), eps=Fraction(args.eps))
+            sv = frakz(ctx, parse_triple(args.s), eps=args.eps)
         else:
             s = parse_signed_string(args.s)
-            sv = q_zeta(ctx, s, eps=Fraction(args.eps), star=kind.endswith("star"))
+            sv = q_zeta(ctx, s, eps=args.eps, star=kind.endswith("star"))
         payload.update(
             {
                 "q": str(ctx.q),
-                "eps": str(Fraction(args.eps)),
+                "eps": str(args.eps),
                 "value": str(sv.value),
                 "tail_bound": str(sv.tail_bound),
                 "terms": sv.terms,
@@ -238,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         comp = parse_composition(target)
         if args.qmzsv:
-            reports = [verify_qmzsv(comp, q=q, eps=Fraction(args.eps)) for q in qs]
+            reports = [verify_qmzsv(comp, q=q, eps=args.eps) for q in qs]
         elif args.classical:
             reports = [verify_classical(comp, K=args.terms, tol=args.tol)]
         else:
@@ -258,10 +266,10 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
     return 0 if all_passed(reports) else 1
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser, choices=("plain", "json")) -> None:
     parser.add_argument(
         "--format",
-        choices=("plain", "json", "latex"),
+        choices=choices,
         default="plain",
         help="output format (default plain)",
     )
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument(
         "--classical", action="store_true", help="include the q -> 1 expansion"
     )
-    _add_format(p_expand)
+    _add_format(p_expand, ("plain", "json", "latex"))
     p_expand.set_defaults(func=cmd_expand)
 
     p_eval = sub.add_parser("eval", help="evaluate one sum")
@@ -295,11 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--n", type=int, default=None, help="upper limit for mhs kinds")
     p_eval.add_argument("--q", default="1/2", help="rational q in (0,1), e.g. 1/2")
-    p_eval.add_argument("--eps", default="1e-25", help="tail bound target for q-series")
+    p_eval.add_argument(
+        "--eps", type=_parse_eps, default="1e-25", help="tail bound target for q-series"
+    )
     p_eval.add_argument(
         "--terms", type=int, default=10**6, help="truncation for zeta kinds"
     )
-    _add_format(p_eval)
+    _add_format(p_eval, ("plain", "json", "latex"))
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="verify an identity")
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument(
         "--classical", action="store_true", help="check the q -> 1 limit identity"
     )
-    p_verify.add_argument("--eps", default="1e-25")
+    p_verify.add_argument("--eps", type=_parse_eps, default="1e-25")
     p_verify.add_argument("--terms", type=int, default=10**6, help="classical truncation")
     p_verify.add_argument("--tol", type=float, default=1e-4)
     p_verify.add_argument("--count", type=int, default=20, help="size of fuzz corpus")
@@ -327,7 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lemmas = sub.add_parser("lemmas", help="run the kernel-identity suite")
     p_lemmas.add_argument("--n-max", type=int, default=40, dest="n_max")
-    p_lemmas.add_argument("--q", default="1/2,1/3,9/10")
+    p_lemmas.add_argument(
+        "--q",
+        default="1/2,1/3,9/10",
+        help="comma-separated rational q list; inverse-power and head-reduction"
+        " run at the first q only",
+    )
     p_lemmas.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_lemmas.add_argument("--samples", type=int, default=10)
     _add_format(p_lemmas)

@@ -47,15 +47,16 @@ All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
 family of values costs the same as the deepest single one.  In the exact
 ones every cumulative is an integer numerator over a known denominator, so
-no loop takes a gcd and each returned value is reduced once.  For q = a/b and
-L_k = lcm(b^i - a^i, i <= k), the harmonic sums (and so :func:`q_zeta`)
+no loop takes a gcd and each returned value is reduced once.  For q = a/b,
+h_i = (b^i - a^i)/(b - a) and L_k = lcm(h_i, i <= k), all kept by the
+:class:`~qzeta.qarith.QContext`, the harmonic sums (and so :func:`q_zeta`)
 scale a cumulative at index k by a power of L_k times a power of b.  The
 mollified sums and :func:`frakz` share one recurrence, the run engine,
 whose terms also carry q^quadratic and (1 + q^k) factors: it scales the
 cumulative of slots i..m-1 by L_k^W_i a^A_i b^B_i, with W_i their total
 magnitude and A_i, B_i the largest exponents its terms need (see
 :func:`_inner_terms`).  The finite mollified sums then apply their
-prefactor in integers: with P_j = prod_(i <= j) (b^i - a^i) and the
+prefactor in integers: with P_j = prod_(i <= j) h_i and the
 Gaussian-binomial integer G(N, j) = P_N / (P_j P_(N-j)),
 
     br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n^2 / P_2n * G(2n, n-k) * b^(k^2),
@@ -164,8 +165,8 @@ def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> li
     """Numerators of the nested harmonic sum for every upper limit 0..n_max;
     value n is ``nums[n] / _mhs_scale(ctx, entries, n)``.
 
-    With q = a/b in lowest terms, P_k = b^k - a^k and L_k = ctx.p_lcm(k),
-    w_k = L_k/[k] = (b-a) b^(k-1) L_k/P_k is an integer and the term of
+    With q = a/b in lowest terms, h_k = ctx.h(k) and L_k = ctx.p_lcm(k),
+    w_k = L_k/[k] = b^(k-1) L_k/h_k is an integer and the term of
     magnitude s at index k is sgn^k a^k w_k^s / (b^k L_k^s).  At step k,
     level j is scaled by D_j(k) = L_k^s_j * b^beta, with beta = k when
     s_j = 0 and 1 otherwise, which makes its term the integer
@@ -197,13 +198,12 @@ def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> li
     # descent: level j sees level j+1 as of k-1, so update top-down
     order = range(m - 1, -1, -1) if star else range(m)
     for k in range(1, n_max + 1):
-        lcm = ctx.p_lcm(k)
         ratio = ctx.p_lcm_step(k)
         for j in range(m):
             if x[j]:
                 x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
         ak = a**k
-        v = (b - a) * (lcm // (b**k - a**k))
+        v = ctx.p_lcm(k) // ctx.h(k)
         w = v * b ** (k - 1)
         for j in order:
             c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
@@ -243,20 +243,17 @@ def _floored_column(q: Fraction, s: int, prec: int, n: int) -> tuple[tuple[int, 
     """The floored terms of magnitude s at the binary point 2**-prec for
     k = 0..n, as (t, flag) pairs; entry 0 is (0, 0) and is never read.
 
-    With q = a/b the term is
-    q**k / [k]**s = a**k ((b-a) b**(k-1))**s / (b**k (b**k - a**k)**s), so
-    t = floor(a**k ((b-a) b**(k-1))**s 2**prec / (b**k (b**k - a**k)**s)) >= 0
+    With q = a/b and h_k = ctx.h(k) the term is
+    q**k / [k]**s = a**k b**((k-1)s) / (b**k h_k**s), so
+    t = floor(a**k b**((k-1)s) 2**prec / (b**k h_k**s)) >= 0
     and flag is 1 when the floor dropped a nonzero remainder: the exact term
     lies within flag units of t.
     """
+    ctx = QContext(q)
     a, b = q.numerator, q.denominator
     column = [(0, 0)]
-    ak, bk = 1, 1
-    for _ in range(n):
-        top = (b - a) * bk  # (b-a) b**(k-1)
-        ak *= a
-        bk *= b
-        t, rest = divmod(ak * top**s << prec, bk * (bk - ak) ** s)
+    for k in range(1, n + 1):
+        t, rest = divmod(a**k * b ** ((k - 1) * s) << prec, b**k * ctx.h(k) ** s)
         column.append((t, 1 if rest else 0))
     return tuple(column)
 
@@ -365,11 +362,11 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, i
     C_i[k] sums the strict nested sums below k of every resolution of slots
     i..m-1.
 
-    Scale: with q = a/b, P_k = b**k - a**k and L_k = ctx.p_lcm(k), the term
+    Scale: with q = a/b, h_k = ctx.h(k) and L_k = ctx.p_lcm(k), the term
     of a run of magnitude s, sign w and exponents alpha, beta (see
     :func:`_runs`) at index k is
 
-        w**k (b-a)**s (L_k/P_k)**s (b**k + a**k) a**e b**((k-1)s - k - e) / L_k**s
+        w**k (L_k/h_k)**s (b**k + a**k) a**e b**((k-1)s - k - e) / L_k**s
 
     with e = alpha * k(k-1)/2 + beta * k; e and the b exponent may be
     negative.  Every resolution of slots i..m-1 has total magnitude
@@ -382,7 +379,7 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, i
     runs: it starts from its own X_i, A_i and B_i, and when a run needs a
     larger a- or b-power it multiplies the partial total by the difference
     before adding that run's product.  Only integers are added and
-    multiplied, no gcd is taken, and (b-a)**s (L_k/P_k)**s (b**k + a**k) is
+    multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is
     computed once per index for each magnitude s of a run.  L_k is prime to
     a and b, so the values yielded up to n share the denominator
     L_n**W_0 * a**A' * b**B', with A' and B' the largest of their exponents
@@ -403,7 +400,7 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, i
             for j in range(1, m):
                 if x[j]:
                     x[j] *= step ** weight[j]
-        u = (b - a) * (ctx.p_lcm(k) // (b**k - a**k))
+        u = ctx.p_lcm(k) // ctx.h(k)
         bk_ak = b**k + a**k
         factor = {s: u**s * bk_ak for s in mags}
         half = k * (k - 1) // 2
@@ -495,11 +492,9 @@ MAX_PATTERN_DEPTH = 32
 
 
 def _q_factors(ctx: QContext, top: int) -> list[int]:
-    """h_i = b**i - a**i for i = 0..top, where q = a/b: the factors of the
-    integer Pochhammer products P_n = h_1 * ... * h_n (see
-    :meth:`~qzeta.qarith.QContext.p_prod`)."""
-    a, b = ctx.q.numerator, ctx.q.denominator
-    return [b**i - a**i for i in range(top + 1)]
+    """h_i = ctx.h(i) for i = 0..top: the factors of the integer Pochhammer
+    products P_n = h_1 * ... * h_n (see :meth:`~qzeta.qarith.QContext.p_prod`)."""
+    return [ctx.h(i) for i in range(top + 1)]
 
 
 def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> list[tuple]:
@@ -520,7 +515,7 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
 
         out[n] = sum_k T_n[k] / (G(2n, n) * D_n),  T_n[k] = G(2n, n-k) * weighted[k].
 
-    With h_i = b**i - a**i, G(2n, n-k) / G(2n-2, n-1-k) = h_2n h_(2n-1) /
+    With h_i = ctx.h(i), G(2n, n-k) / G(2n-2, n-1-k) = h_2n h_(2n-1) /
     (h_(n-k) h_(n+k)), so each product is carried from row n-1 to row n by
 
         T_n[k] = T_(n-1)[k] * g_n * h_2n * h_(2n-1) // (h_(n-k) * h_(n+k)),
@@ -570,7 +565,7 @@ def pattern_mhs_many(
     the engine's inner[k] (see :func:`_inner_terms`):
     out[n] = sum_k br(n, k) * inner[k], where with q = a/b
     br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n**2 / P_2n * G(2n, n-k) * b**(k*k),
-    P_j = prod_(i <= j) (b**i - a**i) and G(N, j) = P_N / (P_j P_(N-j)) an
+    P_j = ctx.p_prod(j) and G(N, j) = P_N / (P_j P_(N-j)) an
     integer.  Each row is one integer sum of products carried from the row
     before (see :func:`_pattern_pairs`) and each value is reduced once.
 
@@ -656,7 +651,7 @@ def _harmonic_search(q: Fraction, m: int, eps: Fraction, cap: int) -> tuple[int,
     """The search of :func:`_harmonic_truncation` below cap; the cap is part
     of the key, so no entry outlives it, and a refusal is not kept."""
     ctx = QContext(q)
-    prefactor = (q / ctx.one_minus_q) ** (m - 1) / ctx.one_minus_q
+    prefactor = (q / (1 - q)) ** (m - 1) / (1 - q)
 
     def bound(K: int) -> Fraction:
         return prefactor * ctx.qpow(K + 1)

@@ -2,7 +2,7 @@
 
 Everything is computed exactly, over :class:`fractions.Fraction` or over
 integers with a known denominator, so all identities checked downstream are
-exact.  A :class:`QContext` memoizes powers of q, q-integers, integer
+exact.  A :class:`QContext` keeps the q-integers in integer form, integer
 q-Pochhammer products and the common denominators of the sum evaluators, and
 builds Gaussian-binomial integer rows on request; every q-binomial the
 package reads comes from those integers.  Sharing one context across a large
@@ -19,85 +19,77 @@ QLike = Union[Fraction, int, str]
 
 
 def as_q(value: QLike) -> Fraction:
-    q = Fraction(value)
+    try:
+        q = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"q must be a rational number, got {str(value)!r}") from exc
     if not 0 < q < 1:
         raise ValueError(f"q must lie strictly between 0 and 1, got {q}")
     return q
 
 
 class QContext:
-    """Memoized exact arithmetic at a fixed rational q = a/b in (0, 1).
+    """Integer q-tables at a fixed rational q = a/b in (0, 1), all built from
+    h_n = (b**n - a**n) / (b - a), the integer form of [n] = h_n / b**(n-1).
 
-    :meth:`p_lcm` gives the common denominators over which the harmonic-sum
-    DP and the run engine work in integers, so neither reduces a fraction
-    inside its loop, and :meth:`p_lcm_step` the small factor by which each
-    of them grows; :meth:`p_prod` and :meth:`gauss_row` give the integer
-    Pochhammer products and Gaussian-binomial rows from which the binomial
-    ratios gauss(n, k) / gauss(n + k, k) of the finite prefactor and the
-    kernel lemmas are built.  All three come from the factors b**k - a**k.
+    One loop grows h_n = b h_(n-1) + a**(n-1) from h_0 = 0 and, with it, the
+    common denominators L_n = lcm(h_1, ..., h_n) over which the harmonic-sum
+    DP and the run engine work in integers (:meth:`p_lcm`, :meth:`p_lcm_step`)
+    and the Pochhammer products P_n = h_1 ... h_n (:meth:`p_prod`); with
+    :meth:`gauss_row` they give the binomial ratios gauss(n, k) /
+    gauss(n + k, k) of the finite prefactor and the kernel lemmas.
     """
 
     def __init__(self, q: QLike):
         self.q = as_q(q)
-        self.one_minus_q = 1 - self.q
-        self._qpow: dict[int, Fraction] = {0: Fraction(1), 1: self.q}
-        self._qint: dict[int, Fraction] = {}
-        self._plcm: list[int] = [1]
-        self._plcm_step: list[int] = [1]
-        self._pprod: list[int] = [1]
+        self._rows = [(0, 1, 1, 1)]  # (h_n, L_n, L_n / L_(n-1), P_n) for n = 0, 1, ...
 
     def __repr__(self) -> str:
         return f"QContext(q={self.q})"
 
+    def _row(self, n: int) -> tuple[int, int, int, int]:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        while len(self._rows) <= n:
+            a, b = self.q.numerator, self.q.denominator
+            h, lcm, _, prod = self._rows[-1]
+            h = b * h + a ** (len(self._rows) - 1)
+            step = h // math.gcd(lcm, h)
+            self._rows.append((h, lcm * step, step, prod * h))
+        return self._rows[n]
+
+    def h(self, n: int) -> int:
+        """h_n = (b**n - a**n) / (b - a) for n >= 0; h_0 = 0."""
+        return self._row(n)[0]
+
     def qpow(self, n: int) -> Fraction:
         """q**n for any integer n."""
-        cached = self._qpow.get(n)
-        if cached is None:
-            cached = self.q ** n
-            self._qpow[n] = cached
-        return cached
+        return self.q**n
 
     def q_int(self, n: int) -> Fraction:
-        """q-integer [n] = (1 - q**n) / (1 - q)."""
-        cached = self._qint.get(n)
-        if cached is None:
-            cached = (1 - self.qpow(n)) / self.one_minus_q
-            self._qint[n] = cached
-        return cached
+        """q-integer [n] = (1 - q**n) / (1 - q) = h_n b / b**n."""
+        b = self.q.denominator
+        return Fraction(self.h(n) * b, b**n)
 
     def gauss_row(self, n: int, stop: int) -> list[int]:
         """Integers G(n, j) = P_n / (P_j P_(n-j)) for 0 <= j < stop <= n + 1
         (see :meth:`p_prod`); the Gaussian binomial is G(n, j) / b**(j(n-j)).
 
-        Built by G(n, j) = G(n, j-1) * (b**(n-j+1) - a**(n-j+1)) // (b**j - a**j),
-        where every division is exact.  Rows are not kept: one costs O(stop)
-        steps on small factors, while keeping every row up to n would hold
-        O(n**4) bits.
+        Built by G(n, j) = G(n, j-1) * h_(n-j+1) // h_j, where every division
+        is exact.  Rows are not kept: one costs O(stop) steps on small
+        factors, while keeping every row up to n would hold O(n**4) bits.
         """
         if n < 0 or not 0 <= stop <= n + 1:
             raise ValueError(f"need n >= 0 and 0 <= stop <= n + 1, got n={n}, stop={stop}")
-        a, b = self.q.numerator, self.q.denominator
         row = [1]
         for j in range(1, stop):
-            row.append(row[-1] * (b ** (n - j + 1) - a ** (n - j + 1)) // (b**j - a**j))
+            row.append(row[-1] * self.h(n - j + 1) // self.h(j))
         return row[:stop]
 
     def p_lcm(self, n: int) -> int:
-        """L_n = lcm of b**k - a**k over 1 <= k <= n, where q = a/b.
-
-        Since [k] = (b**k - a**k) / (b**(k-1) (b - a)), L_n / [k] is an
-        integer for every k <= n.  L_0 = 1.
-        """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        a, b = self.q.numerator, self.q.denominator
-        while len(self._plcm) <= n:
-            k = len(self._plcm)
-            h = b**k - a**k
-            step = h // math.gcd(self._plcm[-1], h)
-            self._plcm.append(self._plcm[-1] * step)
-            self._plcm_step.append(step)
-        return self._plcm[n]
+        """L_n = lcm of h_k over 1 <= k <= n; L_0 = 1.  L_n / [k] =
+        b**(k-1) L_n / h_k is an integer for every k <= n."""
+        return self._row(n)[1]
 
     def p_lcm_step(self, n: int) -> int:
         """L_n / L_(n-1) for n >= 1 (see :meth:`p_lcm`), kept as L_n is
@@ -105,18 +97,9 @@ class QContext:
         without dividing."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        self.p_lcm(n)
-        return self._plcm_step[n]
+        return self._row(n)[2]
 
     def p_prod(self, n: int) -> int:
-        """P_n = prod of b**k - a**k over 1 <= k <= n, where q = a/b.
-
-        (q; q)_n = P_n / b**(n(n+1)/2), and P_n is prime to b.  P_0 = 1.
-        """
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        a, b = self.q.numerator, self.q.denominator
-        while len(self._pprod) <= n:
-            k = len(self._pprod)
-            self._pprod.append(self._pprod[-1] * (b**k - a**k))
-        return self._pprod[n]
+        """P_n = prod of h_k over 1 <= k <= n; P_0 = 1.  P_n is prime to b,
+        and (q; q)_n = P_n (b - a)**n / b**(n(n+1)/2)."""
+        return self._row(n)[3]

@@ -462,8 +462,9 @@ def _kernel_sum(
     """Exact check of one kernel part for 1 <= n <= n_max at every q.
 
     Each check is linear in the kernel rows, so c_n cancels and, with
-    q = a/b, its sides are integers.  pairs(a, b, rows, **params) reads the
-    rows (n, ctx.gauss_row(2n, n + 1)) in turn and yields, per check,
+    q = a/b, its sides are integers.  pairs(a, b, h, rows, **params) reads
+    the factors h[i] = ctx.h(i), i <= 2 n_max, and the rows
+    (n, ctx.gauss_row(2n, n + 1)) in turn and yields, per check,
     (n, label, left, right, unit, den): the check holds iff left == right,
     and only a failing one is reduced, to the residual
     (left - right) * unit / prod(den) * c_n.
@@ -471,8 +472,9 @@ def _kernel_sum(
     col = _Residuals()
     for q in q_values:
         ctx, text = QContext(q), str(q)
+        h = [ctx.h(i) for i in range(2 * n_max + 1)]
         rows = ((n, ctx.gauss_row(2 * n, n + 1)) for n in range(1, n_max + 1))
-        for n, label, left, right, unit, den in pairs(q.numerator, q.denominator, rows, **params):
+        for n, label, left, right, unit, den in pairs(q.numerator, q.denominator, h, rows, **params):
             res = 0
             if left != right:
                 res = Fraction((left - right) * unit, math.prod(den)) * _ratio_scale(ctx, n)
@@ -480,26 +482,26 @@ def _kernel_sum(
     return col.report(case, "kernel", params, _q_label(q_values), [1, n_max])
 
 
-def _suffix_sum(a: int, b: int, rows, terms, closed, den):
+def _suffix_sum(a: int, b: int, h: Sequence[int], rows, terms, closed, den):
     """Pairs of sum_{l < k <= n} T(n, k) == C(n, l), 1 <= l < n, where with
-    q = a/b the sides over c_n den(a, b, n) are the integers
-    terms(a, b, n, row)[k] and closed(a, b, n, l, G(2n, n-l))."""
+    q = a/b the sides over c_n den(a, b, h, n) are the integers
+    terms(a, b, h, n, row)[k] and closed(a, b, h, n, l, G(2n, n-l))."""
     for n, row in rows:
-        d = (den(a, b, n),)
+        d = (den(a, b, h, n),)
         # tails[l - 1] is the sum over l < k <= n
-        tails = list(itertools.accumulate(terms(a, b, n, row)[:1:-1]))[::-1]
+        tails = list(itertools.accumulate(terms(a, b, h, n, row)[:1:-1]))[::-1]
         for l in range(1, n):
-            yield n, f"l={l}", tails[l - 1], closed(a, b, n, l, row[n - l]), 1, d
+            yield n, f"l={l}", tails[l - 1], closed(a, b, h, n, l, row[n - l]), 1, d
 
 
-def _kernel_step(a: int, b: int, rows, a_max: int):
+def _kernel_step(a: int, b: int, h: Sequence[int], rows, a_max: int):
     """Pairs of A(n - 1, k) sum_{i <= j} r^i == A(n, k) (r^j - 1/r) for
     1 <= k <= n and 0 <= j <= a_max, with r = ([n] / [k])^2 q^(k - n).
 
-    With q = a/b, r = F / D and c_(n-1) / c_n = E / F for F = (b^n - a^n)^2,
-    D = (b^k - a^k)^2 (ab)^(n-k) and E = (b^(2n) - a^(2n)) (b^(2n-1) - a^(2n-1)),
-    so times F^2 D^j / c_n the check reads U(n - 1, k) E F S_j ==
-    U(n, k) F (F^(j+1) - D^(j+1)) with S_j = sum_{i <= j} F^i D^(j-i).  The
+    With q = a/b, r = F / D and c_(n-1) / c_n = E / F for F = h_n^2,
+    D = h_k^2 (ab)^(n-k) and E = h_2n h_(2n-1), so times F^2 D^j / c_n the
+    check reads U(n - 1, k) E F S_j == U(n, k) F (F^(j+1) - D^(j+1)) with
+    S_j = sum_{i <= j} F^i D^(j-i).  The
     sides compared leave out the common factor w_k F of U(n, k) = w_k G(2n, n-k)
     (:func:`_kernel_row`); only a failing pair multiplies it back.
     """
@@ -507,11 +509,11 @@ def _kernel_step(a: int, b: int, rows, a_max: int):
     lower_row: list[int] = []  # G(2n - 2, .); at k = n the lower side is 0
     for n, row in rows:
         units.append(_kernel_unit(a, b, n))
-        f = (b**n - a**n) ** 2
-        e = (b ** (2 * n) - a ** (2 * n)) * (b ** (2 * n - 1) - a ** (2 * n - 1))
+        f = h[n] ** 2
+        e = h[2 * n] * h[2 * n - 1]
         f_pow = [f**i for i in range(a_max + 2)]
         for k in range(1, n + 1):
-            d = (b**k - a**k) ** 2 * (a * b) ** (n - k)
+            d = h[k] ** 2 * (a * b) ** (n - k)
             lower = e * lower_row[n - 1 - k] if k < n else 0
             s, d_pow = 0, 1
             for j in range(a_max + 1):
@@ -522,28 +524,29 @@ def _kernel_step(a: int, b: int, rows, a_max: int):
         lower_row = row
 
 
-# The kernel parts as pair generators for :func:`_kernel_sum`.  With q = a/b
-# and each side divided by c_n, the alternating term A(n, k) / c_n and its
-# closed form ([l] - [n]) / [n] (-1)^l q^{l(l-1)/2} br(n, l) / c_n are over
-# b^n - a^n, and the weighted term (1 + q^k) [k] q^{k(k-1)} br(n, k) / c_n
-# and its closed form ([n] - [l]) q^{l^2} br(n, l) / c_n over
-# b^(n-1) (b - a); br(n, l) / c_n = G(2n, n-l) b^(l^2) with g = G(2n, n-l).
+# The kernel parts as pair generators for :func:`_kernel_sum`.  With q = a/b,
+# [n] = h_n / b^(n-1) and each side divided by c_n, the alternating term
+# A(n, k) / c_n and its closed form ([l] - [n]) / [n] (-1)^l q^{l(l-1)/2}
+# br(n, l) / c_n are over h_n, and the weighted term
+# (1 + q^k) [k] q^{k(k-1)} br(n, k) / c_n and its closed form
+# ([n] - [l]) q^{l^2} br(n, l) / c_n over b^(n-1); there
+# h_l b^(n-l) - h_n = -a^l h_(n-l), (b^k + a^k) h_k = h_2k and
+# br(n, l) / c_n = G(2n, n-l) b^(l^2) with g = G(2n, n-l).
 _KERNEL_SUMS = {
     "alternating-kernel-sum": functools.partial(
         _suffix_sum,
-        terms=lambda a, b, n, row: [(b**n - a**n) * u for u in _kernel_row(a, b, n, row)],
-        closed=lambda a, b, n, l, g: (-1) ** l * a ** (l * (l - 1) // 2)
-        * b ** (l * (l + 1) // 2) * (a**n - a**l * b ** (n - l)) * g,
-        den=lambda a, b, n: b**n - a**n,
+        terms=lambda a, b, h, n, row: [h[n] * u for u in _kernel_row(a, b, n, row)],
+        closed=lambda a, b, h, n, l, g: (-1) ** (l + 1) * (a * b) ** (l * (l + 1) // 2)
+        * h[n - l] * g,
+        den=lambda a, b, h, n: h[n],
     ),
     "weighted-kernel-sum": functools.partial(
         _suffix_sum,
-        terms=lambda a, b, n, row: [
-            (b ** (2 * k) - a ** (2 * k)) * a ** (k * (k - 1)) * b ** (n - k) * row[n - k]
-            for k in range(n + 1)
+        terms=lambda a, b, h, n, row: [
+            h[2 * k] * a ** (k * (k - 1)) * b ** (n - k) * row[n - k] for k in range(n + 1)
         ],
-        closed=lambda a, b, n, l, g: (a**l * b ** (n - l) - a**n) * a ** (l * l) * g,
-        den=lambda a, b, n: b ** (n - 1) * (b - a),
+        closed=lambda a, b, h, n, l, g: a ** (l * (l + 1)) * h[n - l] * g,
+        den=lambda a, b, h, n: b ** (n - 1),
     ),
     "kernel-step": _kernel_step,
 }
@@ -647,6 +650,9 @@ def lemma_suite(
 ) -> list[VerificationReport]:
     """Run the supporting-identity checks and return one report per part.
 
+    The three kernel parts run at every q of q_values; inverse-power and
+    head-reduction run at the first q only.
+
     ValueError is raised before any part runs for an n_max above
     _MAX_KERNEL_LIMIT, and for sizes that would leave a requested part with
     no check, which would then pass without checking anything.
@@ -705,7 +711,7 @@ def symmetric_pair_check(
     """
     t0 = time.perf_counter()
     for name, value in (("a", a), ("b", b)):
-        if not isinstance(value, int) or value < 0:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{name} must be an int >= 0, got {value!r}")
     qv = as_q(q)
     epsv = Fraction(eps)

@@ -143,6 +143,38 @@ def test_verify_qmzsv_checks_every_q(capsys):
     assert all(rep["status"] == "numeric-pass" for rep in data)
 
 
+def test_unreadable_q_and_eps_exit_2_with_a_readable_message(capsys):
+    # Fraction("1/0") raises ZeroDivisionError("Fraction(1, 0)"), and a
+    # trailing comma in a q list leaves an empty q
+    for argv, message in (
+        (("verify", "2,1", "--q", "1/0"), "q must be a rational number, got '1/0'"),
+        (("lemmas", "--q", "1/0"), "q must be a rational number, got '1/0'"),
+        (("eval", "qzeta", "--s", "2", "--q", "x"), "q must be a rational number, got 'x'"),
+        (("verify", "2,1", "--q", "1/2,"), "q must be a rational number, got ''"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert message in err and "Fraction(" not in err, argv
+    for argv in (
+        ("eval", "qzeta", "--s", "2", "--eps", "1/0"),
+        ("verify", "2,1", "--qmzsv", "--q", "1/2,1/3", "--eps", "1/0"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "eps must be a rational number, got '1/0'" in err and "Fraction(" not in err, argv
+
+
+def test_latex_format_is_offered_only_where_it_is_printed(capsys):
+    # verify and lemmas print reports as plain text or JSON only
+    for argv in (("verify", "2,1"), ("lemmas",)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "latex"])
+        assert exc.value.code == 2, argv
+        assert "invalid choice: 'latex'" in capsys.readouterr().err, argv
+
+
 def test_verify_series_flags_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "2,1", "--qmzsv", "--classical"])

@@ -1294,13 +1294,26 @@ def test_run_engine_scale_is_pinned():
     from qzeta import compose
     from qzeta.evaluators import _inner_terms, _pattern_pairs
 
-    pairs = _pattern_pairs(QContext(Fraction(5, 8)), compose((2, 1, 1, 3, 1))[1], 40)
+    pattern = compose((2, 1, 1, 3, 1))[1]
+    pairs = _pattern_pairs(QContext(Fraction(5, 8)), pattern, 40)
     assert [den.bit_length() for _, den in pairs] == [
-        1, 32, 71, 143, 216, 350, 428, 622, 764, 962, 1111, 1425, 1587, 1961,
-        2181, 2453, 2738, 3233, 3479, 4034, 4339, 4742, 5106, 5780, 6112, 6740,
-        7175, 7766, 8216, 9070, 9441, 10355, 10928, 11595, 12175, 12948, 13448,
-        14543, 15194, 15993, 16612,
+        1, 19, 59, 130, 203, 337, 415, 609, 752, 950, 1098, 1412, 1574, 1949,
+        2168, 2441, 2726, 3220, 3467, 4021, 4326, 4730, 5093, 5768, 6099, 6727,
+        7163, 7754, 8203, 9057, 9428, 10343, 10916, 11583, 12162, 12935, 13436,
+        14530, 15181, 15980, 16600,
     ]  # fmt: skip
+    # row n's denominator is G(2n, n) L_n**8 a**A_n b**B_n, with
+    # h_k = (b**k - a**k) / (b - a), L_n = lcm(h_1..h_n), P_n = h_1...h_n
+    # and A_n, B_n the largest of 0, ea_k and eb_k - k*k over k <= n
+    a, b = 5, 8
+    h = [(b**k - a**k) // (b - a) for k in range(81)]
+    exps = itertools.islice(_inner_terms(QContext(Fraction(a, b)), pattern, True), 40)
+    top_a = top_b = 0
+    for n, (_, ea, eb) in enumerate(exps, 1):
+        top_a, top_b = max(top_a, ea), max(top_b, eb - n * n)
+        centre = math.prod(h[1 : 2 * n + 1]) // math.prod(h[1 : n + 1]) ** 2
+        lcm = math.lcm(*h[1 : n + 1])
+        assert pairs[n][1] == centre * lcm**8 * a**top_a * b**top_b, n
     inner = _inner_terms(QContext(Fraction(4, 5)), compose((9, 9, 9))[1], True)
     assert [(A, B) for _, A, B in itertools.islice(inner, 20)] == [
         (-3, 4), (-5, 6), (-8, 9), (-12, 13), (-17, 18), (-23, 24), (-30, 31),

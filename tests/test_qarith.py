@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -147,26 +148,31 @@ def test_harmonic_term(ctx_half):
 
 
 def test_p_lcm(ctx_third):
-    # q = 1/3: P_k = 3^k - 1 = 2, 8, 26, 80
-    assert [ctx_third.p_lcm(n) for n in range(5)] == [1, 2, 8, 104, 1040]
+    # q = 1/3: h_k = (3^k - 1) / 2 = 1, 4, 13, 40
+    h = [(3**k - 1) // 2 for k in range(5)]
+    assert [ctx_third.p_lcm(n) for n in range(5)] == [1, 1, 4, 52, 520]
+    assert [math.lcm(*h[1 : n + 1]) for n in range(5)] == [1, 1, 4, 52, 520]
     # the steps L_n / L_(n-1), asked for past the cached length as well
     ctx = QContext(Fraction(7, 8))
     assert [ctx.p_lcm_step(n) for n in range(1, 25)] == [
         ctx.p_lcm(n) // ctx.p_lcm(n - 1) for n in range(1, 25)
     ]
-    assert [ctx_third.p_lcm_step(n) for n in range(1, 5)] == [2, 4, 13, 10]
+    assert [ctx_third.p_lcm_step(n) for n in range(1, 5)] == [1, 4, 13, 10]
+    assert [math.lcm(*h[1 : n + 1]) // math.lcm(*h[1:n]) for n in range(1, 5)] == [1, 4, 13, 10]
 
 
 def test_integer_pochhammer_and_gauss_rows(ctx_half, ctx_third):
-    # q = 1/3: P_n = prod (3^k - 1) = 2, 2*8, 2*8*26, 2*8*26*80
-    assert [ctx_third.p_prod(n) for n in range(5)] == [1, 2, 16, 416, 33280]
+    # q = 1/3: P_n = prod (3^k - 1) / 2 = 1, 1*4, 1*4*13, 1*4*13*40
+    assert [ctx_third.p_prod(n) for n in range(5)] == [1, 1, 4, 52, 2080]
     for ctx in (ctx_half, ctx_third, QContext(Fraction(7, 8)), QContext(Fraction(2, 9))):
-        q, b = ctx.q, ctx.q.denominator
+        q, a, b = ctx.q, ctx.q.numerator, ctx.q.denominator
+        h = [(b**k - a**k) // (b - a) for k in range(13)]
         for n in range(0, 13):
             poch = Fraction(1)
             for i in range(1, n + 1):
                 poch *= 1 - q**i
-            assert ctx.p_prod(n) == poch * b ** (n * (n + 1) // 2)
+            assert ctx.p_prod(n) == math.prod(h[1 : n + 1])
+            assert ctx.p_prod(n) * (b - a) ** n == poch * b ** (n * (n + 1) // 2)
             assert type(ctx.p_prod(n)) is int
             row = ctx.gauss_row(n, n + 1)
             for j in range(n + 1):

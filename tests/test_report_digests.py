@@ -53,6 +53,16 @@ def _lemmas(monkeypatch):
     return lemma_suite(n_max=12, q_values=(Fraction(5, 7),))
 
 
+# at q = 5/8, b - a = 3, so these reports pass through integer tables whose
+# size depends on how the q-integer is written; at q = 1/2 they would not
+def _qseries_five_eighths(monkeypatch):
+    return [verify_qmzsv(comp, Fraction(5, 8)) for comp in ((2, 1, 2, 1, 3, 1), (5, 5, 1))]
+
+
+def _pair_five_eighths(monkeypatch):
+    return [symmetric_pair_check(1, 1, q=Fraction(5, 8))]
+
+
 DIGESTS = {
     "finite": (
         _finite,
@@ -69,6 +79,14 @@ DIGESTS = {
     "lemmas": (
         _lemmas,
         "40f41f1dca5a4c5af7a192160830bee5b17ff4e9e159c0edf7df57d24a4b5586",
+    ),
+    "qseries-5/8": (
+        _qseries_five_eighths,
+        "d37f65c7f4c6cbec37e8b7af4346e7ae23a17cc87b68fc17b2fe69b0f8e53862",
+    ),
+    "symmetric-pair-5/8": (
+        _pair_five_eighths,
+        "41681a5e9a7936f0bc866e1b6f677286b3c72e0dcc08e5de2516674bebefb8a6",
     ),
 }
 

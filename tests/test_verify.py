@@ -612,6 +612,13 @@ def test_symmetric_pair_check_refuses_bad_sizes_before_any_sum(monkeypatch):
         symmetric_pair_check(0, 0)
 
 
+def test_symmetric_pair_check_refuses_bools():
+    # bool is an int subclass: True would run as 1 and be reported as "a": true
+    for a, b in ((True, False), (0, True), (False, 1)):
+        with pytest.raises(ValueError, match="must be an int >= 0"):
+            symmetric_pair_check(a, b)
+
+
 def _body(report) -> dict:
     body = report.to_dict()
     del body["elapsed_ms"]
