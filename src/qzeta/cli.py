@@ -21,7 +21,7 @@ from typing import Sequence
 from .evaluators import classical_zeta, frakz, mhs, q_zeta
 from .expansion import Triple, expand
 from .indices import SignedIndex, Theta, parse_shift
-from .qarith import QContext, as_q
+from .qarith import QContext, as_eps, as_q
 from .rules import CLOSED_FAMILIES, classical_expand, compose, parse_composition, parse_repeated
 from .verify import (
     DEFAULT_SEED,
@@ -61,9 +61,9 @@ def _parse_q_list(text: str) -> list[Fraction]:
 def _parse_eps(text: str) -> Fraction:
     """The --eps option, read once by argparse, so a bad value exits 2."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"eps must be a rational number, got {text!r}") from None
+        return as_eps(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sindex_json(e: SignedIndex):

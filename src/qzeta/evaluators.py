@@ -50,7 +50,8 @@ ones every cumulative is an integer numerator over a known denominator, so
 no loop takes a gcd and each returned value is reduced once.  For q = a/b,
 h_i = (b^i - a^i)/(b - a) and L_k = lcm(h_i, i <= k), all kept by the
 :class:`~qzeta.qarith.QContext`, the harmonic sums (and so :func:`q_zeta`)
-scale a cumulative at index k by a power of L_k times a power of b.  The
+scale a cumulative at index k by a power of L_k times a power of b, and
+each row carries its own denominator (see :func:`_mhs_rows`).  The
 mollified sums and :func:`frakz` share one recurrence, the run engine,
 whose terms also carry q^quadratic and (1 + q^k) factors: it scales the
 cumulative of slots i..m-1 by L_k^W_i a^A_i b^B_i, with W_i their total
@@ -65,10 +66,10 @@ so each upper limit n is one integer sum over a denominator of its own,
 G(2n, n) times the least scale that the engine's values up to n need once
 b^(k^2) is folded into their b-exponents.  Its terms, G(2n, n-k) times a
 scaled value, are carried from row n-1 to row n by one multiply and one
-exact division by small integers each (see :func:`_pattern_pairs`), and
-:func:`~qzeta.verify.verify_mhs` compares the unreduced sides by
-cross-multiplication.  :func:`frakz` sums the same
-engine's values over the same running scale.
+exact division by small integers each (see :func:`_pattern_pairs`).  Both
+finite engines return (numerator, denominator) rows, which
+:func:`~qzeta.verify.verify_mhs` compares unreduced by cross-multiplication.
+:func:`frakz` sums the run engine's values over the same running scale.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
-from .qarith import QContext
+from .qarith import QContext, as_eps
 
 
 class SeriesValue(NamedTuple):
@@ -161,9 +162,9 @@ class Ball:
 MAX_MHS_LIMIT = 1000
 
 
-def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[int]:
-    """Numerators of the nested harmonic sum for every upper limit 0..n_max;
-    value n is ``nums[n] / _mhs_scale(ctx, entries, n)``.
+def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tuple[int, int]]:
+    """Unreduced (numerator, denominator) of the nested harmonic sum for
+    every upper limit 0..n_max, in integers.
 
     With q = a/b in lowest terms, h_k = ctx.h(k) and L_k = ctx.p_lcm(k),
     w_k = L_k/[k] = b^(k-1) L_k/h_k is an integer and the term of
@@ -173,14 +174,17 @@ def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> li
     c_j(k) = sgn^k a^k v_k w_k^(s_j-1) (sgn^k a^k when s_j = 0), where
     v_k = w_k / b^(k-1).  X_j, the cumulative of level j times
     D_j(k)...D_{m-1}(k), is carried from k-1 to k by the growth of those
-    scales, then X_j += c_j(k) X_{j+1} with X_m = 1.  Only integers are
-    added and multiplied; the caller reduces each value once, or compares
-    it unreduced.  Letting the scales grow with k, rather than fixing them
-    at L_n_max from the start, keeps the products of the early steps small.
+    scales, then X_j += c_j(k) X_{j+1} with X_m = 1.  Row n is
+    (X_0, D_0(n)...D_{m-1}(n)): the denominator starts at b^(number of
+    nonzero magnitudes) and grows with X_0's scale at every k, also while
+    X_0 is 0.  Only integers are added and multiplied; letting the scales
+    grow with k, rather than fixing them at L_n_max from the start, keeps
+    the products of the early steps small.
 
     Raises ValueError, before summing any term, for n_max above
     MAX_MHS_LIMIT.
     """
+    n_max = index(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > MAX_MHS_LIMIT:
@@ -190,10 +194,11 @@ def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> li
     mags = [e.magnitude for e in entries]
     # X_j carries the scales of levels j..m-1: from k-1 to k they grow by
     # (L_k/L_{k-1})^(s_j+...+s_{m-1}) * b^(number of zero magnitudes there)
-    grow_l = [sum(mags[j:]) for j in range(m)]
-    grow_b = [mags[j:].count(0) for j in range(m)]
+    grow_l = [sum(mags[j:]) for j in range(m + 1)]
+    grow_b = [mags[j:].count(0) for j in range(m + 1)]
     x = [0] * m + [1]
-    nums = [x[0]]
+    den = b ** (m - grow_b[0])
+    rows = [(x[0], den)]
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
     order = range(m - 1, -1, -1) if star else range(m)
@@ -202,6 +207,7 @@ def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> li
         for j in range(m):
             if x[j]:
                 x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
+        den *= ratio ** grow_l[0] * b ** grow_b[0]
         ak = a**k
         v = ctx.p_lcm(k) // ctx.h(k)
         w = v * b ** (k - 1)
@@ -210,15 +216,8 @@ def _mhs_numerators(ctx: QContext, entries: tuple, n_max: int, star: bool) -> li
             if entries[j].sign < 0 and k % 2:
                 c = -c
             x[j] += c * x[j + 1]
-        nums.append(x[0])
-    return nums
-
-
-def _mhs_scale(ctx: QContext, entries: tuple, n: int) -> int:
-    """Denominator D_0(n)...D_{m-1}(n) of the numerators of _mhs_numerators."""
-    mags = [e.magnitude for e in entries]
-    b_exponent = sum(1 if s else n for s in mags)
-    return ctx.p_lcm(n) ** sum(mags) * ctx.q.denominator**b_exponent
+        rows.append((x[0], den))
+    return rows
 
 
 # Bounded memos of the q-level work of the certified series.  At one q and
@@ -260,7 +259,7 @@ def _floored_column(q: Fraction, s: int, prec: int, n: int) -> tuple[tuple[int, 
 
 def _mhs_enclosure(ctx: QContext, entries: tuple, n: int, star: bool, prec: int) -> Ball:
     """A Ball at 2**-prec around the nested harmonic sum with upper limit n,
-    by the dynamic programme of _mhs_numerators.
+    by the dynamic programme of :func:`_mhs_rows`.
 
     Each level reads its floored terms (t, flag) from the memoized column of
     its magnitude (see :func:`_floored_column`), with t >= 0 and the exact
@@ -291,15 +290,12 @@ def _mhs_enclosure(ctx: QContext, entries: tuple, n: int, star: bool, prec: int)
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
     """Values of the nested harmonic sum for every upper limit 0..n_max."""
-    entries = signed_string(s)
-    nums = _mhs_numerators(ctx, entries, n_max, star)
-    return [Fraction(x, _mhs_scale(ctx, entries, n)) for n, x in enumerate(nums)]
+    return [Fraction(x, den) for x, den in _mhs_rows(ctx, signed_string(s), n_max, star)]
 
 
 def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     """Nested harmonic sum with upper limit n (zero when too short)."""
-    entries = signed_string(s)
-    return Fraction(_mhs_numerators(ctx, entries, n, star)[n], _mhs_scale(ctx, entries, n))
+    return Fraction(*_mhs_rows(ctx, signed_string(s), n, star)[n])
 
 
 def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]:
@@ -527,6 +523,7 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     dot product per row would multiply integers of about n**2 bits each: the
     cost grows about as n**4 rather than n**5.  Nothing is reduced here.
     """
+    n_max = index(n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > MAX_PATTERN_LIMIT:
@@ -543,8 +540,7 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     terms: list[int] = []  # G(2n, n-k) * weighted[k], k = 1..n
     centre = 1  # G(2n, n)
     out = [(0, 1)]
-    w = sum(e.magnitude for e in pattern.s)
-    for n, (grow, x, den) in enumerate(_rescaled(ctx, w, folded), 1):
+    for n, (grow, x, den) in enumerate(_rescaled(ctx, pattern.weight, folded), 1):
         up = h[2 * n] * h[2 * n - 1]
         step = grow * up
         terms = [t * step // (h[n - k] * h[n + k]) for k, t in enumerate(terms, 1)]
@@ -639,11 +635,9 @@ def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fra
     Raises ValueError, before any term is summed, when the truncation would
     exceed MAX_MHS_LIMIT, as it does for every string longer than that.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if m == 0:
         return 0, Fraction(0)
-    return _harmonic_search(ctx.q, m, Fraction(eps), MAX_MHS_LIMIT)
+    return _harmonic_search(ctx.q, m, eps, MAX_MHS_LIMIT)
 
 
 @lru_cache(maxsize=_SEARCH_CACHE_SIZE)
@@ -665,11 +659,11 @@ def q_zeta(
     """Infinite harmonic series, summed in exact rationals until the proven
     tail bound is <= eps (see :func:`_harmonic_truncation`).
 
-    Raises ValueError, before any term is summed, when the truncation would
-    exceed MAX_MHS_LIMIT.
+    Raises ValueError, before any term is summed, for an eps that is not a
+    positive rational or a truncation over MAX_MHS_LIMIT.
     """
     entries = signed_string(s)
-    K, bound = _harmonic_truncation(ctx, len(entries), Fraction(eps))
+    K, bound = _harmonic_truncation(ctx, len(entries), as_eps(eps))
     return SeriesValue(mhs(ctx, entries, K, star=star), bound, K)
 
 
@@ -701,7 +695,7 @@ def q_zeta_enclosure(
     Raises ValueError as :func:`q_zeta` does.
     """
     entries = signed_string(s)
-    eps = Fraction(eps)
+    eps = as_eps(eps)
     K, bound = _harmonic_truncation(ctx, len(entries), eps)
     if prec is None:
         prec = max((eps.denominator // eps.numerator).bit_length(), _COMPACT_BITS) + _GUARD_BITS
@@ -764,20 +758,19 @@ def frakz(
     ((K+2)/(2K+2))**(d-1) <= 1; the factor 1/(1 - rho_d) falls with rho_d.
 
     Raises ValueError, before summing any term, for a pattern deeper than
-    MAX_PATTERN_DEPTH, an inadmissible one, or a K above MAX_FRAKZ_TERMS.
+    MAX_PATTERN_DEPTH, an inadmissible one, an eps that is not a positive
+    rational, or a K above MAX_FRAKZ_TERMS.
     """
     m = pattern.depth
     if m > MAX_PATTERN_DEPTH:
         raise ValueError(f"pattern depth {m} exceeds {MAX_PATTERN_DEPTH} for a q-series")
     if not is_admissible(pattern):
         raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = as_eps(eps)
     K, bound = _frakz_search(ctx.q, m, bool(merge), eps, MAX_FRAKZ_TERMS)
     inner = islice(_inner_terms(ctx, pattern, merge), K)
     total, den = 0, 1
-    for grow, x, den in _rescaled(ctx, sum(e.magnitude for e in pattern.s), inner):
+    for grow, x, den in _rescaled(ctx, pattern.weight, inner):
         total = total * grow + x
     return SeriesValue(Fraction(total, den), bound, K)
 
@@ -816,17 +809,6 @@ MAX_CLASSICAL_TERMS = 10**8
 _RESOLVED = "resolved"
 
 
-def _classical_check(entries: tuple, descent: bool | str) -> None:
-    if len(entries) > MAX_PATTERN_DEPTH:
-        raise ValueError(f"series depth {len(entries)} exceeds {MAX_PATTERN_DEPTH}")
-    lead = entries[0]
-    if descent != _RESOLVED and descent:
-        if lead.magnitude < 2:
-            raise ValueError("weak-descent series needs a leading magnitude >= 2")
-    elif lead.magnitude < 2 and not (lead.magnitude == 1 and lead.sign < 0):
-        raise ValueError("series needs leading magnitude >= 2 or a signed leading 1")
-
-
 # A bounded memo of classical series values.  The checks of one weight share
 # series (the benchmark's seed-1 classical batch makes 114 lookups of 48
 # distinct series), so a value is summed once per process and then read
@@ -856,9 +838,10 @@ def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[Clas
     resolved partial sum equals, at every K in exact arithmetic, the sum
     over the 2**(m-1) resolutions r of the string (adjacent entries merged
     or not) of 2**depth(r) * zeta_K(r), without listing them.  Every string
-    is validated first, and one deeper than MAX_PATTERN_DEPTH is refused;
-    then each nonempty one is looked up in a bounded process-wide memo
-    keyed by ``(signed string, star, K, _CHUNK)`` (:func:`_classical_sum`).
+    and star is validated first, and any other star or a string deeper than
+    MAX_PATTERN_DEPTH is refused; then each nonempty one is looked up in a
+    bounded process-wide memo keyed by ``(signed string, star, K, _CHUNK)``
+    (:func:`_classical_sum`).
 
     The tail estimate is |inner cumulative at K| (twice it for a resolved
     series, whose outermost level reads two inner cumulatives) times the
@@ -866,10 +849,22 @@ def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[Clas
     p1 >= 2, else 1/K for a signed leading 1 (alternating-series first-term
     bound).  Both are heuristic, not bounds.
     """
-    strings = [(signed_string(s), star) for s, star in items]
-    for entries, star in strings:
-        if entries:
-            _classical_check(entries, star)
+    strings = []
+    for s, star in items:
+        if star is not False and star is not True and star != _RESOLVED:
+            raise ValueError(f"star must be False, True or {_RESOLVED!r}, got {star!r}")
+        entries = signed_string(s)
+        strings.append((entries, star))
+        if not entries:
+            continue
+        if len(entries) > MAX_PATTERN_DEPTH:
+            raise ValueError(f"series depth {len(entries)} exceeds {MAX_PATTERN_DEPTH}")
+        lead = entries[0]
+        if star is True:
+            if lead.magnitude < 2:
+                raise ValueError("weak-descent series needs a leading magnitude >= 2")
+        elif lead.magnitude < 2 and not (lead.magnitude == 1 and lead.sign < 0):
+            raise ValueError("series needs leading magnitude >= 2 or a signed leading 1")
     if not any(entries for entries, _ in strings):
         return [ClassicalValue(1.0, 0.0, 0) for _ in strings]
     # the sum slices by K, so a float is refused here, where a memoized
@@ -938,7 +933,7 @@ def _classical_sum(entries: tuple, descent: bool | str, K: int, chunk: int) -> C
             if deeper is None:
                 if resolved:
                     out *= 2.0  # the level below the innermost is 1, read twice
-            elif descent and not resolved:
+            elif descent is True:
                 out *= deeper
             else:
                 factor = scratch[:n]

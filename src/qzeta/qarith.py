@@ -28,6 +28,17 @@ def as_q(value: QLike) -> Fraction:
     return q
 
 
+def as_eps(value: QLike) -> Fraction:
+    """The target eps of a tail bound, a positive rational."""
+    try:
+        eps = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"eps must be a rational number, got {str(value)!r}") from exc
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return eps
+
+
 class QContext:
     """Integer q-tables at a fixed rational q = a/b in (0, 1), all built from
     h_n = (b**n - a**n) / (b - a), the integer form of [n] = h_n / b**(n-1).

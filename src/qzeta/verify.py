@@ -32,8 +32,7 @@ from .evaluators import (
     SeriesValue,
     _RESOLVED,
     _harmonic_truncation,
-    _mhs_numerators,
-    _mhs_scale,
+    _mhs_rows,
     _pattern_pairs,
     classical_zeta_many,
     frakz,
@@ -45,7 +44,7 @@ from .evaluators import (
 from .expansion import Triple
 from .indices import THETA, SignedIndex, bar, boxplus, idx, oplus, signed_string
 from .indices import delta as sign_of
-from .qarith import QContext, QLike, as_q
+from .qarith import QContext, QLike, as_eps, as_q
 from .rules import (
     CLOSED_FAMILIES,
     Composition,
@@ -92,29 +91,14 @@ def _ms(t0: float) -> float:
 _EXACT_DIGITS = 10**30
 
 
-def _twelve_digits(a: int, den: int) -> tuple[int, int, int, int]:
-    """(s, digits, rest, divisor) with digits, rest = divmod(a * 10**s, den)
-    (of a by den * 10**-s when s < 0) and 10**11 <= digits < 10**12, for
-    a, den > 0."""
-    # first guess from the bit lengths (log10(2) ~ 0.30103), off by at most one
-    s = 11 - (a.bit_length() - den.bit_length()) * 30103 // 100000
-    while True:
-        scaled, divisor = (a * 10**s, den) if s >= 0 else (a, den * 10**-s)
-        digits, rest = divmod(scaled, divisor)
-        if digits >= 10**12:
-            s -= 1
-        elif digits < 10**11:
-            s += 1
-        else:
-            return s, digits, rest, divisor
-
-
 def rational_repr(x: Fraction) -> str:
     """Exact "p/q" when compact, else a 12-digit decimal approximation.
 
     The certified comparisons always run on the exact values; this only
     controls how report fields are written out, where a residual from a
-    high-precision series check can have thousands of digits."""
+    high-precision series check can have thousands of digits.  The 12
+    digits are the value rounded half to even on the grid of its 12th
+    significant digit, so a larger value never rounds lower."""
     x = Fraction(x)
     num, den = x.numerator, x.denominator
     if abs(num) < _EXACT_DIGITS and den < _EXACT_DIGITS:
@@ -124,7 +108,15 @@ def rational_repr(x: Fraction) -> str:
     # numerator of tens of thousands of bits into a Decimal costs
     # milliseconds.  An exact quotient takes the Decimal path, whose result
     # follows the ideal-exponent rule rather than showing 12 digits.
-    s, digits, rest, divisor = _twelve_digits(abs(num), den)
+    a = abs(num)
+    # first guess from the bit lengths (log10(2) ~ 0.30103), off by at most one
+    s = 11 - (a.bit_length() - den.bit_length()) * 30103 // 100000
+    while True:
+        scaled, divisor = (a * 10**s, den) if s >= 0 else (a, den * 10**-s)
+        digits, rest = divmod(scaled, divisor)
+        if 10**11 <= digits < 10**12:
+            break
+        s += 1 if digits < 10**11 else -1
     if rest:
         if 2 * rest > divisor or (2 * rest == divisor and digits % 2):
             digits += 1
@@ -141,10 +133,11 @@ def _ball_repr(x: Ball) -> Optional[str]:
     """The text :func:`rational_repr` gives every value in a positive Ball
     when they all give the same, else None.
 
-    They do when the ball holds no compact rational, so each is written with
-    12 digits, and no point of the grid of the 12th digit or half way
-    between two of its points, so each has the same digits and rounds them
-    the same way.  The ball is symmetric about its centre, so if it holds a
+    They do when the ball holds no compact rational, both ends give the
+    same text, and the grid point that text reads lies outside the ball:
+    12-digit rounding is monotone, so every value inside rounds to that
+    point and is written as its rounding, being neither compact nor the
+    point itself.  The ball is symmetric about its centre, so if it holds a
     compact rational it holds the one nearest the centre.
     """
     lo, hi = x.bounds()
@@ -153,14 +146,10 @@ def _ball_repr(x: Ball) -> Optional[str]:
     centre = Fraction(x.mid, 1 << x.prec)
     if lo <= centre.limit_denominator(_EXACT_DIGITS - 1) <= hi:
         return None
-    s = _twelve_digits(x.mid, 1 << x.prec)[0]
-    # in units of half the 12th digit, lo and hi must fall strictly inside
-    # one step
-    half = Fraction(2 * 10**s) if s >= 0 else Fraction(2, 10**-s)
-    lo, hi = lo * half, hi * half
-    if lo.denominator == 1 or math.floor(lo) != math.floor(hi):
+    text = rational_repr(lo)
+    if rational_repr(hi) != text or lo <= Fraction(text) <= hi:
         return None
-    return rational_repr(centre)
+    return text
 
 
 def _q_label(q_values: Sequence[Fraction]) -> str:
@@ -288,12 +277,15 @@ def verify_mhs(
 ) -> VerificationReport:
     """Exact check of the finite weak-sum identity at every n <= n_max.
 
-    Raises ValueError, before any sum, when q_values is empty: the report
-    would pass without a check.
+    Raises ValueError, before any sum, when q_values is empty, as the report
+    would pass without a check, or is a bare str, whose characters would be
+    read as the q; TypeError when n_max is not an int.
     """
     col = _Residuals()
     comp = tuple(composition)
     entries = signed_string(comp)
+    if isinstance(q_values, str):
+        raise ValueError(f"q_values must be a sequence of q, got the str {q_values!r}")
     qs = [as_q(q) for q in q_values]
     if not qs:
         raise ValueError("the finite check needs at least one q")
@@ -302,12 +294,11 @@ def verify_mhs(
         ctx = QContext(q)
         # right side first: an upper limit over the cap fails before any sum
         rhs = _pattern_pairs(ctx, pattern, n_max)
-        lhs = _mhs_numerators(ctx, entries, n_max, star=True)
-        for n, (l_num, (r_num, r_den)) in enumerate(zip(lhs, rhs)):
-            l_den = _mhs_scale(ctx, entries, n)
+        lhs = _mhs_rows(ctx, entries, n_max, star=True)
+        for n, ((l_num, l_den), (r_num, r_den)) in enumerate(zip(lhs, rhs)):
             # lhs - d * rhs vanishes iff the cross products agree; only a
             # failing n pays for reducing its residual
-            same = l_num * r_den * d.denominator == d.numerator * r_num * l_den
+            same = l_num * r_den == d * r_num * l_den
             res = 0 if same else Fraction(l_num, l_den) - d * Fraction(r_num, r_den)
             col.add(f"q={q} n={n}", res)
     params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}
@@ -361,7 +352,7 @@ def verify_qmzsv(
     if not zeta_admissible(comp):
         raise ValueError(f"composition {comp} needs a leading entry >= 2")
     qv = as_q(q)
-    epsv = Fraction(eps)
+    epsv = as_eps(eps)
     ctx = QContext(qv)
     d, pattern = compose(comp)
     # both truncation searches run before either side sums: the left side's
@@ -653,10 +644,12 @@ def lemma_suite(
     The three kernel parts run at every q of q_values; inverse-power and
     head-reduction run at the first q only.
 
-    ValueError is raised before any part runs for an n_max above
-    _MAX_KERNEL_LIMIT, and for sizes that would leave a requested part with
-    no check, which would then pass without checking anything.
+    ValueError is raised before any part runs for a str q_values, an n_max
+    above _MAX_KERNEL_LIMIT, or sizes that leave a requested part with no
+    check, which would then pass without checking anything.
     """
+    if isinstance(q_values, str):
+        raise ValueError(f"q_values must be a sequence of q, got the str {q_values!r}")
     qs = [as_q(q) for q in q_values]
     if not qs:
         raise ValueError("the lemma suite needs at least one q")
@@ -714,7 +707,7 @@ def symmetric_pair_check(
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{name} must be an int >= 0, got {value!r}")
     qv = as_q(q)
-    epsv = Fraction(eps)
+    epsv = as_eps(eps)
     ctx = QContext(qv)
     budget = epsv / 12
     strings = (
@@ -749,7 +742,7 @@ def qmzsv_battery(
 ) -> list[VerificationReport]:
     """Certified numeric checks of the headline infinite-sum identities."""
     qv = as_q(q)
-    epsv = Fraction(eps)
+    epsv = as_eps(eps)
     reports: list[VerificationReport] = []
     span = range(2) if small else range(3)
     for a, b in itertools.product(span, span):

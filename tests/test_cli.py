@@ -253,7 +253,7 @@ def test_huge_expansion_fails_fast(capsys, monkeypatch):
     # 2,1^33 compiles to 33 slots, one more than a q-series check sums: it
     # is refused before either side sums a term
     monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_rows", never)
     rc, out, err = run(capsys, "verify", "2,1^33", "--qmzsv")
     assert rc == 2
     assert f"pattern depth 33 exceeds {qzeta.evaluators.MAX_PATTERN_DEPTH} for a q-series" in err
@@ -312,7 +312,7 @@ def test_deep_finite_pattern_fails_fast(capsys, monkeypatch):
 
 def test_series_length_caps_fail_fast(capsys, monkeypatch):
     # the search for a series length K stops at its cap, before any term is
-    # summed: a q-series search caches one power of q per step, so a search
+    # summed: a q-series search asks for one power of q per step, so a search
     # run on to K ~ 70,000 (eps 1e-30 at q = 999/1000) would take minutes
     calls = []
     qpow = qzeta.QContext.qpow
@@ -326,7 +326,7 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
 
     monkeypatch.setattr(qzeta.QContext, "qpow", counted)
     monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_rows", never)
     monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
     mhs = (qzeta.evaluators.MAX_MHS_LIMIT, "a harmonic sum")
     frakz = (qzeta.evaluators.MAX_FRAKZ_TERMS, "a mollified series")
@@ -359,7 +359,7 @@ def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):
         raise AssertionError("a sum was started")
 
     monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_numerators", never)
+    monkeypatch.setattr(qzeta.evaluators, "_mhs_rows", never)
     cap = qzeta.evaluators.MAX_MHS_LIMIT
     rc, out, err = run(capsys, "verify", "2^1100", "--qmzsv")
     assert rc == 2

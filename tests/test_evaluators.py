@@ -1363,3 +1363,82 @@ def test_run_engine_folds_each_run_once(monkeypatch):
     assert seen[0] == seen[1]
     assert calls["quad_exponent"] == calls["oplus"] == 0
     assert 0 < calls["boxplus"] <= m * (m + 1) // 2
+
+
+def test_harmonic_rows_are_over_the_scale_of_their_dp():
+    # row n of _mhs_rows is over L_n**W * b**(sum_j beta_j(n)), with W the
+    # total magnitude, L_n = lcm(h_1..h_n) for h_k = (b**k - a**k) // (b - a)
+    # and beta_j(n) = n for a zero magnitude, 1 otherwise, and its value is
+    # the brute-force sum; the strict strings keep X_0 = 0 for their first
+    # steps, and the denominator grows through them all the same
+    from qzeta.evaluators import _mhs_rows
+
+    rng = random.Random(25)
+    n_max = 9
+    strings = [
+        (), ((0, 1),), ((0, -1), (2, 1)), ((1, 1), (0, 1), (0, -1)),
+        ((2, -1), (0, 1), (1, 1), (0, 1)),
+    ]  # fmt: skip
+    for _ in range(12):
+        depth = rng.randint(1, 4)
+        strings.append(tuple((rng.randint(0, 3), rng.choice((1, -1))) for _ in range(depth)))
+    for q in (Fraction(1, 3), Fraction(5, 8), Fraction(9, 10)):
+        a, b = q.numerator, q.denominator
+        h = [(b**k - a**k) // (b - a) for k in range(n_max + 1)]
+        for s in strings:
+            entries = tuple(SignedIndex(mag, sign) for mag, sign in s)
+            weight = sum(mag for mag, _ in s)
+            for star in (False, True):
+                rows = _mhs_rows(QContext(q), entries, n_max, star)
+                values = oracles.harmonic_all_n(q, s, n_max, star=star)
+                assert len(rows) == n_max + 1
+                for n, (num, den) in enumerate(rows):
+                    beta = sum(n if mag == 0 else 1 for mag, _ in s)
+                    assert den == math.lcm(*h[1 : n + 1]) ** weight * b**beta, (q, s, star, n)
+                    assert Fraction(num, den) == values[n], (q, s, star, n)
+
+
+def test_fractional_upper_limits_are_refused_before_any_term(monkeypatch):
+    # an upper limit is read as an int, as K is, before a term is summed
+    import qzeta.evaluators as ev
+
+    def never(*args):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(ev, "_inner_terms", never)
+    ctx = QContext(Fraction(1, 2))
+    pattern = Triple((idx(2), idx(1)), (0, 0), (1, THETA))
+    for call in (
+        lambda: mhs(ctx, (2, 1), 2.5),
+        lambda: mhs_many(ctx, (2, 1), 2.5),
+        lambda: pattern_mhs_many(ctx, pattern, 2.5),
+        lambda: mollified_mhs_many(ctx, pattern, Fraction(5, 2)),
+    ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    with pytest.raises(AssertionError, match="a sum was started"):
+        pattern_mhs_many(ctx, pattern, 2)
+
+
+def test_classical_descent_is_refused_unless_strict_weak_or_resolved(monkeypatch):
+    # "strict" and every other star but False, True and "resolved" are
+    # refused before any string is summed (a truthy star was once summed as
+    # the weak descent); the three descents give the oracle's floats
+    import qzeta.evaluators as ev
+
+    def never(*args):
+        raise AssertionError("a string was summed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "_classical_sum", never)
+        for star in ("strict", "weak", "Resolved", None, 0, 1, 1.0):
+            with pytest.raises(ValueError, match="star must be False, True or 'resolved', got"):
+                classical_zeta((2, 1), K=1000, star=star)
+        with pytest.raises(ValueError, match="got 'strict'"):
+            classical_zeta_many([((2,), False), ((2, 1), "strict")], K=1000)
+        with pytest.raises(AssertionError, match="a string was summed"):
+            classical_zeta((2, 1), K=1000, star=False)
+    for star, near in ((False, 1.19358), (True, 2.39563), ("resolved", 7.17842)):
+        got = classical_zeta((2, 1), K=1000, star=star)
+        assert tuple(got) == _classical_oracle((2, 1), 1000, star), star
+        assert abs(got.value - near) < 1e-5, star

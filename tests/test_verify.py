@@ -178,7 +178,7 @@ def test_verify_mhs_refuses_an_empty_q_list_before_any_sum(monkeypatch):
         raise AssertionError("a sum was started")
 
     monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
-    monkeypatch.setattr(v, "_mhs_numerators", never)
+    monkeypatch.setattr(v, "_mhs_rows", never)
     for q_values in ((), []):
         with pytest.raises(ValueError, match="at least one q"):
             v.verify_mhs((2, 1), n_max=3, q_values=q_values)
@@ -890,3 +890,144 @@ def test_classical_battery_shapes():
     rep = verify_classical((2, 1), K=10**6, tol=1e-5, case="depth-two limit")
     assert rep.passed
     assert rep.params["K"] == 10**6
+
+
+def test_eps_is_read_as_a_positive_rational_before_any_sum(monkeypatch):
+    # every entry point that takes eps refuses an unreadable or nonpositive
+    # one with a ValueError that says so, never ZeroDivisionError
+    import qzeta.evaluators as ev
+    import qzeta.verify as v
+    from qzeta import Triple, frakz, idx
+    from qzeta.evaluators import q_zeta_enclosure
+    from qzeta.qarith import as_eps
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    for name in ("_inner_terms", "_mhs_rows", "_mhs_enclosure"):
+        monkeypatch.setattr(ev, name, never)
+    ctx = QContext(Fraction(1, 2))
+    pattern = Triple((idx(2),), (0,), (2,))
+    calls = (
+        lambda eps: v.verify_qmzsv((2, 1), eps=eps),
+        lambda eps: v.symmetric_pair_check(0, 0, eps=eps),
+        lambda eps: v.qmzsv_battery(eps=eps),
+        lambda eps: q_zeta(ctx, (2,), eps=eps),
+        lambda eps: q_zeta_enclosure(ctx, (2,), eps=eps),
+        lambda eps: frakz(ctx, pattern, eps=eps),
+        as_eps,
+    )
+    for call in calls:
+        for text in ("1/0", "abc", "", float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^eps must be a rational number, got '{text}'$"):
+                call(text)
+        for bad in (0, "0", Fraction(-1, 10**25), "-1e-5"):
+            with pytest.raises(ValueError, match="^eps must be positive$"):
+                call(bad)
+    assert as_eps("1e-25") == as_eps(Fraction(1, 10**25)) == Fraction(1, 10**25)
+    assert as_eps(1) == 1
+    # the patches are live: a readable eps reaches a sum
+    with pytest.raises(AssertionError, match="a sum was started"):
+        v.verify_qmzsv((2, 1), eps="1e-20")
+
+
+def test_finite_checks_refuse_a_str_of_q_and_a_fractional_n_max_before_any_sum(monkeypatch):
+    # a str would be read one character at a time, as the q 1, / and 2
+    import qzeta.evaluators as ev
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    monkeypatch.setattr(ev, "_inner_terms", never)
+    monkeypatch.setattr(v, "_mhs_rows", never)
+    for part in ("_kernel_sum", "_inverse_power", "_head_reduction"):
+        monkeypatch.setattr(v, part, never)
+    with pytest.raises(ValueError, match="q_values must be a sequence of q, got the str '1/2'"):
+        v.verify_mhs((2, 1), q_values="1/2")
+    with pytest.raises(ValueError, match="q_values must be a sequence of q, got the str '1/2'"):
+        v.lemma_suite(q_values="1/2")
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        v.verify_mhs((2, 1), n_max=2.5)
+    # the patches are live: a list of q and an int n_max reach a sum
+    with pytest.raises(AssertionError, match="a sum was started"):
+        v.verify_mhs((2, 1), n_max=2, q_values=["1/2"])
+    with pytest.raises(AssertionError, match="a sum was started"):
+        v.lemma_suite(q_values=["1/2"])
+
+
+def _half_step_ball_repr(ball):
+    # the rule _ball_repr followed before it read its text from
+    # rational_repr: the ball holds no compact rational, and its ends lie
+    # strictly inside one step of the grid of half the 12th digit of its
+    # centre; the text is the centre's, by Decimal division
+    one = 1 << ball.prec
+    lo, hi = Fraction(ball.mid - ball.rad, one), Fraction(ball.mid + ball.rad, one)
+    if lo <= 0:
+        return None
+    centre = Fraction(ball.mid, one)
+    if lo <= centre.limit_denominator(10**30 - 1) <= hi:
+        return None
+    s = 11 - (ball.mid.bit_length() - ball.prec) * 30103 // 100000
+    while math.floor(centre * Fraction(10) ** s) >= 10**12:
+        s -= 1
+    while math.floor(centre * Fraction(10) ** s) < 10**11:
+        s += 1
+    lo, hi = lo * 2 * Fraction(10) ** s, hi * 2 * Fraction(10) ** s
+    if lo.denominator == 1 or math.floor(lo) != math.floor(hi):
+        return None
+    return _decimal_division_repr(centre)
+
+
+def test_ball_repr_decides_every_ball_the_half_step_rule_decides():
+    # seeded balls near points of the 12-digit grid, near ties half way
+    # between two of them, near decade edges and around grid values with
+    # trailing zeros, at two binary points: every ball the old rule decides
+    # is decided with its text, and every decided ball's ends, centre and the
+    # value it was built around print that text
+    from qzeta.verify import _ball_repr
+
+    rng = random.Random(25)
+    told = new = 0
+    for prec in (300, 600):
+        for _ in range(1500):
+            e = rng.choice((rng.randint(-70, -20), rng.randint(30, 45)))
+            digits = rng.choice((
+                rng.randint(10**11, 10**12 - 1), 10**11, 10**12 - 1, 12 * 10**10,
+                123456789012, 999999999995,
+            ))  # fmt: skip
+            unit = Fraction(10) ** (e - 11)  # the grid step at this decade
+            offset = rng.choice((
+                0, Fraction(1, 2), Fraction(-1, 2), Fraction(rng.randint(-999, 999), 1000),
+                Fraction(1, 2) + Fraction(rng.choice((1, -1)), 2 ** rng.randint(10, 60)),
+                Fraction(rng.choice((1, -1)), 2 ** rng.randint(10, 60)),
+            ))  # fmt: skip
+            v = (digits + offset) * unit
+            step = unit * 2**prec  # the grid step in units of the binary point
+            scale = step.numerator.bit_length() - step.denominator.bit_length()
+            ball = _ball(v, 2 ** rng.randint(0, max(0, scale + 1)), prec)
+            expect = _half_step_ball_repr(ball)
+            text = _ball_repr(ball)
+            if expect is not None:
+                told += 1
+                assert text == expect, (v, ball)
+            if text is not None:
+                new += 1
+                lo, hi = ball.bounds()
+                centre = Fraction(ball.mid, 1 << prec)
+                assert {_decimal_division_repr(w) for w in (lo, centre, hi, v)} == {text}, (v, ball)
+    assert 400 < told <= new < 2000
+    # a ball around a grid value with trailing zeros holds a value written
+    # "1.2E-30" and others written "1.20000000000E-30": it cannot tell, but
+    # a ball just beside it can
+    for v, unit in (
+        (Fraction(12, 10**31), Fraction(1, 10**41)),
+        (Fraction(1, 10**30), Fraction(1, 10**41)),
+        (Fraction(5, 10**40), Fraction(1, 10**51)),
+    ):
+        near = v + unit / 1000
+        for rad in (1, 2**20):
+            assert _ball_repr(_ball(v, rad)) is None, v
+        assert _ball_repr(_ball(near, math.ceil(unit / 500 * 2**600), 600)) is None, v
+        text = _ball_repr(_ball(near, 1, 600))
+        assert text == _decimal_division_repr(near) != _decimal_division_repr(v), v
