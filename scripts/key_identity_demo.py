@@ -3,12 +3,12 @@
 
 Prints the compiled pattern, its eight-term expansion, the classical limit
 expansion, and a numeric confirmation of both the q-series identity and the
-q -> 1 limit.  Exit status is 0 only if both checks pass.
+q -> 1 limit.  Exit status is 0 only if both checks pass, and 2 for a q or
+eps that cannot be read.
 """
 
 import argparse
 import sys
-from fractions import Fraction
 
 from qzeta import (
     classical_expand,
@@ -17,6 +17,7 @@ from qzeta import (
     verify_classical,
     verify_qmzsv,
 )
+from qzeta.qarith import as_eps, as_q
 
 
 def main() -> int:
@@ -31,6 +32,11 @@ def main() -> int:
     args = ap.parse_args()
     if min(args.a, args.b, args.c, args.d) < 0:
         ap.error("parameters must be nonnegative")
+    try:
+        q, eps = as_q(args.q), as_eps(args.eps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     comp = (
         (2,) * args.a + (1,) + (2,) * args.b + (1,)
@@ -53,7 +59,7 @@ def main() -> int:
     print(" " + line.strip())
 
     print("\nq-series check:")
-    series = verify_qmzsv(comp, q=Fraction(args.q), eps=Fraction(args.eps))
+    series = verify_qmzsv(comp, q=q, eps=eps)
     print(
         f"  {series.status}: |lhs - rhs| = {series.discrepancy}, eps = {series.params['eps']}"
         f" (tail bound {series.tail_bound})"

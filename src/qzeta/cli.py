@@ -54,10 +54,6 @@ def parse_triple(text: str) -> Triple:
     return Triple(s, t, r)
 
 
-def _parse_q_list(text: str) -> list[Fraction]:
-    return [as_q(token) for token in text.split(",")]
-
-
 def _parse_eps(text: str) -> Fraction:
     """The --eps option, read once by argparse, so a bad value exits 2."""
     try:
@@ -158,13 +154,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if kind in ("mhs", "mhs-star"):
         if args.n is None:
             raise ValueError(f"eval {kind} requires --n")
-        ctx = QContext(as_q(args.q))
+        ctx = QContext(args.q)
         value = mhs(ctx, parse_signed_string(args.s), args.n, star=kind.endswith("star"))
         payload.update({"n": args.n, "q": str(ctx.q), "value": str(value)})
         lines = [str(value)]
         latex_value = _rational_latex(value)
     elif kind in ("qzeta", "qzeta-star", "frakz"):
-        ctx = QContext(as_q(args.q))
+        ctx = QContext(args.q)
         if kind == "frakz":
             sv = frakz(ctx, parse_triple(args.s), eps=args.eps)
         else:
@@ -225,7 +221,8 @@ def _emit_reports(reports, fmt: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    qs = _parse_q_list(args.q)
+    # read here, so a bad --q fails also where the target uses no q
+    qs = [as_q(token) for token in args.q.split(",")]
     target = args.target
     series = "--qmzsv" if args.qmzsv else "--classical" if args.classical else None
     if series and (target in CLOSED_FAMILIES or target == "random"):
@@ -258,7 +255,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_lemmas(args: argparse.Namespace) -> int:
     reports = lemma_suite(
         n_max=args.n_max,
-        q_values=_parse_q_list(args.q),
+        q_values=args.q.split(","),
         seed=args.seed,
         samples=args.samples,
     )

@@ -79,12 +79,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb
-from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
-from .qarith import QContext, as_eps
+from .qarith import QContext, as_eps, as_int
 
 
 class SeriesValue(NamedTuple):
@@ -162,6 +161,16 @@ class Ball:
 MAX_MHS_LIMIT = 1000
 
 
+def _upper_limit(n_max, cap: int, what: str) -> int:
+    """n_max as the upper limit of a finite sum of kind ``what``, in 0..cap."""
+    n_max = as_int(n_max, "n_max")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max > cap:
+        raise ValueError(f"upper limit {n_max} exceeds {cap} for {what}")
+    return n_max
+
+
 def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tuple[int, int]]:
     """Unreduced (numerator, denominator) of the nested harmonic sum for
     every upper limit 0..n_max, in integers.
@@ -184,11 +193,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     Raises ValueError, before summing any term, for n_max above
     MAX_MHS_LIMIT.
     """
-    n_max = index(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if n_max > MAX_MHS_LIMIT:
-        raise ValueError(f"upper limit {n_max} exceeds {MAX_MHS_LIMIT} for a harmonic sum")
+    n_max = _upper_limit(n_max, MAX_MHS_LIMIT, "a harmonic sum")
     a, b = ctx.q.numerator, ctx.q.denominator
     m = len(entries)
     mags = [e.magnitude for e in entries]
@@ -489,7 +494,7 @@ MAX_PATTERN_DEPTH = 32
 
 def _q_factors(ctx: QContext, top: int) -> list[int]:
     """h_i = ctx.h(i) for i = 0..top: the factors of the integer Pochhammer
-    products P_n = h_1 * ... * h_n (see :meth:`~qzeta.qarith.QContext.p_prod`)."""
+    products P_n = h_1 * ... * h_n of the prefactor (see :func:`_pattern_pairs`)."""
     return [ctx.h(i) for i in range(top + 1)]
 
 
@@ -523,13 +528,7 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     dot product per row would multiply integers of about n**2 bits each: the
     cost grows about as n**4 rather than n**5.  Nothing is reduced here.
     """
-    n_max = index(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if n_max > MAX_PATTERN_LIMIT:
-        raise ValueError(
-            f"upper limit {n_max} exceeds {MAX_PATTERN_LIMIT} for a finite mollified sum"
-        )
+    n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
     if pattern.depth > MAX_PATTERN_DEPTH:
         raise ValueError(
             f"pattern depth {pattern.depth} exceeds {MAX_PATTERN_DEPTH} for a finite mollified sum"
@@ -561,8 +560,8 @@ def pattern_mhs_many(
     the engine's inner[k] (see :func:`_inner_terms`):
     out[n] = sum_k br(n, k) * inner[k], where with q = a/b
     br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n**2 / P_2n * G(2n, n-k) * b**(k*k),
-    P_j = ctx.p_prod(j) and G(N, j) = P_N / (P_j P_(N-j)) an
-    integer.  Each row is one integer sum of products carried from the row
+    P_j = h_1 * ... * h_j with h_i = ctx.h(i), and G(N, j) = P_N / (P_j P_(N-j))
+    an integer.  Each row is one integer sum of products carried from the row
     before (see :func:`_pattern_pairs`) and each value is reduced once.
 
     Raises ValueError, before summing any term, for n_max above
@@ -869,7 +868,7 @@ def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[Clas
         return [ClassicalValue(1.0, 0.0, 0) for _ in strings]
     # the sum slices by K, so a float is refused here, where a memoized
     # 10**6 would otherwise answer for 1e6
-    K = index(K)
+    K = as_int(K, "K")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K > MAX_CLASSICAL_TERMS:

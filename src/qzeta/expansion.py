@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .indices import (
     THETA,
     Shift,
-    SignedIndex,
     Theta,
     boxplus,
     boxplus_fold,
+    is_int,
     oplus_fold,
     proj,
     shift_latex,
@@ -53,10 +53,10 @@ class Triple:
         if len(self.s) == 0:
             raise ValueError("triple must have at least one slot")
         for t_j in self.t:
-            if not isinstance(t_j, int) or t_j < 0:
+            if not is_int(t_j) or t_j < 0:
                 raise ValueError(f"offsets must be nonnegative integers, got {t_j!r}")
         for r_j in self.r:
-            if not isinstance(r_j, (int, Theta)):
+            if not (is_int(r_j) or isinstance(r_j, Theta)):
                 raise ValueError(f"shifts must be integers or theta, got {r_j!r}")
 
     @property

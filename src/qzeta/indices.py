@@ -22,6 +22,11 @@ from functools import reduce
 from typing import Iterable, Sequence, Union
 
 
+def is_int(value) -> bool:
+    """Whether value is an int but not a bool, which would print as True or False."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SignedIndex:
     """A nonnegative magnitude with a sign marker; -0 and 0 are distinct."""
@@ -30,7 +35,7 @@ class SignedIndex:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.magnitude, int) or self.magnitude < 0:
+        if not is_int(self.magnitude) or self.magnitude < 0:
             raise ValueError(f"magnitude must be a nonnegative integer, got {self.magnitude!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
@@ -71,7 +76,7 @@ def signed_string(entries: Iterable) -> tuple:
     for e in entries:
         if isinstance(e, SignedIndex):
             out.append(e)
-        elif isinstance(e, int):
+        elif is_int(e):
             # plain ints cannot express -0; use SignedIndex directly for that
             out.append(SignedIndex(abs(e), -1 if e < 0 else 1))
         else:

@@ -2,27 +2,33 @@
 
 Everything is computed exactly, over :class:`fractions.Fraction` or over
 integers with a known denominator, so all identities checked downstream are
-exact.  A :class:`QContext` keeps the q-integers in integer form, integer
-q-Pochhammer products and the common denominators of the sum evaluators, and
-builds Gaussian-binomial integer rows on request; every q-binomial the
-package reads comes from those integers.  Sharing one context across a large
-batch of evaluations is what makes the exhaustive checks affordable.
+exact.  A :class:`QContext` keeps the q-integers in integer form and the
+common denominators of the sum evaluators, and builds Gaussian-binomial
+integer rows on request; every q-binomial the package reads comes from those
+integers.  Sharing one context across a large batch of evaluations is what
+makes the exhaustive checks affordable.  :func:`as_q`, :func:`as_eps` and
+:func:`as_int` read a q, an eps and an integer parameter from a caller.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 from typing import Union
 
 QLike = Union[Fraction, int, str]
 
 
-def as_q(value: QLike) -> Fraction:
+def _rational(value: QLike, name: str) -> Fraction:
     try:
-        q = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"q must be a rational number, got {str(value)!r}") from exc
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a rational number, got {str(value)!r}") from exc
+
+
+def as_q(value: QLike) -> Fraction:
+    q = _rational(value, "q")
     if not 0 < q < 1:
         raise ValueError(f"q must lie strictly between 0 and 1, got {q}")
     return q
@@ -30,13 +36,21 @@ def as_q(value: QLike) -> Fraction:
 
 def as_eps(value: QLike) -> Fraction:
     """The target eps of a tail bound, a positive rational."""
-    try:
-        eps = Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"eps must be a rational number, got {str(value)!r}") from exc
+    eps = _rational(value, "eps")
     if eps <= 0:
         raise ValueError("eps must be positive")
     return eps
+
+
+def as_int(value, name: str) -> int:
+    """The integer parameter ``name``, read by :func:`operator.index`, so that a
+    float raises TypeError; a bool, which would be reported as true, ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    try:
+        return index(value)
+    except TypeError as exc:
+        raise TypeError(f"{name} must be an int, got {value!r}: {exc}") from exc
 
 
 class QContext:
@@ -45,28 +59,27 @@ class QContext:
 
     One loop grows h_n = b h_(n-1) + a**(n-1) from h_0 = 0 and, with it, the
     common denominators L_n = lcm(h_1, ..., h_n) over which the harmonic-sum
-    DP and the run engine work in integers (:meth:`p_lcm`, :meth:`p_lcm_step`)
-    and the Pochhammer products P_n = h_1 ... h_n (:meth:`p_prod`); with
-    :meth:`gauss_row` they give the binomial ratios gauss(n, k) /
-    gauss(n + k, k) of the finite prefactor and the kernel lemmas.
+    DP and the run engine work in integers (:meth:`p_lcm`, :meth:`p_lcm_step`);
+    with :meth:`gauss_row` and P_n = h_1 ... h_n they give the binomial ratios
+    gauss(n, k) / gauss(n + k, k) of the finite prefactor and the kernel lemmas.
     """
 
     def __init__(self, q: QLike):
         self.q = as_q(q)
-        self._rows = [(0, 1, 1, 1)]  # (h_n, L_n, L_n / L_(n-1), P_n) for n = 0, 1, ...
+        self._rows = [(0, 1, 1)]  # (h_n, L_n, L_n / L_(n-1)) for n = 0, 1, ...
 
     def __repr__(self) -> str:
         return f"QContext(q={self.q})"
 
-    def _row(self, n: int) -> tuple[int, int, int, int]:
+    def _row(self, n: int) -> tuple[int, int, int]:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         while len(self._rows) <= n:
             a, b = self.q.numerator, self.q.denominator
-            h, lcm, _, prod = self._rows[-1]
+            h, lcm, _ = self._rows[-1]
             h = b * h + a ** (len(self._rows) - 1)
             step = h // math.gcd(lcm, h)
-            self._rows.append((h, lcm * step, step, prod * h))
+            self._rows.append((h, lcm * step, step))
         return self._rows[n]
 
     def h(self, n: int) -> int:
@@ -83,8 +96,8 @@ class QContext:
         return Fraction(self.h(n) * b, b**n)
 
     def gauss_row(self, n: int, stop: int) -> list[int]:
-        """Integers G(n, j) = P_n / (P_j P_(n-j)) for 0 <= j < stop <= n + 1
-        (see :meth:`p_prod`); the Gaussian binomial is G(n, j) / b**(j(n-j)).
+        """Integers G(n, j) = P_n / (P_j P_(n-j)) for 0 <= j < stop <= n + 1,
+        with P_i = h_1 ... h_i; the Gaussian binomial is G(n, j) / b**(j(n-j)).
 
         Built by G(n, j) = G(n, j-1) * h_(n-j+1) // h_j, where every division
         is exact.  Rows are not kept: one costs O(stop) steps on small
@@ -109,8 +122,3 @@ class QContext:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         return self._row(n)[2]
-
-    def p_prod(self, n: int) -> int:
-        """P_n = prod of h_k over 1 <= k <= n; P_0 = 1.  P_n is prime to b,
-        and (q; q)_n = P_n (b - a)**n / b**(n(n+1)/2)."""
-        return self._row(n)[3]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .expansion import Triple, expand
-from .indices import THETA, SignedIndex, bar, boxplus, idx, oplus
+from .indices import THETA, SignedIndex, bar, boxplus, idx, is_int, oplus
 
 Composition = tuple[int, ...]
 
@@ -94,6 +94,14 @@ def zeta_admissible(composition: Sequence[int]) -> bool:
     return bool(composition) and composition[0] >= 2
 
 
+def zeta_composition(composition: Sequence[int]) -> Composition:
+    """composition as a tuple, refused unless it is :func:`zeta_admissible`."""
+    comp = tuple(composition)
+    if not zeta_admissible(comp):
+        raise ValueError(f"composition {comp} needs a leading entry >= 2")
+    return comp
+
+
 @dataclass(frozen=True)
 class TwosOnes:
     """Block ({2}^a, {1}^l)."""
@@ -147,7 +155,7 @@ def tokenize(composition: Sequence[int]) -> list[Block]:
     if not comp:
         raise ValueError("composition must be nonempty")
     for e in comp:
-        if not isinstance(e, int) or e < 1:
+        if not is_int(e) or e < 1:
             raise ValueError(f"composition entries must be positive integers, got {e!r}")
     blocks: list[Block] = []
     i = 0
@@ -257,9 +265,7 @@ def classical_expand(composition: Sequence[int]) -> list[ClassicalTerm]:
     limit.  Requires a leading entry >= 2 so that every emitted series
     converges.
     """
-    comp = tuple(composition)
-    if not zeta_admissible(comp):
-        raise ValueError(f"composition {comp} needs a leading entry >= 2")
+    comp = zeta_composition(composition)
     d, pattern = compose(comp)
     return [ClassicalTerm(d, 2 ** triple.depth, triple.s) for triple in expand(pattern)]
 

@@ -34,6 +34,7 @@ from .evaluators import (
     _harmonic_truncation,
     _mhs_rows,
     _pattern_pairs,
+    _upper_limit,
     classical_zeta_many,
     frakz,
     mollified_mhs_many,
@@ -42,16 +43,10 @@ from .evaluators import (
     q_zeta_enclosure,
 )
 from .expansion import Triple
-from .indices import THETA, SignedIndex, bar, boxplus, idx, oplus, signed_string
+from .indices import THETA, SignedIndex, bar, boxplus, idx, is_int, oplus, signed_string
 from .indices import delta as sign_of
-from .qarith import QContext, QLike, as_eps, as_q
-from .rules import (
-    CLOSED_FAMILIES,
-    Composition,
-    closed_pattern,
-    compose,
-    zeta_admissible,
-)
+from .qarith import QContext, QLike, as_eps, as_int, as_q
+from .rules import CLOSED_FAMILIES, Composition, closed_pattern, compose, zeta_composition
 
 DEFAULT_SEED = 101
 _RESIDUAL_CAP = 16
@@ -152,12 +147,23 @@ def _ball_repr(x: Ball) -> Optional[str]:
     return text
 
 
-def _q_label(q_values: Sequence[Fraction]) -> str:
-    return ",".join(str(q) for q in q_values)
+def _label(items: Sequence) -> str:
+    return ",".join(str(x) for x in items)
 
 
-def _comp_label(composition: Sequence[int]) -> str:
-    return ",".join(str(e) for e in composition)
+def _sequence(values: Sequence, name: str, noun: str) -> tuple:
+    """values as a tuple, refusing a str, whose characters would be the items."""
+    if isinstance(values, str):
+        raise ValueError(f"{name} must be a sequence of {noun}, got the str {values!r}")
+    return tuple(values)
+
+
+def _q_list(q_values: Sequence[QLike]) -> list[Fraction]:
+    """q_values as a nonempty list of q: with none a report passes unchecked."""
+    qs = [as_q(q) for q in _sequence(q_values, "q_values", "q")]
+    if not qs:
+        raise ValueError("q_values needs at least one q")
+    return qs
 
 
 def all_passed(reports: Iterable[VerificationReport]) -> bool:
@@ -277,18 +283,14 @@ def verify_mhs(
 ) -> VerificationReport:
     """Exact check of the finite weak-sum identity at every n <= n_max.
 
-    Raises ValueError, before any sum, when q_values is empty, as the report
-    would pass without a check, or is a bare str, whose characters would be
-    read as the q; TypeError when n_max is not an int.
+    Raises ValueError, before any sum, for an empty or str q_values (see
+    :func:`_q_list`) or a bool n_max; TypeError when n_max is not an int.
     """
     col = _Residuals()
     comp = tuple(composition)
     entries = signed_string(comp)
-    if isinstance(q_values, str):
-        raise ValueError(f"q_values must be a sequence of q, got the str {q_values!r}")
-    qs = [as_q(q) for q in q_values]
-    if not qs:
-        raise ValueError("the finite check needs at least one q")
+    qs = _q_list(q_values)
+    n_max = as_int(n_max, "n_max")
     d, pattern = compose(comp)
     for q in qs:
         ctx = QContext(q)
@@ -303,7 +305,7 @@ def verify_mhs(
             col.add(f"q={q} n={n}", res)
     params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}
     return col.report(
-        case or f"weak-sum {_comp_label(comp)}", family, params, _q_label(qs), [0, n_max],
+        case or f"weak-sum {_label(comp)}", family, params, _label(qs), [0, n_max],
         show_worst=True,
     )
 
@@ -348,12 +350,9 @@ def verify_qmzsv(
     over either side's cap; the left side's cap is checked first.
     """
     t0 = time.perf_counter()
-    comp = tuple(composition)
-    if not zeta_admissible(comp):
-        raise ValueError(f"composition {comp} needs a leading entry >= 2")
-    qv = as_q(q)
+    comp = zeta_composition(composition)
+    ctx = QContext(q)
     epsv = as_eps(eps)
-    ctx = QContext(qv)
     d, pattern = compose(comp)
     # both truncation searches run before either side sums: the left side's
     # here, memoized for the ball, and the right side's in frakz
@@ -364,7 +363,7 @@ def verify_qmzsv(
 
     def report(lhs):
         return _numeric_report(
-            t0, case or f"weak-zeta {_comp_label(comp)}", family, params, qv, epsv,
+            t0, case or f"weak-zeta {_label(comp)}", family, params, ctx.q, epsv,
             abs(lhs.value - d * rhs.value), lhs.tail_bound + rhs.tail_bound,
         )
 
@@ -401,16 +400,14 @@ def verify_classical(
     t0 = time.perf_counter()
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    comp = tuple(composition)
-    if not zeta_admissible(comp):
-        raise ValueError(f"composition {comp} needs a leading entry >= 2")
+    comp = zeta_composition(composition)
     d, pattern = compose(comp)
     lhs, resolved = classical_zeta_many([(comp, True), (pattern.s, _RESOLVED)], K=K)
     rhs = d * resolved.value
     allowance = tol + lhs.tail_est + resolved.tail_est
     disc = abs(lhs.value - rhs)
     return VerificationReport(
-        case=case or f"classical {_comp_label(comp)}",
+        case=case or f"classical {_label(comp)}",
         family="composition",
         params={
             "composition": list(comp),
@@ -426,13 +423,6 @@ def verify_classical(
         tail_bound=lhs.tail_est + resolved.tail_est,
         elapsed_ms=_ms(t0),
     )
-
-
-def _ratio_scale(ctx: QContext, n: int) -> Fraction:
-    """c_n = P_n**2 / P_2n (P_j from ctx.p_prod), the factor every br(n, k)
-    of row n shares."""
-    p = ctx.p_prod(n)
-    return Fraction(p * p, ctx.p_prod(2 * n))
 
 
 def _kernel_unit(a: int, b: int, k: int) -> int:
@@ -457,8 +447,8 @@ def _kernel_sum(
     the factors h[i] = ctx.h(i), i <= 2 n_max, and the rows
     (n, ctx.gauss_row(2n, n + 1)) in turn and yields, per check,
     (n, label, left, right, unit, den): the check holds iff left == right,
-    and only a failing one is reduced, to the residual
-    (left - right) * unit / prod(den) * c_n.
+    and only a failing one is reduced, to the residual (left - right) * unit
+    / prod(den) * c_n, c_n = 1 / G(2n, n) = (h_1 ... h_n) / (h_(n+1) ... h_2n).
     """
     col = _Residuals()
     for q in q_values:
@@ -468,9 +458,10 @@ def _kernel_sum(
         for n, label, left, right, unit, den in pairs(q.numerator, q.denominator, h, rows, **params):
             res = 0
             if left != right:
-                res = Fraction((left - right) * unit, math.prod(den)) * _ratio_scale(ctx, n)
+                c_n = Fraction(math.prod(h[1 : n + 1]), math.prod(h[n + 1 : 2 * n + 1]))
+                res = Fraction((left - right) * unit, math.prod(den)) * c_n
             col.add(f"q={text} n={n} {label}", res)
-    return col.report(case, "kernel", params, _q_label(q_values), [1, n_max])
+    return col.report(case, "kernel", params, _label(q_values), [1, n_max])
 
 
 def _suffix_sum(a: int, b: int, h: Sequence[int], rows, terms, closed, den):
@@ -644,21 +635,17 @@ def lemma_suite(
     The three kernel parts run at every q of q_values; inverse-power and
     head-reduction run at the first q only.
 
-    ValueError is raised before any part runs for a str q_values, an n_max
-    above _MAX_KERNEL_LIMIT, or sizes that leave a requested part with no
-    check, which would then pass without checking anything.
+    ValueError is raised before any part runs for a str q_values or parts, an
+    n_max outside 0.._MAX_KERNEL_LIMIT, or sizes of a requested part that are
+    bools or leave it with no check, which would then pass without checking
+    anything; TypeError for a size that is not an int.
     """
-    if isinstance(q_values, str):
-        raise ValueError(f"q_values must be a sequence of q, got the str {q_values!r}")
-    qs = [as_q(q) for q in q_values]
-    if not qs:
-        raise ValueError("the lemma suite needs at least one q")
-    wanted = tuple(parts) if parts is not None else LEMMA_PARTS
+    qs = _q_list(q_values)
+    wanted = LEMMA_PARTS if parts is None else _sequence(parts, "parts", "part names")
     unknown = [p for p in wanted if p not in LEMMA_PARTS]
     if unknown:
         raise ValueError(f"unknown lemma parts {unknown}; known: {list(LEMMA_PARTS)}")
-    if n_max > _MAX_KERNEL_LIMIT:
-        raise ValueError(f"upper limit {n_max} exceeds {_MAX_KERNEL_LIMIT} for the kernel lemmas")
+    n_max = _upper_limit(n_max, _MAX_KERNEL_LIMIT, "the kernel lemmas")
     # the least value of each size parameter at which a part checks anything
     least = {
         "alternating-kernel-sum": (("n_max", n_max, 2),),
@@ -671,7 +658,7 @@ def lemma_suite(
     }
     for part in wanted:
         for name, value, low in least[part]:
-            if value < low:
+            if as_int(value, name) < low:
                 raise ValueError(f"{name} = {value} leaves {part} with no checks (needs >= {low})")
 
     def run(part: str) -> VerificationReport:
@@ -704,11 +691,10 @@ def symmetric_pair_check(
     """
     t0 = time.perf_counter()
     for name, value in (("a", a), ("b", b)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not is_int(value) or value < 0:
             raise ValueError(f"{name} must be an int >= 0, got {value!r}")
-    qv = as_q(q)
+    ctx = QContext(q)
     epsv = as_eps(eps)
-    ctx = QContext(qv)
     budget = epsv / 12
     strings = (
         (2,) * a + (3,) + (2,) * b + (1,), (2,) * b + (3,) + (2,) * a + (1,),
@@ -721,15 +707,15 @@ def symmetric_pair_check(
 
     def report(z_ab, z_ba, u, v):
         lhs = z_ab.value + z_ba.value
-        rhs = u.value * v.value + (1 - qv) * w.value
+        rhs = u.value * v.value + (1 - ctx.q) * w.value
         product_tail = abs(u.value) * v.tail_bound + abs(v.value) * u.tail_bound
         product_tail += u.tail_bound * v.tail_bound
         tail_total = (
-            z_ab.tail_bound + z_ba.tail_bound + product_tail + (1 - qv) * w.tail_bound
+            z_ab.tail_bound + z_ba.tail_bound + product_tail + (1 - ctx.q) * w.tail_bound
         )
         return _numeric_report(
             t0, f"symmetric-pair a={a} b={b}", "symmetric-pair",
-            {"a": a, "b": b, "eps": str(epsv)}, qv, epsv, abs(lhs - rhs), tail_total,
+            {"a": a, "b": b, "eps": str(epsv)}, ctx.q, epsv, abs(lhs - rhs), tail_total,
         )
 
     return next(filter(None, (report(*z) for z in _weak_zetas(ctx, strings, budget))))
@@ -741,28 +727,26 @@ def qmzsv_battery(
     small: bool = False,
 ) -> list[VerificationReport]:
     """Certified numeric checks of the headline infinite-sum identities."""
-    qv = as_q(q)
-    epsv = as_eps(eps)
     reports: list[VerificationReport] = []
     span = range(2) if small else range(3)
     for a, b in itertools.product(span, span):
         comp = (2,) * b + (3,) + (2,) * a + (1,)
         case = f"two-term a={a} b={b}"
-        reports.append(verify_qmzsv(comp, q=qv, eps=epsv, case=case, family="2c21"))
+        reports.append(verify_qmzsv(comp, q=q, eps=eps, case=case, family="2c21"))
     display = [(1, 0, 0), (1, 1, 0), (1, 0, 1)] + ([] if small else [(1, 1, 1)])
     for a0, b, a1 in display:
         comp = (2,) * a0 + (1,) + (2,) * b + (3,) + (2,) * a1 + (1,)
         case = f"leading-ones display a0={a0} b={b} a1={a1}"
-        reports.append(verify_qmzsv(comp, q=qv, eps=epsv, case=case, family="212c21"))
+        reports.append(verify_qmzsv(comp, q=q, eps=eps, case=case, family="212c21"))
     for a, b in itertools.product(span, span):
-        reports.append(symmetric_pair_check(a, b, q=qv, eps=epsv))
+        reports.append(symmetric_pair_check(a, b, q=q, eps=eps))
     key_span = [(1, b, c, d) for b in range(2) for c in range(2) for d in range(2)]
     if small:
         key_span = key_span[:4]
     for a, b, c, d in key_span:
         comp = (2,) * a + (1,) + (2,) * b + (1,) + (2,) * c + (3,) + (2,) * d + (1,)
         case = f"key-expansion a={a} b={b} c={c} d={d}"
-        reports.append(verify_qmzsv(comp, q=qv, eps=epsv, case=case, family="key"))
+        reports.append(verify_qmzsv(comp, q=q, eps=eps, case=case, family="key"))
     return reports
 
 

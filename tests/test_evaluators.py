@@ -185,6 +185,11 @@ def test_upper_limit_caps(ctx_half, monkeypatch):
     monkeypatch.setattr(QContext, "p_lcm", never)
     with pytest.raises(ValueError, match=f"exceeds {MAX_PATTERN_LIMIT}"):
         pattern_mhs_many(ctx_half, tri, MAX_PATTERN_LIMIT + 1)
+    # each cap itself is admitted: its sum starts
+    with pytest.raises(AssertionError, match="a sum was started"):
+        pattern_mhs_many(ctx_half, tri, MAX_PATTERN_LIMIT)
+    with pytest.raises(AssertionError, match="a sum was started"):
+        mhs_many(ctx_half, (2, 1), MAX_MHS_LIMIT)
     # a finite sum deeper than its cap is refused before its runs are built
     deep = MAX_PATTERN_DEPTH + 1
     deep_tri = Triple((idx(1),) * deep, (0,) * deep, (1,) + (THETA,) * (deep - 1))
@@ -1142,7 +1147,8 @@ def _one_denominator_values(ctx, pattern, n_max, merge):
     for n in range(1, n_max + 1):
         row = ctx.gauss_row(2 * n, n)
         total = sum(row[n - k] * b ** (k * k) * nums[k] for k in range(1, n + 1))
-        out.append(Fraction(ctx.p_prod(n) ** 2 * total, ctx.p_prod(2 * n) * den))
+        p_n, p_2n = (math.prod(ctx.h(i) for i in range(1, j + 1)) for j in (n, 2 * n))
+        out.append(Fraction(p_n**2 * total, p_2n * den))
     return out, inner
 
 
@@ -1217,7 +1223,8 @@ def test_pattern_pairs_carry_the_prefactor_without_gaussian_rows(monkeypatch):
         for n in range(1, n_max + 1):
             _, ea, eb = inner[n - 1]
             top_a, top_b = max(top_a, ea), max(top_b, eb - n * n)
-            centre = ctx.p_prod(2 * n) // ctx.p_prod(n) ** 2
+            p_n, p_2n = (math.prod(ctx.h(i) for i in range(1, j + 1)) for j in (n, 2 * n))
+            centre = p_2n // p_n**2
             den = centre * ctx.p_lcm(n) ** w * a**top_a * b**top_b
             assert pairs[n][1] == den, (pattern, q, merge, n)
 

@@ -45,6 +45,11 @@ def test_triple_validation():
         Triple((idx(1),), (-1,), (1,))
     with pytest.raises(ValueError):
         Triple((idx(1),), (0,), ("x",))
+    # bools are ints, but would print as [2; True; True]
+    with pytest.raises(ValueError, match="offsets .* got True"):
+        Triple((2,), (True,), (True,))
+    with pytest.raises(ValueError, match="shifts .* got True"):
+        Triple((2,), (0,), (True,))
 
 
 def test_triple_coerces_plain_ints():

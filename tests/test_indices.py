@@ -49,12 +49,17 @@ def test_signed_index_validation():
         SignedIndex(-1, 1)
     with pytest.raises(ValueError):
         SignedIndex(2, 0)
+    # a bool is an int, but would print as True
+    with pytest.raises(ValueError, match="got True"):
+        SignedIndex(True)
 
 
 def test_signed_string_coercion():
     assert signed_string([3, -4, bar(0)]) == (idx(3), bar(4), bar(0))
     with pytest.raises(TypeError):
         signed_string(["3"])
+    with pytest.raises(TypeError, match="cannot interpret True"):
+        signed_string([2, True])
 
 
 def test_oplus_examples():

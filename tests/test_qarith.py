@@ -7,7 +7,17 @@ import pytest
 import oracles
 from qzeta import QContext, Triple, as_q, bar, idx, mhs_many, THETA
 from qzeta.evaluators import _inner_terms
-from qzeta.verify import _kernel_row, _ratio_scale
+from qzeta.verify import _kernel_row
+
+
+def _pochhammer(ctx, n):
+    # P_n = h_1 ... h_n, the integer q-Pochhammer product
+    return math.prod(ctx.h(i) for i in range(1, n + 1))
+
+
+def _ratio_scale(ctx, n):
+    # c_n = P_n**2 / P_2n, the factor every br(n, k) of row n shares
+    return Fraction(_pochhammer(ctx, n) ** 2, _pochhammer(ctx, 2 * n))
 
 
 def test_as_q_accepts_rationals_in_unit_interval():
@@ -73,10 +83,10 @@ def test_gauss_binomial_pascal_recurrence(ctx_half, ctx_third, ctx_nine_tenths):
 def test_gauss_binomial_out_of_range(ctx_half):
     # the integer tables refuse an index they cannot serve, also once
     # longer rows are cached
-    ctx_half.p_prod(5)
+    ctx_half.h(5)
     ctx_half.p_lcm(5)
     for bad in (
-        lambda: ctx_half.p_prod(-1),
+        lambda: ctx_half.h(-1),
         lambda: ctx_half.p_lcm(-1),
         lambda: ctx_half.p_lcm_step(0),
         lambda: ctx_half.gauss_row(-1, 0),
@@ -103,10 +113,10 @@ def test_binom_ratio_edges(ctx_half, ctx_third, ctx_nine_tenths):
     for ctx in contexts:
         q, a, b = ctx.q, ctx.q.numerator, ctx.q.denominator
         for n in range(0, 13):
-            scale = Fraction(ctx.p_prod(n) ** 2, ctx.p_prod(2 * n))
+            scale = _ratio_scale(ctx, n)
             gauss = ctx.gauss_row(2 * n, n + 1)
             units = _kernel_row(a, b, n, gauss)
-            assert _ratio_scale(ctx, n) == scale
+            assert scale * gauss[n] == 1
             # the row stops at k = n: br(n, k) vanishes for k > n
             assert len(units) == n + 1
             assert all(type(u) is int for u in units)
@@ -122,7 +132,7 @@ def test_kernel_row_sums(ctx_half, ctx_nine_tenths):
     for ctx in (ctx_half, ctx_nine_tenths):
         q, a, b = ctx.q, ctx.q.numerator, ctx.q.denominator
         for n in range(1, 31):
-            scale = Fraction(ctx.p_prod(n) ** 2, ctx.p_prod(2 * n))
+            scale = _ratio_scale(ctx, n)
             gauss = ctx.gauss_row(2 * n, n + 1)
             assert scale * sum(_kernel_row(a, b, n, gauss)[1:]) == -1
             ratios = [gauss[n - k] * b ** (k * k) for k in range(n + 1)]
@@ -163,20 +173,20 @@ def test_p_lcm(ctx_third):
 
 def test_integer_pochhammer_and_gauss_rows(ctx_half, ctx_third):
     # q = 1/3: P_n = prod (3^k - 1) / 2 = 1, 1*4, 1*4*13, 1*4*13*40
-    assert [ctx_third.p_prod(n) for n in range(5)] == [1, 1, 4, 52, 2080]
+    assert [_pochhammer(ctx_third, n) for n in range(5)] == [1, 1, 4, 52, 2080]
     for ctx in (ctx_half, ctx_third, QContext(Fraction(7, 8)), QContext(Fraction(2, 9))):
         q, a, b = ctx.q, ctx.q.numerator, ctx.q.denominator
         h = [(b**k - a**k) // (b - a) for k in range(13)]
+        assert [ctx.h(k) for k in range(13)] == h
         for n in range(0, 13):
             poch = Fraction(1)
             for i in range(1, n + 1):
                 poch *= 1 - q**i
-            assert ctx.p_prod(n) == math.prod(h[1 : n + 1])
-            assert ctx.p_prod(n) * (b - a) ** n == poch * b ** (n * (n + 1) // 2)
-            assert type(ctx.p_prod(n)) is int
+            assert _pochhammer(ctx, n) == math.prod(h[1 : n + 1])
+            assert _pochhammer(ctx, n) * (b - a) ** n == poch * b ** (n * (n + 1) // 2)
             row = ctx.gauss_row(n, n + 1)
             for j in range(n + 1):
-                assert row[j] * ctx.p_prod(j) * ctx.p_prod(n - j) == ctx.p_prod(n)
+                assert row[j] * _pochhammer(ctx, j) * _pochhammer(ctx, n - j) == _pochhammer(ctx, n)
 
 
 def test_mollified_term():
@@ -199,14 +209,14 @@ def test_mollified_term():
 
 def test_context_caches_are_consistent(ctx_half):
     # interleaved calls must keep returning identical values
-    row, p, lcm = ctx_half.gauss_row(10, 11), ctx_half.p_prod(10), ctx_half.p_lcm(10)
+    row, h, lcm = ctx_half.gauss_row(10, 11), ctx_half.h(10), ctx_half.p_lcm(10)
     units = _kernel_row(1, 2, 5, ctx_half.gauss_row(10, 6))
-    ctx_half.p_prod(20)
+    ctx_half.h(20)
     ctx_half.p_lcm(24)
     ctx_half.gauss_row(24, 13)
     ctx_half.q_int(25)
     assert ctx_half.gauss_row(10, 11) == row
-    assert ctx_half.p_prod(10) == p
+    assert ctx_half.h(10) == h
     assert ctx_half.p_lcm(10) == lcm
     assert _kernel_row(1, 2, 5, ctx_half.gauss_row(10, 6)) == units
     assert _ratio_scale(ctx_half, 5) * units[2] == _kernel(ctx_half.q, 5, 2)

@@ -87,6 +87,8 @@ def test_tokenize_canonical_example():
     assert tokenize((2, 2, 1)) == [TwosOnes(2, 1)]
     with pytest.raises(ValueError):
         tokenize(())
+    with pytest.raises(ValueError, match="positive integers, got True"):
+        tokenize((2, True))
 
 
 @settings(max_examples=100, deadline=None)

@@ -65,19 +65,21 @@ def _failing(case: str) -> VerificationReport:
 
 
 def _run_script(monkeypatch, capsys, script: str, *args: str) -> tuple:
-    """Run a script in this process as __main__; its exit code and stdout."""
+    """Run a script in this process as __main__; its exit code, stdout and
+    stderr."""
     path = str(ROOT / "scripts" / script)
     monkeypatch.setattr(sys, "argv", [path, *args])
     with pytest.raises(SystemExit) as stop:
         runpy.run_path(path, run_name="__main__")
-    return stop.value.code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
 
 
 def test_demo_exits_one_when_the_q_series_check_fails(monkeypatch, capsys):
     # the classical check passes, so only the q-series verdict can set the
     # exit code; the line names eps, the bound the check passes under
     monkeypatch.setattr(qzeta, "verify_qmzsv", lambda *args, **kwargs: _failing("stub"))
-    code, out = _run_script(
+    code, out, _ = _run_script(
         monkeypatch, capsys, "key_identity_demo.py", "-a", "1", "--terms", "100000"
     )
     assert code == 1
@@ -85,10 +87,24 @@ def test_demo_exits_one_when_the_q_series_check_fails(monkeypatch, capsys):
     assert "numeric-pass: |lhs - rhs| =" in out.split("classical check:")[1]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--q", "1/0"), "q must be a rational number, got '1/0'"),
+        (("--q", "3/2"), "q must lie strictly between 0 and 1, got 3/2"),
+        (("--eps", "abc"), "eps must be a rational number, got 'abc'"),
+    ],
+)
+def test_demo_exits_two_on_a_q_or_eps_it_cannot_read(monkeypatch, capsys, args, message):
+    # refused before anything is printed or summed, with the library's message
+    code, out, err = _run_script(monkeypatch, capsys, "key_identity_demo.py", *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_fuzz_sweep_verdict_reads_its_own_reports(monkeypatch, capsys):
     # a failing lemma is reported as the lemma's failure, not the sweep's
     monkeypatch.setattr(qzeta, "lemma_suite", lambda **kwargs: [_failing("stub lemma")])
-    code, out = _run_script(
+    code, out, _ = _run_script(
         monkeypatch, capsys, "run_verification.py", "--quick", "--skip-classical"
     )
     assert code == 1

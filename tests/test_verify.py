@@ -159,6 +159,11 @@ def test_report_json_round_trip():
             "seed",
             "elapsed_ms",
         }, name
+        # a bool read as a size or an entry would print as true or false
+        values = list(data["n_range"] or [])
+        for value in data["params"].values():
+            values.extend(value if isinstance(value, list) else [value])
+        assert not any(isinstance(value, bool) for value in values), (name, values)
     assert reports["finite"].status == "exact-pass"
     assert reports["finite"].discrepancy == "0"
 
@@ -543,6 +548,9 @@ def test_lemma_suite_kernel_limit_cap(monkeypatch):
     for parts in (None, ("kernel-step",), ("weighted-kernel-sum", "alternating-kernel-sum")):
         with pytest.raises(ValueError, match=f"{cap + 1} exceeds {cap}"):
             lemma_suite(n_max=cap + 1, parts=parts)
+        # the cap itself is admitted: its first row is built
+        with pytest.raises(AssertionError, match="a kernel row was built"):
+            lemma_suite(n_max=cap, parts=parts)
 
 
 def test_lemma_suite_refuses_sizes_without_checks(monkeypatch):
@@ -612,11 +620,37 @@ def test_symmetric_pair_check_refuses_bad_sizes_before_any_sum(monkeypatch):
         symmetric_pair_check(0, 0)
 
 
-def test_symmetric_pair_check_refuses_bools():
+def test_symmetric_pair_check_refuses_bools(monkeypatch):
     # bool is an int subclass: True would run as 1 and be reported as "a": true
+    import qzeta.evaluators as ev
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    for name in ("_inner_terms", "_mhs_enclosure", "_classical_sum"):
+        monkeypatch.setattr(ev, name, never)
+    for name in ("_mhs_rows", "_kernel_sum", "_inverse_power", "_head_reduction"):
+        monkeypatch.setattr(v, name, never)
     for a, b in ((True, False), (0, True), (False, 1)):
         with pytest.raises(ValueError, match="must be an int >= 0"):
             symmetric_pair_check(a, b)
+    # so every other size, upper limit and composition entry is refused
+    # before any sum, with a message that names it
+    for call, error, message in (
+        (lambda: v.verify_mhs((2, 1), n_max=True), ValueError, "^n_max must be an int, got True$"),
+        (lambda: v.verify_mhs((2, True)), TypeError, "^cannot interpret True as a signed index$"),
+        (lambda: v.verify_qmzsv((2, True)), ValueError, "positive integers, got True$"),
+        (lambda: v.verify_classical((2, 1), K=True), ValueError, "^K must be an int, got True$"),
+        (lambda: v.lemma_suite(samples=True), ValueError, "^samples must be an int, got True$"),
+    ):
+        with pytest.raises(error, match=message):
+            call()
+    # the patches are live: an int reaches a sum
+    with pytest.raises(AssertionError, match="a sum was started"):
+        v.verify_mhs((2, 1), n_max=1)
+    with pytest.raises(AssertionError, match="a sum was started"):
+        v.lemma_suite(samples=1)
 
 
 def _body(report) -> dict:
@@ -899,7 +933,7 @@ def test_eps_is_read_as_a_positive_rational_before_any_sum(monkeypatch):
     import qzeta.verify as v
     from qzeta import Triple, frakz, idx
     from qzeta.evaluators import q_zeta_enclosure
-    from qzeta.qarith import as_eps
+    from qzeta.qarith import as_eps, as_q
 
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
@@ -926,6 +960,15 @@ def test_eps_is_read_as_a_positive_rational_before_any_sum(monkeypatch):
                 call(bad)
     assert as_eps("1e-25") == as_eps(Fraction(1, 10**25)) == Fraction(1, 10**25)
     assert as_eps(1) == 1
+    # q is read by the same rule: an infinite float is not a rational either
+    for call in (
+        as_q,
+        lambda q: v.verify_mhs((2, 1), q_values=[q]),
+        lambda q: v.verify_qmzsv((2, 1), q=q),
+    ):
+        for text in ("1/0", "abc", float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^q must be a rational number, got '{text}'$"):
+                call(text)
     # the patches are live: a readable eps reaches a sum
     with pytest.raises(AssertionError, match="a sum was started"):
         v.verify_qmzsv((2, 1), eps="1e-20")
@@ -949,6 +992,12 @@ def test_finite_checks_refuse_a_str_of_q_and_a_fractional_n_max_before_any_sum(m
         v.lemma_suite(q_values="1/2")
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         v.verify_mhs((2, 1), n_max=2.5)
+    with pytest.raises(TypeError, match="^n_max must be an int, got 2.5: .* cannot be interpreted"):
+        v.lemma_suite(n_max=2.5)
+    with pytest.raises(
+        ValueError, match="^parts must be a sequence of part names, got the str 'head-reduction'$"
+    ):
+        v.lemma_suite(parts="head-reduction")
     # the patches are live: a list of q and an int n_max reach a sum
     with pytest.raises(AssertionError, match="a sum was started"):
         v.verify_mhs((2, 1), n_max=2, q_values=["1/2"])
