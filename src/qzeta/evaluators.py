@@ -20,14 +20,14 @@ Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
 Certified enclosure: :func:`q_zeta_enclosure` returns, at the same
 truncation K and tail bound as :func:`q_zeta`, a :class:`Ball` (midpoint and
 radius over integers at a binary point 2**-P) around the same exact partial
-sum, by the harmonic-sum DP with each term floored and each floor counted
-into the radius; midpoint-radius arithmetic as in van der Hoeven, "Ball
-arithmetic" (2009).  The exact partial sum's denominators grow like K**2
-bits (hundreds of thousands of bits toward q -> 1), while the ball's
-integers stay near P bits, so :func:`~qzeta.verify.verify_qmzsv` reads its
-left side from the ball and sums exactly only when the ball cannot decide
-the report; :func:`q_zeta` stays exact for ``eval qzeta*`` and as the
-oracle.
+sum, by the harmonic-sum DP swept one level at a time, with each term
+floored and each level's floors counted into one error bound per level;
+midpoint-radius arithmetic as in van der Hoeven, "Ball arithmetic" (2009).
+The exact partial sum's denominators grow like K**2 bits (hundreds of
+thousands of bits toward q -> 1), while the ball's integers stay near P
+bits, so :func:`~qzeta.verify.verify_qmzsv` reads its left side from the
+ball and sums exactly only when the ball cannot decide the report;
+:func:`q_zeta` stays exact for ``eval qzeta*`` and as the oracle.
 
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
@@ -77,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
@@ -233,64 +233,94 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
 # reports its hits and misses through cache_info().  A battery at one q and
 # eps needs one search per depth (at most 32 frakz depths, merged or not) and
 # one column per magnitude and length.  A search entry is a few hundred
-# bytes.  A column holds n + 1 <= MAX_MHS_LIMIT + 1 pairs whose
-# t_k < q**k 2**prec, so it takes at most (n + 1)(prec/8 + 100) bytes: about
-# 10 KB at q = 1/2 and eps = 1e-25 (n = 86, prec = 300); 32 columns at
-# n = 1000 take at most 4.5 MB at prec = 300 and 43 MB at prec = 10**4
-# (q = 1/1000, eps = 1e-3000).
+# bytes.  A column holds n <= MAX_MHS_LIMIT ints t_k < q**k 2**prec and three
+# sums, so it takes at most n(prec/7.5 + 36) + 300 bytes: about 6 KB at
+# q = 1/2 and eps = 1e-25 (n = 86, prec = 300); 32 columns at n = 1000 take
+# at most 2.5 MB at prec = 300 and 44 MB at prec = 10**4 (q = 1/1000,
+# eps = 1e-3000).
 _SEARCH_CACHE_SIZE = 64
 _COLUMN_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _floored_column(q: Fraction, s: int, prec: int, n: int) -> tuple[tuple[int, int], ...]:
+def _floored_column(q: Fraction, s: int, prec: int, n: int) -> tuple[tuple, int, int, int]:
     """The floored terms of magnitude s at the binary point 2**-prec for
-    k = 0..n, as (t, flag) pairs; entry 0 is (0, 0) and is never read.
+    k = 1..n, and three sums over them: (ts, sum w_k, sum k w_k, sum f_k).
 
     With q = a/b and h_k = ctx.h(k) the term is
     q**k / [k]**s = a**k b**((k-1)s) / (b**k h_k**s), so
-    t = floor(a**k b**((k-1)s) 2**prec / (b**k h_k**s)) >= 0
-    and flag is 1 when the floor dropped a nonzero remainder: the exact term
-    lies within flag units of t.
+    ts[k-1] = t_k = floor(a**k b**((k-1)s) 2**prec / (b**k h_k**s)) >= 0.
+    f_k is 1 when the floor dropped a nonzero remainder, else 0, so the
+    exact term lies within f_k units of t_k and below w_k = t_k + f_k.
     """
     ctx = QContext(q)
     a, b = q.numerator, q.denominator
-    column = [(0, 0)]
+    ts = []
+    sum_w = moment = sum_f = 0
     for k in range(1, n + 1):
         t, rest = divmod(a**k * b ** ((k - 1) * s) << prec, b**k * ctx.h(k) ** s)
-        column.append((t, 1 if rest else 0))
-    return tuple(column)
+        f = 1 if rest else 0
+        ts.append(t)
+        sum_w += t + f
+        moment += k * (t + f)
+        sum_f += f
+    return tuple(ts), sum_w, moment, sum_f
 
 
 def _mhs_enclosure(ctx: QContext, entries: tuple, n: int, star: bool, prec: int) -> Ball:
     """A Ball at 2**-prec around the nested harmonic sum with upper limit n,
-    by the dynamic programme of :func:`_mhs_rows`.
+    by the dynamic programme of :func:`_mhs_rows`, swept one level at a
+    time, innermost first.
 
-    Each level reads its floored terms (t, flag) from the memoized column of
-    its magnitude (see :func:`_floored_column`), with t >= 0 and the exact
-    term within flag units of t, and negates t at odd k when it is barred.
-    Level j keeps X_j as a ball (x_j, r_j), X_m = 1 exactly.  The floored
-    product t * x_(j+1) / 2**prec is then within (t r + flag (|x| + r)) /
-    2**prec, rounded up, plus 1 unit of the exact T_j(k) X_(j+1), which is
-    what X_j += T_j(k) X_(j+1) adds to r_j.  Only this DP runs per call: at
-    one q, eps and truncation the columns are shared by every string.
+    Level j reads its floored terms t_k from the memoized column of its
+    magnitude, with the exact term T_k within f_k units of t_k, and the
+    column's sums (see :func:`_floored_column`); it negates t_k at odd k
+    when it is barred.  With x_m(k) = 2**prec (the exact 1), level j's
+    midpoints are x_j(k) = sum_(i <= k) floor(t_i x_(j+1)(i') / 2**prec),
+    i' = i for weak and i - 1 for strict descent: one list of products and
+    one cumulative sum.  The innermost level's products are its terms.
+
+    Radius: with X_j the exact cumulative, let the error of the deeper
+    level be |x_(j+1)(i) - 2**prec X_(j+1)(i)| <= A_(j+1) + c i for every
+    i <= n, and |x_(j+1)(i)| <= M_(j+1).  As t x - T 2**prec X =
+    t (x - 2**prec X) + (t - T) 2**prec X, the i-th floored product is
+    within 1 + (w_i (A_(j+1) + c i) + f_i M_(j+1)) / 2**prec units of the
+    exact 2**prec T_i X_(j+1)(i'), with i' <= i and w_i = t_i + f_i.
+    Summing over i <= k <= n, level j's error at k is at most A_j + k with
+
+        A_j = ceil((A_(j+1) sum w + c sum i w + M_(j+1) sum f) / 2**prec),
+
+    where c = 0 and M = 2**prec below the innermost level, which is exact,
+    and c = 1 above it.  So each level keeps one bound, affine in the index,
+    and the ball is (x_0(n), A_0 + n).  M_(j+1) is the largest |x_(j+1)|.
+    Only this sweep runs per call: at one q, eps and truncation the columns
+    are shared by every string.  A bound per level does not follow the
+    nesting of the indices, so toward q -> 1 it grows with the depth faster
+    than a radius carried index by index (see _GUARD_BITS).
     """
     q = ctx.q
-    m = len(entries)
-    mids = [0] * m + [1 << prec]
-    rads = [0] * (m + 1)
-    levels = [(_floored_column(q, e.magnitude, prec, n), e.sign < 0) for e in entries]
-    order = range(m - 1, -1, -1) if star else range(m)
-    for k in range(1, n + 1):
-        odd = k % 2
-        for j in order:
-            x, r = mids[j + 1], rads[j + 1]
-            if x or r:
-                column, barred = levels[j]
-                t, flag = column[k]
-                mids[j] += (-t if barred and odd else t) * x >> prec
-                rads[j] += 1 - (-(t * r + flag * (abs(x) + r)) >> prec)
-    return Ball(mids[0], rads[0], prec)
+    one = 1 << prec
+    if not entries:
+        return Ball(one, 0, prec)
+    mids = None
+    # the deeper level's error bound is alpha + slope * i, its size top
+    alpha, slope, top = 0, 0, one
+    for e in reversed(entries):
+        ts, sum_w, moment, sum_f = _floored_column(q, e.magnitude, prec, n)
+        if e.sign < 0:
+            ts = list(ts)
+            ts[::2] = [-t for t in ts[::2]]  # ts[0] is k = 1
+        if mids is None:
+            terms = ts  # times x_m = 2**prec and floored back: exact
+        else:
+            top = max(max(mids), -min(mids))
+            # strict descent reads the deeper level at k - 1, weak at k
+            deeper = islice(mids, 1, None) if star else mids
+            terms = [t * x >> prec for t, x in zip(ts, deeper)]
+        alpha = -(-(alpha * sum_w + slope * moment + top * sum_f) >> prec)
+        slope = 1
+        mids = list(accumulate(terms, initial=0))
+    return Ball(mids[n], alpha + n, prec)
 
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
@@ -670,10 +700,13 @@ def q_zeta(
 # _COMPACT_BITS) + _GUARD_BITS.  A report must tell a value from every
 # rational whose numerator and denominator are below 10**30 (see
 # verify.rational_repr); near a value below 1 those lie about 10**-60 ~
-# 2**-200 apart, whatever eps is.  The radius grows by a few units per term
-# and level and by the factor sum_k q**k per level, so it uses up 8-12 of
-# the guard bits at weight 12 for 1/2 <= q <= 9/10; the rest keep a
-# discrepancy far below eps printable to 12 digits.
+# 2**-200 apart, whatever eps is.  The radius grows by about one unit per
+# term and level, and each level multiplies the bound of the level below by
+# about sum_k q**k/[k]**s (see _mhs_enclosure).  Over the 1024 compositions
+# of weight 12 with a leading entry >= 2, at eps = 1e-25/4, it uses up 8, 13,
+# 19 and 25 of the guard bits at q = 1/2, 2/3, 4/5 and 9/10, and 47 for the
+# depth-32 string (2, 1, ..., 1) at q = 17/20; the rest keep a discrepancy
+# far below eps printable to 12 digits.
 _COMPACT_BITS = 200
 _GUARD_BITS = 100
 

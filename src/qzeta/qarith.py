@@ -57,34 +57,41 @@ class QContext:
     """Integer q-tables at a fixed rational q = a/b in (0, 1), all built from
     h_n = (b**n - a**n) / (b - a), the integer form of [n] = h_n / b**(n-1).
 
-    One loop grows h_n = b h_(n-1) + a**(n-1) from h_0 = 0 and, with it, the
-    common denominators L_n = lcm(h_1, ..., h_n) over which the harmonic-sum
-    DP and the run engine work in integers (:meth:`p_lcm`, :meth:`p_lcm_step`);
-    with :meth:`gauss_row` and P_n = h_1 ... h_n they give the binomial ratios
+    One loop grows h_n = b h_(n-1) + a**(n-1) from h_0 = 0, and a second one
+    grows from it the common denominators L_n = lcm(h_1, ..., h_n) over which
+    the harmonic-sum DP and the run engine work in integers (:meth:`p_lcm`,
+    :meth:`p_lcm_step`), only as far as a caller asks for them: L_n has about
+    n**2 bits, so a caller that reads only h_n does not pay for its gcds.
+    With :meth:`gauss_row` and P_n = h_1 ... h_n they give the binomial ratios
     gauss(n, k) / gauss(n + k, k) of the finite prefactor and the kernel lemmas.
     """
 
     def __init__(self, q: QLike):
         self.q = as_q(q)
-        self._rows = [(0, 1, 1)]  # (h_n, L_n, L_n / L_(n-1)) for n = 0, 1, ...
+        self._h = [0]  # h_n for n = 0, 1, ...
+        self._lcms = [(1, 1)]  # (L_n, L_n / L_(n-1)) for n = 0, 1, ...
 
     def __repr__(self) -> str:
         return f"QContext(q={self.q})"
 
-    def _row(self, n: int) -> tuple[int, int, int]:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        while len(self._rows) <= n:
-            a, b = self.q.numerator, self.q.denominator
-            h, lcm, _ = self._rows[-1]
-            h = b * h + a ** (len(self._rows) - 1)
-            step = h // math.gcd(lcm, h)
-            self._rows.append((h, lcm * step, step))
-        return self._rows[n]
-
     def h(self, n: int) -> int:
         """h_n = (b**n - a**n) / (b - a) for n >= 0; h_0 = 0."""
-        return self._row(n)[0]
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        hs = self._h
+        while len(hs) <= n:
+            hs.append(self.q.denominator * hs[-1] + self.q.numerator ** (len(hs) - 1))
+        return hs[n]
+
+    def _lcm_row(self, n: int) -> tuple[int, int]:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        while len(self._lcms) <= n:
+            lcm, _ = self._lcms[-1]
+            h = self.h(len(self._lcms))
+            step = h // math.gcd(lcm, h)
+            self._lcms.append((lcm * step, step))
+        return self._lcms[n]
 
     def qpow(self, n: int) -> Fraction:
         """q**n for any integer n."""
@@ -113,7 +120,7 @@ class QContext:
     def p_lcm(self, n: int) -> int:
         """L_n = lcm of h_k over 1 <= k <= n; L_0 = 1.  L_n / [k] =
         b**(k-1) L_n / h_k is an integer for every k <= n."""
-        return self._row(n)[1]
+        return self._lcm_row(n)[0]
 
     def p_lcm_step(self, n: int) -> int:
         """L_n / L_(n-1) for n >= 1 (see :meth:`p_lcm`), kept as L_n is
@@ -121,4 +128,4 @@ class QContext:
         without dividing."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return self._row(n)[2]
+        return self._lcm_row(n)[1]

@@ -89,14 +89,28 @@ def parse_composition(text: str) -> Composition:
     return parse_repeated(text, _composition_entry, "composition")
 
 
+def as_composition(composition: Sequence[int]) -> Composition:
+    """composition as a nonempty tuple of ints >= 1, the one reader of a
+    composition's entries: ValueError names the first entry that is a bool,
+    not an int, or below 1."""
+    comp = tuple(composition)
+    if not comp:
+        raise ValueError("composition must be nonempty")
+    for e in comp:
+        if not is_int(e) or e < 1:
+            raise ValueError(f"composition entries must be positive integers, got {e!r}")
+    return comp
+
+
 def zeta_admissible(composition: Sequence[int]) -> bool:
     """Whether the infinite-sum identities apply (leading entry >= 2)."""
     return bool(composition) and composition[0] >= 2
 
 
 def zeta_composition(composition: Sequence[int]) -> Composition:
-    """composition as a tuple, refused unless it is :func:`zeta_admissible`."""
-    comp = tuple(composition)
+    """composition read by :func:`as_composition`, refused unless it is
+    :func:`zeta_admissible`."""
+    comp = as_composition(composition)
     if not zeta_admissible(comp):
         raise ValueError(f"composition {comp} needs a leading entry >= 2")
     return comp
@@ -151,12 +165,7 @@ Block = Union[TwosOnes, TwosC, Twos]
 
 def tokenize(composition: Sequence[int]) -> list[Block]:
     """Canonical left-to-right peel into maximal-run blocks."""
-    comp = tuple(composition)
-    if not comp:
-        raise ValueError("composition must be nonempty")
-    for e in comp:
-        if not is_int(e) or e < 1:
-            raise ValueError(f"composition entries must be positive integers, got {e!r}")
+    comp = as_composition(composition)
     blocks: list[Block] = []
     i = 0
     while i < len(comp):

@@ -46,7 +46,14 @@ from .expansion import Triple
 from .indices import THETA, SignedIndex, bar, boxplus, idx, is_int, oplus, signed_string
 from .indices import delta as sign_of
 from .qarith import QContext, QLike, as_eps, as_int, as_q
-from .rules import CLOSED_FAMILIES, Composition, closed_pattern, compose, zeta_composition
+from .rules import (
+    CLOSED_FAMILIES,
+    Composition,
+    as_composition,
+    closed_pattern,
+    compose,
+    zeta_composition,
+)
 
 DEFAULT_SEED = 101
 _RESIDUAL_CAP = 16
@@ -248,9 +255,9 @@ def _numeric_report(
 # sum's denominators grow like K**2 times the depth in bits, so each
 # doubling costs a small multiple of the last and stays far below the
 # exact sum.  At q = 1/2 and eps = 1e-25 on a 2-vCPU x86-64 host,
-# verify_qmzsv((2,)*300) is decided at 4P = 1,200 bits in about 0.4 s and
-# symmetric_pair_check(200, 200) in about 1.7 s, where the exact left side
-# ran past 110 s and 130 s; the ball at 8P for (2,)*300 takes 0.7-0.8 s.
+# verify_qmzsv((2,)*300) is decided at 4P = 1,200 bits in about 0.37 s and
+# symmetric_pair_check(200, 200) in about 1.5 s, where the exact left side
+# ran past 110 s and 130 s; the ball at 8P for (2,)*300 takes 0.7-0.9 s.
 _BALL_DOUBLINGS = 3
 
 
@@ -283,11 +290,13 @@ def verify_mhs(
 ) -> VerificationReport:
     """Exact check of the finite weak-sum identity at every n <= n_max.
 
-    Raises ValueError, before any sum, for an empty or str q_values (see
-    :func:`_q_list`) or a bool n_max; TypeError when n_max is not an int.
+    Raises ValueError, before any sum, for a composition entry that is a
+    bool, not an int or below 1 (see :func:`~qzeta.rules.as_composition`),
+    an empty or str q_values (see :func:`_q_list`) or a bool n_max;
+    TypeError when n_max is not an int.
     """
+    comp = as_composition(composition)
     col = _Residuals()
-    comp = tuple(composition)
     entries = signed_string(comp)
     qs = _q_list(q_values)
     n_max = as_int(n_max, "n_max")
@@ -331,8 +340,9 @@ def verify_qmzsv(
     report is always the exact one (see :func:`_weak_zetas`).  At
     eps = 1e-25 the ball decides all 174 weight-12 compositions of pattern
     depth 2-4 at q = 1/2, 2/3, 4/5 and 9/10, and (2,1,1,3,1) takes about
-    4 ms at q = 1/2, 16 ms at 4/5 and 80 ms at 9/10 on a 2-vCPU x86-64
-    host (with the exact left side, 13 ms, 3.5 s, and not done after
+    4 ms at q = 1/2, 12 ms at 4/5 and 75 ms at 9/10 in a fresh process on
+    a 2-vCPU x86-64 host, and 1, 3 and 13 ms once the memos below hold its
+    q (with the exact left side, 13 ms, 3.5 s, and not done after
     3 minutes).
 
     What does not depend on the composition is memoized in
@@ -341,13 +351,14 @@ def verify_qmzsv(
     (q, pattern depth, merge, eps, cap), and the ball's floored terms, one
     column per (q, magnitude, binary point, K).  The memos are bounded
     lru_caches of immutable values (64 searches each and 32 columns, a
-    column about 10 KB at q = 1/2 and eps = 1e-25), so a check reads the
+    column about 6 KB at q = 1/2 and eps = 1e-25), so a check reads the
     same values warm or cold and from any thread.  Over the 105 checks of
     the benchmark's q-series batch at q = 1/2 they miss 4, 3 and 4 times.
 
-    Raises ValueError, before either side sums, for a composition that is
-    not zeta-admissible, a pattern over MAX_PATTERN_DEPTH, or a truncation
-    over either side's cap; the left side's cap is checked first.
+    Raises ValueError, before either side sums, for a composition entry
+    that is a bool, not an int or below 1, a composition that is not
+    zeta-admissible, a pattern over MAX_PATTERN_DEPTH, or a truncation over
+    either side's cap; the left side's cap is checked first.
     """
     t0 = time.perf_counter()
     comp = zeta_composition(composition)
@@ -392,15 +403,17 @@ def verify_classical(
     weights: at K = 10**6 the allowance of (9, 9, 9), pattern depth 22, is
     5.85, so that check is loose, not sharp.
 
-    Raises ValueError, before summing, unless tol is finite and >= 0: an
-    infinite tolerance passes any identity, and a negative or NaN one
-    fails every identity.  A composition of more than MAX_PATTERN_DEPTH
-    entries, or a pattern of more slots, is refused by the engine.
+    Raises ValueError, before summing, for a composition entry that is a
+    bool, not an int or below 1, a composition that is not zeta-admissible,
+    or unless tol is finite and >= 0: an infinite tolerance passes any
+    identity, and a negative or NaN one fails every identity.  A
+    composition of more than MAX_PATTERN_DEPTH entries, or a pattern of
+    more slots, is refused by the engine.
     """
     t0 = time.perf_counter()
+    comp = zeta_composition(composition)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    comp = zeta_composition(composition)
     d, pattern = compose(comp)
     lhs, resolved = classical_zeta_many([(comp, True), (pattern.s, _RESOLVED)], K=K)
     rhs = d * resolved.value
@@ -636,11 +649,13 @@ def lemma_suite(
     head-reduction run at the first q only.
 
     ValueError is raised before any part runs for a str q_values or parts, an
-    n_max outside 0.._MAX_KERNEL_LIMIT, or sizes of a requested part that are
-    bools or leave it with no check, which would then pass without checking
-    anything; TypeError for a size that is not an int.
+    n_max outside 0.._MAX_KERNEL_LIMIT, a bool seed, or sizes of a requested
+    part that are bools or leave it with no check, which would then pass
+    without checking anything; TypeError for a seed or size that is not an
+    int.
     """
     qs = _q_list(q_values)
+    seed = as_int(seed, "seed")
     wanted = LEMMA_PARTS if parts is None else _sequence(parts, "parts", "part names")
     unknown = [p for p in wanted if p not in LEMMA_PARTS]
     if unknown:

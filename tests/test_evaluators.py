@@ -429,6 +429,48 @@ def test_mhs_enclosure_holds_at_coarse_binary_points():
                         assert lo <= exact[n] <= hi, (q, s, star, n, prec)
 
 
+def test_mhs_enclosure_matches_the_ball_oracles():
+    # the level-by-level sweep floors the same products as the per-index DP
+    # of the oracles, so the midpoints are equal; its radius is its stated
+    # per-level bound, term for term; and both radii are proven: both balls
+    # hold the exact sum, with barred entries and zero magnitudes, in both
+    # descents and down to a 2-bit binary point.  One bound per level is
+    # looser than one per index where the error grows along the index: at
+    # most 4 times for strings of depth 1 and 2 here.  Deeper strings are
+    # held to containment only: a bound per level cannot follow the nesting
+    # of the indices, and toward q -> 1 or at a coarse binary point it is
+    # up to tens of times the per-index radius at depth 4
+    rng = random.Random(27)
+    strings = [
+        tuple(
+            SignedIndex(rng.randint(0, 3), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 4))
+        )
+        for _ in range(10)
+    ]
+    for q in ENCLOSURE_QS:
+        ctx = QContext(q)
+        for entries in strings:
+            plain = [(e.magnitude, e.sign) for e in entries]
+            for star in (False, True):
+                exact = mhs_many(ctx, entries, 30, star=star)
+                for n in (3, 10, 30):
+                    for prec in (2, 8, 64, 300):
+                        ball = _mhs_enclosure(ctx, entries, n, star, prec)
+                        mid, rad = oracles.harmonic_ball_per_index(q, plain, n, star, prec)
+                        case = (q, entries, star, n, prec)
+                        assert ball.mid == mid, case
+                        # and the radius is the stated bound, term for term
+                        expect = oracles.harmonic_ball_per_level(q, plain, n, star, prec)
+                        assert (ball.mid, ball.rad) == expect, case
+                        unit = Fraction(1, 2**prec)
+                        assert abs(exact[n] - mid * unit) <= rad * unit, case
+                        lo, hi = ball.bounds()
+                        assert lo <= exact[n] <= hi, case
+                        if len(entries) <= 2:
+                            assert ball.rad <= 4 * rad, (case, ball.rad, rad)
+
+
 def test_frakz_certified_truncation(ctx_half):
     tri = Triple((idx(3),), (2,), (2,))
     val = frakz(ctx_half, tri, eps=Fraction(1, 10**15))
@@ -1076,20 +1118,45 @@ def test_memoized_searches_keep_no_refusal_and_no_stale_cap(monkeypatch):
         assert (info.hits, info.misses, info.currsize) == (0, 3, 1), info
 
 
+def test_the_ball_reads_h_without_the_lcm_table(monkeypatch):
+    # the floored terms need only h_k; L_k = lcm(h_1, ..., h_k) has about
+    # k**2 bits, and building it took over a second per column at q = 9/10
+    # and K = 685, so the ball must not ask for it
+    def never(self, n):
+        raise AssertionError("the lcm table was built")
+
+    monkeypatch.setattr(QContext, "_lcm_row", never)
+    q = Fraction(6, 11)  # a q no other test sums a ball at
+    ball = q_zeta_enclosure(QContext(q), (3, 1, 2), eps=Fraction(1, 10**9), star=True)
+    exact = oracles.harmonic_all_n(q, [(3, 1), (1, 1), (2, 1)], ball.terms, star=True)
+    lo, hi = ball.value.bounds()
+    assert lo <= exact[ball.terms] <= hi
+    # the patch is live: the exact sum does build it
+    with pytest.raises(AssertionError, match="the lcm table was built"):
+        q_zeta(QContext(q), (3, 1, 2), eps=Fraction(1, 10**9), star=True)
+
+
 def test_floored_columns_equal_a_direct_floor():
-    # each (t, flag) is the floor of q**k / [k]**s at 2**-prec and whether
-    # it dropped a remainder, with [k] from the oracle's q-integers
+    # each t_k is the floor of q**k / [k]**s at 2**-prec, with [k] from the
+    # oracle's q-integers, and f_k whether it dropped a remainder; the column
+    # keeps the t_k and the sums of w_k = t_k + f_k, k * w_k and f_k
     from qzeta.evaluators import _floored_column
 
     for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
         for s in (0, 1, 2, 5):
             for prec in (0, 7, 300):
                 column = _floored_column(q, s, prec, 40)
-                assert len(column) == 41 and column[0] == (0, 0)
+                ts, sum_w, moment, sum_f = column
+                assert len(ts) == 40
+                flags = []
                 for k in range(1, 41):
                     scaled = q**k / oracles.q_integer(q, k) ** s * 2**prec
                     t, rest = divmod(scaled.numerator, scaled.denominator)
-                    assert column[k] == (t, 1 if rest else 0), (q, s, prec, k)
+                    assert ts[k - 1] == t, (q, s, prec, k)
+                    flags.append(1 if rest else 0)
+                weights = [t + f for t, f in zip(ts, flags)]
+                assert sum_w == sum(weights) and sum_f == sum(flags), (q, s, prec)
+                assert moment == sum(k * w for k, w in enumerate(weights, 1)), (q, s, prec)
                 assert _floored_column(q, s, prec, 40) is column
 
 

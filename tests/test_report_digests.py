@@ -117,8 +117,20 @@ def _count_exact_sums(monkeypatch) -> list:
 
 def test_qseries_left_side_is_decided_by_the_enclosure(monkeypatch):
     calls = _count_exact_sums(monkeypatch)
+    # and by the first ball, at P = 300: a looser radius would move a case
+    # onto the balls at 2P and beyond without changing its report
+    precs = []
+    enclosure = qzeta.verify.q_zeta_enclosure
+
+    def recorded(*args, **kwargs):
+        lhs = enclosure(*args, **kwargs)
+        precs.append(lhs.value.prec)
+        return lhs
+
+    monkeypatch.setattr(qzeta.verify, "q_zeta_enclosure", recorded)
     assert _digest(_qseries(monkeypatch)) == DIGESTS["qseries"][1]
     assert calls == []
+    assert precs == [300, 300]
 
 
 def test_qseries_reports_are_the_same_when_every_ball_falls_back(monkeypatch):

@@ -639,7 +639,7 @@ def test_symmetric_pair_check_refuses_bools(monkeypatch):
     # before any sum, with a message that names it
     for call, error, message in (
         (lambda: v.verify_mhs((2, 1), n_max=True), ValueError, "^n_max must be an int, got True$"),
-        (lambda: v.verify_mhs((2, True)), TypeError, "^cannot interpret True as a signed index$"),
+        (lambda: v.verify_mhs((2, True)), ValueError, "positive integers, got True$"),
         (lambda: v.verify_qmzsv((2, True)), ValueError, "positive integers, got True$"),
         (lambda: v.verify_classical((2, 1), K=True), ValueError, "^K must be an int, got True$"),
         (lambda: v.lemma_suite(samples=True), ValueError, "^samples must be an int, got True$"),
@@ -651,6 +651,61 @@ def test_symmetric_pair_check_refuses_bools(monkeypatch):
         v.verify_mhs((2, 1), n_max=1)
     with pytest.raises(AssertionError, match="a sum was started"):
         v.lemma_suite(samples=1)
+
+
+def test_composition_entries_have_one_reader_before_any_sum(monkeypatch):
+    # the finite, q-series and classical checks read a composition the same
+    # way, first: a bool, a non-int or an entry below 1 is a ValueError that
+    # names it, whichever check it reaches
+    import qzeta.evaluators as ev
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    for name in ("_inner_terms", "_mhs_enclosure", "_classical_sum"):
+        monkeypatch.setattr(ev, name, never)
+    monkeypatch.setattr(v, "_mhs_rows", never)
+    checks = (v.verify_mhs, v.verify_qmzsv, v.verify_classical)
+    for comp, bad in (
+        ((2, 2.0), "2.0"),
+        (("2", 1), "'2'"),
+        ((2, True), "True"),
+        ((3, Fraction(1)), "Fraction(1, 1)"),
+        ((2, 0), "0"),
+        ((2, -1), "-1"),
+        ((2, None), "None"),
+    ):
+        for check in checks:
+            message = f"^composition entries must be positive integers, got {re.escape(bad)}$"
+            with pytest.raises(ValueError, match=message):
+                check(comp)
+    for check in checks:
+        with pytest.raises(ValueError, match="^composition must be nonempty$"):
+            check(())
+    # the patches are live: a composition of ints reaches a sum in each check
+    for check in checks:
+        with pytest.raises(AssertionError, match="a sum was started"):
+            check((2, 1))
+
+
+def test_lemma_suite_reads_its_seed_before_any_part(monkeypatch):
+    # a seed is reported as given, so True would print as "seed": true
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("a part was started")
+
+    for part in ("_kernel_sum", "_inverse_power", "_head_reduction"):
+        monkeypatch.setattr(v, part, never)
+    with pytest.raises(ValueError, match="^seed must be an int, got True$"):
+        v.lemma_suite(seed=True, parts=("head-reduction",))
+    for seed in ("101", 1.5, None):
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {re.escape(repr(seed))}: "):
+            v.lemma_suite(seed=seed, parts=("head-reduction",))
+    # the patches are live: an int seed reaches the part
+    with pytest.raises(AssertionError, match="a part was started"):
+        v.lemma_suite(seed=7, parts=("head-reduction",))
 
 
 def _body(report) -> dict:
