@@ -58,7 +58,7 @@ def main() -> int:
     fuzz_n = 10 if args.quick else 20
     fuzz_weight = 9 if args.quick else 12
     sweep = []
-    for comp in sample_compositions(count, max_depth=6, max_weight=fuzz_weight, seed=args.seed):
+    for comp in sample_compositions(count, max_weight=fuzz_weight, seed=args.seed):
         r = verify_mhs(comp, n_max=fuzz_n)
         sweep.append(r)
         if not r.passed:

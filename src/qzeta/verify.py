@@ -338,12 +338,12 @@ def verify_qmzsv(
     balls at 2, 4 and 8 times the binary point; it is summed exactly only
     when no ball can decide the status or the printed discrepancy, so the
     report is always the exact one (see :func:`_weak_zetas`).  At
-    eps = 1e-25 the ball decides all 174 weight-12 compositions of pattern
-    depth 2-4 at q = 1/2, 2/3, 4/5 and 9/10, and (2,1,1,3,1) takes about
-    4 ms at q = 1/2, 12 ms at 4/5 and 75 ms at 9/10 in a fresh process on
-    a 2-vCPU x86-64 host, and 1, 3 and 13 ms once the memos below hold its
-    q (with the exact left side, 13 ms, 3.5 s, and not done after
-    3 minutes).
+    eps = 1e-25 the ball decides all 175 weight-12 compositions with a
+    first entry >= 2 and pattern depth 2-4 at q = 1/2, 2/3, 4/5 and 9/10,
+    and (2,1,1,3,1) takes about 4 ms at q = 1/2, 12 ms at 4/5 and 75 ms at
+    9/10 in a fresh process on a 2-vCPU x86-64 host, and 1, 3 and 13 ms
+    once the memos below hold its q (with the exact left side, 13 ms,
+    3.5 s, and not done after 3 minutes).
 
     What does not depend on the composition is memoized in
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
@@ -450,30 +450,30 @@ def _kernel_row(a: int, b: int, n: int, row: Sequence[int]) -> list[int]:
     return [_kernel_unit(a, b, k) * row[n - k] for k in range(n + 1)]
 
 
-def _kernel_sum(
-    case: str, n_max: int, q_values: Sequence[Fraction], pairs, params: dict
-) -> VerificationReport:
-    """Exact check of one kernel part for 1 <= n <= n_max at every q.
+def _kernel_sum(case: str, n_max: int, q_values: Sequence[Fraction]) -> VerificationReport:
+    """Exact check of the kernel part ``case`` for 1 <= n <= n_max at every q.
 
     Each check is linear in the kernel rows, so c_n cancels and, with
-    q = a/b, its sides are integers.  pairs(a, b, h, rows, **params) reads
+    q = a/b, its sides are integers.  _KERNEL_SUMS[case](a, b, h, rows) reads
     the factors h[i] = ctx.h(i), i <= 2 n_max, and the rows
     (n, ctx.gauss_row(2n, n + 1)) in turn and yields, per check,
     (n, label, left, right, unit, den): the check holds iff left == right,
     and only a failing one is reduced, to the residual (left - right) * unit
     / prod(den) * c_n, c_n = 1 / G(2n, n) = (h_1 ... h_n) / (h_(n+1) ... h_2n).
     """
+    pairs = _KERNEL_SUMS[case]
     col = _Residuals()
     for q in q_values:
         ctx, text = QContext(q), str(q)
         h = [ctx.h(i) for i in range(2 * n_max + 1)]
         rows = ((n, ctx.gauss_row(2 * n, n + 1)) for n in range(1, n_max + 1))
-        for n, label, left, right, unit, den in pairs(q.numerator, q.denominator, h, rows, **params):
+        for n, label, left, right, unit, den in pairs(q.numerator, q.denominator, h, rows):
             res = 0
             if left != right:
                 c_n = Fraction(math.prod(h[1 : n + 1]), math.prod(h[n + 1 : 2 * n + 1]))
                 res = Fraction((left - right) * unit, math.prod(den)) * c_n
             col.add(f"q={text} n={n} {label}", res)
+    params = {"a_max": _STEP_A_MAX} if case == "kernel-step" else {}
     return col.report(case, "kernel", params, _label(q_values), [1, n_max])
 
 
@@ -489,9 +489,9 @@ def _suffix_sum(a: int, b: int, h: Sequence[int], rows, terms, closed, den):
             yield n, f"l={l}", tails[l - 1], closed(a, b, h, n, l, row[n - l]), 1, d
 
 
-def _kernel_step(a: int, b: int, h: Sequence[int], rows, a_max: int):
+def _kernel_step(a: int, b: int, h: Sequence[int], rows):
     """Pairs of A(n - 1, k) sum_{i <= j} r^i == A(n, k) (r^j - 1/r) for
-    1 <= k <= n and 0 <= j <= a_max, with r = ([n] / [k])^2 q^(k - n).
+    1 <= k <= n and 0 <= j <= _STEP_A_MAX, with r = ([n] / [k])^2 q^(k - n).
 
     With q = a/b, r = F / D and c_(n-1) / c_n = E / F for F = h_n^2,
     D = h_k^2 (ab)^(n-k) and E = h_2n h_(2n-1), so times F^2 D^j / c_n the
@@ -506,12 +506,12 @@ def _kernel_step(a: int, b: int, h: Sequence[int], rows, a_max: int):
         units.append(_kernel_unit(a, b, n))
         f = h[n] ** 2
         e = h[2 * n] * h[2 * n - 1]
-        f_pow = [f**i for i in range(a_max + 2)]
+        f_pow = [f**i for i in range(_STEP_A_MAX + 2)]
         for k in range(1, n + 1):
             d = h[k] ** 2 * (a * b) ** (n - k)
             lower = e * lower_row[n - 1 - k] if k < n else 0
             s, d_pow = 0, 1
-            for j in range(a_max + 1):
+            for j in range(_STEP_A_MAX + 1):
                 s = s * d + f_pow[j]
                 right = row[n - k] * (f_pow[j + 1] - d_pow * d)
                 yield n, f"k={k} a={j}", lower * s, right, units[k], (f, d_pow)
@@ -558,14 +558,15 @@ def inverse_power_pattern(c: int) -> Triple:
     )
 
 
-def _inverse_power(c_max: int, n_max: int, q: Fraction) -> VerificationReport:
+def _inverse_power(q: Fraction) -> VerificationReport:
     col = _Residuals()
     ctx = QContext(q)
-    for c in range(c_max + 1):
-        rhs = pattern_mhs_many(ctx, inverse_power_pattern(c), n_max)
-        for n in range(1, n_max + 1):
+    for c in range(_INVERSE_C_MAX + 1):
+        rhs = pattern_mhs_many(ctx, inverse_power_pattern(c), _INVERSE_N_MAX)
+        for n in range(1, _INVERSE_N_MAX + 1):
             col.add(f"c={c} n={n}", Fraction(1) / ctx.q_int(n) ** c + rhs[n])
-    return col.report("inverse-power-expansion", "kernel", {"c_max": c_max}, str(q), [1, n_max])
+    params = {"c_max": _INVERSE_C_MAX}
+    return col.report("inverse-power-expansion", "kernel", params, str(q), [1, _INVERSE_N_MAX])
 
 
 def head_reduction_pattern(a: SignedIndex, b: int, c: int, r) -> Triple:
@@ -579,9 +580,7 @@ def head_reduction_pattern(a: SignedIndex, b: int, c: int, r) -> Triple:
     )
 
 
-def _head_reduction(
-    samples: int, seed: int, n_max: int, q: Fraction
-) -> VerificationReport:
+def _head_reduction(samples: int, seed: int, q: Fraction) -> VerificationReport:
     """Randomized exact check of the head-reduction expansion with tails.
 
     The shift r is sampled away from -1: there the merged slot of the
@@ -604,17 +603,17 @@ def _head_reduction(
         z = rng.choice(tail_shift_pool)
         cases.append(f"a={a} b={b} c={c} r={r} tail=[{x};{y};{z}]")
         lhs_triple = Triple((a, x), (b, y), (boxplus(r, 1), z))
-        lhs_vals = mollified_mhs_many(ctx, lhs_triple, n_max)
+        lhs_vals = mollified_mhs_many(ctx, lhs_triple, _HEAD_N_MAX)
         # every resolution of the c+1 head slots, each followed by the tail
         # slot: the separator before the tail stays a comma
         head = head_reduction_pattern(a, b, c, r)
         with_tail = Triple(head.s + (x,), head.t + (y,), head.r + (z,))
-        rhs_vals = pattern_mhs_many(ctx, with_tail, n_max, merge=(True,) * c + (False,))
-        for n in range(1, n_max + 1):
+        rhs_vals = pattern_mhs_many(ctx, with_tail, _HEAD_N_MAX, merge=(True,) * c + (False,))
+        for n in range(1, _HEAD_N_MAX + 1):
             lhs = lhs_vals[n] / ctx.q_int(n) ** c
             col.add(f"{cases[-1]} n={n}", lhs - rhs_vals[n])
     params = {"samples": samples, "cases": cases}
-    return col.report("head-reduction", "kernel", params, str(q), [1, n_max], seed=seed)
+    return col.report("head-reduction", "kernel", params, str(q), [1, _HEAD_N_MAX], seed=seed)
 
 
 # Largest n_max of the kernel parts of lemma_suite, checked before any part
@@ -622,6 +621,16 @@ def _head_reduction(
 # n: at the three default q they take about 1.4 s at n_max = 80, 4 s at
 # 100 and 9 s at 120 on a 2-vCPU x86-64 host.
 _MAX_KERNEL_LIMIT = 120
+# The fixed sizes of the other parts: inverse-power checks c <= 4 at
+# n <= 25, head-reduction each sample at n <= 15, kernel-step 0 <= a <= 3.
+_INVERSE_C_MAX = 4
+_INVERSE_N_MAX = 25
+_HEAD_N_MAX = 15
+_STEP_A_MAX = 3
+# Most head-reduction samples, checked before any part runs: each takes
+# about 1 ms and adds about 41 bytes to the report, so at the cap the part
+# takes about 9 s on a 2-vCPU x86-64 host and writes about 0.4 MB.
+_MAX_HEAD_SAMPLES = 10_000
 
 LEMMA_PARTS = (
     "alternating-kernel-sum",
@@ -637,54 +646,36 @@ def lemma_suite(
     q_values: Sequence[QLike] = (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)),
     seed: int = DEFAULT_SEED,
     samples: int = 10,
-    parts: Optional[Sequence[str]] = None,
-    inverse_c_max: int = 4,
-    inverse_n_max: int = 25,
-    head_n_max: int = 15,
-    step_a_max: int = 3,
 ) -> list[VerificationReport]:
-    """Run the supporting-identity checks and return one report per part.
+    """Run the supporting-identity checks and return one report per part,
+    in LEMMA_PARTS order.
 
-    The three kernel parts run at every q of q_values; inverse-power and
-    head-reduction run at the first q only.
+    The three kernel parts run at every q of q_values up to n_max;
+    inverse-power and head-reduction run at the first q only, at their
+    fixed sizes.
 
-    ValueError is raised before any part runs for a str q_values or parts, an
-    n_max outside 0.._MAX_KERNEL_LIMIT, a bool seed, or sizes of a requested
-    part that are bools or leave it with no check, which would then pass
-    without checking anything; TypeError for a seed or size that is not an
-    int.
+    ValueError is raised before any part runs for a str q_values, an n_max
+    outside 2.._MAX_KERNEL_LIMIT (below 2 the kernel sums would pass without
+    a check), samples outside 1.._MAX_HEAD_SAMPLES, or a bool seed or
+    samples; TypeError for a seed or samples that is not an int.
     """
     qs = _q_list(q_values)
     seed = as_int(seed, "seed")
-    wanted = LEMMA_PARTS if parts is None else _sequence(parts, "parts", "part names")
-    unknown = [p for p in wanted if p not in LEMMA_PARTS]
-    if unknown:
-        raise ValueError(f"unknown lemma parts {unknown}; known: {list(LEMMA_PARTS)}")
     n_max = _upper_limit(n_max, _MAX_KERNEL_LIMIT, "the kernel lemmas")
-    # the least value of each size parameter at which a part checks anything
-    least = {
-        "alternating-kernel-sum": (("n_max", n_max, 2),),
-        "weighted-kernel-sum": (("n_max", n_max, 2),),
-        "inverse-power-expansion": (
-            ("inverse_c_max", inverse_c_max, 0), ("inverse_n_max", inverse_n_max, 1),
-        ),
-        "head-reduction": (("samples", samples, 1), ("head_n_max", head_n_max, 1)),
-        "kernel-step": (("n_max", n_max, 1), ("step_a_max", step_a_max, 0)),
-    }
-    for part in wanted:
-        for name, value, low in least[part]:
-            if as_int(value, name) < low:
-                raise ValueError(f"{name} = {value} leaves {part} with no checks (needs >= {low})")
-
-    def run(part: str) -> VerificationReport:
-        if part in _KERNEL_SUMS:
-            params = {"a_max": step_a_max} if part == "kernel-step" else {}
-            return _kernel_sum(part, n_max, qs, _KERNEL_SUMS[part], params)
-        if part == "inverse-power-expansion":
-            return _inverse_power(inverse_c_max, inverse_n_max, qs[0])
-        return _head_reduction(samples, seed, head_n_max, qs[0])
-
-    return [run(part) for part in LEMMA_PARTS if part in wanted]
+    if n_max < 2:
+        raise ValueError(f"n_max = {n_max} leaves alternating-kernel-sum with no checks (needs >= 2)")
+    samples = as_int(samples, "samples")
+    if samples < 1:
+        raise ValueError(f"samples = {samples} leaves head-reduction with no checks (needs >= 1)")
+    if samples > _MAX_HEAD_SAMPLES:
+        raise ValueError(f"samples {samples} exceeds {_MAX_HEAD_SAMPLES} for head-reduction")
+    return [
+        _kernel_sum("alternating-kernel-sum", n_max, qs),
+        _kernel_sum("weighted-kernel-sum", n_max, qs),
+        _inverse_power(qs[0]),
+        _head_reduction(samples, seed, qs[0]),
+        _kernel_sum("kernel-step", n_max, qs),
+    ]
 
 
 def symmetric_pair_check(
@@ -774,24 +765,33 @@ def classical_battery() -> list[VerificationReport]:
     ]
 
 
+# Deepest composition sample_compositions draws.
+_MAX_SAMPLE_DEPTH = 6
+# Most compositions sample_compositions draws, checked before the first:
+# drawing 10**6 takes about 3.6 s, and `qzeta verify random --count 10000`
+# at its other defaults about 6 s on a 2-vCPU x86-64 host.
+_MAX_SAMPLE_COUNT = 10_000
+
+
 def sample_compositions(
     count: int = 200,
-    max_depth: int = 6,
     max_weight: int = 12,
     seed: int = DEFAULT_SEED,
 ) -> list[Composition]:
-    """Deterministic fuzz corpus of nonempty compositions of weight at most
-    max_weight.
+    """Deterministic fuzz corpus of nonempty compositions of depth at most
+    _MAX_SAMPLE_DEPTH and weight at most max_weight.
 
-    Raises ValueError unless max_depth and max_weight are >= 1.
+    Raises ValueError unless max_weight >= 1 and count <= _MAX_SAMPLE_COUNT.
     """
-    if max_depth < 1 or max_weight < 1:
-        raise ValueError(f"max_depth and max_weight must be >= 1, got {max_depth} and {max_weight}")
+    if max_weight < 1:
+        raise ValueError(f"max_weight must be >= 1, got {max_weight}")
+    if count > _MAX_SAMPLE_COUNT:
+        raise ValueError(f"count {count} exceeds {_MAX_SAMPLE_COUNT} for a random corpus")
     rng = random.Random(seed)
     out: list[Composition] = []
     for _ in range(count):
         # a depth past the weight would leave no room for its entries
-        depth = rng.randint(1, min(max_depth, max_weight))
+        depth = rng.randint(1, min(_MAX_SAMPLE_DEPTH, max_weight))
         remaining = max_weight
         entries: list[int] = []
         for i in range(depth):
@@ -835,8 +835,21 @@ def _instances_2c2(budget: int):
                 yield (as_ + (a_last,), cs)
 
 
+# Largest max_weight of family_instances, checked before the first
+# instance: the count of a family grows about 7 times for each +4 of
+# weight, and family_equivalence("2c2", 24) checks 75,024 instances in
+# 5-7 s on a 2-vCPU x86-64 host.
+_MAX_FAMILY_WEIGHT = 24
+
+
 def family_instances(family: str, max_weight: int = 12):
-    """All parameter tuples of a closed family with weight <= max_weight."""
+    """All parameter tuples of a closed family with weight <= max_weight.
+
+    Raises ValueError, at the first instance asked for, for a max_weight
+    above _MAX_FAMILY_WEIGHT or an unknown family.
+    """
+    if max_weight > _MAX_FAMILY_WEIGHT:
+        raise ValueError(f"max_weight {max_weight} exceeds {_MAX_FAMILY_WEIGHT} for a closed family")
     W = max_weight
     if family == "twos":
         for a in range(1, W // 2 + 1):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -220,8 +221,9 @@ def test_verify_random_at_a_weight_below_the_depth_cap(capsys):
         rc, out, err = run(capsys, "verify", "random", "--max-weight", weight, "--count", "20")
         assert rc == 0 and err == "", (weight, err)
         assert len(out.splitlines()) == 20
+    # the message names the one size given
     rc, out, err = run(capsys, "verify", "random", "--max-weight", "0")
-    assert rc == 2 and out == "" and "must be >= 1" in err
+    assert rc == 2 and out == "" and err == "error: max_weight must be >= 1, got 0\n"
 
 
 def test_verify_parse_error_exit_code(capsys):
@@ -459,6 +461,45 @@ def test_lemmas_without_checks_exit_2(capsys, monkeypatch):
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv
         assert out == "" and message in err, argv
+
+
+def test_sizes_over_their_caps_exit_2(capsys, monkeypatch):
+    # head-reduction samples, a random corpus and a family's weight are
+    # refused over their caps before any check starts
+    def never(*args, **kwargs):
+        raise AssertionError("a check was started")
+
+    monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
+    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    monkeypatch.setattr(qzeta.verify, "_group_seqs", never)
+    monkeypatch.setattr(qzeta.verify, "_instances_2c2", never)
+    for argv, message in (
+        (("lemmas", "--samples", "10001"), "samples 10001 exceeds 10000 for head-reduction"),
+        (("verify", "random", "--count", "10001"), "count 10001 exceeds 10000 for a random corpus"),
+        (("verify", "2c2", "--max-weight", "25"), "max_weight 25 exceeds 24 for a closed family"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and err == f"error: {message}\n", argv
+
+
+def test_every_suite_parameter_is_a_command_line_flag():
+    # lemma_suite and sample_compositions take only what `qzeta lemmas` and
+    # `qzeta verify random` set, so no option is reached by tests alone
+    import inspect
+
+    (subparsers,) = [
+        action for action in qzeta.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for command, function in (
+        ("lemmas", qzeta.verify.lemma_suite),
+        ("verify", qzeta.verify.sample_compositions),
+    ):
+        flags = {action.dest for action in subparsers.choices[command]._actions}
+        params = set(inspect.signature(function).parameters)
+        # the comma-separated --q list is the suite's q_values
+        assert {"q" if p == "q_values" else p for p in params} <= flags, command
 
 
 def test_vacuous_verify_targets_exit_2(capsys, monkeypatch):

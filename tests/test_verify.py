@@ -32,6 +32,11 @@ from qzeta import evaluators
 from qzeta.verify import VerificationReport
 
 
+def _lemma_parts(**kwargs) -> dict:
+    """The reports of the full lemma suite, by case."""
+    return {rep.case: rep for rep in lemma_suite(**kwargs)}
+
+
 def test_rational_repr():
     assert rational_repr(Fraction(3, 7)) == "3/7"
     assert rational_repr(Fraction(-5)) == "-5"
@@ -138,7 +143,7 @@ def test_report_json_round_trip():
         "q-series": verify_qmzsv((2, 1)),
         "classical": verify_classical((2, 1), K=10**4),
         "symmetric-pair": symmetric_pair_check(0, 0),
-        "lemma": lemma_suite(parts=("head-reduction",), samples=2, head_n_max=4)[0],
+        "lemma": _lemma_parts(n_max=2, samples=2)["head-reduction"],
         "family": family_equivalence("twos", 6),
     }
     for name, rep in reports.items():
@@ -232,9 +237,7 @@ def test_verify_mhs_never_expands(monkeypatch):
     assert rep.status == "numeric-pass"
     assert rep.params["terms"] == 2**21
     assert all_passed(v.classical_battery())
-    reps = v.lemma_suite(
-        n_max=8, samples=4, inverse_c_max=2, inverse_n_max=6, head_n_max=6, step_a_max=2
-    )
+    reps = v.lemma_suite(n_max=8, samples=4)
     assert [r.case for r in reps] == list(LEMMA_PARTS)
     assert all_passed(reps)
 
@@ -411,14 +414,7 @@ def test_verify_classical_small_then_better():
 
 
 def test_lemma_suite_small():
-    reps = lemma_suite(
-        n_max=10,
-        samples=4,
-        inverse_c_max=2,
-        inverse_n_max=8,
-        head_n_max=8,
-        step_a_max=2,
-    )
+    reps = lemma_suite(n_max=10, samples=4)
     assert [r.case for r in reps] == list(LEMMA_PARTS)
     assert all_passed(reps)
 
@@ -451,9 +447,7 @@ def _perturbed_ratio(q, n, k):
 
 
 def test_lemma_reports_fail_under_perturbed_kernels(monkeypatch):
-    config = dict(
-        n_max=8, samples=3, inverse_c_max=2, inverse_n_max=6, head_n_max=6, step_a_max=2
-    )
+    config = dict(n_max=8, samples=3)
     clean = lemma_suite(**config)
     _perturbed_rows(monkeypatch)
     labels = {
@@ -463,8 +457,8 @@ def test_lemma_reports_fail_under_perturbed_kernels(monkeypatch):
         "head-reduction": r"a=-?\d+ b=\d+ c=\d+ r=\S+ tail=\[[^\]]+\] n=\d+",
         "kernel-step": r"q=\S+ n=\d+ k=\d+ a=\d+",
     }
-    for part, before in zip(LEMMA_PARTS, clean):
-        (rep,) = lemma_suite(parts=(part,), **config)
+    for part, before, rep in zip(LEMMA_PARTS, clean, lemma_suite(**config)):
+        assert rep.case == part
         assert rep.status == "fail" and not rep.passed
         assert rep.discrepancy is None
         assert 1 <= len(rep.residuals) <= 16
@@ -504,8 +498,9 @@ def test_failing_kernel_sum_residuals_match_the_oracle(monkeypatch):
             lambda q, n, l: (_q_int(q, n) - _q_int(q, l)) * _perturbed_ratio(q, n, l) * q ** (l * l),
         ),
     }
+    reports = _lemma_parts(n_max=5, q_values=qs)
     for part, (term, closed) in parts.items():
-        (rep,) = lemma_suite(n_max=5, q_values=qs, parts=(part,))
+        rep = reports[part]
         lines = []
         for q in qs:
             for n in range(2, 6):
@@ -520,18 +515,18 @@ def test_failing_kernel_sum_residuals_match_the_oracle(monkeypatch):
 def test_failing_kernel_step_residuals_match_the_oracle(monkeypatch):
     _perturbed_rows(monkeypatch)
     qs = (Fraction(1, 2), Fraction(2, 9))
-    (rep,) = lemma_suite(n_max=4, q_values=qs, parts=("kernel-step",), step_a_max=1)
+    rep = _lemma_parts(n_max=4, q_values=qs)["kernel-step"]
     lines = []
     for q in qs:
         for n in range(1, 5):
             for k in range(1, n + 1):
                 ratio = (_q_int(q, n) / _q_int(q, k)) ** 2 * q ** (k - n)
-                for a in range(2):
+                for a in range(4):
                     geom = sum(ratio**i for i in range(a + 1))
                     res = _kernel(q, n - 1, k) * geom - _kernel(q, n, k) * (ratio**a - 1 / ratio)
                     if res:
                         lines.append(f"q={q} n={n} k={k} a={a}: {rational_repr(res)}")
-    assert rep.status == "fail" and rep.params["checks"] == 2 * 10 * 2
+    assert rep.status == "fail" and rep.params == {"a_max": 3, "checks": 2 * 10 * 4}
     # the cap takes lines from both q
     assert len(lines) > 16 and rep.residuals == lines[:16]
 
@@ -545,17 +540,16 @@ def test_lemma_suite_kernel_limit_cap(monkeypatch):
 
     monkeypatch.setattr(QContext, "gauss_row", never)
     cap = v._MAX_KERNEL_LIMIT
-    for parts in (None, ("kernel-step",), ("weighted-kernel-sum", "alternating-kernel-sum")):
-        with pytest.raises(ValueError, match=f"{cap + 1} exceeds {cap}"):
-            lemma_suite(n_max=cap + 1, parts=parts)
-        # the cap itself is admitted: its first row is built
-        with pytest.raises(AssertionError, match="a kernel row was built"):
-            lemma_suite(n_max=cap, parts=parts)
+    with pytest.raises(ValueError, match=f"{cap + 1} exceeds {cap}"):
+        lemma_suite(n_max=cap + 1)
+    # the cap itself is admitted: its first row is built
+    with pytest.raises(AssertionError, match="a kernel row was built"):
+        lemma_suite(n_max=cap)
 
 
 def test_lemma_suite_refuses_sizes_without_checks(monkeypatch):
-    # a requested part that would run no check raises before any part runs;
-    # a part not requested may have any size
+    # a size that would leave a part with no check raises before any part
+    # runs
     def never(*args):
         raise AssertionError("a lemma part was started")
 
@@ -563,30 +557,37 @@ def test_lemma_suite_refuses_sizes_without_checks(monkeypatch):
     monkeypatch.setattr(QContext, "p_lcm", never)
     for kwargs, message in (
         (dict(n_max=1), "n_max = 1 leaves alternating-kernel-sum"),
-        (dict(n_max=1, parts=("weighted-kernel-sum",)), "n_max = 1 leaves weighted"),
-        (dict(n_max=0, parts=("kernel-step",)), "n_max = 0 leaves kernel-step"),
-        (dict(step_a_max=-1, parts=("kernel-step",)), "step_a_max = -1 leaves kernel-step"),
-        (dict(inverse_c_max=-1), "inverse_c_max = -1 leaves inverse-power"),
-        (dict(inverse_n_max=0), "inverse_n_max = 0 leaves inverse-power"),
+        (dict(n_max=0), "n_max = 0 leaves alternating-kernel-sum"),
         (dict(samples=-3), "samples = -3 leaves head-reduction"),
-        (dict(samples=0, parts=("head-reduction",)), "samples = 0 leaves head-reduction"),
-        (dict(head_n_max=0), "head_n_max = 0 leaves head-reduction"),
+        (dict(samples=0), "samples = 0 leaves head-reduction"),
         (dict(q_values=()), "at least one q"),
     ):
         with pytest.raises(ValueError, match=message):
             lemma_suite(**kwargs)
     monkeypatch.undo()
-    (rep,) = lemma_suite(n_max=1, parts=("kernel-step",), step_a_max=0, q_values=("1/2",))
-    assert rep.passed and rep.params["checks"] == 1
-    (rep,) = lemma_suite(n_max=0, samples=1, head_n_max=1, parts=("head-reduction",))
-    assert rep.passed and rep.params["checks"] == 1
+    # the least sizes are admitted, and every part checks something
+    reports = _lemma_parts(n_max=2, samples=1, q_values=("1/2",))
+    assert all_passed(reports.values())
+    assert reports["alternating-kernel-sum"].params["checks"] == 1
+    assert reports["head-reduction"].params["checks"] == 15
 
 
-def test_lemma_suite_part_selection():
-    reps = lemma_suite(n_max=6, parts=("alternating-kernel-sum",))
-    assert len(reps) == 1 and reps[0].passed
-    with pytest.raises(ValueError):
-        lemma_suite(parts=("no-such-part",))
+def test_lemma_suite_samples_cap(monkeypatch):
+    # samples over the cap are refused before any part runs
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("a part was started")
+
+    for part in ("_kernel_sum", "_inverse_power", "_head_reduction"):
+        monkeypatch.setattr(v, part, never)
+    cap = v._MAX_HEAD_SAMPLES
+    assert cap == 10_000  # the cap the README gives
+    with pytest.raises(ValueError, match=f"^samples {cap + 1} exceeds {cap} for head-reduction$"):
+        v.lemma_suite(samples=cap + 1)
+    # the cap itself is admitted: the first part starts
+    with pytest.raises(AssertionError, match="a part was started"):
+        v.lemma_suite(samples=cap)
 
 
 def test_special_patterns_shape():
@@ -699,13 +700,13 @@ def test_lemma_suite_reads_its_seed_before_any_part(monkeypatch):
     for part in ("_kernel_sum", "_inverse_power", "_head_reduction"):
         monkeypatch.setattr(v, part, never)
     with pytest.raises(ValueError, match="^seed must be an int, got True$"):
-        v.lemma_suite(seed=True, parts=("head-reduction",))
+        v.lemma_suite(seed=True)
     for seed in ("101", 1.5, None):
         with pytest.raises(TypeError, match=f"^seed must be an int, got {re.escape(repr(seed))}: "):
-            v.lemma_suite(seed=seed, parts=("head-reduction",))
-    # the patches are live: an int seed reaches the part
+            v.lemma_suite(seed=seed)
+    # the patches are live: an int seed reaches the first part
     with pytest.raises(AssertionError, match="a part was started"):
-        v.lemma_suite(seed=7, parts=("head-reduction",))
+        v.lemma_suite(seed=7)
 
 
 def _body(report) -> dict:
@@ -912,14 +913,15 @@ def test_classical_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
     assert both == [serial, serial]
 
 def test_sample_compositions_deterministic():
-    xs = sample_compositions(25, max_depth=5, max_weight=9, seed=7)
-    ys = sample_compositions(25, max_depth=5, max_weight=9, seed=7)
-    zs = sample_compositions(25, max_depth=5, max_weight=9, seed=8)
+    xs = sample_compositions(25, max_weight=9, seed=7)
+    ys = sample_compositions(25, max_weight=9, seed=7)
+    zs = sample_compositions(25, max_weight=9, seed=8)
     assert xs == ys
     assert xs != zs
     assert len(xs) == 25
+    # the depth cap is reached, not just respected
+    assert max(len(comp) for comp in xs) == 6
     for comp in xs:
-        assert 1 <= len(comp) <= 5
         assert sum(comp) <= 9
         assert all(e >= 1 for e in comp)
 
@@ -929,14 +931,33 @@ def test_sample_compositions_are_nonempty_below_the_depth_cap():
     # depth is drawn below both caps: the corpus is nonempty at every
     # weight from 1 up
     for max_weight in range(1, 6):
-        comps = sample_compositions(200, max_depth=6, max_weight=max_weight, seed=DEFAULT_SEED)
+        comps = sample_compositions(200, max_weight=max_weight, seed=DEFAULT_SEED)
         assert len(comps) == 200
         for comp in comps:
             assert 1 <= len(comp) and sum(comp) <= max_weight and min(comp) >= 1, (max_weight, comp)
-    assert set(sample_compositions(50, max_depth=6, max_weight=1)) == {(1,)}
-    for max_depth, max_weight in ((0, 5), (6, 0), (-1, -1)):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            sample_compositions(5, max_depth=max_depth, max_weight=max_weight)
+    assert set(sample_compositions(50, max_weight=1)) == {(1,)}
+    for max_weight in (0, -1):
+        with pytest.raises(ValueError, match=f"^max_weight must be >= 1, got {max_weight}$"):
+            sample_compositions(5, max_weight=max_weight)
+
+
+def test_sample_compositions_count_cap(monkeypatch):
+    # a count over the cap is refused before the first draw
+    import types
+
+    import qzeta.verify as v
+
+    def never(*args):
+        raise AssertionError("a composition was drawn")
+
+    monkeypatch.setattr(v, "random", types.SimpleNamespace(Random=never))
+    cap = v._MAX_SAMPLE_COUNT
+    assert cap == 10_000  # the cap the README gives
+    with pytest.raises(ValueError, match=f"^count {cap + 1} exceeds {cap} for a random corpus$"):
+        sample_compositions(cap + 1)
+    # the cap itself is admitted: the draws start
+    with pytest.raises(AssertionError, match="a composition was drawn"):
+        sample_compositions(cap)
 
 
 def test_family_instances_and_equivalence():
@@ -952,6 +973,32 @@ def test_family_instances_and_equivalence():
     assert rep.params["checks"] == len(insts)
     with pytest.raises(ValueError):
         list(family_instances("nope"))
+
+
+def test_family_instances_weight_cap(monkeypatch):
+    # a weight over the cap is refused before the first instance of any
+    # family is built
+    import qzeta.verify as v
+    from qzeta import CLOSED_FAMILIES
+
+    def never(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(v, "_group_seqs", never)
+    monkeypatch.setattr(v, "_instances_2c2", never)
+    monkeypatch.setattr(v, "compose", never)
+    cap = v._MAX_FAMILY_WEIGHT
+    assert cap == 24  # the cap the README gives
+    message = f"^max_weight {cap + 1} exceeds {cap} for a closed family$"
+    for family in sorted(CLOSED_FAMILIES):
+        with pytest.raises(ValueError, match=message):
+            next(family_instances(family, cap + 1))
+        with pytest.raises(ValueError, match=message):
+            family_equivalence(family, cap + 1)
+    # the cap itself is admitted: the first instance is built
+    for family in ("2c2", "2c21"):
+        with pytest.raises(AssertionError, match="an instance was built"):
+            family_equivalence(family, cap)
 
 
 def test_family_equivalence_reports_mismatches(monkeypatch):
@@ -1049,10 +1096,6 @@ def test_finite_checks_refuse_a_str_of_q_and_a_fractional_n_max_before_any_sum(m
         v.verify_mhs((2, 1), n_max=2.5)
     with pytest.raises(TypeError, match="^n_max must be an int, got 2.5: .* cannot be interpreted"):
         v.lemma_suite(n_max=2.5)
-    with pytest.raises(
-        ValueError, match="^parts must be a sequence of part names, got the str 'head-reduction'$"
-    ):
-        v.lemma_suite(parts="head-reduction")
     # the patches are live: a list of q and an int n_max reach a sum
     with pytest.raises(AssertionError, match="a sum was started"):
         v.verify_mhs((2, 1), n_max=2, q_values=["1/2"])
