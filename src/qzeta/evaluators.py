@@ -17,17 +17,23 @@ Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
   prefactor, taken to a proven tail bound; read as one triple, or summed
   over every resolution as one series with one aggregate tail bound.
 
-Certified enclosure: :func:`q_zeta_enclosure` returns, at the same
-truncation K and tail bound as :func:`q_zeta`, a :class:`Ball` (midpoint and
-radius over integers at a binary point 2**-P) around the same exact partial
-sum, by the harmonic-sum DP swept one level at a time, with each term
-floored and each level's floors counted into one error bound per level;
-midpoint-radius arithmetic as in van der Hoeven, "Ball arithmetic" (2009).
-The exact partial sum's denominators grow like K**2 bits (hundreds of
-thousands of bits toward q -> 1), while the ball's integers stay near P
-bits, so :func:`~qzeta.verify.verify_qmzsv` reads its left side from the
-ball and sums exactly only when the ball cannot decide the report;
-:func:`q_zeta` stays exact for ``eval qzeta*`` and as the oracle.
+Certified enclosures: :func:`q_zeta_enclosure` and :func:`frakz_enclosure`
+return, at the same truncation K and tail bound as :func:`q_zeta` and
+:func:`frakz`, a :class:`Ball` (midpoint and radius over integers at a
+binary point 2**-P) around the same exact partial sum; midpoint-radius
+arithmetic as in van der Hoeven, "Ball arithmetic" (2009).  Each sweeps its
+dynamic programme one level at a time, innermost first, one list of floored
+products per level.  The harmonic sum counts each level's floors into one
+error bound per level (:func:`_mhs_enclosure`).  The mollified series
+carries its radius index by index, and each run reads its deeper level at a
+binary point fine enough for that level's size (:func:`_frakz_sweep`); a
+run's floored terms are products of memoized q-level tables, so no table
+depends on the composition.  The exact partial sums' denominators grow like
+K**2 bits (hundreds of thousands of bits toward q -> 1), while the balls'
+integers stay near P bits, so :func:`~qzeta.verify.verify_qmzsv` reads both
+sides from balls and sums a side exactly only when the balls cannot decide
+the report; :func:`q_zeta` and :func:`frakz` stay exact for ``eval`` and as
+the oracles.
 
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
@@ -79,6 +85,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, islice
 from math import comb
+from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
@@ -139,11 +146,16 @@ class Ball:
         o = self._lift(other)
         return Ball(self.mid - o.mid, self.rad + o.rad, self.prec)
 
+    def __rsub__(self, other) -> "Ball":
+        return self._lift(other) - self
+
     def __mul__(self, other) -> "Ball":
         o = self._lift(other)
         err = abs(self.mid) * o.rad + abs(o.mid) * self.rad + self.rad * o.rad
         # the floor of the product is less than one unit low; err rounds up
         return Ball((self.mid * o.mid) >> self.prec, 1 - (-err >> self.prec), self.prec)
+
+    __rmul__ = __mul__
 
     def __abs__(self) -> "Ball":
         return Ball(abs(self.mid), self.rad, self.prec)
@@ -240,6 +252,24 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
 # eps = 1e-3000).
 _SEARCH_CACHE_SIZE = 64
 _COLUMN_CACHE_SIZE = 32
+# The right side's ball (see _frakz_sweep) reads two more kinds of floored
+# table, each a bounded memo of _TABLE_CACHE_SIZE entries keyed by q-level
+# data only: magnitude columns (1 + q**k) / [k]**s, keyed by (q, binary
+# point, length, magnitude group), and powers q**e or (1/q)**e, keyed by
+# (base, binary point, length).  No table is keyed by a run's own
+# (s, alpha, beta): the 105 checks of the benchmark's q-series batch at
+# q = 1/2 fold 78 distinct runs, all from 7 magnitude and 4 power tables
+# (0.16 and 0.13 MB), at binary points 320 to 512.  A magnitude entry holds
+# 8 columns of n ints below 2**(prec + 1), n <= 128 as K <= MAX_FRAKZ_TERMS,
+# so at most 1024 (prec/7.5 + 36) bytes: 80 KB at prec = 320 and 1.4 MB at
+# prec = 10**4 (eps = 1e-3000).  A power entry holds n >= 512 ints
+# floor(2**prec base**e), e < n.  For a base q < 1 only the nonzero ones,
+# at most prec / log2(1/q) + 1 of them, take more than a pointer: about
+# 8 n + prec**2 / (7.5 log2(1/q)) bytes, 19-29 KB in the batch.  The ints
+# of 1/q, read up to e = K**2/2 by a run of negative alpha, grow to
+# prec + n log2(1/q) bits, about n (prec + n log2(1/q) / 2) / 7.5 bytes:
+# 57 KB in the batch, and tens of MB only toward q -> 1 with K near its cap.
+_TABLE_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_COLUMN_CACHE_SIZE)
@@ -711,6 +741,11 @@ _COMPACT_BITS = 200
 _GUARD_BITS = 100
 
 
+def _default_prec(eps: Fraction) -> int:
+    """P: the bit size of 1/eps, at least _COMPACT_BITS, plus _GUARD_BITS."""
+    return max((eps.denominator // eps.numerator).bit_length(), _COMPACT_BITS) + _GUARD_BITS
+
+
 def q_zeta_enclosure(
     ctx: QContext,
     s: Sequence,
@@ -730,7 +765,7 @@ def q_zeta_enclosure(
     eps = as_eps(eps)
     K, bound = _harmonic_truncation(ctx, len(entries), eps)
     if prec is None:
-        prec = max((eps.denominator // eps.numerator).bit_length(), _COMPACT_BITS) + _GUARD_BITS
+        prec = _default_prec(eps)
     return SeriesValue(_mhs_enclosure(ctx, entries, K, star, prec), bound, K)
 
 
@@ -793,18 +828,22 @@ def frakz(
     MAX_PATTERN_DEPTH, an inadmissible one, an eps that is not a positive
     rational, or a K above MAX_FRAKZ_TERMS.
     """
-    m = pattern.depth
-    if m > MAX_PATTERN_DEPTH:
-        raise ValueError(f"pattern depth {m} exceeds {MAX_PATTERN_DEPTH} for a q-series")
-    if not is_admissible(pattern):
-        raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
-    eps = as_eps(eps)
-    K, bound = _frakz_search(ctx.q, m, bool(merge), eps, MAX_FRAKZ_TERMS)
+    K, bound = _frakz_truncation(ctx, pattern, eps, merge)
     inner = islice(_inner_terms(ctx, pattern, merge), K)
     total, den = 0, 1
     for grow, x, den in _rescaled(ctx, pattern.weight, inner):
         total = total * grow + x
     return SeriesValue(Fraction(total, den), bound, K)
+
+
+def _frakz_truncation(ctx: QContext, pattern: Triple, eps, merge) -> tuple[int, Fraction]:
+    """The K and tail bound of :func:`frakz`, after its refusals."""
+    m = pattern.depth
+    if m > MAX_PATTERN_DEPTH:
+        raise ValueError(f"pattern depth {m} exceeds {MAX_PATTERN_DEPTH} for a q-series")
+    if not is_admissible(pattern):
+        raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
+    return _frakz_search(ctx.q, m, bool(merge), as_eps(eps), MAX_FRAKZ_TERMS)
 
 
 @lru_cache(maxsize=_SEARCH_CACHE_SIZE)
@@ -827,6 +866,246 @@ def _frakz_search(q: Fraction, m: int, merge: bool, eps: Fraction, cap: int) -> 
         return total
 
     return _truncation(tail_bound, 0, eps, cap, "a mollified series")
+
+
+# A run's term at index k is q**e (1 + q**k) / [k]**s, e = alpha * k(k-1)/2
+# + beta * k (see _runs), and its column is one product per index of an
+# entry of a magnitude table, _MAGNITUDE_GROUP magnitudes s per entry, and
+# of a power table of q**e (see _run_column).  Table lengths are multiples
+# of _TABLE_MIN_LENGTH, and of _POWER_MIN_LENGTH for powers, and a binary
+# point a multiple of _COLUMN_PREC_STEP, so that few tables serve every
+# check at one q: with one power table per power-of-two length, the
+# benchmark's q-series batch at q = 1/2 builds 15 instead of 4, and with
+# magnitude tables 16 long, 11 instead of 7.  A power table of q < 1
+# computes only its nonzero entries, about prec / log2(1/q).
+_MAGNITUDE_GROUP = 8
+_TABLE_MIN_LENGTH = 32
+_POWER_MIN_LENGTH = 512
+_COLUMN_PREC_STEP = 64
+# Bits a run's binary point keeps above the largest value of the level it
+# reads (see _column_prec), and the units by which a floored term of a run
+# may lie below the exact one (see _run_column)
+_COLUMN_GUARD_BITS = 8
+_COLUMN_SLACK = 4
+# Bits by which a power table's recurrence runs finer than its entries (see
+# _power_table)
+_POWER_GUARD_BITS = 64
+
+
+def _table_length(n: int, step: int = _TABLE_MIN_LENGTH) -> int:
+    """n rounded up to a multiple of step, at least step."""
+    return max(-(-n // step), 1) * step
+
+
+def _power_length(top: int) -> int:
+    """The length of a power table that holds the exponents 0..top."""
+    return _table_length(top + 1, _POWER_MIN_LENGTH)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _magnitude_table(a: int, b: int, prec: int, n: int, group: int) -> tuple[tuple[int, ...], ...]:
+    """At q = a/b, for s = group * _MAGNITUDE_GROUP + i, 0 <= i <
+    _MAGNITUDE_GROUP, the column floor(2**prec (1 + q**k) / [k]**s),
+    k = 1..n.  With h_k = ctx.h(k),
+    (1 + q**k) / [k]**s = (b**k + a**k) b**((k-1)s - k) / h_k**s.
+    """
+    ctx = QContext(Fraction(a, b))
+    magnitudes = range(group * _MAGNITUDE_GROUP, (group + 1) * _MAGNITUDE_GROUP)
+    rows = []  # rows[k-1][i]: magnitude s = magnitudes[i] at index k
+    for k in range(1, n + 1):
+        top, h = (b**k + a**k) << prec, ctx.h(k)
+        row = []
+        for s in magnitudes:
+            e = (k - 1) * s - k
+            row.append(top * b**e // h**s if e >= 0 else top // (h**s * b**-e))
+        rows.append(row)
+    return tuple(zip(*rows))
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _power_table(a: int, b: int, prec: int, n: int) -> tuple[int, ...]:
+    """floor(2**prec * (a/b)**e) for e = 0..n-1.
+
+    For a < b the floors are read off y_e, kept with G = _POWER_GUARD_BITS
+    more bits: y_0 = 2**(prec+G) and y_(e+1) = floor(a y_e / b), so
+    0 <= Y_e - y_e < 1 + q + q**2 + ... < d = ceil(b / (b - a)) for
+    Y_e = 2**(prec+G) q**e.  Where the low G bits of y_e are at most
+    2**G - d, Y_e lies below the next multiple of 2**G and the floor is
+    y_e >> G; elsewhere it is divided out exactly.  Once a floor is zero
+    every later one is, and is not computed.  For a > b each is divided out
+    exactly.
+    """
+    if a > b:
+        out = []
+        num, den = 1 << prec, 1
+        for _ in range(n):
+            out.append(num // den)
+            num *= a
+            den *= b
+        return tuple(out)
+    out = []
+    guard = _POWER_GUARD_BITS
+    mask, y = (1 << guard) - 1, 1 << (prec + guard)
+    room = (1 << guard) - -(-b // (b - a))  # 2**G - d
+    for e in range(n):
+        g = y >> guard if y & mask <= room else (a**e << prec) // b**e
+        if not g:
+            break
+        out.append(g)
+        y = y * a // b
+    return tuple(out) + (0,) * (n - len(out))
+
+
+def _column_prec(top: int, prec: int) -> int:
+    """The binary point of a run's column when the level it reads is at most
+    top in units of 2**-prec: a multiple of _COLUMN_PREC_STEP at least
+    _COLUMN_GUARD_BITS above both top and the exact 1, so that f units of
+    a column's error move a product by at most f * 2**-_COLUMN_GUARD_BITS
+    units."""
+    bits = max(top.bit_length(), prec + 1) + _COLUMN_GUARD_BITS
+    return -(-bits // _COLUMN_PREC_STEP) * _COLUMN_PREC_STEP
+
+
+def _run_column(a: int, b: int, s: int, alpha: int, beta: int, halves: list, prec: int) -> list[int]:
+    """The floored terms t_k of a folded run (s, alpha, beta) at q = a/b and
+    the binary point 2**-prec, for k = 1..n with halves[k-1] = k(k-1)/2:
+    2**prec T_k lies in [t_k, t_k + _COLUMN_SLACK) for the exact unsigned
+    term T_k = q**e (1 + q**k) / [k]**s, e = alpha * k(k-1)/2 + beta * k
+    (see :func:`_runs`).
+
+    t_k = floor(m g / 2**mprec) from the table entries m at 2**-mprec of
+    (1 + q**k) / [k]**s and g at 2**-prec of q**e
+    (:func:`_magnitude_table`, :func:`_power_table`, with (1/q)**-e for
+    e < 0).  As 2**mprec M and 2**prec G lie in [m, m + 1) and [g, g + 1),
+    2**(mprec + prec) T_k lies in [m g, m g + m + g + 1), so
+    0 <= 2**prec T_k - t_k < 1 + (m + g + 1) / 2**mprec.  Here
+    m < 2**(mprec+1), as 1 + q**k < 2 and [k] >= 1, and g <= 2**mprec:
+    where every e >= 0, g <= 2**prec and mprec = prec; where q**e > 1 the
+    error of m is scaled up by g, so mprec is prec plus the bits by which
+    the largest g exceeds 2**prec, in steps of _COLUMN_PREC_STEP.  So
+    m + g + 1 <= 3 * 2**mprec, and the gap is below 4 = _COLUMN_SLACK.
+    """
+    expos = [alpha * h + beta * k for k, h in enumerate(halves, 1)]
+    # e rises with k unless alpha or beta is negative
+    low, high = (expos[0], expos[-1]) if alpha >= 0 and beta >= 0 else (min(expos), max(expos))
+    if low >= 0:
+        gs = map(_power_table(a, b, prec, _power_length(high)).__getitem__, expos)
+        mprec = prec
+    else:
+        downs = _power_table(b, a, prec, _power_length(-low))
+        ups = _power_table(a, b, prec, _power_length(high)) if high >= 0 else ()
+        gs = [ups[e] if e >= 0 else downs[-e] for e in expos]
+        excess = max(max(gs).bit_length() - prec, 0)
+        mprec = prec + -(-excess // _COLUMN_PREC_STEP) * _COLUMN_PREC_STEP
+    ms = _magnitude_table(a, b, mprec, _table_length(len(expos)), s // _MAGNITUDE_GROUP)
+    return [m * g >> mprec for m, g in zip(ms[s % _MAGNITUDE_GROUP], gs)]
+
+
+def _inner_levels(ctx: QContext, pattern: Triple, merge, n: int, prec: int):
+    """The inner levels of the sweep of :func:`_frakz_sweep`: (runs, levels,
+    halves), where levels[j] = (x_j, x_j negated at odd k, e_j, c_j, top_j)
+    for j = 1..m, with x_j and e_j lists over k = 0..n-1 (None for the exact
+    1 at j = m), and halves[k-1] = k(k-1)/2 for k = 1..n."""
+    a, b = ctx.q.numerator, ctx.q.denominator
+    m = pattern.depth
+    runs = _runs(pattern, merge)
+    halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
+    one = 1 << prec
+    levels: list = [None] * m + [(None, None, None, _column_prec(one, prec), one)]
+    for i in range(m - 1, 0, -1):
+        # flat: the units 1 + spill of every run, the same at each index
+        mids, errs, flat = [0] * n, [0] * n, 0
+        for j, s, barred, alpha, beta in runs[i]:
+            xs, bars, es, c, top = levels[j]
+            ts = _run_column(a, b, s, alpha, beta, halves, c)
+            flat += 1 - (-_COLUMN_SLACK * top >> c)
+            if xs is None:
+                # below the innermost slot, where x = 2**prec, the products
+                # are the column itself at 2**-c
+                if barred:
+                    ts = [-t if k % 2 else t for k, t in enumerate(ts, 1)]
+                shift = c - prec
+                mids = [u + (t >> shift) for u, t in zip(mids, ts)]
+            else:
+                mids = [u + (t * x >> c) for u, t, x in zip(mids, ts, bars if barred else xs)]
+                unit = (1 << c) - 1  # ceil(t e / 2**c) = floor((t e + unit) / 2**c)
+                errs = [r + (t * e + unit >> c) for r, t, e in zip(errs, ts, es)]
+        xs = list(accumulate(mids[:-1], initial=0))
+        es = list(accumulate([flat + r for r in errs[:-1]], initial=0))
+        bars = xs[:]
+        bars[::2] = [-x for x in xs[::2]]  # bars[0] is read at k = 1
+        top = max(map(add, map(abs, xs), es))
+        levels[i] = (xs, bars, es, _column_prec(top, prec), top)
+    return runs, levels, halves
+
+
+def _frakz_sweep(ctx: QContext, pattern: Triple, merge, n: int, prec: int) -> Ball:
+    """A Ball at 2**-prec around the partial sum of :func:`frakz` to K = n,
+    by the recurrence of :func:`_inner_terms` swept one level at a time,
+    innermost first, with a radius carried index by index.
+
+    Level j keeps C_j[k] for k = 0..n-1 as midpoints x_j(k) and radii
+    e_j(k) in units of 2**-prec, with |x_j(k) - 2**prec C_j[k]| <= e_j(k),
+    and top_j, the largest |x_j(k)| + e_j(k); below the innermost slot
+    C_m = 1, so x_m = 2**prec and e_m = 0.  A run [i, j) of the merge mask
+    (see :func:`_runs`) reads level j through its column t_k at the binary
+    point 2**-c that level j sets (:func:`_run_column`,
+    :func:`_column_prec`): its products are +-t_k x_j(k-1), negated at odd
+    k for a barred run.  An inner level i adds its runs' products floored
+    at 2**-prec, index by index, and one cumulative sum gives x_i.  Level
+    0, which no level reads, needs only sums over k: it floors each run's
+    sum of products once, and the midpoint is the sum of those floors.  The
+    inner levels are swept by :func:`_inner_levels`.
+
+    Radius: for one product write T for the run's exact term, t = t_k
+    within f = _COLUMN_SLACK units of T' = 2**c T, x = x_j(k-1),
+    e = e_j(k-1) and X = 2**prec C_j[k-1], so |X| <= |x| + e <= top_j.
+    The exact product is T' X / 2**c, and
+
+        t x - T' X = t (x - X) + (t - T') X,
+        |t x - T' X| <= t e + f top_j.
+
+    So an inner level's floored product is within
+    1 + spill + ceil(t e / 2**c) units, spill = ceil(f top_j / 2**c), and
+    level i's radius at k is the sum of these over its runs and the
+    indices up to k.  Level 0's floor of a run's sum is within
+    1 + ceil((sum t e + n f top_j) / 2**c) units, and the ball's radius is
+    the sum of these over its runs.
+
+    The bound follows the nesting index by index: an error carried from a
+    level whose values range far above the final value (a run of negative
+    alpha has terms like q**(-k**2/2)) is scaled down with those values by
+    the terms above it.  c keeps f top_j / 2**c below a unit whatever the
+    size of level j, so the runs that read such a level are read at a finer
+    binary point instead of spending the guard bits.
+    """
+    if not pattern.depth or not n:
+        return Ball(0, 0, prec)
+    runs, levels, halves = _inner_levels(ctx, pattern, merge, n, prec)
+    a, b = ctx.q.numerator, ctx.q.denominator
+    mid = rad = 0
+    for j, s, barred, alpha, beta in runs[0]:
+        xs, bars, es, c, top = levels[j]
+        ts = _run_column(a, b, s, alpha, beta, halves, c)
+        if xs is None:
+            mid += (sum(ts[1::2]) - sum(ts[::2]) if barred else sum(ts)) >> c - prec
+            spread = 0
+        else:
+            mid += sum(map(mul, ts, bars if barred else xs)) >> c
+            spread = sum(map(mul, ts, es))
+        rad += 1 - (-(spread + n * _COLUMN_SLACK * top) >> c)
+    return Ball(mid, rad, prec)
+
+
+def frakz_enclosure(ctx: QContext, pattern: Triple, eps: Fraction = Fraction(1, 10**20)) -> SeriesValue:
+    """:func:`frakz` with merge=True, its value a :class:`Ball` at 2**-P
+    around the same exact partial sum, at the same K and with the same tail
+    bound (see :func:`_frakz_sweep`); P is as for :func:`q_zeta_enclosure`.
+
+    Raises ValueError as :func:`frakz` does, before any table is built.
+    """
+    K, bound = _frakz_truncation(ctx, pattern, eps, True)
+    return SeriesValue(_frakz_sweep(ctx, pattern, True, K, _default_prec(as_eps(eps))), bound, K)
 
 
 # classical_zeta_many refuses a longer truncation before summing anything:

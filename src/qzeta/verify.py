@@ -4,9 +4,9 @@ Exact checks compare both sides of an identity in rational arithmetic and
 pass only when every residual vanishes.  Numeric checks on infinite series
 split the requested accuracy across all series involved, sum each one until
 its rigorous tail bound fits its share, and then compare; within-eps
-agreement is therefore certified, not a float coincidence.  A harmonic
-series is first summed as a certified ball around its exact partial sum,
-and exactly only when the ball cannot decide the report.  Limit-side
+agreement is therefore certified, not a float coincidence.  A q-series is
+first summed as a certified ball around its exact partial sum, and exactly
+only when the balls cannot decide the report.  Limit-side
 checks run in floating point and treat the reported truncation estimates
 as error bars on top of the stated tolerance.
 
@@ -37,6 +37,7 @@ from .evaluators import (
     _upper_limit,
     classical_zeta_many,
     frakz,
+    frakz_enclosure,
     mollified_mhs_many,
     pattern_mhs_many,
     q_zeta,
@@ -333,27 +334,36 @@ def verify_qmzsv(
     is at most eps/4, so the two sides of a true identity can differ by at
     most eps/2 < eps.  ``params["series"]`` still counts 1 + 2**(m-1).
 
-    The right side is exact.  The left side is first a ball around its
-    exact partial sum (:func:`~qzeta.evaluators.q_zeta_enclosure`), then
-    balls at 2, 4 and 8 times the binary point; it is summed exactly only
-    when no ball can decide the status or the printed discrepancy, so the
-    report is always the exact one (see :func:`_weak_zetas`).  At
-    eps = 1e-25 the ball decides all 175 weight-12 compositions with a
-    first entry >= 2 and pattern depth 2-4 at q = 1/2, 2/3, 4/5 and 9/10,
-    and (2,1,1,3,1) takes about 4 ms at q = 1/2, 12 ms at 4/5 and 75 ms at
-    9/10 in a fresh process on a 2-vCPU x86-64 host, and 1, 3 and 13 ms
-    once the memos below hold its q (with the exact left side, 13 ms,
-    3.5 s, and not done after 3 minutes).
+    Each side is first a ball around its exact partial sum at the binary
+    point 2**-P (:func:`~qzeta.evaluators.q_zeta_enclosure` and
+    :func:`~qzeta.evaluators.frakz_enclosure`).  When that pair cannot
+    decide the report, the exact right side is summed, once, and tried
+    against the same left ball, then against left balls at 2P, 4P and 8P
+    and last against the exact left side (see :func:`_weak_zetas`); a right
+    ball at 2P would be no narrower than the exact value already at hand.
+    A pair decides only the report the exact values give, so the report is
+    always the exact one.  At eps = 1e-25 the first pair decides all 175
+    weight-12 compositions with a first entry >= 2 and pattern depth 2-4
+    at q = 1/2, 2/3, 4/5 and 9/10, with no exact sum on either side.  On a
+    2-vCPU x86-64 host, (2,1,1,3,1) takes about 3 ms at q = 1/2, 8 ms at
+    4/5 and 40 ms at 9/10 in a fresh process, most of it building the
+    memos below, and 0.6, 1.0 and 1.6 ms once they hold its q (2, 6.5 and
+    38 ms, and 0.7, 1.7 and 6.5 ms, with the exact right side).  (9,9,9),
+    pattern depth 22, takes about 0.08 s at q = 4/5, against 5 s with the
+    exact right side.
 
     What does not depend on the composition is memoized in
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
     eps: the two truncation searches, keyed by (q, depth, eps, cap) and
-    (q, pattern depth, merge, eps, cap), and the ball's floored terms, one
-    column per (q, magnitude, binary point, K).  The memos are bounded
-    lru_caches of immutable values (64 searches each and 32 columns, a
-    column about 6 KB at q = 1/2 and eps = 1e-25), so a check reads the
-    same values warm or cold and from any thread.  Over the 105 checks of
-    the benchmark's q-series batch at q = 1/2 they miss 4, 3 and 4 times.
+    (q, pattern depth, merge, eps, cap), the left ball's floored terms, one
+    column per (q, magnitude, binary point, K), and the right ball's
+    floored tables, magnitude columns per (q, binary point, length,
+    magnitude group) and powers of q per (base, binary point, length).  The
+    memos are bounded lru_caches of immutable values (64 searches each, 32
+    columns and 16 tables of each kind; see _COLUMN_CACHE_SIZE and
+    _TABLE_CACHE_SIZE for their sizes), so a check reads the same values
+    warm or cold and from any thread.  Over the 105 checks of the
+    benchmark's q-series batch at q = 1/2 they miss 4, 3, 4, 7 and 4 times.
 
     Raises ValueError, before either side sums, for a composition entry
     that is a bool, not an int or below 1, a composition that is not
@@ -364,21 +374,33 @@ def verify_qmzsv(
     comp = zeta_composition(composition)
     ctx = QContext(q)
     epsv = as_eps(eps)
+    budget = epsv / 4
     d, pattern = compose(comp)
-    # both truncation searches run before either side sums: the left side's
-    # here, memoized for the ball, and the right side's in frakz
-    _harmonic_truncation(ctx, len(comp), epsv / 4)
-    rhs = frakz(ctx, pattern, eps=epsv / 4, merge=True)
+    # the left side's truncation search runs before either side sums, and
+    # the right side's in its ball, which is summed before the left side
+    _harmonic_truncation(ctx, len(comp), budget)
+    rhs_ball = frakz_enclosure(ctx, pattern, eps=budget)
     series = 1 + 2 ** (pattern.depth - 1)
     params = {"composition": list(comp), "delta": d, "series": series, "eps": str(epsv)}
 
-    def report(lhs):
+    def report(lhs: SeriesValue, rhs: SeriesValue) -> Optional[VerificationReport]:
         return _numeric_report(
             t0, case or f"weak-zeta {_label(comp)}", family, params, ctx.q, epsv,
             abs(lhs.value - d * rhs.value), lhs.tail_bound + rhs.tail_bound,
         )
 
-    return next(filter(None, (report(*lhs) for lhs in _weak_zetas(ctx, (comp,), epsv / 4))))
+    def pairs() -> Iterator[tuple[SeriesValue, SeriesValue]]:
+        # the first left ball against the right ball, then every left
+        # value against the exact right side, summed once
+        lefts = _weak_zetas(ctx, (comp,), budget)
+        (lhs,) = next(lefts)
+        yield lhs, rhs_ball
+        rhs = frakz(ctx, pattern, eps=budget, merge=True)
+        yield lhs, rhs
+        for (lhs,) in lefts:
+            yield lhs, rhs
+
+    return next(filter(None, (report(*pair) for pair in pairs())))
 
 
 def verify_classical(
@@ -781,10 +803,17 @@ def sample_compositions(
     """Deterministic fuzz corpus of nonempty compositions of depth at most
     _MAX_SAMPLE_DEPTH and weight at most max_weight.
 
-    Raises ValueError unless max_weight >= 1 and count <= _MAX_SAMPLE_COUNT.
+    count, max_weight and seed are read by :func:`~qzeta.qarith.as_int`: a
+    bool raises ValueError and any other non-int TypeError.  Raises
+    ValueError unless max_weight >= 1 and 0 <= count <= _MAX_SAMPLE_COUNT.
     """
+    count = as_int(count, "count")
+    max_weight = as_int(max_weight, "max_weight")
+    seed = as_int(seed, "seed")
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if count > _MAX_SAMPLE_COUNT:
         raise ValueError(f"count {count} exceeds {_MAX_SAMPLE_COUNT} for a random corpus")
     rng = random.Random(seed)
@@ -845,9 +874,11 @@ _MAX_FAMILY_WEIGHT = 24
 def family_instances(family: str, max_weight: int = 12):
     """All parameter tuples of a closed family with weight <= max_weight.
 
-    Raises ValueError, at the first instance asked for, for a max_weight
-    above _MAX_FAMILY_WEIGHT or an unknown family.
+    Raises, at the first instance asked for, ValueError for a max_weight
+    above _MAX_FAMILY_WEIGHT or an unknown family, and as
+    :func:`~qzeta.qarith.as_int` for a max_weight that is not an int.
     """
+    max_weight = as_int(max_weight, "max_weight")
     if max_weight > _MAX_FAMILY_WEIGHT:
         raise ValueError(f"max_weight {max_weight} exceeds {_MAX_FAMILY_WEIGHT} for a closed family")
     W = max_weight
@@ -891,8 +922,10 @@ def family_instances(family: str, max_weight: int = 12):
 def family_equivalence(family: str, max_weight: int = 12) -> VerificationReport:
     """Closed-form patterns must match the general composer exactly.  A family
     with no instance of weight <= max_weight raises ValueError, as its report
-    would pass without a check."""
+    would pass without a check; max_weight is read as in
+    :func:`family_instances`."""
     t0 = time.perf_counter()
+    max_weight = as_int(max_weight, "max_weight")
     mismatches: list[str] = []
     checks = 0
     for args in family_instances(family, max_weight):

@@ -254,8 +254,8 @@ def test_huge_expansion_fails_fast(capsys, monkeypatch):
     assert "numeric-pass" in out
     # 2,1^33 compiles to 33 slots, one more than a q-series check sums: it
     # is refused before either side sums a term
-    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_rows", never)
+    for name in ("_inner_terms", "_mhs_rows", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     rc, out, err = run(capsys, "verify", "2,1^33", "--qmzsv")
     assert rc == 2
     assert f"pattern depth 33 exceeds {qzeta.evaluators.MAX_PATTERN_DEPTH} for a q-series" in err
@@ -268,7 +268,8 @@ def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a sum was started")
 
-    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     monkeypatch.setattr(qzeta.QContext, "p_lcm", never)
     monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
     pattern_cap = qzeta.evaluators.MAX_PATTERN_LIMIT
@@ -294,8 +295,8 @@ def test_deep_finite_pattern_fails_fast(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the run engine was started")
 
-    monkeypatch.setattr(qzeta.evaluators, "_runs", never)
-    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    for name in ("_runs", "_inner_terms", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     cap = qzeta.evaluators.MAX_PATTERN_DEPTH
     for argv, depth in (
         (("verify", str(cap + 2), "--n-max", "4"), cap + 1),
@@ -327,9 +328,8 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
         raise AssertionError("a sum was started")
 
     monkeypatch.setattr(qzeta.QContext, "qpow", counted)
-    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_rows", never)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
+    for name in ("_inner_terms", "_mhs_rows", "_mhs_enclosure", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     mhs = (qzeta.evaluators.MAX_MHS_LIMIT, "a harmonic sum")
     frakz = (qzeta.evaluators.MAX_FRAKZ_TERMS, "a mollified series")
     # each step of a q_zeta search asks for one power of q, each step of a
@@ -360,8 +360,8 @@ def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a sum was started")
 
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_rows", never)
+    for name in ("_mhs_enclosure", "_mhs_rows", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     cap = qzeta.evaluators.MAX_MHS_LIMIT
     rc, out, err = run(capsys, "verify", "2^1100", "--qmzsv")
     assert rc == 2
@@ -451,7 +451,8 @@ def test_lemmas_without_checks_exit_2(capsys, monkeypatch):
         raise AssertionError("a lemma part was started")
 
     monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
-    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     for argv, message in (
         (("lemmas", "--n-max", "0", "--q", "1/2"), "n_max = 0 leaves alternating-kernel-sum"),
         (("lemmas", "--n-max", "1"), "n_max = 1 leaves alternating-kernel-sum"),
@@ -470,7 +471,8 @@ def test_sizes_over_their_caps_exit_2(capsys, monkeypatch):
         raise AssertionError("a check was started")
 
     monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
-    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     monkeypatch.setattr(qzeta.verify, "_group_seqs", never)
     monkeypatch.setattr(qzeta.verify, "_instances_2c2", never)
     for argv, message in (

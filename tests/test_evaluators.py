@@ -35,6 +35,7 @@ from qzeta.evaluators import (
     MAX_PATTERN_DEPTH,
     Ball,
     _mhs_enclosure,
+    frakz_enclosure,
     q_zeta_enclosure,
 )
 from qzeta.indices import signed_string
@@ -410,6 +411,30 @@ def test_ball_arithmetic_contains_the_exact_results():
                 assert inside(u + v, x + y) and inside(u - v, x - y) and inside(u * v, x * y)
     with pytest.raises(ValueError, match="do not mix"):
         Ball(1, 0, 3) + Ball(1, 0, 4)
+
+
+def test_ball_takes_an_exact_operand_on_the_left():
+    # an int or Fraction on the left of *, - and + gives a ball that holds
+    # the exact result for every value inside the ball operand, as it does
+    # on the right; the check's report computes d * rhs with d an int
+    rng = random.Random(12)
+    for _ in range(300):
+        prec = rng.choice((1, 3, 8, 40))
+        x = Ball(rng.randint(-(2**50), 2**50), rng.randint(0, 2**20), prec)
+        unit = Fraction(1, 2**prec)
+        for c in (
+            rng.randint(-(10**6), 10**6),
+            Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9)),
+        ):
+            for d in (-1, 0, 1):
+                u = (x.mid + d * x.rad) * unit
+                for exact, ball in ((c * u, c * x), (c - u, c - x), (c + u, c + x)):
+                    lo, hi = ball.bounds()
+                    assert ball.prec == prec and lo <= exact <= hi, (c, x, d)
+    # and it is the same ball as with the operand on the right
+    x = Ball(13, 2, 3)
+    assert 2 * x == x * 2 and Fraction(1, 3) + x == x + Fraction(1, 3)
+    assert 1 - x == Ball(1 << 3, 0, 3) - x
 
 
 def test_mhs_enclosure_holds_at_coarse_binary_points():
@@ -1158,6 +1183,289 @@ def test_floored_columns_equal_a_direct_floor():
                 assert sum_w == sum(weights) and sum_f == sum(flags), (q, s, prec)
                 assert moment == sum(k * w for k, w in enumerate(weights, 1)), (q, s, prec)
                 assert _floored_column(q, s, prec, 40) is column
+
+
+FRAKZ_ENCLOSURE_QS = (
+    Fraction(1, 1000), Fraction(1, 3), Fraction(5, 8), Fraction(4, 5), Fraction(9, 10),
+)
+
+
+def _resolutions_partial_sum(q, pattern, merge, K):
+    """The partial sum to K that frakz sums, from the nested-sum oracle over
+    every resolution the merge flag lets it sum."""
+    triples = expand(pattern) if merge else [pattern]
+    return sum((oracles.mollified_series_nested(q, _oracle_slots(T), K) for T in triples), Fraction(0))
+
+
+def _frakz_ball(ctx, pattern, eps, merge):
+    """frakz_enclosure, and with merge=False the same sweep at the K and
+    tail bound of frakz read as one triple."""
+    import qzeta.evaluators as ev
+
+    if merge:
+        return frakz_enclosure(ctx, pattern, eps=eps)
+    K, bound = ev._frakz_truncation(ctx, pattern, eps, False)
+    return ev.SeriesValue(ev._frakz_sweep(ctx, pattern, False, K, ev._default_prec(eps)), bound, K)
+
+
+def test_frakz_enclosure_contains_the_exact_partial_sum():
+    # the ball holds frakz's exact partial sum, at the same K and tail
+    # bound, merged and read as one triple, for seeded patterns of depth
+    # 1-12 with barred and zero magnitudes and shifts theta, 0, +-1 and 2,
+    # toward q -> 1, and it is narrow.  Below depth 6 the exact value is the
+    # independent oracle summed over every resolution; deeper, where
+    # 2**(m-1) resolutions take too long, it is frakz.  At q = 9/10 the
+    # exact sums of depths 10-12 take seconds, so they stop at depth 9
+    rng = random.Random(29)
+    patterns = [_admissible_pattern(rng, m) for m in range(1, 13)]
+    eps = Fraction(1, 10**6)
+    for q in FRAKZ_ENCLOSURE_QS:
+        ctx = QContext(q)
+        for pattern in patterns[: 9 if q == Fraction(9, 10) else 12]:
+            for merge in (True, False):
+                ball = _frakz_ball(ctx, pattern, eps, merge)
+                case = (q, pattern, merge)
+                if pattern.depth < 6:
+                    exact = _resolutions_partial_sum(q, pattern, merge, ball.terms)
+                else:
+                    series = frakz(ctx, pattern, eps=eps, merge=merge)
+                    assert (ball.terms, ball.tail_bound) == (series.terms, series.tail_bound), case
+                    exact = series.value
+                lo, hi = ball.value.bounds()
+                assert lo <= exact <= hi, case
+                assert ball.value.rad <= 2**16, case
+                # negative control: the exact value moved away from the
+                # centre by one radius plus one unit falls outside
+                unit = Fraction(1, 2**ball.value.prec)
+                away = 1 if exact >= ball.value.mid * unit else -1
+                assert not lo <= exact + away * (ball.value.rad + 1) * unit <= hi, case
+    shallow = patterns[2]
+    series = frakz(QContext(Fraction(1, 2)), shallow, eps=eps, merge=True)
+    ball = frakz_enclosure(QContext(Fraction(1, 2)), shallow, eps=eps)
+    assert (ball.terms, ball.tail_bound) == (series.terms, series.tail_bound)
+
+
+def test_frakz_sweep_holds_at_coarse_binary_points():
+    # with a few bits every floor drops a large share of a unit, so a
+    # radius that left out the unit of a floored product, the error of a
+    # column or the spread of a deeper level's radius would miss here
+    import qzeta.evaluators as ev
+
+    rng = random.Random(41)
+    patterns = [_admissible_pattern(rng, m) for m in (1, 2, 3, 3, 4, 4, 5)]
+    for q in (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9)):
+        ctx = QContext(q)
+        for pattern in patterns:
+            for merge in (True, False):
+                for n in (1, 4, 12):
+                    exact = _resolutions_partial_sum(q, pattern, merge, n)
+                    for prec in (2, 4, 8, 16, 64):
+                        lo, hi = ev._frakz_sweep(ctx, pattern, merge, n, prec).bounds()
+                        assert lo <= exact <= hi, (q, pattern, merge, n, prec)
+
+
+def _near_two_patterns():
+    """Patterns whose inner terms are 1 + q**k, about 2 toward q -> 1 (zero
+    magnitudes, no offsets, theta shifts after the first), plain and barred:
+    every floor's error is carried up, doubled, to the levels above."""
+    out = []
+    for m in (2, 3, 4, 5):
+        out.append(Triple((idx(0),) * m, (0,) * m, (1,) + (THETA,) * (m - 1)))
+        out.append(Triple((idx(0),) + (bar(0),) * (m - 1), (0,) * m, (1,) + (THETA,) * (m - 1)))
+    return out
+
+
+@pytest.mark.parametrize("tight", (False, True))
+def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
+    # the sweep's invariant, level by level: |x_j(k) - 2**prec C_j[k]| <=
+    # e_j(k) for every inner level j and k < n, with C_j[k] from the oracle
+    # over every resolution of the slots j..m-1, and the ball holds level
+    # 0's sum.  Coarse binary points and terms near 2 leave a floor's unit
+    # no slack to hide in; with tight=True each column sits at the least
+    # binary point above the level it reads, where a column's own error
+    # counts too
+    import qzeta.evaluators as ev
+
+    if tight:
+        monkeypatch.setattr(ev, "_COLUMN_GUARD_BITS", 0)
+        monkeypatch.setattr(ev, "_COLUMN_PREC_STEP", 1)
+    rng = random.Random(43)
+    patterns = _near_two_patterns() + [_admissible_pattern(rng, m) for m in (2, 3, 3, 4, 4, 5)]
+    for q in (Fraction(1, 2), Fraction(7, 8), Fraction(2, 9)):
+        ctx = QContext(q)
+        for pattern in patterns:
+            m = pattern.depth
+            for merge in (True, False):
+                n = 7
+                _, levels, _ = ev._inner_levels(ctx, pattern, merge, n, 2)
+                for j in range(1, m):
+                    suffix = Triple(pattern.s[j:], pattern.t[j:], pattern.r[j:])
+                    xs, _, es, _, _ = levels[j]
+                    for k in range(n):
+                        exact = _resolutions_partial_sum(q, suffix, merge, k) * 4
+                        assert abs(xs[k] - exact) <= es[k], (q, pattern, merge, j, k)
+                for prec in (1, 2, 4, 8):
+                    lo, hi = ev._frakz_sweep(ctx, pattern, merge, n, prec).bounds()
+                    assert lo <= _resolutions_partial_sum(q, pattern, merge, n) <= hi
+
+
+def _sweep_by_the_stated_bound(ctx, pattern, merge, n, prec):
+    """(mid, rad) of the right-side ball from _frakz_sweep's stated bound,
+    index by index in plain loops, from the same runs and columns: the
+    exact 1 below the innermost slot, floored signed products, 1 +
+    ceil(f top / 2**c) + ceil(t e / 2**c) per inner product, and at level 0
+    one floor per run within 1 + ceil((sum t e + n f top) / 2**c)."""
+    import qzeta.evaluators as ev
+
+    a, b = ctx.q.numerator, ctx.q.denominator
+    m = pattern.depth
+    runs = ev._runs(pattern, merge)
+    levels = {m: ([1 << prec] * n, [0] * n)}
+    mid = rad = 0
+    for i in range(m - 1, -1, -1):
+        mids, rads = [0] * n, [0] * n
+        for j, s, barred, alpha, beta in runs[i]:
+            xs, es = levels[j]
+            top = max(abs(x) + e for x, e in zip(xs, es))
+            c = ev._column_prec(top, prec)
+            halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
+            ts, f = ev._run_column(a, b, s, alpha, beta, halves, c), ev._COLUMN_SLACK
+            signed = [-t if barred and k % 2 else t for k, t in enumerate(ts, 1)]
+            if i:
+                for k in range(n):
+                    mids[k] += signed[k] * xs[k] >> c
+                    rads[k] += 1 + math.ceil(Fraction(f * top, 2**c)) + math.ceil(Fraction(ts[k] * es[k], 2**c))
+            else:
+                mid += sum(u * x for u, x in zip(signed, xs)) >> c
+                spread = sum(t * e for t, e in zip(ts, es))
+                rad += 1 + math.ceil(Fraction(spread + n * f * top, 2**c))
+        if i:
+            levels[i] = (list(itertools.accumulate(mids[:-1], initial=0)),
+                         list(itertools.accumulate(rads[:-1], initial=0)))
+    return mid, rad
+
+
+@pytest.mark.parametrize("tight", (False, True))
+def test_frakz_sweep_is_its_stated_bound(tight, monkeypatch):
+    # the vectorized sweep gives the midpoint and radius of its stated
+    # bound, computed index by index: a term left out of, or added to, the
+    # radius would show here even where containment has slack to hide it.
+    # With tight=True each column sits at the least binary point above the
+    # level it reads, where a column's error is worth whole units
+    import qzeta.evaluators as ev
+
+    if tight:
+        monkeypatch.setattr(ev, "_COLUMN_GUARD_BITS", 0)
+        monkeypatch.setattr(ev, "_COLUMN_PREC_STEP", 1)
+    rng = random.Random(47)
+    patterns = _near_two_patterns() + [_admissible_pattern(rng, m) for m in range(1, 9)]
+    for q in (Fraction(1, 2), Fraction(7, 8), Fraction(2, 9)):
+        ctx = QContext(q)
+        for pattern in patterns:
+            for merge in (True, False):
+                for n, prec in ((5, 2), (12, 16), (20, 300)):
+                    ball = ev._frakz_sweep(ctx, pattern, merge, n, prec)
+                    expect = _sweep_by_the_stated_bound(ctx, pattern, merge, n, prec)
+                    assert (ball.mid, ball.rad) == expect, (q, pattern, merge, n, prec)
+
+
+def test_run_columns_bracket_the_exact_terms():
+    # each floored term t_k of a run at 2**-prec lies less than
+    # _COLUMN_SLACK = 4 units below 2**prec times the exact term and never
+    # above it, also for runs of negative alpha, whose terms lie far above
+    # 1 and read a finer magnitude table, and of negative beta, whose
+    # exponents do not rise with k
+    import qzeta.evaluators as ev
+
+    assert ev._COLUMN_SLACK == 4
+
+    rng = random.Random(53)
+    for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(5, 8), Fraction(9, 10)):
+        a, b = q.numerator, q.denominator
+        for _ in range(12):
+            s, alpha, beta = rng.randint(0, 12), rng.choice((-1, 0, 1, 2)), rng.randint(-1, 6)
+            n = rng.randint(1, 30)
+            halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
+            expos = [alpha * h + beta * k for k, h in enumerate(halves, 1)]
+            for prec in (3, 64, 320):
+                ts = ev._run_column(a, b, s, alpha, beta, halves, prec)
+                assert len(ts) == n
+                for k, (t, e) in enumerate(zip(ts, expos), 1):
+                    exact = q**e * (1 + q**k) / oracles.q_integer(q, k) ** s * 2**prec
+                    assert t <= exact < t + 4, (q, s, alpha, beta, prec, k)
+
+
+def test_frakz_tables_equal_a_direct_floor():
+    # each magnitude entry is the floor of (1 + q**k) / [k]**s at 2**-prec,
+    # with [k] from the oracle's q-integers, and each power entry the floor
+    # of base**e; a power table of a base below 1 ends in zeros
+    import qzeta.evaluators as ev
+
+    for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(5, 8), Fraction(9, 10)):
+        a, b = q.numerator, q.denominator
+        for prec in (0, 7, 320):
+            for group in (0, 1):
+                table = ev._magnitude_table(a, b, prec, 40, group)
+                assert len(table) == ev._MAGNITUDE_GROUP
+                for i, column in enumerate(table):
+                    s = group * ev._MAGNITUDE_GROUP + i
+                    assert len(column) == 40
+                    for k in range(1, 41):
+                        exact = (1 + q**k) / oracles.q_integer(q, k) ** s * 2**prec
+                        assert column[k - 1] == math.floor(exact), (q, prec, s, k)
+            for base in (q, 1 / q):
+                powers = ev._power_table(base.numerator, base.denominator, prec, 600)
+                assert len(powers) == 600
+                assert list(powers) == [math.floor(base**e * 2**prec) for e in range(600)], (base, prec)
+            assert ev._magnitude_table(a, b, prec, 40, 1) is ev._magnitude_table(a, b, prec, 40, 1)
+
+
+@pytest.mark.parametrize("guard", (1, 2, 5, 64))
+def test_power_tables_divide_out_what_their_guard_bits_cannot_tell(guard, monkeypatch):
+    # with few guard bits the recurrence's floor is often undecided and
+    # divided out exactly; every entry is still the floor of base**e, and
+    # the table stops computing at its first zero
+    import qzeta.evaluators as ev
+
+    monkeypatch.setattr(ev, "_POWER_GUARD_BITS", guard)
+    ev._power_table.cache_clear()
+    for q in (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(999, 1000), Fraction(1, 7)):
+        a, b = q.numerator, q.denominator
+        for prec in (0, 5, 64, 200):
+            powers = ev._power_table(a, b, prec, 300)
+            assert list(powers) == [math.floor(q**e * 2**prec) for e in range(300)], (q, prec, guard)
+
+
+def test_frakz_enclosure_refuses_as_frakz_does_before_any_table(monkeypatch):
+    # a pattern over the depth cap, an inadmissible one, an eps that is not
+    # a positive rational and a K over its cap are refused before the sweep
+    # or any table is started, with frakz's messages
+    import qzeta.evaluators as ev
+
+    def never(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for name in ("_frakz_sweep", "_run_column", "_magnitude_table", "_power_table"):
+        monkeypatch.setattr(ev, name, never)
+    ctx = QContext(Fraction(1, 2))
+    deep = Triple((idx(1),) * 33, (0,) * 33, (1,) + (THETA,) * 32)
+    divergent = Triple((idx(2), idx(1)), (0, 0), (1, 2))
+    admissible = Triple((idx(3), bar(1)), (1, 0), (1, THETA))
+    for pattern, eps, message in (
+        (deep, Fraction(1, 10**6), "depth 33 exceeds"),
+        (divergent, Fraction(1, 10**6), "divergent"),
+        (admissible, Fraction(0), "eps must be positive"),
+        (admissible, "abc", "eps must be a rational number"),
+        (admissible, Fraction(1, 10**6000), "series length exceeds 100 for a mollified series"),
+    ):
+        for merge in (True, False):
+            with pytest.raises(ValueError, match=message):
+                frakz(ctx, pattern, eps=eps, merge=merge)
+        with pytest.raises(ValueError, match=message):
+            frakz_enclosure(ctx, pattern, eps=eps)
+    # the patches are live: an admissible pattern reaches the sweep
+    with pytest.raises(AssertionError, match="a table was built"):
+        frakz_enclosure(ctx, admissible, eps=Fraction(1, 10**6))
 
 
 def test_merge_mask_sums_the_resolutions_it_allows():

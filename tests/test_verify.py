@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -187,7 +188,8 @@ def test_verify_mhs_refuses_an_empty_q_list_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    monkeypatch.setattr(qzeta.evaluators, "_inner_terms", never)
+    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     monkeypatch.setattr(v, "_mhs_rows", never)
     for q_values in ((), []):
         with pytest.raises(ValueError, match="at least one q"):
@@ -611,7 +613,8 @@ def test_symmetric_pair_check_refuses_bad_sizes_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    monkeypatch.setattr(qzeta.evaluators, "_mhs_enclosure", never)
+    for name in ("_mhs_enclosure", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
     monkeypatch.setattr(qzeta.verify, "frakz", never)
     for a, b in ((-1, 0), (0, -2), (-3, -3), (1.0, 0), (0, "2"), (Fraction(1), 1)):
         with pytest.raises(ValueError, match="must be an int >= 0"):
@@ -629,7 +632,7 @@ def test_symmetric_pair_check_refuses_bools(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_mhs_enclosure", "_classical_sum"):
+    for name in ("_inner_terms", "_mhs_enclosure", "_frakz_sweep", "_run_column", "_classical_sum"):
         monkeypatch.setattr(ev, name, never)
     for name in ("_mhs_rows", "_kernel_sum", "_inverse_power", "_head_reduction"):
         monkeypatch.setattr(v, name, never)
@@ -664,7 +667,7 @@ def test_composition_entries_have_one_reader_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_mhs_enclosure", "_classical_sum"):
+    for name in ("_inner_terms", "_mhs_enclosure", "_frakz_sweep", "_run_column", "_classical_sum"):
         monkeypatch.setattr(ev, name, never)
     monkeypatch.setattr(v, "_mhs_rows", never)
     checks = (v.verify_mhs, v.verify_qmzsv, v.verify_classical)
@@ -795,6 +798,101 @@ def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
         memo.cache_info() for memo in qzeta_memos
     ]
 
+
+
+def _weight_twelve_depth_two_to_four() -> list:
+    from qzeta import compose
+
+    comps = []
+    for cuts in range(2**11):
+        comp, run = [], 1
+        for p in range(11):
+            if cuts >> p & 1:
+                comp.append(run)
+                run = 1
+            else:
+                run += 1
+        comp.append(run)
+        if comp[0] >= 2 and 2 <= compose(comp)[1].depth <= 4:
+            comps.append(tuple(comp))
+    assert len(comps) == 175
+    return comps
+
+
+def test_qseries_right_side_is_decided_by_the_ball(monkeypatch):
+    # with the exact right side patched to raise, every weight-12
+    # composition with a first entry >= 2 and pattern depth 2-4 passes at
+    # q = 1/2, and so does 9,9,9 (pattern depth 22) at q = 4/5, whose exact
+    # right side takes seconds
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("the right side was summed exactly")
+
+    comps = _weight_twelve_depth_two_to_four()
+    exact = {comp: _body(v.verify_qmzsv(comp)) for comp in comps[::25]}
+    monkeypatch.setattr(v, "frakz", never)
+    for comp in comps:
+        rep = v.verify_qmzsv(comp)
+        assert rep.status == "numeric-pass", comp
+        if comp in exact:
+            assert _body(rep) == exact[comp]
+    rep = v.verify_qmzsv((9, 9, 9), q=Fraction(4, 5))
+    assert rep.status == "numeric-pass"
+    assert rep.discrepancy == "4.94129238005E-34"
+    # the patch is live: a ball that cannot decide falls back to it
+    monkeypatch.setattr(
+        v, "frakz_enclosure",
+        lambda *args, **kwargs: v.SeriesValue(evaluators.Ball(0, 1 << 300, 300), Fraction(0), 0),
+    )
+    with pytest.raises(AssertionError, match="the right side was summed exactly"):
+        v.verify_qmzsv((2, 1, 2))
+
+
+def test_qseries_sums_the_right_side_once_as_a_ball_and_once_exactly(monkeypatch):
+    # when no ball decides, the right ball is summed once, against the
+    # first left ball, and the exact right side once, against every left
+    # value after it; the report is the exact one
+    import qzeta.verify as v
+
+    exact = _body(v.verify_qmzsv((2, 1, 2)))
+    calls = collections.Counter()
+
+    def counted(name, value=None):
+        real = getattr(v, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs) if value is None else value
+        monkeypatch.setattr(v, name, call)
+
+    wide = v.SeriesValue(evaluators.Ball(0, 1 << 300, 300), Fraction(0), 0)
+    counted("frakz_enclosure", wide)
+    counted("frakz")
+    counted("q_zeta_enclosure", wide)
+    counted("q_zeta")
+    assert _body(v.verify_qmzsv((2, 1, 2))) == exact
+    assert calls == {"frakz_enclosure": 1, "frakz": 1, "q_zeta_enclosure": 4, "q_zeta": 1}
+
+
+def test_qseries_reports_are_the_same_from_cold_and_warm_tables(qzeta_memos):
+    # a check that builds the right ball's tables and one that reads them
+    # from the memos give the same report, at several q; the second check
+    # builds no table
+    from qzeta import evaluators as ev
+
+    comps = [(2, 1, 1, 3, 1), (5, 5, 1), (2, 3, 2, 1, 2, 2), (4, 1, 1)]
+    for q in (Fraction(1, 2), Fraction(2, 3), Fraction(5, 8), Fraction(4, 5)):
+        for comp in comps:
+            for memo in qzeta_memos:
+                memo.cache_clear()
+            cold = _body(verify_qmzsv(comp, q=q))
+            built = ev._magnitude_table.cache_info().misses, ev._power_table.cache_info().misses
+            assert built[0] and built[1]
+            warm = _body(verify_qmzsv(comp, q=q))
+            assert cold == warm, (q, comp)
+            again = ev._magnitude_table.cache_info().misses, ev._power_table.cache_info().misses
+            assert again == built, (q, comp)
 
 
 def _leading_two_weight_seven() -> list:
@@ -960,6 +1058,39 @@ def test_sample_compositions_count_cap(monkeypatch):
         sample_compositions(cap)
 
 
+def test_sample_compositions_reads_its_sizes_as_ints():
+    # a bool would draw as 0 or 1 and a negative count would return an empty
+    # corpus; both are refused, and a float raises a TypeError that names it
+    with pytest.raises(ValueError, match="^count must be an int, got True$"):
+        sample_compositions(True)
+    with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+        sample_compositions(-1)
+    with pytest.raises(ValueError, match="^max_weight must be an int, got True$"):
+        sample_compositions(3, max_weight=True)
+    with pytest.raises(ValueError, match="^seed must be an int, got False$"):
+        sample_compositions(3, seed=False)
+    for name, kwargs in (("count", {"count": 3.0}), ("max_weight", {"max_weight": 5.0}),
+                         ("seed", {"seed": 1.5})):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+            sample_compositions(**{"count": 3, **kwargs})
+    assert sample_compositions(0) == []
+
+
+def test_family_sizes_are_read_as_ints():
+    # a float max_weight used to raise a bare TypeError from range, and True
+    # ran as weight 1; each entry point now names the parameter
+    for call in (
+        lambda w: next(family_instances("twos", w)),
+        lambda w: family_equivalence("twos", w),
+        lambda w: run_family("twos", w),
+    ):
+        with pytest.raises(TypeError, match="^max_weight must be an int, got 12.0: "):
+            call(12.0)
+        with pytest.raises(ValueError, match="^max_weight must be an int, got True$"):
+            call(True)
+    assert family_equivalence("twos", 12).params["max_weight"] == 12
+
+
 def test_family_instances_and_equivalence():
     from qzeta import closed_pattern
 
@@ -1040,7 +1171,7 @@ def test_eps_is_read_as_a_positive_rational_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_mhs_rows", "_mhs_enclosure"):
+    for name in ("_inner_terms", "_mhs_rows", "_mhs_enclosure", "_frakz_sweep", "_run_column"):
         monkeypatch.setattr(ev, name, never)
     ctx = QContext(Fraction(1, 2))
     pattern = Triple((idx(2),), (0,), (2,))
@@ -1084,7 +1215,8 @@ def test_finite_checks_refuse_a_str_of_q_and_a_fractional_n_max_before_any_sum(m
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    monkeypatch.setattr(ev, "_inner_terms", never)
+    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(ev, name, never)
     monkeypatch.setattr(v, "_mhs_rows", never)
     for part in ("_kernel_sum", "_inverse_power", "_head_reduction"):
         monkeypatch.setattr(v, part, never)
