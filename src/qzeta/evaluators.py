@@ -696,13 +696,22 @@ def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fra
     """
     if m == 0:
         return 0, Fraction(0)
-    return _harmonic_search(ctx.q, m, eps, MAX_MHS_LIMIT)
+    q = ctx.q
+    return _harmonic_search(
+        q.numerator, q.denominator, m, eps.numerator, eps.denominator, MAX_MHS_LIMIT
+    )
 
 
 @lru_cache(maxsize=_SEARCH_CACHE_SIZE)
-def _harmonic_search(q: Fraction, m: int, eps: Fraction, cap: int) -> tuple[int, Fraction]:
-    """The search of :func:`_harmonic_truncation` below cap; the cap is part
-    of the key, so no entry outlives it, and a refusal is not kept."""
+def _harmonic_search(
+    a: int, b: int, m: int, eps_num: int, eps_den: int, cap: int
+) -> tuple[int, Fraction]:
+    """The search of :func:`_harmonic_truncation` at q = a/b and
+    eps = eps_num/eps_den below cap; the cap is part of the key, so no
+    entry outlives it, and a refusal is not kept.  Keyed by integers, as
+    hashing a Fraction takes a modular inverse, 4.5 us for
+    eps = 1/(4 * 10**25), and every q-series check looks both searches up."""
+    q, eps = Fraction(a, b), Fraction(eps_num, eps_den)
     ctx = QContext(q)
     prefactor = (q / (1 - q)) ** (m - 1) / (1 - q)
 
@@ -843,15 +852,22 @@ def _frakz_truncation(ctx: QContext, pattern: Triple, eps, merge) -> tuple[int, 
         raise ValueError(f"pattern depth {m} exceeds {MAX_PATTERN_DEPTH} for a q-series")
     if not is_admissible(pattern):
         raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
-    return _frakz_search(ctx.q, m, bool(merge), as_eps(eps), MAX_FRAKZ_TERMS)
+    q, eps = ctx.q, as_eps(eps)
+    return _frakz_search(
+        q.numerator, q.denominator, m, bool(merge), eps.numerator, eps.denominator, MAX_FRAKZ_TERMS
+    )
 
 
 @lru_cache(maxsize=_SEARCH_CACHE_SIZE)
-def _frakz_search(q: Fraction, m: int, merge: bool, eps: Fraction, cap: int) -> tuple[int, Fraction]:
-    """The truncation K of :func:`frakz` for a depth-m pattern and its tail
-    bound, the least K <= cap whose bound is <= eps, found by
-    :func:`_truncation` from 0.  The cap is part of the key, so no entry
-    outlives it, and a refusal is not kept."""
+def _frakz_search(
+    a: int, b: int, m: int, merge: bool, eps_num: int, eps_den: int, cap: int
+) -> tuple[int, Fraction]:
+    """The truncation K of :func:`frakz` for a depth-m pattern at q = a/b
+    and its tail bound, the least K <= cap whose bound is <= eps =
+    eps_num/eps_den, found by :func:`_truncation` from 0.  The cap is part
+    of the key, so no entry outlives it, and a refusal is not kept; keyed
+    by integers as :func:`_harmonic_search` is."""
+    q, eps = Fraction(a, b), Fraction(eps_num, eps_den)
     ctx = QContext(q)
     # (count, depth) of the resolutions summed, deepest (largest rho) first
     classes = [(comb(m - 1, d - 1), d) for d in range(m, 0, -1)] if merge else [(1, m)]
@@ -966,7 +982,9 @@ def _column_prec(top: int, prec: int) -> int:
     return -(-bits // _COLUMN_PREC_STEP) * _COLUMN_PREC_STEP
 
 
-def _run_column(a: int, b: int, s: int, alpha: int, beta: int, halves: list, prec: int) -> list[int]:
+def _run_column(
+    a: int, b: int, s: int, alpha: int, beta: int, halves: list, prec: int
+) -> list[int]:
     """The floored terms t_k of a folded run (s, alpha, beta) at q = a/b and
     the binary point 2**-prec, for k = 1..n with halves[k-1] = k(k-1)/2:
     2**prec T_k lies in [t_k, t_k + _COLUMN_SLACK) for the exact unsigned
@@ -1097,7 +1115,9 @@ def _frakz_sweep(ctx: QContext, pattern: Triple, merge, n: int, prec: int) -> Ba
     return Ball(mid, rad, prec)
 
 
-def frakz_enclosure(ctx: QContext, pattern: Triple, eps: Fraction = Fraction(1, 10**20)) -> SeriesValue:
+def frakz_enclosure(
+    ctx: QContext, pattern: Triple, eps: Fraction = Fraction(1, 10**20)
+) -> SeriesValue:
     """:func:`frakz` with merge=True, its value a :class:`Ball` at 2**-P
     around the same exact partial sum, at the same K and with the same tail
     bound (see :func:`_frakz_sweep`); P is as for :func:`q_zeta_enclosure`.
