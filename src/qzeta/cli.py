@@ -21,10 +21,11 @@ from typing import Sequence
 from .evaluators import classical_zeta, frakz, mhs, q_zeta
 from .expansion import Triple, expand
 from .indices import SignedIndex, Theta, parse_shift
-from .qarith import QContext, as_eps, as_q
+from .qarith import QContext, as_eps
 from .rules import CLOSED_FAMILIES, classical_expand, compose, parse_composition, parse_repeated
 from .verify import (
     DEFAULT_SEED,
+    _q_list,
     all_passed,
     lemma_suite,
     run_family,
@@ -222,7 +223,7 @@ def _emit_reports(reports, fmt: str) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # read here, so a bad --q fails also where the target uses no q
-    qs = [as_q(token) for token in args.q.split(",")]
+    qs = _q_list(args.q.split(","))
     target = args.target
     series = "--qmzsv" if args.qmzsv else "--classical" if args.classical else None
     if series and (target in CLOSED_FAMILIES or target == "random"):

@@ -71,8 +71,10 @@ Gaussian-binomial integer G(N, j) = P_N / (P_j P_(N-j)),
 so each upper limit n is one integer sum over a denominator of its own,
 G(2n, n) times the least scale that the engine's values up to n need once
 b^(k^2) is folded into their b-exponents.  Its terms, G(2n, n-k) times a
-scaled value, are carried from row n-1 to row n by one multiply and one
-exact division by small integers each (see :func:`_pattern_pairs`).  Both
+value at its own index's scale, are carried from row n-1 to row n by one
+multiply and one exact division by integers of about n bits each, and the
+denominator's growth from index to index is folded into each row's sum
+once, by Horner, as in :func:`frakz` (see :func:`_pattern_pairs`).  Both
 finite engines return (numerator, denominator) rows, which
 :func:`~qzeta.verify.verify_mhs` compares unreduced by cross-multiplication.
 :func:`frakz` sums the run engine's values over the same running scale.
@@ -534,10 +536,10 @@ def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int]]:
 
 # Largest upper limit of the finite mollified sums, checked before any term
 # is summed.  The engine's values grow like n**2 bits and each n moves n of
-# them by factors of about n bits, so the cost grows a little faster than
-# n**4: verify_mhs of (2,1,1,3,1) at q = 5/8 takes 0.6 s at n_max = 80,
-# 4.0 s at 120 and 15 s at 160, and of (2,1) at q = 1/2 0.7 s at 160, on a
-# 2-vCPU x86-64 host.  Deeper patterns cost more per n.
+# them, and folds n of them, by factors of about n bits, so the cost grows a
+# little faster than n**4: verify_mhs of (2,1,1,3,1) at q = 5/8 takes 0.5 s
+# at n_max = 80, 2.8 s at 120 and 10.5 s at 160, and of (2,1) at q = 1/2
+# 0.55 s at 160, on a 2-vCPU x86-64 host.  Deeper patterns cost more per n.
 MAX_PATTERN_LIMIT = 160
 
 # Deepest pattern of a finite mollified sum or a q-series, checked before the
@@ -568,25 +570,34 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     (see :func:`_inner_terms` and :func:`_rescaled`): the b**(k*k) of the
     prefactor is folded into the engine's exponent before the value is
     scaled, so it cancels the b-powers the engine's terms carry instead of
-    multiplying them.  The value weighted[k] = b**(k*k) * inner[k] * D_n,
-    k <= n, moves from row n-1 to row n by the small factor
-    g_n = D_n / D_(n-1) of :func:`_rescaled`.  With P_n**2 / P_2n =
+    multiplying them.  x_k = b**(k*k) * inner[k] * D_k is an integer at its
+    own index's scale, and g_j = D_j / D_(j-1) of :func:`_rescaled` moves
+    it on, D_n / D_k = g_(k+1) * ... * g_n.  With P_n**2 / P_2n =
     1 / G(2n, n) and the Gaussian-binomial integers
     G(N, j) = P_N / (P_j P_(N-j)),
 
-        out[n] = sum_k T_n[k] / (G(2n, n) * D_n),  T_n[k] = G(2n, n-k) * weighted[k].
+        out[n] = sum_k Y_n[k] * (D_n / D_k) / (G(2n, n) * D_n),  Y_n[k] = G(2n, n-k) * x_k.
 
     With h_i = ctx.h(i), G(2n, n-k) / G(2n-2, n-1-k) = h_2n h_(2n-1) /
     (h_(n-k) h_(n+k)), so each product is carried from row n-1 to row n by
 
-        T_n[k] = T_(n-1)[k] * g_n * h_2n * h_(2n-1) // (h_(n-k) * h_(n+k)),
+        Y_n[k] = Y_(n-1)[k] * h_2n * h_(2n-1) // (h_(n-k) * h_(n+k)),
 
     one multiply and one exact division by integers of about n bits; row n
-    gains T_n[n] = weighted[n], as G(2n, 0) = 1, and the centre G(2n, n)
-    moves by the k = 0 case of the same ratio.  No Gaussian row is built,
-    and each big integer meets only integers of about n bits, where a fresh
-    dot product per row would multiply integers of about n**2 bits each: the
-    cost grows about as n**4 rather than n**5.  Nothing is reduced here.
+    gains Y_n[n] = x_n, as G(2n, 0) = 1, and the centre G(2n, n) moves by
+    the k = 0 case of the same ratio.  The products stay at their own
+    index's scale, so the growth never meets them: g_n holds
+    (L_n/L_(n-1))**w, up to w times the bits of h_n, and the a- and
+    b-powers on top.  Each row folds the growth into its numerator once,
+    by Horner over the g_k, as :func:`frakz` does,
+
+        acc = 0,  acc = acc * g_k + Y_n[k]  for k = 1..n,
+
+    so step k multiplies a partial sum over D_(k-1) by g_k, and only the
+    last steps meet integers at row n's scale (g_1 multiplies the empty
+    sum).  No Gaussian row is built, and no two integers of about n**2 bits
+    are multiplied, as a fresh dot product per row would: the cost grows
+    about as n**4 rather than n**5.  Nothing is reduced here.
     """
     n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
     if pattern.depth > MAX_PATTERN_DEPTH:
@@ -596,16 +607,20 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     inner = islice(_inner_terms(ctx, pattern, merge), n_max)
     folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
     h = _q_factors(ctx, 2 * n_max)
-    terms: list[int] = []  # G(2n, n-k) * weighted[k], k = 1..n
+    grows: list[int] = []  # g_k, k = 1..n
+    terms: list[int] = []  # G(2n, n-k) * x_k, k = 1..n
     centre = 1  # G(2n, n)
     out = [(0, 1)]
     for n, (grow, x, den) in enumerate(_rescaled(ctx, pattern.weight, folded), 1):
         up = h[2 * n] * h[2 * n - 1]
-        step = grow * up
-        terms = [t * step // (h[n - k] * h[n + k]) for k, t in enumerate(terms, 1)]
+        terms = [t * up // (h[n - k] * h[n + k]) for k, t in enumerate(terms, 1)]
         terms.append(x)  # G(2n, 0) = 1
+        grows.append(grow)
+        total = 0
+        for g, t in zip(grows, terms):
+            total = total * g + t
         centre = centre * up // (h[n] * h[n])
-        out.append((sum(terms), centre * den))
+        out.append((total, centre * den))
     return out
 
 
@@ -621,8 +636,10 @@ def pattern_mhs_many(
     out[n] = sum_k br(n, k) * inner[k], where with q = a/b
     br(n, k) = gauss(n, k) / gauss(n + k, k) = P_n**2 / P_2n * G(2n, n-k) * b**(k*k),
     P_j = h_1 * ... * h_j with h_i = ctx.h(i), and G(N, j) = P_N / (P_j P_(N-j))
-    an integer.  Each row is one integer sum of products carried from the row
-    before (see :func:`_pattern_pairs`) and each value is reduced once.
+    an integer.  Each row is one integer sum of products G(2n, n-k) times
+    a scaled value, each carried from the row before at its own index's
+    scale and folded into the row's denominator by Horner (see
+    :func:`_pattern_pairs`), and each value is reduced once.
 
     Raises ValueError, before summing any term, for n_max above
     MAX_PATTERN_LIMIT or a pattern deeper than MAX_PATTERN_DEPTH.

@@ -167,10 +167,14 @@ def _sequence(values: Sequence, name: str, noun: str) -> tuple:
 
 
 def _q_list(q_values: Sequence[QLike]) -> list[Fraction]:
-    """q_values as a nonempty list of q: with none a report passes unchecked."""
+    """q_values as a nonempty list of distinct q: with none a report passes
+    unchecked, and a q given twice would be checked twice."""
     qs = [as_q(q) for q in _sequence(q_values, "q_values", "q")]
     if not qs:
         raise ValueError("q_values needs at least one q")
+    for i, q in enumerate(qs):
+        if q in qs[:i]:
+            raise ValueError(f"q_values gives q = {q} more than once")
     return qs
 
 
@@ -957,6 +961,7 @@ def run_family(
 ) -> list[VerificationReport]:
     """Structural equivalence plus exact evaluations of the first five
     instances of a family."""
+    q_values = _q_list(q_values)
     reports = [family_equivalence(family, max_weight)]
     for args in itertools.islice(family_instances(family, max_weight), 5):
         comp, _ = closed_pattern(family, *args)

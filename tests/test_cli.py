@@ -561,3 +561,29 @@ def test_huge_classical_truncation_fails_fast(capsys, monkeypatch):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert f"series depth {depth} exceeds {cap}" in err
+
+
+def test_a_repeated_q_exits_2_before_any_check(capsys, monkeypatch):
+    # 2/4 and 0.5 read as 1/2: one q would be checked twice, and with
+    # --qmzsv reported twice
+    def never(*args, **kwargs):
+        raise AssertionError("a check was started")
+
+    for name in ("verify_mhs", "verify_qmzsv", "verify_classical", "run_family"):
+        monkeypatch.setattr(qzeta.cli, name, never)
+    # `qzeta lemmas` hands its list to lemma_suite, which reads it
+    for name in ("_kernel_sum", "_inverse_power", "_head_reduction"):
+        monkeypatch.setattr(qzeta.verify, name, never)
+    for argv, q in (
+        (("verify", "2,1", "--q", "1/2,2/4,0.5", "--n-max", "3"), "1/2"),
+        (("verify", "2,1", "--qmzsv", "--q", "1/2,0.5"), "1/2"),
+        (("verify", "2,1", "--classical", "--q", "1/3,2/6"), "1/3"),
+        (("verify", "2c2", "--q", "1/3,1/3"), "1/3"),
+        (("lemmas", "--q", "0.5,1/2"), "1/2"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and err == f"error: q_values gives q = {q} more than once\n", argv
+    # the patches are live: distinct q reach a check
+    with pytest.raises(AssertionError, match="a check was started"):
+        main(["verify", "2,1", "--qmzsv", "--q", "1/2,1/3"])

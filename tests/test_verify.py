@@ -199,6 +199,35 @@ def test_verify_mhs_refuses_an_empty_q_list_before_any_sum(monkeypatch):
         v.verify_mhs((2, 1), n_max=3)
 
 
+def test_a_repeated_q_is_refused_before_any_sum(monkeypatch):
+    # 2/4 and 0.5 read as 1/2, which would be checked twice
+    import qzeta.evaluators
+    import qzeta.verify as v
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sum was started")
+
+    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
+    for name in ("_mhs_rows", "_kernel_sum", "family_equivalence"):
+        monkeypatch.setattr(v, name, never)
+    for q_values, q in (
+        ((Fraction(1, 2), "2/4"), "1/2"),
+        (["1/3", "0.5", Fraction(1, 2)], "1/2"),
+        ((Fraction(2, 3),) * 2, "2/3"),
+    ):
+        for call in (
+            lambda: v.verify_mhs((2, 1), n_max=3, q_values=q_values),
+            lambda: v.run_family("2c2", max_weight=4, n_max=3, q_values=q_values),
+            lambda: v.lemma_suite(n_max=3, q_values=q_values),
+        ):
+            with pytest.raises(ValueError, match=f"^q_values gives q = {q} more than once$"):
+                call()
+    # the patches are live: distinct q reach a sum
+    with pytest.raises(AssertionError, match="a sum was started"):
+        v.verify_mhs((2, 1), n_max=3, q_values=("1/2", "1/3"))
+
+
 def test_verify_mhs_detects_corruption(monkeypatch):
     import qzeta.verify as v
     from qzeta import Compiled
