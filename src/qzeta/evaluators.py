@@ -57,7 +57,7 @@ no loop takes a gcd and each returned value is reduced once.  For q = a/b,
 h_i = (b^i - a^i)/(b - a) and L_k = lcm(h_i, i <= k), all kept by the
 :class:`~qzeta.qarith.QContext`, the harmonic sums (and so :func:`q_zeta`)
 scale a cumulative at index k by a power of L_k times a power of b, and
-each row carries its own denominator (see :func:`_mhs_rows`).  The
+each row carries its own scale (see :func:`_mhs_rows`).  The
 mollified sums and :func:`frakz` share one recurrence, the run engine,
 whose terms also carry q^quadratic and (1 + q^k) factors: it scales the
 cumulative of slots i..m-1 by L_k^W_i a^A_i b^B_i, with W_i their total
@@ -74,10 +74,16 @@ b^(k^2) is folded into their b-exponents.  Its terms, G(2n, n-k) times a
 value at its own index's scale, are carried from row n-1 to row n by one
 multiply and one exact division by integers of about n bits each, and the
 denominator's growth from index to index is folded into each row's sum
-once, by Horner, as in :func:`frakz` (see :func:`_pattern_pairs`).  Both
-finite engines return (numerator, denominator) rows, which
-:func:`~qzeta.verify.verify_mhs` compares unreduced by cross-multiplication.
-:func:`frakz` sums the run engine's values over the same running scale.
+once, by Horner, as in :func:`frakz` (see :func:`_pattern_rows`).  Both
+finite engines return rows at the scale the two sides of the finite
+identity share: a numerator over L_n^w times a small cofactor, with L_n^w
+(w the weight, which both sides have) left implied.  That power is most of
+either denominator's bits, so :func:`~qzeta.verify.verify_mhs` compares
+the rows unreduced by cross-multiplying the numerators with the cofactors
+alone, and a value's denominator is multiplied out only where a value is
+returned (:func:`mhs_many`, :func:`pattern_mhs_many`) or a failing row's
+residual is reduced.  :func:`frakz` sums the run engine's values over the
+same running scale and builds its own denominator.
 """
 
 from __future__ import annotations
@@ -186,8 +192,12 @@ def _upper_limit(n_max, cap: int, what: str) -> int:
 
 
 def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tuple[int, int]]:
-    """Unreduced (numerator, denominator) of the nested harmonic sum for
-    every upper limit 0..n_max, in integers.
+    """Unreduced rows (numerator, e) of the nested harmonic sum for every
+    upper limit 0..n_max, in integers: row n is the numerator over
+    L_n^W * b^e, with W the total magnitude of the entries and
+    L_n = ctx.p_lcm(n).  The power of L_n is left implied, so a caller
+    that compares two sums at the same L_n never multiplies it in, and
+    one that wants a value builds the denominator (see :func:`_lcm_powers`).
 
     With q = a/b in lowest terms, h_k = ctx.h(k) and L_k = ctx.p_lcm(k),
     w_k = L_k/[k] = b^(k-1) L_k/h_k is an integer and the term of
@@ -197,12 +207,12 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     c_j(k) = sgn^k a^k v_k w_k^(s_j-1) (sgn^k a^k when s_j = 0), where
     v_k = w_k / b^(k-1).  X_j, the cumulative of level j times
     D_j(k)...D_{m-1}(k), is carried from k-1 to k by the growth of those
-    scales, then X_j += c_j(k) X_{j+1} with X_m = 1.  Row n is
-    (X_0, D_0(n)...D_{m-1}(n)): the denominator starts at b^(number of
-    nonzero magnitudes) and grows with X_0's scale at every k, also while
-    X_0 is 0.  Only integers are added and multiplied; letting the scales
-    grow with k, rather than fixing them at L_n_max from the start, keeps
-    the products of the early steps small.
+    scales, then X_j += c_j(k) X_{j+1} with X_m = 1.  Row n is X_0 over
+    D_0(n)...D_{m-1}(n) = L_n^W * b^e, e = m - z + z*n for z zero
+    magnitudes: the scale grows at every k, also while X_0 is 0.  Only
+    integers are added and multiplied; letting the scales grow with k,
+    rather than fixing them at L_n_max from the start, keeps the products
+    of the early steps small.
 
     Raises ValueError, before summing any term, for n_max above
     MAX_MHS_LIMIT.
@@ -216,8 +226,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     grow_l = [sum(mags[j:]) for j in range(m + 1)]
     grow_b = [mags[j:].count(0) for j in range(m + 1)]
     x = [0] * m + [1]
-    den = b ** (m - grow_b[0])
-    rows = [(x[0], den)]
+    rows = [(x[0], m - grow_b[0])]
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
     order = range(m - 1, -1, -1) if star else range(m)
@@ -226,7 +235,6 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
         for j in range(m):
             if x[j]:
                 x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
-        den *= ratio ** grow_l[0] * b ** grow_b[0]
         ak = a**k
         v = ctx.p_lcm(k) // ctx.h(k)
         w = v * b ** (k - 1)
@@ -235,8 +243,15 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
             if entries[j].sign < 0 and k % 2:
                 c = -c
             x[j] += c * x[j + 1]
-        rows.append((x[0], den))
+        rows.append((x[0], m - grow_b[0] + grow_b[0] * k))
     return rows
+
+
+def _lcm_powers(ctx: QContext, w: int, n_max: int) -> Iterator[int]:
+    """L_n**w = ctx.p_lcm(n)**w for n = 0..n_max, each the last times
+    (L_n/L_(n-1))**w: the part of a row's denominator that the finite
+    engines leave implied (see :func:`_mhs_rows` and :func:`_pattern_rows`)."""
+    return accumulate((ctx.p_lcm_step(n) ** w for n in range(1, n_max + 1)), mul, initial=1)
 
 
 # Bounded memos of the q-level work of the certified series.  At one q and
@@ -357,12 +372,19 @@ def _mhs_enclosure(ctx: QContext, entries: tuple, n: int, star: bool, prec: int)
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
     """Values of the nested harmonic sum for every upper limit 0..n_max."""
-    return [Fraction(x, den) for x, den in _mhs_rows(ctx, signed_string(s), n_max, star)]
+    entries = signed_string(s)
+    rows = _mhs_rows(ctx, entries, n_max, star)
+    scales = _lcm_powers(ctx, sum(entry.magnitude for entry in entries), len(rows) - 1)
+    b = ctx.q.denominator
+    return [Fraction(x, lw * b**e) for (x, e), lw in zip(rows, scales)]
 
 
 def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     """Nested harmonic sum with upper limit n (zero when too short)."""
-    return Fraction(*_mhs_rows(ctx, signed_string(s), n, star)[n])
+    entries = signed_string(s)
+    x, e = _mhs_rows(ctx, entries, n, star)[n]
+    weight = sum(entry.magnitude for entry in entries)
+    return Fraction(x, ctx.p_lcm(n) ** weight * ctx.q.denominator**e)
 
 
 def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]:
@@ -510,13 +532,14 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, i
                 x[i], ea[i], eb[i] = total, A, B
 
 
-def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int]]:
+def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int, int]]:
     """Walk terms t_k = y / (L_k**w * a**A * b**B), given as (y, A, B) for
     k = 1, 2, ... (A and B may be negative), over the running denominator
     D_k = L_k**w * a**A_k * b**B_k, with A_k and B_k the largest of the
-    exponents up to k and 0.  Yield (g_k, t_k * D_k, D_k) per k, where
+    exponents up to k and 0.  Yield (g_k, t_k * D_k, A_k, B_k) per k, where
     g_k = D_k / D_(k-1) = (L_k/L_(k-1))**w * a**i * b**j is the small
-    integer that moves a value over D_(k-1) to D_k.
+    integer that moves a value over D_(k-1) to D_k; D_k itself is the
+    product of the g_j up to k, built only by a caller that needs it.
 
     Each denominator is as small as the values up to k need, known without
     an lcm, so the early values are not scaled to the last one's size; a
@@ -524,22 +547,22 @@ def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int]]:
     """
     a, b = ctx.q.numerator, ctx.q.denominator
     top_a = top_b = 0
-    den = 1
     for k, (y, ea, eb) in enumerate(terms, 1):
         new_a, new_b = max(top_a, ea), max(top_b, eb)
         grow = ctx.p_lcm_step(k) ** w
         grow *= a ** (new_a - top_a) * b ** (new_b - top_b)
         top_a, top_b = new_a, new_b
-        den *= grow
-        yield grow, y * a ** (top_a - ea) * b ** (top_b - eb) if y else 0, den
+        yield grow, y * a ** (top_a - ea) * b ** (top_b - eb) if y else 0, top_a, top_b
 
 
 # Largest upper limit of the finite mollified sums, checked before any term
 # is summed.  The engine's values grow like n**2 bits and each n moves n of
 # them, and folds n of them, by factors of about n bits, so the cost grows a
 # little faster than n**4: verify_mhs of (2,1,1,3,1) at q = 5/8 takes 0.5 s
-# at n_max = 80, 2.8 s at 120 and 10.5 s at 160, and of (2,1) at q = 1/2
-# 0.55 s at 160, on a 2-vCPU x86-64 host.  Deeper patterns cost more per n.
+# at n_max = 80, 2.0 s at 120 and 6.9 s at 160, and of (2,1) at q = 1/2
+# 0.55 s at 160 (medians of 7 fresh processes on a shared 2-vCPU x86-64
+# host, whose speed drifts by 20-40 % between runs).  Deeper patterns cost
+# more per n.
 MAX_PATTERN_LIMIT = 160
 
 # Deepest pattern of a finite mollified sum or a q-series, checked before the
@@ -556,24 +579,28 @@ MAX_PATTERN_DEPTH = 32
 
 def _q_factors(ctx: QContext, top: int) -> list[int]:
     """h_i = ctx.h(i) for i = 0..top: the factors of the integer Pochhammer
-    products P_n = h_1 * ... * h_n of the prefactor (see :func:`_pattern_pairs`)."""
+    products P_n = h_1 * ... * h_n of the prefactor (see :func:`_pattern_rows`)."""
     return [ctx.h(i) for i in range(top + 1)]
 
 
-def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> list[tuple]:
-    """Unreduced (numerator, denominator) of :func:`pattern_mhs_many` for
-    every upper limit 0..n_max, in integers.
+def _pattern_rows(
+    ctx: QContext, pattern: Triple, n_max: int, merge=True
+) -> list[tuple[int, int, int]]:
+    """Unreduced rows (numerator, c, e) of :func:`pattern_mhs_many` for
+    every upper limit 0..n_max, in integers: row n is the numerator over
+    L_n**w * c * b**e, with w the pattern's total magnitude and
+    L_n = ctx.p_lcm(n) left implied, as in :func:`_mhs_rows`.
 
-    Row n has its own denominator D_n = L_n**w * a**A_n * b**B_n, with w
-    the pattern's total magnitude, A_n the largest of 0 and the engine's
-    a-exponents ea_k, and B_n the largest of 0 and eb_k - k*k, over k <= n
-    (see :func:`_inner_terms` and :func:`_rescaled`): the b**(k*k) of the
-    prefactor is folded into the engine's exponent before the value is
-    scaled, so it cancels the b-powers the engine's terms carry instead of
-    multiplying them.  x_k = b**(k*k) * inner[k] * D_k is an integer at its
-    own index's scale, and g_j = D_j / D_(j-1) of :func:`_rescaled` moves
-    it on, D_n / D_k = g_(k+1) * ... * g_n.  With P_n**2 / P_2n =
-    1 / G(2n, n) and the Gaussian-binomial integers
+    Row n's denominator is G(2n, n) * D_n, D_n = L_n**w * a**A_n * b**B_n,
+    with A_n the largest of 0 and the engine's a-exponents ea_k, and B_n
+    the largest of 0 and eb_k - k*k, over k <= n (see :func:`_inner_terms`
+    and :func:`_rescaled`), so c = G(2n, n) * a**A_n and e = B_n: the
+    b**(k*k) of the prefactor is folded into the engine's exponent before
+    the value is scaled, so it cancels the b-powers the engine's terms
+    carry instead of multiplying them.  x_k = b**(k*k) * inner[k] * D_k is
+    an integer at its own index's scale, and g_j = D_j / D_(j-1) of
+    :func:`_rescaled` moves it on, D_n / D_k = g_(k+1) * ... * g_n.  With
+    P_n**2 / P_2n = 1 / G(2n, n) and the Gaussian-binomial integers
     G(N, j) = P_N / (P_j P_(N-j)),
 
         out[n] = sum_k Y_n[k] * (D_n / D_k) / (G(2n, n) * D_n),  Y_n[k] = G(2n, n-k) * x_k.
@@ -597,7 +624,11 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     last steps meet integers at row n's scale (g_1 multiplies the empty
     sum).  No Gaussian row is built, and no two integers of about n**2 bits
     are multiplied, as a fresh dot product per row would: the cost grows
-    about as n**4 rather than n**5.  Nothing is reduced here.
+    about as n**4 rather than n**5.  L_n**w is most of the denominator's
+    bits (11,781 of 16,600 at n = 40 for (2,1,1,3,1) at q = 5/8), and the
+    harmonic side carries it too, so :func:`~qzeta.verify.verify_mhs`
+    compares at that shared scale and never multiplies it in.  Nothing is
+    reduced here.
     """
     n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
     if pattern.depth > MAX_PATTERN_DEPTH:
@@ -606,12 +637,13 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
         )
     inner = islice(_inner_terms(ctx, pattern, merge), n_max)
     folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
+    a = ctx.q.numerator
     h = _q_factors(ctx, 2 * n_max)
     grows: list[int] = []  # g_k, k = 1..n
     terms: list[int] = []  # G(2n, n-k) * x_k, k = 1..n
     centre = 1  # G(2n, n)
-    out = [(0, 1)]
-    for n, (grow, x, den) in enumerate(_rescaled(ctx, pattern.weight, folded), 1):
+    out = [(0, 1, 0)]
+    for n, (grow, x, top_a, top_b) in enumerate(_rescaled(ctx, pattern.weight, folded), 1):
         up = h[2 * n] * h[2 * n - 1]
         terms = [t * up // (h[n - k] * h[n + k]) for k, t in enumerate(terms, 1)]
         terms.append(x)  # G(2n, 0) = 1
@@ -620,8 +652,18 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
         for g, t in zip(grows, terms):
             total = total * g + t
         centre = centre * up // (h[n] * h[n])
-        out.append((total, centre * den))
+        out.append((total, centre * a**top_a, top_b))
     return out
+
+
+def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> list[tuple[int, int]]:
+    """Unreduced (numerator, denominator) of :func:`pattern_mhs_many` for
+    every upper limit 0..n_max: the rows of :func:`_pattern_rows` with the
+    denominator G(2n, n) * L_n**w * a**A_n * b**B_n multiplied out."""
+    rows = _pattern_rows(ctx, pattern, n_max, merge)
+    b = ctx.q.denominator
+    scales = _lcm_powers(ctx, pattern.weight, len(rows) - 1)
+    return [(num, c * b**e * lw) for (num, c, e), lw in zip(rows, scales)]
 
 
 def pattern_mhs_many(
@@ -639,7 +681,7 @@ def pattern_mhs_many(
     an integer.  Each row is one integer sum of products G(2n, n-k) times
     a scaled value, each carried from the row before at its own index's
     scale and folded into the row's denominator by Horner (see
-    :func:`_pattern_pairs`), and each value is reduced once.
+    :func:`_pattern_rows`), and each value is reduced once.
 
     Raises ValueError, before summing any term, for n_max above
     MAX_PATTERN_LIMIT or a pattern deeper than MAX_PATTERN_DEPTH.
@@ -653,8 +695,10 @@ def mollified_mhs_many(ctx: QContext, triple: Triple, n_max: int) -> list[Fracti
 
 
 def mollified_mhs(ctx: QContext, triple: Triple, n: int) -> Fraction:
-    """Finite mollified sum with upper limit n."""
-    return mollified_mhs_many(ctx, triple, n)[n]
+    """Finite mollified sum with upper limit n: the engine runs to n, and
+    only row n is reduced."""
+    num, c, e = _pattern_rows(ctx, triple, n, merge=False)[n]
+    return Fraction(num, ctx.p_lcm(n) ** triple.weight * c * ctx.q.denominator**e)
 
 
 def _truncation(
@@ -857,8 +901,9 @@ def frakz(
     K, bound = _frakz_truncation(ctx, pattern, eps, merge)
     inner = islice(_inner_terms(ctx, pattern, merge), K)
     total, den = 0, 1
-    for grow, x, den in _rescaled(ctx, pattern.weight, inner):
+    for grow, x, _, _ in _rescaled(ctx, pattern.weight, inner):
         total = total * grow + x
+        den *= grow
     return SeriesValue(Fraction(total, den), bound, K)
 
 

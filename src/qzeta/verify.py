@@ -33,7 +33,7 @@ from .evaluators import (
     _RESOLVED,
     _harmonic_truncation,
     _mhs_rows,
-    _pattern_pairs,
+    _pattern_rows,
     _upper_limit,
     classical_zeta_many,
     frakz,
@@ -286,6 +286,17 @@ def _weak_zetas(
     yield [q_zeta(ctx, s, eps=eps, star=True) for s in strings]
 
 
+def _raise_lighter(left: int, right, base: int, excess: int) -> tuple:
+    """(left * base**excess, right) when excess >= 0, else
+    (left, right * base**-excess): a cross product's side that lacks a
+    factor the other side's denominator has over its own."""
+    if excess > 0:
+        return left * base**excess, right
+    if excess < 0:
+        return left, right * base**-excess
+    return left, right
+
+
 def verify_mhs(
     composition: Sequence[int],
     n_max: int = 10,
@@ -294,6 +305,20 @@ def verify_mhs(
     family: str = "composition",
 ) -> VerificationReport:
     """Exact check of the finite weak-sum identity at every n <= n_max.
+
+    Both sides come as unreduced rows at the scale they share: the left
+    side's numerator over L_n**W * b**e (:func:`~qzeta.evaluators._mhs_rows`),
+    the right side's over L_n**w * c * b**e', c = G(2n, n) * a**A_n
+    (:func:`~qzeta.evaluators._pattern_rows`), with L_n = lcm(h_1..h_n)
+    and W, w the two sides' weights.  ``compose`` keeps the weight, so
+    W = w and the power of L_n, most of both denominators' bits, cancels,
+    as does the smaller b-power: lhs - delta * rhs vanishes iff
+    l_num * c * b**(e' - e) == delta * r_num * b**(e - e'), one product by
+    the small cofactor c and one by a small factor, where a cross product
+    of the full denominators would take three products of integers of
+    about n**2 bits.  Should the weights differ, the lighter side takes
+    the missing L_n**|W - w|, so the check stays exact.  Only a failing n
+    builds both denominators, to reduce its residual.
 
     Raises ValueError, before any sum, for a composition entry that is a
     bool, not an int or below 1 (see :func:`~qzeta.rules.as_composition`),
@@ -306,16 +331,22 @@ def verify_mhs(
     qs = _q_list(q_values)
     n_max = as_int(n_max, "n_max")
     d, pattern = compose(comp)
+    l_w, r_w = sum(comp), pattern.weight
     for q in qs:
         ctx = QContext(q)
+        b = q.denominator
         # right side first: an upper limit over the cap fails before any sum
-        rhs = _pattern_pairs(ctx, pattern, n_max)
+        rhs = _pattern_rows(ctx, pattern, n_max)
         lhs = _mhs_rows(ctx, entries, n_max, star=True)
-        for n, ((l_num, l_den), (r_num, r_den)) in enumerate(zip(lhs, rhs)):
-            # lhs - d * rhs vanishes iff the cross products agree; only a
-            # failing n pays for reducing its residual
-            same = l_num * r_den == d * r_num * l_den
-            res = 0 if same else Fraction(l_num, l_den) - d * Fraction(r_num, r_den)
+        for n, ((l_num, l_e), (r_num, r_c, r_e)) in enumerate(zip(lhs, rhs)):
+            lcm = ctx.p_lcm(n)
+            left, right = _raise_lighter(l_num * r_c, d * r_num, b, r_e - l_e)
+            left, right = _raise_lighter(left, right, lcm, r_w - l_w)
+            res = 0
+            if left != right:
+                # only a failing n pays for its denominators and a reduction
+                l_den, r_den = lcm**l_w * b**l_e, lcm**r_w * r_c * b**r_e
+                res = Fraction(l_num, l_den) - d * Fraction(r_num, r_den)
             col.add(f"q={q} n={n}", res)
     params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}
     return col.report(

@@ -1705,6 +1705,64 @@ def test_run_engine_scale_is_pinned():
     ]  # fmt: skip
 
 
+def test_pattern_rows_cofactor_is_pinned():
+    # the finite rows leave L_n**w implied, so the check's one large product
+    # is by the cofactor G(2n, n) a**A_n b**B_n alone; a cofactor that took
+    # L_n**w back (11,781 of the 16,600 bits of row 40's denominator) would
+    # slow the long checks without failing any value test
+    from qzeta import compose
+    from qzeta.evaluators import _pattern_pairs, _pattern_rows
+
+    ctx = QContext(Fraction(5, 8))
+    pattern = compose((2, 1, 1, 3, 1))[1]
+    rows = _pattern_rows(ctx, pattern, 40)
+    assert [(c * 8**e).bit_length() for _, c, e in rows] == [
+        1, 19, 29, 45, 66, 93, 126, 165, 211, 262, 319, 382, 451, 526, 607,
+        694, 787, 886, 991, 1102, 1219, 1342, 1471, 1606, 1747, 1894, 2047,
+        2206, 2371, 2542, 2719, 2902, 3091, 3286, 3487, 3694, 3907, 4126,
+        4351, 4582, 4819,
+    ]  # fmt: skip
+    assert (ctx.p_lcm(40) ** 8).bit_length() == 11781
+    # the (num, den) view multiplies the implied power back in
+    pairs = _pattern_pairs(ctx, pattern, 40)
+    for n, ((num, c, e), (p_num, den)) in enumerate(zip(rows, pairs)):
+        assert (p_num, den) == (num, ctx.p_lcm(n) ** 8 * c * 8**e), n
+
+
+def test_mollified_mhs_reduces_only_row_n(monkeypatch):
+    # one upper limit is the row of the whole family at n, reduced alone:
+    # one Fraction is built, whatever n is
+    import qzeta.evaluators as ev
+
+    rng = random.Random(17)
+    shift_pool = [THETA, 1, -1, 0, 2, -2, 3]
+    qs = (Fraction(1, 2), Fraction(2, 7), Fraction(5, 8), Fraction(9, 10))
+    cases = []
+    for trial in range(16):
+        m = rng.randint(1, 4)
+        triple = Triple(
+            tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m)),
+            tuple(rng.randint(0, 3) for _ in range(m)),
+            tuple(rng.choice(shift_pool) for _ in range(m)),
+        )
+        q = qs[trial % 4]
+        n_max = rng.randint(0, 12)
+        cases.append((q, triple, n_max, mollified_mhs_many(QContext(q), triple, n_max)))
+    built = [0]
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built[0] += 1
+            return Fraction(*args)
+
+    monkeypatch.setattr(ev, "Fraction", Counted)
+    for q, triple, n_max, values in cases:
+        for n in range(n_max + 1):
+            built[0] = 0
+            assert mollified_mhs(QContext(q), triple, n) == values[n], (q, triple, n)
+            assert built[0] == 1
+
+
 def test_run_engine_folds_each_run_once(monkeypatch):
     # every run is folded into plain integers once per call, so no quadratic
     # exponent, oplus or SignedIndex is evaluated per index: the counts are
@@ -1748,11 +1806,12 @@ def test_run_engine_folds_each_run_once(monkeypatch):
 
 
 def test_harmonic_rows_are_over_the_scale_of_their_dp():
-    # row n of _mhs_rows is over L_n**W * b**(sum_j beta_j(n)), with W the
-    # total magnitude, L_n = lcm(h_1..h_n) for h_k = (b**k - a**k) // (b - a)
-    # and beta_j(n) = n for a zero magnitude, 1 otherwise, and its value is
-    # the brute-force sum; the strict strings keep X_0 = 0 for their first
-    # steps, and the denominator grows through them all the same
+    # row n of _mhs_rows is (num, e) over L_n**W * b**e, with W the total
+    # magnitude left implied, L_n = lcm(h_1..h_n) for
+    # h_k = (b**k - a**k) // (b - a) and e = sum_j beta_j(n), beta_j(n) = n
+    # for a zero magnitude and 1 otherwise, and its value is the
+    # brute-force sum; the strict strings keep X_0 = 0 for their first
+    # steps, and the scale grows through them all the same
     from qzeta.evaluators import _mhs_rows
 
     rng = random.Random(25)
@@ -1774,9 +1833,10 @@ def test_harmonic_rows_are_over_the_scale_of_their_dp():
                 rows = _mhs_rows(QContext(q), entries, n_max, star)
                 values = oracles.harmonic_all_n(q, s, n_max, star=star)
                 assert len(rows) == n_max + 1
-                for n, (num, den) in enumerate(rows):
+                for n, (num, e) in enumerate(rows):
                     beta = sum(n if mag == 0 else 1 for mag, _ in s)
-                    assert den == math.lcm(*h[1 : n + 1]) ** weight * b**beta, (q, s, star, n)
+                    assert e == beta, (q, s, star, n)
+                    den = math.lcm(*h[1 : n + 1]) ** weight * b**e
                     assert Fraction(num, den) == values[n], (q, s, star, n)
 
 

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -112,3 +113,37 @@ def test_fuzz_sweep_verdict_reads_its_own_reports(monkeypatch, capsys):
     assert "[ok ] exact-pass    fuzz sweep: 20 seeded compositions" in out
     assert "[FAIL] fuzz sweep" not in out
     assert "FAILURES PRESENT" in out
+
+
+def test_bench_pairs_runs_one_pair_against_head(tmp_path):
+    # one pair of one small workload: both trees are built (the base from
+    # git, no network), qzbench/run.py runs in each, and the JSON holds both
+    # sides' end-to-end metrics and the machine block
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True)
+    if head.returncode:
+        pytest.skip("not a git checkout with a commit")
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--base", "HEAD",
+            "--workload", "finite-wide", "--pairs", "1", "--seconds", "0.2",
+            "--out", str(out), "--scratch", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "lower in" in proc.stdout
+    result = json.loads(out.read_text())
+    assert set(result["workloads"]) == {"finite-wide"}
+    metrics = result["workloads"]["finite-wide"]
+    end_to_end = {"setup_s", "wall_s", "case_ms_p50", "case_ms_tail", "pass_ratio", "peak_rss_mb"}
+    assert end_to_end <= set(metrics)
+    for m in metrics.values():
+        assert len(m["base"]["runs"]) == len(m["change"]["runs"]) == m["pairs"] == 1
+    passed = metrics["pass_ratio"]
+    assert passed["base"]["median"] == passed["change"]["median"] == 1.0
+    assert result["machine"]["nproc"] and result["protocol"]["seeds"] == [3001]
+    # the trees were removed
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]

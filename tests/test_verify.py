@@ -332,6 +332,154 @@ def test_verify_mhs_failure_reports_exact_residuals(monkeypatch):
             assert rep.params["checks"] == 2 * (n_max + 1)
 
 
+def _full_fraction_report(residuals) -> tuple:
+    """The residual lines and the discrepancy verify_mhs must report for
+    residuals (q, n, lhs - delta * rhs) taken over full Fractions."""
+    lines = [f"q={q} n={n}: {rational_repr(res)}" for q, n, res in residuals if res]
+    worst = max((abs(res) for _, _, res in residuals), default=Fraction(0))
+    return lines, rational_repr(worst)
+
+
+def test_factored_comparison_is_the_full_cross_multiplication(monkeypatch):
+    # verify_mhs compares the rows at the scale both sides share, L_n**w
+    # implied and the common b-power cancelled; its verdict, residual lines
+    # and discrepancy must be those of lhs - delta * rhs over the full
+    # denominators: on passing rows, on failing ones (delta flipped or
+    # halved), at n_max = 0, and with a compose whose pattern has another
+    # weight, where the lighter side takes the missing power of L_n
+    import qzeta.verify as v
+    from qzeta import Compiled, SignedIndex, Triple, compose, mhs_many, pattern_mhs_many
+    from qzeta.evaluators import _mhs_rows, _pattern_rows
+    from qzeta.indices import signed_string
+
+    rng = random.Random(33)
+    qs = (Fraction(1, 2), Fraction(2, 7), Fraction(5, 8), Fraction(9, 10))
+    shift_pool = [THETA, 1, -1, 0, 2, -2, 3]
+    excess_b, excess_l = set(), set()
+    for trial in range(32):
+        comp = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        d, pattern = compose(comp)
+        kind = trial % 4
+        if kind == 1:
+            d = -d
+        elif kind == 2:
+            d = d * Fraction(1, 2)
+        elif kind == 3:
+            m = rng.randint(1, 4)
+            pattern = Triple(
+                tuple(SignedIndex(rng.randint(0, 3), rng.choice((1, -1))) for _ in range(m)),
+                tuple(rng.randint(0, 3) for _ in range(m)),
+                tuple(rng.choice(shift_pool) for _ in range(m)),
+            )
+        n_max = (0, 1, 2, rng.randint(3, 14))[trial // 4 % 4]
+        q_values = (qs[trial % 4],) if trial % 3 else (qs[trial % 4], qs[(trial + 1) % 4])
+        residuals = []
+        for q in q_values:
+            ctx = QContext(q)
+            lhs = mhs_many(ctx, comp, n_max, star=True)
+            rhs = pattern_mhs_many(ctx, pattern, n_max)
+            residuals += [(q, n, lhs[n] - d * rhs[n]) for n in range(n_max + 1)]
+            rows = zip(
+                _mhs_rows(ctx, signed_string(comp), n_max, True), _pattern_rows(ctx, pattern, n_max)
+            )
+            excess_b.update((r_e > l_e) - (r_e < l_e) for (_, l_e), (_, _, r_e) in rows)
+            excess_l.add((pattern.weight > sum(comp)) - (pattern.weight < sum(comp)))
+        monkeypatch.setattr(v, "compose", lambda c, fixed=Compiled(d, pattern): fixed)
+        rep = v.verify_mhs(comp, n_max=n_max, q_values=q_values)
+        lines, discrepancy = _full_fraction_report(residuals)
+        assert rep.status == ("fail" if lines else "exact-pass"), (comp, d, pattern, q_values)
+        assert rep.residuals == lines[: v._RESIDUAL_CAP], (comp, d, pattern, q_values)
+        assert rep.discrepancy == discrepancy
+        assert rep.params["checks"] == len(q_values) * (n_max + 1)
+        assert kind != 0 or rep.passed
+        assert kind == 0 or n_max == 0 or not rep.passed
+    # every way the two scales can differ was met
+    assert excess_b == excess_l == {-1, 0, 1}
+
+
+def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
+    # right rows rewritten over other scales, each row read as
+    # num / (L_n**w * c * b**e) with w the weight of the pattern compose
+    # gives: a numerator times b over b**(e+1), a cofactor times b over
+    # b**(e-1), and a pattern of weight w +- 1 with the numerator or the
+    # cofactor times L_n keep every value; the same scales with the
+    # numerator and cofactor left as they were, or with the factor on the
+    # other one, move every value with n >= 2.  Each report must be that
+    # of lhs - delta * rhs over the full denominators: the comparison
+    # raises the lighter side by the b- or L-power it lacks, and a check
+    # that skipped or reversed either would pass a row whose value moved.
+    # Only a failing row builds its two Fractions, so a comparison that
+    # called equal rows unequal shows too, though their residual is 0
+    import dataclasses
+
+    import qzeta.verify as v
+    from qzeta import Compiled, compose, mhs_many
+    from qzeta.evaluators import _pattern_rows
+
+    def reweighted(pattern, step):
+        s = list(pattern.s)
+        i = next(i for i, e in enumerate(s) if e.magnitude + step >= 0)
+        s[i] = dataclasses.replace(s[i], magnitude=s[i].magnitude + step)
+        return dataclasses.replace(pattern, s=tuple(s))
+
+    # (weight step, row rewrite (ctx, n, num, c, e) -> (num, c, e))
+    rescalings = (
+        (0, lambda ctx, n, num, c, e: (num * ctx.q.denominator, c, e + 1)),
+        (0, lambda ctx, n, num, c, e: (num, c * ctx.q.denominator, e - 1)),
+        (1, lambda ctx, n, num, c, e: (num * ctx.p_lcm(n), c, e)),
+        (-1, lambda ctx, n, num, c, e: (num, c * ctx.p_lcm(n), e)),
+        (0, lambda ctx, n, num, c, e: (num, c, e + 1)),
+        (0, lambda ctx, n, num, c, e: (num, c, e - 1)),
+        (1, lambda ctx, n, num, c, e: (num, c, e)),
+        (-1, lambda ctx, n, num, c, e: (num, c, e)),
+        (0, lambda ctx, n, num, c, e: (num, c * ctx.q.denominator, e + 1)),
+        (0, lambda ctx, n, num, c, e: (num * ctx.q.denominator, c, e - 1)),
+        (1, lambda ctx, n, num, c, e: (num, c * ctx.p_lcm(n), e)),
+        (-1, lambda ctx, n, num, c, e: (num * ctx.p_lcm(n), c, e)),
+    )
+    built = [0]
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built[0] += len(args) == 2
+            return Fraction(*args)
+
+    q_values = (Fraction(2, 7), Fraction(9, 10))
+    n_max = 7
+    for comp in ((2, 1, 1, 3, 1), (3, 2), (1,)):
+        d, pattern = compose(comp)
+        for scale in (1, -1):
+            for i, (step, rescale) in enumerate(rescalings):
+                fixed = Compiled(scale * d, reweighted(pattern, step))
+                claimed = {
+                    q: [
+                        rescale(QContext(q), n, *row)
+                        for n, row in enumerate(_pattern_rows(QContext(q), pattern, n_max))
+                    ]
+                    for q in q_values
+                }
+                residuals = []
+                for q in q_values:
+                    ctx = QContext(q)
+                    lhs = mhs_many(ctx, comp, n_max, star=True)
+                    for n, (num, c, e) in enumerate(claimed[q]):
+                        den = ctx.p_lcm(n) ** fixed.pattern.weight * c
+                        rhs = Fraction(num, den) / Fraction(q.denominator) ** e
+                        residuals.append((q, n, lhs[n] - fixed.delta * rhs))
+                lines, discrepancy = _full_fraction_report(residuals)
+                assert (i < 4 and scale == 1) == (not lines), (comp, scale, i)
+                monkeypatch.setattr(v, "compose", lambda c, fixed=fixed: fixed)
+                monkeypatch.setattr(v, "_pattern_rows", lambda ctx, *_, claimed=claimed: claimed[ctx.q])
+                monkeypatch.setattr(v, "Fraction", Counted)
+                built[0] = 0
+                rep = v.verify_mhs(comp, n_max=n_max, q_values=q_values)
+                monkeypatch.undo()
+                assert built[0] == 2 * len(lines), (comp, scale, i)
+                assert rep.status == ("fail" if lines else "exact-pass"), (comp, scale, i)
+                assert rep.residuals == lines[: v._RESIDUAL_CAP], (comp, scale, i)
+                assert rep.discrepancy == discrepancy, (comp, scale, i)
+
+
 def test_verify_qmzsv_small():
     rep = verify_qmzsv((2, 3, 2, 1), q=Fraction(1, 2), eps=Fraction(1, 10**20))
     assert rep.passed
