@@ -4,10 +4,15 @@
     python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --out BENCH.json
     python3 scripts/bench_pairs.py --base main --workload finite-long --pairs 5
 
-Two trees are built under a scratch directory: the base from local git
-(``git archive <rev>``, no network) and a fresh copy of the working tree
-(every tracked or untracked file that git does not ignore, so uncommitted
-edits count and no build output does).  Each pair runs ``qzbench/run.py``
+Two trees are built under a fresh directory in the system's temporary one
+(``TMPDIR``), both from local git with ``git archive`` (no network): the
+base revision's tree, and the working tree as ``git add -A`` would stage
+it (every tracked or untracked file that git does not ignore, so
+uncommitted edits count and no build output does), written as a git tree
+through a copy of the index, so the real index is left as it was.  Both
+git tree ids are recorded: once the change is committed, its tree id is
+the commit's (``git log --format='%H %T'``), which ties the numbers to
+the code that produced them.  Each pair runs ``qzbench/run.py``
 unchanged in both trees, one workload at a time, on the same seed, with
 ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPATH``; the side that runs
 first alternates from pair to pair, so a drift of the host's speed falls
@@ -46,28 +51,29 @@ def git(*args: str) -> str:
     ).stdout
 
 
-def build_base(rev: str, dest: Path) -> str:
-    """Extract the tree of ``rev`` into dest; its full commit id."""
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+def working_tree(scratch: Path) -> str:
+    """The git tree id of the working tree as ``git add -A`` would stage it,
+    written through a copy of the index in scratch."""
+    index = scratch / "index"
+    real = ROOT / git("rev-parse", "--git-path", "index").strip()
+    if real.is_file():
+        shutil.copy2(real, index)
+    env = dict(os.environ, GIT_INDEX_FILE=str(index))
+    for args in (["add", "-A"], ["write-tree"]):
+        proc = subprocess.run(
+            ["git", "-C", str(ROOT), *args], env=env, capture_output=True, text=True, check=True
+        )
+    return proc.stdout.strip()
+
+
+def extract(tree: str, dest: Path) -> None:
+    """Write the files of a git tree-ish into dest."""
     dest.mkdir(parents=True)
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", tree],
         capture_output=True, check=True,
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return commit
-
-
-def build_change(dest: Path) -> None:
-    """Copy every file of the working tree that git does not ignore into dest."""
-    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-    for name in filter(None, listed.split("\0")):
-        src = ROOT / name
-        if not src.is_file():  # deleted in the working tree
-            continue
-        target = dest / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(src, target)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -145,17 +151,18 @@ def main() -> int:
                     help="batch size, as qzbench/run.py takes it")
     ap.add_argument("--seed", type=int, default=3001, help="seed of the first pair")
     ap.add_argument("--out", type=Path, help="write the result as JSON here")
-    ap.add_argument("--scratch", type=Path,
-                    help="directory for the two trees (default: the system's temporary one)")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     workloads = args.workload or list(WORKLOADS)
-    scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.scratch))
+    scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         trees = {"base": scratch / "base", "change": scratch / "change"}
-        base_commit = build_base(args.base, trees["base"])
-        build_change(trees["change"])
+        base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()
+        ids = {"base": git("rev-parse", f"{base_commit}^{{tree}}").strip(),
+               "change": working_tree(scratch)}
+        for side in SIDES:
+            extract(ids[side], trees[side])
         seeds = [args.seed + i for i in range(args.pairs)]
         runs = {w: {side: [] for side in SIDES} for w in workloads}
         qz_machine = None
@@ -176,10 +183,11 @@ def main() -> int:
         shutil.rmtree(scratch, ignore_errors=True)
 
     out = {
-        "base": {"rev": args.base, "commit": base_commit},
+        "base": {"rev": args.base, "commit": base_commit, "tree": ids["base"]},
         "change": {
             "head": git("rev-parse", "HEAD").strip(),
-            "dirty": bool(git("status", "--porcelain").strip()),
+            "dirty": bool(git("--no-optional-locks", "status", "--porcelain").strip()),
+            "tree": ids["change"],
         },
         "machine": {**qz_machine, **machine()},
         "protocol": {

@@ -197,7 +197,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     L_n^W * b^e, with W the total magnitude of the entries and
     L_n = ctx.p_lcm(n).  The power of L_n is left implied, so a caller
     that compares two sums at the same L_n never multiplies it in, and
-    one that wants a value builds the denominator (see :func:`_lcm_powers`).
+    one that wants a value builds the denominator (see :func:`_row_den`).
 
     With q = a/b in lowest terms, h_k = ctx.h(k) and L_k = ctx.p_lcm(k),
     w_k = L_k/[k] = b^(k-1) L_k/h_k is an integer and the term of
@@ -247,11 +247,22 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     return rows
 
 
-def _lcm_powers(ctx: QContext, w: int, n_max: int) -> Iterator[int]:
-    """L_n**w = ctx.p_lcm(n)**w for n = 0..n_max, each the last times
-    (L_n/L_(n-1))**w: the part of a row's denominator that the finite
-    engines leave implied (see :func:`_mhs_rows` and :func:`_pattern_rows`)."""
-    return accumulate((ctx.p_lcm_step(n) ** w for n in range(1, n_max + 1)), mul, initial=1)
+def _row_den(ctx: QContext, w: int, n: int, c: int, e: int, lw: int | None = None) -> int:
+    """The denominator L_n**w * c * b**e of a finite engine's row n at
+    weight w: a row of :func:`_mhs_rows` has c = 1, one of
+    :func:`_pattern_rows` its cofactor.  lw is L_n**w = ctx.p_lcm(n)**w,
+    the power the engines leave implied, when the caller already has it."""
+    if lw is None:
+        lw = ctx.p_lcm(n) ** w
+    return lw * c * ctx.q.denominator**e
+
+
+def _row_dens(ctx: QContext, w: int, cofactors: Sequence[tuple[int, int]]) -> list[int]:
+    """:func:`_row_den` of the rows n = 0, 1, ... whose (c, e) are given,
+    each L_n**w the last times (L_n/L_(n-1))**w rather than a fresh power."""
+    steps = (ctx.p_lcm_step(n) ** w for n in range(1, len(cofactors)))
+    lws = accumulate(steps, mul, initial=1)
+    return [_row_den(ctx, w, n, c, e, lw) for n, ((c, e), lw) in enumerate(zip(cofactors, lws))]
 
 
 # Bounded memos of the q-level work of the certified series.  At one q and
@@ -374,9 +385,9 @@ def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list
     """Values of the nested harmonic sum for every upper limit 0..n_max."""
     entries = signed_string(s)
     rows = _mhs_rows(ctx, entries, n_max, star)
-    scales = _lcm_powers(ctx, sum(entry.magnitude for entry in entries), len(rows) - 1)
-    b = ctx.q.denominator
-    return [Fraction(x, lw * b**e) for (x, e), lw in zip(rows, scales)]
+    weight = sum(entry.magnitude for entry in entries)
+    dens = _row_dens(ctx, weight, [(1, e) for _, e in rows])
+    return [Fraction(x, den) for (x, _), den in zip(rows, dens)]
 
 
 def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
@@ -384,7 +395,7 @@ def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     entries = signed_string(s)
     x, e = _mhs_rows(ctx, entries, n, star)[n]
     weight = sum(entry.magnitude for entry in entries)
-    return Fraction(x, ctx.p_lcm(n) ** weight * ctx.q.denominator**e)
+    return Fraction(x, _row_den(ctx, weight, n, 1, e))
 
 
 def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]:
@@ -661,9 +672,8 @@ def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> li
     every upper limit 0..n_max: the rows of :func:`_pattern_rows` with the
     denominator G(2n, n) * L_n**w * a**A_n * b**B_n multiplied out."""
     rows = _pattern_rows(ctx, pattern, n_max, merge)
-    b = ctx.q.denominator
-    scales = _lcm_powers(ctx, pattern.weight, len(rows) - 1)
-    return [(num, c * b**e * lw) for (num, c, e), lw in zip(rows, scales)]
+    dens = _row_dens(ctx, pattern.weight, [(c, e) for _, c, e in rows])
+    return [(num, den) for (num, _, _), den in zip(rows, dens)]
 
 
 def pattern_mhs_many(
@@ -698,7 +708,7 @@ def mollified_mhs(ctx: QContext, triple: Triple, n: int) -> Fraction:
     """Finite mollified sum with upper limit n: the engine runs to n, and
     only row n is reduced."""
     num, c, e = _pattern_rows(ctx, triple, n, merge=False)[n]
-    return Fraction(num, ctx.p_lcm(n) ** triple.weight * c * ctx.q.denominator**e)
+    return Fraction(num, _row_den(ctx, triple.weight, n, c, e))
 
 
 def _truncation(

@@ -34,6 +34,7 @@ from .evaluators import (
     _harmonic_truncation,
     _mhs_rows,
     _pattern_rows,
+    _row_den,
     _upper_limit,
     classical_zeta_many,
     frakz,
@@ -290,11 +291,9 @@ def _raise_lighter(left: int, right, base: int, excess: int) -> tuple:
     """(left * base**excess, right) when excess >= 0, else
     (left, right * base**-excess): a cross product's side that lacks a
     factor the other side's denominator has over its own."""
-    if excess > 0:
+    if excess >= 0:
         return left * base**excess, right
-    if excess < 0:
-        return left, right * base**-excess
-    return left, right
+    return left, right * base**-excess
 
 
 def verify_mhs(
@@ -339,13 +338,13 @@ def verify_mhs(
         rhs = _pattern_rows(ctx, pattern, n_max)
         lhs = _mhs_rows(ctx, entries, n_max, star=True)
         for n, ((l_num, l_e), (r_num, r_c, r_e)) in enumerate(zip(lhs, rhs)):
-            lcm = ctx.p_lcm(n)
             left, right = _raise_lighter(l_num * r_c, d * r_num, b, r_e - l_e)
-            left, right = _raise_lighter(left, right, lcm, r_w - l_w)
+            left, right = _raise_lighter(left, right, ctx.p_lcm(n), r_w - l_w)
             res = 0
             if left != right:
                 # only a failing n pays for its denominators and a reduction
-                l_den, r_den = lcm**l_w * b**l_e, lcm**r_w * r_c * b**r_e
+                l_den = _row_den(ctx, l_w, n, 1, l_e)
+                r_den = _row_den(ctx, r_w, n, r_c, r_e)
                 res = Fraction(l_num, l_den) - d * Fraction(r_num, r_den)
             col.add(f"q={q} n={n}", res)
     params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}

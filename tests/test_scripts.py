@@ -122,13 +122,21 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
     head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True)
     if head.returncode:
         pytest.skip("not a git checkout with a commit")
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    index = ROOT / git("rev-parse", "--git-path", "index")
+    staged = index.read_bytes() if index.is_file() else None
     out = tmp_path / "bench.json"
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--base", "HEAD",
             "--workload", "finite-wide", "--pairs", "1", "--seconds", "0.2",
-            "--out", str(out), "--scratch", str(tmp_path),
+            "--out", str(out),
         ],
+        env=dict(os.environ, TMPDIR=str(tmp_path)),
         capture_output=True,
         text=True,
         timeout=60,
@@ -145,5 +153,11 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
     passed = metrics["pass_ratio"]
     assert passed["base"]["median"] == passed["change"]["median"] == 1.0
     assert result["machine"]["nproc"] and result["protocol"]["seeds"] == [3001]
+    # both sides are named by their git tree ids, and the change's was
+    # written without touching the real index
+    assert result["base"]["tree"] == git("rev-parse", "HEAD^{tree}")
+    assert git("cat-file", "-t", result["change"]["tree"]) == "tree"
+    assert git("ls-tree", "--name-only", result["change"]["tree"], "scripts/bench_pairs.py")
+    assert (index.read_bytes() if index.is_file() else None) == staged
     # the trees were removed
     assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
