@@ -18,6 +18,12 @@ unchanged in both trees, one workload at a time, on the same seed, with
 first alternates from pair to pair, so a drift of the host's speed falls
 on both sides alike.  Pair i uses seed ``--seed + i``.
 
+Each run also records ``child_cpu_s``: the user and system CPU time of
+its ``qzbench/run.py`` and of every process it waited for (the workers
+and the reference slices), from ``resource.getrusage(RUSAGE_CHILDREN)``
+taken around the run.  Other tenants of a shared host move it less than
+wall time.  It is summarized next to qzbench's metrics.
+
 For every end-to-end metric it prints each side's median and quartiles,
 the change's median relative to the base's, the number of pairs in which
 the change is lower, and the gap between the medians in units of the
@@ -32,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -76,8 +83,9 @@ def extract(tree: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One ``qzbench/run.py`` run in tree; its record line and result line."""
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, float]:
+    """One ``qzbench/run.py`` run in tree: its record line, its result line
+    and its child CPU time in seconds (see the module docstring)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     env.pop("QZETA_THREADS", None)
@@ -85,11 +93,14 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
         sys.executable, str(tree / "qzbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
     lines = proc.stdout.strip().splitlines()
-    return json.loads(lines[-2]), json.loads(lines[-1])
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return json.loads(lines[-2]), json.loads(lines[-1]), cpu
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -171,8 +182,9 @@ def main() -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for w in workloads:
                 for side in order:
-                    record, result = run_side(trees[side], w, seed, args.seconds)
-                    runs[w][side].append(result["metrics"])
+                    record, result, cpu = run_side(trees[side], w, seed, args.seconds)
+                    cpu_s = {"value": cpu, "unit": "s"}
+                    runs[w][side].append({**result["metrics"], "child_cpu_s": cpu_s})
                     qz_machine = record["machine"]
             print(f"pair {i + 1}/{args.pairs} (seed {seed}) done, {time.monotonic() - t0:.0f} s",
                   file=sys.stderr)

@@ -21,14 +21,16 @@ Certified enclosures: :func:`q_zeta_enclosure` and :func:`frakz_enclosure`
 return, at the same truncation K and tail bound as :func:`q_zeta` and
 :func:`frakz`, a :class:`Ball` (midpoint and radius over integers at a
 binary point 2**-P) around the same exact partial sum; midpoint-radius
-arithmetic as in van der Hoeven, "Ball arithmetic" (2009).  Each sweeps its
-dynamic programme one level at a time, innermost first, one list of floored
-products per level.  The harmonic sum counts each level's floors into one
-error bound per level (:func:`_mhs_enclosure`).  The mollified series
-carries its radius index by index, and each run reads its deeper level at a
-binary point fine enough for that level's size (:func:`_frakz_sweep`); a
-run's floored terms are products of memoized q-level tables, so no table
-depends on the composition.  The exact partial sums' denominators grow like
+arithmetic as in van der Hoeven, "Ball arithmetic" (2009).  Both run one
+sweep (:func:`_ball_sweep`): a dynamic programme taken one level at a time,
+innermost first, one list of floored products per level, with a radius
+carried index by index, where each run reads its deeper level at a binary
+point fine enough for that level's size.  The two sides differ only in
+their runs and descent: one run per entry of the harmonic string, over
+memoized columns of floored q**k/[k]**s, in weak or strict descent; and the
+runs of the mollified pattern, whose floored terms are products of memoized
+q-level tables, so no table depends on the composition, in strict descent.
+The exact partial sums' denominators grow like
 K**2 bits (hundreds of thousands of bits toward q -> 1), while the balls'
 integers stay near P bits, so :func:`~qzeta.verify.verify_qmzsv` reads both
 sides from balls and sums a side exactly only when the balls cannot decide
@@ -90,7 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, count, islice
 from math import comb
 from operator import add, mul
@@ -272,15 +274,15 @@ def _row_dens(ctx: QContext, w: int, cofactors: Sequence[tuple[int, int]]) -> li
 # immutable ints, Fractions and tuples; functools.lru_cache is thread-safe and
 # reports its hits and misses through cache_info().  A battery at one q and
 # eps needs one search per depth (at most 32 frakz depths, merged or not) and
-# one column per magnitude and length.  A search entry is a few hundred
-# bytes.  A column holds n <= MAX_MHS_LIMIT ints t_k < q**k 2**prec and three
-# sums, so it takes at most n(prec/7.5 + 36) + 300 bytes: about 6 KB at
-# q = 1/2 and eps = 1e-25 (n = 86, prec = 300); 32 columns at n = 1000 take
-# at most 2.5 MB at prec = 300 and 44 MB at prec = 10**4 (q = 1/1000,
-# eps = 1e-3000).
+# one column per magnitude, length and binary point.  A search entry is a few
+# hundred bytes.  A column holds nothing but its n <= MAX_MHS_LIMIT ints
+# t_k < q**k 2**c, at the binary point c that _column_prec sets (320 for
+# P = 300), so it takes at most n(c/7.5 + 36) + 40 bytes: about 6 KB at
+# q = 1/2 and eps = 1e-25 (n = 86); 32 columns at n = 1000 take at most
+# 2.5 MB at c = 320 and 44 MB at c = 10112 (q = 1/1000, eps = 1e-3000).
 _SEARCH_CACHE_SIZE = 64
 _COLUMN_CACHE_SIZE = 32
-# The right side's ball (see _frakz_sweep) reads two more kinds of floored
+# The right side's ball (see _ball_sweep) reads two more kinds of floored
 # table, each a bounded memo of _TABLE_CACHE_SIZE entries keyed by q-level
 # data only: magnitude columns (1 + q**k) / [k]**s, keyed by (q, binary
 # point, length, magnitude group), and powers q**e or (1/q)**e, keyed by
@@ -301,84 +303,18 @@ _TABLE_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _floored_column(q: Fraction, s: int, prec: int, n: int) -> tuple[tuple, int, int, int]:
+def _floored_column(q: Fraction, s: int, n: int, prec: int) -> tuple[int, ...]:
     """The floored terms of magnitude s at the binary point 2**-prec for
-    k = 1..n, and three sums over them: (ts, sum w_k, sum k w_k, sum f_k).
-
-    With q = a/b and h_k = ctx.h(k) the term is
+    k = 1..n.  With q = a/b and h_k = ctx.h(k) the term is
     q**k / [k]**s = a**k b**((k-1)s) / (b**k h_k**s), so
-    ts[k-1] = t_k = floor(a**k b**((k-1)s) 2**prec / (b**k h_k**s)) >= 0.
-    f_k is 1 when the floor dropped a nonzero remainder, else 0, so the
-    exact term lies within f_k units of t_k and below w_k = t_k + f_k.
+    t_k = floor(a**k b**((k-1)s) 2**prec / (b**k h_k**s)) and 2**prec times
+    the exact term lies in [t_k, t_k + 1).
     """
     ctx = QContext(q)
     a, b = q.numerator, q.denominator
-    ts = []
-    sum_w = moment = sum_f = 0
-    for k in range(1, n + 1):
-        t, rest = divmod(a**k * b ** ((k - 1) * s) << prec, b**k * ctx.h(k) ** s)
-        f = 1 if rest else 0
-        ts.append(t)
-        sum_w += t + f
-        moment += k * (t + f)
-        sum_f += f
-    return tuple(ts), sum_w, moment, sum_f
-
-
-def _mhs_enclosure(ctx: QContext, entries: tuple, n: int, star: bool, prec: int) -> Ball:
-    """A Ball at 2**-prec around the nested harmonic sum with upper limit n,
-    by the dynamic programme of :func:`_mhs_rows`, swept one level at a
-    time, innermost first.
-
-    Level j reads its floored terms t_k from the memoized column of its
-    magnitude, with the exact term T_k within f_k units of t_k, and the
-    column's sums (see :func:`_floored_column`); it negates t_k at odd k
-    when it is barred.  With x_m(k) = 2**prec (the exact 1), level j's
-    midpoints are x_j(k) = sum_(i <= k) floor(t_i x_(j+1)(i') / 2**prec),
-    i' = i for weak and i - 1 for strict descent: one list of products and
-    one cumulative sum.  The innermost level's products are its terms.
-
-    Radius: with X_j the exact cumulative, let the error of the deeper
-    level be |x_(j+1)(i) - 2**prec X_(j+1)(i)| <= A_(j+1) + c i for every
-    i <= n, and |x_(j+1)(i)| <= M_(j+1).  As t x - T 2**prec X =
-    t (x - 2**prec X) + (t - T) 2**prec X, the i-th floored product is
-    within 1 + (w_i (A_(j+1) + c i) + f_i M_(j+1)) / 2**prec units of the
-    exact 2**prec T_i X_(j+1)(i'), with i' <= i and w_i = t_i + f_i.
-    Summing over i <= k <= n, level j's error at k is at most A_j + k with
-
-        A_j = ceil((A_(j+1) sum w + c sum i w + M_(j+1) sum f) / 2**prec),
-
-    where c = 0 and M = 2**prec below the innermost level, which is exact,
-    and c = 1 above it.  So each level keeps one bound, affine in the index,
-    and the ball is (x_0(n), A_0 + n).  M_(j+1) is the largest |x_(j+1)|.
-    Only this sweep runs per call: at one q, eps and truncation the columns
-    are shared by every string.  A bound per level does not follow the
-    nesting of the indices, so toward q -> 1 it grows with the depth faster
-    than a radius carried index by index (see _GUARD_BITS).
-    """
-    q = ctx.q
-    one = 1 << prec
-    if not entries:
-        return Ball(one, 0, prec)
-    mids = None
-    # the deeper level's error bound is alpha + slope * i, its size top
-    alpha, slope, top = 0, 0, one
-    for e in reversed(entries):
-        ts, sum_w, moment, sum_f = _floored_column(q, e.magnitude, prec, n)
-        if e.sign < 0:
-            ts = list(ts)
-            ts[::2] = [-t for t in ts[::2]]  # ts[0] is k = 1
-        if mids is None:
-            terms = ts  # times x_m = 2**prec and floored back: exact
-        else:
-            top = max(max(mids), -min(mids))
-            # strict descent reads the deeper level at k - 1, weak at k
-            deeper = islice(mids, 1, None) if star else mids
-            terms = [t * x >> prec for t, x in zip(ts, deeper)]
-        alpha = -(-(alpha * sum_w + slope * moment + top * sum_f) >> prec)
-        slope = 1
-        mids = list(accumulate(terms, initial=0))
-    return Ball(mids[n], alpha + n, prec)
+    return tuple(
+        (a**k * b ** ((k - 1) * s) << prec) // (b**k * ctx.h(k) ** s) for k in range(1, n + 1)
+    )
 
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
@@ -810,13 +746,14 @@ def q_zeta(
 # _COMPACT_BITS) + _GUARD_BITS.  A report must tell a value from every
 # rational whose numerator and denominator are below 10**30 (see
 # verify.rational_repr); near a value below 1 those lie about 10**-60 ~
-# 2**-200 apart, whatever eps is.  The radius grows by about one unit per
-# term and level, and each level multiplies the bound of the level below by
-# about sum_k q**k/[k]**s (see _mhs_enclosure).  Over the 1024 compositions
-# of weight 12 with a leading entry >= 2, at eps = 1e-25/4, it uses up 8, 13,
-# 19 and 25 of the guard bits at q = 1/2, 2/3, 4/5 and 9/10, and 47 for the
-# depth-32 string (2, 1, ..., 1) at q = 17/20; the rest keep a discrepancy
-# far below eps printable to 12 digits.
+# 2**-200 apart, whatever eps is.  An inner level's radius grows by a few
+# units per index, each level reads the one below through terms below 1,
+# and level 0 floors one sum per run (see _ball_sweep), so the left ball's
+# radius stays a few units.  Over the 1024 compositions of weight 12 with a
+# leading entry >= 2, at eps = 1e-25/4, it uses up 3, 4, 5 and 6 of the
+# guard bits at q = 1/2, 2/3, 4/5 and 9/10, and 6 for the depth-32 string
+# (2, 1, ..., 1) at q = 17/20; the rest keep a discrepancy far below eps
+# printable to 12 digits.
 _COMPACT_BITS = 200
 _GUARD_BITS = 100
 
@@ -835,9 +772,10 @@ def q_zeta_enclosure(
 ) -> SeriesValue:
     """:func:`q_zeta` with its value as a :class:`Ball` around the same exact
     partial sum, at the same K and with the same tail bound, summed in
-    integers at the binary point 2**-prec (see :func:`_mhs_enclosure`).  By
-    default prec is P, the bit size of 1/eps, at least _COMPACT_BITS, plus
-    _GUARD_BITS.
+    integers at the binary point 2**-prec by :func:`_ball_sweep` over one
+    run per entry (:func:`_harmonic_runs`), whose floored terms lie within
+    1 unit of the exact ones.  By default prec is P, the bit size of 1/eps,
+    at least _COMPACT_BITS, plus _GUARD_BITS.
 
     Raises ValueError as :func:`q_zeta` does.
     """
@@ -846,7 +784,8 @@ def q_zeta_enclosure(
     K, bound = _harmonic_truncation(ctx, len(entries), eps)
     if prec is None:
         prec = _default_prec(eps)
-    return SeriesValue(_mhs_enclosure(ctx, entries, K, star, prec), bound, K)
+    ball = _ball_sweep(_harmonic_runs(ctx.q, entries, K), K, prec, star, 1)[0]
+    return SeriesValue(ball, bound, K)
 
 
 def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:
@@ -1091,100 +1030,125 @@ def _run_column(
     return [m * g >> mprec for m, g in zip(ms[s % _MAGNITUDE_GROUP], gs)]
 
 
-def _inner_levels(ctx: QContext, pattern: Triple, merge, n: int, prec: int):
-    """The inner levels of the sweep of :func:`_frakz_sweep`: (runs, levels,
-    halves), where levels[j] = (x_j, x_j negated at odd k, e_j, c_j, top_j)
-    for j = 1..m, with x_j and e_j lists over k = 0..n-1 (None for the exact
-    1 at j = m), and halves[k-1] = k(k-1)/2 for k = 1..n."""
-    a, b = ctx.q.numerator, ctx.q.denominator
-    m = pattern.depth
-    runs = _runs(pattern, merge)
-    halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
+def _ball_sweep(runs: list, n: int, prec: int, weak: bool, slack: int) -> list:
+    """A ball at 2**-prec around a nested sum to n, swept one level at a
+    time, innermost first, with a radius carried index by index.  Returns
+    the levels [ball, level 1, ..., level m-1, the exact 1] (see below).
+
+    runs[i] lists level i's runs (j, barred, column), j > i.  column(c)
+    gives the run's floored terms t_k, k = 1..n, at the binary point 2**-c
+    that level j sets (:func:`_column_prec`), each with 2**c T_k in
+    [t_k, t_k + slack) for the exact term T_k.  Level i sums
+    C_i[k] = sum_(k' <= k) sum_runs (+-T_k') C_j[k' - d], negated at odd k'
+    for a barred run, with d = 0 for weak and 1 for strict descent, and
+    C_m = 1 below the innermost level; the ball is around C_0[n].
+
+    An inner level keeps (xs, bars, es, c, top): midpoints and radii over
+    the indices it is read at, k - d for k = 1..n, in units of 2**-prec,
+    with |x - 2**prec C| <= e; bars, the midpoints negated where they are
+    read at an odd k (only for a level that a barred run reads); and
+    top = max |x| + e at the last index, which bounds every |2**prec C| as
+    the radii never fall with k.  The exact 1 is
+    (None, None, None, c, 2**prec).
+
+    Radius: for one product write t = t_k, T' = 2**c T_k, x and e for the
+    deeper level at the index read and X = 2**prec C_j there, so |X| <= top:
+
+        t x - T' X = t (x - X) + (t - T') X,
+        |t x - T' X| <= t e + slack top.
+
+    An inner level floors each product at 2**-prec, within
+    1 + ceil(slack top / 2**c) + ceil(t e / 2**c) units, and its radius at
+    k sums these over its runs and the indices up to k; the first two
+    terms, the same at every index, ride in the rounding bias of the third.
+    With E the deeper level's largest radius, the third is at most 1 where
+    t <= lim = floor((2**c - 1) / E), and is counted as 1 there without
+    forming t e: toward the tail of a column, most of its indices.
+    Level 0, which no level reads, floors each run's sum over k once,
+    within 1 + ceil((sum t e + n slack top) / 2**c) units.  c keeps
+    slack top / 2**c below a unit whatever the size of level j, so a run
+    reading a large level (a run of negative alpha has terms like
+    q**(-k**2/2)) is read at a finer binary point instead of spending the
+    guard bits, and an error is scaled down with its level's values by the
+    terms above it: the bound follows the nesting of the indices.
+    """
+    m = len(runs)
     one = 1 << prec
     levels: list = [None] * m + [(None, None, None, _column_prec(one, prec), one)]
-    for i in range(m - 1, 0, -1):
-        # flat: the units 1 + spill of every run, the same at each index
-        mids, errs, flat = [0] * n, [0] * n, 0
-        for j, s, barred, alpha, beta in runs[i]:
+    if not (m and n):
+        levels[0] = Ball(0 if m else one, 0, prec)  # an empty string's sum is 1
+        return levels
+    read_barred = {j for row in runs for j, barred, _ in row if barred}
+    start = None if weak else 0  # a strict level holds C[0] = 0 first
+    mid = rad = 0
+    for i in range(m - 1, -1, -1):
+        mids = errs = None
+        for j, barred, column in runs[i]:
             xs, bars, es, c, top = levels[j]
-            ts = _run_column(a, b, s, alpha, beta, halves, c)
-            flat += 1 - (-_COLUMN_SLACK * top >> c)
+            ts = column(c)
+            if not i:
+                if xs is None:
+                    mid += (sum(ts[1::2]) - sum(ts[::2]) if barred else sum(ts)) >> c - prec
+                    spread = 0
+                else:
+                    mid += sum(map(mul, ts, bars if barred else xs)) >> c
+                    spread = sum(map(mul, ts, es))
+                rad += 1 - (-(spread + n * slack * top) >> c)
+                continue
+            if not weak:
+                ts = ts[:-1]  # a strict level is read at k - 1 < n
+            flat = 1 - (-slack * top >> c)
             if xs is None:
-                # below the innermost slot, where x = 2**prec, the products
-                # are the column itself at 2**-c
+                # below the innermost level, where x = 2**prec and e = 0,
+                # the products are the column itself at 2**-c
                 if barred:
                     ts = [-t if k % 2 else t for k, t in enumerate(ts, 1)]
                 shift = c - prec
-                mids = [u + (t >> shift) for u, t in zip(mids, ts)]
+                prods, spills = [t >> shift for t in ts], [flat] * len(ts)
             else:
-                mids = [u + (t * x >> c) for u, t, x in zip(mids, ts, bars if barred else xs)]
-                unit = (1 << c) - 1  # ceil(t e / 2**c) = floor((t e + unit) / 2**c)
-                errs = [r + (t * e + unit >> c) for r, t, e in zip(errs, ts, es)]
-        xs = list(accumulate(mids[:-1], initial=0))
-        es = list(accumulate([flat + r for r in errs[:-1]], initial=0))
-        bars = xs[:]
-        bars[::2] = [-x for x in xs[::2]]  # bars[0] is read at k = 1
-        top = max(map(add, map(abs, xs), es))
+                prods = [t * x >> c for t, x in zip(ts, bars if barred else xs)]
+                # flat + ceil(t e / 2**c), and flat + 1 wherever t <= lim
+                lim, full = ((1 << c) - 1) // max(es[-1], 1), flat + 1
+                bias = (full << c) - 1
+                spills = [t * e + bias >> c if t > lim else full for t, e in zip(ts, es)]
+            if mids is None:
+                mids, errs = prods, spills
+            else:
+                mids, errs = list(map(add, mids, prods)), list(map(add, errs, spills))
+        if not i:
+            break
+        xs, es = list(accumulate(mids, initial=start)), list(accumulate(errs, initial=start))
+        bars = None
+        if i in read_barred:
+            bars = xs[:]
+            bars[::2] = [-x for x in xs[::2]]  # bars[0] is read at k = 1
+        top = max(max(xs), -min(xs)) + es[-1]
         levels[i] = (xs, bars, es, _column_prec(top, prec), top)
-    return runs, levels, halves
+    levels[0] = Ball(mid, rad, prec)
+    return levels
 
 
-def _frakz_sweep(ctx: QContext, pattern: Triple, merge, n: int, prec: int) -> Ball:
-    """A Ball at 2**-prec around the partial sum of :func:`frakz` to K = n,
-    by the recurrence of :func:`_inner_terms` swept one level at a time,
-    innermost first, with a radius carried index by index.
+def _harmonic_runs(q: Fraction, entries: tuple, n: int) -> list:
+    """The runs of :func:`_ball_sweep` for a nested harmonic sum to n: level
+    i is entry i alone, read through the floored terms of its magnitude
+    (:func:`_floored_column`)."""
+    return [
+        [(i + 1, e.sign < 0, partial(_floored_column, q, e.magnitude, n))]
+        for i, e in enumerate(entries)
+    ]
 
-    Level j keeps C_j[k] for k = 0..n-1 as midpoints x_j(k) and radii
-    e_j(k) in units of 2**-prec, with |x_j(k) - 2**prec C_j[k]| <= e_j(k),
-    and top_j, the largest |x_j(k)| + e_j(k); below the innermost slot
-    C_m = 1, so x_m = 2**prec and e_m = 0.  A run [i, j) of the merge mask
-    (see :func:`_runs`) reads level j through its column t_k at the binary
-    point 2**-c that level j sets (:func:`_run_column`,
-    :func:`_column_prec`): its products are +-t_k x_j(k-1), negated at odd
-    k for a barred run.  An inner level i adds its runs' products floored
-    at 2**-prec, index by index, and one cumulative sum gives x_i.  Level
-    0, which no level reads, needs only sums over k: it floors each run's
-    sum of products once, and the midpoint is the sum of those floors.  The
-    inner levels are swept by :func:`_inner_levels`.
 
-    Radius: for one product write T for the run's exact term, t = t_k
-    within f = _COLUMN_SLACK units of T' = 2**c T, x = x_j(k-1),
-    e = e_j(k-1) and X = 2**prec C_j[k-1], so |X| <= |x| + e <= top_j.
-    The exact product is T' X / 2**c, and
-
-        t x - T' X = t (x - X) + (t - T') X,
-        |t x - T' X| <= t e + f top_j.
-
-    So an inner level's floored product is within
-    1 + spill + ceil(t e / 2**c) units, spill = ceil(f top_j / 2**c), and
-    level i's radius at k is the sum of these over its runs and the
-    indices up to k.  Level 0's floor of a run's sum is within
-    1 + ceil((sum t e + n f top_j) / 2**c) units, and the ball's radius is
-    the sum of these over its runs.
-
-    The bound follows the nesting index by index: an error carried from a
-    level whose values range far above the final value (a run of negative
-    alpha has terms like q**(-k**2/2)) is scaled down with those values by
-    the terms above it.  c keeps f top_j / 2**c below a unit whatever the
-    size of level j, so the runs that read such a level are read at a finer
-    binary point instead of spending the guard bits.
-    """
-    if not pattern.depth or not n:
-        return Ball(0, 0, prec)
-    runs, levels, halves = _inner_levels(ctx, pattern, merge, n, prec)
+def _mollified_runs(ctx: QContext, pattern: Triple, merge, n: int) -> list:
+    """The runs of :func:`_ball_sweep` for the partial sum of :func:`frakz`
+    to K = n: the runs of the merge mask (:func:`_runs`), each read through
+    its :func:`_run_column`."""
     a, b = ctx.q.numerator, ctx.q.denominator
-    mid = rad = 0
-    for j, s, barred, alpha, beta in runs[0]:
-        xs, bars, es, c, top = levels[j]
-        ts = _run_column(a, b, s, alpha, beta, halves, c)
-        if xs is None:
-            mid += (sum(ts[1::2]) - sum(ts[::2]) if barred else sum(ts)) >> c - prec
-            spread = 0
-        else:
-            mid += sum(map(mul, ts, bars if barred else xs)) >> c
-            spread = sum(map(mul, ts, es))
-        rad += 1 - (-(spread + n * _COLUMN_SLACK * top) >> c)
-    return Ball(mid, rad, prec)
+    halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
+    return [
+        [(j, barred, partial(_run_column, a, b, s, alpha, beta, halves))
+         for j, s, barred, alpha, beta in row]
+        for row in _runs(pattern, merge)
+    ]
 
 
 def frakz_enclosure(
@@ -1192,12 +1156,17 @@ def frakz_enclosure(
 ) -> SeriesValue:
     """:func:`frakz` with merge=True, its value a :class:`Ball` at 2**-P
     around the same exact partial sum, at the same K and with the same tail
-    bound (see :func:`_frakz_sweep`); P is as for :func:`q_zeta_enclosure`.
+    bound, by :func:`_ball_sweep` in strict descent over the runs of every
+    resolution (:func:`_mollified_runs`), whose floored terms lie within
+    _COLUMN_SLACK units of the exact ones; P is as for
+    :func:`q_zeta_enclosure`.
 
     Raises ValueError as :func:`frakz` does, before any table is built.
     """
     K, bound = _frakz_truncation(ctx, pattern, eps, True)
-    return SeriesValue(_frakz_sweep(ctx, pattern, True, K, _default_prec(as_eps(eps))), bound, K)
+    runs = _mollified_runs(ctx, pattern, True, K)
+    ball = _ball_sweep(runs, K, _default_prec(as_eps(eps)), False, _COLUMN_SLACK)[0]
+    return SeriesValue(ball, bound, K)
 
 
 # classical_zeta_many refuses a longer truncation before summing anything:

@@ -389,10 +389,12 @@ def verify_qmzsv(
     What does not depend on the composition is memoized in
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
     eps: the two truncation searches, keyed by (q, depth, eps, cap) and
-    (q, pattern depth, merge, eps, cap), the left ball's floored terms, one
-    column per (q, magnitude, binary point, K), and the right ball's
-    floored tables, magnitude columns per (q, binary point, length,
-    magnitude group) and powers of q per (base, binary point, length).  The
+    (q, pattern depth, merge, eps, cap); the left ball's floored terms, one
+    column per (q, magnitude, K, binary point), at the binary point the
+    level it reads sets; and the right ball's floored tables, magnitude
+    columns per (q, binary point, length, magnitude group) and powers of q
+    per (base, binary point, length).  Both balls run the one sweep
+    (:func:`~qzeta.evaluators._ball_sweep`) over these.  The
     memos are bounded lru_caches of immutable values (64 searches each, 32
     columns and 16 tables of each kind; see _COLUMN_CACHE_SIZE and
     _TABLE_CACHE_SIZE for their sizes), so a check reads the same values

@@ -331,44 +331,3 @@ def harmonic_ball_per_index(q, entries, n, star, prec):
             mids[j] += math.floor(Fraction(signed * x, 2**prec))
             rads[j] += 1 + math.ceil(Fraction(t * r + flag * (abs(x) + r), 2**prec))
     return mids[0], rads[0]
-
-
-def harmonic_ball_per_level(q, entries, n, star, prec):
-    """The ball (mid, rad) that the level-by-level sweep gives for the same
-    sum as :func:`harmonic_ball_per_index`, from its stated bound: with
-    t_k and flag_k as there, w_k = t_k + flag_k, X_j the exact cumulative of
-    level j and x_j its floored midpoints, level j's error
-    |x_j(k) - 2**prec X_j(k)| is at most A_j + k at every k <= n, where
-
-        A_j = ceil((A_(j+1) sum_k w_k + c sum_k k w_k + M sum_k flag_k) / 2**prec)
-
-    with the sums over the column of level j, k = 1..n, M the largest
-    |x_(j+1)(k)|, k = 0..n, and c = 0, A = 0, M = 2**prec for the exact 1
-    below the innermost level (c = 1 above it).  Returns (x_0(n), A_0 + n),
-    or (2**prec, 0) for the empty string.
-    """
-    q = Fraction(q)
-    one = 2**prec
-    if not entries:
-        return one, 0
-    below = [one] * (n + 1)  # the exact 1 at every index
-    bound, slope = 0, 0
-    for mag, sign in reversed(entries):
-        ts, flags = [], []
-        for k in range(1, n + 1):
-            scaled = q**k / q_integer(q, k) ** mag * one
-            t, rest = divmod(scaled.numerator, scaled.denominator)
-            ts.append(t)
-            flags.append(1 if rest else 0)
-        weights = [t + f for t, f in zip(ts, flags)]
-        top = max(abs(x) for x in below)
-        total = bound * sum(weights) + slope * sum(k * w for k, w in enumerate(weights, 1))
-        bound = math.ceil(Fraction(total + top * sum(flags), one))
-        slope = 1
-        level = [0]
-        for k in range(1, n + 1):
-            t = -ts[k - 1] if sign < 0 and k % 2 else ts[k - 1]
-            x = below[k] if star else below[k - 1]
-            level.append(level[-1] + math.floor(Fraction(t * x, one)))
-        below = level
-    return below[n], bound + n

@@ -254,7 +254,7 @@ def test_huge_expansion_fails_fast(capsys, monkeypatch):
     assert "numeric-pass" in out
     # 2,1^33 compiles to 33 slots, one more than a q-series check sums: it
     # is refused before either side sums a term
-    for name in ("_inner_terms", "_mhs_rows", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_mhs_rows", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     rc, out, err = run(capsys, "verify", "2,1^33", "--qmzsv")
     assert rc == 2
@@ -268,7 +268,7 @@ def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     monkeypatch.setattr(qzeta.QContext, "p_lcm", never)
     monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
@@ -295,7 +295,7 @@ def test_deep_finite_pattern_fails_fast(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the run engine was started")
 
-    for name in ("_runs", "_inner_terms", "_frakz_sweep", "_run_column"):
+    for name in ("_runs", "_inner_terms", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     cap = qzeta.evaluators.MAX_PATTERN_DEPTH
     for argv, depth in (
@@ -328,7 +328,7 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
         raise AssertionError("a sum was started")
 
     monkeypatch.setattr(qzeta.QContext, "qpow", counted)
-    for name in ("_inner_terms", "_mhs_rows", "_mhs_enclosure", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_mhs_rows", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     mhs = (qzeta.evaluators.MAX_MHS_LIMIT, "a harmonic sum")
     frakz = (qzeta.evaluators.MAX_FRAKZ_TERMS, "a mollified series")
@@ -360,7 +360,7 @@ def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a sum was started")
 
-    for name in ("_mhs_enclosure", "_mhs_rows", "_frakz_sweep", "_run_column"):
+    for name in ("_mhs_rows", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     cap = qzeta.evaluators.MAX_MHS_LIMIT
     rc, out, err = run(capsys, "verify", "2^1100", "--qmzsv")
@@ -451,7 +451,7 @@ def test_lemmas_without_checks_exit_2(capsys, monkeypatch):
         raise AssertionError("a lemma part was started")
 
     monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
-    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     for argv, message in (
         (("lemmas", "--n-max", "0", "--q", "1/2"), "n_max = 0 leaves alternating-kernel-sum"),
@@ -471,7 +471,7 @@ def test_sizes_over_their_caps_exit_2(capsys, monkeypatch):
         raise AssertionError("a check was started")
 
     monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
-    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     monkeypatch.setattr(qzeta.verify, "_group_seqs", never)
     monkeypatch.setattr(qzeta.verify, "_instances_2c2", never)

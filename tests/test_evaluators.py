@@ -34,7 +34,8 @@ from qzeta.evaluators import (
     MAX_CLASSICAL_TERMS,
     MAX_PATTERN_DEPTH,
     Ball,
-    _mhs_enclosure,
+    _ball_sweep,
+    _harmonic_runs,
     frakz_enclosure,
     q_zeta_enclosure,
 )
@@ -437,6 +438,13 @@ def test_ball_takes_an_exact_operand_on_the_left():
     assert 1 - x == Ball(1 << 3, 0, 3) - x
 
 
+def _left_ball(ctx, entries, n, star, prec):
+    """The left side's ball to n: the sweep over one run per entry, whose
+    floored terms lie within 1 unit of the exact ones, as q_zeta_enclosure
+    sweeps it at its K."""
+    return _ball_sweep(_harmonic_runs(ctx.q, entries, n), n, prec, star, 1)[0]
+
+
 def test_mhs_enclosure_holds_at_coarse_binary_points():
     # with a few bits every floor drops a large share of a unit, so a radius
     # that left out the unit of each floored product, or the remainder flag
@@ -450,21 +458,19 @@ def test_mhs_enclosure_holds_at_coarse_binary_points():
                 exact = mhs_many(ctx, s, 30, star=star)
                 for n in (3, 10, 30):
                     for prec in (2, 4, 8, 16, 64):
-                        lo, hi = _mhs_enclosure(ctx, entries, n, star, prec).bounds()
+                        lo, hi = _left_ball(ctx, entries, n, star, prec).bounds()
                         assert lo <= exact[n] <= hi, (q, s, star, n, prec)
 
 
 def test_mhs_enclosure_matches_the_ball_oracles():
-    # the level-by-level sweep floors the same products as the per-index DP
-    # of the oracles, so the midpoints are equal; its radius is its stated
-    # per-level bound, term for term; and both radii are proven: both balls
-    # hold the exact sum, with barred entries and zero magnitudes, in both
-    # descents and down to a 2-bit binary point.  One bound per level is
-    # looser than one per index where the error grows along the index: at
-    # most 4 times for strings of depth 1 and 2 here.  Deeper strings are
-    # held to containment only: a bound per level cannot follow the nesting
-    # of the indices, and toward q -> 1 or at a coarse binary point it is
-    # up to tens of times the per-index radius at depth 4
+    # the left side's sweep gives the midpoint and radius of its stated
+    # bound, computed index by index from the same runs and columns; both
+    # its ball and the per-index oracle's, which floors every term at the
+    # ball's own binary point, hold the exact sum, with barred entries and
+    # zero magnitudes, in both descents and down to a 2-bit binary point.
+    # The sweep reads each column at a finer binary point and pays a unit
+    # for each column's error where the oracle pays a flag, so its radius
+    # is at most twice the oracle's plus a few units, at every depth
     rng = random.Random(27)
     strings = [
         tuple(
@@ -481,19 +487,44 @@ def test_mhs_enclosure_matches_the_ball_oracles():
                 exact = mhs_many(ctx, entries, 30, star=star)
                 for n in (3, 10, 30):
                     for prec in (2, 8, 64, 300):
-                        ball = _mhs_enclosure(ctx, entries, n, star, prec)
-                        mid, rad = oracles.harmonic_ball_per_index(q, plain, n, star, prec)
+                        ball = _left_ball(ctx, entries, n, star, prec)
                         case = (q, entries, star, n, prec)
-                        assert ball.mid == mid, case
-                        # and the radius is the stated bound, term for term
-                        expect = oracles.harmonic_ball_per_level(q, plain, n, star, prec)
+                        runs = _harmonic_runs(q, entries, n)
+                        expect = _sweep_by_the_stated_bound(runs, n, prec, star, 1)
                         assert (ball.mid, ball.rad) == expect, case
+                        mid, rad = oracles.harmonic_ball_per_index(q, plain, n, star, prec)
                         unit = Fraction(1, 2**prec)
                         assert abs(exact[n] - mid * unit) <= rad * unit, case
                         lo, hi = ball.bounds()
                         assert lo <= exact[n] <= hi, case
-                        if len(entries) <= 2:
-                            assert ball.rad <= 4 * rad, (case, ball.rad, rad)
+                        assert ball.rad <= 2 * rad + 7, (case, ball.rad, rad)
+        # and q_zeta_enclosure is that sweep at its K, at P and at a
+        # coarse binary point
+        for entries in strings[:4]:
+            for star in (False, True):
+                for prec in (None, 6):
+                    ball = q_zeta_enclosure(ctx, entries, Fraction(1, 10**6), star, prec)
+                    runs = _harmonic_runs(q, entries, ball.terms)
+                    value = ball.value
+                    expect = _sweep_by_the_stated_bound(runs, ball.terms, value.prec, star, 1)
+                    assert (value.mid, value.rad) == expect, (q, entries, star, prec)
+
+
+def test_left_ball_of_a_deep_string_stays_narrow_toward_q_one():
+    # a depth-32 string toward q -> 1: carried index by index, the radius
+    # stays within 2**8 units, where a bound that does not follow the
+    # nesting of the indices grows with the depth
+    ctx = QContext(Fraction(17, 20))
+    s = (2,) + (1,) * 31
+    eps = Fraction(1, 4 * 10**25)
+    ball = q_zeta_enclosure(ctx, s, eps=eps, star=True)
+    assert ball.terms == 705
+    assert 0 < ball.value.rad <= 2**8
+    # both balls hold the same exact sum, so a finer one meets it
+    finer = q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=2 * ball.value.prec)
+    lo, hi = ball.value.bounds()
+    lo2, hi2 = finer.value.bounds()
+    assert lo <= hi2 and lo2 <= hi
 
 
 def test_frakz_certified_truncation(ctx_half):
@@ -1163,26 +1194,19 @@ def test_the_ball_reads_h_without_the_lcm_table(monkeypatch):
 
 def test_floored_columns_equal_a_direct_floor():
     # each t_k is the floor of q**k / [k]**s at 2**-prec, with [k] from the
-    # oracle's q-integers, and f_k whether it dropped a remainder; the column
-    # keeps the t_k and the sums of w_k = t_k + f_k, k * w_k and f_k
+    # oracle's q-integers, and the column is memoized
     from qzeta.evaluators import _floored_column
 
     for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
         for s in (0, 1, 2, 5):
             for prec in (0, 7, 300):
-                column = _floored_column(q, s, prec, 40)
-                ts, sum_w, moment, sum_f = column
+                ts = _floored_column(q, s, 40, prec)
                 assert len(ts) == 40
-                flags = []
                 for k in range(1, 41):
                     scaled = q**k / oracles.q_integer(q, k) ** s * 2**prec
                     t, rest = divmod(scaled.numerator, scaled.denominator)
                     assert ts[k - 1] == t, (q, s, prec, k)
-                    flags.append(1 if rest else 0)
-                weights = [t + f for t, f in zip(ts, flags)]
-                assert sum_w == sum(weights) and sum_f == sum(flags), (q, s, prec)
-                assert moment == sum(k * w for k, w in enumerate(weights, 1)), (q, s, prec)
-                assert _floored_column(q, s, prec, 40) is column
+                assert _floored_column(q, s, 40, prec) is ts
 
 
 FRAKZ_ENCLOSURE_QS = (
@@ -1205,7 +1229,17 @@ def _frakz_ball(ctx, pattern, eps, merge):
     if merge:
         return frakz_enclosure(ctx, pattern, eps=eps)
     K, bound = ev._frakz_truncation(ctx, pattern, eps, False)
-    return ev.SeriesValue(ev._frakz_sweep(ctx, pattern, False, K, ev._default_prec(eps)), bound, K)
+    return ev.SeriesValue(_right_ball(ctx, pattern, False, K, ev._default_prec(eps)), bound, K)
+
+
+def _right_ball(ctx, pattern, merge, n, prec):
+    """The right side's ball to n: the strict sweep over the runs of the
+    merge mask, whose floored terms lie within _COLUMN_SLACK units of the
+    exact ones, as frakz_enclosure sweeps it (merged) at its K."""
+    import qzeta.evaluators as ev
+
+    runs = ev._mollified_runs(ctx, pattern, merge, n)
+    return _ball_sweep(runs, n, prec, False, ev._COLUMN_SLACK)[0]
 
 
 def test_frakz_enclosure_contains_the_exact_partial_sum():
@@ -1260,7 +1294,7 @@ def test_frakz_sweep_holds_at_coarse_binary_points():
                 for n in (1, 4, 12):
                     exact = _resolutions_partial_sum(q, pattern, merge, n)
                     for prec in (2, 4, 8, 16, 64):
-                        lo, hi = ev._frakz_sweep(ctx, pattern, merge, n, prec).bounds()
+                        lo, hi = _right_ball(ctx, pattern, merge, n, prec).bounds()
                         assert lo <= exact <= hi, (q, pattern, merge, n, prec)
 
 
@@ -1277,13 +1311,15 @@ def _near_two_patterns():
 
 @pytest.mark.parametrize("tight", (False, True))
 def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
-    # the sweep's invariant, level by level: |x_j(k) - 2**prec C_j[k]| <=
-    # e_j(k) for every inner level j and k < n, with C_j[k] from the oracle
-    # over every resolution of the slots j..m-1, and the ball holds level
-    # 0's sum.  Coarse binary points and terms near 2 leave a floor's unit
-    # no slack to hide in; with tight=True each column sits at the least
-    # binary point above the level it reads, where a column's own error
-    # counts too
+    # the sweep's invariant, level by level: |x_j - 2**prec C_j| <= e_j at
+    # every index a level is read at, for every inner level j, and the ball
+    # holds level 0's sum.  On the right side C_j[k], k < n, comes from the
+    # oracle over every resolution of the slots j..m-1; on the left side
+    # C_j[k - d] comes from the harmonic oracle of the entries j..m-1, read
+    # at k - d = k (weak) or k - 1 (strict) for k = 1..n.  Coarse binary
+    # points and terms near 2 leave a floor's unit no slack to hide in;
+    # with tight=True each column sits at the least binary point above the
+    # level it reads, where a column's own error counts too
     import qzeta.evaluators as ev
 
     if tight:
@@ -1291,13 +1327,14 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
         monkeypatch.setattr(ev, "_COLUMN_PREC_STEP", 1)
     rng = random.Random(43)
     patterns = _near_two_patterns() + [_admissible_pattern(rng, m) for m in (2, 3, 3, 4, 4, 5)]
+    n = 7
     for q in (Fraction(1, 2), Fraction(7, 8), Fraction(2, 9)):
         ctx = QContext(q)
         for pattern in patterns:
             m = pattern.depth
             for merge in (True, False):
-                n = 7
-                _, levels, _ = ev._inner_levels(ctx, pattern, merge, n, 2)
+                runs = ev._mollified_runs(ctx, pattern, merge, n)
+                levels = _ball_sweep(runs, n, 2, False, ev._COLUMN_SLACK)
                 for j in range(1, m):
                     suffix = Triple(pattern.s[j:], pattern.t[j:], pattern.r[j:])
                     xs, _, es, _, _ = levels[j]
@@ -1305,43 +1342,67 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
                         exact = _resolutions_partial_sum(q, suffix, merge, k) * 4
                         assert abs(xs[k] - exact) <= es[k], (q, pattern, merge, j, k)
                 for prec in (1, 2, 4, 8):
-                    lo, hi = ev._frakz_sweep(ctx, pattern, merge, n, prec).bounds()
+                    lo, hi = _right_ball(ctx, pattern, merge, n, prec).bounds()
                     assert lo <= _resolutions_partial_sum(q, pattern, merge, n) <= hi
+        # the left side, over strings of zero and near-1 magnitudes
+        for s in ((0, 0, 0), (0, -1, 1, 0), (1, 1, 1, 1), (-2, 1, -1), (3, -1, 2, 1, 1)):
+            entries = signed_string(s)
+            plain = [(e.magnitude, e.sign) for e in entries]
+            for star in (False, True):
+                d = 0 if star else 1
+                levels = _ball_sweep(_harmonic_runs(q, entries, n), n, 2, star, 1)
+                for j in range(1, len(entries)):
+                    exact = oracles.harmonic_all_n(q, plain[j:], n, star=star)
+                    xs, _, es, _, _ = levels[j]
+                    for k in range(1, n + 1):
+                        case = (q, s, star, j, k)
+                        assert abs(xs[k - 1] - exact[k - d] * 4) <= es[k - 1], case
+                for prec in (1, 2, 4, 8):
+                    lo, hi = _left_ball(ctx, entries, n, star, prec).bounds()
+                    assert lo <= oracles.harmonic_all_n(q, plain, n, star=star)[n] <= hi
 
 
-def _sweep_by_the_stated_bound(ctx, pattern, merge, n, prec):
-    """(mid, rad) of the right-side ball from _frakz_sweep's stated bound,
-    index by index in plain loops, from the same runs and columns: the
-    exact 1 below the innermost slot, floored signed products, 1 +
-    ceil(f top / 2**c) + ceil(t e / 2**c) per inner product, and at level 0
-    one floor per run within 1 + ceil((sum t e + n f top) / 2**c)."""
+def _sweep_by_the_stated_bound(runs, n, prec, weak, slack):
+    """(mid, rad) of the ball of _ball_sweep from its stated bound, index by
+    index in plain loops, from the same runs and columns.  Level j keeps
+    x_j(k) and e_j(k) for k = 0..n, read at k (weak) or k - 1 (strict);
+    below the innermost level is the exact 1; a product is the signed
+    t_k x_j floored; an inner product costs 1 + ceil(slack top / 2**c) +
+    ceil(t e / 2**c) with top = max |x_j| over the indices read plus e_j at
+    the last of them, the last term counted as 1 wherever t E < 2**c for
+    E that largest e_j (at least 1); and level 0 floors one sum per run,
+    within 1 + ceil((sum t e + n slack top) / 2**c)."""
     import qzeta.evaluators as ev
 
-    a, b = ctx.q.numerator, ctx.q.denominator
-    m = pattern.depth
-    runs = ev._runs(pattern, merge)
-    levels = {m: ([1 << prec] * n, [0] * n)}
+    m = len(runs)
+    d = 0 if weak else 1
+    read = range(1 - d, n + 1 - d)
+    levels = {m: ([1 << prec] * (n + 1), [0] * (n + 1))}
     mid = rad = 0
     for i in range(m - 1, -1, -1):
-        mids, rads = [0] * n, [0] * n
-        for j, s, barred, alpha, beta in runs[i]:
+        mids, rads = [0] * (n + 1), [0] * (n + 1)
+        for j, barred, column in runs[i]:
             xs, es = levels[j]
-            top = max(abs(x) + e for x, e in zip(xs, es))
+            top = max(abs(xs[k]) for k in read) + es[read[-1]]
             c = ev._column_prec(top, prec)
-            halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
-            ts, f = ev._run_column(a, b, s, alpha, beta, halves, c), ev._COLUMN_SLACK
+            ts = column(c)
             signed = [-t if barred and k % 2 else t for k, t in enumerate(ts, 1)]
+            products = [signed[k - 1] * xs[k - d] for k in range(1, n + 1)]
+            spreads = [ts[k - 1] * es[k - d] for k in range(1, n + 1)]
             if i:
-                for k in range(n):
-                    mids[k] += signed[k] * xs[k] >> c
-                    rads[k] += 1 + math.ceil(Fraction(f * top, 2**c)) + math.ceil(Fraction(ts[k] * es[k], 2**c))
+                largest = max(1, es[read[-1]])
+                for k in range(1, n + 1):
+                    mids[k] += products[k - 1] >> c
+                    rads[k] += 1 + math.ceil(Fraction(slack * top, 2**c))
+                    if j < m and ts[k - 1] * largest < 2**c:
+                        rads[k] += 1
+                    else:
+                        rads[k] += math.ceil(Fraction(spreads[k - 1], 2**c))
             else:
-                mid += sum(u * x for u, x in zip(signed, xs)) >> c
-                spread = sum(t * e for t, e in zip(ts, es))
-                rad += 1 + math.ceil(Fraction(spread + n * f * top, 2**c))
+                mid += sum(products) >> c
+                rad += 1 + math.ceil(Fraction(sum(spreads) + n * slack * top, 2**c))
         if i:
-            levels[i] = (list(itertools.accumulate(mids[:-1], initial=0)),
-                         list(itertools.accumulate(rads[:-1], initial=0)))
+            levels[i] = (list(itertools.accumulate(mids)), list(itertools.accumulate(rads)))
     return mid, rad
 
 
@@ -1359,14 +1420,22 @@ def test_frakz_sweep_is_its_stated_bound(tight, monkeypatch):
         monkeypatch.setattr(ev, "_COLUMN_PREC_STEP", 1)
     rng = random.Random(47)
     patterns = _near_two_patterns() + [_admissible_pattern(rng, m) for m in range(1, 9)]
+    eps = Fraction(1, 10**6)
     for q in (Fraction(1, 2), Fraction(7, 8), Fraction(2, 9)):
         ctx = QContext(q)
         for pattern in patterns:
             for merge in (True, False):
                 for n, prec in ((5, 2), (12, 16), (20, 300)):
-                    ball = ev._frakz_sweep(ctx, pattern, merge, n, prec)
-                    expect = _sweep_by_the_stated_bound(ctx, pattern, merge, n, prec)
+                    ball = _right_ball(ctx, pattern, merge, n, prec)
+                    runs = ev._mollified_runs(ctx, pattern, merge, n)
+                    expect = _sweep_by_the_stated_bound(runs, n, prec, False, ev._COLUMN_SLACK)
                     assert (ball.mid, ball.rad) == expect, (q, pattern, merge, n, prec)
+            # and frakz_enclosure is that sweep, merged, at its K
+            ball = frakz_enclosure(ctx, pattern, eps=eps)
+            runs = ev._mollified_runs(ctx, pattern, True, ball.terms)
+            prec = ball.value.prec
+            expect = _sweep_by_the_stated_bound(runs, ball.terms, prec, False, ev._COLUMN_SLACK)
+            assert (ball.value.mid, ball.value.rad) == expect, (q, pattern)
 
 
 def test_run_columns_bracket_the_exact_terms():
@@ -1445,7 +1514,7 @@ def test_frakz_enclosure_refuses_as_frakz_does_before_any_table(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    for name in ("_frakz_sweep", "_run_column", "_magnitude_table", "_power_table"):
+    for name in ("_ball_sweep", "_run_column", "_magnitude_table", "_power_table"):
         monkeypatch.setattr(ev, name, never)
     ctx = QContext(Fraction(1, 2))
     deep = Triple((idx(1),) * 33, (0,) * 33, (1,) + (THETA,) * 32)

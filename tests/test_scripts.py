@@ -152,6 +152,9 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
         assert len(m["base"]["runs"]) == len(m["change"]["runs"]) == m["pairs"] == 1
     passed = metrics["pass_ratio"]
     assert passed["base"]["median"] == passed["change"]["median"] == 1.0
+    # each run's child CPU time is summarized next to them
+    cpu = metrics["child_cpu_s"]
+    assert cpu["unit"] == "s" and cpu["base"]["runs"][0] > 0 and cpu["change"]["runs"][0] > 0
     assert result["machine"]["nproc"] and result["protocol"]["seeds"] == [3001]
     # both sides are named by their git tree ids, and the change's was
     # written without touching the real index

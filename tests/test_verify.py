@@ -188,7 +188,7 @@ def test_verify_mhs_refuses_an_empty_q_list_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     monkeypatch.setattr(v, "_mhs_rows", never)
     for q_values in ((), []):
@@ -207,7 +207,7 @@ def test_a_repeated_q_is_refused_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     for name in ("_mhs_rows", "_kernel_sum", "family_equivalence"):
         monkeypatch.setattr(v, name, never)
@@ -790,7 +790,7 @@ def test_symmetric_pair_check_refuses_bad_sizes_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_mhs_enclosure", "_frakz_sweep", "_run_column"):
+    for name in ("_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     monkeypatch.setattr(qzeta.verify, "frakz", never)
     for a, b in ((-1, 0), (0, -2), (-3, -3), (1.0, 0), (0, "2"), (Fraction(1), 1)):
@@ -809,7 +809,7 @@ def test_symmetric_pair_check_refuses_bools(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_mhs_enclosure", "_frakz_sweep", "_run_column", "_classical_sum"):
+    for name in ("_inner_terms", "_ball_sweep", "_run_column", "_classical_sum"):
         monkeypatch.setattr(ev, name, never)
     for name in ("_mhs_rows", "_kernel_sum", "_inverse_power", "_head_reduction"):
         monkeypatch.setattr(v, name, never)
@@ -844,7 +844,7 @@ def test_composition_entries_have_one_reader_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_mhs_enclosure", "_frakz_sweep", "_run_column", "_classical_sum"):
+    for name in ("_inner_terms", "_ball_sweep", "_run_column", "_classical_sum"):
         monkeypatch.setattr(ev, name, never)
     monkeypatch.setattr(v, "_mhs_rows", never)
     checks = (v.verify_mhs, v.verify_qmzsv, v.verify_classical)
@@ -1348,7 +1348,7 @@ def test_eps_is_read_as_a_positive_rational_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_mhs_rows", "_mhs_enclosure", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_mhs_rows", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(ev, name, never)
     ctx = QContext(Fraction(1, 2))
     pattern = Triple((idx(2),), (0,), (2,))
@@ -1392,7 +1392,7 @@ def test_finite_checks_refuse_a_str_of_q_and_a_fractional_n_max_before_any_sum(m
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_inner_terms", "_frakz_sweep", "_run_column"):
+    for name in ("_inner_terms", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(ev, name, never)
     monkeypatch.setattr(v, "_mhs_rows", never)
     for part in ("_kernel_sum", "_inverse_power", "_head_reduction"):
