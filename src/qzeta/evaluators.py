@@ -275,13 +275,16 @@ def _row_dens(ctx: QContext, w: int, cofactors: Sequence[tuple[int, int]]) -> li
 # reports its hits and misses through cache_info().  A battery at one q and
 # eps needs one search per depth (at most 32 frakz depths, merged or not) and
 # one column per magnitude, length and binary point.  A search entry is a few
-# hundred bytes.  A column holds nothing but its n <= MAX_MHS_LIMIT ints
+# hundred bytes.  A column is built to a power-of-two length n >= 32 and read
+# as a prefix (see _harmonic_runs), so it holds at most 1,024 ints
 # t_k < q**k 2**c, at the binary point c that _column_prec sets (320 for
-# P = 300), so it takes at most n(c/7.5 + 36) + 40 bytes: about 6 KB at
-# q = 1/2 and eps = 1e-25 (n = 86); 32 columns at n = 1000 take at most
-# 2.5 MB at c = 320 and 44 MB at c = 10112 (q = 1/1000, eps = 1e-3000).
+# P = 300), and takes at most n(c/7.5 + 36) + 40 bytes: about 10 KB at
+# q = 1/2 and eps = 1e-25 (n = 128 for K = 86); 32 columns at n = 1024 take
+# at most 2.6 MB at c = 320 and 45 MB at c = 10112 (q = 1/1000,
+# eps = 1e-3000).
 _SEARCH_CACHE_SIZE = 64
 _COLUMN_CACHE_SIZE = 32
+_COLUMN_MIN_LENGTH = 32
 # The right side's ball (see _ball_sweep) reads two more kinds of floored
 # table, each a bounded memo of _TABLE_CACHE_SIZE entries keyed by q-level
 # data only: magnitude columns (1 + q**k) / [k]**s, keyed by (q, binary
@@ -303,15 +306,15 @@ _TABLE_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_COLUMN_CACHE_SIZE)
-def _floored_column(q: Fraction, s: int, n: int, prec: int) -> tuple[int, ...]:
-    """The floored terms of magnitude s at the binary point 2**-prec for
-    k = 1..n.  With q = a/b and h_k = ctx.h(k) the term is
+def _floored_column(a: int, b: int, s: int, n: int, prec: int) -> tuple[int, ...]:
+    """The floored terms of magnitude s at q = a/b and the binary point
+    2**-prec for k = 1..n.  With h_k = ctx.h(k) the term is
     q**k / [k]**s = a**k b**((k-1)s) / (b**k h_k**s), so
     t_k = floor(a**k b**((k-1)s) 2**prec / (b**k h_k**s)) and 2**prec times
-    the exact term lies in [t_k, t_k + 1).
+    the exact term lies in [t_k, t_k + 1).  Keyed by integers, as
+    :func:`_harmonic_search` is.
     """
-    ctx = QContext(q)
-    a, b = q.numerator, q.denominator
+    ctx = QContext(Fraction(a, b))
     return tuple(
         (a**k * b ** ((k - 1) * s) << prec) // (b**k * ctx.h(k) ** s) for k in range(1, n + 1)
     )
@@ -1130,12 +1133,17 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, slack: int) -> list:
 
 def _harmonic_runs(q: Fraction, entries: tuple, n: int) -> list:
     """The runs of :func:`_ball_sweep` for a nested harmonic sum to n: level
-    i is entry i alone, read through the floored terms of its magnitude
-    (:func:`_floored_column`)."""
-    return [
-        [(i + 1, e.sign < 0, partial(_floored_column, q, e.magnitude, n))]
-        for i, e in enumerate(entries)
-    ]
+    i is entry i alone, read through the first n floored terms of its
+    magnitude (:func:`_floored_column`).  The column is built to the power
+    of two at least n and _COLUMN_MIN_LENGTH, so that the truncations K of
+    nearby depths read prefixes of one memo entry."""
+    a, b = q.numerator, q.denominator
+    length = max(1 << (n - 1).bit_length(), _COLUMN_MIN_LENGTH)
+
+    def column(s: int, prec: int) -> tuple[int, ...]:
+        return _floored_column(a, b, s, length, prec)[:n]
+
+    return [[(i + 1, e.sign < 0, partial(column, e.magnitude))] for i, e in enumerate(entries)]
 
 
 def _mollified_runs(ctx: QContext, pattern: Triple, merge, n: int) -> list:

@@ -4,11 +4,12 @@ Exact checks compare both sides of an identity in rational arithmetic and
 pass only when every residual vanishes.  Numeric checks on infinite series
 split the requested accuracy across all series involved, sum each one until
 its rigorous tail bound fits its share, and then compare; within-eps
-agreement is therefore certified, not a float coincidence.  A q-series is
-first summed as a certified ball around its exact partial sum, and exactly
-only when the balls cannot decide the report.  Limit-side
-checks run in floating point and treat the reported truncation estimates
-as error bars on top of the stated tolerance.
+agreement is therefore certified, not a float coincidence.  Both q-series
+checks climb one ladder (:func:`_rungs`): every series is first a certified
+ball around its exact partial sum, and is summed exactly only when the
+balls cannot decide the report.  Limit-side checks run in floating point
+and treat the reported truncation estimates as error bars on top of the
+stated tolerance.
 
 Every entry point returns VerificationReport records with a stable JSON
 shape, suitable both for the command line and for the test suite.
@@ -31,6 +32,7 @@ from .evaluators import (
     Ball,
     SeriesValue,
     _RESOLVED,
+    _frakz_truncation,
     _harmonic_truncation,
     _mhs_rows,
     _pattern_rows,
@@ -260,31 +262,48 @@ def _numeric_report(
 # 8P bits.  A ball's integers stay near its binary point while the exact
 # sum's denominators grow like K**2 times the depth in bits, so each
 # doubling costs a small multiple of the last and stays far below the
-# exact sum.  At q = 1/2 and eps = 1e-25 on a 2-vCPU x86-64 host,
-# verify_qmzsv((2,)*300) is decided at 4P = 1,200 bits in about 0.37 s and
-# symmetric_pair_check(200, 200) in about 1.5 s, where the exact left side
-# ran past 110 s and 130 s; the ball at 8P for (2,)*300 takes 0.7-0.9 s.
+# exact sum.  At q = 1/2 and eps = 1e-25 on a shared 2-vCPU x86-64 host,
+# in fresh processes, verify_qmzsv((2,)*300) is decided at 4P = 1,200 bits
+# in 0.26-0.55 s and symmetric_pair_check(200, 200) in 1.0-2.2 s (the
+# spread is the host's speed from one hour to the next), where the exact
+# left side ran past 110 s and 130 s; the ball at 8P for (2,)*300 alone
+# takes 0.7-1.0 s.
 _BALL_DOUBLINGS = 3
 
 
-def _weak_zetas(
-    ctx: QContext, strings: Sequence[tuple], eps: Fraction
+def _rungs(
+    ctx: QContext, eps: Fraction, strings: Sequence[tuple], patterns: Sequence[Triple]
 ) -> Iterator[list[SeriesValue]]:
-    """The weak zeta values of strings, each summed until its tail bound is
-    at most eps: first as balls at the binary point 2**-P of
-    :func:`~qzeta.evaluators.q_zeta_enclosure`, then as balls at 2**-2P,
-    2**-4P and 2**-8P, and last exactly.  A report reads them in turn until
-    one decides it, which the exact values always do; a deep string whose
-    discrepancy P cannot resolve is decided by a ball at a few times P long
-    before the exact sum would finish (see _BALL_DOUBLINGS).
+    """The ladder of a certified q-series check: the weak zeta star values
+    of strings, then the mollified series of patterns, every resolution
+    summed as one series (``merge=True``), each summed until its tail bound
+    is at most eps, as one list per rung.  A report reads the rungs in turn
+    until one decides it, which the last, all exact, always does.
+
+    Every truncation search runs first, the strings' in order and then the
+    patterns', so a cap refuses before any series sums.  Rung 1 holds balls
+    at the binary point 2**-P (:func:`~qzeta.evaluators.q_zeta_enclosure`
+    and :func:`~qzeta.evaluators.frakz_enclosure`).  Then each pattern is
+    summed exactly, once, and that value stands on every later rung: with
+    the strings' balls at P, 2P, 4P and 8P, and last with their exact
+    values.  A right ball at 2P would be no narrower than the exact value
+    already at hand, and a deep string whose discrepancy P cannot resolve
+    is decided by a ball at a few times P long before its exact sum would
+    finish (see _BALL_DOUBLINGS).
     """
-    balls = [q_zeta_enclosure(ctx, s, eps=eps, star=True) for s in strings]
-    yield balls
-    prec = balls[0].value.prec
+    for s in strings:
+        _harmonic_truncation(ctx, len(s), eps)
+    for pattern in patterns:
+        _frakz_truncation(ctx, pattern, eps, True)
+    lefts = [q_zeta_enclosure(ctx, s, eps=eps, star=True) for s in strings]
+    yield lefts + [frakz_enclosure(ctx, pattern, eps=eps) for pattern in patterns]
+    rights = [frakz(ctx, pattern, eps=eps, merge=True) for pattern in patterns]
+    yield lefts + rights
+    prec = lefts[0].value.prec
     for _ in range(_BALL_DOUBLINGS):
         prec *= 2
-        yield [q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=prec) for s in strings]
-    yield [q_zeta(ctx, s, eps=eps, star=True) for s in strings]
+        yield [q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=prec) for s in strings] + rights
+    yield [q_zeta(ctx, s, eps=eps, star=True) for s in strings] + rights
 
 
 def _raise_lighter(left: int, right, base: int, excess: int) -> tuple:
@@ -368,15 +387,11 @@ def verify_qmzsv(
     is at most eps/4, so the two sides of a true identity can differ by at
     most eps/2 < eps.  ``params["series"]`` still counts 1 + 2**(m-1).
 
-    Each side is first a ball around its exact partial sum at the binary
-    point 2**-P (:func:`~qzeta.evaluators.q_zeta_enclosure` and
-    :func:`~qzeta.evaluators.frakz_enclosure`).  When that pair cannot
-    decide the report, the exact right side is summed, once, and tried
-    against the same left ball, then against left balls at 2P, 4P and 8P
-    and last against the exact left side (see :func:`_weak_zetas`); a right
-    ball at 2P would be no narrower than the exact value already at hand.
-    A pair decides only the report the exact values give, so the report is
-    always the exact one.  At eps = 1e-25 the first pair decides all 175
+    The two sides climb the ladder of :func:`_rungs`: balls around their
+    exact partial sums first, the exact right side only when the first
+    pair of balls cannot decide, and the exact left side last.  A rung
+    decides only the report the exact values give, so the report is
+    always the exact one.  At eps = 1e-25 the first rung decides all 175
     weight-12 compositions with a first entry >= 2 and pattern depth 2-4
     at q = 1/2, 2/3, 4/5 and 9/10, with no exact sum on either side.  On a
     2-vCPU x86-64 host, (2,1,1,3,1) takes about 3 ms at q = 1/2, 8 ms at
@@ -390,16 +405,18 @@ def verify_qmzsv(
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
     eps: the two truncation searches, keyed by (q, depth, eps, cap) and
     (q, pattern depth, merge, eps, cap); the left ball's floored terms, one
-    column per (q, magnitude, K, binary point), at the binary point the
-    level it reads sets; and the right ball's floored tables, magnitude
-    columns per (q, binary point, length, magnitude group) and powers of q
-    per (base, binary point, length).  Both balls run the one sweep
-    (:func:`~qzeta.evaluators._ball_sweep`) over these.  The
-    memos are bounded lru_caches of immutable values (64 searches each, 32
-    columns and 16 tables of each kind; see _COLUMN_CACHE_SIZE and
-    _TABLE_CACHE_SIZE for their sizes), so a check reads the same values
-    warm or cold and from any thread.  Over the 105 checks of the
-    benchmark's q-series batch at q = 1/2 they miss 4, 3, 4, 7 and 4 times.
+    column per (q, magnitude, length, binary point), at the binary point
+    the level it reads sets, built to a power-of-two length that the
+    truncations of nearby depths read as a prefix; and the right ball's
+    floored tables, magnitude columns per (q, binary point, length,
+    magnitude group) and powers of q per (base, binary point, length).
+    Both balls run the one sweep (:func:`~qzeta.evaluators._ball_sweep`)
+    over these.  The memos are bounded lru_caches of immutable values (64
+    searches each, 32 columns and 16 tables of each kind; see
+    _COLUMN_CACHE_SIZE and _TABLE_CACHE_SIZE for their sizes), so a check
+    reads the same values warm or cold and from any thread.  Over the 105
+    checks of the benchmark's q-series batch at q = 1/2 they miss 4, 3, 4,
+    7 and 4 times.
 
     Raises ValueError, before either side sums, for a composition entry
     that is a bool, not an int or below 1, a composition that is not
@@ -412,10 +429,6 @@ def verify_qmzsv(
     epsv = as_eps(eps)
     budget = epsv / 4
     d, pattern = compose(comp)
-    # the left side's truncation search runs before either side sums, and
-    # the right side's in its ball, which is summed before the left side
-    _harmonic_truncation(ctx, len(comp), budget)
-    rhs_ball = frakz_enclosure(ctx, pattern, eps=budget)
     series = 1 + 2 ** (pattern.depth - 1)
     params = {"composition": list(comp), "delta": d, "series": series, "eps": str(epsv)}
 
@@ -425,18 +438,7 @@ def verify_qmzsv(
             abs(lhs.value - d * rhs.value), lhs.tail_bound + rhs.tail_bound,
         )
 
-    def pairs() -> Iterator[tuple[SeriesValue, SeriesValue]]:
-        # the first left ball against the right ball, then every left
-        # value against the exact right side, summed once
-        lefts = _weak_zetas(ctx, (comp,), budget)
-        (lhs,) = next(lefts)
-        yield lhs, rhs_ball
-        rhs = frakz(ctx, pattern, eps=budget, merge=True)
-        yield lhs, rhs
-        for (lhs,) in lefts:
-            yield lhs, rhs
-
-    return next(filter(None, (report(*pair) for pair in pairs())))
+    return next(filter(None, (report(*r) for r in _rungs(ctx, budget, (comp,), (pattern,)))))
 
 
 def verify_classical(
@@ -746,9 +748,10 @@ def symmetric_pair_check(
 
     The sum of the two mirror-image weak zeta values equals the product of
     two plain weak zeta values plus a (1-q)-weighted mollified series; the
-    product's error is propagated explicitly.  The four weak zeta values are
-    balls first, at P, 2P, 4P and 8P bits, and exact only when those cannot
-    decide the report, as in :func:`verify_qmzsv`.
+    product's error is propagated explicitly.  The four weak zeta values
+    and the depth-1 mollified series climb the ladder of :func:`_rungs`,
+    as in :func:`verify_qmzsv`: all five are balls on the first rung, and
+    the series is summed exactly only when that rung cannot decide.
 
     Raises ValueError, before any sum, unless a and b are ints >= 0, or
     when a truncation is over its cap.
@@ -764,12 +767,9 @@ def symmetric_pair_check(
         (2,) * a + (3,) + (2,) * b + (1,), (2,) * b + (3,) + (2,) * a + (1,),
         (2,) * (a + 1), (2,) * (b + 1),
     )
-    # every truncation search runs before any series sums, as in verify_qmzsv
-    for m in {a + b + 2, a + 1, b + 1}:
-        _harmonic_truncation(ctx, m, budget)
-    w = frakz(ctx, Triple((idx(2 * a + 2 * b + 3),), (a + b + 2,), (2,)), eps=budget)
+    pattern = Triple((idx(2 * a + 2 * b + 3),), (a + b + 2,), (2,))
 
-    def report(z_ab, z_ba, u, v):
+    def report(z_ab, z_ba, u, v, w):
         lhs = z_ab.value + z_ba.value
         rhs = u.value * v.value + (1 - ctx.q) * w.value
         product_tail = abs(u.value) * v.tail_bound + abs(v.value) * u.tail_bound
@@ -782,7 +782,7 @@ def symmetric_pair_check(
             {"a": a, "b": b, "eps": str(epsv)}, ctx.q, epsv, abs(lhs - rhs), tail_total,
         )
 
-    return next(filter(None, (report(*z) for z in _weak_zetas(ctx, strings, budget))))
+    return next(filter(None, (report(*r) for r in _rungs(ctx, budget, strings, (pattern,)))))
 
 
 def qmzsv_battery(

@@ -1197,16 +1197,33 @@ def test_floored_columns_equal_a_direct_floor():
     # oracle's q-integers, and the column is memoized
     from qzeta.evaluators import _floored_column
 
+    def direct(q, s, k, prec):
+        scaled = q**k / oracles.q_integer(q, k) ** s * 2**prec
+        return scaled.numerator // scaled.denominator
+
     for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+        a, b = q.numerator, q.denominator
         for s in (0, 1, 2, 5):
             for prec in (0, 7, 300):
-                ts = _floored_column(q, s, 40, prec)
+                ts = _floored_column(a, b, s, 40, prec)
                 assert len(ts) == 40
                 for k in range(1, 41):
-                    scaled = q**k / oracles.q_integer(q, k) ** s * 2**prec
-                    t, rest = divmod(scaled.numerator, scaled.denominator)
-                    assert ts[k - 1] == t, (q, s, prec, k)
-                assert _floored_column(q, s, 40, prec) is ts
+                    assert ts[k - 1] == direct(q, s, k, prec), (q, s, prec, k)
+                assert _floored_column(a, b, s, 40, prec) is ts
+    # the left ball's runs read prefixes of one column per power-of-two
+    # length: two K in one length bucket share one memo entry
+    _floored_column.cache_clear()
+    q = Fraction(2, 3)
+    entries = signed_string((2,))
+    for n in (40, 57):
+        (((_, _, column),),) = _harmonic_runs(q, entries, n)
+        ts = column(300)
+        assert ts == tuple(direct(q, 2, k, 300) for k in range(1, n + 1)), n
+    info = _floored_column.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    (((_, _, column),),) = _harmonic_runs(q, entries, 65)
+    assert len(column(300)) == 65
+    assert _floored_column.cache_info().misses == 2
 
 
 FRAKZ_ENCLOSURE_QS = (

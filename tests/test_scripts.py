@@ -164,3 +164,46 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
     assert (index.read_bytes() if index.is_file() else None) == staged
     # the trees were removed
     assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
+
+
+def _bench_pairs() -> dict:
+    """The functions of scripts/bench_pairs.py, loaded without running it."""
+    return runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+
+
+def test_bench_pairs_reads_a_planted_delay_as_slower():
+    # the change side is the base plus a fixed delay in every pair: lower in
+    # none of them, a median ratio above 1 and a negative gap in base IQRs
+    summarize = _bench_pairs()["summarize"]
+    base = [1.0, 1.3, 0.9, 1.1, 1.2, 1.05, 0.95, 1.25, 1.15, 1.0]
+    delayed = [x + 0.05 for x in base]
+    s = summarize(base, delayed)
+    assert (s["lower_in"], s["pairs"]) == (0, 10)
+    assert s["ratio"] > 1
+    assert s["gap_iqr"] < 0
+    assert (s["base"]["runs"], s["change"]["runs"]) == (base, delayed)
+    # read the other way round, the delay is on the base side in every pair
+    s = summarize(delayed, base)
+    assert s["lower_in"] == 10 and s["ratio"] < 1 and s["gap_iqr"] > 0
+
+
+def test_bench_pairs_counts_ties_for_neither_side():
+    summarize = _bench_pairs()["summarize"]
+    base, change = [1.0, 2.0, 3.0, 4.0], [1.0, 1.5, 3.0, 5.0]
+    assert summarize(base, change)["lower_in"] == 1
+    assert summarize(change, base)["lower_in"] == 1
+    assert summarize(base, base)["lower_in"] == 0
+
+
+def test_bench_pairs_statistics_of_a_flat_base_and_of_one_pair():
+    bench = _bench_pairs()
+    summarize, quartiles = bench["summarize"], bench["quartiles"]
+    # a base with no spread has no IQR to measure the gap in
+    s = summarize([2.0, 2.0, 2.0], [1.0, 3.0, 1.5])
+    assert s["gap_iqr"] is None and s["ratio"] == 0.75 and s["lower_in"] == 2
+    # one pair: its value is all three quartiles
+    assert quartiles([0.7]) == (0.7, 0.7, 0.7)
+    s = summarize([0.7], [0.5])
+    assert (s["base"]["q1"], s["base"]["median"], s["base"]["q3"]) == (0.7, 0.7, 0.7)
+    assert (s["change"]["q1"], s["change"]["median"], s["change"]["q3"]) == (0.5, 0.5, 0.5)
+    assert (s["lower_in"], s["pairs"], s["gap_iqr"]) == (1, 1, None)

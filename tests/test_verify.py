@@ -1008,6 +1008,11 @@ def test_qseries_right_side_is_decided_by_the_ball(monkeypatch):
 
     comps = _weight_twelve_depth_two_to_four()
     exact = {comp: _body(v.verify_qmzsv(comp)) for comp in comps[::25]}
+    # the symmetric pair's right side, and the whole battery, too
+    pairs = [(0, 0, Fraction(1, 2)), (1, 2, Fraction(1, 2)), (2, 1, Fraction(1, 2)),
+             (1, 1, Fraction(5, 8))]
+    symmetric = [_body(v.symmetric_pair_check(a, b, q=q)) for a, b, q in pairs]
+    battery = [_body(rep) for rep in v.qmzsv_battery()]
     monkeypatch.setattr(v, "frakz", never)
     for comp in comps:
         rep = v.verify_qmzsv(comp)
@@ -1017,6 +1022,8 @@ def test_qseries_right_side_is_decided_by_the_ball(monkeypatch):
     rep = v.verify_qmzsv((9, 9, 9), q=Fraction(4, 5))
     assert rep.status == "numeric-pass"
     assert rep.discrepancy == "4.94129238005E-34"
+    assert [_body(v.symmetric_pair_check(a, b, q=q)) for a, b, q in pairs] == symmetric
+    assert [_body(rep) for rep in v.qmzsv_battery()] == battery
     # the patch is live: a ball that cannot decide falls back to it
     monkeypatch.setattr(
         v, "frakz_enclosure",
