@@ -76,16 +76,19 @@ b^(k^2) is folded into their b-exponents.  Its terms, G(2n, n-k) times a
 value at its own index's scale, are carried from row n-1 to row n by one
 multiply and one exact division by integers of about n bits each, and the
 denominator's growth from index to index is folded into each row's sum
-once, by Horner, as in :func:`frakz` (see :func:`_pattern_rows`).  Both
-finite engines return rows at the scale the two sides of the finite
-identity share: a numerator over L_n^w times a small cofactor, with L_n^w
-(w the weight, which both sides have) left implied.  That power is most of
-either denominator's bits, so :func:`~qzeta.verify.verify_mhs` compares
-the rows unreduced by cross-multiplying the numerators with the cofactors
-alone, and a value's denominator is multiplied out only where a value is
-returned (:func:`mhs_many`, :func:`pattern_mhs_many`) or a failing row's
-residual is reduced.  :func:`frakz` sums the run engine's values over the
-same running scale and builds its own denominator.
+once, by Horner, as in :func:`frakz` (see :func:`_pattern_rows`).
+
+Every exact sum ends as one row shape, (num, c, e): the value
+num / (L_n^w * c * b^e) at upper limit n, with L_n^w (w the weight, which
+both sides of a finite identity have) left implied and c a small
+cofactor, 1 on the harmonic side.  Both finite engines return such rows,
+and :func:`frakz` reduces its sum as the row (total, a^A_K, B_K) at K.
+That power of L_n is most of a denominator's bits, so
+:func:`~qzeta.verify.verify_mhs` compares two rows unreduced by
+cross-multiplying their numerators with their cofactors alone.  A row
+becomes a value only in :func:`_row_value`, or :func:`_row_values` for a
+whole family with a running L_n^w: every value the exact evaluators return
+and every failing residual of a finite check is reduced there, once.
 """
 
 from __future__ import annotations
@@ -193,13 +196,14 @@ def _upper_limit(n_max, cap: int, what: str) -> int:
     return n_max
 
 
-def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tuple[int, int]]:
-    """Unreduced rows (numerator, e) of the nested harmonic sum for every
+def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tuple[int, int, int]]:
+    """Unreduced rows (numerator, 1, e) of the nested harmonic sum for every
     upper limit 0..n_max, in integers: row n is the numerator over
     L_n^W * b^e, with W the total magnitude of the entries and
-    L_n = ctx.p_lcm(n).  The power of L_n is left implied, so a caller
-    that compares two sums at the same L_n never multiplies it in, and
-    one that wants a value builds the denominator (see :func:`_row_den`).
+    L_n = ctx.p_lcm(n), and its cofactor is 1.  The power of L_n is left
+    implied, so a caller that compares two sums at the same L_n never
+    multiplies it in, and one that wants a value reads the row with
+    :func:`_row_value`.
 
     With q = a/b in lowest terms, h_k = ctx.h(k) and L_k = ctx.p_lcm(k),
     w_k = L_k/[k] = b^(k-1) L_k/h_k is an integer and the term of
@@ -228,7 +232,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     grow_l = [sum(mags[j:]) for j in range(m + 1)]
     grow_b = [mags[j:].count(0) for j in range(m + 1)]
     x = [0] * m + [1]
-    rows = [(x[0], m - grow_b[0])]
+    rows = [(x[0], 1, m - grow_b[0])]
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
     order = range(m - 1, -1, -1) if star else range(m)
@@ -245,26 +249,27 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
             if entries[j].sign < 0 and k % 2:
                 c = -c
             x[j] += c * x[j + 1]
-        rows.append((x[0], m - grow_b[0] + grow_b[0] * k))
+        rows.append((x[0], 1, m - grow_b[0] + grow_b[0] * k))
     return rows
 
 
-def _row_den(ctx: QContext, w: int, n: int, c: int, e: int, lw: int | None = None) -> int:
-    """The denominator L_n**w * c * b**e of a finite engine's row n at
-    weight w: a row of :func:`_mhs_rows` has c = 1, one of
-    :func:`_pattern_rows` its cofactor.  lw is L_n**w = ctx.p_lcm(n)**w,
-    the power the engines leave implied, when the caller already has it."""
+def _row_value(ctx: QContext, w: int, n: int, row: tuple, lw: int | None = None) -> Fraction:
+    """The value num / (L_n**w * c * b**e) of an exact engine's row
+    (num, c, e) at upper limit n and weight w, reduced once.  lw is
+    L_n**w = ctx.p_lcm(n)**w, the power the engines leave implied, when
+    the caller already has it."""
+    num, c, e = row
     if lw is None:
         lw = ctx.p_lcm(n) ** w
-    return lw * c * ctx.q.denominator**e
+    return Fraction(num, lw * c * ctx.q.denominator**e)
 
 
-def _row_dens(ctx: QContext, w: int, cofactors: Sequence[tuple[int, int]]) -> list[int]:
-    """:func:`_row_den` of the rows n = 0, 1, ... whose (c, e) are given,
-    each L_n**w the last times (L_n/L_(n-1))**w rather than a fresh power."""
-    steps = (ctx.p_lcm_step(n) ** w for n in range(1, len(cofactors)))
+def _row_values(ctx: QContext, w: int, rows: Sequence[tuple[int, int, int]]) -> list[Fraction]:
+    """:func:`_row_value` of the rows n = 0, 1, ..., each L_n**w the last
+    times (L_n/L_(n-1))**w rather than a fresh power."""
+    steps = (ctx.p_lcm_step(n) ** w for n in range(1, len(rows)))
     lws = accumulate(steps, mul, initial=1)
-    return [_row_den(ctx, w, n, c, e, lw) for n, ((c, e), lw) in enumerate(zip(cofactors, lws))]
+    return [_row_value(ctx, w, n, row, lw) for n, (row, lw) in enumerate(zip(rows, lws))]
 
 
 # Bounded memos of the q-level work of the certified series.  At one q and
@@ -321,20 +326,18 @@ def _floored_column(a: int, b: int, s: int, n: int, prec: int) -> tuple[int, ...
 
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
-    """Values of the nested harmonic sum for every upper limit 0..n_max."""
+    """Values of the nested harmonic sum for every upper limit 0..n_max:
+    the rows of :func:`_mhs_rows`, each reduced once by :func:`_row_values`."""
     entries = signed_string(s)
-    rows = _mhs_rows(ctx, entries, n_max, star)
     weight = sum(entry.magnitude for entry in entries)
-    dens = _row_dens(ctx, weight, [(1, e) for _, e in rows])
-    return [Fraction(x, den) for (x, _), den in zip(rows, dens)]
+    return _row_values(ctx, weight, _mhs_rows(ctx, entries, n_max, star))
 
 
 def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     """Nested harmonic sum with upper limit n (zero when too short)."""
     entries = signed_string(s)
-    x, e = _mhs_rows(ctx, entries, n, star)[n]
     weight = sum(entry.magnitude for entry in entries)
-    return Fraction(x, _row_den(ctx, weight, n, 1, e))
+    return _row_value(ctx, weight, n, _mhs_rows(ctx, entries, n, star)[n])
 
 
 def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]:
@@ -539,7 +542,8 @@ def _pattern_rows(
     """Unreduced rows (numerator, c, e) of :func:`pattern_mhs_many` for
     every upper limit 0..n_max, in integers: row n is the numerator over
     L_n**w * c * b**e, with w the pattern's total magnitude and
-    L_n = ctx.p_lcm(n) left implied, as in :func:`_mhs_rows`.
+    L_n = ctx.p_lcm(n) left implied, the row shape of :func:`_mhs_rows`,
+    read as a value by :func:`_row_value`.
 
     Row n's denominator is G(2n, n) * D_n, D_n = L_n**w * a**A_n * b**B_n,
     with A_n the largest of 0 and the engine's a-exponents ea_k, and B_n
@@ -606,15 +610,6 @@ def _pattern_rows(
     return out
 
 
-def _pattern_pairs(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> list[tuple[int, int]]:
-    """Unreduced (numerator, denominator) of :func:`pattern_mhs_many` for
-    every upper limit 0..n_max: the rows of :func:`_pattern_rows` with the
-    denominator G(2n, n) * L_n**w * a**A_n * b**B_n multiplied out."""
-    rows = _pattern_rows(ctx, pattern, n_max, merge)
-    dens = _row_dens(ctx, pattern.weight, [(c, e) for _, c, e in rows])
-    return [(num, den) for (num, _, _), den in zip(rows, dens)]
-
-
 def pattern_mhs_many(
     ctx: QContext, pattern: Triple, n_max: int, merge=True
 ) -> list[Fraction]:
@@ -630,12 +625,13 @@ def pattern_mhs_many(
     an integer.  Each row is one integer sum of products G(2n, n-k) times
     a scaled value, each carried from the row before at its own index's
     scale and folded into the row's denominator by Horner (see
-    :func:`_pattern_rows`), and each value is reduced once.
+    :func:`_pattern_rows`), and each row is reduced once by
+    :func:`_row_values`.
 
     Raises ValueError, before summing any term, for n_max above
     MAX_PATTERN_LIMIT or a pattern deeper than MAX_PATTERN_DEPTH.
     """
-    return [Fraction(num, den) for num, den in _pattern_pairs(ctx, pattern, n_max, merge)]
+    return _row_values(ctx, pattern.weight, _pattern_rows(ctx, pattern, n_max, merge))
 
 
 def mollified_mhs_many(ctx: QContext, triple: Triple, n_max: int) -> list[Fraction]:
@@ -645,9 +641,8 @@ def mollified_mhs_many(ctx: QContext, triple: Triple, n_max: int) -> list[Fracti
 
 def mollified_mhs(ctx: QContext, triple: Triple, n: int) -> Fraction:
     """Finite mollified sum with upper limit n: the engine runs to n, and
-    only row n is reduced."""
-    num, c, e = _pattern_rows(ctx, triple, n, merge=False)[n]
-    return Fraction(num, _row_den(ctx, triple.weight, n, c, e))
+    only row n is reduced, by :func:`_row_value`."""
+    return _row_value(ctx, triple.weight, n, _pattern_rows(ctx, triple, n, merge=False)[n])
 
 
 def _truncation(
@@ -838,8 +833,10 @@ def frakz(
 
     K is the least one whose bound is <= eps, found by :func:`_truncation`
     from 0 before any term is summed and memoized per (q, m, merge, eps)
-    (see :func:`_frakz_search`); the value is then summed in integers
-    over the engine's known denominator and reduced once.  The search needs
+    (see :func:`_frakz_search`).  The value is then summed in integers by
+    Horner over the growth factors of :func:`_rescaled`, whose product is
+    L_K**W * a**A_K * b**B_K, so the sum is the row (total, a**A_K, B_K) at
+    K and weight W, reduced once by :func:`_row_value`.  The search needs
     "fits" monotone in K, and it is: rho_d falls as K grows, so once every
     class has a bound it keeps one, and each class's bound then falls
     strictly.  With k = K + 1, B_d(k+1)/B_d(k) = (1 + 1/k)**(d-1) q**(k-d+1),
@@ -852,11 +849,11 @@ def frakz(
     """
     K, bound = _frakz_truncation(ctx, pattern, eps, merge)
     inner = islice(_inner_terms(ctx, pattern, merge), K)
-    total, den = 0, 1
-    for grow, x, _, _ in _rescaled(ctx, pattern.weight, inner):
+    total = top_a = top_b = 0
+    for grow, x, top_a, top_b in _rescaled(ctx, pattern.weight, inner):
         total = total * grow + x
-        den *= grow
-    return SeriesValue(Fraction(total, den), bound, K)
+    row = (total, ctx.q.numerator**top_a, top_b)
+    return SeriesValue(_row_value(ctx, pattern.weight, K, row), bound, K)
 
 
 def _frakz_truncation(ctx: QContext, pattern: Triple, eps, merge) -> tuple[int, Fraction]:

@@ -36,7 +36,7 @@ from .evaluators import (
     _harmonic_truncation,
     _mhs_rows,
     _pattern_rows,
-    _row_den,
+    _row_value,
     _upper_limit,
     classical_zeta_many,
     frakz,
@@ -324,19 +324,20 @@ def verify_mhs(
 ) -> VerificationReport:
     """Exact check of the finite weak-sum identity at every n <= n_max.
 
-    Both sides come as unreduced rows at the scale they share: the left
-    side's numerator over L_n**W * b**e (:func:`~qzeta.evaluators._mhs_rows`),
-    the right side's over L_n**w * c * b**e', c = G(2n, n) * a**A_n
-    (:func:`~qzeta.evaluators._pattern_rows`), with L_n = lcm(h_1..h_n)
-    and W, w the two sides' weights.  ``compose`` keeps the weight, so
-    W = w and the power of L_n, most of both denominators' bits, cancels,
-    as does the smaller b-power: lhs - delta * rhs vanishes iff
-    l_num * c * b**(e' - e) == delta * r_num * b**(e - e'), one product by
-    the small cofactor c and one by a small factor, where a cross product
-    of the full denominators would take three products of integers of
-    about n**2 bits.  Should the weights differ, the lighter side takes
-    the missing L_n**|W - w|, so the check stays exact.  Only a failing n
-    builds both denominators, to reduce its residual.
+    Both sides come as unreduced rows of one shape, (num, c, e) over
+    L_n**w * c * b**e with L_n = lcm(h_1..h_n) implied: the left side's
+    (:func:`~qzeta.evaluators._mhs_rows`, weight W, c = 1) and the right
+    side's (:func:`~qzeta.evaluators._pattern_rows`, weight w,
+    c = G(2n, n) * a**A_n).  ``compose`` keeps the weight, so W = w and the
+    power of L_n, most of both denominators' bits, cancels, as does the
+    smaller b-power: lhs - delta * rhs vanishes iff
+    l_num * r_c * b**(r_e - l_e) == delta * r_num * l_c * b**(l_e - r_e),
+    each side's numerator times the other's small cofactor, where a cross
+    product of the full denominators would take three products of
+    integers of about n**2 bits.  Should the weights differ, the lighter
+    side takes the missing L_n**|W - w|, so the check stays exact.  Only a
+    failing n reads both rows as values
+    (:func:`~qzeta.evaluators._row_value`), to reduce its residual.
 
     Raises ValueError, before any sum, for a composition entry that is a
     bool, not an int or below 1 (see :func:`~qzeta.rules.as_composition`),
@@ -356,15 +357,14 @@ def verify_mhs(
         # right side first: an upper limit over the cap fails before any sum
         rhs = _pattern_rows(ctx, pattern, n_max)
         lhs = _mhs_rows(ctx, entries, n_max, star=True)
-        for n, ((l_num, l_e), (r_num, r_c, r_e)) in enumerate(zip(lhs, rhs)):
-            left, right = _raise_lighter(l_num * r_c, d * r_num, b, r_e - l_e)
+        for n, (l_row, r_row) in enumerate(zip(lhs, rhs)):
+            (l_num, l_c, l_e), (r_num, r_c, r_e) = l_row, r_row
+            left, right = _raise_lighter(l_num * r_c, d * r_num * l_c, b, r_e - l_e)
             left, right = _raise_lighter(left, right, ctx.p_lcm(n), r_w - l_w)
             res = 0
             if left != right:
                 # only a failing n pays for its denominators and a reduction
-                l_den = _row_den(ctx, l_w, n, 1, l_e)
-                r_den = _row_den(ctx, r_w, n, r_c, r_e)
-                res = Fraction(l_num, l_den) - d * Fraction(r_num, r_den)
+                res = _row_value(ctx, l_w, n, l_row) - d * _row_value(ctx, r_w, n, r_row)
             col.add(f"q={q} n={n}", res)
     params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}
     return col.report(

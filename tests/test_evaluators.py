@@ -1619,7 +1619,7 @@ def test_pattern_pairs_equal_the_one_denominator_prefactor():
     # row's denominator; its denominator is G(2n, n) L_n**w a**A_n b**B_n,
     # with A_n = max(0, ea_k) and B_n = max(0, eb_k - k*k) over k <= n
     from qzeta import compose
-    from qzeta.evaluators import _pattern_pairs
+    from qzeta.evaluators import _pattern_rows, _row_values
 
     rng = random.Random(15)
     shift_pool = [THETA, 1, -1, 0, 2, -2, 3]
@@ -1641,15 +1641,16 @@ def test_pattern_pairs_equal_the_one_denominator_prefactor():
             a, b = q.numerator, q.denominator
             w = sum(e.magnitude for e in pattern.s)
             expect, inner = _one_denominator_values(ctx, pattern, n_max, merge)
-            pairs = _pattern_pairs(ctx, pattern, n_max, merge)
-            assert len(pairs) == n_max + 1 and pairs[0] == (0, 1)
-            assert [Fraction(num, den) for num, den in pairs] == expect, (pattern, q, merge)
+            rows = _pattern_rows(ctx, pattern, n_max, merge)
+            assert len(rows) == n_max + 1 and rows[0] == (0, 1, 0)
+            assert _row_values(ctx, w, rows) == expect, (pattern, q, merge)
             top_a = top_b = 0
             for n in range(1, n_max + 1):
                 _, ea, eb = inner[n - 1]
                 top_a, top_b = max(top_a, ea), max(top_b, eb - n * n)
                 den = ctx.gauss_row(2 * n, n + 1)[n] * ctx.p_lcm(n) ** w * a**top_a * b**top_b
-                assert pairs[n][1] == den, (pattern, q, merge, n)
+                _, c, e = rows[n]
+                assert ctx.p_lcm(n) ** w * c * b**e == den, (pattern, q, merge, n)
 
 
 def test_pattern_pairs_carry_the_prefactor_without_gaussian_rows(monkeypatch):
@@ -1658,7 +1659,7 @@ def test_pattern_pairs_carry_the_prefactor_without_gaussian_rows(monkeypatch):
     # at q near 0 and near 1, where those factors are large, and at the
     # smallest upper limits; each denominator is G(2n, n) L_n**w a**A_n b**B_n
     from qzeta import compose
-    from qzeta.evaluators import _pattern_pairs
+    from qzeta.evaluators import _pattern_rows, _row_values
 
     cases = []
     for q in (Fraction(1, 1000), Fraction(999, 1000)):
@@ -1677,9 +1678,9 @@ def test_pattern_pairs_carry_the_prefactor_without_gaussian_rows(monkeypatch):
         ctx = QContext(q)
         a, b = q.numerator, q.denominator
         w = sum(e.magnitude for e in pattern.s)
-        pairs = _pattern_pairs(ctx, pattern, n_max, merge)
-        assert len(pairs) == n_max + 1 and pairs[0] == (0, 1)
-        assert [Fraction(num, den) for num, den in pairs] == expect, (pattern, q, n_max, merge)
+        rows = _pattern_rows(ctx, pattern, n_max, merge)
+        assert len(rows) == n_max + 1 and rows[0] == (0, 1, 0)
+        assert _row_values(ctx, w, rows) == expect, (pattern, q, n_max, merge)
         top_a = top_b = 0
         for n in range(1, n_max + 1):
             _, ea, eb = inner[n - 1]
@@ -1687,7 +1688,8 @@ def test_pattern_pairs_carry_the_prefactor_without_gaussian_rows(monkeypatch):
             p_n, p_2n = (math.prod(ctx.h(i) for i in range(1, j + 1)) for j in (n, 2 * n))
             centre = p_2n // p_n**2
             den = centre * ctx.p_lcm(n) ** w * a**top_a * b**top_b
-            assert pairs[n][1] == den, (pattern, q, merge, n)
+            _, c, e = rows[n]
+            assert ctx.p_lcm(n) ** w * c * b**e == den, (pattern, q, merge, n)
 
 
 def _engine_exponents(pattern, merge, n):
@@ -1760,11 +1762,13 @@ def test_run_engine_scale_is_pinned():
     # that grows silently would slow the long checks without failing any
     # value test; both inputs have a > 1, where a wrong a-exponent shows
     from qzeta import compose
-    from qzeta.evaluators import _inner_terms, _pattern_pairs
+    from qzeta.evaluators import _inner_terms, _pattern_rows
 
     pattern = compose((2, 1, 1, 3, 1))[1]
-    pairs = _pattern_pairs(QContext(Fraction(5, 8)), pattern, 40)
-    assert [den.bit_length() for _, den in pairs] == [
+    ctx = QContext(Fraction(5, 8))
+    rows = _pattern_rows(ctx, pattern, 40)
+    dens = [ctx.p_lcm(n) ** 8 * c * 8**e for n, (_, c, e) in enumerate(rows)]
+    assert [den.bit_length() for den in dens] == [
         1, 19, 59, 130, 203, 337, 415, 609, 752, 950, 1098, 1412, 1574, 1949,
         2168, 2441, 2726, 3220, 3467, 4021, 4326, 4730, 5093, 5768, 6099, 6727,
         7163, 7754, 8203, 9057, 9428, 10343, 10916, 11583, 12162, 12935, 13436,
@@ -1781,7 +1785,7 @@ def test_run_engine_scale_is_pinned():
         top_a, top_b = max(top_a, ea), max(top_b, eb - n * n)
         centre = math.prod(h[1 : 2 * n + 1]) // math.prod(h[1 : n + 1]) ** 2
         lcm = math.lcm(*h[1 : n + 1])
-        assert pairs[n][1] == centre * lcm**8 * a**top_a * b**top_b, n
+        assert dens[n] == centre * lcm**8 * a**top_a * b**top_b, n
     inner = _inner_terms(QContext(Fraction(4, 5)), compose((9, 9, 9))[1], True)
     assert [(A, B) for _, A, B in itertools.islice(inner, 20)] == [
         (-3, 4), (-5, 6), (-8, 9), (-12, 13), (-17, 18), (-23, 24), (-30, 31),
@@ -1797,7 +1801,7 @@ def test_pattern_rows_cofactor_is_pinned():
     # L_n**w back (11,781 of the 16,600 bits of row 40's denominator) would
     # slow the long checks without failing any value test
     from qzeta import compose
-    from qzeta.evaluators import _pattern_pairs, _pattern_rows
+    from qzeta.evaluators import _pattern_rows, _row_values
 
     ctx = QContext(Fraction(5, 8))
     pattern = compose((2, 1, 1, 3, 1))[1]
@@ -1809,10 +1813,10 @@ def test_pattern_rows_cofactor_is_pinned():
         4351, 4582, 4819,
     ]  # fmt: skip
     assert (ctx.p_lcm(40) ** 8).bit_length() == 11781
-    # the (num, den) view multiplies the implied power back in
-    pairs = _pattern_pairs(ctx, pattern, 40)
-    for n, ((num, c, e), (p_num, den)) in enumerate(zip(rows, pairs)):
-        assert (p_num, den) == (num, ctx.p_lcm(n) ** 8 * c * 8**e), n
+    # a row's value multiplies the implied power back in
+    values = _row_values(ctx, pattern.weight, rows)
+    for n, ((num, c, e), value) in enumerate(zip(rows, values)):
+        assert value == Fraction(num, ctx.p_lcm(n) ** 8 * c * 8**e), n
 
 
 def test_mollified_mhs_reduces_only_row_n(monkeypatch):
@@ -1855,7 +1859,7 @@ def test_run_engine_folds_each_run_once(monkeypatch):
     # the same at n_max 10 and 40, and boxplus runs once per run at most
     import qzeta.evaluators as ev
     import qzeta.indices as indices
-    from qzeta.evaluators import _pattern_pairs
+    from qzeta.evaluators import _pattern_rows
 
     pattern = Triple(
         (idx(2), bar(1), idx(0), bar(3), idx(1), idx(1), bar(2), idx(1)),
@@ -1884,7 +1888,7 @@ def test_run_engine_folds_each_run_once(monkeypatch):
     seen = []
     for n_max in (10, 40):
         calls.clear()
-        _pattern_pairs(QContext(Fraction(5, 8)), pattern, n_max)
+        _pattern_rows(QContext(Fraction(5, 8)), pattern, n_max)
         seen.append(dict(calls))
     assert seen[0] == seen[1]
     assert calls["quad_exponent"] == calls["oplus"] == 0
@@ -1892,7 +1896,7 @@ def test_run_engine_folds_each_run_once(monkeypatch):
 
 
 def test_harmonic_rows_are_over_the_scale_of_their_dp():
-    # row n of _mhs_rows is (num, e) over L_n**W * b**e, with W the total
+    # row n of _mhs_rows is (num, 1, e) over L_n**W * b**e, with W the total
     # magnitude left implied, L_n = lcm(h_1..h_n) for
     # h_k = (b**k - a**k) // (b - a) and e = sum_j beta_j(n), beta_j(n) = n
     # for a zero magnitude and 1 otherwise, and its value is the
@@ -1919,9 +1923,9 @@ def test_harmonic_rows_are_over_the_scale_of_their_dp():
                 rows = _mhs_rows(QContext(q), entries, n_max, star)
                 values = oracles.harmonic_all_n(q, s, n_max, star=star)
                 assert len(rows) == n_max + 1
-                for n, (num, e) in enumerate(rows):
+                for n, (num, c, e) in enumerate(rows):
                     beta = sum(n if mag == 0 else 1 for mag, _ in s)
-                    assert e == beta, (q, s, star, n)
+                    assert c == 1 and e == beta, (q, s, star, n)
                     den = math.lcm(*h[1 : n + 1]) ** weight * b**e
                     assert Fraction(num, den) == values[n], (q, s, star, n)
 

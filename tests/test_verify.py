@@ -382,7 +382,7 @@ def test_factored_comparison_is_the_full_cross_multiplication(monkeypatch):
             rows = zip(
                 _mhs_rows(ctx, signed_string(comp), n_max, True), _pattern_rows(ctx, pattern, n_max)
             )
-            excess_b.update((r_e > l_e) - (r_e < l_e) for (_, l_e), (_, _, r_e) in rows)
+            excess_b.update((r_e > l_e) - (r_e < l_e) for (_, _, l_e), (_, _, r_e) in rows)
             excess_l.add((pattern.weight > sum(comp)) - (pattern.weight < sum(comp)))
         monkeypatch.setattr(v, "compose", lambda c, fixed=Compiled(d, pattern): fixed)
         rep = v.verify_mhs(comp, n_max=n_max, q_values=q_values)
@@ -408,7 +408,7 @@ def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
     # of lhs - delta * rhs over the full denominators: the comparison
     # raises the lighter side by the b- or L-power it lacks, and a check
     # that skipped or reversed either would pass a row whose value moved.
-    # Only a failing row builds its two Fractions, so a comparison that
+    # Only a failing row reads its two rows as values, so a comparison that
     # called equal rows unequal shows too, though their residual is 0
     import dataclasses
 
@@ -439,10 +439,9 @@ def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
     )
     built = [0]
 
-    class Counted(Fraction):
-        def __new__(cls, *args):
-            built[0] += len(args) == 2
-            return Fraction(*args)
+    def counted(*args, real=v._row_value):
+        built[0] += 1
+        return real(*args)
 
     q_values = (Fraction(2, 7), Fraction(9, 10))
     n_max = 7
@@ -470,7 +469,7 @@ def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
                 assert (i < 4 and scale == 1) == (not lines), (comp, scale, i)
                 monkeypatch.setattr(v, "compose", lambda c, fixed=fixed: fixed)
                 monkeypatch.setattr(v, "_pattern_rows", lambda ctx, *_, claimed=claimed: claimed[ctx.q])
-                monkeypatch.setattr(v, "Fraction", Counted)
+                monkeypatch.setattr(v, "_row_value", counted)
                 built[0] = 0
                 rep = v.verify_mhs(comp, n_max=n_max, q_values=q_values)
                 monkeypatch.undo()
