@@ -28,8 +28,17 @@ For every end-to-end metric it prints each side's median and quartiles,
 the change's median relative to the base's, the number of pairs in which
 the change is lower, and the gap between the medians in units of the
 base's interquartile range.  With ``--out`` it writes the same, with every
-run's value, the seeds and the machine block, as JSON.  Exit status 0 when
-every run completed, 1 when one did not.
+run's value, the seeds and the machine block, as JSON.
+
+A full run (no ``--workload``) then runs the reach probes, the fixed list
+``PROBES`` of inputs that no workload times, once per side: each is one
+``python -m qzeta.cli`` command in a fresh process in that side's tree,
+under one timeout, ``PROBE_TIMEOUT_S``.  It records each probe's exit code
+(or ``"timeout"``), the first line of its stderr, its wall time and its
+child CPU time, taken as ``child_cpu_s`` is, under ``"probes"`` in the
+JSON, and prints how many probes each side answered: exited 0 or 1, a
+verdict, within the timeout.  Exit status 0 when every run completed, 1
+when one did not; a probe's outcome does not change it.
 """
 
 from __future__ import annotations
@@ -50,6 +59,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("finite-long", "finite-wide", "qseries", "classical")
 SIDES = ("base", "change")
+# (9,9,9), (33) and (2,1^31) at q near 1, the longest finite checks, the
+# heaviest string and a classical check, and three harmonic sums refused
+# by their work estimate
+PROBES = (
+    "verify 9,9,9 --qmzsv --q 9/10",
+    "verify 9,9,9 --qmzsv --q 19/20",
+    "verify 33 --qmzsv --q 4/5",
+    "verify 33 --qmzsv --q 9/10",
+    "verify 2,1^31 --qmzsv --q 17/20",
+    "verify 2,1^31 --qmzsv --q 9/10",
+    "verify 2,1,1,3,1 --qmzsv --q 19/20",
+    "verify 2,1,1,3,1 --q 5/8 --n-max 120",
+    "verify 2,1,1,3,1 --q 5/8 --n-max 160",
+    "verify 2^1000 --n-max 20",
+    "verify 2,1,1,1 --classical",
+    "eval qzeta-star --s 2,1^199",
+    "eval mhs-star --s 1^300 --n 300",
+    "eval mhs-star --s 1^1000 --n 100",
+)
+PROBE_TIMEOUT_S = 30.0
 
 
 def git(*args: str) -> str:
@@ -101,6 +130,31 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     lines = proc.stdout.strip().splitlines()
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     return json.loads(lines[-2]), json.loads(lines[-1]), cpu
+
+
+def run_probe(tree: Path, probe: str, timeout: float = PROBE_TIMEOUT_S) -> dict:
+    """One reach probe, ``python -m qzeta.cli <probe>``, in tree: its exit
+    code or "timeout", the first line of its stderr, its wall time and its
+    child CPU time in seconds."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+    env.pop("QZETA_THREADS", None)
+    cmd = [sys.executable, "-m", "qzeta.cli", *probe.split()]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.monotonic()
+    try:
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=timeout)
+        code, stderr = proc.returncode, proc.stderr
+    except subprocess.TimeoutExpired as exc:
+        # run() kills and reaps the child, so its CPU time is counted
+        code, stderr = "timeout", exc.stderr or ""
+    wall = time.monotonic() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    if isinstance(stderr, bytes):
+        stderr = stderr.decode(errors="replace")
+    first = stderr.strip().splitlines()[0] if stderr.strip() else ""
+    return {"exit": code, "stderr": first, "wall_s": wall, "child_cpu_s": cpu}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -188,6 +242,10 @@ def main() -> int:
                     qz_machine = record["machine"]
             print(f"pair {i + 1}/{args.pairs} (seed {seed}) done, {time.monotonic() - t0:.0f} s",
                   file=sys.stderr)
+        probes = []
+        for i, probe in enumerate(() if args.workload else PROBES):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            probes.append({"probe": probe, **{side: run_probe(trees[side], probe) for side in order}})
     except (RuntimeError, subprocess.CalledProcessError) as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
@@ -222,6 +280,14 @@ def main() -> int:
         }
         out["workloads"][w] = metrics
         show(w, metrics)
+    if probes:
+        out["probes"] = {"timeout_s": PROBE_TIMEOUT_S, "runs": probes}
+        for side in SIDES:
+            answered = sum(p[side]["exit"] in (0, 1) for p in probes)
+            print(f"{side}: probes answered: {answered} of {len(probes)}")
+        for p in probes:
+            runs = "  ".join(f"{side} {p[side]['exit']} {p[side]['wall_s']:.2f} s" for side in SIDES)
+            print(f"  {p['probe']:40s} {runs}")
     if args.out:
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0

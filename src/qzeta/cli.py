@@ -94,10 +94,7 @@ def _classical_term_plain(sign: int, coefficient: int, index) -> str:
 
 
 def _classical_term_latex(sign: int, coefficient: int, index) -> str:
-    inner = ",".join(
-        f"\\overline{{{e.magnitude}}}" if e.sign < 0 else str(e.magnitude)
-        for e in index
-    )
+    inner = ",".join(e.latex() for e in index)
     return f"{'+' if sign > 0 else '-'}{coefficient}\\zeta({inner})"
 
 

@@ -97,7 +97,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, count, islice
-from math import comb
+from math import comb, log2
 from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -185,6 +185,22 @@ class Ball:
 # 2-vCPU x86-64 host.
 MAX_MHS_LIMIT = 1000
 
+# Largest work estimate of a harmonic sum, checked after MAX_MHS_LIMIT and
+# before any term is summed, so that a deep or heavy string fails fast below
+# that limit.  At depth m, weight W and upper limit n, with q = a/b, the
+# integers reach about S = n (W n + m) log2(b) bits (L_n alone has about
+# 0.3 n**2 log2(b)), and the (m + 3) n steps (one per level and index, plus
+# the per-index powers of L_k and h_k, fitted) multiply integers of up to
+# that size, so the work is estimated as (m + 3) n S**log2(3), Karatsuba's
+# exponent.  Over 18 sums from 0.2 to 47 s, CPU time was 0.57-1.63e-13 s per
+# unit on a shared 2-vCPU x86-64 host, so this budget is about 60 s (34-98 s):
+# (1,)*100 at n = 100 (3.4e13) took 2.1 s, (2,)*1000 at n = 20 (4.7e13)
+# 6.3 s, (2,1) at n = 1000 (9.2e13) 9.9 s, (2,1,1,3,1) at q = 5/8 and
+# n = 500 (2.2e14) 27 s, (33,) at n = 600 (3.9e14) 47 s and (1,)*150 at
+# n = 150 (5.2e14) 35 s.  (2,) + (1,)*199 at n = 200 (3.6e15) and (1,)*300
+# at n = 300 (5.5e16) are refused.
+MAX_MHS_WORK = 6 * 10**14
+
 
 def _upper_limit(n_max, cap: int, what: str) -> int:
     """n_max as the upper limit of a finite sum of kind ``what``, in 0..cap."""
@@ -221,12 +237,15 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     of the early steps small.
 
     Raises ValueError, before summing any term, for n_max above
-    MAX_MHS_LIMIT.
+    MAX_MHS_LIMIT or a work estimate above MAX_MHS_WORK.
     """
     n_max = _upper_limit(n_max, MAX_MHS_LIMIT, "a harmonic sum")
     a, b = ctx.q.numerator, ctx.q.denominator
     m = len(entries)
     mags = [e.magnitude for e in entries]
+    work = (m + 3) * n_max * (n_max * (sum(mags) * n_max + m) * log2(b)) ** log2(3)
+    if work > MAX_MHS_WORK:
+        raise ValueError(f"work estimate {work:.2g} exceeds {MAX_MHS_WORK:.2g} for a harmonic sum")
     # X_j carries the scales of levels j..m-1: from k-1 to k they grow by
     # (L_k/L_{k-1})^(s_j+...+s_{m-1}) * b^(number of zero magnitudes there)
     grow_l = [sum(mags[j:]) for j in range(m + 1)]

@@ -281,7 +281,11 @@ def _rungs(
     until one decides it, which the last, all exact, always does.
 
     Every truncation search runs first, the strings' in order and then the
-    patterns', so a cap refuses before any series sums.  Rung 1 holds balls
+    patterns', so a cap on a series length refuses before any series sums.
+    The work budget of an exact harmonic sum (MAX_MHS_WORK) is not such a
+    cap: it is checked when the last rung sums the strings exactly, so it
+    refuses only a check that no ball decided.  (2,)*300, whose exact sum
+    is over budget, is decided by its ball at 4P.  Rung 1 holds balls
     at the binary point 2**-P (:func:`~qzeta.evaluators.q_zeta_enclosure`
     and :func:`~qzeta.evaluators.frakz_enclosure`).  Then each pattern is
     summed exactly, once, and that value stands on every later rung: with

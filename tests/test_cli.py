@@ -351,6 +351,26 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
         assert rc == 2, argv
         assert out == "" and err.strip().endswith(f"series length exceeds {cap} for {what}"), argv
         assert len(calls) <= per_step * (cap + 2), argv
+    # a harmonic sum whose length passes its cap but whose work estimate is
+    # over budget, each past a minute of summing, is refused before L_n is
+    # built; sums of a minute or less (27 s and 6 s here) start
+    monkeypatch.undo()
+    monkeypatch.setattr(qzeta.QContext, "p_lcm", never)
+    budget = qzeta.evaluators.MAX_MHS_WORK
+    for argv, work in (
+        (("eval", "qzeta-star", "--s", "2,1^199"), "3.6e+15"),
+        (("eval", "mhs-star", "--s", "1^300", "--n", "300"), "5.5e+16"),
+        (("eval", "mhs-star", "--s", "1^1000", "--n", "100"), "1.3e+16"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.strip().endswith(f"work estimate {work} exceeds {budget:.2g} for a harmonic sum")
+    for argv in (
+        ("eval", "mhs-star", "--s", "2,1,1,3,1", "--q", "5/8", "--n", "500"),
+        ("eval", "mhs-star", "--s", "2^1000", "--n", "20"),
+    ):
+        with pytest.raises(AssertionError, match="a sum was started"):
+            main(list(argv))
 
 
 def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):

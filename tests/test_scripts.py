@@ -207,3 +207,22 @@ def test_bench_pairs_statistics_of_a_flat_base_and_of_one_pair():
     assert (s["base"]["q1"], s["base"]["median"], s["base"]["q3"]) == (0.7, 0.7, 0.7)
     assert (s["change"]["q1"], s["change"]["median"], s["change"]["q3"]) == (0.5, 0.5, 0.5)
     assert (s["lower_in"], s["pairs"], s["gap_iqr"]) == (1, 1, None)
+
+
+def test_bench_pairs_records_a_probe_past_its_timeout_and_a_refusal(tmp_path):
+    # a probe runs ``python -m qzeta.cli`` in a side's tree: one whose cli
+    # sleeps past the timeout is recorded as timed out, and a refusal keeps
+    # its exit code and the first line of its message
+    run_probe = _bench_pairs()["run_probe"]
+    cli = tmp_path / "src" / "qzeta"
+    cli.mkdir(parents=True)
+    (cli / "__init__.py").write_text("")
+    (cli / "cli.py").write_text("import time\ntime.sleep(30)\n")
+    slow = run_probe(tmp_path, "verify 2,1", timeout=0.2)
+    assert slow["exit"] == "timeout" and slow["stderr"] == ""
+    assert 0.2 <= slow["wall_s"] < 10 and slow["child_cpu_s"] >= 0
+    refused = run_probe(ROOT, "eval qzeta-star --s 2,1^199")
+    assert refused["exit"] == 2
+    assert refused["stderr"].startswith("error: work estimate ")
+    assert refused["stderr"].endswith(" for a harmonic sum")
+    assert 0 < refused["wall_s"] < 10 and refused["child_cpu_s"] > 0
