@@ -137,7 +137,6 @@ def run_probe(tree: Path, probe: str, timeout: float = PROBE_TIMEOUT_S) -> dict:
     code or "timeout", the first line of its stderr, its wall time and its
     child CPU time in seconds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
-    env.pop("QZETA_THREADS", None)
     cmd = [sys.executable, "-m", "qzeta.cli", *probe.split()]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.monotonic()
@@ -146,14 +145,13 @@ def run_probe(tree: Path, probe: str, timeout: float = PROBE_TIMEOUT_S) -> dict:
                               timeout=timeout)
         code, stderr = proc.returncode, proc.stderr
     except subprocess.TimeoutExpired as exc:
-        # run() kills and reaps the child, so its CPU time is counted
-        code, stderr = "timeout", exc.stderr or ""
+        # run() kills and reaps the child, so its CPU time is counted; what
+        # it wrote so far comes as bytes
+        code, stderr = "timeout", (exc.stderr or b"").decode(errors="replace")
     wall = time.monotonic() - t0
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-    if isinstance(stderr, bytes):
-        stderr = stderr.decode(errors="replace")
-    first = stderr.strip().splitlines()[0] if stderr.strip() else ""
+    first = (stderr.strip().splitlines() or [""])[0]
     return {"exit": code, "stderr": first, "wall_s": wall, "child_cpu_s": cpu}
 
 

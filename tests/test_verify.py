@@ -409,7 +409,10 @@ def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
     # raises the lighter side by the b- or L-power it lacks, and a check
     # that skipped or reversed either would pass a row whose value moved.
     # Only a failing row reads its two rows as values, so a comparison that
-    # called equal rows unequal shows too, though their residual is 0
+    # called equal rows unequal shows too, though their residual is 0.  Each
+    # case runs again with the left rows over a cofactor 3 (numerator and
+    # cofactor times 3, the same values), so a comparison that dropped the
+    # left cofactor or multiplied it into the wrong side shows too
     import dataclasses
 
     import qzeta.verify as v
@@ -443,6 +446,9 @@ def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
         built[0] += 1
         return real(*args)
 
+    def tripled(*args, real=v._mhs_rows, **kwargs):
+        return [(num * 3, c * 3, e) for num, c, e in real(*args, **kwargs)]
+
     q_values = (Fraction(2, 7), Fraction(9, 10))
     n_max = 7
     for comp in ((2, 1, 1, 3, 1), (3, 2), (1,)):
@@ -467,16 +473,22 @@ def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
                         residuals.append((q, n, lhs[n] - fixed.delta * rhs))
                 lines, discrepancy = _full_fraction_report(residuals)
                 assert (i < 4 and scale == 1) == (not lines), (comp, scale, i)
-                monkeypatch.setattr(v, "compose", lambda c, fixed=fixed: fixed)
-                monkeypatch.setattr(v, "_pattern_rows", lambda ctx, *_, claimed=claimed: claimed[ctx.q])
-                monkeypatch.setattr(v, "_row_value", counted)
-                built[0] = 0
-                rep = v.verify_mhs(comp, n_max=n_max, q_values=q_values)
-                monkeypatch.undo()
-                assert built[0] == 2 * len(lines), (comp, scale, i)
-                assert rep.status == ("fail" if lines else "exact-pass"), (comp, scale, i)
-                assert rep.residuals == lines[: v._RESIDUAL_CAP], (comp, scale, i)
-                assert rep.discrepancy == discrepancy, (comp, scale, i)
+                for left in (None, tripled):
+                    monkeypatch.setattr(v, "compose", lambda c, fixed=fixed: fixed)
+                    monkeypatch.setattr(
+                        v, "_pattern_rows", lambda ctx, *_, claimed=claimed: claimed[ctx.q]
+                    )
+                    monkeypatch.setattr(v, "_row_value", counted)
+                    if left:
+                        monkeypatch.setattr(v, "_mhs_rows", left)
+                    built[0] = 0
+                    rep = v.verify_mhs(comp, n_max=n_max, q_values=q_values)
+                    monkeypatch.undo()
+                    where = (comp, scale, i, left)
+                    assert built[0] == 2 * len(lines), where
+                    assert rep.status == ("fail" if lines else "exact-pass"), where
+                    assert rep.residuals == lines[: v._RESIDUAL_CAP], where
+                    assert rep.discrepancy == discrepancy, where
 
 
 def test_verify_qmzsv_small():
