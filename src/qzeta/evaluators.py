@@ -81,29 +81,36 @@ once, by Horner, as in :func:`frakz` (see :func:`_pattern_rows`).
 Every exact sum ends as one row shape, (num, c, e): the value
 num / (L_n^w * c * b^e) at upper limit n, with L_n^w (w the weight, which
 both sides of a finite identity have) left implied and c a small
-cofactor, 1 on the harmonic side.  Both finite engines return such rows,
-and :func:`frakz` reduces its sum as the row (total, a^A_K, B_K) at K.
-That power of L_n is most of a denominator's bits, so
-:func:`~qzeta.verify.verify_mhs` compares two rows unreduced by
+cofactor, 1 on the harmonic side.  Both finite engines stream such rows,
+n = 0, 1, ..., n_max, as generators: each raises before its first row, and
+row 0 needs no term, so a reader that takes row 0 of every stream it
+opened has met every refusal before any term is summed.  :func:`frakz`
+reduces its sum as the row (total, a^A_K, B_K) at K.  That power of L_n
+is most of a denominator's bits, so :func:`~qzeta.verify.verify_mhs`
+reads the two streams in step and compares each pair of rows unreduced, by
 cross-multiplying their numerators with their cofactors alone.  A row
 becomes a value only in :func:`_row_value`, or :func:`_row_values` for a
-whole family with a running L_n^w: every value the exact evaluators return
+whole stream with a running L_n^w: every value the exact evaluators return
 and every failing residual of a finite check is reduced there, once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, count, islice
 from math import comb, log2
 from operator import add, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
 from .qarith import QContext, as_eps, as_int
+
+# (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
+Row = tuple[int, int, int]
 
 
 class SeriesValue(NamedTuple):
@@ -212,12 +219,12 @@ def _upper_limit(n_max, cap: int, what: str) -> int:
     return n_max
 
 
-def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tuple[int, int, int]]:
+def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator[Row]:
     """Unreduced rows (numerator, 1, e) of the nested harmonic sum for every
-    upper limit 0..n_max, in integers: row n is the numerator over
-    L_n^W * b^e, with W the total magnitude of the entries and
-    L_n = ctx.p_lcm(n), and its cofactor is 1.  The power of L_n is left
-    implied, so a caller that compares two sums at the same L_n never
+    upper limit 0..n_max, streamed in that order, in integers: row n is the
+    numerator over L_n^W * b^e, with W the total magnitude of the entries
+    and L_n = ctx.p_lcm(n), and its cofactor is 1.  The power of L_n is
+    left implied, so a caller that compares two sums at the same L_n never
     multiplies it in, and one that wants a value reads the row with
     :func:`_row_value`.
 
@@ -236,8 +243,10 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     rather than fixing them at L_n_max from the start, keeps the products
     of the early steps small.
 
-    Raises ValueError, before summing any term, for n_max above
-    MAX_MHS_LIMIT or a work estimate above MAX_MHS_WORK.
+    Raises ValueError for n_max above MAX_MHS_LIMIT or a work estimate
+    above MAX_MHS_WORK.  As a generator it runs nothing until its first row
+    is asked for; it then raises before its first row, and row 0 needs no
+    term.
     """
     n_max = _upper_limit(n_max, MAX_MHS_LIMIT, "a harmonic sum")
     a, b = ctx.q.numerator, ctx.q.denominator
@@ -251,7 +260,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
     grow_l = [sum(mags[j:]) for j in range(m + 1)]
     grow_b = [mags[j:].count(0) for j in range(m + 1)]
     x = [0] * m + [1]
-    rows = [(x[0], 1, m - grow_b[0])]
+    yield x[0], 1, m - grow_b[0]
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
     order = range(m - 1, -1, -1) if star else range(m)
@@ -268,11 +277,10 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> list[tup
             if entries[j].sign < 0 and k % 2:
                 c = -c
             x[j] += c * x[j + 1]
-        rows.append((x[0], 1, m - grow_b[0] + grow_b[0] * k))
-    return rows
+        yield x[0], 1, m - grow_b[0] + grow_b[0] * k
 
 
-def _row_value(ctx: QContext, w: int, n: int, row: tuple, lw: int | None = None) -> Fraction:
+def _row_value(ctx: QContext, w: int, n: int, row: Row, lw: int | None = None) -> Fraction:
     """The value num / (L_n**w * c * b**e) of an exact engine's row
     (num, c, e) at upper limit n and weight w, reduced once.  lw is
     L_n**w = ctx.p_lcm(n)**w, the power the engines leave implied, when
@@ -283,11 +291,11 @@ def _row_value(ctx: QContext, w: int, n: int, row: tuple, lw: int | None = None)
     return Fraction(num, lw * c * ctx.q.denominator**e)
 
 
-def _row_values(ctx: QContext, w: int, rows: Sequence[tuple[int, int, int]]) -> list[Fraction]:
-    """:func:`_row_value` of the rows n = 0, 1, ..., each L_n**w the last
-    times (L_n/L_(n-1))**w rather than a fresh power."""
-    steps = (ctx.p_lcm_step(n) ** w for n in range(1, len(rows)))
-    lws = accumulate(steps, mul, initial=1)
+def _row_values(ctx: QContext, w: int, rows: Iterable[Row]) -> list[Fraction]:
+    """:func:`_row_value` of the rows n = 0, 1, ... of a stream, read once
+    in order, each L_n**w the last times (L_n/L_(n-1))**w rather than a
+    fresh power."""
+    lws = accumulate((ctx.p_lcm_step(n) ** w for n in count(1)), mul, initial=1)
     return [_row_value(ctx, w, n, row, lw) for n, (row, lw) in enumerate(zip(rows, lws))]
 
 
@@ -353,10 +361,13 @@ def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list
 
 
 def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
-    """Nested harmonic sum with upper limit n (zero when too short)."""
+    """Nested harmonic sum with upper limit n (zero when too short): the
+    last row of :func:`_mhs_rows`'s stream, row n, reduced alone.  The
+    engine raises before its first row, and row 0 needs no term, so a
+    refused n sums nothing; no earlier row is kept."""
     entries = signed_string(s)
     weight = sum(entry.magnitude for entry in entries)
-    return _row_value(ctx, weight, n, _mhs_rows(ctx, entries, n, star)[n])
+    return _row_value(ctx, weight, n, deque(_mhs_rows(ctx, entries, n, star), maxlen=1)[0])
 
 
 def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]:
@@ -555,14 +566,12 @@ def _q_factors(ctx: QContext, top: int) -> list[int]:
     return [ctx.h(i) for i in range(top + 1)]
 
 
-def _pattern_rows(
-    ctx: QContext, pattern: Triple, n_max: int, merge=True
-) -> list[tuple[int, int, int]]:
+def _pattern_rows(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> Iterator[Row]:
     """Unreduced rows (numerator, c, e) of :func:`pattern_mhs_many` for
-    every upper limit 0..n_max, in integers: row n is the numerator over
-    L_n**w * c * b**e, with w the pattern's total magnitude and
-    L_n = ctx.p_lcm(n) left implied, the row shape of :func:`_mhs_rows`,
-    read as a value by :func:`_row_value`.
+    every upper limit 0..n_max, streamed in that order, in integers: row n
+    is the numerator over L_n**w * c * b**e, with w the pattern's total
+    magnitude and L_n = ctx.p_lcm(n) left implied, the row shape of
+    :func:`_mhs_rows`, read as a value by :func:`_row_value`.
 
     Row n's denominator is G(2n, n) * D_n, D_n = L_n**w * a**A_n * b**B_n,
     with A_n the largest of 0 and the engine's a-exponents ea_k, and B_n
@@ -602,12 +611,19 @@ def _pattern_rows(
     harmonic side carries it too, so :func:`~qzeta.verify.verify_mhs`
     compares at that shared scale and never multiplies it in.  Nothing is
     reduced here.
+
+    Raises ValueError for n_max above MAX_PATTERN_LIMIT or a pattern deeper
+    than MAX_PATTERN_DEPTH.  As a generator it runs nothing until its first
+    row is asked for; it then raises before its first row, and row 0,
+    (0, 1, 0), needs no term: the engine and the factors h_i are set up only
+    when row 1 is asked for.
     """
     n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
     if pattern.depth > MAX_PATTERN_DEPTH:
         raise ValueError(
             f"pattern depth {pattern.depth} exceeds {MAX_PATTERN_DEPTH} for a finite mollified sum"
         )
+    yield 0, 1, 0
     inner = islice(_inner_terms(ctx, pattern, merge), n_max)
     folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
     a = ctx.q.numerator
@@ -615,7 +631,6 @@ def _pattern_rows(
     grows: list[int] = []  # g_k, k = 1..n
     terms: list[int] = []  # G(2n, n-k) * x_k, k = 1..n
     centre = 1  # G(2n, n)
-    out = [(0, 1, 0)]
     for n, (grow, x, top_a, top_b) in enumerate(_rescaled(ctx, pattern.weight, folded), 1):
         up = h[2 * n] * h[2 * n - 1]
         terms = [t * up // (h[n - k] * h[n + k]) for k, t in enumerate(terms, 1)]
@@ -625,8 +640,7 @@ def _pattern_rows(
         for g, t in zip(grows, terms):
             total = total * g + t
         centre = centre * up // (h[n] * h[n])
-        out.append((total, centre * a**top_a, top_b))
-    return out
+        yield total, centre * a**top_a, top_b
 
 
 def pattern_mhs_many(
@@ -659,9 +673,12 @@ def mollified_mhs_many(ctx: QContext, triple: Triple, n_max: int) -> list[Fracti
 
 
 def mollified_mhs(ctx: QContext, triple: Triple, n: int) -> Fraction:
-    """Finite mollified sum with upper limit n: the engine runs to n, and
-    only row n is reduced, by :func:`_row_value`."""
-    return _row_value(ctx, triple.weight, n, _pattern_rows(ctx, triple, n, merge=False)[n])
+    """Finite mollified sum with upper limit n: the last row of
+    :func:`_pattern_rows`'s stream, row n, reduced alone by
+    :func:`_row_value`.  The engine raises before its first row, and row 0
+    needs no term, so a refused n sums nothing; no earlier row is kept."""
+    rows = _pattern_rows(ctx, triple, n, merge=False)
+    return _row_value(ctx, triple.weight, n, deque(rows, maxlen=1)[0])
 
 
 def _truncation(

@@ -343,10 +343,22 @@ def verify_mhs(
     failing n reads both rows as values
     (:func:`~qzeta.evaluators._row_value`), to reduce its residual.
 
+    Both engines are generators that raise every refusal of theirs before
+    their first row, and whose row 0 needs no term.  The two streams are
+    read in step, so row 0 of both, and with it every refusal of both
+    sides, comes before the first term of either: no side sums while the
+    other would refuse: ``verify 2^1000000`` is refused by the left side's
+    work estimate in seconds, where summing the right side first ran past
+    40 s.  No list of rows is built.  The right side is read first only so
+    that, where both sides would refuse, its refusal is the one reported:
+    its caps (MAX_PATTERN_LIMIT, MAX_PATTERN_DEPTH) are the tighter ones,
+    so ``verify 2^5000 --n-max 200`` names the upper limit of 160 rather
+    than the left side's work estimate.
+
     Raises ValueError, before any sum, for a composition entry that is a
     bool, not an int or below 1 (see :func:`~qzeta.rules.as_composition`),
-    an empty or str q_values (see :func:`_q_list`) or a bool n_max;
-    TypeError when n_max is not an int.
+    an empty or str q_values (see :func:`_q_list`), a bool n_max, or any
+    refusal of either engine; TypeError when n_max is not an int.
     """
     comp = as_composition(composition)
     col = _Residuals()
@@ -358,10 +370,9 @@ def verify_mhs(
     for q in qs:
         ctx = QContext(q)
         b = q.denominator
-        # right side first: an upper limit over the cap fails before any sum
         rhs = _pattern_rows(ctx, pattern, n_max)
         lhs = _mhs_rows(ctx, entries, n_max, star=True)
-        for n, (l_row, r_row) in enumerate(zip(lhs, rhs)):
+        for n, (r_row, l_row) in enumerate(zip(rhs, lhs)):
             (l_num, l_c, l_e), (r_num, r_c, r_e) = l_row, r_row
             left, right = _raise_lighter(l_num * r_c, d * r_num * l_c, b, r_e - l_e)
             left, right = _raise_lighter(left, right, ctx.p_lcm(n), r_w - l_w)

@@ -1641,7 +1641,7 @@ def test_pattern_pairs_equal_the_one_denominator_prefactor():
             a, b = q.numerator, q.denominator
             w = sum(e.magnitude for e in pattern.s)
             expect, inner = _one_denominator_values(ctx, pattern, n_max, merge)
-            rows = _pattern_rows(ctx, pattern, n_max, merge)
+            rows = list(_pattern_rows(ctx, pattern, n_max, merge))
             assert len(rows) == n_max + 1 and rows[0] == (0, 1, 0)
             assert _row_values(ctx, w, rows) == expect, (pattern, q, merge)
             top_a = top_b = 0
@@ -1678,7 +1678,7 @@ def test_pattern_pairs_carry_the_prefactor_without_gaussian_rows(monkeypatch):
         ctx = QContext(q)
         a, b = q.numerator, q.denominator
         w = sum(e.magnitude for e in pattern.s)
-        rows = _pattern_rows(ctx, pattern, n_max, merge)
+        rows = list(_pattern_rows(ctx, pattern, n_max, merge))
         assert len(rows) == n_max + 1 and rows[0] == (0, 1, 0)
         assert _row_values(ctx, w, rows) == expect, (pattern, q, n_max, merge)
         top_a = top_b = 0
@@ -1805,7 +1805,7 @@ def test_pattern_rows_cofactor_is_pinned():
 
     ctx = QContext(Fraction(5, 8))
     pattern = compose((2, 1, 1, 3, 1))[1]
-    rows = _pattern_rows(ctx, pattern, 40)
+    rows = list(_pattern_rows(ctx, pattern, 40))
     assert [(c * 8**e).bit_length() for _, c, e in rows] == [
         1, 19, 29, 45, 66, 93, 126, 165, 211, 262, 319, 382, 451, 526, 607,
         694, 787, 886, 991, 1102, 1219, 1342, 1471, 1606, 1747, 1894, 2047,
@@ -1888,7 +1888,7 @@ def test_run_engine_folds_each_run_once(monkeypatch):
     seen = []
     for n_max in (10, 40):
         calls.clear()
-        _pattern_rows(QContext(Fraction(5, 8)), pattern, n_max)
+        list(_pattern_rows(QContext(Fraction(5, 8)), pattern, n_max))
         seen.append(dict(calls))
     assert seen[0] == seen[1]
     assert calls["quad_exponent"] == calls["oplus"] == 0
@@ -1920,7 +1920,7 @@ def test_harmonic_rows_are_over_the_scale_of_their_dp():
             entries = tuple(SignedIndex(mag, sign) for mag, sign in s)
             weight = sum(mag for mag, _ in s)
             for star in (False, True):
-                rows = _mhs_rows(QContext(q), entries, n_max, star)
+                rows = list(_mhs_rows(QContext(q), entries, n_max, star))
                 values = oracles.harmonic_all_n(q, s, n_max, star=star)
                 assert len(rows) == n_max + 1
                 for n, (num, c, e) in enumerate(rows):
