@@ -353,7 +353,9 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
         assert len(calls) <= per_step * (cap + 2), argv
     # a harmonic sum whose length passes its cap but whose work estimate is
     # over budget, each past a minute of summing, is refused before L_n is
-    # built; sums of a minute or less (27 s and 6 s here) start
+    # built; sums of a minute or less (27 s and 6 s here) start.  A finite
+    # check reads both sides' rows in step, so the left side's estimate
+    # refuses before the right side sums a term (2^5000 at n_max 20)
     monkeypatch.undo()
     monkeypatch.setattr(qzeta.QContext, "p_lcm", never)
     budget = qzeta.evaluators.MAX_MHS_WORK
@@ -361,10 +363,17 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
         (("eval", "qzeta-star", "--s", "2,1^199"), "3.6e+15"),
         (("eval", "mhs-star", "--s", "1^300", "--n", "300"), "5.5e+16"),
         (("eval", "mhs-star", "--s", "1^1000", "--n", "100"), "1.3e+16"),
+        (("verify", "2^5000", "--n-max", "20"), "3e+15"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == "", argv
         assert err.strip().endswith(f"work estimate {work} exceeds {budget:.2g} for a harmonic sum")
+    # where both sides would refuse, the right side, read first, names the
+    # refusal with its tighter cap
+    cap = qzeta.evaluators.MAX_PATTERN_LIMIT
+    rc, out, err = run(capsys, "verify", "2^5000", "--n-max", str(cap + 40))
+    assert rc == 2 and out == ""
+    assert err.strip().endswith(f"upper limit {cap + 40} exceeds {cap} for a finite mollified sum")
     for argv in (
         ("eval", "mhs-star", "--s", "2,1,1,3,1", "--q", "5/8", "--n", "500"),
         ("eval", "mhs-star", "--s", "2^1000", "--n", "20"),

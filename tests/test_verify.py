@@ -968,20 +968,15 @@ def test_qseries_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
 
 def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
     # every memo has a finite maxsize; keyed by q-level data only, none
-    # grows with the compositions of the benchmark's q-series batch
-    import sys
-    from pathlib import Path
-
+    # grows with the compositions: the 175 weight-12 compositions of depth
+    # 2-4, which include all 80 distinct ones of the benchmark's seed-1
+    # q-series batch, at its q = 1/2 and eps = 1e-25 fill the largest memo
+    # to 7 entries (_magnitude_table 7, _floored_column 5, _harmonic_search
+    # 4, _power_table 4, _frakz_search 3)
     assert qzeta_memos
     assert all(memo.cache_info().maxsize is not None for memo in qzeta_memos)
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "qzbench"))
-    try:
-        from workloads import WORKLOADS
-    finally:
-        sys.path.pop(0)
-    cases = WORKLOADS["qseries"].cases(seed=1, seconds=16)
-    for comp in sorted({case.composition for case in cases}):
-        assert verify_qmzsv(comp, **cases[0].kwargs).passed
+    for comp in _weight_twelve_depth_two_to_four():
+        assert verify_qmzsv(comp, q=Fraction(1, 2), eps=Fraction(1, 10**25)).passed
     assert all(memo.cache_info().currsize <= 10 for memo in qzeta_memos), [
         memo.cache_info() for memo in qzeta_memos
     ]
