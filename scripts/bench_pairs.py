@@ -60,8 +60,9 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("finite-long", "finite-wide", "qseries", "classical")
 SIDES = ("base", "change")
 # (9,9,9), (33) and (2,1^31) at q near 1, the longest finite checks, the
-# heaviest string and a classical check, and three harmonic sums refused
-# by their work estimate
+# heaviest string and a classical check, three harmonic sums refused by
+# their work estimate, and a finite check at the 10**6-entry parse bound,
+# refused by its left side's work estimate before either side sums
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -77,6 +78,7 @@ PROBES = (
     "eval qzeta-star --s 2,1^199",
     "eval mhs-star --s 1^300 --n 300",
     "eval mhs-star --s 1^1000 --n 100",
+    "verify 2^1000000",
 )
 PROBE_TIMEOUT_S = 30.0
 
@@ -112,46 +114,51 @@ def extract(tree: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, float]:
-    """One ``qzbench/run.py`` run in tree: its record line, its result line
-    and its child CPU time in seconds (see the module docstring)."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env.pop("PYTHONPATH", None)
-    env.pop("QZETA_THREADS", None)
-    cmd = [
-        sys.executable, str(tree / "qzbench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-    ]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
-    lines = proc.stdout.strip().splitlines()
-    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-    return json.loads(lines[-2]), json.loads(lines[-1]), cpu
-
-
-def run_probe(tree: Path, probe: str, timeout: float = PROBE_TIMEOUT_S) -> dict:
-    """One reach probe, ``python -m qzeta.cli <probe>``, in tree: its exit
-    code or "timeout", the first line of its stderr, its wall time and its
-    child CPU time in seconds."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "qzeta.cli", *probe.split()]
+def run_child(tree: Path, cmd: list[str], timeout: float | None = None, **env: str) -> tuple:
+    """Run cmd in tree, with ``PYTHONDONTWRITEBYTECODE=1``, no ``PYTHONPATH``
+    and the variables env sets: its exit code or "timeout", its stdout and
+    stderr, its wall time and its child CPU time in seconds (see the module
+    docstring)."""
+    inherited = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env = dict(inherited, PYTHONDONTWRITEBYTECODE="1", **env)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.monotonic()
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                               timeout=timeout)
-        code, stderr = proc.returncode, proc.stderr
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
     except subprocess.TimeoutExpired as exc:
         # run() kills and reaps the child, so its CPU time is counted; what
         # it wrote so far comes as bytes
-        code, stderr = "timeout", (exc.stderr or b"").decode(errors="replace")
+        code = "timeout"
+        out, err = ((b or b"").decode(errors="replace") for b in (exc.stdout, exc.stderr))
     wall = time.monotonic() - t0
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-    first = (stderr.strip().splitlines() or [""])[0]
+    return code, out, err, wall, cpu
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, float]:
+    """One ``qzbench/run.py`` run in tree: its record line, its result line
+    and its child CPU time in seconds."""
+    cmd = [
+        sys.executable, str(tree / "qzbench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    code, out, err, _, cpu = run_child(tree, cmd)
+    if code != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {code}: {err.strip()}")
+    lines = out.strip().splitlines()
+    return json.loads(lines[-2]), json.loads(lines[-1]), cpu
+
+
+def run_probe(tree: Path, probe: str, timeout: float = PROBE_TIMEOUT_S) -> dict:
+    """One reach probe, ``python -m qzeta.cli <probe>``, in tree with its
+    ``src`` on ``PYTHONPATH``: its exit code or "timeout", the first line of
+    its stderr, its wall time and its child CPU time in seconds."""
+    cmd = [sys.executable, "-m", "qzeta.cli", *probe.split()]
+    code, _, err, wall, cpu = run_child(tree, cmd, timeout, PYTHONPATH=str(tree / "src"))
+    first = (err.strip().splitlines() or [""])[0]
     return {"exit": code, "stderr": first, "wall_s": wall, "child_cpu_s": cpu}
 
 
