@@ -346,10 +346,9 @@ def verify_mhs(
     Both engines are generators that raise every refusal of theirs before
     their first row, and whose row 0 needs no term.  The two streams are
     read in step, so row 0 of both, and with it every refusal of both
-    sides, comes before the first term of either: no side sums while the
-    other would refuse: ``verify 2^1000000`` is refused by the left side's
-    work estimate in seconds, where summing the right side first ran past
-    40 s.  No list of rows is built.  The right side is read first only so
+    sides, comes before the first term of either: ``verify 2^1000000`` is
+    refused by the left side's work estimate before the right side sums a
+    term.  No list of rows is built.  The right side is read first only so
     that, where both sides would refuse, its refusal is the one reported:
     its caps (MAX_PATTERN_LIMIT, MAX_PATTERN_DEPTH) are the tighter ones,
     so ``verify 2^5000 --n-max 200`` names the upper limit of 160 rather
