@@ -32,10 +32,10 @@ runs of the mollified pattern, whose floored terms are products of memoized
 q-level tables, so no table depends on the composition, in strict descent.
 The exact partial sums' denominators grow like
 K**2 bits (hundreds of thousands of bits toward q -> 1), while the balls'
-integers stay near P bits, so :func:`~qzeta.verify.verify_qmzsv` reads both
-sides from balls and sums a side exactly only when the balls cannot decide
-the report; :func:`q_zeta` and :func:`frakz` stay exact for ``eval`` and as
-the oracles.
+integers stay near their binary point, so the q-series checks of
+:mod:`~qzeta.verify` read both sides from balls alone, at a finer binary
+point (``prec``) when P cannot decide, and sum no series exactly;
+:func:`q_zeta` and :func:`frakz` stay exact for ``eval`` and as the oracles.
 
 The one floating-point engine, :func:`classical_zeta_many`, computes
 partial sums of classical (signed) multiple zeta values with numpy and
@@ -185,11 +185,11 @@ class Ball:
         return Fraction(self.mid - self.rad, one), Fraction(self.mid + self.rad, one)
 
 
-# Largest upper limit of a harmonic sum (and so the longest q_zeta
-# truncation), checked before any term is summed.  The numerators grow like
-# n**2 bits, so the cost grows about as n**4: (2,1) at q = 1/2 and n = 1000
-# takes about 10 s, (2,1,1,3,1) at q = 5/8 and n = 500 about 27 s on a
-# 2-vCPU x86-64 host.
+# Largest upper limit of a harmonic sum (and so the longest q_zeta and
+# q_zeta_enclosure truncation), checked before any term is summed.  The
+# numerators grow like n**2 bits, so the cost grows about as n**4: (2,1) at
+# q = 1/2 and n = 1000 takes about 10 s, (2,1,1,3,1) at q = 5/8 and n = 500
+# about 27 s on a 2-vCPU x86-64 host.
 MAX_MHS_LIMIT = 1000
 
 # Largest work estimate of a harmonic sum, checked after MAX_MHS_LIMIT and
@@ -829,13 +829,15 @@ def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:
     return Fraction(2**m * k ** (m - 1)) * ctx.qpow(expo)
 
 
-# Longest truncation K that :func:`frakz` will sum, checked before any term
-# is summed.  The engine's integers grow like K**2 bits, so at depth 32 the
-# cost grows about as K**4: 9 s at K = 100 and 72 s at K = 160 at q = 1/2,
-# 20 s at K = 100 at q = 2/3, on a 2-vCPU x86-64 host.  Depth 32 has a tail
-# bound only for K > 30 + 31 / log2(1/q), so this cap admits it up to
-# q ~ 0.73.  The test suite and the benchmark reach K = 51 at most (9,9,9
-# at q = 1/2, eps = 1e-25).
+# Longest truncation K that :func:`frakz` and :func:`frakz_enclosure` will
+# sum, checked before any term is summed, so it also bounds the right ball
+# of every q-series check.  It was set for the exact sum: the engine's
+# integers grow like K**2 bits, so at depth 32 the cost grows about as
+# K**4: 9 s at K = 100 and 72 s at K = 160 at q = 1/2, 20 s at K = 100 at
+# q = 2/3, on a 2-vCPU x86-64 host.  Depth 32 has a tail bound only for
+# K > 30 + 31 / log2(1/q), so this cap admits it up to q ~ 0.73.  The test
+# suite and the benchmark reach K = 51 at most (9,9,9 at q = 1/2,
+# eps = 1e-25).
 MAX_FRAKZ_TERMS = 100
 
 
@@ -1193,20 +1195,22 @@ def _mollified_runs(ctx: QContext, pattern: Triple, merge, n: int) -> list:
 
 
 def frakz_enclosure(
-    ctx: QContext, pattern: Triple, eps: Fraction = Fraction(1, 10**20)
+    ctx: QContext, pattern: Triple, eps: Fraction = Fraction(1, 10**20), prec: int | None = None
 ) -> SeriesValue:
-    """:func:`frakz` with merge=True, its value a :class:`Ball` at 2**-P
+    """:func:`frakz` with merge=True, its value a :class:`Ball` at 2**-prec
     around the same exact partial sum, at the same K and with the same tail
     bound, by :func:`_ball_sweep` in strict descent over the runs of every
     resolution (:func:`_mollified_runs`), whose floored terms lie within
-    _COLUMN_SLACK units of the exact ones; P is as for
+    _COLUMN_SLACK units of the exact ones.  By default prec is P, as for
     :func:`q_zeta_enclosure`.
 
     Raises ValueError as :func:`frakz` does, before any table is built.
     """
     K, bound = _frakz_truncation(ctx, pattern, eps, True)
+    if prec is None:
+        prec = _default_prec(as_eps(eps))
     runs = _mollified_runs(ctx, pattern, True, K)
-    ball = _ball_sweep(runs, K, _default_prec(as_eps(eps)), False, _COLUMN_SLACK)[0]
+    ball = _ball_sweep(runs, K, prec, False, _COLUMN_SLACK)[0]
     return SeriesValue(ball, bound, K)
 
 

@@ -5,11 +5,11 @@ pass only when every residual vanishes.  Numeric checks on infinite series
 split the requested accuracy across all series involved, sum each one until
 its rigorous tail bound fits its share, and then compare; within-eps
 agreement is therefore certified, not a float coincidence.  Both q-series
-checks climb one ladder (:func:`_rungs`): every series is first a certified
-ball around its exact partial sum, and is summed exactly only when the
-balls cannot decide the report.  Limit-side checks run in floating point
-and treat the reported truncation estimates as error bars on top of the
-stated tolerance.
+checks read every series as a certified ball around its exact partial sum,
+at finer binary points until the balls decide the report
+(:func:`_decide`); no series is summed exactly.  Limit-side checks run in
+floating point and treat the reported truncation estimates as error bars on
+top of the stated tolerance.
 
 Every entry point returns VerificationReport records with a stable JSON
 shape, suitable both for the command line and for the test suite.
@@ -26,12 +26,13 @@ import time
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .evaluators import (
     Ball,
     SeriesValue,
     _RESOLVED,
+    _default_prec,
     _frakz_truncation,
     _harmonic_truncation,
     _mhs_rows,
@@ -39,11 +40,9 @@ from .evaluators import (
     _row_value,
     _upper_limit,
     classical_zeta_many,
-    frakz,
     frakz_enclosure,
     mollified_mhs_many,
     pattern_mhs_many,
-    q_zeta,
     q_zeta_enclosure,
 )
 from .expansion import Triple
@@ -227,23 +226,20 @@ class _Residuals:
 
 def _numeric_report(
     t0: float, case: str, family: str, params: dict, q: Fraction,
-    eps: Fraction, disc: Fraction | Ball, tail: Fraction | Ball,
+    eps: Fraction, disc: Ball, tail: Fraction | Ball,
 ) -> Optional[VerificationReport]:
     """Report of a certified series check: it passes when |lhs - rhs| <= eps.
 
-    disc and tail may be Balls around the exact values.  The report is then
-    the one the exact values give, or None when the balls cannot tell: when
-    disc straddles eps, or a field's text is not the same for every value
-    inside its ball (see :func:`_ball_repr`).
+    disc is a Ball around the exact discrepancy, and tail the exact tail
+    bound or a Ball around it.  The report is the one the exact values
+    give, or None when the balls cannot tell: when disc straddles eps, or
+    a field's text is not the same for every value inside its ball (see
+    :func:`_ball_repr`).
     """
-    if isinstance(disc, Ball):
-        lo, hi = disc.bounds()
-        passed = True if hi <= eps else False if lo > eps else None
-    else:
-        passed = disc <= eps
-    discrepancy, tail_bound = (
-        _ball_repr(x) if isinstance(x, Ball) else rational_repr(x) for x in (disc, tail)
-    )
+    lo, hi = disc.bounds()
+    passed = True if hi <= eps else False if lo > eps else None
+    discrepancy = _ball_repr(disc)
+    tail_bound = _ball_repr(tail) if isinstance(tail, Ball) else rational_repr(tail)
     if passed is None or discrepancy is None or tail_bound is None:
         return None
     return VerificationReport(
@@ -258,56 +254,53 @@ def _numeric_report(
     )
 
 
-# The balls a check tries before the exact left side: at P, 2P, 4P and
-# 8P bits.  A ball's integers stay near its binary point while the exact
-# sum's denominators grow like K**2 times the depth in bits, so each
-# doubling costs a small multiple of the last and stays far below the
-# exact sum.  At q = 1/2 and eps = 1e-25 on a shared 2-vCPU x86-64 host,
-# in fresh processes, verify_qmzsv((2,)*300) is decided at 4P = 1,200 bits
-# in 0.26-0.55 s and symmetric_pair_check(200, 200) in 1.0-2.2 s (the
-# spread is the host's speed from one hour to the next), where the exact
-# left side ran past 110 s and 130 s; the ball at 8P for (2,)*300 alone
-# takes 0.7-1.0 s.
+# The binary points a check tries: P, 2P, 4P and 8P bits, where P is that
+# of :func:`~qzeta.evaluators.q_zeta_enclosure`; a check that none decides
+# is refused, not summed exactly.  A ball's integers stay near its binary
+# point while the exact sum's denominators grow like K**2 times the depth
+# in bits, so each doubling costs a small multiple of the last and stays
+# far below the exact sum.  At q = 1/2 and eps = 1e-25 on a shared 2-vCPU
+# x86-64 host, in fresh processes, verify_qmzsv((2,)*300) is decided at
+# 4P = 1,200 bits in 0.26-0.55 s and symmetric_pair_check(200, 200) in
+# 1.0-2.2 s (the spread is the host's speed from one hour to the next),
+# where the exact left side ran past 110 s and 130 s; the left ball at 8P
+# for (2,)*300 alone takes 0.7-1.0 s.
 _BALL_DOUBLINGS = 3
 
 
-def _rungs(
-    ctx: QContext, eps: Fraction, strings: Sequence[tuple], patterns: Sequence[Triple]
-) -> Iterator[list[SeriesValue]]:
-    """The ladder of a certified q-series check: the weak zeta star values
-    of strings, then the mollified series of patterns, every resolution
-    summed as one series (``merge=True``), each summed until its tail bound
-    is at most eps, as one list per rung.  A report reads the rungs in turn
-    until one decides it, which the last, all exact, always does.
+def _decide(
+    ctx: QContext, eps: Fraction, strings: Sequence[tuple], patterns: Sequence[Triple],
+    report: Callable[..., Optional[VerificationReport]],
+) -> VerificationReport:
+    """The report of a certified q-series check, decided from balls alone.
 
+    The series are the weak zeta star values of strings, then the mollified
+    series of patterns, every resolution summed as one series
+    (``merge=True``), each summed until its tail bound is at most eps.
     Every truncation search runs first, the strings' in order and then the
     patterns', so a cap on a series length refuses before any series sums.
-    The work budget of an exact harmonic sum (MAX_MHS_WORK) is not such a
-    cap: it is checked when the last rung sums the strings exactly, so it
-    refuses only a check that no ball decided.  (2,)*300, whose exact sum
-    is over budget, is decided by its ball at 4P.  Rung 1 holds balls
-    at the binary point 2**-P (:func:`~qzeta.evaluators.q_zeta_enclosure`
-    and :func:`~qzeta.evaluators.frakz_enclosure`).  Then each pattern is
-    summed exactly, once, and that value stands on every later rung: with
-    the strings' balls at P, 2P, 4P and 8P, and last with their exact
-    values.  A right ball at 2P would be no narrower than the exact value
-    already at hand, and a deep string whose discrepancy P cannot resolve
-    is decided by a ball at a few times P long before its exact sum would
-    finish (see _BALL_DOUBLINGS).
+    Then each rung sums every series as a ball at one binary point
+    (:func:`~qzeta.evaluators.q_zeta_enclosure` and
+    :func:`~qzeta.evaluators.frakz_enclosure`), 2**-P on the first and
+    twice as fine on each of the _BALL_DOUBLINGS after it, and passes them
+    to report in that order.  report returns None when its balls cannot
+    decide (see :func:`_numeric_report`), so the first report it returns is
+    the one the exact values give.
+
+    Raises ValueError, naming the finest binary point tried, when no rung
+    decides; no series is ever summed exactly.
     """
     for s in strings:
         _harmonic_truncation(ctx, len(s), eps)
     for pattern in patterns:
         _frakz_truncation(ctx, pattern, eps, True)
-    lefts = [q_zeta_enclosure(ctx, s, eps=eps, star=True) for s in strings]
-    yield lefts + [frakz_enclosure(ctx, pattern, eps=eps) for pattern in patterns]
-    rights = [frakz(ctx, pattern, eps=eps, merge=True) for pattern in patterns]
-    yield lefts + rights
-    prec = lefts[0].value.prec
-    for _ in range(_BALL_DOUBLINGS):
-        prec *= 2
-        yield [q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=prec) for s in strings] + rights
-    yield [q_zeta(ctx, s, eps=eps, star=True) for s in strings] + rights
+    for doublings in range(_BALL_DOUBLINGS + 1):
+        prec = _default_prec(eps) << doublings
+        lefts = [q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=prec) for s in strings]
+        rep = report(*lefts, *(frakz_enclosure(ctx, p, eps=eps, prec=prec) for p in patterns))
+        if rep is not None:
+            return rep
+    raise ValueError(f"no ball down to the binary point 2**-{prec} decides the report")
 
 
 def _raise_lighter(left: int, right, base: int, excess: int) -> tuple:
@@ -401,19 +394,15 @@ def verify_qmzsv(
     is at most eps/4, so the two sides of a true identity can differ by at
     most eps/2 < eps.  ``params["series"]`` still counts 1 + 2**(m-1).
 
-    The two sides climb the ladder of :func:`_rungs`: balls around their
-    exact partial sums first, the exact right side only when the first
-    pair of balls cannot decide, and the exact left side last.  A rung
-    decides only the report the exact values give, so the report is
-    always the exact one.  At eps = 1e-25 the first rung decides all 175
-    weight-12 compositions with a first entry >= 2 and pattern depth 2-4
-    at q = 1/2, 2/3, 4/5 and 9/10, with no exact sum on either side.  On a
-    2-vCPU x86-64 host, (2,1,1,3,1) takes about 3 ms at q = 1/2, 8 ms at
-    4/5 and 40 ms at 9/10 in a fresh process, most of it building the
-    memos below, and 0.6, 1.0 and 1.6 ms once they hold its q (2, 6.5 and
-    38 ms, and 0.7, 1.7 and 6.5 ms, with the exact right side).  (9,9,9),
-    pattern depth 22, takes about 0.08 s at q = 4/5, against 5 s with the
-    exact right side.
+    Both sides are balls around their exact partial sums, at finer binary
+    points until they decide (:func:`_decide`).  A rung decides only the
+    report the exact values give, so the report is always the exact one.
+    At eps = 1e-25 the first rung decides all 175 weight-12 compositions
+    with a first entry >= 2 and pattern depth 2-4 at q = 1/2, 2/3, 4/5 and
+    9/10.  On a 2-vCPU x86-64 host, (2,1,1,3,1) takes about 3 ms at
+    q = 1/2, 8 ms at 4/5 and 40 ms at 9/10 in a fresh process, most of it
+    building the memos below, and 0.6, 1.0 and 1.6 ms once they hold its
+    q.  (9,9,9), pattern depth 22, takes about 0.08 s at q = 4/5.
 
     What does not depend on the composition is memoized in
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
@@ -435,7 +424,8 @@ def verify_qmzsv(
     Raises ValueError, before either side sums, for a composition entry
     that is a bool, not an int or below 1, a composition that is not
     zeta-admissible, a pattern over MAX_PATTERN_DEPTH, or a truncation over
-    either side's cap; the left side's cap is checked first.
+    either side's cap; the left side's cap is checked first.  Raises
+    ValueError after the last rung when no ball decides.
     """
     t0 = time.perf_counter()
     comp = zeta_composition(composition)
@@ -452,7 +442,7 @@ def verify_qmzsv(
             abs(lhs.value - d * rhs.value), lhs.tail_bound + rhs.tail_bound,
         )
 
-    return next(filter(None, (report(*r) for r in _rungs(ctx, budget, (comp,), (pattern,)))))
+    return _decide(ctx, budget, (comp,), (pattern,), report)
 
 
 def verify_classical(
@@ -763,12 +753,13 @@ def symmetric_pair_check(
     The sum of the two mirror-image weak zeta values equals the product of
     two plain weak zeta values plus a (1-q)-weighted mollified series; the
     product's error is propagated explicitly.  The four weak zeta values
-    and the depth-1 mollified series climb the ladder of :func:`_rungs`,
-    as in :func:`verify_qmzsv`: all five are balls on the first rung, and
-    the series is summed exactly only when that rung cannot decide.
+    and the depth-1 mollified series are balls at one binary point, finer
+    on each rung until they decide, as in :func:`verify_qmzsv` (see
+    :func:`_decide`).
 
     Raises ValueError, before any sum, unless a and b are ints >= 0, or
-    when a truncation is over its cap.
+    when a truncation is over its cap; and after the last rung when no
+    ball decides.
     """
     t0 = time.perf_counter()
     for name, value in (("a", a), ("b", b)):
@@ -796,7 +787,7 @@ def symmetric_pair_check(
             {"a": a, "b": b, "eps": str(epsv)}, ctx.q, epsv, abs(lhs - rhs), tail_total,
         )
 
-    return next(filter(None, (report(*r) for r in _rungs(ctx, budget, strings, (pattern,)))))
+    return _decide(ctx, budget, strings, (pattern,), report)
 
 
 def qmzsv_battery(

@@ -104,14 +104,20 @@ def _body(report) -> dict:
 
 
 def _count_exact_sums(monkeypatch) -> list:
+    """Patch both exact series evaluators to record the series they sum."""
     calls = []
-    q_zeta = qzeta.verify.q_zeta
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return q_zeta(*args, **kwargs)
+    def counted(name):
+        real = getattr(qzeta.evaluators, name)
 
-    monkeypatch.setattr(qzeta.verify, "q_zeta", counted)
+        def call(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qzeta.evaluators, name, call)
+
+    counted("q_zeta")
+    counted("frakz")
     return calls
 
 
@@ -133,46 +139,42 @@ def test_qseries_left_side_is_decided_by_the_enclosure(monkeypatch):
     assert precs == [300, 300]
 
 
-def test_qseries_reports_are_the_same_when_every_ball_falls_back(monkeypatch):
+def test_qseries_checks_are_refused_when_no_ball_decides(monkeypatch):
     # every ball is widened to +-1 around its centre, so none of those at
-    # P, 2P, 4P and 8P can decide a report and every left side is summed
-    # exactly: the reports must not change
-    pairs = [(0, 0), (1, 2), (2, 1)]
-    normal = [_body(symmetric_pair_check(a, b)) for a, b in pairs]
+    # P, 2P, 4P and 8P can decide a report: each check of the qseries
+    # digest and each symmetric pair is refused, and no series is summed
+    # exactly on the way
     calls = _count_exact_sums(monkeypatch)
-    precs = []
-    enclosure = qzeta.verify.q_zeta_enclosure
+    precs = {"q_zeta_enclosure": [], "frakz_enclosure": []}
 
-    def widened(*args, **kwargs):
-        lhs = enclosure(*args, **kwargs)
-        ball = lhs.value
-        precs.append(ball.prec)
-        return lhs._replace(value=qzeta.evaluators.Ball(ball.mid, 1 << ball.prec, ball.prec))
-
-    monkeypatch.setattr(qzeta.verify, "q_zeta_enclosure", widened)
-    assert _digest(_qseries(monkeypatch)) == DIGESTS["qseries"][1]
-    assert calls == [(2, 1, 2, 1, 3, 1), (5, 5, 1)]
-    assert precs == [300, 600, 1200, 2400] * 2
-    calls.clear()
-    precs.clear()
-    # the right side of each pair is summed once as a ball, on the first
-    # rung, and once exactly
-    right = []
-
-    def counted(name):
+    def widened(name):
         real = getattr(qzeta.verify, name)
 
         def call(*args, **kwargs):
-            right.append(name)
-            return real(*args, **kwargs)
+            value = real(*args, **kwargs)
+            ball = value.value
+            precs[name].append(ball.prec)
+            return value._replace(value=qzeta.evaluators.Ball(ball.mid, 1 << ball.prec, ball.prec))
 
         monkeypatch.setattr(qzeta.verify, name, call)
 
-    counted("frakz_enclosure")
-    counted("frakz")
-    for (a, b), body in zip(pairs, normal):
-        assert _body(symmetric_pair_check(a, b)) == body
-        assert right == ["frakz_enclosure", "frakz"], (a, b)
-        right.clear()
-    assert len(calls) == 4 * len(pairs)
-    assert precs == ([300] * 4 + [600] * 4 + [1200] * 4 + [2400] * 4) * len(pairs)
+    widened("q_zeta_enclosure")
+    widened("frakz_enclosure")
+    refused = "no ball down to the binary point 2\\*\\*-2400 decides the report"
+    for comp in ((2, 1, 2, 1, 3, 1), (5, 5, 1)):
+        with pytest.raises(ValueError, match=refused):
+            verify_qmzsv(comp, Fraction(1, 2))
+    ladder = [300, 600, 1200, 2400]
+    assert precs == {"q_zeta_enclosure": ladder * 2, "frakz_enclosure": ladder * 2}
+    # a pair sums four strings and one pattern on each rung
+    pairs = [(0, 0), (1, 2), (2, 1)]
+    for name in precs:
+        precs[name].clear()
+    for a, b in pairs:
+        with pytest.raises(ValueError, match=refused):
+            symmetric_pair_check(a, b)
+    assert precs == {
+        "q_zeta_enclosure": [p for p in ladder for _ in range(4)] * len(pairs),
+        "frakz_enclosure": ladder * len(pairs),
+    }
+    assert calls == []

@@ -124,9 +124,13 @@ def test_numeric_report_from_balls_only_when_they_decide():
 
     tail = Fraction(10**5 + 1, 3 * 10**31)
     for disc in (Fraction(7, 3 * 10**33), Fraction(7 * 10**7 + 1, 3 * 10**31)):
-        exact = report(disc, tail)
+        # the report the exact values give
+        exact = VerificationReport(
+            "c", "f", {}, "numeric-pass" if disc <= eps else "fail", "1/2",
+            discrepancy=rational_repr(disc), tail_bound=rational_repr(tail), elapsed_ms=None,
+        ).to_dict()
         assert report(_ball(disc, 2**40), tail) == exact
-        assert report(disc, _ball(tail, 2**40)) == exact
+        assert report(_ball(disc, 2**40), _ball(tail, 2**40)) == exact
     assert exact["status"] == "fail"
     # a ball across eps cannot tell pass from fail (eps is not compact here,
     # so the text of the discrepancy alone would be told), nor one around a
@@ -134,7 +138,7 @@ def test_numeric_report_from_balls_only_when_they_decide():
     eps = Fraction(1, 3 * 10**40)
     assert report(_ball(eps, 2**40), tail) is None
     assert report(_ball(eps * 2, 2**40), tail)["status"] == "fail"
-    assert report(Fraction(7, 3 * 10**33), _ball(Fraction(1, 10**26), 2**40)) is None
+    assert report(_ball(Fraction(7, 3 * 10**33), 2**40), _ball(Fraction(1, 10**26), 2**40)) is None
 
 
 def test_report_json_round_trip():
@@ -551,7 +555,7 @@ def test_verify_qmzsv_reaches_toward_q_to_one(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the left side was summed exactly")
 
-    monkeypatch.setattr(v, "q_zeta", never)
+    monkeypatch.setattr(evaluators, "q_zeta", never)
     for q in (Fraction(4, 5), Fraction(9, 10)):
         assert verify_qmzsv(comp, q=q).status == "numeric-pass"
 
@@ -572,7 +576,7 @@ def _ball_precs_without_exact_sum(monkeypatch, comp):
         precs.append(ball.value.prec)
         return ball
 
-    monkeypatch.setattr(v, "q_zeta", never)
+    monkeypatch.setattr(evaluators, "q_zeta", never)
     monkeypatch.setattr(v, "q_zeta_enclosure", recorded)
     return v.verify_qmzsv(comp, Fraction(1, 2)), precs
 
@@ -796,14 +800,12 @@ def test_symmetric_pair_check():
 
 def test_symmetric_pair_check_refuses_bad_sizes_before_any_sum(monkeypatch):
     import qzeta.evaluators
-    import qzeta.verify
 
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_ball_sweep", "_run_column"):
+    for name in ("_ball_sweep", "_run_column", "frakz"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
-    monkeypatch.setattr(qzeta.verify, "frakz", never)
     for a, b in ((-1, 0), (0, -2), (-3, -3), (1.0, 0), (0, "2"), (Fraction(1), 1)):
         with pytest.raises(ValueError, match="must be an int >= 0"):
             symmetric_pair_check(a, b)
@@ -1019,7 +1021,7 @@ def test_qseries_right_side_is_decided_by_the_ball(monkeypatch):
              (1, 1, Fraction(5, 8))]
     symmetric = [_body(v.symmetric_pair_check(a, b, q=q)) for a, b, q in pairs]
     battery = [_body(rep) for rep in v.qmzsv_battery()]
-    monkeypatch.setattr(v, "frakz", never)
+    monkeypatch.setattr(evaluators, "frakz", never)
     for comp in comps:
         rep = v.verify_qmzsv(comp)
         assert rep.status == "numeric-pass", comp
@@ -1030,39 +1032,62 @@ def test_qseries_right_side_is_decided_by_the_ball(monkeypatch):
     assert rep.discrepancy == "4.94129238005E-34"
     assert [_body(v.symmetric_pair_check(a, b, q=q)) for a, b, q in pairs] == symmetric
     assert [_body(rep) for rep in v.qmzsv_battery()] == battery
-    # the patch is live: a ball that cannot decide falls back to it
+    # a right ball that cannot decide falls back to nothing: the check is
+    # refused after the ball at 2,400 bits
     monkeypatch.setattr(
         v, "frakz_enclosure",
-        lambda *args, **kwargs: v.SeriesValue(evaluators.Ball(0, 1 << 300, 300), Fraction(0), 0),
+        lambda *args, prec, **kwargs: v.SeriesValue(evaluators.Ball(0, 1 << prec, prec), 0, 0),
     )
-    with pytest.raises(AssertionError, match="the right side was summed exactly"):
+    with pytest.raises(ValueError, match=r"binary point 2\*\*-2400 decides"):
         v.verify_qmzsv((2, 1, 2))
 
 
-def test_qseries_sums_the_right_side_once_as_a_ball_and_once_exactly(monkeypatch):
-    # when no ball decides, the right ball is summed once, against the
-    # first left ball, and the exact right side once, against every left
-    # value after it; the report is the exact one
+def _widened_balls(monkeypatch) -> dict:
+    """Patch both enclosures in qzeta.verify to widen every ball to +-1
+    around its centre, and the exact evaluators to raise; the binary
+    points each enclosure summed at, by name."""
     import qzeta.verify as v
 
-    exact = _body(v.verify_qmzsv((2, 1, 2)))
-    calls = collections.Counter()
+    def never(*args, **kwargs):
+        raise AssertionError("a series was summed exactly")
 
-    def counted(name, value=None):
+    precs = collections.defaultdict(list)
+
+    def widened(name):
         real = getattr(v, name)
 
         def call(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs) if value is None else value
+            value = real(*args, **kwargs)
+            ball = value.value
+            precs[name].append(ball.prec)
+            return value._replace(value=evaluators.Ball(ball.mid, 1 << ball.prec, ball.prec))
         monkeypatch.setattr(v, name, call)
 
-    wide = v.SeriesValue(evaluators.Ball(0, 1 << 300, 300), Fraction(0), 0)
-    counted("frakz_enclosure", wide)
-    counted("frakz")
-    counted("q_zeta_enclosure", wide)
-    counted("q_zeta")
-    assert _body(v.verify_qmzsv((2, 1, 2))) == exact
-    assert calls == {"frakz_enclosure": 1, "frakz": 1, "q_zeta_enclosure": 4, "q_zeta": 1}
+    for name in ("q_zeta", "frakz"):
+        monkeypatch.setattr(evaluators, name, never)
+    widened("q_zeta_enclosure")
+    widened("frakz_enclosure")
+    return precs
+
+
+def test_qseries_check_that_no_ball_decides_is_refused(monkeypatch, capsys):
+    # when no ball decides, both sides' balls run once at each of 300, 600,
+    # 1,200 and 2,400 bits, no series is summed exactly, and the check is
+    # refused: at the command line with exit 2 and a message
+    import qzeta.verify as v
+    from qzeta.cli import main
+
+    precs = _widened_balls(monkeypatch)
+    ladder = [300, 600, 1200, 2400]
+    with pytest.raises(ValueError, match=r"no ball down to the binary point 2\*\*-2400"):
+        v.verify_qmzsv((2, 1, 2))
+    assert precs == {"q_zeta_enclosure": ladder, "frakz_enclosure": ladder}
+    precs.clear()
+    assert main(["verify", "2,1,2", "--qmzsv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no ball down to the binary point 2**-2400 decides the report\n"
+    assert precs == {"q_zeta_enclosure": ladder, "frakz_enclosure": ladder}
 
 
 def test_qseries_reports_are_the_same_from_cold_and_warm_tables(qzeta_memos):
