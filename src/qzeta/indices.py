@@ -71,14 +71,19 @@ def bar(magnitude: int) -> SignedIndex:
 
 
 def signed_string(entries: Iterable) -> tuple:
-    """Coerce plain ints (sign carried by the Python sign) to SignedIndex."""
+    """Coerce plain ints (sign carried by the Python sign) to SignedIndex,
+    one shared SignedIndex per distinct int."""
+    made: dict[int, SignedIndex] = {}
     out = []
     for e in entries:
         if isinstance(e, SignedIndex):
             out.append(e)
         elif is_int(e):
-            # plain ints cannot express -0; use SignedIndex directly for that
-            out.append(SignedIndex(abs(e), -1 if e < 0 else 1))
+            # is_int comes before the lookup, as True == 1 would find made[1].
+            # Plain ints cannot express -0; use SignedIndex directly for that.
+            if e not in made:
+                made[e] = SignedIndex(abs(e), -1 if e < 0 else 1)
+            out.append(made[e])
         else:
             raise TypeError(f"cannot interpret {e!r} as a signed index")
     return tuple(out)

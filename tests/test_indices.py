@@ -62,6 +62,22 @@ def test_signed_string_coercion():
         signed_string([2, True])
 
 
+def test_signed_string_shares_one_index_per_int():
+    # True == 1 as a dict key, so a memo looked up before the type check
+    # would read True as the index 1
+    with pytest.raises(TypeError, match="cannot interpret True"):
+        signed_string((1, True))
+    with pytest.raises(TypeError, match="cannot interpret False"):
+        signed_string((0, False))
+    entries = (2, -3, 2, 0, -3, 1, bar(1), 2, idx(2))
+    got = signed_string(entries)
+    assert got == tuple(
+        e if isinstance(e, SignedIndex) else SignedIndex(abs(e), -1 if e < 0 else 1)
+        for e in entries
+    )
+    assert got[0] is got[2] is got[7] and got[1] is got[4]
+
+
 def test_oplus_examples():
     assert oplus(idx(2), idx(3)) == idx(5)
     assert oplus(bar(2), idx(3)) == bar(5)
