@@ -61,8 +61,11 @@ WORKLOADS = ("finite-long", "finite-wide", "qseries", "classical")
 SIDES = ("base", "change")
 # (9,9,9), (33) and (2,1^31) at q near 1, the longest finite checks, the
 # heaviest string and a classical check, three harmonic sums refused by
-# their work estimate, and a finite check at the 10**6-entry parse bound,
-# refused by its left side's work estimate before either side sums
+# their work estimate, a finite check at the 10**6-entry parse bound,
+# refused by its left side's work estimate before either side sums, and
+# two inputs whose pattern is far over the depth caps, verify 3^1000000
+# and expand 3^30000: both should exit 2, but compose, quadratic in the
+# number of blocks, runs past the timeout before the depth is checked
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -79,6 +82,8 @@ PROBES = (
     "eval mhs-star --s 1^300 --n 300",
     "eval mhs-star --s 1^1000 --n 100",
     "verify 2^1000000",
+    "verify 3^1000000",
+    "expand 3^30000",
 )
 PROBE_TIMEOUT_S = 30.0
 
