@@ -1042,11 +1042,13 @@ def test_qseries_right_side_is_decided_by_the_ball(monkeypatch):
         v.verify_qmzsv((2, 1, 2))
 
 
-def _widened_balls(monkeypatch) -> dict:
-    """Patch both enclosures in qzeta.verify to widen every ball to +-1
-    around its centre, and the exact evaluators to raise; the binary
-    points each enclosure summed at, by name."""
+def test_qseries_check_that_no_ball_decides_is_refused(monkeypatch, capsys):
+    # with every ball widened to +-1 around its centre, no rung decides:
+    # both sides' balls run once at each of 300, 600, 1,200 and 2,400 bits,
+    # no series is summed exactly, and the check is refused, at the command
+    # line with exit 2 and a message
     import qzeta.verify as v
+    from qzeta.cli import main
 
     def never(*args, **kwargs):
         raise AssertionError("a series was summed exactly")
@@ -1067,17 +1069,6 @@ def _widened_balls(monkeypatch) -> dict:
         monkeypatch.setattr(evaluators, name, never)
     widened("q_zeta_enclosure")
     widened("frakz_enclosure")
-    return precs
-
-
-def test_qseries_check_that_no_ball_decides_is_refused(monkeypatch, capsys):
-    # when no ball decides, both sides' balls run once at each of 300, 600,
-    # 1,200 and 2,400 bits, no series is summed exactly, and the check is
-    # refused: at the command line with exit 2 and a message
-    import qzeta.verify as v
-    from qzeta.cli import main
-
-    precs = _widened_balls(monkeypatch)
     ladder = [300, 600, 1200, 2400]
     with pytest.raises(ValueError, match=r"no ball down to the binary point 2\*\*-2400"):
         v.verify_qmzsv((2, 1, 2))
