@@ -97,12 +97,6 @@ def test_report_digest(name, monkeypatch):
     assert _digest(build(monkeypatch)) == expect
 
 
-def _body(report) -> dict:
-    fields = report.to_dict()
-    del fields["elapsed_ms"]
-    return fields
-
-
 def _count_exact_sums(monkeypatch) -> list:
     """Patch both exact series evaluators to record the series they sum."""
     calls = []
