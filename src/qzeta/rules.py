@@ -10,11 +10,14 @@ valid at every n.  This module builds that pattern three ways:
 * :func:`compose`: the general construction.  The composition is tokenized
   left to right into maximal-run blocks (a run of 2's followed by a run of
   1's, a run of 2's followed by one entry >= 3, or a trailing run of 2's);
-  the rightmost block provides a base pattern and the remaining blocks are
-  attached right to left with :func:`attach`.
-* :func:`attach`: one attaching step.  Each block kind prepends fixed slots
-  and adjusts the head entries of the current pattern; the sign never
-  changes.
+  the rightmost block provides a base pattern (:func:`base_state`) and the
+  remaining blocks are attached right to left, each as :func:`attach`
+  would, onto lists of slots, so the pattern is built once, in time
+  linear in its depth.
+* :func:`attach`: one attaching step.  Each block kind puts fixed slots in
+  front of the current pattern and merges one increment into its head
+  slot; the sign never changes.  compose, attach and base_state read one
+  rule table (``_parts``), which states each block kind's slots once.
 * :func:`closed_pattern`: direct closed forms for recurring composition
   shapes (named by their shape, e.g. "2c21" for repeated twos-c-twos-one
   groups), used to cross-check compose.
@@ -194,68 +197,89 @@ class Compiled(NamedTuple):
     pattern: Triple
 
 
-def base_state(block: Block) -> Compiled:
-    """Pattern of the rightmost block of a composition."""
+# Entries the rule table repeats, made once: a SignedIndex is immutable.
+_ZERO, _ONE, _BAR_ZERO, _BAR_ONE = idx(0), idx(1), bar(0), bar(1)
+
+
+def _parts(block: Block) -> tuple[tuple, tuple, tuple, tuple]:
+    """The rule of one block kind, stated once: the s, t and r slots the
+    block puts in front of a pattern, and the increment (S, T, R) that turns
+    the pattern's head slot (s0, t0, r0) into (s0 (+) S, t0 + T, r0 [+] R).
+    theta and idx(0) are identities: a Twos block puts no slot in front and
+    leaves the head's r as it is, and a TwosOnes block leaves the head's s."""
     if isinstance(block, Twos):
-        if block.a < 1:
-            raise ValueError("a trailing run of 2's must be nonempty")
-        return Compiled(-1, Triple((bar(2 * block.a),), (block.a,), (1,)))
+        return (), (), (), (idx(2 * block.a), block.a, THETA)
     if isinstance(block, TwosOnes):
         a, l = block.a, block.l
-        return Compiled(
-            1,
-            Triple(
-                (idx(2 * a + 1),) + (idx(1),) * (l - 1),
-                (a + 1,) + (1,) * (l - 1),
-                (2,) + (0,) * (l - 1),
-            ),
+        return (
+            (idx(2 * a + 1),) + (_ONE,) * (l - 1),
+            (a + 1,) + (1,) * (l - 1),
+            (2,) + (0,) * (l - 1),
+            (_ZERO, 0, -2),
         )
     if isinstance(block, TwosC):
         b, c = block.b, block.c
-        return Compiled(
-            -1,
-            Triple(
-                (bar(2 * b + 2),) + (idx(1),) * (c - 2),
-                (b + 1,) + (0,) * (c - 2),
-                (1,) + (THETA,) * (c - 2),
-            ),
+        return (
+            (bar(2 * b + 2),) + (_ONE,) * (c - 3),
+            (b + 1,) + (0,) * (c - 3),
+            (1,) + (THETA,) * (c - 3),
+            (_BAR_ONE, 0, -1),
         )
     raise TypeError(f"unknown block {block!r}")
+
+
+def _attach_all(
+    blocks: Sequence[Block], delta: int, s: Sequence, t: Sequence, r: Sequence
+) -> Compiled:
+    """Attach blocks right to left in front of the pattern (s; t; r) and
+    build the one Triple.  The pattern is held as lists, rightmost slot
+    first, so each block pops and pushes only at the list ends."""
+    s, t, r = list(reversed(s)), list(reversed(t)), list(reversed(r))
+    for block in reversed(blocks):
+        front_s, front_t, front_r, (S, T, R) = _parts(block)
+        s[-1], t[-1], r[-1] = oplus(s[-1], S), t[-1] + T, boxplus(r[-1], R)
+        s += reversed(front_s)
+        t += reversed(front_t)
+        r += reversed(front_r)
+    return Compiled(delta, Triple(s[::-1], t[::-1], r[::-1]))
+
+
+def _compile(blocks: Sequence[Block]) -> Compiled:
+    """Sign and pattern of blocks, the last one rightmost.  A rightmost
+    TwosOnes block is its front slots with sign +1; any other rightmost
+    block attaches to the pattern of -1, (bar(0); 0; 1) (that is
+    ``verify.inverse_power_pattern(0)``), with sign -1."""
+    *rest, last = blocks
+    if isinstance(last, TwosOnes):
+        s, t, r, _ = _parts(last)
+        return _attach_all(rest, 1, s, t, r)
+    if isinstance(last, Twos) and last.a < 1:
+        raise ValueError("a trailing run of 2's must be nonempty")
+    return _attach_all(blocks, -1, (_BAR_ZERO,), (0,), (1,))
+
+
+def base_state(block: Block) -> Compiled:
+    """Pattern of the rightmost block of a composition: a TwosOnes block's
+    front slots with sign +1, or the block attached to the pattern of -1
+    with sign -1 (:func:`_compile`)."""
+    return _compile([block])
 
 
 def attach(block: Block, state: Compiled) -> Compiled:
-    """Attach a block to the front of an existing pattern.
-
-    The sign is never changed.  A Twos block merges into the head slot;
-    the other kinds prepend slots and shift the head of the r-string down.
-    """
+    """Attach a block to the front of an existing pattern: the block's front
+    slots, then the pattern's head slot merged with the block's increment,
+    then the rest of the pattern (:func:`_parts`).  The sign is never
+    changed."""
     d, pat = state
-    if isinstance(block, Twos):
-        s = (oplus(idx(2 * block.a), pat.s[0]),) + pat.s[1:]
-        t = (block.a + pat.t[0],) + pat.t[1:]
-        return Compiled(d, Triple(s, t, pat.r))
-    if isinstance(block, TwosOnes):
-        a, l = block.a, block.l
-        s = (idx(2 * a + 1),) + (idx(1),) * (l - 1) + pat.s
-        t = (a + 1,) + (1,) * (l - 1) + pat.t
-        r = (2,) + (0,) * (l - 1) + (boxplus(pat.r[0], -2),) + pat.r[1:]
-        return Compiled(d, Triple(s, t, r))
-    if isinstance(block, TwosC):
-        b, c = block.b, block.c
-        s = (bar(2 * b + 2),) + (idx(1),) * (c - 3) + (oplus(pat.s[0], bar(1)),) + pat.s[1:]
-        t = (b + 1,) + (0,) * (c - 3) + pat.t
-        r = (1,) + (THETA,) * (c - 3) + (boxplus(pat.r[0], -1),) + pat.r[1:]
-        return Compiled(d, Triple(s, t, r))
-    raise TypeError(f"unknown block {block!r}")
+    return _attach_all([block], d, pat.s, pat.t, pat.r)
 
 
 def compose(composition: Sequence[int]) -> Compiled:
-    """Sign and pattern for an arbitrary composition."""
-    blocks = tokenize(composition)
-    state = base_state(blocks[-1])
-    for block in reversed(blocks[:-1]):
-        state = attach(block, state)
-    return state
+    """Sign and pattern for an arbitrary composition: the fold of
+    :func:`attach`, right to left from :func:`base_state` of the last
+    block, over :func:`tokenize`'s blocks.  It keeps the slots as lists and
+    builds one Triple, so it takes time linear in the pattern depth."""
+    return _compile(tokenize(composition))
 
 
 class ClassicalTerm(NamedTuple):

@@ -261,6 +261,14 @@ def test_huge_expansion_fails_fast(capsys, monkeypatch):
     assert f"pattern depth 33 exceeds {qzeta.evaluators.MAX_PATTERN_DEPTH} for a q-series" in err
 
 
+def test_deep_expand_is_refused_after_a_linear_compile(capsys):
+    # 3^30000 compiles to 30,001 slots; compose builds them in time linear in
+    # the depth, so the expansion's depth cap refuses the pattern at once
+    rc, out, err = run(capsys, "expand", "3^30000")
+    assert rc == 2
+    assert "pattern depth 30001 exceeds 20" in err
+
+
 def test_huge_upper_limit_fails_fast(capsys, monkeypatch):
     # an upper limit over a cap is refused before any term is summed: the
     # run engine, the harmonic-sum denominators and the kernel rows are

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qzeta.rules
 from qzeta import (
     THETA,
     ClassicalTerm,
@@ -192,6 +193,29 @@ def test_compose_weight_identity_exhaustive():
         assert pat.weight == sum(comp)
         assert d == delta(comp)
         assert is_admissible(pat)
+        # compose is the right-to-left fold of attach from the last block's base
+        blocks = tokenize(comp)
+        state = base_state(blocks[-1])
+        for block in reversed(blocks[:-1]):
+            state = attach(block, state)
+        assert (d, pat) == state
+
+
+def test_compose_builds_one_triple(monkeypatch):
+    # compose keeps the slots as lists and builds the Triple once, not once
+    # for each of the 50 blocks
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Triple(*args)
+
+    monkeypatch.setattr(qzeta.rules, "Triple", counted)
+    for comp, depth in (((3,) * 50, 51), ((2, 1) * 50, 50)):
+        built.clear()
+        d, pat = compose(comp)
+        assert len(built) == 1
+        assert (d, pat.depth, pat.weight) == (delta(comp), depth, sum(comp))
 
 
 def test_attach_merges_match_bigger_blocks():
