@@ -62,10 +62,10 @@ SIDES = ("base", "change")
 # (9,9,9), (33) and (2,1^31) at q near 1, the longest finite checks, the
 # heaviest string and a classical check, three harmonic sums refused by
 # their work estimate, a finite check at the 10**6-entry parse bound,
-# refused by its left side's work estimate before either side sums, and
-# two inputs whose pattern is far over the depth caps, verify 3^1000000
-# and expand 3^30000: both should exit 2, but compose, quadratic in the
-# number of blocks, runs past the timeout before the depth is checked
+# refused by its left side's work estimate before either side sums, three
+# inputs whose pattern is far over the depth caps, which exit 2 once
+# compose, linear in the pattern depth, has built it, and a q of 5,000
+# digits, which no estimate sees: the q-series check runs past the timeout
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -84,6 +84,8 @@ PROBES = (
     "verify 2^1000000",
     "verify 3^1000000",
     "expand 3^30000",
+    "verify 33^30000",
+    "verify 2,1 --qmzsv --q 1/" + "1" * 5000,
 )
 PROBE_TIMEOUT_S = 30.0
 
@@ -297,7 +299,7 @@ def main() -> int:
             print(f"{side}: probes answered: {answered} of {len(probes)}")
         for p in probes:
             runs = "  ".join(f"{side} {p[side]['exit']} {p[side]['wall_s']:.2f} s" for side in SIDES)
-            print(f"  {p['probe']:40s} {runs}")
+            print(f"  {p['probe'][:40]:40s} {runs}")
     if args.out:
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
