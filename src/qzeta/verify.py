@@ -399,10 +399,12 @@ def verify_qmzsv(
     report the exact values give, so the report is always the exact one.
     At eps = 1e-25 the first rung decides all 175 weight-12 compositions
     with a first entry >= 2 and pattern depth 2-4 at q = 1/2, 2/3, 4/5 and
-    9/10.  On a 2-vCPU x86-64 host, (2,1,1,3,1) takes about 3 ms at
-    q = 1/2, 8 ms at 4/5 and 40 ms at 9/10 in a fresh process, most of it
-    building the memos below, and 0.6, 1.0 and 1.6 ms once they hold its
-    q.  (9,9,9), pattern depth 22, takes about 0.08 s at q = 4/5.
+    9/10.  As the report's ``elapsed_ms``, medians of 14 fresh processes
+    on a shared 2-vCPU x86-64 host (Python 3.11), (2,1,1,3,1) takes about
+    5 ms at q = 1/2, 22-25 ms at 4/5 and 155-166 ms at 9/10 on a first
+    call, most of it building the memos below, and 0.9, 1.9 and 3.3 ms on
+    a second call at the same q.  (9,9,9), pattern depth 22, takes about
+    0.12-0.13 s on a first call at q = 4/5.
 
     What does not depend on the composition is memoized in
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
