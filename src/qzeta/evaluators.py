@@ -30,6 +30,11 @@ their runs and descent: one run per entry of the harmonic string, over
 memoized columns of floored q**k/[k]**s, in weak or strict descent; and the
 runs of the mollified pattern, whose floored terms are products of memoized
 q-level tables, so no table depends on the composition, in strict descent.
+Both sides' columns of 1/[k]**s are read off one fixed-point recurrence for
+[k], q**k and 1/[k], a few dozen bits finer than the entries
+(:func:`_fixed_point_rows`), which divides no integer of more than twice
+that many bits, and every floored term of either side lies within
+_COLUMN_SLACK units below the exact one.
 The exact partial sums' denominators grow like
 K**2 bits (hundreds of thousands of bits toward q -> 1), while the balls'
 integers stay near their binary point, so the q-series checks of
@@ -100,7 +105,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, repeat
 from math import comb, log2
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -340,16 +345,14 @@ _TABLE_CACHE_SIZE = 16
 @lru_cache(maxsize=_COLUMN_CACHE_SIZE)
 def _floored_column(a: int, b: int, s: int, n: int, prec: int) -> tuple[int, ...]:
     """The floored terms of magnitude s at q = a/b and the binary point
-    2**-prec for k = 1..n.  With h_k = ctx.h(k) the term is
-    q**k / [k]**s = a**k b**((k-1)s) / (b**k h_k**s), so
-    t_k = floor(a**k b**((k-1)s) 2**prec / (b**k h_k**s)) and 2**prec times
-    the exact term lies in [t_k, t_k + 1).  Keyed by integers, as
+    2**-prec for k = 1..n, read off :func:`_fixed_point_rows` with no
+    leading 1: 2**prec q**k / [k]**s lies in [t_k, t_k + 1 + 2**-G / d)
+    for G = _POWER_GUARD_BITS and d = ceil(b / (b - a)) >= 1, so within
+    2 <= _COLUMN_SLACK units above t_k, the one bound both balls' columns
+    keep (see :func:`_ball_sweep`).  Keyed by integers, as
     :func:`_harmonic_search` is.
     """
-    ctx = QContext(Fraction(a, b))
-    return tuple(
-        (a**k * b ** ((k - 1) * s) << prec) // (b**k * ctx.h(k) ** s) for k in range(1, n + 1)
-    )
+    return tuple(row[0] for row in _fixed_point_rows(a, b, n, prec, 0, range(s, s + 1)))
 
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
@@ -808,8 +811,8 @@ def q_zeta_enclosure(
     partial sum, at the same K and with the same tail bound, summed in
     integers at the binary point 2**-prec by :func:`_ball_sweep` over one
     run per entry (:func:`_harmonic_runs`), whose floored terms lie within
-    1 unit of the exact ones.  By default prec is P, the bit size of 1/eps,
-    at least _COMPACT_BITS, plus _GUARD_BITS.
+    _COLUMN_SLACK units of the exact ones.  By default prec is P, the bit
+    size of 1/eps, at least _COMPACT_BITS, plus _GUARD_BITS.
 
     Raises ValueError as :func:`q_zeta` does.
     """
@@ -818,8 +821,7 @@ def q_zeta_enclosure(
     K, bound = _harmonic_truncation(ctx, len(entries), eps)
     if prec is None:
         prec = _default_prec(eps)
-    ball = _ball_sweep(_harmonic_runs(ctx.q, entries, K), K, prec, star, 1)[0]
-    return SeriesValue(ball, bound, K)
+    return SeriesValue(_ball_sweep(_harmonic_runs(ctx.q, entries, K), K, prec, star)[0], bound, K)
 
 
 def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:
@@ -894,11 +896,16 @@ def frakz(
     return SeriesValue(_row_value(ctx, pattern.weight, K, row), bound, K)
 
 
+def _check_depth(pattern: Triple) -> None:
+    """Raise ValueError for a pattern deeper than a q-series sums."""
+    if pattern.depth > MAX_PATTERN_DEPTH:
+        raise ValueError(f"pattern depth {pattern.depth} exceeds {MAX_PATTERN_DEPTH} for a q-series")
+
+
 def _frakz_truncation(ctx: QContext, pattern: Triple, eps, merge) -> tuple[int, Fraction]:
     """The K and tail bound of :func:`frakz`, after its refusals."""
     m = pattern.depth
-    if m > MAX_PATTERN_DEPTH:
-        raise ValueError(f"pattern depth {m} exceeds {MAX_PATTERN_DEPTH} for a q-series")
+    _check_depth(pattern)
     if not is_admissible(pattern):
         raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
     q, eps = ctx.q, as_eps(eps)
@@ -948,12 +955,13 @@ _TABLE_MIN_LENGTH = 32
 _POWER_MIN_LENGTH = 512
 _COLUMN_PREC_STEP = 64
 # Bits a run's binary point keeps above the largest value of the level it
-# reads (see _column_prec), and the units by which a floored term of a run
-# may lie below the exact one (see _run_column)
+# reads (see _column_prec), and the units by which a floored term of either
+# ball may lie below the exact one (see _floored_column and _run_column)
 _COLUMN_GUARD_BITS = 8
 _COLUMN_SLACK = 4
-# Bits by which a power table's recurrence runs finer than its entries (see
-# _power_table)
+# Bits by which a power table's recurrence, and at least by which the
+# fixed-point sequence of the magnitude tables and left columns, runs finer
+# than its entries (see _power_table and _fixed_point_rows)
 _POWER_GUARD_BITS = 64
 
 
@@ -967,24 +975,52 @@ def _power_length(top: int) -> int:
     return _table_length(top + 1, _POWER_MIN_LENGTH)
 
 
+def _fixed_point_rows(a: int, b: int, n: int, prec: int, lead: int, magnitudes: range) -> Iterator:
+    """For k = 1..n at q = a/b, the entries at the binary point 2**-prec of
+    (lead + q**k) / [k]**s for s in magnitudes, all read off one
+    fixed-point sequence at 2**-w, W = 2**w, that divides no integer longer
+    than 2w bits.  With d = ceil(b / (b - a)) >= 1 / (1 - q), from X_0 = 0
+    and y_0 = W, it keeps
+
+    * X_k = W + ceil(a X_(k-1) / b), in [W [k], W [k] + d): [k] = 1 + q [k-1],
+      and each ceiling adds less than 1 to an error that q scales down;
+    * y_k = floor(a y_(k-1) / b), in (W q**k - d, W q**k], likewise;
+    * r_k = floor(W**2 / X_k), in (W/[k] - d - 1, W/[k]], as W**2 / X_k lies
+      at most W d / ([k] X_k) <= d / [k]**2 below W/[k];
+    * R_0 = W and R_s = floor(R_(s-1) r_k / W), one product per magnitude
+      step, in (W/[k]**s - s (d + 2), W/[k]**s]: with R_(s-1) and r_k at
+      most W/[k]**(s-1) <= W and W, R_(s-1) r_k / W lies at most
+      (d + 1) + (s - 1)(d + 2) below W/[k]**s.
+
+    The entry is floor((lead W + y_k) R_s / 2**(2w - prec)).  For
+    Y = W q**k and U = W/[k]**s,
+    (lead W + Y) U - (lead W + y_k) R_s < d W + (lead + 1) W s (d + 2), so
+    2**prec (lead + q**k) / [k]**s lies in [entry, entry + 1 + f) with
+    f = (d + 2 s (d + 2)) / 2**(w - prec).  w is prec plus
+    G = _POWER_GUARD_BITS plus the bit length of d (2 s' + 1)(d + 2), s'
+    the largest magnitude, so f < 2**-G / d.
+    """
+    d = -(-b // (b - a))
+    w = prec + _POWER_GUARD_BITS + (d * (2 * magnitudes[-1] + 1) * (d + 2)).bit_length()
+    unit, shift = 1 << w, 2 * w - prec
+    x, y = 0, unit
+    for _ in range(n):
+        x, y = unit - (-a * x // b), a * y // b
+        r, top = (unit << w) // x, lead * unit + y
+        powers = accumulate(repeat(r, magnitudes[-1]), lambda p, r: p * r >> w, initial=unit)
+        yield [top * p >> shift for p in islice(powers, magnitudes.start, None)]
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _magnitude_table(a: int, b: int, prec: int, n: int, group: int) -> tuple[tuple[int, ...], ...]:
     """At q = a/b, for s = group * _MAGNITUDE_GROUP + i, 0 <= i <
-    _MAGNITUDE_GROUP, the column floor(2**prec (1 + q**k) / [k]**s),
-    k = 1..n.  With h_k = ctx.h(k),
-    (1 + q**k) / [k]**s = (b**k + a**k) b**((k-1)s - k) / h_k**s.
+    _MAGNITUDE_GROUP, the column of (1 + q**k) / [k]**s at the binary point
+    2**-prec, k = 1..n, read off :func:`_fixed_point_rows`: 2**prec times
+    the term lies in [m, m + 1 + 2**-G / d) for its entry m, with G and d
+    as there.
     """
-    ctx = QContext(Fraction(a, b))
-    magnitudes = range(group * _MAGNITUDE_GROUP, (group + 1) * _MAGNITUDE_GROUP)
-    rows = []  # rows[k-1][i]: magnitude s = magnitudes[i] at index k
-    for k in range(1, n + 1):
-        top, h = (b**k + a**k) << prec, ctx.h(k)
-        row = []
-        for s in magnitudes:
-            e = (k - 1) * s - k
-            row.append(top * b**e // h**s if e >= 0 else top // (h**s * b**-e))
-        rows.append(row)
-    return tuple(zip(*rows))
+    first = group * _MAGNITUDE_GROUP
+    return tuple(zip(*_fixed_point_rows(a, b, n, prec, 1, range(first, first + _MAGNITUDE_GROUP))))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -1043,21 +1079,22 @@ def _run_column(
     t_k = floor(m g / 2**mprec) from the table entries m at 2**-mprec of
     (1 + q**k) / [k]**s and g at 2**-prec of q**e
     (:func:`_magnitude_table`, :func:`_power_table`, with (1/q)**-e for
-    e < 0).  As 2**mprec M and 2**prec G lie in [m, m + 1) and [g, g + 1),
-    2**(mprec + prec) T_k lies in [m g, m g + m + g + 1), so
-    0 <= 2**prec T_k - t_k < 1 + (m + g + 1) / 2**mprec.  Here
-    m < 2**(mprec+1), as 1 + q**k < 2 and [k] >= 1, and g <= 2**mprec:
-    where every e >= 0, g <= 2**prec and mprec = prec; where q**e > 1 the
-    error of m is scaled up by g, so mprec is prec plus the bits by which
-    the largest g exceeds 2**prec, in steps of _COLUMN_PREC_STEP.  So
-    m + g + 1 <= 3 * 2**mprec, and the gap is below 4 = _COLUMN_SLACK.
+    e < 0).  Write M' = 2**mprec M and E' = 2**prec E for the exact
+    M = (1 + q**k) / [k]**s and E = q**e, with M' in [m, m + 1 + f),
+    f < 2**-G / d <= 1 - q (see :func:`_fixed_point_rows`), and E' in
+    [g, g + 1).  Then M' E' - m g = M' (E' - g) + g (M' - m), so
+    0 <= 2**prec T_k - t_k < 1 + M + (g / 2**mprec)(1 + f).  Here
+    M <= 1 + q, as [k] >= 1, and g <= 2**mprec: where every e >= 0,
+    g <= 2**prec and mprec = prec; where q**e > 1 the error of m is scaled
+    up by g, so mprec is prec plus the bits by which the largest g exceeds
+    2**prec, in steps of _COLUMN_PREC_STEP.  So the gap is below
+    3 + q + f < 4 = _COLUMN_SLACK.
     """
     expos = [alpha * h + beta * k for k, h in enumerate(halves, 1)]
     # e rises with k unless alpha or beta is negative
     low, high = (expos[0], expos[-1]) if alpha >= 0 and beta >= 0 else (min(expos), max(expos))
     if low >= 0:
-        gs = map(_power_table(a, b, prec, _power_length(high)).__getitem__, expos)
-        mprec = prec
+        gs, mprec = map(_power_table(a, b, prec, _power_length(high)).__getitem__, expos), prec
     else:
         downs = _power_table(b, a, prec, _power_length(-low))
         ups = _power_table(a, b, prec, _power_length(high)) if high >= 0 else ()
@@ -1068,7 +1105,7 @@ def _run_column(
     return [m * g >> mprec for m, g in zip(ms[s % _MAGNITUDE_GROUP], gs)]
 
 
-def _ball_sweep(runs: list, n: int, prec: int, weak: bool, slack: int) -> list:
+def _ball_sweep(runs: list, n: int, prec: int, weak: bool) -> list:
     """A ball at 2**-prec around a nested sum to n, swept one level at a
     time, innermost first, with a radius carried index by index.  Returns
     the levels [ball, level 1, ..., level m-1, the exact 1] (see below).
@@ -1076,7 +1113,8 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, slack: int) -> list:
     runs[i] lists level i's runs (j, barred, column), j > i.  column(c)
     gives the run's floored terms t_k, k = 1..n, at the binary point 2**-c
     that level j sets (:func:`_column_prec`), each with 2**c T_k in
-    [t_k, t_k + slack) for the exact term T_k.  Level i sums
+    [t_k, t_k + S) for the exact term T_k, S = _COLUMN_SLACK on both sides
+    (:func:`_floored_column`, :func:`_run_column`).  Level i sums
     C_i[k] = sum_(k' <= k) sum_runs (+-T_k') C_j[k' - d], negated at odd k'
     for a barred run, with d = 0 for weak and 1 for strict descent, and
     C_m = 1 below the innermost level; the ball is around C_0[n].
@@ -1093,18 +1131,18 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, slack: int) -> list:
     deeper level at the index read and X = 2**prec C_j there, so |X| <= top:
 
         t x - T' X = t (x - X) + (t - T') X,
-        |t x - T' X| <= t e + slack top.
+        |t x - T' X| <= t e + S top.
 
     An inner level floors each product at 2**-prec, within
-    1 + ceil(slack top / 2**c) + ceil(t e / 2**c) units, and its radius at
+    1 + ceil(S top / 2**c) + ceil(t e / 2**c) units, and its radius at
     k sums these over its runs and the indices up to k; the first two
     terms, the same at every index, ride in the rounding bias of the third.
     With E the deeper level's largest radius, the third is at most 1 where
     t <= lim = floor((2**c - 1) / E), and is counted as 1 there without
     forming t e: toward the tail of a column, most of its indices.
     Level 0, which no level reads, floors each run's sum over k once,
-    within 1 + ceil((sum t e + n slack top) / 2**c) units.  c keeps
-    slack top / 2**c below a unit whatever the size of level j, so a run
+    within 1 + ceil((sum t e + n S top) / 2**c) units.  c keeps
+    S top / 2**c below a unit whatever the size of level j, so a run
     reading a large level (a run of negative alpha has terms like
     q**(-k**2/2)) is read at a finer binary point instead of spending the
     guard bits, and an error is scaled down with its level's values by the
@@ -1131,11 +1169,11 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, slack: int) -> list:
                 else:
                     mid += sum(map(mul, ts, bars if barred else xs)) >> c
                     spread = sum(map(mul, ts, es))
-                rad += 1 - (-(spread + n * slack * top) >> c)
+                rad += 1 - (-(spread + n * _COLUMN_SLACK * top) >> c)
                 continue
             if not weak:
                 ts = ts[:-1]  # a strict level is read at k - 1 < n
-            flat = 1 - (-slack * top >> c)
+            flat = 1 - (-_COLUMN_SLACK * top >> c)
             if xs is None:
                 # below the innermost level, where x = 2**prec and e = 0,
                 # the products are the column itself at 2**-c
@@ -1210,8 +1248,7 @@ def frakz_enclosure(
     if prec is None:
         prec = _default_prec(as_eps(eps))
     runs = _mollified_runs(ctx, pattern, True, K)
-    ball = _ball_sweep(runs, K, prec, False, _COLUMN_SLACK)[0]
-    return SeriesValue(ball, bound, K)
+    return SeriesValue(_ball_sweep(runs, K, prec, False)[0], bound, K)
 
 
 # classical_zeta_many refuses a longer truncation before summing anything:

@@ -440,9 +440,9 @@ def test_ball_takes_an_exact_operand_on_the_left():
 
 def _left_ball(ctx, entries, n, star, prec):
     """The left side's ball to n: the sweep over one run per entry, whose
-    floored terms lie within 1 unit of the exact ones, as q_zeta_enclosure
-    sweeps it at its K."""
-    return _ball_sweep(_harmonic_runs(ctx.q, entries, n), n, prec, star, 1)[0]
+    floored terms lie within _COLUMN_SLACK units of the exact ones, as
+    q_zeta_enclosure sweeps it at its K."""
+    return _ball_sweep(_harmonic_runs(ctx.q, entries, n), n, prec, star)[0]
 
 
 def test_mhs_enclosure_holds_at_coarse_binary_points():
@@ -471,6 +471,8 @@ def test_mhs_enclosure_matches_the_ball_oracles():
     # The sweep reads each column at a finer binary point and pays a unit
     # for each column's error where the oracle pays a flag, so its radius
     # is at most twice the oracle's plus a few units, at every depth
+    import qzeta.evaluators as ev
+
     rng = random.Random(27)
     strings = [
         tuple(
@@ -490,7 +492,7 @@ def test_mhs_enclosure_matches_the_ball_oracles():
                         ball = _left_ball(ctx, entries, n, star, prec)
                         case = (q, entries, star, n, prec)
                         runs = _harmonic_runs(q, entries, n)
-                        expect = _sweep_by_the_stated_bound(runs, n, prec, star, 1)
+                        expect = _sweep_by_the_stated_bound(runs, n, prec, star, ev._COLUMN_SLACK)
                         assert (ball.mid, ball.rad) == expect, case
                         mid, rad = oracles.harmonic_ball_per_index(q, plain, n, star, prec)
                         unit = Fraction(1, 2**prec)
@@ -506,7 +508,9 @@ def test_mhs_enclosure_matches_the_ball_oracles():
                     ball = q_zeta_enclosure(ctx, entries, Fraction(1, 10**6), star, prec)
                     runs = _harmonic_runs(q, entries, ball.terms)
                     value = ball.value
-                    expect = _sweep_by_the_stated_bound(runs, ball.terms, value.prec, star, 1)
+                    expect = _sweep_by_the_stated_bound(
+                        runs, ball.terms, value.prec, star, ev._COLUMN_SLACK
+                    )
                     assert (value.mid, value.rad) == expect, (q, entries, star, prec)
 
 
@@ -1192,23 +1196,42 @@ def test_the_ball_reads_h_without_the_lcm_table(monkeypatch):
         q_zeta(QContext(q), (3, 1, 2), eps=Fraction(1, 10**9), star=True)
 
 
-def test_floored_columns_equal_a_direct_floor():
-    # each t_k is the floor of q**k / [k]**s at 2**-prec, with [k] from the
-    # oracle's q-integers, and the column is memoized
+# the table tests' q: toward q -> 1, d = ceil(b / (b - a)) reaches 1000 at
+# q = 999/1000, the most rounding the fixed-point [k] recurrence carries
+TABLE_QS = (
+    Fraction(1, 1000), Fraction(1, 2), Fraction(5, 8), Fraction(9, 10), Fraction(999, 1000),
+)
+
+
+def _table_over(q):
+    """1 + 2**-G / d: the units above an entry of _floored_column or
+    _magnitude_table within which their docstrings put the exact term, for
+    G = _POWER_GUARD_BITS and d = ceil(b / (b - a)) at q = a/b."""
+    import qzeta.evaluators as ev
+
+    a, b = q.numerator, q.denominator
+    return 1 + Fraction(1, 2**ev._POWER_GUARD_BITS * -(-b // (b - a)))
+
+
+def test_floored_columns_bracket_the_exact_terms():
+    # each t_k lies at most _table_over(q) units below 2**prec q**k / [k]**s,
+    # with [k] from the oracle's q-integers, and never above it, for
+    # magnitudes up to 33; the column is memoized
     from qzeta.evaluators import _floored_column
 
-    def direct(q, s, k, prec):
-        scaled = q**k / oracles.q_integer(q, k) ** s * 2**prec
-        return scaled.numerator // scaled.denominator
+    def exact(q, s, k, prec):
+        return q**k / oracles.q_integer(q, k) ** s * 2**prec
 
-    for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+    for q in TABLE_QS:
         a, b = q.numerator, q.denominator
-        for s in (0, 1, 2, 5):
+        over = _table_over(q)
+        for s in (0, 1, 2, 5, 33):
             for prec in (0, 7, 300):
                 ts = _floored_column(a, b, s, 40, prec)
                 assert len(ts) == 40
                 for k in range(1, 41):
-                    assert ts[k - 1] == direct(q, s, k, prec), (q, s, prec, k)
+                    term = exact(q, s, k, prec)
+                    assert ts[k - 1] <= term < ts[k - 1] + over, (q, s, prec, k)
                 assert _floored_column(a, b, s, 40, prec) is ts
     # the left ball's runs read prefixes of one column per power-of-two
     # length: two K in one length bucket share one memo entry
@@ -1218,9 +1241,12 @@ def test_floored_columns_equal_a_direct_floor():
     for n in (40, 57):
         (((_, _, column),),) = _harmonic_runs(q, entries, n)
         ts = column(300)
-        assert ts == tuple(direct(q, 2, k, 300) for k in range(1, n + 1)), n
+        assert len(ts) == n
+        for k in range(1, n + 1):
+            assert ts[k - 1] <= exact(q, 2, k, 300) < ts[k - 1] + _table_over(q), (n, k)
     info = _floored_column.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert ts == _floored_column(2, 3, 2, 64, 300)[:57]
     (((_, _, column),),) = _harmonic_runs(q, entries, 65)
     assert len(column(300)) == 65
     assert _floored_column.cache_info().misses == 2
@@ -1256,7 +1282,7 @@ def _right_ball(ctx, pattern, merge, n, prec):
     import qzeta.evaluators as ev
 
     runs = ev._mollified_runs(ctx, pattern, merge, n)
-    return _ball_sweep(runs, n, prec, False, ev._COLUMN_SLACK)[0]
+    return _ball_sweep(runs, n, prec, False)[0]
 
 
 def test_frakz_enclosure_contains_the_exact_partial_sum():
@@ -1351,7 +1377,7 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
             m = pattern.depth
             for merge in (True, False):
                 runs = ev._mollified_runs(ctx, pattern, merge, n)
-                levels = _ball_sweep(runs, n, 2, False, ev._COLUMN_SLACK)
+                levels = _ball_sweep(runs, n, 2, False)
                 for j in range(1, m):
                     suffix = Triple(pattern.s[j:], pattern.t[j:], pattern.r[j:])
                     xs, _, es, _, _ = levels[j]
@@ -1367,7 +1393,7 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
             plain = [(e.magnitude, e.sign) for e in entries]
             for star in (False, True):
                 d = 0 if star else 1
-                levels = _ball_sweep(_harmonic_runs(q, entries, n), n, 2, star, 1)
+                levels = _ball_sweep(_harmonic_runs(q, entries, n), n, 2, star)
                 for j in range(1, len(entries)):
                     exact = oracles.harmonic_all_n(q, plain[j:], n, star=star)
                     xs, _, es, _, _ = levels[j]
@@ -1460,16 +1486,17 @@ def test_run_columns_bracket_the_exact_terms():
     # _COLUMN_SLACK = 4 units below 2**prec times the exact term and never
     # above it, also for runs of negative alpha, whose terms lie far above
     # 1 and read a finer magnitude table, and of negative beta, whose
-    # exponents do not rise with k
+    # exponents do not rise with k, for magnitudes up to 33 (a q-series
+    # pattern has at most 32 slots, and `33` compiles to 32)
     import qzeta.evaluators as ev
 
     assert ev._COLUMN_SLACK == 4
 
     rng = random.Random(53)
-    for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(5, 8), Fraction(9, 10)):
+    for q in TABLE_QS:
         a, b = q.numerator, q.denominator
         for _ in range(12):
-            s, alpha, beta = rng.randint(0, 12), rng.choice((-1, 0, 1, 2)), rng.randint(-1, 6)
+            s, alpha, beta = rng.randint(0, 33), rng.choice((-1, 0, 1, 2)), rng.randint(-1, 6)
             n = rng.randint(1, 30)
             halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
             expos = [alpha * h + beta * k for k, h in enumerate(halves, 1)]
@@ -1481,16 +1508,18 @@ def test_run_columns_bracket_the_exact_terms():
                     assert t <= exact < t + 4, (q, s, alpha, beta, prec, k)
 
 
-def test_frakz_tables_equal_a_direct_floor():
-    # each magnitude entry is the floor of (1 + q**k) / [k]**s at 2**-prec,
-    # with [k] from the oracle's q-integers, and each power entry the floor
-    # of base**e; a power table of a base below 1 ends in zeros
+def test_frakz_tables_bracket_the_exact_terms():
+    # each magnitude entry m lies at most _table_over(q) units below
+    # 2**prec (1 + q**k) / [k]**s, with [k] from the oracle's q-integers,
+    # and never above it, for magnitudes up to 39; each power entry is the
+    # floor of base**e, and a power table of a base below 1 ends in zeros
     import qzeta.evaluators as ev
 
-    for q in (Fraction(1, 1000), Fraction(1, 2), Fraction(5, 8), Fraction(9, 10)):
+    for q in TABLE_QS:
         a, b = q.numerator, q.denominator
+        over = _table_over(q)
         for prec in (0, 7, 320):
-            for group in (0, 1):
+            for group in (0, 1, 4):
                 table = ev._magnitude_table(a, b, prec, 40, group)
                 assert len(table) == ev._MAGNITUDE_GROUP
                 for i, column in enumerate(table):
@@ -1498,12 +1527,56 @@ def test_frakz_tables_equal_a_direct_floor():
                     assert len(column) == 40
                     for k in range(1, 41):
                         exact = (1 + q**k) / oracles.q_integer(q, k) ** s * 2**prec
-                        assert column[k - 1] == math.floor(exact), (q, prec, s, k)
+                        assert column[k - 1] <= exact < column[k - 1] + over, (q, prec, s, k)
             for base in (q, 1 / q):
                 powers = ev._power_table(base.numerator, base.denominator, prec, 600)
                 assert len(powers) == 600
                 assert list(powers) == [math.floor(base**e * 2**prec) for e in range(600)], (base, prec)
             assert ev._magnitude_table(a, b, prec, 40, 1) is ev._magnitude_table(a, b, prec, 40, 1)
+
+
+@pytest.mark.parametrize("guard", (0, 1))
+def test_fixed_point_tables_keep_their_bounds_without_guard_bits(guard, monkeypatch):
+    # with G = _POWER_GUARD_BITS at 0 or 1, the bits that d and the
+    # magnitudes add to the fixed-point binary point carry the bound alone:
+    # left columns and magnitude entries stay within 1 + 2**-G / d units of
+    # the exact terms, and run columns within _COLUMN_SLACK, as the
+    # docstrings of _fixed_point_rows and _run_column derive for every G
+    import qzeta.evaluators as ev
+
+    caches = (ev._floored_column, ev._magnitude_table, ev._power_table)
+    monkeypatch.setattr(ev, "_POWER_GUARD_BITS", guard)
+    for cache in caches:
+        cache.cache_clear()
+    rng = random.Random(59)
+    try:
+        for q in TABLE_QS:
+            a, b = q.numerator, q.denominator
+            over = 1 + Fraction(1, 2**guard * -(-b // (b - a)))
+            for prec in (0, 64):
+                for s in (0, 1, 5, 33):
+                    ts = ev._floored_column(a, b, s, 40, prec)
+                    for k, t in enumerate(ts, 1):
+                        exact = q**k / oracles.q_integer(q, k) ** s * 2**prec
+                        assert t <= exact < t + over, (q, prec, s, k)
+                for group in (0, 4):
+                    for i, column in enumerate(ev._magnitude_table(a, b, prec, 40, group)):
+                        s = group * ev._MAGNITUDE_GROUP + i
+                        for k, m in enumerate(column, 1):
+                            exact = (1 + q**k) / oracles.q_integer(q, k) ** s * 2**prec
+                            assert m <= exact < m + over, (q, prec, s, k)
+            for _ in range(4):
+                s, alpha, beta = rng.randint(0, 33), rng.choice((-1, 0, 1, 2)), rng.randint(-1, 6)
+                halves = [k * (k - 1) // 2 for k in range(1, 31)]
+                ts = ev._run_column(a, b, s, alpha, beta, halves, 64)
+                for k, (t, h) in enumerate(zip(ts, halves), 1):
+                    e = alpha * h + beta * k
+                    exact = q**e * (1 + q**k) / oracles.q_integer(q, k) ** s * 2**64
+                    assert t <= exact < t + ev._COLUMN_SLACK, (q, s, alpha, beta, k)
+    finally:
+        # no table built without guard bits outlives the test
+        for cache in caches:
+            cache.cache_clear()
 
 
 @pytest.mark.parametrize("guard", (1, 2, 5, 64))

@@ -59,6 +59,13 @@ def _qseries_five_eighths(monkeypatch):
     return [verify_qmzsv(comp, Fraction(5, 8)) for comp in ((2, 1, 2, 1, 3, 1), (5, 5, 1))]
 
 
+# at q = 9/10 the q-series tables' fixed-point recurrences carry the most
+# rounding of any digest here, as it grows with b / (b - a) = 10, over the
+# longest truncations K
+def _qseries_nine_tenths(monkeypatch):
+    return [verify_qmzsv(comp, Fraction(9, 10)) for comp in ((2, 1, 2, 1, 3, 1), (5, 5, 1))]
+
+
 def _pair_five_eighths(monkeypatch):
     return [symmetric_pair_check(1, 1, q=Fraction(5, 8))]
 
@@ -83,6 +90,10 @@ DIGESTS = {
     "qseries-5/8": (
         _qseries_five_eighths,
         "d37f65c7f4c6cbec37e8b7af4346e7ae23a17cc87b68fc17b2fe69b0f8e53862",
+    ),
+    "qseries-9/10": (
+        _qseries_nine_tenths,
+        "0b251bfef777b1ef163ed10b251ba3d5c6cdbcf22226feb4f1694448ccb42eb8",
     ),
     "symmetric-pair-5/8": (
         _pair_five_eighths,

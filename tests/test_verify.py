@@ -974,7 +974,10 @@ def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
     # 2-4, which include all 80 distinct ones of the benchmark's seed-1
     # q-series batch, at its q = 1/2 and eps = 1e-25 fill the largest memo
     # to 7 entries (_magnitude_table 7, _floored_column 5, _harmonic_search
-    # 4, _power_table 4, _frakz_search 3)
+    # 4, _power_table 4, _frakz_search 3).  The left columns and magnitude
+    # tables are read off one fixed-point sequence per q and binary point
+    # that keeps no memo of its own, so these counts and the tables' lengths
+    # depend only on the keys, not on how an entry is computed
     assert qzeta_memos
     assert all(memo.cache_info().maxsize is not None for memo in qzeta_memos)
     for comp in _weight_twelve_depth_two_to_four():
