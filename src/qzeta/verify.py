@@ -32,6 +32,7 @@ from .evaluators import (
     Ball,
     SeriesValue,
     _RESOLVED,
+    _check_depth,
     _default_prec,
     _frakz_truncation,
     _harmonic_truncation,
@@ -277,8 +278,10 @@ def _decide(
     The series are the weak zeta star values of strings, then the mollified
     series of patterns, every resolution summed as one series
     (``merge=True``), each summed until its tail bound is at most eps.
-    Every truncation search runs first, the strings' in order and then the
-    patterns', so a cap on a series length refuses before any series sums.
+    Every pattern's depth is checked against MAX_PATTERN_DEPTH first, then
+    every truncation search runs, the strings' in order and then the
+    patterns', so a pattern too deep for a q-series refuses before any
+    search, and a cap on a series length before any series sums.
     Then each rung sums every series as a ball at one binary point
     (:func:`~qzeta.evaluators.q_zeta_enclosure` and
     :func:`~qzeta.evaluators.frakz_enclosure`), 2**-P on the first and
@@ -290,6 +293,8 @@ def _decide(
     Raises ValueError, naming the finest binary point tried, when no rung
     decides; no series is ever summed exactly.
     """
+    for pattern in patterns:
+        _check_depth(pattern)
     for s in strings:
         _harmonic_truncation(ctx, len(s), eps)
     for pattern in patterns:
@@ -399,12 +404,12 @@ def verify_qmzsv(
     report the exact values give, so the report is always the exact one.
     At eps = 1e-25 the first rung decides all 175 weight-12 compositions
     with a first entry >= 2 and pattern depth 2-4 at q = 1/2, 2/3, 4/5 and
-    9/10.  As the report's ``elapsed_ms``, medians of 14 fresh processes
-    on a shared 2-vCPU x86-64 host (Python 3.11), (2,1,1,3,1) takes about
-    5 ms at q = 1/2, 22-25 ms at 4/5 and 155-166 ms at 9/10 on a first
-    call, most of it building the memos below, and 0.9, 1.9 and 3.3 ms on
-    a second call at the same q.  (9,9,9), pattern depth 22, takes about
-    0.12-0.13 s on a first call at q = 4/5.
+    9/10.  As the report's ``elapsed_ms``, medians of two sets of 14 fresh
+    processes on a shared 2-vCPU x86-64 host (Python 3.11), (2,1,1,3,1)
+    takes about 6-7 ms at q = 1/2, 10-16 ms at 4/5 and 22-32 ms at 9/10 on
+    a first call, most of it building the memos below, and 1.0, 1.3-1.9
+    and 2.3-3.2 ms on a second call at the same q.  (9,9,9), pattern depth
+    22, takes about 0.06 s on a first call at q = 4/5.
 
     What does not depend on the composition is memoized in
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
@@ -415,19 +420,26 @@ def verify_qmzsv(
     truncations of nearby depths read as a prefix; and the right ball's
     floored tables, magnitude columns per (q, binary point, length,
     magnitude group) and powers of q per (base, binary point, length).
-    Both balls run the one sweep (:func:`~qzeta.evaluators._ball_sweep`)
-    over these.  The memos are bounded lru_caches of immutable values (64
-    searches each, 32 columns and 16 tables of each kind; see
-    _COLUMN_CACHE_SIZE and _TABLE_CACHE_SIZE for their sizes), so a check
-    reads the same values warm or cold and from any thread.  Over the 105
-    checks of the benchmark's q-series batch at q = 1/2 they miss 4, 3, 4,
-    7 and 4 times.
+    The left columns and the magnitude columns are read off one
+    fixed-point sequence of [k], q**k and 1/[k] per q and binary point
+    (:func:`~qzeta.evaluators._fixed_point_rows`): a term costs a few
+    products and one division of integers of about twice that binary
+    point, where an exact floor toward q -> 1 divides integers of
+    k s log2(b) bits.  Both balls run the one sweep
+    (:func:`~qzeta.evaluators._ball_sweep`) over these, with one error
+    bound for every floored term.  The memos are bounded lru_caches of
+    immutable values (64 searches each, 32 columns and 16 tables of each
+    kind; see _COLUMN_CACHE_SIZE and _TABLE_CACHE_SIZE for their sizes),
+    so a check reads the same values warm or cold and from any thread.
+    Over the 105 checks of the benchmark's q-series batch at q = 1/2 they
+    miss 4, 3, 4, 7 and 4 times.
 
     Raises ValueError, before either side sums, for a composition entry
     that is a bool, not an int or below 1, a composition that is not
     zeta-admissible, a pattern over MAX_PATTERN_DEPTH, or a truncation over
-    either side's cap; the left side's cap is checked first.  Raises
-    ValueError after the last rung when no ball decides.
+    either side's cap; the pattern's depth is checked before either
+    truncation search, and the left side's cap before the right side's.
+    Raises ValueError after the last rung when no ball decides.
     """
     t0 = time.perf_counter()
     comp = zeta_composition(composition)

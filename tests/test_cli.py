@@ -410,6 +410,21 @@ def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):
         qzeta.verify.symmetric_pair_check(600, 600, eps=Fraction(1, 10))
 
 
+def test_deep_qseries_pattern_is_refused_before_the_truncation_searches(capsys, monkeypatch):
+    # 3^1100 is both a string longer than MAX_MHS_LIMIT and a pattern of
+    # 1,101 slots: a q-series check names the depth, as verify and
+    # --classical do, before the left side's search refuses the length
+    def never(*args):
+        raise AssertionError("a sum was started")
+
+    for name in ("_mhs_rows", "_ball_sweep", "_run_column"):
+        monkeypatch.setattr(qzeta.evaluators, name, never)
+    cap = qzeta.evaluators.MAX_PATTERN_DEPTH
+    rc, out, err = run(capsys, "verify", "3^1100", "--qmzsv")
+    assert rc == 2
+    assert out == "" and err.strip().endswith(f"pattern depth 1101 exceeds {cap} for a q-series")
+
+
 def test_huge_repetition_counts_are_refused_before_the_list_is_built(capsys, monkeypatch):
     # 2^(10**20) has no list to build: both parsers count the entries first,
     # so verify, eval and expand exit 2 with a message instead of an
