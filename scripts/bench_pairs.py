@@ -64,8 +64,10 @@ SIDES = ("base", "change")
 # their work estimate, a finite check at the 10**6-entry parse bound,
 # refused by its left side's work estimate before either side sums, three
 # inputs whose pattern is far over the depth caps, which exit 2 once
-# compose, linear in the pattern depth, has built it, and a q of 5,000
-# digits, which no estimate sees: the q-series check runs past the timeout
+# compose, linear in the pattern depth, has built it, a q of 5,000 digits,
+# which no estimate sees: the q-series check runs past the timeout, and two
+# q-series checks that today's caps admit, whose first call builds every
+# table of its q cold (the probes above are refused before any table)
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -86,6 +88,8 @@ PROBES = (
     "expand 3^30000",
     "verify 33^30000",
     "verify 2,1 --qmzsv --q 1/" + "1" * 5000,
+    "verify 2,1,1,3,1 --qmzsv --q 9/10",
+    "verify 9,9,9 --qmzsv --q 4/5",
 )
 PROBE_TIMEOUT_S = 30.0
 
