@@ -31,10 +31,10 @@ memoized columns of floored q**k/[k]**s, in weak or strict descent; and the
 runs of the mollified pattern, whose floored terms are products of memoized
 q-level tables, so no table depends on the composition, in strict descent.
 Both sides' columns of 1/[k]**s are read off one fixed-point recurrence for
-[k], q**k and 1/[k], a few dozen bits finer than the entries
-(:func:`_fixed_point_rows`), which divides no integer of more than twice
-that many bits, and every floored term of either side lies within
-_COLUMN_SLACK units below the exact one.
+[k], q**k and 1/[k], at least _POWER_GUARD_BITS finer than the entries
+(:func:`_fixed_point_rows`), so no term needs an exact division of
+integers that grow with k, and every floored term of either side lies
+within _COLUMN_SLACK units below the exact one.
 The exact partial sums' denominators grow like
 K**2 bits (hundreds of thousands of bits toward q -> 1), while the balls'
 integers stay near their binary point, so the q-series checks of
@@ -978,9 +978,10 @@ def _power_length(top: int) -> int:
 def _fixed_point_rows(a: int, b: int, n: int, prec: int, lead: int, magnitudes: range) -> Iterator:
     """For k = 1..n at q = a/b, the entries at the binary point 2**-prec of
     (lead + q**k) / [k]**s for s in magnitudes, all read off one
-    fixed-point sequence at 2**-w, W = 2**w, that divides no integer longer
-    than 2w bits.  With d = ceil(b / (b - a)) >= 1 / (1 - q), from X_0 = 0
-    and y_0 = W, it keeps
+    fixed-point sequence at 2**-w, W = 2**w, whose only divisions are of
+    W**2 by X_k and of a X_(k-1) and a y_(k-1) by b, so no integer grows
+    with k.  With d = ceil(b / (b - a)) >= 1 / (1 - q), from X_0 = 0 and
+    y_0 = W, it keeps
 
     * X_k = W + ceil(a X_(k-1) / b), in [W [k], W [k] + d): [k] = 1 + q [k-1],
       and each ceiling adds less than 1 to an error that q scales down;
@@ -1007,7 +1008,7 @@ def _fixed_point_rows(a: int, b: int, n: int, prec: int, lead: int, magnitudes: 
     for _ in range(n):
         x, y = unit - (-a * x // b), a * y // b
         r, top = (unit << w) // x, lead * unit + y
-        powers = accumulate(repeat(r, magnitudes[-1]), lambda p, r: p * r >> w, initial=unit)
+        powers = accumulate(repeat(r, magnitudes[-1]), lambda p, step: p * step >> w, initial=unit)
         yield [top * p >> shift for p in islice(powers, magnitudes.start, None)]
 
 

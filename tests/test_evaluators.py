@@ -1552,7 +1552,7 @@ def test_fixed_point_tables_keep_their_bounds_without_guard_bits(guard, monkeypa
     try:
         for q in TABLE_QS:
             a, b = q.numerator, q.denominator
-            over = 1 + Fraction(1, 2**guard * -(-b // (b - a)))
+            over = _table_over(q)  # reads the patched guard
             for prec in (0, 64):
                 for s in (0, 1, 5, 33):
                     ts = ev._floored_column(a, b, s, 40, prec)
