@@ -21,7 +21,10 @@ Certified enclosures: :func:`q_zeta_enclosure` and :func:`frakz_enclosure`
 return, at the same truncation K and tail bound as :func:`q_zeta` and
 :func:`frakz`, a :class:`Ball` (midpoint and radius over integers at a
 binary point 2**-P) around the same exact partial sum; midpoint-radius
-arithmetic as in van der Hoeven, "Ball arithmetic" (2009).  Both run one
+arithmetic as in van der Hoeven, "Ball arithmetic" (2009).  They take the
+rational q itself, not a context: they, their truncation searches and
+their tables read only q = a/b, eps and the binary point, and build no
+:class:`~qzeta.qarith.QContext`.  Both run one
 sweep (:func:`_ball_sweep`): a dynamic programme taken one level at a time,
 innermost first, one list of floored products per level, with a radius
 carried index by index, where each run reads its deeper level at a binary
@@ -112,7 +115,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
-from .qarith import QContext, as_eps, as_int
+from .qarith import QContext, QLike, as_eps, as_int, as_q
 
 # (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
 Row = tuple[int, int, int]
@@ -622,10 +625,7 @@ def _pattern_rows(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> Ite
     when row 1 is asked for.
     """
     n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
-    if pattern.depth > MAX_PATTERN_DEPTH:
-        raise ValueError(
-            f"pattern depth {pattern.depth} exceeds {MAX_PATTERN_DEPTH} for a finite mollified sum"
-        )
+    _check_depth(pattern, "a finite mollified sum")
     yield 0, 1, 0
     inner = islice(_inner_terms(ctx, pattern, merge), n_max)
     folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
@@ -723,8 +723,8 @@ def _truncation(
     return hi, bound
 
 
-def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fraction]:
-    """The truncation K of a depth-m harmonic series and its tail bound,
+def _harmonic_truncation(q: Fraction, m: int, eps: Fraction) -> tuple[int, Fraction]:
+    """The truncation K of a depth-m harmonic series at q and its tail bound,
     the least K >= m whose bound is <= eps (K = 0 and bound 0 for m = 0),
     found by :func:`_truncation` from m and memoized per (q, m, eps) (see
     :func:`_harmonic_search`).
@@ -740,7 +740,6 @@ def _harmonic_truncation(ctx: QContext, m: int, eps: Fraction) -> tuple[int, Fra
     """
     if m == 0:
         return 0, Fraction(0)
-    q = ctx.q
     return _harmonic_search(
         q.numerator, q.denominator, m, eps.numerator, eps.denominator, MAX_MHS_LIMIT
     )
@@ -756,11 +755,10 @@ def _harmonic_search(
     hashing a Fraction takes a modular inverse, 4.5 us for
     eps = 1/(4 * 10**25), and every q-series check looks both searches up."""
     q, eps = Fraction(a, b), Fraction(eps_num, eps_den)
-    ctx = QContext(q)
     prefactor = (q / (1 - q)) ** (m - 1) / (1 - q)
 
     def bound(K: int) -> Fraction:
-        return prefactor * ctx.qpow(K + 1)
+        return prefactor * q ** (K + 1)
 
     return _truncation(bound, m, eps, cap, "a harmonic sum")
 
@@ -775,7 +773,7 @@ def q_zeta(
     positive rational or a truncation over MAX_MHS_LIMIT.
     """
     entries = signed_string(s)
-    K, bound = _harmonic_truncation(ctx, len(entries), as_eps(eps))
+    K, bound = _harmonic_truncation(ctx.q, len(entries), as_eps(eps))
     return SeriesValue(mhs(ctx, entries, K, star=star), bound, K)
 
 
@@ -801,34 +799,28 @@ def _default_prec(eps: Fraction) -> int:
 
 
 def q_zeta_enclosure(
-    ctx: QContext,
+    q: QLike,
     s: Sequence,
     eps: Fraction = Fraction(1, 10**20),
     star: bool = False,
     prec: int | None = None,
 ) -> SeriesValue:
-    """:func:`q_zeta` with its value as a :class:`Ball` around the same exact
-    partial sum, at the same K and with the same tail bound, summed in
+    """:func:`q_zeta` at q with its value as a :class:`Ball` around the same
+    exact partial sum, at the same K and with the same tail bound, summed in
     integers at the binary point 2**-prec by :func:`_ball_sweep` over one
     run per entry (:func:`_harmonic_runs`), whose floored terms lie within
     _COLUMN_SLACK units of the exact ones.  By default prec is P, the bit
     size of 1/eps, at least _COMPACT_BITS, plus _GUARD_BITS.
 
-    Raises ValueError as :func:`q_zeta` does.
+    Raises ValueError as :func:`q_zeta` does, and for a q that
+    :func:`~qzeta.qarith.as_q` refuses.
     """
     entries = signed_string(s)
-    eps = as_eps(eps)
-    K, bound = _harmonic_truncation(ctx, len(entries), eps)
+    q, eps = as_q(q), as_eps(eps)
+    K, bound = _harmonic_truncation(q, len(entries), eps)
     if prec is None:
         prec = _default_prec(eps)
-    return SeriesValue(_ball_sweep(_harmonic_runs(ctx.q, entries, K), K, prec, star)[0], bound, K)
-
-
-def _frakz_level_bound(ctx: QContext, m: int, k: int) -> Fraction:
-    """Bound on the total contribution of all terms with outermost index k
-    of an admissible depth-m triple."""
-    expo = k * (k - 1) // 2 - (m - 1) * k
-    return Fraction(2**m * k ** (m - 1)) * ctx.qpow(expo)
+    return SeriesValue(_ball_sweep(_harmonic_runs(q, entries, K), K, prec, star)[0], bound, K)
 
 
 # Longest truncation K that :func:`frakz` and :func:`frakz_enclosure` will
@@ -887,7 +879,7 @@ def frakz(
     MAX_PATTERN_DEPTH, an inadmissible one, an eps that is not a positive
     rational, or a K above MAX_FRAKZ_TERMS.
     """
-    K, bound = _frakz_truncation(ctx, pattern, eps, merge)
+    K, bound = _frakz_truncation(ctx.q, pattern, eps, merge)
     inner = islice(_inner_terms(ctx, pattern, merge), K)
     total = top_a = top_b = 0
     for grow, x, top_a, top_b in _rescaled(ctx, pattern.weight, inner):
@@ -896,19 +888,20 @@ def frakz(
     return SeriesValue(_row_value(ctx, pattern.weight, K, row), bound, K)
 
 
-def _check_depth(pattern: Triple) -> None:
-    """Raise ValueError for a pattern deeper than a q-series sums."""
+def _check_depth(pattern: Triple, what: str) -> None:
+    """Raise ValueError for a pattern deeper than MAX_PATTERN_DEPTH, naming
+    what it would be summed as."""
     if pattern.depth > MAX_PATTERN_DEPTH:
-        raise ValueError(f"pattern depth {pattern.depth} exceeds {MAX_PATTERN_DEPTH} for a q-series")
+        raise ValueError(f"pattern depth {pattern.depth} exceeds {MAX_PATTERN_DEPTH} for {what}")
 
 
-def _frakz_truncation(ctx: QContext, pattern: Triple, eps, merge) -> tuple[int, Fraction]:
-    """The K and tail bound of :func:`frakz`, after its refusals."""
+def _frakz_truncation(q: Fraction, pattern: Triple, eps, merge) -> tuple[int, Fraction]:
+    """The K and tail bound of :func:`frakz` at q, after its refusals."""
     m = pattern.depth
-    _check_depth(pattern)
+    _check_depth(pattern, "a q-series")
     if not is_admissible(pattern):
         raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
-    q, eps = ctx.q, as_eps(eps)
+    eps = as_eps(eps)
     return _frakz_search(
         q.numerator, q.denominator, m, bool(merge), eps.numerator, eps.denominator, MAX_FRAKZ_TERMS
     )
@@ -922,20 +915,26 @@ def _frakz_search(
     and its tail bound, the least K <= cap whose bound is <= eps =
     eps_num/eps_den, found by :func:`_truncation` from 0.  The cap is part
     of the key, so no entry outlives it, and a refusal is not kept; keyed
-    by integers as :func:`_harmonic_search` is."""
+    by integers as :func:`_harmonic_search` is.
+
+    With k = K + 1, each class's B_d(k) = 2**d k**(d-1) q**(k(k-1)/2 -
+    (d-1)k) is q**((m-d)k) times the deepest class's power of q,
+    q**(k(k-1)/2 - (m-1)k), which is multiplied in once, after the sum:
+    the bound is the same Fraction, but a class's term holds about
+    (m-d) k log2(b) bits rather than k**2/2 log2(b).
+    """
     q, eps = Fraction(a, b), Fraction(eps_num, eps_den)
-    ctx = QContext(q)
     # (count, depth) of the resolutions summed, deepest (largest rho) first
     classes = [(comb(m - 1, d - 1), d) for d in range(m, 0, -1)] if merge else [(1, m)]
 
     def tail_bound(K: int) -> Fraction | None:
-        total = Fraction(0)
+        k, total = K + 1, Fraction(0)
         for many, d in classes:
-            rho = Fraction(2 ** (d - 1)) * ctx.qpow(K + 2 - d)
+            rho = 2 ** (d - 1) * q ** (K + 2 - d)
             if rho >= 1:
                 return None
-            total += many * _frakz_level_bound(ctx, d, K + 1) / (1 - rho)
-        return total
+            total += many * 2**d * k ** (d - 1) * q ** ((m - d) * k) / (1 - rho)
+        return total * q ** (k * (k - 1) // 2 - (m - 1) * k)
 
     return _truncation(tail_bound, 0, eps, cap, "a mollified series")
 
@@ -1220,11 +1219,11 @@ def _harmonic_runs(q: Fraction, entries: tuple, n: int) -> list:
     return [[(i + 1, e.sign < 0, partial(column, e.magnitude))] for i, e in enumerate(entries)]
 
 
-def _mollified_runs(ctx: QContext, pattern: Triple, merge, n: int) -> list:
+def _mollified_runs(q: Fraction, pattern: Triple, merge, n: int) -> list:
     """The runs of :func:`_ball_sweep` for the partial sum of :func:`frakz`
-    to K = n: the runs of the merge mask (:func:`_runs`), each read through
-    its :func:`_run_column`."""
-    a, b = ctx.q.numerator, ctx.q.denominator
+    at q to K = n: the runs of the merge mask (:func:`_runs`), each read
+    through its :func:`_run_column`."""
+    a, b = q.numerator, q.denominator
     halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
     return [
         [(j, barred, partial(_run_column, a, b, s, alpha, beta, halves))
@@ -1234,21 +1233,23 @@ def _mollified_runs(ctx: QContext, pattern: Triple, merge, n: int) -> list:
 
 
 def frakz_enclosure(
-    ctx: QContext, pattern: Triple, eps: Fraction = Fraction(1, 10**20), prec: int | None = None
+    q: QLike, pattern: Triple, eps: Fraction = Fraction(1, 10**20), prec: int | None = None
 ) -> SeriesValue:
-    """:func:`frakz` with merge=True, its value a :class:`Ball` at 2**-prec
+    """:func:`frakz` at q with merge=True, its value a :class:`Ball` at 2**-prec
     around the same exact partial sum, at the same K and with the same tail
     bound, by :func:`_ball_sweep` in strict descent over the runs of every
     resolution (:func:`_mollified_runs`), whose floored terms lie within
     _COLUMN_SLACK units of the exact ones.  By default prec is P, as for
     :func:`q_zeta_enclosure`.
 
-    Raises ValueError as :func:`frakz` does, before any table is built.
+    Raises ValueError as :func:`frakz` does, and for a q that
+    :func:`~qzeta.qarith.as_q` refuses, before any table is built.
     """
-    K, bound = _frakz_truncation(ctx, pattern, eps, True)
+    q = as_q(q)
+    K, bound = _frakz_truncation(q, pattern, eps, True)
     if prec is None:
         prec = _default_prec(as_eps(eps))
-    runs = _mollified_runs(ctx, pattern, True, K)
+    runs = _mollified_runs(q, pattern, True, K)
     return SeriesValue(_ball_sweep(runs, K, prec, False)[0], bound, K)
 
 

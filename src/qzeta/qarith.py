@@ -3,11 +3,13 @@
 Everything is computed exactly, over :class:`fractions.Fraction` or over
 integers with a known denominator, so all identities checked downstream are
 exact.  A :class:`QContext` keeps the q-integers in integer form and the
-common denominators of the sum evaluators, and builds Gaussian-binomial
-integer rows on request; every q-binomial the package reads comes from those
-integers.  Sharing one context across a large batch of evaluations is what
-makes the exhaustive checks affordable.  :func:`as_q`, :func:`as_eps` and
-:func:`as_int` read a q, an eps and an integer parameter from a caller.
+common denominators of the exact sum evaluators, and builds
+Gaussian-binomial integer rows on request; every q-binomial the package
+reads comes from those integers.  Sharing one context across a large batch
+of evaluations is what makes the exhaustive checks affordable.  It serves
+the exact engines only: the certified q-series checks and their balls read
+q alone and build none.  :func:`as_q`, :func:`as_eps` and :func:`as_int`
+read a q, an eps and an integer parameter from a caller.
 """
 
 from __future__ import annotations
@@ -55,7 +57,10 @@ def as_int(value, name: str) -> int:
 
 class QContext:
     """Integer q-tables at a fixed rational q = a/b in (0, 1), all built from
-    h_n = (b**n - a**n) / (b - a), the integer form of [n] = h_n / b**(n-1).
+    h_n = (b**n - a**n) / (b - a), the integer form of [n] = h_n / b**(n-1),
+    for the exact engines: the finite sums, :func:`~qzeta.evaluators.q_zeta`,
+    :func:`~qzeta.evaluators.frakz` and the kernel lemmas.  The certified
+    q-series checks take q itself and build no context.
 
     One loop grows h_n = b h_(n-1) + a**(n-1) from h_0 = 0, and a second one
     grows from it the common denominators L_n = lcm(h_1, ..., h_n) over which
@@ -92,10 +97,6 @@ class QContext:
             step = h // math.gcd(lcm, h)
             self._lcms.append((lcm * step, step))
         return self._lcms[n]
-
-    def qpow(self, n: int) -> Fraction:
-        """q**n for any integer n."""
-        return self.q**n
 
     def q_int(self, n: int) -> Fraction:
         """q-integer [n] = (1 - q**n) / (1 - q) = h_n b / b**n."""

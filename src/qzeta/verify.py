@@ -270,10 +270,10 @@ _BALL_DOUBLINGS = 3
 
 
 def _decide(
-    ctx: QContext, eps: Fraction, strings: Sequence[tuple], patterns: Sequence[Triple],
+    q: Fraction, eps: Fraction, strings: Sequence[tuple], patterns: Sequence[Triple],
     report: Callable[..., Optional[VerificationReport]],
 ) -> VerificationReport:
-    """The report of a certified q-series check, decided from balls alone.
+    """The report of a certified q-series check at q, decided from balls alone.
 
     The series are the weak zeta star values of strings, then the mollified
     series of patterns, every resolution summed as one series
@@ -294,15 +294,15 @@ def _decide(
     decides; no series is ever summed exactly.
     """
     for pattern in patterns:
-        _check_depth(pattern)
+        _check_depth(pattern, "a q-series")
     for s in strings:
-        _harmonic_truncation(ctx, len(s), eps)
+        _harmonic_truncation(q, len(s), eps)
     for pattern in patterns:
-        _frakz_truncation(ctx, pattern, eps, True)
+        _frakz_truncation(q, pattern, eps, True)
     for doublings in range(_BALL_DOUBLINGS + 1):
         prec = _default_prec(eps) << doublings
-        lefts = [q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=prec) for s in strings]
-        rep = report(*lefts, *(frakz_enclosure(ctx, p, eps=eps, prec=prec) for p in patterns))
+        lefts = [q_zeta_enclosure(q, s, eps=eps, star=True, prec=prec) for s in strings]
+        rep = report(*lefts, *(frakz_enclosure(q, p, eps=eps, prec=prec) for p in patterns))
         if rep is not None:
             return rep
     raise ValueError(f"no ball down to the binary point 2**-{prec} decides the report")
@@ -443,7 +443,7 @@ def verify_qmzsv(
     """
     t0 = time.perf_counter()
     comp = zeta_composition(composition)
-    ctx = QContext(q)
+    q = as_q(q)
     epsv = as_eps(eps)
     budget = epsv / 4
     d, pattern = compose(comp)
@@ -452,11 +452,11 @@ def verify_qmzsv(
 
     def report(lhs: SeriesValue, rhs: SeriesValue) -> Optional[VerificationReport]:
         return _numeric_report(
-            t0, case or f"weak-zeta {_label(comp)}", family, params, ctx.q, epsv,
+            t0, case or f"weak-zeta {_label(comp)}", family, params, q, epsv,
             abs(lhs.value - d * rhs.value), lhs.tail_bound + rhs.tail_bound,
         )
 
-    return _decide(ctx, budget, (comp,), (pattern,), report)
+    return _decide(q, budget, (comp,), (pattern,), report)
 
 
 def verify_classical(
@@ -779,7 +779,7 @@ def symmetric_pair_check(
     for name, value in (("a", a), ("b", b)):
         if not is_int(value) or value < 0:
             raise ValueError(f"{name} must be an int >= 0, got {value!r}")
-    ctx = QContext(q)
+    q = as_q(q)
     epsv = as_eps(eps)
     budget = epsv / 12
     strings = (
@@ -790,18 +790,18 @@ def symmetric_pair_check(
 
     def report(z_ab, z_ba, u, v, w):
         lhs = z_ab.value + z_ba.value
-        rhs = u.value * v.value + (1 - ctx.q) * w.value
+        rhs = u.value * v.value + (1 - q) * w.value
         product_tail = abs(u.value) * v.tail_bound + abs(v.value) * u.tail_bound
         product_tail += u.tail_bound * v.tail_bound
         tail_total = (
-            z_ab.tail_bound + z_ba.tail_bound + product_tail + (1 - ctx.q) * w.tail_bound
+            z_ab.tail_bound + z_ba.tail_bound + product_tail + (1 - q) * w.tail_bound
         )
         return _numeric_report(
             t0, f"symmetric-pair a={a} b={b}", "symmetric-pair",
-            {"a": a, "b": b, "eps": str(epsv)}, ctx.q, epsv, abs(lhs - rhs), tail_total,
+            {"a": a, "b": b, "eps": str(epsv)}, q, epsv, abs(lhs - rhs), tail_total,
         )
 
-    return _decide(ctx, budget, strings, (pattern,), report)
+    return _decide(q, budget, strings, (pattern,), report)
 
 
 def qmzsv_battery(

@@ -323,42 +323,44 @@ def test_deep_finite_pattern_fails_fast(capsys, monkeypatch):
 
 def test_series_length_caps_fail_fast(capsys, monkeypatch):
     # the search for a series length K stops at its cap, before any term is
-    # summed: a q-series search asks for one power of q per step, so a search
-    # run on to K ~ 70,000 (eps 1e-30 at q = 999/1000) would take minutes
+    # summed: a q-series search evaluates one tail bound per step, so a
+    # search run on to K ~ 70,000 (eps 1e-30 at q = 999/1000) would take
+    # minutes
     calls = []
-    qpow = qzeta.QContext.qpow
+    search = qzeta.evaluators._truncation
 
-    def counted(self, n):
-        calls.append(n)
-        return qpow(self, n)
+    def counted(tail_bound, *args):
+        def once(K):
+            calls.append(K)
+            return tail_bound(K)
+
+        return search(once, *args)
 
     def never(*args):
         raise AssertionError("a sum was started")
 
-    monkeypatch.setattr(qzeta.QContext, "qpow", counted)
+    monkeypatch.setattr(qzeta.evaluators, "_truncation", counted)
     for name in ("_inner_terms", "_mhs_rows", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     mhs = (qzeta.evaluators.MAX_MHS_LIMIT, "a harmonic sum")
     frakz = (qzeta.evaluators.MAX_FRAKZ_TERMS, "a mollified series")
-    # each step of a q_zeta search asks for one power of q, each step of a
-    # frakz search two per depth class (these patterns have depth 1)
-    for argv, (cap, what), per_step in (
-        (("eval", "qzeta", "--s", "2,1", "--q", "999/1000", "--eps", "1e-30"), mhs, 1),
-        (("eval", "frakz", "--s", "2;0;2", "--q", "999/1000", "--eps", "1e-30"), frakz, 2),
+    for argv, (cap, what) in (
+        (("eval", "qzeta", "--s", "2,1", "--q", "999/1000", "--eps", "1e-30"), mhs),
+        (("eval", "frakz", "--s", "2;0;2", "--q", "999/1000", "--eps", "1e-30"), frakz),
         # a q-series check runs the left side's search before either side
         # sums, so its cap fires first, even where the right side's would
         # fire too (eps 1e-100000), or where the right side would sum
         # (K ~ 50 at eps 1e-400, and about a second of summing for 5,5,1 at
         # q = 19/20) while the left side needs K ~ 1330
-        (("verify", "2,1", "--qmzsv", "--eps", "1e-100000"), mhs, 1),
-        (("verify", "2,1", "--qmzsv", "--eps", "1e-400"), mhs, 1),
-        (("verify", "5,5,1", "--qmzsv", "--q", "19/20"), mhs, 1),
+        (("verify", "2,1", "--qmzsv", "--eps", "1e-100000"), mhs),
+        (("verify", "2,1", "--qmzsv", "--eps", "1e-400"), mhs),
+        (("verify", "5,5,1", "--qmzsv", "--q", "19/20"), mhs),
     ):
         calls.clear()
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv
         assert out == "" and err.strip().endswith(f"series length exceeds {cap} for {what}"), argv
-        assert len(calls) <= per_step * (cap + 2), argv
+        assert 0 < len(calls) <= cap + 2 and max(calls) <= cap, argv
     # a harmonic sum whose length passes its cap but whose work estimate is
     # over budget, each past a minute of summing, is refused before L_n is
     # built; sums of a minute or less (27 s and 6 s here) start.  A finite
@@ -403,9 +405,8 @@ def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "2^1100", "--qmzsv")
     assert rc == 2
     assert out == "" and f"series length exceeds {cap} for a harmonic sum" in err
-    ctx = qzeta.QContext(Fraction(1, 2))
     with pytest.raises(ValueError, match=f"exceeds {cap}"):
-        qzeta.evaluators.q_zeta_enclosure(ctx, (2,) * (cap + 1), eps=1)
+        qzeta.evaluators.q_zeta_enclosure(Fraction(1, 2), (2,) * (cap + 1), eps=1)
     with pytest.raises(ValueError, match=f"exceeds {cap}"):
         qzeta.verify.symmetric_pair_check(600, 600, eps=Fraction(1, 10))
 

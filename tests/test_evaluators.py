@@ -247,18 +247,23 @@ def test_harmonic_truncation_matches_the_plain_walk(monkeypatch):
     seen = {"raised" if isinstance(x, str) else x[0] - m for x, (_, m, _) in zip(expected, cases)}
     assert "raised" in seen and 0 in seen and MAX_MHS_LIMIT - 1 in seen
     for (q, m, eps), expect in zip(cases, expected):
-        assert outcome(_harmonic_truncation, QContext(q), m, eps) == expect, (q, m, eps)
-    # however long the series, the search reads no power of q past the cap:
+        assert outcome(_harmonic_truncation, q, m, eps) == expect, (q, m, eps)
+    # however long the series, the search evaluates no bound past the cap:
     # q**K for K ~ 7 * 10**10 would not fit in memory
-    qpow = QContext.qpow
+    import qzeta.evaluators as ev
 
-    def bounded(self, n):
-        assert n <= MAX_MHS_LIMIT + 2, f"the search asked for q**{n}"
-        return qpow(self, n)
+    search = ev._truncation
 
-    monkeypatch.setattr(QContext, "qpow", bounded)
+    def bounded(tail_bound, *args):
+        def once(K):
+            assert K <= MAX_MHS_LIMIT, f"the search evaluated the bound at K = {K}"
+            return tail_bound(K)
+
+        return search(once, *args)
+
+    monkeypatch.setattr(ev, "_truncation", bounded)
     with pytest.raises(ValueError, match=f"exceeds {MAX_MHS_LIMIT}"):
-        _harmonic_truncation(QContext(Fraction(10**9 - 1, 10**9)), 2, Fraction(1, 10**30))
+        _harmonic_truncation(Fraction(10**9 - 1, 10**9), 2, Fraction(1, 10**30))
 
 
 def _ceil_log2(n):
@@ -371,7 +376,7 @@ def test_q_zeta_enclosure_contains_the_exact_partial_sum():
         for s in _signed_strings(q.denominator, 3, 2):
             for star in (False, True):
                 exact = q_zeta(ctx, s, eps=eps, star=star)
-                ball = q_zeta_enclosure(ctx, s, eps=eps, star=star)
+                ball = q_zeta_enclosure(q, s, eps=eps, star=star)
                 assert (ball.terms, ball.tail_bound) == (exact.terms, exact.tail_bound)
                 lo, hi = ball.value.bounds()
                 assert lo <= exact.value <= hi, (q, s, star)
@@ -383,7 +388,7 @@ def test_q_zeta_enclosure_contains_the_exact_partial_sum():
                 moved = exact.value + away * (ball.value.rad + 1) * unit
                 assert not lo <= moved <= hi
     with pytest.raises(ValueError, match="eps must be positive"):
-        q_zeta_enclosure(QContext(Fraction(1, 2)), (2,), eps=Fraction(0))
+        q_zeta_enclosure(Fraction(1, 2), (2,), eps=Fraction(0))
 
 
 def test_ball_arithmetic_contains_the_exact_results():
@@ -438,11 +443,11 @@ def test_ball_takes_an_exact_operand_on_the_left():
     assert 1 - x == Ball(1 << 3, 0, 3) - x
 
 
-def _left_ball(ctx, entries, n, star, prec):
+def _left_ball(q, entries, n, star, prec):
     """The left side's ball to n: the sweep over one run per entry, whose
     floored terms lie within _COLUMN_SLACK units of the exact ones, as
     q_zeta_enclosure sweeps it at its K."""
-    return _ball_sweep(_harmonic_runs(ctx.q, entries, n), n, prec, star)[0]
+    return _ball_sweep(_harmonic_runs(q, entries, n), n, prec, star)[0]
 
 
 def test_mhs_enclosure_holds_at_coarse_binary_points():
@@ -458,7 +463,7 @@ def test_mhs_enclosure_holds_at_coarse_binary_points():
                 exact = mhs_many(ctx, s, 30, star=star)
                 for n in (3, 10, 30):
                     for prec in (2, 4, 8, 16, 64):
-                        lo, hi = _left_ball(ctx, entries, n, star, prec).bounds()
+                        lo, hi = _left_ball(q, entries, n, star, prec).bounds()
                         assert lo <= exact[n] <= hi, (q, s, star, n, prec)
 
 
@@ -489,7 +494,7 @@ def test_mhs_enclosure_matches_the_ball_oracles():
                 exact = mhs_many(ctx, entries, 30, star=star)
                 for n in (3, 10, 30):
                     for prec in (2, 8, 64, 300):
-                        ball = _left_ball(ctx, entries, n, star, prec)
+                        ball = _left_ball(q, entries, n, star, prec)
                         case = (q, entries, star, n, prec)
                         runs = _harmonic_runs(q, entries, n)
                         expect = _sweep_by_the_stated_bound(runs, n, prec, star, ev._COLUMN_SLACK)
@@ -505,7 +510,7 @@ def test_mhs_enclosure_matches_the_ball_oracles():
         for entries in strings[:4]:
             for star in (False, True):
                 for prec in (None, 6):
-                    ball = q_zeta_enclosure(ctx, entries, Fraction(1, 10**6), star, prec)
+                    ball = q_zeta_enclosure(q, entries, Fraction(1, 10**6), star, prec)
                     runs = _harmonic_runs(q, entries, ball.terms)
                     value = ball.value
                     expect = _sweep_by_the_stated_bound(
@@ -518,14 +523,14 @@ def test_left_ball_of_a_deep_string_stays_narrow_toward_q_one():
     # a depth-32 string toward q -> 1: carried index by index, the radius
     # stays within 2**8 units, where a bound that does not follow the
     # nesting of the indices grows with the depth
-    ctx = QContext(Fraction(17, 20))
+    q = Fraction(17, 20)
     s = (2,) + (1,) * 31
     eps = Fraction(1, 4 * 10**25)
-    ball = q_zeta_enclosure(ctx, s, eps=eps, star=True)
+    ball = q_zeta_enclosure(q, s, eps=eps, star=True)
     assert ball.terms == 705
     assert 0 < ball.value.rad <= 2**8
     # both balls hold the same exact sum, so a finer one meets it
-    finer = q_zeta_enclosure(ctx, s, eps=eps, star=True, prec=2 * ball.value.prec)
+    finer = q_zeta_enclosure(q, s, eps=eps, star=True, prec=2 * ball.value.prec)
     lo, hi = ball.value.bounds()
     lo2, hi2 = finer.value.bounds()
     assert lo <= hi2 and lo2 <= hi
@@ -1138,8 +1143,8 @@ def test_memoized_searches_equal_cold_and_direct_ones(monkeypatch):
                     ev._truncation, lambda K: prefactor * q ** (K + 1), m, eps,
                     ev.MAX_MHS_LIMIT, "a harmonic sum",
                 )
-                cold = outcome(ev._harmonic_truncation, QContext(q), m, eps)
-                assert outcome(ev._harmonic_truncation, QContext(q), m, eps) == cold == direct
+                cold = outcome(ev._harmonic_truncation, q, m, eps)
+                assert outcome(ev._harmonic_truncation, q, m, eps) == cold == direct
                 if isinstance(direct, str):
                     refused.add("harmonic")
                 for merge in (False, True):
@@ -1163,14 +1168,14 @@ def test_memoized_searches_keep_no_refusal_and_no_stale_cap(monkeypatch):
 
     ctx = QContext(Fraction(1, 2))
     eps = Fraction(1, 10**25)
-    K, _ = ev._harmonic_truncation(ctx, 3, eps)
+    K, _ = ev._harmonic_truncation(ctx.q, 3, eps)
     pattern = Triple((idx(2), bar(1)), (0, 0), (1, THETA))
     terms = frakz(ctx, pattern, eps=eps, merge=True).terms
     monkeypatch.setattr(ev, "MAX_MHS_LIMIT", K - 1)
     monkeypatch.setattr(ev, "MAX_FRAKZ_TERMS", terms - 1)
     for _ in range(2):
         with pytest.raises(ValueError, match=f"exceeds {K - 1} for a harmonic sum"):
-            ev._harmonic_truncation(ctx, 3, eps)
+            ev._harmonic_truncation(ctx.q, 3, eps)
         with pytest.raises(ValueError, match=f"exceeds {terms - 1} for a mollified series"):
             frakz(ctx, pattern, eps=eps, merge=True)
     for memo in (ev._harmonic_search, ev._frakz_search):
@@ -1187,7 +1192,7 @@ def test_the_ball_reads_h_without_the_lcm_table(monkeypatch):
 
     monkeypatch.setattr(QContext, "_lcm_row", never)
     q = Fraction(6, 11)  # a q no other test sums a ball at
-    ball = q_zeta_enclosure(QContext(q), (3, 1, 2), eps=Fraction(1, 10**9), star=True)
+    ball = q_zeta_enclosure(q, (3, 1, 2), eps=Fraction(1, 10**9), star=True)
     exact = oracles.harmonic_all_n(q, [(3, 1), (1, 1), (2, 1)], ball.terms, star=True)
     lo, hi = ball.value.bounds()
     assert lo <= exact[ball.terms] <= hi
@@ -1264,24 +1269,24 @@ def _resolutions_partial_sum(q, pattern, merge, K):
     return sum((oracles.mollified_series_nested(q, _oracle_slots(T), K) for T in triples), Fraction(0))
 
 
-def _frakz_ball(ctx, pattern, eps, merge):
+def _frakz_ball(q, pattern, eps, merge):
     """frakz_enclosure, and with merge=False the same sweep at the K and
     tail bound of frakz read as one triple."""
     import qzeta.evaluators as ev
 
     if merge:
-        return frakz_enclosure(ctx, pattern, eps=eps)
-    K, bound = ev._frakz_truncation(ctx, pattern, eps, False)
-    return ev.SeriesValue(_right_ball(ctx, pattern, False, K, ev._default_prec(eps)), bound, K)
+        return frakz_enclosure(q, pattern, eps=eps)
+    K, bound = ev._frakz_truncation(q, pattern, eps, False)
+    return ev.SeriesValue(_right_ball(q, pattern, False, K, ev._default_prec(eps)), bound, K)
 
 
-def _right_ball(ctx, pattern, merge, n, prec):
+def _right_ball(q, pattern, merge, n, prec):
     """The right side's ball to n: the strict sweep over the runs of the
     merge mask, whose floored terms lie within _COLUMN_SLACK units of the
     exact ones, as frakz_enclosure sweeps it (merged) at its K."""
     import qzeta.evaluators as ev
 
-    runs = ev._mollified_runs(ctx, pattern, merge, n)
+    runs = ev._mollified_runs(q, pattern, merge, n)
     return _ball_sweep(runs, n, prec, False)[0]
 
 
@@ -1300,7 +1305,7 @@ def test_frakz_enclosure_contains_the_exact_partial_sum():
         ctx = QContext(q)
         for pattern in patterns[: 9 if q == Fraction(9, 10) else 12]:
             for merge in (True, False):
-                ball = _frakz_ball(ctx, pattern, eps, merge)
+                ball = _frakz_ball(q, pattern, eps, merge)
                 case = (q, pattern, merge)
                 if pattern.depth < 6:
                     exact = _resolutions_partial_sum(q, pattern, merge, ball.terms)
@@ -1318,7 +1323,7 @@ def test_frakz_enclosure_contains_the_exact_partial_sum():
                 assert not lo <= exact + away * (ball.value.rad + 1) * unit <= hi, case
     shallow = patterns[2]
     series = frakz(QContext(Fraction(1, 2)), shallow, eps=eps, merge=True)
-    ball = frakz_enclosure(QContext(Fraction(1, 2)), shallow, eps=eps)
+    ball = frakz_enclosure(Fraction(1, 2), shallow, eps=eps)
     assert (ball.terms, ball.tail_bound) == (series.terms, series.tail_bound)
 
 
@@ -1331,13 +1336,12 @@ def test_frakz_sweep_holds_at_coarse_binary_points():
     rng = random.Random(41)
     patterns = [_admissible_pattern(rng, m) for m in (1, 2, 3, 3, 4, 4, 5)]
     for q in (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9)):
-        ctx = QContext(q)
         for pattern in patterns:
             for merge in (True, False):
                 for n in (1, 4, 12):
                     exact = _resolutions_partial_sum(q, pattern, merge, n)
                     for prec in (2, 4, 8, 16, 64):
-                        lo, hi = _right_ball(ctx, pattern, merge, n, prec).bounds()
+                        lo, hi = _right_ball(q, pattern, merge, n, prec).bounds()
                         assert lo <= exact <= hi, (q, pattern, merge, n, prec)
 
 
@@ -1372,11 +1376,10 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
     patterns = _near_two_patterns() + [_admissible_pattern(rng, m) for m in (2, 3, 3, 4, 4, 5)]
     n = 7
     for q in (Fraction(1, 2), Fraction(7, 8), Fraction(2, 9)):
-        ctx = QContext(q)
         for pattern in patterns:
             m = pattern.depth
             for merge in (True, False):
-                runs = ev._mollified_runs(ctx, pattern, merge, n)
+                runs = ev._mollified_runs(q, pattern, merge, n)
                 levels = _ball_sweep(runs, n, 2, False)
                 for j in range(1, m):
                     suffix = Triple(pattern.s[j:], pattern.t[j:], pattern.r[j:])
@@ -1385,7 +1388,7 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
                         exact = _resolutions_partial_sum(q, suffix, merge, k) * 4
                         assert abs(xs[k] - exact) <= es[k], (q, pattern, merge, j, k)
                 for prec in (1, 2, 4, 8):
-                    lo, hi = _right_ball(ctx, pattern, merge, n, prec).bounds()
+                    lo, hi = _right_ball(q, pattern, merge, n, prec).bounds()
                     assert lo <= _resolutions_partial_sum(q, pattern, merge, n) <= hi
         # the left side, over strings of zero and near-1 magnitudes
         for s in ((0, 0, 0), (0, -1, 1, 0), (1, 1, 1, 1), (-2, 1, -1), (3, -1, 2, 1, 1)):
@@ -1401,7 +1404,7 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
                         case = (q, s, star, j, k)
                         assert abs(xs[k - 1] - exact[k - d] * 4) <= es[k - 1], case
                 for prec in (1, 2, 4, 8):
-                    lo, hi = _left_ball(ctx, entries, n, star, prec).bounds()
+                    lo, hi = _left_ball(q, entries, n, star, prec).bounds()
                     assert lo <= oracles.harmonic_all_n(q, plain, n, star=star)[n] <= hi
 
 
@@ -1465,17 +1468,16 @@ def test_frakz_sweep_is_its_stated_bound(tight, monkeypatch):
     patterns = _near_two_patterns() + [_admissible_pattern(rng, m) for m in range(1, 9)]
     eps = Fraction(1, 10**6)
     for q in (Fraction(1, 2), Fraction(7, 8), Fraction(2, 9)):
-        ctx = QContext(q)
         for pattern in patterns:
             for merge in (True, False):
                 for n, prec in ((5, 2), (12, 16), (20, 300)):
-                    ball = _right_ball(ctx, pattern, merge, n, prec)
-                    runs = ev._mollified_runs(ctx, pattern, merge, n)
+                    ball = _right_ball(q, pattern, merge, n, prec)
+                    runs = ev._mollified_runs(q, pattern, merge, n)
                     expect = _sweep_by_the_stated_bound(runs, n, prec, False, ev._COLUMN_SLACK)
                     assert (ball.mid, ball.rad) == expect, (q, pattern, merge, n, prec)
             # and frakz_enclosure is that sweep, merged, at its K
-            ball = frakz_enclosure(ctx, pattern, eps=eps)
-            runs = ev._mollified_runs(ctx, pattern, True, ball.terms)
+            ball = frakz_enclosure(q, pattern, eps=eps)
+            runs = ev._mollified_runs(q, pattern, True, ball.terms)
             prec = ball.value.prec
             expect = _sweep_by_the_stated_bound(runs, ball.terms, prec, False, ev._COLUMN_SLACK)
             assert (ball.value.mid, ball.value.rad) == expect, (q, pattern)
@@ -1621,10 +1623,10 @@ def test_frakz_enclosure_refuses_as_frakz_does_before_any_table(monkeypatch):
             with pytest.raises(ValueError, match=message):
                 frakz(ctx, pattern, eps=eps, merge=merge)
         with pytest.raises(ValueError, match=message):
-            frakz_enclosure(ctx, pattern, eps=eps)
+            frakz_enclosure(ctx.q, pattern, eps=eps)
     # the patches are live: an admissible pattern reaches the sweep
     with pytest.raises(AssertionError, match="a table was built"):
-        frakz_enclosure(ctx, admissible, eps=Fraction(1, 10**6))
+        frakz_enclosure(ctx.q, admissible, eps=Fraction(1, 10**6))
 
 
 def test_merge_mask_sums_the_resolutions_it_allows():

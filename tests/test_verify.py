@@ -987,6 +987,31 @@ def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
     ]
 
 
+def test_qseries_checks_build_no_qcontext(monkeypatch, qzeta_memos):
+    # the certified q-series path reads q, eps and a binary point only: with
+    # QContext unable to start and every memo cold, the checks give the
+    # reports they give with it
+    def checks():
+        return [
+            _body(verify_qmzsv((2, 1, 1, 3, 1), q=Fraction(1, 2))),
+            _body(verify_qmzsv((2, 1, 1, 3, 1), q=Fraction(4, 5))),
+            _body(symmetric_pair_check(1, 2)),
+        ]
+
+    def refused(self, q):
+        raise AssertionError("a QContext was built")
+
+    expected = checks()
+    assert all(rep["status"] == "numeric-pass" for rep in expected)
+    monkeypatch.setattr(QContext, "__init__", refused)
+    for memo in qzeta_memos:
+        memo.cache_clear()
+    assert checks() == expected
+    # the patch is live: an exact series does build one
+    with pytest.raises(AssertionError, match="a QContext was built"):
+        q_zeta(QContext(Fraction(1, 2)), (2,))
+
+
 
 def _weight_twelve_depth_two_to_four() -> list:
     from qzeta import compose
@@ -1389,7 +1414,7 @@ def test_eps_is_read_as_a_positive_rational_before_any_sum(monkeypatch):
         lambda eps: v.symmetric_pair_check(0, 0, eps=eps),
         lambda eps: v.qmzsv_battery(eps=eps),
         lambda eps: q_zeta(ctx, (2,), eps=eps),
-        lambda eps: q_zeta_enclosure(ctx, (2,), eps=eps),
+        lambda eps: q_zeta_enclosure(ctx.q, (2,), eps=eps),
         lambda eps: frakz(ctx, pattern, eps=eps),
         as_eps,
     )
