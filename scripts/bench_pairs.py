@@ -65,9 +65,13 @@ SIDES = ("base", "change")
 # refused by its left side's work estimate before either side sums, three
 # inputs whose pattern is far over the depth caps, which exit 2 once
 # compose, linear in the pattern depth, has built it, a q of 5,000 digits,
-# which no estimate sees: the q-series check runs past the timeout, and two
-# q-series checks that today's caps admit, whose first call builds every
-# table of its q cold (the probes above are refused before any table)
+# which no estimate sees: its discrepancy lies far below every ball's
+# binary point, so the check exits 2 in well under a second, two q-series
+# checks that today's caps admit, whose first call builds every table of
+# its q cold (the probes above are refused before any table), (9,9,9) at
+# the double nearest 4/5, whose cost is the right side's truncation
+# search, and a true identity at eps = 1/10, whose exact discrepancy is a
+# compact rational that no ball can decide, so it exits 2
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -90,6 +94,8 @@ PROBES = (
     "verify 2,1 --qmzsv --q 1/" + "1" * 5000,
     "verify 2,1,1,3,1 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 4/5",
+    "verify 9,9,9 --qmzsv --q 3602879701896397/4503599627370496",
+    "verify 2,1 --qmzsv --eps 1/10",
 )
 PROBE_TIMEOUT_S = 30.0
 
