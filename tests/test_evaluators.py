@@ -389,6 +389,12 @@ def test_q_zeta_enclosure_contains_the_exact_partial_sum():
                 assert not lo <= moved <= hi
     with pytest.raises(ValueError, match="eps must be positive"):
         q_zeta_enclosure(Fraction(1, 2), (2,), eps=Fraction(0))
+    # both enclosures take q itself, and refuse one outside (0, 1)
+    for q in (Fraction(0), Fraction(1), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="q must lie strictly between 0 and 1"):
+            q_zeta_enclosure(q, (2,))
+        with pytest.raises(ValueError, match="q must lie strictly between 0 and 1"):
+            frakz_enclosure(q, Triple((idx(2),), (0,), (2,)))
 
 
 def test_ball_arithmetic_contains_the_exact_results():

@@ -1007,9 +1007,9 @@ def test_qseries_checks_build_no_qcontext(monkeypatch, qzeta_memos):
     for memo in qzeta_memos:
         memo.cache_clear()
     assert checks() == expected
-    # the patch is live: an exact series does build one
+    # the patch is live: the exact engines' context cannot be built
     with pytest.raises(AssertionError, match="a QContext was built"):
-        q_zeta(QContext(Fraction(1, 2)), (2,))
+        QContext(Fraction(1, 2))
 
 
 
