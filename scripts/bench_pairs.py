@@ -12,11 +12,13 @@ uncommitted edits count and no build output does), written as a git tree
 through a copy of the index, so the real index is left as it was.  Both
 git tree ids are recorded: once the change is committed, its tree id is
 the commit's (``git log --format='%H %T'``), which ties the numbers to
-the code that produced them.  Each pair runs ``qzbench/run.py``
-unchanged in both trees, one workload at a time, on the same seed, with
-``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPATH``; the side that runs
-first alternates from pair to pair, so a drift of the host's speed falls
-on both sides alike.  Pair i uses seed ``--seed + i``.
+the code that produced them.  The change side's ``head`` and ``dirty``
+(its tree differs from the head's) are taken when its tree is written, so
+an edit made while the runs go on does not relabel them.  Each pair runs
+``qzbench/run.py`` unchanged in both trees, one workload at a time, on the
+same seed, with ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPATH``; the
+side that runs first alternates from pair to pair, so a drift of the
+host's speed falls on both sides alike.  Pair i uses seed ``--seed + i``.
 
 Each run also records ``child_cpu_s``: the user and system CPU time of
 its ``qzbench/run.py`` and of every process it waited for (the workers
@@ -70,8 +72,11 @@ SIDES = ("base", "change")
 # checks that today's caps admit, whose first call builds every table of
 # its q cold (the probes above are refused before any table), (9,9,9) at
 # the double nearest 4/5, whose cost is the right side's truncation
-# search, and a true identity at eps = 1/10, whose exact discrepancy is a
-# compact rational that no ball can decide, so it exits 2
+# search, a true identity at eps = 1/10, whose exact discrepancy is a
+# compact rational that no ball can decide, so it exits 2, and (33) at
+# n_max = 80, a depth-32 pattern and the deepest finite check of any
+# probe: one check at a (q, n) that no other check shares, so the exact
+# engines' level memo records nothing for it and should cost it nothing
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -96,6 +101,7 @@ PROBES = (
     "verify 9,9,9 --qmzsv --q 4/5",
     "verify 9,9,9 --qmzsv --q 3602879701896397/4503599627370496",
     "verify 2,1 --qmzsv --eps 1/10",
+    "verify 33 --n-max 80",
 )
 PROBE_TIMEOUT_S = 30.0
 
@@ -106,9 +112,14 @@ def git(*args: str) -> str:
     ).stdout
 
 
-def working_tree(scratch: Path) -> str:
-    """The git tree id of the working tree as ``git add -A`` would stage it,
-    written through a copy of the index in scratch."""
+def working_tree(scratch: Path) -> dict:
+    """The change side as measured: ``tree``, the git tree id of the working
+    tree as ``git add -A`` would stage it, written through a copy of the
+    index in scratch; ``head``, the commit checked out then; and ``dirty``,
+    whether that tree differs from the head's.  All three are taken
+    together, before any run, so an edit made while the runs go on does
+    not change the record."""
+    head, head_tree = git("rev-parse", "HEAD", "HEAD^{tree}").split()
     index = scratch / "index"
     real = ROOT / git("rev-parse", "--git-path", "index").strip()
     if real.is_file():
@@ -118,7 +129,8 @@ def working_tree(scratch: Path) -> str:
         proc = subprocess.run(
             ["git", "-C", str(ROOT), *args], env=env, capture_output=True, text=True, check=True
         )
-    return proc.stdout.strip()
+    tree = proc.stdout.strip()
+    return {"head": head, "dirty": tree != head_tree, "tree": tree}
 
 
 def extract(tree: str, dest: Path) -> None:
@@ -246,8 +258,9 @@ def main() -> int:
     try:
         trees = {"base": scratch / "base", "change": scratch / "change"}
         base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()
-        ids = {"base": git("rev-parse", f"{base_commit}^{{tree}}").strip(),
-               "change": working_tree(scratch)}
+        change = working_tree(scratch)
+        base_tree = git("rev-parse", f"{base_commit}^{{tree}}").strip()
+        ids = {"base": base_tree, "change": change["tree"]}
         for side in SIDES:
             extract(ids[side], trees[side])
         seeds = [args.seed + i for i in range(args.pairs)]
@@ -276,11 +289,7 @@ def main() -> int:
 
     out = {
         "base": {"rev": args.base, "commit": base_commit, "tree": ids["base"]},
-        "change": {
-            "head": git("rev-parse", "HEAD").strip(),
-            "dirty": bool(git("--no-optional-locks", "status", "--porcelain").strip()),
-            "tree": ids["change"],
-        },
+        "change": change,
         "machine": {**qz_machine, **machine()},
         "protocol": {
             "command": "qzbench/run.py --workload W --seed S --seconds T --trace 0",

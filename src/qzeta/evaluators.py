@@ -86,6 +86,16 @@ multiply and one exact division by integers of about n bits each, and the
 denominator's growth from index to index is folded into each row's sum
 once, by Horner, as in :func:`frakz` (see :func:`_pattern_rows`).
 
+Both exact engines read and record their levels through one level memo
+(:class:`_Levels`).  At one q and upper limit n a level's column, its
+cumulative at every index at that index's scale, depends only on the
+slots from that level down, so a sum reads the columns of the longest
+suffix already summed at that (q, n), and the q-level tables, and sums
+only the levels above it.  The memo holds one (q, n) at a time, records
+from an engine's second sum at a (q, n) on, and is bounded by the bits it
+holds (_LEVEL_MEMO_BITS); the batteries of :mod:`~qzeta.verify` at one q
+and n_max share most of their levels through it.
+
 Every exact sum ends as one row shape, (num, c, e): the value
 num / (L_n^w * c * b^e) at upper limit n, with L_n^w (w the weight, which
 both sides of a finite identity have) left implied and c a small
@@ -104,6 +114,7 @@ and every failing residual of a finite check is reduced there, once.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,6 +238,251 @@ def _upper_limit(n_max, cap: int, what: str) -> int:
     return n_max
 
 
+class _MemoInfo(NamedTuple):
+    """What the level memo holds, in the shape of functools.lru_cache's
+    cache_info(): levels read from it and levels summed, and the bits held
+    against the bound _LEVEL_MEMO_BITS."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+# The level memo of the two exact engines (see _Levels).  In both, a
+# level's column, its cumulative at every index k <= n at that index's
+# scale, depends only on q, n and the slots from that level down, so the
+# compositions checked at one q and upper limit n, which share many
+# suffixes, share columns: over the benchmark's seed-1 finite-wide batch
+# (40 checks at q = 1/2, n = 6) the run engine looks up 440 levels and
+# sums 117, the harmonic DP 245 and 84.  The memo holds one (q, n) at a
+# time, and a call at another (q, n) empties it.
+#
+# Key.  A level's suffix is interned one level at a time as (id of the
+# suffix below it, the level's own slot), every part an int or a flag
+# (theta as None), so a lookup costs one probe of a constant-size key per
+# level, 1,000 probes for a string of 1,000 entries.  The slot is
+# (magnitude, sign) in the harmonic DP, whose descent is in the id of the
+# empty suffix, and (outermost, magnitude, sign, offset, shift, merge flag
+# of the separator after it) in the run engine, whose outermost level
+# keeps inner[k] rather than a cumulative.  The memo also holds the
+# q-level tables at (q, n): L_k/L_(k-1), L_k/h_k, b**k + a**k and, per
+# magnitude s, (L_k/h_k)**s (b**k + a**k) (see _q_rows).
+#
+# Admission.  A (q, n) is recorded from the second lookup of an engine
+# (a descent of the harmonic DP, or the run engine) at it on: the first
+# sum at a (q, n) keeps no column and builds no table, so a batch that
+# never comes back to a (q, n), one q per check as in the benchmark's
+# finite-long workload, or one command, pays nothing for the memo but the
+# lookup (the "doorkeeper" of Einziger, Friedman and Manes, "TinyLFU: a
+# highly efficient cache admission policy", ACM TOS 2017).  Keeping
+# columns is not free: the kept integers stay out of the allocator's
+# reuse, which made a first sum 5-20 % slower when every sum kept them.
+#
+# Bound.  _LEVEL_MEMO_BITS bounds the bits the memo holds, not its
+# entries, as a column takes about 100 bytes at n = 6 and megabytes at
+# n = 160: an int counts its bit length plus _ENTRY_BITS for its object
+# and pointer, and a column or table is recorded only while the total
+# stays within the bound.  An engine charges the bits it keeps in flight
+# to the memo index by index, each column projected to n at its last
+# entry's size, and drops its shallowest kept column when they would not
+# fit beside what is held and what the other engine keeps (verify_mhs
+# sums both sides at once); a table whose size, bounded by n times its
+# last entry's, would not fit is computed index by index.  So the memo
+# holds at most 2**26 bits, 8 MiB of integers, counted as Python stores
+# them, plus small fixed parts (a run entry's (x, A, B) tuple, about 64
+# bytes more per entry, 40 KB for a full memo at n = 6).  The allocator's
+# slack around integers kept through a sum comes on top: keeping a full
+# memo at q = 5/8 and n = 160, or for 2**1000 at n = 20, raised peak RSS
+# by 8 and 11 MB.
+_LEVEL_MEMO_BITS = 2**26
+_ENTRY_BITS = 256
+# ids of the empty suffix: the harmonic DP in strict and weak descent, and
+# the run engine
+_STRICT_ROOT, _WEAK_ROOT, _RUN_ROOT = 0, 1, 2
+
+
+class _Levels:
+    """The level memo of the exact engines at one (q, n) (see the comment
+    above): one class-level store, written under one lock, that reports
+    itself as a bounded memo through :meth:`cache_info` and
+    :meth:`cache_clear`.
+
+    A lookup returns the columns of the longest memoized suffix of a
+    string of levels and a generation; :meth:`record` and :meth:`table`
+    write only while that generation holds, so a column summed at one
+    (q, n) never lands in the memo of another, and every level recorded
+    chains onto a suffix already held: the suffixes held are closed under
+    taking a shorter suffix.
+    """
+
+    _lock = threading.Lock()
+    _at: tuple | None = None  # (a, b, n) of the entries held
+    _generation = 0
+    _ids = count(_RUN_ROOT + 1)
+    _nodes: dict = {}  # (id of the suffix below, level key) -> (id, column)
+    _tables: dict = {}
+    _visits: set = set()  # roots that have looked up at _at
+    _bits = _pending = _hits = _misses = 0  # _pending: bits the engines keep in flight
+
+    @classmethod
+    def cache_info(cls) -> _MemoInfo:
+        with cls._lock:
+            return _MemoInfo(cls._hits, cls._misses, _LEVEL_MEMO_BITS, cls._bits)
+
+    @classmethod
+    def cache_clear(cls) -> None:
+        with cls._lock:
+            cls._empty(None)
+            cls._hits = cls._misses = 0
+
+    @classmethod
+    def _empty(cls, at) -> None:
+        cls._at, cls._generation = at, cls._generation + 1
+        cls._nodes, cls._tables, cls._visits, cls._bits, cls._pending = {}, {}, set(), 0, 0
+
+    @classmethod
+    def lookup(cls, at: tuple, root: int, keys: list) -> tuple[int | None, int, list]:
+        """(generation, id, columns) at ``at`` = (a, b, n), emptying the
+        memo if it holds another: ``columns`` are those of the levels
+        len(keys) - len(columns) .. len(keys) - 1, the longest suffix of
+        ``keys`` held, and ``id`` is that suffix's (``root`` when none).
+        The generation is None on the first lookup from ``root`` at ``at``:
+        that sum records nothing."""
+        node, found = root, []
+        with cls._lock:
+            if cls._at != at:
+                cls._empty(at)
+            if root not in cls._visits:
+                cls._visits.add(root)
+                cls._misses += len(keys)
+                return None, root, []
+            for key in reversed(keys):
+                entry = cls._nodes.get((node, key))
+                if entry is None:
+                    break
+                node, column = entry
+                found.append(column)
+            cls._hits += len(found)
+            cls._misses += len(keys) - len(found)
+            return cls._generation, node, found[::-1]
+
+    @classmethod
+    def charge(cls, generation: int, before: int, after: int) -> bool:
+        """Move an engine's bits in flight at ``generation`` from ``before``
+        to ``after``; False when ``after`` would not fit beside the bits
+        held and those the other engines keep (both sides of a finite check
+        are summed at once), or grows once the generation is gone."""
+        with cls._lock:
+            if generation != cls._generation:
+                return after == 0
+            if after > before and cls._bits + cls._pending - before + after > _LEVEL_MEMO_BITS:
+                return False
+            cls._pending += after - before
+            return True
+
+    @classmethod
+    def record(cls, generation: int, node: int, levels: list, charged: int) -> None:
+        """Release an engine's ``charged`` bits in flight and record
+        (key, column, bits) for each of ``levels``, deepest first, above
+        the suffix ``node``, while the bound holds."""
+        with cls._lock:
+            if generation != cls._generation:
+                return
+            cls._pending -= charged
+            for key, column, bits in levels:
+                entry = cls._nodes.get((node, key))
+                if entry is None:
+                    if cls._bits + bits > _LEVEL_MEMO_BITS:
+                        return
+                    entry = cls._nodes[node, key] = next(cls._ids), column
+                    cls._bits += bits
+                node = entry[0]
+
+    @classmethod
+    def table(cls, generation: int, key, n: int, row) -> Sequence[int]:
+        """The q-level table ``key``, row(k) for k = 1..n at index k (0 at
+        index 0): held, or built, and recorded if it fits and the
+        generation holds, or, when the bound n * (bits of row(n)) on its
+        size does not fit in the room left, a view that computes each row
+        when read."""
+        with cls._lock:
+            current = generation == cls._generation
+            held = cls._tables.get(key) if current else None
+            free = _LEVEL_MEMO_BITS - cls._bits - cls._pending
+        if held is not None:
+            return held
+        if n * (row(n).bit_length() + _ENTRY_BITS) > free:
+            return _Rows(row)
+        built = (0, *map(row, range(1, n + 1)))
+        if current:
+            bits = sum(map(int.bit_length, built)) + _ENTRY_BITS * n
+            with cls._lock:
+                fits = cls._bits + cls._pending + bits <= _LEVEL_MEMO_BITS
+                if generation == cls._generation and key not in cls._tables and fits:
+                    cls._tables[key] = built
+                    cls._bits += bits
+        return built
+
+
+class _Rows:
+    """A q-level table that is not built: row(k) at index k, computed when
+    read, the last one kept, so that the rows of other tables built from it
+    at one index read it once."""
+
+    def __init__(self, row):
+        self.row, self.k, self.value = row, None, None
+
+    def __getitem__(self, k: int) -> int:
+        if k != self.k:
+            self.k, self.value = k, self.row(k)
+        return self.value
+
+
+def _kept(
+    generation: int, columns: list, held: list, last: list, lo: int, charged: int, left: int
+) -> tuple[int, int]:
+    """(lo', charged'): the shallowest level an engine still keeps, lo or
+    deeper, and the bits it has in flight, after it drops the shallowest
+    kept columns until they fit in the level memo, each column's held bits
+    projected over the ``left`` indices still to come at its last entry's
+    size, so that a column that cannot fit is dropped early."""
+    while True:
+        need = sum(held[lo:]) + left * sum(last[lo:])
+        if _Levels.charge(generation, charged, need):
+            return lo, need
+        columns[lo] = None
+        lo += 1
+
+
+def _q_rows(ctx: QContext, generation: int | None, n: int, mags=()):
+    """k -> (L_k/L_(k-1), L_k/h_k, {s: (L_k/h_k)**s (b**k + a**k) for s
+    in mags}), the q-level values the exact engines read at index k <= n:
+    read off the level memo's tables (see :meth:`_Levels.table`), or, on
+    a first visit (generation None), computed at each index and kept
+    nowhere, as the engines did before the memo, so that a sum at a
+    (q, n) that no other sum shares holds no table and pays for none."""
+    a, b = ctx.q.numerator, ctx.q.denominator
+    if generation is None:
+
+        def at(k: int) -> tuple:
+            u = ctx.p_lcm(k) // ctx.h(k)
+            if not mags:
+                return ctx.p_lcm_step(k), u, None
+            bk_ak = b**k + a**k
+            return ctx.p_lcm_step(k), u, {s: u**s * bk_ak for s in mags}
+
+        return at
+    step = _Levels.table(generation, "L_k/L_(k-1)", n, ctx.p_lcm_step)
+    u = _Levels.table(generation, "L_k/h_k", n, lambda k: ctx.p_lcm(k) // ctx.h(k))
+    bk_ak = _Levels.table(generation, "b^k+a^k", n, lambda k: b**k + a**k)
+    factors = {
+        s: _Levels.table(generation, ("run", s), n, lambda k, s=s: u[k] ** s * bk_ak[k])
+        for s in mags
+    }
+    return lambda k: (step[k], u[k], {s: factors[s][k] for s in mags})
+
+
 def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator[Row]:
     """Unreduced rows (numerator, 1, e) of the nested harmonic sum for every
     upper limit 0..n_max, streamed in that order, in integers: row n is the
@@ -251,10 +507,20 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     rather than fixing them at L_n_max from the start, keeps the products
     of the early steps small.
 
+    Level j's column X_j[0..n_max] depends only on q, n_max, the descent
+    and the entries j..m-1, so it is read from the level memo (see
+    :class:`_Levels`): the sum starts at the shallowest level whose suffix
+    is held, reads that level's column (level j reads only level j+1),
+    and runs one loop over k for the levels above it only, with
+    L_k/L_(k-1) and L_k/h_k read off the memo's q-level tables
+    (:func:`_q_rows`); the columns it sums are recorded, deepest first,
+    while they fit.  Row n is X_0[n] whichever way it was found, and no
+    level is recorded on the first sum at a (q, n_max) in a descent.
+
     Raises ValueError for n_max above MAX_MHS_LIMIT or a work estimate
     above MAX_MHS_WORK.  As a generator it runs nothing until its first row
     is asked for; it then raises before its first row, and row 0 needs no
-    term.
+    term and reads no memo.
     """
     n_max = _upper_limit(n_max, MAX_MHS_LIMIT, "a harmonic sum")
     a, b = ctx.q.numerator, ctx.q.denominator
@@ -265,27 +531,57 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
         raise ValueError(f"work estimate {work:.2g} exceeds {MAX_MHS_WORK:.2g} for a harmonic sum")
     # X_j carries the scales of levels j..m-1: from k-1 to k they grow by
     # (L_k/L_{k-1})^(s_j+...+s_{m-1}) * b^(number of zero magnitudes there)
-    grow_l = [sum(mags[j:]) for j in range(m + 1)]
-    grow_b = [mags[j:].count(0) for j in range(m + 1)]
-    x = [0] * m + [1]
-    yield x[0], 1, m - grow_b[0]
+    grow_l = list(accumulate(reversed(mags), initial=0))[::-1]
+    grow_b = list(accumulate((s == 0 for s in reversed(mags)), initial=0))[::-1]
+    yield (0 if m else 1), 1, m - grow_b[0]
+    if not n_max:
+        return
+    keys = [(s, e.sign) for s, e in zip(mags, entries)]
+    root = _WEAK_ROOT if star else _STRICT_ROOT
+    generation, node, known = _Levels.lookup((a, b, n_max), root, keys)
+    top = m - len(known)  # levels 0..top-1 are summed here, the rest read
+    if top == 0 < m:
+        for k in range(1, n_max + 1):
+            yield known[0][k], 1, m - grow_b[0] + grow_b[0] * k
+        return
+    below = known[0] if known else None  # level top's column
+    q_rows = _q_rows(ctx, generation, n_max)
+    neg = [e.sign < 0 for e in entries]
+    x = [0] * top + [1]
+    kept = [[0] for _ in range(top)]  # kept[j]: X_j[0..k] while level j is kept
+    held, last = [0] * top, [0] * top
+    lo, charged = (0 if generation is not None else top), 0
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
-    order = range(m - 1, -1, -1) if star else range(m)
-    for k in range(1, n_max + 1):
-        ratio = ctx.p_lcm_step(k)
-        for j in range(m):
-            if x[j]:
-                x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
-        ak = a**k
-        v = ctx.p_lcm(k) // ctx.h(k)
-        w = v * b ** (k - 1)
-        for j in order:
-            c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
-            if entries[j].sign < 0 and k % 2:
-                c = -c
-            x[j] += c * x[j + 1]
-        yield x[0], 1, m - grow_b[0] + grow_b[0] * k
+    order = range(top - 1, -1, -1) if star else range(top)
+    try:
+        for k in range(1, n_max + 1):
+            ratio, v, _ = q_rows(k)
+            for j in range(top):
+                if x[j]:
+                    x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
+            if below is not None:
+                x[top] = below[k] if star else below[k - 1] * ratio ** grow_l[top] * b**grow_b[top]
+            ak = a**k
+            w = v * b ** (k - 1)
+            odd = k % 2
+            for j in order:
+                c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
+                x[j] += (-c if odd and neg[j] else c) * x[j + 1]
+            for j in range(lo, top):
+                kept[j].append(x[j])
+                last[j] = x[j].bit_length() + _ENTRY_BITS
+                held[j] += last[j]
+            if lo < top:
+                lo, charged = _kept(generation, kept, held, last, lo, charged, n_max - k)
+            if k == n_max:
+                levels = [(keys[j], tuple(kept[j]), held[j]) for j in range(top - 1, lo - 1, -1)]
+                _Levels.record(generation, node, levels, charged)
+                charged = 0
+            yield x[0], 1, m - grow_b[0] + grow_b[0] * k
+    finally:
+        # a stream left unread releases what it kept
+        _Levels.record(generation, node, [], charged)
 
 
 def _row_value(ctx: QContext, w: int, n: int, row: Row, lw: int | None = None) -> Fraction:
@@ -376,9 +672,21 @@ def mhs(ctx: QContext, s: Sequence, n: int, star: bool = False) -> Fraction:
     return _row_value(ctx, weight, n, deque(_mhs_rows(ctx, entries, n, star), maxlen=1)[0])
 
 
-def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]:
-    """For each start slot i, the runs [i, j) folded into plain integers
-    (j, s, barred, alpha, beta).
+def _merge_flags(m: int, merge) -> tuple:
+    """The merge mask of a depth-m pattern as one flag per separator (see
+    :func:`_runs`)."""
+    if isinstance(merge, bool):
+        return (merge,) * (m - 1)
+    if len(merge) != m - 1:
+        raise ValueError(f"merge mask needs {m - 1} entries, got {len(merge)}")
+    return tuple(bool(flag) for flag in merge)
+
+
+def _runs(
+    pattern: Triple, merge, stop: int | None = None
+) -> list[list[tuple[int, int, bool, int, int]]]:
+    """For each start slot i (below ``stop``, when given), the runs [i, j)
+    folded into plain integers (j, s, barred, alpha, beta).
 
     A folded run has magnitude s (oplus adds magnitudes), is barred when an
     odd number of its entries are, and has offset t (the sum of its
@@ -395,12 +703,9 @@ def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]
     boxplus is not associative.
     """
     m = pattern.depth
-    if isinstance(merge, bool):
-        merge = (merge,) * (m - 1)
-    elif len(merge) != m - 1:
-        raise ValueError(f"merge mask needs {m - 1} entries, got {len(merge)}")
+    merge = _merge_flags(m, merge)
     out = []
-    for i in range(m):
+    for i in range(m if stop is None else stop):
         row = []
         s, barred, t, r = 0, False, 0, THETA  # theta is a two-sided identity
         for j in range(i, m):
@@ -418,9 +723,9 @@ def _runs(pattern: Triple, merge) -> list[list[tuple[int, int, bool, int, int]]]
     return out
 
 
-def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, int, int]]:
+def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tuple[int, int, int]]:
     """Yield inner[k], the mollified sums of every resolution of a pattern
-    with outermost index k, for k = 1, 2, ... (no prefactor), as integers
+    with outermost index k, for k = 1..n (no prefactor), as integers
     (y, A, B) with inner[k] = y / (L_k**W_0 * a**A * b**B); see the scale
     below.
 
@@ -453,72 +758,116 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge) -> Iterator[tuple[int, i
     runs: it starts from its own X_i, A_i and B_i, and when a run needs a
     larger a- or b-power it multiplies the partial total by the difference
     before adding that run's product.  Only integers are added and
-    multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is
-    computed once per index for each magnitude s of a run.  L_k is prime to
-    a and b, so the values yielded up to n share the denominator
-    L_n**W_0 * a**A' * b**B', with A' and B' the largest of their exponents
-    and 0, known without an lcm.
+    multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is read
+    once per index for each magnitude s of a run (see :func:`_q_rows`).
+    L_k is prime to a and b, so the values yielded up to n share the
+    denominator L_n**W_0 * a**A' * b**B', with A' and B' the largest of
+    their exponents and 0, known without an lcm.
+
+    Level i's column, the (X_i, A_i, B_i) that the levels above read at
+    each index k = 1..n (C_i[k-1], moved to L_k), depends only on q, n and
+    slots i..m-1 with their merge flags, and level 0's column is inner
+    itself, so both are read from the level memo (see :class:`_Levels`):
+    the sum starts at the shallowest level whose suffix is held, runs one
+    loop over k for the levels above it only, reading every held column
+    that a run reaches index by index, and records the columns it sums,
+    deepest first, while they fit; it records none on the first sum at a
+    (q, n).  Only level 0 is summed at k = n, as no level reads C_i[n].
     """
     a, b = ctx.q.numerator, ctx.q.denominator
     m = pattern.depth
-    runs = _runs(pattern, merge)
+    merge = _merge_flags(m, merge)
+    if n <= 0:
+        return
+    keys = [
+        (i == 0, e.magnitude, e.sign, t, None if isinstance(r, Theta) else r, flag)
+        for i, (e, t, r, flag) in enumerate(zip(pattern.s, pattern.t, pattern.r, merge + (False,)))
+    ]
+    generation, node, known = _Levels.lookup((a, b, n), _RUN_ROOT, keys)
+    top = m - len(known)  # levels 0..top-1 are summed here, the rest read
+    if top == 0:
+        yield from known[0]
+        return
+    runs = _runs(pattern, merge, top)
     mags = {s for row in runs for _, s, *_ in row}
-    weight = [sum(e.magnitude for e in pattern.s[i:]) for i in range(m + 1)]
+    weight = list(accumulate((e.magnitude for e in reversed(pattern.s)), initial=0))[::-1]
+    q_rows = _q_rows(ctx, generation, n, mags)
     x = [0] * m + [1]
     # exponents of a and b in each level's scale; None while the level is empty
     ea: list = [None] * m + [0]
     eb = [0] * (m + 1)
-    for k in count(1):
-        step = ctx.p_lcm_step(k)
-        if step > 1:
-            for j in range(1, m):
-                if x[j]:
-                    x[j] *= step ** weight[j]
-        u = ctx.p_lcm(k) // ctx.h(k)
-        bk_ak = b**k + a**k
-        factor = {s: u**s * bk_ak for s in mags}
-        half = k * (k - 1) // 2
-        odd = k % 2
-        # level 0 gives inner[k]; updating i upwards reads the deeper C_j
-        # before they move to k
-        for i in range(m):
-            if i and ea[i] is not None:
-                A, B, total = ea[i], eb[i], x[i]
-            else:
-                A = B = None
-                total = 0
-            for j, s, barred, alpha, beta in runs[i]:
-                below = ea[j]
-                if below is None:
-                    continue
-                # the least a- and b-exponents of level i's scale that make
-                # this run's term an integer
-                e = alpha * half + beta * k
-                need_a = below - e
-                need_b = eb[j] + k + e - (k - 1) * s
-                if A is None:
-                    A, B = need_a, need_b
+    kept: list = [[] for _ in range(top)]  # kept[i]: level i's column while it is kept
+    held, last = [0] * top, [0] * top
+    lo, charged = (0 if generation is not None else top), 0
+    try:
+        for k in range(1, n + 1):
+            ratio, _, factor = q_rows(k)
+            if ratio > 1:
+                for j in range(1, top):
+                    if x[j]:
+                        x[j] *= ratio ** weight[j]
+            for j in range(top, m):
+                x[j], ea[j], eb[j] = known[j - top][k - 1]
+            for j in range(max(lo, 1), top):
+                kept[j].append((x[j], ea[j], eb[j]))
+                last[j] = x[j].bit_length() + _ENTRY_BITS
+                held[j] += last[j]
+            half = k * (k - 1) // 2
+            odd = k % 2
+            # level 0 gives inner[k]; updating i upwards reads the deeper C_j
+            # before they move to k
+            for i in range(top if k < n else 1):
+                if i and ea[i] is not None:
+                    A, B, total = ea[i], eb[i], x[i]
                 else:
-                    if need_a > A:
-                        if total:
-                            total *= a ** (need_a - A)
-                        A = need_a
-                    if need_b > B:
-                        if total:
-                            total *= b ** (need_b - B)
-                        B = need_b
-                if x[j]:
-                    c = factor[s]
-                    if A > need_a:
-                        c *= a ** (A - need_a)
-                    if B > need_b:
-                        c *= b ** (B - need_b)
-                    c *= x[j]
-                    total += -c if barred and odd else c
-            if i == 0:
-                yield (total, A, B) if A is not None else (0, 0, 0)
-            elif A is not None:
-                x[i], ea[i], eb[i] = total, A, B
+                    A = B = None
+                    total = 0
+                for j, s, barred, alpha, beta in runs[i]:
+                    below = ea[j]
+                    if below is None:
+                        continue
+                    # the least a- and b-exponents of level i's scale that make
+                    # this run's term an integer
+                    e = alpha * half + beta * k
+                    need_a = below - e
+                    need_b = eb[j] + k + e - (k - 1) * s
+                    if A is None:
+                        A, B = need_a, need_b
+                    else:
+                        if need_a > A:
+                            if total:
+                                total *= a ** (need_a - A)
+                            A = need_a
+                        if need_b > B:
+                            if total:
+                                total *= b ** (need_b - B)
+                            B = need_b
+                    if x[j]:
+                        c = factor[s]
+                        if A > need_a:
+                            c *= a ** (A - need_a)
+                        if B > need_b:
+                            c *= b ** (B - need_b)
+                        c *= x[j]
+                        total += -c if barred and odd else c
+                if i == 0:
+                    inner = (total, A, B) if A is not None else (0, 0, 0)
+                elif A is not None:
+                    x[i], ea[i], eb[i] = total, A, B
+            if lo == 0:
+                kept[0].append(inner)
+                last[0] = inner[0].bit_length() + _ENTRY_BITS
+                held[0] += last[0]
+            if lo < top:
+                lo, charged = _kept(generation, kept, held, last, lo, charged, n - k)
+            if k == n:
+                levels = [(keys[i], tuple(kept[i]), held[i]) for i in range(top - 1, lo - 1, -1)]
+                _Levels.record(generation, node, levels, charged)
+                charged = 0
+            yield inner
+    finally:
+        # a stream left unread releases what it kept
+        _Levels.record(generation, node, [], charged)
 
 
 def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int, int]]:
@@ -627,7 +976,7 @@ def _pattern_rows(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> Ite
     n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
     _check_depth(pattern, "a finite mollified sum")
     yield 0, 1, 0
-    inner = islice(_inner_terms(ctx, pattern, merge), n_max)
+    inner = _inner_terms(ctx, pattern, merge, n_max)
     folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
     a = ctx.q.numerator
     h = _q_factors(ctx, 2 * n_max)
@@ -880,7 +1229,7 @@ def frakz(
     rational, or a K above MAX_FRAKZ_TERMS.
     """
     K, bound = _frakz_truncation(ctx.q, pattern, eps, merge)
-    inner = islice(_inner_terms(ctx, pattern, merge), K)
+    inner = _inner_terms(ctx, pattern, merge, K)
     total = top_a = top_b = 0
     for grow, x, top_a, top_b in _rescaled(ctx, pattern.weight, inner):
         total = total * grow + x

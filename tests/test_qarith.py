@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -195,7 +194,7 @@ def test_mollified_term():
     # that scale and b is not a power of 2
     def inner(ctx, triple, k):
         a, b = ctx.q.numerator, ctx.q.denominator
-        y, ea, eb = list(islice(_inner_terms(ctx, triple, False), k))[-1]
+        y, ea, eb = list(_inner_terms(ctx, triple, False, k))[-1]
         mag = triple.s[0].magnitude
         return y / (ctx.p_lcm(k) ** mag * Fraction(a) ** ea * Fraction(b) ** eb)
 
