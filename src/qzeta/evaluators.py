@@ -266,8 +266,10 @@ class _MemoInfo(NamedTuple):
 # empty suffix, and (outermost, magnitude, sign, offset, shift, merge flag
 # of the separator after it) in the run engine, whose outermost level
 # keeps inner[k] rather than a cumulative.  The memo also holds the
-# q-level tables at (q, n): L_k/L_(k-1), L_k/h_k, b**k + a**k and, per
-# magnitude s, (L_k/h_k)**s (b**k + a**k) (see _q_rows).
+# run engine's q-level tables at (q, n): L_k/L_(k-1) and, per magnitude
+# s, the factor (L_k/h_k)**s (b**k + a**k) of a run's term, which folds
+# in L_k/h_k and b**k + a**k; the harmonic DP reads L_k/L_(k-1) and L_k/h_k
+# off its QContext, as a table lookup per call cost it more than it saved.
 #
 # Admission.  A (q, n) is recorded from the second lookup of an engine
 # (a descent of the harmonic DP, or the run engine) at it on: the first
@@ -276,8 +278,10 @@ class _MemoInfo(NamedTuple):
 # finite-long workload, or one command, pays nothing for the memo but the
 # lookup (the "doorkeeper" of Einziger, Friedman and Manes, "TinyLFU: a
 # highly efficient cache admission policy", ACM TOS 2017).  Keeping
-# columns is not free: the kept integers stay out of the allocator's
-# reuse, which made a first sum 5-20 % slower when every sum kept them.
+# columns is not free: a first sum that kept them ran 5-40 % slower.
+# Admitting a level only on its suffix's second sum, the finer doorkeeper,
+# left the seed-1 finite-wide batch with 241 of its 440 run levels read
+# instead of 323, and no faster than without a memo.
 #
 # Bound.  _LEVEL_MEMO_BITS bounds the bits the memo holds, not its
 # entries, as a column takes about 100 bytes at n = 6 and megabytes at
@@ -287,14 +291,15 @@ class _MemoInfo(NamedTuple):
 # to the memo index by index, each column projected to n at its last
 # entry's size, and drops its shallowest kept column when they would not
 # fit beside what is held and what the other engine keeps (verify_mhs
-# sums both sides at once); a table whose size, bounded by n times its
-# last entry's, would not fit is computed index by index.  So the memo
-# holds at most 2**26 bits, 8 MiB of integers, counted as Python stores
-# them, plus small fixed parts (a run entry's (x, A, B) tuple, about 64
-# bytes more per entry, 40 KB for a full memo at n = 6).  The allocator's
-# slack around integers kept through a sum comes on top: keeping a full
-# memo at q = 5/8 and n = 160, or for 2**1000 at n = 20, raised peak RSS
-# by 8 and 11 MB.
+# sums both sides at once), charging in steps that at least double, so
+# that it takes the lock a few times per sum; a table whose size, bounded
+# by n times its last entry's, would not fit is computed index by index.
+# The columns an engine records fit by construction, as it kept them
+# charged.  So the memo holds at most 2**26 bits, 8 MiB of integers,
+# counted as Python stores them, plus small fixed parts (a run entry's
+# (x, A, B) tuple, about 64 bytes more per entry, 40 KB for a full memo at
+# n = 6).  The allocator's slack around integers kept through a sum comes
+# on top (see CHANGES.md for the peak RSS of full memos).
 _LEVEL_MEMO_BITS = 2**26
 _ENTRY_BITS = 256
 # ids of the empty suffix: the harmonic DP in strict and weak descent, and
@@ -302,14 +307,28 @@ _ENTRY_BITS = 256
 _STRICT_ROOT, _WEAK_ROOT, _RUN_ROOT = 0, 1, 2
 
 
+class _LevelState:
+    """What the level memo holds at one (q, n) (see :class:`_Levels`)."""
+
+    def __init__(self):
+        self.hits = self.misses = self.generation = 0
+        self.reset(None)
+
+    def reset(self, at) -> None:
+        self.at, self.generation = at, self.generation + 1
+        self.nodes: dict = {}  # (id of the suffix below, level key) -> (id, column)
+        self.tables: dict = {}
+        self.visits: set = set()  # roots that have looked up at ``at``
+        self.bits = self.pending = 0  # pending: bits the engines keep in flight
+
+
 class _Levels:
     """The level memo of the exact engines at one (q, n) (see the comment
-    above): one class-level store, written under one lock, that reports
-    itself as a bounded memo through :meth:`cache_info` and
-    :meth:`cache_clear`.
+    above): one store, written under one lock, that reports itself as a
+    bounded memo through :meth:`cache_info` and :meth:`cache_clear`.
 
     A lookup returns the columns of the longest memoized suffix of a
-    string of levels and a generation; :meth:`record` and :meth:`table`
+    string of levels and a generation; :meth:`record` and :meth:`tables`
     write only while that generation holds, so a column summed at one
     (q, n) never lands in the memo of another, and every level recorded
     chains onto a suffix already held: the suffixes held are closed under
@@ -317,29 +336,21 @@ class _Levels:
     """
 
     _lock = threading.Lock()
-    _at: tuple | None = None  # (a, b, n) of the entries held
-    _generation = 0
     _ids = count(_RUN_ROOT + 1)
-    _nodes: dict = {}  # (id of the suffix below, level key) -> (id, column)
-    _tables: dict = {}
-    _visits: set = set()  # roots that have looked up at _at
-    _bits = _pending = _hits = _misses = 0  # _pending: bits the engines keep in flight
+    _state = _LevelState()
 
     @classmethod
     def cache_info(cls) -> _MemoInfo:
+        state = cls._state
         with cls._lock:
-            return _MemoInfo(cls._hits, cls._misses, _LEVEL_MEMO_BITS, cls._bits)
+            return _MemoInfo(state.hits, state.misses, _LEVEL_MEMO_BITS, state.bits)
 
     @classmethod
     def cache_clear(cls) -> None:
+        state = cls._state
         with cls._lock:
-            cls._empty(None)
-            cls._hits = cls._misses = 0
-
-    @classmethod
-    def _empty(cls, at) -> None:
-        cls._at, cls._generation = at, cls._generation + 1
-        cls._nodes, cls._tables, cls._visits, cls._bits, cls._pending = {}, {}, set(), 0, 0
+            state.reset(None)
+            state.hits = state.misses = 0
 
     @classmethod
     def lookup(cls, at: tuple, root: int, keys: list) -> tuple[int | None, int, list]:
@@ -349,23 +360,24 @@ class _Levels:
         ``keys`` held, and ``id`` is that suffix's (``root`` when none).
         The generation is None on the first lookup from ``root`` at ``at``:
         that sum records nothing."""
-        node, found = root, []
+        state, node, found = cls._state, root, []
         with cls._lock:
-            if cls._at != at:
-                cls._empty(at)
-            if root not in cls._visits:
-                cls._visits.add(root)
-                cls._misses += len(keys)
+            if state.at != at:
+                state.reset(at)
+            if root not in state.visits:
+                state.visits.add(root)
+                state.misses += len(keys)
                 return None, root, []
+            nodes = state.nodes
             for key in reversed(keys):
-                entry = cls._nodes.get((node, key))
+                entry = nodes.get((node, key))
                 if entry is None:
                     break
                 node, column = entry
                 found.append(column)
-            cls._hits += len(found)
-            cls._misses += len(keys) - len(found)
-            return cls._generation, node, found[::-1]
+            state.hits += len(found)
+            state.misses += len(keys) - len(found)
+            return state.generation, node, found[::-1]
 
     @classmethod
     def charge(cls, generation: int, before: int, after: int) -> bool:
@@ -373,114 +385,107 @@ class _Levels:
         to ``after``; False when ``after`` would not fit beside the bits
         held and those the other engines keep (both sides of a finite check
         are summed at once), or grows once the generation is gone."""
+        state = cls._state
         with cls._lock:
-            if generation != cls._generation:
+            if generation != state.generation:
                 return after == 0
-            if after > before and cls._bits + cls._pending - before + after > _LEVEL_MEMO_BITS:
+            if after > before and state.bits + state.pending - before + after > _LEVEL_MEMO_BITS:
                 return False
-            cls._pending += after - before
+            state.pending += after - before
             return True
 
     @classmethod
-    def record(cls, generation: int, node: int, levels: list, charged: int) -> None:
+    def record(cls, generation: int, node: int, levels, bits: int, charged: int) -> None:
         """Release an engine's ``charged`` bits in flight and record
-        (key, column, bits) for each of ``levels``, deepest first, above
-        the suffix ``node``, while the bound holds."""
+        (key, column) for each of ``levels``, deepest first, above the
+        suffix ``node``: ``bits`` in all, at most ``charged``, which the
+        engine kept charged while it summed them, so they fit."""
+        state = cls._state
         with cls._lock:
-            if generation != cls._generation:
+            if generation != state.generation:
                 return
-            cls._pending -= charged
-            for key, column, bits in levels:
-                entry = cls._nodes.get((node, key))
+            state.pending -= charged
+            state.bits += bits
+            nodes = state.nodes
+            for key, column in levels:
+                entry = nodes.get((node, key))
                 if entry is None:
-                    if cls._bits + bits > _LEVEL_MEMO_BITS:
-                        return
-                    entry = cls._nodes[node, key] = next(cls._ids), column
-                    cls._bits += bits
+                    entry = nodes[node, key] = next(cls._ids), column
                 node = entry[0]
 
     @classmethod
-    def table(cls, generation: int, key, n: int, row) -> Sequence[int]:
-        """The q-level table ``key``, row(k) for k = 1..n at index k (0 at
-        index 0): held, or built, and recorded if it fits and the
-        generation holds, or, when the bound n * (bits of row(n)) on its
-        size does not fit in the room left, a view that computes each row
-        when read."""
+    def tables(cls, generation: int, n: int, rows: dict) -> dict:
+        """{key: table} for each q-level table ``key`` of ``rows``, whose
+        entry at index k = 1..n is row(k) (0 at index 0): held, or built,
+        and recorded if it fits and the generation holds, or, when the
+        bound n * (bits of row(n)) on its size does not fit in the room
+        left, a view that computes each row when read."""
+        state = cls._state
         with cls._lock:
-            current = generation == cls._generation
-            held = cls._tables.get(key) if current else None
-            free = _LEVEL_MEMO_BITS - cls._bits - cls._pending
-        if held is not None:
-            return held
-        if n * (row(n).bit_length() + _ENTRY_BITS) > free:
-            return _Rows(row)
-        built = (0, *map(row, range(1, n + 1)))
-        if current:
-            bits = sum(map(int.bit_length, built)) + _ENTRY_BITS * n
+            current = generation == state.generation
+            out = {key: state.tables.get(key) for key in rows} if current else dict.fromkeys(rows)
+            free = _LEVEL_MEMO_BITS - state.bits - state.pending
+        built = {}
+        for key, row in rows.items():
+            if out[key] is None:
+                size = n * (row(n).bit_length() + _ENTRY_BITS)
+                if size > free:
+                    out[key] = _Rows(row)
+                else:
+                    free -= size
+                    out[key] = built[key] = (0, *map(row, range(1, n + 1)))
+        if built and current:
             with cls._lock:
-                fits = cls._bits + cls._pending + bits <= _LEVEL_MEMO_BITS
-                if generation == cls._generation and key not in cls._tables and fits:
-                    cls._tables[key] = built
-                    cls._bits += bits
-        return built
+                for key, table in built.items():
+                    bits = sum(map(int.bit_length, table)) + _ENTRY_BITS * n
+                    fits = state.bits + state.pending + bits <= _LEVEL_MEMO_BITS
+                    if generation == state.generation and key not in state.tables and fits:
+                        state.tables[key] = table
+                        state.bits += bits
+        return out
 
 
 class _Rows:
-    """A q-level table that is not built: row(k) at index k, computed when
-    read, the last one kept, so that the rows of other tables built from it
-    at one index read it once."""
+    """A q-level table too large to build: row(k) at index k, computed
+    when read."""
 
     def __init__(self, row):
-        self.row, self.k, self.value = row, None, None
+        self.row = row
 
     def __getitem__(self, k: int) -> int:
-        if k != self.k:
-            self.k, self.value = k, self.row(k)
-        return self.value
+        return self.row(k)
 
 
-def _kept(
-    generation: int, columns: list, held: list, last: list, lo: int, charged: int, left: int
-) -> tuple[int, int]:
-    """(lo', charged'): the shallowest level an engine still keeps, lo or
-    deeper, and the bits it has in flight, after it drops the shallowest
-    kept columns until they fit in the level memo, each column's held bits
-    projected over the ``left`` indices still to come at its last entry's
-    size, so that a column that cannot fit is dropped early."""
+def _keep(
+    generation: int, rows: list, ints: list, lo: int, held: int, charged: int, left: int
+) -> tuple:
+    """(rows, ints, lo, held, charged) of an engine that keeps the columns
+    of its levels lo, lo+1, ... at one (q, n) as one row per index:
+    ``rows``, the kept entries, and ``ints``, their integers (the same list
+    when the entries are the integers), which hold ``held`` bits.
+
+    The bits held, projected over the ``left`` indices still to come at
+    the last row's size, are charged to the level memo in steps that at
+    least double the charge, and the shallowest kept level is dropped
+    while they would not fit beside what the memo holds and what the other
+    engine keeps (both sides of a finite check are summed at once), so
+    that a column that cannot be recorded is dropped early.
+    """
     while True:
-        need = sum(held[lo:]) + left * sum(last[lo:])
+        last = ints[-1]
+        need = held + left * (sum(map(int.bit_length, last)) + _ENTRY_BITS * len(last))
+        if need <= charged:
+            return rows, ints, lo, held, charged
+        if _Levels.charge(generation, charged, 2 * need):
+            return rows, ints, lo, held, 2 * need
         if _Levels.charge(generation, charged, need):
-            return lo, need
-        columns[lo] = None
+            return rows, ints, lo, held, need
+        column = [row[0] for row in ints]
+        held -= sum(map(int.bit_length, column)) + _ENTRY_BITS * len(column)
+        same = rows is ints
+        ints = [row[1:] for row in ints]
+        rows = ints if same else [row[1:] for row in rows]
         lo += 1
-
-
-def _q_rows(ctx: QContext, generation: int | None, n: int, mags=()):
-    """k -> (L_k/L_(k-1), L_k/h_k, {s: (L_k/h_k)**s (b**k + a**k) for s
-    in mags}), the q-level values the exact engines read at index k <= n:
-    read off the level memo's tables (see :meth:`_Levels.table`), or, on
-    a first visit (generation None), computed at each index and kept
-    nowhere, as the engines did before the memo, so that a sum at a
-    (q, n) that no other sum shares holds no table and pays for none."""
-    a, b = ctx.q.numerator, ctx.q.denominator
-    if generation is None:
-
-        def at(k: int) -> tuple:
-            u = ctx.p_lcm(k) // ctx.h(k)
-            if not mags:
-                return ctx.p_lcm_step(k), u, None
-            bk_ak = b**k + a**k
-            return ctx.p_lcm_step(k), u, {s: u**s * bk_ak for s in mags}
-
-        return at
-    step = _Levels.table(generation, "L_k/L_(k-1)", n, ctx.p_lcm_step)
-    u = _Levels.table(generation, "L_k/h_k", n, lambda k: ctx.p_lcm(k) // ctx.h(k))
-    bk_ak = _Levels.table(generation, "b^k+a^k", n, lambda k: b**k + a**k)
-    factors = {
-        s: _Levels.table(generation, ("run", s), n, lambda k, s=s: u[k] ** s * bk_ak[k])
-        for s in mags
-    }
-    return lambda k: (step[k], u[k], {s: factors[s][k] for s in mags})
 
 
 def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator[Row]:
@@ -511,11 +516,11 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     and the entries j..m-1, so it is read from the level memo (see
     :class:`_Levels`): the sum starts at the shallowest level whose suffix
     is held, reads that level's column (level j reads only level j+1),
-    and runs one loop over k for the levels above it only, with
-    L_k/L_(k-1) and L_k/h_k read off the memo's q-level tables
-    (:func:`_q_rows`); the columns it sums are recorded, deepest first,
-    while they fit.  Row n is X_0[n] whichever way it was found, and no
-    level is recorded on the first sum at a (q, n_max) in a descent.
+    and runs one loop over k for the levels above it only; the columns it
+    sums are kept (see :func:`_keep`) and recorded, deepest first, before
+    the last row is yielded.  Row n is X_0[n] whichever way it was found,
+    and no level is recorded on the first sum at a (q, n_max) in a
+    descent.
 
     Raises ValueError for n_max above MAX_MHS_LIMIT or a work estimate
     above MAX_MHS_WORK.  As a generator it runs nothing until its first row
@@ -536,7 +541,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     yield (0 if m else 1), 1, m - grow_b[0]
     if not n_max:
         return
-    keys = [(s, e.sign) for s, e in zip(mags, entries)]
+    keys = [2 * s + (e.sign < 0) for s, e in zip(mags, entries)]
     root = _WEAK_ROOT if star else _STRICT_ROOT
     generation, node, known = _Levels.lookup((a, b, n_max), root, keys)
     top = m - len(known)  # levels 0..top-1 are summed here, the rest read
@@ -545,43 +550,48 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
             yield known[0][k], 1, m - grow_b[0] + grow_b[0] * k
         return
     below = known[0] if known else None  # level top's column
-    q_rows = _q_rows(ctx, generation, n_max)
     neg = [e.sign < 0 for e in entries]
     x = [0] * top + [1]
-    kept = [[0] for _ in range(top)]  # kept[j]: X_j[0..k] while level j is kept
-    held, last = [0] * top, [0] * top
-    lo, charged = (0 if generation is not None else top), 0
+    # the columns of levels lo..top-1 are kept, one row per index, none on
+    # the first sum at this (q, n_max)
+    lo = top if generation is None else 0
+    rows = [x[lo:top]]  # X_j[0] = 0
+    held, charged = _ENTRY_BITS * (top - lo), 0
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
     order = range(top - 1, -1, -1) if star else range(top)
     try:
         for k in range(1, n_max + 1):
-            ratio, v, _ = q_rows(k)
+            ratio = ctx.p_lcm_step(k)
             for j in range(top):
                 if x[j]:
                     x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
             if below is not None:
                 x[top] = below[k] if star else below[k - 1] * ratio ** grow_l[top] * b**grow_b[top]
             ak = a**k
+            v = ctx.p_lcm(k) // ctx.h(k)
             w = v * b ** (k - 1)
             odd = k % 2
             for j in order:
                 c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
                 x[j] += (-c if odd and neg[j] else c) * x[j + 1]
-            for j in range(lo, top):
-                kept[j].append(x[j])
-                last[j] = x[j].bit_length() + _ENTRY_BITS
-                held[j] += last[j]
             if lo < top:
-                lo, charged = _kept(generation, kept, held, last, lo, charged, n_max - k)
-            if k == n_max:
-                levels = [(keys[j], tuple(kept[j]), held[j]) for j in range(top - 1, lo - 1, -1)]
-                _Levels.record(generation, node, levels, charged)
-                charged = 0
+                row = x[lo:top]
+                rows.append(row)
+                size = sum(map(int.bit_length, row)) + _ENTRY_BITS * (top - lo)
+                held += size
+                if held + (n_max - k) * size > charged:
+                    rows, _, lo, held, charged = _keep(
+                        generation, rows, rows, lo, held, charged, n_max - k
+                    )
+                if k == n_max:
+                    levels = zip(reversed(keys[lo:top]), reversed(list(zip(*rows))))
+                    _Levels.record(generation, node, levels, held, charged)
+                    charged = 0
             yield x[0], 1, m - grow_b[0] + grow_b[0] * k
     finally:
-        # a stream left unread releases what it kept
-        _Levels.record(generation, node, [], charged)
+        if charged:  # a stream left unread releases what it kept
+            _Levels.record(generation, node, (), 0, charged)
 
 
 def _row_value(ctx: QContext, w: int, n: int, row: Row, lw: int | None = None) -> Fraction:
@@ -679,7 +689,7 @@ def _merge_flags(m: int, merge) -> tuple:
         return (merge,) * (m - 1)
     if len(merge) != m - 1:
         raise ValueError(f"merge mask needs {m - 1} entries, got {len(merge)}")
-    return tuple(bool(flag) for flag in merge)
+    return tuple(map(bool, merge))
 
 
 def _runs(
@@ -723,6 +733,13 @@ def _runs(
     return out
 
 
+def _run_factor(ctx: QContext, s: int, k: int) -> int:
+    """(L_k/h_k)**s (b**k + a**k), the factor of a run of magnitude s at
+    index k (see :func:`_inner_terms`)."""
+    q = ctx.q
+    return (ctx.p_lcm(k) // ctx.h(k)) ** s * (q.denominator**k + q.numerator**k)
+
+
 def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tuple[int, int, int]]:
     """Yield inner[k], the mollified sums of every resolution of a pattern
     with outermost index k, for k = 1..n (no prefactor), as integers
@@ -759,7 +776,9 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     larger a- or b-power it multiplies the partial total by the difference
     before adding that run's product.  Only integers are added and
     multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is read
-    once per index for each magnitude s of a run (see :func:`_q_rows`).
+    once per index for each magnitude s of a run, off the level memo's
+    q-level tables (see :class:`_Levels`) from the second sum at a (q, n)
+    on.
     L_k is prime to a and b, so the values yielded up to n share the
     denominator L_n**W_0 * a**A' * b**B', with A' and B' the largest of
     their exponents and 0, known without an lcm.
@@ -770,9 +789,10 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     itself, so both are read from the level memo (see :class:`_Levels`):
     the sum starts at the shallowest level whose suffix is held, runs one
     loop over k for the levels above it only, reading every held column
-    that a run reaches index by index, and records the columns it sums,
-    deepest first, while they fit; it records none on the first sum at a
-    (q, n).  Only level 0 is summed at k = n, as no level reads C_i[n].
+    that a run reaches index by index, and keeps the columns it sums (see
+    :func:`_keep`) and records them, deepest first, before the last term
+    is yielded; it records none on the first sum at a (q, n).  Only level
+    0 is summed at k = n, as no level reads C_i[n].
     """
     a, b = ctx.q.numerator, ctx.q.denominator
     m = pattern.depth
@@ -791,27 +811,42 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     runs = _runs(pattern, merge, top)
     mags = {s for row in runs for _, s, *_ in row}
     weight = list(accumulate((e.magnitude for e in reversed(pattern.s)), initial=0))[::-1]
-    q_rows = _q_rows(ctx, generation, n, mags)
+    if generation is not None:
+        # the q-level tables: L_k/L_(k-1) and, per magnitude s, the factor
+        # (L_k/h_k)**s (b**k + a**k) of a run's term
+        factors = {("run", s): partial(_run_factor, ctx, s) for s in mags}
+        tables = _Levels.tables(generation, n, {"L_k/L_(k-1)": ctx.p_lcm_step, **factors})
+        step = tables["L_k/L_(k-1)"]
+        factors = [(s, tables["run", s]) for s in mags]
     x = [0] * m + [1]
     # exponents of a and b in each level's scale; None while the level is empty
     ea: list = [None] * m + [0]
     eb = [0] * (m + 1)
-    kept: list = [[] for _ in range(top)]  # kept[i]: level i's column while it is kept
-    held, last = [0] * top, [0] * top
-    lo, charged = (0 if generation is not None else top), 0
+    # the columns of levels lo..top-1 are kept, one row per index, none on
+    # the first sum at this (q, n)
+    lo = top if generation is None else 0
+    rows, ints = [], []
+    held = charged = 0
     try:
         for k in range(1, n + 1):
-            ratio, _, factor = q_rows(k)
+            if generation is None:
+                ratio = ctx.p_lcm_step(k)
+                u = ctx.p_lcm(k) // ctx.h(k)
+                bk_ak = b**k + a**k
+                factor = {s: u**s * bk_ak for s in mags}
+            else:
+                ratio = step[k]
+                factor = {s: table[k] for s, table in factors}
             if ratio > 1:
                 for j in range(1, top):
                     if x[j]:
                         x[j] *= ratio ** weight[j]
             for j in range(top, m):
                 x[j], ea[j], eb[j] = known[j - top][k - 1]
-            for j in range(max(lo, 1), top):
-                kept[j].append((x[j], ea[j], eb[j]))
-                last[j] = x[j].bit_length() + _ENTRY_BITS
-                held[j] += last[j]
+            if lo < top:
+                first = max(lo, 1)
+                level_ints = x[first:top]
+                level_rows = list(zip(level_ints, ea[first:top], eb[first:top]))
             half = k * (k - 1) // 2
             odd = k % 2
             # level 0 gives inner[k]; updating i upwards reads the deeper C_j
@@ -854,20 +889,26 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
                     inner = (total, A, B) if A is not None else (0, 0, 0)
                 elif A is not None:
                     x[i], ea[i], eb[i] = total, A, B
-            if lo == 0:
-                kept[0].append(inner)
-                last[0] = inner[0].bit_length() + _ENTRY_BITS
-                held[0] += last[0]
             if lo < top:
-                lo, charged = _kept(generation, kept, held, last, lo, charged, n - k)
-            if k == n:
-                levels = [(keys[i], tuple(kept[i]), held[i]) for i in range(top - 1, lo - 1, -1)]
-                _Levels.record(generation, node, levels, charged)
-                charged = 0
+                if lo == 0:
+                    level_ints.insert(0, inner[0])
+                    level_rows.insert(0, inner)
+                rows.append(level_rows)
+                ints.append(level_ints)
+                size = sum(map(int.bit_length, level_ints)) + _ENTRY_BITS * (top - lo)
+                held += size
+                if held + (n - k) * size > charged:
+                    rows, ints, lo, held, charged = _keep(
+                        generation, rows, ints, lo, held, charged, n - k
+                    )
+                if k == n:
+                    levels = zip(reversed(keys[lo:top]), reversed(list(zip(*rows))))
+                    _Levels.record(generation, node, levels, held, charged)
+                    charged = 0
             yield inner
     finally:
-        # a stream left unread releases what it kept
-        _Levels.record(generation, node, [], charged)
+        if charged:  # a stream left unread releases what it kept
+            _Levels.record(generation, node, (), 0, charged)
 
 
 def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int, int]]:
