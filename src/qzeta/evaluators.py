@@ -87,14 +87,14 @@ denominator's growth from index to index is folded into each row's sum
 once, by Horner, as in :func:`frakz` (see :func:`_pattern_rows`).
 
 Both exact engines read and record their levels through one level memo
-(:class:`_Levels`).  At one q and upper limit n a level's column, its
+(:mod:`~qzeta.levels`).  At one q and upper limit n a level's column, its
 cumulative at every index at that index's scale, depends only on the
 slots from that level down, so a sum reads the columns of the longest
 suffix already summed at that (q, n), and the q-level tables, and sums
 only the levels above it.  The memo holds one (q, n) at a time, records
-from an engine's second sum at a (q, n) on, and is bounded by the bits it
-holds (_LEVEL_MEMO_BITS); the batteries of :mod:`~qzeta.verify` at one q
-and n_max share most of their levels through it.
+from an engine's second sum at a (q, n) on, and is bounded by the bits
+it holds; the batteries of :mod:`~qzeta.verify` at one q and n_max share
+most of their levels through it.
 
 Every exact sum ends as one row shape, (num, c, e): the value
 num / (L_n^w * c * b^e) at upper limit n, with L_n^w (w the weight, which
@@ -114,7 +114,6 @@ and every failing residual of a finite check is reduced there, once.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,6 +125,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
+from .levels import RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 
 # (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
@@ -238,256 +238,6 @@ def _upper_limit(n_max, cap: int, what: str) -> int:
     return n_max
 
 
-class _MemoInfo(NamedTuple):
-    """What the level memo holds, in the shape of functools.lru_cache's
-    cache_info(): levels read from it and levels summed, and the bits held
-    against the bound _LEVEL_MEMO_BITS."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-# The level memo of the two exact engines (see _Levels).  In both, a
-# level's column, its cumulative at every index k <= n at that index's
-# scale, depends only on q, n and the slots from that level down, so the
-# compositions checked at one q and upper limit n, which share many
-# suffixes, share columns: over the benchmark's seed-1 finite-wide batch
-# (40 checks at q = 1/2, n = 6) the run engine looks up 440 levels and
-# sums 117, the harmonic DP 245 and 84.  The memo holds one (q, n) at a
-# time, and a call at another (q, n) empties it.
-#
-# Key.  A level's suffix is interned one level at a time as (id of the
-# suffix below it, the level's own slot), every part an int or a flag
-# (theta as None), so a lookup costs one probe of a constant-size key per
-# level, 1,000 probes for a string of 1,000 entries.  The slot is
-# (magnitude, sign) in the harmonic DP, whose descent is in the id of the
-# empty suffix, and (outermost, magnitude, sign, offset, shift, merge flag
-# of the separator after it) in the run engine, whose outermost level
-# keeps inner[k] rather than a cumulative.  The memo also holds the
-# run engine's q-level tables at (q, n): L_k/L_(k-1) and, per magnitude
-# s, the factor (L_k/h_k)**s (b**k + a**k) of a run's term, which folds
-# in L_k/h_k and b**k + a**k; the harmonic DP reads L_k/L_(k-1) and L_k/h_k
-# off its QContext, as a table lookup per call cost it more than it saved.
-#
-# Admission.  A (q, n) is recorded from the second lookup of an engine
-# (a descent of the harmonic DP, or the run engine) at it on: the first
-# sum at a (q, n) keeps no column and builds no table, so a batch that
-# never comes back to a (q, n), one q per check as in the benchmark's
-# finite-long workload, or one command, pays nothing for the memo but the
-# lookup (the "doorkeeper" of Einziger, Friedman and Manes, "TinyLFU: a
-# highly efficient cache admission policy", ACM TOS 2017).  Keeping
-# columns is not free: a first sum that kept them ran 5-40 % slower.
-# Admitting a level only on its suffix's second sum, the finer doorkeeper,
-# left the seed-1 finite-wide batch with 241 of its 440 run levels read
-# instead of 323, and no faster than without a memo.
-#
-# Bound.  _LEVEL_MEMO_BITS bounds the bits the memo holds, not its
-# entries, as a column takes about 100 bytes at n = 6 and megabytes at
-# n = 160: an int counts its bit length plus _ENTRY_BITS for its object
-# and pointer, and a column or table is recorded only while the total
-# stays within the bound.  An engine charges the bits it keeps in flight
-# to the memo index by index, each column projected to n at its last
-# entry's size, and drops its shallowest kept column when they would not
-# fit beside what is held and what the other engine keeps (verify_mhs
-# sums both sides at once), charging in steps that at least double, so
-# that it takes the lock a few times per sum; a table whose size, bounded
-# by n times its last entry's, would not fit is computed index by index.
-# The columns an engine records fit by construction, as it kept them
-# charged.  So the memo holds at most 2**26 bits, 8 MiB of integers,
-# counted as Python stores them, plus small fixed parts (a run entry's
-# (x, A, B) tuple, about 64 bytes more per entry, 40 KB for a full memo at
-# n = 6).  The allocator's slack around integers kept through a sum comes
-# on top (see CHANGES.md for the peak RSS of full memos).
-_LEVEL_MEMO_BITS = 2**26
-_ENTRY_BITS = 256
-# ids of the empty suffix: the harmonic DP in strict and weak descent, and
-# the run engine
-_STRICT_ROOT, _WEAK_ROOT, _RUN_ROOT = 0, 1, 2
-
-
-class _LevelState:
-    """What the level memo holds at one (q, n) (see :class:`_Levels`)."""
-
-    def __init__(self):
-        self.hits = self.misses = self.generation = 0
-        self.reset(None)
-
-    def reset(self, at) -> None:
-        self.at, self.generation = at, self.generation + 1
-        self.nodes: dict = {}  # (id of the suffix below, level key) -> (id, column)
-        self.tables: dict = {}
-        self.visits: set = set()  # roots that have looked up at ``at``
-        self.bits = self.pending = 0  # pending: bits the engines keep in flight
-
-
-class _Levels:
-    """The level memo of the exact engines at one (q, n) (see the comment
-    above): one store, written under one lock, that reports itself as a
-    bounded memo through :meth:`cache_info` and :meth:`cache_clear`.
-
-    A lookup returns the columns of the longest memoized suffix of a
-    string of levels and a generation; :meth:`record` and :meth:`tables`
-    write only while that generation holds, so a column summed at one
-    (q, n) never lands in the memo of another, and every level recorded
-    chains onto a suffix already held: the suffixes held are closed under
-    taking a shorter suffix.
-    """
-
-    _lock = threading.Lock()
-    _ids = count(_RUN_ROOT + 1)
-    _state = _LevelState()
-
-    @classmethod
-    def cache_info(cls) -> _MemoInfo:
-        state = cls._state
-        with cls._lock:
-            return _MemoInfo(state.hits, state.misses, _LEVEL_MEMO_BITS, state.bits)
-
-    @classmethod
-    def cache_clear(cls) -> None:
-        state = cls._state
-        with cls._lock:
-            state.reset(None)
-            state.hits = state.misses = 0
-
-    @classmethod
-    def lookup(cls, at: tuple, root: int, keys: list) -> tuple[int | None, int, list]:
-        """(generation, id, columns) at ``at`` = (a, b, n), emptying the
-        memo if it holds another: ``columns`` are those of the levels
-        len(keys) - len(columns) .. len(keys) - 1, the longest suffix of
-        ``keys`` held, and ``id`` is that suffix's (``root`` when none).
-        The generation is None on the first lookup from ``root`` at ``at``:
-        that sum records nothing."""
-        state, node, found = cls._state, root, []
-        with cls._lock:
-            if state.at != at:
-                state.reset(at)
-            if root not in state.visits:
-                state.visits.add(root)
-                state.misses += len(keys)
-                return None, root, []
-            nodes = state.nodes
-            for key in reversed(keys):
-                entry = nodes.get((node, key))
-                if entry is None:
-                    break
-                node, column = entry
-                found.append(column)
-            state.hits += len(found)
-            state.misses += len(keys) - len(found)
-            return state.generation, node, found[::-1]
-
-    @classmethod
-    def charge(cls, generation: int, before: int, after: int) -> bool:
-        """Move an engine's bits in flight at ``generation`` from ``before``
-        to ``after``; False when ``after`` would not fit beside the bits
-        held and those the other engines keep (both sides of a finite check
-        are summed at once), or grows once the generation is gone."""
-        state = cls._state
-        with cls._lock:
-            if generation != state.generation:
-                return after == 0
-            if after > before and state.bits + state.pending - before + after > _LEVEL_MEMO_BITS:
-                return False
-            state.pending += after - before
-            return True
-
-    @classmethod
-    def record(cls, generation: int, node: int, levels, bits: int, charged: int) -> None:
-        """Release an engine's ``charged`` bits in flight and record
-        (key, column) for each of ``levels``, deepest first, above the
-        suffix ``node``: ``bits`` in all, at most ``charged``, which the
-        engine kept charged while it summed them, so they fit."""
-        state = cls._state
-        with cls._lock:
-            if generation != state.generation:
-                return
-            state.pending -= charged
-            state.bits += bits
-            nodes = state.nodes
-            for key, column in levels:
-                entry = nodes.get((node, key))
-                if entry is None:
-                    entry = nodes[node, key] = next(cls._ids), column
-                node = entry[0]
-
-    @classmethod
-    def tables(cls, generation: int, n: int, rows: dict) -> dict:
-        """{key: table} for each q-level table ``key`` of ``rows``, whose
-        entry at index k = 1..n is row(k) (0 at index 0): held, or built,
-        and recorded if it fits and the generation holds, or, when the
-        bound n * (bits of row(n)) on its size does not fit in the room
-        left, a view that computes each row when read."""
-        state = cls._state
-        with cls._lock:
-            current = generation == state.generation
-            out = {key: state.tables.get(key) for key in rows} if current else dict.fromkeys(rows)
-            free = _LEVEL_MEMO_BITS - state.bits - state.pending
-        built = {}
-        for key, row in rows.items():
-            if out[key] is None:
-                size = n * (row(n).bit_length() + _ENTRY_BITS)
-                if size > free:
-                    out[key] = _Rows(row)
-                else:
-                    free -= size
-                    out[key] = built[key] = (0, *map(row, range(1, n + 1)))
-        if built and current:
-            with cls._lock:
-                for key, table in built.items():
-                    bits = sum(map(int.bit_length, table)) + _ENTRY_BITS * n
-                    fits = state.bits + state.pending + bits <= _LEVEL_MEMO_BITS
-                    if generation == state.generation and key not in state.tables and fits:
-                        state.tables[key] = table
-                        state.bits += bits
-        return out
-
-
-class _Rows:
-    """A q-level table too large to build: row(k) at index k, computed
-    when read."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def __getitem__(self, k: int) -> int:
-        return self.row(k)
-
-
-def _keep(
-    generation: int, rows: list, ints: list, lo: int, held: int, charged: int, left: int
-) -> tuple:
-    """(rows, ints, lo, held, charged) of an engine that keeps the columns
-    of its levels lo, lo+1, ... at one (q, n) as one row per index:
-    ``rows``, the kept entries, and ``ints``, their integers (the same list
-    when the entries are the integers), which hold ``held`` bits.
-
-    The bits held, projected over the ``left`` indices still to come at
-    the last row's size, are charged to the level memo in steps that at
-    least double the charge, and the shallowest kept level is dropped
-    while they would not fit beside what the memo holds and what the other
-    engine keeps (both sides of a finite check are summed at once), so
-    that a column that cannot be recorded is dropped early.
-    """
-    while True:
-        last = ints[-1]
-        need = held + left * (sum(map(int.bit_length, last)) + _ENTRY_BITS * len(last))
-        if need <= charged:
-            return rows, ints, lo, held, charged
-        if _Levels.charge(generation, charged, 2 * need):
-            return rows, ints, lo, held, 2 * need
-        if _Levels.charge(generation, charged, need):
-            return rows, ints, lo, held, need
-        column = [row[0] for row in ints]
-        held -= sum(map(int.bit_length, column)) + _ENTRY_BITS * len(column)
-        same = rows is ints
-        ints = [row[1:] for row in ints]
-        rows = ints if same else [row[1:] for row in rows]
-        lo += 1
-
-
 def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator[Row]:
     """Unreduced rows (numerator, 1, e) of the nested harmonic sum for every
     upper limit 0..n_max, streamed in that order, in integers: row n is the
@@ -513,14 +263,14 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     of the early steps small.
 
     Level j's column X_j[0..n_max] depends only on q, n_max, the descent
-    and the entries j..m-1, so it is read from the level memo (see
-    :class:`_Levels`): the sum starts at the shallowest level whose suffix
-    is held, reads that level's column (level j reads only level j+1),
-    and runs one loop over k for the levels above it only; the columns it
-    sums are kept (see :func:`_keep`) and recorded, deepest first, before
-    the last row is yielded.  Row n is X_0[n] whichever way it was found,
-    and no level is recorded on the first sum at a (q, n_max) in a
-    descent.
+    and the entries j..m-1, so it is read from the level memo
+    (:mod:`~qzeta.levels`): the sum starts at the shallowest level whose
+    suffix is held, reads that level's column (level j reads only level
+    j+1), and runs one loop over k for the levels above it only; the
+    columns it sums are kept (:class:`~qzeta.levels.Kept`) and recorded,
+    deepest first, before the last row is yielded.  Row n is X_0[n]
+    whichever way it was found, and no level is recorded on the first sum
+    at a (q, n_max) in a descent.
 
     Raises ValueError for n_max above MAX_MHS_LIMIT or a work estimate
     above MAX_MHS_WORK.  As a generator it runs nothing until its first row
@@ -542,8 +292,8 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     if not n_max:
         return
     keys = [2 * s + (e.sign < 0) for s, e in zip(mags, entries)]
-    root = _WEAK_ROOT if star else _STRICT_ROOT
-    generation, node, known = _Levels.lookup((a, b, n_max), root, keys)
+    root = WEAK_ROOT if star else STRICT_ROOT
+    generation, node, known = Levels.lookup((a, b, n_max), root, keys)
     top = m - len(known)  # levels 0..top-1 are summed here, the rest read
     if top == 0 < m:
         for k in range(1, n_max + 1):
@@ -552,11 +302,9 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     below = known[0] if known else None  # level top's column
     neg = [e.sign < 0 for e in entries]
     x = [0] * top + [1]
-    # the columns of levels lo..top-1 are kept, one row per index, none on
-    # the first sum at this (q, n_max)
-    lo = top if generation is None else 0
-    rows = [x[lo:top]]  # X_j[0] = 0
-    held, charged = _ENTRY_BITS * (top - lo), 0
+    kept = Kept(generation, node, keys, top)
+    if kept.lo < top:
+        kept.add(x[:top], x[:top], n_max)  # X_j[0] = 0
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
     order = range(top - 1, -1, -1) if star else range(top)
@@ -575,23 +323,12 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
             for j in order:
                 c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
                 x[j] += (-c if odd and neg[j] else c) * x[j + 1]
-            if lo < top:
-                row = x[lo:top]
-                rows.append(row)
-                size = sum(map(int.bit_length, row)) + _ENTRY_BITS * (top - lo)
-                held += size
-                if held + (n_max - k) * size > charged:
-                    rows, _, lo, held, charged = _keep(
-                        generation, rows, rows, lo, held, charged, n_max - k
-                    )
-                if k == n_max:
-                    levels = zip(reversed(keys[lo:top]), reversed(list(zip(*rows))))
-                    _Levels.record(generation, node, levels, held, charged)
-                    charged = 0
+            if kept.lo < top:
+                row = x[kept.lo : top]
+                kept.add(row, row, n_max - k)
             yield x[0], 1, m - grow_b[0] + grow_b[0] * k
     finally:
-        if charged:  # a stream left unread releases what it kept
-            _Levels.record(generation, node, (), 0, charged)
+        kept.release()
 
 
 def _row_value(ctx: QContext, w: int, n: int, row: Row, lw: int | None = None) -> Fraction:
@@ -777,22 +514,20 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     before adding that run's product.  Only integers are added and
     multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is read
     once per index for each magnitude s of a run, off the level memo's
-    q-level tables (see :class:`_Levels`) from the second sum at a (q, n)
-    on.
-    L_k is prime to a and b, so the values yielded up to n share the
+    q-level tables from the second sum at a (q, n) on.  L_k is prime to a and b, so the values yielded up to n share the
     denominator L_n**W_0 * a**A' * b**B', with A' and B' the largest of
     their exponents and 0, known without an lcm.
 
     Level i's column, the (X_i, A_i, B_i) that the levels above read at
     each index k = 1..n (C_i[k-1], moved to L_k), depends only on q, n and
     slots i..m-1 with their merge flags, and level 0's column is inner
-    itself, so both are read from the level memo (see :class:`_Levels`):
+    itself, so both are read from the level memo (:mod:`~qzeta.levels`):
     the sum starts at the shallowest level whose suffix is held, runs one
     loop over k for the levels above it only, reading every held column
-    that a run reaches index by index, and keeps the columns it sums (see
-    :func:`_keep`) and records them, deepest first, before the last term
-    is yielded; it records none on the first sum at a (q, n).  Only level
-    0 is summed at k = n, as no level reads C_i[n].
+    that a run reaches index by index, and keeps the columns it sums
+    (:class:`~qzeta.levels.Kept`) and records them, deepest first, before
+    the last term is yielded; it records none on the first sum at a
+    (q, n).  Only level 0 is summed at k = n, as no level reads C_i[n].
     """
     a, b = ctx.q.numerator, ctx.q.denominator
     m = pattern.depth
@@ -803,7 +538,7 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
         (i == 0, e.magnitude, e.sign, t, None if isinstance(r, Theta) else r, flag)
         for i, (e, t, r, flag) in enumerate(zip(pattern.s, pattern.t, pattern.r, merge + (False,)))
     ]
-    generation, node, known = _Levels.lookup((a, b, n), _RUN_ROOT, keys)
+    generation, node, known = Levels.lookup((a, b, n), RUN_ROOT, keys)
     top = m - len(known)  # levels 0..top-1 are summed here, the rest read
     if top == 0:
         yield from known[0]
@@ -815,18 +550,14 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
         # the q-level tables: L_k/L_(k-1) and, per magnitude s, the factor
         # (L_k/h_k)**s (b**k + a**k) of a run's term
         factors = {("run", s): partial(_run_factor, ctx, s) for s in mags}
-        tables = _Levels.tables(generation, n, {"L_k/L_(k-1)": ctx.p_lcm_step, **factors})
+        tables = Levels.tables(generation, n, {"L_k/L_(k-1)": ctx.p_lcm_step, **factors})
         step = tables["L_k/L_(k-1)"]
         factors = [(s, tables["run", s]) for s in mags]
     x = [0] * m + [1]
     # exponents of a and b in each level's scale; None while the level is empty
     ea: list = [None] * m + [0]
     eb = [0] * (m + 1)
-    # the columns of levels lo..top-1 are kept, one row per index, none on
-    # the first sum at this (q, n)
-    lo = top if generation is None else 0
-    rows, ints = [], []
-    held = charged = 0
+    kept = Kept(generation, node, keys, top)
     try:
         for k in range(1, n + 1):
             if generation is None:
@@ -843,8 +574,8 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
                         x[j] *= ratio ** weight[j]
             for j in range(top, m):
                 x[j], ea[j], eb[j] = known[j - top][k - 1]
-            if lo < top:
-                first = max(lo, 1)
+            if kept.lo < top:
+                first = max(kept.lo, 1)
                 level_ints = x[first:top]
                 level_rows = list(zip(level_ints, ea[first:top], eb[first:top]))
             half = k * (k - 1) // 2
@@ -889,26 +620,14 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
                     inner = (total, A, B) if A is not None else (0, 0, 0)
                 elif A is not None:
                     x[i], ea[i], eb[i] = total, A, B
-            if lo < top:
-                if lo == 0:
+            if kept.lo < top:
+                if kept.lo == 0:
                     level_ints.insert(0, inner[0])
                     level_rows.insert(0, inner)
-                rows.append(level_rows)
-                ints.append(level_ints)
-                size = sum(map(int.bit_length, level_ints)) + _ENTRY_BITS * (top - lo)
-                held += size
-                if held + (n - k) * size > charged:
-                    rows, ints, lo, held, charged = _keep(
-                        generation, rows, ints, lo, held, charged, n - k
-                    )
-                if k == n:
-                    levels = zip(reversed(keys[lo:top]), reversed(list(zip(*rows))))
-                    _Levels.record(generation, node, levels, held, charged)
-                    charged = 0
+                kept.add(level_rows, level_ints, n - k)
             yield inner
     finally:
-        if charged:  # a stream left unread releases what it kept
-            _Levels.record(generation, node, (), 0, charged)
+        kept.release()
 
 
 def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int, int]]:

@@ -1635,6 +1635,25 @@ def test_frakz_enclosure_refuses_as_frakz_does_before_any_table(monkeypatch):
         frakz_enclosure(ctx.q, admissible, eps=Fraction(1, 10**6))
 
 
+def _allowed_resolutions_oracle(q, pattern, mask, n_max):
+    """The oracle's finite mollified sums of the resolutions of pattern
+    that the merge mask allows, for every upper limit 0..n_max: a comma
+    forced at a separator splits the pattern into blocks, and those
+    resolutions are the products of the blocks' expansions."""
+    m = pattern.depth
+    cuts = [0] + [p + 1 for p, merged in enumerate(mask) if not merged] + [m]
+    blocks = [
+        expand(Triple(pattern.s[lo:hi], pattern.t[lo:hi], pattern.r[lo:hi]))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    expect = [Fraction(0)] * (n_max + 1)
+    for parts in itertools.product(*blocks):
+        slots = [slot for T in parts for slot in _oracle_slots(T)]
+        for n, value in enumerate(oracles.mollified_all_n(q, slots, n_max)):
+            expect[n] += value
+    return expect
+
+
 def test_merge_mask_sums_the_resolutions_it_allows():
     # a comma forced at a separator splits the pattern into blocks; the
     # resolutions the mask allows are the products of the blocks' expansions
@@ -1649,22 +1668,67 @@ def test_merge_mask_sums_the_resolutions_it_allows():
             tuple(rng.choice(shift_pool) for _ in range(m)),
         )
         mask = tuple(rng.random() < 0.6 for _ in range(m - 1))
-        cuts = [0] + [p + 1 for p, merged in enumerate(mask) if not merged] + [m]
-        blocks = [
-            expand(Triple(pattern.s[lo:hi], pattern.t[lo:hi], pattern.r[lo:hi]))
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
         # a > 1 and denominators that are not powers of 2 would expose an
         # inexact division in the integer prefactor
         q = (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9))[trial % 4]
-        expect = [Fraction(0)] * (n_max + 1)
-        for parts in itertools.product(*blocks):
-            slots = [slot for T in parts for slot in _oracle_slots(T)]
-            for n, value in enumerate(oracles.mollified_all_n(q, slots, n_max)):
-                expect[n] += value
+        expect = _allowed_resolutions_oracle(q, pattern, mask, n_max)
         assert pattern_mhs_many(QContext(q), pattern, n_max, merge=mask) == expect, (pattern, mask)
     with pytest.raises(ValueError, match="merge mask"):
         pattern_mhs_many(QContext(Fraction(1, 2)), pattern, 3, merge=mask + (True,))
+
+
+def test_level_memo_keys_each_level_by_its_whole_suffix():
+    # the exact engines read a level's column from one memo keyed by the
+    # level's suffix at one (q, n): patterns that share suffixes, under
+    # merge masks that differ at one separator, and strings that share
+    # suffixes, in both descents, give warm and in a shuffled order what
+    # they give from a cold memo, and what the oracles give
+    from qzeta.levels import Levels
+
+    q, n_max = Fraction(2, 3), 5
+    tail = [(idx(2), 1, THETA), (bar(1), 0, 1), (idx(0), 2, -1)]
+    heads = [(idx(1), 0, THETA), (bar(2), 1, 1), (idx(1), 0, -1), (idx(3), 2, 0)]
+    patterns = []
+    for head in [()] + [(h,) for h in heads] + [(heads[0], heads[1]), (heads[1], heads[0])]:
+        slots = list(head) + tail
+        patterns.append(Triple(*(tuple(part) for part in zip(*slots))))
+    cases = []
+    for pattern in patterns:
+        m = pattern.depth
+        for mask in {(True,) * (m - 1), (False,) * (m - 1)} | {
+            tuple(p != cut for p in range(m - 1)) for cut in range(m - 1)
+        }:
+            cases.append(("pattern", pattern, mask))
+    tail_s = (2, -1, 1)
+    for head in [(), (1,), (-3,), (1, 1), (-3, 1), (2, 1, 1)]:
+        for star in (False, True):
+            cases.append(("string", head + tail_s, star))
+
+    def value(case):
+        kind, what, how = case
+        if kind == "pattern":
+            return pattern_mhs_many(QContext(q), what, n_max, merge=how)
+        return mhs_many(QContext(q), what, n_max, star=how)
+
+    def oracle(case):
+        kind, what, how = case
+        if kind == "pattern":
+            return _allowed_resolutions_oracle(q, what, how, n_max)
+        pairs = [(abs(e), -1 if e < 0 else 1) for e in what]
+        return oracles.harmonic_all_n(q, pairs, n_max, how)
+
+    cold = []
+    for case in cases:
+        Levels.cache_clear()
+        cold.append(value(case))
+    assert cold == [oracle(case) for case in cases]
+    Levels.cache_clear()
+    rng = random.Random(41)
+    for _ in range(3):
+        order = rng.sample(range(len(cases)), len(cases))
+        assert [value(cases[i]) for i in order] == [cold[i] for i in order]
+    info = Levels.cache_info()
+    assert info.hits > info.misses, info
 
 
 def _one_denominator_values(ctx, pattern, n_max, merge):

@@ -226,3 +226,49 @@ def test_bench_pairs_records_a_probe_past_its_timeout_and_a_refusal(tmp_path):
     assert refused["stderr"].startswith("error: work estimate ")
     assert refused["stderr"].endswith(" for a harmonic sum")
     assert 0 < refused["wall_s"] < 10 and refused["child_cpu_s"] > 0
+
+
+def test_bench_pairs_labels_the_change_by_the_tree_it_measured(tmp_path, monkeypatch):
+    # the change side's head and dirty flag are taken when its tree is
+    # written: an edit made while the runs go on relabels nothing, and an
+    # edit made before them marks the record dirty, next to the tree that
+    # was measured
+    import itertools
+    import tempfile
+
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (repo / "notes.txt").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one file")
+    head, head_tree = git("rev-parse", "HEAD"), git("rev-parse", "HEAD^{tree}")
+
+    bench = _bench_pairs()["main"].__globals__
+    edits = itertools.count(1)
+
+    def run_side(tree, workload, seed, seconds):
+        (repo / "notes.txt").write_text(f"edit {next(edits)}\n")
+        return {"machine": {"nproc": 1}}, {"metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}, 0.0
+
+    monkeypatch.setitem(bench, "ROOT", repo)
+    monkeypatch.setitem(bench, "run_side", run_side)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "bench.json"
+    argv = ["bench_pairs.py", "--base", "HEAD", "--workload", "finite-wide", "--pairs", "1"]
+    monkeypatch.setattr(sys, "argv", [*argv, "--out", str(out)])
+    assert bench["main"]() == 0
+    assert json.loads(out.read_text())["change"] == {"head": head, "dirty": False, "tree": head_tree}
+    # the second run starts from the last edit the first one made, one run
+    # of each side
+    assert bench["main"]() == 0
+    change = json.loads(out.read_text())["change"]
+    assert change["head"] == head and change["dirty"] and change["tree"] != head_tree
+    assert git("cat-file", "-p", f"{change['tree']}:notes.txt") == "edit 2"

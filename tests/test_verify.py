@@ -1544,3 +1544,116 @@ def test_ball_repr_decides_every_ball_the_half_step_rule_decides():
         assert _ball_repr(_ball(near, math.ceil(unit / 500 * 2**600), 600)) is None, v
         text = _ball_repr(_ball(near, 1, 600))
         assert text == _decimal_division_repr(near) != _decimal_division_repr(v), v
+
+
+def _compositions(weight: int):
+    """Every composition of ``weight``, in a fixed order."""
+    for cuts in range(2 ** (weight - 1)):
+        comp, run = [], 1
+        for p in range(weight - 1):
+            if cuts >> p & 1:
+                comp.append(run)
+                run = 1
+            else:
+                run += 1
+        comp.append(run)
+        yield tuple(comp)
+
+
+def _wide_pools() -> list:
+    # every composition of weight d + 1 whose pattern has depth d, for
+    # d = 10, 11, 12: 512 to 2048 resolutions each, many suffixes shared
+    from qzeta import compose
+
+    comps = [
+        comp
+        for depth in (10, 11, 12)
+        for comp in _compositions(depth + 1)
+        if compose(comp)[1].depth == depth
+    ]
+    assert len(comps) == 33
+    return comps
+
+
+def _finite_bodies(comps, n_max, q) -> list:
+    return [_body(verify_mhs(c, n_max=n_max, q_values=(q,))) for c in comps]
+
+
+def test_finite_reports_do_not_depend_on_the_level_memo():
+    # the exact engines read the levels that checks at one (q, n_max) share
+    # from one memo: each report, run cold, warm, or after the others in a
+    # shuffled order, is the same
+    from qzeta.levels import Levels
+
+    def cold(comps, n_max, q):
+        out = []
+        for c in comps:
+            Levels.cache_clear()
+            out += _finite_bodies([c], n_max, q)
+        return out
+
+    rng = random.Random(41)
+    batteries = [(_wide_pools(), 6, Fraction(1, 2))]
+    shallow = [(2, 1, 1, 3, 1), (1, 3, 1), (3, 1, 3, 1), (2, 2, 1)]
+    batteries += [(shallow, 40, q) for q in (Fraction(1, 2), Fraction(2, 3), Fraction(5, 8))]
+    for comps, n_max, q in batteries:
+        expect = cold(comps, n_max, q)
+        assert all(r["status"] == "exact-pass" for r in expect)
+        Levels.cache_clear()
+        assert _finite_bodies(comps, n_max, q) == expect
+        assert _finite_bodies(comps, n_max, q) == expect
+        order = rng.sample(range(len(comps)), len(comps))
+        assert _finite_bodies([comps[i] for i in order], n_max, q) == [expect[i] for i in order]
+        info = Levels.cache_info()
+        assert info.hits > info.misses > 0, info
+
+
+def test_finite_reports_from_two_threads_equal_the_serial_ones():
+    # both threads read and fill the one level memo, switching as often as
+    # the interpreter allows
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from qzeta.levels import Levels
+
+    comps = _wide_pools()
+    serial = _finite_bodies(comps, 6, Fraction(1, 2))
+    Levels.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda c: _finite_bodies([c], 6, Fraction(1, 2))[0], comps * 2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 2
+    assert Levels.cache_info().hits > 0
+
+
+def test_level_memo_stays_within_its_bound_and_holds_one_q_and_n(monkeypatch):
+    # with a bound that a few columns fill, the engines drop the columns
+    # and tables that do not fit, and a check still gives its cold report;
+    # the memo never holds more than the bound, and a check at another q
+    # or n_max empties it
+    from qzeta import levels
+
+    comps = [(2, 1, 1, 3, 1), (1, 1, 3, 1), (3, 1, 3, 1)]
+    q = Fraction(5, 8)
+    expect = _finite_bodies(comps, 30, q)
+    for bound in (0, 20_000, 200_000):
+        monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", bound)
+        levels.Levels.cache_clear()
+        for _ in range(3):
+            for comp, body in zip(comps, expect):
+                assert _finite_bodies([comp], 30, q) == [body]
+                info = levels.Levels.cache_info()
+                assert info.maxsize == bound and info.currsize <= bound, info
+        assert (info.currsize > 0) == (bound > 0)
+    # the memo holds one (q, n_max): the first check at another empties it
+    # and records nothing
+    for other_q, other_n in ((Fraction(1, 3), 30), (q, 29)):
+        _finite_bodies(comps[:1], 30, q)
+        _finite_bodies(comps[:1], 30, q)
+        assert levels.Levels.cache_info().currsize > 0
+        _finite_bodies(comps[:1], other_n, other_q)
+        assert levels.Levels.cache_info().currsize == 0
