@@ -514,9 +514,10 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     before adding that run's product.  Only integers are added and
     multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is read
     once per index for each magnitude s of a run, off the level memo's
-    q-level tables from the second sum at a (q, n) on.  L_k is prime to a and b, so the values yielded up to n share the
-    denominator L_n**W_0 * a**A' * b**B', with A' and B' the largest of
-    their exponents and 0, known without an lcm.
+    q-level tables from the second sum at a (q, n) on.  L_k is prime to
+    a and b, so the values yielded up to n share the denominator
+    L_n**W_0 * a**A' * b**B', with A' and B' the largest of their
+    exponents and 0, known without an lcm.
 
     Level i's column, the (X_i, A_i, B_i) that the levels above read at
     each index k = 1..n (C_i[k-1], moved to L_k), depends only on q, n and
