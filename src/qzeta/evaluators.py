@@ -286,8 +286,8 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
         raise ValueError(f"work estimate {work:.2g} exceeds {MAX_MHS_WORK:.2g} for a harmonic sum")
     # X_j carries the scales of levels j..m-1: from k-1 to k they grow by
     # (L_k/L_{k-1})^(s_j+...+s_{m-1}) * b^(number of zero magnitudes there)
-    grow_l = list(accumulate(reversed(mags), initial=0))[::-1]
-    grow_b = list(accumulate((s == 0 for s in reversed(mags)), initial=0))[::-1]
+    grow_l = [sum(mags[j:]) for j in range(m + 1)]
+    grow_b = [mags[j:].count(0) for j in range(m + 1)]
     yield (0 if m else 1), 1, m - grow_b[0]
     if not n_max:
         return
@@ -300,7 +300,6 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
             yield known[0][k], 1, m - grow_b[0] + grow_b[0] * k
         return
     below = known[0] if known else None  # level top's column
-    neg = [e.sign < 0 for e in entries]
     x = [0] * top + [1]
     kept = Kept(generation, node, keys, top)
     if kept.lo < top:
@@ -319,10 +318,11 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
             ak = a**k
             v = ctx.p_lcm(k) // ctx.h(k)
             w = v * b ** (k - 1)
-            odd = k % 2
             for j in order:
                 c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
-                x[j] += (-c if odd and neg[j] else c) * x[j + 1]
+                if entries[j].sign < 0 and k % 2:
+                    c = -c
+                x[j] += c * x[j + 1]
             if kept.lo < top:
                 row = x[kept.lo : top]
                 kept.add(row, row, n_max - k)
@@ -546,12 +546,12 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
         return
     runs = _runs(pattern, merge, top)
     mags = {s for row in runs for _, s, *_ in row}
-    weight = list(accumulate((e.magnitude for e in reversed(pattern.s)), initial=0))[::-1]
+    weight = [sum(e.magnitude for e in pattern.s[i:]) for i in range(m + 1)]
     if generation is not None:
         # the q-level tables: L_k/L_(k-1) and, per magnitude s, the factor
         # (L_k/h_k)**s (b**k + a**k) of a run's term
-        factors = {("run", s): partial(_run_factor, ctx, s) for s in mags}
-        tables = Levels.tables(generation, n, {"L_k/L_(k-1)": ctx.p_lcm_step, **factors})
+        rows = {("run", s): partial(_run_factor, ctx, s) for s in mags}
+        tables = Levels.tables(generation, n, {"L_k/L_(k-1)": ctx.p_lcm_step, **rows})
         step = tables["L_k/L_(k-1)"]
         factors = [(s, tables["run", s]) for s in mags]
     x = [0] * m + [1]

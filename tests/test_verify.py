@@ -1608,13 +1608,18 @@ def test_finite_reports_do_not_depend_on_the_level_memo():
         assert info.hits > info.misses > 0, info
 
 
-def test_finite_reports_from_two_threads_equal_the_serial_ones():
-    # both threads read and fill the one level memo, switching as often as
-    # the interpreter allows
+def test_finite_reports_from_four_threads_equal_the_serial_ones():
+    # four threads read and fill the one level memo, switching as often as
+    # the interpreter allows; every level looked up is counted once, as a
+    # level read or a level summed
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
+    from qzeta import compose
     from qzeta.levels import Levels
+
+    def check(comp):
+        return _finite_bodies([comp], 6, Fraction(1, 2))[0]
 
     comps = _wide_pools()
     serial = _finite_bodies(comps, 6, Fraction(1, 2))
@@ -1622,12 +1627,14 @@ def test_finite_reports_from_two_threads_equal_the_serial_ones():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(lambda c: _finite_bodies([c], 6, Fraction(1, 2))[0], comps * 2))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(check, comps * 3, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == serial * 2
-    assert Levels.cache_info().hits > 0
+    assert threaded == serial * 3
+    info = Levels.cache_info()
+    assert info.hits > 0
+    assert info.hits + info.misses == 3 * sum(compose(c)[1].depth + len(c) for c in comps)
 
 
 def test_level_memo_stays_within_its_bound_and_holds_one_q_and_n(monkeypatch):
