@@ -125,7 +125,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
-from .levels import RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels
+from .levels import ENTRY_BITS, RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 
 # (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
@@ -301,7 +301,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
         return
     below = known[0] if known else None  # level top's column
     x = [0] * top + [1]
-    kept = Kept(generation, node, keys, top)
+    kept = Kept(generation, node, keys, top, ENTRY_BITS)
     if kept.lo < top:
         kept.add(x[:top], x[:top], n_max)  # X_j[0] = 0
     # weak descent: level j sees level j+1 already updated at k; strict
@@ -558,7 +558,7 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     # exponents of a and b in each level's scale; None while the level is empty
     ea: list = [None] * m + [0]
     eb = [0] * (m + 1)
-    kept = Kept(generation, node, keys, top)
+    kept = Kept(generation, node, keys, top, 4 * ENTRY_BITS)  # (x, A, B) and its ints
     try:
         for k in range(1, n + 1):
             if generation is None:

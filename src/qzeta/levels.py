@@ -35,20 +35,22 @@ batch with 241 of its 440 run levels read instead of 323, and no faster
 than without a memo.
 
 Bound.  LEVEL_MEMO_BITS bounds the bits the memo holds, not its entries,
-as a column takes about 100 bytes at n = 6 and megabytes at n = 160: an
-int counts its bit length plus ENTRY_BITS for its object and pointer.  An
-engine charges the bits it keeps in flight to the memo (see :class:`Kept`),
+as a column takes a few hundred bytes at n = 6 and megabytes at n = 160.
+An entry counts the bit length of its integer plus ENTRY_BITS for an
+int's object and pointer, or four times ENTRY_BITS for a run entry's
+(x, A, B) tuple and its three ints.  The seed-1 finite-wide batch leaves
+its columns and tables in about 890,000 bits.  An engine charges the
+bits it keeps in flight to the memo (see :class:`Kept`),
 each column projected to n at its last entry's size, in steps that at
 least double, and drops its shallowest kept column when they would not
 fit beside what is held and what the other engine keeps (``verify_mhs``
 sums both sides at once).  The columns it records then fit by
 construction.  A table is recorded only if it fits, and one whose size,
 bounded by n times its last entry's, would not fit is computed index by
-index (:class:`Rows`).  So the memo holds at most 2**26 bits, 8 MiB of
-integers counted as Python stores them, plus small fixed parts: a run
-entry's (x, A, B) tuple takes about 64 bytes more, 40 KB for a full memo
-at n = 6.  The allocator's slack around the integers kept through a sum
-comes on top (see CHANGES.md for the peak RSS of full memos).
+index (:class:`Rows`).  So the memo holds at most 2**26 bits, 8 MiB,
+counted as Python stores its objects, plus its dicts of keys.  The
+allocator's slack around the integers kept through a sum comes on top
+(see CHANGES.md for the peak RSS of full memos).
 
 The memo is one store, written under one lock, so two threads may share
 it; it reports itself through ``cache_info()`` and ``cache_clear()`` as
@@ -243,8 +245,11 @@ class Kept:
     None, an engine's first sum at a (q, n).
     """
 
-    def __init__(self, generation: int | None, node: int, keys: list, top: int):
+    def __init__(
+        self, generation: int | None, node: int, keys: list, top: int, entry_bits: int
+    ):
         self.generation, self.node, self.keys, self.top = generation, node, keys, top
+        self.entry_bits = entry_bits  # what an entry takes besides its integer's digits
         self.lo = top if generation is None else 0
         self.rows: list = []  # per index, the kept entries of levels lo..top-1
         self.ints: list = []  # per index, their integers
@@ -255,7 +260,7 @@ class Kept:
         integers are ``ints``, with ``left`` indices to come."""
         self.rows.append(rows)
         self.ints.append(ints)
-        size = sum(map(int.bit_length, ints)) + ENTRY_BITS * len(ints)
+        size = sum(map(int.bit_length, ints)) + self.entry_bits * len(ints)
         self.held += size
         while self.held + left * size > self.charged:
             need = self.held + left * size
@@ -265,8 +270,8 @@ class Kept:
                 self.charged = need
             else:
                 column = [row[0] for row in self.ints]
-                self.held -= sum(map(int.bit_length, column)) + ENTRY_BITS * len(column)
-                size -= ints[self.lo - self.top].bit_length() + ENTRY_BITS
+                self.held -= sum(map(int.bit_length, column)) + self.entry_bits * len(column)
+                size -= ints[self.lo - self.top].bit_length() + self.entry_bits
                 self.rows = [row[1:] for row in self.rows]
                 self.ints = [row[1:] for row in self.ints]
                 self.lo += 1
