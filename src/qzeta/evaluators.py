@@ -90,10 +90,10 @@ Both exact engines read and record their levels through one level memo
 (:mod:`~qzeta.levels`).  At one q and upper limit n a level's column, its
 cumulative at every index at that index's scale, depends only on the
 slots from that level down, so a sum reads the columns of the longest
-suffix already summed at that (q, n), and the q-level tables, and sums
-only the levels above it.  The memo holds one (q, n) at a time, records
+suffix already summed at that (q, n) and sums only the levels above it.
+The memo holds level columns only, at one (q, n) at a time, records
 from an engine's second sum at a (q, n) on, and is bounded by the bits
-it holds; the batteries of :mod:`~qzeta.verify` at one q and n_max share
+it holds when it records; the batteries of :mod:`~qzeta.verify` at one q and n_max share
 most of their levels through it.
 
 Every exact sum ends as one row shape, (num, c, e): the value
@@ -293,7 +293,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
         return
     keys = [2 * s + (e.sign < 0) for s, e in zip(mags, entries)]
     root = WEAK_ROOT if star else STRICT_ROOT
-    generation, node, known = Levels.lookup((a, b, n_max), root, keys)
+    generation, node, known, room = Levels.lookup((a, b, n_max), root, keys)
     top = m - len(known)  # levels 0..top-1 are summed here, the rest read
     if top == 0 < m:
         for k in range(1, n_max + 1):
@@ -301,34 +301,31 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
         return
     below = known[0] if known else None  # level top's column
     x = [0] * top + [1]
-    kept = Kept(generation, node, keys, top, ENTRY_BITS)
+    kept = Kept(generation, node, keys, top, room, ENTRY_BITS)
     if kept.lo < top:
         kept.add(x[:top], x[:top], n_max)  # X_j[0] = 0
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
     order = range(top - 1, -1, -1) if star else range(top)
-    try:
-        for k in range(1, n_max + 1):
-            ratio = ctx.p_lcm_step(k)
-            for j in range(top):
-                if x[j]:
-                    x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
-            if below is not None:
-                x[top] = below[k] if star else below[k - 1] * ratio ** grow_l[top] * b**grow_b[top]
-            ak = a**k
-            v = ctx.p_lcm(k) // ctx.h(k)
-            w = v * b ** (k - 1)
-            for j in order:
-                c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
-                if entries[j].sign < 0 and k % 2:
-                    c = -c
-                x[j] += c * x[j + 1]
-            if kept.lo < top:
-                row = x[kept.lo : top]
-                kept.add(row, row, n_max - k)
-            yield x[0], 1, m - grow_b[0] + grow_b[0] * k
-    finally:
-        kept.release()
+    for k in range(1, n_max + 1):
+        ratio = ctx.p_lcm_step(k)
+        for j in range(top):
+            if x[j]:
+                x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
+        if below is not None:
+            x[top] = below[k] if star else below[k - 1] * ratio ** grow_l[top] * b**grow_b[top]
+        ak = a**k
+        v = ctx.p_lcm(k) // ctx.h(k)
+        w = v * b ** (k - 1)
+        for j in order:
+            c = ak * v * w ** (mags[j] - 1) if mags[j] else ak
+            if entries[j].sign < 0 and k % 2:
+                c = -c
+            x[j] += c * x[j + 1]
+        if kept.lo < top:
+            row = x[kept.lo : top]
+            kept.add(row, row, n_max - k)
+        yield x[0], 1, m - grow_b[0] + grow_b[0] * k
 
 
 def _row_value(ctx: QContext, w: int, n: int, row: Row, lw: int | None = None) -> Fraction:
@@ -470,13 +467,6 @@ def _runs(
     return out
 
 
-def _run_factor(ctx: QContext, s: int, k: int) -> int:
-    """(L_k/h_k)**s (b**k + a**k), the factor of a run of magnitude s at
-    index k (see :func:`_inner_terms`)."""
-    q = ctx.q
-    return (ctx.p_lcm(k) // ctx.h(k)) ** s * (q.denominator**k + q.numerator**k)
-
-
 def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tuple[int, int, int]]:
     """Yield inner[k], the mollified sums of every resolution of a pattern
     with outermost index k, for k = 1..n (no prefactor), as integers
@@ -512,12 +502,11 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     runs: it starts from its own X_i, A_i and B_i, and when a run needs a
     larger a- or b-power it multiplies the partial total by the difference
     before adding that run's product.  Only integers are added and
-    multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is read
-    once per index for each magnitude s of a run, off the level memo's
-    q-level tables from the second sum at a (q, n) on.  L_k is prime to
-    a and b, so the values yielded up to n share the denominator
-    L_n**W_0 * a**A' * b**B', with A' and B' the largest of their
-    exponents and 0, known without an lcm.
+    multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is built
+    once per index for each magnitude s of a run, from L_k/h_k off the
+    QContext.  L_k is prime to a and b, so the values yielded up to n
+    share the denominator L_n**W_0 * a**A' * b**B', with A' and B' the
+    largest of their exponents and 0, known without an lcm.
 
     Level i's column, the (X_i, A_i, B_i) that the levels above read at
     each index k = 1..n (C_i[k-1], moved to L_k), depends only on q, n and
@@ -539,7 +528,7 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
         (i == 0, e.magnitude, e.sign, t, None if isinstance(r, Theta) else r, flag)
         for i, (e, t, r, flag) in enumerate(zip(pattern.s, pattern.t, pattern.r, merge + (False,)))
     ]
-    generation, node, known = Levels.lookup((a, b, n), RUN_ROOT, keys)
+    generation, node, known, room = Levels.lookup((a, b, n), RUN_ROOT, keys)
     top = m - len(known)  # levels 0..top-1 are summed here, the rest read
     if top == 0:
         yield from known[0]
@@ -547,88 +536,74 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     runs = _runs(pattern, merge, top)
     mags = {s for row in runs for _, s, *_ in row}
     weight = [sum(e.magnitude for e in pattern.s[i:]) for i in range(m + 1)]
-    if generation is not None:
-        # the q-level tables: L_k/L_(k-1) and, per magnitude s, the factor
-        # (L_k/h_k)**s (b**k + a**k) of a run's term
-        rows = {("run", s): partial(_run_factor, ctx, s) for s in mags}
-        tables = Levels.tables(generation, n, {"L_k/L_(k-1)": ctx.p_lcm_step, **rows})
-        step = tables["L_k/L_(k-1)"]
-        factors = [(s, tables["run", s]) for s in mags]
     x = [0] * m + [1]
     # exponents of a and b in each level's scale; None while the level is empty
     ea: list = [None] * m + [0]
     eb = [0] * (m + 1)
-    kept = Kept(generation, node, keys, top, 4 * ENTRY_BITS)  # (x, A, B) and its ints
-    try:
-        for k in range(1, n + 1):
-            if generation is None:
-                ratio = ctx.p_lcm_step(k)
-                u = ctx.p_lcm(k) // ctx.h(k)
-                bk_ak = b**k + a**k
-                factor = {s: u**s * bk_ak for s in mags}
+    kept = Kept(generation, node, keys, top, room, 4 * ENTRY_BITS)  # (x, A, B) and its ints
+    for k in range(1, n + 1):
+        ratio = ctx.p_lcm_step(k)
+        u = ctx.p_lcm(k) // ctx.h(k)
+        bk_ak = b**k + a**k
+        factor = {s: u**s * bk_ak for s in mags}
+        if ratio > 1:
+            for j in range(1, top):
+                if x[j]:
+                    x[j] *= ratio ** weight[j]
+        for j in range(top, m):
+            x[j], ea[j], eb[j] = known[j - top][k - 1]
+        if kept.lo < top:
+            first = max(kept.lo, 1)
+            level_ints = x[first:top]
+            level_rows = list(zip(level_ints, ea[first:top], eb[first:top]))
+        half = k * (k - 1) // 2
+        odd = k % 2
+        # level 0 gives inner[k]; updating i upwards reads the deeper C_j
+        # before they move to k
+        for i in range(top if k < n else 1):
+            if i and ea[i] is not None:
+                A, B, total = ea[i], eb[i], x[i]
             else:
-                ratio = step[k]
-                factor = {s: table[k] for s, table in factors}
-            if ratio > 1:
-                for j in range(1, top):
-                    if x[j]:
-                        x[j] *= ratio ** weight[j]
-            for j in range(top, m):
-                x[j], ea[j], eb[j] = known[j - top][k - 1]
-            if kept.lo < top:
-                first = max(kept.lo, 1)
-                level_ints = x[first:top]
-                level_rows = list(zip(level_ints, ea[first:top], eb[first:top]))
-            half = k * (k - 1) // 2
-            odd = k % 2
-            # level 0 gives inner[k]; updating i upwards reads the deeper C_j
-            # before they move to k
-            for i in range(top if k < n else 1):
-                if i and ea[i] is not None:
-                    A, B, total = ea[i], eb[i], x[i]
+                A = B = None
+                total = 0
+            for j, s, barred, alpha, beta in runs[i]:
+                below = ea[j]
+                if below is None:
+                    continue
+                # the least a- and b-exponents of level i's scale that make
+                # this run's term an integer
+                e = alpha * half + beta * k
+                need_a = below - e
+                need_b = eb[j] + k + e - (k - 1) * s
+                if A is None:
+                    A, B = need_a, need_b
                 else:
-                    A = B = None
-                    total = 0
-                for j, s, barred, alpha, beta in runs[i]:
-                    below = ea[j]
-                    if below is None:
-                        continue
-                    # the least a- and b-exponents of level i's scale that make
-                    # this run's term an integer
-                    e = alpha * half + beta * k
-                    need_a = below - e
-                    need_b = eb[j] + k + e - (k - 1) * s
-                    if A is None:
-                        A, B = need_a, need_b
-                    else:
-                        if need_a > A:
-                            if total:
-                                total *= a ** (need_a - A)
-                            A = need_a
-                        if need_b > B:
-                            if total:
-                                total *= b ** (need_b - B)
-                            B = need_b
-                    if x[j]:
-                        c = factor[s]
-                        if A > need_a:
-                            c *= a ** (A - need_a)
-                        if B > need_b:
-                            c *= b ** (B - need_b)
-                        c *= x[j]
-                        total += -c if barred and odd else c
-                if i == 0:
-                    inner = (total, A, B) if A is not None else (0, 0, 0)
-                elif A is not None:
-                    x[i], ea[i], eb[i] = total, A, B
-            if kept.lo < top:
-                if kept.lo == 0:
-                    level_ints.insert(0, inner[0])
-                    level_rows.insert(0, inner)
-                kept.add(level_rows, level_ints, n - k)
-            yield inner
-    finally:
-        kept.release()
+                    if need_a > A:
+                        if total:
+                            total *= a ** (need_a - A)
+                        A = need_a
+                    if need_b > B:
+                        if total:
+                            total *= b ** (need_b - B)
+                        B = need_b
+                if x[j]:
+                    c = factor[s]
+                    if A > need_a:
+                        c *= a ** (A - need_a)
+                    if B > need_b:
+                        c *= b ** (B - need_b)
+                    c *= x[j]
+                    total += -c if barred and odd else c
+            if i == 0:
+                inner = (total, A, B) if A is not None else (0, 0, 0)
+            elif A is not None:
+                x[i], ea[i], eb[i] = total, A, B
+        if kept.lo < top:
+            if kept.lo == 0:
+                level_ints.insert(0, inner[0])
+                level_rows.insert(0, inner)
+            kept.add(level_rows, level_ints, n - k)
+        yield inner
 
 
 def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int, int]]:

@@ -16,17 +16,15 @@ The slot is 2 * magnitude + [barred] in the harmonic DP, whose descent is
 in the id of the empty suffix, and (outermost, magnitude, sign, offset,
 shift with theta as None, merge flag of the separator after it) in the
 run engine, whose outermost level keeps inner[k] rather than a
-cumulative.  The memo also holds the run engine's q-level tables at
-(q, n): L_k/L_(k-1) and, per magnitude s, the factor
-(L_k/h_k)**s (b**k + a**k) of a run's term, which folds in L_k/h_k and
-b**k + a**k.  The harmonic DP reads L_k/L_(k-1) and L_k/h_k off its
-QContext: a table lookup per call cost it more than it saved.
+cumulative.  The memo holds level columns only: both engines read their
+q-level factors off the QContext, as a first sum does, since tables of
+them held here cost more to look up and bound than they saved.
 
 Admission.  A (q, n) is recorded from the second lookup of an engine (a
 descent of the harmonic DP, or the run engine) at it on.  The first sum at
-a (q, n) keeps no column and builds no table, so a batch that never comes
-back to a (q, n), one q per check as in the benchmark's finite-long
-workload, or one command, pays for the memo only its lookups: the
+a (q, n) keeps no column, so a batch that never comes back to a (q, n),
+one q per check as in the benchmark's finite-long workload, or one
+command, pays for the memo only its lookups: the
 "doorkeeper" of Einziger, Friedman and Manes, "TinyLFU: a highly efficient
 cache admission policy" (ACM TOS 2017).  Keeping columns is not free: a
 first sum that kept them ran 5-40 % slower.  Admitting a level only on its
@@ -39,15 +37,16 @@ as a column takes a few hundred bytes at n = 6 and megabytes at n = 160.
 An entry counts the bit length of its integer plus ENTRY_BITS for an
 int's object and pointer, or four times ENTRY_BITS for a run entry's
 (x, A, B) tuple and its three ints.  The seed-1 finite-wide batch leaves
-its columns and tables in about 890,000 bits.  An engine charges the
-bits it keeps in flight to the memo (see :class:`Kept`),
-each column projected to n at its last entry's size, in steps that at
-least double, and drops its shallowest kept column when they would not
-fit beside what is held and what the other engine keeps (``verify_mhs``
-sums both sides at once).  The columns it records then fit by
-construction.  A table is recorded only if it fits, and one whose size,
-bounded by n times its last entry's, would not fit is computed index by
-index (:class:`Rows`).  So the memo holds at most 2**26 bits, 8 MiB,
+its columns in about 870,000 bits.  The bits are counted when a column is
+recorded: deepest first, a new column is recorded only if its own bits
+fit beside those held, so the memo never holds more than the bound.  An
+engine reads the room left once, at its lookup, and while it sums it
+drops its shallowest kept column whenever the columns it keeps,
+projected to n at their last entry's size, would not fit in that room
+(see :class:`Kept`), so a column that could not be recorded is dropped
+early.  Each side of a finite check (``verify_mhs`` sums both at once)
+keeps at most the room it saw, so the two together may keep up to twice
+that room in flight.  The memo itself holds at most 2**26 bits, 8 MiB,
 counted as Python stores its objects, plus its dicts of keys.  The
 allocator's slack around the integers kept through a sum comes on top
 (see CHANGES.md for the peak RSS of full memos).
@@ -92,9 +91,8 @@ class _State:
     def reset(self, at) -> None:
         self.at, self.generation = at, self.generation + 1
         self.nodes: dict = {}  # (id of the suffix below, level key) -> (id, column)
-        self.tables: dict = {}
         self.visits: set = set()  # roots that have looked up at ``at``
-        self.bits = self.pending = 0  # pending: bits the engines keep in flight
+        self.bits = 0
 
 
 class Levels:
@@ -103,11 +101,11 @@ class Levels:
     a bounded memo through :meth:`cache_info` and :meth:`cache_clear`.
 
     A lookup returns the columns of the longest memoized suffix of a
-    string of levels and a generation; :meth:`record` and :meth:`tables`
-    write only while that generation holds, so a column summed at one
-    (q, n) never lands in the memo of another, and every level recorded
-    chains onto a suffix already held: the suffixes held are closed under
-    taking a shorter suffix.
+    string of levels and a generation; :meth:`record` writes only while
+    that generation holds, so a column summed at one (q, n) never lands in
+    the memo of another, and every level recorded chains onto a suffix
+    already held: the suffixes held are closed under taking a shorter
+    suffix.
     """
 
     _lock = threading.Lock()
@@ -128,21 +126,23 @@ class Levels:
             state.hits = state.misses = 0
 
     @classmethod
-    def lookup(cls, at: tuple, root: int, keys: list) -> tuple[int | None, int, list]:
-        """(generation, id, columns) at ``at`` = (a, b, n), emptying the
-        memo if it holds another: ``columns`` are those of the levels
+    def lookup(cls, at: tuple, root: int, keys: list) -> tuple[int | None, int, list, int]:
+        """(generation, id, columns, room) at ``at`` = (a, b, n), emptying
+        the memo if it holds another: ``columns`` are those of the levels
         len(keys) - len(columns) .. len(keys) - 1, the longest suffix of
-        ``keys`` held, and ``id`` is that suffix's (``root`` when none).
-        The generation is None on the first lookup from ``root`` at ``at``:
-        that sum records nothing."""
+        ``keys`` held, ``id`` is that suffix's (``root`` when none), and
+        ``room`` is the bits left below the bound.  The generation is None
+        on the first lookup from ``root`` at ``at``: that sum records
+        nothing."""
         state, node, found = cls._state, root, []
         with cls._lock:
             if state.at != at:
                 state.reset(at)
+            room = LEVEL_MEMO_BITS - state.bits
             if root not in state.visits:
                 state.visits.add(root)
                 state.misses += len(keys)
-                return None, root, []
+                return None, root, [], room
             nodes = state.nodes
             for key in reversed(keys):
                 entry = nodes.get((node, key))
@@ -152,83 +152,28 @@ class Levels:
                 found.append(column)
             state.hits += len(found)
             state.misses += len(keys) - len(found)
-            return state.generation, node, found[::-1]
+            return state.generation, node, found[::-1], room
 
     @classmethod
-    def charge(cls, generation: int, before: int, after: int) -> bool:
-        """Move an engine's bits in flight at ``generation`` from ``before``
-        to ``after``; False when ``after`` would not fit beside the bits
-        held and those the other engines keep (both sides of a finite check
-        are summed at once), or grows once the generation is gone."""
-        state = cls._state
-        with cls._lock:
-            if generation != state.generation:
-                return after == 0
-            if after > before and state.bits + state.pending - before + after > LEVEL_MEMO_BITS:
-                return False
-            state.pending += after - before
-            return True
-
-    @classmethod
-    def record(cls, generation: int, node: int, levels, bits: int, charged: int) -> None:
-        """Release an engine's ``charged`` bits in flight and record
-        (key, column) for each of ``levels``, deepest first, above the
-        suffix ``node``: ``bits`` in all, at most ``charged``, which the
-        engine kept charged while it summed them, so they fit."""
+    def record(cls, generation: int, node: int, levels) -> None:
+        """Record (key, column) for each (key, column, bits) of ``levels``,
+        deepest first, above the suffix ``node``, while the generation
+        holds: a column not held yet is recorded only if its ``bits`` fit
+        beside those held, and the first that does not ends the record, so
+        each level recorded chains onto one held."""
         state = cls._state
         with cls._lock:
             if generation != state.generation:
                 return
-            state.pending -= charged
-            state.bits += bits
             nodes = state.nodes
-            for key, column in levels:
+            for key, column, bits in levels:
                 entry = nodes.get((node, key))
                 if entry is None:
+                    if state.bits + bits > LEVEL_MEMO_BITS:
+                        return
+                    state.bits += bits
                     entry = nodes[node, key] = next(cls._ids), column
                 node = entry[0]
-
-    @classmethod
-    def tables(cls, generation: int, n: int, rows: dict) -> dict:
-        """{key: table} for each q-level table ``key`` of ``rows``, whose
-        entry at index k = 1..n is row(k) (0 at index 0): held, or built,
-        and recorded if it fits and the generation holds, or, when the
-        bound n * (bits of row(n)) on its size does not fit in the room
-        left, a view that computes each row when read."""
-        state = cls._state
-        with cls._lock:
-            current = generation == state.generation
-            out = {key: state.tables.get(key) for key in rows} if current else dict.fromkeys(rows)
-            free = LEVEL_MEMO_BITS - state.bits - state.pending
-        built = {}
-        for key, row in rows.items():
-            if out[key] is None:
-                size = n * (row(n).bit_length() + ENTRY_BITS)
-                if size > free:
-                    out[key] = Rows(row)
-                else:
-                    free -= size
-                    out[key] = built[key] = (0, *map(row, range(1, n + 1)))
-        if built and current:
-            with cls._lock:
-                for key, table in built.items():
-                    bits = sum(map(int.bit_length, table)) + ENTRY_BITS * n
-                    fits = state.bits + state.pending + bits <= LEVEL_MEMO_BITS
-                    if generation == state.generation and key not in state.tables and fits:
-                        state.tables[key] = table
-                        state.bits += bits
-        return out
-
-
-class Rows:
-    """A q-level table too large to build: row(k) at index k, computed
-    when read."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def __getitem__(self, k: int) -> int:
-        return self.row(k)
 
 
 class Kept:
@@ -236,51 +181,42 @@ class Kept:
     kept as one row per index while they fit, and recorded above the
     suffix ``node`` once the last index is kept.
 
-    The bits held, projected over the indices still to come at the last
-    row's size, are charged to the memo in steps that at least double the
-    charge, and the shallowest kept level is dropped while they would not
-    fit beside what the memo holds and what the other engine keeps (both
-    sides of a finite check are summed at once), so that a column that
-    cannot be recorded is dropped early.  Nothing is kept at generation
-    None, an engine's first sum at a (q, n).
+    ``room`` is the bits the memo had left at the engine's lookup.  The
+    shallowest kept level is dropped while the bits kept, projected over
+    the indices still to come at the last row's size, exceed it, so that a
+    column that could not be recorded is dropped early.  Nothing is kept
+    at generation None, an engine's first sum at a (q, n).
     """
 
     def __init__(
-        self, generation: int | None, node: int, keys: list, top: int, entry_bits: int
+        self, generation: int | None, node: int, keys: list, top: int, room: int, entry_bits: int
     ):
         self.generation, self.node, self.keys, self.top = generation, node, keys, top
+        self.room = room
         self.entry_bits = entry_bits  # what an entry takes besides its integer's digits
         self.lo = top if generation is None else 0
         self.rows: list = []  # per index, the kept entries of levels lo..top-1
         self.ints: list = []  # per index, their integers
-        self.held = self.charged = 0
+        self.held = 0
+
+    def bits(self, ints) -> int:
+        """The bits that entries with integers ``ints`` take in the memo."""
+        return sum(map(int.bit_length, ints)) + self.entry_bits * len(ints)
 
     def add(self, rows: list, ints: list, left: int) -> None:
         """Keep one index's entries ``rows`` of levels lo..top-1, whose
         integers are ``ints``, with ``left`` indices to come."""
         self.rows.append(rows)
         self.ints.append(ints)
-        size = sum(map(int.bit_length, ints)) + self.entry_bits * len(ints)
+        size = self.bits(ints)
         self.held += size
-        while self.held + left * size > self.charged:
-            need = self.held + left * size
-            if Levels.charge(self.generation, self.charged, 2 * need):
-                self.charged = 2 * need
-            elif Levels.charge(self.generation, self.charged, need):
-                self.charged = need
-            else:
-                column = [row[0] for row in self.ints]
-                self.held -= sum(map(int.bit_length, column)) + self.entry_bits * len(column)
-                size -= ints[self.lo - self.top].bit_length() + self.entry_bits
-                self.rows = [row[1:] for row in self.rows]
-                self.ints = [row[1:] for row in self.ints]
-                self.lo += 1
+        while self.held + left * size > self.room:
+            self.held -= self.bits([row[0] for row in self.ints])
+            size -= ints[self.lo - self.top].bit_length() + self.entry_bits
+            self.rows = [row[1:] for row in self.rows]
+            self.ints = [row[1:] for row in self.ints]
+            self.lo += 1
         if not left:
-            levels = zip(reversed(self.keys[self.lo : self.top]), reversed(list(zip(*self.rows))))
-            Levels.record(self.generation, self.node, levels, self.held, self.charged)
-            self.charged = 0
-
-    def release(self) -> None:
-        """Release the charge of a sum left unread."""
-        if self.charged:
-            Levels.record(self.generation, self.node, (), 0, self.charged)
+            keys = self.keys[self.lo : self.top]
+            columns = list(zip(keys, zip(*self.rows), map(self.bits, zip(*self.ints))))
+            Levels.record(self.generation, self.node, reversed(columns))

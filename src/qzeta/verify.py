@@ -337,7 +337,9 @@ def verify_mhs(
     each side's numerator times the other's small cofactor, where a cross
     product of the full denominators would take three products of
     integers of about n**2 bits.  Should the weights differ, the lighter
-    side takes the missing L_n**|W - w|, so the check stays exact.  Only a
+    side takes the missing L_n**|W - w|, so the check stays exact; they
+    never do for a composed pattern, so that step is skipped when they
+    agree.  Only a
     failing n reads both rows as values
     (:func:`~qzeta.evaluators._row_value`), to reduce its residual.
 
@@ -372,12 +374,14 @@ def verify_mhs(
         for n, (r_row, l_row) in enumerate(zip(rhs, lhs)):
             (l_num, l_c, l_e), (r_num, r_c, r_e) = l_row, r_row
             left, right = _raise_lighter(l_num * r_c, d * r_num * l_c, b, r_e - l_e)
-            left, right = _raise_lighter(left, right, ctx.p_lcm(n), r_w - l_w)
-            res = 0
-            if left != right:
-                # only a failing n pays for its denominators and a reduction
+            if r_w != l_w:
+                left, right = _raise_lighter(left, right, ctx.p_lcm(n), r_w - l_w)
+            if left == right:
+                col.add("", 0)
+            else:
+                # only a failing n pays for its label, denominators and a reduction
                 res = _row_value(ctx, l_w, n, l_row) - d * _row_value(ctx, r_w, n, r_row)
-            col.add(f"q={q} n={n}", res)
+                col.add(f"q={q} n={n}", res)
     params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}
     return col.report(
         case or f"weak-sum {_label(comp)}", family, params, _label(qs), [0, n_max],

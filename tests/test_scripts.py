@@ -272,3 +272,52 @@ def test_bench_pairs_labels_the_change_by_the_tree_it_measured(tmp_path, monkeyp
     change = json.loads(out.read_text())["change"]
     assert change["head"] == head and change["dirty"] and change["tree"] != head_tree
     assert git("cat-file", "-p", f"{change['tree']}:notes.txt") == "edit 2"
+
+
+def test_bench_pairs_records_each_childs_own_peak_rss(tmp_path):
+    # a run's and a probe's peak RSS are their own child's, from the rusage
+    # that reaps it: a child that touches 64 MB reads at least that, and a
+    # small child run after it reads far less, as a running maximum over
+    # all children would not.  A child starts as a copy of the process that
+    # spawns it, so the calls run in a small process of their own
+    big = "b = bytearray(64 << 20)\nb[::4096] = b'1' * len(b[::4096])\n"
+    lines = 'import json\nprint(json.dumps({"machine": {}}))\nprint(json.dumps({"metrics": {}}))\n'
+    (tmp_path / "qzbench").mkdir()
+    (tmp_path / "qzbench" / "run.py").write_text(big + lines)
+    cli = tmp_path / "src" / "qzeta"
+    cli.mkdir(parents=True)
+    (cli / "__init__.py").write_text("")
+    (cli / "cli.py").write_text("")
+    (tmp_path / "big_cli.py").write_text(big + "raise SystemExit(1)\n")
+    driver = f"""
+import json, runpy, shutil
+from pathlib import Path
+bench = runpy.run_path({str(ROOT / "scripts" / "bench_pairs.py")!r})
+tree = Path({str(tmp_path)!r})
+_, result, cpu = bench["run_side"](tree, "finite-wide", 1, 0.1)
+small = bench["run_probe"](tree, "verify 2,1")
+shutil.copy(tree / "big_cli.py", tree / "src" / "qzeta" / "cli.py")
+big = bench["run_probe"](tree, "verify 2,1")
+print(json.dumps([result["metrics"]["child_rss_mb"], cpu, small, big]))
+"""
+    proc = subprocess.run([sys.executable, "-c", driver], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rss, cpu, small, big = json.loads(proc.stdout)
+    assert rss["unit"] == "MB" and rss["value"] >= 64 and cpu > 0
+    assert small["exit"] == 0 and 0 < small["child_rss_mb"] < 48
+    assert big["exit"] == 1 and big["child_rss_mb"] >= 64
+
+
+def test_bench_pairs_probes_a_batch_that_records_level_columns(capsys):
+    # a single check keeps no level column; a batch of checks at one (q, n)
+    # is the probe that keeps and records them
+    from qzeta.cli import main
+    from qzeta.levels import Levels
+
+    assert "verify random --count 100 --n-max 60" in _bench_pairs()["PROBES"]
+    Levels.cache_clear()
+    assert main(["verify", "2,1", "--n-max", "60"]) == 0
+    assert Levels.cache_info().currsize == 0
+    assert main(["verify", "random", "--count", "5", "--n-max", "60"]) == 0
+    assert Levels.cache_info().currsize > 0

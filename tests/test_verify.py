@@ -1664,3 +1664,103 @@ def test_level_memo_stays_within_its_bound_and_holds_one_q_and_n(monkeypatch):
         assert levels.Levels.cache_info().currsize > 0
         _finite_bodies(comps[:1], other_n, other_q)
         assert levels.Levels.cache_info().currsize == 0
+
+
+def test_a_stream_closed_early_records_nothing_and_the_memo_still_fills():
+    # both engines record a sum's columns only with its last row: streams
+    # read for a few rows at an admitted (q, n) and closed record nothing
+    # and hold nothing back, so the checks after them record as before and
+    # give their cold reports
+    from itertools import islice
+
+    from qzeta import QContext, compose
+    from qzeta.evaluators import _mhs_rows, _pattern_rows
+    from qzeta.indices import signed_string
+    from qzeta.levels import Levels
+
+    comps = [(2, 1, 1, 3, 1), (1, 1, 3, 1), (3, 1, 3, 1)]
+    q, n_max = Fraction(5, 8), 30
+    cold = []
+    for comp in comps:
+        Levels.cache_clear()
+        cold += _finite_bodies([comp], n_max, q)
+    Levels.cache_clear()
+    assert _finite_bodies(comps[:1], n_max, q) == cold[:1]  # admits both engines
+    assert Levels.cache_info().currsize == 0
+    for comp in comps[1:]:
+        ctx = QContext(q)
+        streams = [
+            _pattern_rows(ctx, compose(comp)[1], n_max),
+            _mhs_rows(ctx, signed_string(comp), n_max, star=True),
+        ]
+        for stream in streams:
+            assert len(list(islice(stream, 4))) == 4
+            stream.close()
+        assert Levels.cache_info().currsize == 0
+    assert _finite_bodies(comps, n_max, q) == cold
+    assert Levels.cache_info().currsize > 0
+    assert _finite_bodies(comps, n_max, q) == cold
+
+
+def test_level_memo_records_the_deepest_columns_that_fit_and_leaves_no_gap(monkeypatch):
+    # a record goes deepest first and ends at the first new column that
+    # does not fit, so every level held chains onto a held suffix; a
+    # record at a generation that is gone writes nothing
+    from qzeta import levels
+
+    memo = levels.Levels
+    monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", 100)
+    memo.cache_clear()
+    at, root, keys = (1, 2, 3), levels.RUN_ROOT, ["a", "b", "c"]
+    assert memo.lookup(at, root, keys)[0] is None  # a first sum records nothing
+    generation, node, found, room = memo.lookup(at, root, keys)
+    assert (node, found, room) == (root, [], 100)
+    columns = [("c", "column c", 30), ("b", "column b", 80), ("a", "column a", 30)]
+    memo.record(generation, node, columns)
+    assert memo.cache_info().currsize == 30
+    generation, node, found, room = memo.lookup(at, root, keys)
+    assert found == ["column c"] and room == 70
+    memo.record(generation, node, [("b", "column b", 69), ("a", "column a", 1)])
+    assert memo.cache_info().currsize == 100
+    assert memo.lookup(at, root, keys)[2:] == (["column a", "column b", "column c"], 0)
+    memo.lookup((1, 2, 4), root, keys)  # another (q, n) empties the memo
+    memo.record(generation, root, [("c", "column c", 1)])
+    assert memo.cache_info().currsize == 0
+
+
+def test_level_memo_bound_holds_when_only_one_side_of_a_check_fits(monkeypatch):
+    # each side of a check keeps at most the room it saw at its lookup, so
+    # both may keep more in flight than the memo may hold; with a bound
+    # between one side's columns and both sides', the memo records only
+    # the columns that fit and still holds at most the bound
+    from qzeta import QContext, compose
+    from qzeta.evaluators import _mhs_rows, _pattern_rows
+    from qzeta.indices import signed_string
+    from qzeta import levels
+
+    first, comp = (1, 1, 3, 1), (2, 1, 1, 3, 1)
+    q, n_max = Fraction(5, 8), 30
+
+    def side_bits(stream):
+        levels.Levels.cache_clear()
+        _finite_bodies([first], n_max, q)  # admits both engines, records nothing
+        for _ in stream(QContext(q)):
+            pass
+        return levels.Levels.cache_info().currsize
+
+    right = side_bits(lambda ctx: _pattern_rows(ctx, compose(comp)[1], n_max))
+    left = side_bits(lambda ctx: _mhs_rows(ctx, signed_string(comp), n_max, star=True))
+    assert left > 0 and right > 0
+    expect = _finite_bodies([first, comp], n_max, q)
+    for bound in (max(left, right), (max(left, right) + left + right) // 2, left + right - 1):
+        monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", bound)
+        levels.Levels.cache_clear()
+        assert _finite_bodies([first, comp], n_max, q) == expect
+        info = levels.Levels.cache_info()
+        assert 0 < info.currsize <= bound, (bound, info)
+        assert _finite_bodies([first, comp], n_max, q) == expect
+        assert levels.Levels.cache_info().currsize <= bound
+    monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", left + right)
+    levels.Levels.cache_clear()
+    assert _finite_bodies([first, comp], n_max, q) == expect
+    assert levels.Levels.cache_info().currsize == left + right
