@@ -20,11 +20,14 @@ same seed, with ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPATH``; the
 side that runs first alternates from pair to pair, so a drift of the
 host's speed falls on both sides alike.  Pair i uses seed ``--seed + i``.
 
-Each run also records ``child_cpu_s``: the user and system CPU time of
-its ``qzbench/run.py`` and of every process it waited for (the workers
-and the reference slices), from ``resource.getrusage(RUSAGE_CHILDREN)``
-taken around the run.  Other tenants of a shared host move it less than
-wall time.  It is summarized next to qzbench's metrics.
+Each run also records ``child_cpu_s`` and ``child_rss_mb``: the user and
+system CPU time of its ``qzbench/run.py`` and of every process it waited
+for (the workers and the reference slices), and the peak RSS of the
+largest of them, from the rusage that ``os.wait4`` returns for that one
+child.  A child starts as a copy of this script, so its peak RSS is at
+least this script's own, recorded as ``rss_floor_mb`` (about 15 MB).
+Other tenants of a shared host move the CPU time less than wall time.
+Both are summarized next to qzbench's metrics.
 
 For every end-to-end metric it prints each side's median and quartiles,
 the change's median relative to the base's, the number of pairs in which
@@ -36,10 +39,10 @@ A full run (no ``--workload``) then runs the reach probes, the fixed list
 ``PROBES`` of inputs that no workload times, once per side: each is one
 ``python -m qzeta.cli`` command in a fresh process in that side's tree,
 under one timeout, ``PROBE_TIMEOUT_S``.  It records each probe's exit code
-(or ``"timeout"``), the first line of its stderr, its wall time and its
-child CPU time, taken as ``child_cpu_s`` is, under ``"probes"`` in the
-JSON, and prints how many probes each side answered: exited 0 or 1, a
-verdict, within the timeout.  Exit status 0 when every run completed, 1
+(or ``"timeout"``), the first line of its stderr, its wall time, its
+child CPU time and its peak RSS, taken as a run's are, under ``"probes"``
+in the JSON, and prints how many probes each side answered: exited 0 or
+1, a verdict, within the timeout.  Exit status 0 when every run completed, 1
 when one did not; a probe's outcome does not change it.
 """
 
@@ -50,7 +53,9 @@ import json
 import os
 import platform
 import resource
+import select
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -76,7 +81,9 @@ SIDES = ("base", "change")
 # compact rational that no ball can decide, so it exits 2, and (33) at
 # n_max = 80, a depth-32 pattern and the deepest finite check of any
 # probe: one check at a (q, n) that no other check shares, so the exact
-# engines' level memo records nothing for it and should cost it nothing
+# engines' level memo records nothing for it and should cost it nothing,
+# and 100 random finite checks at n_max = 60, which share one (q, n), so
+# they are the probe that keeps and records level columns
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -102,6 +109,7 @@ PROBES = (
     "verify 9,9,9 --qmzsv --q 3602879701896397/4503599627370496",
     "verify 2,1 --qmzsv --eps 1/10",
     "verify 33 --n-max 80",
+    "verify random --count 100 --n-max 60",
 )
 PROBE_TIMEOUT_S = 30.0
 
@@ -146,49 +154,61 @@ def extract(tree: str, dest: Path) -> None:
 def run_child(tree: Path, cmd: list[str], timeout: float | None = None, **env: str) -> tuple:
     """Run cmd in tree, with ``PYTHONDONTWRITEBYTECODE=1``, no ``PYTHONPATH``
     and the variables env sets: its exit code or "timeout", its stdout and
-    stderr, its wall time and its child CPU time in seconds (see the module
-    docstring)."""
+    stderr, its wall time, its child CPU time in seconds and its peak RSS
+    in MB (see the module docstring).
+
+    The child writes to temporary files and is reaped by ``os.wait4``,
+    which returns its own rusage; until then a pidfd (Linux) waits for
+    its exit, or for the timeout and then kills it, without reaping it."""
     inherited = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env = dict(inherited, PYTHONDONTWRITEBYTECODE="1", **env)
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.monotonic()
-    try:
-        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=timeout)
-        code, out, err = proc.returncode, proc.stdout, proc.stderr
-    except subprocess.TimeoutExpired as exc:
-        # run() kills and reaps the child, so its CPU time is counted; what
-        # it wrote so far comes as bytes
-        code = "timeout"
-        out, err = ((b or b"").decode(errors="replace") for b in (exc.stdout, exc.stderr))
-    wall = time.monotonic() - t0
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-    return code, out, err, wall, cpu
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.monotonic()
+        with subprocess.Popen(cmd, cwd=tree, env=env, stdout=out, stderr=err) as proc:
+            pidfd = os.pidfd_open(proc.pid)
+            try:
+                exited = select.select([pidfd], [], [], timeout)[0]
+                if not exited:
+                    signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+            finally:
+                os.close(pidfd)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        wall = time.monotonic() - t0
+        code = proc.returncode if exited else "timeout"
+        out, err = (f.seek(0) or f.read().decode(errors="replace") for f in (out, err))
+    cpu = usage.ru_utime + usage.ru_stime
+    return code, out, err, wall, cpu, usage.ru_maxrss / 1024
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, float]:
     """One ``qzbench/run.py`` run in tree: its record line, its result line
-    and its child CPU time in seconds."""
+    with the run's peak RSS added to its metrics as ``child_rss_mb``, and
+    its child CPU time in seconds."""
     cmd = [
         sys.executable, str(tree / "qzbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    code, out, err, _, cpu = run_child(tree, cmd)
+    code, out, err, _, cpu, rss = run_child(tree, cmd)
     if code != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {code}: {err.strip()}")
     lines = out.strip().splitlines()
-    return json.loads(lines[-2]), json.loads(lines[-1]), cpu
+    result = json.loads(lines[-1])
+    result["metrics"]["child_rss_mb"] = {"value": rss, "unit": "MB"}
+    return json.loads(lines[-2]), result, cpu
 
 
 def run_probe(tree: Path, probe: str, timeout: float = PROBE_TIMEOUT_S) -> dict:
     """One reach probe, ``python -m qzeta.cli <probe>``, in tree with its
     ``src`` on ``PYTHONPATH``: its exit code or "timeout", the first line of
-    its stderr, its wall time and its child CPU time in seconds."""
+    its stderr, its wall time, its child CPU time in seconds and its peak
+    RSS in MB."""
     cmd = [sys.executable, "-m", "qzeta.cli", *probe.split()]
-    code, _, err, wall, cpu = run_child(tree, cmd, timeout, PYTHONPATH=str(tree / "src"))
+    code, _, err, wall, cpu, rss = run_child(tree, cmd, timeout, PYTHONPATH=str(tree / "src"))
     first = (err.strip().splitlines() or [""])[0]
-    return {"exit": code, "stderr": first, "wall_s": wall, "child_cpu_s": cpu}
+    return {
+        "exit": code, "stderr": first, "wall_s": wall, "child_cpu_s": cpu, "child_rss_mb": rss
+    }
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -297,6 +317,7 @@ def main() -> int:
             "pairs": args.pairs,
             "seeds": seeds,
             "first": "base on even pairs (0-based), change on odd ones",
+            "rss_floor_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         },
         "workloads": {},
     }
@@ -317,7 +338,11 @@ def main() -> int:
             answered = sum(p[side]["exit"] in (0, 1) for p in probes)
             print(f"{side}: probes answered: {answered} of {len(probes)}")
         for p in probes:
-            runs = "  ".join(f"{side} {p[side]['exit']} {p[side]['wall_s']:.2f} s" for side in SIDES)
+            runs = "  ".join(
+                f"{side} {p[side]['exit']} {p[side]['wall_s']:.2f} s"
+                f" {p[side]['child_rss_mb']:.1f} MB"
+                for side in SIDES
+            )
             print(f"  {p['probe'][:40]:40s} {runs}")
     if args.out:
         args.out.write_text(json.dumps(out, indent=1) + "\n")
