@@ -25,9 +25,10 @@ system CPU time of its ``qzbench/run.py`` and of every process it waited
 for (the workers and the reference slices), and the peak RSS of the
 largest of them, from the rusage that ``os.wait4`` returns for that one
 child.  A child starts as a copy of this script, so its peak RSS is at
-least this script's own, recorded as ``rss_floor_mb`` (about 15 MB).
-Other tenants of a shared host move the CPU time less than wall time.
-Both are summarized next to qzbench's metrics.
+least this script's own, recorded as ``rss_floor_mb``: a probe refused
+in its first few milliseconds reads that floor.  Other tenants of a
+shared host move the CPU time less than wall time.  Both are summarized
+next to qzbench's metrics.
 
 For every end-to-end metric it prints each side's median and quartiles,
 the change's median relative to the base's, the number of pairs in which
@@ -42,8 +43,8 @@ under one timeout, ``PROBE_TIMEOUT_S``.  It records each probe's exit code
 (or ``"timeout"``), the first line of its stderr, its wall time, its
 child CPU time and its peak RSS, taken as a run's are, under ``"probes"``
 in the JSON, and prints how many probes each side answered: exited 0 or
-1, a verdict, within the timeout.  Exit status 0 when every run completed, 1
-when one did not; a probe's outcome does not change it.
+1, a verdict, within the timeout.  Exit status 0 when every run
+completed, 1 when one did not; a probe's outcome does not change it.
 """
 
 from __future__ import annotations

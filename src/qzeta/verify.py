@@ -339,9 +339,9 @@ def verify_mhs(
     integers of about n**2 bits.  Should the weights differ, the lighter
     side takes the missing L_n**|W - w|, so the check stays exact; they
     never do for a composed pattern, so that step is skipped when they
-    agree.  Only a
-    failing n reads both rows as values
-    (:func:`~qzeta.evaluators._row_value`), to reduce its residual.
+    agree.  Only a failing n reads both rows as values
+    (:func:`~qzeta.evaluators._row_value`), to reduce its residual, and
+    formats its label.
 
     Both engines are generators that raise every refusal of theirs before
     their first row, and whose row 0 needs no term.  The two streams are
