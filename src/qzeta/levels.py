@@ -17,8 +17,8 @@ in the id of the empty suffix, and (outermost, magnitude, sign, offset,
 shift with theta as None, merge flag of the separator after it) in the
 run engine, whose outermost level keeps inner[k] rather than a
 cumulative.  The memo holds level columns only: both engines read their
-q-level factors off the QContext, as a first sum does, since tables of
-them held here cost more to look up and bound than they saved.
+q-level factors off the QContext, as a first sum does, since holding
+those factors here cost more to look up and bound than it saved.
 
 Admission.  A (q, n) is recorded from the second lookup of an engine (a
 descent of the harmonic DP, or the run engine) at it on.  The first sum at
