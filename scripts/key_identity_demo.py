@@ -3,8 +3,11 @@
 
 Prints the compiled pattern, its eight-term expansion, the classical limit
 expansion, and a numeric confirmation of both the q-series identity and the
-q -> 1 limit.  Exit status is 0 only if both checks pass, and 2 for a q or
-eps that cannot be read.
+q -> 1 limit.  Exit status is 0 only if both checks pass, 1 if one fails,
+and 2, with ``error: <message>`` on stderr as ``qzeta`` gives it, for an
+input the library refuses: a q or eps it cannot read, ``--terms`` below 1,
+or a series deeper than the depth cap, which the classical check refuses
+after the q-series check has run.
 """
 
 import argparse
@@ -33,11 +36,16 @@ def main() -> int:
     if min(args.a, args.b, args.c, args.d) < 0:
         ap.error("parameters must be nonnegative")
     try:
-        q, eps = as_q(args.q), as_eps(args.eps)
-    except ValueError as exc:
+        return demo(args)
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+
+def demo(args: argparse.Namespace) -> int:
+    """Print the walk-through for the parsed arguments; 0 if both checks
+    pass, else 1.  Raises ValueError for an input the library refuses."""
+    q, eps = as_q(args.q), as_eps(args.eps)
     comp = (
         (2,) * args.a + (1,) + (2,) * args.b + (1,)
         + (2,) * args.c + (3,) + (2,) * args.d + (1,)

@@ -1204,13 +1204,13 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool) -> list:
     for a barred run, with d = 0 for weak and 1 for strict descent, and
     C_m = 1 below the innermost level; the ball is around C_0[n].
 
-    An inner level keeps (xs, bars, es, c, top): midpoints and radii over
-    the indices it is read at, k - d for k = 1..n, in units of 2**-prec,
-    with |x - 2**prec C| <= e; bars, the midpoints negated where they are
-    read at an odd k (only for a level that a barred run reads); and
-    top = max |x| + e at the last index, which bounds every |2**prec C| as
-    the radii never fall with k.  The exact 1 is
-    (None, None, None, c, 2**prec).
+    A level keeps (xs, es, c, top): midpoints and radii over the indices
+    it is read at, k - d for k = 1..n, in units of 2**-prec, with
+    |x - 2**prec C| <= e; and top = max |x| + e at the last index, which
+    bounds every |2**prec C| as the radii never fall with k.  The exact 1
+    is the level of constant columns x = 2**prec and e = 0.  A barred run
+    signs its column once, negating t_k at odd k, and every product reads
+    the signed column; a radius reads the unsigned one.
 
     Radius: for one product write t = t_k, T' = 2**c T_k, x and e for the
     deeper level at the index read and X = 2**prec C_j there, so |X| <= top:
@@ -1224,7 +1224,8 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool) -> list:
     terms, the same at every index, ride in the rounding bias of the third.
     With E the deeper level's largest radius, the third is at most 1 where
     t <= lim = floor((2**c - 1) / E), and is counted as 1 there without
-    forming t e: toward the tail of a column, most of its indices.
+    forming t e: toward the tail of a column, most of its indices.  Below
+    the innermost level e = 0, and the third term is 0.
     Level 0, which no level reads, floors each run's sum over k once,
     within 1 + ceil((sum t e + n S top) / 2**c) units.  c keeps
     S top / 2**c below a unit whatever the size of level j, so a run
@@ -1235,39 +1236,31 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool) -> list:
     """
     m = len(runs)
     one = 1 << prec
-    levels: list = [None] * m + [(None, None, None, _column_prec(one, prec), one)]
+    levels: list = [None] * m + [([one] * (n + 1), [0] * (n + 1), _column_prec(one, prec), one)]
     if not (m and n):
         levels[0] = Ball(0 if m else one, 0, prec)  # an empty string's sum is 1
         return levels
-    read_barred = {j for row in runs for j, barred, _ in row if barred}
     start = None if weak else 0  # a strict level holds C[0] = 0 first
     mid = rad = 0
     for i in range(m - 1, -1, -1):
         mids = errs = None
         for j, barred, column in runs[i]:
-            xs, bars, es, c, top = levels[j]
+            xs, es, c, top = levels[j]
             ts = column(c)
-            if not i:
-                if xs is None:
-                    mid += (sum(ts[1::2]) - sum(ts[::2]) if barred else sum(ts)) >> c - prec
-                    spread = 0
-                else:
-                    mid += sum(map(mul, ts, bars if barred else xs)) >> c
-                    spread = sum(map(mul, ts, es))
-                rad += 1 - (-(spread + n * _COLUMN_SLACK * top) >> c)
-                continue
-            if not weak:
+            if i and not weak:
                 ts = ts[:-1]  # a strict level is read at k - 1 < n
+            signed = [-t if k % 2 else t for k, t in enumerate(ts, 1)] if barred else ts
+            if not i:
+                mid += sum(map(mul, signed, xs)) >> c
+                rad += 1 - (-(sum(map(mul, ts, es)) + n * _COLUMN_SLACK * top) >> c)
+                continue
             flat = 1 - (-_COLUMN_SLACK * top >> c)
-            if xs is None:
-                # below the innermost level, where x = 2**prec and e = 0,
-                # the products are the column itself at 2**-c
-                if barred:
-                    ts = [-t if k % 2 else t for k, t in enumerate(ts, 1)]
-                shift = c - prec
-                prods, spills = [t >> shift for t in ts], [flat] * len(ts)
+            if j == m:
+                # the exact 1: t x / 2**c is t / 2**(c - prec), and with e = 0
+                # no ceil(t e / 2**c) term is counted
+                prods, spills = [t >> c - prec for t in signed], [flat] * len(ts)
             else:
-                prods = [t * x >> c for t, x in zip(ts, bars if barred else xs)]
+                prods = [t * x >> c for t, x in zip(signed, xs)]
                 # flat + ceil(t e / 2**c), and flat + 1 wherever t <= lim
                 lim, full = ((1 << c) - 1) // max(es[-1], 1), flat + 1
                 bias = (full << c) - 1
@@ -1279,12 +1272,8 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool) -> list:
         if not i:
             break
         xs, es = list(accumulate(mids, initial=start)), list(accumulate(errs, initial=start))
-        bars = None
-        if i in read_barred:
-            bars = xs[:]
-            bars[::2] = [-x for x in xs[::2]]  # bars[0] is read at k = 1
         top = max(max(xs), -min(xs)) + es[-1]
-        levels[i] = (xs, bars, es, _column_prec(top, prec), top)
+        levels[i] = (xs, es, _column_prec(top, prec), top)
     levels[0] = Ball(mid, rad, prec)
     return levels
 

@@ -1389,7 +1389,7 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
                 levels = _ball_sweep(runs, n, 2, False)
                 for j in range(1, m):
                     suffix = Triple(pattern.s[j:], pattern.t[j:], pattern.r[j:])
-                    xs, _, es, _, _ = levels[j]
+                    xs, es, _, _ = levels[j]
                     for k in range(n):
                         exact = _resolutions_partial_sum(q, suffix, merge, k) * 4
                         assert abs(xs[k] - exact) <= es[k], (q, pattern, merge, j, k)
@@ -1405,7 +1405,7 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
                 levels = _ball_sweep(_harmonic_runs(q, entries, n), n, 2, star)
                 for j in range(1, len(entries)):
                     exact = oracles.harmonic_all_n(q, plain[j:], n, star=star)
-                    xs, _, es, _, _ = levels[j]
+                    xs, es, _, _ = levels[j]
                     for k in range(1, n + 1):
                         case = (q, s, star, j, k)
                         assert abs(xs[k - 1] - exact[k - d] * 4) <= es[k - 1], case

@@ -102,6 +102,21 @@ def test_demo_exits_two_on_a_q_or_eps_it_cannot_read(monkeypatch, capsys, args, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--terms", "0"), "K must be >= 1, got 0"),
+        (("-a", "40", "--terms", "1000"), "series depth 44 exceeds 32"),
+    ],
+)
+def test_demo_exits_two_on_an_input_the_library_refuses(monkeypatch, capsys, args, message):
+    # a refusal is exit 2 with the library's message, as qzeta gives it, not
+    # a traceback and exit 1, which would read as a failed check; the depth
+    # cap is met by the classical check, after the q-series check has passed
+    code, _, err = _run_script(monkeypatch, capsys, "key_identity_demo.py", *args)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
 def test_fuzz_sweep_verdict_reads_its_own_reports(monkeypatch, capsys):
     # a failing lemma is reported as the lemma's failure, not the sweep's
     monkeypatch.setattr(qzeta, "lemma_suite", lambda **kwargs: [_failing("stub lemma")])
@@ -275,38 +290,82 @@ def test_bench_pairs_labels_the_change_by_the_tree_it_measured(tmp_path, monkeyp
 
 
 def test_bench_pairs_records_each_childs_own_peak_rss(tmp_path):
-    # a run's and a probe's peak RSS are their own child's, from the rusage
-    # that reaps it: a child that touches 64 MB reads at least that, and a
-    # small child run after it reads far less, as a running maximum over
-    # all children would not.  A child starts as a copy of the process that
-    # spawns it, so the calls run in a small process of their own
-    big = "b = bytearray(64 << 20)\nb[::4096] = b'1' * len(b[::4096])\n"
-    lines = 'import json\nprint(json.dumps({"machine": {}}))\nprint(json.dumps({"metrics": {}}))\n'
-    (tmp_path / "qzbench").mkdir()
-    (tmp_path / "qzbench" / "run.py").write_text(big + lines)
+    # a probe's peak RSS is its own VmHWM, which starts from nothing at
+    # exec: from a driver that has touched 100 MB, an empty probe reads far
+    # less than the driver, as the rusage of a child, which starts from its
+    # parent's peak, would not, and a probe that touches 64 MB reads at
+    # least that.  A probe killed at the timeout prints no VmHWM
+    touch = "b = bytearray({} << 20)\nb[::4096] = b'1' * len(b[::4096])\n"
     cli = tmp_path / "src" / "qzeta"
     cli.mkdir(parents=True)
     (cli / "__init__.py").write_text("")
     (cli / "cli.py").write_text("")
-    (tmp_path / "big_cli.py").write_text(big + "raise SystemExit(1)\n")
-    driver = f"""
+    (tmp_path / "big_cli.py").write_text(touch.format(64) + "raise SystemExit(1)\n")
+    (tmp_path / "slow_cli.py").write_text("import time\ntime.sleep(30)\n")
+    driver = touch.format(100) + f"""
 import json, runpy, shutil
 from pathlib import Path
 bench = runpy.run_path({str(ROOT / "scripts" / "bench_pairs.py")!r})
 tree = Path({str(tmp_path)!r})
-_, result, cpu = bench["run_side"](tree, "finite-wide", 1, 0.1)
 small = bench["run_probe"](tree, "verify 2,1")
 shutil.copy(tree / "big_cli.py", tree / "src" / "qzeta" / "cli.py")
 big = bench["run_probe"](tree, "verify 2,1")
-print(json.dumps([result["metrics"]["child_rss_mb"], cpu, small, big]))
+shutil.copy(tree / "slow_cli.py", tree / "src" / "qzeta" / "cli.py")
+slow = bench["run_probe"](tree, "verify 2,1", timeout=0.2)
+print(json.dumps([small, big, slow]))
 """
     proc = subprocess.run([sys.executable, "-c", driver], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    rss, cpu, small, big = json.loads(proc.stdout)
-    assert rss["unit"] == "MB" and rss["value"] >= 64 and cpu > 0
-    assert small["exit"] == 0 and 0 < small["child_rss_mb"] < 48
+    small, big, slow = json.loads(proc.stdout)
+    assert small["exit"] == 0 and 0 < small["child_rss_mb"] < 30
     assert big["exit"] == 1 and big["child_rss_mb"] >= 64
+    assert slow["exit"] == "timeout" and slow["child_rss_mb"] is None
+
+
+def test_bench_pairs_probes_parse():
+    # a mistyped probe fails here, instead of reading in a BENCH file as
+    # an exit-2 refusal
+    from qzeta.cli import build_parser
+
+    parser = build_parser()
+    for probe in _bench_pairs()["PROBES"]:
+        assert parser.parse_args(probe.split()).func, probe
+
+
+def test_bench_pairs_prints_a_probe_with_no_peak_rss(tmp_path, monkeypatch, capsys):
+    # a probe killed at the timeout records no peak RSS, and the printed
+    # table shows its exit and wall time without one
+    import tempfile
+
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "empty"]):
+        subprocess.run([*git, *args], capture_output=True, check=True)
+    bench = _bench_pairs()["main"].__globals__
+
+    def run_side(tree, workload, seed, seconds):
+        return {"machine": {}}, {"metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}, 0.0
+
+    def run_probe(tree, probe):
+        rss = None if tree.name == "base" else 17.5
+        code = "timeout" if rss is None else 0
+        return {"exit": code, "stderr": "", "wall_s": 1.0, "child_cpu_s": 0.5, "child_rss_mb": rss}
+
+    monkeypatch.setitem(bench, "ROOT", repo)
+    monkeypatch.setitem(bench, "run_side", run_side)
+    monkeypatch.setitem(bench, "run_probe", run_probe)
+    monkeypatch.setitem(bench, "PROBES", ("verify 2,1",))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--pairs", "1",
+                                      "--out", str(out)])
+    assert bench["main"]() == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.split() == "verify 2,1 base timeout 1.00 s change 0 1.00 s 17.5 MB".split()
+    probe = json.loads(out.read_text())["probes"]["runs"][0]
+    assert probe["base"]["child_rss_mb"] is None and probe["change"]["child_rss_mb"] == 17.5
 
 
 def test_bench_pairs_probes_a_batch_that_records_level_columns(capsys):
