@@ -94,7 +94,9 @@ suffix already summed at that (q, n) and sums only the levels above it.
 The memo holds level columns only, at one (q, n) at a time, records
 from an engine's second sum at a (q, n) on, and is bounded by the bits
 it holds when it records; the batteries of :mod:`~qzeta.verify` at one q and n_max share
-most of their levels through it.
+most of their levels through it.  The left ball of :func:`q_zeta_enclosure`
+holds its levels 1..m-1 in the same memo at (q, K, binary point), so the
+q-series checks at one q and eps read the suffixes they share.
 
 Every exact sum ends as one row shape, (num, c, e): the value
 num / (L_n^w * c * b^e) at upper limit n, with L_n^w (w the weight, which
@@ -376,8 +378,9 @@ _COLUMN_MIN_LENGTH = 32
 # 8 columns of n ints below 2**(prec + 1), n <= 128 as K <= MAX_FRAKZ_TERMS,
 # so at most 1024 (prec/7.5 + 36) bytes: 80 KB at prec = 320 and 1.4 MB at
 # prec = 10**4 (eps = 1e-3000).  A power entry holds n >= 512 ints
-# floor(2**prec base**e), e < n.  For a base q < 1 only the nonzero ones,
-# at most prec / log2(1/q) + 1 of them, take more than a pointer: about
+# floor(2**prec base**e), e < n, with n the larger of 512 and the least
+# power of two above the largest e read.  For a base q < 1 only the nonzero
+# ones, at most prec / log2(1/q) + 1 of them, take more than a pointer: about
 # 8 n + prec**2 / (7.5 log2(1/q)) bytes, 19-29 KB in the batch.  The ints
 # of 1/q, read up to e = K**2/2 by a run of negative alpha, grow to
 # prec + n log2(1/q) bits, about n (prec + n log2(1/q) / 2) / 7.5 bytes:
@@ -897,6 +900,15 @@ def q_zeta_enclosure(
     _COLUMN_SLACK units of the exact ones.  By default prec is P, the bit
     size of 1/eps, at least _COMPACT_BITS, plus _GUARD_BITS.
 
+    Level i of the sweep, i >= 1, depends only on q, K, prec, the descent
+    and the entries i..m-1, so levels 1..m-1 go through the level memo
+    (:mod:`~qzeta.levels`) at (a, b, K, prec), keyed by slot
+    2 * magnitude + [barred] as the harmonic DP's: the sweep starts above
+    the longest suffix held, and the levels it sums there are recorded,
+    deepest first, each charged the bits and ENTRY_BITS of every int of
+    its midpoints and radii.  The ball, level 0, is not held.  The ball is
+    the same whichever levels were read.
+
     Raises ValueError as :func:`q_zeta` does, and for a q that
     :func:`~qzeta.qarith.as_q` refuses.
     """
@@ -905,7 +917,23 @@ def q_zeta_enclosure(
     K, bound = _harmonic_truncation(q, len(entries), eps)
     if prec is None:
         prec = _default_prec(eps)
-    return SeriesValue(_ball_sweep(_harmonic_runs(q, entries, K), K, prec, star)[0], bound, K)
+    keys = [2 * e.magnitude + (e.sign < 0) for e in entries[1:]]
+    generation, node, held, _ = Levels.lookup(
+        (q.numerator, q.denominator, K, prec), WEAK_ROOT if star else STRICT_ROOT, keys
+    )
+    levels = _ball_sweep(_harmonic_runs(q, entries, K), K, prec, star, held)
+    if generation is not None:
+        top = len(entries) - len(held)  # levels 1..top-1 were summed here
+        new = [(key, level, _level_bits(level)) for key, level in zip(keys, levels[1:top])]
+        Levels.record(generation, node, new[::-1])
+    return SeriesValue(levels[0], bound, K)
+
+
+def _level_bits(level: tuple) -> int:
+    """The bits a ball level (xs, es, c, top) takes in the level memo: the
+    bit length of every int of xs and es, plus ENTRY_BITS for each."""
+    ints = level[0] + level[1]
+    return sum(map(int.bit_length, ints)) + ENTRY_BITS * len(ints)
 
 
 # Longest truncation K that :func:`frakz` and :func:`frakz_enclosure` will
@@ -1027,13 +1055,18 @@ def _frakz_search(
 # A run's term at index k is q**e (1 + q**k) / [k]**s, e = alpha * k(k-1)/2
 # + beta * k (see _runs), and its column is one product per index of an
 # entry of a magnitude table, _MAGNITUDE_GROUP magnitudes s per entry, and
-# of a power table of q**e (see _run_column).  Table lengths are multiples
-# of _TABLE_MIN_LENGTH, and of _POWER_MIN_LENGTH for powers, and a binary
-# point a multiple of _COLUMN_PREC_STEP, so that few tables serve every
-# check at one q: with one power table per power-of-two length, the
-# benchmark's q-series batch at q = 1/2 builds 15 instead of 4, and with
-# magnitude tables 16 long, 11 instead of 7.  A power table of q < 1
-# computes only its nonzero entries, about prec / log2(1/q).
+# of a power table of q**e (see _run_column).  Magnitude table lengths are
+# multiples of _TABLE_MIN_LENGTH, power table lengths powers of two at
+# least _POWER_MIN_LENGTH, and a binary point a multiple of
+# _COLUMN_PREC_STEP, so that few tables serve every check at one q: with
+# power tables of every power of two from 1 up, the benchmark's q-series
+# batch at q = 1/2 builds 41 instead of 4, and with magnitude tables 16
+# long, 11 instead of 7.  Toward q -> 1 the exponents reach about K**2 / 2,
+# so the power tables' lengths spread: over the 1,024 weight-12
+# compositions at q = 9/10, lengths in multiples of 512 missed 315 of
+# 25,600 lookups, and powers of two miss 68.  A table's entries do not
+# depend on its length.  A power table of q < 1 computes only its nonzero
+# entries, about prec / log2(1/q).
 _MAGNITUDE_GROUP = 8
 _TABLE_MIN_LENGTH = 32
 _POWER_MIN_LENGTH = 512
@@ -1055,8 +1088,9 @@ def _table_length(n: int, step: int = _TABLE_MIN_LENGTH) -> int:
 
 
 def _power_length(top: int) -> int:
-    """The length of a power table that holds the exponents 0..top."""
-    return _table_length(top + 1, _POWER_MIN_LENGTH)
+    """The length of a power table that holds the exponents 0..top: the
+    power of two at least top + 1 and _POWER_MIN_LENGTH."""
+    return max(1 << top.bit_length(), _POWER_MIN_LENGTH)
 
 
 def _fixed_point_rows(a: int, b: int, n: int, prec: int, lead: int, magnitudes: range) -> Iterator:
@@ -1190,10 +1224,14 @@ def _run_column(
     return [m * g >> mprec for m, g in zip(ms[s % _MAGNITUDE_GROUP], gs)]
 
 
-def _ball_sweep(runs: list, n: int, prec: int, weak: bool) -> list:
+def _ball_sweep(runs: list, n: int, prec: int, weak: bool, held: Sequence = ()) -> list:
     """A ball at 2**-prec around a nested sum to n, swept one level at a
     time, innermost first, with a radius carried index by index.  Returns
     the levels [ball, level 1, ..., level m-1, the exact 1] (see below).
+    ``held`` are the levels m - len(held) .. m-1, already summed for these
+    runs, n, prec and descent (read from the level memo by
+    :func:`q_zeta_enclosure`): the sweep starts at the level above them and
+    returns them as they are, never writing into them.
 
     runs[i] lists level i's runs (j, barred, column), j > i.  column(c)
     gives the run's floored terms t_k, k = 1..n, at the binary point 2**-c
@@ -1234,15 +1272,15 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool) -> list:
     guard bits, and an error is scaled down with its level's values by the
     terms above it: the bound follows the nesting of the indices.
     """
-    m = len(runs)
-    one = 1 << prec
-    levels: list = [None] * m + [([one] * (n + 1), [0] * (n + 1), _column_prec(one, prec), one)]
+    m, one = len(runs), 1 << prec
+    exact_one = ([one] * (n + 1), [0] * (n + 1), _column_prec(one, prec), one)
+    levels: list = [None] * (m - len(held)) + list(held) + [exact_one]
     if not (m and n):
         levels[0] = Ball(0 if m else one, 0, prec)  # an empty string's sum is 1
         return levels
     start = None if weak else 0  # a strict level holds C[0] = 0 first
     mid = rad = 0
-    for i in range(m - 1, -1, -1):
+    for i in range(m - 1 - len(held), -1, -1):
         mids = errs = None
         for j, barred, column in runs[i]:
             xs, es, c, top = levels[j]

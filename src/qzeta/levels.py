@@ -1,4 +1,5 @@
-"""The level memo of the two exact engines of :mod:`~qzeta.evaluators`.
+"""The level memo of the two exact engines of :mod:`~qzeta.evaluators`
+and of the left q-series ball.
 
 In the harmonic DP (``_mhs_rows``) and the run engine (``_inner_terms``) a
 level's column, its cumulative at every index k <= n at that index's
@@ -8,6 +9,23 @@ they share columns: over the benchmark's seed-1 finite-wide batch (40
 checks at q = 1/2, n = 6) the run engine looks up 440 levels and sums
 117, the harmonic DP 245 and 84.  :class:`Levels` holds one (q, n) at a
 time, and a call at another (q, n) empties it.
+
+The left ball of a q-series check (``q_zeta_enclosure``) is the harmonic
+sum swept as a ball at a truncation K and binary point 2**-prec, and its
+level i >= 1 depends only on q, K, prec, the descent and the entries from
+i down.  It is held at (a, b, K, prec), a 4-tuple that never equals an
+exact engine's (a, b, n), under the harmonic DP's roots and slot keys.  A
+ball level is (xs, es, c, top): K midpoints and K radii, and the binary
+point and bound its readers need; it is charged the bit length of every
+int of xs and es plus ENTRY_BITS for each, about 69,000 bits at q = 1/2
+and eps = 1e-25 (K = 84, prec = 300).  Every check of the benchmark's
+seed-1 q-series batch (105 checks at q = 1/2) has that K and prec, and
+the balls read 379 of the 566 levels they look up.  The ball itself,
+level 0, is not held, and neither is the right ball: its K (14 to 18 in
+that batch) differs from the left one's, so holding both would empty the
+memo twice per check.  Toward q -> 1 the left K grows with the depth, so
+a batch that mixes depths there changes (a, b, K, prec) from check to
+check and keeps nothing.
 
 Key.  A level's suffix is interned one level at a time as (id of the
 suffix below it, the level's own slot), so a lookup costs one probe of a
@@ -21,10 +39,10 @@ q-level factors off the QContext, as a first sum does, since holding
 those factors here cost more to look up and bound than it saved.
 
 Admission.  A (q, n) is recorded from the second lookup of an engine (a
-descent of the harmonic DP, or the run engine) at it on.  The first sum at
-a (q, n) keeps no column, so a batch that never comes back to a (q, n),
-one q per check as in the benchmark's finite-long workload, or one
-command, pays for the memo only its lookups: the
+descent of the harmonic DP or of the left ball, or the run engine) at it
+on.  The first sum at a (q, n) keeps no column, so a batch that never
+comes back to a (q, n), one q per check as in the benchmark's finite-long
+workload, or one command, pays for the memo only its lookups: the
 "doorkeeper" of Einziger, Friedman and Manes, "TinyLFU: a highly efficient
 cache admission policy" (ACM TOS 2017).  Keeping columns is not free: a
 first sum that kept them ran 5-40 % slower.  Admitting a level only on its
@@ -46,7 +64,10 @@ projected to n at their last entry's size, would not fit in that room
 (see :class:`Kept`), so a column that could not be recorded is dropped
 early.  Each side of a finite check (``verify_mhs`` sums both at once)
 keeps at most the room it saw, so the two together may keep up to twice
-that room in flight.  The memo itself holds at most 2**26 bits, 8 MiB,
+that room in flight.  A left ball keeps every level through its sweep
+anyway and records the new ones after it, deepest first, by the same
+rule; the seed-1 q-series batch leaves about 12.8 million bits.  The memo
+itself holds at most 2**26 bits, 8 MiB,
 counted as Python stores its objects, plus its dicts of keys.  The
 allocator's slack around the integers kept through a sum comes on top
 (see CHANGES.md for the peak RSS of full memos).
@@ -127,8 +148,9 @@ class Levels:
 
     @classmethod
     def lookup(cls, at: tuple, root: int, keys: list) -> tuple[int | None, int, list, int]:
-        """(generation, id, columns, room) at ``at`` = (a, b, n), emptying
-        the memo if it holds another: ``columns`` are those of the levels
+        """(generation, id, columns, room) at ``at`` = (a, b, n), or
+        (a, b, K, prec) for a left ball, emptying the memo if it holds
+        another: ``columns`` are those of the levels
         len(keys) - len(columns) .. len(keys) - 1, the longest suffix of
         ``keys`` held, ``id`` is that suffix's (``root`` when none), and
         ``room`` is the bits left below the bound.  The generation is None

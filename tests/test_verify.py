@@ -969,22 +969,30 @@ def test_qseries_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
 
 
 def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
-    # every memo has a finite maxsize; keyed by q-level data only, none
-    # grows with the compositions: the 175 weight-12 compositions of depth
-    # 2-4, which include all 80 distinct ones of the benchmark's seed-1
-    # q-series batch, at its q = 1/2 and eps = 1e-25 fill the largest memo
+    # every memo has a finite maxsize; keyed by q-level data only, no
+    # lru_cache grows with the compositions: the 175 weight-12 compositions
+    # of depth 2-4, which include all 80 distinct ones of the benchmark's
+    # seed-1 q-series batch, at its q = 1/2 and eps = 1e-25 fill the largest
     # to 7 entries (_magnitude_table 7, _floored_column 5, _harmonic_search
     # 4, _power_table 4, _frakz_search 3).  The left columns and magnitude
     # tables are read off one fixed-point sequence per q and binary point
     # that keeps no memo of its own, so these counts and the tables' lengths
-    # depend only on the keys, not on how an entry is computed
+    # depend only on the keys, not on how an entry is computed.  The level
+    # memo holds the left balls' levels by suffix and counts bits, not
+    # entries: it holds some after the batch, within its own bound
+    from qzeta.levels import LEVEL_MEMO_BITS, Levels
+
     assert qzeta_memos
     assert all(memo.cache_info().maxsize is not None for memo in qzeta_memos)
     for comp in _weight_twelve_depth_two_to_four():
         assert verify_qmzsv(comp, q=Fraction(1, 2), eps=Fraction(1, 10**25)).passed
-    assert all(memo.cache_info().currsize <= 10 for memo in qzeta_memos), [
-        memo.cache_info() for memo in qzeta_memos
+    caches = [memo for memo in qzeta_memos if memo is not Levels]
+    assert len(caches) == len(qzeta_memos) - 1
+    assert all(memo.cache_info().currsize <= 10 for memo in caches), [
+        memo.cache_info() for memo in caches
     ]
+    info = Levels.cache_info()
+    assert 0 < info.currsize <= info.maxsize == LEVEL_MEMO_BITS, info
 
 
 def test_qseries_checks_build_no_qcontext(monkeypatch, qzeta_memos):
@@ -1764,3 +1772,118 @@ def test_level_memo_bound_holds_when_only_one_side_of_a_check_fits(monkeypatch):
     levels.Levels.cache_clear()
     assert _finite_bodies([first, comp], n_max, q) == expect
     assert levels.Levels.cache_info().currsize == left + right
+
+
+def _left_ball_key(ball) -> tuple:
+    return ball.value.mid, ball.value.rad, ball.value.prec, ball.terms
+
+
+def test_left_balls_read_from_the_level_memo_equal_cold_ones():
+    # the left ball's levels 1..m-1 go through the level memo at
+    # (q, K, binary point): over the 175 weight-12 compositions of depth 2-4
+    # at q = 1/2 and eps = 1e-25, every ball read warm, in order and in a
+    # shuffled order, is bit for bit the cold one, and every level the memo
+    # holds is the level a cold sweep sums, so no read wrote into it
+    from qzeta.evaluators import _ball_sweep, _harmonic_runs, q_zeta_enclosure
+    from qzeta.indices import signed_string
+    from qzeta.levels import WEAK_ROOT, Levels
+
+    q, eps = Fraction(1, 2), Fraction(1, 10**25)
+    comps = _weight_twelve_depth_two_to_four()
+    assert len(comps) == 175
+    cold = []
+    for comp in comps:
+        Levels.cache_clear()
+        cold.append(_left_ball_key(q_zeta_enclosure(q, comp, eps=eps, star=True)))
+    Levels.cache_clear()
+    order = random.Random(44).sample(range(len(comps)), len(comps))
+    for sequence in (range(len(comps)), order):
+        warm = [q_zeta_enclosure(q, comps[i], eps=eps, star=True) for i in sequence]
+        assert [_left_ball_key(ball) for ball in warm] == [cold[i] for i in sequence]
+    info = Levels.cache_info()
+    assert info.hits > info.misses > 0 and info.currsize > 0, info
+    K, prec = cold[0][3], cold[0][2]
+    assert {(key[2], key[3]) for key in cold} == {(prec, K)}
+    for comp in comps:
+        entries = signed_string(comp)
+        keys = [2 * e.magnitude + (e.sign < 0) for e in entries[1:]]
+        held = Levels.lookup((1, 2, K, prec), WEAK_ROOT, keys)[2]
+        assert held, comp
+        levels = _ball_sweep(_harmonic_runs(q, entries, K), K, prec, True)
+        assert held == levels[len(entries) - len(held) : len(entries)], comp
+
+
+def test_barred_left_balls_read_from_the_level_memo_equal_cold_ones():
+    # strings that share suffixes and differ only in a bar, in strict and
+    # weak descent: a level is keyed by its whole suffix with each entry's
+    # bar and by the descent, so every ball read warm is the cold one
+    from qzeta.evaluators import q_zeta_enclosure
+    from qzeta.levels import Levels
+
+    q, eps = Fraction(1, 2), Fraction(1, 10**12)
+    tails = [(2, 1, 1), (2, -1, 1), (-2, 1, 1), (2, 1, -1), (0, -1, 1)]
+    strings = [head + tail for head in ((), (1,), (-1,), (3, -2)) for tail in tails]
+    cases = [(s, star) for s in strings for star in (False, True)]
+
+    def ball(case):
+        s, star = case
+        return _left_ball_key(q_zeta_enclosure(q, s, eps=eps, star=star))
+
+    cold = []
+    for case in cases:
+        Levels.cache_clear()
+        cold.append(ball(case))
+    Levels.cache_clear()
+    rng = random.Random(45)
+    for _ in range(3):
+        order = rng.sample(range(len(cases)), len(cases))
+        assert [ball(cases[i]) for i in order] == [cold[i] for i in order]
+    info = Levels.cache_info()
+    assert info.hits > info.misses, info
+
+
+def test_left_ball_memo_admits_from_the_second_check_and_holds_one_k_and_binary_point():
+    # the first check at (q, K, binary point) records nothing, the second
+    # records its levels 1..m-1 and the third reads them; a check at
+    # another K or another binary point empties the memo
+    from qzeta.evaluators import q_zeta_enclosure
+    from qzeta.levels import Levels
+
+    q, eps, s = Fraction(1, 2), Fraction(1, 10**25), (2, 1, 1, 3, 1)
+    Levels.cache_clear()
+    first = _left_ball_key(q_zeta_enclosure(q, s, eps=eps, star=True))
+    assert Levels.cache_info()[:2] == (0, 4) and Levels.cache_info().currsize == 0
+    assert _left_ball_key(q_zeta_enclosure(q, s, eps=eps, star=True)) == first
+    assert Levels.cache_info()[:2] == (0, 8) and Levels.cache_info().currsize > 0
+    assert _left_ball_key(q_zeta_enclosure(q, s, eps=eps, star=True)) == first
+    assert Levels.cache_info()[:2] == (4, 8)
+    prec = first[2]
+    for other in ({"eps": eps / 1000}, {"eps": eps, "prec": 2 * prec}):
+        for _ in range(2):
+            q_zeta_enclosure(q, s, eps=eps, star=True)
+        assert Levels.cache_info().currsize > 0
+        q_zeta_enclosure(q, s, star=True, **other)
+        assert Levels.cache_info().currsize == 0, other
+
+
+def test_qseries_reports_stay_within_a_small_level_memo_bound(monkeypatch):
+    # with a bound that one to a few ball levels fill (a level holds about
+    # 69,000 bits here), the left balls record only the deepest levels that
+    # fit, the reports are the cold ones, and the memo never holds more
+    # than the bound
+    from qzeta import levels
+
+    comps = [(2, 1, 1, 3, 1), (3, 1, 3, 1), (2, 3, 1), (4, 1, 3, 1)]
+    expect = []
+    for comp in comps:
+        levels.Levels.cache_clear()
+        expect.append(_body(verify_qmzsv(comp)))
+    for bound in (0, 50_000, 100_000, 300_000):
+        monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", bound)
+        levels.Levels.cache_clear()
+        for _ in range(3):
+            assert [_body(verify_qmzsv(comp)) for comp in comps] == expect
+            info = levels.Levels.cache_info()
+            assert info.maxsize == bound and info.currsize <= bound, info
+        assert (info.currsize > 0) == (bound > 50_000), info
+    assert info.hits > 0, info
