@@ -127,7 +127,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
-from .levels import ENTRY_BITS, RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels
+from .levels import ENTRY_BITS, RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels, charge
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 
 # (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
@@ -905,8 +905,8 @@ def q_zeta_enclosure(
     (:mod:`~qzeta.levels`) at (a, b, K, prec), keyed by slot
     2 * magnitude + [barred] as the harmonic DP's: the sweep starts above
     the longest suffix held, and the levels it sums there are recorded,
-    deepest first, each charged the bits and ENTRY_BITS of every int of
-    its midpoints and radii.  The ball, level 0, is not held.  The ball is
+    deepest first, each charged (:func:`~qzeta.levels.charge`) the bits and
+    ENTRY_BITS of every int of its midpoints and radii.  The ball, level 0, is not held.  The ball is
     the same whichever levels were read.
 
     Raises ValueError as :func:`q_zeta` does, and for a q that
@@ -924,16 +924,11 @@ def q_zeta_enclosure(
     levels = _ball_sweep(_harmonic_runs(q, entries, K), K, prec, star, held)
     if generation is not None:
         top = len(entries) - len(held)  # levels 1..top-1 were summed here
-        new = [(key, level, _level_bits(level)) for key, level in zip(keys, levels[1:top])]
+        new = [
+            (key, level, charge(level[0] + level[1])) for key, level in zip(keys, levels[1:top])
+        ]
         Levels.record(generation, node, new[::-1])
     return SeriesValue(levels[0], bound, K)
-
-
-def _level_bits(level: tuple) -> int:
-    """The bits a ball level (xs, es, c, top) takes in the level memo: the
-    bit length of every int of xs and es, plus ENTRY_BITS for each."""
-    ints = level[0] + level[1]
-    return sum(map(int.bit_length, ints)) + ENTRY_BITS * len(ints)
 
 
 # Longest truncation K that :func:`frakz` and :func:`frakz_enclosure` will

@@ -91,6 +91,12 @@ ENTRY_BITS = 256
 STRICT_ROOT, WEAK_ROOT, RUN_ROOT = 0, 1, 2
 
 
+def charge(ints, entry_bits: int = ENTRY_BITS) -> int:
+    """The bits that entries with integers ``ints`` take in the memo: each
+    int's bit length plus ``entry_bits`` for what holds it."""
+    return sum(map(int.bit_length, ints)) + entry_bits * len(ints)
+
+
 class MemoInfo(NamedTuple):
     """What the level memo holds, in the shape of functools.lru_cache's
     cache_info(): levels read from it and levels summed, and the bits held
@@ -223,7 +229,7 @@ class Kept:
 
     def bits(self, ints) -> int:
         """The bits that entries with integers ``ints`` take in the memo."""
-        return sum(map(int.bit_length, ints)) + self.entry_bits * len(ints)
+        return charge(ints, self.entry_bits)
 
     def add(self, rows: list, ints: list, left: int) -> None:
         """Keep one index's entries ``rows`` of levels lo..top-1, whose
