@@ -67,9 +67,8 @@ keeps at most the room it saw, so the two together may keep up to twice
 that room in flight.  A left ball keeps every level through its sweep
 anyway and records the new ones after it, deepest first, by the same
 rule; the seed-1 q-series batch leaves about 12.8 million bits.  The memo
-itself holds at most 2**26 bits, 8 MiB,
-counted as Python stores its objects, plus its dicts of keys.  The
-allocator's slack around the integers kept through a sum comes on top
+itself holds at most 2**26 bits, 8 MiB, counted as Python stores its
+objects, plus its dicts of keys.  The allocator's slack around the integers kept through a sum comes on top
 (see CHANGES.md for the peak RSS of full memos).
 
 The memo is one store, written under one lock, so two threads may share
