@@ -73,9 +73,13 @@ SIDES = ("base", "change")
 # (9,9,9), (33) and (2,1^31) at q near 1, the longest finite checks, the
 # heaviest string and a classical check, three harmonic sums refused by
 # their work estimate, a finite check at the 10**6-entry parse bound,
-# refused by its left side's work estimate before either side sums, three
-# inputs whose pattern is far over the depth caps, which exit 2 once
-# compose, linear in the pattern depth, has built it, a q of 5,000 digits,
+# refused by its left side's work estimate before either side sums, four
+# inputs whose pattern is far over the depth caps: expand 3^30000 exits 2
+# once compose, linear in the pattern depth, has built it, and the finite
+# checks of 3^1000000 and 33^30000 and the q-series check of 3^1000000
+# exit 2 on the depth read off the composition before compose runs (the
+# q-series one shows that check's refusal, which has its own code path,
+# keeps pace with the finite one's), a q of 5,000 digits,
 # which no estimate sees: its discrepancy lies far below every ball's
 # binary point, so the check exits 2 in well under a second, two q-series
 # checks that today's caps admit, whose first call builds every table of
@@ -105,6 +109,7 @@ PROBES = (
     "eval mhs-star --s 1^1000 --n 100",
     "verify 2^1000000",
     "verify 3^1000000",
+    "verify 3^1000000 --qmzsv",
     "expand 3^30000",
     "verify 33^30000",
     "verify 2,1 --qmzsv --q 1/" + "1" * 5000,

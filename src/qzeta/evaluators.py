@@ -91,12 +91,15 @@ Both exact engines read and record their levels through one level memo
 cumulative at every index at that index's scale, depends only on the
 slots from that level down, so a sum reads the columns of the longest
 suffix already summed at that (q, n) and sums only the levels above it.
-The memo holds level columns only, at one (q, n) at a time, records
+The memo keeps one state per root, each at one (q, n) at a time, records
 from an engine's second sum at a (q, n) on, and is bounded by the bits
-it holds when it records; the batteries of :mod:`~qzeta.verify` at one q and n_max share
-most of their levels through it.  The left ball of :func:`q_zeta_enclosure`
-holds its levels 1..m-1 in the same memo at (q, K, binary point), so the
-q-series checks at one q and eps read the suffixes they share.
+all roots hold; the batteries of :mod:`~qzeta.verify` at one q and n_max
+share most of their levels through it.  The left ball of
+:func:`q_zeta_enclosure` holds its levels 1..m-1 in the same memo at
+(q, K, binary point), and the right ball of :func:`frakz_enclosure` its
+run columns at q, so the q-series checks at one q and eps read the
+suffixes and columns they share, and finite checks between them empty
+neither.
 
 Every exact sum ends as one row shape, (num, c, e): the value
 num / (L_n^w * c * b^e) at upper limit n, with L_n^w (w the weight, which
@@ -127,7 +130,17 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
-from .levels import ENTRY_BITS, RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels, charge
+from .levels import (
+    ENTRY_BITS,
+    MHS_STRICT_ROOT,
+    MHS_WEAK_ROOT,
+    RUN_ROOT,
+    STRICT_ROOT,
+    WEAK_ROOT,
+    Kept,
+    Levels,
+    charge,
+)
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 
 # (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
@@ -294,7 +307,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     if not n_max:
         return
     keys = [2 * s + (e.sign < 0) for s, e in zip(mags, entries)]
-    root = WEAK_ROOT if star else STRICT_ROOT
+    root = MHS_WEAK_ROOT if star else MHS_STRICT_ROOT
     generation, node, known, room = Levels.lookup((a, b, n_max), root, keys)
     top = m - len(known)  # levels 0..top-1 are summed here, the rest read
     if top == 0 < m:
@@ -713,7 +726,7 @@ def _pattern_rows(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> Ite
     when row 1 is asked for.
     """
     n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
-    _check_depth(pattern, "a finite mollified sum")
+    _check_depth(pattern.depth, "a finite mollified sum")
     yield 0, 1, 0
     inner = _inner_terms(ctx, pattern, merge, n_max)
     folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
@@ -996,17 +1009,17 @@ def frakz(
     return SeriesValue(_row_value(ctx, pattern.weight, K, row), bound, K)
 
 
-def _check_depth(pattern: Triple, what: str) -> None:
-    """Raise ValueError for a pattern deeper than MAX_PATTERN_DEPTH, naming
-    what it would be summed as."""
-    if pattern.depth > MAX_PATTERN_DEPTH:
-        raise ValueError(f"pattern depth {pattern.depth} exceeds {MAX_PATTERN_DEPTH} for {what}")
+def _check_depth(depth: int, what: str) -> None:
+    """Raise ValueError for a pattern depth over MAX_PATTERN_DEPTH, naming
+    what the pattern would be summed as."""
+    if depth > MAX_PATTERN_DEPTH:
+        raise ValueError(f"pattern depth {depth} exceeds {MAX_PATTERN_DEPTH} for {what}")
 
 
 def _frakz_truncation(q: Fraction, pattern: Triple, eps, merge) -> tuple[int, Fraction]:
     """The K and tail bound of :func:`frakz` at q, after its refusals."""
     m = pattern.depth
-    _check_depth(pattern, "a q-series")
+    _check_depth(m, "a q-series")
     if not is_admissible(pattern):
         raise ValueError(f"divergent mollified series: inadmissible shifts in {pattern}")
     eps = as_eps(eps)
@@ -1326,15 +1339,32 @@ def _harmonic_runs(q: Fraction, entries: tuple, n: int) -> list:
     return [[(i + 1, e.sign < 0, partial(column, e.magnitude))] for i, e in enumerate(entries)]
 
 
-def _mollified_runs(q: Fraction, pattern: Triple, merge, n: int) -> list:
+def _mollified_runs(
+    q: Fraction, pattern: Triple, merge, n: int, held: dict | None = None, new: dict | None = None
+) -> list:
     """The runs of :func:`_ball_sweep` for the partial sum of :func:`frakz`
     at q to K = n: the runs of the merge mask (:func:`_runs`), each read
-    through its :func:`_run_column`."""
+    through its :func:`_run_column`.  A column depends only on q and its
+    key (n, s, alpha, beta, binary point): it is read from ``held`` (the
+    level memo's columns at q, see :func:`frakz_enclosure`) when that holds
+    the key, else from ``new``, else built and put in ``new``, so a sweep
+    builds each distinct column once and never writes into ``held``."""
     a, b = q.numerator, q.denominator
     halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
+    held = {} if held is None else held
+    new = {} if new is None else new
+
+    def column(s: int, alpha: int, beta: int, prec: int) -> list[int]:
+        key = (n, s, alpha, beta, prec)
+        found = held.get(key)
+        if found is None:
+            found = new.get(key)
+            if found is None:
+                found = new[key] = _run_column(a, b, s, alpha, beta, halves, prec)
+        return found
+
     return [
-        [(j, barred, partial(_run_column, a, b, s, alpha, beta, halves))
-         for j, s, barred, alpha, beta in row]
+        [(j, barred, partial(column, s, alpha, beta)) for j, s, barred, alpha, beta in row]
         for row in _runs(pattern, merge)
     ]
 
@@ -1349,6 +1379,16 @@ def frakz_enclosure(
     _COLUMN_SLACK units of the exact ones.  By default prec is P, as for
     :func:`q_zeta_enclosure`.
 
+    A run's column depends only on q and (K, s, alpha, beta, binary
+    point), so the columns go through the level memo (:mod:`~qzeta.levels`)
+    at q: one locked call hands the ball the dict of columns held there,
+    which the runs read without the lock, and the columns the ball built
+    are recorded after the sweep, each charged
+    (:func:`~qzeta.levels.charge`) the bits and ENTRY_BITS of its ints;
+    the first ball at a q records none.  The ball is the same whichever
+    columns were read.  Its levels 1..m-1 are not held (see the module
+    docstring of :mod:`~qzeta.levels`).
+
     Raises ValueError as :func:`frakz` does, and for a q that
     :func:`~qzeta.qarith.as_q` refuses, before any table is built.
     """
@@ -1356,8 +1396,12 @@ def frakz_enclosure(
     K, bound = _frakz_truncation(q, pattern, eps, True)
     if prec is None:
         prec = _default_prec(as_eps(eps))
-    runs = _mollified_runs(q, pattern, True, K)
-    return SeriesValue(_ball_sweep(runs, K, prec, False)[0], bound, K)
+    generation, held = Levels.columns((q.numerator, q.denominator))
+    new: dict = {}
+    runs = _mollified_runs(q, pattern, True, K, held, new)
+    ball = _ball_sweep(runs, K, prec, False)[0]
+    Levels.hold(generation, new, sum(map(len, runs)) - len(new))
+    return SeriesValue(ball, bound, K)
 
 
 # classical_zeta_many refuses a longer truncation before summing anything:

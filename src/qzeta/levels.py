@@ -1,5 +1,5 @@
 """The level memo of the two exact engines of :mod:`~qzeta.evaluators`
-and of the left q-series ball.
+and of the two q-series balls.
 
 In the harmonic DP (``_mhs_rows``) and the run engine (``_inner_terms``) a
 level's column, its cumulative at every index k <= n at that index's
@@ -7,25 +7,52 @@ scale, depends only on q, n and the slots from that level down.  The
 compositions checked at one q and upper limit n share many suffixes, so
 they share columns: over the benchmark's seed-1 finite-wide batch (40
 checks at q = 1/2, n = 6) the run engine looks up 440 levels and sums
-117, the harmonic DP 245 and 84.  :class:`Levels` holds one (q, n) at a
-time, and a call at another (q, n) empties it.
+117, the harmonic DP 245 and 84.
+
+Roots.  A string of levels hangs from a root, the id of its empty suffix:
+the harmonic DP in strict and weak descent (MHS_STRICT_ROOT,
+MHS_WEAK_ROOT), the run engine (RUN_ROOT), the left ball in strict and
+weak descent (STRICT_ROOT, WEAK_ROOT), and the right ball's columns
+(COLUMN_ROOT).  Each root keeps its own state: the ``at`` it holds, (a,
+b, n) for an exact engine, its nodes, its admission and its generation.
+A lookup at another ``at`` empties that root's state alone, so checks
+that alternate between a finite and a q-series check at one q read levels
+on both sides; six compositions checked as ``verify_mhs(c, n_max=20);
+verify_qmzsv(c)`` in turn read none of their 63 levels when one ``at``
+was held for every root.
 
 The left ball of a q-series check (``q_zeta_enclosure``) is the harmonic
 sum swept as a ball at a truncation K and binary point 2**-prec, and its
 level i >= 1 depends only on q, K, prec, the descent and the entries from
-i down.  It is held at (a, b, K, prec), a 4-tuple that never equals an
-exact engine's (a, b, n), under the harmonic DP's roots and slot keys.  A
+i down.  It is held at (a, b, K, prec), keyed as the harmonic DP's.  A
 ball level is (xs, es, c, top): K midpoints and K radii, and the binary
 point and bound its readers need; it is charged the bit length of every
 int of xs and es plus ENTRY_BITS for each, about 69,000 bits at q = 1/2
-and eps = 1e-25 (K = 84, prec = 300).  Every check of the benchmark's
-seed-1 q-series batch (105 checks at q = 1/2) has that K and prec, and
-the balls read 379 of the 566 levels they look up.  The ball itself,
-level 0, is not held, and neither is the right ball: its K (14 to 18 in
-that batch) differs from the left one's, so holding both would empty the
-memo twice per check.  Toward q -> 1 the left K grows with the depth, so
-a batch that mixes depths there changes (a, b, K, prec) from check to
-check and keeps nothing.
+and the check's eps = 1e-25 (K = 86 at each side's eps / 4, prec = 300).
+Every check of the benchmark's seed-1 q-series batch (105 checks at
+q = 1/2) has that K and prec, and the balls read 379 of the 566 levels
+they look up.  The ball itself, level 0, is not held.  Toward q -> 1 the
+left K grows with the depth, so a batch that mixes depths there changes
+(a, b, K, prec) from check to check and keeps nothing.
+
+The right ball (``frakz_enclosure``) sums m(m+1)/2 folded runs, and a
+run's floored column depends only on q and (K, s, alpha, beta, c), c its
+binary point.  The columns are held at (a, b) under COLUMN_ROOT, keyed
+by that tuple, so columns of every K and binary point share one state.
+A column is charged its ints' bit lengths plus ENTRY_BITS each, 6,500 to
+12,700 bits in the seed-1 q-series batch (K 15 to 18, c 320 to 448),
+whose right balls read 504 of the 665 columns they look up and build
+161, of 158 distinct ones, where they built all 665 before.  A ball
+takes the dict of held columns in one locked call
+(:meth:`Levels.columns`) and reads it without the lock: entries are only
+ever added to it, under the lock, and a state at another ``at`` gets a
+dict of its own, so a read finds a column of its own ``at`` or none.  It
+records the columns it built after its sweep (:meth:`Levels.hold`).  A
+locked lookup per run instead, 665 per batch, kept none to 4 % of the
+benchmark's qseries wall_s, against about 6 % for one call per ball.
+The right ball's levels 1..m-1 are not held: a prototype that held them
+by suffix in a dict read 94 of the 210 levels looked up, and the batch
+ran about 1 % slower in-process.
 
 Key.  A level's suffix is interned one level at a time as (id of the
 suffix below it, the level's own slot), so a lookup costs one probe of a
@@ -38,10 +65,9 @@ cumulative.  The memo holds level columns only: both engines read their
 q-level factors off the QContext, as a first sum does, since holding
 those factors here cost more to look up and bound than it saved.
 
-Admission.  A (q, n) is recorded from the second lookup of an engine (a
-descent of the harmonic DP or of the left ball, or the run engine) at it
-on.  The first sum at a (q, n) keeps no column, so a batch that never
-comes back to a (q, n), one q per check as in the benchmark's finite-long
+Admission.  A root records at a (q, n) from its second lookup there on.
+The first sum at a (q, n) keeps no column, so a batch that never comes
+back to a (q, n), one q per check as in the benchmark's finite-long
 workload, or one command, pays for the memo only its lookups: the
 "doorkeeper" of Einziger, Friedman and Manes, "TinyLFU: a highly efficient
 cache admission policy" (ACM TOS 2017).  Keeping columns is not free: a
@@ -66,14 +92,19 @@ early.  Each side of a finite check (``verify_mhs`` sums both at once)
 keeps at most the room it saw, so the two together may keep up to twice
 that room in flight.  A left ball keeps every level through its sweep
 anyway and records the new ones after it, deepest first, by the same
-rule; the seed-1 q-series batch leaves about 12.8 million bits.  The memo
-itself holds at most 2**26 bits, 8 MiB, counted as Python stores its
-objects, plus its dicts of keys.  The allocator's slack around the integers kept through a sum comes on top
-(see CHANGES.md for the peak RSS of full memos).
+rule, and a right ball records each new column that fits, as a column
+chains onto nothing; the seed-1 q-series batch leaves about 12.8 million
+bits of left levels and 1.4 million of right columns.  The bound holds
+over all roots together, counted as one running total.  The memo itself
+holds at most 2**26 bits, 8 MiB, counted as Python stores its objects,
+plus its dicts of keys.  The allocator's slack around the integers kept
+through a sum comes on top (see CHANGES.md for the peak RSS of full
+memos).
 
 The memo is one store, written under one lock, so two threads may share
 it; it reports itself through ``cache_info()`` and ``cache_clear()`` as
-the package's lru_caches do.
+the package's lru_caches do, a right ball's columns read and built
+counted as levels read and summed.
 """
 
 from __future__ import annotations
@@ -85,9 +116,10 @@ from typing import NamedTuple
 
 LEVEL_MEMO_BITS = 2**26
 ENTRY_BITS = 256
-# ids of the empty suffix: the harmonic DP in strict and weak descent, and
-# the run engine
-STRICT_ROOT, WEAK_ROOT, RUN_ROOT = 0, 1, 2
+# ids of the empty suffix, one per root: the left q-series ball in strict
+# and weak descent, the run engine, and the harmonic DP in strict and weak
+# descent; and the root of the right ball's columns
+STRICT_ROOT, WEAK_ROOT, RUN_ROOT, MHS_STRICT_ROOT, MHS_WEAK_ROOT, COLUMN_ROOT = range(6)
 
 
 def charge(ints, entry_bits: int = ENTRY_BITS) -> int:
@@ -108,67 +140,78 @@ class MemoInfo(NamedTuple):
 
 
 class _State:
-    """What the level memo holds at one (q, n) (see :class:`Levels`)."""
+    """What the level memo holds for one root at one ``at`` (see
+    :class:`Levels`).  A root at another ``at`` gets a new state, so a
+    state, with its dict of nodes, is never emptied: it is the generation
+    that a record must find still held."""
 
-    def __init__(self):
-        self.hits = self.misses = self.generation = 0
-        self.reset(None)
-
-    def reset(self, at) -> None:
-        self.at, self.generation = at, self.generation + 1
-        self.nodes: dict = {}  # (id of the suffix below, level key) -> (id, column)
-        self.visits: set = set()  # roots that have looked up at ``at``
+    def __init__(self, root: int, at):
+        self.root, self.at = root, at
+        # (id of the suffix below, level key) -> (id, column); key -> column
+        # at COLUMN_ROOT
+        self.nodes: dict = {}
         self.bits = 0
 
 
 class Levels:
-    """The level memo of the exact engines at one (q, n) (see the module
-    docstring): one store, written under one lock, that reports itself as
-    a bounded memo through :meth:`cache_info` and :meth:`cache_clear`.
+    """The level memo of the exact engines and the q-series balls, one
+    state per root (see the module docstring): one store, written under one
+    lock, that reports itself as a bounded memo through :meth:`cache_info`
+    and :meth:`cache_clear`.
 
     A lookup returns the columns of the longest memoized suffix of a
     string of levels and a generation; :meth:`record` writes only while
-    that generation holds, so a column summed at one (q, n) never lands in
+    that generation holds, so a column summed at one ``at`` never lands in
     the memo of another, and every level recorded chains onto a suffix
     already held: the suffixes held are closed under taking a shorter
-    suffix.
+    suffix.  The right ball's columns are read through :meth:`columns` and
+    written through :meth:`hold`.
     """
 
     _lock = threading.Lock()
-    _ids = count(RUN_ROOT + 1)
-    _state = _State()
+    _ids = count(COLUMN_ROOT + 1)
+    _states: dict = {}  # root -> _State
+    _bits = _hits = _misses = 0  # _bits: held over every root
 
     @classmethod
     def cache_info(cls) -> MemoInfo:
-        state = cls._state
         with cls._lock:
-            return MemoInfo(state.hits, state.misses, LEVEL_MEMO_BITS, state.bits)
+            return MemoInfo(cls._hits, cls._misses, LEVEL_MEMO_BITS, cls._bits)
 
     @classmethod
     def cache_clear(cls) -> None:
-        state = cls._state
         with cls._lock:
-            state.reset(None)
-            state.hits = state.misses = 0
+            cls._states = {}
+            cls._bits = cls._hits = cls._misses = 0
 
     @classmethod
-    def lookup(cls, at: tuple, root: int, keys: list) -> tuple[int | None, int, list, int]:
+    def _state(cls, root: int, at) -> tuple[_State, bool]:
+        """(root's state at ``at``, whether it was there before this call),
+        replacing the state of ``root`` at another ``at``; under the lock."""
+        state = cls._states.get(root)
+        if state is not None and state.at == at:
+            return state, True
+        if state is not None:
+            cls._bits -= state.bits
+        state = cls._states[root] = _State(root, at)
+        return state, False
+
+    @classmethod
+    def lookup(cls, at: tuple, root: int, keys: list) -> tuple[_State | None, int, list, int]:
         """(generation, id, columns, room) at ``at`` = (a, b, n), or
-        (a, b, K, prec) for a left ball, emptying the memo if it holds
-        another: ``columns`` are those of the levels
+        (a, b, K, prec) for a left ball, emptying the root's state if it
+        holds another: ``columns`` are those of the levels
         len(keys) - len(columns) .. len(keys) - 1, the longest suffix of
         ``keys`` held, ``id`` is that suffix's (``root`` when none), and
         ``room`` is the bits left below the bound.  The generation is None
         on the first lookup from ``root`` at ``at``: that sum records
         nothing."""
-        state, node, found = cls._state, root, []
+        node, found = root, []
         with cls._lock:
-            if state.at != at:
-                state.reset(at)
-            room = LEVEL_MEMO_BITS - state.bits
-            if root not in state.visits:
-                state.visits.add(root)
-                state.misses += len(keys)
+            state, admitted = cls._state(root, at)
+            room = LEVEL_MEMO_BITS - cls._bits
+            if not admitted:
+                cls._misses += len(keys)
                 return None, root, [], room
             nodes = state.nodes
             for key in reversed(keys):
@@ -177,30 +220,60 @@ class Levels:
                     break
                 node, column = entry
                 found.append(column)
-            state.hits += len(found)
-            state.misses += len(keys) - len(found)
-            return state.generation, node, found[::-1], room
+            cls._hits += len(found)
+            cls._misses += len(keys) - len(found)
+            return state, node, found[::-1], room
 
     @classmethod
-    def record(cls, generation: int, node: int, levels) -> None:
+    def record(cls, generation: _State | None, node: int, levels) -> None:
         """Record (key, column) for each (key, column, bits) of ``levels``,
         deepest first, above the suffix ``node``, while the generation
         holds: a column not held yet is recorded only if its ``bits`` fit
         beside those held, and the first that does not ends the record, so
         each level recorded chains onto one held."""
-        state = cls._state
         with cls._lock:
-            if generation != state.generation:
+            if generation is None or cls._states.get(generation.root) is not generation:
                 return
-            nodes = state.nodes
+            nodes = generation.nodes
             for key, column, bits in levels:
                 entry = nodes.get((node, key))
                 if entry is None:
-                    if state.bits + bits > LEVEL_MEMO_BITS:
+                    if cls._bits + bits > LEVEL_MEMO_BITS:
                         return
-                    state.bits += bits
+                    cls._bits += bits
+                    generation.bits += bits
                     entry = nodes[node, key] = next(cls._ids), column
                 node = entry[0]
+
+    @classmethod
+    def columns(cls, at: tuple) -> tuple[_State | None, dict]:
+        """(generation, held) of the right ball's columns at ``at`` = (a, b),
+        emptying them if they are held at another: ``held`` maps a key to
+        its column and is the memo's own dict, which may be read without the
+        lock, as entries are only ever added to it.  The generation is None
+        on the first call at ``at``: that ball records nothing."""
+        with cls._lock:
+            state, admitted = cls._state(COLUMN_ROOT, at)
+            return (state if admitted else None), state.nodes
+
+    @classmethod
+    def hold(cls, generation: _State | None, new: dict, reads: int) -> None:
+        """Count the ``reads`` columns read rather than built and the
+        len(new) built, and hold each (key, column) of ``new`` whose
+        :func:`charge` fits beside the bits held, while the generation
+        holds."""
+        with cls._lock:
+            cls._hits += reads
+            cls._misses += len(new)
+            if generation is None or cls._states.get(COLUMN_ROOT) is not generation:
+                return
+            nodes = generation.nodes
+            for key, column in new.items():
+                bits = charge(column)
+                if key not in nodes and cls._bits + bits <= LEVEL_MEMO_BITS:
+                    cls._bits += bits
+                    generation.bits += bits
+                    nodes[key] = column
 
 
 class Kept:

@@ -282,6 +282,15 @@ def compose(composition: Sequence[int]) -> Compiled:
     return _compile(tokenize(composition))
 
 
+def pattern_depth(composition: Composition) -> int:
+    """The depth of :func:`compose`'s pattern, read off the entries of a
+    composition without building it: each 1 puts one slot, each e >= 3
+    puts e - 2 and each 2 none, and a composition that does not end in 1
+    has one slot more, that of the pattern of -1 its last block attaches
+    to (see :func:`_compile`)."""
+    return sum(1 if e == 1 else e - 2 for e in composition if e != 2) + (composition[-1] != 1)
+
+
 class ClassicalTerm(NamedTuple):
     """One term of the q -> 1 expansion: sign * coefficient * zeta(index)."""
 

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .evaluators import (
     Ball,
+    MAX_PATTERN_LIMIT,
     SeriesValue,
     _RESOLVED,
     _check_depth,
@@ -56,6 +57,7 @@ from .rules import (
     as_composition,
     closed_pattern,
     compose,
+    pattern_depth,
     zeta_composition,
 )
 
@@ -294,7 +296,7 @@ def _decide(
     decides; no series is ever summed exactly.
     """
     for pattern in patterns:
-        _check_depth(pattern, "a q-series")
+        _check_depth(pattern.depth, "a q-series")
     for s in strings:
         _harmonic_truncation(q, len(s), eps)
     for pattern in patterns:
@@ -357,13 +359,19 @@ def verify_mhs(
     Raises ValueError, before any sum, for a composition entry that is a
     bool, not an int or below 1 (see :func:`~qzeta.rules.as_composition`),
     an empty or str q_values (see :func:`_q_list`), a bool n_max, or any
-    refusal of either engine; TypeError when n_max is not an int.
+    refusal of either engine; TypeError when n_max is not an int.  The
+    right side's n_max cap and then its depth cap, the depth read off the
+    composition (:func:`~qzeta.rules.pattern_depth`), are checked before
+    the pattern is built, so ``verify 3^1000000`` is refused without
+    compiling its 1,000,001 slots.
     """
     comp = as_composition(composition)
     col = _Residuals()
     entries = signed_string(comp)
     qs = _q_list(q_values)
-    n_max = as_int(n_max, "n_max")
+    # the right side's refusals, in its order, before the pattern is built
+    n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
+    _check_depth(pattern_depth(comp), "a finite mollified sum")
     d, pattern = compose(comp)
     l_w, r_w = sum(comp), pattern.weight
     for q in qs:
@@ -436,13 +444,20 @@ def verify_qmzsv(
     kind; see _COLUMN_CACHE_SIZE and _TABLE_CACHE_SIZE for their sizes),
     so a check reads the same values warm or cold and from any thread.
     Over the 105 checks of the benchmark's q-series batch at q = 1/2 they
-    miss 4, 3, 4, 7 and 4 times.
+    miss 4, 3, 4, 7 and 4 times.  What depends on the composition goes
+    through the level memo (:mod:`~qzeta.levels`), bounded by the bits it
+    holds: the left ball's levels 1..m-1 per (q, K, binary point) and
+    suffix, and the right ball's run columns per q and (K, s, alpha, beta,
+    binary point), each kept from the second check at a q on, so that
+    batch reads 379 of 566 left levels and 504 of 665 right columns.
 
     Raises ValueError, before either side sums, for a composition entry
     that is a bool, not an int or below 1, a composition that is not
     zeta-admissible, a pattern over MAX_PATTERN_DEPTH, or a truncation over
-    either side's cap; the pattern's depth is checked before either
-    truncation search, and the left side's cap before the right side's.
+    either side's cap; the pattern's depth is read off the composition
+    (:func:`~qzeta.rules.pattern_depth`) and checked before the pattern is
+    built, and so before either truncation search, and the left side's cap
+    is checked before the right side's.
     Raises ValueError after the last rung when no ball decides.
     """
     t0 = time.perf_counter()
@@ -450,6 +465,7 @@ def verify_qmzsv(
     q = as_q(q)
     epsv = as_eps(eps)
     budget = epsv / 4
+    _check_depth(pattern_depth(comp), "a q-series")  # before the pattern is built
     d, pattern = compose(comp)
     series = 1 + 2 ** (pattern.depth - 1)
     params = {"composition": list(comp), "delta": d, "series": series, "eps": str(epsv)}

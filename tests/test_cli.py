@@ -426,6 +426,33 @@ def test_deep_qseries_pattern_is_refused_before_the_truncation_searches(capsys, 
     assert out == "" and err.strip().endswith(f"pattern depth 1101 exceeds {cap} for a q-series")
 
 
+def test_deep_patterns_are_refused_from_the_composition_before_compose(capsys, monkeypatch):
+    # 3^1000000 compiles to 1,000,001 slots: verify and --qmzsv read the depth
+    # off the entries and refuse it before compose builds the pattern, with
+    # the message the engines give; a finite check's n_max cap still comes
+    # first
+    def never(*args):
+        raise AssertionError("compose was started")
+
+    monkeypatch.setattr(qzeta.verify, "compose", never)
+    cap = qzeta.evaluators.MAX_PATTERN_DEPTH
+    limit = qzeta.evaluators.MAX_PATTERN_LIMIT
+    for argv, message in (
+        (("verify", "3^1000000"), f"pattern depth 1000001 exceeds {cap} for a finite mollified sum"),
+        (("verify", "3^1000000", "--qmzsv"), f"pattern depth 1000001 exceeds {cap} for a q-series"),
+        (
+            ("verify", "3^1000000", "--n-max", str(limit + 1)),
+            f"upper limit {limit + 1} exceeds {limit} for a finite mollified sum",
+        ),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and err.strip().endswith(message), argv
+    # the patch is live: a shallow pattern does reach compose
+    with pytest.raises(AssertionError, match="compose"):
+        run(capsys, "verify", "2,1", "--qmzsv")
+
+
 def test_huge_repetition_counts_are_refused_before_the_list_is_built(capsys, monkeypatch):
     # 2^(10**20) has no list to build: both parsers count the entries first,
     # so verify, eval and expand exit 2 with a message instead of an

@@ -201,6 +201,17 @@ def test_compose_weight_identity_exhaustive():
         assert (d, pat) == state
 
 
+def test_pattern_depth_is_composes_depth():
+    # the depth read off the entries, which verify refuses on before it
+    # compiles, is the depth of the pattern compose builds
+    from qzeta.rules import pattern_depth
+
+    comps = all_compositions(12)
+    assert len(comps) == 2**12 - 1
+    for comp in comps:
+        assert pattern_depth(comp) == compose(comp)[1].depth, comp
+
+
 def test_compose_builds_one_triple(monkeypatch):
     # compose keeps the slots as lists and builds the Triple once, not once
     # for each of the 50 blocks

@@ -968,6 +968,35 @@ def test_qseries_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
     assert threaded == serial
 
 
+def test_qseries_reports_from_four_threads_equal_the_serial_ones(qzeta_memos):
+    # four threads read and fill the level memo's left levels and right
+    # columns, a right ball reading its dict of columns without the lock,
+    # switching as often as the interpreter allows; every level and column
+    # looked up is counted once, as read or as summed
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from qzeta import compose
+    from qzeta.levels import Levels
+
+    comps = _depth_three_weight_twelve()
+    serial = [_body(verify_qmzsv(c)) for c in comps]
+    for memo in qzeta_memos:
+        memo.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = [_body(r) for r in pool.map(verify_qmzsv, comps * 3, timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 3
+    info = Levels.cache_info()
+    depths = [compose(c)[1].depth for c in comps]
+    lookups = sum(len(c) - 1 + d * (d + 1) // 2 for c, d in zip(comps, depths))
+    assert info.hits > 0 and info.hits + info.misses == 3 * lookups, info
+
+
 def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
     # every memo has a finite maxsize; keyed by q-level data only, no
     # lru_cache grows with the compositions: the 175 weight-12 compositions
@@ -978,8 +1007,9 @@ def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
     # tables are read off one fixed-point sequence per q and binary point
     # that keeps no memo of its own, so these counts and the tables' lengths
     # depend only on the keys, not on how an entry is computed.  The level
-    # memo holds the left balls' levels by suffix and counts bits, not
-    # entries: it holds some after the batch, within its own bound
+    # memo holds the left balls' levels by suffix and the right balls' run
+    # columns, and counts bits, not entries: it holds some after the batch,
+    # within its own bound
     from qzeta.levels import LEVEL_MEMO_BITS, Levels
 
     assert qzeta_memos
@@ -1866,18 +1896,148 @@ def test_left_ball_memo_admits_from_the_second_check_and_holds_one_k_and_binary_
         assert Levels.cache_info().currsize == 0, other
 
 
+def test_right_balls_read_from_the_level_memo_equal_cold_ones():
+    # the right ball's run columns go through the level memo at (q), keyed
+    # by (K, s, alpha, beta, binary point): over the 175 weight-12
+    # compositions of depth 2-4 at q = 1/2, and a few at 5/8 and 9/10 where
+    # runs of negative alpha read powers of q above 1 at a finer binary
+    # point, every ball read warm, in order and in a shuffled order, is bit
+    # for bit the cold one, and every column held is the one _run_column
+    # builds at its key
+    from qzeta import compose
+    from qzeta.evaluators import _run_column, frakz_enclosure
+    from qzeta.levels import Levels
+
+    eps = Fraction(1, 10**25)
+    few = [(2, 1, 1, 3, 1), (3, 1, 3, 1), (4, 1, 3, 1), (2, 3, 1)]
+    batteries = [(Fraction(1, 2), _weight_twelve_depth_two_to_four())]
+    batteries += [(q, few) for q in (Fraction(5, 8), Fraction(9, 10))]
+    rng = random.Random(46)
+    for q, comps in batteries:
+        a, b = q.numerator, q.denominator
+        patterns = [compose(comp)[1] for comp in comps]
+        cold = []
+        for pattern in patterns:
+            Levels.cache_clear()
+            cold.append(_left_ball_key(frakz_enclosure(q, pattern, eps=eps)))
+        Levels.cache_clear()
+        order = rng.sample(range(len(comps)), len(comps))
+        for sequence in (range(len(comps)), order):
+            warm = [frakz_enclosure(q, patterns[i], eps=eps) for i in sequence]
+            assert [_left_ball_key(ball) for ball in warm] == [cold[i] for i in sequence], q
+        info = Levels.cache_info()
+        assert info.hits > 0 < info.misses and info.currsize > 0, info
+        held = Levels.columns((a, b))[1]
+        rising = 0
+        for (K, s, alpha, beta, prec), column in held.items():
+            halves = [k * (k - 1) // 2 for k in range(1, K + 1)]
+            assert column == _run_column(a, b, s, alpha, beta, halves, prec)
+            rising += min(alpha * h + beta * k for k, h in enumerate(halves, 1)) < 0
+        assert rising > 0 or q == Fraction(1, 2), q
+
+
+def test_right_ball_memo_admits_from_the_second_ball_and_holds_one_q_per_root():
+    # the first right ball at a q records nothing, the second records its
+    # columns and the third reads every one; a right ball at another q
+    # empties the columns alone, and the left balls' levels stay held
+    from qzeta import compose
+    from qzeta.evaluators import frakz_enclosure, q_zeta_enclosure
+    from qzeta.levels import Levels
+
+    q, eps, s = Fraction(1, 2), Fraction(1, 10**25), (2, 1, 1, 3, 1)
+    pattern = compose(s)[1]
+    runs = pattern.depth * (pattern.depth + 1) // 2
+    Levels.cache_clear()
+    first = _left_ball_key(frakz_enclosure(q, pattern, eps=eps))
+    hits, built, _, held = Levels.cache_info()
+    assert held == 0 and hits + built == runs and built > 0
+    assert _left_ball_key(frakz_enclosure(q, pattern, eps=eps)) == first
+    assert Levels.cache_info().currsize > 0
+    assert _left_ball_key(frakz_enclosure(q, pattern, eps=eps)) == first
+    assert Levels.cache_info()[:2] == (3 * runs - 2 * built, 2 * built)
+    columns = Levels.cache_info().currsize
+    for _ in range(2):
+        left = _left_ball_key(q_zeta_enclosure(q, s, eps=eps, star=True))
+    left_bits = Levels.cache_info().currsize - columns
+    frakz_enclosure(Fraction(5, 8), pattern, eps=eps)
+    assert Levels.cache_info().currsize == left_bits > 0
+    hits = Levels.cache_info().hits
+    assert _left_ball_key(q_zeta_enclosure(q, s, eps=eps, star=True)) == left
+    assert Levels.cache_info().hits == hits + len(s) - 1
+
+
+def test_right_columns_held_at_a_stale_generation_are_dropped():
+    # columns built at a q whose columns were emptied meanwhile (by a ball
+    # at another q in another thread) land in no dict and count no bits
+    from qzeta.levels import Levels, charge
+
+    Levels.cache_clear()
+    assert Levels.columns((1, 2)) == (None, {})  # the first ball records nothing
+    generation, held = Levels.columns((1, 2))
+    assert generation is not None
+    Levels.hold(generation, {"a": [1, 2]}, 0)
+    assert held == {"a": [1, 2]} and Levels.cache_info().currsize == charge([1, 2])
+    assert Levels.columns((1, 3))[0] is None  # another q empties the columns
+    assert Levels.cache_info().currsize == 0
+    Levels.hold(generation, {"b": [3]}, 0)
+    assert Levels.cache_info().currsize == 0 and "b" not in held
+    assert Levels.columns((1, 3))[1] == {}
+    assert Levels.cache_info()[:2] == (0, 2)
+
+
+def test_finite_and_qseries_checks_in_turn_read_levels_on_both_sides():
+    # each root keeps its own (q, n) or (q, K, binary point), so checks that
+    # alternate a finite and a q-series check at one q read levels on both
+    # sides, and each gives its cold report
+    from qzeta.levels import Levels
+
+    comps = [(2, 1, 1, 3, 1), (3, 1, 3, 1), (2, 3, 1), (4, 1, 3, 1), (2, 2, 1), (5, 1, 3, 1)]
+    checks = {
+        "finite": lambda comp: _body(verify_mhs(comp, n_max=20)),
+        "qseries": lambda comp: _body(verify_qmzsv(comp)),
+    }
+    cold = []
+    for comp in comps:
+        for check in checks.values():
+            Levels.cache_clear()
+            cold.append(check(comp))
+    Levels.cache_clear()
+    hits = dict.fromkeys(checks, 0)
+    warm = []
+    for comp in comps:
+        for side, check in checks.items():
+            before = Levels.cache_info().hits
+            warm.append(check(comp))
+            hits[side] += Levels.cache_info().hits - before
+    assert warm == cold
+    assert all(hits.values()), hits
+
+
 def test_qseries_reports_stay_within_a_small_level_memo_bound(monkeypatch):
-    # with a bound that one to a few ball levels fill (a level holds about
-    # 69,000 bits here), the left balls record only the deepest levels that
-    # fit, the reports are the cold ones, and the memo never holds more
-    # than the bound
+    # with a bound that a few right columns (about 10,000 bits each) or one
+    # to a few left ball levels (about 69,000) fill, the balls record only
+    # what fits, the reports are the cold ones, and the memo never holds
+    # more than the bound; it holds something exactly when the bound fits
+    # the smallest first record: a right column, each held on its own, or
+    # the left balls' deepest level, (1), on which every left level chains
     from qzeta import levels
+    from qzeta.evaluators import _default_prec, _harmonic_truncation
 
     comps = [(2, 1, 1, 3, 1), (3, 1, 3, 1), (2, 3, 1), (4, 1, 3, 1)]
     expect = []
     for comp in comps:
         levels.Levels.cache_clear()
         expect.append(_body(verify_qmzsv(comp)))
+    for _ in range(2):
+        for comp in comps:
+            verify_qmzsv(comp)
+    firsts = [levels.charge(column) for column in levels.Levels.columns((1, 2))[1].values()]
+    q, eps = Fraction(1, 2), Fraction(1, 4 * 10**25)  # each side's budget
+    (K,) = {_harmonic_truncation(q, len(comp), eps)[0] for comp in comps}
+    deepest = levels.Levels.lookup((1, 2, K, _default_prec(eps)), levels.WEAK_ROOT, [2])[2]
+    firsts += [levels.charge(xs + es) for xs, es, _, _ in deepest]
+    assert len(deepest) == 1 and len(firsts) > 1
+    smallest = min(firsts)
     for bound in (0, 50_000, 100_000, 300_000):
         monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", bound)
         levels.Levels.cache_clear()
@@ -1885,5 +2045,5 @@ def test_qseries_reports_stay_within_a_small_level_memo_bound(monkeypatch):
             assert [_body(verify_qmzsv(comp)) for comp in comps] == expect
             info = levels.Levels.cache_info()
             assert info.maxsize == bound and info.currsize <= bound, info
-        assert (info.currsize > 0) == (bound > 50_000), info
+        assert (info.currsize > 0) == (bound >= smallest), (smallest, info)
     assert info.hits > 0, info
