@@ -153,6 +153,32 @@ class _State:
         self.bits = 0
 
 
+class _Memo:
+    """Every root's state and the counts over all roots (see
+    :class:`Levels`)."""
+
+    def __init__(self):
+        self.states: dict = {}  # root -> _State
+        self.bits = self.hits = self.misses = 0  # bits: held over every root
+
+    def state(self, root: int, at) -> tuple[_State, bool]:
+        """(root's state at ``at``, whether it was there before this call),
+        replacing the state of ``root`` at another ``at``; under the lock."""
+        state = self.states.get(root)
+        if state is not None and state.at == at:
+            return state, True
+        if state is not None:
+            self.bits -= state.bits
+        state = self.states[root] = _State(root, at)
+        return state, False
+
+    def holds(self, generation: _State | None) -> bool:
+        """Whether a record at ``generation`` may write: not at None, a
+        first sum's, nor once its root has moved to another ``at`` or the
+        memo was cleared."""
+        return generation is not None and self.states.get(generation.root) is generation
+
+
 class Levels:
     """The level memo of the exact engines and the q-series balls, one
     state per root (see the module docstring): one store, written under one
@@ -170,31 +196,18 @@ class Levels:
 
     _lock = threading.Lock()
     _ids = count(COLUMN_ROOT + 1)
-    _states: dict = {}  # root -> _State
-    _bits = _hits = _misses = 0  # _bits: held over every root
+    _memo = _Memo()
 
     @classmethod
     def cache_info(cls) -> MemoInfo:
         with cls._lock:
-            return MemoInfo(cls._hits, cls._misses, LEVEL_MEMO_BITS, cls._bits)
+            memo = cls._memo
+            return MemoInfo(memo.hits, memo.misses, LEVEL_MEMO_BITS, memo.bits)
 
     @classmethod
     def cache_clear(cls) -> None:
         with cls._lock:
-            cls._states = {}
-            cls._bits = cls._hits = cls._misses = 0
-
-    @classmethod
-    def _state(cls, root: int, at) -> tuple[_State, bool]:
-        """(root's state at ``at``, whether it was there before this call),
-        replacing the state of ``root`` at another ``at``; under the lock."""
-        state = cls._states.get(root)
-        if state is not None and state.at == at:
-            return state, True
-        if state is not None:
-            cls._bits -= state.bits
-        state = cls._states[root] = _State(root, at)
-        return state, False
+            cls._memo = _Memo()
 
     @classmethod
     def lookup(cls, at: tuple, root: int, keys: list) -> tuple[_State | None, int, list, int]:
@@ -208,10 +221,11 @@ class Levels:
         nothing."""
         node, found = root, []
         with cls._lock:
-            state, admitted = cls._state(root, at)
-            room = LEVEL_MEMO_BITS - cls._bits
+            memo = cls._memo
+            state, admitted = memo.state(root, at)
+            room = LEVEL_MEMO_BITS - memo.bits
             if not admitted:
-                cls._misses += len(keys)
+                memo.misses += len(keys)
                 return None, root, [], room
             nodes = state.nodes
             for key in reversed(keys):
@@ -220,8 +234,8 @@ class Levels:
                     break
                 node, column = entry
                 found.append(column)
-            cls._hits += len(found)
-            cls._misses += len(keys) - len(found)
+            memo.hits += len(found)
+            memo.misses += len(keys) - len(found)
             return state, node, found[::-1], room
 
     @classmethod
@@ -232,15 +246,16 @@ class Levels:
         beside those held, and the first that does not ends the record, so
         each level recorded chains onto one held."""
         with cls._lock:
-            if generation is None or cls._states.get(generation.root) is not generation:
+            memo = cls._memo
+            if not memo.holds(generation):
                 return
             nodes = generation.nodes
             for key, column, bits in levels:
                 entry = nodes.get((node, key))
                 if entry is None:
-                    if cls._bits + bits > LEVEL_MEMO_BITS:
+                    if memo.bits + bits > LEVEL_MEMO_BITS:
                         return
-                    cls._bits += bits
+                    memo.bits += bits
                     generation.bits += bits
                     entry = nodes[node, key] = next(cls._ids), column
                 node = entry[0]
@@ -253,7 +268,7 @@ class Levels:
         lock, as entries are only ever added to it.  The generation is None
         on the first call at ``at``: that ball records nothing."""
         with cls._lock:
-            state, admitted = cls._state(COLUMN_ROOT, at)
+            state, admitted = cls._memo.state(COLUMN_ROOT, at)
             return (state if admitted else None), state.nodes
 
     @classmethod
@@ -263,15 +278,16 @@ class Levels:
         :func:`charge` fits beside the bits held, while the generation
         holds."""
         with cls._lock:
-            cls._hits += reads
-            cls._misses += len(new)
-            if generation is None or cls._states.get(COLUMN_ROOT) is not generation:
+            memo = cls._memo
+            memo.hits += reads
+            memo.misses += len(new)
+            if not memo.holds(generation):
                 return
             nodes = generation.nodes
             for key, column in new.items():
                 bits = charge(column)
-                if key not in nodes and cls._bits + bits <= LEVEL_MEMO_BITS:
-                    cls._bits += bits
+                if key not in nodes and memo.bits + bits <= LEVEL_MEMO_BITS:
+                    memo.bits += bits
                     generation.bits += bits
                     nodes[key] = column
 
