@@ -73,17 +73,18 @@ SIDES = ("base", "change")
 # (9,9,9), (33) and (2,1^31) at q near 1, the longest finite checks, the
 # heaviest string and a classical check, three harmonic sums refused by
 # their work estimate, a finite check at the 10**6-entry parse bound,
-# refused by its left side's work estimate before either side sums, four
-# inputs whose pattern is far over the depth caps: expand 3^30000 exits 2
-# once compose, linear in the pattern depth, has built it, and the finite
-# checks of 3^1000000 and 33^30000 and the q-series check of 3^1000000
-# exit 2 on the depth read off the composition before compose runs (the
-# q-series one shows that check's refusal, which has its own code path,
-# keeps pace with the finite one's), a q of 5,000 digits,
-# which no estimate sees: its discrepancy lies far below every ball's
-# binary point, so the check exits 2 in well under a second, two q-series
-# checks that today's caps admit, whose first call builds every table of
-# its q cold (the probes above are refused before any table), (9,9,9) at
+# refused by its left side's work estimate before either side sums, six
+# inputs whose pattern is far over the depth caps, each refused on the
+# depth read off the composition before compose runs: expand 3^30000 and
+# 3^1000000, the finite checks of 3^1000000 and 33^30000, and the q-series
+# and classical checks of 3^1000000 (each refusal has its own code path,
+# and the largest input shows that each keeps pace; expand and the
+# classical check once spent about 5 s compiling its 1,000,001 slots
+# first), a q of 5,000 digits, which no estimate sees: its discrepancy
+# lies far below every ball's binary point, so the check exits 2 in well
+# under a second, two q-series checks that today's caps admit, whose
+# first call builds every table of its q cold (the probes above are
+# refused before any table), (9,9,9) at
 # the double nearest 4/5, whose cost is the right side's truncation
 # search, a true identity at eps = 1/10, whose exact discrepancy is a
 # compact rational that no ball can decide, so it exits 2, and (33) at
@@ -110,6 +111,8 @@ PROBES = (
     "verify 2^1000000",
     "verify 3^1000000",
     "verify 3^1000000 --qmzsv",
+    "verify 3^1000000 --classical",
+    "expand 3^1000000",
     "expand 3^30000",
     "verify 33^30000",
     "verify 2,1 --qmzsv --q 1/" + "1" * 5000,

@@ -19,10 +19,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .evaluators import classical_zeta, frakz, mhs, q_zeta
-from .expansion import Triple, expand
+from .expansion import Triple, check_expand_depth, expand
 from .indices import SignedIndex, Theta, parse_shift
 from .qarith import QContext, as_eps
-from .rules import CLOSED_FAMILIES, classical_expand, compose, parse_composition, parse_repeated
+from .rules import (
+    CLOSED_FAMILIES,
+    classical_expand,
+    compose,
+    parse_composition,
+    parse_repeated,
+    pattern_depth,
+)
 from .verify import (
     DEFAULT_SEED,
     _q_list,
@@ -104,6 +111,7 @@ def _print_json(payload) -> None:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     comp = parse_composition(args.composition)
+    check_expand_depth(pattern_depth(comp))  # expand's refusal, before the pattern is built
     d, pattern = compose(comp)
     triples = expand(pattern)
     classical = classical_expand(comp) if args.classical else None

@@ -34,10 +34,10 @@ memoized columns of floored q**k/[k]**s, in weak or strict descent; and the
 runs of the mollified pattern, whose floored terms are products of memoized
 q-level tables, so no table depends on the composition, in strict descent.
 Both sides' columns of 1/[k]**s are read off one fixed-point recurrence for
-[k], q**k and 1/[k], at least _POWER_GUARD_BITS finer than the entries
-(:func:`_fixed_point_rows`), so no term needs an exact division of
-integers that grow with k, and every floored term of either side lies
-within _COLUMN_SLACK units below the exact one.
+[k], q**k and 1/[k] per magnitude group, at least _POWER_GUARD_BITS finer
+than the entries (:func:`_magnitude_table`), so no term needs an exact
+division of integers that grow with k, and every floored term of either
+side lies within _COLUMN_SLACK units below the exact one.
 The exact partial sums' denominators grow like
 K**2 bits (hundreds of thousands of bits toward q -> 1), while the balls'
 integers stay near their binary point, so the q-series checks of
@@ -123,7 +123,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count
 from math import comb, log2
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -364,54 +364,39 @@ def _row_values(ctx: QContext, w: int, rows: Iterable[Row]) -> list[Fraction]:
 
 # Bounded memos of the q-level work of the certified series.  At one q and
 # eps every q-series check repeats the same truncation searches and floors the
-# same left-side terms, whatever its composition, so these are keyed by q-level
-# data only (q, depth or magnitude, eps or binary point, length, cap) and hold
-# immutable ints, Fractions and tuples; functools.lru_cache is thread-safe and
-# reports its hits and misses through cache_info().  A battery at one q and
-# eps needs one search per depth (at most 32 frakz depths, merged or not) and
-# one column per magnitude, length and binary point.  A search entry is a few
-# hundred bytes.  A column is built to a power-of-two length n >= 32 and read
-# as a prefix (see _harmonic_runs), so it holds at most 1,024 ints
-# t_k < q**k 2**c, at the binary point c that _column_prec sets (320 for
-# P = 300), and takes at most n(c/7.5 + 36) + 40 bytes: about 10 KB at
-# q = 1/2 and eps = 1e-25 (n = 128 for K = 86); 32 columns at n = 1024 take
-# at most 2.6 MB at c = 320 and 45 MB at c = 10112 (q = 1/1000,
-# eps = 1e-3000).
+# same terms, whatever its composition, so these are keyed by q-level data
+# only and hold immutable ints, Fractions and tuples; functools.lru_cache is
+# thread-safe and reports its hits and misses through cache_info().  A
+# battery at one q and eps needs one search per depth (at most 32 frakz
+# depths, merged or not), a few hundred bytes each.  Both balls' floored
+# terms come from _TABLE_CACHE_SIZE tables of each kind (_magnitude_table,
+# _power_table), none keyed by a run's own (s, alpha, beta): the benchmark's
+# q-series batch at q = 1/2 folds 78 distinct runs from 2 magnitude tables
+# at 2**-512 (52 KB) and 2 power tables (0.1 MB), and its left columns from
+# 1 table at 2**-320 (70 KB).  A left table is read as a prefix of a
+# power-of-two length n >= _COLUMN_MIN_LENGTH, at most 1,024, at the binary
+# point c that _column_prec sets (320 for P = 300), a right one is at most
+# 128 long (K <= MAX_FRAKZ_TERMS) at a power of two c >= 512.  Either holds
+# 8 columns of n ints below 2**(c + 1), at most 8 n (c/7.5 + 36) bytes: a
+# left table at n = 1,024 takes 0.65 MB at c = 320 and 11 MB at c = 10112
+# (q = 1/1000, eps = 1e-3000), a right one 0.18 MB at c = 1024 and 2.3 MB
+# at c = 16384.  A power table holds n >= 512 ints floor(2**c base**e), at
+# a power of two c >= 512; for q < 1 at most c / log2(1/q) + 1 are nonzero,
+# about 8 n + c**2 / (7.5 log2(1/q)) bytes (35 KB in the batch), and for
+# 1/q they grow to c + n log2(1/q) bits, about
+# n (c + n log2(1/q) / 2) / 7.5 bytes (70 KB in the batch, tens of MB only
+# toward q -> 1 with K near its cap).
 _SEARCH_CACHE_SIZE = 64
-_COLUMN_CACHE_SIZE = 32
 _COLUMN_MIN_LENGTH = 32
-# The right side's ball (see _ball_sweep) reads two more kinds of floored
-# table, each a bounded memo of _TABLE_CACHE_SIZE entries keyed by q-level
-# data only: magnitude columns (1 + q**k) / [k]**s, keyed by (q, binary
-# point, length, magnitude group), and powers q**e or (1/q)**e, keyed by
-# (base, binary point, length).  No table is keyed by a run's own
-# (s, alpha, beta): the 105 checks of the benchmark's q-series batch at
-# q = 1/2 fold 78 distinct runs, all from 7 magnitude and 4 power tables
-# (0.16 and 0.13 MB), at binary points 320 to 512.  A magnitude entry holds
-# 8 columns of n ints below 2**(prec + 1), n <= 128 as K <= MAX_FRAKZ_TERMS,
-# so at most 1024 (prec/7.5 + 36) bytes: 80 KB at prec = 320 and 1.4 MB at
-# prec = 10**4 (eps = 1e-3000).  A power entry holds n >= 512 ints
-# floor(2**prec base**e), e < n, with n the larger of 512 and the least
-# power of two above the largest e read.  For a base q < 1 only the nonzero
-# ones, at most prec / log2(1/q) + 1 of them, take more than a pointer: about
-# 8 n + prec**2 / (7.5 log2(1/q)) bytes, 19-29 KB in the batch.  The ints
-# of 1/q, read up to e = K**2/2 by a run of negative alpha, grow to
-# prec + n log2(1/q) bits, about n (prec + n log2(1/q) / 2) / 7.5 bytes:
-# 57 KB in the batch, and tens of MB only toward q -> 1 with K near its cap.
 _TABLE_CACHE_SIZE = 16
 
 
-@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
 def _floored_column(a: int, b: int, s: int, n: int, prec: int) -> tuple[int, ...]:
-    """The floored terms of magnitude s at q = a/b and the binary point
-    2**-prec for k = 1..n, read off :func:`_fixed_point_rows` with no
-    leading 1: 2**prec q**k / [k]**s lies in [t_k, t_k + 1 + 2**-G / d)
-    for G = _POWER_GUARD_BITS and d = ceil(b / (b - a)) >= 1, so within
-    2 <= _COLUMN_SLACK units above t_k, the one bound both balls' columns
-    keep (see :func:`_ball_sweep`).  Keyed by integers, as
-    :func:`_harmonic_search` is.
-    """
-    return tuple(row[0] for row in _fixed_point_rows(a, b, n, prec, 0, range(s, s + 1)))
+    """The floored terms of magnitude s at q = a/b and 2**-prec for
+    k = 1..n, from the left table of its magnitude group
+    (:func:`_magnitude_table`, lead 0): 2**prec q**k / [k]**s lies in
+    [t_k, t_k + 1 + 2**-G / d), within _COLUMN_SLACK units above t_k."""
+    return _magnitude_table(a, b, prec, n, s // _MAGNITUDE_GROUP, 0)[s % _MAGNITUDE_GROUP]
 
 
 def mhs_many(ctx: QContext, s: Sequence, n_max: int, star: bool = False) -> list[Fraction]:
@@ -1016,6 +1001,12 @@ def _check_depth(depth: int, what: str) -> None:
         raise ValueError(f"pattern depth {depth} exceeds {MAX_PATTERN_DEPTH} for {what}")
 
 
+def _check_series_depth(depth: int) -> None:
+    """Raise ValueError for a classical series deeper than MAX_PATTERN_DEPTH."""
+    if depth > MAX_PATTERN_DEPTH:
+        raise ValueError(f"series depth {depth} exceeds {MAX_PATTERN_DEPTH}")
+
+
 def _frakz_truncation(q: Fraction, pattern: Triple, eps, merge) -> tuple[int, Fraction]:
     """The K and tail bound of :func:`frakz` at q, after its refusals."""
     m = pattern.depth
@@ -1065,16 +1056,15 @@ def _frakz_search(
 # entry of a magnitude table, _MAGNITUDE_GROUP magnitudes s per entry, and
 # of a power table of q**e (see _run_column).  Magnitude table lengths are
 # multiples of _TABLE_MIN_LENGTH, power table lengths powers of two at
-# least _POWER_MIN_LENGTH, and a binary point a multiple of
-# _COLUMN_PREC_STEP, so that few tables serve every check at one q: with
-# power tables of every power of two from 1 up, the benchmark's q-series
-# batch at q = 1/2 builds 41 instead of 4, and with magnitude tables 16
-# long, 11 instead of 7.  Toward q -> 1 the exponents reach about K**2 / 2,
-# so the power tables' lengths spread: over the 1,024 weight-12
-# compositions at q = 9/10, lengths in multiples of 512 missed 315 of
-# 25,600 lookups, and powers of two miss 68.  A table's entries do not
-# depend on its length.  A power table of q < 1 computes only its nonzero
-# entries, about prec / log2(1/q).
+# least _POWER_MIN_LENGTH, and binary points powers of two (_table_prec),
+# so that few tables serve every check at one q: the benchmark's q-series
+# batch at q = 1/2 builds 2 magnitude and 2 power tables, and with power
+# tables of every power of two from 1 up it built 41 power tables, with
+# magnitude tables 16 long 11, and at each binary point 7 and 4.  Toward
+# q -> 1 the exponents reach about K**2 / 2, so the power tables' lengths
+# spread: over the 1,024 weight-12 compositions at q = 9/10, lengths in
+# multiples of 512 missed 315 of 25,600 lookups, and powers of two miss 10.
+# A table's entries do not depend on its length.
 _MAGNITUDE_GROUP = 8
 _TABLE_MIN_LENGTH = 32
 _POWER_MIN_LENGTH = 512
@@ -1085,8 +1075,8 @@ _COLUMN_PREC_STEP = 64
 _COLUMN_GUARD_BITS = 8
 _COLUMN_SLACK = 4
 # Bits by which a power table's recurrence, and at least by which the
-# fixed-point sequence of the magnitude tables and left columns, runs finer
-# than its entries (see _power_table and _fixed_point_rows)
+# fixed-point sequence of a magnitude table, runs finer than its entries
+# (see _power_table and _magnitude_table)
 _POWER_GUARD_BITS = 64
 
 
@@ -1101,53 +1091,58 @@ def _power_length(top: int) -> int:
     return max(1 << top.bit_length(), _POWER_MIN_LENGTH)
 
 
-def _fixed_point_rows(a: int, b: int, n: int, prec: int, lead: int, magnitudes: range) -> Iterator:
-    """For k = 1..n at q = a/b, the entries at the binary point 2**-prec of
-    (lead + q**k) / [k]**s for s in magnitudes, all read off one
-    fixed-point sequence at 2**-w, W = 2**w, whose only divisions are of
-    W**2 by X_k and of a X_(k-1) and a y_(k-1) by b, so no integer grows
-    with k.  With d = ceil(b / (b - a)) >= 1 / (1 - q), from X_0 = 0 and
-    y_0 = W, it keeps
+def _table_prec(prec: int) -> int:
+    """The power of two at least prec: a right table's binary point."""
+    return 1 << (prec - 1).bit_length()
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _magnitude_table(
+    a: int, b: int, prec: int, n: int, group: int, lead: int = 1
+) -> tuple[tuple[int, ...], ...]:
+    """At q = a/b, for s = group * _MAGNITUDE_GROUP + i, 0 <= i <
+    _MAGNITUDE_GROUP, the column of (lead + q**k) / [k]**s at the binary
+    point 2**-prec, k = 1..n: the right ball's with lead 1 and the left
+    ball's (:func:`_floored_column`) with lead 0.
+
+    The whole group is read off one fixed-point sequence at 2**-w,
+    W = 2**w, whose only divisions are of W**2 by X_k and of a X_(k-1)
+    and a y_(k-1) by b, so no integer grows with k.  With
+    d = ceil(b / (b - a)) >= 1 / (1 - q), from X_0 = 0 and y_0 = W, it
+    keeps
 
     * X_k = W + ceil(a X_(k-1) / b), in [W [k], W [k] + d): [k] = 1 + q [k-1],
       and each ceiling adds less than 1 to an error that q scales down;
     * y_k = floor(a y_(k-1) / b), in (W q**k - d, W q**k], likewise;
     * r_k = floor(W**2 / X_k), in (W/[k] - d - 1, W/[k]], as W**2 / X_k lies
       at most W d / ([k] X_k) <= d / [k]**2 below W/[k];
-    * R_0 = W and R_s = floor(R_(s-1) r_k / W), one product per magnitude
-      step, in (W/[k]**s - s (d + 2), W/[k]**s]: with R_(s-1) and r_k at
-      most W/[k]**(s-1) <= W and W, R_(s-1) r_k / W lies at most
-      (d + 1) + (s - 1)(d + 2) below W/[k]**s.
+    * P_0 = lead W + y_k and P_s = floor(P_(s-1) r_k / W), one product per
+      magnitude step.  With E_s = W (lead + q**k) / [k]**s <= (lead + 1) W,
+      E_s - P_s is below E_(s-1) (1/[k] - r_k/W) + (E_(s-1) - P_(s-1)) + 1,
+      so 0 <= E_s - P_s < d + (lead + 1) s (d + 2).
 
-    The entry is floor((lead W + y_k) R_s / 2**(2w - prec)).  For
-    Y = W q**k and U = W/[k]**s,
-    (lead W + Y) U - (lead W + y_k) R_s < d W + (lead + 1) W s (d + 2), so
-    2**prec (lead + q**k) / [k]**s lies in [entry, entry + 1 + f) with
-    f = (d + 2 s (d + 2)) / 2**(w - prec).  w is prec plus
-    G = _POWER_GUARD_BITS plus the bit length of d (2 s' + 1)(d + 2), s'
-    the largest magnitude, so f < 2**-G / d.
+    The entry is floor(P_s / 2**(w - prec)), so 2**prec (lead + q**k) /
+    [k]**s lies in [entry, entry + 1 + f) with f = (d + 2 s (d + 2)) /
+    2**(w - prec).  w is prec plus G = _POWER_GUARD_BITS plus the bit
+    length of d (2 s' + 1)(d + 2), s' the group's largest magnitude, so
+    f < 2**-G / d.
     """
+    first = group * _MAGNITUDE_GROUP
     d = -(-b // (b - a))
-    w = prec + _POWER_GUARD_BITS + (d * (2 * magnitudes[-1] + 1) * (d + 2)).bit_length()
-    unit, shift = 1 << w, 2 * w - prec
+    w = prec + _POWER_GUARD_BITS + (d * (2 * first + 2 * _MAGNITUDE_GROUP - 1) * (d + 2)).bit_length()
+    unit, drop = 1 << w, w - prec
+    columns = [[] for _ in range(_MAGNITUDE_GROUP)]
     x, y = 0, unit
     for _ in range(n):
         x, y = unit - (-a * x // b), a * y // b
-        r, top = (unit << w) // x, lead * unit + y
-        powers = accumulate(repeat(r, magnitudes[-1]), lambda p, step: p * step >> w, initial=unit)
-        yield [top * p >> shift for p in islice(powers, magnitudes.start, None)]
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _magnitude_table(a: int, b: int, prec: int, n: int, group: int) -> tuple[tuple[int, ...], ...]:
-    """At q = a/b, for s = group * _MAGNITUDE_GROUP + i, 0 <= i <
-    _MAGNITUDE_GROUP, the column of (1 + q**k) / [k]**s at the binary point
-    2**-prec, k = 1..n, read off :func:`_fixed_point_rows`: 2**prec times
-    the term lies in [m, m + 1 + 2**-G / d) for its entry m, with G and d
-    as there.
-    """
-    first = group * _MAGNITUDE_GROUP
-    return tuple(zip(*_fixed_point_rows(a, b, n, prec, 1, range(first, first + _MAGNITUDE_GROUP))))
+        r, p = (unit << w) // x, lead * unit + y
+        for _ in range(first):
+            p = p * r >> w
+        columns[0].append(p >> drop)
+        for column in columns[1:]:
+            p = p * r >> w
+            column.append(p >> drop)
+    return tuple(map(tuple, columns))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -1204,30 +1199,34 @@ def _run_column(
     (see :func:`_runs`).
 
     t_k = floor(m g / 2**mprec) from the table entries m at 2**-mprec of
-    (1 + q**k) / [k]**s and g at 2**-prec of q**e
-    (:func:`_magnitude_table`, :func:`_power_table`, with (1/q)**-e for
-    e < 0).  Write M' = 2**mprec M and E' = 2**prec E for the exact
-    M = (1 + q**k) / [k]**s and E = q**e, with M' in [m, m + 1 + f),
-    f < 2**-G / d <= 1 - q (see :func:`_fixed_point_rows`), and E' in
-    [g, g + 1).  Then M' E' - m g = M' (E' - g) + g (M' - m), so
+    (1 + q**k) / [k]**s and g = floor(2**prec q**e) (:func:`_magnitude_table`,
+    :func:`_power_table`).  g is read from the power table of q, or of 1/q
+    for e < 0, at P = _table_prec(prec) and shifted down by P - prec bits:
+    floor(floor(2**P x) / 2**(P - prec)) = floor(2**prec x), so it is the
+    same whichever table's binary point it is read at.  Write M' = 2**mprec M
+    and E' = 2**prec E for the exact M = (1 + q**k) / [k]**s and E = q**e,
+    with M' in [m, m + 1 + f), f < 2**-G / d <= 1 - q (see
+    :func:`_magnitude_table`), and E' in [g, g + 1).  Then
+    M' E' - m g = M' (E' - g) + g (M' - m), so
     0 <= 2**prec T_k - t_k < 1 + M + (g / 2**mprec)(1 + f).  Here
-    M <= 1 + q, as [k] >= 1, and g <= 2**mprec: where every e >= 0,
-    g <= 2**prec and mprec = prec; where q**e > 1 the error of m is scaled
-    up by g, so mprec is prec plus the bits by which the largest g exceeds
-    2**prec, in steps of _COLUMN_PREC_STEP.  So the gap is below
-    3 + q + f < 4 = _COLUMN_SLACK.
+    M <= 1 + q, as [k] >= 1, and g <= 2**mprec: mprec is the power of two
+    at least prec and at least the bits of the largest g, so where q**e > 1
+    the error of m, scaled up by g, is read at a finer binary point.  An
+    entry read at a binary point finer than prec keeps this bound, which
+    depends only on g <= 2**mprec.  So the gap is below 3 + q + f < 4 =
+    _COLUMN_SLACK.
     """
     expos = [alpha * h + beta * k for k, h in enumerate(halves, 1)]
     # e rises with k unless alpha or beta is negative
     low, high = (expos[0], expos[-1]) if alpha >= 0 and beta >= 0 else (min(expos), max(expos))
+    point = _table_prec(prec)
+    ups = _power_table(a, b, point, _power_length(high)) if high >= 0 else ()
     if low >= 0:
-        gs, mprec = map(_power_table(a, b, prec, _power_length(high)).__getitem__, expos), prec
+        gs, mprec = [ups[e] >> point - prec for e in expos], point
     else:
-        downs = _power_table(b, a, prec, _power_length(-low))
-        ups = _power_table(a, b, prec, _power_length(high)) if high >= 0 else ()
-        gs = [ups[e] if e >= 0 else downs[-e] for e in expos]
-        excess = max(max(gs).bit_length() - prec, 0)
-        mprec = prec + -(-excess // _COLUMN_PREC_STEP) * _COLUMN_PREC_STEP
+        downs = _power_table(b, a, point, _power_length(-low))
+        gs = [(ups[e] if e >= 0 else downs[-e]) >> point - prec for e in expos]
+        mprec = _table_prec(max(max(gs).bit_length(), prec))
     ms = _magnitude_table(a, b, mprec, _table_length(len(expos)), s // _MAGNITUDE_GROUP)
     return [m * g >> mprec for m, g in zip(ms[s % _MAGNITUDE_GROUP], gs)]
 
@@ -1327,9 +1326,9 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, held: Sequence = ()) 
 def _harmonic_runs(q: Fraction, entries: tuple, n: int) -> list:
     """The runs of :func:`_ball_sweep` for a nested harmonic sum to n: level
     i is entry i alone, read through the first n floored terms of its
-    magnitude (:func:`_floored_column`).  The column is built to the power
-    of two at least n and _COLUMN_MIN_LENGTH, so that the truncations K of
-    nearby depths read prefixes of one memo entry."""
+    magnitude (:func:`_floored_column`).  The column's table is built to the
+    power of two at least n and _COLUMN_MIN_LENGTH, so that the truncations
+    K of nearby depths read prefixes of one memo entry."""
     a, b = q.numerator, q.denominator
     length = max(1 << (n - 1).bit_length(), _COLUMN_MIN_LENGTH)
 
@@ -1464,8 +1463,7 @@ def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[Clas
         strings.append((entries, star))
         if not entries:
             continue
-        if len(entries) > MAX_PATTERN_DEPTH:
-            raise ValueError(f"series depth {len(entries)} exceeds {MAX_PATTERN_DEPTH}")
+        _check_series_depth(len(entries))
         lead = entries[0]
         if star is True:
             if lead.magnitude < 2:

@@ -100,17 +100,23 @@ def _resolve(pattern: Triple, commas: tuple[int, ...]) -> Triple:
 MAX_EXPAND_DEPTH = 20
 
 
+def check_expand_depth(depth: int) -> None:
+    """Raise ValueError, as :func:`expand` does, for a pattern of more than
+    MAX_EXPAND_DEPTH slots."""
+    if depth > MAX_EXPAND_DEPTH:
+        raise ValueError(
+            f"pattern depth {depth} exceeds {MAX_EXPAND_DEPTH}: its expansion "
+            f"would have 2**{depth - 1} terms"
+        )
+
+
 def expand(pattern: Triple) -> list[Triple]:
     """All 2**(m-1) resolutions of a pattern, in canonical order.
 
     Raises ValueError, before building anything, when the pattern has more
-    than MAX_EXPAND_DEPTH slots.
+    than MAX_EXPAND_DEPTH slots (:func:`check_expand_depth`).
     """
-    if pattern.depth > MAX_EXPAND_DEPTH:
-        raise ValueError(
-            f"pattern depth {pattern.depth} exceeds {MAX_EXPAND_DEPTH}: its expansion "
-            f"would have 2**{pattern.depth - 1} terms"
-        )
+    check_expand_depth(pattern.depth)
     return list(iter_expansion(pattern))
 
 

@@ -34,6 +34,7 @@ from .evaluators import (
     SeriesValue,
     _RESOLVED,
     _check_depth,
+    _check_series_depth,
     _default_prec,
     _frakz_truncation,
     _harmonic_truncation,
@@ -111,12 +112,25 @@ def rational_repr(x: Fraction) -> str:
     num, den = x.numerator, x.denominator
     if abs(num) < _EXACT_DIGITS and den < _EXACT_DIGITS:
         return str(x)
-    # The 12 digits come from one integer division of |num| * 10**s by den,
-    # rounded half to even as the Decimal division below would: turning a
-    # numerator of tens of thousands of bits into a Decimal costs
-    # milliseconds.  An exact quotient takes the Decimal path, whose result
-    # follows the ideal-exponent rule rather than showing 12 digits.
-    a = abs(num)
+    digits, s, exact = _rounded(abs(num), den)
+    if not exact:
+        return _decimal_text(num < 0, digits, s)
+    # An exact quotient takes the Decimal path, whose result follows the
+    # ideal-exponent rule rather than showing 12 digits.
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return str(Decimal(num) / Decimal(den))
+
+
+def _rounded(a: int, den: int) -> tuple[int, int, bool]:
+    """(digits, s, exact) for a / den > 0: digits * 10**-s is its 12-digit
+    rounding, 10**11 <= digits < 10**12, and exact says that no remainder
+    was rounded off, the value being digits * 10**-s itself.
+
+    The 12 digits come from one integer division of a * 10**s by den,
+    rounded half to even as a Decimal division would: turning a numerator
+    of tens of thousands of bits into a Decimal costs milliseconds.  The
+    result depends only on the value a / den, not on its terms."""
     # first guess from the bit lengths (log10(2) ~ 0.30103), off by at most one
     s = 11 - (a.bit_length() - den.bit_length()) * 30103 // 100000
     while True:
@@ -125,39 +139,74 @@ def rational_repr(x: Fraction) -> str:
         if 10**11 <= digits < 10**12:
             break
         s += 1 if digits < 10**11 else -1
-    if rest:
-        if 2 * rest > divisor or (2 * rest == divisor and digits % 2):
-            digits += 1
-            if digits == 10**12:
-                digits //= 10
-                s -= 1
-        return str(Decimal((num < 0, tuple(map(int, str(digits))), -s)))
-    with localcontext() as ctx:
-        ctx.prec = 12
-        return str(Decimal(num) / Decimal(den))
+    if 2 * rest > divisor or (2 * rest == divisor and digits % 2):
+        digits += 1
+        if digits == 10**12:
+            digits //= 10
+            s -= 1
+    return digits, s, not rest
+
+
+def _decimal_text(negative: bool, digits: int, s: int) -> str:
+    """The text of the decimal (-1)**negative * digits * 10**-s."""
+    return str(Decimal((negative, tuple(map(int, str(digits))), -s)))
+
+
+def _holds_compact(mid: int, rad: int, prec: int) -> bool:
+    """Whether [mid - rad, mid + rad] / 2**prec holds a rational whose
+    denominator is below _EXACT_DIGITS, as every compact rational's is.
+
+    The ball is symmetric about its centre, so it holds one exactly when it
+    holds the one nearest the centre, which ``Fraction.limit_denominator``
+    would return: the centre itself when its denominator is below the
+    bound, else the nearer of the last convergent p1/q1 of its continued
+    fraction below the bound and the semiconvergent (p0 + k p1) /
+    (q0 + k q1) with the largest k below it.  Both are tested, which is the
+    same as testing the nearer, with the continued fraction taken in
+    integers off mid and 2**prec: its quotients do not depend on a common
+    factor, so nothing is reduced."""
+    bound = _EXACT_DIGITS - 1
+    n, d = mid, 1 << prec
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d:
+        a, rest = divmod(n, d)
+        if q0 + a * q1 > bound:
+            k = (bound - q0) // q1
+            return any(
+                abs((p << prec) - mid * q) <= rad * q
+                for p, q in ((p1, q1), (p0 + k * p1, q0 + k * q1))
+            )
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, rest
+    return True
 
 
 def _ball_repr(x: Ball) -> Optional[str]:
     """The text :func:`rational_repr` gives every value in a positive Ball
-    when they all give the same, else None.
+    when they all give the same, else None, decided on the ball's integers.
 
-    They do when the ball holds no compact rational, both ends give the
-    same text, and the grid point that text reads lies outside the ball:
-    12-digit rounding is monotone, so every value inside rounds to that
-    point and is written as its rounding, being neither compact nor the
-    point itself.  The ball is symmetric about its centre, so if it holds a
-    compact rational it holds the one nearest the centre.
+    They do when the ball holds no compact rational (:func:`_holds_compact`),
+    both ends give the same text, and the grid point that text reads lies
+    outside the ball: 12-digit rounding is monotone, so every value inside
+    rounds to that point and is written as its rounding, being neither
+    compact nor the point itself.  Past the first test no rational of
+    denominator below _EXACT_DIGITS lies in the ball, so neither end is
+    compact and both take the 12-digit path, and neither is an exact
+    quotient: a dyadic exact quotient d * 10**-s with d < 10**12 is an
+    integer or has a denominator 2**j <= 2**17.
     """
-    lo, hi = x.bounds()
-    if lo <= 0:
+    mid, rad, prec = x.mid, x.rad, x.prec
+    lo, hi = mid - rad, mid + rad
+    if lo <= 0 or _holds_compact(mid, rad, prec):
         return None
-    centre = Fraction(x.mid, 1 << x.prec)
-    if lo <= centre.limit_denominator(_EXACT_DIGITS - 1) <= hi:
+    digits, s, _ = _rounded(lo, 1 << prec)
+    if _rounded(hi, 1 << prec)[:2] != (digits, s):
         return None
-    text = rational_repr(lo)
-    if rational_repr(hi) != text or lo <= Fraction(text) <= hi:
+    # the grid point digits * 10**-s against the ends, times 2**prec * 10**max(s, 0)
+    point, scale = (digits << prec, 10**s) if s >= 0 else ((digits * 10**-s) << prec, 1)
+    if lo * scale <= point <= hi * scale:
         return None
-    return text
+    return _decimal_text(False, digits, s)
 
 
 def _label(items: Sequence) -> str:
@@ -237,19 +286,23 @@ def _numeric_report(
     bound or a Ball around it.  The report is the one the exact values
     give, or None when the balls cannot tell: when disc straddles eps, or
     a field's text is not the same for every value inside its ball (see
-    :func:`_ball_repr`).
+    :func:`_ball_repr`).  Both are decided on the balls' integers: disc's
+    ends against eps by cross-multiplying with its numerator and
+    denominator, and no text is written unless disc decides.
     """
-    lo, hi = disc.bounds()
-    passed = True if hi <= eps else False if lo > eps else None
+    limit = eps.numerator << disc.prec
+    lo, hi = (disc.mid - disc.rad) * eps.denominator, (disc.mid + disc.rad) * eps.denominator
+    if lo <= limit < hi:
+        return None
     discrepancy = _ball_repr(disc)
     tail_bound = _ball_repr(tail) if isinstance(tail, Ball) else rational_repr(tail)
-    if passed is None or discrepancy is None or tail_bound is None:
+    if discrepancy is None or tail_bound is None:
         return None
     return VerificationReport(
         case=case,
         family=family,
         params=params,
-        status="numeric-pass" if passed else "fail",
+        status="numeric-pass" if hi <= limit else "fail",
         q=str(q),
         discrepancy=discrepancy,
         tail_bound=tail_bound,
@@ -416,40 +469,45 @@ def verify_qmzsv(
     report the exact values give, so the report is always the exact one.
     At eps = 1e-25 the first rung decides all 175 weight-12 compositions
     with a first entry >= 2 and pattern depth 2-4 at q = 1/2, 2/3, 4/5 and
-    9/10.  As the report's ``elapsed_ms``, medians of two sets of 14 fresh
-    processes on a shared 2-vCPU x86-64 host (Python 3.11), (2,1,1,3,1)
-    takes about 6-7 ms at q = 1/2, 10-16 ms at 4/5 and 22-32 ms at 9/10 on
-    a first call, most of it building the memos below, and 1.0, 1.3-1.9
-    and 2.3-3.2 ms on a second call at the same q.  (9,9,9), pattern depth
-    22, takes about 0.06 s on a first call at q = 4/5.
+    9/10.  As the report's ``elapsed_ms``, medians of 14 fresh processes on
+    a shared 2-vCPU x86-64 host (Python 3.11), (2,1,1,3,1) takes about
+    2.2 ms at q = 1/2, 4.6 ms at 4/5 and 9.7 ms at 9/10 on a first call,
+    most of it building the memos below (3.5, 7.8 and 15 ms with a table
+    per binary point and a left pass per magnitude), and 0.6, 1.0 and
+    1.8 ms on a second call at the same q.  (9,9,9), pattern depth 22,
+    takes about 27 ms on a first call at q = 4/5.
 
     What does not depend on the composition is memoized in
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
     eps: the two truncation searches, keyed by (q, depth, eps, cap) and
-    (q, pattern depth, merge, eps, cap); the left ball's floored terms, one
-    column per (q, magnitude, length, binary point), at the binary point
-    the level it reads sets, built to a power-of-two length that the
-    truncations of nearby depths read as a prefix; and the right ball's
-    floored tables, magnitude columns per (q, binary point, length,
-    magnitude group) and powers of q per (base, binary point, length).
-    The left columns and the magnitude columns are read off one
-    fixed-point sequence of [k], q**k and 1/[k] per q and binary point
-    (:func:`~qzeta.evaluators._fixed_point_rows`): a term costs a few
-    products and one division of integers of about twice that binary
-    point, where an exact floor toward q -> 1 divides integers of
-    k s log2(b) bits.  Both balls run the one sweep
-    (:func:`~qzeta.evaluators._ball_sweep`) over these, with one error
-    bound for every floored term.  The memos are bounded lru_caches of
-    immutable values (64 searches each, 32 columns and 16 tables of each
-    kind; see _COLUMN_CACHE_SIZE and _TABLE_CACHE_SIZE for their sizes),
-    so a check reads the same values warm or cold and from any thread.
-    Over the 105 checks of the benchmark's q-series batch at q = 1/2 they
-    miss 4, 3, 4, 7 and 4 times.  What depends on the composition goes
-    through the level memo (:mod:`~qzeta.levels`), bounded by the bits it
-    holds: the left ball's levels 1..m-1 per (q, K, binary point) and
-    suffix, and the right ball's run columns per q and (K, s, alpha, beta,
-    binary point), each kept from the second check at a q on, so that
-    batch reads 379 of 566 left levels and 504 of 665 right columns.
+    (q, pattern depth, merge, eps, cap), and the floored tables both balls
+    read (:func:`~qzeta.evaluators._magnitude_table` and
+    :func:`~qzeta.evaluators._power_table`).  Each magnitude table holds
+    the columns of one group of 8 magnitudes per (q, binary point,
+    length), (lead + q**k) / [k]**s read off one fixed-point sequence of
+    [k], q**k and 1/[k]: a term costs a product and a shift of integers of
+    about its binary point, where an exact floor toward q -> 1 divides
+    integers of k s log2(b) bits.  The left ball reads q**k / [k]**s at the
+    binary point its level sets, from a table built to a power-of-two
+    length that the truncations of nearby depths read as a prefix; the
+    right ball reads (1 + q**k) / [k]**s and the powers q**e and (1/q)**e
+    from tables at the power of two at least its run's binary point, so
+    one table serves every binary point up to it.  Both balls run the one
+    sweep (:func:`~qzeta.evaluators._ball_sweep`) over these, with one
+    error bound for every floored term.  The memos are bounded lru_caches
+    of immutable values (64 searches each and 16 tables of each kind; see
+    _TABLE_CACHE_SIZE for their sizes), so a check reads the same values
+    warm or cold and from any thread.  Over the 105 checks of the
+    benchmark's q-series batch at q = 1/2 they miss 4, 3, 3 and 2 times: 2
+    magnitude tables and 1 left table, and 2 power tables, where a table
+    per binary point and a left pass per magnitude missed 7, 4 and 4.
+    What depends on the composition goes through the level memo
+    (:mod:`~qzeta.levels`), bounded by the bits it holds: the left ball's
+    levels 1..m-1 per (q, K, binary point) and suffix, and the right
+    ball's run columns per q and (K, s, alpha, beta, binary point), each
+    kept from the second check at a q on, so that batch reads 379 of 566
+    left levels and 504 of 665 right columns.  The report is decided on
+    the balls' integers (:func:`_numeric_report`).
 
     Raises ValueError, before either side sums, for a composition entry
     that is a bool, not an int or below 1, a composition that is not
@@ -505,13 +563,19 @@ def verify_classical(
     bool, not an int or below 1, a composition that is not zeta-admissible,
     or unless tol is finite and >= 0: an infinite tolerance passes any
     identity, and a negative or NaN one fails every identity.  A
-    composition of more than MAX_PATTERN_DEPTH entries, or a pattern of
-    more slots, is refused by the engine.
+    composition of more than MAX_PATTERN_DEPTH entries, and then a pattern
+    of more slots, is refused with the engine's message before the pattern
+    is built, its depth read off the composition
+    (:func:`~qzeta.rules.pattern_depth`), so ``verify 3^1000000
+    --classical`` compiles none of its 1,000,001 slots.
     """
     t0 = time.perf_counter()
     comp = zeta_composition(composition)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    # the engine's depth refusals, in its order, before the pattern is built
+    for depth in (len(comp), pattern_depth(comp)):
+        _check_series_depth(depth)
     d, pattern = compose(comp)
     lhs, resolved = classical_zeta_many([(comp, True), (pattern.s, _RESOLVED)], K=K)
     rhs = d * resolved.value

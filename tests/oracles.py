@@ -7,6 +7,7 @@ dynamic-programming evaluators are judged against.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -331,3 +332,32 @@ def harmonic_ball_per_index(q, entries, n, star, prec):
             mids[j] += math.floor(Fraction(signed * x, 2**prec))
             rads[j] += 1 + math.ceil(Fraction(t * r + flag * (abs(x) + r), 2**prec))
     return mids[0], rads[0]
+
+
+def report_text(x: Fraction) -> str:
+    """The text a report prints for a rational: "p/q" when numerator and
+    denominator are below 10**30, else 12 significant digits by Decimal
+    division, rounded half to even."""
+    if abs(x.numerator) < 10**30 and x.denominator < 10**30:
+        return str(x)
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
+
+
+def ball_text(mid: int, rad: int, prec: int):
+    """The text :func:`report_text` gives every value of the ball
+    [(mid - rad) / 2**prec, (mid + rad) / 2**prec] when it holds only
+    positive values and they all give the same, else None, in Fractions:
+    None when the rational of denominator below 10**30 nearest the centre
+    (Fraction.limit_denominator) lies inside, when the ends' texts differ,
+    or when the value that text reads lies inside."""
+    lo, hi = Fraction(mid - rad, 2**prec), Fraction(mid + rad, 2**prec)
+    if lo <= 0:
+        return None
+    if lo <= Fraction(mid, 2**prec).limit_denominator(10**30 - 1) <= hi:
+        return None
+    text = report_text(lo)
+    if report_text(hi) != text or lo <= Fraction(text) <= hi:
+        return None
+    return text

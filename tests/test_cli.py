@@ -453,6 +453,40 @@ def test_deep_patterns_are_refused_from_the_composition_before_compose(capsys, m
         run(capsys, "verify", "2,1", "--qmzsv")
 
 
+def test_deep_classical_and_expand_inputs_are_refused_before_compose(capsys, monkeypatch):
+    # verify --classical and expand read the composition's length and its
+    # pattern's depth off the entries and refuse a deep one before compose
+    # builds the pattern, with the messages and in the order the engines
+    # give: the composition's series depth first, then the pattern's; a bad
+    # tolerance still comes first
+    def never(*args):
+        raise AssertionError("compose was started")
+
+    monkeypatch.setattr(qzeta.verify, "compose", never)
+    monkeypatch.setattr(qzeta.cli, "compose", never)
+    cap = qzeta.evaluators.MAX_PATTERN_DEPTH
+    expand_cap = qzeta.expansion.MAX_EXPAND_DEPTH
+    for argv, message in (
+        (("verify", "3^1000000", "--classical"), f"series depth 1000000 exceeds {cap}"),
+        (("verify", "2,1^40", "--classical"), f"series depth 41 exceeds {cap}"),
+        # one entry, and a pattern of cap + 1 slots
+        (("verify", str(cap + 2), "--classical"), f"series depth {cap + 1} exceeds {cap}"),
+        (("verify", "3^1000000", "--classical", "--tol", "-1"), "tol must be finite and >= 0"),
+        (
+            ("expand", "3^1000000"),
+            f"pattern depth 1000001 exceeds {expand_cap}: its expansion would have 2**1000000 terms",
+        ),
+        (("expand", "2,1^21", "--classical"), f"pattern depth 21 exceeds {expand_cap}"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "" and message in err, (argv, err)
+    # the patches are live: shallow patterns do reach compose
+    for argv in (("verify", "2,1", "--classical"), ("expand", "2,1")):
+        with pytest.raises(AssertionError, match="compose"):
+            run(capsys, *argv)
+
+
 def test_huge_repetition_counts_are_refused_before_the_list_is_built(capsys, monkeypatch):
     # 2^(10**20) has no list to build: both parsers count the entries first,
     # so verify, eval and expand exit 2 with a message instead of an

@@ -1228,7 +1228,7 @@ def test_floored_columns_bracket_the_exact_terms():
     # each t_k lies at most _table_over(q) units below 2**prec q**k / [k]**s,
     # with [k] from the oracle's q-integers, and never above it, for
     # magnitudes up to 33; the column is memoized
-    from qzeta.evaluators import _floored_column
+    from qzeta.evaluators import _floored_column, _magnitude_table
 
     def exact(q, s, k, prec):
         return q**k / oracles.q_integer(q, k) ** s * 2**prec
@@ -1245,8 +1245,9 @@ def test_floored_columns_bracket_the_exact_terms():
                     assert ts[k - 1] <= term < ts[k - 1] + over, (q, s, prec, k)
                 assert _floored_column(a, b, s, 40, prec) is ts
     # the left ball's runs read prefixes of one column per power-of-two
-    # length: two K in one length bucket share one memo entry
-    _floored_column.cache_clear()
+    # length, held in the table of its magnitude group: two K in one
+    # length bucket share one memo entry
+    _magnitude_table.cache_clear()
     q = Fraction(2, 3)
     entries = signed_string((2,))
     for n in (40, 57):
@@ -1255,12 +1256,12 @@ def test_floored_columns_bracket_the_exact_terms():
         assert len(ts) == n
         for k in range(1, n + 1):
             assert ts[k - 1] <= exact(q, 2, k, 300) < ts[k - 1] + _table_over(q), (n, k)
-    info = _floored_column.cache_info()
+    info = _magnitude_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert ts == _floored_column(2, 3, 2, 64, 300)[:57]
     (((_, _, column),),) = _harmonic_runs(q, entries, 65)
     assert len(column(300)) == 65
-    assert _floored_column.cache_info().misses == 2
+    assert _magnitude_table.cache_info().misses == 2
 
 
 FRAKZ_ENCLOSURE_QS = (
@@ -1495,7 +1496,9 @@ def test_run_columns_bracket_the_exact_terms():
     # above it, also for runs of negative alpha, whose terms lie far above
     # 1 and read a finer magnitude table, and of negative beta, whose
     # exponents do not rise with k, for magnitudes up to 33 (a q-series
-    # pattern has at most 32 slots, and `33` compiles to 32)
+    # pattern has at most 32 slots, and `33` compiles to 32).  The tables
+    # are read at the power of two at least the binary point, so binary
+    # points on both sides of one (63, 64, 65) read them at 64 and 128
     import qzeta.evaluators as ev
 
     assert ev._COLUMN_SLACK == 4
@@ -1508,7 +1511,7 @@ def test_run_columns_bracket_the_exact_terms():
             n = rng.randint(1, 30)
             halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
             expos = [alpha * h + beta * k for k, h in enumerate(halves, 1)]
-            for prec in (3, 64, 320):
+            for prec in (3, 63, 64, 65, 320):
                 ts = ev._run_column(a, b, s, alpha, beta, halves, prec)
                 assert len(ts) == n
                 for k, (t, e) in enumerate(zip(ts, expos), 1):
@@ -1549,10 +1552,10 @@ def test_fixed_point_tables_keep_their_bounds_without_guard_bits(guard, monkeypa
     # magnitudes add to the fixed-point binary point carry the bound alone:
     # left columns and magnitude entries stay within 1 + 2**-G / d units of
     # the exact terms, and run columns within _COLUMN_SLACK, as the
-    # docstrings of _fixed_point_rows and _run_column derive for every G
+    # docstrings of _magnitude_table and _run_column derive for every G
     import qzeta.evaluators as ev
 
-    caches = (ev._floored_column, ev._magnitude_table, ev._power_table)
+    caches = (ev._magnitude_table, ev._power_table)
     monkeypatch.setattr(ev, "_POWER_GUARD_BITS", guard)
     for cache in caches:
         cache.cache_clear()

@@ -1002,11 +1002,11 @@ def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
     # lru_cache grows with the compositions: the 175 weight-12 compositions
     # of depth 2-4, which include all 80 distinct ones of the benchmark's
     # seed-1 q-series batch, at its q = 1/2 and eps = 1e-25 fill the largest
-    # to 7 entries (_magnitude_table 7, _floored_column 5, _harmonic_search
-    # 4, _power_table 4, _frakz_search 3).  The left columns and magnitude
-    # tables are read off one fixed-point sequence per q and binary point
-    # that keeps no memo of its own, so these counts and the tables' lengths
-    # depend only on the keys, not on how an entry is computed.  The level
+    # to 4 entries (_harmonic_search 4, _magnitude_table 3, _frakz_search 3,
+    # _power_table 2).  The left and right magnitude tables are read off one
+    # fixed-point sequence per q, binary point and magnitude group that keeps
+    # no memo of its own, so these counts and the tables' lengths depend only
+    # on the keys, not on how an entry is computed.  The level
     # memo holds the left balls' levels by suffix and the right balls' run
     # columns, and counts bits, not entries: it holds some after the batch,
     # within its own bound
@@ -1023,6 +1023,29 @@ def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
     ]
     info = Levels.cache_info()
     assert 0 < info.currsize <= info.maxsize == LEVEL_MEMO_BITS, info
+
+
+def test_qseries_batch_builds_each_table_once_per_power_of_two_binary_point(monkeypatch):
+    # the 175 weight-12 compositions of depth 2-4 at q = 1/2 and
+    # eps = 1e-25, which hold every composition of the benchmark's seed-1
+    # q-series batch, read every right-ball run, at binary points 320 to 512
+    # and more for runs of negative alpha, from the tables at 2**-512: 2
+    # magnitude tables (groups 0 and 1) and the power tables of q and 1/q;
+    # and every left column, magnitudes 1 to 4 at 2**-320, from 1 table of
+    # the first magnitude group.  Each is built once.  With a table per
+    # binary point and a left pass per magnitude they built 7, 4 and 4
+    from qzeta import evaluators as ev
+
+    real = ev._magnitude_table
+    keys = []
+    monkeypatch.setattr(ev, "_magnitude_table", lambda *key: keys.append(key) or real(*key))
+    for comp in _weight_twelve_depth_two_to_four():
+        assert verify_qmzsv(comp, q=Fraction(1, 2), eps=Fraction(1, 10**25)).passed
+    left = {key for key in keys if key[5:] == (0,)}
+    assert sorted(set(keys) - left) == [(1, 2, 512, 32, 0), (1, 2, 512, 32, 1)]
+    assert left == {(1, 2, 320, 128, 0, 0)}
+    assert real.cache_info().misses == 3
+    assert ev._power_table.cache_info().misses == 2
 
 
 def test_qseries_checks_build_no_qcontext(monkeypatch, qzeta_memos):
@@ -1582,6 +1605,77 @@ def test_ball_repr_decides_every_ball_the_half_step_rule_decides():
         assert _ball_repr(_ball(near, math.ceil(unit / 500 * 2**600), 600)) is None, v
         text = _ball_repr(_ball(near, 1, 600))
         assert text == _decimal_division_repr(near) != _decimal_division_repr(v), v
+
+
+def test_ball_repr_gives_the_text_of_the_fraction_rule():
+    # _ball_repr decides on the ball's integers what the Fraction rule of
+    # oracles.ball_text decides, text for text or None, on seeded balls at
+    # binary points from 2 to 2,400 bits: balls whose radius just reaches,
+    # or just misses, the rational of small denominator nearest the centre,
+    # which is the last convergent of its continued fraction or the
+    # semiconvergent after it (each kind is counted); balls across a point
+    # of the 12-digit grid, so that their ends' texts differ or the point
+    # lies inside; balls with an end at an exact quotient; and balls of
+    # random integers
+    from qzeta.evaluators import Ball
+    from qzeta.verify import _ball_repr
+
+    def nearest_is_convergent(centre, best):
+        # whether best, limit_denominator's answer, is a convergent of centre
+        n, d, p0, q0, p1, q1 = centre.numerator, centre.denominator, 0, 1, 1, 0
+        while q1 < best.denominator and d:
+            a, (n, d) = n // d, (d, n % d)
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        return Fraction(p1, q1) == best
+
+    rng = random.Random(61)
+    seen = collections.Counter()
+    for i in range(2400):
+        kind = ("nearest", "grid", "exact", "random")[i % 4]
+        prec = rng.choice((2, 3, 64, 99, 100, 101, 2400, rng.randint(2, 2400)))
+        if kind == "nearest":
+            prec = rng.randint(200, 2400)
+            v = Fraction(rng.getrandbits(rng.randint(1, 110)), rng.getrandbits(rng.randint(1, 110)) + 1)
+            if i % 8 == 4:
+                # continued fraction quotients to a denominator q1 of 10**27 to
+                # 10**29, then one that takes the next past 10**30: the nearest
+                # rational below that bound is then mostly a semiconvergent
+                p0, q0, p1, q1 = 1, 0, rng.randint(0, 9), 1
+                while q1 < 10**27:
+                    a = rng.randint(1, min(10 ** rng.randint(0, 6), (10**29 - q0) // q1))
+                    p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+                a = (10**30 - 1 - q0) // q1 + rng.randint(1, 3) + Fraction(rng.randint(1, 999), 1000)
+                v = (a * p1 + p0) / (a * q1 + q0)
+            mid = math.floor(v * 2**prec)
+            centre = Fraction(mid, 2**prec)
+            best = centre.limit_denominator(10**30 - 1)
+            gap = math.ceil(abs(best - centre) * 2**prec)
+            rad = max(gap + rng.choice((-1, 0)), 0)
+            seen[kind, nearest_is_convergent(centre, best), rad == gap] += 1
+        elif kind == "grid":
+            prec = rng.randint(100, 2400)
+            e = rng.randint(-60, 20)
+            v = (rng.randint(10**11, 10**12 - 1) + rng.choice((0, Fraction(1, 2)))) * Fraction(10) ** (e - 11)
+            step = math.ceil(Fraction(10) ** (e - 11) * 2**prec)
+            mid = math.floor(v * 2**prec) + rng.randint(-step, step) // rng.choice((1, 10, 10**6))
+            rad = max(1, step // rng.choice((1, 3, 10**3, 10**9, 2**rng.randint(0, 200))))
+        elif kind == "exact":
+            j = rng.randint(0, min(prec, 40))
+            lo = rng.randint(1, 10**6) << (prec - j)  # a dyadic of at most 40 places
+            rad = rng.randint(0, 2 ** rng.randint(0, prec))
+            mid = lo + rad
+        else:
+            mid, rad = rng.getrandbits(max(prec + rng.randint(-20, 20), 1)), rng.getrandbits(rng.randint(0, 80))
+        expect = oracles.ball_text(mid, rad, prec)
+        assert _ball_repr(Ball(mid, rad, prec)) == expect, (kind, mid, rad, prec)
+        seen[kind, expect is None] += 1
+    # every kind of ball came up, and texts were decided among them
+    for convergent in (True, False):
+        for inside in (True, False):
+            assert seen["nearest", convergent, inside] > 20, seen
+    for kind in ("nearest", "grid", "random"):
+        assert seen[kind, False] > 20, seen
+    assert seen["grid", True] > 100 and seen["exact", True] == 600, seen
 
 
 def _compositions(weight: int):
