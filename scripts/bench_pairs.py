@@ -12,7 +12,10 @@ uncommitted edits count and no build output does), written as a git tree
 through a copy of the index, so the real index is left as it was.  Both
 git tree ids are recorded: once the change is committed, its tree id is
 the commit's (``git log --format='%H %T'``), which ties the numbers to
-the code that produced them.  The change side's ``head`` and ``dirty``
+the code that produced them.  Next to each tree id is its ``code_lines``,
+the lines of ``src/qzeta/*.py`` that hold a token that is neither a
+comment nor a docstring (:func:`code_lines`), so a size claim can be read
+off the record.  The change side's ``head`` and ``dirty``
 (its tree differs from the head's) are taken when its tree is written, so
 an edit made while the runs go on does not relabel them.  Each pair runs
 ``qzbench/run.py`` unchanged in both trees, one workload at a time, on the
@@ -55,6 +58,8 @@ killed at the timeout prints none and records ``null``.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -65,6 +70,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -151,6 +157,29 @@ def working_tree(scratch: Path) -> dict:
         )
     tree = proc.stdout.strip()
     return {"head": head, "dirty": tree != head_tree, "tree": tree}
+
+
+def code_lines(source: str) -> int:
+    """The lines of a Python source that hold a token that is neither a
+    comment nor a docstring; a multi-line string counts on each line it
+    spans."""
+    docstrings = [
+        ((doc.lineno, doc.col_offset), (doc.end_lineno, doc.end_col_offset))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+        for doc in node.body[:1]
+    ]
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in skip or tok.type == tokenize.STRING and any(
+            start <= tok.start and tok.end <= end for start, end in docstrings
+        ):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
 
 
 def extract(tree: str, dest: Path) -> None:
@@ -290,8 +319,11 @@ def main() -> int:
         change = working_tree(scratch)
         base_tree = git("rev-parse", f"{base_commit}^{{tree}}").strip()
         ids = {"base": base_tree, "change": change["tree"]}
+        sizes = {}
         for side in SIDES:
             extract(ids[side], trees[side])
+            sources = (trees[side] / "src" / "qzeta").glob("*.py")
+            sizes[side] = sum(code_lines(path.read_text()) for path in sources)
         seeds = [args.seed + i for i in range(args.pairs)]
         runs = {w: {side: [] for side in SIDES} for w in workloads}
         qz_machine = None
@@ -317,8 +349,11 @@ def main() -> int:
         shutil.rmtree(scratch, ignore_errors=True)
 
     out = {
-        "base": {"rev": args.base, "commit": base_commit, "tree": ids["base"]},
-        "change": change,
+        "base": {
+            "rev": args.base, "commit": base_commit, "tree": ids["base"],
+            "code_lines": sizes["base"],
+        },
+        "change": {**change, "code_lines": sizes["change"]},
         "machine": {**qz_machine, **machine()},
         "protocol": {
             "command": "qzbench/run.py --workload W --seed S --seconds T --trace 0",

@@ -7,6 +7,8 @@ and certified-infinite evaluators, an identity compiler with closed-form
 families, and a verification harness behind the ``qzeta`` command line.
 """
 
+from types import ModuleType as _ModuleType
+
 from .evaluators import (
     ClassicalValue,
     SeriesValue,
@@ -89,80 +91,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "THETA",
-    "Block",
-    "CLOSED_FAMILIES",
-    "ClassicalTerm",
-    "ClassicalValue",
-    "Compiled",
-    "Composition",
-    "DEFAULT_SEED",
-    "LEMMA_PARTS",
-    "QContext",
-    "SeriesValue",
-    "SignedIndex",
-    "Theta",
-    "Triple",
-    "Twos",
-    "TwosC",
-    "TwosOnes",
-    "VerificationReport",
-    "all_passed",
-    "as_q",
-    "attach",
-    "bar",
-    "base_state",
-    "boxplus",
-    "boxplus_fold",
-    "classical_battery",
-    "classical_expand",
-    "classical_zeta",
-    "classical_zeta_many",
-    "closed_2c2",
-    "closed_2c21",
-    "closed_2c212",
-    "closed_212c21",
-    "closed_212c212",
-    "closed_c_ones",
-    "closed_pattern",
-    "closed_twos",
-    "closed_twos_ones",
-    "compose",
-    "delta",
-    "expand",
-    "family_equivalence",
-    "family_instances",
-    "frakz",
-    "head_reduction_pattern",
-    "idx",
-    "inverse_power_pattern",
-    "is_admissible",
-    "iter_expansion",
-    "lemma_suite",
-    "mhs",
-    "mhs_many",
-    "mollified_mhs",
-    "mollified_mhs_many",
-    "oplus",
-    "oplus_fold",
-    "parse_composition",
-    "parse_shift",
-    "pattern_mhs_many",
-    "proj",
-    "q_zeta",
-    "qmzsv_battery",
-    "rational_repr",
-    "quad_exponent",
-    "run_family",
-    "sample_compositions",
-    "shift_latex",
-    "shift_str",
-    "signed_string",
-    "symmetric_pair_check",
-    "tokenize",
-    "verify_classical",
-    "verify_mhs",
-    "verify_qmzsv",
-    "zeta_admissible",
-]
+# every public name that the imports above bind, not the submodules they load
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -86,15 +86,17 @@ multiply and one exact division by integers of about n bits each, and the
 denominator's growth from index to index is folded into each row's sum
 once, by Horner, as in :func:`frakz` (see :func:`_pattern_rows`).
 
-Both exact engines read and record their levels through one level memo
+The run engine reads and records its levels through one level memo
 (:mod:`~qzeta.levels`).  At one q and upper limit n a level's column, its
 cumulative at every index at that index's scale, depends only on the
 slots from that level down, so a sum reads the columns of the longest
 suffix already summed at that (q, n) and sums only the levels above it.
 The memo keeps one state per root, each at one (q, n) at a time, records
-from an engine's second sum at a (q, n) on, and is bounded by the bits
+from the engine's second sum at a (q, n) on, and is bounded by the bits
 all roots hold; the batteries of :mod:`~qzeta.verify` at one q and n_max
-share most of their levels through it.  The left ball of
+share most of their run levels through it.  The harmonic DP keeps no
+level: it sums every level on every call, about 3 microseconds a level
+at n_max = 6.  The left ball of
 :func:`q_zeta_enclosure` holds its levels 1..m-1 in the same memo at
 (q, K, binary point), and the right ball of :func:`frakz_enclosure` its
 run columns at q, so the q-series checks at one q and eps read the
@@ -130,17 +132,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, signed_string
-from .levels import (
-    ENTRY_BITS,
-    MHS_STRICT_ROOT,
-    MHS_WEAK_ROOT,
-    RUN_ROOT,
-    STRICT_ROOT,
-    WEAK_ROOT,
-    Kept,
-    Levels,
-    charge,
-)
+from .levels import RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels, charge
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 
 # (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
@@ -275,22 +267,13 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     magnitudes: the scale grows at every k, also while X_0 is 0.  Only
     integers are added and multiplied; letting the scales grow with k,
     rather than fixing them at L_n_max from the start, keeps the products
-    of the early steps small.
-
-    Level j's column X_j[0..n_max] depends only on q, n_max, the descent
-    and the entries j..m-1, so it is read from the level memo
-    (:mod:`~qzeta.levels`): the sum starts at the shallowest level whose
-    suffix is held, reads that level's column (level j reads only level
-    j+1), and runs one loop over k for the levels above it only; the
-    columns it sums are kept (:class:`~qzeta.levels.Kept`) and recorded,
-    deepest first, before the last row is yielded.  Row n is X_0[n]
-    whichever way it was found, and no level is recorded on the first sum
-    at a (q, n_max) in a descent.
+    of the early steps small.  Every level is summed here: no column is
+    kept between sums (see :mod:`~qzeta.levels`).
 
     Raises ValueError for n_max above MAX_MHS_LIMIT or a work estimate
     above MAX_MHS_WORK.  As a generator it runs nothing until its first row
     is asked for; it then raises before its first row, and row 0 needs no
-    term and reads no memo.
+    term.
     """
     n_max = _upper_limit(n_max, MAX_MHS_LIMIT, "a harmonic sum")
     a, b = ctx.q.numerator, ctx.q.denominator
@@ -303,32 +286,16 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     # (L_k/L_{k-1})^(s_j+...+s_{m-1}) * b^(number of zero magnitudes there)
     grow_l = [sum(mags[j:]) for j in range(m + 1)]
     grow_b = [mags[j:].count(0) for j in range(m + 1)]
-    yield (0 if m else 1), 1, m - grow_b[0]
-    if not n_max:
-        return
-    keys = [2 * s + (e.sign < 0) for s, e in zip(mags, entries)]
-    root = MHS_WEAK_ROOT if star else MHS_STRICT_ROOT
-    generation, node, known, room = Levels.lookup((a, b, n_max), root, keys)
-    top = m - len(known)  # levels 0..top-1 are summed here, the rest read
-    if top == 0 < m:
-        for k in range(1, n_max + 1):
-            yield known[0][k], 1, m - grow_b[0] + grow_b[0] * k
-        return
-    below = known[0] if known else None  # level top's column
-    x = [0] * top + [1]
-    kept = Kept(generation, node, keys, top, room, ENTRY_BITS)
-    if kept.lo < top:
-        kept.add(x[:top], x[:top], n_max)  # X_j[0] = 0
+    x = [0] * m + [1]
+    yield x[0], 1, m - grow_b[0]
     # weak descent: level j sees level j+1 already updated at k; strict
     # descent: level j sees level j+1 as of k-1, so update top-down
-    order = range(top - 1, -1, -1) if star else range(top)
+    order = range(m - 1, -1, -1) if star else range(m)
     for k in range(1, n_max + 1):
         ratio = ctx.p_lcm_step(k)
-        for j in range(top):
+        for j in range(m):
             if x[j]:
                 x[j] *= ratio ** grow_l[j] * b ** grow_b[j]
-        if below is not None:
-            x[top] = below[k] if star else below[k - 1] * ratio ** grow_l[top] * b**grow_b[top]
         ak = a**k
         v = ctx.p_lcm(k) // ctx.h(k)
         w = v * b ** (k - 1)
@@ -337,9 +304,6 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
             if entries[j].sign < 0 and k % 2:
                 c = -c
             x[j] += c * x[j + 1]
-        if kept.lo < top:
-            row = x[kept.lo : top]
-            kept.add(row, row, n_max - k)
         yield x[0], 1, m - grow_b[0] + grow_b[0] * k
 
 
@@ -541,7 +505,7 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     # exponents of a and b in each level's scale; None while the level is empty
     ea: list = [None] * m + [0]
     eb = [0] * (m + 1)
-    kept = Kept(generation, node, keys, top, room, 4 * ENTRY_BITS)  # (x, A, B) and its ints
+    kept = Kept(generation, node, keys, top, room)
     for k in range(1, n + 1):
         ratio = ctx.p_lcm_step(k)
         u = ctx.p_lcm(k) // ctx.h(k)
@@ -555,8 +519,7 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
             x[j], ea[j], eb[j] = known[j - top][k - 1]
         if kept.lo < top:
             first = max(kept.lo, 1)
-            level_ints = x[first:top]
-            level_rows = list(zip(level_ints, ea[first:top], eb[first:top]))
+            level_rows = list(zip(x[first:top], ea[first:top], eb[first:top]))
         half = k * (k - 1) // 2
         odd = k % 2
         # level 0 gives inner[k]; updating i upwards reads the deeper C_j
@@ -601,9 +564,8 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
                 x[i], ea[i], eb[i] = total, A, B
         if kept.lo < top:
             if kept.lo == 0:
-                level_ints.insert(0, inner[0])
                 level_rows.insert(0, inner)
-            kept.add(level_rows, level_ints, n - k)
+            kept.add(level_rows, n - k)
         yield inner
 
 
@@ -900,12 +862,13 @@ def q_zeta_enclosure(
 
     Level i of the sweep, i >= 1, depends only on q, K, prec, the descent
     and the entries i..m-1, so levels 1..m-1 go through the level memo
-    (:mod:`~qzeta.levels`) at (a, b, K, prec), keyed by slot
-    2 * magnitude + [barred] as the harmonic DP's: the sweep starts above
-    the longest suffix held, and the levels it sums there are recorded,
-    deepest first, each charged (:func:`~qzeta.levels.charge`) the bits and
-    ENTRY_BITS of every int of its midpoints and radii.  The ball, level 0, is not held.  The ball is
-    the same whichever levels were read.
+    (:mod:`~qzeta.levels`) at (a, b, K, prec), under the root of the
+    descent, each keyed by its slot 2 * magnitude + [barred]: the sweep
+    starts above the longest suffix held, and the levels it sums there are
+    recorded, deepest first, each charged (:func:`~qzeta.levels.charge`)
+    the bits and ENTRY_BITS of every int of its midpoints and radii.  The
+    ball, level 0, is not held.  The ball is the same whichever levels
+    were read.
 
     Raises ValueError as :func:`q_zeta` does, and for a q that
     :func:`~qzeta.qarith.as_q` refuses.

@@ -1,30 +1,31 @@
-"""The level memo of the two exact engines of :mod:`~qzeta.evaluators`
-and of the two q-series balls.
+"""The level memo of the run engine of :mod:`~qzeta.evaluators` and of
+the two q-series balls.
 
-In the harmonic DP (``_mhs_rows``) and the run engine (``_inner_terms``) a
-level's column, its cumulative at every index k <= n at that index's
-scale, depends only on q, n and the slots from that level down.  The
-compositions checked at one q and upper limit n share many suffixes, so
-they share columns: over the benchmark's seed-1 finite-wide batch (40
-checks at q = 1/2, n = 6) the run engine looks up 440 levels and sums
-117, the harmonic DP 245 and 84.
+In the run engine (``_inner_terms``) a level's column, its cumulative at
+every index k <= n at that index's scale, depends only on q, n and the
+slots from that level down.  The compositions checked at one q and upper
+limit n share many suffixes, so they share columns: over the benchmark's
+seed-1 finite-wide batch (40 checks at q = 1/2, n = 6) the run engine
+looks up 440 levels and reads 323 of them.  The harmonic DP
+(``_mhs_rows``) keeps no level: a level costs it about 3 microseconds to
+sum again at n = 6, and when it kept them it read back 161 of its 245
+over that batch, ran no faster, and left a battery of three
+``verify_mhs((2,)*1000, n_max=20)`` calls with a peak RSS of 51.8 MB
+instead of 40.1 MB.
 
 Roots.  A string of levels hangs from a root, the id of its empty suffix:
-the harmonic DP in strict and weak descent (MHS_STRICT_ROOT,
-MHS_WEAK_ROOT), the run engine (RUN_ROOT), the left ball in strict and
-weak descent (STRICT_ROOT, WEAK_ROOT), and the right ball's columns
-(COLUMN_ROOT).  Each root keeps its own state: the ``at`` it holds, (a,
-b, n) for an exact engine, its nodes, its admission and its generation.
-A lookup at another ``at`` empties that root's state alone, so checks
-that alternate between a finite and a q-series check at one q read levels
-on both sides; six compositions checked as ``verify_mhs(c, n_max=20);
-verify_qmzsv(c)`` in turn read none of their 63 levels when one ``at``
-was held for every root.
+the run engine (RUN_ROOT), the left ball in strict and weak descent
+(STRICT_ROOT, WEAK_ROOT), and the right ball's columns (COLUMN_ROOT).
+Each root keeps its own state: the ``at`` it holds, (a, b, n) for the run
+engine, its nodes, its admission and its generation.  A lookup at another
+``at`` empties that root's state alone, so checks that alternate between
+a finite and a q-series check at one q read levels on both sides; with
+one ``at`` held for all roots they read none.
 
 The left ball of a q-series check (``q_zeta_enclosure``) is the harmonic
 sum swept as a ball at a truncation K and binary point 2**-prec, and its
 level i >= 1 depends only on q, K, prec, the descent and the entries from
-i down.  It is held at (a, b, K, prec), keyed as the harmonic DP's.  A
+i down.  It is held at (a, b, K, prec), under the root of its descent.  A
 ball level is (xs, es, c, top): K midpoints and K radii, and the binary
 point and bound its readers need; it is charged the bit length of every
 int of xs and es plus ENTRY_BITS for each, about 69,000 bits at q = 1/2
@@ -57,13 +58,13 @@ ran about 1 % slower in-process.
 Key.  A level's suffix is interned one level at a time as (id of the
 suffix below it, the level's own slot), so a lookup costs one probe of a
 constant-size key per level, 1,000 probes for a string of 1,000 entries.
-The slot is 2 * magnitude + [barred] in the harmonic DP, whose descent is
-in the id of the empty suffix, and (outermost, magnitude, sign, offset,
-shift with theta as None, merge flag of the separator after it) in the
-run engine, whose outermost level keeps inner[k] rather than a
-cumulative.  The memo holds level columns only: both engines read their
-q-level factors off the QContext, as a first sum does, since holding
-those factors here cost more to look up and bound than it saved.
+The slot is (outermost, magnitude, sign, offset, shift with theta as
+None, merge flag of the separator after it) in the run engine, whose
+outermost level keeps inner[k] rather than a cumulative, and
+2 * magnitude + [barred] in the left ball, whose descent is in the id of
+the empty suffix.  The memo holds level columns only: the run engine
+reads its q-level factors off the QContext, as a first sum does, since
+holding those factors here cost more to look up and bound than it saved.
 
 Admission.  A root records at a (q, n) from its second lookup there on.
 The first sum at a (q, n) keeps no column, so a batch that never comes
@@ -78,28 +79,26 @@ than without a memo.
 
 Bound.  LEVEL_MEMO_BITS bounds the bits the memo holds, not its entries,
 as a column takes a few hundred bytes at n = 6 and megabytes at n = 160.
-An entry counts the bit length of its integer plus ENTRY_BITS for an
-int's object and pointer, or four times ENTRY_BITS for a run entry's
-(x, A, B) tuple and its three ints.  The seed-1 finite-wide batch leaves
-its columns in about 870,000 bits.  The bits are counted when a column is
-recorded: deepest first, a new column is recorded only if its own bits
-fit beside those held, so the memo never holds more than the bound.  An
-engine reads the room left once, at its lookup, and while it sums it
-drops its shallowest kept column whenever the columns it keeps,
-projected to n at their last entry's size, would not fit in that room
-(see :class:`Kept`), so a column that could not be recorded is dropped
-early.  Each side of a finite check (``verify_mhs`` sums both at once)
-keeps at most the room it saw, so the two together may keep up to twice
-that room in flight.  A left ball keeps every level through its sweep
-anyway and records the new ones after it, deepest first, by the same
-rule, and a right ball records each new column that fits, as a column
-chains onto nothing; the seed-1 q-series batch leaves about 12.8 million
-bits of left levels and 1.4 million of right columns.  The bound holds
-over all roots together, counted as one running total.  The memo itself
-holds at most 2**26 bits, 8 MiB, counted as Python stores its objects,
-plus its dicts of keys.  The allocator's slack around the integers kept
-through a sum comes on top (see CHANGES.md for the peak RSS of full
-memos).
+A run entry (x, A, B) counts the bit length of x plus four times
+ENTRY_BITS for the tuple and its three ints, and a ball's int its bit
+length plus ENTRY_BITS for its object and pointer.  The seed-1
+finite-wide batch leaves its columns in about 698,000 bits.  The bits are
+counted when a column is recorded: deepest first, a new column is
+recorded only if its own bits fit beside those held, so the memo never
+holds more than the bound.  The run engine reads the room left once, at
+its lookup, and while it sums it drops its shallowest kept column
+whenever the columns it keeps, projected to n at their last entry's
+size, would not fit in that room (see :class:`Kept`), so a column that
+could not be recorded is dropped early.  A left ball keeps every level
+through its sweep anyway and records the new ones after it, deepest
+first, by the same rule, and a right ball records each new column that
+fits, as a column chains onto nothing; the seed-1 q-series batch leaves
+about 12.8 million bits of left levels and 1.4 million of right columns.
+The bound holds over all roots together, counted as one running total.
+The memo itself holds at most 2**26 bits, 8 MiB, counted as Python
+stores its objects, plus its dicts of keys.  The allocator's slack around
+the integers kept through a sum comes on top (see CHANGES.md for the
+peak RSS of full memos).
 
 The memo is one store, written under one lock, so two threads may share
 it; it reports itself through ``cache_info()`` and ``cache_clear()`` as
@@ -117,15 +116,15 @@ from typing import NamedTuple
 LEVEL_MEMO_BITS = 2**26
 ENTRY_BITS = 256
 # ids of the empty suffix, one per root: the left q-series ball in strict
-# and weak descent, the run engine, and the harmonic DP in strict and weak
-# descent; and the root of the right ball's columns
-STRICT_ROOT, WEAK_ROOT, RUN_ROOT, MHS_STRICT_ROOT, MHS_WEAK_ROOT, COLUMN_ROOT = range(6)
+# and weak descent and the run engine; and the root of the right ball's
+# columns
+STRICT_ROOT, WEAK_ROOT, RUN_ROOT, COLUMN_ROOT = range(4)
 
 
-def charge(ints, entry_bits: int = ENTRY_BITS) -> int:
+def charge(ints) -> int:
     """The bits that entries with integers ``ints`` take in the memo: each
-    int's bit length plus ``entry_bits`` for what holds it."""
-    return sum(map(int.bit_length, ints)) + entry_bits * len(ints)
+    int's bit length plus ENTRY_BITS for its object and pointer."""
+    return sum(map(int.bit_length, ints)) + ENTRY_BITS * len(ints)
 
 
 class MemoInfo(NamedTuple):
@@ -180,7 +179,7 @@ class _Memo:
 
 
 class Levels:
-    """The level memo of the exact engines and the q-series balls, one
+    """The level memo of the run engine and the q-series balls, one
     state per root (see the module docstring): one store, written under one
     lock, that reports itself as a bounded memo through :meth:`cache_info`
     and :meth:`cache_clear`.
@@ -293,9 +292,9 @@ class Levels:
 
 
 class Kept:
-    """The columns of levels lo..top-1 that an engine sums at one (q, n),
-    kept as one row per index while they fit, and recorded above the
-    suffix ``node`` once the last index is kept.
+    """The columns of levels lo..top-1 that the run engine sums at one
+    (q, n), kept as one row of (x, A, B) entries per index while they fit,
+    and recorded above the suffix ``node`` once the last index is kept.
 
     ``room`` is the bits the memo had left at the engine's lookup.  The
     shallowest kept level is dropped while the bits kept, projected over
@@ -304,35 +303,31 @@ class Kept:
     at generation None, an engine's first sum at a (q, n).
     """
 
-    def __init__(
-        self, generation: int | None, node: int, keys: list, top: int, room: int, entry_bits: int
-    ):
+    def __init__(self, generation: _State | None, node: int, keys: list, top: int, room: int):
         self.generation, self.node, self.keys, self.top = generation, node, keys, top
         self.room = room
-        self.entry_bits = entry_bits  # what an entry takes besides its integer's digits
         self.lo = top if generation is None else 0
         self.rows: list = []  # per index, the kept entries of levels lo..top-1
-        self.ints: list = []  # per index, their integers
         self.held = 0
 
-    def bits(self, ints) -> int:
-        """The bits that entries with integers ``ints`` take in the memo."""
-        return charge(ints, self.entry_bits)
+    @staticmethod
+    def bits(entries) -> int:
+        """The bits that (x, A, B) entries take in the memo: each x's bit
+        length plus 4 * ENTRY_BITS for the tuple and its three ints."""
+        return sum(entry[0].bit_length() for entry in entries) + 4 * ENTRY_BITS * len(entries)
 
-    def add(self, rows: list, ints: list, left: int) -> None:
-        """Keep one index's entries ``rows`` of levels lo..top-1, whose
-        integers are ``ints``, with ``left`` indices to come."""
-        self.rows.append(rows)
-        self.ints.append(ints)
-        size = self.bits(ints)
+    def add(self, row: list, left: int) -> None:
+        """Keep one index's entries ``row`` of levels lo..top-1, with
+        ``left`` indices to come."""
+        self.rows.append(row)
+        size = self.bits(row)
         self.held += size
         while self.held + left * size > self.room:
-            self.held -= self.bits([row[0] for row in self.ints])
-            size -= ints[self.lo - self.top].bit_length() + self.entry_bits
-            self.rows = [row[1:] for row in self.rows]
-            self.ints = [row[1:] for row in self.ints]
+            self.held -= self.bits([kept[0] for kept in self.rows])
+            self.rows = [kept[1:] for kept in self.rows]
             self.lo += 1
+            size = self.bits(self.rows[-1])
         if not left:
-            keys = self.keys[self.lo : self.top]
-            columns = list(zip(keys, zip(*self.rows), map(self.bits, zip(*self.ints))))
-            Levels.record(self.generation, self.node, reversed(columns))
+            columns = list(zip(*self.rows))
+            levels = list(zip(self.keys[self.lo : self.top], columns, map(self.bits, columns)))
+            Levels.record(self.generation, self.node, reversed(levels))

@@ -1681,11 +1681,12 @@ def test_merge_mask_sums_the_resolutions_it_allows():
 
 
 def test_level_memo_keys_each_level_by_its_whole_suffix():
-    # the exact engines read a level's column from one memo keyed by the
+    # the run engine reads a level's column from one memo keyed by the
     # level's suffix at one (q, n): patterns that share suffixes, under
-    # merge masks that differ at one separator, and strings that share
-    # suffixes, in both descents, give warm and in a shuffled order what
-    # they give from a cold memo, and what the oracles give
+    # merge masks that differ at one separator, give warm and in a shuffled
+    # order what they give from a cold memo, and what the oracles give, as
+    # do the strings that share suffixes, in both descents, summed between
+    # them by the harmonic DP, which reads no memo
     from qzeta.levels import Levels
 
     q, n_max = Fraction(2, 3), 5
@@ -1732,6 +1733,32 @@ def test_level_memo_keys_each_level_by_its_whole_suffix():
         assert [value(cases[i]) for i in order] == [cold[i] for i in order]
     info = Levels.cache_info()
     assert info.hits > info.misses, info
+
+
+def test_harmonic_dp_neither_reads_nor_writes_the_level_memo():
+    # only the run engine goes through the level memo on the finite side:
+    # a pool of finite checks looks up exactly its patterns' levels, and
+    # harmonic sums at the pool's (q, n), repeated, in both descents, leave
+    # the memo's counts and bits as they were and equal the oracle
+    from qzeta import compose, verify_mhs
+    from qzeta.levels import Levels
+
+    q, n_max = Fraction(2, 3), 5
+    pool = [(2, 1, 1, 3, 1), (1, 1, 3, 1), (3, 1, 3, 1), (2, 2, 1)]
+    Levels.cache_clear()
+    for comp in pool * 2:
+        assert verify_mhs(comp, n_max=n_max, q_values=(q,)).status == "exact-pass"
+    info = Levels.cache_info()
+    assert info.hits + info.misses == 2 * sum(compose(c)[1].depth for c in pool)
+    assert info.hits > 0 and info.currsize > 0, info
+    for _ in range(2):
+        for s in [(2, 1, 1, 3, 1), (2, -1, 1), (-3, 2, -1, 1), (1, 1, 3, 1)]:
+            pairs = [(abs(e), -1 if e < 0 else 1) for e in s]
+            for star in (False, True):
+                expect = oracles.harmonic_all_n(q, pairs, n_max, star)
+                assert mhs_many(QContext(q), s, n_max, star=star) == expect
+                assert mhs(QContext(q), s, n_max, star=star) == expect[-1]
+                assert Levels.cache_info() == info
 
 
 def _one_denominator_values(ctx, pattern, n_max, merge):

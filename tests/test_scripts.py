@@ -177,6 +177,11 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
     assert git("cat-file", "-t", result["change"]["tree"]) == "tree"
     assert git("ls-tree", "--name-only", result["change"]["tree"], "scripts/bench_pairs.py")
     assert (index.read_bytes() if index.is_file() else None) == staged
+    # next to each tree id, the code lines of its src/qzeta
+    code_lines = _bench_pairs()["code_lines"]
+    sources = (ROOT / "src" / "qzeta").glob("*.py")
+    assert result["change"]["code_lines"] == sum(code_lines(p.read_text()) for p in sources)
+    assert result["base"]["code_lines"] > 0
     # the trees were removed
     assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
 
@@ -184,6 +189,40 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
 def _bench_pairs() -> dict:
     """The functions of scripts/bench_pairs.py, loaded without running it."""
     return runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+
+
+def test_bench_pairs_counts_code_lines_without_comments_or_docstrings():
+    # a line counts when it holds a token that is neither a comment nor a
+    # docstring: a multi-line string counts on each of its lines, the
+    # docstring of a module, class or function on none, and a string that
+    # is not the first statement of its body is code
+    code_lines = _bench_pairs()["code_lines"]
+    source = "\n".join([
+        '"""Module docstring,',
+        'on two lines."""',
+        "# a comment",
+        "",
+        "import os  # code, with a trailing comment",
+        "",
+        "",
+        "class A:  # code",
+        "    'Class docstring.'",
+        "",
+        "    def f(self):  # code",
+        '        """Function',
+        '        docstring."""',
+        "        text = '''one  # code, as are the two lines below",
+        "two",
+        "'''",
+        "        'not a docstring'  # code",
+        "        return (text,  # code",
+        "                # a comment inside brackets",
+        "                os.sep)  # code",
+        "",
+    ])
+    assert code_lines(source) == 9
+    assert code_lines("") == 0
+    assert code_lines('"""Only a docstring."""\n# and a comment\n') == 0
 
 
 def test_bench_pairs_reads_a_planted_delay_as_slower():
@@ -280,7 +319,8 @@ def test_bench_pairs_labels_the_change_by_the_tree_it_measured(tmp_path, monkeyp
     argv = ["bench_pairs.py", "--base", "HEAD", "--workload", "finite-wide", "--pairs", "1"]
     monkeypatch.setattr(sys, "argv", [*argv, "--out", str(out)])
     assert bench["main"]() == 0
-    assert json.loads(out.read_text())["change"] == {"head": head, "dirty": False, "tree": head_tree}
+    change = json.loads(out.read_text())["change"]
+    assert change == {"head": head, "dirty": False, "tree": head_tree, "code_lines": 0}
     # the second run starts from the last edit the first one made, one run
     # of each side
     assert bench["main"]() == 0

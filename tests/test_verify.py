@@ -1733,8 +1733,8 @@ def test_finite_reports_do_not_depend_on_the_level_memo():
 
 def test_finite_reports_from_four_threads_equal_the_serial_ones():
     # four threads read and fill the one level memo, switching as often as
-    # the interpreter allows; every level looked up is counted once, as a
-    # level read or a level summed
+    # the interpreter allows; every run-engine level looked up is counted
+    # once, as a level read or a level summed
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -1757,20 +1757,32 @@ def test_finite_reports_from_four_threads_equal_the_serial_ones():
     assert threaded == serial * 3
     info = Levels.cache_info()
     assert info.hits > 0
-    assert info.hits + info.misses == 3 * sum(compose(c)[1].depth + len(c) for c in comps)
+    assert info.hits + info.misses == 3 * sum(compose(c)[1].depth for c in comps)
 
 
 def test_level_memo_stays_within_its_bound_and_holds_one_q_and_n(monkeypatch):
-    # with a bound that a few columns fill, the engines drop the columns
-    # and tables that do not fit, and a check still gives its cold report;
-    # the memo never holds more than the bound, and a check at another q
-    # or n_max empties it
-    from qzeta import levels
+    # with a bound that one to a few run columns fill, the run engine drops
+    # the columns that do not fit, and a check still gives its cold report;
+    # the memo never holds more than the bound, holds something exactly
+    # when the bound fits the smallest first record, a pattern's deepest
+    # column, on which every column of its record chains, and a check at
+    # another q or n_max empties it
+    from qzeta import compose, levels
 
     comps = [(2, 1, 1, 3, 1), (1, 1, 3, 1), (3, 1, 3, 1)]
     q = Fraction(5, 8)
     expect = _finite_bodies(comps, 30, q)
-    for bound in (0, 20_000, 200_000):
+    levels.Levels.cache_clear()
+    _finite_bodies(comps * 2, 30, q)
+    firsts = []
+    for comp in comps:
+        pattern = compose(comp)[1]
+        e, t, r = pattern.s[-1], pattern.t[-1], pattern.r[-1]
+        key = (pattern.depth == 1, e.magnitude, e.sign, t, None if r is THETA else r, False)
+        (deepest,) = levels.Levels.lookup((5, 8, 30), levels.RUN_ROOT, [key])[2]
+        firsts.append(levels.Kept.bits(deepest))
+    smallest = min(firsts)
+    for bound in (0, smallest - 1, smallest, 200_000):
         monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", bound)
         levels.Levels.cache_clear()
         for _ in range(3):
@@ -1778,7 +1790,7 @@ def test_level_memo_stays_within_its_bound_and_holds_one_q_and_n(monkeypatch):
                 assert _finite_bodies([comp], 30, q) == [body]
                 info = levels.Levels.cache_info()
                 assert info.maxsize == bound and info.currsize <= bound, info
-        assert (info.currsize > 0) == (bound > 0)
+        assert (info.currsize > 0) == (bound >= smallest), (smallest, info)
     # the memo holds one (q, n_max): the first check at another empties it
     # and records nothing
     for other_q, other_n in ((Fraction(1, 3), 30), (q, 29)):
@@ -1790,10 +1802,10 @@ def test_level_memo_stays_within_its_bound_and_holds_one_q_and_n(monkeypatch):
 
 
 def test_a_stream_closed_early_records_nothing_and_the_memo_still_fills():
-    # both engines record a sum's columns only with its last row: streams
-    # read for a few rows at an admitted (q, n) and closed record nothing
-    # and hold nothing back, so the checks after them record as before and
-    # give their cold reports
+    # the run engine records a sum's columns only with its last row, and
+    # the harmonic DP records none: streams read for a few rows at an
+    # admitted (q, n) and closed record nothing and hold nothing back, so
+    # the checks after them record as before and give their cold reports
     from itertools import islice
 
     from qzeta import QContext, compose
@@ -1808,7 +1820,7 @@ def test_a_stream_closed_early_records_nothing_and_the_memo_still_fills():
         Levels.cache_clear()
         cold += _finite_bodies([comp], n_max, q)
     Levels.cache_clear()
-    assert _finite_bodies(comps[:1], n_max, q) == cold[:1]  # admits both engines
+    assert _finite_bodies(comps[:1], n_max, q) == cold[:1]  # admits the run engine
     assert Levels.cache_info().currsize == 0
     for comp in comps[1:]:
         ctx = QContext(q)
@@ -1851,11 +1863,11 @@ def test_level_memo_records_the_deepest_columns_that_fit_and_leaves_no_gap(monke
     assert memo.cache_info().currsize == 0
 
 
-def test_level_memo_bound_holds_when_only_one_side_of_a_check_fits(monkeypatch):
-    # each side of a check keeps at most the room it saw at its lookup, so
-    # both may keep more in flight than the memo may hold; with a bound
-    # between one side's columns and both sides', the memo records only
-    # the columns that fit and still holds at most the bound
+def test_level_memo_bound_holds_when_only_part_of_a_check_fits(monkeypatch):
+    # only the run engine records a finite check's levels, the harmonic DP
+    # none; with a bound below the columns one check records, the memo
+    # records the deepest ones that fit, holds at most the bound, and the
+    # reports are the cold ones
     from qzeta import QContext, compose
     from qzeta.evaluators import _mhs_rows, _pattern_rows
     from qzeta.indices import signed_string
@@ -1866,16 +1878,16 @@ def test_level_memo_bound_holds_when_only_one_side_of_a_check_fits(monkeypatch):
 
     def side_bits(stream):
         levels.Levels.cache_clear()
-        _finite_bodies([first], n_max, q)  # admits both engines, records nothing
+        _finite_bodies([first], n_max, q)  # admits the run engine, records nothing
         for _ in stream(QContext(q)):
             pass
         return levels.Levels.cache_info().currsize
 
     right = side_bits(lambda ctx: _pattern_rows(ctx, compose(comp)[1], n_max))
-    left = side_bits(lambda ctx: _mhs_rows(ctx, signed_string(comp), n_max, star=True))
-    assert left > 0 and right > 0
+    assert right > 0
+    assert side_bits(lambda ctx: _mhs_rows(ctx, signed_string(comp), n_max, star=True)) == 0
     expect = _finite_bodies([first, comp], n_max, q)
-    for bound in (max(left, right), (max(left, right) + left + right) // 2, left + right - 1):
+    for bound in (right // 2, right - 1):
         monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", bound)
         levels.Levels.cache_clear()
         assert _finite_bodies([first, comp], n_max, q) == expect
@@ -1883,10 +1895,10 @@ def test_level_memo_bound_holds_when_only_one_side_of_a_check_fits(monkeypatch):
         assert 0 < info.currsize <= bound, (bound, info)
         assert _finite_bodies([first, comp], n_max, q) == expect
         assert levels.Levels.cache_info().currsize <= bound
-    monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", left + right)
+    monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", right)
     levels.Levels.cache_clear()
     assert _finite_bodies([first, comp], n_max, q) == expect
-    assert levels.Levels.cache_info().currsize == left + right
+    assert levels.Levels.cache_info().currsize == right
 
 
 def _left_ball_key(ball) -> tuple:
