@@ -98,7 +98,12 @@ SIDES = ("base", "change")
 # probe: one check at a (q, n) that no other check shares, so the exact
 # engines' level memo records nothing for it and should cost it nothing,
 # and 100 random finite checks at n_max = 60, which share one (q, n), so
-# they are the probe that keeps and records level columns
+# they are the probe that keeps and records level columns; and three
+# q-series checks of true identities that exit 2: (9,1,2) and (9,9,9) at
+# 49/50, refused by the harmonic sum's series-length cap, so they show
+# where caps sized for the balls start to answer, and (2) at q = 1/10 and
+# eps = 1e-6, whose compact exact discrepancy no ball down to 2**-2400
+# decides
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -128,6 +133,9 @@ PROBES = (
     "verify 2,1 --qmzsv --eps 1/10",
     "verify 33 --n-max 80",
     "verify random --count 100 --n-max 60",
+    "verify 9,1,2 --qmzsv --q 49/50",
+    "verify 9,9,9 --qmzsv --q 49/50",
+    "verify 2 --qmzsv --q 1/10 --eps 1/1000000",
 )
 PROBE_TIMEOUT_S = 30.0
 

@@ -32,7 +32,9 @@ point fine enough for that level's size.  The two sides differ only in
 their runs and descent: one run per entry of the harmonic string, over
 memoized columns of floored q**k/[k]**s, in weak or strict descent; and the
 runs of the mollified pattern, whose floored terms are products of memoized
-q-level tables, so no table depends on the composition, in strict descent.
+q-level tables, so no table depends on the composition, in strict descent,
+each level damped by a power of q so that no term exceeds 1/q times its
+magnitude factor (:func:`_mollified_runs`).
 Both sides' columns of 1/[k]**s are read off one fixed-point recurrence for
 [k], q**k and 1/[k] per magnitude group, at least _POWER_GUARD_BITS finer
 than the entries (:func:`_magnitude_table`), so no term needs an exact
@@ -125,13 +127,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, count
+from itertools import accumulate, count, repeat
 from math import comb, log2
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
-from .indices import THETA, Theta, boxplus, signed_string
+from .indices import THETA, Theta, boxplus, proj, signed_string
 from .levels import RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels, charge
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 
@@ -334,9 +336,9 @@ def _row_values(ctx: QContext, w: int, rows: Iterable[Row]) -> list[Fraction]:
 # battery at one q and eps needs one search per depth (at most 32 frakz
 # depths, merged or not), a few hundred bytes each.  Both balls' floored
 # terms come from _TABLE_CACHE_SIZE tables of each kind (_magnitude_table,
-# _power_table), none keyed by a run's own (s, alpha, beta): the benchmark's
-# q-series batch at q = 1/2 folds 78 distinct runs from 2 magnitude tables
-# at 2**-512 (52 KB) and 2 power tables (0.1 MB), and its left columns from
+# _power_table), none keyed by a run's own (s, P_j, beta): the benchmark's
+# q-series batch at q = 1/2 folds 95 distinct runs from 2 magnitude tables
+# at 2**-512 (52 KB) and 1 power table (35 KB), and its left columns from
 # 1 table at 2**-320 (70 KB).  A left table is read as a prefix of a
 # power-of-two length n >= _COLUMN_MIN_LENGTH, at most 1,024, at the binary
 # point c that _column_prec sets (320 for P = 300), a right one is at most
@@ -344,12 +346,14 @@ def _row_values(ctx: QContext, w: int, rows: Iterable[Row]) -> list[Fraction]:
 # 8 columns of n ints below 2**(c + 1), at most 8 n (c/7.5 + 36) bytes: a
 # left table at n = 1,024 takes 0.65 MB at c = 320 and 11 MB at c = 10112
 # (q = 1/1000, eps = 1e-3000), a right one 0.18 MB at c = 1024 and 2.3 MB
-# at c = 16384.  A power table holds n >= 512 ints floor(2**c base**e), at
-# a power of two c >= 512; for q < 1 at most c / log2(1/q) + 1 are nonzero,
-# about 8 n + c**2 / (7.5 log2(1/q)) bytes (35 KB in the batch), and for
-# 1/q they grow to c + n log2(1/q) bits, about
-# n (c + n log2(1/q) / 2) / 7.5 bytes (70 KB in the batch, tens of MB only
-# toward q -> 1 with K near its cap).
+# at c = 16384.  A power table holds n >= 512 ints floor(2**c q**e), at a
+# power of two c >= 512, the only powers either ball reads: no entry
+# exceeds 2**c, and at most c / log2(1/q) + 1 are nonzero, so it takes
+# about 8 n + c**2 / (7.5 log2(1/q)) bytes (35 KB in the batch).  n is
+# the power of two above the largest exponent, about K**2 for a run into
+# the exact 1 (see _mollified_runs), so n <= 16,384 as K <= MAX_FRAKZ_TERMS:
+# at c = 512 a table takes at most 0.36 MB at q = 9/10 and 2.5 MB at
+# q = 99/100 (0.33 and 1.4 MB measured at n = 16,384).
 _SEARCH_CACHE_SIZE = 64
 _COLUMN_MIN_LENGTH = 32
 _TABLE_CACHE_SIZE = 16
@@ -1014,19 +1018,20 @@ def _frakz_search(
     return _truncation(tail_bound, 0, eps, cap, "a mollified series")
 
 
-# A run's term at index k is q**e (1 + q**k) / [k]**s, e = alpha * k(k-1)/2
-# + beta * k (see _runs), and its column is one product per index of an
-# entry of a magnitude table, _MAGNITUDE_GROUP magnitudes s per entry, and
-# of a power table of q**e (see _run_column).  Magnitude table lengths are
+# A run's term at index k is q**e (1 + q**k) / [k]**s, e >= -1 (see
+# _mollified_runs), and its column is one product per index of an entry of
+# a magnitude table, _MAGNITUDE_GROUP magnitudes s per entry, and of a
+# power table of q**e (see _run_column).  Magnitude table lengths are
 # multiples of _TABLE_MIN_LENGTH, power table lengths powers of two at
 # least _POWER_MIN_LENGTH, and binary points powers of two (_table_prec),
 # so that few tables serve every check at one q: the benchmark's q-series
-# batch at q = 1/2 builds 2 magnitude and 2 power tables, and with power
+# batch at q = 1/2 builds 2 magnitude tables and 1 power table, and with power
 # tables of every power of two from 1 up it built 41 power tables, with
 # magnitude tables 16 long 11, and at each binary point 7 and 4.  Toward
-# q -> 1 the exponents reach about K**2 / 2, so the power tables' lengths
-# spread: over the 1,024 weight-12 compositions at q = 9/10, lengths in
-# multiples of 512 missed 315 of 25,600 lookups, and powers of two miss 10.
+# q -> 1 the exponents of the runs into the exact 1 reach P_m K(K-1)/2, up
+# to about K**2, and the others (2 + beta) K, so the power tables' lengths
+# spread: lengths of powers of two keep the 1,024 weight-12 compositions
+# at q = 9/10 to 5 power tables over 6,095 lookups (columns and dampings).
 # A table's entries do not depend on its length.
 _MAGNITUDE_GROUP = 8
 _TABLE_MIN_LENGTH = 32
@@ -1110,25 +1115,16 @@ def _magnitude_table(
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _power_table(a: int, b: int, prec: int, n: int) -> tuple[int, ...]:
-    """floor(2**prec * (a/b)**e) for e = 0..n-1.
+    """floor(2**prec * q**e) for e = 0..n-1, q = a/b < 1.
 
-    For a < b the floors are read off y_e, kept with G = _POWER_GUARD_BITS
-    more bits: y_0 = 2**(prec+G) and y_(e+1) = floor(a y_e / b), so
+    The floors are read off y_e, kept with G = _POWER_GUARD_BITS more bits:
+    y_0 = 2**(prec+G) and y_(e+1) = floor(a y_e / b), so
     0 <= Y_e - y_e < 1 + q + q**2 + ... < d = ceil(b / (b - a)) for
     Y_e = 2**(prec+G) q**e.  Where the low G bits of y_e are at most
     2**G - d, Y_e lies below the next multiple of 2**G and the floor is
     y_e >> G; elsewhere it is divided out exactly.  Once a floor is zero
-    every later one is, and is not computed.  For a > b each is divided out
-    exactly.
+    every later one is, and is not computed.
     """
-    if a > b:
-        out = []
-        num, den = 1 << prec, 1
-        for _ in range(n):
-            out.append(num // den)
-            num *= a
-            den *= b
-        return tuple(out)
     out = []
     guard = _POWER_GUARD_BITS
     mask, y = (1 << guard) - 1, 1 << (prec + guard)
@@ -1152,46 +1148,37 @@ def _column_prec(top: int, prec: int) -> int:
     return -(-bits // _COLUMN_PREC_STEP) * _COLUMN_PREC_STEP
 
 
-def _run_column(
-    a: int, b: int, s: int, alpha: int, beta: int, halves: list, prec: int
-) -> list[int]:
-    """The floored terms t_k of a folded run (s, alpha, beta) at q = a/b and
-    the binary point 2**-prec, for k = 1..n with halves[k-1] = k(k-1)/2:
-    2**prec T_k lies in [t_k, t_k + _COLUMN_SLACK) for the exact unsigned
-    term T_k = q**e (1 + q**k) / [k]**s, e = alpha * k(k-1)/2 + beta * k
-    (see :func:`_runs`).
+def _run_column(a: int, b: int, s: int, expos: Sequence, prec: int) -> list[int]:
+    """The floored terms t_k of a run of magnitude s at q = a/b and the
+    binary point 2**-prec, for k = 1..n, n = len(expos): 2**prec T_k lies in
+    [t_k, t_k + _COLUMN_SLACK) for the exact unsigned term
+    T_k = q**e (1 + q**k) / [k]**s with e = expos[k-1], non-decreasing in k
+    from at least -1, as in the right ball (see :func:`_mollified_runs`).
 
-    t_k = floor(m g / 2**mprec) from the table entries m at 2**-mprec of
-    (1 + q**k) / [k]**s and g = floor(2**prec q**e) (:func:`_magnitude_table`,
-    :func:`_power_table`).  g is read from the power table of q, or of 1/q
-    for e < 0, at P = _table_prec(prec) and shifted down by P - prec bits:
-    floor(floor(2**P x) / 2**(P - prec)) = floor(2**prec x), so it is the
-    same whichever table's binary point it is read at.  Write M' = 2**mprec M
-    and E' = 2**prec E for the exact M = (1 + q**k) / [k]**s and E = q**e,
-    with M' in [m, m + 1 + f), f < 2**-G / d <= 1 - q (see
-    :func:`_magnitude_table`), and E' in [g, g + 1).  Then
-    M' E' - m g = M' (E' - g) + g (M' - m), so
-    0 <= 2**prec T_k - t_k < 1 + M + (g / 2**mprec)(1 + f).  Here
-    M <= 1 + q, as [k] >= 1, and g <= 2**mprec: mprec is the power of two
-    at least prec and at least the bits of the largest g, so where q**e > 1
-    the error of m, scaled up by g, is read at a finer binary point.  An
-    entry read at a binary point finer than prec keeps this bound, which
-    depends only on g <= 2**mprec.  So the gap is below 3 + q + f < 4 =
+    t_k = floor(m g / 2**w) from the entry m at 2**-w of (1 + q**k) / [k]**s
+    and g = floor(2**prec q**e).  w is prec, or prec + L where some e is -1,
+    L the bit length of b // a, so that g < 2**w: g = floor(2**prec b / a)
+    is divided out at e = -1, and is otherwise read from the power table of q
+    (:func:`_power_table`) at P = _table_prec(w) and shifted down by P - prec
+    bits: floor(floor(2**P x) / 2**(P - prec)) = floor(2**prec x), so it is
+    the same whichever table's binary point it is read at.  m is the
+    magnitude table's entry at 2**-P (:func:`_magnitude_table`) shifted down
+    by P - w bits, so the product is no wider than it needs to be.  Write
+    M' = 2**w M and E' = 2**prec E for the exact M = (1 + q**k) / [k]**s and
+    E = q**e.  The entry at 2**-P lies within 1 + f units below 2**P M, and
+    dropping the low P - w bits keeps it within 1 + f units below M':
+    M' in [m, m + 1 + f), f < 2**-G / d <= 1 - q, and E' in [g, g + 1).
+    Then M' E' - m g = M' (E' - g) + g (M' - m), so
+    0 <= 2**prec T_k - t_k < 1 + M + (g / 2**w)(1 + f) < 3 + q + f, as
+    M <= 1 + q ([k] >= 1) and g < 2**w; so the gap is below 4 =
     _COLUMN_SLACK.
     """
-    expos = [alpha * h + beta * k for k, h in enumerate(halves, 1)]
-    # e rises with k unless alpha or beta is negative
-    low, high = (expos[0], expos[-1]) if alpha >= 0 and beta >= 0 else (min(expos), max(expos))
-    point = _table_prec(prec)
-    ups = _power_table(a, b, point, _power_length(high)) if high >= 0 else ()
-    if low >= 0:
-        gs, mprec = [ups[e] >> point - prec for e in expos], point
-    else:
-        downs = _power_table(b, a, point, _power_length(-low))
-        gs = [(ups[e] if e >= 0 else downs[-e]) >> point - prec for e in expos]
-        mprec = _table_prec(max(max(gs).bit_length(), prec))
-    ms = _magnitude_table(a, b, mprec, _table_length(len(expos)), s // _MAGNITUDE_GROUP)
-    return [m * g >> mprec for m, g in zip(ms[s % _MAGNITUDE_GROUP], gs)]
+    w = prec + (b // a).bit_length() if expos[0] < 0 else prec
+    point = _table_prec(w)
+    powers = _power_table(a, b, point, _power_length(expos[-1]))
+    gs = [powers[e] >> point - prec if e >= 0 else (b << prec) // a for e in expos]
+    ms = _magnitude_table(a, b, point, _table_length(len(expos)), s // _MAGNITUDE_GROUP)
+    return [(m >> point - w) * g >> w for m, g in zip(ms[s % _MAGNITUDE_GROUP], gs)]
 
 
 def _ball_sweep(runs: list, n: int, prec: int, weak: bool, held: Sequence = ()) -> list:
@@ -1208,9 +1195,13 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, held: Sequence = ()) 
     that level j sets (:func:`_column_prec`), each with 2**c T_k in
     [t_k, t_k + S) for the exact term T_k, S = _COLUMN_SLACK on both sides
     (:func:`_floored_column`, :func:`_run_column`).  Level i sums
-    C_i[k] = sum_(k' <= k) sum_runs (+-T_k') C_j[k' - d], negated at odd k'
-    for a barred run, with d = 0 for weak and 1 for strict descent, and
-    C_m = 1 below the innermost level; the ball is around C_0[n].
+    C_i[k] = D_k C_i[k-1] + sum_runs (+-T_k) C_j[k - d], negated at odd k
+    for a barred run, from C_i[-d] = 0, with d = 0 for weak and 1 for strict
+    descent, and C_m = 1 below the innermost level; the ball is around
+    C_0[n].  D_k = 1 unless runs[i] also holds the level's damping
+    (i, False, damp), a strict level's only: damp(prec) gives
+    g_k = floor(2**prec D_k) for k = 1..n-1, with 0 < D_k <= 1 (the right
+    ball's levels, see :func:`_mollified_runs`).
 
     A level keeps (xs, es, c, top): midpoints and radii over the indices
     it is read at, k - d for k = 1..n, in units of 2**-prec, with
@@ -1234,13 +1225,22 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, held: Sequence = ()) 
     t <= lim = floor((2**c - 1) / E), and is counted as 1 there without
     forming t e: toward the tail of a column, most of its indices.  Below
     the innermost level e = 0, and the third term is 0.
+    A damped level takes x_k = floor(g_k x_(k-1) / 2**prec) plus its
+    floored products at k, mid_k, whose exact value lies within their
+    radius r_k.  As no D_k exceeds 1, every |X| = |2**prec C_i[k]| is at
+    most B, the sum of |mid_k| + r_k over all k.  With D' = 2**prec D_k in
+    [g, g + 1) and x - X within e, g x - D' X = g (x - X) - (D' - g) X, so
+    |g x - D' X| < 2**prec e + B, and the floored step lies within
+    e + 1 + ceil(B / 2**prec) units of D_k X: the radius grows by
+    1 + ceil(B / 2**prec) per index besides the products' units, and never
+    falls.
     Level 0, which no level reads, floors each run's sum over k once,
     within 1 + ceil((sum t e + n S top) / 2**c) units.  c keeps
     S top / 2**c below a unit whatever the size of level j, so a run
-    reading a large level (a run of negative alpha has terms like
-    q**(-k**2/2)) is read at a finer binary point instead of spending the
-    guard bits, and an error is scaled down with its level's values by the
-    terms above it: the bound follows the nesting of the indices.
+    reading a large level is read at a finer binary point instead of
+    spending the guard bits, and an error is scaled down with its level's
+    values by the terms above it: the bound follows the nesting of the
+    indices.
     """
     m, one = len(runs), 1 << prec
     exact_one = ([one] * (n + 1), [0] * (n + 1), _column_prec(one, prec), one)
@@ -1251,8 +1251,11 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, held: Sequence = ()) 
     start = None if weak else 0  # a strict level holds C[0] = 0 first
     mid = rad = 0
     for i in range(m - 1 - len(held), -1, -1):
-        mids = errs = None
+        mids = errs = damps = None
         for j, barred, column in runs[i]:
+            if j == i:
+                damps = column(prec)
+                continue
             xs, es, c, top = levels[j]
             ts = column(c)
             if i and not weak:
@@ -1279,7 +1282,15 @@ def _ball_sweep(runs: list, n: int, prec: int, weak: bool, held: Sequence = ()) 
                 mids, errs = list(map(add, mids, prods)), list(map(add, errs, spills))
         if not i:
             break
-        xs, es = list(accumulate(mids, initial=start)), list(accumulate(errs, initial=start))
+        if damps is None:
+            xs, es = list(accumulate(mids, initial=start)), list(accumulate(errs, initial=start))
+        else:
+            xs = [0]
+            for g, u in zip(damps, mids):
+                xs.append((g * xs[-1] >> prec) + u)
+            # 1 + ceil(B / 2**prec) per damping step (see above)
+            flat = 1 - (-(sum(map(abs, mids)) + sum(errs)) >> prec)
+            es = list(accumulate(map(add, errs, repeat(flat)), initial=0))
         top = max(max(xs), -min(xs)) + es[-1]
         levels[i] = (xs, es, _column_prec(top, prec), top)
     levels[0] = Ball(mid, rad, prec)
@@ -1306,28 +1317,52 @@ def _mollified_runs(
 ) -> list:
     """The runs of :func:`_ball_sweep` for the partial sum of :func:`frakz`
     at q to K = n: the runs of the merge mask (:func:`_runs`), each read
-    through its :func:`_run_column`.  A column depends only on q and its
-    key (n, s, alpha, beta, binary point): it is read from ``held`` (the
-    level memo's columns at q, see :func:`frakz_enclosure`) when that holds
-    the key, else from ``new``, else built and put in ``new``, so a sweep
-    builds each distinct column once and never writes into ``held``."""
-    a, b = q.numerator, q.denominator
-    halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
+    through its :func:`_run_column`, and each level i >= 1 damped.
+
+    Let P_j be the sum of proj(r) over the shifts r of slots 0..j-1, the
+    projection of their left-to-right fold (proj is additive over boxplus;
+    see :func:`frakz`): P_0 = 0, and admissibility puts P_j in {1, 2} for
+    j >= 1.  A run [i, j) has alpha = P_j - P_i, so with T(k) = k(k-1)/2 the
+    sweep keeps each level one damping step behind its quadratic exponent,
+    E_j[k] = q**(P_j T(k)) C_j[k], and by Abel summation
+
+        E_i[k] = q**(P_i (k-1)) E_i[k-1]
+                 + sum_runs (+-q**(P_j (k-1) + beta k) M_k) E_j[k-1],
+
+    M_k = (1 + q**k) / [k]**s, as T(k) - T(k-1) = k - 1.  A run into the
+    exact 1, E_m = C_m = 1, reads q**(P_m T(k) + beta k) M_k instead.  Level
+    0 has P_0 = 0, so E_0 = C_0 and the ball is unchanged.  Offsets are at
+    least 0, so beta >= -1 and P_j + beta >= 0: every exponent rises with k
+    from at least -1, and no column reads a power of q above 1/q.
+
+    A column depends only on q and its key (n, s, P_j, beta, j == m, binary
+    point): it is read from ``held`` (the level memo's columns at q, see
+    :func:`frakz_enclosure`) when that holds the key, else from ``new``,
+    else built and put in ``new``, so a sweep builds each distinct column
+    once and never writes into ``held``.  A damping is read off the power
+    table of q (:func:`_power_table`) and is not memoized."""
+    a, b, m = q.numerator, q.denominator, pattern.depth
+    P = list(accumulate(map(proj, pattern.r), initial=0))
     held = {} if held is None else held
     new = {} if new is None else new
 
-    def column(s: int, alpha: int, beta: int, prec: int) -> list[int]:
-        key = (n, s, alpha, beta, prec)
-        found = held.get(key)
+    def column(s: int, p: int, beta: int, last: bool, prec: int) -> list[int]:
+        key = (n, s, p, beta, last, prec)
+        found = held.get(key) or new.get(key)  # a column is never empty
         if found is None:
-            found = new.get(key)
-            if found is None:
-                found = new[key] = _run_column(a, b, s, alpha, beta, halves, prec)
+            expos = [p * (k * (k - 1) // 2 if last else k - 1) + beta * k for k in range(1, n + 1)]
+            found = new[key] = _run_column(a, b, s, expos, prec)
         return found
 
+    def damping(p: int, prec: int) -> list[int]:
+        point = _table_prec(prec)
+        powers = _power_table(a, b, point, _power_length(p * n))
+        return [g >> point - prec for g in powers[: p * (n - 1) : p]]
+
     return [
-        [(j, barred, partial(column, s, alpha, beta)) for j, s, barred, alpha, beta in row]
-        for row in _runs(pattern, merge)
+        ([(i, False, partial(damping, P[i]))] if i else [])
+        + [(j, barred, partial(column, s, P[j], beta, j == m)) for j, s, barred, _, beta in row]
+        for i, row in enumerate(_runs(pattern, merge))
     ]
 
 
@@ -1341,15 +1376,15 @@ def frakz_enclosure(
     _COLUMN_SLACK units of the exact ones.  By default prec is P, as for
     :func:`q_zeta_enclosure`.
 
-    A run's column depends only on q and (K, s, alpha, beta, binary
+    A run's column depends only on q and (K, s, P_j, beta, j == m, binary
     point), so the columns go through the level memo (:mod:`~qzeta.levels`)
     at q: one locked call hands the ball the dict of columns held there,
     which the runs read without the lock, and the columns the ball built
     are recorded after the sweep, each charged
     (:func:`~qzeta.levels.charge`) the bits and ENTRY_BITS of its ints;
     the first ball at a q records none.  The ball is the same whichever
-    columns were read.  Its levels 1..m-1 are not held (see the module
-    docstring of :mod:`~qzeta.levels`).
+    columns were read.  Its levels 1..m-1, and their dampings, are not
+    held (see the module docstring of :mod:`~qzeta.levels`).
 
     Raises ValueError as :func:`frakz` does, and for a q that
     :func:`~qzeta.qarith.as_q` refuses, before any table is built.
@@ -1362,7 +1397,8 @@ def frakz_enclosure(
     new: dict = {}
     runs = _mollified_runs(q, pattern, True, K, held, new)
     ball = _ball_sweep(runs, K, prec, False)[0]
-    Levels.hold(generation, new, sum(map(len, runs)) - len(new))
+    # every entry of runs but the dampings of levels 1..m-1 looks a column up
+    Levels.hold(generation, new, sum(map(len, runs)) - len(runs) + 1 - len(new))
     return SeriesValue(ball, bound, K)
 
 

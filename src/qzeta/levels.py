@@ -37,13 +37,15 @@ left K grows with the depth, so a batch that mixes depths there changes
 (a, b, K, prec) from check to check and keeps nothing.
 
 The right ball (``frakz_enclosure``) sums m(m+1)/2 folded runs, and a
-run's floored column depends only on q and (K, s, alpha, beta, c), c its
-binary point.  The columns are held at (a, b) under COLUMN_ROOT, keyed
-by that tuple, so columns of every K and binary point share one state.
-A column is charged its ints' bit lengths plus ENTRY_BITS each, 6,500 to
-12,700 bits in the seed-1 q-series batch (K 15 to 18, c 320 to 448),
-whose right balls read 504 of the 665 columns they look up and build
-161, of 158 distinct ones, where they built all 665 before.  A ball
+run [i, j)'s floored column depends only on q and (K, s, P_j, beta,
+j == m, c): P_j the projection of the fold of the shifts before slot j,
+which damps level j, and c its binary point; no key holds the run's own
+quadratic exponent.  The columns are held at (a, b) under COLUMN_ROOT,
+keyed by that tuple, so columns of every K and binary point share one
+state.  A column is charged its ints' bit lengths plus ENTRY_BITS each,
+6,500 to 10,200 bits in the seed-1 q-series batch (K 15 to 18, c 320),
+whose right balls read 513 of the 665 columns they look up and build
+152, of 149 distinct ones, where they built all 665 before.  A ball
 takes the dict of held columns in one locked call
 (:meth:`Levels.columns`) and reads it without the lock: entries are only
 ever added to it, under the lock, and a state at another ``at`` gets a
@@ -93,7 +95,7 @@ could not be recorded is dropped early.  A left ball keeps every level
 through its sweep anyway and records the new ones after it, deepest
 first, by the same rule, and a right ball records each new column that
 fits, as a column chains onto nothing; the seed-1 q-series batch leaves
-about 12.8 million bits of left levels and 1.4 million of right columns.
+about 12.8 million bits of left levels and 1.3 million of right columns.
 The bound holds over all roots together, counted as one running total.
 The memo itself holds at most 2**26 bits, 8 MiB, counted as Python
 stores its objects, plus its dicts of keys.  The allocator's slack around

@@ -490,23 +490,25 @@ def verify_qmzsv(
     integers of k s log2(b) bits.  The left ball reads q**k / [k]**s at the
     binary point its level sets, from a table built to a power-of-two
     length that the truncations of nearby depths read as a prefix; the
-    right ball reads (1 + q**k) / [k]**s and the powers q**e and (1/q)**e
-    from tables at the power of two at least its run's binary point, so
-    one table serves every binary point up to it.  Both balls run the one
+    right ball reads (1 + q**k) / [k]**s and the powers q**e, e >= 0, from
+    tables at the power of two at least its run's binary point, so one
+    table serves every binary point up to it, and the dampings of its
+    levels from the same power table; its one power above 1, 1/q, is
+    divided out.  Both balls run the one
     sweep (:func:`~qzeta.evaluators._ball_sweep`) over these, with one
     error bound for every floored term.  The memos are bounded lru_caches
     of immutable values (64 searches each and 16 tables of each kind; see
     _TABLE_CACHE_SIZE for their sizes), so a check reads the same values
     warm or cold and from any thread.  Over the 105 checks of the
-    benchmark's q-series batch at q = 1/2 they miss 4, 3, 3 and 2 times: 2
-    magnitude tables and 1 left table, and 2 power tables, where a table
+    benchmark's q-series batch at q = 1/2 they miss 4, 3, 3 and 1 times: 2
+    magnitude tables and 1 left table, and 1 power table, where a table
     per binary point and a left pass per magnitude missed 7, 4 and 4.
     What depends on the composition goes through the level memo
     (:mod:`~qzeta.levels`), bounded by the bits it holds: the left ball's
     levels 1..m-1 per (q, K, binary point) and suffix, and the right
-    ball's run columns per q and (K, s, alpha, beta, binary point), each
-    kept from the second check at a q on, so that batch reads 379 of 566
-    left levels and 504 of 665 right columns.  The report is decided on
+    ball's run columns per q and (K, s, P_j, beta, j == m, binary point),
+    each kept from the second check at a q on, so that batch reads 379 of
+    566 left levels and 513 of 665 right columns.  The report is decided on
     the balls' integers (:func:`_numeric_report`).
 
     Raises ValueError, before either side sums, for a composition entry

@@ -191,6 +191,21 @@ def mollified_series_nested(q, slots, K):
     return sum(at, Fraction(0))
 
 
+def slot_projections(shifts):
+    """P_0, ..., P_m for a shift string (ints, None for theta): P_j is the
+    integer projection (theta -> 0) of the left-to-right merge of the first
+    j shifts, by the merge rule itself: theta is the identity, 1 then -1
+    merges to theta, any other pair of ints adds.  P_0 = 0."""
+    out, acc = [0], None
+    for r in shifts:
+        if acc is None:
+            acc = r
+        elif r is not None:
+            acc = None if (acc, r) == (1, -1) else acc + r
+        out.append(0 if acc is None else acc)
+    return out
+
+
 def signed_strings(max_depth, max_weight):
     """All nonempty signed strings with magnitudes >= 1 within the bounds."""
     out = []

@@ -1352,6 +1352,55 @@ def test_frakz_sweep_holds_at_coarse_binary_points():
                         assert lo <= exact <= hi, (q, pattern, merge, n, prec)
 
 
+def test_right_ball_runs_rebase_on_the_slot_projections():
+    # the two facts the right ball's rebasing rests on: with P_j the
+    # oracle's projection of the merge fold of the first j shifts, every run
+    # [i, j) of _runs has alpha = P_j - P_i and beta >= -1, and P_j is 1 or
+    # 2 for j >= 1.  Over the 2,047 compositions of weight <= 12 with a
+    # leading entry >= 2, merged and not, beta >= 0; over 3,000 seeded
+    # admissible triples with random merge masks beta = -1 occurs.  And
+    # _mollified_runs damps each level i >= 1, and only those, by
+    # floor(2**prec q**(P_i (k-1))) for k = 1..n-1
+    from qzeta import compose
+    from qzeta.evaluators import _mollified_runs, _runs
+
+    def least_beta(pattern, merge):
+        lifts = oracles.slot_projections([r for _, _, r in _oracle_slots(pattern)])
+        assert lifts[0] == 0 and {*lifts[1:]} <= {1, 2}, pattern
+        betas = []
+        for i, row in enumerate(_runs(pattern, merge)):
+            for j, _, _, alpha, beta in row:
+                assert alpha == lifts[j] - lifts[i], (pattern, merge, i, j)
+                betas.append(beta)
+        return min(betas)
+
+    comps = [
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (w,)))
+        for w in range(2, 13)
+        for r in range(w)
+        for cuts in itertools.combinations(range(2, w), r)
+    ]
+    assert len(comps) == 2047
+    for comp in comps:
+        pattern = compose(comp)[1]
+        assert min(least_beta(pattern, merge) for merge in (True, False)) >= 0, comp
+    rng = random.Random(61)
+    least = []
+    for _ in range(3000):
+        pattern = _admissible_pattern(rng, rng.randint(1, 12))
+        mask = [rng.random() < 0.5 for _ in range(pattern.depth - 1)]
+        least.append(least_beta(pattern, mask))
+    assert min(least) == -1
+    for q in (Fraction(2, 9), Fraction(9, 10)):
+        for pattern in [_admissible_pattern(rng, m) for m in (1, 3, 5)]:
+            lifts = oracles.slot_projections([r for _, _, r in _oracle_slots(pattern)])
+            for n, prec in ((1, 3), (9, 3), (9, 300)):
+                for i, row in enumerate(_mollified_runs(q, pattern, True, n)):
+                    damps = [column(prec) for j, _, column in row if j == i]
+                    expect = [math.floor(q ** (lifts[i] * (k - 1)) * 2**prec) for k in range(1, n)]
+                    assert damps == ([expect] if i else []), (q, pattern, n, prec, i)
+
+
 def _near_two_patterns():
     """Patterns whose inner terms are 1 + q**k, about 2 toward q -> 1 (zero
     magnitudes, no offsets, theta shifts after the first), plain and barred:
@@ -1367,13 +1416,15 @@ def _near_two_patterns():
 def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
     # the sweep's invariant, level by level: |x_j - 2**prec C_j| <= e_j at
     # every index a level is read at, for every inner level j, and the ball
-    # holds level 0's sum.  On the right side C_j[k], k < n, comes from the
-    # oracle over every resolution of the slots j..m-1; on the left side
-    # C_j[k - d] comes from the harmonic oracle of the entries j..m-1, read
-    # at k - d = k (weak) or k - 1 (strict) for k = 1..n.  Coarse binary
-    # points and terms near 2 leave a floor's unit no slack to hide in;
-    # with tight=True each column sits at the least binary point above the
-    # level it reads, where a column's own error counts too
+    # holds level 0's sum.  On the right side a level is one damping step
+    # behind its quadratic exponent: x_j tracks q**(P_j k(k-1)/2) C_j[k],
+    # k < n, with P_j the oracle's slot projection of the whole pattern and
+    # C_j[k] from the oracle over every resolution of the slots j..m-1; on
+    # the left side C_j[k - d] comes from the harmonic oracle of the entries
+    # j..m-1, read at k - d = k (weak) or k - 1 (strict) for k = 1..n.
+    # Coarse binary points and terms near 2 leave a floor's unit no slack
+    # to hide in; with tight=True each column sits at the least binary point
+    # above the level it reads, where a column's own error counts too
     import qzeta.evaluators as ev
 
     if tight:
@@ -1388,11 +1439,13 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
             for merge in (True, False):
                 runs = ev._mollified_runs(q, pattern, merge, n)
                 levels = _ball_sweep(runs, n, 2, False)
+                lifts = oracles.slot_projections([r for _, _, r in _oracle_slots(pattern)])
                 for j in range(1, m):
                     suffix = Triple(pattern.s[j:], pattern.t[j:], pattern.r[j:])
                     xs, es, _, _ = levels[j]
                     for k in range(n):
-                        exact = _resolutions_partial_sum(q, suffix, merge, k) * 4
+                        damped = q ** (lifts[j] * k * (k - 1) // 2)
+                        exact = damped * _resolutions_partial_sum(q, suffix, merge, k) * 4
                         assert abs(xs[k] - exact) <= es[k], (q, pattern, merge, j, k)
                 for prec in (1, 2, 4, 8):
                     lo, hi = _right_ball(q, pattern, merge, n, prec).bounds()
@@ -1417,14 +1470,17 @@ def test_frakz_sweep_levels_hold_the_exact_cumulatives(tight, monkeypatch):
 
 def _sweep_by_the_stated_bound(runs, n, prec, weak, slack):
     """(mid, rad) of the ball of _ball_sweep from its stated bound, index by
-    index in plain loops, from the same runs and columns.  Level j keeps
-    x_j(k) and e_j(k) for k = 0..n, read at k (weak) or k - 1 (strict);
-    below the innermost level is the exact 1; a product is the signed
-    t_k x_j floored; an inner product costs 1 + ceil(slack top / 2**c) +
-    ceil(t e / 2**c) with top = max |x_j| over the indices read plus e_j at
-    the last of them, the last term counted as 1 wherever t E < 2**c for
-    E that largest e_j (at least 1); and level 0 floors one sum per run,
-    within 1 + ceil((sum t e + n slack top) / 2**c)."""
+    index in plain loops, from the same runs, columns and dampings.  Level j
+    keeps x_j(k) and e_j(k) for k = 0..n, read at k (weak) or k - 1
+    (strict); below the innermost level is the exact 1; a product is the
+    signed t_k x_j floored; an inner product costs 1 + ceil(slack top / 2**c)
+    + ceil(t e / 2**c) with top = max |x_j| over the indices read plus e_j
+    at the last of them, the last term counted as 1 wherever t E < 2**c for
+    E that largest e_j (at least 1); a level with a damping g_k at 2**-prec
+    (its entry (i, False, damp) in runs[i]) takes floor(g_k x(k-1) / 2**prec)
+    in place of x(k-1), at a cost of 1 + ceil(B / 2**prec) more, B the sum
+    of |mid| + rad over the indices the level is read at; and level 0 floors
+    one sum per run, within 1 + ceil((sum t e + n slack top) / 2**c)."""
     import qzeta.evaluators as ev
 
     m = len(runs)
@@ -1434,7 +1490,11 @@ def _sweep_by_the_stated_bound(runs, n, prec, weak, slack):
     mid = rad = 0
     for i in range(m - 1, -1, -1):
         mids, rads = [0] * (n + 1), [0] * (n + 1)
+        damps = None
         for j, barred, column in runs[i]:
+            if j == i:
+                damps = column(prec)
+                continue
             xs, es = levels[j]
             top = max(abs(xs[k]) for k in read) + es[read[-1]]
             c = ev._column_prec(top, prec)
@@ -1454,8 +1514,15 @@ def _sweep_by_the_stated_bound(runs, n, prec, weak, slack):
             else:
                 mid += sum(products) >> c
                 rad += 1 + math.ceil(Fraction(sum(spreads) + n * slack * top, 2**c))
-        if i:
+        if i and damps is None:
             levels[i] = (list(itertools.accumulate(mids)), list(itertools.accumulate(rads)))
+        elif i:
+            bound = sum(abs(mids[k]) + rads[k] for k in range(1, n))
+            xs, es = [0] * (n + 1), [0] * (n + 1)
+            for k in range(1, n):
+                xs[k] = math.floor(Fraction(damps[k - 1] * xs[k - 1], 2**prec)) + mids[k]
+                es[k] = es[k - 1] + 1 + math.ceil(Fraction(bound, 2**prec)) + rads[k]
+            levels[i] = (xs, es)
     return mid, rad
 
 
@@ -1490,15 +1557,22 @@ def test_frakz_sweep_is_its_stated_bound(tight, monkeypatch):
             assert (ball.value.mid, ball.value.rad) == expect, (q, pattern)
 
 
+def _rebased_exponents(lift, beta, into_one, n):
+    """The exponents of a right-ball run at k = 1..n: lift (k - 1) + beta k
+    reading a damped level, lift k(k-1)/2 + beta k into the exact 1."""
+    return [lift * (k * (k - 1) // 2 if into_one else k - 1) + beta * k for k in range(1, n + 1)]
+
+
 def test_run_columns_bracket_the_exact_terms():
     # each floored term t_k of a run at 2**-prec lies less than
     # _COLUMN_SLACK = 4 units below 2**prec times the exact term and never
-    # above it, also for runs of negative alpha, whose terms lie far above
-    # 1 and read a finer magnitude table, and of negative beta, whose
-    # exponents do not rise with k, for magnitudes up to 33 (a q-series
-    # pattern has at most 32 slots, and `33` compiles to 32).  The tables
-    # are read at the power of two at least the binary point, so binary
-    # points on both sides of one (63, 64, 65) read them at 64 and 128
+    # above it, for the exponents a right-ball run reads: into a damped
+    # level or the exact 1, with beta = -1, whose terms at exponent -1 lie
+    # above 1 and read a finer magnitude entry, up to 6, for magnitudes up
+    # to 33 (a q-series pattern has at most 32 slots, and `33` compiles to
+    # 32).  The tables are read at the power of two at least the binary
+    # point, so binary points on both sides of one (63, 64, 65) read them at
+    # 64 and 128
     import qzeta.evaluators as ev
 
     assert ev._COLUMN_SLACK == 4
@@ -1506,24 +1580,26 @@ def test_run_columns_bracket_the_exact_terms():
     rng = random.Random(53)
     for q in TABLE_QS:
         a, b = q.numerator, q.denominator
-        for _ in range(12):
-            s, alpha, beta = rng.randint(0, 33), rng.choice((-1, 0, 1, 2)), rng.randint(-1, 6)
-            n = rng.randint(1, 30)
-            halves = [k * (k - 1) // 2 for k in range(1, n + 1)]
-            expos = [alpha * h + beta * k for k, h in enumerate(halves, 1)]
+        for draw in range(12):
+            s, n = rng.randint(0, 33), rng.randint(1, 30)
+            if draw < 4:  # the four kinds of run with beta = -1, then eight at random
+                lift, beta, into_one = draw % 2 + 1, -1, draw >= 2
+            else:
+                lift, beta, into_one = rng.choice((1, 2)), rng.randint(-1, 6), rng.random() < 0.5
+            expos = _rebased_exponents(lift, beta, into_one, n)
             for prec in (3, 63, 64, 65, 320):
-                ts = ev._run_column(a, b, s, alpha, beta, halves, prec)
+                ts = ev._run_column(a, b, s, expos, prec)
                 assert len(ts) == n
                 for k, (t, e) in enumerate(zip(ts, expos), 1):
                     exact = q**e * (1 + q**k) / oracles.q_integer(q, k) ** s * 2**prec
-                    assert t <= exact < t + 4, (q, s, alpha, beta, prec, k)
+                    assert t <= exact < t + 4, (q, s, lift, beta, into_one, prec, k)
 
 
 def test_frakz_tables_bracket_the_exact_terms():
     # each magnitude entry m lies at most _table_over(q) units below
     # 2**prec (1 + q**k) / [k]**s, with [k] from the oracle's q-integers,
     # and never above it, for magnitudes up to 39; each power entry is the
-    # floor of base**e, and a power table of a base below 1 ends in zeros
+    # floor of q**e, and a power table ends in zeros
     import qzeta.evaluators as ev
 
     for q in TABLE_QS:
@@ -1539,10 +1615,9 @@ def test_frakz_tables_bracket_the_exact_terms():
                     for k in range(1, 41):
                         exact = (1 + q**k) / oracles.q_integer(q, k) ** s * 2**prec
                         assert column[k - 1] <= exact < column[k - 1] + over, (q, prec, s, k)
-            for base in (q, 1 / q):
-                powers = ev._power_table(base.numerator, base.denominator, prec, 600)
-                assert len(powers) == 600
-                assert list(powers) == [math.floor(base**e * 2**prec) for e in range(600)], (base, prec)
+            powers = ev._power_table(a, b, prec, 600)
+            assert len(powers) == 600
+            assert list(powers) == [math.floor(q**e * 2**prec) for e in range(600)], (q, prec)
             assert ev._magnitude_table(a, b, prec, 40, 1) is ev._magnitude_table(a, b, prec, 40, 1)
 
 
@@ -1576,14 +1651,16 @@ def test_fixed_point_tables_keep_their_bounds_without_guard_bits(guard, monkeypa
                         for k, m in enumerate(column, 1):
                             exact = (1 + q**k) / oracles.q_integer(q, k) ** s * 2**prec
                             assert m <= exact < m + over, (q, prec, s, k)
-            for _ in range(4):
-                s, alpha, beta = rng.randint(0, 33), rng.choice((-1, 0, 1, 2)), rng.randint(-1, 6)
-                halves = [k * (k - 1) // 2 for k in range(1, 31)]
-                ts = ev._run_column(a, b, s, alpha, beta, halves, 64)
-                for k, (t, h) in enumerate(zip(ts, halves), 1):
-                    e = alpha * h + beta * k
+            for draw in range(4):
+                s, lift, beta = rng.randint(0, 33), rng.choice((1, 2)), rng.randint(-1, 6)
+                into_one = rng.random() < 0.5
+                if draw == 0:  # one run with beta = -1 per q
+                    beta = -1
+                expos = _rebased_exponents(lift, beta, into_one, 30)
+                ts = ev._run_column(a, b, s, expos, 64)
+                for k, (t, e) in enumerate(zip(ts, expos), 1):
                     exact = q**e * (1 + q**k) / oracles.q_integer(q, k) ** s * 2**64
-                    assert t <= exact < t + ev._COLUMN_SLACK, (q, s, alpha, beta, k)
+                    assert t <= exact < t + ev._COLUMN_SLACK, (q, s, lift, beta, into_one, k)
     finally:
         # no table built without guard bits outlives the test
         for cache in caches:

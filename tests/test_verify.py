@@ -1017,11 +1017,11 @@ def test_memos_are_bounded_and_stay_small_over_the_qseries_batch(qzeta_memos):
 def test_qseries_batch_builds_each_table_once_per_power_of_two_binary_point(monkeypatch):
     # the 175 weight-12 compositions of depth 2-4 at q = 1/2 and
     # eps = 1e-25, which hold every composition of the benchmark's seed-1
-    # q-series batch, read every right-ball run, at binary points 320 to 512
-    # and more for runs of negative alpha, from the tables at 2**-512: 2
-    # magnitude tables (groups 0 and 1) and the power tables of q and 1/q;
-    # and every left column, magnitudes 1 to 4 at 2**-320, from 1 table of
-    # the first magnitude group.  Each is built once.  With a table per
+    # q-series batch, read every right-ball run and damping, at binary
+    # points 300 to 512, from the tables at 2**-512: 2 magnitude tables
+    # (groups 0 and 1) and the power table of q, the only power table there
+    # is; and every left column, magnitudes 1 to 4 at 2**-320, from 1 table
+    # of the first magnitude group.  Each is built once.  With a table per
     # binary point and a left pass per magnitude they built 7, 4 and 4
     from qzeta import evaluators as ev
 
@@ -1034,7 +1034,7 @@ def test_qseries_batch_builds_each_table_once_per_power_of_two_binary_point(monk
     assert sorted(set(keys) - left) == [(1, 2, 512, 32, 0), (1, 2, 512, 32, 1)]
     assert left == {(1, 2, 320, 128, 0, 0)}
     assert real.cache_info().misses == 3
-    assert ev._power_table.cache_info().misses == 2
+    assert ev._power_table.cache_info().misses == 1
 
 
 def test_qseries_checks_build_no_qcontext(monkeypatch, qzeta_memos):
@@ -1995,12 +1995,11 @@ def test_left_ball_memo_admits_from_the_second_check_and_holds_one_k_and_binary_
 
 def test_right_balls_read_from_the_level_memo_equal_cold_ones():
     # the right ball's run columns go through the level memo at (q), keyed
-    # by (K, s, alpha, beta, binary point): over the 175 weight-12
-    # compositions of depth 2-4 at q = 1/2, and a few at 5/8 and 9/10 where
-    # runs of negative alpha read powers of q above 1 at a finer binary
-    # point, every ball read warm, in order and in a shuffled order, is bit
-    # for bit the cold one, and every column held is the one _run_column
-    # builds at its key
+    # by (K, s, P_j, beta, j == m, binary point): over the 175 weight-12
+    # compositions of depth 2-4 at q = 1/2, and a few at 5/8 and 9/10, every
+    # ball read warm, in order and in a shuffled order, is bit for bit the
+    # cold one, and every column held is the one _run_column builds from the
+    # exponents of its key, runs into the exact 1 among them
     from qzeta import compose
     from qzeta.evaluators import _run_column, frakz_enclosure
     from qzeta.levels import Levels
@@ -2025,12 +2024,13 @@ def test_right_balls_read_from_the_level_memo_equal_cold_ones():
         info = Levels.cache_info()
         assert info.hits > 0 < info.misses and info.currsize > 0, info
         held = Levels.columns((a, b))[1]
-        rising = 0
-        for (K, s, alpha, beta, prec), column in held.items():
-            halves = [k * (k - 1) // 2 for k in range(1, K + 1)]
-            assert column == _run_column(a, b, s, alpha, beta, halves, prec)
-            rising += min(alpha * h + beta * k for k, h in enumerate(halves, 1)) < 0
-        assert rising > 0 or q == Fraction(1, 2), q
+        last = 0
+        for (K, s, lift, beta, into_one, prec), column in held.items():
+            steps = [k * (k - 1) // 2 if into_one else k - 1 for k in range(1, K + 1)]
+            expos = [lift * step + beta * k for k, step in enumerate(steps, 1)]
+            assert column == _run_column(a, b, s, expos, prec)
+            last += into_one
+        assert 0 < last < len(held), q
 
 
 def test_right_ball_memo_admits_from_the_second_ball_and_holds_one_q_per_root():
