@@ -53,6 +53,15 @@ on its stdout.  exec gives the probe a fresh address space, so that
 figure starts from nothing, while a child's ``ru_maxrss`` starts from its
 parent's peak and could not read below this script's own.  A probe
 killed at the timeout prints none and records ``null``.
+
+A full run also runs each side's tier-1 suite once, after the probes:
+``python -m pytest -q --continue-on-collection-errors`` in that side's
+tree with its ``src`` on ``PYTHONPATH``, under ``TIER1_TIMEOUT_S``.  Next
+to each side's ``code_lines`` it records ``tier1``: the exit code (or
+``"timeout"``), the wall time, and the passed, failed, skipped and error
+counts read off pytest's summary line (:func:`tier1_counts`).  A tree
+written by ``git archive`` is not a git checkout, so the one tier-1 test
+that needs a commit skips there.
 """
 
 from __future__ import annotations
@@ -138,6 +147,8 @@ PROBES = (
     "verify 2 --qmzsv --q 1/10 --eps 1/1000000",
 )
 PROBE_TIMEOUT_S = 30.0
+TIER1_TIMEOUT_S = 1800.0
+TIER1_OUTCOMES = ("passed", "failed", "skipped", "errors")
 
 
 def git(*args: str) -> str:
@@ -257,6 +268,35 @@ def run_probe(tree: Path, probe: str, timeout: float = PROBE_TIMEOUT_S) -> dict:
     }
 
 
+def tier1_counts(output: str) -> dict:
+    """The passed, failed, skipped and error counts of pytest's summary
+    line, the last line of its output that names one of them, such as
+    ``1 failed, 300 passed, 1 skipped, 2 warnings in 40.12s``: an outcome
+    the line does not name counts 0, and all are None when no line names
+    one."""
+    names = {"passed": "passed", "failed": "failed", "skipped": "skipped",
+             "error": "errors", "errors": "errors"}
+    for line in reversed(output.splitlines()):
+        words = line.replace(",", " ").split()
+        found = {
+            names[word]: int(count)
+            for count, word in zip(words, words[1:])
+            if count.isdigit() and word in names
+        }
+        if found:
+            return {name: found.get(name, 0) for name in TIER1_OUTCOMES}
+    return dict.fromkeys(TIER1_OUTCOMES)
+
+
+def run_tier1(tree: Path, timeout: float = TIER1_TIMEOUT_S) -> dict:
+    """The tier-1 suite in tree: its exit code or "timeout", its wall time
+    in seconds and its counts (:func:`tier1_counts`)."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    code, out, _, wall, _ = run_child(tree, cmd, timeout, PYTHONPATH=str(tree / "src"))
+    return {"exit": code, "wall_s": wall, **tier1_counts(out)}
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(first quartile, median, third quartile); one value is all three."""
     if len(values) < 2:
@@ -350,6 +390,7 @@ def main() -> int:
         for i, probe in enumerate(() if args.workload else PROBES):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             probes.append({"probe": probe, **{side: run_probe(trees[side], probe) for side in order}})
+        tier1 = {} if args.workload else {side: run_tier1(trees[side]) for side in SIDES}
     except (RuntimeError, subprocess.CalledProcessError) as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
@@ -383,6 +424,10 @@ def main() -> int:
         }
         out["workloads"][w] = metrics
         show(w, metrics)
+    for side, run in tier1.items():
+        out[side]["tier1"] = run
+        counts = ", ".join(f"{run[name]} {name}" for name in TIER1_OUTCOMES)
+        print(f"{side}: tier-1 exit {run['exit']}, {counts}, {run['wall_s']:.1f} s")
     if probes:
         out["probes"] = {"timeout_s": PROBE_TIMEOUT_S, "runs": probes}
         for side in SIDES:

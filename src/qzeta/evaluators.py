@@ -134,7 +134,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, proj, signed_string
-from .levels import RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Kept, Levels, charge
+from .levels import RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Levels, charge
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 
 # (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
@@ -339,10 +339,11 @@ def _row_values(ctx: QContext, w: int, rows: Iterable[Row]) -> list[Fraction]:
 # _power_table), none keyed by a run's own (s, P_j, beta): the benchmark's
 # q-series batch at q = 1/2 folds 95 distinct runs from 2 magnitude tables
 # at 2**-512 (52 KB) and 1 power table (35 KB), and its left columns from
-# 1 table at 2**-320 (70 KB).  A left table is read as a prefix of a
-# power-of-two length n >= _COLUMN_MIN_LENGTH, at most 1,024, at the binary
-# point c that _column_prec sets (320 for P = 300), a right one is at most
-# 128 long (K <= MAX_FRAKZ_TERMS) at a power of two c >= 512.  Either holds
+# 1 table at 2**-320 (70 KB).  Either kind is read as a prefix of a
+# power-of-two length n >= _COLUMN_MIN_LENGTH (_length): a left table at
+# most 1,024 long, at the binary point c that _column_prec sets (320 for
+# P = 300), a right one at most 128 long (K <= MAX_FRAKZ_TERMS) at a power
+# of two c >= 512.  Either holds
 # 8 columns of n ints below 2**(c + 1), at most 8 n (c/7.5 + 36) bytes: a
 # left table at n = 1,024 takes 0.65 MB at c = 320 and 11 MB at c = 10112
 # (q = 1/1000, eps = 1e-3000), a right one 0.18 MB at c = 1024 and 2.3 MB
@@ -483,10 +484,12 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     itself, so both are read from the level memo (:mod:`~qzeta.levels`):
     the sum starts at the shallowest level whose suffix is held, runs one
     loop over k for the levels above it only, reading every held column
-    that a run reaches index by index, and keeps the columns it sums
-    (:class:`~qzeta.levels.Kept`) and records them, deepest first, before
-    the last term is yielded; it records none on the first sum at a
-    (q, n).  Only level 0 is summed at k = n, as no level reads C_i[n].
+    that a run reaches index by index, and keeps the columns it sums while
+    their bits (:func:`~qzeta.levels.charge`) fit the room the lookup left,
+    dropping the shallowest kept column whenever they do not, and records
+    the rest, deepest first, before the last term is yielded; it keeps none
+    on the first sum at a (q, n).  Only level 0 is summed at k = n, as no
+    level reads C_i[n].
     """
     a, b = ctx.q.numerator, ctx.q.denominator
     m = pattern.depth
@@ -509,7 +512,9 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     # exponents of a and b in each level's scale; None while the level is empty
     ea: list = [None] * m + [0]
     eb = [0] * (m + 1)
-    kept = Kept(generation, node, keys, top, room)
+    # levels lo..top-1 are kept, a row of (x, A, B) per index, in held bits
+    # while those fit the room; none on a first sum at (q, n)
+    lo, rows, held = (top if generation is None else 0), [], 0
     for k in range(1, n + 1):
         ratio = ctx.p_lcm_step(k)
         u = ctx.p_lcm(k) // ctx.h(k)
@@ -521,8 +526,8 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
                     x[j] *= ratio ** weight[j]
         for j in range(top, m):
             x[j], ea[j], eb[j] = known[j - top][k - 1]
-        if kept.lo < top:
-            first = max(kept.lo, 1)
+        if lo < top:
+            first = max(lo, 1)
             level_rows = list(zip(x[first:top], ea[first:top], eb[first:top]))
         half = k * (k - 1) // 2
         odd = k % 2
@@ -566,10 +571,19 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
                 inner = (total, A, B) if A is not None else (0, 0, 0)
             elif A is not None:
                 x[i], ea[i], eb[i] = total, A, B
-        if kept.lo < top:
-            if kept.lo == 0:
+        if lo < top:
+            if lo == 0:
                 level_rows.insert(0, inner)
-            kept.add(level_rows, n - k)
+            rows.append(level_rows)
+            held += charge(level_rows)
+            while held > room:  # drop the shallowest kept level
+                held -= charge([row[0] for row in rows])
+                rows = [row[1:] for row in rows]
+                lo += 1
+            if k == n:
+                columns = list(zip(*rows))
+                levels = list(zip(keys[lo:top], columns, map(charge, columns)))
+                Levels.record(generation, node, reversed(levels))
         yield inner
 
 
@@ -1021,20 +1035,20 @@ def _frakz_search(
 # A run's term at index k is q**e (1 + q**k) / [k]**s, e >= -1 (see
 # _mollified_runs), and its column is one product per index of an entry of
 # a magnitude table, _MAGNITUDE_GROUP magnitudes s per entry, and of a
-# power table of q**e (see _run_column).  Magnitude table lengths are
-# multiples of _TABLE_MIN_LENGTH, power table lengths powers of two at
-# least _POWER_MIN_LENGTH, and binary points powers of two (_table_prec),
-# so that few tables serve every check at one q: the benchmark's q-series
-# batch at q = 1/2 builds 2 magnitude tables and 1 power table, and with power
-# tables of every power of two from 1 up it built 41 power tables, with
-# magnitude tables 16 long 11, and at each binary point 7 and 4.  Toward
-# q -> 1 the exponents of the runs into the exact 1 reach P_m K(K-1)/2, up
-# to about K**2, and the others (2 + beta) K, so the power tables' lengths
-# spread: lengths of powers of two keep the 1,024 weight-12 compositions
-# at q = 9/10 to 5 power tables over 6,095 lookups (columns and dampings).
+# power table of q**e (see _run_column).  Every table's length is a power
+# of two (_length), at least _COLUMN_MIN_LENGTH for a magnitude table, left
+# or right, and _POWER_MIN_LENGTH for a power table, and binary points are
+# powers of two (_table_prec), so that few tables serve every check at one
+# q: the benchmark's q-series batch at q = 1/2 builds 2 magnitude tables
+# and 1 power table, and with power tables of every power of two from 1 up
+# it built 41 power tables, with magnitude tables 16 long 11, and at each
+# binary point 7 and 4.  Toward q -> 1 the exponents of the runs into the
+# exact 1 reach P_m K(K-1)/2, up to about K**2, and the others
+# (2 + beta) K, so the power tables' lengths spread: lengths of powers of
+# two keep the 1,024 weight-12 compositions at q = 9/10 to 5 power tables
+# over 6,095 lookups (columns and dampings).
 # A table's entries do not depend on its length.
 _MAGNITUDE_GROUP = 8
-_TABLE_MIN_LENGTH = 32
 _POWER_MIN_LENGTH = 512
 _COLUMN_PREC_STEP = 64
 # Bits a run's binary point keeps above the largest value of the level it
@@ -1048,15 +1062,10 @@ _COLUMN_SLACK = 4
 _POWER_GUARD_BITS = 64
 
 
-def _table_length(n: int, step: int = _TABLE_MIN_LENGTH) -> int:
-    """n rounded up to a multiple of step, at least step."""
-    return max(-(-n // step), 1) * step
-
-
-def _power_length(top: int) -> int:
-    """The length of a power table that holds the exponents 0..top: the
-    power of two at least top + 1 and _POWER_MIN_LENGTH."""
-    return max(1 << top.bit_length(), _POWER_MIN_LENGTH)
+def _length(n: int, least: int) -> int:
+    """The length of a table that holds n entries: the power of two at
+    least n and least."""
+    return max(1 << (n - 1).bit_length(), least)
 
 
 def _table_prec(prec: int) -> int:
@@ -1175,9 +1184,9 @@ def _run_column(a: int, b: int, s: int, expos: Sequence, prec: int) -> list[int]
     """
     w = prec + (b // a).bit_length() if expos[0] < 0 else prec
     point = _table_prec(w)
-    powers = _power_table(a, b, point, _power_length(expos[-1]))
+    powers = _power_table(a, b, point, _length(expos[-1] + 1, _POWER_MIN_LENGTH))
     gs = [powers[e] >> point - prec if e >= 0 else (b << prec) // a for e in expos]
-    ms = _magnitude_table(a, b, point, _table_length(len(expos)), s // _MAGNITUDE_GROUP)
+    ms = _magnitude_table(a, b, point, _length(len(expos), _COLUMN_MIN_LENGTH), s // _MAGNITUDE_GROUP)
     return [(m >> point - w) * g >> w for m, g in zip(ms[s % _MAGNITUDE_GROUP], gs)]
 
 
@@ -1304,7 +1313,7 @@ def _harmonic_runs(q: Fraction, entries: tuple, n: int) -> list:
     power of two at least n and _COLUMN_MIN_LENGTH, so that the truncations
     K of nearby depths read prefixes of one memo entry."""
     a, b = q.numerator, q.denominator
-    length = max(1 << (n - 1).bit_length(), _COLUMN_MIN_LENGTH)
+    length = _length(n, _COLUMN_MIN_LENGTH)
 
     def column(s: int, prec: int) -> tuple[int, ...]:
         return _floored_column(a, b, s, length, prec)[:n]
@@ -1356,7 +1365,7 @@ def _mollified_runs(
 
     def damping(p: int, prec: int) -> list[int]:
         point = _table_prec(prec)
-        powers = _power_table(a, b, point, _power_length(p * n))
+        powers = _power_table(a, b, point, _length(p * n, _POWER_MIN_LENGTH))
         return [g >> point - prec for g in powers[: p * (n - 1) : p]]
 
     return [

@@ -81,21 +81,21 @@ than without a memo.
 
 Bound.  LEVEL_MEMO_BITS bounds the bits the memo holds, not its entries,
 as a column takes a few hundred bytes at n = 6 and megabytes at n = 160.
-A run entry (x, A, B) counts the bit length of x plus four times
-ENTRY_BITS for the tuple and its three ints, and a ball's int its bit
-length plus ENTRY_BITS for its object and pointer.  The seed-1
-finite-wide batch leaves its columns in about 698,000 bits.  The bits are
-counted when a column is recorded: deepest first, a new column is
-recorded only if its own bits fit beside those held, so the memo never
-holds more than the bound.  The run engine reads the room left once, at
-its lookup, and while it sums it drops its shallowest kept column
-whenever the columns it keeps, projected to n at their last entry's
-size, would not fit in that room (see :class:`Kept`), so a column that
-could not be recorded is dropped early.  A left ball keeps every level
-through its sweep anyway and records the new ones after it, deepest
-first, by the same rule, and a right ball records each new column that
-fits, as a column chains onto nothing; the seed-1 q-series batch leaves
-about 12.8 million bits of left levels and 1.3 million of right columns.
+One function, :func:`charge`, counts every column: a run entry (x, A, B)
+the bit length of x plus four times ENTRY_BITS for the tuple and its
+three ints, and a ball's int its bit length plus ENTRY_BITS for its
+object and pointer.  The seed-1 finite-wide batch leaves its columns in
+about 698,000 bits.  The bits are counted when a column is recorded:
+deepest first, a new column is recorded only if its own bits fit beside
+those held, so the memo never holds more than the bound.  The run engine
+reads the room left once, at its lookup, drops its shallowest kept
+column whenever the columns it keeps exceed that room, and records those
+left with its last row, so it never keeps more than it could record at
+its lookup.  A left ball keeps every level through its sweep anyway and
+records the new ones after it, deepest first, by the same rule, and a
+right ball records each new column that fits, as a column chains onto
+nothing; the seed-1 q-series batch leaves about 12.8 million bits of
+left levels and 1.3 million of right columns.
 The bound holds over all roots together, counted as one running total.
 The memo itself holds at most 2**26 bits, 8 MiB, counted as Python
 stores its objects, plus its dicts of keys.  The allocator's slack around
@@ -123,10 +123,14 @@ ENTRY_BITS = 256
 STRICT_ROOT, WEAK_ROOT, RUN_ROOT, COLUMN_ROOT = range(4)
 
 
-def charge(ints) -> int:
-    """The bits that entries with integers ``ints`` take in the memo: each
-    int's bit length plus ENTRY_BITS for its object and pointer."""
-    return sum(map(int.bit_length, ints)) + ENTRY_BITS * len(ints)
+def charge(entries) -> int:
+    """The bits that a column's ``entries`` take in the memo: an int its
+    bit length plus ENTRY_BITS for its object and pointer, and a run
+    engine's (x, A, B) the bit length of x plus 4 * ENTRY_BITS for the
+    tuple and its three ints."""
+    if entries and type(entries[0]) is tuple:
+        return sum(entry[0].bit_length() for entry in entries) + 4 * ENTRY_BITS * len(entries)
+    return sum(map(int.bit_length, entries)) + ENTRY_BITS * len(entries)
 
 
 class MemoInfo(NamedTuple):
@@ -154,32 +158,6 @@ class _State:
         self.bits = 0
 
 
-class _Memo:
-    """Every root's state and the counts over all roots (see
-    :class:`Levels`)."""
-
-    def __init__(self):
-        self.states: dict = {}  # root -> _State
-        self.bits = self.hits = self.misses = 0  # bits: held over every root
-
-    def state(self, root: int, at) -> tuple[_State, bool]:
-        """(root's state at ``at``, whether it was there before this call),
-        replacing the state of ``root`` at another ``at``; under the lock."""
-        state = self.states.get(root)
-        if state is not None and state.at == at:
-            return state, True
-        if state is not None:
-            self.bits -= state.bits
-        state = self.states[root] = _State(root, at)
-        return state, False
-
-    def holds(self, generation: _State | None) -> bool:
-        """Whether a record at ``generation`` may write: not at None, a
-        first sum's, nor once its root has moved to another ``at`` or the
-        memo was cleared."""
-        return generation is not None and self.states.get(generation.root) is generation
-
-
 class Levels:
     """The level memo of the run engine and the q-series balls, one
     state per root (see the module docstring): one store, written under one
@@ -197,18 +175,38 @@ class Levels:
 
     _lock = threading.Lock()
     _ids = count(COLUMN_ROOT + 1)
-    _memo = _Memo()
+    _states: dict = {}  # root -> _State
+    _bits = _hits = _misses = 0  # _bits: held over every root
 
     @classmethod
     def cache_info(cls) -> MemoInfo:
         with cls._lock:
-            memo = cls._memo
-            return MemoInfo(memo.hits, memo.misses, LEVEL_MEMO_BITS, memo.bits)
+            return MemoInfo(cls._hits, cls._misses, LEVEL_MEMO_BITS, cls._bits)
 
     @classmethod
     def cache_clear(cls) -> None:
         with cls._lock:
-            cls._memo = _Memo()
+            cls._states = {}
+            cls._bits = cls._hits = cls._misses = 0
+
+    @classmethod
+    def _state(cls, root: int, at) -> tuple[_State, bool]:
+        """(root's state at ``at``, whether it was there before this call),
+        replacing the state of ``root`` at another ``at``; under the lock."""
+        state = cls._states.get(root)
+        if state is not None and state.at == at:
+            return state, True
+        if state is not None:
+            cls._bits -= state.bits
+        state = cls._states[root] = _State(root, at)
+        return state, False
+
+    @classmethod
+    def _holds(cls, generation: _State | None) -> bool:
+        """Whether a record at ``generation`` may write: not at None, a
+        first sum's, nor once its root has moved to another ``at`` or the
+        memo was cleared; under the lock."""
+        return generation is not None and cls._states.get(generation.root) is generation
 
     @classmethod
     def lookup(cls, at: tuple, root: int, keys: list) -> tuple[_State | None, int, list, int]:
@@ -222,11 +220,10 @@ class Levels:
         nothing."""
         node, found = root, []
         with cls._lock:
-            memo = cls._memo
-            state, admitted = memo.state(root, at)
-            room = LEVEL_MEMO_BITS - memo.bits
+            state, admitted = cls._state(root, at)
+            room = LEVEL_MEMO_BITS - cls._bits
             if not admitted:
-                memo.misses += len(keys)
+                cls._misses += len(keys)
                 return None, root, [], room
             nodes = state.nodes
             for key in reversed(keys):
@@ -235,8 +232,8 @@ class Levels:
                     break
                 node, column = entry
                 found.append(column)
-            memo.hits += len(found)
-            memo.misses += len(keys) - len(found)
+            cls._hits += len(found)
+            cls._misses += len(keys) - len(found)
             return state, node, found[::-1], room
 
     @classmethod
@@ -247,16 +244,15 @@ class Levels:
         beside those held, and the first that does not ends the record, so
         each level recorded chains onto one held."""
         with cls._lock:
-            memo = cls._memo
-            if not memo.holds(generation):
+            if not cls._holds(generation):
                 return
             nodes = generation.nodes
             for key, column, bits in levels:
                 entry = nodes.get((node, key))
                 if entry is None:
-                    if memo.bits + bits > LEVEL_MEMO_BITS:
+                    if cls._bits + bits > LEVEL_MEMO_BITS:
                         return
-                    memo.bits += bits
+                    cls._bits += bits
                     generation.bits += bits
                     entry = nodes[node, key] = next(cls._ids), column
                 node = entry[0]
@@ -269,7 +265,7 @@ class Levels:
         lock, as entries are only ever added to it.  The generation is None
         on the first call at ``at``: that ball records nothing."""
         with cls._lock:
-            state, admitted = cls._memo.state(COLUMN_ROOT, at)
+            state, admitted = cls._state(COLUMN_ROOT, at)
             return (state if admitted else None), state.nodes
 
     @classmethod
@@ -279,57 +275,14 @@ class Levels:
         :func:`charge` fits beside the bits held, while the generation
         holds."""
         with cls._lock:
-            memo = cls._memo
-            memo.hits += reads
-            memo.misses += len(new)
-            if not memo.holds(generation):
+            cls._hits += reads
+            cls._misses += len(new)
+            if not cls._holds(generation):
                 return
             nodes = generation.nodes
             for key, column in new.items():
                 bits = charge(column)
-                if key not in nodes and memo.bits + bits <= LEVEL_MEMO_BITS:
-                    memo.bits += bits
+                if key not in nodes and cls._bits + bits <= LEVEL_MEMO_BITS:
+                    cls._bits += bits
                     generation.bits += bits
                     nodes[key] = column
-
-
-class Kept:
-    """The columns of levels lo..top-1 that the run engine sums at one
-    (q, n), kept as one row of (x, A, B) entries per index while they fit,
-    and recorded above the suffix ``node`` once the last index is kept.
-
-    ``room`` is the bits the memo had left at the engine's lookup.  The
-    shallowest kept level is dropped while the bits kept, projected over
-    the indices still to come at the last row's size, exceed it, so that a
-    column that could not be recorded is dropped early.  Nothing is kept
-    at generation None, an engine's first sum at a (q, n).
-    """
-
-    def __init__(self, generation: _State | None, node: int, keys: list, top: int, room: int):
-        self.generation, self.node, self.keys, self.top = generation, node, keys, top
-        self.room = room
-        self.lo = top if generation is None else 0
-        self.rows: list = []  # per index, the kept entries of levels lo..top-1
-        self.held = 0
-
-    @staticmethod
-    def bits(entries) -> int:
-        """The bits that (x, A, B) entries take in the memo: each x's bit
-        length plus 4 * ENTRY_BITS for the tuple and its three ints."""
-        return sum(entry[0].bit_length() for entry in entries) + 4 * ENTRY_BITS * len(entries)
-
-    def add(self, row: list, left: int) -> None:
-        """Keep one index's entries ``row`` of levels lo..top-1, with
-        ``left`` indices to come."""
-        self.rows.append(row)
-        size = self.bits(row)
-        self.held += size
-        while self.held + left * size > self.room:
-            self.held -= self.bits([kept[0] for kept in self.rows])
-            self.rows = [kept[1:] for kept in self.rows]
-            self.lo += 1
-            size = self.bits(self.rows[-1])
-        if not left:
-            columns = list(zip(*self.rows))
-            levels = list(zip(self.keys[self.lo : self.top], columns, map(self.bits, columns)))
-            Levels.record(self.generation, self.node, reversed(levels))

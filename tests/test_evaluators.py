@@ -1595,6 +1595,65 @@ def test_run_columns_bracket_the_exact_terms():
                     assert t <= exact < t + 4, (q, s, lift, beta, into_one, prec, k)
 
 
+def _column_by_the_stated_formula(q, s, expos, prec):
+    """The floored terms of _run_column as its docstring states them, from
+    the tables it names: t_k = floor(m g / 2**w), with w = prec + the bit
+    length of b // a when the first exponent is -1 and prec otherwise,
+    P the power of two at least w, g = floor(2**prec b / a) at e = -1 and
+    otherwise the power table's entry at 2**-P shifted down by P - prec
+    bits, and m the magnitude table's entry at 2**-P shifted down by P - w
+    bits.  The tables are built n = len(expos) and max(expos) + 1 long, as
+    an entry does not depend on its table's length."""
+    import qzeta.evaluators as ev
+
+    a, b = q.numerator, q.denominator
+    w = prec + (b // a).bit_length() if expos[0] == -1 else prec
+    point = 1 << (w - 1).bit_length()
+    powers = ev._power_table(a, b, point, max(expos) + 1)
+    group, i = divmod(s, ev._MAGNITUDE_GROUP)
+    ms = ev._magnitude_table(a, b, point, len(expos), group)[i]
+    out = []
+    for m, e in zip(ms, expos):
+        g = (b << prec) // a if e == -1 else powers[e] >> point - prec
+        out.append((m >> point - w) * g >> w)
+    return out
+
+
+def test_run_columns_are_their_stated_formula():
+    # every column of a right ball's runs is, bit for bit, the product its
+    # docstring states, over admissible triples whose runs with beta = -1
+    # start at exponent -1, the entry read at the finer binary point
+    # prec + bitlen(b // a): a column read a bit short there differs here,
+    # where the bracket tests have room to hide it.  The exponents are the
+    # rebased ones, from the oracle's slot projections and the runs' beta
+    import qzeta.evaluators as ev
+
+    rng = random.Random(67)
+    patterns = []
+    while len(patterns) < 8:
+        pattern = _admissible_pattern(rng, rng.randint(1, 8))
+        mask = [rng.random() < 0.5 for _ in range(pattern.depth - 1)]
+        if any(beta == -1 for row in ev._runs(pattern, mask) for *_, beta in row):
+            patterns.append((pattern, mask))
+    starts = collections.Counter()
+    for q in (Fraction(1, 1000), Fraction(2, 9), Fraction(5, 8)):
+        for pattern, mask in patterns:
+            lifts = oracles.slot_projections([r for _, _, r in _oracle_slots(pattern)])
+            m = pattern.depth
+            for n in (1, 9, 30):
+                levels = ev._mollified_runs(q, pattern, mask, n)
+                for i, (row, runs) in enumerate(zip(levels, ev._runs(pattern, mask))):
+                    columns = [column for j, _, column in row if j != i]
+                    assert len(columns) == len(runs)
+                    for column, (j, s, _, _, beta) in zip(columns, runs):
+                        expos = _rebased_exponents(lifts[j], beta, j == m, n)
+                        starts[expos[0]] += 1
+                        for prec in (3, 64, 65, 320):
+                            expect = _column_by_the_stated_formula(q, s, expos, prec)
+                            assert column(prec) == expect, (q, pattern, mask, n, i, j, prec)
+    assert starts[-1] > 0 and starts[0] > 0, starts
+
+
 def test_frakz_tables_bracket_the_exact_terms():
     # each magnitude entry m lies at most _table_over(q) units below
     # 2**prec (1 + q**k) / [k]**s, with [k] from the oracle's q-integers,

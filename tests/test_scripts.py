@@ -393,9 +393,13 @@ def test_bench_pairs_prints_a_probe_with_no_peak_rss(tmp_path, monkeypatch, caps
         code = "timeout" if rss is None else 0
         return {"exit": code, "stderr": "", "wall_s": 1.0, "child_cpu_s": 0.5, "child_rss_mb": rss}
 
+    def run_tier1(tree):
+        return {"exit": 0, "wall_s": 2.0, "passed": 3, "failed": 0, "skipped": 1, "errors": 0}
+
     monkeypatch.setitem(bench, "ROOT", repo)
     monkeypatch.setitem(bench, "run_side", run_side)
     monkeypatch.setitem(bench, "run_probe", run_probe)
+    monkeypatch.setitem(bench, "run_tier1", run_tier1)
     monkeypatch.setitem(bench, "PROBES", ("verify 2,1",))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     out = tmp_path / "bench.json"
@@ -404,8 +408,35 @@ def test_bench_pairs_prints_a_probe_with_no_peak_rss(tmp_path, monkeypatch, caps
     assert bench["main"]() == 0
     line = capsys.readouterr().out.splitlines()[-1]
     assert line.split() == "verify 2,1 base timeout 1.00 s change 0 1.00 s 17.5 MB".split()
-    probe = json.loads(out.read_text())["probes"]["runs"][0]
+    result = json.loads(out.read_text())
+    probe = result["probes"]["runs"][0]
     assert probe["base"]["child_rss_mb"] is None and probe["change"]["child_rss_mb"] == 17.5
+    # a full run records each side's tier-1 run next to its code lines
+    for side in ("base", "change"):
+        assert result[side]["tier1"] == run_tier1(None)
+        assert "code_lines" in result[side]
+
+
+def test_bench_pairs_reads_the_counts_of_pytests_summary_line():
+    # the last line that names an outcome is the summary; an outcome it
+    # leaves out counts 0, "error" and "errors" count alike, warnings and
+    # deselected tests count for nothing, and output with no summary gives
+    # None for every count
+    tier1_counts = _bench_pairs()["tier1_counts"]
+    out = "....s.F [100%]\nACCEPTANCE 4 [pass] sweep: 200 seeded compositions\n"
+    assert tier1_counts(out + "302 passed in 41.75s\n") == {
+        "passed": 302, "failed": 0, "skipped": 0, "errors": 0
+    }
+    summary = "1 failed, 300 passed, 1 skipped, 3 deselected, 2 warnings in 40.12s"
+    assert tier1_counts(out + summary) == {"passed": 300, "failed": 1, "skipped": 1, "errors": 0}
+    summary = "== 2 passed, 1 error in 0.50s =="
+    assert tier1_counts(summary) == {"passed": 2, "failed": 0, "skipped": 0, "errors": 1}
+    assert tier1_counts("3 failed, 1 passed, 2 errors in 1.0s\ntrailing words") == {
+        "passed": 1, "failed": 3, "skipped": 0, "errors": 2
+    }
+    assert tier1_counts("no tests ran in 0.01s") == dict.fromkeys(
+        ("passed", "failed", "skipped", "errors")
+    )
 
 
 def test_bench_pairs_probes_a_batch_that_records_level_columns(capsys):

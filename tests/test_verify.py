@@ -1120,6 +1120,36 @@ def test_qseries_right_side_is_decided_by_the_ball(monkeypatch):
         v.verify_qmzsv((2, 1, 2))
 
 
+def test_family_compositions_are_decided_at_the_first_binary_point(monkeypatch):
+    # the 519 distinct zeta-admissible compositions of the closed families
+    # of weight <= 12 at q = 1/2 and eps = 1e-25 all pass on the first
+    # rung, P = 300: each check sweeps one left and one right ball, both at
+    # 2**-300.  This pins the guard bits of P: with _GUARD_BITS = 32 instead
+    # of 100 (a first binary point of 2**-232), (7,) .. (12,) need a second
+    # rung, and with 72 (11,) and (12,) still do
+    from qzeta import CLOSED_FAMILIES, closed_pattern
+    from qzeta.rules import zeta_admissible
+
+    comps = {
+        closed_pattern(family, *args)[0]
+        for family in CLOSED_FAMILIES
+        for args in family_instances(family, 12)
+    }
+    comps = sorted(c for c in comps if zeta_admissible(c))
+    assert len(comps) == 519
+    sweep, points = evaluators._ball_sweep, []
+
+    def recorded(runs, n, prec, *args):
+        points.append(prec)
+        return sweep(runs, n, prec, *args)
+
+    monkeypatch.setattr(evaluators, "_ball_sweep", recorded)
+    for comp in comps:
+        rep = verify_qmzsv(comp, q=Fraction(1, 2), eps=Fraction(1, 10**25))
+        assert rep.status == "numeric-pass", comp
+    assert points == [300] * (2 * len(comps))
+
+
 def test_qseries_check_that_no_ball_decides_is_refused(monkeypatch, capsys):
     # with every ball widened to +-1 around its centre, no rung decides:
     # both sides' balls run once at each of 300, 600, 1,200 and 2,400 bits,
@@ -1780,7 +1810,7 @@ def test_level_memo_stays_within_its_bound_and_holds_one_q_and_n(monkeypatch):
         e, t, r = pattern.s[-1], pattern.t[-1], pattern.r[-1]
         key = (pattern.depth == 1, e.magnitude, e.sign, t, None if r is THETA else r, False)
         (deepest,) = levels.Levels.lookup((5, 8, 30), levels.RUN_ROOT, [key])[2]
-        firsts.append(levels.Kept.bits(deepest))
+        firsts.append(levels.charge(deepest))
     smallest = min(firsts)
     for bound in (0, smallest - 1, smallest, 200_000):
         monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", bound)
