@@ -88,7 +88,9 @@ SIDES = ("base", "change")
 # (9,9,9), (33) and (2,1^31) at q near 1, the longest finite checks, the
 # heaviest string and a classical check, three harmonic sums refused by
 # their work estimate, a finite check at the 10**6-entry parse bound,
-# refused by its left side's work estimate before either side sums, six
+# refused by its left side's work estimate before its string or pattern is
+# built, and its q-series check, refused by the left side's series-length
+# cap before compose runs (each refusal once came after building them), six
 # inputs whose pattern is far over the depth caps, each refused on the
 # depth read off the composition before compose runs: expand 3^30000 and
 # 3^1000000, the finite checks of 3^1000000 and 33^30000, and the q-series
@@ -129,6 +131,7 @@ PROBES = (
     "eval mhs-star --s 1^300 --n 300",
     "eval mhs-star --s 1^1000 --n 100",
     "verify 2^1000000",
+    "verify 2^1000000 --qmzsv",
     "verify 3^1000000",
     "verify 3^1000000 --qmzsv",
     "verify 3^1000000 --classical",

@@ -13,7 +13,6 @@ from .evaluators import (
     ClassicalValue,
     SeriesValue,
     classical_zeta,
-    classical_zeta_many,
     frakz,
     mhs,
     mhs_many,

@@ -47,19 +47,19 @@ integers stay near their binary point, so the q-series checks of
 point (``prec``) when P cannot decide, and sum no series exactly;
 :func:`q_zeta` and :func:`frakz` stay exact for ``eval`` and as the oracles.
 
-The one floating-point engine, :func:`classical_zeta_many`, computes
-partial sums of classical (signed) multiple zeta values with numpy and
-reports a first-omitted-term style tail estimate for each.  A series descends
+The one floating-point engine, :func:`classical_zeta`, computes the
+partial sum of one classical (signed) multiple zeta value with numpy and
+reports a first-omitted-term style tail estimate.  A series descends
 strictly, weakly, or resolved: a resolved level reads the deeper cumulative
 at k - 1 plus the one at k, so one series sums 2**depth * zeta over every
 resolution of its string, the whole right side of a q -> 1 check (Yamamoto's
-interpolated value at t = 1/2, scaled by 2**m).  Each series is summed on
-its own over chunks of the index range, behind a bounded ``lru_cache``
+interpolated value at t = 1/2, scaled by 2**m).  A series is summed over
+chunks of the index range, behind a bounded ``lru_cache``
 keyed by (signed string, descent, K, chunk) (:func:`_classical_sum`), where
 the chunk is the module constant ``_CHUNK``.  Per chunk it computes one
 reciprocal column 1/k, builds every k**-p from it by products, and runs
 one cumulative sum per inner level and one plain sum for the outermost,
-in four chunk-wide buffers.  :func:`classical_zeta` is its one-series case.
+in four chunk-wide buffers.
 
 All nested-sum evaluators share the same dynamic programming scheme: one
 running cumulative per nesting level, updated index by index, so a whole
@@ -247,6 +247,15 @@ def _upper_limit(n_max, cap: int, what: str) -> int:
     return n_max
 
 
+def _check_mhs_work(m: int, W: int, n_max: int, b: int) -> None:
+    """Refuse a harmonic sum of depth m and weight W up to n_max at a q of
+    denominator b whose work estimate is above MAX_MHS_WORK; it reads no
+    entry, so a caller can refuse before building the string."""
+    work = (m + 3) * n_max * (n_max * (W * n_max + m) * log2(b)) ** log2(3)
+    if work > MAX_MHS_WORK:
+        raise ValueError(f"work estimate {work:.2g} exceeds {MAX_MHS_WORK:.2g} for a harmonic sum")
+
+
 def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator[Row]:
     """Unreduced rows (numerator, 1, e) of the nested harmonic sum for every
     upper limit 0..n_max, streamed in that order, in integers: row n is the
@@ -281,9 +290,7 @@ def _mhs_rows(ctx: QContext, entries: tuple, n_max: int, star: bool) -> Iterator
     a, b = ctx.q.numerator, ctx.q.denominator
     m = len(entries)
     mags = [e.magnitude for e in entries]
-    work = (m + 3) * n_max * (n_max * (sum(mags) * n_max + m) * log2(b)) ** log2(3)
-    if work > MAX_MHS_WORK:
-        raise ValueError(f"work estimate {work:.2g} exceeds {MAX_MHS_WORK:.2g} for a harmonic sum")
+    _check_mhs_work(m, sum(mags), n_max, b)
     # X_j carries the scales of levels j..m-1: from k-1 to k they grow by
     # (L_k/L_{k-1})^(s_j+...+s_{m-1}) * b^(number of zero magnitudes there)
     grow_l = [sum(mags[j:]) for j in range(m + 1)]
@@ -1411,7 +1418,7 @@ def frakz_enclosure(
     return SeriesValue(ball, bound, K)
 
 
-# classical_zeta_many refuses a longer truncation before summing anything:
+# classical_zeta refuses a longer truncation before summing anything:
 # past 1e8 terms a k**-2 term is below the rounding of its float64 sum, so
 # a longer run costs minutes and sharpens nothing
 MAX_CLASSICAL_TERMS = 10**8
@@ -1440,9 +1447,8 @@ _CLASSICAL_MEMO_SIZE = 1024
 _CHUNK = 32768
 
 
-def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[ClassicalValue]:
-    """Partial sums of classical signed multiple zeta values to K terms,
-    one per ``(signed string, star)`` pair.
+def classical_zeta(s: Sequence, K: int = 1_000_000, star: bool | str = False) -> ClassicalValue:
+    """Partial sum of one classical signed multiple zeta value to K terms.
 
     Entries are signed indices: magnitude p and sign w contribute
     w**k / k**p at index k.  star is the descent between levels: False for
@@ -1451,11 +1457,11 @@ def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[Clas
     deeper level's cumulative D, and D = 1 below the innermost level.  A
     resolved partial sum equals, at every K in exact arithmetic, the sum
     over the 2**(m-1) resolutions r of the string (adjacent entries merged
-    or not) of 2**depth(r) * zeta_K(r), without listing them.  Every string
-    and star is validated first, and any other star or a string deeper than
-    MAX_PATTERN_DEPTH is refused; then each nonempty one is looked up in a
-    bounded process-wide memo keyed by ``(signed string, star, K, _CHUNK)``
-    (:func:`_classical_sum`).
+    or not) of 2**depth(r) * zeta_K(r), without listing them.  The string,
+    star and K are validated first, and any other star or a string deeper
+    than MAX_PATTERN_DEPTH is refused; the empty string is 1 at any K.  A
+    nonempty one is then looked up in a bounded process-wide memo keyed by
+    ``(signed string, star, K, _CHUNK)`` (:func:`_classical_sum`).
 
     The tail estimate is |inner cumulative at K| (twice it for a resolved
     series, whose outermost level reads two inner cumulatives) times the
@@ -1463,23 +1469,18 @@ def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[Clas
     p1 >= 2, else 1/K for a signed leading 1 (alternating-series first-term
     bound).  Both are heuristic, not bounds.
     """
-    strings = []
-    for s, star in items:
-        if star is not False and star is not True and star != _RESOLVED:
-            raise ValueError(f"star must be False, True or {_RESOLVED!r}, got {star!r}")
-        entries = signed_string(s)
-        strings.append((entries, star))
-        if not entries:
-            continue
-        _check_series_depth(len(entries))
-        lead = entries[0]
-        if star is True:
-            if lead.magnitude < 2:
-                raise ValueError("weak-descent series needs a leading magnitude >= 2")
-        elif lead.magnitude < 2 and not (lead.magnitude == 1 and lead.sign < 0):
-            raise ValueError("series needs leading magnitude >= 2 or a signed leading 1")
-    if not any(entries for entries, _ in strings):
-        return [ClassicalValue(1.0, 0.0, 0) for _ in strings]
+    if star is not False and star is not True and star != _RESOLVED:
+        raise ValueError(f"star must be False, True or {_RESOLVED!r}, got {star!r}")
+    entries = signed_string(s)
+    if not entries:
+        return ClassicalValue(1.0, 0.0, 0)
+    _check_series_depth(len(entries))
+    lead = entries[0]
+    if star is True:
+        if lead.magnitude < 2:
+            raise ValueError("weak-descent series needs a leading magnitude >= 2")
+    elif lead.magnitude < 2 and not (lead.magnitude == 1 and lead.sign < 0):
+        raise ValueError("series needs leading magnitude >= 2 or a signed leading 1")
     # the sum slices by K, so a float is refused here, where a memoized
     # 10**6 would otherwise answer for 1e6
     K = as_int(K, "K")
@@ -1487,10 +1488,7 @@ def classical_zeta_many(items: Sequence[tuple], K: int = 1_000_000) -> list[Clas
         raise ValueError(f"K must be >= 1, got {K}")
     if K > MAX_CLASSICAL_TERMS:
         raise ValueError(f"K = {K} exceeds {MAX_CLASSICAL_TERMS} terms")
-    return [
-        _classical_sum(entries, star, K, _CHUNK) if entries else ClassicalValue(1.0, 0.0, 0)
-        for entries, star in strings
-    ]
+    return _classical_sum(entries, star, K, _CHUNK)
 
 
 @lru_cache(maxsize=_CLASSICAL_MEMO_SIZE)
@@ -1590,9 +1588,3 @@ def _power_column(rec, p: int, out) -> None:
         out *= out
         if bit == "1":
             out *= rec
-
-
-def classical_zeta(s: Sequence, K: int = 1_000_000, star: bool | str = False) -> ClassicalValue:
-    """Partial sum of one classical signed multiple zeta value to K terms
-    (see :func:`classical_zeta_many`)."""
-    return classical_zeta_many([(s, star)], K)[0]

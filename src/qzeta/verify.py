@@ -34,6 +34,7 @@ from .evaluators import (
     SeriesValue,
     _RESOLVED,
     _check_depth,
+    _check_mhs_work,
     _check_series_depth,
     _default_prec,
     _frakz_truncation,
@@ -42,7 +43,7 @@ from .evaluators import (
     _pattern_rows,
     _row_value,
     _upper_limit,
-    classical_zeta_many,
+    classical_zeta,
     frakz_enclosure,
     mollified_mhs_many,
     pattern_mhs_many,
@@ -401,32 +402,38 @@ def verify_mhs(
     Both engines are generators that raise every refusal of theirs before
     their first row, and whose row 0 needs no term.  The two streams are
     read in step, so row 0 of both, and with it every refusal of both
-    sides, comes before the first term of either: ``verify 2^1000000`` is
-    refused by the left side's work estimate before the right side sums a
-    term.  No list of rows is built.  The right side is read first only so
-    that, where both sides would refuse, its refusal is the one reported:
-    its caps (MAX_PATTERN_LIMIT, MAX_PATTERN_DEPTH) are the tighter ones,
-    so ``verify 2^5000 --n-max 200`` names the upper limit of 160 rather
-    than the left side's work estimate.
+    sides, comes before the first term of either.  No list of rows is
+    built.  The right side is read first only so that, where both sides
+    would refuse, its refusal is the one reported: its caps
+    (MAX_PATTERN_LIMIT, MAX_PATTERN_DEPTH) are the tighter ones, so
+    ``verify 2^5000 --n-max 200`` names the upper limit of 160 rather than
+    the left side's work estimate.
 
     Raises ValueError, before any sum, for a composition entry that is a
     bool, not an int or below 1 (see :func:`~qzeta.rules.as_composition`),
     an empty or str q_values (see :func:`_q_list`), a bool n_max, or any
     refusal of either engine; TypeError when n_max is not an int.  The
-    right side's n_max cap and then its depth cap, the depth read off the
-    composition (:func:`~qzeta.rules.pattern_depth`), are checked before
-    the pattern is built, so ``verify 3^1000000`` is refused without
-    compiling its 1,000,001 slots.
+    right side's n_max cap, then its depth cap, the depth read off the
+    composition (:func:`~qzeta.rules.pattern_depth`), and then the left
+    side's work estimate at each q, read off the composition's length and
+    sum (:func:`~qzeta.evaluators._check_mhs_work`), are checked before the
+    string or the pattern is built, so ``verify 3^1000000`` is refused
+    without compiling its 1,000,001 slots and ``verify 2^1000000`` without
+    building its string.
     """
     comp = as_composition(composition)
     col = _Residuals()
-    entries = signed_string(comp)
     qs = _q_list(q_values)
-    # the right side's refusals, in its order, before the pattern is built
+    # the right side's refusals, in its order, then the left side's work
+    # estimate, all before the string or the pattern is built
     n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
     _check_depth(pattern_depth(comp), "a finite mollified sum")
+    l_w = sum(comp)
+    for q in qs:
+        _check_mhs_work(len(comp), l_w, n_max, q.denominator)
+    entries = signed_string(comp)
     d, pattern = compose(comp)
-    l_w, r_w = sum(comp), pattern.weight
+    r_w = pattern.weight
     for q in qs:
         ctx = QContext(q)
         b = q.denominator
@@ -515,9 +522,11 @@ def verify_qmzsv(
     that is a bool, not an int or below 1, a composition that is not
     zeta-admissible, a pattern over MAX_PATTERN_DEPTH, or a truncation over
     either side's cap; the pattern's depth is read off the composition
-    (:func:`~qzeta.rules.pattern_depth`) and checked before the pattern is
-    built, and so before either truncation search, and the left side's cap
-    is checked before the right side's.
+    (:func:`~qzeta.rules.pattern_depth`) and checked first, then the left
+    side's truncation search runs from the composition's length, both
+    before the pattern is built, so ``verify 2^1000000 --qmzsv`` compiles
+    none of its slots, and the left side's cap is checked before the right
+    side's.
     Raises ValueError after the last rung when no ball decides.
     """
     t0 = time.perf_counter()
@@ -526,6 +535,7 @@ def verify_qmzsv(
     epsv = as_eps(eps)
     budget = epsv / 4
     _check_depth(pattern_depth(comp), "a q-series")  # before the pattern is built
+    _harmonic_truncation(q, len(comp), budget)  # the left side's cap, likewise
     d, pattern = compose(comp)
     series = 1 + 2 ** (pattern.depth - 1)
     params = {"composition": list(comp), "delta": d, "series": series, "eps": str(epsv)}
@@ -549,10 +559,11 @@ def verify_classical(
 
     The right side, 2**depth * zeta over every resolution of the pattern,
     is one float series: the pattern's signed string summed in the
-    resolved descent of :func:`classical_zeta_many`, which never lists the
-    resolutions.  So a check sums two series, the composition's weak one
-    and that one, each read from the engine's bounded ``lru_cache`` when an
-    earlier check summed it; the report is the same warm or cold.
+    resolved descent of :func:`~qzeta.evaluators.classical_zeta`, which
+    never lists the resolutions.  So a check makes two calls of
+    :func:`~qzeta.evaluators.classical_zeta`, the composition's weak series
+    and then that one, each read from the engine's bounded ``lru_cache``
+    when an earlier check summed it; the report is the same warm or cold.
 
     Both sides are partial sums, so the pass condition allows the stated
     tolerance plus the truncation estimates of both series.  The estimates
@@ -579,7 +590,8 @@ def verify_classical(
     for depth in (len(comp), pattern_depth(comp)):
         _check_series_depth(depth)
     d, pattern = compose(comp)
-    lhs, resolved = classical_zeta_many([(comp, True), (pattern.s, _RESOLVED)], K=K)
+    lhs = classical_zeta(comp, K=K, star=True)
+    resolved = classical_zeta(pattern.s, K=K, star=_RESOLVED)
     rhs = d * resolved.value
     allowance = tol + lhs.tail_est + resolved.tail_est
     disc = abs(lhs.value - rhs)

@@ -430,13 +430,18 @@ def test_deep_patterns_are_refused_from_the_composition_before_compose(capsys, m
     # 3^1000000 compiles to 1,000,001 slots: verify and --qmzsv read the depth
     # off the entries and refuse it before compose builds the pattern, with
     # the message the engines give; a finite check's n_max cap still comes
-    # first
+    # first.  2^1000000 compiles to one slot, and its left side is refused
+    # from the composition's length and sum, before its string or pattern
+    # is built: the finite check by the work estimate, --qmzsv by the
+    # harmonic series-length cap
     def never(*args):
-        raise AssertionError("compose was started")
+        raise AssertionError("compose or signed_string was started")
 
     monkeypatch.setattr(qzeta.verify, "compose", never)
+    monkeypatch.setattr(qzeta.verify, "signed_string", never)
     cap = qzeta.evaluators.MAX_PATTERN_DEPTH
     limit = qzeta.evaluators.MAX_PATTERN_LIMIT
+    terms = qzeta.evaluators.MAX_MHS_LIMIT
     for argv, message in (
         (("verify", "3^1000000"), f"pattern depth 1000001 exceeds {cap} for a finite mollified sum"),
         (("verify", "3^1000000", "--qmzsv"), f"pattern depth 1000001 exceeds {cap} for a q-series"),
@@ -444,6 +449,8 @@ def test_deep_patterns_are_refused_from_the_composition_before_compose(capsys, m
             ("verify", "3^1000000", "--n-max", str(limit + 1)),
             f"upper limit {limit + 1} exceeds {limit} for a finite mollified sum",
         ),
+        (("verify", "2^1000000"), f"exceeds {qzeta.evaluators.MAX_MHS_WORK:.2g} for a harmonic sum"),
+        (("verify", "2^1000000", "--qmzsv"), f"series length exceeds {terms} for a harmonic sum"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv
@@ -521,7 +528,7 @@ def test_classical_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch)
     def never(*args, **kwargs):
         raise AssertionError("a classical sum was started")
 
-    monkeypatch.setattr(qzeta.verify, "classical_zeta_many", never)
+    monkeypatch.setattr(qzeta.verify, "classical_zeta", never)
     for tol in ("inf", "-1", "nan"):
         rc, out, err = run(capsys, "verify", "2,1", "--classical", "--tol", tol)
         assert rc == 2, tol

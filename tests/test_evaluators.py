@@ -18,7 +18,6 @@ from qzeta import (
     bar,
     boxplus,
     classical_zeta,
-    classical_zeta_many,
     expand,
     frakz,
     idx,
@@ -632,7 +631,7 @@ def _random_classical_string(rng, star, tail):
 
 
 def test_classical_engine_matches_per_string_oracle_bit_for_bit(monkeypatch):
-    # several strings per call share suffixes and mix the strict, weak and
+    # the strings of one trial share suffixes and mix the strict, weak and
     # resolved descents, so a value reused across descents or a misplaced
     # odd-k sign shows here; K runs below, at and above the chunk, ending
     # in a short last chunk
@@ -651,14 +650,12 @@ def test_classical_engine_matches_per_string_oracle_bit_for_bit(monkeypatch):
         chunk = rng.choice((1, 2, 3, 7, 64))
         monkeypatch.setattr(ev, "_CHUNK", chunk)
         K = rng.choice((1, chunk, chunk + 1, 3 * chunk - 1, 5 * chunk + 2, 200))
-        got = classical_zeta_many(items, K=K)
-        for (entries, star), value in zip(items, got):
+        for entries, star in items:
             expect = oracles.classical_partial_sum(
                 [(e.magnitude, e.sign) for e in entries], K, star=star, chunk=chunk
             )
+            value = classical_zeta(entries, K=K, star=star)
             assert (value.value, value.tail_est, value.terms) == (*expect, K), (entries, star, K, chunk)
-            single = classical_zeta(entries, K=K, star=star)
-            assert (single.value, single.tail_est) == expect, (entries, star, K, chunk)
     # the default chunk, with a short second chunk
     monkeypatch.undo()
     items = [
@@ -669,10 +666,11 @@ def test_classical_engine_matches_per_string_oracle_bit_for_bit(monkeypatch):
         ((idx(3), bar(1), idx(1)), "resolved"),
     ]
     K = ev._CHUNK + 1001
-    for (entries, star), value in zip(items, classical_zeta_many(items, K=K)):
+    for entries, star in items:
         expect = oracles.classical_partial_sum(
             [(e.magnitude, e.sign) for e in entries], K, star=star, chunk=ev._CHUNK
         )
+        value = classical_zeta(entries, K=K, star=star)
         assert (value.value, value.tail_est) == expect, (entries, star)
 
 
@@ -768,23 +766,24 @@ def test_classical_values_do_not_depend_on_the_blas_thread_count():
 
 
 def test_classical_engine_edges():
-    assert classical_zeta_many([]) == []
-    assert classical_zeta_many([((), True), ((), False)], K=0) == [(1.0, 0.0, 0)] * 2
+    # the empty string is 1 at any K, even one a nonempty string is refused at
+    for star in (True, False):
+        assert classical_zeta((), K=0, star=star) == (1.0, 0.0, 0)
     with pytest.raises(ValueError, match="K must be >= 1"):
-        classical_zeta_many([((), False), ((2,), False)], K=0)
+        classical_zeta((2,), K=0)
     with pytest.raises(ValueError, match="exceeds"):
-        classical_zeta_many([((2,), False)], K=MAX_CLASSICAL_TERMS + 1)
+        classical_zeta((2,), K=MAX_CLASSICAL_TERMS + 1)
     with pytest.raises(ValueError, match="leading"):
-        classical_zeta_many([((2,), False), ((1, 2), True)], K=10)
+        classical_zeta((1, 2), K=10, star=True)
     # the chunk is a constant, not an option
     with pytest.raises(TypeError):
-        classical_zeta_many([((2,), False)], K=10, chunk=7)
+        classical_zeta((2,), K=10, chunk=7)
     # a series deeper than MAX_PATTERN_DEPTH levels is refused in any descent
     deepest = (2,) + (1,) * (MAX_PATTERN_DEPTH - 1)
     for star in (False, True, "resolved"):
         assert classical_zeta(deepest, K=3, star=star).terms == 3
         with pytest.raises(ValueError, match=f"series depth 33 exceeds {MAX_PATTERN_DEPTH}"):
-            classical_zeta_many([((2,), False), (deepest + (1,), star)], K=3)
+            classical_zeta(deepest + (1,), K=3, star=star)
 
 
 def test_classical_resolved_series_is_the_sum_over_the_expansion(monkeypatch):
@@ -828,10 +827,14 @@ def _classical_oracle(entries, K, star, chunk=None):
     return (*oracles.classical_partial_sum([(e.magnitude, e.sign) for e in entries], K, star=star, chunk=chunk), K)
 
 
+def _classical_each(items, K):
+    return [classical_zeta(entries, K=K, star=star) for entries, star in items]
+
+
 def test_classical_memo_serves_hits_misses_and_duplicates_in_item_order(monkeypatch):
-    # one call mixing memoized strings, new ones and repeats of both returns
-    # the oracle's values in item order, cold and warm, and sums each
-    # distinct new string once
+    # a run of calls mixing memoized strings, new ones and repeats of both
+    # returns the oracle's values, cold and warm, and sums each distinct
+    # new string once
     import qzeta.evaluators as ev
 
     K, chunk = 300, 64
@@ -841,12 +844,12 @@ def test_classical_memo_serves_hits_misses_and_duplicates_in_item_order(monkeypa
         ((3, -1, 1), True),  # memoized
         ((2, 2), True),  # new
         ((2, 1), False),  # memoized
-        ((2, 2), True),  # new, repeated within the call
+        ((2, 2), True),  # new, repeated within the run
         ((2, 1), True),  # new: star is part of the key
         ((-1, 2), False),  # memoized
     ]
     for items in (first, second, second + first):
-        got = classical_zeta_many(items, K=K)
+        got = _classical_each(items, K)
         assert [tuple(v) for v in got] == [_classical_oracle(s, K, star, chunk) for s, star in items]
     info = ev._classical_sum.cache_info()
     # 3 + 2 + 0 distinct new strings; the rest of the 3 + 6 + 9 lookups hit
@@ -900,13 +903,13 @@ def test_classical_memo_is_bounded_and_evicts_the_least_recent():
         for v in signs
     ][: size + 100]
     K = 3
-    # more distinct strings than the bound in one call, then in small calls
-    got = classical_zeta_many(strings, K=K)
+    # more distinct strings than the bound in one run, then in short runs
+    got = _classical_each(strings, K)
     assert ev._classical_sum.cache_info().currsize == size
     for items in (strings[:40], strings[40:90]):
-        assert classical_zeta_many(items, K=K) == [got[strings.index(s)] for s in items]
+        assert _classical_each(items, K) == [got[strings.index(s)] for s in items]
         assert ev._classical_sum.cache_info().currsize == size
-    # the first 100 were evicted by the first call and summed again by the
+    # the first 100 were evicted by the first run and summed again by the
     # next two, so each string is a miss once plus 90 misses
     info = ev._classical_sum.cache_info()
     assert (info.misses, info.hits, info.currsize) == (size + 190, 0, size), info
@@ -916,39 +919,43 @@ def test_classical_memo_is_bounded_and_evicts_the_least_recent():
     # evicts strings[190], strings[189] evicts strings[191], and
     # strings[190], summed again, evicts strings[192]
     before = ev._classical_sum.cache_info()
-    classical_zeta_many(strings[:90] + strings[100:101] + strings[189:191], K=K)
+    _classical_each(strings[:90] + strings[100:101] + strings[189:191], K)
     after = ev._classical_sum.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (90, 3)
     # a hit refreshes its entry: strings[193], now the least recent, is read,
     # so the next miss evicts strings[194] in its place
     for i, (hits, misses) in ((193, (1, 0)), (101, (0, 1)), (193, (1, 0)), (194, (0, 1))):
         before = ev._classical_sum.cache_info()
-        classical_zeta_many([strings[i]], K=K)
+        classical_zeta(strings[i][0], K=K)
         after = ev._classical_sum.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (hits, misses), i
     for i in (0, 89, 100, len(strings) - 1):
         assert tuple(got[i]) == _classical_oracle(strings[i][0], K, False)
 
 
-def test_classical_memo_refuses_a_bad_batch_before_any_sweep(monkeypatch):
-    # validation comes first: a batch with one invalid string raises before
-    # any series is summed, stores nothing and counts no lookup, even when
-    # its other strings are memoized
+def test_classical_memo_refuses_a_bad_string_before_any_sweep(monkeypatch):
+    # validation comes first: an invalid string, descent or K raises before
+    # the memo is looked up, stores nothing and counts no lookup, even when
+    # the same string is memoized at a valid K or descent
     import qzeta.evaluators as ev
 
-    valid = [((2, 1), False), ((3,), True)]
-    classical_zeta_many(valid, K=100)
+    _classical_each([((2, 1), False), ((3,), True)], 100)
     memo = ev._classical_sum
     before = memo.cache_info()
     sweeps = []
     monkeypatch.setattr(ev, "_classical_sum", lambda *args: sweeps.append(args) or memo(*args))
-    for bad in ([*valid, ((1, 2), True)], [((2, 2), False), ((1, 2), True)], [((1,), False), *valid]):
-        with pytest.raises(ValueError, match="leading"):
-            classical_zeta_many(bad, K=100)
+    for s, star, K, match in (
+        ((1, 2), True, 100, "leading"),
+        ((1,), False, 100, "leading"),
+        ((2, 1), True, 0, "K must be >= 1"),
+        ((3,), "strict", 100, "star must be"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            classical_zeta(s, K=K, star=star)
     assert sweeps == []
     assert memo.cache_info() == before
     # the patch is live: a new string reaches the sum
-    classical_zeta_many([((2, 2), False)], K=100)
+    classical_zeta((2, 2), K=100)
     assert len(sweeps) == 1
 
 def _shift_proj(r):
@@ -2277,8 +2284,9 @@ def test_classical_descent_is_refused_unless_strict_weak_or_resolved(monkeypatch
         for star in ("strict", "weak", "Resolved", None, 0, 1, 1.0):
             with pytest.raises(ValueError, match="star must be False, True or 'resolved', got"):
                 classical_zeta((2, 1), K=1000, star=star)
+        # the descent is read before the string, so even the empty one refuses
         with pytest.raises(ValueError, match="got 'strict'"):
-            classical_zeta_many([((2,), False), ((2, 1), "strict")], K=1000)
+            classical_zeta((), K=1000, star="strict")
         with pytest.raises(AssertionError, match="a string was summed"):
             classical_zeta((2, 1), K=1000, star=False)
     for star, near in ((False, 1.19358), (True, 2.39563), ("resolved", 7.17842)):

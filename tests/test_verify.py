@@ -1287,6 +1287,28 @@ def test_classical_reports_equal_the_ones_built_from_the_oracle(qzeta_memos):
             assert [p["lhs"], p["rhs"], p["allowance"], report.discrepancy, report.tail_bound] == floats, comp
 
 
+def test_verify_classical_sums_one_series_per_call(monkeypatch):
+    # a check makes two calls of classical_zeta, the name the benchmark
+    # traces: the composition's weak series, then the pattern's resolved one
+    import qzeta.verify
+    from qzeta.rules import compose
+
+    real = qzeta.verify.classical_zeta
+    calls = []
+
+    def spy(s, K, star):
+        calls.append((tuple(s), K, star))
+        return real(s, K=K, star=star)
+
+    monkeypatch.setattr(qzeta.verify, "classical_zeta", spy)
+    for comp in ((2, 1), (3, 1, 2), (2, 2, 2, 1)):
+        calls.clear()
+        report = verify_classical(comp, K=500, tol=1e-2)
+        pattern = compose(comp)[1]
+        assert calls == [(comp, 500, True), (pattern.s, 500, "resolved")], comp
+        assert report.params["lhs"] == real(comp, K=500, star=True).value
+
+
 def test_classical_reports_from_two_threads_equal_the_serial_ones(qzeta_memos):
     # both threads fill the same cold memo with overlapping series,
     # switching as often as the interpreter allows
