@@ -86,8 +86,9 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("finite-long", "finite-wide", "qseries", "classical")
 SIDES = ("base", "change")
 # (9,9,9), (33) and (2,1^31) at q near 1, the longest finite checks, the
-# heaviest string and a classical check, three harmonic sums refused by
-# their work estimate, a finite check at the 10**6-entry parse bound,
+# heaviest string and a classical check, a harmonic series of 200 entries
+# that eval answers from its ball, two exact harmonic sums refused by their
+# work estimate, a finite check at the 10**6-entry parse bound,
 # refused by its left side's work estimate before its string or pattern is
 # built, and its q-series check, refused by the left side's series-length
 # cap before compose runs (each refusal once came after building them), six
@@ -114,7 +115,9 @@ SIDES = ("base", "change")
 # 49/50, refused by the harmonic sum's series-length cap, so they show
 # where caps sized for the balls start to answer, and (2) at q = 1/10 and
 # eps = 1e-6, whose compact exact discrepancy no ball down to 2**-2400
-# decides
+# decides; and eval of the left series of (2,1,1,3,1) at q = 9/10, which
+# verify's check of it sums as a ball, so eval must answer where verify
+# does (an exact partial sum there is over the harmonic work estimate)
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -148,6 +151,7 @@ PROBES = (
     "verify 9,1,2 --qmzsv --q 49/50",
     "verify 9,9,9 --qmzsv --q 49/50",
     "verify 2 --qmzsv --q 1/10 --eps 1/1000000",
+    "eval qzeta-star --s 2,1,1,3,1 --q 9/10 --eps 1e-25",
 )
 PROBE_TIMEOUT_S = 30.0
 TIER1_TIMEOUT_S = 1800.0

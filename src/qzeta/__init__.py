@@ -13,13 +13,11 @@ from .evaluators import (
     ClassicalValue,
     SeriesValue,
     classical_zeta,
-    frakz,
     mhs,
     mhs_many,
     mollified_mhs,
     mollified_mhs_many,
     pattern_mhs_many,
-    q_zeta,
 )
 from .expansion import Triple, expand, is_admissible, iter_expansion
 from .indices import (

@@ -18,10 +18,10 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .evaluators import classical_zeta, frakz, mhs, q_zeta
+from .evaluators import classical_zeta, frakz_enclosure, mhs, q_zeta_enclosure
 from .expansion import Triple, check_expand_depth, expand
 from .indices import SignedIndex, Theta, parse_shift
-from .qarith import QContext, as_eps
+from .qarith import QContext, as_eps, as_q
 from .rules import (
     CLOSED_FAMILIES,
     classical_expand,
@@ -166,23 +166,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
         lines = [str(value)]
         latex_value = _rational_latex(value)
     elif kind in ("qzeta", "qzeta-star", "frakz"):
-        ctx = QContext(args.q)
+        q = as_q(args.q)  # before the string, so a bad --q is the first refusal
         if kind == "frakz":
-            sv = frakz(ctx, parse_triple(args.s), eps=args.eps)
+            sv = frakz_enclosure(q, parse_triple(args.s), eps=args.eps, merge=False)
         else:
             s = parse_signed_string(args.s)
-            sv = q_zeta(ctx, s, eps=args.eps, star=kind.endswith("star"))
+            sv = q_zeta_enclosure(q, s, eps=args.eps, star=kind.endswith("star"))
+        # |series - mid| <= |series - partial sum| + |partial sum - mid|
+        ball = sv.value
+        value = Fraction(ball.mid, 1 << ball.prec)
+        tail_bound = sv.tail_bound + Fraction(ball.rad, 1 << ball.prec)
         payload.update(
-            {
-                "q": str(ctx.q),
-                "eps": str(args.eps),
-                "value": str(sv.value),
-                "tail_bound": str(sv.tail_bound),
-                "terms": sv.terms,
-            }
+            q=str(q), eps=str(args.eps), value=str(value), tail_bound=str(tail_bound), terms=sv.terms
         )
-        lines = [str(sv.value), f"tail_bound: {sv.tail_bound}", f"terms: {sv.terms}"]
-        latex_value = _rational_latex(sv.value)
+        lines = [str(value), f"tail_bound: {tail_bound}", f"terms: {sv.terms}"]
+        latex_value = _rational_latex(value)
     elif kind in ("zeta", "zeta-star"):
         cv = classical_zeta(
             parse_signed_string(args.s), K=args.terms, star=kind.endswith("star")
@@ -354,9 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Longest integer main will print: exact series values have far more digits
-# than Python's default cap.  A longer one exits 2 through the ValueError
-# that str() raises.
+# Longest integer main will print: the exact values of ``eval mhs`` and
+# ``mhs-star`` have far more digits than Python's default cap (a series
+# value is a ball's midpoint, a few hundred digits).  A longer one exits 2
+# through the ValueError that str() raises.
 MAX_STR_DIGITS = 2_000_000
 
 

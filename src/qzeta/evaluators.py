@@ -11,20 +11,18 @@ Exact evaluators (via a shared :class:`~qzeta.qarith.QContext`):
   integers.
 * :func:`mollified_mhs` / :func:`mollified_mhs_many`: the same engine on a
   single :class:`~qzeta.expansion.Triple` (no runs merged).
-* :func:`q_zeta`: infinite harmonic series, evaluated to a proven tail bound.
-* :func:`frakz`: infinite mollified series of an admissible pattern, the
-  same engine's partial sum over the outermost index without the
-  prefactor, taken to a proven tail bound; read as one triple, or summed
-  over every resolution as one series with one aggregate tail bound.
 
-Certified enclosures: :func:`q_zeta_enclosure` and :func:`frakz_enclosure`
-return, at the same truncation K and tail bound as :func:`q_zeta` and
-:func:`frakz`, a :class:`Ball` (midpoint and radius over integers at a
-binary point 2**-P) around the same exact partial sum; midpoint-radius
-arithmetic as in van der Hoeven, "Ball arithmetic" (2009).  They take the
-rational q itself, not a context: they, their truncation searches and
-their tables read only q = a/b, eps and the binary point, and build no
-:class:`~qzeta.qarith.QContext`.  Both run one
+Certified infinite series: :func:`q_zeta_enclosure`, the harmonic series,
+and :func:`frakz_enclosure`, the mollified series of an admissible pattern
+without the prefactor, read as one triple or summed over every resolution
+as one series with one aggregate tail bound.  Each finds the truncation K
+whose proven tail bound is at most eps (:func:`_harmonic_truncation`,
+:func:`_frakz_truncation`) and returns a :class:`Ball` (midpoint and
+radius over integers at a binary point 2**-P) around the exact partial sum
+to K; midpoint-radius arithmetic as in van der Hoeven, "Ball arithmetic"
+(2009).  They take the rational q itself, not a context: they, their
+truncation searches and their tables read only q = a/b, eps and the binary
+point, and build no :class:`~qzeta.qarith.QContext`.  Both run one
 sweep (:func:`_ball_sweep`): a dynamic programme taken one level at a time,
 innermost first, one list of floored products per level, with a radius
 carried index by index, where each run reads its deeper level at a binary
@@ -42,10 +40,10 @@ division of integers that grow with k, and every floored term of either
 side lies within _COLUMN_SLACK units below the exact one.
 The exact partial sums' denominators grow like
 K**2 bits (hundreds of thousands of bits toward q -> 1), while the balls'
-integers stay near their binary point, so the q-series checks of
-:mod:`~qzeta.verify` read both sides from balls alone, at a finer binary
-point (``prec``) when P cannot decide, and sum no series exactly;
-:func:`q_zeta` and :func:`frakz` stay exact for ``eval`` and as the oracles.
+integers stay near their binary point, so no infinite series is summed
+exactly: the q-series checks of :mod:`~qzeta.verify` read both sides from
+balls alone, at a finer binary point (``prec``) when P cannot decide, and
+``eval`` prints a ball's midpoint with its radius added to the tail bound.
 
 The one floating-point engine, :func:`classical_zeta`, computes the
 partial sum of one classical (signed) multiple zeta value with numpy and
@@ -67,10 +65,10 @@ family of values costs the same as the deepest single one.  In the exact
 ones every cumulative is an integer numerator over a known denominator, so
 no loop takes a gcd and each returned value is reduced once.  For q = a/b,
 h_i = (b^i - a^i)/(b - a) and L_k = lcm(h_i, i <= k), all kept by the
-:class:`~qzeta.qarith.QContext`, the harmonic sums (and so :func:`q_zeta`)
+:class:`~qzeta.qarith.QContext`, the harmonic sums
 scale a cumulative at index k by a power of L_k times a power of b, and
 each row carries its own scale (see :func:`_mhs_rows`).  The
-mollified sums and :func:`frakz` share one recurrence, the run engine,
+mollified sums share one recurrence, the run engine,
 whose terms also carry q^quadratic and (1 + q^k) factors: it scales the
 cumulative of slots i..m-1 by L_k^W_i a^A_i b^B_i, with W_i their total
 magnitude and A_i, B_i the largest exponents its terms need (see
@@ -86,7 +84,7 @@ b^(k^2) is folded into their b-exponents.  Its terms, G(2n, n-k) times a
 value at its own index's scale, are carried from row n-1 to row n by one
 multiply and one exact division by integers of about n bits each, and the
 denominator's growth from index to index is folded into each row's sum
-once, by Horner, as in :func:`frakz` (see :func:`_pattern_rows`).
+once, by Horner (see :func:`_pattern_rows`).
 
 The run engine reads and records its levels through one level memo
 (:mod:`~qzeta.levels`).  At one q and upper limit n a level's column, its
@@ -111,9 +109,8 @@ both sides of a finite identity have) left implied and c a small
 cofactor, 1 on the harmonic side.  Both finite engines stream such rows,
 n = 0, 1, ..., n_max, as generators: each raises before its first row, and
 row 0 needs no term, so a reader that takes row 0 of every stream it
-opened has met every refusal before any term is summed.  :func:`frakz`
-reduces its sum as the row (total, a^A_K, B_K) at K.  That power of L_n
-is most of a denominator's bits, so :func:`~qzeta.verify.verify_mhs`
+opened has met every refusal before any term is summed.  L_n^w is most
+of a denominator's bits, so :func:`~qzeta.verify.verify_mhs`
 reads the two streams in step and compares each pair of rows unreduced, by
 cross-multiplying their numerators with their cofactors alone.  A row
 becomes a value only in :func:`_row_value`, or :func:`_row_values` for a
@@ -142,10 +139,10 @@ Row = tuple[int, int, int]
 
 
 class SeriesValue(NamedTuple):
-    """Partial sum, exact or a :class:`Ball` around it, with a rigorous
+    """A :class:`Ball` around the partial sum to ``terms``, with a rigorous
     bound on the omitted tail."""
 
-    value: Fraction | Ball
+    value: Ball
     tail_bound: Fraction
     terms: int
 
@@ -213,16 +210,19 @@ class Ball:
         return Fraction(self.mid - self.rad, one), Fraction(self.mid + self.rad, one)
 
 
-# Largest upper limit of a harmonic sum (and so the longest q_zeta and
-# q_zeta_enclosure truncation), checked before any term is summed.  The
-# numerators grow like n**2 bits, so the cost grows about as n**4: (2,1) at
+# Largest upper limit of an exact finite harmonic sum (mhs, mhs_many and
+# the left side of verify_mhs), and longest truncation K of the left ball
+# (q_zeta_enclosure), checked before any term is summed.  The exact sum's
+# numerators grow like n**2 bits, so its cost grows about as n**4: (2,1) at
 # q = 1/2 and n = 1000 takes about 10 s, (2,1,1,3,1) at q = 5/8 and n = 500
-# about 27 s on a 2-vCPU x86-64 host.
+# about 27 s on a 2-vCPU x86-64 host.  The ball's integers stay near its
+# binary point, so for it the cap only bounds K, and the work estimate
+# below does not apply.
 MAX_MHS_LIMIT = 1000
 
-# Largest work estimate of a harmonic sum, checked after MAX_MHS_LIMIT and
-# before any term is summed, so that a deep or heavy string fails fast below
-# that limit.  At depth m, weight W and upper limit n, with q = a/b, the
+# Largest work estimate of an exact finite harmonic sum, checked after
+# MAX_MHS_LIMIT and before any term is summed, so that a deep or heavy
+# string fails fast below that limit.  At depth m, weight W and upper limit n, with q = a/b, the
 # integers reach about S = n (W n + m) log2(b) bits (L_n alone has about
 # 0.3 n**2 log2(b)), and the (m + 3) n steps (one per level and index, plus
 # the per-index powers of L_k and h_k, fitted) multiply integers of up to
@@ -340,7 +340,7 @@ def _row_values(ctx: QContext, w: int, rows: Iterable[Row]) -> list[Fraction]:
 # same terms, whatever its composition, so these are keyed by q-level data
 # only and hold immutable ints, Fractions and tuples; functools.lru_cache is
 # thread-safe and reports its hits and misses through cache_info().  A
-# battery at one q and eps needs one search per depth (at most 32 frakz
+# battery at one q and eps needs one search per depth (at most 32 mollified
 # depths, merged or not), a few hundred bytes each.  Both balls' floored
 # terms come from _TABLE_CACHE_SIZE tables of each kind (_magnitude_table,
 # _power_table), none keyed by a run's own (s, P_j, beta): the benchmark's
@@ -677,7 +677,7 @@ def _pattern_rows(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> Ite
     index's scale, so the growth never meets them: g_n holds
     (L_n/L_(n-1))**w, up to w times the bits of h_n, and the a- and
     b-powers on top.  Each row folds the growth into its numerator once,
-    by Horner over the g_k, as :func:`frakz` does,
+    by Horner over the g_k,
 
         acc = 0,  acc = acc * g_k + Y_n[k]  for k = 1..n,
 
@@ -802,11 +802,14 @@ def _harmonic_truncation(q: Fraction, m: int, eps: Fraction) -> tuple[int, Fract
     found by :func:`_truncation` from m and memoized per (q, m, eps) (see
     :func:`_harmonic_search`).
 
-    Tail bound: the entries satisfy 1/[k]^mag <= 1, so the series is
+    Tail bound: a term is +-prod_j q**k_j / [k_j]**mag_j, and [k] >= 1, so
+    its absolute value is at most prod_j q**k_j.  The tail, every index
+    tuple with k_1 > K in strict or weak descent, lies among the tuples
+    with k_1 > K and every other k_j >= 1 unconstrained, so
 
         |tail(K)| <= (q/(1-q))**(m-1) * q**(K+1) / (1-q),
 
-    the unconstrained product of geometric tails, which falls as K grows.
+    the product of geometric tails, which falls as K grows.
 
     Raises ValueError, before any term is summed, when the truncation would
     exceed MAX_MHS_LIMIT, as it does for every string longer than that.
@@ -834,20 +837,6 @@ def _harmonic_search(
         return prefactor * q ** (K + 1)
 
     return _truncation(bound, m, eps, cap, "a harmonic sum")
-
-
-def q_zeta(
-    ctx: QContext, s: Sequence, eps: Fraction = Fraction(1, 10**20), star: bool = False
-) -> SeriesValue:
-    """Infinite harmonic series, summed in exact rationals until the proven
-    tail bound is <= eps (see :func:`_harmonic_truncation`).
-
-    Raises ValueError, before any term is summed, for an eps that is not a
-    positive rational or a truncation over MAX_MHS_LIMIT.
-    """
-    entries = signed_string(s)
-    K, bound = _harmonic_truncation(ctx.q, len(entries), as_eps(eps))
-    return SeriesValue(mhs(ctx, entries, K, star=star), bound, K)
 
 
 # The binary point of the enclosure is 2**-P with P = max(bits of 1/eps,
@@ -878,12 +867,14 @@ def q_zeta_enclosure(
     star: bool = False,
     prec: int | None = None,
 ) -> SeriesValue:
-    """:func:`q_zeta` at q with its value as a :class:`Ball` around the same
-    exact partial sum, at the same K and with the same tail bound, summed in
-    integers at the binary point 2**-prec by :func:`_ball_sweep` over one
-    run per entry (:func:`_harmonic_runs`), whose floored terms lie within
-    _COLUMN_SLACK units of the exact ones.  By default prec is P, the bit
-    size of 1/eps, at least _COMPACT_BITS, plus _GUARD_BITS.
+    """The infinite harmonic series of the signed string s at q, strict or
+    weak (``star``): a :class:`Ball` around its exact partial sum to the
+    truncation K whose proven tail bound is <= eps
+    (:func:`_harmonic_truncation`), with that bound and K.  The ball is
+    summed in integers at the binary point 2**-prec by :func:`_ball_sweep`
+    over one run per entry (:func:`_harmonic_runs`), whose floored terms
+    lie within _COLUMN_SLACK units of the exact ones.  By default prec is
+    P, the bit size of 1/eps, at least _COMPACT_BITS, plus _GUARD_BITS.
 
     Level i of the sweep, i >= 1, depends only on q, K, prec, the descent
     and the entries i..m-1, so levels 1..m-1 go through the level memo
@@ -895,8 +886,10 @@ def q_zeta_enclosure(
     ball, level 0, is not held.  The ball is the same whichever levels
     were read.
 
-    Raises ValueError as :func:`q_zeta` does, and for a q that
-    :func:`~qzeta.qarith.as_q` refuses.
+    Raises ValueError, before any term is summed, for a string that
+    :func:`~qzeta.indices.signed_string` refuses, a q that
+    :func:`~qzeta.qarith.as_q` refuses, an eps that is not a positive
+    rational, or a truncation over MAX_MHS_LIMIT.
     """
     entries = signed_string(s)
     q, eps = as_q(q), as_eps(eps)
@@ -917,69 +910,16 @@ def q_zeta_enclosure(
     return SeriesValue(levels[0], bound, K)
 
 
-# Longest truncation K that :func:`frakz` and :func:`frakz_enclosure` will
-# sum, checked before any term is summed, so it also bounds the right ball
-# of every q-series check.  It was set for the exact sum: the engine's
-# integers grow like K**2 bits, so at depth 32 the cost grows about as
-# K**4: 9 s at K = 100 and 72 s at K = 160 at q = 1/2, 20 s at K = 100 at
-# q = 2/3, on a 2-vCPU x86-64 host.  Depth 32 has a tail bound only for
+# Longest truncation K of a mollified series, the right ball of every
+# q-series check and ``eval frakz`` (:func:`frakz_enclosure`), checked by
+# the search before any table is built.  Its value was set for an exact
+# sum whose integers grew like K**2 bits; the ball's stay near its binary
+# point, so the cap now bounds only K and the tables' lengths (see
+# _TABLE_CACHE_SIZE).  Depth 32 has a tail bound only for
 # K > 30 + 31 / log2(1/q), so this cap admits it up to q ~ 0.73.  The test
 # suite and the benchmark reach K = 51 at most (9,9,9 at q = 1/2,
 # eps = 1e-25).
 MAX_FRAKZ_TERMS = 100
-
-
-def frakz(
-    ctx: QContext, pattern: Triple, eps: Fraction = Fraction(1, 10**20), merge: bool = False
-) -> SeriesValue:
-    """Infinite mollified series, summed until the proven tail bound is <= eps.
-
-    The value is the engine's prefactor-free partial sum: inner[k] (see
-    :func:`_inner_terms`) summed over the outermost index k <= K.  With
-    ``merge=False`` that is the series of the pattern read as one triple;
-    with ``merge=True`` it is the sum of the series of all 2**(m-1)
-    resolutions, as one series.
-
-    Only admissible triples converge: every left-to-right partial fold of
-    the shift string must project into {1, 2}.  Then the folded quadratic
-    exponents of a depth-d triple telescope to at least
-    k1*(k1-1)/2 - (d-1)*k1, so the terms with outermost index k total at
-    most B_d(k) = 2**d k**(d-1) q**(k(k-1)/2 - (d-1)k), and once
-    rho_d = 2**(d-1) * q**(K+2-d) < 1 the tail past K is at most
-    B_d(K+1) / (1 - rho_d).
-
-    Checking the pattern covers every resolution: proj is additive over
-    boxplus (theta projects to 0, and 1 boxplus -1 = theta), so each partial
-    fold of a resolution, a fold of the pattern's first j shifts in some
-    bracketing, projects to the same value as the pattern's j-th partial
-    fold.  With ``merge=True`` the tail bound is the sum of the
-    per-resolution bounds at the common K: C(m-1, d-1) resolutions have
-    depth d, which gives sum_d C(m-1, d-1) * B_d(K+1) / (1 - rho_d).
-    rho_d grows with d, so rho_m < 1 makes every term finite.
-
-    K is the least one whose bound is <= eps, found by :func:`_truncation`
-    from 0 before any term is summed and memoized per (q, m, merge, eps)
-    (see :func:`_frakz_search`).  The value is then summed in integers by
-    Horner over the growth factors of :func:`_rescaled`, whose product is
-    L_K**W * a**A_K * b**B_K, so the sum is the row (total, a**A_K, B_K) at
-    K and weight W, reduced once by :func:`_row_value`.  The search needs
-    "fits" monotone in K, and it is: rho_d falls as K grows, so once every
-    class has a bound it keeps one, and each class's bound then falls
-    strictly.  With k = K + 1, B_d(k+1)/B_d(k) = (1 + 1/k)**(d-1) q**(k-d+1),
-    which is q**(K+1) < 1 for d = 1 and, wherever rho_d < 1, below
-    ((K+2)/(2K+2))**(d-1) <= 1; the factor 1/(1 - rho_d) falls with rho_d.
-
-    Raises ValueError, before summing any term, for a pattern deeper than
-    MAX_PATTERN_DEPTH, an inadmissible one, an eps that is not a positive
-    rational, or a K above MAX_FRAKZ_TERMS.
-    """
-    K, bound = _frakz_truncation(ctx.q, pattern, eps, merge)
-    inner = _inner_terms(ctx, pattern, merge, K)
-    total = top_a = top_b = 0
-    for grow, x, top_a, top_b in _rescaled(ctx, pattern.weight, inner):
-        total = total * grow + x
-    row = (total, ctx.q.numerator**top_a, top_b)
-    return SeriesValue(_row_value(ctx, pattern.weight, K, row), bound, K)
 
 
 def _check_depth(depth: int, what: str) -> None:
@@ -996,7 +936,14 @@ def _check_series_depth(depth: int) -> None:
 
 
 def _frakz_truncation(q: Fraction, pattern: Triple, eps, merge) -> tuple[int, Fraction]:
-    """The K and tail bound of :func:`frakz` at q, after its refusals."""
+    """The truncation K of the mollified series of pattern at q (every
+    resolution summed as one series with ``merge``, else the pattern read
+    as one triple) and its tail bound (see :func:`_frakz_search`).
+
+    Raises ValueError, before any term is summed, for a pattern deeper than
+    MAX_PATTERN_DEPTH, an inadmissible one, an eps that is not a positive
+    rational, or a K above MAX_FRAKZ_TERMS.
+    """
     m = pattern.depth
     _check_depth(m, "a q-series")
     if not is_admissible(pattern):
@@ -1011,11 +958,35 @@ def _frakz_truncation(q: Fraction, pattern: Triple, eps, merge) -> tuple[int, Fr
 def _frakz_search(
     a: int, b: int, m: int, merge: bool, eps_num: int, eps_den: int, cap: int
 ) -> tuple[int, Fraction]:
-    """The truncation K of :func:`frakz` for a depth-m pattern at q = a/b
-    and its tail bound, the least K <= cap whose bound is <= eps =
+    """The truncation K of :func:`_frakz_truncation` for a depth-m pattern
+    at q = a/b and its tail bound, the least K <= cap whose bound is <= eps =
     eps_num/eps_den, found by :func:`_truncation` from 0.  The cap is part
     of the key, so no entry outlives it, and a refusal is not kept; keyed
     by integers as :func:`_harmonic_search` is.
+
+    Only admissible triples converge: every left-to-right partial fold of
+    the shift string must project into {1, 2}.  Then the folded quadratic
+    exponents of a depth-d triple telescope to at least
+    k1*(k1-1)/2 - (d-1)*k1, so the terms with outermost index k total at
+    most B_d(k) = 2**d k**(d-1) q**(k(k-1)/2 - (d-1)k), and once
+    rho_d = 2**(d-1) * q**(K+2-d) < 1 the tail past K is at most
+    B_d(K+1) / (1 - rho_d).
+
+    Checking the pattern covers every resolution: proj is additive over
+    boxplus (theta projects to 0, and 1 boxplus -1 = theta), so each partial
+    fold of a resolution, a fold of the pattern's first j shifts in some
+    bracketing, projects to the same value as the pattern's j-th partial
+    fold.  With ``merge`` the tail bound is the sum of the per-resolution
+    bounds at the common K: C(m-1, d-1) resolutions have depth d, which
+    gives sum_d C(m-1, d-1) * B_d(K+1) / (1 - rho_d).  rho_d grows with d,
+    so rho_m < 1 makes every term finite.
+
+    The search needs "fits" monotone in K, and it is: rho_d falls as K
+    grows, so once every class has a bound it keeps one, and each class's
+    bound then falls strictly.  With k = K + 1,
+    B_d(k+1)/B_d(k) = (1 + 1/k)**(d-1) q**(k-d+1), which is q**(K+1) < 1
+    for d = 1 and, wherever rho_d < 1, below ((K+2)/(2K+2))**(d-1) <= 1;
+    the factor 1/(1 - rho_d) falls with rho_d.
 
     With k = K + 1, each class's B_d(k) = 2**d k**(d-1) q**(k(k-1)/2 -
     (d-1)k) is q**((m-d)k) times the deepest class's power of q,
@@ -1329,15 +1300,17 @@ def _harmonic_runs(q: Fraction, entries: tuple, n: int) -> list:
 
 
 def _mollified_runs(
-    q: Fraction, pattern: Triple, merge, n: int, held: dict | None = None, new: dict | None = None
+    q: Fraction, pattern: Triple, merge, n: int,
+    held: dict | None = None, new: dict | None = None, reads: list | None = None,
 ) -> list:
-    """The runs of :func:`_ball_sweep` for the partial sum of :func:`frakz`
-    at q to K = n: the runs of the merge mask (:func:`_runs`), each read
-    through its :func:`_run_column`, and each level i >= 1 damped.
+    """The runs of :func:`_ball_sweep` for the partial sum to K = n of the
+    mollified series of pattern at q (see :func:`frakz_enclosure`): the
+    runs of the merge mask (:func:`_runs`), each read through its
+    :func:`_run_column`, and each level i >= 1 damped.
 
     Let P_j be the sum of proj(r) over the shifts r of slots 0..j-1, the
     projection of their left-to-right fold (proj is additive over boxplus;
-    see :func:`frakz`): P_0 = 0, and admissibility puts P_j in {1, 2} for
+    see :func:`_frakz_search`): P_0 = 0, and admissibility puts P_j in {1, 2} for
     j >= 1.  A run [i, j) has alpha = P_j - P_i, so with T(k) = k(k-1)/2 the
     sweep keeps each level one damping step behind its quadratic exponent,
     E_j[k] = q**(P_j T(k)) C_j[k], and by Abel summation
@@ -1355,12 +1328,15 @@ def _mollified_runs(
     point): it is read from ``held`` (the level memo's columns at q, see
     :func:`frakz_enclosure`) when that holds the key, else from ``new``,
     else built and put in ``new``, so a sweep builds each distinct column
-    once and never writes into ``held``.  A damping is read off the power
-    table of q (:func:`_power_table`) and is not memoized."""
+    once and never writes into ``held``; each column read rather than built
+    appends its key to ``reads``, so a sweep that stops before any lookup
+    (n = 0) counts none.  A damping is read off the power table of q
+    (:func:`_power_table`) and is not memoized."""
     a, b, m = q.numerator, q.denominator, pattern.depth
     P = list(accumulate(map(proj, pattern.r), initial=0))
     held = {} if held is None else held
     new = {} if new is None else new
+    reads = [] if reads is None else reads
 
     def column(s: int, p: int, beta: int, last: bool, prec: int) -> list[int]:
         key = (n, s, p, beta, last, prec)
@@ -1368,6 +1344,8 @@ def _mollified_runs(
         if found is None:
             expos = [p * (k * (k - 1) // 2 if last else k - 1) + beta * k for k in range(1, n + 1)]
             found = new[key] = _run_column(a, b, s, expos, prec)
+        else:
+            reads.append(key)
         return found
 
     def damping(p: int, prec: int) -> list[int]:
@@ -1383,13 +1361,19 @@ def _mollified_runs(
 
 
 def frakz_enclosure(
-    q: QLike, pattern: Triple, eps: Fraction = Fraction(1, 10**20), prec: int | None = None
+    q: QLike, pattern: Triple, eps: Fraction = Fraction(1, 10**20), merge: bool = True,
+    prec: int | None = None,
 ) -> SeriesValue:
-    """:func:`frakz` at q with merge=True, its value a :class:`Ball` at 2**-prec
-    around the same exact partial sum, at the same K and with the same tail
-    bound, by :func:`_ball_sweep` in strict descent over the runs of every
-    resolution (:func:`_mollified_runs`), whose floored terms lie within
-    _COLUMN_SLACK units of the exact ones.  By default prec is P, as for
+    """The infinite mollified series of an admissible pattern at q, without
+    the prefactor: a :class:`Ball` at 2**-prec around its exact partial sum
+    over the outermost index k <= K, the truncation whose proven tail bound
+    is <= eps (:func:`_frakz_truncation`), with that bound and K.  With
+    ``merge`` (the default) it is the sum of the series of all 2**(m-1)
+    resolutions, as one series; with ``merge=False`` the series of the
+    pattern read as one triple.  The ball is summed by :func:`_ball_sweep`
+    in strict descent over the runs the merge flag allows
+    (:func:`_mollified_runs`), whose floored terms lie within _COLUMN_SLACK
+    units of the exact ones.  By default prec is P, as for
     :func:`q_zeta_enclosure`.
 
     A run's column depends only on q and (K, s, P_j, beta, j == m, binary
@@ -1402,19 +1386,18 @@ def frakz_enclosure(
     columns were read.  Its levels 1..m-1, and their dampings, are not
     held (see the module docstring of :mod:`~qzeta.levels`).
 
-    Raises ValueError as :func:`frakz` does, and for a q that
+    Raises ValueError as :func:`_frakz_truncation` does, and for a q that
     :func:`~qzeta.qarith.as_q` refuses, before any table is built.
     """
     q = as_q(q)
-    K, bound = _frakz_truncation(q, pattern, eps, True)
+    K, bound = _frakz_truncation(q, pattern, eps, merge)
     if prec is None:
         prec = _default_prec(as_eps(eps))
     generation, held = Levels.columns((q.numerator, q.denominator))
     new: dict = {}
-    runs = _mollified_runs(q, pattern, True, K, held, new)
-    ball = _ball_sweep(runs, K, prec, False)[0]
-    # every entry of runs but the dampings of levels 1..m-1 looks a column up
-    Levels.hold(generation, new, sum(map(len, runs)) - len(runs) + 1 - len(new))
+    reads: list = []
+    ball = _ball_sweep(_mollified_runs(q, pattern, merge, K, held, new, reads), K, prec, False)[0]
+    Levels.hold(generation, new, len(reads))
     return SeriesValue(ball, bound, K)
 
 

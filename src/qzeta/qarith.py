@@ -58,9 +58,9 @@ def as_int(value, name: str) -> int:
 class QContext:
     """Integer q-tables at a fixed rational q = a/b in (0, 1), all built from
     h_n = (b**n - a**n) / (b - a), the integer form of [n] = h_n / b**(n-1),
-    for the exact engines: the finite sums, :func:`~qzeta.evaluators.q_zeta`,
-    :func:`~qzeta.evaluators.frakz` and the kernel lemmas.  The certified
-    q-series checks take q itself and build no context.
+    for the exact engines: the finite sums and the kernel lemmas.  The
+    certified q-series, which the q-series checks and ``eval``'s series
+    kinds read, take q itself and build no context.
 
     One loop grows h_n = b h_(n-1) + a**(n-1) from h_0 = 0, and a second one
     grows from it the common denominators L_n = lcm(h_1, ..., h_n) over which

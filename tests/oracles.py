@@ -117,6 +117,25 @@ def harmonic_all_n(q, entries, n_max, star=False):
     return out
 
 
+def harmonic_series_nested(q, entries, K, star=False):
+    """The partial sum to K of :func:`harmonic_all_n`, value K, by nested
+    cumulative sums instead of enumerating every index tuple, so its cost
+    grows like K * m rather than K**m.  It serves where the brute force is
+    too slow, and is checked against it on small K."""
+    q = Fraction(q)
+    # below[k]: the sum over the slots deeper than the current one of every
+    # index tuple whose top index is at most k; the empty product under the
+    # innermost slot
+    below = [Fraction(1)] * (K + 1)
+    for mag, sign in reversed(entries):
+        cumulative = [Fraction(0)] * (K + 1)
+        for k in range(1, K + 1):
+            term = q**k / (Fraction(sign) ** k * q_integer(q, k) ** mag)
+            cumulative[k] = cumulative[k - 1] + term * below[k if star else k - 1]
+        below = cumulative
+    return below[K]
+
+
 def _mollified_factors(q, slots, n_max):
     """factor[j][k]: the summand factor of slot j at index k,
     q^{t_j k + Q(r_j, k)} (1 + q^k) / (sign_j^k [k]^{mag_j}), for 1 <= k <= n_max."""
@@ -191,19 +210,61 @@ def mollified_series_nested(q, slots, K):
     return sum(at, Fraction(0))
 
 
+def merge_shift(acc, r):
+    """The merge rule of two shifts (ints, None for theta), the left one
+    first: theta is the identity, 1 then -1 merges to theta, any other pair
+    of ints adds."""
+    if acc is None:
+        return r
+    if r is None:
+        return acc
+    return None if (acc, r) == (1, -1) else acc + r
+
+
 def slot_projections(shifts):
     """P_0, ..., P_m for a shift string (ints, None for theta): P_j is the
     integer projection (theta -> 0) of the left-to-right merge of the first
-    j shifts, by the merge rule itself: theta is the identity, 1 then -1
-    merges to theta, any other pair of ints adds.  P_0 = 0."""
+    j shifts, by :func:`merge_shift`.  P_0 = 0."""
     out, acc = [0], None
     for r in shifts:
-        if acc is None:
-            acc = r
-        elif r is not None:
-            acc = None if (acc, r) == (1, -1) else acc + r
+        acc = merge_shift(acc, r)
         out.append(0 if acc is None else acc)
     return out
+
+
+def mollified_series_merged(q, slots, K):
+    """The partial sum to K of the mollified series (no prefactor) summed
+    over every resolution of the slots, the sum of
+    :func:`mollified_series_partial` over the 2**(m-1) ways to merge
+    neighbouring slots, without listing them.
+
+    A run of slots [i, j) merges into one slot: magnitudes and offsets add,
+    it is barred when an odd number of its slots are, and its shifts merge
+    left to right by :func:`merge_shift`.  With T_ij(k) that slot's summand
+    factor at index k, C_m[k] = 1 and C_i[0] = 0 for i < m,
+
+        C_i[k] = C_i[k-1] + sum_(j > i) T_ij(k) * C_j[k-1],
+
+    so C_i[k] sums, over the resolutions of slots i..m-1, the nested sums
+    whose top index is at most k, and the value is C_0[K].  Every product
+    is a Fraction.  slots as in :func:`mollified_all_n`, nonempty.
+    """
+    q = Fraction(q)
+    m = len(slots)
+    runs = []  # (i, j, the factor row of the run [i, j) merged into one slot)
+    for i in range(m):
+        mag, sign, t, r = 0, 1, 0, None
+        for j in range(i, m):
+            (mag_j, sign_j), t_j, r_j = slots[j]
+            mag, sign, t, r = mag + mag_j, sign * sign_j, t + t_j, merge_shift(r, r_j)
+            runs.append((i, j + 1, _mollified_factors(q, [((mag, sign), t, r)], K)[0]))
+    C = [[Fraction(0)] * (K + 1) for _ in range(m)] + [[Fraction(1)] * (K + 1)]
+    for k in range(1, K + 1):
+        for i in range(m):
+            C[i][k] = C[i][k - 1]
+        for i, j, row in runs:
+            C[i][k] += row[k] * C[j][k - 1]
+    return C[0][K]
 
 
 def signed_strings(max_depth, max_weight):

@@ -60,6 +60,109 @@ def test_eval_latex_format(capsys):
     assert out.strip() == r"\frac{" + plain.replace("/", "}{") + "}"
 
 
+def test_eval_latex_of_an_integer_and_a_negative_value(capsys):
+    # an integer prints as itself, with no fraction; a negative value puts
+    # its sign in front of the fraction
+    rc, out, err = run(capsys, "eval", "mhs", "--s", "2,1", "--n", "1", "--format", "latex")
+    assert rc == 0 and out == "0\n"
+    rc, out, err = run(capsys, "eval", "frakz", "--s=-4;2;1", "--eps", "1e-10")
+    value = Fraction(out.splitlines()[0])
+    rc, out, err = run(capsys, "eval", "frakz", "--s=-4;2;1", "--eps", "1e-10", "--format", "latex")
+    assert rc == 0 and value < 0
+    assert out == f"-\\frac{{{-value.numerator}}}{{{value.denominator}}}\n"
+
+
+def _oracle_partial_sum(kind, text, q, K):
+    import oracles
+
+    if kind == "frakz":
+        tri = parse_triple(text)
+        slots = [
+            ((e.magnitude, e.sign), t, None if r is THETA else r)
+            for e, t, r in zip(tri.s, tri.t, tri.r)
+        ]
+        return oracles.mollified_series_nested(q, slots, K)
+    entries = [(e.magnitude, e.sign) for e in parse_signed_string(text)]
+    return oracles.harmonic_series_nested(q, entries, K, kind == "qzeta-star")
+
+
+def test_eval_series_json_payload_is_the_plain_lines_and_keeps_the_contract(capsys):
+    # eval of a series prints the midpoint of its ball as an exact rational
+    # and adds the ball's radius to the search's tail bound, so the
+    # oracle's exact partial sum to K lies within tail_bound of the value
+    # minus the search's bound, and the series within tail_bound of it;
+    # --format json carries the same value, tail bound and K as the plain
+    # lines, under the same keys for each series kind
+    import qzeta.evaluators as ev
+
+    for kind, text, q, eps in (
+        ("qzeta", "2,1", "1/2", "1e-12"),
+        ("qzeta-star", "-2,1,3", "2/9", "1e-25"),
+        ("frakz", "-4;2;1", "9/10", "1e-6"),
+        ("frakz", "2,-1;1,0;2,-1", "1/2", "1e-25"),
+    ):
+        argv = ("eval", kind, f"--s={text}", "--q", q, "--eps", eps)
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert rc == 0 and err == "", argv
+        data = json.loads(out)
+        assert json.dumps(data, indent=2, sort_keys=True) == out.strip()
+        assert sorted(data) == ["eps", "kind", "q", "s", "tail_bound", "terms", "value"]
+        assert (data["kind"], data["s"], data["q"]) == (kind, text, q)
+        assert data["eps"] == str(Fraction(eps))
+        rc, out, err = run(capsys, *argv)
+        assert out.splitlines() == [
+            data["value"], f"tail_bound: {data['tail_bound']}", f"terms: {data['terms']}"
+        ]
+        value, tail_bound, K = Fraction(data["value"]), Fraction(data["tail_bound"]), data["terms"]
+        if kind == "frakz":
+            search = ev._frakz_truncation(Fraction(q), parse_triple(text), Fraction(eps), False)
+        else:
+            search = ev._harmonic_truncation(Fraction(q), len(text.split(",")), Fraction(eps))
+        assert search[0] == K
+        radius = tail_bound - search[1]
+        assert 0 <= radius < Fraction(1, 2**280)
+        assert value.denominator & (value.denominator - 1) == 0  # a dyadic midpoint
+        assert abs(_oracle_partial_sum(kind, text, Fraction(q), K) - value) <= radius, argv
+
+
+def test_verify_plain_output_prints_the_residuals_of_a_failing_report(capsys, monkeypatch):
+    # a failing report's residual lines follow its status line, indented
+    compose = qzeta.verify.compose
+
+    def halved(comp):
+        d, pattern = compose(comp)
+        return Fraction(d, 2), pattern
+
+    monkeypatch.setattr(qzeta.verify, "compose", halved)
+    rc, out, err = run(capsys, "verify", "2,1", "--n-max", "3")
+    assert rc == 1
+    head, *rest = out.splitlines()
+    assert head.startswith("fail  weak-sum 2,1 (checks=4, discrepancy=13121/74088)")
+    assert rest == ["    q=1/2 n=1: 1/8", "    q=1/2 n=2: 35/216", "    q=1/2 n=3: 13121/74088"]
+    assert rest == [f"    {line}" for line in qzeta.verify.verify_mhs((2, 1), n_max=3).residuals]
+
+
+def test_expand_json_writes_a_barred_zero_slot_as_minus_zero(capsys, monkeypatch):
+    # no composed pattern of weight <= 12 has a barred zero slot, so the
+    # pattern of -1/[n] (inverse_power_pattern(1)) stands in for one: JSON
+    # has no -0, so the slot is the string "-0", which the string parser
+    # reads back as the barred zero
+    from qzeta import inverse_power_pattern
+
+    pattern = inverse_power_pattern(1)
+    monkeypatch.setattr(qzeta.cli, "compose", lambda comp: (-1, pattern))
+    rc, out, err = run(capsys, "expand", "2", "--format", "json")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["pattern"] == {"s": ["-0", 1], "t": [0, 0], "r": [1, "theta"]}
+    assert parse_signed_string(",".join(map(str, data["pattern"]["s"]))) == pattern.s
+    # its two resolutions: the slots merged into a barred 1, and the pattern
+    assert data["terms"] == [
+        {"s": [-1], "t": [0], "r": [1]},
+        {"s": ["-0", 1], "t": [0, 0], "r": [1, "theta"]},
+    ]
+
+
 def test_eval_qzeta_star_huge_exact_value(capsys):
     rc, out, err = run(capsys, "eval", "qzeta-star", "--s", "2,1", "--eps", "1e-12")
     assert rc == 0
@@ -361,16 +464,16 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
         assert rc == 2, argv
         assert out == "" and err.strip().endswith(f"series length exceeds {cap} for {what}"), argv
         assert 0 < len(calls) <= cap + 2 and max(calls) <= cap, argv
-    # a harmonic sum whose length passes its cap but whose work estimate is
-    # over budget, each past a minute of summing, is refused before L_n is
-    # built; sums of a minute or less (27 s and 6 s here) start.  A finite
-    # check reads both sides' rows in step, so the left side's estimate
-    # refuses before the right side sums a term (2^5000 at n_max 20)
+    # an exact harmonic sum whose length passes its cap but whose work
+    # estimate is over budget, each past a minute of summing, is refused
+    # before L_n is built; sums of a minute or less (27 s and 6 s here)
+    # start.  A finite check reads both sides' rows in step, so the left
+    # side's estimate refuses before the right side sums a term (2^5000 at
+    # n_max 20)
     monkeypatch.undo()
     monkeypatch.setattr(qzeta.QContext, "p_lcm", never)
     budget = qzeta.evaluators.MAX_MHS_WORK
     for argv, work in (
-        (("eval", "qzeta-star", "--s", "2,1^199"), "3.6e+15"),
         (("eval", "mhs-star", "--s", "1^300", "--n", "300"), "5.5e+16"),
         (("eval", "mhs-star", "--s", "1^1000", "--n", "100"), "1.3e+16"),
         (("verify", "2^5000", "--n-max", "20"), "3e+15"),
@@ -390,6 +493,17 @@ def test_series_length_caps_fail_fast(capsys, monkeypatch):
     ):
         with pytest.raises(AssertionError, match="a sum was started"):
             main(list(argv))
+    # the estimate is the exact sum's: a series that eval reads as a ball,
+    # whose integers stay near its binary point, answers without building
+    # L_n, also where the exact partial sum's estimate is over budget
+    # (3.6e+15 and 7.8e+14)
+    for argv, terms in (
+        (("eval", "qzeta-star", "--s", "2,1^199"), 200),
+        (("eval", "qzeta-star", "--s", "2,1,1,3,1", "--q", "9/10", "--eps", "1e-25"), 651),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == "", argv
+        assert out.splitlines()[2] == f"terms: {terms}", argv
 
 
 def test_string_longer_than_the_series_cap_fails_fast(capsys, monkeypatch):
@@ -544,7 +658,7 @@ def test_digit_limit_is_scoped_to_main(capsys, monkeypatch):
     outer = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4321)
     try:
-        argv = ("eval", "qzeta-star", "--s", "2,1", "--eps", "1e-25")
+        argv = ("eval", "mhs-star", "--s", "2,1", "--n", "60")
         rc, out, err = run(capsys, *argv)
         assert rc == 0
         assert len(out.partition("/")[0]) > 640

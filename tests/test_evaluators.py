@@ -19,7 +19,6 @@ from qzeta import (
     boxplus,
     classical_zeta,
     expand,
-    frakz,
     idx,
     is_admissible,
     mhs,
@@ -27,7 +26,6 @@ from qzeta import (
     mollified_mhs,
     mollified_mhs_many,
     pattern_mhs_many,
-    q_zeta,
 )
 from qzeta.evaluators import (
     MAX_CLASSICAL_TERMS,
@@ -201,13 +199,15 @@ def test_upper_limit_caps(ctx_half, monkeypatch):
         mhs_many(ctx_half, (2, 1), MAX_MHS_LIMIT + 1)
     # a q-series whose truncation would pass the cap is refused too
     with pytest.raises(ValueError, match=f"exceeds {MAX_MHS_LIMIT}"):
-        q_zeta(QContext(Fraction(99, 100)), (2, 1), eps=Fraction(1, 10**25))
+        q_zeta_enclosure(Fraction(99, 100), (2, 1), eps=Fraction(1, 10**25))
     # so is a mollified series whose truncation would pass its cap
     with pytest.raises(ValueError, match=f"exceeds {MAX_FRAKZ_TERMS}"):
-        frakz(ctx_half, Triple((idx(3),), (2,), (2,)), eps=Fraction(1, 10**100000))
+        frakz_enclosure(
+            ctx_half.q, Triple((idx(3),), (2,), (2,)), eps=Fraction(1, 10**100000), merge=False
+        )
     pair = Triple((idx(2), bar(1)), (1, 0), (2, -1))
     with pytest.raises(ValueError, match=f"exceeds {MAX_FRAKZ_TERMS}"):
-        frakz(QContext(Fraction(999, 1000)), pair, eps=Fraction(1, 10**30), merge=True)
+        frakz_enclosure(Fraction(999, 1000), pair, eps=Fraction(1, 10**30))
 
 
 def test_harmonic_truncation_matches_the_plain_walk(monkeypatch):
@@ -335,24 +335,33 @@ def test_quasi_stuffle_spot(ctx_half, ctx_third):
                 assert star == strict
 
 
+def _inside(series, exact) -> bool:
+    lo, hi = series.value.bounds()
+    return lo <= exact <= hi
+
+
 def test_q_zeta_converges_to_partial_sums(ctx_half, ctx_third):
-    val = q_zeta(ctx_half, (2, 1), eps=Fraction(1, 10**12))
+    val = q_zeta_enclosure(ctx_half.q, (2, 1), eps=Fraction(1, 10**12))
     assert val.tail_bound <= Fraction(1, 10**12)
-    refined = q_zeta(ctx_half, (2, 1), eps=Fraction(1, 10**24))
-    assert abs(val.value - refined.value) <= val.tail_bound
-    # the reported value is the exact partial sum through the stated bound
-    assert mhs(ctx_half, (2, 1), val.terms) == val.value
+    refined = q_zeta_enclosure(ctx_half.q, (2, 1), eps=Fraction(1, 10**24))
+    # the exact partial sums through the two stated bounds lie within the
+    # first bound of each other, and each ball holds its own
+    coarse, fine = (
+        oracles.harmonic_series_nested(ctx_half.q, [(2, 1), (1, 1)], v.terms) for v in (val, refined)
+    )
+    assert abs(coarse - fine) <= val.tail_bound
+    assert _inside(val, coarse) and _inside(refined, fine)
     for ctx in (ctx_half, ctx_third):
         for star in (False, True):
-            val = q_zeta(ctx, (2, 1), eps=Fraction(1, 10**6), star=star)
+            val = q_zeta_enclosure(ctx.q, (2, 1), eps=Fraction(1, 10**6), star=star)
             expect = oracles.harmonic_all_n(ctx.q, [(2, 1), (1, 1)], val.terms, star)
-            assert val.value == expect[val.terms]
+            assert _inside(val, expect[val.terms])
 
 
 def test_q_zeta_empty_and_errors(ctx_half):
-    assert q_zeta(ctx_half, ()).value == 1
+    assert q_zeta_enclosure(ctx_half.q, ()).value.bounds() == (1, 1)
     with pytest.raises(ValueError):
-        q_zeta(ctx_half, (2,), eps=Fraction(0))
+        q_zeta_enclosure(ctx_half.q, (2,), eps=Fraction(0))
 
 
 ENCLOSURE_QS = (Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(9, 10))
@@ -367,24 +376,27 @@ def _signed_strings(seed, count, max_depth):
 
 
 def test_q_zeta_enclosure_contains_the_exact_partial_sum():
-    # the ball holds q_zeta's exact value, at the same K and tail bound, weak
-    # and strict and toward q -> 1, and it is narrow
+    # the ball holds the oracle's exact partial sum at the truncation K and
+    # tail bound of the search, weak and strict and toward q -> 1, and it
+    # is narrow
+    import qzeta.evaluators as ev
+
     eps = Fraction(1, 10**6)
     for q in ENCLOSURE_QS:
-        ctx = QContext(q)
         for s in _signed_strings(q.denominator, 3, 2):
             for star in (False, True):
-                exact = q_zeta(ctx, s, eps=eps, star=star)
                 ball = q_zeta_enclosure(q, s, eps=eps, star=star)
-                assert (ball.terms, ball.tail_bound) == (exact.terms, exact.tail_bound)
+                assert (ball.terms, ball.tail_bound) == ev._harmonic_truncation(q, len(s), eps)
+                entries = [(abs(x), 1 if x > 0 else -1) for x in s]
+                exact = oracles.harmonic_series_nested(q, entries, ball.terms, star)
                 lo, hi = ball.value.bounds()
-                assert lo <= exact.value <= hi, (q, s, star)
+                assert lo <= exact <= hi, (q, s, star)
                 assert ball.value.rad < 2**16
                 # negative control: the exact value moved away from the centre
                 # by one radius plus one unit falls outside
                 unit = Fraction(1, 2**ball.value.prec)
-                away = 1 if exact.value >= ball.value.mid * unit else -1
-                moved = exact.value + away * (ball.value.rad + 1) * unit
+                away = 1 if exact >= ball.value.mid * unit else -1
+                moved = exact + away * (ball.value.rad + 1) * unit
                 assert not lo <= moved <= hi
     with pytest.raises(ValueError, match="eps must be positive"):
         q_zeta_enclosure(Fraction(1, 2), (2,), eps=Fraction(0))
@@ -394,6 +406,22 @@ def test_q_zeta_enclosure_contains_the_exact_partial_sum():
             q_zeta_enclosure(q, (2,))
         with pytest.raises(ValueError, match="q must lie strictly between 0 and 1"):
             frakz_enclosure(q, Triple((idx(2),), (0,), (2,)))
+
+
+def test_ball_sweep_of_an_empty_string_or_no_index_reads_no_column():
+    # the empty string's sum is 1 and a sum to n = 0 is 0, both exactly,
+    # in either descent, returned before any column is read; at n = 0 the
+    # levels below the ball are left unsummed above the exact 1
+    def never(prec):
+        raise AssertionError("a column was read")
+
+    prec, one = 64, 1 << 64
+    for weak in (False, True):
+        assert _ball_sweep([], 5, prec, weak) == [Ball(one, 0, prec)]
+        runs = [[(1, False, never)], [(2, True, never)]]
+        levels = _ball_sweep(runs, 0, prec, weak)
+        assert levels[0] == Ball(0, 0, prec) and levels[1] is None
+        assert levels[2][0] == [one] and levels[2][1] == [0]
 
 
 def test_ball_arithmetic_contains_the_exact_results():
@@ -543,19 +571,25 @@ def test_left_ball_of_a_deep_string_stays_narrow_toward_q_one():
 
 def test_frakz_certified_truncation(ctx_half):
     tri = Triple((idx(3),), (2,), (2,))
-    val = frakz(ctx_half, tri, eps=Fraction(1, 10**15))
-    refined = frakz(ctx_half, tri, eps=Fraction(1, 10**25))
-    assert abs(val.value - refined.value) <= val.tail_bound
+    val = frakz_enclosure(ctx_half.q, tri, eps=Fraction(1, 10**15), merge=False)
+    refined = frakz_enclosure(ctx_half.q, tri, eps=Fraction(1, 10**25), merge=False)
+    # the exact partial sums through the two stated bounds lie within the
+    # first bound of each other, and each ball holds its own
+    slots = _oracle_slots(tri)
+    coarse, fine = (oracles.mollified_series_nested(ctx_half.q, slots, v.terms) for v in (val, refined))
+    assert abs(coarse - fine) <= val.tail_bound
     assert val.tail_bound <= Fraction(1, 10**15)
+    assert _inside(val, coarse) and _inside(refined, fine)
 
 
 def test_frakz_rejects_divergent_shifts(ctx_half):
     with pytest.raises(ValueError, match="divergent"):
-        frakz(ctx_half, Triple((idx(1),), (0,), (0,)))
+        frakz_enclosure(ctx_half.q, Triple((idx(1),), (0,), (0,)), merge=False)
 
 
 def test_frakz_is_the_prefactor_free_partial_sum():
-    # the value is exactly the sum of the summands with outermost index <= K
+    # the ball holds the sum of the summands with outermost index <= K, the
+    # truncation of the pattern read as one triple
     rng = random.Random(29)
     triples = []
     while len(triples) < 20:
@@ -569,21 +603,26 @@ def test_frakz_is_the_prefactor_free_partial_sum():
             triples.append(tri)
     # at 7/8 and 2/9 a > 1 enters the engine's scale through negative
     # exponents, and b is not a power of 2
+    import qzeta.evaluators as ev
+
+    eps = Fraction(1, 10**12)
     for q in (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9)):
-        ctx = QContext(q)
         for tri in triples:
-            val = frakz(ctx, tri, eps=Fraction(1, 10**12))
+            val = frakz_enclosure(q, tri, eps=eps, merge=False)
+            assert (val.terms, val.tail_bound) == ev._frakz_truncation(q, tri, eps, False)
             slots = [
                 ((e.magnitude, e.sign), t, None if r is THETA else r)
                 for e, t, r in zip(tri.s, tri.t, tri.r)
             ]
-            assert val.value == oracles.mollified_series_partial(q, slots, val.terms), tri
+            assert _inside(val, oracles.mollified_series_partial(q, slots, val.terms)), tri
+            assert val.value.rad <= 2**8, tri
 
 
 def test_mollified_stabilizes_toward_frakz(ctx_half):
     tri = Triple((idx(2), bar(1)), (1, 0), (2, -1))
     assert is_admissible(tri)
-    limit = frakz(ctx_half, tri, eps=Fraction(1, 10**30)).value
+    K = frakz_enclosure(ctx_half.q, tri, eps=Fraction(1, 10**30), merge=False).terms
+    limit = oracles.mollified_series_nested(ctx_half.q, _oracle_slots(tri), K)
     gaps = [abs(mollified_mhs(ctx_half, tri, n) - limit) for n in (10, 20, 40)]
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -1021,37 +1060,62 @@ def test_frakz_merged_is_the_sum_over_every_resolution():
     # resolution, so every resolution is summed by the nested-sum oracle,
     # which test_nested_series_oracle_matches_the_brute_force checks.
     for q in (Fraction(1, 2), Fraction(2, 3), Fraction(7, 8), Fraction(2, 9)):
-        ctx = QContext(q)
         for pattern in patterns:
             assert is_admissible(pattern)
-            val = frakz(ctx, pattern, eps=eps, merge=True)
+            val = frakz_enclosure(q, pattern, eps=eps)
             K = val.terms
             resolutions = expand(pattern)
             expect = sum(
                 (oracles.mollified_series_nested(q, _oracle_slots(T), K) for T in resolutions),
                 Fraction(0),
             )
-            assert val.value == expect, pattern
+            assert _inside(val, expect), pattern
             # the aggregate tail is the sum of every resolution's own bound at
             # K, and K is the first length at which that sum fits eps
             tails = [_resolution_tail(q, T.depth, K) for T in resolutions]
             assert val.tail_bound == sum(tails) <= eps, pattern
             shorter = [_resolution_tail(q, T.depth, K - 1) for T in resolutions]
             assert None in shorter or sum(shorter) > eps, pattern
-            refined = frakz(ctx, pattern, eps=Fraction(1, 10**25), merge=True)
-            assert abs(val.value - refined.value) <= val.tail_bound, pattern
+            refined = frakz_enclosure(q, pattern, eps=Fraction(1, 10**25))
+            fine = oracles.mollified_series_merged(q, _oracle_slots(pattern), refined.terms)
+            assert abs(expect - fine) <= val.tail_bound, pattern
+            assert _inside(refined, fine), pattern
+
+
+def test_merged_series_oracle_is_the_sum_over_every_resolution():
+    # the merged oracle's run recurrence against the nested-sum oracle
+    # summed over every resolution that expand lists, at depth 1-5, on
+    # seeded patterns with barred and zero magnitudes, shifts theta, 0, +-1
+    # and 2 (1 then -1 and -1 then 1 next to each other), and on shifts
+    # that are not admissible, as a partial sum needs no convergence
+    rng = random.Random(53)
+    patterns = [_admissible_pattern(rng, m) for m in (1, 2, 3, 4, 5, 5)]
+    patterns += [
+        Triple((idx(3), bar(1), idx(0), bar(2), idx(1)), (1, 0, 2, 0, 1), (1, 1, -1, 1, THETA)),
+        Triple((bar(2), idx(1), idx(2), bar(0)), (0, 1, 0, 2), (2, -1, 1, -1)),
+        Triple((idx(1), idx(2), bar(1)), (0, 0, 1), (0, -2, 3)),
+    ]
+    for q in (Fraction(1, 2), Fraction(2, 9), Fraction(7, 8)):
+        for pattern in patterns:
+            slots = _oracle_slots(pattern)
+            for K in (0, 1, 2, 7):
+                expect = sum(
+                    (oracles.mollified_series_nested(q, _oracle_slots(T), K) for T in expand(pattern)),
+                    Fraction(0),
+                )
+                assert oracles.mollified_series_merged(q, slots, K) == expect, (q, pattern, K)
 
 
 def test_frakz_merged_refusals(ctx_half):
     with pytest.raises(ValueError, match="divergent"):
-        frakz(ctx_half, Triple((idx(2), idx(1)), (0, 0), (1, 2)), merge=True)
+        frakz_enclosure(ctx_half.q, Triple((idx(2), idx(1)), (0, 0), (1, 2)))
     deep = Triple((idx(1),) * 33, (0,) * 33, (1,) + (THETA,) * 32)
     with pytest.raises(ValueError, match="depth 33 exceeds"):
-        frakz(ctx_half, deep, merge=True)
+        frakz_enclosure(ctx_half.q, deep)
 
 
 def test_frakz_truncation_matches_the_plain_walk(monkeypatch):
-    # frakz finds K by the galloping search from 0; K, the aggregate tail
+    # the mollified series finds K by the galloping search from 0; K, the aggregate tail
     # bound and the error text are those of the walk up from 0 over the
     # bound sum_d C(m-1, d-1) B_d(K+1) / (1 - rho_d), built here from its
     # formula, and each search evaluates the bound at most
@@ -1087,24 +1151,19 @@ def test_frakz_truncation_matches_the_plain_walk(monkeypatch):
         assert evaluations[-1] <= 2 * _ceil_log2(K - start + 1) + 2, (K, evaluations[-1])
         return K, found
 
-    # nothing is summed: the engine yields zeros
-    monkeypatch.setattr(ev, "_inner_terms", lambda ctx, pattern, merge, n: itertools.repeat((0, 0, 0), n))
     monkeypatch.setattr(ev, "_truncation", counted)
 
-    def outcome(ctx, pattern, eps, merge):
+    def outcome(q, pattern, eps, merge):
         try:
-            val = frakz(ctx, pattern, eps=eps, merge=merge)
+            return ev._frakz_truncation(q, pattern, eps, merge)
         except ValueError as err:
             return str(err)
-        assert val.value == 0
-        return val.terms, val.tail_bound
 
     qs = [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)]
     qs.append(Fraction(9, 10))
     epss = [Fraction(1, 10**e) for e in (3, 25, 60, 300)]
     results = set()
     for q in qs:
-        ctx = QContext(q)
         for m in (1, 2, 3, 5, 8, 12):
             pattern = Triple((idx(2),) + (bar(1),) * (m - 1), (0,) * m, (1,) + (THETA,) * (m - 1))
             assert is_admissible(pattern)
@@ -1116,13 +1175,13 @@ def test_frakz_truncation_matches_the_plain_walk(monkeypatch):
                     cases += [bound(q, m, merge, MAX_FRAKZ_TERMS + i) for i in (0, 1)]
                 for eps in cases:
                     expect = walk(q, m, merge, eps)
-                    assert outcome(ctx, pattern, eps, merge) == expect, (q, m, merge, eps)
+                    assert outcome(q, pattern, eps, merge) == expect, (q, m, merge, eps)
                     results.add(expect if isinstance(expect, str) else expect[0])
     assert refusal in results and MAX_FRAKZ_TERMS in results and 2 in results
     assert len(evaluations) == len(qs) * 6 * 2 * 4 + 4
 
 
-def test_memoized_searches_equal_cold_and_direct_ones(monkeypatch):
+def test_memoized_searches_equal_cold_and_direct_ones():
     # a warm search returns what a cold one does, and both what _truncation
     # returns on the tail bound built here from its formula; a refusal is
     # not kept, so it is raised again
@@ -1130,19 +1189,15 @@ def test_memoized_searches_equal_cold_and_direct_ones(monkeypatch):
 
     def outcome(fn, *args, **kwargs):
         try:
-            out = fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         except ValueError as err:
             return str(err)
-        return (out.terms, out.tail_bound) if hasattr(out, "terms") else out
 
     def merged_tail(q, m, merge, K):
         classes = [(math.comb(m - 1, d - 1), d) for d in range(1, m + 1)] if merge else [(1, m)]
         tails = [(many, _resolution_tail(q, d, K)) for many, d in classes]
         return None if any(t is None for _, t in tails) else sum(n * t for n, t in tails)
 
-    # nothing is summed: the engine yields zeros and the walk reads none
-    monkeypatch.setattr(ev, "_inner_terms", lambda ctx, pattern, merge, n: itertools.repeat((0, 0, 0), n))
-    monkeypatch.setattr(ev, "_rescaled", lambda ctx, w, terms: iter(()))
     qs = [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)]
     qs.append(Fraction(9, 10))
     epss = [Fraction(1, 10**e) for e in (3, 25, 300)]
@@ -1165,8 +1220,8 @@ def test_memoized_searches_equal_cold_and_direct_ones(monkeypatch):
                         ev._truncation, functools.partial(merged_tail, q, m, merge), 0, eps,
                         ev.MAX_FRAKZ_TERMS, "a mollified series",
                     )
-                    cold = outcome(frakz, QContext(q), pattern, eps=eps, merge=merge)
-                    warm = outcome(frakz, QContext(q), pattern, eps=eps, merge=merge)
+                    cold = outcome(ev._frakz_truncation, q, pattern, eps, merge)
+                    warm = outcome(ev._frakz_truncation, q, pattern, eps, merge)
                     assert warm == cold == direct, (q, m, merge, eps)
                     if isinstance(direct, str):
                         refused.add("frakz")
@@ -1183,14 +1238,14 @@ def test_memoized_searches_keep_no_refusal_and_no_stale_cap(monkeypatch):
     eps = Fraction(1, 10**25)
     K, _ = ev._harmonic_truncation(ctx.q, 3, eps)
     pattern = Triple((idx(2), bar(1)), (0, 0), (1, THETA))
-    terms = frakz(ctx, pattern, eps=eps, merge=True).terms
+    terms, _ = ev._frakz_truncation(ctx.q, pattern, eps, True)
     monkeypatch.setattr(ev, "MAX_MHS_LIMIT", K - 1)
     monkeypatch.setattr(ev, "MAX_FRAKZ_TERMS", terms - 1)
     for _ in range(2):
         with pytest.raises(ValueError, match=f"exceeds {K - 1} for a harmonic sum"):
             ev._harmonic_truncation(ctx.q, 3, eps)
         with pytest.raises(ValueError, match=f"exceeds {terms - 1} for a mollified series"):
-            frakz(ctx, pattern, eps=eps, merge=True)
+            ev._frakz_truncation(ctx.q, pattern, eps, True)
     for memo in (ev._harmonic_search, ev._frakz_search):
         info = memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 3, 1), info
@@ -1209,9 +1264,9 @@ def test_the_ball_reads_h_without_the_lcm_table(monkeypatch):
     exact = oracles.harmonic_all_n(q, [(3, 1), (1, 1), (2, 1)], ball.terms, star=True)
     lo, hi = ball.value.bounds()
     assert lo <= exact[ball.terms] <= hi
-    # the patch is live: the exact sum does build it
+    # the patch is live: the exact partial sum does build it
     with pytest.raises(AssertionError, match="the lcm table was built"):
-        q_zeta(QContext(q), (3, 1, 2), eps=Fraction(1, 10**9), star=True)
+        mhs(QContext(q), (3, 1, 2), ball.terms, star=True)
 
 
 # the table tests' q: toward q -> 1, d = ceil(b / (b - a)) reaches 1000 at
@@ -1277,21 +1332,10 @@ FRAKZ_ENCLOSURE_QS = (
 
 
 def _resolutions_partial_sum(q, pattern, merge, K):
-    """The partial sum to K that frakz sums, from the nested-sum oracle over
-    every resolution the merge flag lets it sum."""
+    """The partial sum to K of the mollified series, from the nested-sum
+    oracle over every resolution the merge flag lets it sum."""
     triples = expand(pattern) if merge else [pattern]
     return sum((oracles.mollified_series_nested(q, _oracle_slots(T), K) for T in triples), Fraction(0))
-
-
-def _frakz_ball(q, pattern, eps, merge):
-    """frakz_enclosure, and with merge=False the same sweep at the K and
-    tail bound of frakz read as one triple."""
-    import qzeta.evaluators as ev
-
-    if merge:
-        return frakz_enclosure(q, pattern, eps=eps)
-    K, bound = ev._frakz_truncation(q, pattern, eps, False)
-    return ev.SeriesValue(_right_ball(q, pattern, False, K, ev._default_prec(eps)), bound, K)
 
 
 def _right_ball(q, pattern, merge, n, prec):
@@ -1305,28 +1349,30 @@ def _right_ball(q, pattern, merge, n, prec):
 
 
 def test_frakz_enclosure_contains_the_exact_partial_sum():
-    # the ball holds frakz's exact partial sum, at the same K and tail
-    # bound, merged and read as one triple, for seeded patterns of depth
-    # 1-12 with barred and zero magnitudes and shifts theta, 0, +-1 and 2,
-    # toward q -> 1, and it is narrow.  Below depth 6 the exact value is the
-    # independent oracle summed over every resolution; deeper, where
-    # 2**(m-1) resolutions take too long, it is frakz.  At q = 9/10 the
-    # exact sums of depths 10-12 take seconds, so they stop at depth 9
+    # the ball holds the exact partial sum at the truncation K and tail
+    # bound of the search, merged and read as one triple, for seeded
+    # patterns of depth 1-12 with barred and zero magnitudes and shifts
+    # theta, 0, +-1 and 2, toward q -> 1, and it is narrow.  The exact value
+    # is the nested-sum oracle, summed over every resolution below depth 6;
+    # deeper, where 2**(m-1) resolutions take too long, a merged series is
+    # the merged oracle's run recurrence.  At q = 9/10 the exact sums of
+    # depths 10-12 take seconds, so they stop at depth 9
+    import qzeta.evaluators as ev
+
     rng = random.Random(29)
     patterns = [_admissible_pattern(rng, m) for m in range(1, 13)]
     eps = Fraction(1, 10**6)
     for q in FRAKZ_ENCLOSURE_QS:
-        ctx = QContext(q)
         for pattern in patterns[: 9 if q == Fraction(9, 10) else 12]:
             for merge in (True, False):
-                ball = _frakz_ball(q, pattern, eps, merge)
+                ball = frakz_enclosure(q, pattern, eps=eps, merge=merge)
                 case = (q, pattern, merge)
-                if pattern.depth < 6:
+                search = ev._frakz_truncation(q, pattern, eps, merge)
+                assert (ball.terms, ball.tail_bound) == search, case
+                if pattern.depth < 6 or not merge:
                     exact = _resolutions_partial_sum(q, pattern, merge, ball.terms)
                 else:
-                    series = frakz(ctx, pattern, eps=eps, merge=merge)
-                    assert (ball.terms, ball.tail_bound) == (series.terms, series.tail_bound), case
-                    exact = series.value
+                    exact = oracles.mollified_series_merged(q, _oracle_slots(pattern), ball.terms)
                 lo, hi = ball.value.bounds()
                 assert lo <= exact <= hi, case
                 assert ball.value.rad <= 2**16, case
@@ -1335,10 +1381,6 @@ def test_frakz_enclosure_contains_the_exact_partial_sum():
                 unit = Fraction(1, 2**ball.value.prec)
                 away = 1 if exact >= ball.value.mid * unit else -1
                 assert not lo <= exact + away * (ball.value.rad + 1) * unit <= hi, case
-    shallow = patterns[2]
-    series = frakz(QContext(Fraction(1, 2)), shallow, eps=eps, merge=True)
-    ball = frakz_enclosure(Fraction(1, 2), shallow, eps=eps)
-    assert (ball.terms, ball.tail_bound) == (series.terms, series.tail_bound)
 
 
 def test_frakz_sweep_holds_at_coarse_binary_points():
@@ -1752,7 +1794,7 @@ def test_power_tables_divide_out_what_their_guard_bits_cannot_tell(guard, monkey
 def test_frakz_enclosure_refuses_as_frakz_does_before_any_table(monkeypatch):
     # a pattern over the depth cap, an inadmissible one, an eps that is not
     # a positive rational and a K over its cap are refused before the sweep
-    # or any table is started, with frakz's messages
+    # or any table is started, merged or read as one triple
     import qzeta.evaluators as ev
 
     def never(*args, **kwargs):
@@ -1773,9 +1815,7 @@ def test_frakz_enclosure_refuses_as_frakz_does_before_any_table(monkeypatch):
     ):
         for merge in (True, False):
             with pytest.raises(ValueError, match=message):
-                frakz(ctx, pattern, eps=eps, merge=merge)
-        with pytest.raises(ValueError, match=message):
-            frakz_enclosure(ctx.q, pattern, eps=eps)
+                frakz_enclosure(ctx.q, pattern, eps=eps, merge=merge)
     # the patches are live: an admissible pattern reaches the sweep
     with pytest.raises(AssertionError, match="a table was built"):
         frakz_enclosure(ctx.q, admissible, eps=Fraction(1, 10**6))

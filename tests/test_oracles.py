@@ -53,6 +53,8 @@ def test_nested_oracle_sums_equal_the_per_tuple_products():
         for star in (False, True):
             expect = _harmonic_per_tuple(q, entries, n_max, star)
             assert oracles.harmonic_all_n(q, entries, n_max, star) == expect, (q, entries, star)
+            nested = [oracles.harmonic_series_nested(q, entries, n, star) for n in range(n_max + 1)]
+            assert nested == expect, (q, entries, star)
         slots = [(e, rng.randint(0, 3), rng.choice((None, -2, -1, 0, 1, 2))) for e in entries]
         factor = oracles._mollified_factors(q, slots, n_max)
         expect = _buckets_per_tuple(factor, n_max)

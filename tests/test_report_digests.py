@@ -109,7 +109,8 @@ def test_report_digest(name, monkeypatch):
 
 
 def _count_exact_sums(monkeypatch) -> list:
-    """Patch both exact series evaluators to record the series they sum."""
+    """Patch both exact engines, the harmonic DP and the run engine, to
+    record the strings and patterns they sum."""
     calls = []
 
     def counted(name):
@@ -121,8 +122,8 @@ def _count_exact_sums(monkeypatch) -> list:
 
         monkeypatch.setattr(qzeta.evaluators, name, call)
 
-    counted("q_zeta")
-    counted("frakz")
+    counted("_mhs_rows")
+    counted("_inner_terms")
     return calls
 
 

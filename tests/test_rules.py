@@ -314,3 +314,37 @@ def test_closed_families_spot(family):
 def test_closed_pattern_rejects_unknown_family():
     with pytest.raises(ValueError):
         closed_pattern("nope", 1)
+
+
+def test_closed_family_builders_refuse_their_bad_arguments():
+    # every builder refuses an argument list outside its shape with its own
+    # message; the list one step inside builds the composed pattern
+    cases = {
+        "twos": [((0,), "need a >= 1", (1,))],
+        "c-ones": [((2, 1), "need c >= 3 and l >= 1", (3, 1)), ((3, 0), "need c >= 3", (3, 1))],
+        "2c2": [
+            (([1], [3]), "need one more run length than c entries", ([1, 0], [3])),
+            (([-1, 1], [3]), "need runs >= 0 and c entries >= 3", ([0, 1], [3])),
+            (([1, 1], [2]), "need runs >= 0 and c entries >= 3", ([1, 1], [3])),
+        ],
+        "2c21": [
+            (([], [], []), "need at least one group", ([0], [3], [0])),
+            (([0, 1], [3], [0]), "parameter lists must all have length 1", ([0], [3], [0])),
+        ],
+        "212c21": [
+            ((-1, [], [], []), "need a0 >= 0", (0, [], [], [])),
+            ((0, [1], [3], []), "parameter lists must all have length 1", (0, [1], [3], [0])),
+        ],
+        "2c212": [(([0], [3], [0], 0), "need a trailing run with a_last >= 1", ([0], [3], [0], 1))],
+        "212c212": [((0, [], [], [], 0), "need a trailing run with a_last >= 1", (0, [], [], [], 1))],
+    }
+    for family, rows in cases.items():
+        for bad, message, good in rows:
+            with pytest.raises(ValueError, match=message):
+                closed_pattern(family, *bad)
+            comp, compiled = closed_pattern(family, *good)
+            assert compiled == compose(comp), (family, good)
+    # a rightmost run of 2's is the pattern of -1 attached to a nonempty run
+    with pytest.raises(ValueError, match="a trailing run of 2's must be nonempty"):
+        base_state(Twos(0))
+    assert base_state(Twos(1)) == compose((2,))

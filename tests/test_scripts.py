@@ -275,7 +275,7 @@ def test_bench_pairs_records_a_probe_past_its_timeout_and_a_refusal(tmp_path):
     slow = run_probe(tmp_path, "verify 2,1", timeout=0.2)
     assert slow["exit"] == "timeout" and slow["stderr"] == ""
     assert 0.2 <= slow["wall_s"] < 10 and slow["child_cpu_s"] >= 0
-    refused = run_probe(ROOT, "eval qzeta-star --s 2,1^199")
+    refused = run_probe(ROOT, "eval mhs-star --s 1^300 --n 300")
     assert refused["exit"] == 2
     assert refused["stderr"].startswith("error: work estimate ")
     assert refused["stderr"].endswith(" for a harmonic sum")

@@ -20,7 +20,6 @@ from qzeta import (
     head_reduction_pattern,
     inverse_power_pattern,
     lemma_suite,
-    q_zeta,
     rational_repr,
     run_family,
     sample_compositions,
@@ -64,11 +63,14 @@ def test_rational_repr_matches_decimal_division():
     for _ in range(2000):
         num = rng.getrandbits(rng.randint(1, 300)) * rng.choice((1, -1))
         values.append(Fraction(num, rng.getrandbits(rng.randint(1, 300)) + 1))
-    # report values of the size a certified series check produces
-    ctx = QContext(Fraction(1, 2))
-    lhs = q_zeta(ctx, (2, 1, 1, 3, 1), eps=Fraction(1, 10**25), star=True)
-    rhs = q_zeta(ctx, (2, 1, 1, 3, 1), eps=Fraction(1, 10**24), star=True)
-    values += [lhs.value, -lhs.value, lhs.value - rhs.value, lhs.tail_bound, 1 / lhs.value]
+    # report values of the size a certified series check produces: exact
+    # partial sums of a weak zeta star value at the truncations of two eps
+    q, entries = Fraction(1, 2), [(2, 1), (1, 1), (1, 1), (3, 1), (1, 1)]
+    K, tail_bound = evaluators._harmonic_truncation(q, 5, Fraction(1, 10**25))
+    lhs = oracles.harmonic_series_nested(q, entries, K, star=True)
+    K, _ = evaluators._harmonic_truncation(q, 5, Fraction(1, 10**24))
+    rhs = oracles.harmonic_series_nested(q, entries, K, star=True)
+    values += [lhs, -lhs, lhs - rhs, tail_bound, 1 / lhs]
     for x in values:
         assert rational_repr(x) == oracles.report_text(x), x
 
@@ -128,6 +130,41 @@ def test_numeric_report_from_balls_only_when_they_decide():
     assert report(_ball(eps, 2**40), tail) is None
     assert report(_ball(eps * 2, 2**40), tail)["status"] == "fail"
     assert report(_ball(Fraction(7, 3 * 10**33), 2**40), _ball(Fraction(1, 10**26), 2**40)) is None
+
+
+def test_numeric_report_decides_a_discrepancy_of_exactly_eps():
+    # the rule is |lhs - rhs| <= eps, on eps = 2**-110: dyadic, so a ball's
+    # end can sit on it exactly, and not compact (its denominator is above
+    # 10**30), so the ball's text can be decided.  A ball whose high end is
+    # eps passes; one whose low end is eps holds eps and values above it,
+    # so it cannot tell pass from fail; one unit further each way, the
+    # first straddles eps and the second fails
+    from qzeta.evaluators import Ball
+    from qzeta.verify import _numeric_report
+
+    eps, tail = Fraction(1, 2**110), Fraction(1, 10**40)
+
+    def report(mid):
+        rep = _numeric_report(0.0, "c", "f", {}, Fraction(1, 2), eps, Ball(mid, 3, 300), tail)
+        return None if rep is None else (rep.status, rep.discrepancy)
+
+    edge = 1 << 190  # eps at 2**-300
+    assert report(edge - 3) == ("numeric-pass", "7.70371977755E-34")
+    assert report(edge + 3) is None
+    assert report(edge - 2) is None
+    assert report(edge + 4) == ("fail", "7.70371977755E-34")
+
+
+def test_kernel_patterns_refuse_a_power_below_their_range():
+    # -1/[n]**c needs c >= 0, and a head reduction pulls in c >= 1 factors
+    from qzeta import Triple, bar, idx
+
+    with pytest.raises(ValueError, match="need c >= 0, got -1"):
+        inverse_power_pattern(-1)
+    assert inverse_power_pattern(0) == Triple((bar(0),), (0,), (1,))
+    with pytest.raises(ValueError, match="need c >= 1, got 0"):
+        head_reduction_pattern(idx(2), 1, 0, THETA)
+    assert head_reduction_pattern(idx(2), 1, 1, THETA) == Triple((bar(0), bar(3)), (0, 1), (1, THETA))
 
 
 def test_report_json_round_trip():
@@ -512,17 +549,22 @@ def test_verify_qmzsv_detects_perturbed_delta(monkeypatch):
 
 
 def test_verify_qmzsv_reaches_toward_q_to_one(monkeypatch):
-    import qzeta.verify as v
-    from qzeta import QContext, compose, frakz
+    from qzeta import compose
 
     comp, eps = (2, 1, 1, 3, 1), Fraction(1, 10**25)
-    # at q = 2/3 the report is the one exact sums of both sides give
+    # at q = 2/3 the report is the one the oracles' exact partial sums of
+    # both sides give, at the truncations of the searches
     q = Fraction(2, 3)
-    ctx = QContext(q)
     d, pattern = compose(comp)
-    lhs = q_zeta(ctx, comp, eps=eps / 4, star=True)
-    rhs = frakz(ctx, pattern, eps=eps / 4, merge=True)
-    disc = abs(lhs.value - d * rhs.value)
+    K, left_tail = evaluators._harmonic_truncation(q, len(comp), eps / 4)
+    lhs = oracles.harmonic_series_nested(q, [(x, 1) for x in comp], K, star=True)
+    K, right_tail = evaluators._frakz_truncation(q, pattern, eps / 4, True)
+    slots = [
+        ((e.magnitude, e.sign), t, None if r is THETA else r)
+        for e, t, r in zip(pattern.s, pattern.t, pattern.r)
+    ]
+    rhs = oracles.mollified_series_merged(q, slots, K)
+    disc = abs(lhs - d * rhs)
     expect = {
         "case": "weak-zeta 2,1,1,3,1",
         "family": "composition",
@@ -532,7 +574,7 @@ def test_verify_qmzsv_reaches_toward_q_to_one(monkeypatch):
         "status": "numeric-pass" if disc <= eps else "fail",
         "residuals": [],
         "discrepancy": rational_repr(disc),
-        "tail_bound": rational_repr(lhs.tail_bound + rhs.tail_bound),
+        "tail_bound": rational_repr(left_tail + right_tail),
         "seed": None,
     }
     got = verify_qmzsv(comp, q=q).to_dict()
@@ -544,7 +586,7 @@ def test_verify_qmzsv_reaches_toward_q_to_one(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the left side was summed exactly")
 
-    monkeypatch.setattr(evaluators, "q_zeta", never)
+    monkeypatch.setattr(evaluators, "_mhs_rows", never)
     for q in (Fraction(4, 5), Fraction(9, 10)):
         assert verify_qmzsv(comp, q=q).status == "numeric-pass"
 
@@ -565,7 +607,7 @@ def _ball_precs_without_exact_sum(monkeypatch, comp):
         precs.append(ball.value.prec)
         return ball
 
-    monkeypatch.setattr(evaluators, "q_zeta", never)
+    monkeypatch.setattr(evaluators, "_mhs_rows", never)
     monkeypatch.setattr(v, "q_zeta_enclosure", recorded)
     return v.verify_qmzsv(comp, Fraction(1, 2)), precs
 
@@ -793,7 +835,7 @@ def test_symmetric_pair_check_refuses_bad_sizes_before_any_sum(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a sum was started")
 
-    for name in ("_ball_sweep", "_run_column", "frakz"):
+    for name in ("_ball_sweep", "_run_column", "_inner_terms"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
     for a, b in ((-1, 0), (0, -2), (-3, -3), (1.0, 0), (0, "2"), (Fraction(1), 1)):
         with pytest.raises(ValueError, match="must be an int >= 0"):
@@ -1099,7 +1141,7 @@ def test_qseries_right_side_is_decided_by_the_ball(monkeypatch):
              (1, 1, Fraction(5, 8))]
     symmetric = [_body(v.symmetric_pair_check(a, b, q=q)) for a, b, q in pairs]
     battery = [_body(rep) for rep in v.qmzsv_battery()]
-    monkeypatch.setattr(evaluators, "frakz", never)
+    monkeypatch.setattr(evaluators, "_inner_terms", never)
     for comp in comps:
         rep = v.verify_qmzsv(comp)
         assert rep.status == "numeric-pass", comp
@@ -1173,7 +1215,7 @@ def test_qseries_check_that_no_ball_decides_is_refused(monkeypatch, capsys):
             return value._replace(value=evaluators.Ball(ball.mid, 1 << ball.prec, ball.prec))
         monkeypatch.setattr(v, name, call)
 
-    for name in ("q_zeta", "frakz"):
+    for name in ("_mhs_rows", "_inner_terms"):
         monkeypatch.setattr(evaluators, name, never)
     widened("q_zeta_enclosure")
     widened("frakz_enclosure")
@@ -1500,8 +1542,8 @@ def test_eps_is_read_as_a_positive_rational_before_any_sum(monkeypatch):
     # one with a ValueError that says so, never ZeroDivisionError
     import qzeta.evaluators as ev
     import qzeta.verify as v
-    from qzeta import Triple, frakz, idx
-    from qzeta.evaluators import q_zeta_enclosure
+    from qzeta import Triple, idx
+    from qzeta.evaluators import frakz_enclosure, q_zeta_enclosure
     from qzeta.qarith import as_eps, as_q
 
     def never(*args, **kwargs):
@@ -1515,9 +1557,8 @@ def test_eps_is_read_as_a_positive_rational_before_any_sum(monkeypatch):
         lambda eps: v.verify_qmzsv((2, 1), eps=eps),
         lambda eps: v.symmetric_pair_check(0, 0, eps=eps),
         lambda eps: v.qmzsv_battery(eps=eps),
-        lambda eps: q_zeta(ctx, (2,), eps=eps),
         lambda eps: q_zeta_enclosure(ctx.q, (2,), eps=eps),
-        lambda eps: frakz(ctx, pattern, eps=eps),
+        lambda eps: frakz_enclosure(ctx.q, pattern, eps=eps, merge=False),
         as_eps,
     )
     for call in calls:
@@ -2113,6 +2154,28 @@ def test_right_ball_memo_admits_from_the_second_ball_and_holds_one_q_per_root():
     hits = Levels.cache_info().hits
     assert _left_ball_key(q_zeta_enclosure(q, s, eps=eps, star=True)) == left
     assert Levels.cache_info().hits == hits + len(s) - 1
+
+
+def test_right_ball_counts_only_the_column_lookups_it_makes():
+    # a right ball counts one memo read or build per column it looks up:
+    # every run of the merged pattern at K > 0, and none at K = 0, where the
+    # sweep returns before reading a column
+    from qzeta import compose
+    from qzeta.evaluators import Ball, frakz_enclosure
+    from qzeta.levels import Levels
+
+    pattern = compose((2, 1))[1]
+    runs = pattern.depth * (pattern.depth + 1) // 2
+    Levels.cache_clear()
+    for _ in range(3):
+        ball = frakz_enclosure(Fraction(1, 2), pattern, eps=100)
+        assert ball.terms == 0 and ball.value == Ball(0, 0, ball.value.prec)
+        assert Levels.cache_info()[:2] == (0, 0)
+    assert Levels.cache_info().currsize == 0
+    for calls in range(1, 4):
+        assert frakz_enclosure(Fraction(1, 2), pattern, eps=Fraction(1, 10**6)).terms > 0
+        hits, misses, _, _ = Levels.cache_info()
+        assert hits + misses == calls * runs
 
 
 def test_right_columns_held_at_a_stale_generation_are_dropped():
