@@ -117,7 +117,11 @@ SIDES = ("base", "change")
 # eps = 1e-6, whose compact exact discrepancy no ball down to 2**-2400
 # decides; and eval of the left series of (2,1,1,3,1) at q = 9/10, which
 # verify's check of it sums as a ball, so eval must answer where verify
-# does (an exact partial sum there is over the harmonic work estimate)
+# does (an exact partial sum there is over the harmonic work estimate);
+# and (9,9,9) at 99/100, the hardest input of the q-series check toward
+# q -> 1, refused today by the harmonic sum's series-length cap, and a
+# finite check at a q of 2,000 digits, admitted today though its
+# integers grow with the height of q, which no work estimate sees
 PROBES = (
     "verify 9,9,9 --qmzsv --q 9/10",
     "verify 9,9,9 --qmzsv --q 19/20",
@@ -152,6 +156,8 @@ PROBES = (
     "verify 9,9,9 --qmzsv --q 49/50",
     "verify 2 --qmzsv --q 1/10 --eps 1/1000000",
     "eval qzeta-star --s 2,1,1,3,1 --q 9/10 --eps 1e-25",
+    "verify 9,9,9 --qmzsv --q 99/100",
+    "verify 2,1 --q 1/" + "1" * 2000 + " --n-max 10",
 )
 PROBE_TIMEOUT_S = 30.0
 TIER1_TIMEOUT_S = 1800.0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -172,10 +173,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             s = parse_signed_string(args.s)
             sv = q_zeta_enclosure(q, s, eps=args.eps, star=kind.endswith("star"))
-        # |series - mid| <= |series - partial sum| + |partial sum - mid|
-        ball = sv.value
-        value = Fraction(ball.mid, 1 << ball.prec)
-        tail_bound = sv.tail_bound + Fraction(ball.rad, 1 << ball.prec)
+        # |series - mid| <= |series - partial sum| + |partial sum - mid|, the
+        # search's bound rounded up onto the ball's grid, whose denominator
+        # stays 2**prec where the bound's grows like b**K
+        ball, grid = sv.value, 1 << sv.value.prec
+        value = Fraction(ball.mid, grid)
+        tail_bound = Fraction(math.ceil(sv.tail_bound * grid) + ball.rad, grid)
         payload.update(
             q=str(q), eps=str(args.eps), value=str(value), tail_bound=str(tail_bound), terms=sv.terms
         )

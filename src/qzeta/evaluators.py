@@ -475,9 +475,9 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     and b-powers any of its terms has needed so far (either may be
     negative).  From k-1 to k a level first moves to L_k by
     (L_k/L_(k-1))**W_i (:meth:`~qzeta.qarith.QContext.p_lcm_step`, shared
-    with :func:`_rescaled`).  Then each level takes one pass over its live
-    runs: it starts from its own X_i, A_i and B_i, and when a run needs a
-    larger a- or b-power it multiplies the partial total by the difference
+    with :func:`_pattern_rows`).  Then each level takes one pass over its
+    live runs: it starts from its own X_i, A_i and B_i, and when a run needs
+    a larger a- or b-power it multiplies the partial total by the difference
     before adding that run's product.  Only integers are added and
     multiplied, no gcd is taken, and (L_k/h_k)**s (b**k + a**k) is built
     once per index for each magnitude s of a run, from L_k/h_k off the
@@ -594,29 +594,6 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
         yield inner
 
 
-def _rescaled(ctx: QContext, w: int, terms) -> Iterator[tuple[int, int, int, int]]:
-    """Walk terms t_k = y / (L_k**w * a**A * b**B), given as (y, A, B) for
-    k = 1, 2, ... (A and B may be negative), over the running denominator
-    D_k = L_k**w * a**A_k * b**B_k, with A_k and B_k the largest of the
-    exponents up to k and 0.  Yield (g_k, t_k * D_k, A_k, B_k) per k, where
-    g_k = D_k / D_(k-1) = (L_k/L_(k-1))**w * a**i * b**j is the small
-    integer that moves a value over D_(k-1) to D_k; D_k itself is the
-    product of the g_j up to k, built only by a caller that needs it.
-
-    Each denominator is as small as the values up to k need, known without
-    an lcm, so the early values are not scaled to the last one's size; a
-    caller folds a factor b**f into t_k by passing B - f.
-    """
-    a, b = ctx.q.numerator, ctx.q.denominator
-    top_a = top_b = 0
-    for k, (y, ea, eb) in enumerate(terms, 1):
-        new_a, new_b = max(top_a, ea), max(top_b, eb)
-        grow = ctx.p_lcm_step(k) ** w
-        grow *= a ** (new_a - top_a) * b ** (new_b - top_b)
-        top_a, top_b = new_a, new_b
-        yield grow, y * a ** (top_a - ea) * b ** (top_b - eb) if y else 0, top_a, top_b
-
-
 # Largest upper limit of the finite mollified sums, checked before any term
 # is summed.  The engine's values grow like n**2 bits and each n moves n of
 # them, and folds n of them, by factors of about n bits, so the cost grows a
@@ -652,17 +629,25 @@ def _pattern_rows(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> Ite
     magnitude and L_n = ctx.p_lcm(n) left implied, the row shape of
     :func:`_mhs_rows`, read as a value by :func:`_row_value`.
 
-    Row n's denominator is G(2n, n) * D_n, D_n = L_n**w * a**A_n * b**B_n,
-    with A_n the largest of 0 and the engine's a-exponents ea_k, and B_n
-    the largest of 0 and eb_k - k*k, over k <= n (see :func:`_inner_terms`
-    and :func:`_rescaled`), so c = G(2n, n) * a**A_n and e = B_n: the
-    b**(k*k) of the prefactor is folded into the engine's exponent before
-    the value is scaled, so it cancels the b-powers the engine's terms
-    carry instead of multiplying them.  x_k = b**(k*k) * inner[k] * D_k is
-    an integer at its own index's scale, and g_j = D_j / D_(j-1) of
-    :func:`_rescaled` moves it on, D_n / D_k = g_(k+1) * ... * g_n.  With
-    P_n**2 / P_2n = 1 / G(2n, n) and the Gaussian-binomial integers
-    G(N, j) = P_N / (P_j P_(N-j)),
+    The engine yields inner[k] = y_k / (L_k**w * a**ea_k * b**eb_k), with
+    ea_k and eb_k possibly negative (see :func:`_inner_terms`).  Row n's
+    denominator is G(2n, n) * D_n, D_n = L_n**w * a**A_n * b**B_n, with A_n
+    the largest of 0 and ea_k, and B_n the largest of 0 and eb_k - k*k,
+    over k <= n, so c = G(2n, n) * a**A_n and e = B_n: the b**(k*k) of the
+    prefactor is taken off the engine's exponent before the value is
+    scaled, so it cancels the b-powers the engine's terms carry instead of
+    multiplying them.  Each D_n is as small as the values up to n need,
+    known without an lcm, so the early values are not scaled to the last
+    one's size.  The loop keeps A_n and B_n as running maxima and forms
+
+        g_n = D_n / D_(n-1) = (L_n/L_(n-1))**w * a**(A_n - A_(n-1)) * b**(B_n - B_(n-1)),
+
+    the small integer that moves a value over D_(n-1) to D_n
+    (:meth:`~qzeta.qarith.QContext.p_lcm_step`); D_n itself is never
+    built.  x_k = b**(k*k) * inner[k] * D_k = y_k * a**(A_k - ea_k) *
+    b**(B_k - eb_k + k*k) is an integer at its own index's scale, and
+    D_n / D_k = g_(k+1) * ... * g_n.  With P_n**2 / P_2n = 1 / G(2n, n)
+    and the Gaussian-binomial integers G(N, j) = P_N / (P_j P_(N-j)),
 
         out[n] = sum_k Y_n[k] * (D_n / D_k) / (G(2n, n) * D_n),  Y_n[k] = G(2n, n-k) * x_k.
 
@@ -672,9 +657,9 @@ def _pattern_rows(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> Ite
         Y_n[k] = Y_(n-1)[k] * h_2n * h_(2n-1) // (h_(n-k) * h_(n+k)),
 
     one multiply and one exact division by integers of about n bits; row n
-    gains Y_n[n] = x_n, as G(2n, 0) = 1, and the centre G(2n, n) moves by
-    the k = 0 case of the same ratio.  The products stay at their own
-    index's scale, so the growth never meets them: g_n holds
+    gains Y_n[n] = x_n, as G(2n, 0) = 1, and the centre G(2n, n) is
+    carried as Y_n[0] by the same rule, from Y_0[0] = 1.  The products stay
+    at their own index's scale, so the growth never meets them: g_n holds
     (L_n/L_(n-1))**w, up to w times the bits of h_n, and the a- and
     b-powers on top.  Each row folds the growth into its numerator once,
     by Horner over the g_k,
@@ -700,23 +685,23 @@ def _pattern_rows(ctx: QContext, pattern: Triple, n_max: int, merge=True) -> Ite
     n_max = _upper_limit(n_max, MAX_PATTERN_LIMIT, "a finite mollified sum")
     _check_depth(pattern.depth, "a finite mollified sum")
     yield 0, 1, 0
-    inner = _inner_terms(ctx, pattern, merge, n_max)
-    folded = ((y, ea, eb - k * k) for k, (y, ea, eb) in enumerate(inner, 1))
-    a = ctx.q.numerator
+    a, b, w = ctx.q.numerator, ctx.q.denominator, pattern.weight
     h = _q_factors(ctx, 2 * n_max)
+    top_a = top_b = 0  # A_n and B_n
     grows: list[int] = []  # g_k, k = 1..n
-    terms: list[int] = []  # G(2n, n-k) * x_k, k = 1..n
-    centre = 1  # G(2n, n)
-    for n, (grow, x, top_a, top_b) in enumerate(_rescaled(ctx, pattern.weight, folded), 1):
+    terms = [1]  # Y_n[k] = G(2n, n-k) * x_k, k = 0..n, x_0 = 1
+    for n, (y, ea, eb) in enumerate(_inner_terms(ctx, pattern, merge, n_max), 1):
+        eb -= n * n
+        new_a, new_b = max(top_a, ea), max(top_b, eb)
+        grows.append(ctx.p_lcm_step(n) ** w * a ** (new_a - top_a) * b ** (new_b - top_b))
+        top_a, top_b = new_a, new_b
         up = h[2 * n] * h[2 * n - 1]
-        terms = [t * up // (h[n - k] * h[n + k]) for k, t in enumerate(terms, 1)]
-        terms.append(x)  # G(2n, 0) = 1
-        grows.append(grow)
+        terms = [t * up // (h[n - k] * h[n + k]) for k, t in enumerate(terms)]
+        terms.append(y * a ** (top_a - ea) * b ** (top_b - eb) if y else 0)  # G(2n, 0) = 1
         total = 0
-        for g, t in zip(grows, terms):
+        for g, t in zip(grows, terms[1:]):
             total = total * g + t
-        centre = centre * up // (h[n] * h[n])
-        yield total, centre * a**top_a, top_b
+        yield total, terms[0] * a**top_a, top_b
 
 
 def pattern_mhs_many(
@@ -1018,9 +1003,7 @@ def _frakz_search(
 # or right, and _POWER_MIN_LENGTH for a power table, and binary points are
 # powers of two (_table_prec), so that few tables serve every check at one
 # q: the benchmark's q-series batch at q = 1/2 builds 2 magnitude tables
-# and 1 power table, and with power tables of every power of two from 1 up
-# it built 41 power tables, with magnitude tables 16 long 11, and at each
-# binary point 7 and 4.  Toward q -> 1 the exponents of the runs into the
+# and 1 power table.  Toward q -> 1 the exponents of the runs into the
 # exact 1 reach P_m K(K-1)/2, up to about K**2, and the others
 # (2 + beta) K, so the power tables' lengths spread: lengths of powers of
 # two keep the 1,024 weight-12 compositions at q = 9/10 to 5 power tables
@@ -1171,9 +1154,12 @@ def _run_column(a: int, b: int, s: int, expos: Sequence, prec: int) -> list[int]
 def _ball_sweep(runs: list, n: int, prec: int, weak: bool, held: Sequence = ()) -> list:
     """A ball at 2**-prec around a nested sum to n, swept one level at a
     time, innermost first, with a radius carried index by index.  Returns
-    the levels [ball, level 1, ..., level m-1, the exact 1] (see below).
-    ``held`` are the levels m - len(held) .. m-1, already summed for these
-    runs, n, prec and descent (read from the level memo by
+    the levels [ball, level 1, ..., level m-1, the exact 1] (see below),
+    except at the two ends, which read no column: an empty string (no
+    runs) returns [ball] alone, the ball exactly 1, and n = 0 returns the
+    ball exactly 0, the levels 1..m-1 unsummed (None, or as held) and the
+    exact 1.  ``held`` are the levels m - len(held) .. m-1, already summed
+    for these runs, n, prec and descent (read from the level memo by
     :func:`q_zeta_enclosure`): the sweep starts at the level above them and
     returns them as they are, never writing into them.
 

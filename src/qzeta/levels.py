@@ -45,14 +45,14 @@ keyed by that tuple, so columns of every K and binary point share one
 state.  A column is charged its ints' bit lengths plus ENTRY_BITS each,
 6,500 to 10,200 bits in the seed-1 q-series batch (K 15 to 18, c 320),
 whose right balls read 513 of the 665 columns they look up and build
-152, of 149 distinct ones, where they built all 665 before.  A ball
-takes the dict of held columns in one locked call
-(:meth:`Levels.columns`) and reads it without the lock: entries are only
-ever added to it, under the lock, and a state at another ``at`` gets a
-dict of its own, so a read finds a column of its own ``at`` or none.  It
-records the columns it built after its sweep (:meth:`Levels.hold`).  A
-locked lookup per run instead, 665 per batch, kept none to 4 % of the
-benchmark's qseries wall_s, against about 6 % for one call per ball.
+152, of 149 distinct ones.  A ball takes the dict of held columns in one
+locked call (:meth:`Levels.columns`) and reads it without the lock:
+entries are only ever added to it, under the lock, and a state at another
+``at`` gets a dict of its own, so a read finds a column of its own ``at``
+or none.  It records the columns it built after its sweep
+(:meth:`Levels.hold`).  A locked lookup per run instead, 665 per batch,
+kept none to 4 % of the benchmark's qseries wall_s, against about 6 % for
+one call per ball.
 The right ball's levels 1..m-1 are not held: a prototype that held them
 by suffix in a dict read 94 of the 210 levels looked up, and the batch
 ran about 1 % slower in-process.

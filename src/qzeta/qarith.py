@@ -67,8 +67,10 @@ class QContext:
     the harmonic-sum DP and the run engine work in integers (:meth:`p_lcm`,
     :meth:`p_lcm_step`), only as far as a caller asks for them: L_n has about
     n**2 bits, so a caller that reads only h_n does not pay for its gcds.
-    With :meth:`gauss_row` and P_n = h_1 ... h_n they give the binomial ratios
-    gauss(n, k) / gauss(n + k, k) of the finite prefactor and the kernel lemmas.
+    With P_n = h_1 ... h_n they give the binomial ratios
+    gauss(n, k) / gauss(n + k, k) of the finite prefactor, which carries its
+    own products G(2n, n - k) from row to row, and, through
+    :meth:`gauss_row`, those of the kernel lemmas.
     """
 
     def __init__(self, q: QLike):

@@ -334,10 +334,8 @@ def _decide(
     The series are the weak zeta star values of strings, then the mollified
     series of patterns, every resolution summed as one series
     (``merge=True``), each summed until its tail bound is at most eps.
-    Every pattern's depth is checked against MAX_PATTERN_DEPTH first, then
-    every truncation search runs, the strings' in order and then the
-    patterns', so a pattern too deep for a q-series refuses before any
-    search, and a cap on a series length before any series sums.
+    Every truncation search runs first, the strings' in order and then the
+    patterns', so a cap on a series length refuses before any series sums.
     Then each rung sums every series as a ball at one binary point
     (:func:`~qzeta.evaluators.q_zeta_enclosure` and
     :func:`~qzeta.evaluators.frakz_enclosure`), 2**-P on the first and
@@ -349,8 +347,6 @@ def _decide(
     Raises ValueError, naming the finest binary point tried, when no rung
     decides; no series is ever summed exactly.
     """
-    for pattern in patterns:
-        _check_depth(pattern.depth, "a q-series")
     for s in strings:
         _harmonic_truncation(q, len(s), eps)
     for pattern in patterns:
@@ -508,8 +504,7 @@ def verify_qmzsv(
     _TABLE_CACHE_SIZE for their sizes), so a check reads the same values
     warm or cold and from any thread.  Over the 105 checks of the
     benchmark's q-series batch at q = 1/2 they miss 4, 3, 3 and 1 times: 2
-    magnitude tables and 1 left table, and 1 power table, where a table
-    per binary point and a left pass per magnitude missed 7, 4 and 4.
+    magnitude tables and 1 left table, and 1 power table.
     What depends on the composition goes through the level memo
     (:mod:`~qzeta.levels`), bounded by the bits it holds: the left ball's
     levels 1..m-1 per (q, K, binary point) and suffix, and the right

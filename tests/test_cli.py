@@ -125,6 +125,25 @@ def test_eval_series_json_payload_is_the_plain_lines_and_keeps_the_contract(caps
         assert abs(_oracle_partial_sum(kind, text, Fraction(q), K) - value) <= radius, argv
 
 
+def test_eval_series_tail_bound_is_rounded_up_onto_the_ball_grid(capsys):
+    # the search's tail bound has a denominator that grows like b**K (1,291
+    # characters for the first input printed exactly); eval prints it
+    # rounded up onto the ball's dyadic grid, so it stays an upper bound,
+    # moves by less than one grid step and prints in under 200 characters
+    import qzeta.evaluators as ev
+
+    for kind, text in (("qzeta-star", "2,1,1,3,1"), ("qzeta", "2,1")):
+        rc, out, err = run(capsys, "eval", kind, "--s", text, "--q", "9/10", "--eps", "1e-25")
+        assert rc == 0 and err == ""
+        line = out.splitlines()[1]
+        assert line.startswith("tail_bound: ") and len(line) < 200, (kind, len(line))
+        tail_bound = Fraction(line.removeprefix("tail_bound: "))
+        assert tail_bound.denominator & (tail_bound.denominator - 1) == 0  # dyadic
+        K, bound = ev._harmonic_truncation(Fraction(9, 10), len(text.split(",")), Fraction("1e-25"))
+        assert out.splitlines()[2] == f"terms: {K}"
+        assert 0 <= tail_bound - bound < Fraction(1, 2**280)
+
+
 def test_verify_plain_output_prints_the_residuals_of_a_failing_report(capsys, monkeypatch):
     # a failing report's residual lines follow its status line, indented
     compose = qzeta.verify.compose
