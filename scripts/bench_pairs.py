@@ -14,8 +14,9 @@ git tree ids are recorded: once the change is committed, its tree id is
 the commit's (``git log --format='%H %T'``), which ties the numbers to
 the code that produced them.  Next to each tree id is its ``code_lines``,
 the lines of ``src/qzeta/*.py`` that hold a token that is neither a
-comment nor a docstring (:func:`code_lines`), so a size claim can be read
-off the record.  The change side's ``head`` and ``dirty``
+comment nor a docstring (:func:`code_lines`), and ``code_lines_by_module``,
+the same count for each of those files (:func:`module_lines`), so a size
+claim, and the module it falls in, can be read off the record.  The change side's ``head`` and ``dirty``
 (its tree differs from the head's) are taken when its tree is written, so
 an edit made while the runs go on does not relabel them.  Each pair runs
 ``qzbench/run.py`` unchanged in both trees, one workload at a time, on the
@@ -214,6 +215,12 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def module_lines(tree: Path) -> dict[str, int]:
+    """:func:`code_lines` of each ``src/qzeta/*.py`` of a tree, by file name."""
+    sources = sorted((tree / "src" / "qzeta").glob("*.py"))
+    return {path.name: code_lines(path.read_text()) for path in sources}
+
+
 def extract(tree: str, dest: Path) -> None:
     """Write the files of a git tree-ish into dest."""
     dest.mkdir(parents=True)
@@ -383,8 +390,7 @@ def main() -> int:
         sizes = {}
         for side in SIDES:
             extract(ids[side], trees[side])
-            sources = (trees[side] / "src" / "qzeta").glob("*.py")
-            sizes[side] = sum(code_lines(path.read_text()) for path in sources)
+            sizes[side] = module_lines(trees[side])
         seeds = [args.seed + i for i in range(args.pairs)]
         runs = {w: {side: [] for side in SIDES} for w in workloads}
         qz_machine = None
@@ -413,9 +419,12 @@ def main() -> int:
     out = {
         "base": {
             "rev": args.base, "commit": base_commit, "tree": ids["base"],
-            "code_lines": sizes["base"],
+            "code_lines": sum(sizes["base"].values()), "code_lines_by_module": sizes["base"],
         },
-        "change": {**change, "code_lines": sizes["change"]},
+        "change": {
+            **change,
+            "code_lines": sum(sizes["change"].values()), "code_lines_by_module": sizes["change"],
+        },
         "machine": {**qz_machine, **machine()},
         "protocol": {
             "command": "qzbench/run.py --workload W --seed S --seconds T --trace 0",

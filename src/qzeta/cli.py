@@ -25,11 +25,12 @@ from .indices import SignedIndex, Theta, parse_shift
 from .qarith import QContext, as_eps, as_q
 from .rules import (
     CLOSED_FAMILIES,
-    classical_expand,
+    classical_terms,
     compose,
     parse_composition,
     parse_repeated,
     pattern_depth,
+    zeta_composition,
 )
 from .verify import (
     DEFAULT_SEED,
@@ -113,9 +114,11 @@ def _print_json(payload) -> None:
 def cmd_expand(args: argparse.Namespace) -> int:
     comp = parse_composition(args.composition)
     check_expand_depth(pattern_depth(comp))  # expand's refusal, before the pattern is built
+    if args.classical:
+        zeta_composition(comp)  # the limit's refusal, before any triple is built
     d, pattern = compose(comp)
     triples = expand(pattern)
-    classical = classical_expand(comp) if args.classical else None
+    classical = classical_terms(d, triples) if args.classical else None
     if args.format == "json":
         payload = {
             "composition": list(comp),

@@ -131,7 +131,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .expansion import Triple, is_admissible
 from .indices import THETA, Theta, boxplus, proj, signed_string
-from .levels import RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Levels, charge
+from .levels import COLUMN_ROOT, RUN_ROOT, STRICT_ROOT, WEAK_ROOT, Levels, charge, held_suffix
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 
 # (num, c, e): a row of an exact sum at upper limit n, num / (L_n**w * c * b**e)
@@ -488,15 +488,16 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
     Level i's column, the (X_i, A_i, B_i) that the levels above read at
     each index k = 1..n (C_i[k-1], moved to L_k), depends only on q, n and
     slots i..m-1 with their merge flags, and level 0's column is inner
-    itself, so both are read from the level memo (:mod:`~qzeta.levels`):
-    the sum starts at the shallowest level whose suffix is held, runs one
-    loop over k for the levels above it only, reading every held column
-    that a run reaches index by index, and keeps the columns it sums while
-    their bits (:func:`~qzeta.levels.charge`) fit the room the lookup left,
+    itself, so both are read from the level memo (:mod:`~qzeta.levels`),
+    each level under its suffix (:func:`~qzeta.levels.held_suffix`): the
+    sum starts at the shallowest level whose suffix is held, runs one loop
+    over k for the levels above it only, reading every held column that a
+    run reaches index by index, and keeps the columns it sums while their
+    bits (:func:`~qzeta.levels.charge`) fit the room the memo left,
     dropping the shallowest kept column whenever they do not, and records
-    the rest, deepest first, before the last term is yielded; it keeps none
-    on the first sum at a (q, n).  Only level 0 is summed at k = n, as no
-    level reads C_i[n].
+    the rest, deepest first, with its count of levels read and summed,
+    before the last term is yielded; it keeps none on the first sum at a
+    (q, n).  Only level 0 is summed at k = n, as no level reads C_i[n].
     """
     a, b = ctx.q.numerator, ctx.q.denominator
     m = pattern.depth
@@ -507,9 +508,11 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
         (i == 0, e.magnitude, e.sign, t, None if isinstance(r, Theta) else r, flag)
         for i, (e, t, r, flag) in enumerate(zip(pattern.s, pattern.t, pattern.r, merge + (False,)))
     ]
-    generation, node, known, room = Levels.lookup((a, b, n), RUN_ROOT, keys)
+    generation, memo, room = Levels.store((a, b, n), RUN_ROOT)
+    suffixes, known = held_suffix(memo, keys)
     top = m - len(known)  # levels 0..top-1 are summed here, the rest read
     if top == 0:
+        Levels.hold(generation, (), m, 0)
         yield from known[0]
         return
     runs = _runs(pattern, merge, top)
@@ -587,10 +590,10 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
                 held -= charge([row[0] for row in rows])
                 rows = [row[1:] for row in rows]
                 lo += 1
-            if k == n:
-                columns = list(zip(*rows))
-                levels = list(zip(keys[lo:top], columns, map(charge, columns)))
-                Levels.record(generation, node, reversed(levels))
+        if k == n:
+            columns = list(zip(*rows))
+            levels = list(zip(suffixes[lo:top], columns, map(charge, columns)))
+            Levels.hold(generation, levels[::-1], len(known), top)
         yield inner
 
 
@@ -864,9 +867,10 @@ def q_zeta_enclosure(
     Level i of the sweep, i >= 1, depends only on q, K, prec, the descent
     and the entries i..m-1, so levels 1..m-1 go through the level memo
     (:mod:`~qzeta.levels`) at (a, b, K, prec), under the root of the
-    descent, each keyed by its slot 2 * magnitude + [barred]: the sweep
-    starts above the longest suffix held, and the levels it sums there are
-    recorded, deepest first, each charged (:func:`~qzeta.levels.charge`)
+    descent, each keyed by its suffix of slots 2 * magnitude + [barred]
+    (:func:`~qzeta.levels.held_suffix`): the sweep starts above the longest
+    suffix held, and the levels it sums there are recorded, deepest first,
+    each charged (:func:`~qzeta.levels.charge`)
     the bits and ENTRY_BITS of every int of its midpoints and radii.  The
     ball, level 0, is not held.  The ball is the same whichever levels
     were read.
@@ -882,16 +886,17 @@ def q_zeta_enclosure(
     if prec is None:
         prec = _default_prec(eps)
     keys = [2 * e.magnitude + (e.sign < 0) for e in entries[1:]]
-    generation, node, held, _ = Levels.lookup(
-        (q.numerator, q.denominator, K, prec), WEAK_ROOT if star else STRICT_ROOT, keys
+    generation, memo, _ = Levels.store(
+        (q.numerator, q.denominator, K, prec), WEAK_ROOT if star else STRICT_ROOT
     )
+    suffixes, held = held_suffix(memo, keys)
     levels = _ball_sweep(_harmonic_runs(q, entries, K), K, prec, star, held)
-    if generation is not None:
-        top = len(entries) - len(held)  # levels 1..top-1 were summed here
-        new = [
-            (key, level, charge(level[0] + level[1])) for key, level in zip(keys, levels[1:top])
-        ]
-        Levels.record(generation, node, new[::-1])
+    top = len(entries) - len(held)  # levels 1..top-1 were summed here
+    new = [
+        (suffix, level, charge(level[0] + level[1]))
+        for suffix, level in zip(suffixes, levels[1:top])
+    ]
+    Levels.hold(generation, new[::-1], len(held), len(new))
     return SeriesValue(levels[0], bound, K)
 
 
@@ -1379,11 +1384,12 @@ def frakz_enclosure(
     K, bound = _frakz_truncation(q, pattern, eps, merge)
     if prec is None:
         prec = _default_prec(as_eps(eps))
-    generation, held = Levels.columns((q.numerator, q.denominator))
+    generation, held, _ = Levels.store((q.numerator, q.denominator), COLUMN_ROOT)
     new: dict = {}
     reads: list = []
     ball = _ball_sweep(_mollified_runs(q, pattern, merge, K, held, new, reads), K, prec, False)[0]
-    Levels.hold(generation, new, len(reads))
+    built = [(key, column, charge(column)) for key, column in new.items()]
+    Levels.hold(generation, built, len(reads), len(built))
     return SeriesValue(ball, bound, K)
 
 

@@ -300,16 +300,20 @@ class ClassicalTerm(NamedTuple):
 
 
 def classical_expand(composition: Sequence[int]) -> list[ClassicalTerm]:
-    """Limit expansion of a weak-descent zeta value into strict signed terms.
-
-    Each of the 2**(m-1) resolutions of the pattern's index string gives one
-    term with coefficient 2**depth; the offsets and shifts drop out in the
-    limit.  Requires a leading entry >= 2 so that every emitted series
-    converges.
+    """Limit expansion of a weak-descent zeta value into strict signed terms
+    (:func:`classical_terms` of the pattern's expansion).  Requires a
+    leading entry >= 2 so that every emitted series converges.
     """
     comp = zeta_composition(composition)
     d, pattern = compose(comp)
-    return [ClassicalTerm(d, 2 ** triple.depth, triple.s) for triple in expand(pattern)]
+    return classical_terms(d, expand(pattern))
+
+
+def classical_terms(sign: int, triples: Sequence[Triple]) -> list[ClassicalTerm]:
+    """The q -> 1 limit of the resolutions of a pattern of sign ``sign``:
+    each resolution gives one term with coefficient 2**depth and its index
+    string; the offsets and shifts drop out in the limit."""
+    return [ClassicalTerm(sign, 2 ** triple.depth, triple.s) for triple in triples]
 
 
 def _check_lengths(name: str, ell: int, *seqs: Sequence[int]) -> None:

@@ -472,13 +472,7 @@ def verify_qmzsv(
     report the exact values give, so the report is always the exact one.
     At eps = 1e-25 the first rung decides all 175 weight-12 compositions
     with a first entry >= 2 and pattern depth 2-4 at q = 1/2, 2/3, 4/5 and
-    9/10.  As the report's ``elapsed_ms``, medians of 14 fresh processes on
-    a shared 2-vCPU x86-64 host (Python 3.11), (2,1,1,3,1) takes about
-    2.2 ms at q = 1/2, 4.6 ms at 4/5 and 9.7 ms at 9/10 on a first call,
-    most of it building the memos below (3.5, 7.8 and 15 ms with a table
-    per binary point and a left pass per magnitude), and 0.6, 1.0 and
-    1.8 ms on a second call at the same q.  (9,9,9), pattern depth 22,
-    takes about 27 ms on a first call at q = 4/5.
+    9/10.
 
     What does not depend on the composition is memoized in
     :mod:`~qzeta.evaluators` and shared by every check at the same q and
@@ -502,15 +496,12 @@ def verify_qmzsv(
     error bound for every floored term.  The memos are bounded lru_caches
     of immutable values (64 searches each and 16 tables of each kind; see
     _TABLE_CACHE_SIZE for their sizes), so a check reads the same values
-    warm or cold and from any thread.  Over the 105 checks of the
-    benchmark's q-series batch at q = 1/2 they miss 4, 3, 3 and 1 times: 2
-    magnitude tables and 1 left table, and 1 power table.
+    warm or cold and from any thread.
     What depends on the composition goes through the level memo
     (:mod:`~qzeta.levels`), bounded by the bits it holds: the left ball's
     levels 1..m-1 per (q, K, binary point) and suffix, and the right
     ball's run columns per q and (K, s, P_j, beta, j == m, binary point),
-    each kept from the second check at a q on, so that batch reads 379 of
-    566 left levels and 513 of 665 right columns.  The report is decided on
+    each kept from the second check at a q on.  The report is decided on
     the balls' integers (:func:`_numeric_report`).
 
     Raises ValueError, before either side sums, for a composition entry

@@ -208,6 +208,27 @@ def test_expand_plain_shows_classical_terms(capsys):
     assert "+2*z(3)" in out
 
 
+def test_expand_classical_builds_each_resolution_once(capsys, monkeypatch):
+    # expand --classical reads its limit terms off the triples it lists, so
+    # each resolution is built once, and a composition the limit refuses
+    # (a leading entry 1) exits 2 before any is built
+    calls = []
+    resolve = qzeta.expansion._resolve
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(qzeta.expansion, "_resolve", counted)
+    rc, out, err = run(capsys, "expand", "2,1,1,3,1", "--classical")
+    assert rc == 0 and "classical:" in out
+    assert len(calls) == 8
+    calls.clear()
+    rc, out, err = run(capsys, "expand", "1,2", "--classical")
+    assert rc == 2 and out == "" and "needs a leading entry >= 2" in err
+    assert calls == []
+
+
 def test_expand_json_round_trip(capsys):
     rc, out, err = run(capsys, "expand", "2,1,1,3,1", "--classical", "--format", "json")
     assert rc == 0

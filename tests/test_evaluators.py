@@ -1918,6 +1918,54 @@ def test_level_memo_keys_each_level_by_its_whole_suffix():
     assert info.hits > info.misses, info
 
 
+def test_a_level_is_read_only_under_its_whole_suffix_above_held_levels():
+    # two patterns, and two strings, that differ only in their deepest slot
+    # share no key, so neither reads the other's levels and each gives its
+    # cold value; and a level held behind a missing deeper one, its whole
+    # suffix replaced by one that no sum could give, is never read
+    from qzeta.evaluators import q_zeta_enclosure
+    from qzeta.levels import RUN_ROOT, WEAK_ROOT, Levels
+
+    q, n_max, eps = Fraction(2, 3), 5, Fraction(1, 10**12)
+    head = [(idx(2), 1, THETA), (bar(1), 0, 1)]
+    patterns = [
+        Triple(*(tuple(part) for part in zip(*(head + [deepest]))))
+        for deepest in ((idx(0), 2, -1), (idx(0), 1, -1))
+    ]
+    strings = [(3, 1, 2, 2), (3, 1, 2, -2)]
+    cases = [
+        (RUN_ROOT, lambda p: pattern_mhs_many(QContext(q), p, n_max), patterns),
+        (WEAK_ROOT, lambda s: q_zeta_enclosure(q, s, eps=eps, star=True), strings),
+    ]
+    for root, value, (first, second) in cases:
+        cold = []
+        for what in (first, second):
+            Levels.cache_clear()
+            cold.append(value(what))
+        # both keep 3 levels, at one (q, n) or (q, K, binary point)
+        at = (2, 3, n_max) if root == RUN_ROOT else (2, 3, cold[0].terms, cold[0].value.prec)
+        Levels.cache_clear()
+        for _ in range(2):  # the first admits, the second records
+            assert value(first) == cold[0]
+        hits = Levels.cache_info().hits
+        assert value(second) == cold[1]
+        assert Levels.cache_info().hits == hits, root
+        assert value(first) == cold[0]
+        assert Levels.cache_info().hits == hits + 3, root
+        # drop the deepest levels and spoil the shallowest: no sum reads them
+        held = Levels.store(at, root)[1]
+        assert sorted(map(len, held)) == [1, 1, 2, 2, 3, 3]
+        for key in list(held):
+            if len(key) == 1:
+                del held[key]
+            elif len(key) == 3:
+                held[key] = "no column"
+        hits = Levels.cache_info().hits
+        assert value(first) == cold[0]
+        assert value(second) == cold[1]
+        assert Levels.cache_info().hits == hits, root
+
+
 def test_harmonic_dp_neither_reads_nor_writes_the_level_memo():
     # only the run engine goes through the level memo on the finite side:
     # a pool of finite checks looks up exactly its patterns' levels, and

@@ -177,10 +177,15 @@ def test_bench_pairs_runs_one_pair_against_head(tmp_path):
     assert git("cat-file", "-t", result["change"]["tree"]) == "tree"
     assert git("ls-tree", "--name-only", result["change"]["tree"], "scripts/bench_pairs.py")
     assert (index.read_bytes() if index.is_file() else None) == staged
-    # next to each tree id, the code lines of its src/qzeta
+    # next to each tree id, the code lines of its src/qzeta, in all and
+    # per module
     code_lines = _bench_pairs()["code_lines"]
-    sources = (ROOT / "src" / "qzeta").glob("*.py")
-    assert result["change"]["code_lines"] == sum(code_lines(p.read_text()) for p in sources)
+    sources = sorted((ROOT / "src" / "qzeta").glob("*.py"))
+    by_module = {p.name: code_lines(p.read_text()) for p in sources}
+    assert result["change"]["code_lines_by_module"] == by_module
+    assert result["change"]["code_lines"] == sum(by_module.values())
+    assert result["base"]["code_lines"] == sum(result["base"]["code_lines_by_module"].values())
+    assert "levels.py" in result["base"]["code_lines_by_module"]
     assert result["base"]["code_lines"] > 0
     # the trees were removed
     assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
@@ -320,7 +325,9 @@ def test_bench_pairs_labels_the_change_by_the_tree_it_measured(tmp_path, monkeyp
     monkeypatch.setattr(sys, "argv", [*argv, "--out", str(out)])
     assert bench["main"]() == 0
     change = json.loads(out.read_text())["change"]
-    assert change == {"head": head, "dirty": False, "tree": head_tree, "code_lines": 0}
+    assert change == {
+        "head": head, "dirty": False, "tree": head_tree, "code_lines": 0, "code_lines_by_module": {}
+    }
     # the second run starts from the last edit the first one made, one run
     # of each side
     assert bench["main"]() == 0

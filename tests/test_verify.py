@@ -1872,7 +1872,8 @@ def test_level_memo_stays_within_its_bound_and_holds_one_q_and_n(monkeypatch):
         pattern = compose(comp)[1]
         e, t, r = pattern.s[-1], pattern.t[-1], pattern.r[-1]
         key = (pattern.depth == 1, e.magnitude, e.sign, t, None if r is THETA else r, False)
-        (deepest,) = levels.Levels.lookup((5, 8, 30), levels.RUN_ROOT, [key])[2]
+        held = levels.Levels.store((5, 8, 30), levels.RUN_ROOT)[1]
+        (deepest,) = levels.held_suffix(held, [key])[1]
         firsts.append(levels.charge(deepest))
     smallest = min(firsts)
     for bound in (0, smallest - 1, smallest, 200_000):
@@ -1940,19 +1941,25 @@ def test_level_memo_records_the_deepest_columns_that_fit_and_leaves_no_gap(monke
     monkeypatch.setattr(levels, "LEVEL_MEMO_BITS", 100)
     memo.cache_clear()
     at, root, keys = (1, 2, 3), levels.RUN_ROOT, ["a", "b", "c"]
-    assert memo.lookup(at, root, keys)[0] is None  # a first sum records nothing
-    generation, node, found, room = memo.lookup(at, root, keys)
-    assert (node, found, room) == (root, [], 100)
-    columns = [("c", "column c", 30), ("b", "column b", 80), ("a", "column a", 30)]
-    memo.record(generation, node, columns)
+
+    def lookup():
+        generation, held, room = memo.store(at, root)
+        suffixes, found = levels.held_suffix(held, keys)
+        return generation, suffixes, found, room
+
+    assert lookup()[0] is None  # a first sum records nothing
+    generation, (a, b, c), found, room = lookup()
+    assert (found, room) == ([], 100)
+    columns = [(c, "column c", 30), (b, "column b", 80), (a, "column a", 30)]
+    memo.hold(generation, columns, 0, 3)
     assert memo.cache_info().currsize == 30
-    generation, node, found, room = memo.lookup(at, root, keys)
+    generation, _, found, room = lookup()
     assert found == ["column c"] and room == 70
-    memo.record(generation, node, [("b", "column b", 69), ("a", "column a", 1)])
+    memo.hold(generation, [(b, "column b", 69), (a, "column a", 1)], 1, 2)
     assert memo.cache_info().currsize == 100
-    assert memo.lookup(at, root, keys)[2:] == (["column a", "column b", "column c"], 0)
-    memo.lookup((1, 2, 4), root, keys)  # another (q, n) empties the memo
-    memo.record(generation, root, [("c", "column c", 1)])
+    assert lookup()[2:] == (["column a", "column b", "column c"], 0)
+    memo.store((1, 2, 4), root)  # another (q, n) empties the memo
+    memo.hold(generation, [(c, "column c", 1)], 0, 0)
     assert memo.cache_info().currsize == 0
 
 
@@ -2006,7 +2013,7 @@ def test_left_balls_read_from_the_level_memo_equal_cold_ones():
     # holds is the level a cold sweep sums, so no read wrote into it
     from qzeta.evaluators import _ball_sweep, _harmonic_runs, q_zeta_enclosure
     from qzeta.indices import signed_string
-    from qzeta.levels import WEAK_ROOT, Levels
+    from qzeta.levels import WEAK_ROOT, Levels, held_suffix
 
     q, eps = Fraction(1, 2), Fraction(1, 10**25)
     comps = _weight_twelve_depth_two_to_four()
@@ -2027,7 +2034,7 @@ def test_left_balls_read_from_the_level_memo_equal_cold_ones():
     for comp in comps:
         entries = signed_string(comp)
         keys = [2 * e.magnitude + (e.sign < 0) for e in entries[1:]]
-        held = Levels.lookup((1, 2, K, prec), WEAK_ROOT, keys)[2]
+        held = held_suffix(Levels.store((1, 2, K, prec), WEAK_ROOT)[1], keys)[1]
         assert held, comp
         levels = _ball_sweep(_harmonic_runs(q, entries, K), K, prec, True)
         assert held == levels[len(entries) - len(held) : len(entries)], comp
@@ -2086,6 +2093,22 @@ def test_left_ball_memo_admits_from_the_second_check_and_holds_one_k_and_binary_
         assert Levels.cache_info().currsize == 0, other
 
 
+def test_a_long_string_reads_every_level_from_the_level_memo():
+    # a level is held under its whole suffix, 299 slot keys for level 1 of
+    # a string of 300 entries: the first call admits, the second records
+    # all 299 levels and the third reads them, and all give the same ball
+    from qzeta.evaluators import q_zeta_enclosure
+    from qzeta.levels import LEVEL_MEMO_BITS, Levels
+
+    q, s = Fraction(1, 2), (2,) * 300
+    Levels.cache_clear()
+    first = q_zeta_enclosure(q, s, star=True)
+    assert q_zeta_enclosure(q, s, star=True) == first
+    assert Levels.cache_info() == (0, 598, LEVEL_MEMO_BITS, 60_268_658)
+    assert q_zeta_enclosure(q, s, star=True) == first
+    assert Levels.cache_info() == (299, 598, LEVEL_MEMO_BITS, 60_268_658)
+
+
 def test_right_balls_read_from_the_level_memo_equal_cold_ones():
     # the right ball's run columns go through the level memo at (q), keyed
     # by (K, s, P_j, beta, j == m, binary point): over the 175 weight-12
@@ -2095,7 +2118,7 @@ def test_right_balls_read_from_the_level_memo_equal_cold_ones():
     # exponents of its key, runs into the exact 1 among them
     from qzeta import compose
     from qzeta.evaluators import _run_column, frakz_enclosure
-    from qzeta.levels import Levels
+    from qzeta.levels import COLUMN_ROOT, Levels
 
     eps = Fraction(1, 10**25)
     few = [(2, 1, 1, 3, 1), (3, 1, 3, 1), (4, 1, 3, 1), (2, 3, 1)]
@@ -2116,7 +2139,7 @@ def test_right_balls_read_from_the_level_memo_equal_cold_ones():
             assert [_left_ball_key(ball) for ball in warm] == [cold[i] for i in sequence], q
         info = Levels.cache_info()
         assert info.hits > 0 < info.misses and info.currsize > 0, info
-        held = Levels.columns((a, b))[1]
+        held = Levels.store((a, b), COLUMN_ROOT)[1]
         last = 0
         for (K, s, lift, beta, into_one, prec), column in held.items():
             steps = [k * (k - 1) // 2 if into_one else k - 1 for k in range(1, K + 1)]
@@ -2181,19 +2204,21 @@ def test_right_ball_counts_only_the_column_lookups_it_makes():
 def test_right_columns_held_at_a_stale_generation_are_dropped():
     # columns built at a q whose columns were emptied meanwhile (by a ball
     # at another q in another thread) land in no dict and count no bits
-    from qzeta.levels import Levels, charge
+    from qzeta.levels import COLUMN_ROOT, Levels, charge
 
     Levels.cache_clear()
-    assert Levels.columns((1, 2)) == (None, {})  # the first ball records nothing
-    generation, held = Levels.columns((1, 2))
+    # the first ball records nothing
+    assert Levels.store((1, 2), COLUMN_ROOT)[:2] == (None, {})
+    generation, held, _ = Levels.store((1, 2), COLUMN_ROOT)
     assert generation is not None
-    Levels.hold(generation, {"a": [1, 2]}, 0)
+    Levels.hold(generation, [("a", [1, 2], charge([1, 2]))], 0, 1)
     assert held == {"a": [1, 2]} and Levels.cache_info().currsize == charge([1, 2])
-    assert Levels.columns((1, 3))[0] is None  # another q empties the columns
+    # another q empties the columns
+    assert Levels.store((1, 3), COLUMN_ROOT)[0] is None
     assert Levels.cache_info().currsize == 0
-    Levels.hold(generation, {"b": [3]}, 0)
+    Levels.hold(generation, [("b", [3], charge([3]))], 0, 1)
     assert Levels.cache_info().currsize == 0 and "b" not in held
-    assert Levels.columns((1, 3))[1] == {}
+    assert Levels.store((1, 3), COLUMN_ROOT)[1] == {}
     assert Levels.cache_info()[:2] == (0, 2)
 
 
@@ -2243,10 +2268,12 @@ def test_qseries_reports_stay_within_a_small_level_memo_bound(monkeypatch):
     for _ in range(2):
         for comp in comps:
             verify_qmzsv(comp)
-    firsts = [levels.charge(column) for column in levels.Levels.columns((1, 2))[1].values()]
+    columns = levels.Levels.store((1, 2), levels.COLUMN_ROOT)[1]
+    firsts = [levels.charge(column) for column in columns.values()]
     q, eps = Fraction(1, 2), Fraction(1, 4 * 10**25)  # each side's budget
     (K,) = {_harmonic_truncation(q, len(comp), eps)[0] for comp in comps}
-    deepest = levels.Levels.lookup((1, 2, K, _default_prec(eps)), levels.WEAK_ROOT, [2])[2]
+    held = levels.Levels.store((1, 2, K, _default_prec(eps)), levels.WEAK_ROOT)[1]
+    deepest = levels.held_suffix(held, [2])[1]
     firsts += [levels.charge(xs + es) for xs, es, _, _ in deepest]
     assert len(deepest) == 1 and len(firsts) > 1
     smallest = min(firsts)
