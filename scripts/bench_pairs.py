@@ -16,7 +16,9 @@ the code that produced them.  Next to each tree id is its ``code_lines``,
 the lines of ``src/qzeta/*.py`` that hold a token that is neither a
 comment nor a docstring (:func:`code_lines`), and ``code_lines_by_module``,
 the same count for each of those files (:func:`module_lines`), so a size
-claim, and the module it falls in, can be read off the record.  The change side's ``head`` and ``dirty``
+claim, and the module it falls in, can be read off the record; both
+sides' ``code_lines`` are printed, with every module whose count
+changed.  The change side's ``head`` and ``dirty``
 (its tree differs from the head's) are taken when its tree is written, so
 an edit made while the runs go on does not relabel them.  Each pair runs
 ``qzbench/run.py`` unchanged in both trees, one workload at a time, on the
@@ -446,6 +448,14 @@ def main() -> int:
         }
         out["workloads"][w] = metrics
         show(w, metrics)
+    base, change = (sizes[side] for side in SIDES)
+    moved = ", ".join(
+        f"{name} {base.get(name, 0)} -> {change.get(name, 0)}"
+        for name in sorted(base.keys() | change.keys())
+        if base.get(name) != change.get(name)
+    )
+    print(f"code lines: base {sum(base.values())} -> change {sum(change.values())}"
+          + (f" ({moved})" if moved else ""))
     for side, run in tier1.items():
         out[side]["tier1"] = run
         counts = ", ".join(f"{run[name]} {name}" for name in TIER1_OUTCOMES)

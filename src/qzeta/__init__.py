@@ -61,6 +61,7 @@ from .rules import (
     closed_twos,
     closed_twos_ones,
     compose,
+    family_instances,
     parse_composition,
     tokenize,
     zeta_admissible,
@@ -72,7 +73,6 @@ from .verify import (
     all_passed,
     classical_battery,
     family_equivalence,
-    family_instances,
     head_reduction_pattern,
     inverse_power_pattern,
     lemma_suite,

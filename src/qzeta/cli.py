@@ -159,8 +159,6 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     kind = args.kind
     payload: dict = {"kind": kind, "s": args.s}
-    lines: list[str] = []
-    latex_value = None
     if kind in ("mhs", "mhs-star"):
         if args.n is None:
             raise ValueError(f"eval {kind} requires --n")
@@ -187,7 +185,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         lines = [str(value), f"tail_bound: {tail_bound}", f"terms: {sv.terms}"]
         latex_value = _rational_latex(value)
-    elif kind in ("zeta", "zeta-star"):
+    else:  # zeta or zeta-star, the last kind argparse's choices admit
         cv = classical_zeta(
             parse_signed_string(args.s), K=args.terms, star=kind.endswith("star")
         )
@@ -196,8 +194,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         lines = [repr(cv.value), f"tail_est: {cv.tail_est}", f"terms: {cv.terms}"]
         latex_value = repr(cv.value)
-    else:
-        raise ValueError(f"unknown eval kind {kind!r}")
     if args.format == "json":
         _print_json(payload)
     elif args.format == "latex":

@@ -110,9 +110,10 @@ cofactor, 1 on the harmonic side.  Both finite engines stream such rows,
 n = 0, 1, ..., n_max, as generators: each raises before its first row, and
 row 0 needs no term, so a reader that takes row 0 of every stream it
 opened has met every refusal before any term is summed.  L_n^w is most
-of a denominator's bits, so :func:`~qzeta.verify.verify_mhs`
-reads the two streams in step and compares each pair of rows unreduced, by
-cross-multiplying their numerators with their cofactors alone.  A row
+of a denominator's bits, so :func:`_row_residual` compares two rows
+unreduced, by cross-multiplying their numerators with their cofactors
+alone, and :func:`~qzeta.verify.verify_mhs` reads the two streams in step
+through it.  A row
 becomes a value only in :func:`_row_value`, or :func:`_row_values` for a
 whole stream with a running L_n^w: every value the exact evaluators return
 and every failing residual of a finite check is reduced there, once.
@@ -213,9 +214,9 @@ class Ball:
 # Largest upper limit of an exact finite harmonic sum (mhs, mhs_many and
 # the left side of verify_mhs), and longest truncation K of the left ball
 # (q_zeta_enclosure), checked before any term is summed.  The exact sum's
-# numerators grow like n**2 bits, so its cost grows about as n**4: (2,1) at
-# q = 1/2 and n = 1000 takes about 10 s, (2,1,1,3,1) at q = 5/8 and n = 500
-# about 27 s on a 2-vCPU x86-64 host.  The ball's integers stay near its
+# numerators grow like n**2 bits, so its cost grows about as n**4, and at
+# this limit a shallow string takes seconds to tens of seconds (README
+# "Performance notes" has the timings).  The ball's integers stay near its
 # binary point, so for it the cap only bounds K, and the work estimate
 # below does not apply.
 MAX_MHS_LIMIT = 1000
@@ -227,13 +228,9 @@ MAX_MHS_LIMIT = 1000
 # 0.3 n**2 log2(b)), and the (m + 3) n steps (one per level and index, plus
 # the per-index powers of L_k and h_k, fitted) multiply integers of up to
 # that size, so the work is estimated as (m + 3) n S**log2(3), Karatsuba's
-# exponent.  Over 18 sums from 0.2 to 47 s, CPU time was 0.57-1.63e-13 s per
-# unit on a shared 2-vCPU x86-64 host, so this budget is about 60 s (34-98 s):
-# (1,)*100 at n = 100 (3.4e13) took 2.1 s, (2,)*1000 at n = 20 (4.7e13)
-# 6.3 s, (2,1) at n = 1000 (9.2e13) 9.9 s, (2,1,1,3,1) at q = 5/8 and
-# n = 500 (2.2e14) 27 s, (33,) at n = 600 (3.9e14) 47 s and (1,)*150 at
-# n = 150 (5.2e14) 35 s.  (2,) + (1,)*199 at n = 200 (3.6e15) and (1,)*300
-# at n = 300 (5.5e16) are refused.
+# exponent.  The budget admits about a minute of CPU time at the time per
+# unit fitted over 18 sums; README "Performance notes" gives the fit and
+# the sums on either side of the budget.
 MAX_MHS_WORK = 6 * 10**14
 
 
@@ -333,6 +330,38 @@ def _row_values(ctx: QContext, w: int, rows: Iterable[Row]) -> list[Fraction]:
     fresh power."""
     lws = accumulate((ctx.p_lcm_step(n) ** w for n in count(1)), mul, initial=1)
     return [_row_value(ctx, w, n, row, lw) for n, (row, lw) in enumerate(zip(rows, lws))]
+
+
+def _row_residual(
+    ctx: QContext, n: int, right: Row, r_w: int, left: Row, l_w: int, delta: int
+) -> Fraction | int:
+    """left - delta * right for two rows at upper limit n, of weights l_w
+    and r_w: 0 when they agree, else the residual reduced once.
+
+    The rows are compared unreduced; in a finite check the left row is
+    :func:`_mhs_rows`' (c = 1) and the right row :func:`_pattern_rows`'
+    (c = G(2n, n) * a**A_n).  Where both weights are w, as ``compose``
+    keeps them, the implied L_n**w, most of both denominators' bits,
+    cancels, as does the smaller b-power: the rows agree iff
+    l_num * r_c * b**(r_e - l_e) == delta * r_num * l_c * b**(l_e - r_e),
+    each numerator times the other side's small cofactor, where a cross
+    product of the full denominators would take three products of integers
+    of about n**2 bits.  Where the weights differ, the lighter side also
+    takes the missing L_n**|l_w - r_w|, so the comparison stays exact; that
+    step is skipped when they agree.  Only rows that disagree are read as
+    values (:func:`_row_value`), to reduce the residual.
+    """
+    (l_num, l_c, l_e), (r_num, r_c, r_e) = left, right
+    b = ctx.q.denominator
+    lhs = l_num * r_c * b ** max(r_e - l_e, 0)
+    rhs = delta * r_num * l_c * b ** max(l_e - r_e, 0)
+    if r_w != l_w:
+        lcm = ctx.p_lcm(n)
+        lhs *= lcm ** max(r_w - l_w, 0)
+        rhs *= lcm ** max(l_w - r_w, 0)
+    if lhs == rhs:
+        return 0
+    return _row_value(ctx, l_w, n, left) - delta * _row_value(ctx, r_w, n, right)
 
 
 # Bounded memos of the q-level work of the certified series.  At one q and
@@ -600,22 +629,20 @@ def _inner_terms(ctx: QContext, pattern: Triple, merge, n: int) -> Iterator[tupl
 # Largest upper limit of the finite mollified sums, checked before any term
 # is summed.  The engine's values grow like n**2 bits and each n moves n of
 # them, and folds n of them, by factors of about n bits, so the cost grows a
-# little faster than n**4: verify_mhs of (2,1,1,3,1) at q = 5/8 takes 0.5 s
-# at n_max = 80, 2.0 s at 120 and 6.9 s at 160, and of (2,1) at q = 1/2
-# 0.55 s at 160 (medians of 7 fresh processes on a shared 2-vCPU x86-64
-# host, whose speed drifts by 20-40 % between runs).  Deeper patterns cost
-# more per n.
+# little faster than n**4, and deeper patterns cost more per n.  At this
+# limit a shallow pattern's check takes seconds (README "Performance
+# notes" has the timings).
 MAX_PATTERN_LIMIT = 160
 
 # Deepest pattern of a finite mollified sum or a q-series, checked before the
 # run engine builds its m(m+1)/2 folded runs; one cap, so any pattern the
-# finite check takes the q-series check takes too.  verify_mhs of (33,), depth
-# 32, takes 0.2 s at n_max = 40, 4.5 s at 80 and 68 s at 160, and of (23,),
-# depth 22, 28 s at 160; depth 239, past this cap, takes 1.2 s at
-# n_max = 10.  A q-series does about m**2/2 term updates per index and needs
-# about 2m indices, on integers that grow with both: at q = 1/2 and
-# eps = 1e-25 depth 22 takes about 0.26 s and depth 32 about 2.1 s.  All on a
-# 2-vCPU x86-64 host.  The tests reach depth 22 (9,9,9), the benchmark 12.
+# finite check takes the q-series check takes too.  A finite check's cost
+# grows steeply with the depth at each n_max, and a q-series does about
+# m**2/2 term updates per index over about 2m indices, on integers that
+# grow with both; at this depth a q-series at the default eps and a finite
+# check up to n_max = 80 each take a few seconds at most (README
+# "Performance notes" has the timings).  The tests reach depth 22 (9,9,9),
+# the benchmark 12.
 MAX_PATTERN_DEPTH = 32
 
 
@@ -1414,11 +1441,10 @@ _RESOLVED = "resolved"
 _CLASSICAL_MEMO_SIZE = 1024
 
 # Terms per chunk of a classical series, so each of its four float buffers
-# holds at most this many: 1 MB in all, 1.25 MB with the indices, inside
-# the 2 MB L2 cache per core of the 2-vCPU x86-64 host it was timed on.
-# There the benchmark's seed-1 classical batch (57 checks, K = 10**6, cold
-# memo) took 0.79-0.87 s at this chunk and 0.86-0.99 s at twice it.  It is
-# read at each call and goes into the memo key above.
+# holds at most this many: 1 MB in all, 1.25 MB with the indices, sized to
+# stay inside a 2 MB per-core L2 cache while a smaller chunk pays its numpy
+# calls more often (README "Performance notes" has the batch timings at
+# other sizes).  It is read at each call and goes into the memo key above.
 _CHUNK = 32768
 
 

@@ -20,7 +20,9 @@ valid at every n.  This module builds that pattern three ways:
   rule table (``_parts``), which states each block kind's slots once.
 * :func:`closed_pattern`: direct closed forms for recurring composition
   shapes (named by their shape, e.g. "2c21" for repeated twos-c-twos-one
-  groups), used to cross-check compose.
+  groups), used to cross-check compose.  One table, ``CLOSED_FAMILIES``,
+  holds each family's closed form and its instance domain, which
+  :func:`family_instances` lists up to a weight.
 
 :func:`classical_expand` projects the same data to the q -> 1 shadow: each
 resolution of the index string alone becomes a term with coefficient
@@ -34,6 +36,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from .expansion import Triple, expand
 from .indices import THETA, SignedIndex, bar, boxplus, idx, is_int, oplus
+from .qarith import as_int
 
 Composition = tuple[int, ...]
 
@@ -461,23 +464,110 @@ def closed_212c212(
     return _trailing_twos(*closed_212c21(a0, b_values, c_values, a_values), a_last)
 
 
+def _group_seqs(budget: int):
+    """(b, c, a)-group sequences with total weight <= budget (incl. empty)."""
+    yield (), (), (), 0
+    if budget < 4:
+        return
+    for b in range((budget - 4) // 2 + 1):
+        for c in range(3, budget - 2 * b):
+            for a in range((budget - 2 * b - c - 1) // 2 + 1):
+                w = 2 * b + c + 2 * a + 1
+                for bs, cs, as_, w2 in _group_seqs(budget - w):
+                    yield (b,) + bs, (c,) + cs, (a,) + as_, w + w2
+
+
+def _instances_2c2(budget: int):
+    def pairs(rem: int):
+        yield (), (), 0
+        if rem < 3:
+            return
+        for a in range((rem - 3) // 2 + 1):
+            for c in range(3, rem - 2 * a + 1):
+                w = 2 * a + c
+                for as_, cs, w2 in pairs(rem - w):
+                    yield (a,) + as_, (c,) + cs, w + w2
+
+    for a in range(1, budget // 2 + 1):
+        yield ((a,), ())
+    for as_, cs, w in pairs(budget):
+        if cs:
+            for a_last in range((budget - w) // 2 + 1):
+                yield (as_ + (a_last,), cs)
+
+
+# The closed families by name, each as (closed form, instance domain): the
+# domain maps a weight W to the argument tuples of the closed form whose
+# compositions weigh at most W, in a fixed order.
 CLOSED_FAMILIES = {
-    "twos": closed_twos,
-    "twos-ones": closed_twos_ones,
-    "c-ones": closed_c_ones,
-    "2c2": closed_2c2,
-    "2c21": closed_2c21,
-    "212c21": closed_212c21,
-    "2c212": closed_2c212,
-    "212c212": closed_212c212,
+    "twos": (closed_twos, lambda W: ((a,) for a in range(1, W // 2 + 1))),
+    "twos-ones": (
+        closed_twos_ones,
+        lambda W: ((a, l) for a in range(W // 2 + 1) for l in range(1, W - 2 * a + 1)),
+    ),
+    "c-ones": (
+        closed_c_ones, lambda W: ((c, l) for c in range(3, W) for l in range(1, W - c + 1))
+    ),
+    "2c2": (closed_2c2, lambda W: _instances_2c2(W)),
+    "2c21": (closed_2c21, lambda W: ((bs, cs, as_) for bs, cs, as_, _ in _group_seqs(W) if bs)),
+    "212c21": (
+        closed_212c21,
+        lambda W: (
+            (a0, bs, cs, as_)
+            for bs, cs, as_, w in _group_seqs(W - 1)
+            for a0 in range((W - 1 - w) // 2 + 1)
+        ),
+    ),
+    "2c212": (
+        closed_2c212,
+        lambda W: (
+            (bs, cs, as_, a_last)
+            for bs, cs, as_, w in _group_seqs(W - 2)
+            if bs
+            for a_last in range(1, (W - w) // 2 + 1)
+        ),
+    ),
+    "212c212": (
+        closed_212c212,
+        lambda W: (
+            (a0, bs, cs, as_, a_last)
+            for bs, cs, as_, w in _group_seqs(W - 3)
+            for a0 in range((W - 3 - w) // 2 + 1)
+            for a_last in range(1, (W - 1 - 2 * a0 - w) // 2 + 1)
+        ),
+    ),
 }
+
+
+def _family(family: str) -> tuple[Callable, Callable]:
+    """The (closed form, instance domain) of a named family."""
+    try:
+        return CLOSED_FAMILIES[family]
+    except KeyError:
+        known = ", ".join(sorted(CLOSED_FAMILIES))
+        raise ValueError(f"unknown family {family!r} (known: {known})") from None
 
 
 def closed_pattern(family: str, *args, **kwargs) -> tuple[Composition, Compiled]:
     """Closed-form pattern of a named composition shape."""
-    try:
-        builder = CLOSED_FAMILIES[family]
-    except KeyError:
-        known = ", ".join(sorted(CLOSED_FAMILIES))
-        raise ValueError(f"unknown family {family!r} (known: {known})") from None
-    return builder(*args, **kwargs)
+    return _family(family)[0](*args, **kwargs)
+
+
+# Largest max_weight of family_instances, checked before the first
+# instance: a family's count grows about 7 times for each +4 of weight,
+# and this cap keeps family_equivalence of the largest family to seconds
+# (README "Performance notes").
+_MAX_FAMILY_WEIGHT = 24
+
+
+def family_instances(family: str, max_weight: int = 12):
+    """All parameter tuples of a closed family with weight <= max_weight.
+
+    Raises, at the first instance asked for, ValueError for a max_weight
+    above _MAX_FAMILY_WEIGHT or an unknown family, and as
+    :func:`~qzeta.qarith.as_int` for a max_weight that is not an int.
+    """
+    max_weight = as_int(max_weight, "max_weight")
+    if max_weight > _MAX_FAMILY_WEIGHT:
+        raise ValueError(f"max_weight {max_weight} exceeds {_MAX_FAMILY_WEIGHT} for a closed family")
+    yield from _family(family)[1](max_weight)

@@ -41,7 +41,7 @@ from .evaluators import (
     _harmonic_truncation,
     _mhs_rows,
     _pattern_rows,
-    _row_value,
+    _row_residual,
     _upper_limit,
     classical_zeta,
     frakz_enclosure,
@@ -54,11 +54,11 @@ from .indices import THETA, SignedIndex, bar, boxplus, idx, is_int, oplus, signe
 from .indices import delta as sign_of
 from .qarith import QContext, QLike, as_eps, as_int, as_q
 from .rules import (
-    CLOSED_FAMILIES,
     Composition,
     as_composition,
     closed_pattern,
     compose,
+    family_instances,
     pattern_depth,
     zeta_composition,
 )
@@ -316,12 +316,10 @@ def _numeric_report(
 # is refused, not summed exactly.  A ball's integers stay near its binary
 # point while the exact sum's denominators grow like K**2 times the depth
 # in bits, so each doubling costs a small multiple of the last and stays
-# far below the exact sum.  At q = 1/2 and eps = 1e-25 on a shared 2-vCPU
-# x86-64 host, in fresh processes, verify_qmzsv((2,)*300) is decided at
-# 4P = 1,200 bits in 0.26-0.55 s and symmetric_pair_check(200, 200) in
-# 1.0-2.2 s (the spread is the host's speed from one hour to the next),
-# where the exact left side ran past 110 s and 130 s; the left ball at 8P
-# for (2,)*300 alone takes 0.7-1.0 s.
+# far below the exact sum.  Three doublings decide the deep strings met so
+# far whose discrepancy lies far below the first ball's reach, such as
+# (2,)*300, decided at 4P, while the last rung stays within about a second
+# (README "Performance notes" has the timings).
 _BALL_DOUBLINGS = 3
 
 
@@ -360,15 +358,6 @@ def _decide(
     raise ValueError(f"no ball down to the binary point 2**-{prec} decides the report")
 
 
-def _raise_lighter(left: int, right, base: int, excess: int) -> tuple:
-    """(left * base**excess, right) when excess >= 0, else
-    (left, right * base**-excess): a cross product's side that lacks a
-    factor the other side's denominator has over its own."""
-    if excess >= 0:
-        return left * base**excess, right
-    return left, right * base**-excess
-
-
 def verify_mhs(
     composition: Sequence[int],
     n_max: int = 10,
@@ -378,22 +367,11 @@ def verify_mhs(
 ) -> VerificationReport:
     """Exact check of the finite weak-sum identity at every n <= n_max.
 
-    Both sides come as unreduced rows of one shape, (num, c, e) over
-    L_n**w * c * b**e with L_n = lcm(h_1..h_n) implied: the left side's
-    (:func:`~qzeta.evaluators._mhs_rows`, weight W, c = 1) and the right
-    side's (:func:`~qzeta.evaluators._pattern_rows`, weight w,
-    c = G(2n, n) * a**A_n).  ``compose`` keeps the weight, so W = w and the
-    power of L_n, most of both denominators' bits, cancels, as does the
-    smaller b-power: lhs - delta * rhs vanishes iff
-    l_num * r_c * b**(r_e - l_e) == delta * r_num * l_c * b**(l_e - r_e),
-    each side's numerator times the other's small cofactor, where a cross
-    product of the full denominators would take three products of
-    integers of about n**2 bits.  Should the weights differ, the lighter
-    side takes the missing L_n**|W - w|, so the check stays exact; they
-    never do for a composed pattern, so that step is skipped when they
-    agree.  Only a failing n reads both rows as values
-    (:func:`~qzeta.evaluators._row_value`), to reduce its residual, and
-    formats its label.
+    Both sides come as unreduced rows of one shape, the left side's from
+    :func:`~qzeta.evaluators._mhs_rows` and the right side's from
+    :func:`~qzeta.evaluators._pattern_rows`, and each pair is compared by
+    :func:`~qzeta.evaluators._row_residual`, which reduces the residual of
+    a failing n only; only a failing n formats its label.
 
     Both engines are generators that raise every refusal of theirs before
     their first row, and whose row 0 needs no term.  The two streams are
@@ -432,20 +410,11 @@ def verify_mhs(
     r_w = pattern.weight
     for q in qs:
         ctx = QContext(q)
-        b = q.denominator
         rhs = _pattern_rows(ctx, pattern, n_max)
         lhs = _mhs_rows(ctx, entries, n_max, star=True)
         for n, (r_row, l_row) in enumerate(zip(rhs, lhs)):
-            (l_num, l_c, l_e), (r_num, r_c, r_e) = l_row, r_row
-            left, right = _raise_lighter(l_num * r_c, d * r_num * l_c, b, r_e - l_e)
-            if r_w != l_w:
-                left, right = _raise_lighter(left, right, ctx.p_lcm(n), r_w - l_w)
-            if left == right:
-                col.add("", 0)
-            else:
-                # only a failing n pays for its label, denominators and a reduction
-                res = _row_value(ctx, l_w, n, l_row) - d * _row_value(ctx, r_w, n, r_row)
-                col.add(f"q={q} n={n}", res)
+            res = _row_residual(ctx, n, r_row, r_w, l_row, l_w, d)
+            col.add(f"q={q} n={n}" if res else "", res)
     params = {"composition": list(comp), "delta": d, "terms": 2 ** (pattern.depth - 1)}
     return col.report(
         case or f"weak-sum {_label(comp)}", family, params, _label(qs), [0, n_max],
@@ -780,8 +749,8 @@ def _head_reduction(samples: int, seed: int, q: Fraction) -> VerificationReport:
 
 # Largest n_max of the kernel parts of lemma_suite, checked before any part
 # runs.  They compare O(n_max**2) integer pairs per q whose size grows with
-# n: at the three default q they take about 1.4 s at n_max = 80, 4 s at
-# 100 and 9 s at 120 on a 2-vCPU x86-64 host.
+# n, so their time grows steeply with n_max; at this limit the three
+# default q take seconds (README "Performance notes" has the timings).
 _MAX_KERNEL_LIMIT = 120
 # The fixed sizes of the other parts: inverse-power checks c <= 4 at
 # n <= 25, head-reduction each sample at n <= 15, kernel-step 0 <= a <= 3.
@@ -789,9 +758,9 @@ _INVERSE_C_MAX = 4
 _INVERSE_N_MAX = 25
 _HEAD_N_MAX = 15
 _STEP_A_MAX = 3
-# Most head-reduction samples, checked before any part runs: each takes
-# about 1 ms and adds about 41 bytes to the report, so at the cap the part
-# takes about 9 s on a 2-vCPU x86-64 host and writes about 0.4 MB.
+# Most head-reduction samples, checked before any part runs: the part's
+# time and its report's size grow linearly with the samples, and this cap
+# keeps them to seconds and under a megabyte (README "Performance notes").
 _MAX_HEAD_SAMPLES = 10_000
 
 LEMMA_PARTS = (
@@ -929,8 +898,9 @@ def classical_battery() -> list[VerificationReport]:
 # Deepest composition sample_compositions draws.
 _MAX_SAMPLE_DEPTH = 6
 # Most compositions sample_compositions draws, checked before the first:
-# drawing 10**6 takes about 3.6 s, and `qzeta verify random --count 10000`
-# at its other defaults about 6 s on a 2-vCPU x86-64 host.
+# the draw and the checks of `qzeta verify random` grow linearly with the
+# count, and this cap keeps the command to seconds (README "Performance
+# notes").
 _MAX_SAMPLE_COUNT = 10_000
 
 
@@ -969,93 +939,6 @@ def sample_compositions(
             remaining -= e
         out.append(tuple(entries))
     return out
-
-
-def _group_seqs(budget: int):
-    """(b, c, a)-group sequences with total weight <= budget (incl. empty)."""
-    yield (), (), (), 0
-    if budget < 4:
-        return
-    for b in range((budget - 4) // 2 + 1):
-        for c in range(3, budget - 2 * b):
-            for a in range((budget - 2 * b - c - 1) // 2 + 1):
-                w = 2 * b + c + 2 * a + 1
-                for bs, cs, as_, w2 in _group_seqs(budget - w):
-                    yield (b,) + bs, (c,) + cs, (a,) + as_, w + w2
-
-
-def _instances_2c2(budget: int):
-    def pairs(rem: int):
-        yield (), (), 0
-        if rem < 3:
-            return
-        for a in range((rem - 3) // 2 + 1):
-            for c in range(3, rem - 2 * a + 1):
-                w = 2 * a + c
-                for as_, cs, w2 in pairs(rem - w):
-                    yield (a,) + as_, (c,) + cs, w + w2
-
-    for a in range(1, budget // 2 + 1):
-        yield ((a,), ())
-    for as_, cs, w in pairs(budget):
-        if cs:
-            for a_last in range((budget - w) // 2 + 1):
-                yield (as_ + (a_last,), cs)
-
-
-# Largest max_weight of family_instances, checked before the first
-# instance: the count of a family grows about 7 times for each +4 of
-# weight, and family_equivalence("2c2", 24) checks 75,024 instances in
-# 5-7 s on a 2-vCPU x86-64 host.
-_MAX_FAMILY_WEIGHT = 24
-
-
-def family_instances(family: str, max_weight: int = 12):
-    """All parameter tuples of a closed family with weight <= max_weight.
-
-    Raises, at the first instance asked for, ValueError for a max_weight
-    above _MAX_FAMILY_WEIGHT or an unknown family, and as
-    :func:`~qzeta.qarith.as_int` for a max_weight that is not an int.
-    """
-    max_weight = as_int(max_weight, "max_weight")
-    if max_weight > _MAX_FAMILY_WEIGHT:
-        raise ValueError(f"max_weight {max_weight} exceeds {_MAX_FAMILY_WEIGHT} for a closed family")
-    W = max_weight
-    if family == "twos":
-        for a in range(1, W // 2 + 1):
-            yield (a,)
-    elif family == "twos-ones":
-        for a in range(W // 2 + 1):
-            for l in range(1, W - 2 * a + 1):
-                yield (a, l)
-    elif family == "c-ones":
-        for c in range(3, W):
-            for l in range(1, W - c + 1):
-                yield (c, l)
-    elif family == "2c2":
-        yield from _instances_2c2(W)
-    elif family == "2c21":
-        for bs, cs, as_, _ in _group_seqs(W):
-            if bs:
-                yield (bs, cs, as_)
-    elif family == "212c21":
-        for bs, cs, as_, w in _group_seqs(W - 1):
-            for a0 in range((W - 1 - w) // 2 + 1):
-                yield (a0, bs, cs, as_)
-    elif family == "2c212":
-        for bs, cs, as_, w in _group_seqs(W - 2):
-            if bs:
-                for a_last in range(1, (W - w) // 2 + 1):
-                    yield (bs, cs, as_, a_last)
-    elif family == "212c212":
-        for bs, cs, as_, w in _group_seqs(W - 3):
-            for a0 in range((W - 3 - w) // 2 + 1):
-                rem = W - 1 - 2 * a0 - w
-                for a_last in range(1, rem // 2 + 1):
-                    yield (a0, bs, cs, as_, a_last)
-    else:
-        known = ", ".join(sorted(CLOSED_FAMILIES))
-        raise ValueError(f"unknown family {family!r} (known: {known})")
 
 
 def family_equivalence(family: str, max_weight: int = 12) -> VerificationReport:

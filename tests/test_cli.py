@@ -748,8 +748,8 @@ def test_sizes_over_their_caps_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(qzeta.QContext, "gauss_row", never)
     for name in ("_inner_terms", "_ball_sweep", "_run_column"):
         monkeypatch.setattr(qzeta.evaluators, name, never)
-    monkeypatch.setattr(qzeta.verify, "_group_seqs", never)
-    monkeypatch.setattr(qzeta.verify, "_instances_2c2", never)
+    monkeypatch.setattr(qzeta.rules, "_group_seqs", never)
+    monkeypatch.setattr(qzeta.rules, "_instances_2c2", never)
     for argv, message in (
         (("lemmas", "--samples", "10001"), "samples 10001 exceeds 10000 for head-reduction"),
         (("verify", "random", "--count", "10001"), "count 10001 exceeds 10000 for a random corpus"),

@@ -382,14 +382,21 @@ def test_bench_pairs_probes_parse():
 
 def test_bench_pairs_prints_a_probe_with_no_peak_rss(tmp_path, monkeypatch, capsys):
     # a probe killed at the timeout records no peak RSS, and the printed
-    # table shows its exit and wall time without one
+    # table shows its exit and wall time without one; above the table each
+    # side's code lines are printed, with every module whose count changed
+    # and none that kept its count
     import tempfile
 
     repo = tmp_path / "repo"
-    repo.mkdir()
+    source = repo / "src" / "qzeta"
+    source.mkdir(parents=True)
+    (source / "kept.py").write_text("a = 1\n")
+    (source / "shrunk.py").write_text("b = 2\nc = 3\n")
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
-    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "empty"]):
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "two modules"]):
         subprocess.run([*git, *args], capture_output=True, check=True)
+    (source / "shrunk.py").write_text("# a comment\nb = 2\n")
+    (source / "new.py").write_text('"""A docstring."""\nd = 4\n')
     bench = _bench_pairs()["main"].__globals__
 
     def run_side(tree, workload, seed, seconds):
@@ -413,8 +420,9 @@ def test_bench_pairs_prints_a_probe_with_no_peak_rss(tmp_path, monkeypatch, caps
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--pairs", "1",
                                       "--out", str(out)])
     assert bench["main"]() == 0
-    line = capsys.readouterr().out.splitlines()[-1]
-    assert line.split() == "verify 2,1 base timeout 1.00 s change 0 1.00 s 17.5 MB".split()
+    lines = capsys.readouterr().out.splitlines()
+    assert "code lines: base 3 -> change 3 (new.py 0 -> 1, shrunk.py 2 -> 1)" in lines
+    assert lines[-1].split() == "verify 2,1 base timeout 1.00 s change 0 1.00 s 17.5 MB".split()
     result = json.loads(out.read_text())
     probe = result["probes"]["runs"][0]
     assert probe["base"]["child_rss_mb"] is None and probe["change"]["child_rss_mb"] == 17.5

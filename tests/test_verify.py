@@ -472,7 +472,7 @@ def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
     )
     built = [0]
 
-    def counted(*args, real=v._row_value):
+    def counted(*args, real=evaluators._row_value):
         built[0] += 1
         return real(*args)
 
@@ -508,7 +508,7 @@ def test_factored_comparison_reads_rows_at_any_scale(monkeypatch):
                     monkeypatch.setattr(
                         v, "_pattern_rows", lambda ctx, *_, claimed=claimed: claimed[ctx.q]
                     )
-                    monkeypatch.setattr(v, "_row_value", counted)
+                    monkeypatch.setattr(evaluators, "_row_value", counted)
                     if left:
                         monkeypatch.setattr(v, "_mhs_rows", left)
                     built[0] = 0
@@ -1487,16 +1487,17 @@ def test_family_instances_and_equivalence():
 def test_family_instances_weight_cap(monkeypatch):
     # a weight over the cap is refused before the first instance of any
     # family is built
+    import qzeta.rules
     import qzeta.verify as v
     from qzeta import CLOSED_FAMILIES
 
     def never(*args):
         raise AssertionError("an instance was built")
 
-    monkeypatch.setattr(v, "_group_seqs", never)
-    monkeypatch.setattr(v, "_instances_2c2", never)
+    monkeypatch.setattr(qzeta.rules, "_group_seqs", never)
+    monkeypatch.setattr(qzeta.rules, "_instances_2c2", never)
     monkeypatch.setattr(v, "compose", never)
-    cap = v._MAX_FAMILY_WEIGHT
+    cap = qzeta.rules._MAX_FAMILY_WEIGHT
     assert cap == 24  # the cap the README gives
     message = f"^max_weight {cap + 1} exceeds {cap} for a closed family$"
     for family in sorted(CLOSED_FAMILIES):
